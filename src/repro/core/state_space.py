@@ -176,21 +176,27 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def _indices_by_label(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(violation_indices, safe_indices)`` from one pass over the labels."""
+        is_violation = np.fromiter(
+            (label is StateLabel.VIOLATION for label in self.labels),
+            dtype=bool,
+            count=len(self.labels),
+        )
+        return (
+            np.flatnonzero(is_violation).astype(int, copy=False),
+            np.flatnonzero(~is_violation).astype(int, copy=False),
+        )
+
     @property
     def violation_indices(self) -> np.ndarray:
         """Indices of violation-states."""
-        return np.asarray(
-            [i for i, label in enumerate(self.labels) if label is StateLabel.VIOLATION],
-            dtype=int,
-        )
+        return self._indices_by_label()[0]
 
     @property
     def safe_indices(self) -> np.ndarray:
         """Indices of safe-states."""
-        return np.asarray(
-            [i for i, label in enumerate(self.labels) if label is StateLabel.SAFE],
-            dtype=int,
-        )
+        return self._indices_by_label()[1]
 
     def coordinate_scale(self) -> float:
         """The Rayleigh scale ``c``: median of the per-axis coordinate ranges.
@@ -350,7 +356,7 @@ class StateSpace:
         operation (same subtract/square/sum/sqrt/exp sequence), so the
         vectorized votes are bit-identical to the scalar ones.
         """
-        violations = self.violation_indices
+        violations, safe = self._indices_by_label()
         c = self.coordinate_scale()
         if violations.size == 0:
             return ViolationGeometry(
@@ -363,20 +369,18 @@ class StateSpace:
         centers = self.coords[violations].copy()
         if self.radius_law == "fixed":
             radii = np.full(violations.size, float(self.fixed_radius))
+        elif safe.size == 0:
+            # No safe knowledge at all: fall back to the Rayleigh
+            # peak radius so unexplored space is treated cautiously.
+            fallback = c * float(np.exp(-0.5)) if c > 0 else 0.0
+            radii = np.full(violations.size, fallback)
+        elif c <= 0:
+            radii = np.zeros(violations.size)
         else:
-            safe = self.safe_indices
-            if safe.size == 0:
-                # No safe knowledge at all: fall back to the Rayleigh
-                # peak radius so unexplored space is treated cautiously.
-                fallback = c * float(np.exp(-0.5)) if c > 0 else 0.0
-                radii = np.full(violations.size, fallback)
-            elif c <= 0:
-                radii = np.zeros(violations.size)
-            else:
-                nearest_safe = cross_distances(centers, self.coords[safe]).min(axis=1)
-                radii = nearest_safe * np.exp(
-                    -(nearest_safe * nearest_safe) / (2.0 * c * c)
-                )
+            nearest_safe = cross_distances(centers, self.coords[safe]).min(axis=1)
+            radii = nearest_safe * np.exp(
+                -(nearest_safe * nearest_safe) / (2.0 * c * c)
+            )
         return ViolationGeometry(
             n_states=len(self),
             scale=c,

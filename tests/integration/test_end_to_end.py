@@ -7,6 +7,7 @@ reduced scale so the suite stays fast.
 import numpy as np
 import pytest
 
+from repro.core import state_space as state_space_module
 from repro.core.config import StayAwayConfig
 from repro.experiments.runner import (
     run_isolated,
@@ -16,6 +17,8 @@ from repro.experiments.runner import (
     run_unmanaged,
 )
 from repro.experiments.scenarios import Scenario
+from repro.mds.incremental import place_point_reference
+from repro.service import decision_sequence
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +137,28 @@ class TestAccuracyClaim:
         )
         result = run_stayaway(scenario)
         assert result.controller.predictor.outcome_accuracy() > 0.9
+
+
+class TestPlacementKernelAgainstReference:
+    def test_cold_start_run_is_identical_under_reference_placement(self, monkeypatch):
+        """A learning-phase run maps and decides the same either way.
+
+        The batched placement kernel claims bit-identical coordinates,
+        so swapping the one-start-at-a-time reference into the mapping
+        layer must not move a single state or decision.
+        """
+        scenario = Scenario(
+            sensitive="webservice-mix",
+            batches=("twitter-analysis",),
+            ticks=300,
+            seed=11,
+        )
+        kernel = run_stayaway(scenario, config=StayAwayConfig(seed=11)).controller
+        monkeypatch.setattr(state_space_module, "place_point", place_point_reference)
+        reference = run_stayaway(scenario, config=StayAwayConfig(seed=11)).controller
+
+        # the run really exercised placement and the decision logic
+        assert len(kernel.state_space) > 20
+        assert len(decision_sequence(kernel)) > 0
+        assert decision_sequence(kernel) == decision_sequence(reference)
+        assert np.array_equal(kernel.state_space.coords, reference.state_space.coords)

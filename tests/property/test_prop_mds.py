@@ -8,7 +8,11 @@ from hypothesis.extra.numpy import arrays
 from repro.mds.classical import classical_mds
 from repro.mds.dedup import RepresentativeSet
 from repro.mds.distances import pairwise_distances, point_distances
-from repro.mds.incremental import place_point, procrustes_align
+from repro.mds.incremental import (
+    place_point,
+    place_point_reference,
+    procrustes_align,
+)
 from repro.mds.smacof import smacof
 from repro.mds.stress import raw_stress
 
@@ -95,6 +99,79 @@ class TestPlacementProperties:
         # Degenerate anchor sets (duplicates) slow the majorization;
         # 1e-3 residual on O(1) distances is far below dedup epsilon.
         assert residual < 1e-3
+
+
+ANCHOR_KINDS = ("random", "collinear", "coincident", "lattice")
+DELTA_KINDS = ("realizable", "zero", "unrealizable", "high-dimensional")
+
+
+def placement_case(seed, n, anchor_kind, delta_kind, with_init):
+    """A seeded ``(anchors, deltas, init)`` triple of the named shape."""
+    rng = np.random.default_rng(seed)
+    anchors = rng.normal(size=(n, 2)) * rng.choice([0.01, 1.0, 50.0])
+    if anchor_kind == "collinear":
+        anchors[:, 1] = 0.5 * anchors[:, 0] + 1.0
+    elif anchor_kind == "coincident":
+        anchors[n // 2:] = anchors[0]
+    elif anchor_kind == "lattice":
+        # many exactly tied widest pairs
+        anchors = np.stack(np.divmod(np.arange(n), 7), axis=1).astype(float)
+    if delta_kind == "realizable":
+        deltas = point_distances(rng.normal(size=2), anchors)
+    elif delta_kind == "zero":
+        deltas = np.zeros(n)
+    elif delta_kind == "unrealizable":
+        deltas = np.abs(rng.normal(size=n)) * 3.0
+    else:
+        deltas = np.linalg.norm(rng.normal(size=(n, 6)) - rng.normal(size=6), axis=1)
+    init = rng.normal(size=2) * 2.0 if with_init else None
+    return anchors, deltas, init
+
+
+class TestPlacementKernelEquivalence:
+    """``place_point`` returns the reference's coordinates bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 200),
+        st.sampled_from(ANCHOR_KINDS),
+        st.sampled_from(DELTA_KINDS),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_seeded_anchor_sets(self, seed, n, anchor_kind, delta_kind, with_init):
+        anchors, deltas, init = placement_case(seed, n, anchor_kind, delta_kind, with_init)
+        assert np.array_equal(
+            place_point(anchors, deltas, init=init),
+            place_point_reference(anchors, deltas, init=init),
+        )
+
+    @given(
+        arrays(float, st.tuples(st.integers(2, 9), st.just(2)),
+               elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_small_inputs(self, anchors, data):
+        n = anchors.shape[0]
+        deltas = data.draw(arrays(float, (n,), elements=st.floats(0.0, 2e3)))
+        init = data.draw(
+            st.none() | arrays(float, (2,), elements=st.floats(-1e3, 1e3))
+        )
+        assert np.array_equal(
+            place_point(anchors, deltas, init=init),
+            place_point_reference(anchors, deltas, init=init),
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_iteration_cap_and_tolerance_are_honoured_alike(self, seed, n, max_iter):
+        anchors, deltas, _ = placement_case(seed, n, "random", "high-dimensional", False)
+        for tol in (1e-9, 1e-2):
+            assert np.array_equal(
+                place_point(anchors, deltas, max_iter=max_iter, tol=tol),
+                place_point_reference(anchors, deltas, max_iter=max_iter, tol=tol),
+            )
 
 
 class TestProcrustesProperties:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.mds.distances import point_distances
-from repro.mds.incremental import place_point, placement_stress, procrustes_align
+from repro.mds import incremental
+from repro.mds.incremental import (
+    place_point,
+    place_point_reference,
+    placement_stress,
+    procrustes_align,
+)
 
 
 class TestPlacePoint:
@@ -147,3 +153,149 @@ class TestPlacePointEdgeCases:
         # Without init the legacy deterministic +x placement remains.
         placed = place_point(np.array([[1.0, 1.0]]), np.array([2.0]))
         np.testing.assert_allclose(placed, np.array([3.0, 1.0]))
+
+
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+class TestPlacePointInputValidation:
+    """Regressions: bad input used to end in an ``assert`` or a broadcast error."""
+
+    @pytest.mark.parametrize("place", [place_point, place_point_reference])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_deltas_rejected(self, place, poison):
+        # Was: every start's stress NaN -> AssertionError (None under -O).
+        with pytest.raises(ValueError, match="deltas"):
+            place(SQUARE, np.array([0.1, poison, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("place", [place_point, place_point_reference])
+    def test_non_finite_anchors_rejected(self, place):
+        anchors = SQUARE.copy()
+        anchors[2, 1] = np.nan
+        with pytest.raises(ValueError, match="anchors"):
+            place(anchors, np.full(4, 0.5))
+
+    @pytest.mark.parametrize("place", [place_point, place_point_reference])
+    def test_non_finite_init_rejected(self, place):
+        with pytest.raises(ValueError, match="init"):
+            place(SQUARE, np.full(4, 0.5), init=np.array([0.0, np.nan]))
+
+    def test_poisoned_single_anchor_rejected(self):
+        # The closed forms used to hand the NaN straight back as coordinates.
+        with pytest.raises(ValueError, match="anchors"):
+            place_point(np.array([[np.nan, 0.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("place", [place_point, place_point_reference])
+    def test_multi_anchor_map_must_be_planar(self, place):
+        # Was: "operands could not be broadcast together with shapes (3,) (2,)".
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            place(np.zeros((3, 3)), np.ones(3))
+
+    def test_init_shape_validated(self):
+        with pytest.raises(ValueError, match="init"):
+            place_point(SQUARE, np.full(4, 0.5), init=np.zeros(3))
+
+    def test_overflowing_targets_rejected(self):
+        # Finite input whose squares overflow: no start has a finite stress.
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            place_point(SQUARE, np.full(4, 1e200))
+
+
+class TestPlacementKernel:
+    """The batched optimiser against the one-start-at-a-time reference."""
+
+    def test_converged_start_is_frozen_while_others_iterate(self):
+        rng = np.random.default_rng(7)
+        anchors = rng.normal(size=(9, 2))
+        deltas = np.linalg.norm(rng.normal(size=(9, 5)), axis=1)
+        tol, max_iter = 1e-3, 4
+        reference = incremental._optimize_placement_reference
+        settled = reference(anchors.mean(axis=0), anchors, deltas, 400, tol)
+        far = settled + np.array([40.0, -25.0])
+        # The scenario is what it claims: ``settled`` stops after one
+        # majorization step although further steps would still move it,
+        # ``far`` is cut off by the iteration cap.
+        assert np.array_equal(
+            reference(settled, anchors, deltas, 1, tol),
+            reference(settled, anchors, deltas, max_iter, tol),
+        )
+        assert not np.array_equal(
+            reference(settled, anchors, deltas, max_iter, tol),
+            reference(settled, anchors, deltas, max_iter, 0.0),
+        )
+        assert not np.array_equal(
+            reference(far, anchors, deltas, max_iter - 1, tol),
+            reference(far, anchors, deltas, max_iter, tol),
+        )
+        placed, stress = incremental._optimize_starts(
+            np.stack([settled, far]), anchors, deltas, max_iter, tol
+        )
+        for row, start in enumerate((settled, far)):
+            expected = reference(start, anchors, deltas, max_iter, tol)
+            assert np.array_equal(placed[row], expected)
+            assert stress[row] == placement_stress(expected, anchors, deltas)
+
+    @pytest.mark.parametrize(
+        "anchors",
+        [
+            SQUARE,  # both diagonals tie
+            np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), -1).reshape(-1, 2),
+            np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), -1).reshape(-1, 2) * 0.1,
+            # regular 12-gon: six diameters tie up to rounding
+            np.stack(
+                [np.cos(np.arange(12) * np.pi / 6), np.sin(np.arange(12) * np.pi / 6)], -1
+            ),
+            np.zeros((5, 2)),  # all coincident: no pair at all
+        ],
+        ids=["square", "grid5x4", "grid6x6-tenths", "dodecagon", "coincident"],
+    )
+    def test_widest_pair_tie_break_matches_nested_scan(self, anchors):
+        rotation = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        for config in (anchors, anchors @ rotation.T, anchors[::-1]):
+            deltas = np.linalg.norm(config - np.array([0.37, 0.21]), axis=1)
+            batched = incremental._trilateration_starts(config, deltas)
+            scanned = incremental._trilateration_starts_reference(config, deltas)
+            assert len(batched) == len(scanned)
+            for ours, theirs in zip(batched, scanned):
+                assert np.array_equal(ours, theirs)
+            assert np.array_equal(
+                place_point(config, deltas), place_point_reference(config, deltas)
+            )
+
+    def test_row_norms_match_linalg_norm_bitwise(self):
+        # BLAS dot fuses the multiply-add; a square-and-sum does not.
+        rows = np.random.default_rng(3).normal(size=(4000, 2))
+        expected = np.array([np.linalg.norm(row) for row in rows])
+        assert np.array_equal(incremental._row_norms(rows), expected)
+
+    def test_singular_polish_step_stops_only_that_start(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(20):
+            anchors = rng.normal(size=(12, 2))
+            deltas = np.linalg.norm(rng.normal(size=(12, 4)), axis=1)
+            starts = incremental._multi_starts(anchors, deltas)
+            healthy, _ = incremental._optimize_starts(starts, anchors, deltas, 100, 1e-9)
+            cases.append((anchors, deltas, starts, healthy))
+
+        # A stand-in LAPACK that calls some systems singular, the way
+        # the stacked solve does: one bad matrix fails the whole call.
+        real_solve = np.linalg.solve
+
+        def picky_solve(a, b):
+            if np.any(np.asarray(a)[..., 0, 1] < 0.0):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", picky_solve)
+        stopped_early = False
+        for anchors, deltas, starts, healthy in cases:
+            placed, _ = incremental._optimize_starts(starts, anchors, deltas, 100, 1e-9)
+            for row, start in enumerate(starts):
+                expected = incremental._optimize_placement_reference(
+                    start, anchors, deltas, 100, 1e-9
+                )
+                assert np.array_equal(placed[row], expected)
+            stopped_early |= not np.array_equal(placed, healthy)
+        # the stand-in really did change where some starts ended
+        assert stopped_early
