@@ -259,10 +259,10 @@ class ControllerCheckpoint:
         bank = controller.predictor.modes
         for mode_value, state in data["modes"].items():
             model = bank.models[ExecutionMode(mode_value)]
-            model.distances._samples.clear()
-            model.distances._samples.extend(float(v) for v in state["distances"])
-            model.angles._samples.clear()
-            model.angles._samples.extend(float(v) for v in state["angles"])
+            model.distances.clear()
+            model.distances.extend([float(v) for v in state["distances"]])
+            model.angles.clear()
+            model.angles.extend([float(v) for v in state["angles"]])
             model.steps_observed = int(state["steps_observed"])
             model._last_point = (
                 None

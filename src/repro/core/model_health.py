@@ -33,7 +33,7 @@ registry (surfaced under ``summary()["telemetry"]["containment"]``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.trajectory.modes import ExecutionMode
 
 if TYPE_CHECKING:
     from repro.core.controller import StayAway
+    from repro.core.state_space import StateSpace
 
 #: Stress above this (on a map of >= MIN_STATES_FOR_STRESS states)
 #: means the embedding degenerated — a healthy SMACOF fit sits far
@@ -56,6 +57,23 @@ MIN_STATES_FOR_STRESS = 10
 #: learning. Checked per-row (ungated) so garbage cannot slip into a
 #: last-known-good snapshot while size-gated checks are still off.
 MAGNITUDE_LIMIT = 1e6
+
+
+def _bad_rows(matrix: np.ndarray) -> List[int]:
+    """Rows of ``matrix`` holding a non-finite or implausibly large entry.
+
+    ``abs(x) <= MAGNITUDE_LIMIT`` is False for NaN and for both
+    infinities, so the one comparison is the whole test.
+
+    Parameters
+    ----------
+    matrix:
+        ``(S, D)`` learned rows (map coordinates or representatives).
+    """
+    ok = np.abs(matrix) <= MAGNITUDE_LIMIT
+    if ok.all():
+        return []
+    return [int(i) for i in np.nonzero(~ok.all(axis=1))[0]]
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,9 @@ class ModelHealthWatchdog:
         self.geometry_repairs = 0
         self.resets = 0
         self.beta_resets = 0
+        #: ``(coords, representative matrix, stress)`` of the last
+        #: stress computation — see :meth:`_stress`.
+        self._stress_memo: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
         self._counters = None
         if telemetry is not None:
             self._counters = {
@@ -165,17 +186,8 @@ class ModelHealthWatchdog:
         #    magnitude (both live in normalized spaces of order-1
         #    values; 1e9 is corruption, not learning).
         if not report.structural and n_coords:
-            bad = set()
-            coords_ok = np.isfinite(space.coords).all(axis=1) & (
-                np.abs(np.nan_to_num(space.coords)) <= MAGNITUDE_LIMIT
-            ).all(axis=1)
-            bad.update(int(i) for i in np.nonzero(~coords_ok)[0])
-            points = space.representatives.points
-            if points.size:
-                reps_ok = np.isfinite(points).all(axis=1) & (
-                    np.abs(np.nan_to_num(points)) <= MAGNITUDE_LIMIT
-                ).all(axis=1)
-                bad.update(int(i) for i in np.nonzero(~reps_ok)[0])
+            bad = set(_bad_rows(space.coords))
+            bad.update(_bad_rows(space.representatives.points))
             if bad:
                 report.bad_states = sorted(bad)
                 report.issues.append(
@@ -206,10 +218,11 @@ class ModelHealthWatchdog:
 
         # 4. Trajectory models: step histograms must stay finite.
         for mode, model in controller.predictor.modes.models.items():
-            samples = list(model.distances.samples) + list(model.angles.samples)
-            last = model._last_point
-            finite = all(np.isfinite(v) for v in samples) and (
-                last is None or bool(np.isfinite(last).all())
+            last = model.last_point
+            finite = (
+                bool(np.isfinite(model.distances.samples).all())
+                and bool(np.isfinite(model.angles.samples).all())
+                and (last is None or bool(np.isfinite(last).all()))
             )
             if not finite:
                 report.bad_modes.append(mode)
@@ -229,7 +242,7 @@ class ModelHealthWatchdog:
             not report.issues
             and n_labels >= MIN_STATES_FOR_STRESS
         ):
-            stress = space.stress()
+            stress = self._stress(space)
             if not np.isfinite(stress) or stress > STRESS_DIVERGENCE:
                 report.structural = True
                 report.issues.append(
@@ -240,6 +253,26 @@ class ModelHealthWatchdog:
             self.violations += 1
             self._count("watchdog_violations")
         return report
+
+    def _stress(self, space: "StateSpace") -> float:
+        """``space.stress()``, recomputed only when its inputs changed.
+
+        The memo is keyed on the *content* of ``coords`` and the
+        representative matrix, compared against copies taken at the
+        last computation. A version counter bumped by the state space's
+        own mutators would miss exactly what this check exists for:
+        writes into the live arrays from outside them.
+        """
+        coords, points = space.coords, space.representatives.points
+        memo = self._stress_memo
+        if (
+            memo is None
+            or not np.array_equal(memo[0], coords)
+            or not np.array_equal(memo[1], points)
+        ):
+            memo = (coords.copy(), points.copy(), space.stress())
+            self._stress_memo = memo
+        return memo[2]
 
     # -- healing -----------------------------------------------------------
     def heal(self, tick: int, controller: "StayAway", report: HealthReport) -> List[str]:
@@ -322,8 +355,8 @@ class ModelHealthWatchdog:
         space._new_since_refit = 0
         space.invalidate_geometry()
         for model in controller.predictor.modes.models.values():
-            model.distances._samples.clear()
-            model.angles._samples.clear()
+            model.distances.clear()
+            model.angles.clear()
             model.steps_observed = 0
             model.break_continuity()
         self.resets += 1

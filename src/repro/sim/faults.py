@@ -679,7 +679,7 @@ class ModelPoisoner:
             if not models:
                 return False
             model = models[int(rng.integers(len(models)))]
-            model.distances._samples.append(float("nan"))
+            model.distances.add(float("nan"))
             return True
         if kind == "nan-beta":
             controller.throttle.beta = float("nan")

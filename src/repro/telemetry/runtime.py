@@ -24,7 +24,7 @@ from repro.telemetry.exporters import (
     write_trace_jsonl,
 )
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricRegistry
-from repro.telemetry.spans import NULL_CONTEXT, Tracer
+from repro.telemetry.spans import NO_ATTRS, NULL_CONTEXT, Tracer
 from repro.telemetry.timers import StageTimer
 
 
@@ -105,7 +105,7 @@ class Telemetry:
                 name=name,
             )
             self._stage_timers[name] = timer
-        timer.attrs = attrs
+        timer.attrs = attrs or NO_ATTRS
         return timer
 
     # -- reading back ------------------------------------------------------

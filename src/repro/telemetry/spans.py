@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 
 @dataclass(slots=True)
@@ -45,7 +46,7 @@ class Span:
     end: Optional[float] = None
     parent_id: Optional[int] = None
     depth: int = 0
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    attrs: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def duration(self) -> Optional[float]:
@@ -99,6 +100,10 @@ class _NullContext:
 
 NULL_CONTEXT = _NullContext()
 
+#: The attrs of every span opened without any: one shared read-only
+#: mapping instead of an empty dict retained per span.
+NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
+
 
 class Tracer:
     """Produces and stores nested spans.
@@ -140,30 +145,40 @@ class Tracer:
 
     def start(self, name: str, **attrs: Any) -> Span:
         """Explicitly open a span (prefer :meth:`span`)."""
-        parent = self._stack[-1] if self._stack else None
+        return self.begin(name, attrs or NO_ATTRS)
+
+    def begin(self, name: str, attrs: Mapping[str, Any]) -> Span:
+        """:meth:`start` for callers that already hold the attrs mapping.
+
+        The mapping is attached to the span as is, not copied.
+        """
+        stack = self._stack
+        parent = stack[-1] if stack else None
         span = Span(
-            span_id=self._next_id,
-            name=name,
-            start=self.clock(),
-            parent_id=parent.span_id if parent is not None else None,
-            depth=parent.depth + 1 if parent is not None else 0,
-            attrs=attrs,
+            self._next_id,
+            name,
+            self.clock(),
+            None,
+            parent.span_id if parent is not None else None,
+            parent.depth + 1 if parent is not None else 0,
+            attrs,
         )
         self._next_id += 1
-        self._stack.append(span)
+        stack.append(span)
         return span
 
-    def finish(self, span: Span) -> None:
-        """Close ``span`` (and anything left open beneath it)."""
-        span.end = self.clock()
-        while self._stack:
-            open_span = self._stack.pop()
-            if open_span is span:
+    def finish(self, span: Span) -> float:
+        """Close ``span`` (and anything left open beneath it); returns its end."""
+        span.end = end = self.clock()
+        stack = self._stack
+        while stack:
+            if stack.pop() is span:
                 break
         if len(self.spans) < self.max_spans:
             self.spans.append(span)
         else:
             self.dropped += 1
+        return end
 
     @property
     def active(self) -> Optional[Span]:

@@ -10,10 +10,10 @@ opens a matching span so the same region shows up in the trace tree.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.telemetry.registry import Histogram
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import NO_ATTRS, Span, Tracer
 
 
 class Stopwatch:
@@ -54,7 +54,9 @@ class StageTimer:
         Monotonic time source; default ``time.perf_counter``.
     tracer / name / attrs:
         When a tracer is given, each entry also opens a span called
-        ``name`` with ``attrs`` so stage timings appear in the trace.
+        ``name`` so stage timings appear in the trace; the span holds
+        ``attrs`` itself, not a copy (assign a fresh dict per entry if
+        spans must not share one).
 
     The timer is reusable (``with timer: ...`` any number of times) but
     not reentrant — it times one region at a time.
@@ -66,30 +68,37 @@ class StageTimer:
         clock: Optional[Callable[[], float]] = None,
         tracer: Optional[Tracer] = None,
         name: Optional[str] = None,
-        attrs: Optional[Dict[str, Any]] = None,
+        attrs: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.histogram = histogram
         self.clock = clock if clock is not None else time.perf_counter
         self.tracer = tracer
         self.name = name if name is not None else histogram.name
-        self.attrs = attrs or {}
+        self.attrs: Mapping[str, Any] = attrs or NO_ATTRS
         self.last: float = 0.0
-        self._span = None
+        self._span: Optional[Span] = None
         self._started: Optional[float] = None
 
     def __enter__(self) -> "StageTimer":
         if self._started is not None:
             raise RuntimeError(f"stage timer {self.name!r} is not reentrant")
         if self.tracer is not None:
-            self._span = self.tracer.start(self.name, **self.attrs)
-        self._started = self.clock()
+            # The span's own two clock readings time the stage too,
+            # instead of the timer taking a second pair around them.
+            self._span = span = self.tracer.begin(self.name, self.attrs)
+            self._started = span.start
+        else:
+            self._started = self.clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        elapsed = self.clock() - self._started
-        self._started = None
+        started, span = self._started, self._span
+        if started is None:
+            raise RuntimeError(f"stage timer {self.name!r} was never entered")
+        self._started = self._span = None
+        if span is not None and self.tracer is not None:
+            elapsed = self.tracer.finish(span) - started
+        else:
+            elapsed = self.clock() - started
         self.last = elapsed
         self.histogram.observe(elapsed)
-        if self._span is not None:
-            self.tracer.finish(self._span)
-            self._span = None

@@ -60,7 +60,7 @@ def cusum_changepoints(
         scale = float(values.std()) or 1.0
 
     changes: List[ChangePoint] = []
-    reference = values[0]
+    reference = float(values[0])
     positive = 0.0
     negative = 0.0
     last_change = -min_gap
@@ -84,7 +84,7 @@ def cusum_changepoints(
             positive = negative = 0.0
             last_change = i
             relearning = [value]
-            reference = value
+            reference = float(value)
         elif i - last_change >= min_gap * 4:
             # Slowly re-anchor the reference to the local level so
             # gradual drifts do not accumulate into false alarms.

@@ -8,8 +8,7 @@ arbitrary distribution" (§3.2.3).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +35,27 @@ class Histogram:
         self.bins = bins
         self.counts = np.zeros(bins, dtype=float)
         self.edges = np.linspace(low, high, bins + 1)
+
+    @classmethod
+    def _from_counts(
+        cls, low: float, high: float, counts: np.ndarray, edges: np.ndarray
+    ) -> "Histogram":
+        """A histogram over already-binned data; ``edges`` is shared, not copied.
+
+        Parameters
+        ----------
+        counts:
+            ``(B,)`` per-bin weights.
+        edges:
+            ``(B + 1,)`` bin edges, ``np.linspace(low, high, B + 1)``.
+        """
+        hist = cls.__new__(cls)
+        hist.low = float(low)
+        hist.high = float(high)
+        hist.bins = int(counts.size)
+        hist.counts = counts
+        hist.edges = edges
+        return hist
 
     @property
     def total(self) -> float:
@@ -67,24 +87,36 @@ class Histogram:
         cdf[-1] = 1.0
         return cdf
 
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """Inverse-transform samples: uniform u -> bin via CDF -> uniform within bin.
+    def inverse_transform(self, u_bin: np.ndarray, u_offset: np.ndarray) -> np.ndarray:
+        """Map uniforms to samples: ``u_bin`` -> bin via CDF, ``u_offset`` -> place in bin.
 
         The bin lookup uses ``side="right"``: ``u`` maps to the first
         bin whose cumulative mass strictly exceeds it. With ``"left"``,
         ``u == 0.0`` (reachable — ``rng.uniform`` draws from the
         half-open ``[0, 1)``) and any ``u`` landing exactly on a CDF
         plateau selected a zero-mass bin.
+
+        Parameters
+        ----------
+        u_bin / u_offset:
+            ``(N,)`` uniforms in ``[0, 1)``.
+
+        Returns the ``(N,)`` samples.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        cdf = self.cdf()
-        u = rng.uniform(0.0, 1.0, size=n)
-        indices = np.searchsorted(cdf, u, side="right")
-        indices = np.clip(indices, 0, self.bins - 1)
+        # searchsorted never goes below 0; only u_bin >= 1 could overshoot.
+        indices = np.minimum(
+            np.searchsorted(self.cdf(), u_bin, side="right"), self.bins - 1
+        )
         left = self.edges[indices]
         right = self.edges[indices + 1]
-        return left + rng.uniform(0.0, 1.0, size=n) * (right - left)
+        return left + u_offset * (right - left)
+
+    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        """``n`` inverse-transform samples: a bin draw, then an offset draw."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        u_bin = rng.uniform(0.0, 1.0, size=n)
+        return self.inverse_transform(u_bin, rng.uniform(0.0, 1.0, size=n))
 
     def mode_bin_center(self) -> float:
         """Center of the most populated bin."""
@@ -114,6 +146,12 @@ class EmpiricalDistribution:
     drift; old phases should age out) and rebuilds the histogram over
     the observed range on demand.
 
+    The window is the slice ``[_end - _size, _end)`` of a float64
+    buffer twice its length: :meth:`add` writes at ``_end`` and, when
+    the buffer is used up, moves the newest ``window - 1`` values back
+    to the front — O(1) amortized, and the window stays one
+    contiguous, chronological run that NumPy can read without a copy.
+
     Parameters
     ----------
     window:
@@ -133,28 +171,68 @@ class EmpiricalDistribution:
     ) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
+        if bins < 1:
+            raise ValueError("bins must be >= 1")
         self.window = window
         self.bins = bins
         self.fixed_low = low
         self.fixed_high = high
-        self._samples: Deque[float] = deque(maxlen=window)
+        self._buffer = np.empty(2 * window)
+        self._size = 0
+        self._end = 0
+        #: Bin edges of the last histogram and the support they span;
+        #: reused until the support moves (never, for a fixed one).
+        self._edges: Optional[np.ndarray] = None
+        self._edges_support: Optional[Tuple[float, float]] = None
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return self._size
 
     def add(self, value: float) -> None:
-        """Record one observation."""
-        self._samples.append(float(value))
+        """Record one observation (evicting the oldest from a full window)."""
+        if self._end == self._buffer.size:
+            keep = min(self._size, self.window - 1)
+            self._buffer[:keep] = self._buffer[self._end - keep : self._end]
+            self._end = keep
+        self._buffer[self._end] = value
+        self._end += 1
+        self._size = min(self._size + 1, self.window)
+
+    def extend(self, values: Union[Sequence[float], np.ndarray]) -> None:
+        """Record observations in order, as repeated :meth:`add` would.
+
+        Parameters
+        ----------
+        values:
+            ``(K,)`` observations, oldest first.
+        """
+        incoming = np.asarray(values, dtype=float)
+        if incoming.ndim != 1:
+            raise ValueError(f"expected a 1-D sequence, got shape {incoming.shape}")
+        kept = np.concatenate([self.samples, incoming])[-self.window :]
+        self._buffer[: kept.size] = kept
+        self._size = self._end = kept.size
+
+    def clear(self) -> None:
+        """Forget every observation."""
+        self._size = self._end = 0
 
     @property
     def samples(self) -> np.ndarray:
-        return np.asarray(self._samples, dtype=float)
+        """The window, oldest first: a read-only ``(W,)`` view, ``W = len(self)``.
+
+        Zero-copy — valid until the next :meth:`add` / :meth:`extend` /
+        :meth:`clear`; copy it to keep it.
+        """
+        view = self._buffer[self._end - self._size : self._end]
+        view.flags.writeable = False
+        return view
 
     def support(self) -> Tuple[float, float]:
         """The histogram support (fixed bounds or observed range)."""
         if self.fixed_low is not None and self.fixed_high is not None:
             return self.fixed_low, self.fixed_high
-        if not self._samples:
+        if not self._size:
             return (0.0, 1.0)
         values = self.samples
         low = self.fixed_low if self.fixed_low is not None else float(values.min())
@@ -164,20 +242,54 @@ class EmpiricalDistribution:
         return low, high
 
     def histogram(self) -> Histogram:
-        """Materialize the current histogram."""
-        low, high = self.support()
-        hist = Histogram(low, high, bins=self.bins)
-        for value in self._samples:
-            hist.add(value)
-        return hist
+        """Materialize the current histogram.
+
+        One vectorised pass: clamping ``(value - low) / width`` into
+        ``[0, bins - 1]`` and truncating is :meth:`Histogram.bin_of`
+        applied to the whole ``(W,)`` window, so the counts equal those
+        of ``W`` scalar :meth:`Histogram.add` calls. The returned
+        histogram shares its read-only ``edges`` with the others drawn
+        from this distribution while the support stays put.
+
+        Raises
+        ------
+        ValueError
+            If the window holds a NaN or an infinity.
+        ZeroDivisionError
+            If the support is so narrow that the bin width underflows
+            to zero (as :meth:`Histogram.bin_of` does).
+        """
+        values = self.samples
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite sample in the window")
+        low, high = support = self.support()
+        edges = self._edges
+        if edges is None or support != self._edges_support:
+            edges = Histogram(low, high, bins=self.bins).edges
+            edges.flags.writeable = False
+            self._edges, self._edges_support = edges, support
+        width = (high - low) / self.bins
+        if width <= 0.0:
+            # A subnormal support: the scalar division raises too.
+            raise ZeroDivisionError("histogram support too narrow to bin")
+        # Clamp before truncating: a quotient beyond the integer range
+        # has no defined cast, and clamping commutes with truncation.
+        scaled = (values - low) / width
+        np.minimum(scaled, self.bins - 1, out=scaled)
+        np.maximum(scaled, 0, out=scaled)
+        counts = np.bincount(scaled.astype(np.intp), minlength=self.bins).astype(float)
+        return Histogram._from_counts(low, high, counts, edges)
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Inverse-transform samples from the current histogram.
 
-        With zero observations this returns zeros (the caller is
-        expected to check :meth:`ready` for meaningful predictions).
+        With zero observations this returns zeros and draws nothing
+        (the caller is expected to check :meth:`ready` for meaningful
+        predictions).
         """
-        if not self._samples:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if not self._size:
             return np.zeros(n)
         return self.histogram().sample(rng, n)
 
@@ -187,9 +299,9 @@ class EmpiricalDistribution:
         "after a few observations have been made, a first approximation
         of the pdfs for both parameters can be derived" (§3.2.3).
         """
-        return len(self._samples) >= minimum
+        return self._size >= minimum
 
     def mean(self) -> float:
-        if not self._samples:
+        if not self._size:
             return 0.0
         return float(self.samples.mean())

@@ -70,11 +70,33 @@ class TrajectoryModel:
 
     # -- forecasting -------------------------------------------------------
     def sample_steps(self, rng: np.random.Generator, n: int = 5) -> np.ndarray:
-        """Draw ``n`` (dx, dy) displacement samples from the learned pdfs."""
+        """Draw ``n`` (dx, dy) displacement samples from the learned pdfs.
+
+        All of a period's randomness is one ``(4, N)`` uniform draw
+        whose rows are, in order: distance bin, distance offset, angle
+        bin, angle offset. ``Generator.uniform`` fills in C order, so
+        the rows are exactly the four ``(N,)`` draws of
+        ``distances.sample(rng, n)`` followed by ``angles.sample(rng,
+        n)``, and the stream ends in the same state. An empty
+        distribution gets no rows and yields zeros, as its own
+        :meth:`~EmpiricalDistribution.sample` does.
+
+        Returns the ``(N, 2)`` steps.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
-        distances = self.distances.sample(rng, n)
-        angles = self.angles.sample(rng, n)
+        # Histograms first: a non-finite window must raise before the
+        # stream moves.
+        histograms = [
+            part.histogram() if len(part) else None
+            for part in (self.distances, self.angles)
+        ]
+        live = sum(1 for hist in histograms if hist is not None)
+        rows = iter(rng.uniform(0.0, 1.0, size=(2 * live, n)))
+        distances, angles = (
+            np.zeros(n) if hist is None else hist.inverse_transform(next(rows), next(rows))
+            for hist in histograms
+        )
         return np.column_stack(
             [distances * np.cos(angles), distances * np.sin(angles)]
         )

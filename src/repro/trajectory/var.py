@@ -16,7 +16,7 @@ trajectory sampler stays reliable.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -52,10 +52,10 @@ class VectorAutoregression:
 
     def _design(self, series: np.ndarray) -> np.ndarray:
         n = series.shape[0]
-        rows = []
+        rows: List[np.ndarray] = []
         for t in range(self.order, n):
             lagged = [series[t - lag] for lag in range(1, self.order + 1)]
-            rows.append(np.concatenate([[1.0], *lagged]))
+            rows.append(np.concatenate([np.ones(1), *lagged]))
         return np.asarray(rows)
 
     def fit(self, series: np.ndarray) -> "VectorAutoregression":
@@ -89,7 +89,7 @@ class VectorAutoregression:
                 f"history dimension {history.shape[1]} != fitted {self.dimension}"
             )
         lagged = [history[-lag] for lag in range(1, self.order + 1)]
-        row = np.concatenate([[1.0], *lagged])
+        row = np.concatenate([np.ones(1), *lagged])
         return row @ self.coefficients
 
     def forecast_series(self, series: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ def rolling_var_forecast_error(
     """
     series = np.asarray(series, dtype=float)
     n = series.shape[0]
-    errors = []
+    errors: List[float] = []
     for t in range(train_window, n):
         window = series[t - train_window:t]
         try:

@@ -4,11 +4,16 @@ These tests reproduce the qualitative claims of the evaluation (§7) at
 reduced scale so the suite stays fast.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import state_space as state_space_module
+from repro.core.checkpoint import ControllerCheckpoint
 from repro.core.config import StayAwayConfig
+from repro.core.controller import StayAway
 from repro.experiments.runner import (
     run_isolated,
     run_reactive,
@@ -19,6 +24,8 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import Scenario
 from repro.mds.incremental import place_point_reference
 from repro.service import decision_sequence
+from repro.trajectory.histograms import EmpiricalDistribution, Histogram
+from repro.trajectory.sampling import TrajectoryModel
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +169,79 @@ class TestPlacementKernelAgainstReference:
         assert len(decision_sequence(kernel)) > 0
         assert decision_sequence(kernel) == decision_sequence(reference)
         assert np.array_equal(kernel.state_space.coords, reference.state_space.coords)
+
+
+def _sha(payload):
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def _steady_run():
+    """600 ticks of the steady co-location, driven tick by tick."""
+    built = Scenario(
+        sensitive="webservice-mix",
+        batches=("cpubomb", "memorybomb"),
+        ticks=600,
+        batch_start=60,
+        seed=13,
+    ).build()
+    controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=13))
+    for _ in range(600):
+        controller.on_tick(built.host.step(), built.host)
+    return controller
+
+
+def _fingerprint(controller):
+    return {
+        "decisions": decision_sequence(controller),
+        "candidates": [
+            [p.tick, p.votes, p.candidates.tolist()]
+            for p in controller.predictor.predictions
+        ],
+        "checkpoint": ControllerCheckpoint.capture(controller, tick=600).payload,
+    }
+
+
+class TestPredictPathAgainstScalarWindow:
+    """The array-backed step windows, the fused ``(4, n)`` draw and the
+    vectorised watchdog claim bit-identical behaviour."""
+
+    #: sha256 of the JSON of each fingerprint entry, recorded at the
+    #: commit before the windows became arrays (f658fec; NumPy 2.4 on
+    #: the CI image). If these move while the scalar-oracle test below
+    #: still passes, the arithmetic of the environment moved, not the
+    #: predict path.
+    PINNED = {
+        "decisions": "3d046c2135f48527abcb8bbe98d9fe026cb896cd0d409d66942e5dd1d8bfa22c",
+        "candidates": "7ae27e854b88123a4a6026d07edb5ffe68e7077f68b0e8ff0259a030f766775f",
+        "checkpoint": "0ffa7e331fb13d8e0a8657c07fc5e9bf60151e680e49ec53f0a29b508dffb138",
+    }
+
+    @pytest.fixture(scope="class")
+    def steady(self):
+        return _fingerprint(_steady_run())
+
+    def test_run_equals_values_pinned_from_the_parent_commit(self, steady):
+        # the run really predicted, decided and snapshotted something
+        assert len(steady["decisions"]) == 59
+        assert sum(len(entry[2]) for entry in steady["candidates"]) == 2835
+        assert {name: _sha(value) for name, value in steady.items()} == self.PINNED
+
+    def test_run_equals_scalar_rebinning_and_sequential_draws(self, steady, monkeypatch):
+        def scalar_histogram(self):
+            hist = Histogram(*self.support(), bins=self.bins)
+            for value in self.samples:
+                hist.add(value)
+            return hist
+
+        def sequential_steps(self, rng, n=5):
+            distances = self.distances.sample(rng, n)
+            angles = self.angles.sample(rng, n)
+            return np.column_stack(
+                [distances * np.cos(angles), distances * np.sin(angles)]
+            )
+
+        monkeypatch.setattr(EmpiricalDistribution, "histogram", scalar_histogram)
+        monkeypatch.setattr(TrajectoryModel, "sample_steps", sequential_steps)
+        assert _fingerprint(_steady_run()) == steady

@@ -124,7 +124,7 @@ class TestRollbackFidelity:
 
         # Poison the trajectory models -> watchdog must roll back.
         for model in controller.predictor.modes.models.values():
-            model.distances._samples.append(float("nan"))
+            model.distances.add(float("nan"))
         assert watchdog.check_and_heal(121, controller) == ["rollback"]
 
         # Independent restore of the same snapshot into a fresh controller.

@@ -143,6 +143,87 @@ class TestEmpiricalDistribution:
         dist.add(4.0)
         assert dist.mean() == pytest.approx(3.0)
 
+    def test_sample_count_validated_before_and_after_first_observation(self, rng):
+        # Regression: an empty distribution answered n=0 with an empty
+        # array and only started rejecting it once something was observed.
+        dist = EmpiricalDistribution()
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dist.sample(rng, 0)
+        dist.add(1.0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dist.sample(rng, 0)
+
+    def test_bins_validated_at_construction(self):
+        # Regression: bins=0 constructed fine and failed at the first histogram().
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            EmpiricalDistribution(bins=0)
+
+    def test_clear_forgets_everything(self):
+        dist = EmpiricalDistribution(window=4)
+        dist.extend([1.0, 2.0, 3.0])
+        dist.clear()
+        assert len(dist) == 0 and dist.samples.size == 0
+        assert dist.support() == (0.0, 1.0)
+        dist.add(7.0)
+        np.testing.assert_array_equal(dist.samples, [7.0])
+
+    def test_extend_keeps_the_newest_window(self):
+        dist = EmpiricalDistribution(window=3)
+        dist.add(1.0)
+        dist.extend([2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(dist.samples, [3.0, 4.0, 5.0])
+        dist.extend([])
+        np.testing.assert_array_equal(dist.samples, [3.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match="1-D"):
+            dist.extend([[1.0, 2.0]])
+
+    def test_samples_view_is_read_only(self):
+        dist = EmpiricalDistribution()
+        dist.add(1.0)
+        with pytest.raises(ValueError):
+            dist.samples[0] = 2.0
+
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("fixed", [{}, {"low": 0.0}, {"low": -1.0, "high": 1.0}])
+    def test_non_finite_window_raises(self, rng, poison, fixed):
+        dist = EmpiricalDistribution(**fixed)
+        dist.extend([0.1, 0.2, 0.3])
+        dist.add(poison)
+        with pytest.raises(ValueError, match="non-finite"):
+            dist.histogram()
+        with pytest.raises(ValueError, match="non-finite"):
+            dist.sample(rng, 3)
+
+    def test_quotients_beyond_the_integer_range_land_in_the_edge_bins(self):
+        # (1.0 - 0) / 2.5e-301 has no int64 value; the scalar path clamps
+        # Python's big int, the array path must not cast it first.
+        values = [1.0, -1.0, 6e-301]
+        dist = EmpiricalDistribution(bins=4, low=0.0, high=1e-300)
+        dist.extend(values)
+        oracle = Histogram(0.0, 1e-300, bins=4)
+        for value in values:
+            oracle.add(value)
+        np.testing.assert_array_equal(dist.histogram().counts, oracle.counts)
+        np.testing.assert_array_equal(oracle.counts, [1.0, 0.0, 1.0, 1.0])
+
+    def test_subnormal_support_raises_like_the_scalar_path(self):
+        dist = EmpiricalDistribution(bins=4, low=0.0)
+        dist.add(5e-324)  # bin width 5e-324 / 4 underflows to 0.0
+        with pytest.raises(ZeroDivisionError):
+            Histogram(*dist.support(), bins=4).add(5e-324)
+        with pytest.raises(ZeroDivisionError):
+            dist.histogram()
+
+    def test_histogram_edges_follow_the_support(self):
+        dist = EmpiricalDistribution(bins=4, low=0.0)
+        dist.extend([1.0, 2.0])
+        first = dist.histogram()
+        assert dist.histogram().edges is first.edges  # support unchanged: reused
+        dist.add(4.0)
+        moved = dist.histogram()
+        np.testing.assert_array_equal(moved.edges, np.linspace(0.0, 4.0, 5))
+        np.testing.assert_array_equal(first.edges, np.linspace(0.0, 2.0, 5))
+
 
 class FixedUniformRng:
     """Test double: ``uniform`` replays a fixed sequence of values."""

@@ -8,9 +8,17 @@ import pytest
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.events import EventKind
-from repro.core.model_health import ModelHealthWatchdog
+from repro.core import state_space as state_space_module
+from repro.core.model_health import (
+    MIN_STATES_FOR_STRESS,
+    STRESS_DIVERGENCE,
+    ModelHealthWatchdog,
+)
+from repro.experiments.scenarios import Scenario
+from repro.mds.stress import normalized_stress
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
+from repro.sim.faults import ModelPoisoner
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
@@ -104,7 +112,7 @@ class TestInspect:
             for m in controller.predictor.modes.models.values()
             if len(m.distances.samples)
         )
-        model.distances._samples.append(float("nan"))
+        model.distances.add(float("nan"))
         report = watchdog.inspect(100, controller)
         assert report.bad_modes
 
@@ -184,7 +192,7 @@ class TestHeal:
             for m in controller.predictor.modes.models.values()
             if len(m.distances.samples)
         )
-        model.distances._samples.append(float("nan"))
+        model.distances.add(float("nan"))
         actions = watchdog.check_and_heal(100, controller)
         assert actions == ["rollback"]
         for m in controller.predictor.modes.models.values():
@@ -222,3 +230,95 @@ class TestSnapshots:
         assert summary["checks"] == 1
         assert summary["violations"] == 1
         assert summary["quarantines"] == 1
+
+
+def mapped_controller(ticks=150, seed=4):
+    """A controller whose map is large enough for the stress check
+    (``MIN_STATES_FOR_STRESS``), built-in watchdog off."""
+    built = Scenario(
+        sensitive="webservice-mix",
+        batches=("cpubomb", "memorybomb"),
+        ticks=ticks,
+        batch_start=30,
+        seed=seed,
+    ).build()
+    controller = StayAway(
+        built.sensitive_app, config=StayAwayConfig(seed=seed, model_watchdog=False)
+    )
+    SimulationEngine(built.host, [controller]).run(ticks=ticks)
+    assert len(controller.state_space) >= MIN_STATES_FOR_STRESS
+    return controller, built.host
+
+
+class TestPoisonerKindsAreCaughtAtOnce:
+    """Each :class:`ModelPoisoner` kind writes into live state from
+    outside; the very next inspection has to name it."""
+
+    @pytest.mark.parametrize(
+        "kind,check",
+        [
+            ("nan-coords", "finite-rows"),
+            ("garbage-coords", "finite-rows"),
+            ("nan-representative", "finite-rows"),
+            ("negative-radius", "geometry"),
+            ("nan-histogram", "histograms"),
+            ("nan-beta", "beta"),
+        ],
+    )
+    def test_kind_reported_on_the_period_it_is_injected(self, kind, check):
+        assert set(ModelPoisoner.KINDS) == {
+            "nan-coords", "garbage-coords", "nan-representative",
+            "negative-radius", "nan-histogram", "nan-beta",
+        }
+        controller, host = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        controller.state_space.geometry()  # materialize the cache the poisoner hits
+        assert watchdog.inspect(150, controller).ok
+        poisoner = ModelPoisoner(controller, seed=1, probability=1.0, kinds=[kind])
+        poisoner.on_tick(host.step(), host)
+        assert [event.kind for event in poisoner.fired] == [f"poison-{kind}"]
+        report = watchdog.inspect(151, controller)
+        assert [issue.check for issue in report.issues] == [check]
+
+
+class TestStressMemo:
+    @staticmethod
+    def count_stress_calls(monkeypatch):
+        calls = []
+
+        def counting(coords, target):
+            calls.append(1)
+            return normalized_stress(coords, target)
+
+        monkeypatch.setattr(state_space_module, "normalized_stress", counting)
+        return calls
+
+    def test_unchanged_map_is_not_rescored(self, monkeypatch):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        calls = self.count_stress_calls(monkeypatch)
+        for tick in range(150, 155):
+            assert watchdog.inspect(tick, controller).ok
+        assert len(calls) == 1
+
+    def test_in_place_write_of_equal_shape_is_rescored(self, monkeypatch):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        calls = self.count_stress_calls(monkeypatch)
+        assert watchdog.inspect(150, controller).ok
+        controller.state_space.coords[3, 0] += 1e-6  # same array object, new content
+        assert watchdog.inspect(151, controller).ok
+        assert len(calls) == 2
+
+    def test_finite_small_scramble_is_caught_on_the_next_period(self):
+        # Nothing here trips the per-row checks (every value finite and
+        # tiny) and no StateSpace mutator runs, so only a memo keyed on
+        # content notices that the map collapsed.
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        controller.state_space.coords *= 1e-3
+        report = watchdog.inspect(151, controller)
+        assert [issue.check for issue in report.issues] == ["stress"]
+        assert report.structural
+        assert controller.state_space.stress() > STRESS_DIVERGENCE

@@ -6,6 +6,7 @@ three export formats, and the Telemetry facade's enabled/disabled
 behaviour.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -204,6 +205,51 @@ class TestTimers:
         with timer:
             with pytest.raises(RuntimeError):
                 timer.__enter__()
+
+    def test_stage_timer_exit_without_enter_raises(self):
+        with pytest.raises(RuntimeError, match="never entered"):
+            StageTimer(Histogram("h"), clock=FakeClock()).__exit__(None, None, None)
+
+    @pytest.mark.parametrize("max_spans", [20_000, 3, 0])
+    def test_stage_spans_equal_tracer_spans(self, max_spans):
+        """The timer times a stage by its span's own two clock readings;
+        mixed with plain spans it must build the tree, the retention
+        and the durations that plain spans alone do."""
+
+        def tree(stage):
+            clock = FakeClock()
+            tracer = Tracer(clock=clock, max_spans=max_spans)
+            durations = []
+            with stage(tracer, clock, "period", durations, tick=4):
+                clock.advance(0.5)
+                with stage(tracer, clock, "map", durations):
+                    clock.advance(0.25)
+                    with tracer.span("refit", states=9):
+                        clock.advance(1.0)
+                with stage(tracer, clock, "act", durations):
+                    clock.advance(0.125)
+            with stage(tracer, clock, "period", durations, tick=5):
+                assert tracer.active.name == "period" and tracer.active.depth == 0
+            assert tracer.active is None
+            return tracer.to_dicts(), tracer.dropped, tracer.span_tree(), durations
+
+        @contextlib.contextmanager
+        def timed(tracer, clock, name, durations, **attrs):
+            timer = StageTimer(
+                Histogram(f"{name}_seconds"), clock=clock, tracer=tracer,
+                name=name, attrs=attrs,
+            )
+            with timer:
+                yield
+            durations.append(timer.last)
+
+        @contextlib.contextmanager
+        def plain(tracer, clock, name, durations, **attrs):
+            with tracer.span(name, **attrs) as span:
+                yield
+            durations.append(span.duration)
+
+        assert tree(timed) == tree(plain)
 
 
 # ---------------------------------------------------------------------------

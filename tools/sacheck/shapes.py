@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from tools.sacheck.engine import FileContext, Finding, Rule, RuleWalker
 
 #: Layers whose kernels carry shape-annotated docstrings.
-SHAPE_LAYERS = {"sim", "core", "mds"}
+SHAPE_LAYERS = {"sim", "core", "mds", "trajectory"}
 
 #: ``demand:`` or ``demands / weights / host_index:`` — a numpydoc
 #: parameter heading (possibly several names sharing one description).
