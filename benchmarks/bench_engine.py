@@ -12,9 +12,6 @@ each size, runs the scalar object-graph engine and the batched
 * **then speed** — ticks/second for each engine, and the speedup at
   the largest size must clear ``MIN_SPEEDUP`` (x10).
 
-The hybrid ``Cluster(engine="vector")`` path and the multiprocessing
-``ShardedBatchEngine`` ride along as extra timing rows (the sharded
-row is informational: process start-up dominates at bench sizes).
 Timing lives here because SA101 bans wall-clock reads inside
 ``src/repro``. Results land in ``BENCH_engine.json``.
 
@@ -31,12 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from benchmarks.helpers import banner
-from repro.sim.batch import (
-    BatchEngine,
-    ShardedBatchEngine,
-    run_scenario,
-    standard_scenario,
-)
+from repro.sim.batch import run_scenario, standard_scenario
 
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 DEFAULT_TICKS = 240
@@ -70,7 +62,6 @@ def run_engine_sweep(
 
         scalar_tps, scalar_result = _time_engine(scenario, ticks, "scalar")
         batch_tps, batch_result = _time_engine(scenario, ticks, "batch")
-        vector_tps, vector_result = _time_engine(scenario, ticks, "vector")
 
         # The equivalence contract gates the speedup claim: a fast
         # engine that diverges from the reference measures nothing.
@@ -78,9 +69,6 @@ def run_engine_sweep(
             np.array_equal(batch_result.trajectory, scalar_result.trajectory)
             and np.array_equal(batch_result.work_done, scalar_result.work_done)
             and batch_result.states == scalar_result.states
-            and np.array_equal(
-                vector_result.trajectory, scalar_result.trajectory
-            )
         )
         assert equivalent, (
             f"engine divergence at {containers} containers: batched trajectories "
@@ -92,43 +80,11 @@ def run_engine_sweep(
                 "hosts": hosts,
                 "containers": containers,
                 "scalar_ticks_per_second": scalar_tps,
-                "vector_ticks_per_second": vector_tps,
                 "batch_ticks_per_second": batch_tps,
                 "speedup_batch_vs_scalar": batch_tps / scalar_tps,
-                "speedup_vector_vs_scalar": vector_tps / scalar_tps,
                 "equivalent": True,
             }
         )
-
-    # Informational sharded row at the largest size (event-free: the
-    # shard partition rejects cross-shard migrations by design).
-    hosts, per_host = sweep[-1]
-    plain_scenario = standard_scenario(
-        hosts=hosts, containers_per_host=per_host, seed=7, with_events=False
-    )
-    single = BatchEngine(plain_scenario, record_trajectory=True)
-    t0 = time.perf_counter()
-    single_result = single.run(ticks)
-    single_elapsed = time.perf_counter() - t0
-    sharded = ShardedBatchEngine(plain_scenario, shards=2)
-    t0 = time.perf_counter()
-    sharded_result = sharded.run(ticks)
-    sharded_elapsed = time.perf_counter() - t0
-    assert np.array_equal(sharded_result.trajectory, single_result.trajectory), (
-        "sharded run diverged from single-process batch run"
-    )
-    sharded_row = {
-        "hosts": hosts,
-        "containers": len(plain_scenario.containers),
-        "shards": 2,
-        "batch_ticks_per_second": (
-            ticks / single_elapsed if single_elapsed > 0 else 0.0
-        ),
-        "sharded_ticks_per_second": (
-            ticks / sharded_elapsed if sharded_elapsed > 0 else 0.0
-        ),
-        "equivalent": True,
-    }
 
     top = rows[-1]
     report: Dict[str, object] = {
@@ -136,7 +92,6 @@ def run_engine_sweep(
         "ticks": ticks,
         "min_speedup_required": MIN_SPEEDUP,
         "sweep": rows,
-        "sharded": sharded_row,
         "peak_speedup": max(r["speedup_batch_vs_scalar"] for r in rows),
         "passed": (
             all(r["equivalent"] for r in rows)
@@ -158,24 +113,16 @@ def _print_engine_report(report: Dict[str, object]) -> None:
         "bit-identical trajectories required"
     )
     header = (
-        f"  {'containers':>10s} {'scalar t/s':>11s} {'vector t/s':>11s} "
+        f"  {'containers':>10s} {'scalar t/s':>11s} "
         f"{'batch t/s':>11s} {'speedup':>8s}"
     )
     print(header)
     for row in report["sweep"]:
         print(
             f"  {row['containers']:>10d} {row['scalar_ticks_per_second']:>11.1f} "
-            f"{row['vector_ticks_per_second']:>11.1f} "
             f"{row['batch_ticks_per_second']:>11.1f} "
             f"{row['speedup_batch_vs_scalar']:>7.1f}x"
         )
-    sharded = report["sharded"]
-    print(
-        f"  sharded x{sharded['shards']} at {sharded['containers']} containers: "
-        f"{sharded['sharded_ticks_per_second']:.1f} t/s "
-        f"(single-process {sharded['batch_ticks_per_second']:.1f} t/s; "
-        "process start-up dominates at bench sizes)"
-    )
     print(
         f"  peak speedup {report['peak_speedup']:.1f}x "
         f"(gate: >= {report['min_speedup_required']:.0f}x at the largest size)"

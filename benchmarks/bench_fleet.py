@@ -44,14 +44,8 @@ def run_fleet_experiment(
     hosts: int = DEFAULT_HOSTS,
     ticks: int = DEFAULT_TICKS,
     out: Optional[str] = None,
-    engine: str = "scalar",
 ) -> Dict[str, object]:
-    """Run the three-arm fleet drill and write the BENCH json.
-
-    ``engine`` selects the cluster stepping path (``scalar`` reference
-    or the batched ``vector`` resolve); the drill outcome is
-    bit-identical either way, only the wall clock moves.
-    """
+    """Run the three-arm fleet drill and write the BENCH json."""
     mix = FleetMix(
         hosts=hosts,
         ticks=ticks,
@@ -62,7 +56,7 @@ def run_fleet_experiment(
         max_down_fraction=0.3,
         blackout=0.01,
     )
-    config = StayAwayConfig(telemetry=False, engine_mode=engine)
+    config = StayAwayConfig(telemetry=False)
     t0 = time.perf_counter()
     comparison = run_fleet_comparison(mix, config=config)
     elapsed = time.perf_counter() - t0
@@ -76,7 +70,6 @@ def run_fleet_experiment(
     }
     report: Dict[str, object] = {
         "bench": "fleet",
-        "engine": engine,
         "hosts": hosts,
         "ticks": mix.ticks,
         "drain_ticks": mix.drain_ticks,
@@ -115,8 +108,7 @@ def _print_fleet_report(report: Dict[str, object]) -> None:
     print(
         f"fleet: {report['hosts']} hosts, {report['ticks']}+{report['drain_ticks']} "
         f"ticks, {crashes['crashes']} host crashes / {crashes['recoveries']} "
-        f"recoveries per arm (identical script), {report.get('engine', 'scalar')} "
-        "engine"
+        "recoveries per arm (identical script)"
     )
     for name in ("coordinator", "per_host", "none"):
         arm = arms[name]
@@ -192,12 +184,8 @@ def main(argv=None) -> int:
                         help=f"chaos-phase ticks per arm (default {DEFAULT_TICKS})")
     parser.add_argument("--out", default=None,
                         help=f"output JSON path (default {DEFAULT_OUT})")
-    parser.add_argument("--engine", default="scalar", choices=("scalar", "vector"),
-                        help="cluster stepping path (default scalar)")
     args = parser.parse_args(argv)
-    report = run_fleet_experiment(
-        hosts=args.hosts, ticks=args.ticks, out=args.out, engine=args.engine
-    )
+    report = run_fleet_experiment(hosts=args.hosts, ticks=args.ticks, out=args.out)
     _print_fleet_report(report)
     if not report["passed"]:
         print("FAIL: coordinator did not beat the per-host-only arm crash-free")

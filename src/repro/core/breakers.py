@@ -234,7 +234,6 @@ class BreakerBank:
                 error_budget=config.breaker_error_budget,
                 window_ticks=config.breaker_window * period,
                 cooldown_ticks=config.breaker_cooldown * period,
-                probes=config.breaker_probes,
                 registry=registry,
             )
             for stage in (stages if stages is not None else self.STAGES)

@@ -165,7 +165,6 @@ class ControllerCheckpoint:
         space = StateSpace(
             epsilon=float(ss["epsilon"]),
             refit_interval=config.refit_interval,
-            smacof_max_iter=config.smacof_max_iter,
             radius_law=config.radius_law,
             fixed_radius=config.fixed_radius,
         )

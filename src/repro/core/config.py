@@ -36,8 +36,6 @@ class StayAwayConfig:
     refit_interval:
         Run a full SMACOF refit after this many *new* representatives;
         between refits new states are placed incrementally.
-    smacof_max_iter:
-        Iteration cap per SMACOF refit.
     beta_initial / beta_increment:
         The resume threshold beta: "Initially beta is set to 0.01 ...
         the system increments beta by a small amount" on premature
@@ -50,8 +48,6 @@ class StayAwayConfig:
         resumes are considered (§3.3's anti-starvation factor).
     probe_probability:
         Per-period probability of a probe resume once patience ran out.
-    trajectory_window / histogram_bins:
-        Step-feature retention and histogram resolution per mode model.
     aggregate_batch:
         Treat all batch containers as one logical VM (§5).
     act_on_violation:
@@ -75,16 +71,6 @@ class StayAwayConfig:
         Validate measurement vectors (NaN/Inf, negative, implausible
         spikes) and impute rejects by last-good-value hold before they
         reach the mapping pipeline.
-    guard_staleness_budget:
-        Consecutive rejected samples bridged by imputation before the
-        period counts as a monitoring gap.
-    guard_freeze_patience:
-        Identical consecutive vectors tolerated before the channel is
-        declared frozen (0 disables; flat simulated workloads repeat
-        vectors legitimately).
-    guard_plausibility_factor:
-        Readings above ``factor x host capacity`` for their metric are
-        rejected as sensor corruption rather than load.
     degraded_mode:
         Run the health state machine: fall back to reactive-only
         throttling while monitoring or QoS is silent past its deadline,
@@ -94,9 +80,6 @@ class StayAwayConfig:
     resync_periods:
         Consecutive healthy periods required to re-enter predictive
         mode after a degradation.
-    degraded_pause_batch:
-        Preemptively pause all throttle targets when entering degraded
-        mode (flying blind: protect the sensitive app first).
     reconcile_actions:
         Diff the desired pause-set against actual container states each
         period and repair drift (external SIGCONT/kills racing the
@@ -112,8 +95,6 @@ class StayAwayConfig:
         :mod:`repro.telemetry`). Counters and gauges stay live either
         way; disabling only removes the clock reads and span records
         (the delta measured by ``benchmarks/bench_perf_overhead.py``).
-    telemetry_max_spans:
-        Retention cap for finished trace spans per controller.
     fault_containment:
         Wrap each controller stage (guard, map, predict, act) in an
         exception firewall with a per-stage circuit breaker: a stage
@@ -128,9 +109,6 @@ class StayAwayConfig:
     breaker_cooldown:
         Periods an OPEN breaker holds before letting probes through
         (HALF_OPEN).
-    breaker_probes:
-        Consecutive successful probes required to close a HALF_OPEN
-        breaker; one probe failure re-opens it for a fresh cooldown.
     model_watchdog:
         Check learned-state invariants every period (finite
         coordinates/representatives, sane violation-range geometry,
@@ -144,36 +122,6 @@ class StayAwayConfig:
     snapshot_interval:
         Periods between automatic last-known-good model snapshots
         (taken only after a clean watchdog check).
-    fleet_score_period:
-        Ticks between fleet-coordinator scoring/placement rounds (the
-        coordinator's own control period; per-host controllers still
-        run every ``period`` ticks).
-    fleet_hot_score:
-        Interference score at or above which a host counts *hot* and
-        becomes an eviction source.
-    fleet_cold_score:
-        Interference score at or below which a host counts *cold* and
-        may receive migrated or newly admitted work. Must be strictly
-        below ``fleet_hot_score`` (the gap is the hysteresis band that
-        stops placement flapping).
-    fleet_score_smoothing:
-        EWMA weight of the newest observation in the per-host QoS
-        history term of the interference score.
-    fleet_migration_timeout:
-        Ticks a single migration attempt may stay in COPY before the
-        supervisor cancels it and retries or rolls back.
-    fleet_migration_retries:
-        Re-attempts after a failed/bounced/timed-out migration attempt
-        before the supervisor rolls back to the source for good.
-    fleet_migration_backoff:
-        Base backoff in ticks between migration attempts (doubles per
-        attempt).
-    fleet_migration_cooldown:
-        Ticks a host pair stays off-limits for new evictions after a
-        migration involving it committed or rolled back.
-    fleet_max_concurrent_migrations:
-        Cap on simultaneously supervised in-flight migrations across
-        the fleet.
     fleet_cell_mode:
         How each host cell feeds its controller: ``"direct"`` hands it
         the in-process snapshot; ``"stream"`` routes every tick
@@ -220,56 +168,16 @@ class StayAwayConfig:
         How the hybrid combines the geometry and GMM votes: ``"or"``
         (either alarms — the conservative default) or ``"and"`` (both
         must agree).
-    engine_mode:
-        Simulation stepping path for cluster-backed runs: ``"scalar"``
-        steps each host through its own contention model (the
-        reference), ``"vector"`` batches all up hosts into one
-        struct-of-arrays contention resolve per tick (bit-identical
-        snapshots; see docs/SIMULATION.md for the equivalence
-        contract).
-    engine_shards:
-        Worker processes for the shard-per-core batch engine
-        (:class:`repro.sim.batch.ShardedBatchEngine`). 0 disables
-        sharding (single-process); values >= 1 partition hosts
-        round-robin over that many OS processes. Only pure
-        :class:`~repro.sim.batch.BatchScenario` runs shard — the
-        object cluster ignores this knob.
     stream_watermark:
         Ticks of reorder slack in the streaming service's
         :class:`~repro.service.assembler.StreamAssembler`: tick ``t``
         closes once a record for ``t + stream_watermark`` has been
         seen. 0 closes each tick as soon as any record for it arrives.
-    stream_retire_after:
-        Consecutive non-gap closes a metric cell may miss before the
-        assembler retires it from the expected set (its container is
-        presumed to have left the host, e.g. fleet migration) instead
-        of imputing its last value forever. 0 disables retirement.
     stream_stall_deadline:
         Ticks the service waits without the stream's newest data tick
         advancing before forcing the controller's
         :class:`~repro.core.resilience.DegradedModeMachine` into
         DEGRADED (reason ``stream-stall``).
-    stream_retry_backoff:
-        Base backoff in ticks between source reconnect attempts after
-        a :class:`~repro.service.stream.StreamError`; doubles per
-        consecutive failure up to ``stream_retry_cap``.
-    stream_retry_cap:
-        Upper bound on the reconnect backoff, in ticks.
-    stream_retry_jitter:
-        Uniform jitter fraction applied to each reconnect backoff
-        (0.2 = up to ±20%), decorrelating reconnect storms across
-        services; drawn from the service's seeded RNG so runs stay
-        reproducible.
-    actuator_ack_timeout:
-        Ticks the :class:`~repro.service.actuator.AckTracker` waits
-        for a command acknowledgement before redelivering.
-    actuator_max_retries:
-        Redelivery budget per actuator command; one more failed
-        attempt dead-letters it (reconciled through the
-        ``ACTION_ESCALATION`` event path).
-    actuator_retry_backoff:
-        Base backoff in ticks added between actuator redeliveries
-        (doubles per attempt).
     """
 
     period: int = 1
@@ -278,14 +186,11 @@ class StayAwayConfig:
     min_steps_for_prediction: int = 3
     dedup_epsilon: float = 0.03
     refit_interval: int = 40
-    smacof_max_iter: int = 40
     beta_initial: float = 0.01
     beta_increment: float = 0.005
     resume_grace: int = 5
     starvation_patience: int = 20
     probe_probability: float = 0.15
-    trajectory_window: int = 400
-    histogram_bins: int = 16
     aggregate_batch: bool = True
     act_on_violation: bool = True
     enabled: bool = True
@@ -294,36 +199,21 @@ class StayAwayConfig:
     fixed_radius: float = 0.05
     seed: int = 0
     sensor_guard: bool = True
-    guard_staleness_budget: int = 8
-    guard_freeze_patience: int = 0
-    guard_plausibility_factor: float = 4.0
     degraded_mode: bool = True
     monitoring_deadline: int = 10
     qos_deadline: int = 10
     resync_periods: int = 3
-    degraded_pause_batch: bool = False
     reconcile_actions: bool = True
     action_backoff_cap: int = 8
     action_escalation_threshold: int = 3
     telemetry: bool = True
-    telemetry_max_spans: int = 20_000
     fault_containment: bool = True
     breaker_error_budget: int = 3
     breaker_window: int = 20
     breaker_cooldown: int = 15
-    breaker_probes: int = 2
     model_watchdog: bool = True
     watchdog_quarantine: bool = True
     snapshot_interval: int = 50
-    fleet_score_period: int = 5
-    fleet_hot_score: float = 0.45
-    fleet_cold_score: float = 0.25
-    fleet_score_smoothing: float = 0.2
-    fleet_migration_timeout: int = 40
-    fleet_migration_retries: int = 2
-    fleet_migration_backoff: int = 5
-    fleet_migration_cooldown: int = 25
-    fleet_max_concurrent_migrations: int = 4
     fleet_cell_mode: str = "direct"
     detector_mode: str = "geometry"
     gmm_bins: int = 5
@@ -336,17 +226,8 @@ class StayAwayConfig:
     gmm_metrics: tuple = ("cpu", "memory_bw")
     gmm_cooldown: int = 10
     gmm_hybrid_rule: str = "or"
-    engine_mode: str = "scalar"
-    engine_shards: int = 0
     stream_watermark: int = 2
-    stream_retire_after: int = 8
     stream_stall_deadline: int = 10
-    stream_retry_backoff: int = 1
-    stream_retry_cap: int = 16
-    stream_retry_jitter: float = 0.2
-    actuator_ack_timeout: int = 2
-    actuator_max_retries: int = 3
-    actuator_retry_backoff: int = 1
 
     def __post_init__(self) -> None:
         if self.period < 1:
@@ -373,30 +254,16 @@ class StayAwayConfig:
             raise ValueError("probe_probability must be in [0, 1]")
         if self.refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
-        if self.smacof_max_iter < 1:
-            raise ValueError("smacof_max_iter must be >= 1")
         if self.resume_grace < 0:
             raise ValueError("resume_grace must be non-negative")
         if self.starvation_patience < 1:
             raise ValueError("starvation_patience must be >= 1")
-        if self.trajectory_window < 2:
-            raise ValueError("trajectory_window must be >= 2 (need steps)")
-        if self.histogram_bins < 1:
-            raise ValueError("histogram_bins must be >= 1")
-        if self.telemetry_max_spans < 0:
-            raise ValueError("telemetry_max_spans must be non-negative")
         if self.radius_law not in ("rayleigh", "fixed"):
             raise ValueError(
                 f"radius_law must be 'rayleigh' or 'fixed', got {self.radius_law!r}"
             )
         if self.fixed_radius < 0:
             raise ValueError("fixed_radius must be non-negative")
-        if self.guard_staleness_budget < 0:
-            raise ValueError("guard_staleness_budget must be non-negative")
-        if self.guard_freeze_patience < 0:
-            raise ValueError("guard_freeze_patience must be non-negative")
-        if self.guard_plausibility_factor <= 0:
-            raise ValueError("guard_plausibility_factor must be positive")
         if self.monitoring_deadline < 1:
             raise ValueError("monitoring_deadline must be >= 1")
         if self.qos_deadline < 1:
@@ -413,31 +280,8 @@ class StayAwayConfig:
             raise ValueError("breaker_window must be >= 1")
         if self.breaker_cooldown < 1:
             raise ValueError("breaker_cooldown must be >= 1")
-        if self.breaker_probes < 1:
-            raise ValueError("breaker_probes must be >= 1")
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        if self.fleet_score_period < 1:
-            raise ValueError("fleet_score_period must be >= 1")
-        if not 0.0 < self.fleet_hot_score <= 1.0:
-            raise ValueError("fleet_hot_score must be in (0, 1]")
-        if not 0.0 <= self.fleet_cold_score < self.fleet_hot_score:
-            raise ValueError(
-                "fleet_cold_score must be in [0, fleet_hot_score); the gap "
-                "is the placement hysteresis band"
-            )
-        if not 0.0 < self.fleet_score_smoothing <= 1.0:
-            raise ValueError("fleet_score_smoothing must be in (0, 1]")
-        if self.fleet_migration_timeout < 1:
-            raise ValueError("fleet_migration_timeout must be >= 1")
-        if self.fleet_migration_retries < 0:
-            raise ValueError("fleet_migration_retries must be non-negative")
-        if self.fleet_migration_backoff < 1:
-            raise ValueError("fleet_migration_backoff must be >= 1")
-        if self.fleet_migration_cooldown < 0:
-            raise ValueError("fleet_migration_cooldown must be non-negative")
-        if self.fleet_max_concurrent_migrations < 1:
-            raise ValueError("fleet_max_concurrent_migrations must be >= 1")
         if self.fleet_cell_mode not in ("direct", "stream"):
             raise ValueError(
                 "fleet_cell_mode must be 'direct' or 'stream', "
@@ -479,30 +323,10 @@ class StayAwayConfig:
             raise ValueError(
                 f"gmm_hybrid_rule must be 'or' or 'and', got {self.gmm_hybrid_rule!r}"
             )
-        if self.engine_mode not in ("scalar", "vector"):
-            raise ValueError(
-                f"engine_mode must be 'scalar' or 'vector', got {self.engine_mode!r}"
-            )
-        if self.engine_shards < 0:
-            raise ValueError("engine_shards must be non-negative")
         if self.stream_watermark < 0:
             raise ValueError("stream_watermark must be non-negative")
-        if self.stream_retire_after < 0:
-            raise ValueError("stream_retire_after must be non-negative")
         if self.stream_stall_deadline < 1:
             raise ValueError("stream_stall_deadline must be >= 1")
-        if self.stream_retry_backoff < 1:
-            raise ValueError("stream_retry_backoff must be >= 1")
-        if self.stream_retry_cap < self.stream_retry_backoff:
-            raise ValueError("stream_retry_cap must be >= stream_retry_backoff")
-        if not 0.0 <= self.stream_retry_jitter <= 1.0:
-            raise ValueError("stream_retry_jitter must be in [0, 1]")
-        if self.actuator_ack_timeout < 1:
-            raise ValueError("actuator_ack_timeout must be >= 1")
-        if self.actuator_max_retries < 0:
-            raise ValueError("actuator_max_retries must be non-negative")
-        if self.actuator_retry_backoff < 1:
-            raise ValueError("actuator_retry_backoff must be >= 1")
 
     def vote_threshold(self) -> int:
         """Votes needed to flag an impending violation.

@@ -51,6 +51,10 @@ STAGE_FAILED = _StageOutcome("failed")
 #: The stage's circuit breaker is OPEN; it was skipped entirely.
 STAGE_OPEN = _StageOutcome("open")
 
+#: Readings above this many times the host capacity for their metric are
+#: rejected by the sensor guard as corruption rather than load.
+PLAUSIBILITY_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
@@ -136,14 +140,10 @@ class StayAway:
         if telemetry is not None:
             self.telemetry = telemetry
         else:
-            self.telemetry = Telemetry(
-                enabled=self.config.telemetry,
-                max_spans=self.config.telemetry_max_spans,
-            )
+            self.telemetry = Telemetry(enabled=self.config.telemetry)
         if template is not None:
             self.state_space = template.build_state_space(
                 refit_interval=self.config.refit_interval,
-                smacof_max_iter=self.config.smacof_max_iter,
                 radius_law=self.config.radius_law,
                 fixed_radius=self.config.fixed_radius,
             )
@@ -151,7 +151,6 @@ class StayAway:
             self.state_space = StateSpace(
                 epsilon=self.config.dedup_epsilon,
                 refit_interval=self.config.refit_interval,
-                smacof_max_iter=self.config.smacof_max_iter,
                 radius_law=self.config.radius_law,
                 fixed_radius=self.config.fixed_radius,
             )
@@ -247,10 +246,7 @@ class StayAway:
             )
             if self.config.sensor_guard and self.guard is None:
                 self.guard = SensorGuard(
-                    plausible_max=normalizer.scale
-                    * self.config.guard_plausibility_factor,
-                    staleness_budget=self.config.guard_staleness_budget,
-                    freeze_patience=self.config.guard_freeze_patience,
+                    plausible_max=normalizer.scale * PLAUSIBILITY_FACTOR,
                     registry=self.telemetry.registry,
                 )
             if self.aux_detector is not None and not getattr(
@@ -298,8 +294,6 @@ class StayAway:
             self.health.update(
                 tick, monitoring_ok=monitoring_ok, qos_fresh=self._qos_channel_fresh()
             )
-            if self.health.entered_degraded_now and self.config.degraded_pause_batch:
-                self.throttle.preemptive_pause(tick, host)
         predictive_allowed = self.health is None or self.health.predictive
 
         # 0d. Model-health watchdog: heal a poisoned learned state

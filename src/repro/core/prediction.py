@@ -100,9 +100,7 @@ class Predictor:
     ):
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.modes = ModeModelBank(
-            window=config.trajectory_window, bins=config.histogram_bins
-        )
+        self.modes = ModeModelBank()
         self.predictions: List[Prediction] = []
         self.accuracy_records: List[AccuracyRecord] = []
         self._pending: Optional[Prediction] = None

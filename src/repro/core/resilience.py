@@ -79,7 +79,6 @@ class DegradedModeMachine:
         self._last_good_monitoring_tick: Optional[int] = None
         self._last_qos_tick: Optional[int] = None
         self._healthy_streak = 0
-        self._entered_this_update = False
 
     # -- channel freshness ---------------------------------------------------
     def _silent_reasons(self, tick: int, previous_update: Optional[int]) -> List[str]:
@@ -123,7 +122,6 @@ class DegradedModeMachine:
             The QoS channel produced at least one report since the
             previous period.
         """
-        self._entered_this_update = False
         previous_update = self._last_update_tick
         self._last_update_tick = tick
         if monitoring_ok:
@@ -169,7 +167,6 @@ class DegradedModeMachine:
         self.degraded_entries += 1
         self.degraded_periods += 1
         self._healthy_streak = 0
-        self._entered_this_update = True
         self.transitions.append((tick, ControllerHealth.DEGRADED, tuple(reasons)))
         self.events.record(tick, EventKind.DEGRADED_ENTER, reasons=list(reasons))
 
@@ -186,11 +183,6 @@ class DegradedModeMachine:
     def predictive(self) -> bool:
         """True while predictions may be acted upon."""
         return self.state is ControllerHealth.PREDICTIVE
-
-    @property
-    def entered_degraded_now(self) -> bool:
-        """True when the last ``update`` transitioned into DEGRADED."""
-        return self._entered_this_update
 
     def summary(self) -> dict:
         """Counters for reports and tests."""

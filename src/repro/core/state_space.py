@@ -130,6 +130,10 @@ def violation_range_radius(d: float, c: float) -> float:
     return float(d * np.exp(-(d * d) / (2.0 * c * c)))
 
 
+#: Iteration cap per full SMACOF refit.
+REFIT_MAX_ITER = 40
+
+
 class StateSpace:
     """Deduplicated mapped states with labels and violation-ranges.
 
@@ -139,15 +143,12 @@ class StateSpace:
         Dedup merge radius in the normalized high-dimensional space.
     refit_interval:
         Full SMACOF refit after this many new representatives.
-    smacof_max_iter:
-        Iteration cap for refits.
     """
 
     def __init__(
         self,
         epsilon: float = 0.03,
         refit_interval: int = 40,
-        smacof_max_iter: int = 40,
         radius_law: str = "rayleigh",
         fixed_radius: float = 0.05,
     ) -> None:
@@ -159,7 +160,6 @@ class StateSpace:
         self.coords: np.ndarray = np.empty((0, 2))
         self.labels: List[StateLabel] = []
         self.refit_interval = refit_interval
-        self.smacof_max_iter = smacof_max_iter
         self.radius_law = radius_law
         self.fixed_radius = fixed_radius
         self.refit_count = 0
@@ -275,7 +275,7 @@ class StateSpace:
             target,
             n_components=2,
             init=self.coords,
-            max_iter=self.smacof_max_iter,
+            max_iter=REFIT_MAX_ITER,
             telemetry=self.telemetry,
         )
         aligned, _, _ = procrustes_align(self.coords, result.embedding)

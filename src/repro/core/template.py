@@ -88,7 +88,6 @@ class MapTemplate:
     def build_state_space(
         self,
         refit_interval: int = 40,
-        smacof_max_iter: int = 40,
         radius_law: str = "rayleigh",
         fixed_radius: float = 0.05,
     ) -> StateSpace:
@@ -96,7 +95,6 @@ class MapTemplate:
         space = StateSpace(
             epsilon=self.epsilon,
             refit_interval=refit_interval,
-            smacof_max_iter=smacof_max_iter,
             radius_law=radius_law,
             fixed_radius=fixed_radius,
         )

@@ -609,14 +609,12 @@ class FleetMix:
             raise ValueError("ticks must be >= 1 and drain_ticks >= 0")
 
 
-def build_fleet(mix: FleetMix, engine: str = "scalar") -> Tuple[Cluster, dict]:
+def build_fleet(mix: FleetMix) -> Tuple[Cluster, dict]:
     """A heterogeneous fleet: bombed, clean and spare hosts.
 
     Returns the cluster and the ``{host: sensitive app}`` mapping the
     coordinator (or the per-host arm) needs. Each host gets fresh,
-    independently seeded application instances. ``engine`` selects the
-    cluster stepping path (``"scalar"`` per-host loops, ``"vector"``
-    one batched contention resolve per tick — identical snapshots).
+    independently seeded application instances.
     """
     hosts = {}
     sensitive = {}
@@ -639,7 +637,7 @@ def build_fleet(mix: FleetMix, engine: str = "scalar") -> Tuple[Cluster, dict]:
             bomb.name = f"cpubomb-{i:03d}"
             host.add_container(Container(name=bomb.name, app=bomb))
         hosts[name] = host
-    return Cluster(hosts=hosts, engine=engine), sensitive
+    return Cluster(hosts=hosts), sensitive
 
 
 class FleetQosAudit:
@@ -768,14 +766,13 @@ def run_fleet_drill(
     migration), ``per-host`` (identical controllers, migration
     disabled) and ``none`` (no prevention at all). The crash/blackout
     script depends only on ``(seed, tick, host)``, so all three arms
-    see the same outages. ``config.engine_mode`` picks the cluster
-    stepping path (scalar reference or batched vector resolve).
+    see the same outages.
     """
     mix = mix if mix is not None else FleetMix()
     if arm not in ("coordinator", "per-host", "none"):
         raise ValueError(f"unknown arm {arm!r}")
     config = config if config is not None else StayAwayConfig(telemetry=False)
-    cluster, sensitive = build_fleet(mix, engine=config.engine_mode)
+    cluster, sensitive = build_fleet(mix)
 
     audit = FleetQosAudit(sensitive)
     cluster.add_middleware(audit)

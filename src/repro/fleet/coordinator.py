@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.core.breakers import CircuitBreaker
+from repro.core.breakers import BreakerBank, CircuitBreaker
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.events import EventLog
@@ -44,6 +44,19 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:
     from repro.sim.cluster import Cluster
     from repro.sim.host import Host, HostSnapshot
+
+#: Ticks between scoring/placement rounds (the coordinator's own control
+#: period; per-host controllers still run every ``config.period`` ticks).
+SCORE_PERIOD = 5
+#: Interference score at or above which a host is *hot*: an eviction
+#: source, and refused as an admission preference.
+HOT_SCORE = 0.45
+#: Score at or below which a host is *cold* and may receive work. The gap
+#: to ``HOT_SCORE`` is the hysteresis band that stops placement flapping.
+COLD_SCORE = 0.25
+#: Ticks a host pair stays off-limits for new evictions after a
+#: migration between them was requested.
+MIGRATION_COOLDOWN = 25
 
 
 class HostControllerCell:
@@ -247,8 +260,8 @@ class FleetCoordinator:
         so interference is moved away from sensitive work, not onto a
         different host's sensitive work.
     config:
-        Shared :class:`~repro.core.config.StayAwayConfig`; the
-        ``fleet_*`` knobs configure scoring and migration supervision.
+        Shared :class:`~repro.core.config.StayAwayConfig` for the
+        per-host controllers and the cell breakers.
     migrate:
         When False the coordinator observes and scores but never moves
         work — the per-host-only ablation arm of ``bench_fleet``.
@@ -273,9 +286,7 @@ class FleetCoordinator:
         self._factory = controller_factory or (
             lambda host, app: StayAway(app, config=self.config)
         )
-        self.scorer = scorer or InterferenceScorer(
-            smoothing=self.config.fleet_score_smoothing
-        )
+        self.scorer = scorer or InterferenceScorer()
         self.events = EventLog()
         self.cells: Dict[str, HostControllerCell] = {}
         self.supervisor: Optional[MigrationSupervisor] = None
@@ -290,24 +301,18 @@ class FleetCoordinator:
         if self.cluster is not None:
             raise ValueError("coordinator is already bound to another cluster")
         self.cluster = cluster
-        self.supervisor = MigrationSupervisor(
-            cluster,
-            timeout=self.config.fleet_migration_timeout,
-            retries=self.config.fleet_migration_retries,
-            backoff=self.config.fleet_migration_backoff,
-            max_concurrent=self.config.fleet_max_concurrent_migrations,
+        self.supervisor = MigrationSupervisor(cluster)
+        # One breaker per cell, configured like the controllers' stage
+        # breakers (the bank owns the periods -> ticks conversion).
+        breakers = BreakerBank(
+            self.config,
+            self.events,
+            stages=tuple(f"cell:{host_name}" for host_name in self.sensitive),
         )
         for host_name, app in sorted(self.sensitive.items()):
             if host_name not in cluster.hosts:
                 raise ValueError(f"sensitive mapping names unknown host {host_name!r}")
-            breaker = CircuitBreaker(
-                stage=f"cell:{host_name}",
-                events=self.events,
-                error_budget=self.config.breaker_error_budget,
-                window_ticks=self.config.breaker_window,
-                cooldown_ticks=self.config.breaker_cooldown,
-                probes=self.config.breaker_probes,
-            )
+            breaker = breakers.get(f"cell:{host_name}")
             if self.config.fleet_cell_mode == "stream":
                 # The service builds its own controller behind the
                 # seam; controller_factory does not apply here.
@@ -339,7 +344,7 @@ class FleetCoordinator:
             utilization = snapshot.cpu_utilization(host.capacity)
             self.scorer.observe(host_name, predicted, violated, utilization, tick)
         self.supervisor.poll(tick)
-        if self.migrate_enabled and tick % self.config.fleet_score_period == 0:
+        if self.migrate_enabled and tick % SCORE_PERIOD == 0:
             self._placement_round(tick, snapshots, cluster)
 
     # -- placement ----------------------------------------------------------
@@ -398,7 +403,7 @@ class FleetCoordinator:
     ) -> None:
         scores = self._fresh_scores(tick, snapshots, cluster)
         hot = sorted(
-            (s for s in scores.values() if s.total >= self.config.fleet_hot_score),
+            (s for s in scores.values() if s.total >= HOT_SCORE),
             key=lambda s: (-s.total, s.host),
         )
         # Eviction targets: cold hosts with no sensitive app and spare
@@ -409,7 +414,7 @@ class FleetCoordinator:
             (
                 s
                 for s in scores.values()
-                if s.total <= self.config.fleet_cold_score
+                if s.total <= COLD_SCORE
                 and s.host not in self.sensitive
                 and s.utilization < 0.75
             ),
@@ -435,7 +440,7 @@ class FleetCoordinator:
             if self.supervisor.request(tick, victim, target.host) is None:
                 break
             cold = [c for c in cold if c.host != target.host]
-            until = tick + self.config.fleet_migration_cooldown
+            until = tick + MIGRATION_COOLDOWN
             self._cooldown_until[source.host] = until
             self._cooldown_until[target.host] = until
 
@@ -456,10 +461,7 @@ class FleetCoordinator:
         if (
             preferred is not None
             and self.cluster.host_is_up(preferred)
-            and (
-                preferred not in scores
-                or scores[preferred].total < self.config.fleet_hot_score
-            )
+            and (preferred not in scores or scores[preferred].total < HOT_SCORE)
         ):
             target = preferred
         elif scores:
@@ -500,12 +502,6 @@ class FleetCoordinator:
             "migrations": self.supervisor.summary() if self.supervisor else {},
             "qos": {"fleet_violation_ratio": self.fleet_violation_ratio()},
             "ticks": self.ticks_seen,
-            "engine": (
-                {"mode": self.cluster.engine, **self.cluster.engine_stats}
-                if self.cluster is not None
-                and hasattr(self.cluster, "engine_stats")
-                else {}
-            ),
         }
         if scores:
             ranked = sorted(scores.values(), key=lambda s: (-s.total, s.host))

@@ -75,6 +75,9 @@ class SupervisedMigration:
         state (None while live).
     next_attempt_tick:
         Earliest tick the next attempt may start (backoff).
+    attempt_started_tick:
+        Tick the current copy attempt started; the attempt's timeout is
+        counted from here, so a retry gets a fresh time budget.
     reason:
         Why the migration ended where it did (terminal states only).
     transitions:
@@ -90,6 +93,7 @@ class SupervisedMigration:
     requested_tick: int = 0
     completed_tick: Optional[int] = None
     next_attempt_tick: int = 0
+    attempt_started_tick: int = 0
     reason: str = ""
     transitions: List[Tuple[int, str]] = field(default_factory=list)
 
@@ -155,7 +159,6 @@ class MigrationSupervisor:
         self.backoff = backoff
         self.max_concurrent = max_concurrent
         self.migrations: List[SupervisedMigration] = []
-        self._attempt_started: Dict[int, int] = {}  # id(migration) -> tick
         self.retry_count = 0
         self.timeout_count = 0
 
@@ -223,7 +226,7 @@ class MigrationSupervisor:
             self._attempt_failed(tick, migration, f"start refused: {exc}")
             return
         migration.records.append(record)
-        self._attempt_started[id(migration)] = tick
+        migration.attempt_started_tick = tick
         migration._move(tick, MigrationState.COPY)
 
     def _poll_copy(self, tick: int, migration: SupervisedMigration) -> None:
@@ -248,9 +251,8 @@ class MigrationSupervisor:
             return
         # Still copying: cut the attempt short if the destination died
         # or the attempt exceeded its time budget.
-        started = self._attempt_started.get(id(migration), migration.requested_tick)
         destination_dead = not self.cluster.host_is_up(migration.destination)
-        timed_out = tick - started >= self.timeout
+        timed_out = tick - migration.attempt_started_tick >= self.timeout
         if not destination_dead and not timed_out:
             return
         if timed_out and not destination_dead:

@@ -9,9 +9,8 @@ acknowledgement contract:
 * the backend's :meth:`Actuator.deliver` returns ``True`` (delivered
   and acked), ``None`` (delivered, ack pending/lost) or ``False``
   (delivery failed outright);
-* the :class:`AckTracker` waits ``actuator_ack_timeout`` ticks for an
-  ack, then redelivers with doubling backoff up to
-  ``actuator_max_retries`` times;
+* the :class:`AckTracker` waits ``ack_timeout`` ticks for an ack, then
+  redelivers with doubling backoff up to ``max_retries`` times;
 * a command that exhausts its retries is **dead-lettered**: recorded
   in :attr:`AckTracker.dead_letters`, counted, and surfaced through
   the controller's event log as an ``ACTION_ESCALATION`` — the same

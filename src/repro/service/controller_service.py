@@ -11,8 +11,8 @@ against assembled stream state instead of live simulator snapshots:
   exhausted then drains, for replay.
 * **Reconnect** — a :class:`~repro.service.stream.StreamError` from
   the source starts capped exponential backoff (base
-  ``stream_retry_backoff``, cap ``stream_retry_cap``) with seeded
-  uniform jitter (``stream_retry_jitter``) before
+  ``RETRY_BACKOFF``, cap ``RETRY_CAP``) with seeded uniform jitter
+  (``RETRY_JITTER``) before
   :meth:`~repro.service.stream.StreamSource.reconnect` + the next
   poll; the service keeps stepping closed ticks it already holds
   while the source is down.
@@ -51,6 +51,14 @@ from repro.service.views import HostView, StreamApp, StreamQosChannel
 #: replay-determinism gate compares.
 DECISION_KINDS = (EventKind.THROTTLE, EventKind.RESUME, EventKind.PROBE_RESUME)
 
+#: Reconnect backoff after a :class:`StreamError`, in service cycles: the
+#: base doubles per consecutive failure up to the cap, and each delay is
+#: jittered by up to ±``RETRY_JITTER`` (drawn from the service's seeded
+#: RNG, so runs stay reproducible) to decorrelate reconnect storms.
+RETRY_BACKOFF = 1
+RETRY_CAP = 16
+RETRY_JITTER = 0.2
+
 
 class ServiceState(enum.Enum):
     """Service lifecycle."""
@@ -73,8 +81,8 @@ class ControllerService:
         :class:`~repro.service.actuator.NullActuator` (decisions only —
         the replay case).
     config:
-        Controller + service tunables (the ``stream_*``/``actuator_*``
-        knobs live here too).
+        Controller + service tunables (the ``stream_*`` knobs live
+        here too).
     assembler:
         Override the assembly policy; default a
         :class:`~repro.service.assembler.StreamAssembler` with
@@ -92,10 +100,7 @@ class ControllerService:
     ) -> None:
         self.config = config if config is not None else StayAwayConfig()
         self.source = source
-        self.telemetry = Telemetry(
-            enabled=self.config.telemetry,
-            max_spans=self.config.telemetry_max_spans,
-        )
+        self.telemetry = Telemetry(enabled=self.config.telemetry)
         self.sensitive_app = StreamApp(name="", sensitive=True)
         self.qos_channel = StreamQosChannel()
         self.controller = StayAway(
@@ -109,16 +114,12 @@ class ControllerService:
             if assembler is not None
             else StreamAssembler(
                 watermark=self.config.stream_watermark,
-                retire_after=self.config.stream_retire_after,
                 registry=self.telemetry.registry,
             )
         )
         backend = actuator if actuator is not None else NullActuator()
         self.tracker = AckTracker(
             backend,
-            ack_timeout=self.config.actuator_ack_timeout,
-            max_retries=self.config.actuator_max_retries,
-            backoff=self.config.actuator_retry_backoff,
             registry=self.telemetry.registry,
             on_dead_letter=self._on_dead_letter,
         )
@@ -208,12 +209,9 @@ class ControllerService:
         except StreamError:
             self._retry_failures += 1
             backoff = min(
-                self.config.stream_retry_cap,
-                self.config.stream_retry_backoff * 2 ** (self._retry_failures - 1),
+                RETRY_CAP, RETRY_BACKOFF * 2 ** (self._retry_failures - 1)
             )
-            jitter = 1.0 + self.config.stream_retry_jitter * (
-                2.0 * float(self._rng.uniform()) - 1.0
-            )
+            jitter = 1.0 + RETRY_JITTER * (2.0 * float(self._rng.uniform()) - 1.0)
             self._retry_at = self._cycle + max(1, round(backoff * jitter))
             return
         self._retry_failures = 0

@@ -20,7 +20,6 @@ from repro.sim.batch import (
     ContainerSpec,
     HostSpec,
     ScenarioResult,
-    ShardedBatchEngine,
     TraceApp,
     build_scalar_cluster,
     run_scenario,
@@ -28,7 +27,6 @@ from repro.sim.batch import (
 )
 from repro.sim.clock import SimulationClock
 from repro.sim.cluster import (
-    ENGINE_MODES,
     Cluster,
     ContainerLocation,
     HostEvent,
@@ -85,10 +83,8 @@ __all__ = [
     "BatchScenario",
     "Cluster",
     "ContainerSpec",
-    "ENGINE_MODES",
     "HostSpec",
     "ScenarioResult",
-    "ShardedBatchEngine",
     "TraceApp",
     "build_scalar_cluster",
     "resolve_proportional_arrays",

@@ -19,10 +19,9 @@ hosts, ``R`` resource dimensions
 
 Equivalence contract
 --------------------
-A :class:`BatchScenario` can be run three ways — :class:`BatchEngine`
-(this module), :func:`build_scalar_cluster` with ``engine="scalar"``
-(the reference object engine) or ``engine="vector"`` (the hybrid
-cluster path) — and :func:`run_scenario` produces *bit-identical*
+A :class:`BatchScenario` can be run two ways — :class:`BatchEngine`
+(this module) or :func:`build_scalar_cluster` (the reference object
+engine) — and :func:`run_scenario` produces *bit-identical*
 trajectories on the same platform, because every array expression
 mirrors the scalar arithmetic operand for operand and every segmented
 reduction folds rows in the hosts' container insertion order. See
@@ -179,8 +178,8 @@ class BatchScenario:
 
     Hosts, containers (host-major insertion order = the order given
     here) and an optional deterministic event schedule. The same
-    scenario object drives :class:`BatchEngine`,
-    :func:`build_scalar_cluster` and :class:`ShardedBatchEngine`.
+    scenario object drives :class:`BatchEngine` and
+    :func:`build_scalar_cluster`.
     """
 
     hosts: Tuple[HostSpec, ...]
@@ -615,12 +614,11 @@ class TraceApp:
         return self._finished
 
 
-def build_scalar_cluster(scenario: BatchScenario, engine: str = "scalar") -> Cluster:
+def build_scalar_cluster(scenario: BatchScenario) -> Cluster:
     """Materialize a scenario as an object-engine :class:`Cluster`.
 
     Every host gets its spec'd capacity and contention model, every
-    container a :class:`TraceApp`. Pass ``engine="vector"`` for the
-    hybrid batched-cluster path — same objects, batched resolve.
+    container a :class:`TraceApp`.
     """
     hosts: Dict[str, Host] = {}
     for spec in scenario.hosts:
@@ -638,7 +636,7 @@ def build_scalar_cluster(scenario: BatchScenario, engine: str = "scalar") -> Clu
             capacity=spec.capacity or default_host_capacity(),
             contention=model,
         )
-    cluster = Cluster(hosts=hosts, engine=engine)
+    cluster = Cluster(hosts=hosts)
     for spec in scenario.containers:
         cluster.hosts[spec.host].add_container(
             Container(
@@ -679,19 +677,18 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scenario on one engine and return its result.
 
-    ``engine`` is ``"batch"`` (:class:`BatchEngine`), ``"scalar"``
-    (object cluster, per-host model calls) or ``"vector"`` (object
-    cluster, batched cluster resolve). All three produce bit-identical
+    ``engine`` is ``"batch"`` (:class:`BatchEngine`) or ``"scalar"``
+    (object cluster, per-host model calls). Both produce bit-identical
     :class:`ScenarioResult` contents on the same platform — the
     equivalence gate :mod:`benchmarks.bench_engine` asserts.
     """
     if engine == "batch":
         batch = BatchEngine(scenario, record_trajectory=record_trajectory)
         return batch.run(ticks)
-    if engine not in ("scalar", "vector"):
+    if engine != "scalar":
         raise ValueError(f"unknown engine {engine!r}")
 
-    cluster = build_scalar_cluster(scenario, engine=engine)
+    cluster = build_scalar_cluster(scenario)
     events_by_tick: Dict[int, List[BatchEvent]] = {}
     for event in scenario.events:
         events_by_tick.setdefault(event.tick, []).append(event)
@@ -821,128 +818,3 @@ def standard_scenario(
         hosts=host_specs, containers=tuple(containers), events=tuple(events)
     )
 
-
-# ---------------------------------------------------------------------------
-# Sharded (multiprocessing) mode
-# ---------------------------------------------------------------------------
-
-
-def _partition_scenario(scenario: BatchScenario, shards: int) -> List[BatchScenario]:
-    """Split a scenario into per-shard sub-scenarios (hosts round-robin).
-
-    Containers and host events follow their host; a migrate event whose
-    endpoints land in different shards raises ``ValueError`` — shards
-    run independently and cannot exchange containers.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    shard_of_host = {
-        spec.name: i % shards for i, spec in enumerate(scenario.hosts)
-    }
-    shard_of_container = {
-        spec.name: shard_of_host[spec.host] for spec in scenario.containers
-    }
-    hosts: List[List[HostSpec]] = [[] for _ in range(shards)]
-    containers: List[List[ContainerSpec]] = [[] for _ in range(shards)]
-    events: List[List[BatchEvent]] = [[] for _ in range(shards)]
-    for i, spec in enumerate(scenario.hosts):
-        hosts[i % shards].append(spec)
-    for spec in scenario.containers:
-        containers[shard_of_container[spec.name]].append(spec)
-    for event in scenario.events:
-        if event.action in ("fail_host", "recover_host"):
-            shard = shard_of_host[event.target]
-        else:
-            shard = shard_of_container[event.target]
-            if event.action == "migrate":
-                dest_shard = shard_of_host[event.destination]
-                if dest_shard != shard:
-                    raise ValueError(
-                        f"migrate {event.target!r} -> {event.destination!r} "
-                        f"crosses shards {shard} -> {dest_shard}; "
-                        "cross-shard migration is not supported"
-                    )
-        events[shard].append(event)
-    return [
-        BatchScenario(
-            hosts=tuple(hosts[i]),
-            containers=tuple(containers[i]),
-            events=tuple(events[i]),
-        )
-        for i in range(shards)
-        if hosts[i]
-    ]
-
-
-def _run_shard(payload: Tuple[BatchScenario, int, bool]) -> ScenarioResult:
-    """Module-level worker entry point (must be picklable)."""
-    scenario, ticks, record = payload
-    return BatchEngine(scenario, record_trajectory=record).run(ticks)
-
-
-class ShardedBatchEngine:
-    """Runs shard-per-core :class:`BatchEngine` instances in parallel.
-
-    Hosts (with their containers and events) are partitioned
-    round-robin over ``shards`` OS processes; each shard steps its
-    sub-fleet independently — valid because hosts only interact through
-    migrations, which are confined to a shard
-    (:func:`_partition_scenario` rejects cross-shard migrate events).
-    Results merge back into scenario container order, bit-identical to
-    a single :class:`BatchEngine` run of the same scenario.
-    """
-
-    def __init__(self, scenario: BatchScenario, shards: int = 2) -> None:
-        self.scenario = scenario
-        self.shards = _partition_scenario(scenario, shards)
-
-    def run(self, ticks: int, record_trajectory: bool = True) -> ScenarioResult:
-        """Run all shards for ``ticks`` and merge their results."""
-        import multiprocessing
-
-        payloads = [(shard, ticks, record_trajectory) for shard in self.shards]
-        if len(payloads) == 1:
-            results = [_run_shard(payloads[0])]
-        else:
-            ctx = multiprocessing.get_context()
-            with ctx.Pool(processes=len(payloads)) as pool:
-                results = pool.map(_run_shard, payloads)
-        return _merge_results(self.scenario, self.shards, results, record_trajectory)
-
-
-def _merge_results(
-    scenario: BatchScenario,
-    shards: Sequence[BatchScenario],
-    results: Sequence[ScenarioResult],
-    record_trajectory: bool,
-) -> ScenarioResult:
-    names = tuple(c.name for c in scenario.containers)
-    index = {name: i for i, name in enumerate(names)}
-    rows = len(names)
-    ticks = results[0].ticks if results else 0
-    work_done = np.zeros(rows)
-    running = np.zeros(rows, dtype=np.int64)
-    paused = np.zeros(rows, dtype=np.int64)
-    count = np.zeros(rows, dtype=np.int64)
-    states: List[str] = ["created"] * rows
-    trajectory = np.zeros((ticks, rows)) if record_trajectory else None
-    for result in results:
-        for j, name in enumerate(result.container_names):
-            i = index[name]
-            work_done[i] = result.work_done[j]
-            running[i] = result.running_ticks[j]
-            paused[i] = result.paused_ticks[j]
-            count[i] = result.pause_count[j]
-            states[i] = result.states[j]
-            if record_trajectory and result.trajectory is not None:
-                trajectory[:, i] = result.trajectory[:, j]
-    return ScenarioResult(
-        ticks=ticks,
-        container_names=names,
-        work_done=work_done,
-        running_ticks=running,
-        paused_ticks=paused,
-        pause_count=count,
-        states=tuple(states),
-        trajectory=trajectory,
-    )

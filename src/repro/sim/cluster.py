@@ -23,41 +23,24 @@ Failure semantics
   (``landed`` / ``bounced`` / ``lost``) — there are no orphaned
   in-flight migrations, no matter which hosts crash.
 
-Engine modes
-------------
-``Cluster(engine="vector")`` batches the contention math: each tick it
-stacks every up host's gathered demands into one ``(C, R)`` array with
-a ``(C,)`` host index (rows in container insertion order, the
-bit-parity requirement) and resolves all stock-model hosts in a single
-array pass; hosts with custom contention models fall back to their own
-scalar ``resolve``. ``engine="scalar"`` (default) is the per-host
-object loop. Both produce bit-identical snapshots — the contract in
-``docs/SIMULATION.md`` — and ``engine_stats`` counts which path each
-host-tick took.
+Engines
+-------
+``Cluster`` is the object engine: it steps real ``Host``/``Container``
+objects, hosts cluster middlewares (the fleet control plane) and is the
+bit-parity reference that :class:`repro.sim.batch.BatchEngine` — the
+struct-of-arrays engine for trace-driven runs — is tested against (the
+contract in ``docs/SIMULATION.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set
 
 from repro.sim.clock import SimulationClock
 from repro.sim.container import Container
-from repro.sim.contention import (
-    Allocation,
-    BatchResolution,
-    ProportionalShareModel,
-    WeightedWaterFillModel,
-    resolve_proportional_arrays,
-    resolve_waterfill_arrays,
-)
 from repro.sim.host import Host, HostSnapshot
 from repro.sim.resources import Resource, ResourceVector
-
-#: Valid values for :class:`Cluster`'s ``engine`` parameter.
-ENGINE_MODES: Tuple[str, ...] = ("scalar", "vector")
 
 #: Migration outcome values recorded on :class:`MigrationRecord`.
 MIGRATION_IN_FLIGHT = "in-flight"
@@ -150,13 +133,6 @@ class Cluster:
     migration_mb_per_tick:
         Memory image copy rate; downtime = resident set / rate,
         rounded up (the paper's "migration is slow" cost model).
-    engine:
-        ``"scalar"`` steps each host through its own contention model
-        (the reference path); ``"vector"`` batches all up hosts into
-        one struct-of-arrays contention resolve per tick — identical
-        snapshots, one broadcasted pass instead of a Python loop per
-        host. Hosts whose contention model has no batched twin fall
-        back to their scalar step (see ``engine_stats``).
     """
 
     def __init__(
@@ -165,16 +141,11 @@ class Cluster:
         capacity: Optional[ResourceVector] = None,
         hosts: Optional[Dict[str, Host]] = None,
         migration_mb_per_tick: float = 1000.0,
-        engine: str = "scalar",
     ) -> None:
         if (host_names is None) == (hosts is None):
             raise ValueError("pass exactly one of host_names or hosts")
         if migration_mb_per_tick <= 0:
             raise ValueError("migration_mb_per_tick must be positive")
-        if engine not in ENGINE_MODES:
-            raise ValueError(
-                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
-            )
         self.clock = SimulationClock()
         if hosts is not None:
             self.hosts = dict(hosts)
@@ -188,18 +159,6 @@ class Cluster:
         if not self.hosts:
             raise ValueError("a cluster needs at least one host")
         self.migration_mb_per_tick = migration_mb_per_tick
-        self.engine = engine
-        #: Counters describing which stepping path ran: ``vector_ticks``
-        #: / ``scalar_ticks`` per cluster tick, ``vector_rows`` container
-        #: rows resolved by the batched path, and ``fallback_host_steps``
-        #: host-ticks that fell back to the scalar path because the
-        #: host's contention model has no batched twin.
-        self.engine_stats: Dict[str, int] = {
-            "vector_ticks": 0,
-            "scalar_ticks": 0,
-            "vector_rows": 0,
-            "fallback_host_steps": 0,
-        }
         self.migrations: List[MigrationRecord] = []
         self.middlewares: List = []
         self.down: Set[str] = set()
@@ -397,145 +356,18 @@ class Cluster:
 
         Down hosts are skipped entirely: their containers freeze and
         they contribute no snapshot — exactly what a monitoring plane
-        sees from a crashed machine. With ``engine="vector"`` the up
-        hosts are stepped through one batched contention resolve
-        instead of per-host model calls; the snapshots are identical.
+        sees from a crashed machine.
         """
         self._land_migrations()
-        if self.engine == "vector":
-            snapshots = self._step_vector()
-            self.engine_stats["vector_ticks"] += 1
-        else:
-            snapshots = {
-                name: host.step(advance_clock=False)
-                for name, host in self.hosts.items()
-                if name not in self.down
-            }
-            self.engine_stats["scalar_ticks"] += 1
+        snapshots = {
+            name: host.step(advance_clock=False)
+            for name, host in self.hosts.items()
+            if name not in self.down
+        }
         self.clock.advance()
         for middleware in self.middlewares:
             middleware.on_cluster_tick(snapshots, self)
         return snapshots
-
-    def _step_vector(self) -> Dict[str, HostSnapshot]:
-        """One batched tick over all up hosts.
-
-        Hosts running a :class:`ProportionalShareModel` (resp.
-        :class:`WeightedWaterFillModel`) are grouped and resolved by a
-        single :func:`resolve_proportional_arrays`
-        (:func:`resolve_waterfill_arrays`) call; hosts with any other
-        contention model — including subclasses, whose overridden
-        ``resolve`` must keep running — fall back to their scalar step.
-        Container rows keep each host's insertion order, so the
-        resulting snapshots are bit-identical to the scalar engine's on
-        the same platform.
-        """
-        proportional: List[str] = []
-        waterfill: List[str] = []
-        fallback: List[str] = []
-        for name in self.hosts:
-            if name in self.down:
-                continue
-            model = self.hosts[name].contention
-            # Exact-type checks: a subclass may override resolve().
-            if type(model) is ProportionalShareModel:
-                proportional.append(name)
-            elif type(model) is WeightedWaterFillModel:
-                waterfill.append(name)
-            else:
-                fallback.append(name)
-
-        snapshots: Dict[str, HostSnapshot] = {}
-        if proportional:
-            self._resolve_host_batch(proportional, weighted=False, out=snapshots)
-        if waterfill:
-            self._resolve_host_batch(waterfill, weighted=True, out=snapshots)
-        for name in fallback:
-            snapshots[name] = self.hosts[name].step(advance_clock=False)
-            self.engine_stats["fallback_host_steps"] += 1
-        # Re-emit in host insertion order, like the scalar engine.
-        return {name: snapshots[name] for name in self.hosts if name in snapshots}
-
-    def _resolve_host_batch(
-        self,
-        names: List[str],
-        weighted: bool,
-        out: Dict[str, HostSnapshot],
-    ) -> None:
-        """Gather, batch-resolve and apply one group of same-model hosts.
-
-        Builds the ``(C, R)`` demand matrix (one row per demanding
-        container, host-major in container insertion order), the
-        ``(C,)`` host-index column and the ``(H, R)``/``(H,)`` per-host
-        capacity and swap parameters, then runs one array resolve and
-        hands each host its allocation slice via
-        :meth:`Host.apply_allocations`.
-        """
-        gathered = []
-        for name in names:
-            host = self.hosts[name]
-            host.begin_tick()
-            demands, weights = host.gather_demands()
-            gathered.append((name, host, demands, weights))
-
-        rows: List[np.ndarray] = []
-        host_idx: List[int] = []
-        weight_rows: List[float] = []
-        for pos, (_, _, demands, weights) in enumerate(gathered):
-            for cname, vector in demands.items():
-                rows.append(vector.as_array())
-                host_idx.append(pos)
-                weight_rows.append(weights[cname])
-
-        resolution: Optional[BatchResolution] = None
-        if rows:
-            demand = np.stack(rows)
-            host_index = np.asarray(host_idx, dtype=np.intp)
-            capacity = np.stack(
-                [host.capacity.as_array() for _, host, _, _ in gathered]
-            )
-            swap_cost = np.array(
-                [host.contention.swap_cost for _, host, _, _ in gathered]
-            )
-            swap_io_rate = np.array(
-                [
-                    host.contention.swap_io_per_overcommit_mb
-                    for _, host, _, _ in gathered
-                ]
-            )
-            if weighted:
-                resolution = resolve_waterfill_arrays(
-                    demand,
-                    host_index,
-                    np.asarray(weight_rows),
-                    capacity,
-                    swap_cost,
-                    swap_io_rate,
-                )
-            else:
-                resolution = resolve_proportional_arrays(
-                    demand, host_index, capacity, swap_cost, swap_io_rate
-                )
-            self.engine_stats["vector_rows"] += demand.shape[0]
-
-        row = 0
-        for pos, (name, host, demands, _) in enumerate(gathered):
-            allocations: Dict[str, Allocation] = {}
-            for cname in demands:
-                allocations[cname] = Allocation(
-                    granted=ResourceVector.from_array(resolution.granted[row]),
-                    progress=float(resolution.progress[row]),
-                    swap_penalty=float(resolution.swap_penalty[row]),
-                )
-                row += 1
-            if allocations:
-                # Scalar resolve() only refreshes last_swap_ratio when
-                # it saw demands; mirror that so idle-host snapshots
-                # repeat the stale ratio identically on both paths.
-                host.contention.record_swap_ratio(
-                    float(resolution.swap_ratio[pos])
-                )
-            out[name] = host.apply_allocations(allocations)
 
     def add_middleware(self, middleware) -> None:
         """Register a cluster-level observer/controller.

@@ -226,16 +226,6 @@ class ProportionalShareModel(ContentionModel):
         """Memory overcommit ratio observed in the most recent resolve."""
         return self._last_swap_ratio
 
-    def record_swap_ratio(self, ratio: float) -> None:
-        """Store an externally computed overcommit ratio.
-
-        Seam for the batched cluster engine: it resolves contention for
-        many hosts in one array pass, then writes each host's ratio
-        back so ``last_swap_ratio`` (and the host snapshot built from
-        it) reads identically on either path.
-        """
-        self._last_swap_ratio = float(ratio)
-
 
 # ---------------------------------------------------------------------------
 # Batched (struct-of-arrays) resolvers
@@ -624,13 +614,3 @@ class WeightedWaterFillModel(ContentionModel):
     def last_swap_ratio(self) -> float:
         """Memory overcommit ratio observed in the most recent resolve."""
         return self._last_swap_ratio
-
-    def record_swap_ratio(self, ratio: float) -> None:
-        """Store an externally computed overcommit ratio.
-
-        Seam for the batched cluster engine: it resolves contention for
-        many hosts in one array pass, then writes each host's ratio
-        back so ``last_swap_ratio`` (and the host snapshot built from
-        it) reads identically on either path.
-        """
-        self._last_swap_ratio = float(ratio)

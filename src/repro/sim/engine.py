@@ -10,9 +10,8 @@ underlying resource" (§3).
 Each tick delegates to :meth:`Host.step`, which itself runs the
 four-phase pipeline (begin_tick -> gather_demands -> resolve ->
 apply_allocations) documented in ``docs/SIMULATION.md``. Multi-host
-runs use :class:`~repro.sim.cluster.Cluster` (optionally with its
-batched ``engine="vector"`` path); trace-driven fleet-scale runs use
-the pure struct-of-arrays :class:`~repro.sim.batch.BatchEngine`.
+runs use :class:`~repro.sim.cluster.Cluster`; trace-driven fleet-scale
+runs use the pure struct-of-arrays :class:`~repro.sim.batch.BatchEngine`.
 """
 
 from __future__ import annotations

@@ -5,13 +5,11 @@ tick it gathers demands from running containers, resolves contention,
 delivers allocations and produces a :class:`HostSnapshot` — the
 observable state a monitoring agent would collect from cgroups/libvirt.
 
-A tick is four separately callable phases — ``begin_tick`` →
-``gather_demands`` → resolve → ``apply_allocations`` — so that the
-batched cluster engine can interpose a fleet-wide array resolve
-between gather and apply while reusing everything else. Demands are
-gathered in container insertion order, which is the floating-point
-fold order the equivalence contract in ``docs/SIMULATION.md`` pins
-down.
+A tick is four phases — ``begin_tick`` → ``gather_demands`` → resolve
+→ ``apply_allocations`` — which :meth:`Host.step` runs in order.
+Demands are gathered in container insertion order, which is the
+floating-point fold order the equivalence contract in
+``docs/SIMULATION.md`` pins down.
 """
 
 from __future__ import annotations
@@ -143,10 +141,7 @@ class Host:
     #
     # One tick is four phases: begin_tick (autostarts), gather_demands,
     # contention resolve, apply_allocations (delivery + snapshot).
-    # ``step`` runs all four against this host's own contention model;
-    # the batched cluster engine (``Cluster(engine="vector")``) calls
-    # the phases directly so one array resolve can serve many hosts
-    # while reusing these exact lifecycle semantics.
+    # ``step`` runs all four against this host's own contention model.
 
     def begin_tick(self) -> None:
         """Phase 1: autostart containers whose start tick has arrived."""
@@ -177,9 +172,7 @@ class Host:
         Containers present in ``allocations`` receive their grant
         (advancing their application); absent ones account a paused
         tick if paused. The snapshot's ``swap_ratio`` reads the
-        contention model's ``last_swap_ratio`` — when the batched
-        engine resolved this tick, it stores the host's ratio on the
-        model first so this phase stays oblivious to which path ran.
+        contention model's ``last_swap_ratio``.
         """
         clock = self.clock
         usage: Dict[str, ResourceVector] = {}

@@ -1,0 +1,155 @@
+"""Pinned decision digests for the fleet and stream control loops.
+
+The fleet coordinator, the migration supervisor, the stream service's
+reconnect loop and the actuator's ack tracker run on module constants
+and constructor defaults rather than config knobs. These two drills pin
+what those values *do*: the sha256 of every pause/resume decision and
+every migration record (fleet), and of the decision sequence plus the
+dead-letter, redelivery and reconnect counts (stream), recorded from
+the commit that still read the values from ``StayAwayConfig``. A
+mistyped constant changes a digest here instead of surfacing in a bench
+— the fleet and stream counterpart of
+``TestPredictPathAgainstScalarWindow``.
+
+Both drills are seeded end to end; the digests are platform-stable for
+the same reason the replay-determinism gate is.
+"""
+
+import hashlib
+import json
+
+from repro.core.config import StayAwayConfig
+from repro.experiments.chaos import FleetMix, run_fleet_drill
+from repro.experiments.scenarios import Scenario
+from repro.experiments.stream_chaos import SimStreamBridge
+from repro.service import ControllerService, QueueSource, SimHostActuator
+from repro.service.controller_service import decision_sequence
+from repro.sim.engine import SimulationEngine
+from repro.sim.faults import (
+    ActuatorAckDropper,
+    StreamDropper,
+    StreamDuplicator,
+    StreamReorderer,
+)
+
+FLEET_DIGEST = "993cc214877034a24f9f512b4ad1a264683fccaf8416b019ecc00de2958c273c"
+STREAM_DIGEST = "5ac8b55e6c692451e28fa6238242dd6c02919c9f20f44b158aab9e51f2191d09"
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def test_fleet_drill_digest():
+    """16 hosts, coordinator arm, host crashes + telemetry blackouts.
+
+    The crash rate is high enough that a destination dies between a
+    migration's request and its start, so the supervisor's retry,
+    backoff and rollback paths run (asserted below) next to the
+    coordinator's hot/cold thresholds, placement period, pair cooldown
+    and concurrency cap.
+    """
+    seed = 6
+    mix = FleetMix(
+        hosts=16,
+        ticks=200,
+        drain_ticks=60,
+        seed=seed,
+        host_crash=0.04,
+        recovery_ticks=25,
+        max_down_fraction=0.4,
+        blackout=0.02,
+    )
+    drill = run_fleet_drill(
+        mix, arm="coordinator", config=StayAwayConfig(seed=seed, telemetry=False)
+    )
+    assert drill.crashed_at is None
+    migrations = drill.coordinator.supervisor.summary()
+    assert migrations["committed"] > 0
+    assert migrations["retries"] > 0
+    assert migrations["rolled_back"] > 0
+
+    payload = {
+        "decisions": {
+            name: decision_sequence(cell.controller)
+            for name, cell in drill.coordinator.cells.items()
+        },
+        "migrations": [
+            [
+                record.container,
+                record.source,
+                record.destination,
+                record.start_tick,
+                record.downtime_ticks,
+                record.outcome,
+                record.completed_tick,
+            ]
+            for record in drill.cluster.migrations
+        ],
+    }
+    assert _sha256(payload) == FLEET_DIGEST
+
+
+class _SourceOutage:
+    """Make the queue's next ``polls`` polls raise, starting at one tick."""
+
+    def __init__(self, queue: QueueSource, at_tick: int, polls: int) -> None:
+        self.queue = queue
+        self.at_tick = at_tick
+        self.polls = polls
+
+    def on_tick(self, snapshot, host) -> None:
+        if snapshot.tick == self.at_tick:
+            self.queue.fail_polls = self.polls
+
+
+def test_stream_drill_digest():
+    """Live host behind drop / reorder / duplicate / lost-ack faults.
+
+    One source outage of six consecutive failed polls walks the
+    reconnect backoff from its base through the doubling to the cap
+    (1, 2, 4, 8, 16, 16 cycles, each jittered), and 70 % lost acks push
+    commands through redelivery into the dead-letter queue.
+    """
+    seed = 4
+    ticks = 400
+    built = Scenario(ticks=ticks, seed=seed).build(include_batch=True)
+    queue = QueueSource()
+    source = StreamDropper(queue, seed=seed + 11, probability=0.05)
+    source = StreamReorderer(source, seed=seed + 13, probability=0.1, max_delay=3)
+    source = StreamDuplicator(source, seed=seed + 17, probability=0.1)
+    actuator = SimHostActuator(
+        built.host,
+        ack_filter=ActuatorAckDropper(seed=seed + 19, probability=0.7),
+    )
+    service = ControllerService(
+        source,
+        actuator=actuator,
+        config=StayAwayConfig(seed=seed, telemetry=False),
+    )
+    service.start()
+
+    engine = SimulationEngine(built.host)
+    engine.add_middleware(_SourceOutage(queue, at_tick=100, polls=6))
+    engine.add_middleware(
+        SimStreamBridge(service, queue, sensitive_app=built.sensitive_app)
+    )
+    engine.run(ticks=ticks)
+    queue.close()
+    service.run(max_cycles=256)
+
+    census = service.summary()["telemetry"]["stream"]
+    assert census["reconnects"] == 6
+    assert census["actuator"]["retries"] > 0
+    assert len(service.tracker.dead_letters) > 0
+    assert service.tracker.pending() == []
+
+    payload = {
+        "decisions": service.decision_sequence(),
+        "dead_letters": len(service.tracker.dead_letters),
+        "redeliveries": census["actuator"]["retries"],
+        "reconnects": census["reconnects"],
+    }
+    assert _sha256(payload) == STREAM_DIGEST

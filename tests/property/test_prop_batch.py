@@ -3,8 +3,8 @@
 Random small scenarios — traces, weights, start ticks, finite work,
 both contention models, and valid-by-construction control-event
 sequences — must produce *bit-identical* per-tick progress
-trajectories on every engine path (scalar object loop, the hybrid
-``Cluster(engine="vector")`` path, and the pure ``BatchEngine``).
+trajectories on both engines (the scalar object loop and the pure
+``BatchEngine``).
 This is the contract documented in ``docs/SIMULATION.md``.
 
 Event streams are valid by construction so that no engine raises:
@@ -134,16 +134,6 @@ class TestEngineEquivalenceProperties:
         assert np.array_equal(batch.paused_ticks, reference.paused_ticks)
         assert np.array_equal(batch.pause_count, reference.pause_count)
         assert batch.states == reference.states
-
-    @given(scenarios())
-    @settings(max_examples=25, deadline=None)
-    def test_vector_cluster_bit_identical_to_scalar(self, case):
-        scenario, ticks = case
-        reference = run_scenario(scenario, ticks, "scalar")
-        vector = run_scenario(scenario, ticks, "vector")
-        assert np.array_equal(vector.trajectory, reference.trajectory)
-        assert np.array_equal(vector.work_done, reference.work_done)
-        assert vector.states == reference.states
 
     @given(scenarios())
     @settings(max_examples=25, deadline=None)

@@ -1,10 +1,10 @@
 """Unit tests for the struct-of-arrays engine and its cluster seam.
 
 Covers the segmented fair-share reduction's edge cases, the batched
-engine's mask-update control surface, the ``Cluster(engine="vector")``
-hybrid path, and regression tests for the scalar-path bugs the
-equivalence work surfaced (hash-ordered water-fill folds, off-tick
-RNG probes in ``Cluster.migrate`` and the fleet eviction picker).
+engine's mask-update control surface, and regression tests for the
+scalar-path bugs the equivalence work surfaced (hash-ordered water-fill
+folds, off-tick RNG probes in ``Cluster.migrate`` and the fleet eviction
+picker).
 """
 
 import numpy as np
@@ -16,17 +16,12 @@ from repro.sim.batch import (
     BatchScenario,
     ContainerSpec,
     HostSpec,
-    ShardedBatchEngine,
-    TraceApp,
-    build_scalar_cluster,
     run_scenario,
     standard_scenario,
 )
 from repro.sim.cluster import Cluster
 from repro.sim.container import Container, ContainerError
 from repro.sim.contention import (
-    ContentionModel,
-    ProportionalShareModel,
     WeightedWaterFillModel,
     resolve_proportional_arrays,
     segmented_water_fill,
@@ -268,62 +263,6 @@ class TestScenarioValidation:
             BatchEvent(tick=1, action="migrate", target="c")
 
 
-class TestClusterVectorMode:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            Cluster(host_names=["a"], engine="turbo")
-
-    def test_engine_stats_count_paths(self):
-        scenario = _scenario()
-        cluster = build_scalar_cluster(scenario, engine="vector")
-        cluster.run(5)
-        assert cluster.engine_stats["vector_ticks"] == 5
-        assert cluster.engine_stats["scalar_ticks"] == 0
-        assert cluster.engine_stats["vector_rows"] == 5 * 4
-        assert cluster.engine_stats["fallback_host_steps"] == 0
-
-    def test_custom_model_falls_back_to_scalar_step(self):
-        class EverythingModel(ContentionModel):
-            def resolve(self, demands, capacity, weights=None):
-                from repro.sim.contention import Allocation
-
-                return {
-                    name: Allocation(granted=demand, progress=1.0)
-                    for name, demand in demands.items()
-                }
-
-        host = Host(contention=EverythingModel())
-        host.add_container(
-            Container(name="c", app=TraceApp("c", _flat_trace(cpu=9.0)))
-        )
-        cluster = Cluster(hosts={"h": host}, engine="vector")
-        cluster.run(3)
-        assert cluster.engine_stats["fallback_host_steps"] == 3
-        assert host.history[-1].allocations["c"].progress == 1.0
-
-    def test_subclassed_model_falls_back(self):
-        class TweakedShare(ProportionalShareModel):
-            def resolve(self, demands, capacity, weights=None):
-                return super().resolve(demands, capacity, weights)
-
-        host = Host(contention=TweakedShare())
-        host.add_container(
-            Container(name="c", app=TraceApp("c", _flat_trace()))
-        )
-        cluster = Cluster(hosts={"h": host}, engine="vector")
-        cluster.run(2)
-        assert cluster.engine_stats["fallback_host_steps"] == 2
-
-    def test_snapshots_bit_identical_to_scalar(self):
-        scenario = standard_scenario(
-            hosts=3, containers_per_host=4, seed=5, with_events=False
-        )
-        scalar = build_scalar_cluster(scenario, engine="scalar")
-        vector = build_scalar_cluster(scenario, engine="vector")
-        for _ in range(40):
-            assert scalar.step() == vector.step()
-
-
 class TestEngineEquivalence:
     @pytest.mark.parametrize("model", ["proportional", "waterfill"])
     def test_three_engines_bit_identical(self, model):
@@ -331,30 +270,14 @@ class TestEngineEquivalence:
             hosts=4, containers_per_host=6, seed=13, model=model
         )
         reference = run_scenario(scenario, 80, "scalar")
-        for engine in ("vector", "batch"):
-            result = run_scenario(scenario, 80, engine)
-            assert result.container_names == reference.container_names
-            assert np.array_equal(result.work_done, reference.work_done)
-            assert np.array_equal(result.running_ticks, reference.running_ticks)
-            assert np.array_equal(result.paused_ticks, reference.paused_ticks)
-            assert np.array_equal(result.pause_count, reference.pause_count)
-            assert result.states == reference.states
-            assert np.array_equal(result.trajectory, reference.trajectory)
-
-    def test_sharded_matches_single_process(self):
-        scenario = standard_scenario(
-            hosts=4, containers_per_host=4, seed=2, with_events=False
-        )
-        single = BatchEngine(scenario, record_trajectory=True).run(50)
-        sharded = ShardedBatchEngine(scenario, shards=2).run(50)
-        assert np.array_equal(single.trajectory, sharded.trajectory)
-        assert np.array_equal(single.work_done, sharded.work_done)
-        assert single.states == sharded.states
-
-    def test_cross_shard_migration_rejected(self):
-        scenario = standard_scenario(hosts=4, containers_per_host=4, seed=2)
-        with pytest.raises(ValueError, match="crosses shards"):
-            ShardedBatchEngine(scenario, shards=2)
+        result = run_scenario(scenario, 80, "batch")
+        assert result.container_names == reference.container_names
+        assert np.array_equal(result.work_done, reference.work_done)
+        assert np.array_equal(result.running_ticks, reference.running_ticks)
+        assert np.array_equal(result.paused_ticks, reference.paused_ticks)
+        assert np.array_equal(result.pause_count, reference.pause_count)
+        assert result.states == reference.states
+        assert np.array_equal(result.trajectory, reference.trajectory)
 
 
 class _CountingApp:

@@ -1,5 +1,9 @@
 """Unit tests for StayAwayConfig and the event log."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import StayAwayConfig
@@ -34,6 +38,56 @@ class TestStayAwayConfig:
     def test_custom_values_accepted(self):
         config = StayAwayConfig(period=5, n_samples=9, majority=1.0)
         assert config.period == 5
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: The whole configuration surface. Adding a knob means editing this
+#: set — and having a caller that sets it (see the test below).
+CONFIG_FIELDS = {
+    "period", "n_samples", "majority", "min_steps_for_prediction",
+    "dedup_epsilon", "refit_interval", "beta_initial", "beta_increment",
+    "resume_grace", "starvation_patience", "probe_probability",
+    "aggregate_batch", "act_on_violation", "enabled", "per_mode_models",
+    "radius_law", "fixed_radius", "seed", "sensor_guard", "degraded_mode",
+    "monitoring_deadline", "qos_deadline", "resync_periods",
+    "reconcile_actions", "action_backoff_cap", "action_escalation_threshold",
+    "telemetry", "fault_containment", "breaker_error_budget",
+    "breaker_window", "breaker_cooldown", "model_watchdog",
+    "watchdog_quarantine", "snapshot_interval", "fleet_cell_mode",
+    "detector_mode", "gmm_bins", "gmm_max_components", "gmm_min_samples",
+    "gmm_refit_interval", "gmm_window", "gmm_span", "gmm_quorum",
+    "gmm_metrics", "gmm_cooldown", "gmm_hybrid_rule", "stream_watermark",
+    "stream_stall_deadline",
+}
+
+
+class TestConfigSurface:
+    def test_field_set_is_pinned(self):
+        fields = {f.name for f in dataclasses.fields(StayAwayConfig)}
+        assert fields == CONFIG_FIELDS
+
+    def test_every_field_is_set_by_some_caller(self):
+        """A knob nothing sets is a constant: it belongs beside its code.
+
+        Counts a field as set when any call outside ``core/config.py``
+        passes it by keyword (``StayAwayConfig(...)``,
+        ``dataclasses.replace``, a ``**overrides`` helper) or any
+        statement assigns it as an attribute.
+        """
+        unset = set(CONFIG_FIELDS)
+        for root in ("src", "tests", "benchmarks", "examples"):
+            for path in (REPO / root).rglob("*.py"):
+                if path == REPO / "src" / "repro" / "core" / "config.py":
+                    continue
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.keyword):
+                        unset.discard(node.arg)
+                    elif isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Store
+                    ):
+                        unset.discard(node.attr)
+        assert not unset, f"config fields no caller sets: {sorted(unset)}"
 
 
 class TestEventLog:

@@ -129,6 +129,38 @@ class TestMigrationSupervisor:
         assert cluster.locate("job").host == "h0"
         assert migration.records[-1].outcome == "bounced"
 
+    def test_retry_timeout_counts_from_the_retry(self):
+        # Default supervisor: timeout 40, retries 2, backoff 5.
+        cluster = make_cluster()
+        add_app(cluster, "h0", "job", memory=50_000.0)  # 100-tick copy
+        cluster.step()
+        supervisor = MigrationSupervisor(cluster)
+        migration = supervisor.request(1, "job", "h1")
+        supervisor.poll(1)
+        assert migration.attempt_started_tick == 1
+        supervisor.poll(40)  # 40 - 1 < 40
+        assert migration.state == MigrationState.COPY
+        supervisor.poll(41)  # first attempt times out -> retry after backoff
+        assert migration.state == MigrationState.PREPARE
+        assert migration.next_attempt_tick == 41 + 5
+        supervisor.poll(46)
+        assert migration.state == MigrationState.COPY
+        assert migration.attempts == 2
+        assert migration.attempt_started_tick == 46
+        # 85 ticks since the first attempt began, 39 since the retry:
+        # the retry's time budget is its own.
+        supervisor.poll(85)
+        assert migration.state == MigrationState.COPY
+        supervisor.poll(86)
+        assert migration.state == MigrationState.PREPARE
+        assert migration.next_attempt_tick == 86 + 5 * 2
+        assert supervisor.timeout_count == 2
+        supervisor.poll(96)  # third and last attempt (retries=2)
+        supervisor.poll(136)
+        assert migration.state == MigrationState.ROLLBACK
+        assert migration.attempts == 3
+        assert cluster.locate("job").host == "h0"
+
     def test_source_and_destination_death_is_lost(self):
         cluster = make_cluster()
         add_app(cluster, "h0", "job", memory=2000.0)
@@ -316,6 +348,22 @@ class TestFleetCoordinator:
         assert not coordinator.cells["h1"].degraded
         summary = coordinator.summary()["fleet"]
         assert summary["controllers"]["degraded"] == ["h0"]
+
+    def test_cell_breaker_window_and_cooldown_scale_with_period(self):
+        # breaker_window / breaker_cooldown are documented in *periods*;
+        # the cell breakers must convert to ticks like the stage
+        # breakers do (regression: they were used as raw ticks).
+        cluster, sensitive = self.build_fleet()
+        config = StayAwayConfig(
+            telemetry=False, period=2, breaker_window=7, breaker_cooldown=4
+        )
+        coordinator = FleetCoordinator(sensitive, config=config)
+        cluster.add_middleware(coordinator)
+        cluster.step()
+        for cell in coordinator.cells.values():
+            stage = cell.controller.breakers.get("map")
+            assert cell.breaker.window_ticks == stage.window_ticks == 14
+            assert cell.breaker.cooldown_ticks == stage.cooldown_ticks == 8
 
     def test_unknown_sensitive_host_rejected(self):
         cluster, _ = self.build_fleet()

@@ -43,7 +43,6 @@ class TestDegradation:
         m.update(0, monitoring_ok=True, qos_fresh=True)
         m.update(5, monitoring_ok=False, qos_fresh=True)
         assert not m.predictive
-        assert m.entered_degraded_now
         enters = events.of_kind(EventKind.DEGRADED_ENTER)
         assert len(enters) == 1
         assert enters[0].detail["reasons"] == ["monitoring-unusable"]

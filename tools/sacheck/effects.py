@@ -33,7 +33,7 @@ phase 1 (:mod:`tools.sacheck.callgraph`):
   ``Process(target=...)``) must not write module globals or
   closed-over names, directly or transitively: each worker process
   mutates its *own copy*, so the write silently diverges from the
-  parent (the ``ShardedBatchEngine`` hazard).
+  parent.
 
 All three under-approximate: an unresolved call contributes nothing,
 so every finding is anchored to an edge the analyzer actually proved.
