@@ -332,10 +332,7 @@ class ThrottleManager:
         Without this, a new batch job scheduled mid-throttle would run
         unthrottled while the manager waits to resume the old one.
         """
-        should = impending_violation or (
-            self.config.act_on_violation and observed_violation
-        )
-        if not should:
+        if not (impending_violation or observed_violation):
             return False
         newcomers = [
             name for name in self.throttle_targets(host) if name not in self._paused_names
@@ -365,10 +362,7 @@ class ThrottleManager:
         impending_violation: bool,
         observed_violation: bool,
     ) -> bool:
-        should = impending_violation or (
-            self.config.act_on_violation and observed_violation
-        )
-        if not should:
+        if not (impending_violation or observed_violation):
             return False
         targets = self.throttle_targets(host)
         if not targets:

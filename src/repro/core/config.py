@@ -50,9 +50,6 @@ class StayAwayConfig:
         Per-period probability of a probe resume once patience ran out.
     aggregate_batch:
         Treat all batch containers as one logical VM (§5).
-    act_on_violation:
-        Also throttle reactively when a violation is actually observed
-        (the paper's behaviour in the early learning phase).
     enabled:
         When False the controller maps and predicts but never acts —
         used for the template-validation experiment (§7.3).
@@ -116,19 +113,9 @@ class StayAwayConfig:
         non-divergence) and heal violations by geometry rebuild,
         representative quarantine or rollback to the last-known-good
         snapshot.
-    watchdog_quarantine:
-        Allow the watchdog to remove (quarantine) individual poisoned
-        representatives; off, it always falls back to rollback.
     snapshot_interval:
         Periods between automatic last-known-good model snapshots
         (taken only after a clean watchdog check).
-    fleet_cell_mode:
-        How each host cell feeds its controller: ``"direct"`` hands it
-        the in-process snapshot; ``"stream"`` routes every tick
-        through the wire-record service seam
-        (:class:`~repro.fleet.coordinator.StreamHostCell`) with
-        acknowledged actuation — decisions then lag the host by
-        ``stream_watermark`` ticks.
     detector_mode:
         Violation-detection source for the Stay-Away controller:
         ``"geometry"`` (the paper's MDS trajectory predictor alone),
@@ -164,10 +151,6 @@ class StayAwayConfig:
     gmm_cooldown:
         Clear-verdict periods before the standalone GMM detector
         resumes paused batch containers.
-    gmm_hybrid_rule:
-        How the hybrid combines the geometry and GMM votes: ``"or"``
-        (either alarms — the conservative default) or ``"and"`` (both
-        must agree).
     stream_watermark:
         Ticks of reorder slack in the streaming service's
         :class:`~repro.service.assembler.StreamAssembler`: tick ``t``
@@ -192,7 +175,6 @@ class StayAwayConfig:
     starvation_patience: int = 20
     probe_probability: float = 0.15
     aggregate_batch: bool = True
-    act_on_violation: bool = True
     enabled: bool = True
     per_mode_models: bool = True
     radius_law: str = "rayleigh"
@@ -212,9 +194,7 @@ class StayAwayConfig:
     breaker_window: int = 20
     breaker_cooldown: int = 15
     model_watchdog: bool = True
-    watchdog_quarantine: bool = True
     snapshot_interval: int = 50
-    fleet_cell_mode: str = "direct"
     detector_mode: str = "geometry"
     gmm_bins: int = 5
     gmm_max_components: int = 3
@@ -225,7 +205,6 @@ class StayAwayConfig:
     gmm_quorum: int = 1
     gmm_metrics: tuple = ("cpu", "memory_bw")
     gmm_cooldown: int = 10
-    gmm_hybrid_rule: str = "or"
     stream_watermark: int = 2
     stream_stall_deadline: int = 10
 
@@ -282,11 +261,6 @@ class StayAwayConfig:
             raise ValueError("breaker_cooldown must be >= 1")
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        if self.fleet_cell_mode not in ("direct", "stream"):
-            raise ValueError(
-                "fleet_cell_mode must be 'direct' or 'stream', "
-                f"got {self.fleet_cell_mode!r}"
-            )
         if self.detector_mode not in ("geometry", "gmm", "hybrid"):
             raise ValueError(
                 "detector_mode must be 'geometry', 'gmm' or 'hybrid', "
@@ -319,10 +293,6 @@ class StayAwayConfig:
             raise ValueError("gmm_span must be non-negative")
         if self.gmm_cooldown < 1:
             raise ValueError("gmm_cooldown must be >= 1")
-        if self.gmm_hybrid_rule not in ("or", "and"):
-            raise ValueError(
-                f"gmm_hybrid_rule must be 'or' or 'and', got {self.gmm_hybrid_rule!r}"
-            )
         if self.stream_watermark < 0:
             raise ValueError("stream_watermark must be non-negative")
         if self.stream_stall_deadline < 1:

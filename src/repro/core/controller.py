@@ -339,8 +339,7 @@ class StayAway:
         # 2. Prediction. A contained predictor failure (or an OPEN
         #    prediction breaker) means no prediction this period. In
         #    hybrid mode the aux threshold detector judges the same
-        #    measurement inside the stage and its verdict is combined
-        #    with the geometry vote per ``gmm_hybrid_rule``.
+        #    measurement inside the stage and either vote alarms.
         result = self._call_stage(
             "predict",
             tick,
@@ -357,13 +356,9 @@ class StayAway:
             prediction, aux_vote = result
         self.last_prediction = prediction
         geometry_vote = prediction is not None and prediction.impending_violation
-        if self.config.detector_mode == "hybrid" and self.aux_detector is not None:
-            if self.config.gmm_hybrid_rule == "or":
-                flagged = geometry_vote or aux_vote
-            else:
-                flagged = geometry_vote and aux_vote
-        else:
-            flagged = geometry_vote
+        flagged = geometry_vote or (
+            self.config.detector_mode == "hybrid" and aux_vote
+        )
         impending = (
             flagged and mode is ExecutionMode.COLOCATED and predictive_allowed
         )

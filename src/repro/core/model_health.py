@@ -116,7 +116,7 @@ class ModelHealthWatchdog:
     ----------
     config:
         The controller's :class:`~repro.core.config.StayAwayConfig`
-        (quarantine toggle, snapshot cadence, beta reset value).
+        (snapshot cadence, beta reset value).
     events:
         Event log receiving quarantine/rollback/snapshot records.
     telemetry:
@@ -303,7 +303,6 @@ class ModelHealthWatchdog:
         if (
             not needs_rollback
             and report.bad_states
-            and self.config.watchdog_quarantine
             and len(report.bad_states) < len(space.labels)
         ):
             removed = space.quarantine(report.bad_states)

@@ -18,9 +18,10 @@ drilling, and this module drills both against the live simulator:
 
 The live topology mirrors a real deployment split across processes:
 a :class:`SimStreamBridge` middleware publishes every engine tick as
-wire records (the same :mod:`repro.service.recording` helpers the
-recorder uses, so recorded and live streams are bit-identical in
-shape) into a :class:`~repro.service.stream.QueueSource`; the service
+wire records (it is the :class:`~repro.service.recording.
+StreamRecorder` with a queue in place of the kept list, so recorded
+and live streams are equal record for record) into a
+:class:`~repro.service.stream.QueueSource`; the service
 polls that queue through a chain of seeded fault wrappers from
 :mod:`repro.sim.faults`; its decisions travel back to the *live* host
 through a :class:`~repro.service.actuator.SimHostActuator`. An
@@ -54,7 +55,6 @@ from repro.service import (
     StreamRecorder,
     decision_sequence,
 )
-from repro.service.recording import header_record, qos_record, snapshot_records
 
 #: Safety bound on post-run flush cycles (reorderer-held records drain
 #: within ``max_delay`` polls; anything beyond this is a wrapper bug).
@@ -97,38 +97,27 @@ class StreamChaosMix:
     ack_drop: float = 0.0
 
 
-class SimStreamBridge:
-    """Middleware publishing live ticks as wire records, then pumping.
+class SimStreamBridge(StreamRecorder):
+    """The tick publisher, live: push into ``sink``, then pump.
 
-    Registered on the engine, it plays the monitoring agent: one
-    ``header`` on the first tick, then per tick the ``sample`` /
-    ``state`` / ``qos`` records, pushed into ``sink`` (the queue at
-    the bottom of the fault chain). It then runs one service cycle, so
-    the service's clock advances with the host's — lagging by the
-    watermark, exactly as a remote controller would.
+    Registered on the engine, it plays the monitoring agent: each
+    tick's records (built by :meth:`StreamRecorder.on_tick`) go into
+    ``sink`` (the queue at the bottom of the fault chain) instead of
+    being kept. It then runs one service cycle, so the service's clock
+    advances with the host's — lagging by the watermark, exactly as a
+    remote controller would. ``controller`` is the serviced controller,
+    which is what lets a
+    :class:`~repro.fleet.coordinator.FleetCoordinator`
+    ``controller_factory`` return a bridge as a stream-backed cell.
     """
 
     def __init__(self, service, sink, sensitive_app=None, host_name="host0"):
+        super().__init__(sensitive_app=sensitive_app, host_name=host_name)
         self.service = service
         self.sink = sink
-        self.sensitive_app = sensitive_app
-        self.host_name = host_name
-        self._header_done = False
+        self.controller = service.controller
 
-    def on_tick(self, snapshot, host) -> None:
-        records: List[dict] = []
-        if not self._header_done:
-            records.append(header_record(host, self.host_name))
-            if self.sensitive_app is None:
-                sensitive = host.sensitive_containers()
-                if sensitive:
-                    self.sensitive_app = sensitive[0].app
-            self._header_done = True
-        records.extend(snapshot_records(snapshot, host, self.host_name))
-        if self.sensitive_app is not None:
-            record = qos_record(snapshot.tick, self.sensitive_app, self.host_name)
-            if record is not None:
-                records.append(record)
+    def publish(self, records: List[dict]) -> None:
         self.sink.push(records)
         self.service.pump()
 

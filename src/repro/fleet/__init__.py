@@ -21,23 +21,19 @@ stay correct under failure:
   timeout, bounded retry with exponential backoff, and
   rollback-to-source when the destination dies mid-copy.
 
-With ``config.fleet_cell_mode = "stream"`` each cell instead feeds its
-controller through the wire-record service seam
-(:class:`StreamHostCell` wrapping a
-:class:`~repro.service.controller_service.ControllerService` with
-acknowledged actuation) — the stepping stone to sharding cells across
-real processes.
+There is one kind of cell. It ticks whatever ``controller_factory``
+returned, so a caller that wants a host's controller behind the
+wire-record service seam (acknowledged actuation, decisions lagging by
+the stream watermark — the stepping stone to sharding cells across
+real processes) returns a stream bridge from the factory; this package
+never imports the ``service`` package.
 
-Layering: fleet may import ``core``, ``sim``, ``monitoring`` and
-``service``; nothing below it may import fleet (enforced by sacheck
-SA103).
+Layering: fleet may import ``core``, ``sim`` and ``monitoring``;
+``service`` is an independent sibling, and nothing below fleet may
+import fleet (enforced by sacheck SA103).
 """
 
-from repro.fleet.coordinator import (
-    FleetCoordinator,
-    HostControllerCell,
-    StreamHostCell,
-)
+from repro.fleet.coordinator import FleetCoordinator, HostControllerCell
 from repro.fleet.migration import (
     MigrationState,
     MigrationSupervisor,
@@ -52,6 +48,5 @@ __all__ = [
     "InterferenceScorer",
     "MigrationState",
     "MigrationSupervisor",
-    "StreamHostCell",
     "SupervisedMigration",
 ]

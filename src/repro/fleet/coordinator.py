@@ -26,12 +26,15 @@ Failure semantics, by layer:
 The ``sensitive`` mapping passed to the coordinator is duck-typed
 (host name → sensitive application object) so this layer never imports
 ``workloads``; anything accepted by
-:class:`~repro.core.controller.StayAway` works.
+:class:`~repro.core.controller.StayAway` works. The controller is
+duck-typed the same way (see :class:`HostControllerCell`), which is
+how a caller puts a cell behind the stream seam without this layer
+importing ``service``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.core.breakers import BreakerBank, CircuitBreaker
 from repro.core.config import StayAwayConfig
@@ -67,7 +70,11 @@ class HostControllerCell:
     host_name:
         The host this cell controls.
     controller:
-        The host's :class:`~repro.core.controller.StayAway` instance.
+        What ``controller_factory`` returned: the cell ticks it through
+        its ``on_tick(snapshot, host)`` and reads ``qos`` / ``throttle``
+        / ``last_prediction`` / ``config`` from its ``.controller`` when
+        it has one — a :class:`~repro.core.controller.StayAway` is its
+        own controller; a stream bridge carries the serviced one.
     breaker:
         The cell-level circuit breaker gating the controller.
     fallback_resume_after:
@@ -85,7 +92,8 @@ class HostControllerCell:
         if fallback_resume_after < 1:
             raise ValueError("fallback_resume_after must be >= 1")
         self.host_name = host_name
-        self.controller = controller
+        self._driver = controller
+        self.controller = getattr(controller, "controller", controller)
         self.breaker = breaker
         self.fallback_resume_after = fallback_resume_after
         self.crashes = 0
@@ -104,7 +112,7 @@ class HostControllerCell:
         tick = snapshot.tick
         if self.breaker.allows(tick):
             try:
-                self._drive(snapshot, host)
+                self._driver.on_tick(snapshot, host)
                 self.breaker.record_success(tick)
                 self._last_run_ok = True
                 return
@@ -115,10 +123,6 @@ class HostControllerCell:
         else:
             self._last_run_ok = False
         self._fallback(snapshot, host)
-
-    def _drive(self, snapshot: "HostSnapshot", host: "Host") -> None:
-        """The predictive path (overridden by :class:`StreamHostCell`)."""
-        self.controller.on_tick(snapshot, host)
 
     def _fallback(self, snapshot: "HostSnapshot", host: "Host") -> None:
         """Reactive policy: pause batch on observed violation, resume later."""
@@ -179,74 +183,6 @@ class HostControllerCell:
         }
 
 
-class StreamHostCell(HostControllerCell):
-    """A cell whose controller consumes the host through the stream seam.
-
-    Selected with ``config.fleet_cell_mode = "stream"``: instead of
-    handing the controller the in-process snapshot, the cell
-    serializes each tick into the wire records a remote monitoring
-    agent would publish, pushes them through a
-    :class:`~repro.service.stream.QueueSource` into a
-    :class:`~repro.service.controller_service.ControllerService`, and
-    lets decisions travel back through the acknowledged
-    :class:`~repro.service.actuator.SimHostActuator` — process
-    separation without the process, and the stepping stone to
-    sharding cells across real ones. Decisions lag the host by the
-    stream watermark, and the reactive fallback acts on the *last
-    streamed* QoS report (the stream channel's ``on_tick`` does not
-    poll the application).
-    """
-
-    def __init__(
-        self,
-        host_name: str,
-        host: "Host",
-        app,
-        config: StayAwayConfig,
-        breaker: CircuitBreaker,
-        fallback_resume_after: int = 10,
-    ) -> None:
-        from repro.service import ControllerService, QueueSource, SimHostActuator
-
-        self.queue = QueueSource()
-        self.service = ControllerService(
-            self.queue, actuator=SimHostActuator(host), config=config
-        )
-        self.service.start()
-        super().__init__(
-            host_name,
-            self.service.controller,
-            breaker,
-            fallback_resume_after=fallback_resume_after,
-        )
-        self._app = app
-        self._header_done = False
-
-    def _drive(self, snapshot: "HostSnapshot", host: "Host") -> None:
-        from repro.service.recording import (
-            header_record,
-            qos_record,
-            snapshot_records,
-        )
-
-        records: List[dict] = []
-        if not self._header_done:
-            records.append(header_record(host, self.host_name))
-            self._header_done = True
-        records.extend(snapshot_records(snapshot, host, self.host_name))
-        qos = qos_record(snapshot.tick, self._app, self.host_name)
-        if qos is not None:
-            records.append(qos)
-        self.queue.push(records)
-        self.service.pump()
-
-    def summary(self) -> dict:
-        """Cell health plus the stream/actuator delivery census."""
-        out = super().summary()
-        out["stream"] = self.service.summary()["telemetry"]["stream"]
-        return out
-
-
 class FleetCoordinator:
     """Cluster middleware running one isolated controller per host.
 
@@ -267,7 +203,10 @@ class FleetCoordinator:
         work — the per-host-only ablation arm of ``bench_fleet``.
     controller_factory:
         ``(host_name, sensitive_app) -> StayAway`` override, e.g. to
-        share a map template across hosts.
+        share a map template across hosts — or any object with
+        ``on_tick(snapshot, host)`` and a ``.controller``, which is
+        how a cell is put behind the stream seam (see
+        :class:`HostControllerCell`).
     scorer:
         :class:`~repro.fleet.scoring.InterferenceScorer` override.
     """
@@ -312,17 +251,11 @@ class FleetCoordinator:
         for host_name, app in sorted(self.sensitive.items()):
             if host_name not in cluster.hosts:
                 raise ValueError(f"sensitive mapping names unknown host {host_name!r}")
-            breaker = breakers.get(f"cell:{host_name}")
-            if self.config.fleet_cell_mode == "stream":
-                # The service builds its own controller behind the
-                # seam; controller_factory does not apply here.
-                self.cells[host_name] = StreamHostCell(
-                    host_name, cluster.hosts[host_name], app, self.config, breaker
-                )
-            else:
-                self.cells[host_name] = HostControllerCell(
-                    host_name, self._factory(host_name, app), breaker
-                )
+            self.cells[host_name] = HostControllerCell(
+                host_name,
+                self._factory(host_name, app),
+                breakers.get(f"cell:{host_name}"),
+            )
 
     # -- middleware interface ----------------------------------------------
     def on_cluster_tick(

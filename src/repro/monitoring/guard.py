@@ -142,7 +142,6 @@ class SensorGuard:
             )
             for reason in RejectReason
         }
-        self.verdicts: List[GuardVerdict] = []
         self._last_good: Optional[np.ndarray] = None
         self._stale: int = 0
         self._repeat_run: int = 0
@@ -213,7 +212,7 @@ class SensorGuard:
             self._last_good = values.copy()
             self._stale = 0
             self._c_accepted.inc()
-            verdict = GuardVerdict(
+            return GuardVerdict(
                 tick=tick,
                 values=values,
                 accepted=True,
@@ -221,8 +220,6 @@ class SensorGuard:
                 reasons=(),
                 stale_periods=0,
             )
-            self.verdicts.append(verdict)
-            return verdict
 
         self._c_rejected.inc()
         for reason in reasons:
@@ -248,7 +245,6 @@ class SensorGuard:
                 reasons=tuple(reasons),
                 stale_periods=self._stale,
             )
-        self.verdicts.append(verdict)
         return verdict
 
     # -- introspection -----------------------------------------------------

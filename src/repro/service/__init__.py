@@ -27,8 +27,9 @@ behind the ``monitoring`` seam into a standalone service:
   reconnect with exponential backoff + jitter, and stall-deadline
   degradation into the existing
   :class:`~repro.core.resilience.DegradedModeMachine`;
-* :mod:`repro.service.recording` — the stream-JSONL recorder
-  (:class:`StreamRecorder`) whose output the replay source consumes;
+* :mod:`repro.service.recording` — the tick publisher
+  (:class:`StreamRecorder`): the one place a host snapshot becomes
+  wire records, kept as the stream-JSONL the replay source consumes;
 * :mod:`repro.service.exporter` — the usage-gauge exporter the scrape
   source reads back (closing the Prometheus round trip).
 

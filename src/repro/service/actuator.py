@@ -79,11 +79,7 @@ class NullActuator(Actuator):
 
     name = "null"
 
-    def __init__(self) -> None:
-        self.delivered: List[ActuatorCommand] = []
-
     def deliver(self, command: ActuatorCommand, tick: int) -> Optional[bool]:
-        self.delivered.append(command)
         return True
 
 
@@ -227,19 +223,18 @@ class AckTracker:
         self._next_id = 0
         self.commands: List[ActuatorCommand] = []
         self.dead_letters: List[ActuatorCommand] = []
+        # The in-flight command of each container, in issue order
+        # (``submit`` guarantees at most one per container).
+        self._pending: Dict[str, ActuatorCommand] = {}
 
     # -- introspection ----------------------------------------------------
     def pending(self) -> List[ActuatorCommand]:
         """Commands still awaiting an ack."""
-        return [c for c in self.commands if c.pending]
+        return list(self._pending.values())
 
     def pending_containers(self) -> Dict[str, str]:
         """``{container: verb}`` of the newest in-flight command each."""
-        out: Dict[str, str] = {}
-        for command in self.commands:
-            if command.pending:
-                out[command.container] = command.verb
-        return out
+        return {name: command.verb for name, command in self._pending.items()}
 
     def summary(self) -> dict:
         return {
@@ -247,7 +242,7 @@ class AckTracker:
             "acks": int(self._c_acks.value),
             "retries": int(self._c_retries.value),
             "dead_lettered": int(self._c_dead.value),
-            "pending": len(self.pending()),
+            "pending": len(self._pending),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -260,10 +255,10 @@ class AckTracker:
         """
         if verb not in ("pause", "resume"):
             raise ValueError(f"unknown actuator verb: {verb!r}")
-        for old in self.commands:
-            if old.pending and old.container == container:
-                old.status = CommandStatus.ACKED  # superseded; stop retrying
-                old.resolved_tick = tick
+        old = self._pending.pop(container, None)
+        if old is not None:
+            old.status = CommandStatus.ACKED  # superseded; stop retrying
+            old.resolved_tick = tick
         command = ActuatorCommand(
             command_id=self._next_id,
             verb=verb,
@@ -272,6 +267,7 @@ class AckTracker:
         )
         self._next_id += 1
         self.commands.append(command)
+        self._pending[container] = command
         self._c_submitted.inc()
         self._attempt(command, tick)
         return command
@@ -282,6 +278,7 @@ class AckTracker:
         if acked is True:
             command.status = CommandStatus.ACKED
             command.resolved_tick = tick
+            del self._pending[command.container]
             self._c_acks.inc()
             return
         # Unacked (None) or failed (False): schedule the next attempt
@@ -291,8 +288,8 @@ class AckTracker:
 
     def step(self, tick: int) -> None:
         """Retry overdue commands; dead-letter exhausted ones."""
-        for command in self.commands:
-            if not command.pending or tick < command.next_attempt_tick:
+        for command in self.pending():
+            if tick < command.next_attempt_tick:
                 continue
             if command.attempts > self.max_retries:
                 self._dead_letter(command, tick)
@@ -321,6 +318,7 @@ class AckTracker:
     def _dead_letter(self, command: ActuatorCommand, tick: int) -> None:
         command.status = CommandStatus.DEAD_LETTERED
         command.resolved_tick = tick
+        del self._pending[command.container]
         self.dead_letters.append(command)
         self._c_dead.inc()
         if self.on_dead_letter is not None:

@@ -34,10 +34,12 @@ bridges the two with a watermark protocol:
   and its staleness accounting, exactly as for an in-process sensor
   dropout.
 
-:class:`PassthroughAssembler` is the ablation arm: no watermark, no
-dedup, zero-fill for missing cells — what a naive stream consumer
-does, and what ``benchmarks/bench_stream_service.py`` shows degrading
-far beyond the assembled arm under the same faults.
+:class:`PassthroughAssembler` is the ablation arm: the same record
+ingest (:meth:`StreamAssembler.offer` is the one place a wire record
+is decoded by its ``kind``) with no watermark, no dedup and zero-fill
+for missing cells — what a naive stream consumer does, and what
+``benchmarks/bench_stream_service.py`` shows degrading far beyond the
+assembled arm under the same faults.
 """
 
 from __future__ import annotations
@@ -113,6 +115,10 @@ class StreamAssembler:
         the ``stream.*`` delivery counters; a private registry is
         created when none is given.
     """
+
+    #: Duplicate policy: the first value of a cell (or QoS report)
+    #: wins and later ones are counted; the ablation overwrites.
+    _first_wins = True
 
     def __init__(
         self,
@@ -217,7 +223,7 @@ class StreamAssembler:
             container = record.get("container", "")
             for metric, value in record.get("metrics", {}).items():
                 key = (host, container, metric)
-                if key in pending.cells:
+                if key in pending.cells and self._first_wins:
                     self._c_duplicated.inc()
                     continue
                 pending.cells[key] = float(value)
@@ -236,7 +242,7 @@ class StreamAssembler:
                 sensitive,
             )
         elif kind == "qos":
-            if pending.qos is None:
+            if pending.qos is None or not self._first_wins:
                 value = record.get("value")
                 threshold = record.get("threshold")
                 if value is not None and threshold is not None:
@@ -336,90 +342,31 @@ class StreamAssembler:
         )
 
 
-class PassthroughAssembler:
+class PassthroughAssembler(StreamAssembler):
     """The assembler-less ablation: apply records as they arrive.
 
-    No watermark (a tick closes the moment a newer one is seen, so
-    delayed records of the old tick are lost), no deduplication
-    (duplicates overwrite), no imputation (missing cells read 0.0 —
-    the classic naive-consumer zero-fill that poisons the map), and no
-    gap synthesis (skipped ticks never reach the controller at all).
-    Interface-compatible with :class:`StreamAssembler` so the drills
+    Shares :meth:`StreamAssembler.offer`'s record parsing and changes
+    three policies: no deduplication (duplicates overwrite, uncounted),
+    no watermark (a tick closes the moment a newer one is seen, so
+    delayed records of the old tick are lost), and no imputation
+    (missing cells read 0.0 — the classic naive-consumer zero-fill that
+    poisons the map — and skipped ticks never reach the controller at
+    all: no gap synthesis). It reports no delivery census. The drills
     swap arms without touching the service.
     """
 
+    _first_wins = False
+
     def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
-        self.watermark = 0
-        self.metrics = registry if registry is not None else MetricRegistry()
-        self.header: Optional[dict] = None
-        self._pending: Dict[int, _PendingTick] = {}
-        self._known_cells: Dict[CellKey, None] = {}
-        self._last_state: Dict[str, Tuple[str, bool, bool]] = {}
-        self._max_seen: Optional[int] = None
-        self._last_closed: Optional[int] = None
-
-    @property
-    def max_seen(self) -> Optional[int]:
-        return self._max_seen
-
-    @property
-    def last_closed(self) -> Optional[int]:
-        return self._last_closed
-
-    def pending_ticks(self) -> List[int]:
-        return sorted(self._pending)
+        super().__init__(watermark=1, retire_after=0, registry=registry)
 
     def summary(self) -> dict:
         return {}
 
-    def offer(self, record: dict) -> None:
-        kind = record.get("kind")
-        if kind == "header":
-            if self.header is None:
-                self.header = dict(record)
-                for container, c_kind in sorted(record.get("containers", {}).items()):
-                    self._last_state.setdefault(
-                        container, ("created", False, c_kind == "sensitive")
-                    )
-            return
-        tick = record.get("tick")
-        if not isinstance(tick, int):
-            return
-        if self._last_closed is not None and tick <= self._last_closed:
-            return  # late: silently lost
-        if self._max_seen is None or tick > self._max_seen:
-            self._max_seen = tick
-        pending = self._pending.setdefault(tick, _PendingTick())
-        host = record.get("host", "host0")
-        if kind == "sample":
-            container = record.get("container", "")
-            for metric, value in record.get("metrics", {}).items():
-                key = (host, container, metric)
-                pending.cells[key] = float(value)  # duplicates overwrite
-                self._known_cells.setdefault(key, None)
-        elif kind == "state":
-            container = record.get("container", "")
-            sensitive = bool(
-                record.get(
-                    "sensitive",
-                    self._last_state.get(container, ("created", False, False))[2],
-                )
-            )
-            pending.states[container] = (
-                str(record.get("state", "running")),
-                bool(record.get("finished", False)),
-                sensitive,
-            )
-        elif kind == "qos":
-            value = record.get("value")
-            threshold = record.get("threshold")
-            if value is not None and threshold is not None:
-                pending.qos = (float(value), float(threshold))
-
     def due(self, force: bool = False) -> List[ClosedTick]:
         if self._max_seen is None:
             return []
-        horizon = self._max_seen if force else self._max_seen - 1
+        horizon = self._max_seen if force else self._max_seen - self.watermark
         closed: List[ClosedTick] = []
         for tick in sorted(self._pending):
             if tick > horizon:

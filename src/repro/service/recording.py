@@ -1,20 +1,22 @@
-"""Record an in-process run as a replayable wire-record stream.
+"""Publish a simulated host's ticks as wire records.
 
 :class:`StreamRecorder` is an engine middleware: registered *before*
 the controller it observes, it serializes exactly what a monitoring
 agent on the host would publish — one ``header``, then per tick one
 ``sample`` record per container, one ``state`` record per container
 and (when the sensitive application has produced a report) one
-``qos`` record. The output JSONL replays through
-:class:`~repro.service.stream.JsonlReplaySource` into a
+``qos`` record — and keeps the records. The output JSONL replays
+through :class:`~repro.service.stream.JsonlReplaySource` into a
 :class:`~repro.service.controller_service.ControllerService`, and the
 replay-determinism gate asserts the serviced controller makes the
 same pause/resume decisions the in-process one did.
 
-The helpers (:func:`header_record`, :func:`snapshot_records`,
-:func:`qos_record`) are shared with the live sim-to-stream bridge in
-:mod:`repro.experiments.stream_chaos`, so recorded and live streams
-are bit-identical in shape.
+:meth:`StreamRecorder.on_tick` is the one place a host snapshot
+becomes a tick's record list; where the list goes is
+:meth:`StreamRecorder.publish`. The live sim-to-stream bridge
+(:class:`~repro.experiments.stream_chaos.SimStreamBridge`) is the same
+middleware publishing into a queue, so recorded and live streams are
+equal record for record.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def qos_record(
 
 
 class StreamRecorder:
-    """Middleware that captures a run as wire records.
+    """Middleware that publishes each tick as wire records and keeps them.
 
     Parameters
     ----------
@@ -124,18 +126,24 @@ class StreamRecorder:
         self._header_done = False
 
     def on_tick(self, snapshot: "HostSnapshot", host: "Host") -> None:
+        records: List[dict] = []
         if not self._header_done:
-            self.records.append(header_record(host, self.host_name))
+            records.append(header_record(host, self.host_name))
             if self.sensitive_app is None:
                 sensitive = host.sensitive_containers()
                 if sensitive:
                     self.sensitive_app = sensitive[0].app
             self._header_done = True
-        self.records.extend(snapshot_records(snapshot, host, self.host_name))
+        records.extend(snapshot_records(snapshot, host, self.host_name))
         if self.sensitive_app is not None:
             record = qos_record(snapshot.tick, self.sensitive_app, self.host_name)
             if record is not None:
-                self.records.append(record)
+                records.append(record)
+        self.publish(records)
+
+    def publish(self, records: List[dict]) -> None:
+        """Take one tick's records: the recorder keeps them."""
+        self.records.extend(records)
 
     def write(self, path: Union[str, Path]) -> Path:
         """Persist the captured stream as JSONL."""

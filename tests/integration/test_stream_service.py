@@ -14,18 +14,18 @@ The tentpole contracts, end to end:
 * **Scrape loop** — exposition text published by the
   :class:`~repro.service.exporter.UsageGaugeExporter` drives the
   service through the scrape source.
-* **Fleet stream cells** — ``fleet_cell_mode="stream"`` survives the
-  fleet chaos drill, including container departure via migration
-  (cell retirement, not unbounded ghost imputation).
+* **Fleet stream cells** — fleet cells whose ``controller_factory``
+  returns a stream bridge survive the fleet chaos drill, including
+  container departure via migration (cell retirement, not unbounded
+  ghost imputation).
 """
-
-import pytest
 
 from repro.core.config import StayAwayConfig
 from repro.core.resilience import ControllerHealth
-from repro.experiments.chaos import FleetMix, run_fleet_drill
+from repro.experiments.chaos import ClusterCrashGuard, FleetMix, build_fleet
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream_chaos import (
+    SimStreamBridge,
     StreamChaosMix,
     check_replay_determinism,
     record_reference,
@@ -33,12 +33,16 @@ from repro.experiments.stream_chaos import (
     run_stream_comparison,
     run_stream_drill,
 )
+from repro.fleet import FleetCoordinator
 from repro.service import (
     ControllerService,
     JsonlReplaySource,
     QueueSource,
     ServiceState,
+    SimHostActuator,
+    StreamRecorder,
 )
+from repro.sim.faults import HostCrashInjector, TelemetryBlackout
 from repro.service.recording import write_stream_jsonl
 
 
@@ -79,6 +83,39 @@ class TestReplayDeterminism:
         first = replay_records(records, config=service_config())
         second = replay_records(records, config=service_config())
         assert first.decision_sequence() == second.decision_sequence()
+
+    def test_recorded_and_live_streams_equal_record_for_record(self):
+        """One host, two publishers: what the recorder keeps is what the
+        live bridge pushed (header once, discovered sensitive app, every
+        sample/state/qos record) while the service throttles the host."""
+        from repro.sim.engine import SimulationEngine
+
+        class TeeSink:
+            def __init__(self, queue):
+                self.queue = queue
+                self.pushed = []
+
+            def push(self, records):
+                self.pushed.extend(records)
+                self.queue.push(records)
+
+        scenario = Scenario(ticks=160, seed=3)
+        built = scenario.build(include_batch=True)
+        queue = QueueSource()
+        service = ControllerService(
+            queue, actuator=SimHostActuator(built.host), config=service_config()
+        )
+        service.start()
+        sink = TeeSink(queue)
+        recorder = StreamRecorder()
+        engine = SimulationEngine(built.host)
+        engine.add_middleware(recorder)
+        engine.add_middleware(SimStreamBridge(service, sink))
+        engine.run(ticks=scenario.ticks)
+        assert len(service.decision_sequence()) > 0
+        assert [r["kind"] for r in sink.pushed].count("header") == 1
+        assert any(r["kind"] == "qos" for r in sink.pushed)
+        assert recorder.records == sink.pushed
 
 
 class TestChaosArms:
@@ -189,22 +226,54 @@ class TestScrapeLoop:
 
 class TestFleetStreamCells:
     def test_stream_cell_mode_survives_fleet_chaos(self):
-        config = StayAwayConfig(telemetry=False, fleet_cell_mode="stream")
-        result = run_fleet_drill(
-            FleetMix(hosts=6, ticks=100, drain_ticks=30, seed=2),
-            arm="coordinator",
-            config=config,
+        """The coordinator arm of ``run_fleet_drill`` with every cell's
+        controller behind the stream seam: the factory returns the live
+        tick publisher feeding one service per host, whose decisions
+        travel back through the acknowledged actuator."""
+        config = StayAwayConfig(telemetry=False)
+        mix = FleetMix(hosts=6, ticks=100, drain_ticks=30, seed=2)
+        cluster, sensitive = build_fleet(mix)
+        services = {}
+
+        def stream_cell(host_name, app):
+            queue = QueueSource()
+            service = services[host_name] = ControllerService(
+                queue,
+                actuator=SimHostActuator(cluster.hosts[host_name]),
+                config=config,
+            )
+            service.start()
+            return SimStreamBridge(
+                service, queue, sensitive_app=app, host_name=host_name
+            )
+
+        coordinator = FleetCoordinator(
+            sensitive, config=config, controller_factory=stream_cell
         )
-        assert result.crashed_at is None
-        cells = result.coordinator.cells
-        assert cells
-        for cell in cells.values():
-            census = cell.summary()["stream"]
+        guard = ClusterCrashGuard(
+            TelemetryBlackout(
+                coordinator, seed=mix.seed + 11, probability=mix.blackout
+            )
+        )
+        cluster.add_middleware(guard)
+        crash_injector = HostCrashInjector(
+            seed=mix.seed + 23,
+            probability=mix.host_crash,
+            recovery_ticks=mix.recovery_ticks,
+            max_down_fraction=mix.max_down_fraction,
+        )
+        cluster.add_middleware(crash_injector)
+        cluster.run(mix.ticks)
+        crash_injector.probability = 0.0
+        cluster.run(mix.drain_ticks)
+
+        assert guard.crashed_at is None
+        assert coordinator.cells
+        assert sum(cell.crashes for cell in coordinator.cells.values()) == 0
+        for host_name, cell in coordinator.cells.items():
+            assert cell.controller is services[host_name].controller
+            census = services[host_name].summary()["telemetry"]["stream"]
             assert census["ticks_processed"] > 0
             # Migration-departed containers retire instead of being
             # imputed as ghosts for the rest of the run.
             assert census["imputed"] <= 8 * 5 * (census["cells_retired"] + 1)
-
-    def test_invalid_cell_mode_rejected(self):
-        with pytest.raises(ValueError):
-            StayAwayConfig(fleet_cell_mode="carrier-pigeon")

@@ -48,11 +48,6 @@ class TestThrottle:
         assert manager.step(0, host, False, True, None)
         assert host.container("batch0").is_paused
 
-    def test_observed_violation_ignored_when_reactive_disabled(self):
-        host, manager, _ = build(StayAwayConfig(act_on_violation=False))
-        assert not manager.step(0, host, False, True, None)
-        assert not manager.throttling
-
     def test_disabled_controller_never_acts(self):
         host, manager, _ = build(StayAwayConfig(enabled=False))
         assert not manager.step(0, host, True, True, None)

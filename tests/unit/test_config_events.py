@@ -48,16 +48,16 @@ CONFIG_FIELDS = {
     "period", "n_samples", "majority", "min_steps_for_prediction",
     "dedup_epsilon", "refit_interval", "beta_initial", "beta_increment",
     "resume_grace", "starvation_patience", "probe_probability",
-    "aggregate_batch", "act_on_violation", "enabled", "per_mode_models",
+    "aggregate_batch", "enabled", "per_mode_models",
     "radius_law", "fixed_radius", "seed", "sensor_guard", "degraded_mode",
     "monitoring_deadline", "qos_deadline", "resync_periods",
     "reconcile_actions", "action_backoff_cap", "action_escalation_threshold",
     "telemetry", "fault_containment", "breaker_error_budget",
     "breaker_window", "breaker_cooldown", "model_watchdog",
-    "watchdog_quarantine", "snapshot_interval", "fleet_cell_mode",
+    "snapshot_interval",
     "detector_mode", "gmm_bins", "gmm_max_components", "gmm_min_samples",
     "gmm_refit_interval", "gmm_window", "gmm_span", "gmm_quorum",
-    "gmm_metrics", "gmm_cooldown", "gmm_hybrid_rule", "stream_watermark",
+    "gmm_metrics", "gmm_cooldown", "stream_watermark",
     "stream_stall_deadline",
 }
 

@@ -322,7 +322,6 @@ class TestConfigValidation:
             dict(gmm_quorum=3, gmm_metrics=("cpu",)),
             dict(gmm_span=-1.0),
             dict(gmm_cooldown=0),
-            dict(gmm_hybrid_rule="xor"),
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

@@ -136,15 +136,6 @@ class TestHeal:
         assert np.isfinite(controller.state_space.coords).all()
         assert controller.events.count(EventKind.MODEL_QUARANTINE) == 1
 
-    def test_quarantine_disabled_falls_back_to_rollback(self):
-        controller = learned_controller(watchdog_quarantine=False)
-        watchdog = fresh_watchdog(controller, snapshot_tick=90)
-        controller.state_space.coords[1] = np.nan
-        actions = watchdog.check_and_heal(100, controller)
-        assert actions == ["rollback"]
-        assert np.isfinite(controller.state_space.coords).all()
-        assert controller.events.count(EventKind.MODEL_ROLLBACK) == 1
-
     def test_structural_damage_rolls_back_to_last_good(self):
         controller = learned_controller()
         watchdog = fresh_watchdog(controller, snapshot_tick=90)

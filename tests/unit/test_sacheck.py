@@ -181,7 +181,9 @@ def test_sa103_fleet_imports_infrastructure_not_experiments():
     assert check(allowed, LayeringRule(), rel_path=fleet) == []
     for src in ("from repro.workloads.registry import make_workload\n",
                 "from repro.experiments.chaos import FleetMix\n",
-                "from repro.analysis.reports import ascii_table\n"):
+                "from repro.analysis.reports import ascii_table\n",
+                "from repro.service import ControllerService\n",
+                "def f():\n    from repro.service.recording import qos_record\n"):
         findings = check(src, LayeringRule(), rel_path=fleet)
         assert [f.rule for f in findings] == ["SA103"], src
 

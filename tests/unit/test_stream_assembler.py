@@ -309,3 +309,23 @@ class TestPassthroughAssembler:
         assembler.offer(sample(6))
         closed = assembler.due()
         assert [c.tick for c in closed] == [0, 5]  # 1-4 never existed
+
+    def test_clean_in_order_stream_matches_the_assembler(self):
+        # Same ingest, different policies: with nothing lost, late or
+        # duplicated the policies never engage, so both arms close the
+        # same ticks with the same contents.
+        records = [HEADER]
+        for tick in range(6):
+            records.append(sample(tick, metrics={"cpu": 1.0 + tick, "memory": 9.0}))
+            records.append(sample(tick, container="sens", metrics={"cpu": 2.0}))
+            records.append(state(tick, value="paused" if tick == 3 else "running"))
+            records.append(state(tick, container="sens", finished=tick == 5))
+            if tick % 2:
+                records.append(qos(tick, value=0.5 + tick / 10))
+        arms = (PassthroughAssembler(), StreamAssembler(watermark=0))
+        for assembler in arms:
+            for record in records:
+                assembler.offer(record)
+        passthrough, assembled = (arm.due(force=True) for arm in arms)
+        assert [c.tick for c in passthrough] == list(range(6))
+        assert passthrough == assembled

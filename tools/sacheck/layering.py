@@ -25,8 +25,8 @@ the simulator *drives*, not one that reaches back into it:
   can see its own scorecard.
 * ``fleet`` sits above ``core``/``sim``/``monitoring`` and below
   ``experiments``: it must not import ``workloads`` / ``baselines`` /
-  ``experiments`` / ``analysis``, and nothing beneath it (``core``,
-  ``sim``, ``monitoring``, ``telemetry``, ``workloads``,
+  ``experiments`` / ``analysis`` / ``service``, and nothing beneath it
+  (``core``, ``sim``, ``monitoring``, ``telemetry``, ``workloads``,
   ``baselines``) may import ``fleet`` — one crashed coordinator must
   never be able to take a host-local control loop down with it.
 * ``service`` (the streaming controller-as-a-service seam) wraps
@@ -37,8 +37,9 @@ the simulator *drives*, not one that reaches back into it:
   nothing beneath it (``core``, ``sim``, ``monitoring``,
   ``telemetry``, ``workloads``, ``baselines``) may import ``service``
   — the in-process control loop must keep working when the service
-  seam is deleted. ``fleet`` sits above ``service`` (its stream-backed
-  cells drive one service per host).
+  seam is deleted. ``fleet`` and ``service`` are independent siblings
+  above ``core``: a stream-backed fleet cell is wired by the caller
+  through ``controller_factory``, not by either package.
 
 Imports inside ``if TYPE_CHECKING:`` are exempt: they vanish at
 runtime, which is exactly the sanctioned way to keep type hints across
@@ -83,7 +84,7 @@ FORBIDDEN: Dict[str, Set[str]] = {
     "workloads": {"fleet", "service"},
     "baselines": {"fleet", "experiments", "analysis", "service"},
     "service": {"workloads", "baselines", "experiments", "analysis", "fleet"},
-    "fleet": {"workloads", "baselines", "experiments", "analysis"},
+    "fleet": {"workloads", "baselines", "experiments", "analysis", "service"},
 }
 
 #: Top-level trees with their own layering rules (beyond repro.*):
