@@ -405,15 +405,19 @@ class StateSpace:
         figures) are not rewritten — they refer to the map as it was at
         record time, exactly as they already do across refits.
         """
-        doomed = sorted({int(i) for i in indices if 0 <= int(i) < len(self.labels)})
+        doomed = {int(i) for i in indices if 0 <= int(i) < len(self.labels)}
         if not doomed:
             return 0
-        removed = self.representatives.remove_indices(doomed)
-        keep = [i for i in range(len(self.labels)) if i not in set(doomed)]
+        removed = self.representatives.remove_indices(sorted(doomed))
+        keep, labels = [], []
+        for index, label in enumerate(self.labels):
+            if index not in doomed:
+                keep.append(index)
+                labels.append(label)
         self.coords = (
             self.coords[keep] if keep else np.empty((0, 2))
         )
-        self.labels = [self.labels[i] for i in keep]
+        self.labels = labels
         self._new_since_refit = min(self._new_since_refit, len(self.labels))
         self.invalidate_geometry()
         return removed

@@ -3,21 +3,24 @@
 Refitting SMACOF from scratch every period is quadratic in the number
 of observed states; the paper notes that incremental MDS variants exist
 "with high performance and very low overhead" (§4, citing [32, 35]).
-We implement the standard single-point majorization: hold the existing
-("anchor") map fixed and iterate the Guttman update for the new point
-only, which minimizes
+We hold the existing ("anchor") map fixed and minimize, over the new
+point's 2-D coordinates ``x`` only,
 
     sum_j (|x - y_j| - delta_j)^2
 
-over the new point's 2-D coordinates ``x``, where ``delta_j`` are the
-high-dimensional distances from the new sample to each anchor.
+where ``delta_j`` are the high-dimensional distances from the new
+sample to each anchor. The single-point Guttman update of the
+majorization literature is Newton's step on this stress with the
+Hessian replaced by ``n I``: always downhill, but only linearly
+convergent. :func:`place_point` keeps that step as the most cautious
+end of one damped second-order loop — ``(M + lambda I)^-1 J^T r`` with
+``lambda`` starting at ``n`` and shrinking while steps keep lowering
+the stress, ``M`` the exact Hessian wherever it is positive definite —
+so it starts as safely and finishes quadratically.
 
-The objective is non-convex, so the optimiser runs from several starts
-and keeps the best. :func:`place_point` iterates all starts at once as
-rows of one ``(S, 2)`` array (see "Placement kernel" in
-``docs/ARCHITECTURE.md``); :func:`place_point_reference` is the
-one-start-at-a-time loop it replaced, retained verbatim as the
-equivalence reference — the two return bit-identical coordinates.
+The objective is non-convex, so the loop runs from several starts, all
+at once as rows of one ``(S, 2)`` array, and keeps the best (see
+"Placement kernel" in ``docs/ARCHITECTURE.md``).
 
 :func:`procrustes_align` keeps the map visually and semantically stable
 across occasional full refits: the refit configuration is rotated /
@@ -35,10 +38,11 @@ from repro.mds.distances import point_distances
 
 #: Floor under a point-to-anchor distance before dividing by it.
 _MIN_DISTANCE = 1e-12
-#: Gauss-Newton polish steps after the majorization.
-_POLISH_STEPS = 12
-#: Tikhonov term keeping the 2x2 Gauss-Newton system solvable.
-_RIDGE = 1e-12 * np.eye(2)
+#: Damping multipliers after an accepted / a rejected step.
+_DAMPING_SHRINK = 0.1
+_DAMPING_GROW = 8.0
+#: Floor under the damping, keeping the 2x2 system solvable.
+_MIN_DAMPING = 1e-12
 
 
 def place_point(
@@ -64,6 +68,10 @@ def place_point(
         six points around the nearest anchor and the anchor centroid
         plus the two-circle intersections of the widest anchor pair,
         and returns the lowest-stress result (first one on ties).
+    max_iter:
+        Most damped steps, taken or rejected, any start may try.
+    tol:
+        A start stops once its step is shorter than this (map units).
 
     Raises
     ------
@@ -78,64 +86,13 @@ def place_point(
         starts = init[None, :]
     else:
         starts = _multi_starts(anchors, deltas)
-    placed, stress = _optimize_starts(starts, anchors, deltas, max_iter, tol)
-    # First strict minimum, as the reference's ``stress < best`` scan:
-    # a NaN or infinite stress never wins.
+    placed, stress = _descend(starts, anchors, deltas, max_iter, tol)
+    # First strict minimum; a NaN or infinite stress never wins.
     ranked = np.where(stress < np.inf, stress, np.inf)
     best = int(np.argmin(ranked))
     if ranked[best] == np.inf:
         raise ValueError("no start reached a finite placement stress")
     return placed[best].copy()
-
-
-def place_point_reference(
-    anchors_2d: np.ndarray,
-    deltas: np.ndarray,
-    init: Optional[np.ndarray] = None,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Reference :func:`place_point`: one start at a time.
-
-    The optimiser :func:`place_point` replaced, retained verbatim (the
-    ``*_scalar`` idiom of ``StateSpace``) so the equivalence suites can
-    require ``np.array_equal`` between the two. Not used by the
-    program itself.
-    """
-    anchors, deltas, init = _checked_inputs(anchors_2d, deltas, init)
-    if anchors.shape[0] < 2:
-        return _place_trivial(anchors, deltas, init)
-
-    if init is not None:
-        starts = [np.array(init, dtype=float, copy=True)]
-    else:
-        # Multi-start: symmetric anchor configurations (e.g. collinear
-        # anchors) have mirror optima separated by a slow-escape ridge;
-        # starting on several sides of the nearest anchor avoids it.
-        nearest = int(np.argmin(deltas))
-        base = anchors[nearest]
-        scale = max(float(deltas.max()), 1e-3)
-        starts = [
-            base + np.array([1e-6, 1e-6]),
-            base + np.array([scale, 0.0]),
-            base + np.array([-scale, 0.0]),
-            base + np.array([0.0, scale]),
-            base + np.array([0.0, -scale]),
-            anchors.mean(axis=0),
-        ]
-        starts.extend(_trilateration_starts_reference(anchors, deltas))
-
-    best_x: Optional[np.ndarray] = None
-    best_stress = np.inf
-    for start in starts:
-        x = _optimize_placement_reference(start, anchors, deltas, max_iter, tol)
-        stress = placement_stress(x, anchors, deltas)
-        if stress < best_stress:
-            best_stress = stress
-            best_x = x
-    if best_x is None:
-        raise ValueError("no start reached a finite placement stress")
-    return best_x
 
 
 def _checked_inputs(
@@ -278,7 +235,7 @@ def _trilateration_starts(anchors: np.ndarray, deltas: np.ndarray) -> List[np.nd
 
 
 class _AnchorFrame:
-    """Per-call buffers for distances from ``S`` iterates to ``N`` anchors.
+    """Per-call buffers for scoring ``S`` iterates against ``N`` anchors.
 
     Every array operation of the kernel writes into these, so one
     iteration is a fixed number of ufunc calls and no allocation. They
@@ -296,68 +253,88 @@ class _AnchorFrame:
         n = anchors.shape[0]
         self.anchors = anchors
         self.deltas = deltas
-        #: ``(S, N, 2)``: iterate minus anchor, later direction / Jacobian.
-        self.offsets = np.empty((n_starts, n, 2))
+        self._offsets = np.empty((n_starts, n, 2))
         self._squares = np.empty((n_starts, n, 2))
-        #: ``(S, N)``: distance from iterate ``s`` to anchor ``j``.
-        self.distances = np.empty((n_starts, n))
-        #: ``(S, N)``: ``distances - deltas``.
-        self.residuals = np.empty((n_starts, n))
+        self._distances = np.empty((n_starts, n))
+        self._weights = np.empty((n_starts, n))
+        # One matmul operand, by columns: the unit directions u (0:2),
+        # the same scaled by w = delta / d (2:4), the residuals (4).
+        self._columns = np.empty((n_starts, n, 5))
+        self._directions = self._columns[:, :, 0:2]
+        self._weighted = self._columns[:, :, 2:4]
+        self._residuals = self._columns[:, :, 4]
+        # ... and its product with u^T: J^T J, sum w u u^T, J^T r.
+        self._products = np.empty((n_starts, 2, 5))
+        self._hessian = self._products[:, :, 2:4]
+        self._hessian_diagonal = np.einsum("sii->si", self._hessian)
+        self._spare = np.empty(n_starts)
+        self._definite = np.empty(n_starts, dtype=bool)
+        #: ``(S,)`` residual stress of the iterates last evaluated.
+        self.stress = np.empty(n_starts)
+        #: ``(S, 2)`` half gradient ``J^T r`` of that stress.
+        self.gradient = np.empty((n_starts, 2))
+        #: ``(S, 2, 2)`` curvature: the exact half Hessian where it is
+        #: positive definite, the Gauss-Newton ``J^T J`` elsewhere.
+        self.curvature = np.empty((n_starts, 2, 2))
 
-    def measure(self, x: np.ndarray) -> None:
-        """Fill ``offsets`` and ``distances`` for the iterates ``x``.
+    def evaluate(self, x: np.ndarray) -> None:
+        """Fill ``stress``, ``gradient`` and ``curvature`` for iterates ``x``.
 
-        The same subtract / square / add / sqrt sequence as
-        :func:`~repro.mds.distances.point_distances` (whose operand
-        order is ``anchor - x``; the squares are identical).
+        With unit directions ``u_j`` and ``w_j = delta_j / d_j`` the
+        half Hessian of the stress is ``sum_j (1 - w_j) I + w_j u_j
+        u_j^T``; an iterate sitting on an anchor has ``u_j = 0`` there.
 
         Parameters
         ----------
         x:
-            ``(S, D)`` current iterates.
+            ``(S, D)`` iterates to score, ``D == 2``.
         """
-        np.subtract(x[:, None, :], self.anchors, out=self.offsets)
-        np.square(self.offsets, out=self._squares)
-        np.add(self._squares[:, :, 0], self._squares[:, :, 1], out=self.distances)
-        np.sqrt(self.distances, out=self.distances)
+        distances, residuals, weights = self._distances, self._residuals, self._weights
+        np.subtract(x[:, None, :], self.anchors, out=self._offsets)
+        np.square(self._offsets, out=self._squares)
+        np.add(self._squares[:, :, 0], self._squares[:, :, 1], out=distances)
+        np.sqrt(distances, out=distances)
+        np.subtract(distances, self.deltas, out=residuals)
+        np.maximum(distances, _MIN_DISTANCE, out=distances)
+        np.divide(self._offsets, distances[:, :, None], out=self._directions)
+        np.divide(self.deltas, distances, out=weights)
+        np.multiply(self._directions, weights[:, :, None], out=self._weighted)
+        np.matmul(self._directions.transpose(0, 2, 1), self._columns, out=self._products)
+        np.multiply(residuals, residuals, out=distances)
+        np.add.reduce(distances, axis=1, out=self.stress)
+        self.gradient[...] = self._products[:, :, 4]
 
-    def stress(self, x: np.ndarray) -> np.ndarray:
-        """``(S,)`` residual stress of each iterate; fills ``residuals``.
-
-        Summing along the contiguous last axis uses the pairwise order
-        ``np.sum`` applies to the reference's 1-D residual vector.
-
-        Parameters
-        ----------
-        x:
-            ``(S, D)`` iterates to score.
-        """
-        self.measure(x)
-        np.subtract(self.distances, self.deltas, out=self.residuals)
-        return np.add.reduce(np.square(self.residuals), axis=1)
-
-    def normalize_offsets(self) -> None:
-        """Turn ``offsets`` into unit directions (consumes ``distances``)."""
-        np.maximum(self.distances, _MIN_DISTANCE, out=self.distances)
-        np.divide(self.offsets, self.distances[:, :, None], out=self.offsets)
+        hessian = self._hessian
+        np.add.reduce(weights, axis=1, out=self._spare)
+        np.subtract(self.anchors.shape[0], self._spare, out=self._spare)
+        self._hessian_diagonal += self._spare[:, None]
+        determinant = hessian[:, 0, 0] * hessian[:, 1, 1]
+        determinant -= hessian[:, 0, 1] * hessian[:, 1, 0]
+        np.greater(determinant, 0.0, out=self._definite)
+        self._definite &= hessian[:, 0, 0] > 0.0
+        self.curvature[...] = self._products[:, :, 0:2]
+        np.copyto(self.curvature, hessian, where=self._definite[:, None, None])
 
 
-def _optimize_starts(
+def _descend(
     starts: np.ndarray,
     anchors: np.ndarray,
     deltas: np.ndarray,
     max_iter: int,
     tol: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Majorize, then polish, every start at once.
+    """Damped second-order descent of every start at once.
 
     Returns the ``(S, 2)`` final iterates and their ``(S,)`` stresses.
-    Row ``s`` is bit-identical to running the reference
-    optimiser on ``starts[s]`` alone: all arithmetic is elementwise per
-    row, the reductions over anchors keep the reference's order, and a
-    row that meets a stopping rule is frozen by an *active mask* — it
-    is still carried through the array operations, but never written
-    back.
+    Each row steps by ``(M + lambda I)^-1 J^T r`` with ``M`` the
+    frame's curvature. ``lambda`` starts at ``n``, where the step
+    matrix dominates the ``n I`` of the single-point Guttman update and
+    so inherits the majorization's descent guarantee; a step that does
+    not raise the stress is taken and shrinks ``lambda`` (towards
+    Newton's step, which converges quadratically), one that does is
+    retried from the same point with more damping. A row stops once
+    its step is shorter than ``tol``; rows are independent, a stopped
+    one is carried through the array operations but never written.
 
     Parameters
     ----------
@@ -369,150 +346,43 @@ def _optimize_starts(
         ``(N,)`` target distances.
     """
     n_starts = starts.shape[0]
-    n = anchors.shape[0]
     frame = _AnchorFrame(n_starts, anchors, deltas)
-    offsets = frame.offsets
     x = np.array(starts, dtype=float, copy=True)
-    proposal = np.empty_like(x)
-    step = np.empty_like(x)
-
-    # Single-point Guttman update: pull each anchor's contribution to
-    # its target radius along the current direction, average them.
+    frame.evaluate(x)
+    stress = frame.stress.copy()
+    gradient = frame.gradient.copy()
+    curvature = frame.curvature.copy()
+    damping = np.full(n_starts, float(anchors.shape[0]))
     active = np.ones(n_starts, dtype=bool)
-    for _ in range(max_iter):
-        frame.measure(x)
-        frame.normalize_offsets()
-        np.multiply(deltas[:, None], offsets, out=offsets)
-        np.add(anchors, offsets, out=offsets)
-        # Reducing the middle axis adds anchors in index order, like
-        # the reference's ``mean(axis=0)`` of an (n, 2) array.
-        np.add.reduce(offsets, axis=1, out=proposal)
-        np.divide(proposal, n, out=proposal)
-        np.subtract(proposal, x, out=step)
-        # A row takes the proposal and, if the step was below tol,
-        # stops there (the reference's ``x = new_x; break``).
-        np.copyto(x, proposal, where=active[:, None])
-        active &= ~(_row_norms(step) < tol)
-        if not active.any():
-            break
-
-    # Gauss-Newton polish: the majorization converges slowly along flat
-    # directions; a few Newton steps tighten the placement.
-    active = np.ones(n_starts, dtype=bool)
-    jacobian_t = offsets.transpose(0, 2, 1)
-    gram = np.empty((n_starts, 2, 2))
-    gradient = np.empty((n_starts, 2, 1))
+    accepted = np.empty(n_starts, dtype=bool)
     candidate = np.empty_like(x)
-    for _ in range(_POLISH_STEPS):
-        current_stress = frame.stress(x)
-        frame.normalize_offsets()  # offsets is now the (S, N, 2) Jacobian
-        np.matmul(jacobian_t, offsets, out=gram)
-        np.add(gram, _RIDGE, out=gram)
-        np.matmul(jacobian_t, frame.residuals[:, :, None], out=gradient)
-        try:
-            step = np.linalg.solve(gram, gradient)[:, :, 0]
-        except np.linalg.LinAlgError:
-            # Some row is singular; only that row stops. Solve the
-            # live rows one by one, as the reference would have.
-            step = np.zeros_like(x)
-            for row in np.flatnonzero(active):
-                try:
-                    step[row] = np.linalg.solve(gram[row], gradient[row, :, 0])
-                except np.linalg.LinAlgError:
-                    active[row] = False
+    step = np.empty_like(x)
+    for _ in range(max_iter):
+        # Closed-form solve of the 2x2 system (M + lambda I) step = J^T r.
+        a = curvature[:, 0, 0] + damping
+        c = curvature[:, 1, 1] + damping
+        b = curvature[:, 0, 1]
+        determinant = a * c - b * b
+        np.subtract(c * gradient[:, 0], b * gradient[:, 1], out=step[:, 0])
+        np.subtract(a * gradient[:, 1], b * gradient[:, 0], out=step[:, 1])
+        np.divide(step, determinant[:, None], out=step)
         np.subtract(x, step, out=candidate)
-        # Accept a step that does not raise the stress (NaN compares
-        # false and rejects); a rejected row stops where it is.
-        active &= frame.stress(candidate) <= current_stress
-        np.copyto(x, candidate, where=active[:, None])
-        active &= ~(_row_norms(step) < tol)
+        frame.evaluate(candidate)
+        # NaN compares false and rejects.
+        np.less_equal(frame.stress, stress, out=accepted)
+        accepted &= active
+        moved = accepted[:, None]
+        np.copyto(x, candidate, where=moved)
+        np.copyto(stress, frame.stress, where=accepted)
+        np.copyto(gradient, frame.gradient, where=moved)
+        np.copyto(curvature, frame.curvature, where=moved[:, :, None])
+        np.multiply(damping, np.where(accepted, _DAMPING_SHRINK, _DAMPING_GROW),
+                    out=damping, where=active)
+        np.maximum(damping, _MIN_DAMPING, out=damping)
+        active &= ~(np.hypot(step[:, 0], step[:, 1]) < tol)
         if not active.any():
             break
-    return x, frame.stress(x)
-
-
-# -- reference implementation --------------------------------------------------
-# Retained verbatim from the pre-batching code path: the equivalence
-# suites (tests/unit/test_incremental.py, tests/property/test_prop_mds.py,
-# tests/integration/test_end_to_end.py) prove the kernel above returns
-# bit-identical coordinates.
-def _trilateration_starts_reference(anchors: np.ndarray, deltas: np.ndarray) -> list:
-    """Reference widest-pair search: one ``norm`` call per anchor pair."""
-    n = anchors.shape[0]
-    if n < 2:
-        return []
-    # Widest-separated anchor pair.
-    best_pair = None
-    best_sep = -1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            sep = float(np.linalg.norm(anchors[i] - anchors[j]))
-            if sep > best_sep:
-                best_sep = sep
-                best_pair = (i, j)
-    if best_pair is None or best_sep <= 1e-12:
-        return []
-    i, j = best_pair
-    a, b = anchors[i], anchors[j]
-    ra, rb = float(deltas[i]), float(deltas[j])
-    d = best_sep
-    # Projection of the intersection chord onto the a->b axis.
-    along = (ra * ra - rb * rb + d * d) / (2.0 * d)
-    height_sq = ra * ra - along * along
-    axis = (b - a) / d
-    normal = np.array([-axis[1], axis[0]])
-    foot = a + along * axis
-    if height_sq <= 0:
-        return [foot]
-    height = np.sqrt(height_sq)
-    return [foot + height * normal, foot - height * normal]
-
-
-def _optimize_placement_reference(
-    x0: np.ndarray,
-    anchors: np.ndarray,
-    deltas: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> np.ndarray:
-    """Majorization iterations followed by a Gauss-Newton polish."""
-    x = np.array(x0, dtype=float, copy=True)
-    for _ in range(max_iter):
-        distances = point_distances(x, anchors)
-        safe = np.maximum(distances, 1e-12)
-        # Single-point Guttman update: pull each anchor's contribution
-        # to its target radius along the current direction.
-        directions = (x[None, :] - anchors) / safe[:, None]
-        proposal = anchors + deltas[:, None] * directions
-        new_x = proposal.mean(axis=0)
-        if np.linalg.norm(new_x - x) < tol:
-            x = new_x
-            break
-        x = new_x
-
-    # Gauss-Newton polish: the majorization converges slowly along flat
-    # directions; a few Newton steps tighten the placement.
-    for _ in range(12):
-        distances = point_distances(x, anchors)
-        safe = np.maximum(distances, 1e-12)
-        residuals = distances - deltas
-        jacobian = (x[None, :] - anchors) / safe[:, None]
-        gram = jacobian.T @ jacobian
-        gradient = jacobian.T @ residuals
-        try:
-            step = np.linalg.solve(gram + 1e-12 * np.eye(gram.shape[0]), gradient)
-        except np.linalg.LinAlgError:
-            break
-        candidate = x - step
-        if placement_stress(candidate, anchors, deltas) <= placement_stress(
-            x, anchors, deltas
-        ):
-            x = candidate
-        else:
-            break
-        if np.linalg.norm(step) < tol:
-            break
-    return x
+    return x, stress
 
 
 def placement_stress(point: np.ndarray, anchors_2d: np.ndarray, deltas: np.ndarray) -> float:

@@ -4,7 +4,7 @@
 monotonic clock. :class:`StageTimer` is the instrumentation workhorse:
 a reusable context manager that times a region into a
 :class:`~repro.telemetry.registry.Histogram` and, when given a tracer,
-opens a matching span so the same region shows up in the trace tree.
+records a matching span so the same region shows up in the trace tree.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import time
 from typing import Any, Callable, Mapping, Optional
 
 from repro.telemetry.registry import Histogram
-from repro.telemetry.spans import NO_ATTRS, Span, Tracer
+from repro.telemetry.spans import NO_ATTRS, Tracer
 
 
 class Stopwatch:
@@ -53,10 +53,11 @@ class StageTimer:
     clock:
         Monotonic time source; default ``time.perf_counter``.
     tracer / name / attrs:
-        When a tracer is given, each entry also opens a span called
-        ``name`` so stage timings appear in the trace; the span holds
-        ``attrs`` itself, not a copy (assign a fresh dict per entry if
-        spans must not share one).
+        When a tracer is given, each entry also records a span called
+        ``name`` (a deferred one, see :meth:`Tracer.defer`) so stage
+        timings appear in the trace; the span holds ``attrs`` itself,
+        not a copy (assign a fresh dict per entry if spans must not
+        share one).
 
     The timer is reusable (``with timer: ...`` any number of times) but
     not reentrant — it times one region at a time.
@@ -76,28 +77,25 @@ class StageTimer:
         self.name = name if name is not None else histogram.name
         self.attrs: Mapping[str, Any] = attrs or NO_ATTRS
         self.last: float = 0.0
-        self._span: Optional[Span] = None
-        self._started: Optional[float] = None
+        self._started: Any = None
 
     def __enter__(self) -> "StageTimer":
         if self._started is not None:
             raise RuntimeError(f"stage timer {self.name!r} is not reentrant")
         if self.tracer is not None:
-            # The span's own two clock readings time the stage too,
-            # instead of the timer taking a second pair around them.
-            self._span = span = self.tracer.begin(self.name, self.attrs)
-            self._started = span.start
+            # The span's own two clock readings time the stage too.
+            self._started = self.tracer.defer(self.name, self.attrs)
         else:
             self._started = self.clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        started, span = self._started, self._span
+        started = self._started
         if started is None:
             raise RuntimeError(f"stage timer {self.name!r} was never entered")
-        self._started = self._span = None
-        if span is not None and self.tracer is not None:
-            elapsed = self.tracer.finish(span) - started
+        self._started = None
+        if self.tracer is not None:
+            elapsed = self.tracer.settle(started)
         else:
             elapsed = self.clock() - started
         self.last = elapsed

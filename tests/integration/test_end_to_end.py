@@ -22,10 +22,11 @@ from repro.experiments.runner import (
     run_unmanaged,
 )
 from repro.experiments.scenarios import Scenario
-from repro.mds.incremental import place_point_reference
+from repro.mds.incremental import place_point
 from repro.service import decision_sequence
 from repro.trajectory.histograms import EmpiricalDistribution, Histogram
 from repro.trajectory.sampling import TrajectoryModel
+from tests.support.placement_reference import lost_to_reference
 
 
 @pytest.fixture(scope="module")
@@ -147,28 +148,30 @@ class TestAccuracyClaim:
 
 
 class TestPlacementKernelAgainstReference:
-    def test_cold_start_run_is_identical_under_reference_placement(self, monkeypatch):
-        """A learning-phase run maps and decides the same either way.
+    def test_cold_start_run_never_places_worse_than_the_reference(self, monkeypatch):
+        """Every placement of a learning-phase run, as the mapping layer
+        makes it, ends on a stress the scalar reference does not beat."""
+        verdicts = []
 
-        The batched placement kernel claims bit-identical coordinates,
-        so swapping the one-start-at-a-time reference into the mapping
-        layer must not move a single state or decision.
-        """
+        def audited(anchors, deltas):
+            placed = place_point(anchors, deltas)
+            verdicts.append(lost_to_reference(placed, anchors, deltas))
+            return placed
+
+        monkeypatch.setattr(state_space_module, "place_point", audited)
         scenario = Scenario(
             sensitive="webservice-mix",
             batches=("twitter-analysis",),
             ticks=300,
             seed=11,
         )
-        kernel = run_stayaway(scenario, config=StayAwayConfig(seed=11)).controller
-        monkeypatch.setattr(state_space_module, "place_point", place_point_reference)
-        reference = run_stayaway(scenario, config=StayAwayConfig(seed=11)).controller
+        controller = run_stayaway(scenario, config=StayAwayConfig(seed=11)).controller
 
         # the run really exercised placement and the decision logic
-        assert len(kernel.state_space) > 20
-        assert len(decision_sequence(kernel)) > 0
-        assert decision_sequence(kernel) == decision_sequence(reference)
-        assert np.array_equal(kernel.state_space.coords, reference.state_space.coords)
+        assert len(controller.state_space) > 20
+        assert len(decision_sequence(controller)) > 0
+        assert len(verdicts) >= len(controller.state_space) - 1
+        assert verdicts == [None] * len(verdicts)
 
 
 def _sha(payload):
@@ -207,15 +210,17 @@ class TestPredictPathAgainstScalarWindow:
     """The array-backed step windows, the fused ``(4, n)`` draw and the
     vectorised watchdog claim bit-identical behaviour."""
 
-    #: sha256 of the JSON of each fingerprint entry, recorded at the
-    #: commit before the windows became arrays (f658fec; NumPy 2.4 on
-    #: the CI image). If these move while the scalar-oracle test below
-    #: still passes, the arithmetic of the environment moved, not the
-    #: predict path.
+    #: sha256 of the JSON of each fingerprint entry (NumPy 2.4 on the
+    #: CI image). ``decisions`` is the value recorded at the commit
+    #: before the windows became arrays (f658fec); ``candidates`` and
+    #: ``checkpoint`` hold map coordinates and were recorded again when
+    #: the damped placement kernel moved those by ~1e-10. If these move
+    #: while the scalar-oracle test below still passes, placement or
+    #: the arithmetic of the environment moved, not the predict path.
     PINNED = {
         "decisions": "3d046c2135f48527abcb8bbe98d9fe026cb896cd0d409d66942e5dd1d8bfa22c",
-        "candidates": "7ae27e854b88123a4a6026d07edb5ffe68e7077f68b0e8ff0259a030f766775f",
-        "checkpoint": "0ffa7e331fb13d8e0a8657c07fc5e9bf60151e680e49ec53f0a29b508dffb138",
+        "candidates": "b3a5a5f76c44458fb8a3ca91dc98cc6538fb8a1403acf975f92a9e2bb49e6007",
+        "checkpoint": "1e403aaa0665f0bf4760cd26e2d9762c32421ed8e5e4865e46bb422cedc4a161",
     }
 
     @pytest.fixture(scope="class")

@@ -1,7 +1,7 @@
 """Property-based tests for the MDS stack."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,12 +9,14 @@ from repro.mds.classical import classical_mds
 from repro.mds.dedup import RepresentativeSet
 from repro.mds.distances import pairwise_distances, point_distances
 from repro.mds.incremental import (
+    _multi_starts,
     place_point,
-    place_point_reference,
+    placement_stress,
     procrustes_align,
 )
 from repro.mds.smacof import smacof
 from repro.mds.stress import raw_stress
+from tests.support.placement_reference import lost_to_reference
 
 
 def point_clouds(min_points=3, max_points=12, dims=4):
@@ -106,7 +108,11 @@ DELTA_KINDS = ("realizable", "zero", "unrealizable", "high-dimensional")
 
 
 def placement_case(seed, n, anchor_kind, delta_kind, with_init):
-    """A seeded ``(anchors, deltas, init)`` triple of the named shape."""
+    """A seeded ``(anchors, deltas, init, target)`` case of the named shape.
+
+    ``target`` is the planar point the realizable deltas were measured
+    from, ``None`` for the other delta kinds.
+    """
     rng = np.random.default_rng(seed)
     anchors = rng.normal(size=(n, 2)) * rng.choice([0.01, 1.0, 50.0])
     if anchor_kind == "collinear":
@@ -116,8 +122,10 @@ def placement_case(seed, n, anchor_kind, delta_kind, with_init):
     elif anchor_kind == "lattice":
         # many exactly tied widest pairs
         anchors = np.stack(np.divmod(np.arange(n), 7), axis=1).astype(float)
+    target = None
     if delta_kind == "realizable":
-        deltas = point_distances(rng.normal(size=2), anchors)
+        target = rng.normal(size=2)
+        deltas = point_distances(target, anchors)
     elif delta_kind == "zero":
         deltas = np.zeros(n)
     elif delta_kind == "unrealizable":
@@ -125,26 +133,31 @@ def placement_case(seed, n, anchor_kind, delta_kind, with_init):
     else:
         deltas = np.linalg.norm(rng.normal(size=(n, 6)) - rng.normal(size=6), axis=1)
     init = rng.normal(size=2) * 2.0 if with_init else None
-    return anchors, deltas, init
+    return anchors, deltas, init, target
 
 
-class TestPlacementKernelEquivalence:
-    """``place_point`` returns the reference's coordinates bit for bit."""
-
-    @given(
+def seeded_cases(delta_kinds=DELTA_KINDS, inits=st.booleans()):
+    return st.builds(
+        placement_case,
         st.integers(0, 2**32 - 1),
         st.integers(2, 200),
         st.sampled_from(ANCHOR_KINDS),
-        st.sampled_from(DELTA_KINDS),
-        st.booleans(),
+        st.sampled_from(delta_kinds),
+        inits,
     )
+
+
+class TestPlacementKernelQuality:
+    """``place_point`` never loses to the scalar optimiser it replaced."""
+
+    @given(seeded_cases())
     @settings(max_examples=120, deadline=None)
-    def test_seeded_anchor_sets(self, seed, n, anchor_kind, delta_kind, with_init):
-        anchors, deltas, init = placement_case(seed, n, anchor_kind, delta_kind, with_init)
-        assert np.array_equal(
-            place_point(anchors, deltas, init=init),
-            place_point_reference(anchors, deltas, init=init),
-        )
+    def test_seeded_anchor_sets(self, case):
+        anchors, deltas, init, _ = case
+        placed = place_point(anchors, deltas, init=init)
+        assert lost_to_reference(placed, anchors, deltas, init) is None
+        # same bits on every call: no state survives one
+        assert np.array_equal(placed, place_point(anchors, deltas, init=init))
 
     @given(
         arrays(float, st.tuples(st.integers(2, 9), st.just(2)),
@@ -158,20 +171,48 @@ class TestPlacementKernelEquivalence:
         init = data.draw(
             st.none() | arrays(float, (2,), elements=st.floats(-1e3, 1e3))
         )
-        assert np.array_equal(
-            place_point(anchors, deltas, init=init),
-            place_point_reference(anchors, deltas, init=init),
-        )
+        # A start sitting on an anchor has no direction to leave along
+        # (both optimisers floor that distance); which way rounding
+        # noise then pushes it is not a property of either.
+        assume(init is None or point_distances(init, anchors).min() > 1e-9)
+        placed = place_point(anchors, deltas, init=init)
+        assert lost_to_reference(placed, anchors, deltas, init) is None
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(0, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_iteration_cap_and_tolerance_are_honoured_alike(self, seed, n, max_iter):
-        anchors, deltas, _ = placement_case(seed, n, "random", "high-dimensional", False)
+    @given(seeded_cases(("realizable",), inits=st.just(False)), st.floats(-1.0, 1.0),
+           st.floats(-1.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_realizable_targets_are_recovered_and_follow_a_translation(
+        self, case, shift_x, shift_y
+    ):
+        anchors, deltas, _, target = case
+        scale = 1.0 + max(float(np.abs(anchors).max()), float(deltas.max()))
+        shift = np.array([shift_x, shift_y]) * scale
+        placed = place_point(anchors, deltas)
+        moved = place_point(anchors + shift, deltas)
+        assert np.abs(point_distances(placed, anchors) - deltas).max() <= 1e-8 * scale
+        assert np.abs(point_distances(moved, anchors + shift) - deltas).max() <= 1e-8 * scale
+        # Three anchors off one line pin the point itself; fewer (or
+        # collinear ones) leave its mirror image just as good.
+        centred = anchors - anchors.mean(axis=0)
+        if np.linalg.svd(centred, compute_uv=False)[-1] > 1e-3 * scale:
+            assert np.linalg.norm(placed - target) <= 1e-8 * scale
+            assert np.linalg.norm(moved - shift - placed) <= 1e-7 * scale
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(0, 8),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_iteration_cap_and_loose_tolerance_never_lose_to_the_start(
+        self, seed, n, max_iter, with_init
+    ):
+        anchors, deltas, init, _ = placement_case(
+            seed, n, "random", "high-dimensional", with_init
+        )
+        starts = init[None, :] if with_init else _multi_starts(anchors, deltas)
+        best_start = min(placement_stress(start, anchors, deltas) for start in starts)
         for tol in (1e-9, 1e-2):
-            assert np.array_equal(
-                place_point(anchors, deltas, max_iter=max_iter, tol=tol),
-                place_point_reference(anchors, deltas, max_iter=max_iter, tol=tol),
-            )
+            placed = place_point(anchors, deltas, init=init, max_iter=max_iter, tol=tol)
+            assert np.all(np.isfinite(placed))
+            assert placement_stress(placed, anchors, deltas) <= best_start * (1 + 1e-12)
 
 
 class TestProcrustesProperties:

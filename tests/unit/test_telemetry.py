@@ -210,28 +210,55 @@ class TestTimers:
         with pytest.raises(RuntimeError, match="never entered"):
             StageTimer(Histogram("h"), clock=FakeClock()).__exit__(None, None, None)
 
-    @pytest.mark.parametrize("max_spans", [20_000, 3, 0])
+    @pytest.mark.parametrize("max_spans", [20_000, 7, 3, 0])
     def test_stage_spans_equal_tracer_spans(self, max_spans):
-        """The timer times a stage by its span's own two clock readings;
-        mixed with plain spans it must build the tree, the retention
-        and the durations that plain spans alone do."""
+        """A stage stays a bare row until somebody needs its span. Over
+        whole controller periods — stages nested in stages, a plain
+        span and an ``active`` read under an open stage, a stage that
+        raises through its parents, stages under an outer plain span —
+        the tree, the ids, the retention, the JSONL records and the
+        durations must be those plain spans alone produce."""
+
+        def period(stage, tracer, clock, durations, tick, fail=False):
+            with stage(tracer, clock, "controller.period", durations, tick=tick):
+                clock.advance(0.5)
+                with stage(tracer, clock, "controller.reconcile", durations):
+                    clock.advance(0.0625)
+                with stage(tracer, clock, "controller.map", durations):
+                    clock.advance(0.25)
+                    with stage(tracer, clock, "mapping.refit", durations):
+                        with tracer.span("smacof", states=9):
+                            clock.advance(1.0)
+                        with stage(tracer, clock, "geometry.rebuild", durations):
+                            clock.advance(2.0)
+                    if fail:
+                        raise RuntimeError("mapping blew up")
+                with stage(tracer, clock, "controller.predict", durations):
+                    assert tracer.active.name == "controller.predict"
+                    assert tracer.active.depth == 1 + (tick == 6)
+                    with stage(tracer, clock, "geometry.rebuild", durations):
+                        clock.advance(0.03125)
+                with stage(tracer, clock, "controller.act", durations):
+                    clock.advance(0.125)
 
         def tree(stage):
             clock = FakeClock()
             tracer = Tracer(clock=clock, max_spans=max_spans)
             durations = []
-            with stage(tracer, clock, "period", durations, tick=4):
-                clock.advance(0.5)
-                with stage(tracer, clock, "map", durations):
-                    clock.advance(0.25)
-                    with tracer.span("refit", states=9):
-                        clock.advance(1.0)
-                with stage(tracer, clock, "act", durations):
-                    clock.advance(0.125)
-            with stage(tracer, clock, "period", durations, tick=5):
-                assert tracer.active.name == "period" and tracer.active.depth == 0
+            period(stage, tracer, clock, durations, tick=4)
+            with pytest.raises(RuntimeError, match="blew up"):
+                period(stage, tracer, clock, durations, tick=5, fail=True)
             assert tracer.active is None
-            return tracer.to_dicts(), tracer.dropped, tracer.span_tree(), durations
+            with tracer.span("fleet.cell", host="h0"):
+                period(stage, tracer, clock, durations, tick=6)
+            return (
+                tracer.to_dicts(),
+                [span.span_id for span in tracer.spans],
+                tracer.dropped,
+                tracer.span_tree(),
+                tracer.span_tree(last=1),
+                durations,
+            )
 
         @contextlib.contextmanager
         def timed(tracer, clock, name, durations, **attrs):
@@ -239,17 +266,25 @@ class TestTimers:
                 Histogram(f"{name}_seconds"), clock=clock, tracer=tracer,
                 name=name, attrs=attrs,
             )
-            with timer:
-                yield
-            durations.append(timer.last)
+            try:
+                with timer:
+                    yield
+            finally:
+                durations.append((timer.last, timer.histogram.sum))
 
         @contextlib.contextmanager
         def plain(tracer, clock, name, durations, **attrs):
-            with tracer.span(name, **attrs) as span:
-                yield
-            durations.append(span.duration)
+            try:
+                with tracer.span(name, **attrs) as span:
+                    yield
+            finally:
+                durations.append((span.duration, span.duration))
 
-        assert tree(timed) == tree(plain)
+        timed_tree, plain_tree = tree(timed), tree(plain)
+        assert timed_tree == plain_tree
+        # the scenario really nested, raised and hit the retention cap
+        assert len(plain_tree[0]) == min(max_spans, 25)
+        assert plain_tree[2] == 25 - min(max_spans, 25)
 
 
 # ---------------------------------------------------------------------------
