@@ -1,8 +1,8 @@
-"""Analysis: utilization, QoS statistics, prediction accuracy, reports.
+"""Analysis: utilization, prediction accuracy, summary statistics, reports.
 
 These are the measurement tools the evaluation (§7) is built from:
 machine-utilization series and gained-utilization bands (Figs. 10-12),
-normalized QoS series and violation statistics (Figs. 8-9, 14-16),
+QoS figures (Figs. 8-9, 14-16),
 prediction-accuracy summaries (§3.2.3's >90% claim) and plain-text
 table/series rendering for the benchmark harness output.
 """
@@ -14,7 +14,6 @@ from repro.analysis.accuracy import (
     summarize_accuracy,
     violation_episodes,
 )
-from repro.analysis.qos_stats import QosStats, compute_qos_stats, normalized_qos_series
 from repro.analysis.reports import (
     ascii_table,
     render_scatter,
@@ -48,7 +47,6 @@ __all__ = [
     "score_detector",
     "violation_episodes",
     "Plot",
-    "QosStats",
     "SummaryStats",
     "SvgCanvas",
     "UtilizationComparison",
@@ -59,13 +57,11 @@ __all__ = [
     "render_scatter",
     "summarize",
     "compare_utilization",
-    "compute_qos_stats",
     "gained_utilization_figure",
     "qos_figure",
     "state_space_figure",
     "timeline_figure",
     "gained_utilization_series",
-    "normalized_qos_series",
     "render_series",
     "render_timeline_bands",
     "summarize_accuracy",

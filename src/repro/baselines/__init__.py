@@ -23,6 +23,7 @@
 from repro.baselines.deepdive import DeepDiveLike
 from repro.baselines.gmm_threshold import (
     GaussianMixture1D,
+    GmmSettings,
     GmmThresholdDetector,
     GmmThresholdModel,
     fence_threshold,
@@ -42,6 +43,7 @@ from repro.baselines.static_profiling import (
 __all__ = [
     "DeepDiveLike",
     "GaussianMixture1D",
+    "GmmSettings",
     "GmmThresholdDetector",
     "GmmThresholdModel",
     "fence_threshold",

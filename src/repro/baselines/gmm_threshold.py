@@ -16,7 +16,7 @@ not geometry over the joint state — comparing the two (see
 production-grade resource-manager detector rather than an academic
 comparison system.
 
-Three layers:
+Three layers, configured by one :class:`GmmSettings`:
 
 * :func:`fit_gmm_1d` / :func:`select_gmm` / :func:`fence_threshold` —
   seeded, pure-NumPy EM with BIC model selection (no sklearn), fully
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import StayAwayConfig
 from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.qos import QosTracker
 
@@ -197,6 +196,80 @@ def fence_threshold(gmm: GaussianMixture1D, span: float = 3.0) -> float:
     return float(min(normal_bound, gmm.means[-1]))
 
 
+@dataclass(frozen=True)
+class GmmSettings:
+    """Knobs of the GMM threshold learner and its standalone detector.
+
+    Parameters
+    ----------
+    bins:
+        Utilization bins: the sensitive app's CPU utilization in [0, 1]
+        selects one of these bins and each bin learns its own
+        per-metric fences.
+    max_components:
+        Mixture components tried per fit (1..n, lowest BIC wins).
+    min_samples:
+        Samples a (metric, bin) buffer needs before its first fit.
+    refit_interval:
+        New samples per (metric, bin) between refits.
+    window:
+        Rolling sample-buffer cap per (metric, bin).
+    span:
+        Fence span in standard deviations (gmmfense's ``mean + span *
+        std`` bound for unimodal fits / normal-component boundary for
+        multimodal ones).
+    quorum:
+        Metrics that must exceed their fence in the same period for a
+        contention verdict.
+    metrics:
+        Contention-correlated metric kinds judged against fences
+        (non-sensitive measurement columns; subset of the monitored
+        resource names).
+    cooldown:
+        Clear-verdict periods before :class:`GmmThresholdDetector`
+        resumes paused batch containers.
+    """
+
+    bins: int = 5
+    max_components: int = 3
+    min_samples: int = 40
+    refit_interval: int = 20
+    window: int = 400
+    span: float = 3.0
+    quorum: int = 1
+    metrics: Tuple[str, ...] = ("cpu", "memory_bw")
+    cooldown: int = 10
+
+    def __post_init__(self) -> None:
+        if self.bins < 1:
+            raise ValueError("bins must be >= 1")
+        if self.max_components < 1:
+            raise ValueError("max_components must be >= 1")
+        if self.min_samples < 2:
+            raise ValueError("min_samples must be >= 2")
+        if self.refit_interval < 1:
+            raise ValueError("refit_interval must be >= 1")
+        if self.window < self.min_samples:
+            raise ValueError("window must be >= min_samples")
+        if not self.metrics:
+            raise ValueError("metrics must name at least one metric kind")
+        allowed_metrics = {"cpu", "memory", "memory_bw", "disk_io", "network"}
+        unknown = [m for m in self.metrics if m not in allowed_metrics]
+        if unknown:
+            raise ValueError(
+                f"unknown metrics {unknown}; allowed: {sorted(allowed_metrics)}"
+            )
+        if not 1 <= self.quorum <= len(self.metrics):
+            raise ValueError(
+                f"quorum must be in [1, {len(self.metrics)}] "
+                f"(one vote per configured metric), got {self.quorum}"
+            )
+        if self.span < 0:
+            raise ValueError("span must be non-negative")
+        if self.cooldown < 1:
+            raise ValueError("cooldown must be >= 1")
+
+
 class GmmThresholdModel:
     """Per-utilization-bin GMM threshold learner.
 
@@ -206,22 +279,26 @@ class GmmThresholdModel:
 
     Parameters
     ----------
-    config:
-        ``gmm_*`` knobs (and ``seed``) from :class:`StayAwayConfig`.
+    settings:
+        The learner's knobs (defaults: :class:`GmmSettings`).
+    seed:
+        Base seed of the per-(metric, bin) EM fits.
     """
 
-    def __init__(self, config: Optional[StayAwayConfig] = None) -> None:
-        cfg = config if config is not None else StayAwayConfig()
-        self.config = cfg
-        self.bins = cfg.gmm_bins
-        self.span = cfg.gmm_span
-        self.max_components = cfg.gmm_max_components
-        self.min_samples = cfg.gmm_min_samples
-        self.refit_interval = cfg.gmm_refit_interval
-        self.window = cfg.gmm_window
-        self.quorum = cfg.gmm_quorum
-        self.metric_kinds: Tuple[str, ...] = tuple(cfg.gmm_metrics)
-        self.seed = cfg.seed
+    def __init__(
+        self, settings: Optional[GmmSettings] = None, seed: int = 0
+    ) -> None:
+        settings = settings if settings is not None else GmmSettings()
+        self.settings = settings
+        self.bins = settings.bins
+        self.span = settings.span
+        self.max_components = settings.max_components
+        self.min_samples = settings.min_samples
+        self.refit_interval = settings.refit_interval
+        self.window = settings.window
+        self.quorum = settings.quorum
+        self.metric_kinds: Tuple[str, ...] = tuple(settings.metrics)
+        self.seed = seed
         self.refit_count = 0
         self.verdict_count = 0
         self._bound = False
@@ -269,7 +346,7 @@ class GmmThresholdModel:
         missing = [kind for kind, idx in self._kind_indices.items() if not idx]
         if missing:
             raise ValueError(
-                f"no non-sensitive columns for gmm_metrics {missing}; "
+                f"no non-sensitive columns for metrics {missing}; "
                 f"labels: {list(labels)}"
             )
         self._bound = True
@@ -403,7 +480,7 @@ class GmmThresholdDetector:
     Observes the host through its own metrics collector, learns fences
     with a :class:`GmmThresholdModel`, and drives the same
     pause/resume actuation surface as the other baselines: a contention
-    verdict pauses every running batch container; ``gmm_cooldown``
+    verdict pauses every running batch container; ``settings.cooldown``
     consecutive clear periods resume them.
 
     Parameters
@@ -412,8 +489,12 @@ class GmmThresholdDetector:
         The protected application (its QoS reports are tracked for
         scoring; the detector itself never reads them — it is a pure
         threshold learner).
-    config:
-        ``gmm_*`` knobs, ``period`` and ``aggregate_batch``.
+    settings / seed:
+        Handed to the :class:`GmmThresholdModel`.
+    period:
+        Judge and learn every ``period`` ticks.
+    aggregate_batch:
+        Treat all batch containers as one logical VM (§5).
     actuate:
         When False the detector only records alarms (shadow mode for
         the head-to-head study); ``experiments.runner`` wires
@@ -423,14 +504,17 @@ class GmmThresholdDetector:
     def __init__(
         self,
         sensitive_app: Application,
-        config: Optional[StayAwayConfig] = None,
+        settings: Optional[GmmSettings] = None,
+        seed: int = 0,
+        period: int = 1,
+        aggregate_batch: bool = True,
         actuate: bool = True,
     ) -> None:
-        self.config = config if config is not None else StayAwayConfig()
         self.sensitive_app = sensitive_app
         self.qos = QosTracker(sensitive_app)
-        self.collector = MetricsCollector(aggregate_batch=self.config.aggregate_batch)
-        self.model = GmmThresholdModel(self.config)
+        self.collector = MetricsCollector(aggregate_batch=aggregate_batch)
+        self.model = GmmThresholdModel(settings, seed=seed)
+        self.period = period
         self.actuate = actuate
         self.alarm_ticks: List[int] = []
         self.throttle_count = 0
@@ -442,7 +526,7 @@ class GmmThresholdDetector:
         """Sample, judge, learn, and (when actuating) pause/resume."""
         self.collector.on_tick(snapshot, host)
         self.qos.on_tick(snapshot, host)
-        if snapshot.tick % self.config.period != 0:
+        if snapshot.tick % self.period != 0:
             return
         if not self.model.bound:
             # Collector labels carry *container* names, which need not
@@ -479,7 +563,7 @@ class GmmThresholdDetector:
                 return
             else:
                 self._clear_periods += 1
-                if self._clear_periods >= self.config.gmm_cooldown:
+                if self._clear_periods >= self.model.settings.cooldown:
                     for name in still_paused:
                         host.resume_container(name)
                     self.resume_count += 1

@@ -116,41 +116,6 @@ class StayAwayConfig:
     snapshot_interval:
         Periods between automatic last-known-good model snapshots
         (taken only after a clean watchdog check).
-    detector_mode:
-        Violation-detection source for the Stay-Away controller:
-        ``"geometry"`` (the paper's MDS trajectory predictor alone),
-        or ``"hybrid"`` (the GMM threshold verdict votes alongside the
-        trajectory predictor in the predict stage; requires an
-        ``aux_detector`` — ``experiments.runner`` wires a
-        :class:`~repro.baselines.gmm_threshold.GmmThresholdModel`).
-        The pure threshold detector runs as its own policy
-        (``policy="gmm"``), not through the controller.
-    gmm_bins:
-        Utilization bins for the GMM threshold learner: the sensitive
-        app's CPU utilization in [0, 1] selects one of these bins and
-        each bin learns its own per-metric fences.
-    gmm_max_components:
-        Mixture components tried per fit (1..n, lowest BIC wins).
-    gmm_min_samples:
-        Samples a (metric, bin) buffer needs before its first fit.
-    gmm_refit_interval:
-        New samples per (metric, bin) between refits.
-    gmm_window:
-        Rolling sample-buffer cap per (metric, bin).
-    gmm_span:
-        Fence span in standard deviations (gmmfense's ``mean + span *
-        std`` bound for unimodal fits / normal-component boundary for
-        multimodal ones).
-    gmm_quorum:
-        Metrics that must exceed their fence in the same period for a
-        contention verdict.
-    gmm_metrics:
-        Contention-correlated metric kinds judged against fences
-        (non-sensitive measurement columns; subset of the monitored
-        resource names).
-    gmm_cooldown:
-        Clear-verdict periods before the standalone GMM detector
-        resumes paused batch containers.
     stream_watermark:
         Ticks of reorder slack in the streaming service's
         :class:`~repro.service.assembler.StreamAssembler`: tick ``t``
@@ -195,16 +160,6 @@ class StayAwayConfig:
     breaker_cooldown: int = 15
     model_watchdog: bool = True
     snapshot_interval: int = 50
-    detector_mode: str = "geometry"
-    gmm_bins: int = 5
-    gmm_max_components: int = 3
-    gmm_min_samples: int = 40
-    gmm_refit_interval: int = 20
-    gmm_window: int = 400
-    gmm_span: float = 3.0
-    gmm_quorum: int = 1
-    gmm_metrics: tuple = ("cpu", "memory_bw")
-    gmm_cooldown: int = 10
     stream_watermark: int = 2
     stream_stall_deadline: int = 10
 
@@ -261,38 +216,6 @@ class StayAwayConfig:
             raise ValueError("breaker_cooldown must be >= 1")
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        if self.detector_mode not in ("geometry", "gmm", "hybrid"):
-            raise ValueError(
-                "detector_mode must be 'geometry', 'gmm' or 'hybrid', "
-                f"got {self.detector_mode!r}"
-            )
-        if self.gmm_bins < 1:
-            raise ValueError("gmm_bins must be >= 1")
-        if self.gmm_max_components < 1:
-            raise ValueError("gmm_max_components must be >= 1")
-        if self.gmm_min_samples < 2:
-            raise ValueError("gmm_min_samples must be >= 2")
-        if self.gmm_refit_interval < 1:
-            raise ValueError("gmm_refit_interval must be >= 1")
-        if self.gmm_window < self.gmm_min_samples:
-            raise ValueError("gmm_window must be >= gmm_min_samples")
-        if not self.gmm_metrics:
-            raise ValueError("gmm_metrics must name at least one metric kind")
-        allowed_metrics = {"cpu", "memory", "memory_bw", "disk_io", "network"}
-        unknown = [m for m in self.gmm_metrics if m not in allowed_metrics]
-        if unknown:
-            raise ValueError(
-                f"unknown gmm_metrics {unknown}; allowed: {sorted(allowed_metrics)}"
-            )
-        if not 1 <= self.gmm_quorum <= len(self.gmm_metrics):
-            raise ValueError(
-                f"gmm_quorum must be in [1, {len(self.gmm_metrics)}] "
-                f"(one vote per configured metric), got {self.gmm_quorum}"
-            )
-        if self.gmm_span < 0:
-            raise ValueError("gmm_span must be non-negative")
-        if self.gmm_cooldown < 1:
-            raise ValueError("gmm_cooldown must be >= 1")
         if self.stream_watermark < 0:
             raise ValueError("stream_watermark must be non-negative")
         if self.stream_stall_deadline < 1:

@@ -115,8 +115,8 @@ class StayAway:
         guard/throttle counters share its registry.
     aux_detector:
         Optional auxiliary threshold detector whose verdict votes
-        alongside the trajectory predictor when ``config.detector_mode
-        == "hybrid"``. Duck-typed (``bind(labels, sensitive,
+        alongside the trajectory predictor (hybrid detection: either
+        vote alarms). Duck-typed (``bind(labels, sensitive,
         cpu_capacity)`` + ``update(tick, measurement) -> bool``) so the
         control loop never imports the baselines layer; the standard
         implementation is
@@ -191,11 +191,6 @@ class StayAway:
                 self.config, self.events, telemetry=self.telemetry
             )
         self.aux_detector = aux_detector
-        if self.config.detector_mode == "hybrid" and aux_detector is None:
-            raise ValueError(
-                "detector_mode='hybrid' needs an aux_detector (e.g. a "
-                "GmmThresholdModel); experiments.runner wires one"
-            )
         #: Periods where the acted-on impending-violation signal fired
         #: (geometry, GMM or both) — the head-to-head study's alarm
         #: stream.
@@ -356,9 +351,7 @@ class StayAway:
             prediction, aux_vote = result
         self.last_prediction = prediction
         geometry_vote = prediction is not None and prediction.impending_violation
-        flagged = geometry_vote or (
-            self.config.detector_mode == "hybrid" and aux_vote
-        )
+        flagged = geometry_vote or aux_vote
         impending = (
             flagged and mode is ExecutionMode.COLOCATED and predictive_allowed
         )
@@ -586,7 +579,7 @@ class StayAway:
             aux_summary = self.aux_detector.summary()
         return {
             "periods": len(self.trajectory),
-            "detector_mode": self.config.detector_mode,
+            "detector_mode": "geometry" if self.aux_detector is None else "hybrid",
             "alarms": len(self.alarm_ticks),
             "gmm": aux_summary,
             "states": len(self.state_space),

@@ -46,14 +46,7 @@ from repro.experiments.runner import (
     run_trio,
     run_unmanaged,
 )
-from repro.experiments.recorder import RunRecorder, TickRecord
 from repro.experiments.scenarios import BuiltScenario, Scenario
-from repro.experiments.sweep import (
-    SweepPoint,
-    sweep_config,
-    sweep_scenarios,
-    sweep_table,
-)
 
 __all__ = [
     "ArmResult",
@@ -63,11 +56,8 @@ __all__ = [
     "ChaosResult",
     "DETECTOR_ARMS",
     "HeadToHead",
-    "RunRecorder",
     "RunResult",
     "Scenario",
-    "SweepPoint",
-    "TickRecord",
     "TrioResult",
     "quick_suite",
     "run_arm",
@@ -75,9 +65,6 @@ __all__ = [
     "run_study",
     "standard_suite",
     "study_table",
-    "sweep_config",
-    "sweep_scenarios",
-    "sweep_table",
     "run_chaos",
     "run_chaos_comparison",
     "run_gmm",

@@ -136,12 +136,6 @@ class HeadToHead:
         )
 
 
-def _arm_config(arm: str, base: Optional[StayAwayConfig], enabled: bool) -> StayAwayConfig:
-    config = base if base is not None else StayAwayConfig()
-    mode = {"geometry": "geometry", "gmm": "gmm", "hybrid": "hybrid"}[arm]
-    return dataclasses.replace(config, detector_mode=mode, enabled=enabled)
-
-
 def run_arm(
     scenario: Scenario,
     arm: str,
@@ -152,8 +146,9 @@ def run_arm(
     if arm not in DETECTOR_ARMS:
         raise ValueError(f"unknown detector arm {arm!r}; have {DETECTOR_ARMS}")
     policy = _ARM_POLICY[arm]
+    base = config if config is not None else StayAwayConfig()
     shadow = run_scenario(
-        scenario, policy=policy, config=_arm_config(arm, config, enabled=False)
+        scenario, policy=policy, config=dataclasses.replace(base, enabled=False)
     )
     scorecard = score_detector(
         shadow.alarm_ticks(),
@@ -163,7 +158,7 @@ def run_arm(
         horizon=horizon,
     )
     actuated = run_scenario(
-        scenario, policy=policy, config=_arm_config(arm, config, enabled=True)
+        scenario, policy=policy, config=dataclasses.replace(base, enabled=True)
     )
     if actuated.controller is not None:
         throttles = actuated.controller.throttle.throttle_count
@@ -209,7 +204,7 @@ def run_study(
 
 
 def _fmt(value: float, spec: str = ".3f") -> str:
-    """NaN-aware cell formatting (— for 'no data', matching sweep_table)."""
+    """NaN-aware cell formatting (— for 'no data')."""
     if value != value:
         return "—"
     return format(value, spec)

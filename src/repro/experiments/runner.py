@@ -8,14 +8,17 @@ evaluation figures are made of.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.analysis.utilization import UtilizationComparison, compare_utilization
-from repro.baselines.gmm_threshold import GmmThresholdDetector, GmmThresholdModel
+from repro.baselines.gmm_threshold import (
+    GmmSettings,
+    GmmThresholdDetector,
+    GmmThresholdModel,
+)
 from repro.baselines.no_prevention import NoPrevention
 from repro.baselines.qclouds import QCloudsLike
 from repro.baselines.reactive import ReactiveThrottler
@@ -112,6 +115,7 @@ def run_scenario(
     cooldown: int = 20,
     telemetry=None,
     pre_middlewares=(),
+    gmm_settings: Optional[GmmSettings] = None,
 ) -> RunResult:
     """Run a scenario under a named policy.
 
@@ -122,10 +126,9 @@ def run_scenario(
         ``"reactive"``, ``"qclouds"``, ``"gmm"``, ``"hybrid"``.
         ``"gmm"`` runs the standalone GMM threshold baseline
         (``config.enabled=False`` puts it in alarm-only shadow mode);
-        ``"hybrid"`` is the Stay-Away controller with
-        ``detector_mode="hybrid"`` and a
+        ``"hybrid"`` is the Stay-Away controller with a
         :class:`~repro.baselines.gmm_threshold.GmmThresholdModel`
-        voting in the predict stage.
+        voting in the predict stage (its ``aux_detector``).
     config / template:
         Stay-Away configuration and optional map template.
     cooldown:
@@ -138,19 +141,15 @@ def run_scenario(
         Middlewares registered *before* the policy's own (observers
         like :class:`~repro.service.recording.StreamRecorder` that
         must see each snapshot pre-actuation).
+    gmm_settings:
+        Knobs of the GMM threshold learner for the ``"gmm"`` and
+        ``"hybrid"`` policies (ignored by the others).
     """
-    requested_policy = policy
     if policy == "isolated":
         built = scenario.build(include_batch=False)
     else:
         built = scenario.build(include_batch=True)
-
-    if policy == "hybrid":
-        # Sugar for the head-to-head study: Stay-Away with the GMM
-        # verdict voting alongside the trajectory predictor.
-        base = config if config is not None else StayAwayConfig()
-        config = dataclasses.replace(base, detector_mode="hybrid")
-        policy = "stayaway"
+    config = config if config is not None else StayAwayConfig()
 
     engine = SimulationEngine(built.host)
     for middleware in pre_middlewares:
@@ -160,15 +159,10 @@ def run_scenario(
     qclouds: Optional[QCloudsLike] = None
     gmm: Optional[GmmThresholdDetector] = None
 
-    if policy == "stayaway":
-        if config is not None and config.detector_mode == "gmm":
-            raise ValueError(
-                "detector_mode='gmm' is the standalone threshold baseline; "
-                "run it with policy='gmm' instead of policy='stayaway'"
-            )
+    if policy in ("stayaway", "hybrid"):
         aux_detector = None
-        if config is not None and config.detector_mode == "hybrid":
-            aux_detector = GmmThresholdModel(config)
+        if policy == "hybrid":
+            aux_detector = GmmThresholdModel(gmm_settings, seed=config.seed)
         controller = StayAway(
             built.sensitive_app,
             config=config,
@@ -179,9 +173,13 @@ def run_scenario(
         engine.add_middleware(controller)
         qos = controller.qos
     elif policy == "gmm":
-        gmm_config = config if config is not None else StayAwayConfig()
         gmm = GmmThresholdDetector(
-            built.sensitive_app, config=gmm_config, actuate=gmm_config.enabled
+            built.sensitive_app,
+            gmm_settings,
+            seed=config.seed,
+            period=config.period,
+            aggregate_batch=config.aggregate_batch,
+            actuate=config.enabled,
         )
         engine.add_middleware(gmm)
         qos = gmm.qos
@@ -207,7 +205,7 @@ def run_scenario(
     result = engine.run(ticks=scenario.ticks)
     return RunResult(
         scenario=scenario,
-        policy=requested_policy,
+        policy=policy,
         built=built,
         snapshots=result.snapshots,
         qos=qos,
@@ -249,14 +247,26 @@ def run_reactive(scenario: Scenario, cooldown: int = 20) -> RunResult:
     return run_scenario(scenario, policy="reactive", cooldown=cooldown)
 
 
-def run_gmm(scenario: Scenario, config: Optional[StayAwayConfig] = None) -> RunResult:
+def run_gmm(
+    scenario: Scenario,
+    config: Optional[StayAwayConfig] = None,
+    gmm_settings: Optional[GmmSettings] = None,
+) -> RunResult:
     """Co-location managed by the GMM threshold-learning baseline."""
-    return run_scenario(scenario, policy="gmm", config=config)
+    return run_scenario(
+        scenario, policy="gmm", config=config, gmm_settings=gmm_settings
+    )
 
 
-def run_hybrid(scenario: Scenario, config: Optional[StayAwayConfig] = None) -> RunResult:
+def run_hybrid(
+    scenario: Scenario,
+    config: Optional[StayAwayConfig] = None,
+    gmm_settings: Optional[GmmSettings] = None,
+) -> RunResult:
     """Stay-Away with the GMM verdict voting in the predict stage."""
-    return run_scenario(scenario, policy="hybrid", config=config)
+    return run_scenario(
+        scenario, policy="hybrid", config=config, gmm_settings=gmm_settings
+    )
 
 
 @dataclass

@@ -21,7 +21,6 @@ vectors" (§1). This package implements that agent:
 
 from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.guard import GuardVerdict, RejectReason, SensorGuard
-from repro.monitoring.counters import CounterModel, PerfCounters
 from repro.monitoring.ipc import IpcViolationDetector
 from repro.monitoring.metrics import MeasurementVector, metric_labels
 from repro.monitoring.normalize import CapacityNormalizer, Normalizer, RunningMinMax
@@ -31,9 +30,7 @@ from repro.monitoring.timeseries import Series
 __all__ = [
     "CapacityNormalizer",
     "GuardVerdict",
-    "CounterModel",
     "IpcViolationDetector",
-    "PerfCounters",
     "MeasurementVector",
     "MetricsCollector",
     "Normalizer",

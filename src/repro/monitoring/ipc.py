@@ -19,16 +19,16 @@ application-reported QoS.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.monitoring.timeseries import Series
+from repro.monitoring.qos import QosChannel
 from repro.workloads.base import QosReport
 
 if TYPE_CHECKING:
     from repro.sim.host import Host, HostSnapshot
 
 
-class IpcViolationDetector:
+class IpcViolationDetector(QosChannel):
     """Learn a container's baseline IPC; flag dips below a fraction of it.
 
     Parameters
@@ -54,16 +54,14 @@ class IpcViolationDetector:
             raise ValueError("threshold_fraction must be in (0, 1]")
         if not 0.0 < baseline_quantile_decay <= 1.0:
             raise ValueError("baseline_quantile_decay must be in (0, 1]")
+        super().__init__(f"{container_name}:ipc")
         self.container_name = container_name
         self.threshold_fraction = threshold_fraction
         self.baseline_decay = baseline_quantile_decay
         self.baseline_ipc: Optional[float] = None
-        self.qos_series = Series(name=f"{container_name}:ipc")
-        self.violation_ticks: List[int] = []
         self.rejected_samples = 0
         self.imputed_samples = 0
         self._last_valid: Optional[float] = None
-        self._last_report: Optional[QosReport] = None
 
     def observe_ipc(self, tick: int, ipc: float) -> QosReport:
         """Feed one IPC reading; returns the derived QoS report.
@@ -98,34 +96,12 @@ class IpcViolationDetector:
             else 1.0
         )
         report = QosReport(value=normalized, threshold=self.threshold_fraction)
-        self._last_report = report
-        self.qos_series.append(tick, normalized)
-        if report.violated:
-            self.violation_ticks.append(tick)
+        self._record(tick, report)
         return report
 
-    # -- QosTracker-compatible surface -------------------------------------
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
         """Read the monitored container's IPC proxy from the snapshot."""
         allocation = snapshot.allocations.get(self.container_name)
         if allocation is None:
             return  # container idle/paused: no cycles retired, no sample
         self.observe_ipc(snapshot.tick, allocation.progress)
-
-    @property
-    def last_report(self) -> Optional[QosReport]:
-        return self._last_report
-
-    @property
-    def violation_now(self) -> bool:
-        return self._last_report is not None and self._last_report.violated
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violation_ticks)
-
-    def violation_ratio(self) -> float:
-        total = len(self.qos_series)
-        if total == 0:
-            return 0.0
-        return len(self.violation_ticks) / total

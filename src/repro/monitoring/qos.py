@@ -19,39 +19,32 @@ if TYPE_CHECKING:
     from repro.workloads.base import Application, QosReport
 
 
-class QosTracker:
-    """Tracks one sensitive application's QoS over the run.
+class QosChannel:
+    """The read surface every violation channel shares.
 
-    Parameters
-    ----------
-    app:
-        The sensitive application whose reports are polled.
+    A channel is whatever the controller is handed as its QoS source:
+    :class:`QosTracker` (application reports),
+    :class:`~repro.monitoring.ipc.IpcViolationDetector` (counters) or
+    :class:`~repro.service.views.StreamQosChannel` (wire records). Each
+    decides *where* a report comes from in its own ``on_tick``; the
+    history it keeps and the questions asked of it are the same.
     """
 
-    def __init__(self, app: Application) -> None:
-        if not app.is_sensitive:
-            raise ValueError(
-                f"QosTracker expects a sensitive application, got {app.name!r} "
-                f"of kind {app.kind.value}"
-            )
-        self.app = app
-        self.qos_series = Series(name=f"{app.name}:qos")
+    def __init__(self, series_name: str) -> None:
+        self.qos_series = Series(name=series_name)
         self.violation_ticks: List[int] = []
         self._last_report: Optional[QosReport] = None
 
-    def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        """Poll the application's QoS report for this tick."""
-        report = self.app.qos_report()
+    def _record(self, tick: int, report: QosReport) -> None:
+        """Keep ``report`` as the latest and file its value and verdict."""
         self._last_report = report
-        if report is None:
-            return
-        self.qos_series.append(snapshot.tick, report.value)
+        self.qos_series.append(tick, report.value)
         if report.violated:
-            self.violation_ticks.append(snapshot.tick)
+            self.violation_ticks.append(tick)
 
     @property
     def last_report(self) -> Optional[QosReport]:
-        """Most recent report (None before the app produced one)."""
+        """Most recent report (None before the first one)."""
         return self._last_report
 
     @property
@@ -70,3 +63,30 @@ class QosTracker:
         if total == 0:
             return 0.0
         return len(self.violation_ticks) / total
+
+
+class QosTracker(QosChannel):
+    """Tracks one sensitive application's QoS over the run.
+
+    Parameters
+    ----------
+    app:
+        The sensitive application whose reports are polled.
+    """
+
+    def __init__(self, app: Application) -> None:
+        if not app.is_sensitive:
+            raise ValueError(
+                f"QosTracker expects a sensitive application, got {app.name!r} "
+                f"of kind {app.kind.value}"
+            )
+        super().__init__(f"{app.name}:qos")
+        self.app = app
+
+    def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
+        """Poll the application's QoS report for this tick."""
+        report = self.app.qos_report()
+        if report is None:
+            self._last_report = None
+            return
+        self._record(snapshot.tick, report)

@@ -15,6 +15,10 @@ bridges the two with a watermark protocol:
   what makes them usable;
 * records for already-closed ticks are counted ``stream.late`` and
   dropped — the controller has moved on;
+* records of the wrong shape (not a mapping, a non-integer tick, a
+  non-numeric value, an unhashable container name) are counted
+  ``stream.malformed`` and dropped whole — untrusted input is rejected
+  with a counted reason, never an exception out of :meth:`offer`;
 * cells still missing at close are counted ``stream.dropped``, filled
   from that cell's last delivered value when one exists
   (``stream.imputed``) or NaN otherwise, and the tick is flagged
@@ -158,6 +162,9 @@ class StreamAssembler:
             "stream.cells_retired",
             help="cells retired after sustained absence (container departed)",
         )
+        self._c_malformed = self.metrics.counter(
+            "stream.malformed", help="wire records of the wrong shape (rejected)"
+        )
         self.header: Optional[dict] = None
         self._pending: Dict[int, _PendingTick] = {}
         self._known_cells: Dict[CellKey, None] = {}  # insertion-ordered set
@@ -193,23 +200,61 @@ class StreamAssembler:
             "ticks_closed_partial": int(self._c_partial.value),
             "gap_ticks": int(self._c_gaps.value),
             "cells_retired": int(self._c_retired.value),
+            "malformed": int(self._c_malformed.value),
         }
 
     # -- ingestion ----------------------------------------------------------
     def offer(self, record: dict) -> None:
-        """Accept one wire record (any order, any number of times)."""
-        kind = record.get("kind")
+        """Accept one wire record (any order, any number of times).
+
+        A record of the wrong shape — not a mapping, a non-integer
+        tick, a non-numeric value, an unhashable container name — is
+        counted ``stream.malformed`` and dropped whole: every field is
+        decoded before anything of the record is applied, so the next
+        well-formed record for the same tick lands as if the bad one
+        had never arrived.
+        """
+        try:
+            kind = record.get("kind")
+            if kind == "header":
+                containers = sorted(record.get("containers", {}).items())
+            else:
+                tick = record.get("tick")
+                if not isinstance(tick, int):
+                    raise TypeError("tick must be an integer")
+                host = record.get("host", "host0")
+                container = record.get("container", "")
+                if kind == "sample":
+                    cells = {
+                        (host, container, metric): float(value)
+                        for metric, value in record.get("metrics", {}).items()
+                    }
+                elif kind == "state":
+                    held = self._last_state.get(container, ("created", False, False))
+                    state = (
+                        str(record.get("state", "running")),
+                        bool(record.get("finished", False)),
+                        bool(record.get("sensitive", held[2])),
+                    )
+                elif kind == "qos":
+                    value = record.get("value")
+                    threshold = record.get("threshold")
+                    qos = (
+                        (float(value), float(threshold))
+                        if value is not None and threshold is not None
+                        else None
+                    )
+        except (AttributeError, TypeError, ValueError):
+            self._c_malformed.inc()
+            return
         if kind == "header":
             if self.header is None:
                 self.header = dict(record)
-                for container, c_kind in sorted(record.get("containers", {}).items()):
+                for name, c_kind in containers:
                     self._last_state.setdefault(
-                        container, ("created", False, c_kind == "sensitive")
+                        name, ("created", False, c_kind == "sensitive")
                     )
             return
-        tick = record.get("tick")
-        if not isinstance(tick, int):
-            return  # malformed; transport noise is not worth crashing over
         if self._last_closed is not None and tick <= self._last_closed:
             self._c_late.inc()
             return
@@ -218,35 +263,18 @@ class StreamAssembler:
         if self._max_seen is None or tick > self._max_seen:
             self._max_seen = tick
         pending = self._pending.setdefault(tick, _PendingTick())
-        host = record.get("host", "host0")
         if kind == "sample":
-            container = record.get("container", "")
-            for metric, value in record.get("metrics", {}).items():
-                key = (host, container, metric)
+            for key, value in cells.items():
                 if key in pending.cells and self._first_wins:
                     self._c_duplicated.inc()
                     continue
-                pending.cells[key] = float(value)
+                pending.cells[key] = value
                 self._known_cells.setdefault(key, None)
         elif kind == "state":
-            container = record.get("container", "")
-            sensitive = bool(
-                record.get(
-                    "sensitive",
-                    self._last_state.get(container, ("created", False, False))[2],
-                )
-            )
-            pending.states[container] = (
-                str(record.get("state", "running")),
-                bool(record.get("finished", False)),
-                sensitive,
-            )
+            pending.states[container] = state
         elif kind == "qos":
-            if pending.qos is None or not self._first_wins:
-                value = record.get("value")
-                threshold = record.get("threshold")
-                if value is not None and threshold is not None:
-                    pending.qos = (float(value), float(threshold))
+            if qos is not None and (pending.qos is None or not self._first_wins):
+                pending.qos = qos
 
     # -- closing ------------------------------------------------------------
     def due(self, force: bool = False) -> List[ClosedTick]:

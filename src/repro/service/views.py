@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.monitoring.timeseries import Series
+from repro.monitoring.qos import QosChannel
 
 # Value types only: the service reads and fabricates the same
 # snapshot/state/vector objects the monitoring boundary already
@@ -98,7 +98,7 @@ class _QosView:
         return self.value < self.threshold
 
 
-class StreamQosChannel:
+class StreamQosChannel(QosChannel):
     """QosTracker-compatible violation channel fed from ``qos`` records.
 
     Passed to the controller as ``violation_detector=``; the service
@@ -108,39 +108,14 @@ class StreamQosChannel:
     """
 
     def __init__(self, name: str = "stream") -> None:
-        self.qos_series = Series(name=f"{name}:qos")
-        self.violation_ticks: List[int] = []
-        self._last_report: Optional[_QosView] = None
+        super().__init__(f"{name}:qos")
 
     def ingest(self, tick: int, value: float, threshold: float) -> None:
         """Record one streamed QoS report."""
-        report = _QosView(value=value, threshold=threshold)
-        self._last_report = report
-        self.qos_series.append(tick, value)
-        if report.violated:
-            self.violation_ticks.append(tick)
+        self._record(tick, _QosView(value=value, threshold=threshold))
 
-    # -- QosTracker surface the controller consumes --------------------
     def on_tick(self, snapshot, host) -> None:  # noqa: ARG002 - interface
         """No-op: reports arrive from the stream, not the app object."""
-
-    @property
-    def last_report(self) -> Optional[_QosView]:
-        return self._last_report
-
-    @property
-    def violation_now(self) -> bool:
-        return self._last_report is not None and self._last_report.violated
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violation_ticks)
-
-    def violation_ratio(self) -> float:
-        total = len(self.qos_series)
-        if total == 0:
-            return 0.0
-        return len(self.violation_ticks) / total
 
 
 def _capacity_from_header(capacity: Dict[str, float]) -> ResourceVector:

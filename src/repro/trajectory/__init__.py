@@ -9,39 +9,24 @@ following Marsh et al.):
 
 Both are learned *per execution mode* as empirical probability
 densities (histograms, smoothed with KDE for visualization) and future
-states are sampled with the inverse-transform method. The package also
-provides the reference stochastic movement models the paper name-checks
-(biased random walk, Lévy flight) as synthetic generators for testing
-and validation.
+states are sampled with the inverse-transform method.
 """
 
-from repro.trajectory.features import step_features, step_lengths, step_angles
 from repro.trajectory.histograms import EmpiricalDistribution, Histogram
 from repro.trajectory.kde import gaussian_kde, silverman_bandwidth
-from repro.trajectory.models import (
-    BiasedRandomWalk,
-    CorrelatedRandomWalk,
-    LevyFlight,
-)
 from repro.trajectory.modes import ExecutionMode, ModeModelBank, classify_mode
 from repro.trajectory.sampling import TrajectoryModel
 from repro.trajectory.var import VectorAutoregression, rolling_var_forecast_error
 
 __all__ = [
-    "BiasedRandomWalk",
-    "CorrelatedRandomWalk",
     "EmpiricalDistribution",
     "ExecutionMode",
     "Histogram",
-    "LevyFlight",
     "ModeModelBank",
     "TrajectoryModel",
     "VectorAutoregression",
     "classify_mode",
     "gaussian_kde",
     "silverman_bandwidth",
-    "step_angles",
-    "step_features",
-    "step_lengths",
     "rolling_var_forecast_error",
 ]

@@ -31,7 +31,6 @@ from repro.workloads.base import (
 )
 from repro.workloads.bombs import CpuBomb, MemoryBomb
 from repro.workloads.cloudsuite import TwitterAnalysis
-from repro.workloads.composite import ModulatedApplication, SequenceApplication
 from repro.workloads.phases import Phase, PhaseSchedule
 from repro.workloads.registry import available_workloads, make_workload
 from repro.workloads.spec import Soplex
@@ -49,8 +48,6 @@ __all__ = [
     "ApplicationKind",
     "CpuBomb",
     "MemoryBomb",
-    "ModulatedApplication",
-    "SequenceApplication",
     "Phase",
     "PhaseSchedule",
     "PhasedApplication",

@@ -10,6 +10,7 @@ fences — must be bit-identical across runs.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.gmm_threshold import GmmSettings
 from repro.core.config import StayAwayConfig
 from repro.experiments.runner import run_gmm, run_hybrid
 from repro.experiments.scenarios import Scenario
@@ -27,12 +28,13 @@ class TestHybridReproducibility:
     @given(seed=st.integers(0, 10_000), batches=BATCHES)
     @settings(max_examples=8, deadline=None)
     def test_hybrid_runs_identical_given_seed(self, seed, batches):
-        config = StayAwayConfig(
-            seed=seed, gmm_min_samples=20, gmm_refit_interval=10
-        )
+        config = StayAwayConfig(seed=seed)
+        settings = GmmSettings(min_samples=20, refit_interval=10)
 
         def observables():
-            result = run_hybrid(_scenario(seed, batches), config=config)
+            result = run_hybrid(
+                _scenario(seed, batches), config=config, gmm_settings=settings
+            )
             controller = result.controller
             return (
                 controller.alarm_ticks,

@@ -8,7 +8,6 @@ from repro.analysis.accuracy import (
     summarize_accuracy,
     violation_episodes,
 )
-from repro.analysis.qos_stats import compute_qos_stats, normalized_qos_series
 from repro.analysis.reports import ascii_table, render_series, render_timeline_bands
 from repro.analysis.utilization import (
     compare_utilization,
@@ -71,38 +70,6 @@ class TestUtilization:
         host, _, isolated = run_host(with_batch=False)
         comparison = compare_utilization(isolated, isolated, isolated, host.capacity)
         assert comparison.gain_capture_ratio == 0.0
-
-
-class TestQosStats:
-    def test_stats_from_contended_run(self):
-        host = Host()
-        sensitive = SensitiveStub(demand_vector=ResourceVector(cpu=3.0))
-        host.add_container(Container(name="s", app=sensitive, sensitive=True))
-        host.add_container(
-            Container(name="bomb", app=ConstantApp(name="bomb",
-                      demand_vector=ResourceVector(cpu=4.0)))
-        )
-        tracker = QosTracker(sensitive)
-        SimulationEngine(host, [tracker]).run(ticks=20)
-        stats = compute_qos_stats(tracker)
-        assert stats.ticks == 20
-        assert stats.violations == 20
-        assert stats.violation_ratio == 1.0
-        assert stats.min_qos < 0.9
-        assert normalized_qos_series(tracker).shape == (20,)
-
-    def test_empty_tracker(self):
-        tracker = QosTracker(SensitiveStub())
-        stats = compute_qos_stats(tracker)
-        assert stats.ticks == 0
-        assert stats.violation_ratio == 0.0
-
-    def test_early_violation_ratio(self):
-        _, tracker, _ = run_host(with_batch=False, ticks=8)
-        # fabricate: violations only in the first quarter
-        tracker.violation_ticks.extend([0, 1])
-        stats = compute_qos_stats(tracker, early_window=2)
-        assert stats.early_violation_ratio == 1.0
 
 
 class TestAccuracySummary:

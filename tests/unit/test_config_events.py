@@ -54,11 +54,7 @@ CONFIG_FIELDS = {
     "reconcile_actions", "action_backoff_cap", "action_escalation_threshold",
     "telemetry", "fault_containment", "breaker_error_budget",
     "breaker_window", "breaker_cooldown", "model_watchdog",
-    "snapshot_interval",
-    "detector_mode", "gmm_bins", "gmm_max_components", "gmm_min_samples",
-    "gmm_refit_interval", "gmm_window", "gmm_span", "gmm_quorum",
-    "gmm_metrics", "gmm_cooldown", "stream_watermark",
-    "stream_stall_deadline",
+    "snapshot_interval", "stream_watermark", "stream_stall_deadline",
 }
 
 

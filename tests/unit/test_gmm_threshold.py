@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.gmm_threshold import (
+    GmmSettings,
     GmmThresholdDetector,
     GmmThresholdModel,
     fence_threshold,
     fit_gmm_1d,
     select_gmm,
 )
-from repro.core.config import StayAwayConfig
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
 from repro.sim.host import Host
@@ -109,17 +109,17 @@ class TestFenceThreshold:
             fence_threshold(gmm, span=-0.1)
 
 
-def model_config(**kwargs):
+def model_settings(**kwargs):
     defaults = dict(
-        gmm_bins=4,
-        gmm_metrics=("cpu",),
-        gmm_quorum=1,
-        gmm_min_samples=8,
-        gmm_refit_interval=8,
-        gmm_window=64,
+        bins=4,
+        metrics=("cpu",),
+        quorum=1,
+        min_samples=8,
+        refit_interval=8,
+        window=64,
     )
     defaults.update(kwargs)
-    return StayAwayConfig(**defaults)
+    return GmmSettings(**defaults)
 
 
 LABELS = ("sens:cpu", "batch:cpu", "batch:memory_bw")
@@ -131,29 +131,29 @@ def measurement(sens_cpu, batch_cpu, batch_bw=0.0):
 
 class TestGmmThresholdModel:
     def test_requires_bind_before_update(self):
-        model = GmmThresholdModel(model_config())
+        model = GmmThresholdModel(model_settings())
         with pytest.raises(RuntimeError):
             model.update(0, measurement(1.0, 1.0))
 
     def test_bind_rejects_missing_sensitive_column(self):
-        model = GmmThresholdModel(model_config())
+        model = GmmThresholdModel(model_settings())
         with pytest.raises(ValueError, match="sens:cpu"):
             model.bind(["other:cpu", "batch:cpu"], "sens", cpu_capacity=4.0)
 
     def test_bind_rejects_missing_metric_columns(self):
-        model = GmmThresholdModel(model_config(gmm_metrics=("disk_io",)))
+        model = GmmThresholdModel(model_settings(metrics=("disk_io",)))
         with pytest.raises(ValueError, match="disk_io"):
             model.bind(LABELS, "sens", cpu_capacity=4.0)
 
     def test_bind_rejects_nonpositive_capacity(self):
-        model = GmmThresholdModel(model_config())
+        model = GmmThresholdModel(model_settings())
         with pytest.raises(ValueError):
             model.bind(LABELS, "sens", cpu_capacity=0.0)
 
     def test_bin_edges_clamped(self):
         # Utilization at and beyond the top edge lands in the last bin,
         # negative readings in the first — never out of range.
-        model = GmmThresholdModel(model_config())
+        model = GmmThresholdModel(model_settings())
         model.bind(LABELS, "sens", cpu_capacity=4.0)
         top, _ = model._features(measurement(4.0, 0.0))
         beyond, _ = model._features(measurement(9.0, 0.0))
@@ -163,13 +163,13 @@ class TestGmmThresholdModel:
         assert bottom == 0
 
     def test_judge_then_learn_no_verdict_while_cold(self):
-        model = GmmThresholdModel(model_config())
+        model = GmmThresholdModel(model_settings())
         model.bind(LABELS, "sens", cpu_capacity=4.0)
         # Nothing fitted yet: even an extreme reading yields no verdict.
         assert model.update(0, measurement(1.0, 100.0)) is False
 
     def test_learns_fence_and_flags_outlier(self):
-        model = GmmThresholdModel(model_config())
+        model = GmmThresholdModel(model_settings())
         model.bind(LABELS, "sens", cpu_capacity=4.0)
         rng = np.random.default_rng(5)
         for tick in range(30):
@@ -179,7 +179,7 @@ class TestGmmThresholdModel:
         assert model.verdict(measurement(1.0, 1.0)) is False
 
     def test_nearest_bin_fallback(self):
-        model = GmmThresholdModel(model_config())
+        model = GmmThresholdModel(model_settings())
         model.bind(LABELS, "sens", cpu_capacity=4.0)
         rng = np.random.default_rng(5)
         # Train only the low-utilization bin (util 0.25 -> bin 1).
@@ -190,8 +190,8 @@ class TestGmmThresholdModel:
         assert model.verdict(measurement(3.9, 10.0)) is True
 
     def test_quorum_requires_enough_metric_votes(self):
-        config = model_config(gmm_metrics=("cpu", "memory_bw"), gmm_quorum=2)
-        model = GmmThresholdModel(config)
+        settings = model_settings(metrics=("cpu", "memory_bw"), quorum=2)
+        model = GmmThresholdModel(settings)
         model.bind(LABELS, "sens", cpu_capacity=4.0)
         rng = np.random.default_rng(5)
         for tick in range(30):
@@ -205,8 +205,8 @@ class TestGmmThresholdModel:
         assert model.verdict(measurement(1.0, 10.0, 100.0)) is True
 
     def test_rolling_window_caps_buffer(self):
-        config = model_config(gmm_window=16, gmm_min_samples=8)
-        model = GmmThresholdModel(config)
+        settings = model_settings(window=16, min_samples=8)
+        model = GmmThresholdModel(settings)
         model.bind(LABELS, "sens", cpu_capacity=4.0)
         for tick in range(100):
             model.observe(tick, measurement(1.0, float(tick % 7)))
@@ -214,7 +214,7 @@ class TestGmmThresholdModel:
 
     def test_update_stream_deterministic(self):
         def run_stream():
-            model = GmmThresholdModel(model_config(seed=9))
+            model = GmmThresholdModel(model_settings(), seed=9)
             model.bind(LABELS, "sens", cpu_capacity=4.0)
             rng = np.random.default_rng(17)
             verdicts = []
@@ -243,18 +243,15 @@ class StepBatchApp(ConstantApp):
         return ResourceVector(cpu=cpu)
 
 
-def detector_config(**kwargs):
-    defaults = dict(
-        gmm_bins=1,
-        gmm_metrics=("cpu",),
-        gmm_quorum=1,
-        gmm_min_samples=10,
-        gmm_refit_interval=200,
-        gmm_window=200,
-        gmm_cooldown=3,
-    )
-    defaults.update(kwargs)
-    return StayAwayConfig(**defaults)
+DETECTOR_SETTINGS = GmmSettings(
+    bins=1,
+    metrics=("cpu",),
+    quorum=1,
+    min_samples=10,
+    refit_interval=200,
+    window=200,
+    cooldown=3,
+)
 
 
 class TestGmmThresholdDetector:
@@ -269,7 +266,7 @@ class TestGmmThresholdDetector:
 
     def test_alarms_and_pauses_on_contention_step(self):
         host, sensitive = self.contended_host()
-        detector = GmmThresholdDetector(sensitive, config=detector_config())
+        detector = GmmThresholdDetector(sensitive, DETECTOR_SETTINGS)
         SimulationEngine(host, [detector]).run(ticks=60)
         assert detector.alarm_ticks
         assert min(detector.alarm_ticks) >= 40
@@ -278,10 +275,10 @@ class TestGmmThresholdDetector:
         assert host.container("sens").pause_count == 0
 
     def test_resumes_after_clear_cooldown(self):
-        # The step app looks quiet while paused, so after gmm_cooldown
+        # The step app looks quiet while paused, so after `cooldown`
         # clear periods the detector resumes it (and then re-detects).
         host, sensitive = self.contended_host()
-        detector = GmmThresholdDetector(sensitive, config=detector_config())
+        detector = GmmThresholdDetector(sensitive, DETECTOR_SETTINGS)
         SimulationEngine(host, [detector]).run(ticks=120)
         assert detector.resume_count >= 1
         assert detector.throttle_count >= detector.resume_count
@@ -289,7 +286,7 @@ class TestGmmThresholdDetector:
     def test_shadow_mode_never_touches_containers(self):
         host, sensitive = self.contended_host()
         detector = GmmThresholdDetector(
-            sensitive, config=detector_config(), actuate=False
+            sensitive, DETECTOR_SETTINGS, actuate=False
         )
         SimulationEngine(host, [detector]).run(ticks=120)
         assert detector.alarm_ticks
@@ -298,7 +295,7 @@ class TestGmmThresholdDetector:
 
     def test_summary_counters(self):
         host, sensitive = self.contended_host()
-        detector = GmmThresholdDetector(sensitive, config=detector_config())
+        detector = GmmThresholdDetector(sensitive, DETECTOR_SETTINGS)
         SimulationEngine(host, [detector]).run(ticks=60)
         summary = detector.summary()
         assert summary["alarms"] == len(detector.alarm_ticks)
@@ -307,34 +304,36 @@ class TestGmmThresholdDetector:
 
 
 class TestConfigValidation:
+    """The detector's knobs validate on :class:`GmmSettings`."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(detector_mode="magic"),
-            dict(gmm_bins=0),
-            dict(gmm_max_components=0),
-            dict(gmm_min_samples=1),
-            dict(gmm_refit_interval=0),
-            dict(gmm_window=10, gmm_min_samples=20),
-            dict(gmm_metrics=()),
-            dict(gmm_metrics=("cpu", "tachyons")),
-            dict(gmm_quorum=0),
-            dict(gmm_quorum=3, gmm_metrics=("cpu",)),
-            dict(gmm_span=-1.0),
-            dict(gmm_cooldown=0),
+            dict(bins=0),
+            dict(max_components=0),
+            dict(min_samples=1),
+            dict(refit_interval=0),
+            dict(window=10, min_samples=20),
+            dict(metrics=()),
+            dict(metrics=("cpu", "tachyons")),
+            dict(quorum=0),
+            dict(quorum=3, metrics=("cpu",)),
+            dict(span=-1.0),
+            dict(cooldown=0),
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            StayAwayConfig(**kwargs)
+            GmmSettings(**kwargs)
 
-    def test_valid_modes_accepted(self):
-        for mode in ("geometry", "gmm", "hybrid"):
-            assert StayAwayConfig(detector_mode=mode).detector_mode == mode
+    def test_settings_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GmmSettings().bins = 9
 
-    def test_hybrid_requires_aux_detector(self):
+    def test_detector_mode_follows_aux_detector(self):
         from repro.core.controller import StayAway
 
         sensitive = SensitiveStub()
-        with pytest.raises(ValueError, match="aux_detector"):
-            StayAway(sensitive, config=StayAwayConfig(detector_mode="hybrid"))
+        assert StayAway(sensitive).summary()["detector_mode"] == "geometry"
+        hybrid = StayAway(sensitive, aux_detector=GmmThresholdModel())
+        assert hybrid.summary()["detector_mode"] == "hybrid"

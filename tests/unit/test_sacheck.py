@@ -18,11 +18,10 @@ import pytest
 from tools.sacheck import (
     Baseline,
     baseline_from_findings,
-    default_rules,
     rule_catalog,
-    scan_paths,
     scan_source,
 )
+from tools.sacheck import cli
 from tools.sacheck.cli import DEFAULT_BASELINE, REPO_ROOT, main
 from tools.sacheck.engine import module_name, parse_suppressions
 from tools.sacheck.layering import LayeringRule, build_import_graph, layer_edges
@@ -337,6 +336,76 @@ def test_sa108_only_targets_repro_modules():
     assert check(src, BroadExceptRule(), rel_path="tests/unit/test_x.py") == []
 
 
+# -- SA205 orphan modules --------------------------------------------------
+
+ORPHAN_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/__main__.py": "from repro.cli import main\n",
+    "src/repro/cli.py": "from repro.analysis import used\n",
+    "src/repro/analysis/__init__.py": (
+        "from repro.analysis.extra import helper\n"
+        "from repro.analysis.used import used\n"
+    ),
+    "src/repro/analysis/extra.py": (
+        '"""A helper written for a caller that never came."""\n'
+        "def helper():\n    return 1\n"
+    ),
+    "src/repro/analysis/used.py": "def used():\n    return 2\n",
+    "tests/test_extra.py": "from repro.analysis.extra import helper\n",
+}
+
+
+@pytest.fixture
+def orphan_repo(tmp_path, monkeypatch):
+    """``repro.analysis.extra``: imported by its package and a test only."""
+    for rel, source in ORPHAN_TREE.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    monkeypatch.setattr(cli, "REPO_ROOT", tmp_path)
+    return tmp_path
+
+
+def test_sa205_fires_on_module_only_its_package_and_a_test_import(orphan_repo, capsys):
+    assert main(["--no-baseline"]) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/analysis/extra.py:1:0: SA205" in out
+    assert "repro.analysis, tests.test_extra" in out
+    # used.py is reached through the package re-export in cli.py, cli.py
+    # from the entry point, and an entry point needs no importer.
+    assert "1 new finding(s)" in out
+
+
+def test_sa205_counts_a_benchmark_as_a_caller(orphan_repo, capsys):
+    bench = orphan_repo / "benchmarks" / "bench_extra.py"
+    bench.parent.mkdir()
+    bench.write_text("from repro.analysis import helper\n", encoding="utf-8")
+    assert main(["--no-baseline"]) == 0
+    out = capsys.readouterr().out
+    assert "0 new finding(s)" in out
+    assert f"{len(ORPHAN_TREE)} file(s)" in out  # benchmarks/ is read, not scanned
+
+
+def test_sa205_justified_entry_passes_until_it_goes_stale(orphan_repo, capsys):
+    assert main(["--baseline", "b.json", "--write-baseline"]) == 0
+    baseline_path = orphan_repo / "b.json"
+    data = json.loads(baseline_path.read_text(encoding="utf-8"))
+    assert [entry["rule"] for entry in data["entries"]] == ["SA205"]
+    assert main(["--baseline", "b.json"]) == 1  # TODO reason is refused
+    data["entries"][0]["reason"] = "kept as the instrument of tests/test_extra.py"
+    baseline_path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--baseline", "b.json", "--strict"]) == 0
+    assert "1 baselined" in capsys.readouterr().out
+    # The module gains a real caller: the entry is now stale.
+    (orphan_repo / "src" / "repro" / "cli.py").write_text(
+        "from repro.analysis import helper, used\n", encoding="utf-8"
+    )
+    assert main(["--baseline", "b.json"]) == 0
+    assert main(["--baseline", "b.json", "--strict"]) == 1
+    assert "stale baseline entry" in capsys.readouterr().err
+
+
 # -- suppressions ----------------------------------------------------------
 
 
@@ -437,13 +506,17 @@ def test_cli_repo_scan_matches_committed_baseline(capsys):
     assert "0 new finding(s)" in out
 
 
-def test_committed_baseline_entries_are_justified_and_not_stale():
+def test_committed_baseline_entries_are_justified_and_not_stale(capsys):
     baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
     assert baseline.unjustified() == []
-    result = scan_paths([REPO_ROOT / "src", REPO_ROOT / "tests"],
-                        default_rules(), REPO_ROOT)
-    new, _, stale = baseline.apply(result.findings)
-    assert new == [] and stale == []
+    # Through the CLI: the SA2xx entries need its whole-program index.
+    assert main(["--strict"]) == 0
+    assert "stale" not in capsys.readouterr().out
+    assert sorted(e.path for e in baseline.entries if e.rule == "SA205") == [
+        "src/repro/analysis/stats.py",
+        "src/repro/monitoring/ipc.py",
+        "src/repro/service/exporter.py",
+    ]
 
 
 def test_cli_fails_on_seeded_violation(tmp_path, capsys):

@@ -455,7 +455,9 @@ def _scan_repo_sarif() -> dict:
 
     rules = default_rules()
     targets = [REPO_ROOT / t for t in cli.DEFAULT_TARGETS if (REPO_ROOT / t).exists()]
-    project = ProjectIndex.build(targets, REPO_ROOT)
+    project = ProjectIndex.build(
+        targets, REPO_ROOT, [REPO_ROOT / t for t in cli.IMPORT_ONLY_TARGETS]
+    )
     result = scan_paths(targets, rules, REPO_ROOT, project=project)
     baseline = Baseline.load(REPO_ROOT / cli.DEFAULT_BASELINE)
     new, baselined, _ = baseline.apply(sorted(
@@ -544,6 +546,11 @@ def mini_repo(tmp_path: Path, monkeypatch) -> Path:
     (tmp_path / "src" / "repro" / "sim").mkdir(parents=True)
     module = tmp_path / "src" / "repro" / "sim" / "cluster.py"
     module.write_text(CLEAN_MODULE, encoding="utf-8")
+    # A caller, so the module is not an SA205 orphan.
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "drive.py").write_text(
+        "from repro.sim.cluster import gather_demands\n", encoding="utf-8"
+    )
     _git(tmp_path, "init", "-q")
     _git(tmp_path, "add", "-A")
     _git(tmp_path, "commit", "-qm", "seed")
@@ -621,7 +628,7 @@ class TestCliCwdIndependence:
             assert cli.main(["--baseline", rel]) == 0
         finally:
             os.chdir(cwd)
-        assert "4 baselined" in capsys.readouterr().out
+        assert "6 baselined" in capsys.readouterr().out
 
 
 class TestRepoIsClean:

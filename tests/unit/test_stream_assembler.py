@@ -13,6 +13,10 @@ import math
 
 import pytest
 
+from repro.core.config import StayAwayConfig
+from repro.experiments.scenarios import Scenario
+from repro.experiments.stream_chaos import record_reference, replay_records
+from repro.service import ControllerService, QueueSource
 from repro.service.assembler import PassthroughAssembler, StreamAssembler
 
 
@@ -272,6 +276,78 @@ class TestHeaderAndQos:
         assembler.offer({"kind": "sample", "tick": "not-an-int"})
         assembler.offer({"kind": "mystery"})
         assert assembler.due() == []
+        assert assembler.summary()["malformed"] == 2
+
+
+def malformed_records(tick):
+    """Every wrong-shaped record that used to raise out of ``offer``."""
+    return {
+        "not-a-mapping": ["sample", tick],
+        "metrics-none": {**sample(tick), "metrics": None},
+        "metrics-list": {**sample(tick), "metrics": [1.0]},
+        "value-text": sample(tick, metrics={"cpu": "abc"}),
+        "value-none": sample(tick, metrics={"cpu": None}),
+        "second-value-text": sample(tick, metrics={"cpu": 1.0, "memory": "abc"}),
+        "qos-value-text": qos(tick, value="x"),
+        "sample-container-list": sample(tick, container=["c0"]),
+        "state-container-list": state(tick, container=["c0"]),
+        "header-containers-list": {**HEADER, "containers": ["c0", "sens"]},
+    }
+
+
+MALFORMED_SHAPES = sorted(malformed_records(0))
+
+
+class TestMalformedRecords:
+    """Untrusted input is rejected with a counted reason, never a crash."""
+
+    @pytest.mark.parametrize("shape", MALFORMED_SHAPES)
+    def test_offer_counts_and_drops_the_record_whole(self, shape):
+        assembler = StreamAssembler(watermark=0)
+        assembler.offer(malformed_records(0)[shape])
+        assert assembler.summary()["malformed"] == 1
+        assert assembler.header is None
+        assert assembler.max_seen is None
+        assert assembler.pending_ticks() == []
+        # The well-formed record for the same tick still lands, whole.
+        assembler.offer(HEADER)
+        assembler.offer(sample(0, metrics={"cpu": 2.0, "memory": 3.0}))
+        (closed,) = assembler.due()
+        assert closed.usage["c0"] == {"cpu": 2.0, "memory": 3.0}
+        assert not closed.partial
+        summary = assembler.summary()
+        assert summary["malformed"] == 1
+        assert summary["duplicated"] == summary["dropped"] == 0
+
+    @pytest.mark.parametrize("shape", MALFORMED_SHAPES)
+    def test_started_service_pumps_past_it(self, shape):
+        queue = QueueSource()
+        service = ControllerService(queue, config=StayAwayConfig(telemetry=False))
+        service.start()
+        queue.push([malformed_records(0)[shape]])
+        assert service.pump() == 0
+        assert service.summary()["telemetry"]["stream"]["malformed"] == 1
+
+    def test_clean_replay_decides_the_same_around_them(self):
+        config = StayAwayConfig(seed=3, telemetry=False)
+        records, reference, _ = record_reference(Scenario(ticks=160, seed=3), config)
+        assert len(reference) > 5
+        noisy, injected = [], 0
+        for index, record in enumerate(records):
+            if index % 97 == 0:
+                # Ahead of the good record, for the good record's tick.
+                bad = list(malformed_records(record.get("tick", 0)).values())
+                noisy.extend(bad)
+                injected += len(bad)
+            noisy.append(record)
+        service = replay_records(noisy, config=config)
+        assert service.decision_sequence() == reference
+        census = service.summary()["telemetry"]["stream"]
+        assert census["malformed"] == injected
+        assert all(
+            census[key] == 0
+            for key in ("dropped", "duplicated", "late", "imputed", "gap_ticks")
+        )
 
 
 class TestPassthroughAssembler:

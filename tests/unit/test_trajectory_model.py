@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.trajectory.models import BiasedRandomWalk
 from repro.trajectory.sampling import TrajectoryModel
 
 
@@ -46,9 +45,11 @@ class TestObservation:
 
 class TestForecasting:
     def make_trained_model(self, rng, bias=0.0):
-        walk = BiasedRandomWalk(bias_angle=bias, concentration=6.0,
-                                step_mean=0.05, step_std=0.01)
-        track = walk.generate(300, rng)
+        # 300-point biased walk: von Mises headings, ~N(0.05, 0.01) steps.
+        angles = rng.vonmises(bias, 6.0, size=299)
+        lengths = np.maximum(0.0, rng.normal(0.05, 0.01, size=299))
+        steps = lengths[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        track = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
         model = TrajectoryModel()
         for point in track:
             model.observe(point)

@@ -22,7 +22,13 @@ from tools.sacheck.engine import (
     scan_paths,
     scan_source,
 )
-from tools.sacheck.layering import FORBIDDEN, LayeringRule, build_import_graph, layer_edges
+from tools.sacheck.layering import (
+    FORBIDDEN,
+    LayeringRule,
+    OrphanModuleRule,
+    build_import_graph,
+    layer_edges,
+)
 from tools.sacheck.rules import default_rules, rule_catalog
 from tools.sacheck.sarif import to_sarif
 
@@ -34,6 +40,7 @@ __all__ = [
     "Finding",
     "FunctionInfo",
     "LayeringRule",
+    "OrphanModuleRule",
     "ProjectIndex",
     "Rule",
     "RuleWalker",

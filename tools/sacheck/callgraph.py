@@ -43,6 +43,7 @@ from tools.sacheck.engine import (
     iter_python_files,
     relative_path,
 )
+from tools.sacheck.layering import build_import_graph
 
 #: Seeded RNG constructors — a variable assigned from one is RNG-typed.
 RNG_FACTORIES = {
@@ -392,12 +393,24 @@ class ProjectIndex:
         self.functions: Dict[str, FunctionInfo] = {}
         #: parsed files, reusable by phase 2: rel_path -> (source, tree)
         self.files: Dict[str, Tuple[str, ast.Module]] = {}
+        #: module -> imported ``repro`` modules (SA205's input)
+        self.import_graph: Dict[str, Set[str]] = {}
         self._impurity: Optional[Dict[str, Set[str]]] = None
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def build(cls, paths: Sequence[Path], repo_root: Path) -> "ProjectIndex":
-        """Index every ``*.py`` under ``paths`` (two passes, no exec)."""
+    def build(
+        cls,
+        paths: Sequence[Path],
+        repo_root: Path,
+        import_only: Sequence[Path] = (),
+    ) -> "ProjectIndex":
+        """Index every ``*.py`` under ``paths`` (two passes, no exec).
+
+        Files under ``import_only`` contribute edges to
+        :attr:`import_graph` and nothing else: a benchmark counts as a
+        caller without being indexed or rule-walked itself.
+        """
         project = cls()
         contexts: List[FileContext] = []
         for file_path in iter_python_files(paths, repo_root):
@@ -417,6 +430,9 @@ class ProjectIndex:
         # call resolution, so it runs after every module is known.
         for ctx in contexts:
             project._collect_bodies(ctx)
+        project.import_graph = build_import_graph(
+            [*paths, *import_only], repo_root, parsed=project.files
+        )
         return project
 
     @classmethod

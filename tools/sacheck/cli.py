@@ -48,6 +48,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Repo-root-relative so it follows REPO_ROOT (tests rebind that).
 DEFAULT_BASELINE = Path("tools") / "sacheck" / "baseline.json"
 DEFAULT_TARGETS = ("src", "tests", "tools", "examples")
+#: Read for import edges only: a benchmark is a caller (SA205).
+IMPORT_ONLY_TARGETS = ("benchmarks",)
 
 
 def _repo_path(path: Path) -> Path:
@@ -208,7 +210,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Phase 1: whole-program index over the default targets, regardless
     # of how narrow the phase-2 scan is.
-    project = ProjectIndex.build(default_targets, REPO_ROOT)
+    import_only = [
+        REPO_ROOT / t for t in IMPORT_ONLY_TARGETS if (REPO_ROOT / t).exists()
+    ]
+    project = ProjectIndex.build(default_targets, REPO_ROOT, import_only)
     # Phase 2: walk the requested files with every active rule.
     result = scan_paths(targets, rules, REPO_ROOT, project=project)
     findings = sorted(result.findings, key=lambda f: (f.path, f.line, f.rule))

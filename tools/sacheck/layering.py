@@ -47,14 +47,26 @@ a layer boundary.
 
 Besides the rule, this module builds the full intra-``repro`` import
 graph (``build_import_graph``) so ``python -m tools.sacheck
---import-graph`` can print the actual layer edges for docs and review.
+--import-graph`` can print the actual layer edges for docs and review,
+and checks one more thing on that graph: SA205, no orphan modules
+(:class:`OrphanModuleRule`).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from tools.sacheck.engine import (
     FileContext,
@@ -66,6 +78,9 @@ from tools.sacheck.engine import (
     module_name,
     relative_path,
 )
+
+if TYPE_CHECKING:  # callgraph imports this module for build_import_graph
+    from tools.sacheck.callgraph import ProjectIndex
 
 #: layer -> layers it must never import at runtime
 FORBIDDEN: Dict[str, Set[str]] = {
@@ -160,23 +175,128 @@ class LayeringRule(Rule):
                 )
 
 
-def build_import_graph(paths: Sequence[Path], repo_root: Path) -> Dict[str, Set[str]]:
-    """``{module: {imported repro modules}}`` over every file in ``paths``."""
-    graph: Dict[str, Set[str]] = {}
+def build_import_graph(
+    paths: Sequence[Path],
+    repo_root: Path,
+    parsed: Optional[Mapping[str, Tuple[str, ast.Module]]] = None,
+) -> Dict[str, Set[str]]:
+    """``{module: {imported repro modules}}`` over every file in ``paths``.
+
+    ``from pkg import name`` is an edge to the module that *defines*
+    ``name``: ``pkg.name`` when that is a module of the tree, else —
+    when ``pkg`` itself only imported the name — wherever ``pkg`` got
+    it from (package ``__init__`` re-exports, followed to the end).
+    Anything else stays an edge to ``pkg``. ``parsed`` is an optional
+    ``{rel_path: (source, tree)}`` cache (``ProjectIndex.files``).
+    """
+    #: module -> [(imported module, imported name or None, local binding)]
+    imports: Dict[str, List[Tuple[str, Optional[str], str]]] = {}
     for file_path in iter_python_files(paths, repo_root):
         rel = relative_path(file_path, repo_root)
+        cached = parsed.get(rel) if parsed is not None else None
         try:
-            tree = ast.parse(file_path.read_text(encoding="utf-8"), filename=rel)
+            tree = cached[1] if cached is not None else ast.parse(
+                file_path.read_text(encoding="utf-8"), filename=rel
+            )
         except (SyntaxError, UnicodeDecodeError):
             continue
         module = module_name(rel)
-        edges = graph.setdefault(module, set())
+        bound = imports.setdefault(module, [])
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                bound.extend((alias.name, None, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
                 for target in _import_targets(node, module):
-                    if target.split(".")[0] == "repro":
-                        edges.add(target)
+                    bound.extend(
+                        (target, alias.name, alias.asname or alias.name)
+                        for alias in node.names
+                    )
+
+    def defining_module(target: str, name: Optional[str]) -> str:
+        seen: Set[Tuple[str, str]] = set()
+        while name is not None and (target, name) not in seen:
+            seen.add((target, name))
+            if f"{target}.{name}" in imports:
+                return f"{target}.{name}"
+            origin = next(
+                (
+                    (source, original)
+                    for source, original, local in imports.get(target, ())
+                    if local == name and original is not None
+                ),
+                None,
+            )
+            if origin is None:
+                break
+            target, name = origin
+        return target
+
+    graph: Dict[str, Set[str]] = {}
+    for module, bound in imports.items():
+        edges = graph.setdefault(module, set())
+        for target, name, _ in bound:
+            if target.split(".")[0] == "repro":
+                edges.add(defining_module(target, name))
     return graph
+
+
+class OrphanModuleRule(Rule):
+    """SA205 — every ``repro.*`` module has a caller outside its tests.
+
+    A module earns its place when something that *uses* the system
+    imports it: another ``src/`` module, a benchmark, an example. A
+    module whose only importers are the ``__init__`` of a package it
+    lives in (a re-export is not a use) or files under ``tests/`` was
+    written for traffic that never came. One hop over
+    :func:`build_import_graph` — no reachability closure, so a finding
+    always names an import edge that is really missing. Entry points
+    (``__main__``) and package ``__init__`` files are not modules
+    anyone is expected to import. A module kept on purpose (a test
+    instrument, a seam driven end to end only by tests) is a justified
+    baseline entry, not a suppression.
+    """
+
+    id = "SA205"
+    name = "orphan-module"
+    rationale = (
+        "a repro module imported only by its own package __init__ and "
+        "tests has no caller: delete it or justify it in the baseline"
+    )
+
+    def __init__(self) -> None:
+        self.importers: Optional[Dict[str, Set[str]]] = None
+
+    def begin_project(self, project: "ProjectIndex") -> None:
+        self.importers = {}
+        for module, targets in project.import_graph.items():
+            for target in targets:
+                self.importers.setdefault(target, set()).add(module)
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return (
+            self.importers is not None
+            and ctx.layer is not None
+            and not ctx.rel_path.endswith(("/__init__.py", "/__main__.py"))
+        )
+
+    def finish_file(self, ctx: FileContext) -> Iterable[Finding]:
+        assert self.importers is not None
+        importers = self.importers.get(ctx.module, set()) - {ctx.module}
+        callers = [
+            module for module in importers
+            if module.split(".")[0] != "tests"
+            and not ctx.module.startswith(module + ".")  # enclosing package
+        ]
+        if callers:
+            return
+        anchor = ctx.tree.body[0] if ctx.tree.body else ctx.tree
+        seen_by = ", ".join(sorted(importers)) or "nothing"
+        yield self.make_finding(
+            ctx, anchor,
+            f"'{ctx.module}' has no caller in src/, benchmarks/ or "
+            f"examples/ (imported only by: {seen_by}); delete it or "
+            "justify keeping it in the baseline",
+        )
 
 
 def layer_edges(graph: Dict[str, Set[str]]) -> List[Tuple[str, str]]:

@@ -366,18 +366,18 @@ class BroadExceptRule(Rule):
 def default_rules() -> List[Rule]:
     """All rules in ID order.
 
-    SA103 lives in :mod:`tools.sacheck.layering`; the interprocedural
-    SA201/SA202/SA204 in :mod:`tools.sacheck.effects`; SA203 in
-    :mod:`tools.sacheck.shapes`.  SA201/SA204 deactivate themselves
-    unless the caller supplies a phase-1 project index (the CLI always
-    does).
+    SA103 and SA205 live in :mod:`tools.sacheck.layering`; the
+    interprocedural SA201/SA202/SA204 in :mod:`tools.sacheck.effects`;
+    SA203 in :mod:`tools.sacheck.shapes`.  SA201/SA204/SA205 deactivate
+    themselves unless the caller supplies a phase-1 project index (the
+    CLI always does).
     """
     from tools.sacheck.effects import (
         SA201EffectRule,
         SA202OrderStableFoldRule,
         SA204ShardSafetyRule,
     )
-    from tools.sacheck.layering import LayeringRule
+    from tools.sacheck.layering import LayeringRule, OrphanModuleRule
     from tools.sacheck.shapes import SA203ShapeContractRule
 
     return [
@@ -393,6 +393,7 @@ def default_rules() -> List[Rule]:
         SA202OrderStableFoldRule(),
         SA203ShapeContractRule(),
         SA204ShardSafetyRule(),
+        OrphanModuleRule(),
     ]
 
 
