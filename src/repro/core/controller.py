@@ -265,8 +265,7 @@ class StayAway:
 
         # 0. Reconcile the desired pause-set against reality before
         #    deciding anything on top of stale bookkeeping.
-        with self.telemetry.stage("controller.reconcile"):
-            self.throttle.reconcile(tick, host)
+        self.throttle.reconcile(tick, host)
 
         violated = self.qos.violation_now
         if violated:
@@ -443,14 +442,13 @@ class StayAway:
         distance: Optional[float],
     ) -> bool:
         """Action stage: throttle/resume decision."""
-        with self.telemetry.stage("controller.act"):
-            return self.throttle.step(
-                tick,
-                host,
-                impending_violation=impending,
-                observed_violation=observed,
-                sensitive_step_distance=distance,
-            )
+        return self.throttle.step(
+            tick,
+            host,
+            impending_violation=impending,
+            observed_violation=observed,
+            sensitive_step_distance=distance,
+        )
 
     # -- the exception firewall -------------------------------------------------
     def _call_stage(self, stage: str, tick: int, fn, *args, **kwargs):

@@ -216,12 +216,13 @@ class ModelHealthWatchdog:
                 if not report.bad_states and not report.structural:
                     report.cache_poisoned = True
 
-        # 4. Trajectory models: step histograms must stay finite.
+        # 4. Trajectory models: step histograms must stay finite. The
+        #    windows keep their own count of non-finite values.
         for mode, model in controller.predictor.modes.models.items():
             last = model.last_point
             finite = (
-                bool(np.isfinite(model.distances.samples).all())
-                and bool(np.isfinite(model.angles.samples).all())
+                model.distances.finite
+                and model.angles.finite
                 and (last is None or bool(np.isfinite(last).all()))
             )
             if not finite:

@@ -164,13 +164,36 @@ class StateSpace:
         self.fixed_radius = fixed_radius
         self.refit_count = 0
         self._new_since_refit = 0
-        #: Optional :class:`~repro.telemetry.Telemetry`; when set (the
-        #: controller attaches its own), refits are timed and recorded.
         self.telemetry = None
         self._geometry: Optional[ViolationGeometry] = None
         self._geometry_hits = 0
         self._geometry_rebuilds = 0
         self._geometry_invalidations = 0
+
+    @property
+    def telemetry(self):
+        """Optional :class:`~repro.telemetry.Telemetry`.
+
+        When set (the controller attaches its own), refits and geometry
+        rebuilds are timed and the geometry cache counters recorded.
+        """
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, telemetry) -> None:
+        self._telemetry = telemetry
+        if telemetry is not None:
+            self._c_geometry_hits = telemetry.counter(
+                "geometry.cache_hits",
+                help="violation-geometry lookups served from cache",
+            )
+            self._c_geometry_rebuilds = telemetry.counter(
+                "geometry.rebuilds", help="violation-geometry cache rebuilds"
+            )
+            self._c_geometry_invalidations = telemetry.counter(
+                "geometry.invalidations",
+                help="violation-geometry cache drops (mutation events)",
+            )
 
     # -- introspection ---------------------------------------------------
     def __len__(self) -> int:
@@ -314,11 +337,8 @@ class StateSpace:
         if self._geometry is not None:
             self._geometry = None
             self._geometry_invalidations += 1
-            if self.telemetry is not None:
-                self.telemetry.counter(
-                    "geometry.invalidations",
-                    help="violation-geometry cache drops (mutation events)",
-                ).inc()
+            if self._telemetry is not None:
+                self._c_geometry_invalidations.inc()
 
     def geometry(self) -> ViolationGeometry:
         """The current violation-range geometry, cached until dirtied.
@@ -331,18 +351,13 @@ class StateSpace:
         cached = self._geometry
         if cached is not None and cached.n_states == len(self):
             self._geometry_hits += 1
-            if self.telemetry is not None:
-                self.telemetry.counter(
-                    "geometry.cache_hits",
-                    help="violation-geometry lookups served from cache",
-                ).inc()
+            if self._telemetry is not None:
+                self._c_geometry_hits.inc()
             return cached
-        if self.telemetry is not None:
-            with self.telemetry.stage("geometry.rebuild"):
+        if self._telemetry is not None:
+            with self._telemetry.stage("geometry.rebuild"):
                 geometry = self._build_geometry()
-            self.telemetry.counter(
-                "geometry.rebuilds", help="violation-geometry cache rebuilds"
-            ).inc()
+            self._c_geometry_rebuilds.inc()
         else:
             geometry = self._build_geometry()
         self._geometry = geometry

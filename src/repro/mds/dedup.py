@@ -15,70 +15,19 @@ map. Merge counts are retained so dense regions stay identifiable
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.mds.distances import point_distances
 
-#: Dimensions of the sample vector used for grid hashing. Cell lookups
-#: enumerate the 3^k neighbor cells, so the projection is capped: 3
-#: dims = at most 27 dictionary probes per sample, while still pruning
-#: aggressively (any two points within epsilon full-space distance are
-#: within epsilon per-dimension, hence in adjacent cells).
-GRID_PROJECT_DIMS = 3
-
-
-class _GridIndex:
-    """Epsilon-cell spatial hash over the leading sample dimensions.
-
-    Keys are ``floor(value / epsilon)`` tuples of the first
-    ``project_dims`` coordinates. Completeness invariant: every point
-    within ``epsilon`` (full Euclidean) of a probe differs by at most
-    ``epsilon`` in each projected coordinate, so it lives in one of the
-    3^k cells adjacent to the probe's cell — querying those cells can
-    prune candidates but never miss a merge partner.
-    """
-
-    def __init__(self, cell: float, project_dims: int) -> None:
-        if cell <= 0:
-            raise ValueError(f"cell size must be positive, got {cell}")
-        self.cell = cell
-        self.project_dims = project_dims
-        self._cells: Dict[Tuple[int, ...], List[int]] = {}
-        self.indexed = 0
-
-    def _key(self, sample: np.ndarray) -> Tuple[int, ...]:
-        return tuple(
-            int(np.floor(float(value) / self.cell))
-            for value in sample[: self.project_dims]
-        )
-
-    def insert(self, index: int, sample: np.ndarray) -> None:
-        self._cells.setdefault(self._key(sample), []).append(index)
-        self.indexed += 1
-
-    def candidates(self, sample: np.ndarray) -> List[int]:
-        """Indices in the probe's cell and its neighbors, ascending.
-
-        Ascending order keeps ``argmin`` tie-breaking identical to the
-        full linear scan (first index wins on equal distances).
-        """
-        base = self._key(sample)
-        found: List[int] = []
-        for offsets in itertools.product((-1, 0, 1), repeat=len(base)):
-            bucket = self._cells.get(
-                tuple(b + o for b, o in zip(base, offsets))
-            )
-            if bucket:
-                found.extend(bucket)
-        found.sort()
-        return found
-
 
 class RepresentativeSet:
     """Epsilon-ball deduplication over high-dimensional samples.
+
+    The merge test is one scan of :attr:`points` per sample. At the
+    <= 250 states a controller reaches that costs less than hashing the
+    sample into a spatial index does (``docs/ARCHITECTURE.md``).
 
     Parameters
     ----------
@@ -97,9 +46,6 @@ class RepresentativeSet:
         self._points: List[np.ndarray] = []
         self._counts: List[int] = []
         self._matrix: Optional[np.ndarray] = None  # lazily rebuilt cache
-        self._grid: Optional[_GridIndex] = None  # epsilon-cell merge index
-        self._grid_queries = 0
-        self._grid_candidates = 0
 
     def __len__(self) -> int:
         return len(self._points)
@@ -146,49 +92,24 @@ class RepresentativeSet:
             )
 
         if self._points:
-            match = self._merge_candidate(sample)
-            if match is not None:
+            # The nearest representative absorbs the sample; the first
+            # index wins on equal distances.
+            match, distance = self.nearest(sample)
+            if distance <= self.epsilon:
                 self._counts[match] += 1
                 return match, False
 
         self._points.append(sample.copy())
         self._counts.append(1)
         self._matrix = None
-        if self._grid is not None and self._grid.indexed == len(self._points) - 1:
-            self._grid.insert(len(self._points) - 1, sample)
         return len(self._points) - 1, True
-
-    def _merge_candidate(self, sample: np.ndarray) -> Optional[int]:
-        """Index of the representative this sample merges into, if any.
-
-        Uses the epsilon-cell grid to restrict the distance test to the
-        points that can possibly be within ``epsilon``; behaviour is
-        identical to the full linear scan (same winner, same ties).
-        Falls back to the linear scan when ``epsilon`` is 0 (degenerate
-        cell size: only exact duplicates merge anyway).
-        """
-        if self.epsilon <= 0:
-            index, distance = self.nearest(sample)
-            return index if distance <= self.epsilon else None
-        self._ensure_grid()
-        assert self._grid is not None
-        candidates = self._grid.candidates(sample)
-        self._grid_queries += 1
-        self._grid_candidates += len(candidates)
-        if not candidates:
-            return None
-        distances = point_distances(sample, self.points[candidates])
-        local = int(np.argmin(distances))
-        if float(distances[local]) <= self.epsilon:
-            return candidates[local]
-        return None
 
     def remove_indices(self, indices) -> int:
         """Remove representatives by index; returns how many were removed.
 
         Later representatives shift down to fill the gaps (callers that
         keep index-aligned side arrays must compact them identically).
-        The merge grid and matrix caches are invalidated.
+        The matrix cache is invalidated.
         """
         doomed = {int(i) for i in indices if 0 <= int(i) < len(self._points)}
         if not doomed:
@@ -199,44 +120,13 @@ class RepresentativeSet:
         return len(doomed)
 
     def invalidate_index(self) -> None:
-        """Drop the merge index and points-matrix cache.
+        """Drop the points-matrix cache.
 
         External bulk mutators of ``_points`` (checkpoint restore) must
-        call this: the count-based staleness check in
-        :meth:`_ensure_grid` cannot detect a same-count replacement.
+        call this: the row-count check in :attr:`points` cannot detect
+        a same-count replacement.
         """
-        self._grid = None
         self._matrix = None
-
-    def _ensure_grid(self) -> None:
-        """(Re)build the grid when missing or stale.
-
-        The indexed-count comparison is defense-in-depth for external
-        growth of ``_points``; same-count replacement requires an
-        explicit :meth:`invalidate_index` call.
-        """
-        if self._grid is not None and self._grid.indexed == len(self._points):
-            return
-        assert self.dimension is not None
-        grid = _GridIndex(
-            cell=self.epsilon,
-            project_dims=min(self.dimension, GRID_PROJECT_DIMS),
-        )
-        for index, point in enumerate(self._points):
-            grid.insert(index, point)
-        self._grid = grid
-
-    def grid_stats(self) -> Dict[str, float]:
-        """Merge-index accounting: probes, candidate volume, avg fanout."""
-        return {
-            "queries": self._grid_queries,
-            "candidates": self._grid_candidates,
-            "mean_candidates": (
-                self._grid_candidates / self._grid_queries
-                if self._grid_queries
-                else 0.0
-            ),
-        }
 
     def distances_from(self, sample: np.ndarray) -> np.ndarray:
         """High-dimensional distances from a sample to every representative."""

@@ -7,8 +7,8 @@ package is how the reproduction measures that about itself. One
 * a :class:`MetricRegistry` of :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` metrics (get-or-create, label support);
 * a :class:`Tracer` of nestable :class:`Span` regions — every period
-  produces a ``controller.period`` span with ``map`` / ``predict`` /
-  ``act`` children (and ``mapping.refit`` grandchildren);
+  produces a ``controller.period`` span with ``map`` / ``predict``
+  children (and ``mapping.refit`` grandchildren);
 * :class:`StageTimer` / :class:`Stopwatch` monotonic timers feeding
   ``*_seconds`` histograms;
 * exporters: :func:`registry_snapshot` (dict),

@@ -8,9 +8,25 @@ arbitrary distribution" (§3.2.3).
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+
+def _bin_index(value: float, low: float, width: float, bins: int) -> int:
+    """``(value - low) / width`` clamped into ``[0, bins - 1]``, then truncated.
+
+    Clamping first keeps a quotient beyond the integer range (``-inf``
+    over a subnormal ``width``) in its edge bin; a NaN fails both
+    comparisons and raises ``ValueError`` from ``int``.
+    """
+    scaled = (value - low) / width
+    if scaled >= bins - 1:
+        return bins - 1
+    if scaled <= 0:
+        return 0
+    return int(scaled)
 
 
 class Histogram:
@@ -65,8 +81,7 @@ class Histogram:
     def bin_of(self, value: float) -> int:
         """Bin index for a value (edge bins absorb out-of-range values)."""
         width = (self.high - self.low) / self.bins
-        index = int((value - self.low) / width)
-        return min(max(index, 0), self.bins - 1)
+        return _bin_index(value, self.low, width, self.bins)
 
     def add(self, value: float, weight: float = 1.0) -> None:
         """Record one observation."""
@@ -143,7 +158,7 @@ class EmpiricalDistribution:
     """A windowed sample store that exposes a histogram view.
 
     Keeps the most recent ``window`` raw observations (applications
-    drift; old phases should age out) and rebuilds the histogram over
+    drift; old phases should age out) and exposes the histogram over
     the observed range on demand.
 
     The window is the slice ``[_end - _size, _end)`` of a float64
@@ -151,6 +166,16 @@ class EmpiricalDistribution:
     the buffer is used up, moves the newest ``window - 1`` values back
     to the front — O(1) amortized, and the window stays one
     contiguous, chronological run that NumPy can read without a copy.
+
+    One value enters and at most one leaves per :meth:`add`, so the
+    per-bin counts of the last :meth:`histogram` and the number of
+    non-finite values in the window are kept current there. The counts
+    are dropped — and the next :meth:`histogram` bins the whole window
+    once — whenever an inferred bound of the support may have moved (a
+    new extreme, the eviction of the current one, a widened degenerate
+    support), on :meth:`extend` / :meth:`clear`, and on any non-finite
+    value. :attr:`samples` is read-only, so those three methods are
+    the window's only writers.
 
     Parameters
     ----------
@@ -184,12 +209,21 @@ class EmpiricalDistribution:
         #: reused until the support moves (never, for a fixed one).
         self._edges: Optional[np.ndarray] = None
         self._edges_support: Optional[Tuple[float, float]] = None
+        #: ``(B,)`` float counts of the window over ``_edges_support``,
+        #: or None when the next histogram has to bin the window.
+        self._counts: Optional[np.ndarray] = None
+        self._nonfinite = 0
+        self._rebins = 0
 
     def __len__(self) -> int:
         return self._size
 
     def add(self, value: float) -> None:
         """Record one observation (evicting the oldest from a full window)."""
+        value = float(value)
+        evicted = None
+        if self._size == self.window:
+            evicted = self._buffer.item(self._end - self._size)
         if self._end == self._buffer.size:
             keep = min(self._size, self.window - 1)
             self._buffer[:keep] = self._buffer[self._end - keep : self._end]
@@ -197,6 +231,29 @@ class EmpiricalDistribution:
         self._buffer[self._end] = value
         self._end += 1
         self._size = min(self._size + 1, self.window)
+
+        if self._nonfinite and evicted is not None and not isfinite(evicted):
+            self._nonfinite -= 1
+        if not isfinite(value):
+            self._nonfinite += 1
+            self._counts = None
+        counts = self._counts
+        if counts is None:
+            return
+        # Live counts mean a finite window: ``evicted`` is finite too.
+        low, high = self._edges_support
+        if (
+            self.fixed_low is None
+            and (value < low or evicted == low)
+            or self.fixed_high is None
+            and (value > high or evicted == high)
+        ):
+            self._counts = None
+            return
+        width = (high - low) / self.bins
+        counts[_bin_index(value, low, width, self.bins)] += 1.0
+        if evicted is not None:
+            counts[_bin_index(evicted, low, width, self.bins)] -= 1.0
 
     def extend(self, values: Union[Sequence[float], np.ndarray]) -> None:
         """Record observations in order, as repeated :meth:`add` would.
@@ -212,10 +269,14 @@ class EmpiricalDistribution:
         kept = np.concatenate([self.samples, incoming])[-self.window :]
         self._buffer[: kept.size] = kept
         self._size = self._end = kept.size
+        self._counts = None
+        self._nonfinite = kept.size - int(np.count_nonzero(np.isfinite(kept)))
 
     def clear(self) -> None:
         """Forget every observation."""
         self._size = self._end = 0
+        self._counts = None
+        self._nonfinite = 0
 
     @property
     def samples(self) -> np.ndarray:
@@ -228,27 +289,43 @@ class EmpiricalDistribution:
         view.flags.writeable = False
         return view
 
-    def support(self) -> Tuple[float, float]:
-        """The histogram support (fixed bounds or observed range)."""
+    @property
+    def finite(self) -> bool:
+        """True when the window holds no NaN and no infinity (O(1))."""
+        return not self._nonfinite
+
+    def _support(self) -> Tuple[float, float, bool]:
+        """:meth:`support` and whether :meth:`add` can tell when it moves.
+
+        It can while each inferred bound is an extreme of the data
+        (then only a new or an evicted extreme moves it); not for an
+        empty window's placeholder or a widened degenerate range.
+        """
         if self.fixed_low is not None and self.fixed_high is not None:
-            return self.fixed_low, self.fixed_high
+            return self.fixed_low, self.fixed_high, True
         if not self._size:
-            return (0.0, 1.0)
+            return 0.0, 1.0, False
         values = self.samples
         low = self.fixed_low if self.fixed_low is not None else float(values.min())
         high = self.fixed_high if self.fixed_high is not None else float(values.max())
         if high <= low:
-            high = low + max(abs(low) * 1e-6, 1e-9)
-        return low, high
+            return low, low + max(abs(low) * 1e-6, 1e-9), False
+        return low, high, True
+
+    def support(self) -> Tuple[float, float]:
+        """The histogram support (fixed bounds or observed range)."""
+        return self._support()[:2]
 
     def histogram(self) -> Histogram:
         """Materialize the current histogram.
 
-        One vectorised pass: clamping ``(value - low) / width`` into
-        ``[0, bins - 1]`` and truncating is :meth:`Histogram.bin_of`
-        applied to the whole ``(W,)`` window, so the counts equal those
-        of ``W`` scalar :meth:`Histogram.add` calls. The returned
-        histogram shares its read-only ``edges`` with the others drawn
+        The counts are those :meth:`add` kept current, or — after
+        anything that dropped them — one vectorised pass: clamping
+        ``(value - low) / width`` into ``[0, bins - 1]`` and truncating
+        is :meth:`Histogram.bin_of` applied to the whole ``(W,)``
+        window, so either way they equal those of ``W`` scalar
+        :meth:`Histogram.add` calls. The returned histogram owns its
+        counts and shares its read-only ``edges`` with the others drawn
         from this distribution while the support stays put.
 
         Raises
@@ -259,12 +336,23 @@ class EmpiricalDistribution:
             If the support is so narrow that the bin width underflows
             to zero (as :meth:`Histogram.bin_of` does).
         """
-        values = self.samples
-        if not np.isfinite(values).all():
+        if self._nonfinite:
             raise ValueError("non-finite sample in the window")
-        low, high = support = self.support()
-        edges = self._edges
-        if edges is None or support != self._edges_support:
+        counts = self._counts
+        if counts is None:
+            counts = self._rebin()
+        low, high = self._edges_support
+        return Histogram._from_counts(low, high, counts.copy(), self._edges)
+
+    def _rebin(self) -> np.ndarray:
+        """Bin the whole (finite) window; returns the ``(B,)`` counts.
+
+        Keeps them for :meth:`add` to maintain when it will be able to
+        tell that the support moved.
+        """
+        low, high, tracked = self._support()
+        support = (low, high)
+        if self._edges is None or support != self._edges_support:
             edges = Histogram(low, high, bins=self.bins).edges
             edges.flags.writeable = False
             self._edges, self._edges_support = edges, support
@@ -274,11 +362,14 @@ class EmpiricalDistribution:
             raise ZeroDivisionError("histogram support too narrow to bin")
         # Clamp before truncating: a quotient beyond the integer range
         # has no defined cast, and clamping commutes with truncation.
-        scaled = (values - low) / width
+        scaled = (self.samples - low) / width
         np.minimum(scaled, self.bins - 1, out=scaled)
         np.maximum(scaled, 0, out=scaled)
         counts = np.bincount(scaled.astype(np.intp), minlength=self.bins).astype(float)
-        return Histogram._from_counts(low, high, counts, edges)
+        self._rebins += 1
+        if tracked:
+            self._counts = counts
+        return counts
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Inverse-transform samples from the current histogram.

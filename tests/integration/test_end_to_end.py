@@ -250,3 +250,24 @@ class TestPredictPathAgainstScalarWindow:
         monkeypatch.setattr(EmpiricalDistribution, "histogram", scalar_histogram)
         monkeypatch.setattr(TrajectoryModel, "sample_steps", sequential_steps)
         assert _fingerprint(_steady_run()) == steady
+
+    def test_steady_run_rarely_rebins_a_window(self, monkeypatch):
+        # Wall-clock-free guard on the incremental counts: a period's
+        # histograms come from what ``add`` maintained, not from a new
+        # pass over the 400-sample windows.
+        calls = []
+        histogram = EmpiricalDistribution.histogram
+
+        def counted(self):
+            calls.append(self)
+            return histogram(self)
+
+        monkeypatch.setattr(EmpiricalDistribution, "histogram", counted)
+        controller = _steady_run()
+        rebins = sum(
+            part._rebins
+            for model in controller.predictor.modes.models.values()
+            for part in (model.distances, model.angles)
+        )
+        assert len(calls) > 1000
+        assert 0 < rebins < 0.05 * len(calls)

@@ -98,6 +98,32 @@ class TestMappingOutageRecovery:
         )
 
 
+class TestHistogramPoisonHealedNextPeriod:
+    """A NaN written into a step window through ``add`` is the only
+    poison the watchdog finds from a running count instead of a scan."""
+
+    def test_every_poison_is_reported_and_rolled_back_one_period_later(self):
+        mix = ContainmentMix(
+            seed=3, stage_fault=0.0, poison=0.1, poison_kinds=("nan-histogram",)
+        )
+        result = run_recovery_drill(drill_scenario(ticks=400), mix=mix)
+        controller = result.controller
+        fired = [event.tick for event in result.poisoner.fired]
+        assert len(fired) >= 5
+        # The poisoner runs after the controller, so the damage is the
+        # next period's to find — before it maps or predicts over it.
+        healed = [
+            event.tick for event in controller.events.of_kind(EventKind.MODEL_ROLLBACK)
+        ]
+        assert healed == [tick + controller.config.period for tick in fired]
+        assert controller.watchdog.violations == len(fired)
+        assert controller.events.count(EventKind.FIREWALL_CATCH) == 0
+        assert all(
+            model.distances.finite and model.angles.finite
+            for model in controller.predictor.modes.models.values()
+        )
+
+
 class TestRollbackFidelity:
     """Watchdog rollback == independent from-checkpoint restore."""
 

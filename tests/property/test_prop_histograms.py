@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.trajectory.histograms import EmpiricalDistribution, Histogram
@@ -142,14 +142,26 @@ window_values = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, 3.0]),
     st.floats(-100.0, 100.0, allow_nan=False),
 )
-window_ops = st.lists(
+
+
+def window_ops_of(values):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), values),
+            st.tuples(st.just("extend"), st.lists(values, max_size=12)),
+            st.tuples(st.just("clear"), st.none()),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+window_ops = window_ops_of(window_values)
+poisoned_ops = window_ops_of(
     st.one_of(
-        st.tuples(st.just("add"), window_values),
-        st.tuples(st.just("extend"), st.lists(window_values, max_size=12)),
-        st.tuples(st.just("clear"), st.none()),
-    ),
-    min_size=1,
-    max_size=40,
+        window_values,
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
 )
 supports = st.sampled_from(
     [(None, None), (0.0, None), (None, 5.0), (-np.pi, np.pi), (0.0, 1.0)]
@@ -198,6 +210,16 @@ class TestWindowAgainstScalarOracle:
         st.integers(1, 7),
     )
     @settings(max_examples=150, deadline=None)
+    # -1.0 over a subnormal bin width is -inf: it belongs in the edge
+    # bin, where the one-pass binning puts it, not in ``int(-inf)``.
+    @example(
+        ops=[("add", 2.225073858507e-311), ("add", -1.0)],
+        window=2,
+        bins=1,
+        support=(0.0, None),
+        seed=0,
+        n=1,
+    )
     def test_every_view_matches_after_every_operation(
         self, ops, window, bins, support, seed, n
     ):
@@ -207,6 +229,36 @@ class TestWindowAgainstScalarOracle:
         for op, argument in ops:
             apply_op(dist, oracle, op, argument)
             assert_same_distribution(dist, oracle, seed, n)
+
+    @given(
+        poisoned_ops,
+        st.integers(1, 9),
+        st.sampled_from([1, 4, 16]),
+        supports,
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    # A NaN enters a window of three and ages out again.
+    @example(
+        ops=[("add", v) for v in (1.0, float("nan"), 2.0, 3.0, 4.0)],
+        window=3,
+        bins=4,
+        support=(0.0, None),
+        seed=0,
+    )
+    def test_finite_flag_follows_every_operation(self, ops, window, bins, support, seed):
+        low, high = support
+        dist = EmpiricalDistribution(window=window, bins=bins, low=low, high=high)
+        oracle = DequeOracle(window, bins, low, high)
+        for op, argument in ops:
+            apply_op(dist, oracle, op, argument)
+            assert not dist.samples.flags.writeable
+            assert dist.finite == bool(np.isfinite(dist.samples).all())
+            if dist.finite:
+                assert_same_distribution(dist, oracle, seed, 3)
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    dist.histogram()
 
     @given(st.lists(window_values, min_size=1, max_size=60), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)

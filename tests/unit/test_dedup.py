@@ -101,13 +101,13 @@ class TestRepresentativeSet:
                 assert np.linalg.norm(points[i] - points[j]) > 0.2
 
 
-class TestGridIndex:
-    """The epsilon-cell merge index must be invisible to callers: same
-    merges, same winners, same tie-breaks as the full linear scan."""
+class TestMergeScan:
+    """The merge test is the specification itself: global nearest,
+    first index on ties, merge when within epsilon."""
 
     @staticmethod
     def brute_force_assign(points, epsilon, sample):
-        """The pre-grid behavior: global nearest, merge when <= epsilon."""
+        """Global nearest, merge when <= epsilon."""
         if points:
             distances = np.linalg.norm(np.vstack(points) - sample, axis=1)
             index = int(np.argmin(distances))
@@ -129,16 +129,6 @@ class TestGridIndex:
             expected = self.brute_force_assign(reference_points, epsilon, sample)
             assert got == expected
 
-    def test_grid_prunes_the_scan(self):
-        rng = np.random.default_rng(3)
-        reps = RepresentativeSet(epsilon=0.05)
-        for _ in range(500):
-            reps.assign(rng.uniform(0, 1, size=4))
-        stats = reps.grid_stats()
-        assert stats["queries"] > 0
-        # Far fewer candidates tested than a full scan would have.
-        assert stats["mean_candidates"] < len(reps) / 4
-
     def test_negative_coordinates_supported(self):
         reps = RepresentativeSet(epsilon=0.1)
         reps.assign(np.array([-0.95, -0.95]))
@@ -147,8 +137,8 @@ class TestGridIndex:
 
     def test_invalidate_index_after_external_replacement(self):
         # Checkpoint restore replaces _points wholesale (same count!)
-        # and must call invalidate_index(); the grid is rebuilt from
-        # the new points, not silently trusted.
+        # and must call invalidate_index(); the scan then reads the
+        # new points, not the cached matrix of the old ones.
         reps = RepresentativeSet(epsilon=0.1)
         reps.assign(np.array([0.0, 0.0]))
         reps.assign(np.array([1.0, 1.0]))
@@ -160,8 +150,8 @@ class TestGridIndex:
         assert is_new  # the old origin point is gone
 
     def test_count_growth_detected_without_hook(self):
-        # Defense-in-depth: appending behind the grid's back is caught
-        # by the indexed-count staleness check.
+        # Defense-in-depth: appending behind the set's back is caught
+        # by the matrix cache's row-count check.
         reps = RepresentativeSet(epsilon=0.1)
         reps.assign(np.array([0.0, 0.0]))
         reps.assign(np.array([1.0, 1.0]))
@@ -176,4 +166,3 @@ class TestGridIndex:
         reps.assign(np.array([0.25]))
         _, merged_new = reps.assign(np.array([0.25]))
         assert not merged_new
-        assert reps.grid_stats()["queries"] == 0

@@ -168,6 +168,24 @@ class TestTelemetryWiring:
         space.add_sample(rng.uniform(2, 3, 4), violated=True)
         assert telemetry.counter("geometry.invalidations").value >= 1
 
+    def test_counters_follow_the_attached_telemetry(self):
+        # Bound once per attachment (the controller, then a checkpoint
+        # restore, assign it), not looked up by name on every vote.
+        first, second = Telemetry(enabled=True), Telemetry(enabled=True)
+        space, rng = random_space(seed=33)
+        candidates = rng.uniform(0, 1, size=(5, 2))
+        space.telemetry = first
+        space.violation_vote(candidates)
+        space.telemetry = second
+        space.violation_vote(candidates)
+        space.telemetry = None
+        space.violation_vote(candidates)
+        assert first.counter("geometry.rebuilds").value == 1
+        assert first.counter("geometry.cache_hits").value == 0
+        assert second.counter("geometry.rebuilds").value == 0
+        assert second.counter("geometry.cache_hits").value == 1
+        assert space.geometry_stats()["cache_hits"] == 2
+
     def test_counters_live_without_telemetry(self):
         space, rng = random_space(seed=32)
         assert space.telemetry is None

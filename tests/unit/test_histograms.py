@@ -20,6 +20,15 @@ class TestHistogram:
         assert hist.bin_of(-5.0) == 0  # clipped
         assert hist.bin_of(5.0) == 3   # clipped
 
+    def test_bin_of_clamps_before_truncating(self):
+        # -1.0 over a subnormal bin width is -inf, which has no int.
+        hist = Histogram(0.0, 2.225073858507e-311, bins=1)
+        assert hist.bin_of(-1.0) == 0
+        hist.add(-1.0)
+        assert hist.counts.tolist() == [1.0]
+        with pytest.raises(ValueError):
+            Histogram(0.0, 1.0, bins=4).bin_of(float("nan"))
+
     def test_add_and_probabilities(self):
         hist = Histogram(0.0, 1.0, bins=2)
         hist.add(0.25)
@@ -180,8 +189,67 @@ class TestEmpiricalDistribution:
     def test_samples_view_is_read_only(self):
         dist = EmpiricalDistribution()
         dist.add(1.0)
+        assert not dist.samples.flags.writeable
         with pytest.raises(ValueError):
             dist.samples[0] = 2.0
+
+    def test_histograms_own_their_counts(self):
+        dist = EmpiricalDistribution(bins=2, low=0.0, high=1.0)
+        dist.extend([0.1, 0.9])
+        first = dist.histogram()
+        first.counts[0] = 99.0
+        dist.add(0.2)
+        np.testing.assert_array_equal(dist.histogram().counts, [2.0, 1.0])
+        np.testing.assert_array_equal(first.counts, [99.0, 1.0])
+
+    def test_counts_follow_adds_and_evictions_without_rebinning(self):
+        dist = EmpiricalDistribution(window=3, bins=2, low=0.0, high=1.0)
+        dist.extend([0.1, 0.2, 0.9])
+        np.testing.assert_array_equal(dist.histogram().counts, [2.0, 1.0])
+        dist.add(0.8)  # evicts 0.1
+        dist.add(0.7)  # evicts 0.2
+        np.testing.assert_array_equal(dist.histogram().counts, [0.0, 3.0])
+        assert dist._rebins == 1
+
+    def test_moving_an_inferred_bound_rebins(self):
+        dist = EmpiricalDistribution(window=3, bins=2, low=0.0)
+        dist.extend([1.0, 2.0, 4.0])
+        dist.histogram()
+        dist.add(3.0)  # inside the support, evicts 1.0: counts kept
+        np.testing.assert_array_equal(dist.histogram().counts, [0.0, 3.0])
+        assert dist._rebins == 1
+        dist.add(8.0)  # a new maximum
+        assert dist.histogram().high == 8.0 and dist._rebins == 2
+        dist.extend([1.0, 1.0])  # window [8, 1, 1]
+        dist.histogram()
+        dist.add(2.0)  # evicts the maximum
+        hist = dist.histogram()
+        assert hist.high == 2.0 and dist._rebins == 4
+        np.testing.assert_array_equal(hist.counts, [0.0, 3.0])
+
+    def test_widened_degenerate_support_is_never_kept(self):
+        dist = EmpiricalDistribution(bins=2, low=0.0)
+        dist.extend([0.0, 0.0])
+        assert dist.histogram().high == 1e-9
+        dist.add(5e-10)  # inside the widened range, yet the maximum moved
+        hist = dist.histogram()
+        assert hist.high == 5e-10
+        np.testing.assert_array_equal(hist.counts, [2.0, 1.0])
+
+    def test_finite_is_a_running_count(self):
+        dist = EmpiricalDistribution(window=2)
+        assert dist.finite
+        dist.add(1.0)
+        dist.add(float("inf"))
+        assert not dist.finite
+        dist.add(2.0)
+        assert not dist.finite  # window [inf, 2]
+        dist.add(3.0)
+        assert dist.finite
+        dist.extend([float("nan")])
+        assert not dist.finite
+        dist.clear()
+        assert dist.finite
 
     @pytest.mark.parametrize("poison", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("fixed", [{}, {"low": 0.0}, {"low": -1.0, "high": 1.0}])
