@@ -13,18 +13,6 @@ observes a real host: per-container resource-usage snapshots each tick,
 plus whatever QoS signal the applications themselves report.
 """
 
-from repro.sim.batch import (
-    BatchEngine,
-    BatchEvent,
-    BatchScenario,
-    ContainerSpec,
-    HostSpec,
-    ScenarioResult,
-    TraceApp,
-    build_scalar_cluster,
-    run_scenario,
-    standard_scenario,
-)
 from repro.sim.clock import SimulationClock
 from repro.sim.cluster import (
     Cluster,
@@ -41,13 +29,9 @@ from repro.sim.scheduler import (
 )
 from repro.sim.contention import (
     Allocation,
-    BatchResolution,
     ContentionModel,
     ProportionalShareModel,
     WeightedWaterFillModel,
-    resolve_proportional_arrays,
-    resolve_waterfill_arrays,
-    segmented_water_fill,
     swap_pressure,
     weighted_water_fill,
 )
@@ -77,21 +61,7 @@ from repro.sim.resources import (
 __all__ = [
     "ActuatorFaultInjector",
     "Allocation",
-    "BatchEngine",
-    "BatchEvent",
-    "BatchResolution",
-    "BatchScenario",
     "Cluster",
-    "ContainerSpec",
-    "HostSpec",
-    "ScenarioResult",
-    "TraceApp",
-    "build_scalar_cluster",
-    "resolve_proportional_arrays",
-    "resolve_waterfill_arrays",
-    "run_scenario",
-    "segmented_water_fill",
-    "standard_scenario",
     "swap_pressure",
     "ConstrainedScheduler",
     "Container",

@@ -22,14 +22,6 @@ Failure semantics
   Every migration therefore terminates in exactly one recorded outcome
   (``landed`` / ``bounced`` / ``lost``) — there are no orphaned
   in-flight migrations, no matter which hosts crash.
-
-Engines
--------
-``Cluster`` is the object engine: it steps real ``Host``/``Container``
-objects, hosts cluster middlewares (the fleet control plane) and is the
-bit-parity reference that :class:`repro.sim.batch.BatchEngine` — the
-struct-of-arrays engine for trace-driven runs — is tested against (the
-contract in ``docs/SIMULATION.md``).
 """
 
 from __future__ import annotations

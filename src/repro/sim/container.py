@@ -14,10 +14,8 @@ Off-tick code (migration sizing, eviction scoring) must read
 :attr:`Container.last_allocation` / :meth:`usage_snapshot`, never call
 ``app.demand()``: demand is sampled exactly once per tick by the
 engine, and an extra probe would advance the application's private
-jitter RNG and desync otherwise-identical runs. The batched engine
-(``repro.sim.batch``) mirrors this lifecycle column-for-column —
-state, pause counters, last granted memory — see ``docs/SIMULATION.md``
-for the equivalence contract.
+jitter RNG and desync otherwise-identical runs — see
+``docs/SIMULATION.md`` for the determinism contract.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ underlying resource" (§3).
 Each tick delegates to :meth:`Host.step`, which itself runs the
 four-phase pipeline (begin_tick -> gather_demands -> resolve ->
 apply_allocations) documented in ``docs/SIMULATION.md``. Multi-host
-runs use :class:`~repro.sim.cluster.Cluster`; trace-driven fleet-scale
-runs use the pure struct-of-arrays :class:`~repro.sim.batch.BatchEngine`.
+runs use :class:`~repro.sim.cluster.Cluster`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ observable state a monitoring agent would collect from cgroups/libvirt.
 A tick is four phases — ``begin_tick`` → ``gather_demands`` → resolve
 → ``apply_allocations`` — which :meth:`Host.step` runs in order.
 Demands are gathered in container insertion order, which is the
-floating-point fold order the equivalence contract in
+floating-point fold order the determinism contract in
 ``docs/SIMULATION.md`` pins down.
 """
 

@@ -14,13 +14,6 @@ that the metric set is open-ended ("performance counters for each VM
 can be used to characterize the load on the memory bus", §3.1); we
 therefore include memory bandwidth explicitly so that memory-subsystem
 contention (MemoryBomb, Twitter-Analysis memory phases) is observable.
-
-Array form: :meth:`ResourceVector.as_array` / ``from_array`` map to a
-``(NUM_RESOURCES,)`` float64 row in the canonical column order above
-(``RESOURCE_INDEX``). Every ``(C, R)`` / ``(H, R)`` array in the
-batched resolvers and :mod:`repro.sim.batch` uses that column order;
-``RATE_INDICES`` / ``MEMORY_INDEX`` select the rate columns and the
-memory column respectively.
 """
 
 from __future__ import annotations
@@ -28,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
-
-import numpy as np
 
 
 class Resource(Enum):
@@ -57,24 +48,6 @@ RATE_RESOURCES: Tuple[Resource, ...] = (
 
 _FIELDS: Tuple[Resource, ...] = tuple(Resource)
 
-#: Canonical dense-array column for each resource. Every ``(*, R)``
-#: array in the vectorized engine (:mod:`repro.sim.batch`) uses this
-#: column order, which matches :meth:`ResourceVector.items` order.
-RESOURCE_INDEX: Dict[Resource, int] = {res: i for i, res in enumerate(_FIELDS)}
-
-#: Number of resource dimensions (the ``R`` in ``(C, R)`` shapes).
-NUM_RESOURCES: int = len(_FIELDS)
-
-#: Columns of the rate resources, in ``RATE_RESOURCES`` order — the
-#: axis-1 index used by batched share-ratio and progress computations.
-RATE_INDICES: Tuple[int, ...] = tuple(RESOURCE_INDEX[res] for res in RATE_RESOURCES)
-
-#: Column of the one space resource (memory) in dense arrays.
-MEMORY_INDEX: int = RESOURCE_INDEX[Resource.MEMORY]
-
-#: Column of disk I/O — the resource swap pressure congests.
-DISK_IO_INDEX: int = RESOURCE_INDEX[Resource.DISK_IO]
-
 
 @dataclass(frozen=True)
 class ResourceVector:
@@ -101,34 +74,7 @@ class ResourceVector:
         """Build a vector from a ``{Resource: value}`` mapping."""
         return cls(**{res.value: float(values.get(res, 0.0)) for res in _FIELDS})
 
-    @classmethod
-    def from_array(cls, values: "np.ndarray") -> "ResourceVector":
-        """Build a vector from a dense ``(R,)`` array in canonical order.
-
-        The inverse of :meth:`as_array`; the column order is
-        ``RESOURCE_INDEX`` (cpu, memory, memory_bw, disk_io, network).
-        """
-        return cls(
-            cpu=float(values[0]),
-            memory=float(values[1]),
-            memory_bw=float(values[2]),
-            disk_io=float(values[3]),
-            network=float(values[4]),
-        )
-
     # -- access -------------------------------------------------------
-    def as_array(self) -> "np.ndarray":
-        """This vector as a dense ``(R,)`` float64 array.
-
-        Column order is ``RESOURCE_INDEX`` — the layout shared by every
-        batched array in :mod:`repro.sim.batch` and the array resolvers
-        in :mod:`repro.sim.contention`.
-        """
-        return np.array(
-            [self.cpu, self.memory, self.memory_bw, self.disk_io, self.network],
-            dtype=np.float64,
-        )
-
     def get(self, resource: Resource) -> float:
         """Value for one resource dimension."""
         return float(getattr(self, resource.value))

@@ -73,6 +73,27 @@ class SensitiveStub(Application):
         return self._report
 
 
+class CountingApp:
+    """ApplicationLike that counts demand() probes (RNG stand-in)."""
+
+    def __init__(self, name="probe", memory=512.0):
+        self.name = name
+        self.demand_calls = 0
+        self.work_done = 0.0
+        self._vector = ResourceVector(cpu=1.0, memory=memory)
+
+    def demand(self, clock):
+        self.demand_calls += 1
+        return self._vector
+
+    def advance(self, allocation, clock):
+        self.work_done += allocation.progress
+
+    @property
+    def finished(self):
+        return False
+
+
 @pytest.fixture
 def constant_app() -> ConstantApp:
     return ConstantApp()

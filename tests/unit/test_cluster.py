@@ -7,7 +7,7 @@ from repro.sim.container import Container
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
-from tests.conftest import ConstantApp, SensitiveStub
+from tests.conftest import ConstantApp, CountingApp, SensitiveStub
 
 
 def make_cluster(**kwargs):
@@ -118,6 +118,33 @@ class TestMigration:
         assert app.work_done == pytest.approx(work_before)
         cluster.run(3)
         assert app.work_done > work_before
+
+    def test_migrate_does_not_probe_app_demand(self):
+        # Regression: sizing a paused/idle container's memory image by
+        # probing app.demand() advanced the app's private jitter RNG
+        # outside the tick loop, desyncing otherwise-identical runs.
+        app = CountingApp()
+        cluster = make_cluster()
+        cluster.host("h1").add_container(Container(name="c", app=app))
+        cluster.step()
+        cluster.host("h1").pause_container("c")
+        cluster.step()
+        calls_before = app.demand_calls
+        record = cluster.migrate("c", "h2")
+        assert app.demand_calls == calls_before
+        # Downtime still sized from the last granted memory.
+        assert record.downtime_ticks == 1
+
+    def test_migrate_uses_last_granted_memory(self):
+        cluster = make_cluster(migration_mb_per_tick=1000.0)
+        cluster.host("h1").add_container(
+            Container(name="c", app=CountingApp(memory=2500.0))
+        )
+        cluster.step()
+        cluster.host("h1").pause_container("c")
+        cluster.step()
+        record = cluster.migrate("c", "h2")
+        assert record.downtime_ticks == 3  # ceil(2500 / 1000)
 
     def test_in_flight_listing(self):
         cluster = make_cluster(migration_mb_per_tick=100.0)

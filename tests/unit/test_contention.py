@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.sim.contention import Allocation, ProportionalShareModel
+from repro.sim.contention import (
+    Allocation,
+    ProportionalShareModel,
+    WeightedWaterFillModel,
+)
 from repro.sim.resources import Resource, ResourceVector, default_host_capacity
 
 
@@ -140,6 +144,20 @@ class TestSwapPenalty:
         }
         allocations = model.resolve(demands, capacity)
         assert allocations["a"].granted.memory == pytest.approx(4096.0)
+
+    @pytest.mark.parametrize(
+        "model_cls", [ProportionalShareModel, WeightedWaterFillModel]
+    )
+    def test_empty_resolve_clears_swap_ratio(self, model_cls, capacity):
+        # Regression: resolve({}) returned before refreshing the ratio,
+        # so a host whose tenants were all paused kept publishing the
+        # overcommit of its last busy tick.
+        model = model_cls()
+        hog = ResourceVector(memory=6000.0)
+        model.resolve({"a": hog, "b": hog}, capacity)
+        assert model.last_swap_ratio == pytest.approx(12000.0 / capacity.memory)
+        assert model.resolve({}, capacity) == {}
+        assert model.last_swap_ratio == 1.0
 
     def test_deeper_overcommit_hurts_more(self, model, capacity):
         mild = model.resolve({"a": ResourceVector(memory=9000.0)}, capacity)

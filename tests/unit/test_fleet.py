@@ -16,7 +16,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.container import Container
 from repro.sim.resources import ResourceVector
 
-from tests.conftest import ConstantApp, SensitiveStub
+from tests.conftest import ConstantApp, CountingApp, SensitiveStub
 
 
 def make_cluster(n=3, **kwargs):
@@ -373,6 +373,24 @@ class TestFleetCoordinator:
         cluster.add_middleware(coordinator)
         with pytest.raises(ValueError, match="unknown host"):
             cluster.step()
+
+    def test_eviction_victim_does_not_probe_app_demand(self):
+        # Regression twin of the Cluster.migrate fix: the
+        # paused-container weight fallback used app.demand() too.
+        bomb = CountingApp(name="bomb")
+        cluster = make_cluster(n=2)
+        cluster.host("h0").add_container(Container(name="bomb", app=bomb))
+        coordinator = FleetCoordinator(
+            {}, config=StayAwayConfig(telemetry=False)
+        )
+        cluster.add_middleware(coordinator)
+        cluster.step()
+        cluster.host("h0").pause_container("bomb")
+        snapshots = cluster.step()
+        calls_before = bomb.demand_calls
+        victim = coordinator._eviction_victim("h0", snapshots["h0"], cluster)
+        assert bomb.demand_calls == calls_before
+        assert victim == "bomb"  # still picked via its last granted CPU
 
     def test_admit_prefers_coldest_host(self):
         cluster, sensitive = self.build_fleet()

@@ -93,6 +93,16 @@ class TestStep:
         host.step()
         assert sensitive.qos_report().value == pytest.approx(1.0)
 
+    def test_swap_ratio_clears_when_every_tenant_is_paused(self, host):
+        hog = ResourceVector(cpu=1.0, memory=6000.0)
+        for name in ("a", "b"):
+            app = ConstantApp(name=name, demand_vector=hog)
+            host.add_container(Container(name=name, app=app))
+        assert host.step().swap_ratio == pytest.approx(12000.0 / 8192.0)
+        host.pause_container("a")
+        host.pause_container("b")
+        assert host.step().swap_ratio == 1.0
+
     def test_history_accumulates(self, loaded_host):
         loaded_host.step()
         loaded_host.step()

@@ -33,7 +33,13 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SIM = "src/repro/sim/cluster.py"
 CONTENTION = "src/repro/sim/contention.py"
-BATCH = "src/repro/sim/batch.py"
+ENGINE = "src/repro/sim/engine.py"
+#: The kernels that carry shape-annotated docstrings today.
+SHAPED_KERNELS = (
+    "src/repro/mds/incremental.py",
+    "src/repro/trajectory/histograms.py",
+    "src/repro/core/model_health.py",
+)
 
 
 def check(
@@ -141,8 +147,8 @@ class TestProjectIndex:
             "def outer(key):\n"
             "    inner(key)\n"
         )
-        project = ProjectIndex.from_source(source, BATCH)
-        found = project.transitive_global_mutations("repro.sim.batch.outer")
+        project = ProjectIndex.from_source(source, ENGINE)
+        found = project.transitive_global_mutations("repro.sim.engine.outer")
         assert any("_CACHE" in desc for _, _, desc in found)
 
 
@@ -358,7 +364,7 @@ class TestSA203:
         assert check(source, SA203ShapeContractRule(), rel_path=CONTENTION) == []
 
     def test_real_kernels_are_clean(self) -> None:
-        for rel in (CONTENTION, BATCH):
+        for rel in SHAPED_KERNELS:
             source = (REPO_ROOT / rel).read_text(encoding="utf-8")
             findings, _ = scan_source(
                 source, [SA203ShapeContractRule()], rel_path=rel
@@ -393,7 +399,7 @@ def run_all(payloads):
 
 class TestSA204:
     def test_worker_mutating_module_global(self) -> None:
-        findings = check(SHARD_BUG, SA204ShardSafetyRule(), rel_path=BATCH)
+        findings = check(SHARD_BUG, SA204ShardSafetyRule(), rel_path=ENGINE)
         assert [f.rule for f in findings] == ["SA204"]
         assert "_run_shard" in findings[0].message
 
@@ -408,7 +414,7 @@ class TestSA204:
             "def run(pool, xs):\n"
             "    return pool.map(_worker, xs)\n"
         )
-        findings = check(source, SA204ShardSafetyRule(), rel_path=BATCH)
+        findings = check(source, SA204ShardSafetyRule(), rel_path=ENGINE)
         assert len(findings) == 1
         assert "_helper" in findings[0].message
 
@@ -419,7 +425,7 @@ class TestSA204:
             "def run_all(pool, payloads):\n"
             "    return pool.map(_run_shard, payloads)\n"
         )
-        assert check(source, SA204ShardSafetyRule(), rel_path=BATCH) == []
+        assert check(source, SA204ShardSafetyRule(), rel_path=ENGINE) == []
 
     def test_process_target_keyword(self) -> None:
         source = (
@@ -431,7 +437,7 @@ class TestSA204:
             "    p = multiprocessing.Process(target=_worker)\n"
             "    p.start()\n"
         )
-        findings = check(source, SA204ShardSafetyRule(), rel_path=BATCH)
+        findings = check(source, SA204ShardSafetyRule(), rel_path=ENGINE)
         assert len(findings) == 1
 
     def test_map_on_non_pool_receiver_ignored(self) -> None:
@@ -442,7 +448,7 @@ class TestSA204:
             "def run(series, xs):\n"
             "    return series.map(_worker, xs)\n"
         )
-        assert check(source, SA204ShardSafetyRule(), rel_path=BATCH) == []
+        assert check(source, SA204ShardSafetyRule(), rel_path=ENGINE) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,28 @@
 """Unit tests for weighted water-filling and the weighted model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.sim.contention import WeightedWaterFillModel, weighted_water_fill
 from repro.sim.resources import Resource, ResourceVector, default_host_capacity
+
+SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
+
+#: One saturated fill (demand 7.16 over capacity 5.5) that takes several
+#: passes; printed with ``repr`` so a last-ulp difference shows.
+HASHSEED_PROBE = """
+from repro.sim.contention import weighted_water_fill
+names = ["web-frontend", "twitter-analysis", "cpubomb", "memorybomb",
+         "vlc-streaming", "soplex", "kmeans", "pagerank"]
+demands = {name: 0.3 + 0.17 * i for i, name in enumerate(names)}
+weights = {name: 0.1 + 0.73 * ((5 * i) % 8) for i, name in enumerate(names)}
+print(repr(list(weighted_water_fill(demands, weights, 5.5).items())))
+"""
 
 
 class TestWeightedWaterFill:
@@ -62,6 +80,22 @@ class TestWeightedWaterFill:
         )
         assert granted["vip"] == pytest.approx(3.0, abs=1e-6)
         assert granted["noise"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_waterfill_fold_is_insertion_ordered(self):
+        # Regression: the hungry set used to be a Python set of names,
+        # so the fold followed string-hash order and results varied in
+        # the last ulp with PYTHONHASHSEED.
+        env = {**os.environ, "PYTHONPATH": str(SRC_ROOT)}
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", HASHSEED_PROBE],
+                env={**env, "PYTHONHASHSEED": seed},
+                check=True, capture_output=True, text=True, timeout=60,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0].startswith("[('web-frontend', ")
+        assert outputs[0] == outputs[1]
 
 
 class TestWeightedWaterFillModel:

@@ -320,7 +320,7 @@ class _FunctionScanner(ast.NodeVisitor):
             typed = self.env.get(receiver.id)
             if typed is not None and typed != "rng":
                 return self._method_of(typed, func.attr)
-        # Chained constructor call: ``BatchEngine(...).run(...)``.
+        # Chained constructor call: ``SimulationEngine(...).run(...)``.
         if isinstance(receiver, ast.Call):
             inferred = self._infer_type(receiver)
             if inferred is not None and inferred != "rng":

@@ -12,12 +12,11 @@ the simulator *drives*, not one that reaches back into it:
 * ``monitoring`` must not import ``sim`` — sensors see value types
   (snapshots, vectors), not the machinery that produced them.
 * ``sim`` is substrate: it must not import ``core`` / ``monitoring`` /
-  ``baselines`` / ``experiments`` / ``analysis`` (or ``fleet``). This
-  matters doubly for the batched engine (``sim.batch``), which the
-  fleet layer and benchmarks drive at scale — an upward import there
-  would drag the whole control plane into every array worker process.
-  (``workloads`` is allowed: the scheduler places ``Application``
-  instances.)
+  ``baselines`` / ``experiments`` / ``analysis`` (or ``fleet``). The
+  fleet layer and the benchmarks drive it at scale — an upward import
+  would drag the whole control plane into every process that steps a
+  host. (``workloads`` is allowed: the scheduler places
+  ``Application`` instances.)
 * ``baselines`` must not import ``experiments`` / ``analysis`` — the
   comparators (reactive, Q-Clouds, GMM thresholds, …) are controller
   peers the harness drives; if one reached up into the harness or the

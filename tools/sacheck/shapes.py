@@ -1,13 +1,14 @@
 """SA203 — machine-checked docstring shape contracts.
 
-The batched kernels in ``repro.sim`` annotate every array parameter
-with a symbolic shape in its numpydoc docstring — ``demand: (C, R)``,
-``host_index: (C,)``, ``capacity: (H, R)`` — where each letter names a
-dimension (C containers, H hosts, R resources, P trace period, T
-ticks). Those annotations are the equivalence contract between the
-scalar and vector engines, but nothing checked them: transposing an
-``np.add.at`` argument or broadcasting a ``(C, R)`` row block against
-an ``(H, R)`` one is silent until the numbers disagree.
+The array kernels (``mds/incremental.py``, ``trajectory/histograms.py``,
+``core/model_health.py``) annotate array parameters with a symbolic
+shape in their numpydoc docstrings — ``starts: (S, D)``,
+``anchors: (N, D)``, ``deltas: (N,)`` — where each letter names a
+dimension (S stacked starts, N anchors, D map dimensions, B bins, W
+window length). Those annotations are the contract between a kernel
+and its callers, but nothing checked them: transposing an
+``np.add.at`` argument or broadcasting an ``(S, D)`` row block against
+an ``(N, D)`` one is silent until the numbers disagree.
 
 This rule parses the annotations into a symbolic shape environment and
 runs a miniature abstract interpreter over the function body:
