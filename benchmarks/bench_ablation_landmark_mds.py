@@ -15,7 +15,6 @@ from repro.analysis.reports import ascii_table
 from repro.mds.distances import pairwise_distances
 from repro.mds.landmark import landmark_mds_fit
 from repro.mds.smacof import smacof
-from repro.monitoring.normalize import CapacityNormalizer
 
 from benchmarks.helpers import banner, get_run
 
@@ -31,9 +30,7 @@ def run_experiment():
     run = get_run("stayaway", "webservice-memory", ("twitter-analysis",))
     controller = run.controller
     raw = np.vstack([sample.values for sample in controller.collector.samples])
-    normalizer = CapacityNormalizer(
-        run.built.host.capacity, vm_count=len(controller.collector.vm_names)
-    )
+    normalizer = controller.mapping.normalizer
     normalized = np.vstack([normalizer.normalize(row) for row in raw])
     # Subsample to a size where full SMACOF is still measurable quickly.
     points = normalized[::3][:300]

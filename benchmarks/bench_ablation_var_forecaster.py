@@ -17,7 +17,6 @@ the model is worse than doing nothing.
 import numpy as np
 
 from repro.analysis.reports import ascii_table
-from repro.monitoring.normalize import CapacityNormalizer
 from repro.trajectory.var import rolling_var_forecast_error
 
 from benchmarks.helpers import banner, get_run
@@ -40,9 +39,7 @@ def run_experiment():
     controller = run.controller
 
     raw = np.vstack([sample.values for sample in controller.collector.samples])
-    normalizer = CapacityNormalizer(
-        run.built.host.capacity, vm_count=len(controller.collector.vm_names)
-    )
+    normalizer = controller.mapping.normalizer
     high_dim = np.vstack([normalizer.normalize(row) for row in raw])
     low_dim = np.vstack([point.coords for point in controller.trajectory])
 

@@ -524,22 +524,20 @@ class GmmThresholdDetector:
 
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
         """Sample, judge, learn, and (when actuating) pause/resume."""
-        self.collector.on_tick(snapshot, host)
+        observation = host.observe(snapshot)
+        self.collector.on_tick(observation)
         self.qos.on_tick(snapshot, host)
         if snapshot.tick % self.period != 0:
             return
         if not self.model.bound:
             # Collector labels carry *container* names, which need not
             # match the protected application's own name.
-            sensitive_name = next(
-                (
-                    container.name
-                    for container in host.containers.values()
-                    if container.app is self.sensitive_app
-                ),
-                self.sensitive_app.name,
+            self.model.bind(
+                self.collector.labels,
+                observation.container_of(self.sensitive_app)
+                or self.sensitive_app.name,
+                observation.capacity[0],
             )
-            self.model.bind(self.collector.labels, sensitive_name, host.capacity.cpu)
         detected = self.model.update(snapshot.tick, self.collector.latest.values)
         if detected:
             self.alarm_ticks.append(snapshot.tick)

@@ -71,12 +71,6 @@ class QCloudsLike:
         self.decays = 0
         self._sensitive_name: Optional[str] = None
 
-    def current_weight(self, host: Host) -> float:
-        """The sensitive container's current scheduling weight."""
-        if self._sensitive_name is None:
-            return 1.0
-        return host.container(self._sensitive_name).weight
-
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
         """Adjust the sensitive container's weight from this tick's QoS."""
         self.qos.on_tick(snapshot, host)

@@ -21,21 +21,14 @@
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
-
-# The action stage drives the container actuators by design: in the
-# paper it is the host's LXC runtime, here the simulator stands in for
-# it (DESIGN.md). The exception/state value types are the boundary.
-from repro.sim.container import ContainerError, ContainerState
+from repro.observation import PAUSED, RUNNING, STOPPED, Observation
 from repro.telemetry.registry import MetricRegistry
-
-if TYPE_CHECKING:
-    from repro.sim.host import Host
 
 
 class ResumeReason(enum.Enum):
@@ -46,14 +39,19 @@ class ResumeReason(enum.Enum):
 
 
 class ThrottleManager:
-    """Owns the throttle state machine and the beta threshold."""
+    """Owns the throttle state machine and the beta threshold.
+
+    It reads the period's :class:`~repro.observation.Observation` and
+    writes through an ``actuator``: ``pause(name)`` / ``resume(name)``
+    answering "the container is in that state now".
+    """
 
     def __init__(
         self,
         config: StayAwayConfig,
         events: EventLog,
         rng: Optional[np.random.Generator] = None,
-        target_selector: Optional[Callable[[Host], List[str]]] = None,
+        target_selector: Optional[Callable[[Observation], List[str]]] = None,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
         self.config = config
@@ -143,7 +141,7 @@ class ThrottleManager:
         return int(self._c_escalations.value)
 
     # -- target selection -------------------------------------------------
-    def throttle_targets(self, host: Host) -> List[str]:
+    def throttle_targets(self, observation: Observation) -> List[str]:
         """Containers to pause when a throttle fires.
 
         By default: every running batch container. The paper
@@ -155,11 +153,11 @@ class ThrottleManager:
         sensitive containers (see :mod:`repro.core.priorities`).
         """
         if self._target_selector is not None:
-            return self._target_selector(host)
+            return self._target_selector(observation)
         return [
-            container.name
-            for container in host.batch_containers()
-            if container.is_running and not container.app.finished
+            row.name
+            for row in observation.rows
+            if not row.sensitive and row.state == RUNNING and not row.finished
         ]
 
     @property
@@ -173,7 +171,7 @@ class ThrottleManager:
         return {name: failures for name, (failures, _) in self._retry.items()}
 
     # -- reconciliation ----------------------------------------------------
-    def reconcile(self, tick: int, host: Host) -> None:
+    def reconcile(self, tick: int, observation: Observation, actuator) -> Observation:
         """Repair drift between the desired pause-set and reality.
 
         External agents race the controller: an operator SIGCONTs a
@@ -184,13 +182,18 @@ class ThrottleManager:
         are re-paused with capped exponential backoff, vanished ones
         are dropped from the bookkeeping, and repeated failures raise
         an escalation event.
+
+        Returns the observation with the re-paused containers reading
+        paused: what the rest of the period must decide on.
         """
         if not self.config.reconcile_actions or not self.throttling:
-            return
+            return observation
         period = self.config.period
+        states = observation.states()
+        repaused: List[str] = []
         for name in list(self._paused_names):
-            container = host.containers.get(name)
-            if container is None or container.state is ContainerState.STOPPED:
+            state = states.get(name)
+            if state is None or state == STOPPED:
                 self._paused_names.remove(name)
                 self._retry.pop(name, None)
                 self._c_drops.inc()
@@ -198,18 +201,15 @@ class ThrottleManager:
                     tick, EventKind.RECONCILE, target=name, action="drop"
                 )
                 continue
-            if not container.is_running:
+            if state != RUNNING:
                 self._retry.pop(name, None)
                 continue
             # Externally resumed (or a pause that never landed).
             failures, next_tick = self._retry.get(name, (0, tick))
             if tick < next_tick:
                 continue
-            try:
-                host.pause_container(name)
-            except ContainerError:
-                pass
-            if name in host.containers and host.container(name).is_paused:
+            if actuator.pause(name):
+                repaused.append(name)
                 self._retry.pop(name, None)
                 self._c_repauses.inc()
                 self.events.record(
@@ -237,8 +237,9 @@ class ThrottleManager:
                     )
         if not self._paused_names:
             self.throttling = False
+        return observation.with_paused(repaused)
 
-    def preemptive_pause(self, tick: int, host: Host) -> bool:
+    def preemptive_pause(self, tick: int, observation: Observation, actuator) -> bool:
         """Pause every throttle target immediately (degraded-mode entry).
 
         Flying blind — monitoring or QoS silent — the conservative move
@@ -247,49 +248,38 @@ class ThrottleManager:
         """
         if self.throttling:
             return False
-        targets = self.throttle_targets(host)
+        targets = self.throttle_targets(observation)
         if not targets:
             return False
-        for name in targets:
-            try:
-                host.pause_container(name)
-            except ContainerError:
-                pass
         self._paused_names = targets
         self._retry.clear()
-        self._seed_retries(tick, host, targets)
-        self.throttling = True
-        self._c_throttles.inc()
-        self._stagnant_periods = 0
-        self.events.record(
-            tick,
-            EventKind.THROTTLE,
-            targets=list(targets),
-            predicted=False,
-            observed=False,
-            degraded=True,
+        self._throttle(
+            tick, actuator, targets, predicted=False, observed=False, degraded=True
         )
         return True
 
-    def _seed_retries(self, tick: int, host: Host, names: List[str]) -> None:
-        """Register an immediate retry for any pause that did not land.
+    def _throttle(self, tick: int, actuator, names: List[str], **detail) -> None:
+        """One throttle round: pause ``names``, registering an immediate
+        retry for any pause that did not land.
 
         A lost SIGSTOP leaves the container running while the pause-set
         believes it stopped; recording the pending repair *now* keeps
         the bookkeeping honest between reconciliation rounds.
         """
-        if not self.config.reconcile_actions:
-            return
         for name in names:
-            container = host.containers.get(name)
-            if container is not None and container.is_running:
+            if not actuator.pause(name) and self.config.reconcile_actions:
                 self._retry[name] = (0, tick)
+        self.throttling = True
+        self._c_throttles.inc()
+        self._stagnant_periods = 0
+        self.events.record(tick, EventKind.THROTTLE, targets=list(names), **detail)
 
     # -- the per-period decision ---------------------------------------------
     def step(
         self,
         tick: int,
-        host: Host,
+        observation: Observation,
+        actuator,
         impending_violation: bool,
         observed_violation: bool,
         sensitive_step_distance: Optional[float],
@@ -312,17 +302,20 @@ class ThrottleManager:
             return False
         if self.throttling:
             if self._consider_extension(
-                tick, host, impending_violation, observed_violation
+                tick, observation, actuator, impending_violation, observed_violation
             ):
                 return True
-            self._consider_resume(tick, host, sensitive_step_distance)
+            self._consider_resume(tick, observation, actuator, sensitive_step_distance)
             return False
-        return self._consider_throttle(tick, host, impending_violation, observed_violation)
+        return self._consider_throttle(
+            tick, observation, actuator, impending_violation, observed_violation
+        )
 
     def _consider_extension(
         self,
         tick: int,
-        host: Host,
+        observation: Observation,
+        actuator,
         impending_violation: bool,
         observed_violation: bool,
     ) -> bool:
@@ -335,20 +328,15 @@ class ThrottleManager:
         if not (impending_violation or observed_violation):
             return False
         newcomers = [
-            name for name in self.throttle_targets(host) if name not in self._paused_names
+            name for name in self.throttle_targets(observation) if name not in self._paused_names
         ]
         if not newcomers:
             return False
-        for name in newcomers:
-            host.pause_container(name)
         self._paused_names.extend(newcomers)
-        self._seed_retries(tick, host, newcomers)
-        self._c_throttles.inc()
-        self._stagnant_periods = 0
-        self.events.record(
+        self._throttle(
             tick,
-            EventKind.THROTTLE,
-            targets=list(newcomers),
+            actuator,
+            newcomers,
             predicted=impending_violation,
             observed=observed_violation,
             extension=True,
@@ -358,27 +346,22 @@ class ThrottleManager:
     def _consider_throttle(
         self,
         tick: int,
-        host: Host,
+        observation: Observation,
+        actuator,
         impending_violation: bool,
         observed_violation: bool,
     ) -> bool:
         if not (impending_violation or observed_violation):
             return False
-        targets = self.throttle_targets(host)
+        targets = self.throttle_targets(observation)
         if not targets:
             return False
-        for name in targets:
-            host.pause_container(name)
         self._paused_names = targets
         self._retry.clear()
-        self._seed_retries(tick, host, targets)
-        self.throttling = True
-        self._c_throttles.inc()
-        self._stagnant_periods = 0
-        self.events.record(
+        self._throttle(
             tick,
-            EventKind.THROTTLE,
-            targets=list(targets),
+            actuator,
+            targets,
             predicted=impending_violation,
             observed=observed_violation,
         )
@@ -395,12 +378,15 @@ class ThrottleManager:
         return True
 
     def _consider_resume(
-        self, tick: int, host: Host, sensitive_step_distance: Optional[float]
+        self,
+        tick: int,
+        observation: Observation,
+        actuator,
+        sensitive_step_distance: Optional[float],
     ) -> None:
+        states = observation.states()
         resumable = [
-            name
-            for name in self._paused_names
-            if name in host.containers and host.container(name).is_paused
+            name for name in self._paused_names if states.get(name) == PAUSED
         ]
         if not resumable:
             # Batch jobs finished or were removed while paused.
@@ -410,19 +396,19 @@ class ThrottleManager:
             return
 
         if sensitive_step_distance is not None and sensitive_step_distance > self.beta:
-            self._resume(tick, host, resumable, ResumeReason.PHASE_CHANGE)
+            self._resume(tick, actuator, resumable, ResumeReason.PHASE_CHANGE)
             return
 
         self._stagnant_periods += 1
         if self._stagnant_periods >= self.config.starvation_patience:
             if self.rng.uniform() < self.config.probe_probability:
-                self._resume(tick, host, resumable, ResumeReason.PROBE)
+                self._resume(tick, actuator, resumable, ResumeReason.PROBE)
 
     def _resume(
-        self, tick: int, host: Host, names: List[str], reason: ResumeReason
+        self, tick: int, actuator, names: List[str], reason: ResumeReason
     ) -> None:
         for name in names:
-            host.resume_container(name)
+            actuator.resume(name)
         self.throttling = False
         self._paused_names = []
         self._retry.clear()

@@ -28,6 +28,7 @@ from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.guard import SensorGuard
 from repro.monitoring.normalize import CapacityNormalizer
 from repro.monitoring.qos import QosTracker
+from repro.observation import RUNNING, Observation
 from repro.telemetry import Telemetry
 from repro.trajectory.modes import ExecutionMode, classify_mode
 
@@ -216,25 +217,30 @@ class StayAway:
 
     # -- middleware interface -------------------------------------------------
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        """One monitoring tick; runs the full mechanism every period."""
-        self.collector.on_tick(snapshot, host)
-        self.qos.on_tick(snapshot, host)
-        if snapshot.tick % self.config.period != 0:
-            return
-        self._run_period(snapshot, host)
+        """One monitoring tick; runs the full mechanism every period.
 
-    def _run_period(self, snapshot: HostSnapshot, host: Host) -> None:
+        ``host`` is the whole port: the one ``observe(snapshot)`` here is
+        all a period reads, ``pause`` / ``resume`` are all it writes.
+        """
+        observation = host.observe(snapshot)
+        self.collector.on_tick(observation)
+        self.qos.on_tick(snapshot, host)
+        if observation.tick % self.config.period != 0:
+            return
+        self._run_period(observation, host)
+
+    def _run_period(self, observation: Observation, actuator) -> None:
         """One controller period, wrapped in its telemetry span."""
-        with self.telemetry.stage("controller.period", tick=snapshot.tick):
-            self._period(snapshot, host)
+        with self.telemetry.stage("controller.period", tick=observation.tick):
+            self._period(observation, actuator)
         self._c_periods.inc()
         self._g_beta.set(self.throttle.beta)
 
-    def _period(self, snapshot: HostSnapshot, host: Host) -> None:
-        tick = snapshot.tick
+    def _period(self, observation: Observation, actuator) -> None:
+        tick = observation.tick
         if self.mapping is None:
             normalizer = CapacityNormalizer(
-                host.capacity, vm_count=len(self.collector.vm_names)
+                observation.capacity, vm_count=len(self.collector.vm_names)
             )
             self.mapping = MappingPipeline(
                 normalizer, self.state_space, telemetry=self.telemetry
@@ -249,29 +255,23 @@ class StayAway:
             ):
                 # Collector labels carry *container* names, which need
                 # not match the protected application's own name.
-                sensitive_name = next(
-                    (
-                        container.name
-                        for container in host.containers.values()
-                        if container.app is self.sensitive_app
-                    ),
-                    self.sensitive_app.name,
-                )
                 self.aux_detector.bind(
                     self.collector.labels,
-                    sensitive_name,
-                    host.capacity.cpu,
+                    observation.container_of(self.sensitive_app)
+                    or self.sensitive_app.name,
+                    observation.capacity[0],
                 )
 
         # 0. Reconcile the desired pause-set against reality before
-        #    deciding anything on top of stale bookkeeping.
-        self.throttle.reconcile(tick, host)
+        #    deciding anything on top of stale bookkeeping (what it
+        #    re-pauses reads paused for the rest of the period).
+        observation = self.throttle.reconcile(tick, observation, actuator)
 
         violated = self.qos.violation_now
         if violated:
             self.events.record(tick, EventKind.VIOLATION)
 
-        mode = self._classify_mode(host)
+        mode = self._classify_mode(observation)
 
         # 0b. Sensor guard: validate/impute the raw measurement. A
         #     guard failure blinds this period (treated as a gap), it
@@ -321,7 +321,8 @@ class StayAway:
             self._c_gaps.inc()
             self._act(
                 tick,
-                host,
+                observation,
+                actuator,
                 impending=False,
                 observed=violated and mode is ExecutionMode.COLOCATED,
                 distance=None,
@@ -371,7 +372,8 @@ class StayAway:
         sensitive_distance = self._sensitive_step_distance(mode, mapped.coords)
         self._act(
             tick,
-            host,
+            observation,
+            actuator,
             impending=impending,
             observed=violated and mode is ExecutionMode.COLOCATED,
             distance=sensitive_distance,
@@ -436,7 +438,8 @@ class StayAway:
     def _stage_act(
         self,
         tick: int,
-        host: Host,
+        observation: Observation,
+        actuator,
         impending: bool,
         observed: bool,
         distance: Optional[float],
@@ -444,7 +447,8 @@ class StayAway:
         """Action stage: throttle/resume decision."""
         return self.throttle.step(
             tick,
-            host,
+            observation,
+            actuator,
             impending_violation=impending,
             observed_violation=observed,
             sensitive_step_distance=distance,
@@ -489,7 +493,8 @@ class StayAway:
     def _act(
         self,
         tick: int,
-        host: Host,
+        observation: Observation,
+        actuator,
         impending: bool,
         observed: bool,
         distance: Optional[float],
@@ -503,10 +508,10 @@ class StayAway:
         breaker closes again.
         """
         result = self._call_stage(
-            "act", tick, self._stage_act, tick, host, impending, observed, distance
+            "act", tick, self._stage_act, tick, observation, actuator, impending, observed, distance
         )
         if isinstance(result, _StageOutcome):
-            throttled_now = self.throttle.preemptive_pause(tick, host)
+            throttled_now = self.throttle.preemptive_pause(tick, observation, actuator)
         else:
             throttled_now = result
         if throttled_now:
@@ -530,7 +535,7 @@ class StayAway:
         self._qos_reports_seen = count
         return fresh
 
-    def _classify_mode(self, host: Host) -> ExecutionMode:
+    def _classify_mode(self, observation: Observation) -> ExecutionMode:
         """Execution mode from this controller's perspective.
 
         "Sensitive" means the protected application itself; "batch"
@@ -539,12 +544,12 @@ class StayAway:
         scheme also lower-priority sensitive tenants.
         """
         sensitive_active = any(
-            container.app is self.sensitive_app
-            and container.is_running
-            and not container.app.finished
-            for container in host.containers.values()
+            row.app is self.sensitive_app
+            and row.state == RUNNING
+            and not row.finished
+            for row in observation.rows
         )
-        batch_active = bool(self.throttle.throttle_targets(host))
+        batch_active = bool(self.throttle.throttle_targets(observation))
         return classify_mode(sensitive_active, batch_active)
 
     def _sensitive_step_distance(

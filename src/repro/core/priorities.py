@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
+from repro.observation import RUNNING, Observation
 
 if TYPE_CHECKING:
     from repro.sim.host import Host, HostSnapshot
@@ -91,20 +92,22 @@ class PrioritizedStayAway:
     def _make_selector(self, protected_priority: int):
         """Throttle targets for a controller protecting one priority level."""
 
-        def selector(host: Host) -> List[str]:
+        def selector(observation: Observation) -> List[str]:
             targets: List[str] = []
-            for container in host.containers.values():
-                if not container.is_running or container.app.finished:
+            for row in observation.rows:
+                if row.state != RUNNING or row.finished:
                     continue
-                if not container.sensitive:
-                    targets.append(container.name)
+                if not row.sensitive:
+                    targets.append(row.name)
                     continue
-                victim_priority = self._priority_by_app.get(container.app.name)
+                victim_priority = next(
+                    (e.priority for e in self.entries if e.app is row.app), None
+                )
                 if (
                     victim_priority is not None
                     and victim_priority < protected_priority
                 ):
-                    targets.append(container.name)
+                    targets.append(row.name)
             return targets
 
         return selector

@@ -102,13 +102,6 @@ class SupervisedMigration:
         """Whether the supervisor is done with this migration."""
         return self.state in MigrationState.TERMINAL
 
-    @property
-    def active_record(self) -> Optional[MigrationRecord]:
-        """The in-flight cluster record, if the migration is copying."""
-        if self.records and self.records[-1].outcome == MIGRATION_IN_FLIGHT:
-            return self.records[-1]
-        return None
-
     def _move(self, tick: int, state: str, reason: str = "") -> None:
         self.state = state
         self.transitions.append((tick, state))

@@ -1,7 +1,8 @@
 """Per-tick metric collection from the host.
 
-:class:`MetricsCollector` is the monitoring agent middleware. Each tick
-it reads every container's usage snapshot and emits one flat
+:class:`MetricsCollector` is the monitoring agent. Each tick it reads
+every container's usage row out of the tick's
+:class:`~repro.observation.Observation` and emits one flat
 :class:`~repro.monitoring.metrics.MeasurementVector`.
 
 Per the paper's scalability rule (§5), all batch containers can be
@@ -13,25 +14,20 @@ low-dimensional regardless of how many batch jobs are co-located.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+import operator
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.monitoring.metrics import VM_METRICS, MeasurementVector, metric_labels
-
-# ResourceVector/sum_vectors are the value types the sensor reads out of
-# a snapshot; they are the monitoring<->sim data boundary (DESIGN.md).
-from repro.sim.resources import ResourceVector, sum_vectors
-
-if TYPE_CHECKING:
-    from repro.sim.host import Host, HostSnapshot
+from repro.monitoring.metrics import MeasurementVector, metric_labels
+from repro.observation import ZERO_USAGE, ContainerRow, Observation
 
 #: Label used for the aggregated batch logical VM.
 BATCH_LOGICAL_VM = "batch"
 
 
 class MetricsCollector:
-    """Middleware that samples per-VM metrics every tick.
+    """Samples per-VM metrics every tick.
 
     Parameters
     ----------
@@ -56,12 +52,12 @@ class MetricsCollector:
         self._labels: Optional[Tuple[str, ...]] = None
         self._vm_names: Optional[Tuple[str, ...]] = None
 
-    def _resolve_vms(self, host: Host) -> Tuple[str, ...]:
-        sensitive = sorted(c.name for c in host.sensitive_containers())
+    def _resolve_vms(self, rows: Tuple[ContainerRow, ...]) -> Tuple[str, ...]:
+        sensitive = sorted(row.name for row in rows if row.sensitive)
         if self.aggregate_batch:
             names = tuple(sensitive) + (BATCH_LOGICAL_VM,)
         else:
-            batch = sorted(c.name for c in host.batch_containers())
+            batch = sorted(row.name for row in rows if not row.sensitive)
             names = tuple(sensitive) + tuple(batch)
         return names
 
@@ -84,30 +80,34 @@ class MetricsCollector:
         """Measurement-vector dimension (5 metrics per VM block)."""
         return len(self.labels)
 
-    def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        """Sample the snapshot into a measurement vector."""
+    def on_tick(self, observation: Observation) -> None:
+        """Sample the observation into a measurement vector.
+
+        The logical batch VM is summed in container-name order — the one
+        fold order an in-process host and a stream view can both produce.
+        """
+        rows = observation.rows
         if self._vm_names is None:
-            self._vm_names = self._resolve_vms(host)
+            self._vm_names = self._resolve_vms(rows)
             self._labels = tuple(metric_labels(list(self._vm_names)))
 
-        batch_names = {c.name for c in host.batch_containers()}
-        blocks: List[ResourceVector] = []
+        usage = {row.name: row.usage for row in rows}
+        values: List[float] = []
         for vm in self._vm_names:
             if vm == BATCH_LOGICAL_VM:
-                usage = sum_vectors(
-                    snapshot.usage.get(name, ResourceVector.zero())
-                    for name in batch_names
-                )
+                block = ZERO_USAGE
+                for name in sorted(row.name for row in rows if not row.sensitive):
+                    block = tuple(map(operator.add, block, usage[name]))
             else:
-                usage = snapshot.usage.get(vm, ResourceVector.zero())
-            blocks.append(usage)
+                block = usage.get(vm, ZERO_USAGE)
+            values.extend(block)
 
-        values = np.asarray(
-            [block.get(metric) for block in blocks for metric in VM_METRICS],
-            dtype=float,
-        )
         self.samples.append(
-            MeasurementVector(tick=snapshot.tick, labels=self._labels, values=values)
+            MeasurementVector(
+                tick=observation.tick,
+                labels=self._labels,
+                values=np.asarray(values, dtype=float),
+            )
         )
 
     @property

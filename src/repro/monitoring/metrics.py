@@ -15,21 +15,15 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.resources import Resource
+from repro.observation import METRICS
 
 #: Per-VM metric order inside a measurement vector.
-VM_METRICS: Tuple[Resource, ...] = (
-    Resource.CPU,
-    Resource.MEMORY,
-    Resource.MEMORY_BW,
-    Resource.DISK_IO,
-    Resource.NETWORK,
-)
+VM_METRICS: Tuple[str, ...] = METRICS
 
 
 def metric_labels(vm_names: Sequence[str]) -> List[str]:
     """Flat labels ``"<vm>:<metric>"`` in canonical order."""
-    return [f"{vm}:{metric.value}" for vm in vm_names for metric in VM_METRICS]
+    return [f"{vm}:{metric}" for vm in vm_names for metric in VM_METRICS]
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,11 @@ Two normalizers are provided:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.monitoring.metrics import VM_METRICS
-
-if TYPE_CHECKING:
-    from repro.sim.resources import ResourceVector
 
 
 @runtime_checkable
@@ -45,22 +42,19 @@ class CapacityNormalizer:
     Parameters
     ----------
     capacity:
-        Host capacity vector; each VM's metric block is divided by the
-        corresponding capacities.
+        Host capacity, one bound per metric of ``VM_METRICS``; each
+        VM's metric block is divided by the corresponding capacities.
     vm_count:
         Number of VM blocks in the measurement vector.
     """
 
-    def __init__(self, capacity: ResourceVector, vm_count: int) -> None:
+    def __init__(self, capacity: Sequence[float], vm_count: int) -> None:
         if vm_count < 1:
             raise ValueError("vm_count must be >= 1")
-        scales = []
-        for metric in VM_METRICS:
-            bound = capacity.get(metric)
+        for metric, bound in zip(VM_METRICS, capacity):
             if bound <= 0:
-                raise ValueError(f"capacity for {metric.name} must be positive")
-            scales.append(bound)
-        self._scale = np.tile(np.asarray(scales, dtype=float), vm_count)
+                raise ValueError(f"capacity for {metric} must be positive")
+        self._scale = np.tile(np.asarray(capacity, dtype=float), vm_count)
         self.vm_count = vm_count
 
     @property

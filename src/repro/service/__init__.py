@@ -14,9 +14,10 @@ behind the ``monitoring`` seam into a standalone service:
   metric)``, holds per-cell last values over partial ticks and closes
   ticks on watermark expiry so the controller steps on
   partial-but-bounded data instead of blocking;
-* :mod:`repro.service.views` — host/snapshot value-object views that
-  let the unmodified :class:`~repro.core.controller.StayAway` run
-  against assembled stream state;
+* :mod:`repro.service.views` — the stream's side of the controller's
+  port: closed ticks folded into the
+  :class:`~repro.observation.Observation` the unmodified
+  :class:`~repro.core.controller.StayAway` reads;
 * :mod:`repro.service.actuator` — the pluggable acknowledged actuation
   seam: every pause/resume command must be acked within a timeout,
   unacked commands retry with backoff and finally land in a
@@ -34,8 +35,7 @@ behind the ``monitoring`` seam into a standalone service:
   source reads back (closing the Prometheus round trip).
 
 Layering: ``service`` imports ``core``/``monitoring``/``telemetry``
-(plus sim/workloads *value types*, baselined like the monitoring
-boundary); nothing below it may import ``service``.
+and nothing of ``sim``; nothing below it may import ``service``.
 """
 
 from repro.service.actuator import (

@@ -16,7 +16,8 @@ bridges the two with a watermark protocol:
 * records for already-closed ticks are counted ``stream.late`` and
   dropped — the controller has moved on;
 * records of the wrong shape (not a mapping, a non-integer tick, a
-  non-numeric value, an unhashable container name) are counted
+  non-numeric value, an unhashable container name, a header whose
+  capacity is not five finite positive numbers) are counted
   ``stream.malformed`` and dropped whole — untrusted input is rejected
   with a counted reason, never an exception out of :meth:`offer`;
 * cells still missing at close are counted ``stream.dropped``, filled
@@ -48,9 +49,11 @@ assembled arm under the same faults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.observation import METRICS
 from repro.telemetry.registry import MetricRegistry
 
 #: A metric cell address within one tick: ``(host, container, metric)``.
@@ -208,16 +211,21 @@ class StreamAssembler:
         """Accept one wire record (any order, any number of times).
 
         A record of the wrong shape — not a mapping, a non-integer
-        tick, a non-numeric value, an unhashable container name — is
-        counted ``stream.malformed`` and dropped whole: every field is
-        decoded before anything of the record is applied, so the next
+        tick, a non-numeric value, an unhashable container name, a
+        header without five finite positive capacities — is counted
+        ``stream.malformed`` and dropped whole: every field is decoded
+        before anything of the record is applied, so the next
         well-formed record for the same tick lands as if the bad one
-        had never arrived.
+        had never arrived (and the next valid header is the one
+        adopted).
         """
         try:
             kind = record.get("kind")
             if kind == "header":
                 containers = sorted(record.get("containers", {}).items())
+                bounds = [float(record.get("capacity").get(m)) for m in METRICS]
+                if not all(0.0 < bound < math.inf for bound in bounds):
+                    raise ValueError("capacity must be five finite positive bounds")
             else:
                 tick = record.get("tick")
                 if not isinstance(tick, int):

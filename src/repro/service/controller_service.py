@@ -22,9 +22,10 @@ against assembled stream state instead of live simulator snapshots:
   forced DEGRADED (reason ``stream-stall``): no fresh world, no
   trusted predictions. The machine's normal resync rule recovers once
   data flows again.
-* **Actuation** — the controller's pause/resume calls flip the
-  :class:`~repro.service.views.HostView` optimistically and travel
-  through the :class:`~repro.service.actuator.AckTracker`; a
+* **Actuation** — the controller's pause/resume calls travel through
+  the :class:`~repro.service.actuator.AckTracker`, and the
+  :class:`~repro.service.views.HostView` reads a container with a
+  command in flight as that command intends; a
   dead-lettered command is recorded as an ``ACTION_ESCALATION`` event
   in the controller's own log — one escalation stream for both repair
   budgets and actuation failures.
@@ -45,7 +46,7 @@ from repro.telemetry import Telemetry
 from repro.service.actuator import Actuator, ActuatorCommand, AckTracker, NullActuator
 from repro.service.assembler import ClosedTick, StreamAssembler
 from repro.service.stream import StreamError, StreamSource
-from repro.service.views import HostView, StreamApp, StreamQosChannel
+from repro.service.views import HostView, StreamQosChannel
 
 #: Event kinds that constitute the pause/resume decision sequence the
 #: replay-determinism gate compares.
@@ -101,7 +102,8 @@ class ControllerService:
         self.config = config if config is not None else StayAwayConfig()
         self.source = source
         self.telemetry = Telemetry(enabled=self.config.telemetry)
-        self.sensitive_app = StreamApp(name="", sensitive=True)
+        #: Opaque identity the view puts on the protected container's row.
+        self.sensitive_app = object()
         self.qos_channel = StreamQosChannel()
         self.controller = StayAway(
             self.sensitive_app,
@@ -231,9 +233,8 @@ class ControllerService:
                 continue  # no header yet; nothing to describe the world with
             if tick.qos is not None:
                 self.qos_channel.ingest(tick.tick, tick.qos[0], tick.qos[1])
-            pinned = set(self.tracker.pending_containers())
-            snapshot = self.host.apply(tick, pinned=pinned)
-            self.controller.on_tick(snapshot, self.host)
+            observation = self.host.apply(tick, self.tracker.pending_containers())
+            self.controller.on_tick(observation, self.host)
             self.tracker.step(tick.tick)
             self._ticks_processed += 1
             stepped += 1

@@ -1,89 +1,36 @@
-"""Host/snapshot views over assembled stream state.
+"""The stream's side of the controller's port.
 
-The :class:`~repro.core.controller.StayAway` controller was written
-against the simulator's ``Host``/``HostSnapshot`` surface. Rather than
-fork the controller for the service, this module rebuilds exactly the
-slice of that surface the controller touches, backed by
-:class:`~repro.service.assembler.ClosedTick` data:
+:class:`~repro.core.controller.StayAway` reads one
+:class:`~repro.observation.Observation` a tick and writes pause /
+resume (see :mod:`repro.observation`). Over a stream:
 
-* :class:`StreamApp` — the application shim (``name`` / ``finished`` /
-  ``is_sensitive``); the sensitive one doubles as the controller's
-  ``sensitive_app`` identity.
-* :class:`ContainerView` — name, lifecycle state (the *real*
-  :class:`~repro.sim.container.ContainerState` enum, so
-  ``core.action``'s reconciliation comparisons hold), sensitivity and
-  the hosted :class:`StreamApp`.
-* :class:`HostView` — capacity, the containers dict,
-  ``sensitive_containers``/``batch_containers`` and the
-  ``pause_container``/``resume_container`` action surface. Actions are
-  *optimistic*: the local view flips state immediately (the controller
-  reasons over its intended world, exactly as the sim's instant
-  signals behave) while the real command travels through the
-  acknowledged actuator; the stream's own state records re-assert
-  reality on every refresh, except for containers with an in-flight
-  command (``pinned``), whose optimistic state wins until the command
-  resolves.
+* :class:`HostView` folds each
+  :class:`~repro.service.assembler.ClosedTick` into that Observation
+  (a container with a command in flight reads what the command
+  intends) and forwards ``pause`` / ``resume`` to the acknowledged
+  actuator.
 * :class:`StreamQosChannel` — the QosTracker-compatible violation
   channel fed from ``qos`` wire records.
-
-Snapshots handed to the controller are genuine
-:class:`~repro.sim.host.HostSnapshot` value objects (the established
-monitoring<->sim data boundary), so the collector code path is
-byte-for-byte the in-process one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.monitoring.qos import QosChannel
-
-# Value types only: the service reads and fabricates the same
-# snapshot/state/vector objects the monitoring boundary already
-# exchanges with the simulator (baselined, like monitoring.collector).
-from repro.sim.container import ContainerError, ContainerState
-from repro.sim.host import HostSnapshot
-from repro.sim.resources import Resource, ResourceVector
+from repro.observation import (
+    CREATED,
+    LIFECYCLE,
+    METRICS,
+    PAUSED,
+    RUNNING,
+    ZERO_USAGE,
+    ContainerRow,
+    Observation,
+)
 
 from repro.service.assembler import ClosedTick
-
-
-@dataclass
-class StreamApp:
-    """Application shim behind a streamed container.
-
-    The controller only ever asks an application for its ``name``,
-    ``finished`` flag and (for the QoS tracker constructor it does not
-    use here) ``is_sensitive`` — this is that surface, updated from
-    ``state`` wire records.
-    """
-
-    name: str
-    sensitive: bool = False
-    finished: bool = False
-
-    @property
-    def is_sensitive(self) -> bool:
-        return self.sensitive
-
-
-@dataclass
-class ContainerView:
-    """One container as the stream describes it."""
-
-    name: str
-    app: StreamApp
-    sensitive: bool = False
-    state: ContainerState = ContainerState.CREATED
-
-    @property
-    def is_running(self) -> bool:
-        return self.state is ContainerState.RUNNING
-
-    @property
-    def is_paused(self) -> bool:
-        return self.state is ContainerState.PAUSED
 
 
 @dataclass(frozen=True)
@@ -118,143 +65,96 @@ class StreamQosChannel(QosChannel):
         """No-op: reports arrive from the stream, not the app object."""
 
 
-def _capacity_from_header(capacity: Dict[str, float]) -> ResourceVector:
-    values = {}
-    for metric, value in capacity.items():
-        try:
-            values[Resource(metric)] = float(value)
-        except ValueError:
-            continue  # unknown metric family in the stream; ignore
-    return ResourceVector.from_mapping(values)
-
-
-def _state_from_wire(state: str) -> ContainerState:
-    try:
-        return ContainerState(state)
-    except ValueError:
-        return ContainerState.RUNNING
-
-
 class HostView:
-    """The controller-facing host, reconstructed from the stream.
+    """The controller-facing host, folded from the stream.
 
     Parameters
     ----------
     header:
-        The stream ``header`` record (host name, capacity, container
-        kinds, sensitive container name).
+        The stream ``header`` record (capacity, container kinds,
+        sensitive container name), as the assembler adopted it.
     sensitive_app:
-        The :class:`StreamApp` standing in for the protected
-        application — the *same instance* handed to the controller as
-        ``sensitive_app`` so identity-based mode classification works.
+        The identity the controller was given as ``sensitive_app``; the
+        protected container's row carries it as ``app`` so
+        identity-based mode classification works.
     submit:
-        Callable ``submit(verb, container)`` the optimistic
-        ``pause_container``/``resume_container`` calls forward to —
-        the acknowledged-actuation entry point. ``None`` means local
-        state only (replay against a recording needs no real actions).
+        Callable ``submit(verb, container)`` that ``pause`` / ``resume``
+        forward to — the acknowledged-actuation entry point.
     """
 
     def __init__(
         self,
         header: dict,
-        sensitive_app: StreamApp,
-        submit=None,
+        sensitive_app: object,
+        submit: Callable[[str, str], object],
     ) -> None:
-        self.name: str = header.get("host", "host0")
-        self.capacity: ResourceVector = _capacity_from_header(
-            header.get("capacity", {})
-        )
+        self.capacity = tuple(float(header["capacity"][m]) for m in METRICS)
         self._submit = submit
-        self._sensitive_app = sensitive_app
+        self._unbound_app: Optional[object] = sensitive_app
         self._sensitive_name: str = header.get("sensitive", "")
-        self._sensitive_bound = False
-        self.containers: Dict[str, ContainerView] = {}
+        #: Admission order -> the container's row as the stream last
+        #: described it (usage is filled in per tick).
+        self._held: Dict[str, ContainerRow] = {}
         for container, kind in sorted(header.get("containers", {}).items()):
             self._admit(container, sensitive=kind == "sensitive")
 
-    def _admit(self, name: str, sensitive: bool) -> ContainerView:
-        binds = sensitive and not self._sensitive_bound and (
-            name == self._sensitive_name or not self._sensitive_name
-        )
-        if binds:
-            self._sensitive_app.name = name
-            self._sensitive_app.sensitive = True
-            self._sensitive_bound = True
-            app = self._sensitive_app
-        else:
-            app = StreamApp(name=name, sensitive=sensitive)
-        view = ContainerView(name=name, app=app, sensitive=sensitive)
-        self.containers[name] = view
-        return view
+    def _admit(self, name: str, sensitive: bool) -> ContainerRow:
+        app = None
+        if sensitive and self._sensitive_name in ("", name):
+            app, self._unbound_app = self._unbound_app, None
+        row = ContainerRow(name, ZERO_USAGE, CREATED, False, sensitive, app)
+        self._held[name] = row
+        return row
 
-    # -- Host surface the controller touches ----------------------------
-    def container(self, name: str) -> ContainerView:
-        return self.containers[name]
+    # -- the controller's port -------------------------------------------
+    def observe(self, reading: Observation) -> Observation:
+        """The service's reading of a tick *is* what :meth:`apply` folded."""
+        return reading
 
-    def sensitive_containers(self) -> List[ContainerView]:
-        return [c for c in self.containers.values() if c.sensitive]
+    def pause(self, name: str) -> bool:
+        self._submit("pause", name)
+        return True
 
-    def batch_containers(self) -> List[ContainerView]:
-        return [c for c in self.containers.values() if not c.sensitive]
-
-    def pause_container(self, name: str) -> None:
-        view = self.containers[name]
-        if view.state is ContainerState.STOPPED:
-            raise ContainerError(f"cannot pause stopped container {name!r}")
-        already_paused = view.state is ContainerState.PAUSED
-        view.state = ContainerState.PAUSED
-        if self._submit is not None and not already_paused:
-            self._submit("pause", name)
-
-    def resume_container(self, name: str) -> None:
-        view = self.containers[name]
-        if view.state is ContainerState.STOPPED:
-            raise ContainerError(f"cannot resume stopped container {name!r}")
-        already_running = view.state is ContainerState.RUNNING
-        view.state = ContainerState.RUNNING
-        if self._submit is not None and not already_running:
-            self._submit("resume", name)
+    def resume(self, name: str) -> bool:
+        self._submit("resume", name)
+        return True
 
     # -- stream refresh --------------------------------------------------
-    def apply(
-        self, closed: ClosedTick, pinned: Optional[Set[str]] = None
-    ) -> HostSnapshot:
-        """Fold one closed tick into the view; return its snapshot.
+    def apply(self, closed: ClosedTick, pinned: Mapping[str, str]) -> Observation:
+        """Fold one closed tick into the view; return its Observation.
 
-        ``pinned`` names containers with an in-flight actuator command:
-        their locally-intended state is kept (the stream is reporting a
-        world from before the command landed); everyone else's state is
-        re-asserted from the stream — which is exactly how externally
-        resumed containers become visible to ``ThrottleManager``'s
-        reconciliation.
+        ``pinned`` maps containers with an in-flight actuator command
+        to its verb (``AckTracker.pending_containers()``): they read
+        the state that verb intends — the controller reasons over its
+        intended world, exactly as the sim's instant signals behave,
+        while the stream still reports the world from before the
+        command landed. Everyone else reads the state the stream last
+        reported, so once a command is acked or dead-lettered the
+        stream re-asserts reality — which is how externally resumed
+        containers become visible to ``ThrottleManager``'s
+        reconciliation. A state string this build does not know reads
+        as running, a metric family it does not know is ignored.
         """
-        pinned = pinned or set()
+        held = self._held
         for name, (state, finished, sensitive) in sorted(closed.states.items()):
-            view = self.containers.get(name)
-            if view is None:
-                view = self._admit(name, sensitive=sensitive)
-            view.app.finished = bool(finished)
-            if name not in pinned:
-                view.state = _state_from_wire(state)
-
-        usage: Dict[str, ResourceVector] = {}
-        for name in self.containers:
-            metrics = closed.usage.get(name)
-            if metrics is None:
-                usage[name] = ResourceVector.zero()
-            else:
-                usage[name] = _capacity_from_header(metrics)
+            row = held.get(name) or self._admit(name, sensitive=sensitive)
+            held[name] = row._replace(
+                state=state if state in LIFECYCLE else RUNNING,
+                finished=bool(finished),
+            )
         # Containers that streamed usage before any state record.
-        for name, metrics in sorted(closed.usage.items()):
-            if name not in usage:
-                self._admit(name, sensitive=False)
-                usage[name] = _capacity_from_header(metrics)
+        for name in sorted(closed.usage.keys() - held.keys()):
+            self._admit(name, sensitive=False)
 
-        states = {name: view.state for name, view in self.containers.items()}
-        return HostSnapshot(
-            tick=closed.tick,
-            usage=usage,
-            allocations={},
-            states=states,
-            swap_ratio=1.0,
-        )
+        rows = []
+        for name, row in held.items():
+            metrics = closed.usage.get(name)
+            if metrics is not None:
+                row = row._replace(
+                    usage=tuple(float(metrics.get(m, 0.0)) for m in METRICS)
+                )
+            verb = pinned.get(name)
+            if verb is not None:
+                row = row._replace(state=PAUSED if verb == "pause" else RUNNING)
+            rows.append(row)
+        return Observation(closed.tick, self.capacity, tuple(rows))

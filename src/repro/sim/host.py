@@ -14,11 +14,13 @@ floating-point fold order the determinism contract in
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.observation import ContainerRow, Observation, ZERO_USAGE
 from repro.sim.clock import SimulationClock
-from repro.sim.container import Container, ContainerState
+from repro.sim.container import Container, ContainerError, ContainerState
 from repro.sim.contention import (
     Allocation,
     ContentionModel,
@@ -68,6 +70,11 @@ class HostSnapshot:
         if cpu_capacity <= 0:
             return 0.0
         return min(1.0, self.total_usage().get(Resource.CPU) / cpu_capacity)
+
+
+def _as_usage(vector: ResourceVector) -> Tuple[float, ...]:
+    """A resource vector as five floats in wire-metric order."""
+    return (vector.cpu, vector.memory, vector.memory_bw, vector.disk_io, vector.network)
 
 
 class Host:
@@ -136,6 +143,38 @@ class Host:
     def resume_container(self, name: str) -> None:
         """Send SIGCONT to a container's process group."""
         self._containers[name].resume()
+
+    # -- the controller's port --------------------------------------------
+    def observe(self, snapshot: HostSnapshot) -> Observation:
+        """The host as a controller period reads it: usage from
+        ``snapshot`` (what the monitoring channel delivered, faults
+        included), lifecycle state read live — whatever a middleware
+        registered earlier did this tick is seen the same tick."""
+        usage = snapshot.usage
+        rows = tuple(
+            ContainerRow(
+                name,
+                _as_usage(usage[name]) if name in usage else ZERO_USAGE,
+                container.state.value,
+                container.app.finished,
+                container.sensitive,
+                container.app,
+            )
+            for name, container in self._containers.items()
+        )
+        return Observation(snapshot.tick, _as_usage(self.capacity), rows)
+
+    def pause(self, name: str) -> bool:
+        """SIGSTOP ``name``; True when it is paused now (a refusal is an answer)."""
+        with suppress(KeyError, ContainerError):
+            self.pause_container(name)
+        return name in self._containers and self._containers[name].is_paused
+
+    def resume(self, name: str) -> bool:
+        """SIGCONT ``name``; True when it is running now (a refusal is an answer)."""
+        with suppress(KeyError, ContainerError):
+            self.resume_container(name)
+        return name in self._containers and self._containers[name].is_running
 
     # -- simulation -----------------------------------------------------
     #

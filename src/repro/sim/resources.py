@@ -143,10 +143,6 @@ class ResourceVector:
             network=min(self.network, limits.network),
         )
 
-    def total_positive(self) -> float:
-        """Sum over all dimensions (useful only for emptiness checks)."""
-        return sum(value for _, value in self.items())
-
     def is_zero(self, tolerance: float = 1e-12) -> bool:
         """True when every dimension is (numerically) zero."""
         return all(abs(value) <= tolerance for _, value in self.items())

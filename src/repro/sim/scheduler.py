@@ -15,12 +15,14 @@ applications placed onto the least-loaded compatible host.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.sim.cluster import Cluster
 from repro.sim.container import Container
 from repro.sim.resources import Resource, ResourceVector
-from repro.workloads.base import Application
+
+if TYPE_CHECKING:  # workloads.base imports repro.sim: annotation only
+    from repro.workloads.base import Application
 
 
 @dataclass(frozen=True)

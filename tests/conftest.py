@@ -94,6 +94,12 @@ class CountingApp:
         return False
 
 
+def observed(host: Host):
+    """The host as a controller reads it right now: live lifecycle
+    state, the usage of the last tick stepped."""
+    return host.observe(host.history[-1])
+
+
 @pytest.fixture
 def constant_app() -> ConstantApp:
     return ConstantApp()

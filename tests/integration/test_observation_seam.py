@@ -1,0 +1,210 @@
+"""The controller's port, from both sides.
+
+A period reads one :class:`~repro.observation.Observation` and writes
+pause / resume. These tests pin the three properties the seam rests on:
+the stream's fold of a recorded tick *is* the in-process observation of
+that tick (which is why ``stream_replay`` equals its reference), a
+container with a command in flight reads what the command intends, and
+lifecycle state is read live, the same tick something else changed it.
+"""
+
+import json
+
+import pytest
+
+from repro.core.action import ThrottleManager
+from repro.core.config import StayAwayConfig
+from repro.core.controller import StayAway
+from repro.core.events import EventKind, EventLog
+from repro.core.priorities import PrioritizedStayAway
+from repro.experiments.scenarios import Scenario
+from repro.observation import PAUSED, RUNNING
+from repro.service.actuator import AckTracker, Actuator
+from repro.service.assembler import ClosedTick, StreamAssembler
+from repro.service.recording import StreamRecorder
+from repro.service.views import HostView
+from repro.sim.container import Container, ContainerState
+from repro.sim.engine import SimulationEngine
+from repro.sim.faults import ContainerFlapper
+from repro.sim.host import Host
+from repro.sim.resources import ResourceVector
+
+from tests.conftest import ConstantApp, SensitiveStub, observed
+
+TABLE1_PAIRS = [
+    ("vlc-streaming", ("cpubomb",)),
+    ("webservice-mix", ("twitter-analysis",)),
+    ("webservice-cpu", ("twitter-analysis", "soplex")),
+]
+
+
+@pytest.mark.parametrize("sensitive,batches", TABLE1_PAIRS)
+def test_stream_fold_equals_in_process_observation(sensitive, batches):
+    ticks = 240
+    built = Scenario(sensitive, batches, ticks=ticks, seed=5).build()
+    host, app = built.host, built.sensitive_app
+    controller = StayAway(app, config=StayAwayConfig(seed=5, telemetry=False))
+    recorder = StreamRecorder(sensitive_app=app)
+    live = []
+    for _ in range(ticks):
+        snapshot = host.step()
+        recorder.on_tick(snapshot, host)
+        live.append(host.observe(snapshot))  # what the controller is about to read
+        controller.on_tick(snapshot, host)
+    assert controller.throttle.throttle_count > 0  # paused rows are in the run
+
+    assembler = StreamAssembler(watermark=0)
+    for record in json.loads(json.dumps(recorder.records)):  # over the wire
+        assembler.offer(record)
+    closed = assembler.due(force=True)
+    assert len(closed) == ticks
+    token = object()
+    view = HostView(assembler.header, token, submit=None)
+    for tick, expected in zip(closed, live):
+        folded = view.apply(tick, pinned={})
+        assert (folded.tick, folded.capacity) == (expected.tick, expected.capacity)
+        rows = {row.name: row for row in folded.rows}
+        assert sorted(rows) == sorted(row.name for row in expected.rows)
+        for want in expected.rows:
+            got = rows[want.name]
+            assert got.usage == want.usage  # floats, bit for bit
+            assert got[2:5] == want[2:5]  # state, finished, sensitive
+            assert (got.app is token) == (want.app is app)
+
+
+HEADER = {
+    "kind": "header",
+    "host": "host0",
+    "capacity": {
+        "cpu": 4.0, "memory": 8192.0, "memory_bw": 1e4, "disk_io": 150.0, "network": 1e3,
+    },
+    "containers": {"bomb": "batch", "sens": "sensitive"},
+    "sensitive": "sens",
+}
+
+
+def closed_tick(tick, bomb_state):
+    """What the stream says at ``tick``: ``bomb`` is in ``bomb_state``."""
+    return ClosedTick(
+        tick=tick,
+        host="host0",
+        usage={"sens": {"cpu": 1.0}, "bomb": {"cpu": 2.0}},
+        states={"sens": ("running", False, True), "bomb": (bomb_state, False, False)},
+    )
+
+
+class SwitchedActuator(Actuator):
+    """Acks only while ``acking`` is set."""
+
+    def __init__(self):
+        self.acking = False
+
+    def deliver(self, command, tick):
+        return True if self.acking else None
+
+
+class StreamPort:
+    """A HostView over an AckTracker, ticked by hand."""
+
+    def __init__(self):
+        self.actuator = SwitchedActuator()
+        self.tracker = AckTracker(self.actuator, ack_timeout=1, max_retries=1)
+        self.tick = 0
+        self.view = HostView(
+            HEADER, object(), submit=lambda verb, name: self.tracker.submit(self.tick, verb, name)
+        )
+
+    def read(self, bomb_state):
+        """Close one tick saying ``bomb_state``; return bomb's row state."""
+        self.tick += 1
+        self.tracker.step(self.tick)
+        observation = self.view.apply(
+            closed_tick(self.tick, bomb_state), pinned=self.tracker.pending_containers()
+        )
+        return observation, observation.states()["bomb"]
+
+
+class TestInFlightCommands:
+    def test_pending_verb_wins_until_the_command_resolves(self):
+        port = StreamPort()
+        assert port.read("running")[1] == RUNNING
+        assert port.view.pause("bomb") is True
+        assert port.read("running")[1] == PAUSED  # whatever the stream says
+        assert port.view.resume("bomb") is True  # supersedes the unacked pause
+        assert port.read("paused")[1] == RUNNING
+        port.actuator.acking = True
+        while port.tracker.pending():
+            port.read("paused")
+        assert port.read("paused")[1] == PAUSED  # acked: the stream is believed again
+        assert port.read("running")[1] == RUNNING
+
+    def test_dead_letter_hands_the_container_back_to_reconcile(self):
+        port = StreamPort()
+        manager = ThrottleManager(StayAwayConfig(), EventLog())
+        observation, _ = port.read("running")
+        assert manager.step(port.tick, observation, port.view, True, False, None)
+        assert manager.desired_paused == ["bomb"]
+        while port.tracker.pending():  # never acked: retried, then dead-lettered
+            observation, state = port.read("running")
+            if port.tracker.pending():
+                assert state == PAUSED
+                manager.reconcile(port.tick, observation, port.view)
+        assert len(port.tracker.dead_letters) == 1
+        assert manager.reconcile_repauses == 0
+        assert state == RUNNING  # the stream's word is back
+        repaired = manager.reconcile(port.tick, observation, port.view)
+        assert manager.reconcile_repauses == 1
+        assert [c.verb for c in port.tracker.commands] == ["pause", "pause"]
+        assert repaired.states()["bomb"] == PAUSED  # carried by value
+
+
+class TestSameTickVisibility:
+    def test_flapper_ahead_of_the_controller_is_repaired_that_tick(self):
+        host = Host()  # uncontended: the only throttle is the one forced below
+        sens = SensitiveStub(name="sens", demand_vector=ResourceVector(cpu=1.0))
+        bomb = ConstantApp(name="bomb", demand_vector=ResourceVector(cpu=1.0))
+        host.add_container(Container(name="sens", app=sens, sensitive=True))
+        host.add_container(Container(name="bomb", app=bomb))
+        controller = StayAway(sens, config=StayAwayConfig(seed=1, telemetry=False))
+        flapper = ContainerFlapper(["bomb"], flap_probability=0.0)
+        engine = SimulationEngine(host, [flapper, controller])
+        engine.run(ticks=3)
+        assert controller.throttle.step(3, observed(host), host, True, False, None)
+        assert host.container("bomb").is_paused
+
+        flapper.flap_probability = 1.0  # an operator SIGCONTs it next tick
+        engine.run(ticks=1)
+        (fired,) = flapper.fired
+        assert fired.kind == "resume"
+        # The snapshot of that tick still says paused; the repair needs
+        # the state as it is when the controller runs.
+        assert host.history[fired.tick].states["bomb"] is ContainerState.PAUSED
+        (repair,) = controller.events.of_kind(EventKind.RECONCILE)
+        assert (repair.tick, repair.detail["action"]) == (fired.tick, "repause")
+
+    def test_high_priority_throttle_hides_victims_from_lower_priority(self):
+        host = Host()
+        high = SensitiveStub(name="stream", demand_vector=ResourceVector(cpu=2.0, memory=400.0))
+        low = SensitiveStub(name="webapp", demand_vector=ResourceVector(cpu=1.5, memory=400.0))
+        bomb = ConstantApp(name="bomb", demand_vector=ResourceVector(cpu=3.0))
+        host.add_container(Container(name="stream", app=high, sensitive=True))
+        host.add_container(Container(name="webapp", app=low, sensitive=True))
+        host.add_container(Container(name="bomb", app=bomb, start_tick=5))
+        coordinator = PrioritizedStayAway(
+            [(high, 2), (low, 1)], config=StayAwayConfig(seed=3, telemetry=False)
+        )
+        low_throttle = coordinator.controller_for("webapp").throttle
+        select = low_throttle.throttle_targets
+        seen = {}
+
+        def spy(observation):
+            targets = select(observation)
+            seen.setdefault(observation.tick, targets)
+            return targets
+
+        low_throttle.throttle_targets = spy
+        SimulationEngine(host, [coordinator]).run(ticks=80)
+        throttle = coordinator.controller_for("stream").events.of_kind(EventKind.THROTTLE)[0]
+        assert "bomb" in throttle.detail["targets"]
+        assert host.history[throttle.tick].states["bomb"] is ContainerState.RUNNING
+        assert "bomb" not in seen[throttle.tick]

@@ -65,6 +65,7 @@ class ThrottleMachine(RuleBasedStateMachine):
     def step_period(self, impending, observed, distance):
         self.manager.step(
             self.tick,
+            self.host.observe(self.host.history[-1]),
             self.host,
             impending_violation=impending,
             observed_violation=observed,

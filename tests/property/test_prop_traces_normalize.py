@@ -1,5 +1,7 @@
 """Property-based tests for traces and normalizers."""
 
+from dataclasses import astuple
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +54,7 @@ class TestNormalizerProperties:
     )
     @settings(max_examples=80)
     def test_capacity_normalizer_output_in_unit_box(self, rows):
-        normalizer = CapacityNormalizer(default_host_capacity(), vm_count=1)
+        normalizer = CapacityNormalizer(astuple(default_host_capacity()), vm_count=1)
         for row in rows:
             out = normalizer.normalize(np.asarray(row))
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
@@ -101,7 +103,7 @@ class TestNormalizerProperties:
     @settings(max_examples=60)
     def test_capacity_normalizer_monotone(self, row):
         """Scaling all raw metrics up never decreases any normalized value."""
-        normalizer = CapacityNormalizer(default_host_capacity(), vm_count=1)
+        normalizer = CapacityNormalizer(astuple(default_host_capacity()), vm_count=1)
         base = np.asarray(row) * 100.0
         bigger = base * 1.5
         out_base = normalizer.normalize(base)

@@ -26,3 +26,18 @@ def test_root_reports_match_their_producers():
         if not path.name.endswith("_ci.json")
     ]
     assert sorted(committed) == sorted(produced)
+
+
+def test_every_tracer_patch_point_exists_in_src():
+    """The frozen e2e benchmark wraps ``(owner, attribute)`` pairs by
+    name (``vars(owner)[attribute]``); tier-1 never collects
+    ``benchmarks/e2e``, so a rename in ``src/`` would otherwise kill
+    every ``--trace 1`` pass with the suite green."""
+    from benchmarks.e2e.tracer import patch_points
+
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attribute} ({span})"
+        for owner, attribute, span, _ in patch_points()
+        if attribute not in vars(owner)
+    ]
+    assert missing == []

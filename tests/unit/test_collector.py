@@ -1,5 +1,10 @@
 """Unit tests for the metrics collector."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,23 @@ from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
 from tests.conftest import ConstantApp, SensitiveStub
+
+
+SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
+
+#: 400 ticks of four batch tenants folded into the logical batch VM;
+#: the matrix is hashed byte for byte so a last-ulp difference shows.
+HASHSEED_PROBE = """
+import hashlib
+from repro.experiments.scenarios import Scenario
+from repro.monitoring.collector import MetricsCollector
+batches = ("cpubomb", "memorybomb", "soplex", "twitter-analysis")
+host = Scenario("webservice-mix", batches, ticks=400, seed=3).build().host
+collector = MetricsCollector()
+for _ in range(400):
+    collector.on_tick(host.observe(host.step()))
+print(hashlib.sha256(collector.as_matrix().tobytes()).hexdigest())
+"""
 
 
 def build_host(batch_count=2):
@@ -34,32 +56,48 @@ class TestAggregatedCollection:
     def test_vm_blocks_are_sensitive_plus_logical_batch(self):
         host = build_host()
         collector = MetricsCollector(aggregate_batch=True)
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         assert collector.vm_names == ("sens", BATCH_LOGICAL_VM)
         assert collector.dimension == 10
 
     def test_batch_usage_is_summed(self):
         host = build_host(batch_count=2)
         collector = MetricsCollector(aggregate_batch=True)
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         sample = collector.latest
         assert sample.value_of("batch:cpu") == pytest.approx(1.0)  # 2 x 0.5
         assert sample.value_of("sens:cpu") == pytest.approx(1.0)
+
+    def test_batch_fold_is_name_ordered(self):
+        # Regression: the batch names used to be a Python set, so with
+        # three or more batch containers the float fold followed
+        # string-hash order and the matrix varied with PYTHONHASHSEED.
+        env = {**os.environ, "PYTHONPATH": str(SRC_ROOT)}
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", HASHSEED_PROBE],
+                env={**env, "PYTHONHASHSEED": seed},
+                check=True, capture_output=True, text=True, timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert len(digests[0].strip()) == 64
+        assert digests[0] == digests[1]
 
     def test_samples_accumulate(self):
         host = build_host()
         collector = MetricsCollector()
         for _ in range(4):
-            collector.on_tick(host.step(), host)
+            collector.on_tick(host.observe(host.step()))
         assert len(collector.samples) == 4
         assert collector.as_matrix().shape == (4, 10)
 
     def test_paused_batch_reads_zero(self):
         host = build_host(batch_count=1)
         collector = MetricsCollector()
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         host.pause_container("batch0")
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         assert collector.latest.value_of("batch:cpu") == 0.0
 
 
@@ -67,7 +105,7 @@ class TestPerContainerCollection:
     def test_every_container_gets_a_block(self):
         host = build_host(batch_count=2)
         collector = MetricsCollector(aggregate_batch=False)
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         assert collector.vm_names == ("sens", "batch0", "batch1")
         assert collector.dimension == 15
 
@@ -80,7 +118,7 @@ class TestPerContainerCollection:
         so shape arithmetic works without special-casing."""
         host = build_host(batch_count=2)
         collector = MetricsCollector()
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         dimension = collector.dimension
         collector.samples.clear()
         matrix = collector.as_matrix()

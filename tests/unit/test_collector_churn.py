@@ -16,13 +16,13 @@ class TestAggregatedChurn:
         sensitive = SensitiveStub(demand_vector=ResourceVector(cpu=1.0))
         host.add_container(Container(name="sens", app=sensitive, sensitive=True))
         collector = MetricsCollector(aggregate_batch=True)
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         assert collector.latest.value_of("batch:cpu") == 0.0
 
         # A batch container arrives after the layout was fixed.
         late = ConstantApp(name="late", demand_vector=ResourceVector(cpu=0.7))
         host.add_container(Container(name="late", app=late))
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         assert collector.latest.value_of("batch:cpu") == pytest.approx(0.7)
         # Layout unchanged: same labels, same dimension.
         assert collector.dimension == 10
@@ -34,9 +34,9 @@ class TestAggregatedChurn:
         host.add_container(Container(name="sens", app=sensitive, sensitive=True))
         host.add_container(Container(name="b", app=batch))
         collector = MetricsCollector(aggregate_batch=True)
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         host.remove_container("b")
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         assert collector.latest.value_of("batch:cpu") == 0.0
 
 
@@ -46,12 +46,12 @@ class TestPerContainerChurn:
         sensitive = SensitiveStub(demand_vector=ResourceVector(cpu=1.0))
         host.add_container(Container(name="sens", app=sensitive, sensitive=True))
         collector = MetricsCollector(aggregate_batch=False)
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         dims_before = collector.dimension
 
         late = ConstantApp(name="late", demand_vector=ResourceVector(cpu=0.7))
         host.add_container(Container(name="late", app=late))
-        collector.on_tick(host.step(), host)
+        collector.on_tick(host.observe(host.step()))
         # Documented limitation: late containers are not monitored in
         # per-container mode, but the collector must not crash or
         # change shape.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
+from repro.observation import RUNNING
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
 from repro.sim.host import Host
@@ -39,11 +40,12 @@ class TestPerspectiveModes:
         host.add_container(Container(name="mine", app=mine, sensitive=True))
         host.add_container(Container(name="victim", app=victim, sensitive=True))
 
-        def selector(h):
-            container = h.container("victim")
-            if container.is_running and not container.app.finished:
-                return ["victim"]
-            return []
+        def selector(observation):
+            return [
+                row.name
+                for row in observation.rows
+                if row.name == "victim" and row.state == RUNNING and not row.finished
+            ]
 
         controller = StayAway(
             mine,

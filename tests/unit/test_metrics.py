@@ -15,8 +15,8 @@ class TestMetricLabels:
         assert labels[5] == "vm2:cpu"
 
     def test_vm_metric_order(self):
-        assert VM_METRICS[0] is Resource.CPU
-        assert Resource.MEMORY in VM_METRICS
+        assert VM_METRICS[0] == Resource.CPU.value
+        assert Resource.MEMORY.value in VM_METRICS
         assert len(VM_METRICS) == 5
 
     def test_empty(self):

@@ -9,7 +9,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
-from tests.conftest import ConstantApp, SensitiveStub
+from tests.conftest import ConstantApp, SensitiveStub, observed
 
 
 def build_two_tier_host():
@@ -79,7 +79,7 @@ class TestCoordination:
         host.step()  # ... including the delayed bomb? (starts at 5)
         for _ in range(5):
             host.step()
-        targets = selector(host)
+        targets = selector(observed(host))
         assert "bomb" in targets
         assert "stream" not in targets
         assert "webapp" not in targets

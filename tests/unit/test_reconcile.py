@@ -10,7 +10,7 @@ from repro.sim.faults import ActuatorFaultInjector
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
-from tests.conftest import ConstantApp, SensitiveStub
+from tests.conftest import ConstantApp, SensitiveStub, observed
 
 
 def throttled_setup(config=None):
@@ -25,7 +25,8 @@ def throttled_setup(config=None):
     manager = ThrottleManager(config, events)
     fired = manager.step(
         tick=10,
-        host=host,
+        observation=observed(host),
+        actuator=host,
         impending_violation=True,
         observed_violation=False,
         sensitive_step_distance=None,
@@ -39,7 +40,7 @@ class TestReconcileRepause:
     def test_externally_resumed_container_repaused(self):
         host, manager, events = throttled_setup()
         host.container("bomb").resume()  # an operator SIGCONTs it
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert host.container("bomb").is_paused
         assert manager.reconcile_repauses == 1
         reconciles = events.of_kind(EventKind.RECONCILE)
@@ -48,7 +49,7 @@ class TestReconcileRepause:
 
     def test_consistent_state_is_a_noop(self):
         host, manager, events = throttled_setup()
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert manager.reconcile_repauses == 0
         assert events.of_kind(EventKind.RECONCILE) == []
 
@@ -57,7 +58,7 @@ class TestReconcileRepause:
             config=StayAwayConfig(reconcile_actions=False)
         )
         host.container("bomb").resume()
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert host.container("bomb").is_running
         assert manager.reconcile_repauses == 0
 
@@ -66,7 +67,7 @@ class TestReconcileDrop:
     def test_vanished_container_dropped_from_pause_set(self):
         host, manager, events = throttled_setup()
         host.remove_container("bomb")
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert manager.desired_paused == []
         assert not manager.throttling
         assert manager.reconcile_drops == 1
@@ -75,7 +76,7 @@ class TestReconcileDrop:
     def test_stopped_container_dropped(self):
         host, manager, _ = throttled_setup()
         host.container("bomb").stop()
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert manager.desired_paused == []
         assert manager.reconcile_drops == 1
 
@@ -87,16 +88,16 @@ class TestRetryBackoffAndEscalation:
         injector = ActuatorFaultInjector(host, probability=1.0).install()
         host.container("bomb").resume()
 
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert manager.failed_actions == 1
         assert manager.pending_retries == {"bomb": 1}
         # Backoff: next retry is 2 periods away; an immediate tick skips.
         failures, next_tick = manager._retry["bomb"]
         assert next_tick == 15 + 2 * config.period
-        manager.reconcile(next_tick - 1, host)
+        manager.reconcile(next_tick - 1, observed(host), host)
         assert manager.failed_actions == 1  # still waiting
 
-        manager.reconcile(next_tick, host)
+        manager.reconcile(next_tick, observed(host), host)
         assert manager.failed_actions == 2
         assert manager.escalations == 1
         escalations = events.of_kind(EventKind.ACTION_ESCALATION)
@@ -112,11 +113,11 @@ class TestRetryBackoffAndEscalation:
         host, manager, _ = throttled_setup()
         injector = ActuatorFaultInjector(host, probability=1.0).install()
         host.container("bomb").resume()
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert manager.failed_actions == 1
         injector.remove()
         _, next_tick = manager._retry["bomb"]
-        manager.reconcile(next_tick, host)
+        manager.reconcile(next_tick, observed(host), host)
         assert host.container("bomb").is_paused
         assert manager.pending_retries == {}
 
@@ -134,7 +135,8 @@ class TestRetryBackoffAndEscalation:
         manager = ThrottleManager(config, EventLog())
         manager.step(
             tick=10,
-            host=host,
+            observation=observed(host),
+            actuator=host,
             impending_violation=True,
             observed_violation=False,
             sensitive_step_distance=None,
@@ -142,7 +144,7 @@ class TestRetryBackoffAndEscalation:
         assert host.container("bomb").is_running  # signal was lost
         assert "bomb" in manager.pending_retries
         injector.remove()
-        manager.reconcile(15, host)
+        manager.reconcile(15, observed(host), host)
         assert host.container("bomb").is_paused
 
 
@@ -156,7 +158,7 @@ class TestPreemptivePause:
         host.step()
         events = EventLog()
         manager = ThrottleManager(StayAwayConfig(), events)
-        assert manager.preemptive_pause(10, host)
+        assert manager.preemptive_pause(10, observed(host), host)
         assert host.container("bomb").is_paused
         assert manager.throttling
         throttle_event = events.of_kind(EventKind.THROTTLE)[0]
@@ -164,7 +166,9 @@ class TestPreemptivePause:
 
     def test_noop_when_already_throttling_or_no_targets(self):
         host, manager, _ = throttled_setup()
-        assert not manager.preemptive_pause(20, host)  # already throttling
+        assert not manager.preemptive_pause(20, observed(host), host)  # already throttling
         empty_host = Host()
         fresh = ThrottleManager(StayAwayConfig(), EventLog())
-        assert not fresh.preemptive_pause(5, empty_host)  # nothing to pause
+        assert not fresh.preemptive_pause(
+            5, empty_host.observe(empty_host.step()), empty_host
+        )  # nothing to pause

@@ -634,7 +634,7 @@ class TestCliCwdIndependence:
             assert cli.main(["--baseline", rel]) == 0
         finally:
             os.chdir(cwd)
-        assert "6 baselined" in capsys.readouterr().out
+        assert "3 baselined" in capsys.readouterr().out
 
 
 class TestRepoIsClean:

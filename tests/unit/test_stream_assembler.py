@@ -52,10 +52,18 @@ def qos(tick, value=1.0, threshold=0.9):
     }
 
 
+CAPACITY = {
+    "cpu": 8.0,
+    "memory": 8192.0,
+    "memory_bw": 10_000.0,
+    "disk_io": 150.0,
+    "network": 1000.0,
+}
+
 HEADER = {
     "kind": "header",
     "host": "host0",
-    "capacity": {"cpu": 8.0},
+    "capacity": CAPACITY,
     "containers": {"c0": "batch", "sens": "sensitive"},
     "sensitive": "sens",
 }
@@ -292,6 +300,13 @@ def malformed_records(tick):
         "sample-container-list": sample(tick, container=["c0"]),
         "state-container-list": state(tick, container=["c0"]),
         "header-containers-list": {**HEADER, "containers": ["c0", "sens"]},
+        "header-capacity-metric-missing": {**HEADER, "capacity": {"cpu": 4.0}},
+        "header-capacity-text": {**HEADER, "capacity": {**CAPACITY, "memory": "8G"}},
+        "header-capacity-nan": {**HEADER, "capacity": {**CAPACITY, "cpu": math.nan}},
+        "header-capacity-inf": {**HEADER, "capacity": {**CAPACITY, "cpu": math.inf}},
+        "header-capacity-zero": {**HEADER, "capacity": {**CAPACITY, "disk_io": 0.0}},
+        "header-capacity-list": {**HEADER, "capacity": [4.0, 8192.0]},
+        "header-capacity-absent": {"kind": "header", "host": "host0"},
     }
 
 
@@ -327,6 +342,26 @@ class TestMalformedRecords:
         queue.push([malformed_records(0)[shape]])
         assert service.pump() == 0
         assert service.summary()["telemetry"]["stream"]["malformed"] == 1
+
+    def test_bad_capacity_header_is_not_adopted_and_the_next_valid_one_is(self):
+        """A well-formed header with an unusable capacity used to be
+        adopted and crash the first period out of ``pump()``, on that
+        tick and every later one."""
+        config = StayAwayConfig(seed=3, telemetry=False)
+        records, _, _ = record_reference(Scenario(ticks=40, seed=3), config)
+        header, ticks = records[0], records[1:]
+        assert header["kind"] == "header"
+        half = len(ticks) // 2
+        queue = QueueSource()
+        service = ControllerService(queue, config=config)
+        service.start()
+        queue.push([{**header, "capacity": {"cpu": 4.0}}] + ticks[:half])
+        assert service.pump() == 0  # ticks skipped: no header yet
+        assert service.assembler.header is None
+        assert service.summary()["telemetry"]["stream"]["malformed"] == 1
+        queue.push([header] + ticks[half:])
+        assert service.pump() > 0
+        assert service.assembler.header == header
 
     def test_clean_replay_decides_the_same_around_them(self):
         config = StayAwayConfig(seed=3, telemetry=False)

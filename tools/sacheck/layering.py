@@ -9,8 +9,11 @@ the simulator *drives*, not one that reaches back into it:
   reproduction to its testbed substitute (see DESIGN.md).
 * ``telemetry`` must not import ``core`` — self-measurement is a leaf
   service; a cycle here would make the overhead benchmark circular.
-* ``monitoring`` must not import ``sim`` — sensors see value types
-  (snapshots, vectors), not the machinery that produced them.
+* ``monitoring`` must not import ``sim`` — sensors read the tick's
+  ``repro.observation.Observation``, not the machinery that produced
+  it.
+* ``observation`` is the leaf every layer may import (the value a
+  period reads): it must import nothing from ``repro``.
 * ``sim`` is substrate: it must not import ``core`` / ``monitoring`` /
   ``baselines`` / ``experiments`` / ``analysis`` (or ``fleet``). The
   fleet layer and the benchmarks drive it at scale — an upward import
@@ -30,9 +33,9 @@ the simulator *drives*, not one that reaches back into it:
   never be able to take a host-local control loop down with it.
 * ``service`` (the streaming controller-as-a-service seam) wraps
   ``core`` behind wire records: it may import ``core`` /
-  ``monitoring`` / ``telemetry`` (and ``sim`` value types for its
-  reconstructed host views), but must not import ``workloads`` /
-  ``baselines`` / ``experiments`` / ``analysis`` / ``fleet``, and
+  ``monitoring`` / ``telemetry``, but must not import ``sim`` /
+  ``workloads`` / ``baselines`` / ``experiments`` / ``analysis`` /
+  ``fleet``, and
   nothing beneath it (``core``, ``sim``, ``monitoring``,
   ``telemetry``, ``workloads``, ``baselines``) may import ``service``
   — the in-process control loop must keep working when the service
@@ -96,8 +99,12 @@ FORBIDDEN: Dict[str, Set[str]] = {
         "service",
     },
     "workloads": {"fleet", "service"},
+    "observation": {
+        "core", "sim", "monitoring", "service", "fleet", "workloads", "baselines",
+        "experiments", "analysis", "telemetry", "mds", "trajectory",
+    },
     "baselines": {"fleet", "experiments", "analysis", "service"},
-    "service": {"workloads", "baselines", "experiments", "analysis", "fleet"},
+    "service": {"sim", "workloads", "baselines", "experiments", "analysis", "fleet"},
     "fleet": {"workloads", "baselines", "experiments", "analysis", "service"},
 }
 
