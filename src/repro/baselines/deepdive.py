@@ -79,9 +79,9 @@ class DeepDiveLike:
 
         def load(name: str) -> float:
             host = cluster.hosts[name]
-            if not host.history:
+            if host.last_snapshot is None:
                 return 0.0
-            return host.history[-1].cpu_utilization(host.capacity)
+            return host.last_snapshot.cpu_utilization(host.capacity)
 
         return min(candidates, key=load)
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isfinite
+from operator import gt
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -143,6 +145,7 @@ class SensorGuard:
             for reason in RejectReason
         }
         self._last_good: Optional[np.ndarray] = None
+        self._last_good_flat: List[float] = []
         self._stale: int = 0
         self._repeat_run: int = 0
 
@@ -175,22 +178,22 @@ class SensorGuard:
         }
 
     # -- checks -----------------------------------------------------------
-    def _check(self, values: np.ndarray) -> List[RejectReason]:
+    def _check(self, values: np.ndarray, flat: List[float], repeated: bool) -> List[RejectReason]:
         reasons: List[RejectReason] = []
-        if not np.all(np.isfinite(values)):
+        if not all(map(isfinite, flat)):
             reasons.append(RejectReason.NON_FINITE)
         else:
-            if np.any(values < 0):
+            if min(flat, default=0.0) < 0:
                 reasons.append(RejectReason.NEGATIVE)
-            if self.plausible_max is not None and np.any(values > self.plausible_max):
-                reasons.append(RejectReason.IMPLAUSIBLE_SPIKE)
-        if (
-            self.freeze_patience > 0
-            and self._last_good is not None
-            and values.shape == self._last_good.shape
-            and np.array_equal(values, self._last_good)
-            and self._repeat_run >= self.freeze_patience
-        ):
+            if self.plausible_max is not None:
+                if values.shape == self.plausible_max.shape:
+                    spike = any(map(gt, flat, self.plausible_max.ravel().tolist()))
+                else:
+                    # NumPy's broadcast decides (and raises on a mismatch).
+                    spike = bool(np.any(values > self.plausible_max))
+                if spike:
+                    reasons.append(RejectReason.IMPLAUSIBLE_SPIKE)
+        if self.freeze_patience > 0 and repeated and self._repeat_run >= self.freeze_patience:
             reasons.append(RejectReason.FROZEN)
         return reasons
 
@@ -202,14 +205,19 @@ class SensorGuard:
         pipeline should consume (or ``None`` for a monitoring gap).
         """
         values = np.asarray(values, dtype=float)
-        reasons = self._check(values)
+        # A vector is ten-odd floats: the predicates run on a plain list.
+        flat = values.ravel().tolist()
+        repeated = (
+            self._last_good is not None
+            and values.shape == self._last_good.shape
+            and flat == self._last_good_flat
+        )
+        reasons = self._check(values, flat, repeated)
 
         if not reasons:
-            if self._last_good is not None and np.array_equal(values, self._last_good):
-                self._repeat_run += 1
-            else:
-                self._repeat_run = 0
+            self._repeat_run = self._repeat_run + 1 if repeated else 0
             self._last_good = values.copy()
+            self._last_good_flat = flat
             self._stale = 0
             self._c_accepted.inc()
             return GuardVerdict(

@@ -23,11 +23,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
+
+from repro.observation import METRICS
 
 if TYPE_CHECKING:
     from repro.sim.host import Host, HostSnapshot
+    from repro.sim.resources import ResourceVector
     from repro.workloads.base import Application
+
+
+def _wire_vector(vector: "ResourceVector") -> Dict[str, float]:
+    """A resource vector as a wire ``metrics`` / ``capacity`` dict."""
+    return dict(zip(METRICS, map(float, vector.values())))
 
 
 def header_record(host: "Host", host_name: str = "host0") -> dict:
@@ -35,9 +43,7 @@ def header_record(host: "Host", host_name: str = "host0") -> dict:
     return {
         "kind": "header",
         "host": host_name,
-        "capacity": {
-            resource.value: value for resource, value in host.capacity.items()
-        },
+        "capacity": _wire_vector(host.capacity),
         "containers": {
             name: ("sensitive" if container.sensitive else "batch")
             for name, container in sorted(host.containers.items())
@@ -61,9 +67,7 @@ def snapshot_records(
                 "tick": snapshot.tick,
                 "host": host_name,
                 "container": name,
-                "metrics": {
-                    resource.value: value for resource, value in usage.items()
-                },
+                "metrics": _wire_vector(usage),
             }
         )
     for name in sorted(snapshot.states):

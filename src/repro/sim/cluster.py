@@ -380,10 +380,8 @@ class Cluster:
         """Mean CPU utilization across up hosts at the latest tick."""
         utilizations = []
         for name, host in self.hosts.items():
-            if name not in self.down and host.history:
-                utilizations.append(
-                    host.history[-1].cpu_utilization(host.capacity)
-                )
+            if name not in self.down and host.last_snapshot is not None:
+                utilizations.append(host.last_snapshot.cpu_utilization(host.capacity))
         if not utilizations:
             return 0.0
         return sum(utilizations) / len(utilizations)

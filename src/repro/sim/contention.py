@@ -27,14 +27,10 @@ application ran as if alone on the machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.sim.resources import (
-    RATE_RESOURCES,
-    Resource,
-    ResourceVector,
-    sum_vectors,
-)
+from repro.sim.resources import ResourceVector
 
 
 def swap_pressure(
@@ -88,6 +84,69 @@ class Allocation:
     def __post_init__(self) -> None:
         if not 0.0 <= self.progress <= 1.0 + 1e-9:
             raise ValueError(f"progress must be in [0, 1], got {self.progress}")
+
+
+def _fold_demands(model, demands: Mapping[str, ResourceVector], memory_capacity: float):
+    """The opening half of ``resolve`` that both models share.
+
+    Refuses a negative or non-finite demand (``ValueError`` naming the
+    container and resource), folds the demands field by field from 0.0
+    in insertion order, prices memory overcommit and records its ratio
+    on ``model``. Returns the rate totals (in ``RATE_RESOURCES`` order),
+    ``swap_penalty``, ``swap_io`` and the resident ``memory_ratio``.
+    """
+    cpu = memory = memory_bw = disk_io = network = lowest = 0.0
+    for demand in demands.values():
+        cpu += demand.cpu
+        memory += demand.memory
+        memory_bw += demand.memory_bw
+        disk_io += demand.disk_io
+        network += demand.network
+        lowest = min(
+            lowest, demand.cpu, demand.memory, demand.memory_bw, demand.disk_io, demand.network
+        )
+    # A non-finite value makes its total non-finite, so one test clears
+    # the whole tick; the per-field walk only names the offender.
+    if lowest < 0 or not isfinite(cpu + memory + memory_bw + disk_io + network):
+        for name, demand in demands.items():
+            for resource, value in demand.items():
+                if value < 0 or not isfinite(value):
+                    kind = "negative" if value < 0 else "non-finite"
+                    raise ValueError(
+                        f"container {name!r} demanded {kind} {resource.name}: {value}"
+                    )
+    ratio, swap_penalty, swap_io = swap_pressure(
+        memory, memory_capacity, model.swap_cost, model.swap_io_per_overcommit_mb
+    )
+    model._last_swap_ratio = ratio
+    memory_ratio = memory_capacity / memory if memory > memory_capacity > 0 else 1.0
+    return (cpu, memory_bw, disk_io, network), swap_penalty, swap_io, memory_ratio
+
+
+def _allocation(demand: ResourceVector, granted: ResourceVector, swap_penalty: float) -> Allocation:
+    """The closing half: one tenant's grant becomes its ``Allocation``.
+
+    Progress is the worst ``got / wanted`` over the rate resources the
+    tenant demanded, visited in ``RATE_RESOURCES`` order, times the swap
+    penalty when it holds memory.
+    """
+    progress = 1.0
+    if demand.cpu > 0:
+        progress = min(progress, granted.cpu / demand.cpu)
+    if demand.memory_bw > 0:
+        progress = min(progress, granted.memory_bw / demand.memory_bw)
+    if demand.disk_io > 0:
+        progress = min(progress, granted.disk_io / demand.disk_io)
+    if demand.network > 0:
+        progress = min(progress, granted.network / demand.network)
+    tenant_swap_penalty = swap_penalty if demand.memory > 0 else 1.0
+    progress *= tenant_swap_penalty
+    return Allocation(granted, min(1.0, max(0.0, progress)), tenant_swap_penalty)
+
+
+def _share(demanded: float, available: float) -> float:
+    """The satisfaction ratio every tenant of one rate resource gets."""
+    return 1.0 if demanded <= available or demanded <= 0 else available / demanded
 
 
 class ContentionModel:
@@ -151,64 +210,25 @@ class ProportionalShareModel(ContentionModel):
         if not demands:
             self._last_swap_ratio = 1.0
             return {}
-        for name, demand in demands.items():
-            for resource, value in demand.items():
-                if value < 0:
-                    raise ValueError(
-                        f"container {name!r} demanded negative {resource.name}: {value}"
-                    )
-
-        total = sum_vectors(demands.values())
-
         # Swap pressure from memory overcommit. The induced disk I/O is
         # added to the disk demand pool *before* disk shares are
         # computed, so heavy swapping congests the disk for all tenants.
-        memory_total = total.get(Resource.MEMORY)
-        memory_capacity = capacity.get(Resource.MEMORY)
-        ratio, swap_penalty, swap_io = swap_pressure(
-            memory_total, memory_capacity,
-            self.swap_cost, self.swap_io_per_overcommit_mb,
-        )
-        self._last_swap_ratio = ratio
-
+        totals, swap_penalty, swap_io, memory_ratio = _fold_demands(self, demands, capacity.memory)
         # Per-resource satisfaction ratio shared by all tenants.
-        share_ratio: Dict[Resource, float] = {}
-        for resource in RATE_RESOURCES:
-            demanded = total.get(resource)
-            if resource is Resource.DISK_IO:
-                demanded += swap_io
-            available = capacity.get(resource)
-            if demanded <= available or demanded <= 0:
-                share_ratio[resource] = 1.0
-            else:
-                share_ratio[resource] = available / demanded
-
-        memory_ratio = 1.0
-        if memory_total > memory_capacity > 0:
-            memory_ratio = memory_capacity / memory_total
-
+        cpu = _share(totals[0], capacity.cpu)
+        memory_bw = _share(totals[1], capacity.memory_bw)
+        disk_io = _share(totals[2] + swap_io, capacity.disk_io)
+        network = _share(totals[3], capacity.network)
         allocations: Dict[str, Allocation] = {}
         for name, demand in demands.items():
-            granted_values: Dict[Resource, float] = {}
-            progress = 1.0
-            for resource in RATE_RESOURCES:
-                wanted = demand.get(resource)
-                got = wanted * share_ratio[resource]
-                granted_values[resource] = got
-                if wanted > 0:
-                    progress = min(progress, got / wanted)
-            granted_values[Resource.MEMORY] = demand.get(Resource.MEMORY) * memory_ratio
-
-            tenant_swap_penalty = 1.0
-            if demand.get(Resource.MEMORY) > 0:
-                tenant_swap_penalty = swap_penalty
-            progress *= tenant_swap_penalty
-
-            allocations[name] = Allocation(
-                granted=ResourceVector.from_mapping(granted_values),
-                progress=min(1.0, max(0.0, progress)),
-                swap_penalty=tenant_swap_penalty,
+            granted = ResourceVector(
+                demand.cpu * cpu,
+                demand.memory * memory_ratio,
+                demand.memory_bw * memory_bw,
+                demand.disk_io * disk_io,
+                demand.network * network,
             )
+            allocations[name] = _allocation(demand, granted, swap_penalty)
         return allocations
 
     @property
@@ -246,7 +266,9 @@ def weighted_water_fill(
     remaining = capacity
     # Each pass either satisfies at least one tenant fully or ends.
     while hungry and remaining > 1e-12:
-        total_weight = sum(weights.get(name, 1.0) for name in hungry)
+        total_weight = 0.0  # an explicit fold: sum() is compensated from 3.12 on
+        for name in hungry:
+            total_weight += weights.get(name, 1.0)
         satisfied = set()
         distributed = 0.0
         for name in hungry:
@@ -290,60 +312,28 @@ class WeightedWaterFillModel(ContentionModel):
             self._last_swap_ratio = 1.0
             return {}
         weights = dict(weights) if weights else {}
-        for name, demand in demands.items():
-            for resource, value in demand.items():
-                if value < 0:
-                    raise ValueError(
-                        f"container {name!r} demanded negative {resource.name}: {value}"
-                    )
-
-        total = sum_vectors(demands.values())
-        memory_total = total.get(Resource.MEMORY)
-        memory_capacity = capacity.get(Resource.MEMORY)
-        ratio, swap_penalty, swap_io = swap_pressure(
-            memory_total, memory_capacity,
-            self.swap_cost, self.swap_io_per_overcommit_mb,
+        _, swap_penalty, swap_io, memory_ratio = _fold_demands(self, demands, capacity.memory)
+        # Per-resource weighted water-filling; swap traffic is taken
+        # out of the disk before it is divided.
+        tenants = demands.items()
+        cpu = weighted_water_fill({n: d.cpu for n, d in tenants}, weights, capacity.cpu)
+        memory_bw = weighted_water_fill(
+            {n: d.memory_bw for n, d in tenants}, weights, capacity.memory_bw
         )
-        self._last_swap_ratio = ratio
-
-        # Per-resource weighted water-filling.
-        per_resource_grants: Dict[Resource, Dict[str, float]] = {}
-        for resource in RATE_RESOURCES:
-            available = capacity.get(resource)
-            if resource is Resource.DISK_IO:
-                available = max(0.0, available - swap_io)
-            per_resource_grants[resource] = weighted_water_fill(
-                {name: demand.get(resource) for name, demand in demands.items()},
-                weights,
-                available,
-            )
-
-        memory_ratio = 1.0
-        if memory_total > memory_capacity > 0:
-            memory_ratio = memory_capacity / memory_total
-
+        disk_io = weighted_water_fill(
+            {n: d.disk_io for n, d in tenants}, weights, max(0.0, capacity.disk_io - swap_io)
+        )
+        network = weighted_water_fill({n: d.network for n, d in tenants}, weights, capacity.network)
         allocations: Dict[str, Allocation] = {}
         for name, demand in demands.items():
-            granted_values: Dict[Resource, float] = {}
-            progress = 1.0
-            for resource in RATE_RESOURCES:
-                wanted = demand.get(resource)
-                got = per_resource_grants[resource][name]
-                granted_values[resource] = got
-                if wanted > 0:
-                    progress = min(progress, got / wanted)
-            granted_values[Resource.MEMORY] = demand.get(Resource.MEMORY) * memory_ratio
-
-            tenant_swap_penalty = 1.0
-            if demand.get(Resource.MEMORY) > 0:
-                tenant_swap_penalty = swap_penalty
-            progress *= tenant_swap_penalty
-
-            allocations[name] = Allocation(
-                granted=ResourceVector.from_mapping(granted_values),
-                progress=min(1.0, max(0.0, progress)),
-                swap_penalty=tenant_swap_penalty,
+            granted = ResourceVector(
+                cpu[name],
+                demand.memory * memory_ratio,
+                memory_bw[name],
+                disk_io[name],
+                network[name],
             )
+            allocations[name] = _allocation(demand, granted, swap_penalty)
         return allocations
 
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.observation import ContainerRow, Observation, ZERO_USAGE
 from repro.sim.clock import SimulationClock
@@ -26,12 +26,7 @@ from repro.sim.contention import (
     ContentionModel,
     ProportionalShareModel,
 )
-from repro.sim.resources import (
-    Resource,
-    ResourceVector,
-    default_host_capacity,
-    sum_vectors,
-)
+from repro.sim.resources import ResourceVector, default_host_capacity, sum_vectors
 
 
 @dataclass(frozen=True)
@@ -66,15 +61,12 @@ class HostSnapshot:
 
     def cpu_utilization(self, capacity: ResourceVector) -> float:
         """Machine CPU utilization in [0, 1] — the paper's utilization metric."""
-        cpu_capacity = capacity.get(Resource.CPU)
-        if cpu_capacity <= 0:
+        if capacity.cpu <= 0:
             return 0.0
-        return min(1.0, self.total_usage().get(Resource.CPU) / cpu_capacity)
-
-
-def _as_usage(vector: ResourceVector) -> Tuple[float, ...]:
-    """A resource vector as five floats in wire-metric order."""
-    return (vector.cpu, vector.memory, vector.memory_bw, vector.disk_io, vector.network)
+        cpu = 0.0
+        for usage in self.usage.values():
+            cpu += usage.cpu
+        return min(1.0, cpu / capacity.cpu)
 
 
 class Host:
@@ -103,6 +95,8 @@ class Host:
         self.clock = clock if clock is not None else SimulationClock()
         self._containers: Dict[str, Container] = {}
         self._history: List[HostSnapshot] = []
+        #: The latest tick's snapshot (None before the first step).
+        self.last_snapshot: Optional[HostSnapshot] = None
 
     # -- container management -----------------------------------------
     def add_container(self, container: Container) -> Container:
@@ -154,7 +148,7 @@ class Host:
         rows = tuple(
             ContainerRow(
                 name,
-                _as_usage(usage[name]) if name in usage else ZERO_USAGE,
+                usage[name].values() if name in usage else ZERO_USAGE,
                 container.state.value,
                 container.app.finished,
                 container.sensitive,
@@ -162,7 +156,7 @@ class Host:
             )
             for name, container in self._containers.items()
         )
-        return Observation(snapshot.tick, _as_usage(self.capacity), rows)
+        return Observation(snapshot.tick, self.capacity.values(), rows)
 
     def pause(self, name: str) -> bool:
         """SIGSTOP ``name``; True when it is paused now (a refusal is an answer)."""
@@ -235,6 +229,7 @@ class Host:
             swap_ratio=swap_ratio,
         )
         self._history.append(snapshot)
+        self.last_snapshot = snapshot
         return snapshot
 
     def step(self, advance_clock: bool = True) -> HostSnapshot:

@@ -66,8 +66,8 @@ class ResourceVector:
     # -- construction -------------------------------------------------
     @classmethod
     def zero(cls) -> "ResourceVector":
-        """The all-zero vector."""
-        return cls()
+        """The all-zero vector (one shared instance: vectors are immutable)."""
+        return _ZERO
 
     @classmethod
     def from_mapping(cls, values: Mapping[Resource, float]) -> "ResourceVector":
@@ -75,18 +75,21 @@ class ResourceVector:
         return cls(**{res.value: float(values.get(res, 0.0)) for res in _FIELDS})
 
     # -- access -------------------------------------------------------
+    def values(self) -> Tuple[float, ...]:
+        """The five fields in canonical (``Resource`` and wire-metric) order."""
+        return (self.cpu, self.memory, self.memory_bw, self.disk_io, self.network)
+
     def get(self, resource: Resource) -> float:
         """Value for one resource dimension."""
-        return float(getattr(self, resource.value))
+        return float(self.values()[_FIELDS.index(resource)])
 
     def as_dict(self) -> Dict[Resource, float]:
         """A ``{Resource: value}`` snapshot of this vector."""
-        return {res: self.get(res) for res in _FIELDS}
+        return dict(self.items())
 
     def items(self) -> Iterator[Tuple[Resource, float]]:
         """Iterate ``(resource, value)`` pairs in canonical order."""
-        for res in _FIELDS:
-            yield res, self.get(res)
+        return zip(_FIELDS, map(float, self.values()))
 
     def replace(self, resource: Resource, value: float) -> "ResourceVector":
         """A copy of this vector with one dimension replaced."""
@@ -145,7 +148,16 @@ class ResourceVector:
 
     def is_zero(self, tolerance: float = 1e-12) -> bool:
         """True when every dimension is (numerically) zero."""
-        return all(abs(value) <= tolerance for _, value in self.items())
+        return (
+            abs(self.cpu) <= tolerance
+            and abs(self.memory) <= tolerance
+            and abs(self.memory_bw) <= tolerance
+            and abs(self.disk_io) <= tolerance
+            and abs(self.network) <= tolerance
+        )
+
+
+_ZERO = ResourceVector()
 
 
 def sum_vectors(vectors: Iterable[ResourceVector]) -> ResourceVector:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.sim.clock import SimulationClock
 from repro.sim.contention import Allocation
-from repro.sim.resources import Resource, ResourceVector
+from repro.sim.resources import ResourceVector
 from repro.workloads.phases import PhaseSchedule
 
 
@@ -120,11 +120,16 @@ class Application(abc.ABC):
         """Apply multiplicative Gaussian noise to a demand vector."""
         if self.noise_std <= 0:
             return vector
-        factors = self.rng.normal(1.0, self.noise_std, size=5)
-        values = {}
-        for (resource, value), factor in zip(vector.items(), factors):
-            values[resource] = max(0.0, value * factor)
-        return ResourceVector.from_mapping(values)
+        cpu, memory, memory_bw, disk_io, network = self.rng.normal(
+            1.0, self.noise_std, size=5
+        ).tolist()
+        return ResourceVector(
+            max(0.0, vector.cpu * cpu),
+            max(0.0, vector.memory * memory),
+            max(0.0, vector.memory_bw * memory_bw),
+            max(0.0, vector.disk_io * disk_io),
+            max(0.0, vector.network * network),
+        )
 
     @property
     def is_sensitive(self) -> bool:

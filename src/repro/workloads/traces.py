@@ -11,6 +11,7 @@ from it with per-sample noise.
 
 from __future__ import annotations
 
+from math import floor
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,9 @@ class WorkloadTrace:
         self.samples = np.asarray(samples, dtype=float)
         if np.any(self.samples < 0):
             raise ValueError("trace intensities must be non-negative")
+        # The same float64 values as plain floats: ``intensity`` runs
+        # twice a tick per server and interpolates on these.
+        self._levels: List[float] = self.samples.tolist()
         self.sample_seconds = float(sample_seconds)
         self.wrap = wrap
 
@@ -66,12 +70,11 @@ class WorkloadTrace:
             position = position % n
         else:
             position = min(position, n - 1)
-        lower = int(np.floor(position))
+        lower = floor(position)
         upper = (lower + 1) % n if self.wrap else min(lower + 1, n - 1)
         fraction = position - lower
-        return float(
-            (1.0 - fraction) * self.samples[lower % n] + fraction * self.samples[upper]
-        )
+        levels = self._levels
+        return float((1.0 - fraction) * levels[lower % n] + fraction * levels[upper])
 
     # -- constructors ----------------------------------------------------
     @classmethod

@@ -1,4 +1,4 @@
-"""Pinned decision digests for the fleet and stream control loops.
+"""Pinned digests: the fleet and stream control loops, and the simulator.
 
 The fleet coordinator, the migration supervisor, the stream service's
 reconnect loop and the actuator's ack tracker run on module constants
@@ -13,17 +13,24 @@ mistyped constant changes a digest here instead of surfacing in a bench
 
 Both drills are seeded end to end; the digests are platform-stable for
 the same reason the replay-determinism gate is.
+
+``SIM_DIGEST`` pins ``repro.sim`` itself: before it, a change to the
+simulator's arithmetic showed only if it happened to move a decision.
+It was computed on the commit before PR 22 made the tick float-native
+(b694459), and that change had to pass it unmodified.
 """
 
 import hashlib
 import json
 
 from repro.core.config import StayAwayConfig
-from repro.experiments.chaos import FleetMix, run_fleet_drill
+from repro.experiments.chaos import FleetMix, build_fleet, run_fleet_drill
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream_chaos import SimStreamBridge
 from repro.service import ControllerService, QueueSource, SimHostActuator
 from repro.service.controller_service import decision_sequence
+from repro.sim.container import Container
+from repro.sim.contention import ProportionalShareModel, WeightedWaterFillModel
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import (
     ActuatorAckDropper,
@@ -31,6 +38,10 @@ from repro.sim.faults import (
     StreamDuplicator,
     StreamReorderer,
 )
+from repro.sim.host import Host
+from repro.sim.resources import ResourceVector
+from repro.workloads.registry import make_workload
+from repro.workloads.traces import wikipedia_trace
 
 FLEET_DIGEST = "993cc214877034a24f9f512b4ad1a264683fccaf8416b019ecc00de2958c273c"
 STREAM_DIGEST = "5ac8b55e6c692451e28fa6238242dd6c02919c9f20f44b158aab9e51f2191d09"
@@ -153,3 +164,100 @@ def test_stream_drill_digest():
         "reconnects": census["reconnects"],
     }
     assert _sha256(payload) == STREAM_DIGEST
+
+
+SIM_DIGEST = "d9bf6d3838eb86cb83593a19f459e8bdb4c4e8197e67bb2fbea0ff184fb743d7"
+
+
+def _fold_floats(digest, *values) -> None:
+    for value in values:
+        digest.update(float(value).hex().encode("ascii"))
+
+
+def _fold_snapshot(digest, snapshot) -> None:
+    """Every float a tick produced, as ``float.hex()``, in insertion order."""
+    for name, usage in snapshot.usage.items():
+        digest.update(name.encode("utf-8"))
+        _fold_floats(
+            digest, usage.cpu, usage.memory, usage.memory_bw, usage.disk_io, usage.network
+        )
+    for name, allocation in snapshot.allocations.items():
+        digest.update(name.encode("utf-8"))
+        _fold_floats(digest, allocation.progress, allocation.swap_penalty)
+    _fold_floats(digest, snapshot.swap_ratio)
+
+
+def _sim_host(seed: int, weighted: bool) -> Host:
+    """One three-tenant host: a traced server and two staggered batch jobs."""
+    trace = wikipedia_trace(days=2, sample_seconds=12.5, base=0.05, seed=seed + 7)
+    if weighted:
+        # Unequal cgroup shares and one binding cpu / memory-bus cap under
+        # water-filling, on a box small enough that twitter-analysis's
+        # memory phase swaps and the swap traffic eats into the disk.
+        host = Host(
+            capacity=ResourceVector(
+                cpu=3.0, memory=4096.0, memory_bw=3000.0, disk_io=40.0, network=1000.0
+            ),
+            contention=WeightedWaterFillModel(),
+        )
+        tenants = [
+            ("vlc-streaming", dict(weight=4.0), 0),
+            ("soplex", dict(weight=0.7, limits=ResourceVector(
+                cpu=0.8, memory=8192.0, memory_bw=650.0, disk_io=150.0, network=1000.0
+            )), 5),
+            ("twitter-analysis", dict(weight=1.9), 20),
+        ]
+    else:
+        # 3500 + 6000 + 64 MB of demand against 8192: swap pressure is reached.
+        host = Host(contention=ProportionalShareModel())
+        tenants = [
+            ("webservice-mix", {}, 0),
+            ("cpubomb", {}, 10),
+            ("memorybomb", {}, 25),
+        ]
+    for i, (workload, options, start) in enumerate(tenants):
+        kwargs = {"trace": trace} if i == 0 else {}
+        app = make_workload(workload, seed=seed + 100 * (i + 1), **kwargs)
+        host.add_container(
+            Container(name=workload, app=app, sensitive=i == 0, start_tick=start, **options)
+        )
+    return host
+
+
+def test_simulator_digest():
+    """The simulator's own floats, not just the decisions made on them.
+
+    300 ticks of both contention models at two seeds (with a pause
+    window, so idle and paused rows are in it) and a 16-host cluster
+    with one migration: every usage field, progress, swap penalty and
+    swap ratio of every snapshot and every application's final
+    ``work_done``, hashed bit for bit.
+    """
+    digest = hashlib.sha256()
+    for seed in (3, 11):
+        for weighted in (False, True):
+            host = _sim_host(seed, weighted)
+            batch = list(host.containers)[1]
+            saw_swap = False
+            for tick in range(300):
+                if tick == 120:
+                    host.pause_container(batch)
+                if tick == 150:
+                    host.resume_container(batch)
+                snapshot = host.step()
+                saw_swap |= snapshot.swap_ratio > 1.0
+                _fold_snapshot(digest, snapshot)
+            assert saw_swap
+            _fold_floats(digest, *(c.app.work_done for c in host.containers.values()))
+
+    cluster, _ = build_fleet(FleetMix(hosts=16, seed=5))
+    for tick in range(120):
+        if tick == 40:
+            record = cluster.migrate("memorybomb-004", "host-007")
+        for name, snapshot in cluster.step().items():
+            digest.update(name.encode("utf-8"))
+            _fold_snapshot(digest, snapshot)
+    assert record.outcome == "landed"
+    for host in cluster.hosts.values():
+        _fold_floats(digest, *(c.app.work_done for c in host.containers.values()))
+    assert digest.hexdigest() == SIM_DIGEST

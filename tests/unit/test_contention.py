@@ -49,8 +49,30 @@ class TestUncontended:
             assert allocation.progress == pytest.approx(1.0)
 
     def test_negative_demand_rejected(self, model, capacity):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="container 'a' demanded negative CPU: -1.0"):
             model.resolve({"a": ResourceVector(cpu=-1.0)}, capacity)
+
+    @pytest.mark.parametrize("model", [ProportionalShareModel(), WeightedWaterFillModel()])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_demand_rejected(self, model, bad, capacity):
+        """``value < 0`` is False for NaN: it used to reach the shares and
+        hand the co-tenant ``granted.cpu = nan`` at ``progress = 1.0`` (and
+        ``inf`` starved it to 0.0 while the offender progressed)."""
+        demands = {
+            "a": ResourceVector(cpu=1.0, memory=100.0),
+            "b": ResourceVector(cpu=bad, memory=100.0),
+        }
+        with pytest.raises(ValueError, match=f"container 'b' demanded non-finite CPU: {bad}"):
+            model.resolve(demands, capacity)
+        demands["b"] = ResourceVector(cpu=1.0, memory=100.0, network=bad)
+        with pytest.raises(ValueError, match="container 'b' demanded non-finite NETWORK"):
+            model.resolve(demands, capacity)
+
+    @pytest.mark.parametrize("model", [ProportionalShareModel(), WeightedWaterFillModel()])
+    def test_finite_demands_whose_total_overflows_still_resolve(self, model, capacity):
+        demands = {name: ResourceVector(cpu=1.0, memory_bw=1.5e308) for name in "ab"}
+        allocations = model.resolve(demands, capacity)
+        assert all(0.0 <= a.progress < 1e-300 for a in allocations.values())
 
 
 class TestCpuContention:

@@ -103,6 +103,12 @@ class TestStep:
         host.pause_container("b")
         assert host.step().swap_ratio == 1.0
 
+    def test_last_snapshot_is_the_latest_tick(self, loaded_host):
+        assert loaded_host.last_snapshot is None
+        for _ in range(3):
+            snapshot = loaded_host.step()
+            assert loaded_host.last_snapshot is snapshot is loaded_host.history[-1]
+
     def test_history_accumulates(self, loaded_host):
         loaded_host.step()
         loaded_host.step()

@@ -9,6 +9,7 @@ from repro.workloads.traces import (
     diurnal_trace,
     wikipedia_trace,
 )
+from tests.support.tick_reference import reference_intensity
 
 
 class TestWorkloadTrace:
@@ -42,6 +43,20 @@ class TestWorkloadTrace:
     def test_no_wrap_clamps(self):
         trace = WorkloadTrace([0.0, 1.0], sample_seconds=10.0, wrap=False)
         assert trace.intensity(1000.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("wrap", [True, False])
+    def test_intensity_equals_the_numpy_expression_bit_for_bit(self, wrap):
+        """``intensity`` interpolates on a ``tolist()`` copy with
+        ``math.floor``; the parent indexed the array and used ``np.floor``."""
+        samples = diurnal_trace(days=2, noise=0.05, seed=9)
+        trace = WorkloadTrace(samples, sample_seconds=12.5, wrap=wrap)
+        times = [i * 12.5 for i in range(2 * len(samples) + 2)]  # exact sample times
+        times += [i * 0.7310585786300049 for i in range(3000)]
+        times += [trace.duration_seconds, trace.duration_seconds - 1e-9, 1e9, 1e9 + 0.1]
+        for now in times:
+            ours = trace.intensity(now)
+            theirs = reference_intensity(trace.samples, 12.5, wrap, now)
+            assert type(ours) is float and ours.hex() == theirs.hex(), now
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
