@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.state_space import StateLabel, StateSpace
+from tests.support.geometry_reference import violation_vote_scalar
 
 DEFAULT_SIZES = (50, 200, 500, 1000)
 DEFAULT_VOTES = 64
@@ -91,7 +92,7 @@ def measure_size(
     # Equivalence is part of the bench contract: a fast wrong answer
     # must fail loudly, not produce a flattering speedup.
     vec_vote = space.violation_vote(candidates)
-    scalar_vote = space.violation_vote_scalar(candidates)
+    scalar_vote = violation_vote_scalar(space, candidates)
     if vec_vote != scalar_vote:
         raise AssertionError(
             f"vote mismatch at n={n_states}: vectorized {vec_vote} "
@@ -111,7 +112,7 @@ def measure_size(
         lambda: space.violation_vote(candidates), repeats
     )
     scalar_s = _best_call_seconds(
-        lambda: space.violation_vote_scalar(candidates), repeats
+        lambda: violation_vote_scalar(space, candidates), repeats
     )
     return {
         "n_states": n_states,

@@ -18,6 +18,9 @@ Run standalone (used by the CI smoke step)::
 or through pytest with the other benches::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_perf_overhead.py -q
+
+``--runs N`` repeats the whole measurement and gates on the median of
+the ``N`` readings; the committed record is a ``--runs 10`` one.
 """
 
 from __future__ import annotations
@@ -87,10 +90,8 @@ def _best_per_period(runs: List[List[float]]) -> List[float]:
     return [min(samples) for samples in zip(*runs)]
 
 
-def run_experiment(
-    ticks: int = DEFAULT_TICKS, repeats: int = DEFAULT_REPEATS, out: Optional[str] = None
-) -> Dict[str, object]:
-    """Measure on/off overhead and write the BENCH json; returns the report.
+def measure(ticks: int, repeats: int) -> Dict[str, object]:
+    """One on/off measurement: the report fields of a single run.
 
     ``repeats`` runs per configuration are interleaved; per period the
     best (minimum) sample across repeats is kept on each side, then the
@@ -99,10 +100,6 @@ def run_experiment(
     Background hiccups on the host therefore cannot masquerade as
     telemetry overhead.
     """
-    # Warmup: first-touch costs (allocator pools, numpy internals) must
-    # not land on whichever configuration happens to run first.
-    timed_run(telemetry_enabled=True, ticks=min(ticks, 120))
-
     on_runs: List[List[float]] = []
     off_runs: List[List[float]] = []
     last_on = None
@@ -124,7 +121,7 @@ def run_experiment(
         stage: round(s["mean"] * 1e6, 3)
         for stage, s in sorted(telemetry.stage_summary().items())
     }
-    report = {
+    return {
         "bench": "perf_overhead",
         "ticks": ticks,
         "repeats": repeats,
@@ -134,11 +131,43 @@ def run_experiment(
         "telemetry_on_median_us": round(statistics.median(best_on) * 1e6, 3),
         "overhead_percent": round(overhead_percent, 3),
         "threshold_percent": THRESHOLD_PERCENT,
-        "passed": overhead_percent < THRESHOLD_PERCENT,
         "stage_mean_us": stages_us,
         "spans_recorded": len(telemetry.tracer.spans),
         "periods": int(telemetry.counter("controller.periods").value),
     }
+
+
+def run_experiment(
+    ticks: int = DEFAULT_TICKS,
+    repeats: int = DEFAULT_REPEATS,
+    out: Optional[str] = None,
+    runs: int = 1,
+) -> Dict[str, object]:
+    """Measure on/off overhead and write the BENCH json; returns the report.
+
+    ``runs`` whole measurements (:func:`measure`) are made back to back.
+    One run of unchanged code reads anywhere from -5 to +15 % on a box
+    that switches between two speeds, so the gated ``overhead_percent``
+    is the *median* of the runs, every run's own reading is kept in
+    ``overhead_percent_runs``, and the remaining fields are those of
+    the run nearest the median.
+    """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    # Warmup: first-touch costs (allocator pools, numpy internals) must
+    # not land on whichever configuration happens to run first.
+    timed_run(telemetry_enabled=True, ticks=min(ticks, 120))
+
+    measured = [measure(ticks, repeats) for _ in range(runs)]
+    readings = [float(run["overhead_percent"]) for run in measured]
+    median = statistics.median(readings)
+    report = dict(min(measured, key=lambda run: abs(run["overhead_percent"] - median)))
+    report.update(
+        runs=runs,
+        overhead_percent_runs=readings,
+        overhead_percent=round(median, 3),
+        passed=median < THRESHOLD_PERCENT,
+    )
     out_path = Path(out) if out is not None else DEFAULT_OUT
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
@@ -154,6 +183,9 @@ def _print_report(report: Dict[str, object]) -> None:
     print(f"  median period cost (on)   : {report['telemetry_on_median_us']:9.1f} us")
     print(f"  telemetry overhead        : {report['overhead_percent']:+.2f}% "
           f"(budget {report['threshold_percent']}%)")
+    if report["runs"] > 1:
+        readings = " ".join(f"{value:+.2f}" for value in report["overhead_percent_runs"])
+        print(f"    median of {report['runs']} runs        : {readings}")
     print(f"  spans recorded            : {report['spans_recorded']}")
     for stage, mean_us in report["stage_mean_us"].items():
         print(f"    {stage:24s} mean {mean_us:9.1f} us")
@@ -181,12 +213,16 @@ def main(argv=None) -> int:
                         help="run length in ticks per measurement")
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help="interleaved runs per configuration (best kept)")
+    parser.add_argument("--runs", type=int, default=1,
+                        help="whole on/off measurements; the gate reads their median")
     parser.add_argument("--out", default=None,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     parser.add_argument("--threshold", type=float, default=THRESHOLD_PERCENT,
                         help="fail above this overhead percentage")
     args = parser.parse_args(argv)
-    report = run_experiment(ticks=args.ticks, repeats=args.repeats, out=args.out)
+    report = run_experiment(
+        ticks=args.ticks, repeats=args.repeats, out=args.out, runs=args.runs
+    )
     _print_report(report)
     if report["overhead_percent"] >= args.threshold:
         print(f"FAIL: overhead above {args.threshold}%")

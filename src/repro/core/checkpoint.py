@@ -263,11 +263,11 @@ class ControllerCheckpoint:
             model.angles.clear()
             model.angles.extend([float(v) for v in state["angles"]])
             model.steps_observed = int(state["steps_observed"])
-            model._last_point = (
-                None
-                if state["last_point"] is None
-                else np.asarray(state["last_point"], dtype=float)
-            )
+            last = state["last_point"]
+            if last is not None:
+                last = np.asarray(last, dtype=float)
+                last.flags.writeable = False  # as TrajectoryModel.observe keeps it
+            model._last_point = last
         bank_state = data["mode_bank"]
         bank._current_mode = (
             None

@@ -382,13 +382,13 @@ class StayAway:
         self.trajectory.append(
             TrajectoryPoint(
                 tick=tick,
-                coords=mapped.coords.copy(),
+                coords=mapped.coords,
                 mode=mode,
                 label=mapped.label,
                 throttling=self.throttle.throttling,
             )
         )
-        self._prev_coords = mapped.coords.copy()
+        self._prev_coords = mapped.coords
         self._prev_mode = mode
 
     # -- stages (patchable seams; each runs inside the firewall) ----------------

@@ -32,7 +32,7 @@ class MappedSample:
     state_index:
         Index of the mapped-state in the state space.
     coords:
-        2-D coordinates of the mapped-state.
+        2-D coordinates of the mapped-state (an owned, read-only array).
     label:
         Safe or violation, after this sample's labelling.
     is_new_state:
@@ -88,10 +88,14 @@ class MappingPipeline:
         """Map one raw measurement vector and record the result."""
         normalized = self.normalizer.normalize(np.asarray(values, dtype=float))
         index, is_new, refitted = self.state_space.add_sample(normalized, violated)
+        # The period's one copy of the row, owned and read-only: the
+        # trajectory point and the mode model keep this very array.
+        coords = self.state_space.coords[index].copy()
+        coords.flags.writeable = False
         sample = MappedSample(
             tick=tick,
             state_index=index,
-            coords=self.state_space.coords[index].copy(),
+            coords=coords,
             label=self.state_space.labels[index],
             is_new_state=is_new,
             refitted=refitted,

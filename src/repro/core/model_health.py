@@ -33,7 +33,8 @@ registry (surfaced under ``summary()["telemetry"]["containment"]``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from math import isfinite
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -139,9 +140,10 @@ class ModelHealthWatchdog:
         self.geometry_repairs = 0
         self.resets = 0
         self.beta_resets = 0
-        #: ``(coords, representative matrix, stress)`` of the last
-        #: stress computation — see :meth:`_stress`.
-        self._stress_memo: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
+        #: The last ``(coords bytes, representative-matrix bytes)``
+        #: whose every row passed :func:`_bad_rows`, and the stress of
+        #: that content once computed — see :meth:`_stress`.
+        self._clean: Tuple[Tuple[bytes, bytes], Optional[float]] = ((b"", b""), None)
         self._counters = None
         if telemetry is not None:
             self._counters = {
@@ -184,10 +186,16 @@ class ModelHealthWatchdog:
 
         # 2. Per-row sanity of the learned map: finite and of plausible
         #    magnitude (both live in normalized spaces of order-1
-        #    values; 1e9 is corruption, not learning).
+        #    values; 1e9 is corruption, not learning). One pass over
+        #    each matrix: its bytes, against those that last passed.
         if not report.structural and n_coords:
-            bad = set(_bad_rows(space.coords))
-            bad.update(_bad_rows(space.representatives.points))
+            points = space.representatives.points
+            content = (space.coords.tobytes(), points.tobytes())
+            bad: Set[int] = set()
+            if self._clean[0] != content:
+                bad = {*_bad_rows(space.coords), *_bad_rows(points)}
+                if not bad:
+                    self._clean = (content, None)
             if bad:
                 report.bad_states = sorted(bad)
                 report.issues.append(
@@ -203,13 +211,13 @@ class ModelHealthWatchdog:
         #    is checked — rebuilding here would mask in-place poisoning.
         cached = space._geometry
         if cached is not None:
-            geometry_bad = (
-                not np.isfinite(cached.scale)
-                or (cached.radii.size and not np.isfinite(cached.radii).all())
-                or bool(np.any(cached.radii < 0))
-                or (cached.centers.size and not np.isfinite(cached.centers).all())
+            radii = cached.radii.tolist()
+            geometry_ok = (
+                isfinite(cached.scale)
+                and all(map(isfinite, radii + cached.centers.ravel().tolist()))
+                and min(radii, default=0.0) >= 0
             )
-            if geometry_bad:
+            if not geometry_ok:
                 report.issues.append(
                     HealthIssue("geometry", "cached violation geometry poisoned")
                 )
@@ -223,7 +231,7 @@ class ModelHealthWatchdog:
             finite = (
                 model.distances.finite
                 and model.angles.finite
-                and (last is None or bool(np.isfinite(last).all()))
+                and (last is None or all(map(isfinite, last.tolist())))
             )
             if not finite:
                 report.bad_modes.append(mode)
@@ -233,7 +241,7 @@ class ModelHealthWatchdog:
 
         # 5. Beta stays a usable threshold.
         beta = controller.throttle.beta
-        if not np.isfinite(beta) or beta <= 0:
+        if not isfinite(beta) or beta <= 0:
             report.beta_bad = True
             report.issues.append(HealthIssue("beta", f"beta degenerated to {beta}"))
 
@@ -244,7 +252,7 @@ class ModelHealthWatchdog:
             and n_labels >= MIN_STATES_FOR_STRESS
         ):
             stress = self._stress(space)
-            if not np.isfinite(stress) or stress > STRESS_DIVERGENCE:
+            if not isfinite(stress) or stress > STRESS_DIVERGENCE:
                 report.structural = True
                 report.issues.append(
                     HealthIssue("stress", f"normalized stress diverged to {stress}")
@@ -259,21 +267,19 @@ class ModelHealthWatchdog:
         """``space.stress()``, recomputed only when its inputs changed.
 
         The memo is keyed on the *content* of ``coords`` and the
-        representative matrix, compared against copies taken at the
-        last computation. A version counter bumped by the state space's
-        own mutators would miss exactly what this check exists for:
-        writes into the live arrays from outside them.
+        representative matrix: :meth:`inspect` copies their bytes every
+        period, compares them against the last content that passed the
+        row check, and asks for the stress only after that, so
+        ``_clean`` holds this period's content. A version counter
+        bumped by the state space's own mutators would miss exactly
+        what this check exists for: writes into the live arrays from
+        outside them.
         """
-        coords, points = space.coords, space.representatives.points
-        memo = self._stress_memo
-        if (
-            memo is None
-            or not np.array_equal(memo[0], coords)
-            or not np.array_equal(memo[1], points)
-        ):
-            memo = (coords.copy(), points.copy(), space.stress())
-            self._stress_memo = memo
-        return memo[2]
+        content, stress = self._clean
+        if stress is None:
+            stress = space.stress()
+            self._clean = (content, stress)
+        return stress
 
     # -- healing -----------------------------------------------------------
     def heal(self, tick: int, controller: "StayAway", report: HealthReport) -> List[str]:
@@ -326,6 +332,10 @@ class ModelHealthWatchdog:
             else:
                 self._hard_reset(tick, controller)
                 actions.append("reset")
+            # The map was rewritten under the outstanding forecast; a
+            # quarantine only drops rows (every surviving coordinate
+            # stays put), so it leaves the forecast armed.
+            controller.predictor.invalidate_pending()
         return actions
 
     def _rollback(self, tick: int, controller: "StayAway") -> bool:

@@ -60,7 +60,8 @@ class Prediction:
         """Mean of the candidate cloud (None when not ready)."""
         if self.candidates.size == 0:
             return None
-        return self.candidates.mean(axis=0)
+        # ``mean(axis=0)`` without its wrapper: the same row-by-row sum.
+        return np.add.reduce(self.candidates, axis=0) / self.candidates.shape[0]
 
 
 @dataclass
@@ -147,7 +148,6 @@ class Predictor:
         actually_violated: bool,
     ) -> None:
         """Feed the realized mapped-state; settles any pending prediction."""
-        coords = np.asarray(coords, dtype=float)
         if self._pending is not None and not self._pending_invalidated:
             self._settle(self._pending, coords, actually_violated)
         self._pending = None
@@ -200,7 +200,7 @@ class Predictor:
             )
         else:
             candidates = model.predict_candidates(
-                np.asarray(current, dtype=float), self.rng, self.config.n_samples
+                current, self.rng, self.config.n_samples
             )
             votes = state_space.violation_vote(candidates)
             impending = votes >= self.config.vote_threshold()

@@ -90,19 +90,26 @@ class ViolationGeometry:
         if self.centers.shape[0] == 0:
             return False
         distances = point_distances(np.asarray(point, dtype=float), self.centers)
-        return bool(np.any((distances <= CENTER_EPSILON) | (distances <= self.radii)))
+        return bool(np.any(distances <= np.fmax(self.radii, CENTER_EPSILON)))
 
     def vote(self, candidates: np.ndarray) -> int:
-        """How many candidate points fall inside a violation-range.
+        """How many of the ``(n, 2)`` float candidates fall inside a violation-range.
 
-        One ``(n_candidates, n_violations)`` distance broadcast and one
+        One ``(n_candidates, n_violations)`` distance broadcast — the
+        subtract/square/sum/sqrt of ``cross_distances``, minus the
+        checks :meth:`StateSpace.violation_vote` has made — and one
         boolean reduction; no Python-level loop over candidates.
+        ``d <= fmax(r, CENTER_EPSILON)`` is ``(d <= CENTER_EPSILON) |
+        (d <= r)`` for every float (``fmax``: a NaN radius must leave
+        the centre test alive), read from the live ``radii`` on every
+        vote: a radius written in place is voted on as written.
         """
         if self.centers.shape[0] == 0 or candidates.shape[0] == 0:
             return 0
-        distances = cross_distances(candidates, self.centers)
-        inside = (distances <= CENTER_EPSILON) | (distances <= self.radii[None, :])
-        return int(np.count_nonzero(inside.any(axis=1)))
+        deltas = candidates[:, None, :] - self.centers
+        distances = np.sqrt(np.add.reduce(deltas * deltas, axis=2))
+        inside = distances <= np.fmax(self.radii, CENTER_EPSILON)
+        return int(np.count_nonzero(np.logical_or.reduce(inside, axis=1)))
 
     def ranges(self) -> List[Tuple[np.ndarray, float]]:
         """``(center, radius)`` per violation-state, copy-safe."""
@@ -367,7 +374,8 @@ class StateSpace:
     def _build_geometry(self) -> ViolationGeometry:
         """Materialize centers, scale and radii for the current map.
 
-        The arithmetic mirrors the scalar reference path operation for
+        The arithmetic mirrors the scalar reference path
+        (``tests/support/geometry_reference.py``) operation for
         operation (same subtract/square/sum/sqrt/exp sequence), so the
         vectorized votes are bit-identical to the scalar ones.
         """
@@ -412,9 +420,9 @@ class StateSpace:
         coordinates or high-dimensional vector went non-finite: the
         offending rows are dropped from the representatives, the 2-D
         coordinates and the labels in one index-aligned pass, later
-        states shift down, and every derived cache (merge grid,
-        violation geometry) is invalidated. Returns how many states
-        were removed.
+        states shift down, and every derived cache (the representative
+        matrix, the violation geometry) is invalidated. Returns how
+        many states were removed.
 
         State *indices* held by external bookkeeping (mapping history,
         figures) are not rewritten — they refer to the map as it was at
@@ -457,17 +465,6 @@ class StateSpace:
         distances = point_distances(np.asarray(point, float), self.coords[safe])
         return float(distances.min())
 
-    def _radius_for(self, index: int, c: float) -> float:
-        """Violation-range radius for one violation-state (scalar path)."""
-        if self.radius_law == "fixed":
-            return self.fixed_radius
-        d = self.nearest_safe_distance(self.coords[index])
-        if np.isinf(d):
-            # No safe knowledge at all: fall back to the Rayleigh peak
-            # radius so unexplored space is treated cautiously.
-            return c * float(np.exp(-0.5)) if c > 0 else 0.0
-        return violation_range_radius(d, c)
-
     def violation_ranges(self) -> List[Tuple[np.ndarray, float]]:
         """``(center, radius)`` for every violation-state's range disc."""
         return self.geometry().ranges()
@@ -487,41 +484,3 @@ class StateSpace:
         if candidates.ndim != 2 or candidates.shape[1] != 2:
             raise ValueError(f"expected (n, 2) candidates, got {candidates.shape}")
         return self.geometry().vote(candidates)
-
-    # -- scalar reference implementations ----------------------------------
-    # Retained verbatim from the pre-vectorization code path: the
-    # equivalence suite (tests/unit/test_geometry.py and
-    # tests/property/test_prop_geometry.py) and bench_geometry.py prove
-    # the cached vectorized path gives identical votes.
-    def violation_ranges_scalar(self) -> List[Tuple[np.ndarray, float]]:
-        """Reference ``(center, radius)`` list, one radius at a time."""
-        c = self.coordinate_scale()
-        return [
-            (self.coords[index].copy(), float(self._radius_for(index, c)))
-            for index in self.violation_indices
-        ]
-
-    def in_violation_range_scalar(self, point: np.ndarray) -> bool:
-        """Reference membership test recomputing radii per call."""
-        point = np.asarray(point, dtype=float)
-        violations = self.violation_indices
-        if violations.size == 0:
-            return False
-        centers = self.coords[violations]
-        distances = point_distances(point, centers)
-        if np.any(distances <= CENTER_EPSILON):
-            return True
-        c = self.coordinate_scale()
-        for center_distance, index in zip(distances, violations):
-            if center_distance <= self._radius_for(index, c):
-                return True
-        return False
-
-    def violation_vote_scalar(self, candidates: np.ndarray) -> int:
-        """Reference vote: one full membership scan per candidate."""
-        candidates = np.asarray(candidates, dtype=float)
-        if candidates.ndim != 2 or candidates.shape[1] != 2:
-            raise ValueError(f"expected (n, 2) candidates, got {candidates.shape}")
-        return sum(
-            1 for candidate in candidates if self.in_violation_range_scalar(candidate)
-        )

@@ -8,8 +8,10 @@ arbitrary distribution" (§3.2.3).
 
 from __future__ import annotations
 
-from math import isfinite
-from typing import Optional, Sequence, Tuple, Union
+from bisect import bisect_right
+from itertools import accumulate
+from math import fsum, isfinite
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,36 +104,54 @@ class Histogram:
         cdf[-1] = 1.0
         return cdf
 
-    def inverse_transform(self, u_bin: np.ndarray, u_offset: np.ndarray) -> np.ndarray:
+    def inverse_transform(
+        self, u_bin: Sequence[float], u_offset: Sequence[float]
+    ) -> List[float]:
         """Map uniforms to samples: ``u_bin`` -> bin via CDF, ``u_offset`` -> place in bin.
 
-        The bin lookup uses ``side="right"``: ``u`` maps to the first
-        bin whose cumulative mass strictly exceeds it. With ``"left"``,
+        ``u`` maps to the first bin whose cumulative mass strictly
+        exceeds it (``bisect_right``). With the leftmost match,
         ``u == 0.0`` (reachable — ``rng.uniform`` draws from the
         half-open ``[0, 1)``) and any ``u`` landing exactly on a CDF
         plateau selected a zero-mass bin.
 
+        A few bins, a handful of uniforms: the map runs on Python
+        floats. ``accumulate`` makes the additions of ``np.cumsum``, and
+        a total of unit-weight counts is exact in any order (fractional
+        :meth:`add` weights get ``fsum``'s correctly rounded one).
+
         Parameters
         ----------
         u_bin / u_offset:
-            ``(N,)`` uniforms in ``[0, 1)``.
+            ``N`` uniforms in ``[0, 1)`` each: any sequence of floats.
 
-        Returns the ``(N,)`` samples.
+        Returns the ``N`` samples as a list of floats.
         """
-        # searchsorted never goes below 0; only u_bin >= 1 could overshoot.
-        indices = np.minimum(
-            np.searchsorted(self.cdf(), u_bin, side="right"), self.bins - 1
-        )
-        left = self.edges[indices]
-        right = self.edges[indices + 1]
-        return left + u_offset * (right - left)
+        counts = self.counts.tolist()
+        total = fsum(counts)
+        if total <= 0:
+            masses = [1.0 / self.bins] * self.bins
+        else:
+            masses = [count / total for count in counts]
+        cdf = list(accumulate(masses))
+        cdf[-1] = 1.0
+        edges = self.edges.tolist()
+        # bisect never goes below 0; only u_bin >= 1 could overshoot.
+        last = self.bins - 1
+        samples = []
+        for u, offset in zip(u_bin, u_offset):
+            index = min(bisect_right(cdf, u), last)
+            left = edges[index]
+            samples.append(left + offset * (edges[index + 1] - left))
+        return samples
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` inverse-transform samples: a bin draw, then an offset draw."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        u_bin = rng.uniform(0.0, 1.0, size=n)
-        return self.inverse_transform(u_bin, rng.uniform(0.0, 1.0, size=n))
+        u_bin = rng.uniform(0.0, 1.0, size=n).tolist()
+        u_offset = rng.uniform(0.0, 1.0, size=n).tolist()
+        return np.array(self.inverse_transform(u_bin, u_offset))
 
     def mode_bin_center(self) -> float:
         """Center of the most populated bin."""
@@ -395,4 +415,5 @@ class EmpiricalDistribution:
     def mean(self) -> float:
         if not self._size:
             return 0.0
-        return float(self.samples.mean())
+        # What ``ndarray.mean`` runs: the pairwise sum, then one division.
+        return float(np.add.reduce(self.samples) / self._size)

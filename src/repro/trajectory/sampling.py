@@ -47,13 +47,16 @@ class TrajectoryModel:
         if point.shape != (2,):
             raise ValueError(f"expected a 2-D point, got shape {point.shape}")
         if self._last_point is not None:
-            delta = point - self._last_point
-            distance = float(np.hypot(delta[0], delta[1]))
-            angle = float(np.arctan2(delta[1], delta[0]))
-            self.distances.add(distance)
-            self.angles.add(angle)
+            (x, y), (last_x, last_y) = point.tolist(), self._last_point.tolist()
+            dx, dy = x - last_x, y - last_y
+            self.distances.add(float(np.hypot(dx, dy)))
+            self.angles.add(float(np.arctan2(dy, dx)))
             self.steps_observed += 1
-        self._last_point = point.copy()
+        # An owned read-only array cannot change under us: keep it.
+        if point.flags.writeable or point.base is not None:
+            point = point.copy()
+            point.flags.writeable = False
+        self._last_point = point
 
     def break_continuity(self) -> None:
         """Forget the last reference point (called on mode switches)."""
@@ -61,8 +64,8 @@ class TrajectoryModel:
 
     @property
     def last_point(self) -> Optional[np.ndarray]:
-        """Most recent observed position (None right after a mode switch)."""
-        return None if self._last_point is None else self._last_point.copy()
+        """Most recent observed position, read-only (None right after a mode switch)."""
+        return self._last_point
 
     def ready(self, minimum_steps: int = 3) -> bool:
         """True once both parameter pdfs have a first approximation."""
@@ -92,14 +95,17 @@ class TrajectoryModel:
             for part in (self.distances, self.angles)
         ]
         live = sum(1 for hist in histograms if hist is not None)
-        rows = iter(rng.uniform(0.0, 1.0, size=(2 * live, n)))
+        rows = iter(rng.uniform(0.0, 1.0, size=(2 * live, n)).tolist())
         distances, angles = (
-            np.zeros(n) if hist is None else hist.inverse_transform(next(rows), next(rows))
+            np.zeros(n)
+            if hist is None
+            else np.array(hist.inverse_transform(next(rows), next(rows)))
             for hist in histograms
         )
-        return np.column_stack(
-            [distances * np.cos(angles), distances * np.sin(angles)]
-        )
+        steps = np.empty((n, 2))
+        steps[:, 0] = distances * np.cos(angles)
+        steps[:, 1] = distances * np.sin(angles)
+        return steps
 
     def predict_candidates(
         self,
@@ -116,7 +122,7 @@ class TrajectoryModel:
         current = np.asarray(current, dtype=float)
         if current.shape != (2,):
             raise ValueError(f"expected a 2-D point, got shape {current.shape}")
-        return current[None, :] + self.sample_steps(rng, n)
+        return current + self.sample_steps(rng, n)
 
     def mean_step_length(self) -> float:
         """Average observed step length (0 before any step)."""

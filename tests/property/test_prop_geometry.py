@@ -12,6 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.state_space import StateSpace
+from tests.support.geometry_reference import (
+    in_violation_range_scalar,
+    violation_ranges_scalar,
+    violation_vote_scalar,
+)
 
 
 @st.composite
@@ -40,13 +45,13 @@ def build(samples, violations, refit_interval=1000):
 
 
 def assert_agreement(space, candidates):
-    assert space.violation_vote(candidates) == space.violation_vote_scalar(candidates)
+    assert space.violation_vote(candidates) == violation_vote_scalar(space, candidates)
     for point in candidates:
-        assert space.in_violation_range(point) == space.in_violation_range_scalar(
-            point
+        assert space.in_violation_range(point) == in_violation_range_scalar(
+            space, point
         )
     for (center_v, radius_v), (center_s, radius_s) in zip(
-        space.violation_ranges(), space.violation_ranges_scalar()
+        space.violation_ranges(), violation_ranges_scalar(space)
     ):
         assert np.array_equal(center_v, center_s)
         assert radius_v == radius_s

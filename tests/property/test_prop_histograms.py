@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 
 from repro.trajectory.histograms import EmpiricalDistribution, Histogram
 from repro.trajectory.sampling import TrajectoryModel
+from tests.support.sampling_reference import (
+    reference_cdf,
+    reference_inverse_transform,
+    reference_sample_steps,
+)
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -334,3 +339,112 @@ class TestFusedStepDraw:
         steps = model.sample_steps(rng, n)
         assert np.array_equal(steps, self.sequential_steps(model, reference_rng, n))
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _bits(values):
+    """The IEEE bytes of a float sequence: ``-0.0`` and ``0.0`` differ here."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def binned_draws(draw):
+    """A histogram with zero-mass bins and uniforms that sit on its seams."""
+    bins = draw(st.integers(1, 64))
+    counts = draw(
+        st.one_of(
+            st.just([0] * bins),  # nothing observed: the uniform fallback
+            st.lists(
+                st.one_of(st.just(0), st.integers(0, 400)), min_size=bins, max_size=bins
+            ),
+        )
+    )
+    low = draw(st.floats(-10.0, 10.0))
+    hist = Histogram(low, low + draw(st.floats(1e-3, 20.0)), bins=bins)
+    hist.counts[:] = counts
+    plateau = st.sampled_from(reference_cdf(hist).tolist())  # exactly on the CDF
+    uniform = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, float(np.nextafter(1.0, 0.0)), 1.0]),
+        plateau,
+    )
+    n = draw(st.integers(1, 64))
+    u_bin = draw(st.lists(uniform, min_size=n, max_size=n))
+    u_offset = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return hist, u_bin, u_offset
+
+
+def _plateau_histogram():
+    """cdf ``[0.5, 0.5, 1.0, 1.0]``: ``u == 0.5`` sits on the plateau of an empty bin."""
+    hist = Histogram(0.0, 1.0, bins=4)
+    hist.counts[:] = [1, 0, 1, 0]
+    return hist
+
+
+class TestFloatKernelAgainstArrayReference:
+    """``Histogram.inverse_transform`` runs on Python floats; the array
+    chain it replaced lives on in ``tests/support/sampling_reference.py``
+    and the two must agree to the last bit, stream position included."""
+
+    @given(binned_draws())
+    @example((_plateau_histogram(), [0.5, 0.0, 1.0], [0.3, 0.0, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_equals_reference_bit_for_bit(self, case):
+        hist, u_bin, u_offset = case
+        samples = hist.inverse_transform(u_bin, u_offset)
+        assert all(type(value) is float for value in samples)
+        expected = reference_inverse_transform(
+            hist, np.array(u_bin), np.array(u_offset)
+        ).tolist()
+        # Arrays in, same floats out: the kernel takes any float sequence.
+        assert _bits(hist.inverse_transform(np.array(u_bin), np.array(u_offset))) == _bits(
+            samples
+        )
+        # A rounded-up running sum can pass 1.0 one entry before the
+        # pinned last one (cdf [..., 1.0000000000000002, 1.0]). Every
+        # u < 1 still has one answer there, but u == 1.0 — outside the
+        # half-open range a generator draws from — does not: NumPy's
+        # search starts from the previous key's bounds, so the
+        # reference's own answer depends on the rest of the batch, and
+        # a bisection over an unsorted list promises nothing either.
+        # There the sample only has to stay inside the support.
+        sorted_cdf = bool(np.all(np.diff(reference_cdf(hist)) >= 0))
+        for u, sample, wanted in zip(u_bin, samples, expected):
+            if u < 1.0 or sorted_cdf:
+                assert _bits([sample]) == _bits([wanted])
+            else:
+                assert hist.low <= sample <= hist.high
+
+    @given(
+        st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), max_size=40),
+        st.integers(1, 64),
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sample_steps_equal_the_reference_and_leave_the_stream_where_it_did(
+        self, points, n, bins, seed
+    ):
+        model = TrajectoryModel(window=16, bins=bins)
+        for point in points:
+            model.observe(np.asarray(point))
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            steps = model.sample_steps(rng, n)
+            assert _bits(steps) == _bits(reference_sample_steps(model, reference_rng, n))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_an_empty_model_draws_nothing_and_yields_zeros(self):
+        rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
+        steps = TrajectoryModel().sample_steps(rng, 7)
+        assert steps.shape == (7, 2) and not steps.any()
+        assert rng.bit_generator.state == untouched.bit_generator.state
+
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf")])
+    def test_a_non_finite_window_raises_before_the_stream_moves(self, poison):
+        model = TrajectoryModel(window=16)
+        model.distances.extend([0.1, poison, 0.3])
+        model.angles.extend([0.0, 0.1, 0.2])
+        rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.sample_steps(rng, 5)
+        assert rng.bit_generator.state == untouched.bit_generator.state

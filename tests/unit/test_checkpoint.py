@@ -21,6 +21,7 @@ from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
 from tests.conftest import ConstantApp, SensitiveStub
+from tests.support.geometry_reference import violation_vote_scalar
 
 
 def learned_controller(ticks=60, seed=9):
@@ -182,8 +183,8 @@ class TestRestore:
         assert space.geometry_stats()["rebuilds"] == 0
         rng = np.random.default_rng(0)
         candidates = rng.uniform(-0.5, 1.5, size=(20, 2))
-        assert space.violation_vote(candidates) == space.violation_vote_scalar(
-            candidates
+        assert space.violation_vote(candidates) == violation_vote_scalar(
+            space, candidates
         )
         geometry = space.geometry()
         assert geometry.n_states == len(space)

@@ -39,6 +39,22 @@ class TestControllerBasics:
         assert summary["periods"] == 30
         assert summary["states"] >= 1
 
+    def test_a_period_keeps_one_read_only_copy_of_its_coordinates(self):
+        host, sensitive, _ = contended_setup()
+        controller = StayAway(sensitive, config=StayAwayConfig(seed=1))
+        SimulationEngine(host, [controller]).run(ticks=30)
+        mapped = controller.mapping.latest
+        coords = mapped.coords
+        assert coords.base is None and not coords.flags.writeable
+        assert controller.trajectory[-1].coords is coords
+        assert controller._prev_coords is coords
+        assert controller.predictor.modes.active_model().last_point is coords
+        # A copy of the map's row, not a view: a refit (or a poisoned
+        # row) rewrites the map without touching the period's record.
+        kept = coords.tolist()
+        controller.state_space.coords[mapped.state_index] = 7.0
+        assert coords.tolist() == kept
+
     def test_modes_tracked_correctly(self):
         host, sensitive, _ = contended_setup(batch_start=10)
         controller = StayAway(sensitive, config=StayAwayConfig(enabled=False))

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core.state_space import StateLabel, StateSpace, ViolationGeometry
+from repro.core.state_space import (
+    CENTER_EPSILON,
+    StateLabel,
+    StateSpace,
+    ViolationGeometry,
+)
+from repro.mds.distances import cross_distances
 from repro.telemetry import Telemetry
+from tests.support.geometry_reference import (
+    in_violation_range_scalar,
+    violation_ranges_scalar,
+    violation_vote_scalar,
+)
 
 
 def grow_space(samples, violations=frozenset(), epsilon=0.05, **kwargs):
@@ -25,13 +36,13 @@ def random_space(seed, n=60, dim=4, violation_every=5, refit_interval=1000):
 
 def assert_equivalent(space, candidates):
     """Vectorized and scalar paths must agree on every geometry query."""
-    assert space.violation_vote(candidates) == space.violation_vote_scalar(candidates)
+    assert space.violation_vote(candidates) == violation_vote_scalar(space, candidates)
     for point in candidates:
-        assert space.in_violation_range(point) == space.in_violation_range_scalar(
-            point
+        assert space.in_violation_range(point) == in_violation_range_scalar(
+            space, point
         )
     vectorized = space.violation_ranges()
-    scalar = space.violation_ranges_scalar()
+    scalar = violation_ranges_scalar(space)
     assert len(vectorized) == len(scalar)
     for (center_v, radius_v), (center_s, radius_s) in zip(vectorized, scalar):
         assert np.array_equal(center_v, center_s)
@@ -77,7 +88,7 @@ class TestEquivalence:
         space, _ = random_space(seed=16)
         for index in space.violation_indices:
             assert space.in_violation_range(space.coords[index])
-            assert space.in_violation_range_scalar(space.coords[index])
+            assert in_violation_range_scalar(space, space.coords[index])
 
     def test_degenerate_single_state(self):
         space = grow_space([[0.4, 0.4]], violations={0})
@@ -131,7 +142,7 @@ class TestCache:
         space.add_sample(space.representatives.points[target], violated=True)
         assert space.labels[target] is StateLabel.VIOLATION
         assert space.violation_vote(candidates) == 1
-        assert space.violation_vote_scalar(candidates) == 1
+        assert violation_vote_scalar(space, candidates) == 1
 
     def test_refit_invalidates(self):
         space, _ = random_space(seed=24)
@@ -192,3 +203,69 @@ class TestTelemetryWiring:
         space.violation_vote(rng.uniform(0, 1, size=(5, 2)))
         stats = space.geometry_stats()
         assert stats["rebuilds"] >= 1
+
+
+def two_comparison_inside(geometry, candidates):
+    """The membership matrix as the vote wrote it until PR 23."""
+    distances = cross_distances(candidates, geometry.centers)
+    return (distances <= CENTER_EPSILON) | (distances <= geometry.radii[None, :])
+
+
+class TestOneComparisonVote:
+    """``d <= fmax(r, eps)`` is ``(d <= eps) | (d <= r)`` for every float."""
+
+    RADII = [0.0, 5e-324, float("nan"), -1.0, float("inf"), 0.25]
+
+    def geometry(self):
+        centers = np.array([[float(i), 0.0] for i in range(len(self.RADII))])
+        return ViolationGeometry(
+            n_states=len(self.RADII),
+            scale=1.0,
+            violation_indices=np.arange(len(self.RADII)),
+            centers=centers,
+            radii=np.array(self.RADII),
+        )
+
+    def candidates(self):
+        rng = np.random.default_rng(7)
+        on_centres = np.array([[float(i), 0.0] for i in range(len(self.RADII))])
+        near = on_centres + rng.uniform(-0.3, 0.3, size=on_centres.shape)
+        broken = np.array([[np.nan, 0.0], [2.0, np.nan], [np.nan, np.nan]])
+        return np.vstack([on_centres, near, on_centres + [5e-13, 0.0], broken])
+
+    def test_vote_and_contains_equal_the_two_comparison_form(self):
+        geometry, candidates = self.geometry(), self.candidates()
+        inside = two_comparison_inside(geometry, candidates)
+        assert geometry.vote(candidates) == int(np.count_nonzero(inside.any(axis=1)))
+        for candidate, row in zip(candidates, inside):
+            assert geometry.contains(candidate) == bool(row.any())
+            assert geometry.vote(candidate[None, :]) == int(row.any())
+
+    def test_a_nan_radius_keeps_its_centre_test(self):
+        # The named example: a candidate exactly on the centre of a disc
+        # whose radius went NaN is still inside it. ``np.maximum(nan,
+        # eps)`` is NaN and loses the centre test; ``np.fmax`` keeps it.
+        geometry = self.geometry()
+        on_the_nan_disc = geometry.centers[2][None, :]
+        assert np.isnan(geometry.radii[2])
+        assert two_comparison_inside(geometry, on_the_nan_disc)[0, 2]
+        assert geometry.vote(on_the_nan_disc) == 1
+        distances = cross_distances(on_the_nan_disc, geometry.centers)
+        assert not (distances <= np.maximum(geometry.radii, CENTER_EPSILON))[0, 2]
+
+    def test_a_radius_written_in_place_is_voted_on_as_written(self):
+        # The threshold is read from the live radii on every vote, never
+        # cached at build: what ModelPoisoner writes, the uncontained
+        # arm of the recovery drill votes on (and the watchdog reads).
+        space, _ = random_space(seed=41)
+        geometry = space.geometry()
+        index = int(np.argmax(geometry.radii))
+        assert geometry.radii[index] > 0
+        candidate = (geometry.centers[index] + [0.5 * geometry.radii[index], 0.0])[None, :]
+        before = space.violation_vote(candidate)
+        assert before == 1
+        saved = geometry.radii.copy()
+        geometry.radii[:] = -1.0
+        assert space.violation_vote(candidate) == 0
+        geometry.radii[:] = saved
+        assert space.violation_vote(candidate) == before

@@ -21,6 +21,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.faults import ModelPoisoner
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
+from repro.trajectory.modes import ExecutionMode
 
 from tests.conftest import ConstantApp, SensitiveStub
 
@@ -313,3 +314,102 @@ class TestStressMemo:
         assert [issue.check for issue in report.issues] == ["stress"]
         assert report.structural
         assert controller.state_space.stress() > STRESS_DIVERGENCE
+
+
+def _poison(kind, controller, host):
+    """A named write into live learned state, as ``ModelPoisoner`` makes them."""
+    space = controller.state_space
+    if kind in ModelPoisoner.KINDS:
+        poisoner = ModelPoisoner(controller, seed=1, probability=1.0, kinds=[kind])
+        poisoner.on_tick(host.step(), host)
+        assert [event.kind for event in poisoner.fired] == [f"poison-{kind}"]
+    elif kind == "inf-scale":
+        object.__setattr__(space._geometry, "scale", float("inf"))
+    elif kind == "nan-centre":
+        space._geometry.centers[0, 1] = float("nan")
+    elif kind == "inf-last-point":
+        model = controller.predictor.modes.models[ExecutionMode.COLOCATED]
+        model._last_point = np.array([float("inf"), 0.0])
+    elif kind == "garbage-representative":
+        space.representatives._points[2][3] = 1e9
+        space.representatives._matrix = None
+    else:  # pragma: no cover
+        raise AssertionError(kind)
+
+
+class TestVerdictTable:
+    """Every poison, its verdict and its repair — recorded at the parent
+    of the PR that moved the checks from NumPy reductions to floats, and
+    required unchanged: same ``HealthIssue.check``, same ``bad_states``
+    / ``bad_modes``, same heal action."""
+
+    TABLE = [
+        # kind, check, bad_states, bad_modes, actions
+        ("nan-coords", "finite-rows", [23], [], ["quarantine"]),
+        ("garbage-coords", "finite-rows", [23], [], ["quarantine"]),
+        ("nan-representative", "finite-rows", [23], [], ["quarantine"]),
+        ("negative-radius", "geometry", [], [], ["geometry-rebuild"]),
+        ("nan-histogram", "histograms", [], ["sensitive-only"], ["rollback"]),
+        ("nan-beta", "beta", [], [], ["beta-reset"]),
+        ("inf-scale", "geometry", [], [], ["geometry-rebuild"]),
+        ("nan-centre", "geometry", [], [], ["geometry-rebuild"]),
+        ("inf-last-point", "histograms", [], ["colocated"], ["rollback"]),
+        ("garbage-representative", "finite-rows", [2], [], ["quarantine"]),
+    ]
+
+    def test_the_table_names_every_poisoner_kind(self):
+        assert set(ModelPoisoner.KINDS) <= {row[0] for row in self.TABLE}
+
+    @pytest.mark.parametrize("kind,check,bad_states,bad_modes,actions", TABLE)
+    def test_verdict_and_repair(self, kind, check, bad_states, bad_modes, actions):
+        controller, host = mapped_controller()
+        watchdog = fresh_watchdog(controller, snapshot_tick=140)
+        assert controller.state_space.geometry().radii.size
+        assert watchdog.inspect(150, controller).ok
+        _poison(kind, controller, host)
+        report = watchdog.inspect(151, controller)
+        assert [issue.check for issue in report.issues] == [check]
+        assert report.bad_states == bad_states
+        assert [mode.value for mode in report.bad_modes] == bad_modes
+        assert watchdog.heal(151, controller, report) == actions
+        assert watchdog.inspect(152, controller).ok
+
+
+class TestHealInvalidatesThePendingForecast:
+    """A rollback or a reset rewrites the map at step 0d, before the
+    period maps: the forecast made last period and the coordinates about
+    to be observed no longer share a frame, so the accuracy ledger must
+    not score one against the other (it did until PR 23)."""
+
+    def test_no_record_settles_across_a_rewritten_map(self):
+        ticks, seed = 800, 3000  # host_steady's scenario, episode 0 of seed 3
+        built = Scenario(
+            sensitive="webservice-mix",
+            batches=("cpubomb", "memorybomb"),
+            ticks=ticks,
+            batch_start=60,
+            seed=seed,
+        ).build()
+        controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=seed))
+        poisoner = ModelPoisoner(controller, seed=1, probability=0.05)
+        healed = {}
+        heal = controller.watchdog.heal
+
+        def recording_heal(tick, owner, report):
+            actions = heal(tick, owner, report)
+            healed[tick] = actions
+            return actions
+
+        controller.watchdog.heal = recording_heal
+        SimulationEngine(built.host, [controller, poisoner]).run(ticks=ticks)
+
+        period = controller.config.period
+        settled = {record.tick for record in controller.predictor.accuracy_records}
+        rewritten = [t for t, acts in healed.items() if {"rollback", "reset"} & set(acts)]
+        dropped_rows = [t for t, acts in healed.items() if acts == ["quarantine"]]
+        assert len(poisoner.fired) > 30 and len(rewritten) >= 5 and dropped_rows
+        assert not [t for t in rewritten if t - period in settled]
+        # A quarantine keeps every surviving coordinate where it was:
+        # the forecast stays armed and is scored as usual.
+        assert [t for t in dropped_rows if t - period in settled]
+        assert controller.summary()["telemetry"]["containment"]["firewall_catches"] == 0

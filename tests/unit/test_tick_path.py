@@ -9,11 +9,17 @@ parent it cost 91 enum-descriptor calls a step.
 
 import pytest
 
+from repro.core.config import StayAwayConfig
+from repro.core.controller import StayAway
+from repro.experiments.scenarios import Scenario
+from repro.service import decision_sequence
 from repro.service.recording import header_record, snapshot_records
 from repro.sim.container import Container
 from repro.sim.contention import ProportionalShareModel, WeightedWaterFillModel
+from repro.sim.engine import SimulationEngine
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
+from repro.trajectory.histograms import Histogram
 from repro.workloads.registry import make_workload
 from repro.workloads.traces import wikipedia_trace
 
@@ -64,3 +70,41 @@ def test_the_zero_vector_is_one_shared_constant():
     assert ResourceVector.zero() is ResourceVector.zero()
     assert ResourceVector.zero() == ResourceVector()
     assert ResourceVector.zero().is_zero()
+
+
+def _steady_run(ticks=300, seed=3000):
+    """A ``host_steady``-shaped life: webservice-mix against two bombs."""
+    built = Scenario(
+        sensitive="webservice-mix",
+        batches=("cpubomb", "memorybomb"),
+        ticks=ticks,
+        batch_start=60,
+        seed=seed,
+    ).build()
+    controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=seed))
+    SimulationEngine(built.host, [controller]).run(ticks=ticks)
+    return controller
+
+
+def _off_the_period(*args, **kwargs):
+    raise AssertionError("an array-returning histogram helper ran inside a period")
+
+
+def test_a_period_never_touches_the_array_histogram_api(monkeypatch):
+    """The predict stage draws through ``Histogram.inverse_transform`` on
+    Python floats. ``probabilities`` / ``cdf`` / ``total`` return arrays
+    (or reduce one) for figures and tests; at the parent of PR 23 every
+    period built both, twice."""
+    reference = _steady_run()
+    monkeypatch.setattr(Histogram, "probabilities", _off_the_period)
+    monkeypatch.setattr(Histogram, "cdf", _off_the_period)
+    monkeypatch.setattr(Histogram, "total", property(_off_the_period))
+    controller = _steady_run()
+
+    containment = controller.summary()["telemetry"]["containment"]
+    assert containment["firewall_catches"] == 0
+    assert len(controller.trajectory) == 300  # every period ran to its end
+    drawn = [p for p in controller.predictor.predictions if p.ready]
+    assert len(drawn) > 250 and all(p.candidates.shape == (5, 2) for p in drawn)
+    assert decision_sequence(controller) == decision_sequence(reference)
+    assert decision_sequence(controller)

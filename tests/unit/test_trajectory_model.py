@@ -33,6 +33,28 @@ class TestObservation:
         with pytest.raises(ValueError):
             TrajectoryModel().observe(np.array([1.0, 2.0, 3.0]))
 
+    def test_last_point_cannot_change_under_the_model(self):
+        model = TrajectoryModel()
+        # A writable array (or a view of one) is copied ...
+        point = np.array([1.0, 2.0])
+        model.observe(point)
+        point[0] = 99.0
+        assert model.last_point.tolist() == [1.0, 2.0]
+        backing = np.array([[3.0, 4.0]])
+        view = backing[0]
+        view.flags.writeable = False
+        model.observe(view)
+        backing[0, 0] = 99.0
+        assert model.last_point.tolist() == [3.0, 4.0]
+        # ... an owned read-only one is the period's shared copy: kept.
+        frozen = np.array([5.0, 6.0])
+        frozen.flags.writeable = False
+        model.observe(frozen)
+        assert model.last_point is frozen
+        with pytest.raises(ValueError):
+            model.last_point[0] = 0.0
+        assert model.distances.samples.tolist() == [np.hypot(2.0, 2.0)] * 2
+
     def test_ready_needs_min_steps(self):
         model = TrajectoryModel()
         points = [np.array([0.0, 0.0]), np.array([0.1, 0.0]),
