@@ -39,7 +39,6 @@ from repro.experiments.runner import (
     RunResult,
     TrioResult,
     run_isolated,
-    run_reactive,
     run_scenario,
     run_stayaway,
     run_trio,
@@ -73,7 +72,6 @@ __all__ = [
     "available_workloads",
     "make_workload",
     "run_isolated",
-    "run_reactive",
     "run_scenario",
     "run_stayaway",
     "run_trio",

@@ -30,7 +30,6 @@ from repro.analysis.stats import (
     SummaryStats,
     bootstrap_mean_ci,
     mann_whitney_u,
-    median_absolute_deviation,
     summarize,
 )
 from repro.analysis.svg import Plot, SvgCanvas
@@ -53,7 +52,6 @@ __all__ = [
     "ascii_table",
     "bootstrap_mean_ci",
     "mann_whitney_u",
-    "median_absolute_deviation",
     "render_scatter",
     "summarize",
     "compare_utilization",

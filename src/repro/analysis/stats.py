@@ -79,14 +79,6 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> SummaryStats
     )
 
 
-def median_absolute_deviation(values: Sequence[float]) -> float:
-    """Robust spread estimator (MAD, unscaled)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty sample")
-    return float(np.median(np.abs(values - np.median(values))))
-
-
 def mann_whitney_u(
     a: Sequence[float], b: Sequence[float]
 ) -> Tuple[float, float]:

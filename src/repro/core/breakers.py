@@ -248,11 +248,6 @@ class BreakerBank:
         """Trips across all stages."""
         return sum(breaker.trip_count for breaker in self.breakers.values())
 
-    def any_open(self, *stages: str) -> bool:
-        """True when any named stage (default: all) is fully OPEN."""
-        names = stages if stages else tuple(self.breakers)
-        return any(self.breakers[name].open for name in names)
-
     def summary(self) -> dict:
         """Per-stage breaker summaries."""
         return {stage: breaker.summary() for stage, breaker in self.breakers.items()}

@@ -86,10 +86,8 @@ class ControllerCheckpoint:
         bank = controller.predictor.modes
         throttle = controller.throttle
         payload: Dict[str, Any] = {
-            "captured_tick": (
-                int(tick)
-                if tick is not None
-                else (controller.trajectory[-1].tick if controller.trajectory else 0)
+            "captured_tick": int(
+                tick if tick is not None else controller.last_period_tick or 0
             ),
             "state_space": {
                 "representatives": space.representatives.points.tolist(),

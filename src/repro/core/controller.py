@@ -200,6 +200,8 @@ class StayAway:
         self._prev_coords: Optional[np.ndarray] = None
         self._prev_mode: Optional[ExecutionMode] = None
         self.last_prediction: Optional[Prediction] = None
+        #: Tick of the last period run, mapped or not (None before any).
+        self.last_period_tick: Optional[int] = None
         self._c_firewall = self.telemetry.counter(
             "containment.firewall_catches",
             help="stage exceptions contained by the firewall",
@@ -234,6 +236,7 @@ class StayAway:
         with self.telemetry.stage("controller.period", tick=observation.tick):
             self._period(observation, actuator)
         self._c_periods.inc()
+        self.last_period_tick = observation.tick
         self._g_beta.set(self.throttle.beta)
 
     def _period(self, observation: Observation, actuator) -> None:
@@ -581,7 +584,7 @@ class StayAway:
         if self.aux_detector is not None and hasattr(self.aux_detector, "summary"):
             aux_summary = self.aux_detector.summary()
         return {
-            "periods": len(self.trajectory),
+            "periods": int(self._c_periods.value),
             "detector_mode": "geometry" if self.aux_detector is None else "hybrid",
             "alarms": len(self.alarm_ticks),
             "gmm": aux_summary,

@@ -83,10 +83,3 @@ class EventLog:
     def count(self, kind: EventKind) -> int:
         """How many events of a kind were recorded."""
         return sum(1 for event in self._events if event.kind is kind)
-
-    def last_of_kind(self, kind: EventKind) -> Event:
-        """Most recent event of a kind (raises if none)."""
-        for event in reversed(self._events):
-            if event.kind is kind:
-                return event
-        raise LookupError(f"no event of kind {kind}")

@@ -102,7 +102,6 @@ class Predictor:
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.modes = ModeModelBank()
-        self.predictions: List[Prediction] = []
         self.accuracy_records: List[AccuracyRecord] = []
         self._pending: Optional[Prediction] = None
         self._pending_invalidated = False
@@ -221,7 +220,6 @@ class Predictor:
                 self._h_votes.observe(float(prediction.votes))
                 if prediction.impending_violation:
                     self._c_flags.inc()
-        self.predictions.append(prediction)
         self._pending = prediction
         self._pending_invalidated = False
         return prediction

@@ -74,9 +74,6 @@ class PrioritizedStayAway:
             (PrioritizedApp(app=app, priority=priority) for app, priority in apps),
             key=lambda entry: -entry.priority,
         )
-        self._priority_by_app: Dict[str, int] = {
-            entry.app.name: entry.priority for entry in self.entries
-        }
         self.controllers: Dict[str, StayAway] = {}
         for rank, entry in enumerate(self.entries):
             controller_config = StayAwayConfig(
@@ -115,10 +112,6 @@ class PrioritizedStayAway:
     def controller_for(self, app_name: str) -> StayAway:
         """The controller protecting one application."""
         return self.controllers[app_name]
-
-    def priority_of(self, app_name: str) -> int:
-        """Priority of one registered application."""
-        return self._priority_by_app[app_name]
 
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
         """Run every controller, highest priority first.

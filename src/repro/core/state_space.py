@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.mds.dedup import RepresentativeSet
-from repro.mds.distances import cross_distances, pairwise_distances, point_distances
+from repro.mds.distances import cross_distances, pairwise_distances
 from repro.mds.incremental import place_point, procrustes_align
 from repro.mds.smacof import smacof
 from repro.mds.stress import normalized_stress
@@ -84,13 +84,6 @@ class ViolationGeometry:
     def n_violations(self) -> int:
         """Number of violation-states in the snapshot."""
         return int(self.violation_indices.size)
-
-    def contains(self, point: np.ndarray) -> bool:
-        """True when ``point`` lies inside any violation-range disc."""
-        if self.centers.shape[0] == 0:
-            return False
-        distances = point_distances(np.asarray(point, dtype=float), self.centers)
-        return bool(np.any(distances <= np.fmax(self.radii, CENTER_EPSILON)))
 
     def vote(self, candidates: np.ndarray) -> int:
         """How many of the ``(n, 2)`` float candidates fall inside a violation-range.
@@ -454,29 +447,9 @@ class StateSpace:
         }
 
     # -- violation-range geometry ------------------------------------------
-    def nearest_safe_distance(self, point: np.ndarray) -> float:
-        """2-D distance from ``point`` to the nearest safe-state.
-
-        ``inf`` when no safe state exists yet.
-        """
-        safe = self.safe_indices
-        if safe.size == 0:
-            return float("inf")
-        distances = point_distances(np.asarray(point, float), self.coords[safe])
-        return float(distances.min())
-
     def violation_ranges(self) -> List[Tuple[np.ndarray, float]]:
         """``(center, radius)`` for every violation-state's range disc."""
         return self.geometry().ranges()
-
-    def in_violation_range(self, point: np.ndarray) -> bool:
-        """True when ``point`` lies inside any violation-range disc.
-
-        A violation-state's own disc always contains its center, even
-        when the computed radius is 0 (an exactly revisited violation
-        state is, by definition, a violation).
-        """
-        return self.geometry().contains(np.asarray(point, dtype=float))
 
     def violation_vote(self, candidates: np.ndarray) -> int:
         """How many candidate points fall inside a violation-range."""

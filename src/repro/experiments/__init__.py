@@ -38,9 +38,7 @@ from repro.experiments.runner import (
     RunResult,
     TrioResult,
     run_gmm,
-    run_hybrid,
     run_isolated,
-    run_reactive,
     run_scenario,
     run_stayaway,
     run_trio,
@@ -68,9 +66,7 @@ __all__ = [
     "run_chaos",
     "run_chaos_comparison",
     "run_gmm",
-    "run_hybrid",
     "run_isolated",
-    "run_reactive",
     "run_scenario",
     "run_stayaway",
     "run_trio",

@@ -242,11 +242,6 @@ def run_stayaway(
     )
 
 
-def run_reactive(scenario: Scenario, cooldown: int = 20) -> RunResult:
-    """Co-location managed by the reactive-only ablation baseline."""
-    return run_scenario(scenario, policy="reactive", cooldown=cooldown)
-
-
 def run_gmm(
     scenario: Scenario,
     config: Optional[StayAwayConfig] = None,
@@ -255,17 +250,6 @@ def run_gmm(
     """Co-location managed by the GMM threshold-learning baseline."""
     return run_scenario(
         scenario, policy="gmm", config=config, gmm_settings=gmm_settings
-    )
-
-
-def run_hybrid(
-    scenario: Scenario,
-    config: Optional[StayAwayConfig] = None,
-    gmm_settings: Optional[GmmSettings] = None,
-) -> RunResult:
-    """Stay-Away with the GMM verdict voting in the predict stage."""
-    return run_scenario(
-        scenario, policy="hybrid", config=config, gmm_settings=gmm_settings
     )
 
 

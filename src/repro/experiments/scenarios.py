@@ -10,7 +10,7 @@ between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.container import Container
@@ -100,10 +100,6 @@ class Scenario:
         return wikipedia_trace(
             days=2, sample_seconds=sample_seconds, base=0.05, seed=self.seed + 7
         )
-
-    def with_batches(self, *batches: str) -> "Scenario":
-        """A copy of this scenario with different batch co-tenants."""
-        return replace(self, batches=tuple(batches), batch_kwargs=())
 
     def build(self, include_batch: bool = True) -> BuiltScenario:
         """Instantiate fresh applications and a fresh host.

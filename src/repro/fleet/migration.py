@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sim.cluster import (
     MIGRATION_BOUNCED,
-    MIGRATION_IN_FLIGHT,
     MIGRATION_LANDED,
     MIGRATION_LOST,
     MigrationRecord,
@@ -270,20 +269,6 @@ class MigrationSupervisor:
             migration._move(tick, MigrationState.ROLLBACK, why)
 
     # -- reporting ---------------------------------------------------------
-    def all_reconciled(self) -> bool:
-        """No orphans: every cluster record ever produced is terminal.
-
-        The chaos-drill invariant — regardless of crashes, every
-        started migration ended in a recorded ``landed`` / ``bounced``
-        / ``lost`` outcome and every supervised intent reached a
-        terminal state (or is still legitimately live mid-run).
-        """
-        return all(
-            record.outcome != MIGRATION_IN_FLIGHT
-            for migration in self.migrations
-            for record in migration.records
-            if migration.terminal
-        )
 
     def summary(self) -> dict:
         """Counts by terminal state plus retry/timeout tallies."""

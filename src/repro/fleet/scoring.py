@@ -125,7 +125,3 @@ class InterferenceScorer:
     def scores(self) -> Dict[str, HostScore]:
         """A snapshot of all current scores, keyed by host."""
         return dict(self._scores)
-
-    def forget(self, host: str) -> None:
-        """Drop a host's history (host removed from the fleet)."""
-        self._scores.pop(host, None)

@@ -34,8 +34,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.mds.distances import point_distances
-
 #: Floor under a point-to-anchor distance before dividing by it.
 _MIN_DISTANCE = 1e-12
 #: Damping multipliers after an accepted / a rejected step.
@@ -383,12 +381,6 @@ def _descend(
         if not active.any():
             break
     return x, stress
-
-
-def placement_stress(point: np.ndarray, anchors_2d: np.ndarray, deltas: np.ndarray) -> float:
-    """Residual stress of a placed point against its anchors."""
-    distances = point_distances(np.asarray(point, float), np.asarray(anchors_2d, float))
-    return float(np.sum((distances - np.asarray(deltas, float)) ** 2))
 
 
 def procrustes_align(

@@ -7,9 +7,8 @@ vectors" (§1). This package implements that agent:
 * :class:`~repro.monitoring.collector.MetricsCollector` — samples each
   container's usage into a flat :class:`~repro.monitoring.metrics.MeasurementVector`
   (optionally aggregating all batch containers into one logical VM, §5);
-* :class:`~repro.monitoring.normalize.CapacityNormalizer` /
-  :class:`~repro.monitoring.normalize.RunningMinMax` — the paper's
-  [0, 1] metric normalization (§4);
+* :class:`~repro.monitoring.normalize.CapacityNormalizer` — the
+  paper's [0, 1] metric normalization (§4);
 * :class:`~repro.monitoring.qos.QosTracker` — the application-reported
   QoS/violation channel (§3.1);
 * :class:`~repro.monitoring.guard.SensorGuard` — validates each
@@ -23,7 +22,7 @@ from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.guard import GuardVerdict, RejectReason, SensorGuard
 from repro.monitoring.ipc import IpcViolationDetector
 from repro.monitoring.metrics import MeasurementVector, metric_labels
-from repro.monitoring.normalize import CapacityNormalizer, Normalizer, RunningMinMax
+from repro.monitoring.normalize import CapacityNormalizer, Normalizer
 from repro.monitoring.qos import QosTracker
 from repro.monitoring.timeseries import Series
 
@@ -36,7 +35,6 @@ __all__ = [
     "Normalizer",
     "QosTracker",
     "RejectReason",
-    "RunningMinMax",
     "SensorGuard",
     "Series",
     "metric_labels",

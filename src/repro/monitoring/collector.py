@@ -116,16 +116,3 @@ class MetricsCollector:
         if not self.samples:
             raise RuntimeError("collector has not observed any tick yet")
         return self.samples[-1]
-
-    def as_matrix(self) -> np.ndarray:
-        """All samples stacked as an ``(n_samples, dimension)`` matrix.
-
-        Once the vector layout is known the empty matrix is
-        ``(0, dimension)`` rather than ``(0, 0)``, so downstream shape
-        arithmetic (hstack/vstack, broadcasting) works before the first
-        sample arrives.
-        """
-        if not self.samples:
-            width = 0 if self._labels is None else len(self._labels)
-            return np.empty((0, width))
-        return np.vstack([sample.values for sample in self.samples])

@@ -54,15 +54,3 @@ class MeasurementVector:
     def dimension(self) -> int:
         """Number of metrics in the vector."""
         return len(self.values)
-
-    def value_of(self, label: str) -> float:
-        """Reading for one labelled metric."""
-        try:
-            index = self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no metric labelled {label!r}; have {list(self.labels)}") from None
-        return float(self.values[index])
-
-    def as_array(self) -> np.ndarray:
-        """The raw values as a float array (copy)."""
-        return np.asarray(self.values, dtype=float).copy()

@@ -8,7 +8,7 @@ import numpy as np
 
 
 class Series:
-    """An append-only ``(tick, value)`` series with window helpers."""
+    """An append-only ``(tick, value)`` series."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -43,52 +43,8 @@ class Series:
     def values(self) -> np.ndarray:
         return np.asarray(self._values, dtype=float)
 
-    def last(self, n: int = 1) -> np.ndarray:
-        """The most recent ``n`` values (fewer if the series is shorter)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return np.asarray(self._values[-n:], dtype=float)
-
     def mean(self) -> float:
         """Arithmetic mean over the whole series (0.0 if empty)."""
         if not self._values:
             return 0.0
         return float(np.mean(self._values))
-
-    def window_mean(self, n: int) -> float:
-        """Mean over the most recent ``n`` samples."""
-        values = self.last(n)
-        if values.size == 0:
-            return 0.0
-        return float(values.mean())
-
-    def fraction_below(self, threshold: float) -> float:
-        """Fraction of samples strictly below a threshold."""
-        if not self._values:
-            return 0.0
-        values = self.values
-        return float(np.count_nonzero(values < threshold) / values.size)
-
-    def moving_average(self, window: int) -> np.ndarray:
-        """Simple moving average (shorter warm-up windows averaged as-is)."""
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        values = self.values
-        if values.size == 0:
-            return values
-        out = np.empty_like(values)
-        cumulative = np.cumsum(values)
-        for i in range(values.size):
-            start = max(0, i - window + 1)
-            total = cumulative[i] - (cumulative[start - 1] if start > 0 else 0.0)
-            out[i] = total / (i - start + 1)
-        return out
-
-    def downsample(self, factor: int) -> "Series":
-        """Every ``factor``-th sample, preserving tick alignment."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        out = Series(name=self.name)
-        for tick, value in zip(self._ticks[::factor], self._values[::factor]):
-            out.append(tick, value)
-        return out

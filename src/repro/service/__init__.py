@@ -55,7 +55,6 @@ from repro.service.controller_service import (
 from repro.service.exporter import UsageGaugeExporter
 from repro.service.recording import (
     StreamRecorder,
-    load_stream_jsonl,
     snapshot_records,
     write_stream_jsonl,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "StreamRecorder",
     "decision_sequence",
     "UsageGaugeExporter",
-    "load_stream_jsonl",
     "parse_prometheus_text",
     "snapshot_records",
     "write_stream_jsonl",

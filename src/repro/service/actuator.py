@@ -136,7 +136,6 @@ class SimHostActuator(Actuator):
     ) -> None:
         self.host = host
         self.ack_filter = ack_filter
-        self.applied: List[RecordedAction] = []
 
     def deliver(self, command: ActuatorCommand, tick: int) -> Optional[bool]:
         container = self.host.containers.get(command.container)
@@ -151,15 +150,6 @@ class SimHostActuator(Actuator):
                     self.host.resume_container(command.container)
         except Exception:  # sacheck: disable=SA108 -- actuation boundary: a failed signal is a retryable delivery failure, not a service crash
             return False
-        self.applied.append(
-            RecordedAction(
-                tick=tick,
-                verb=command.verb,
-                container=command.container,
-                command_id=command.command_id,
-                attempt=command.attempts,
-            )
-        )
         if self.ack_filter is not None and not self.ack_filter(command, tick):
             return None  # action landed; ack lost in transit
         return True
@@ -221,7 +211,6 @@ class AckTracker:
             "actuator.dead_lettered", help="commands whose retry budget ran out"
         )
         self._next_id = 0
-        self.commands: List[ActuatorCommand] = []
         self.dead_letters: List[ActuatorCommand] = []
         # The in-flight command of each container, in issue order
         # (``submit`` guarantees at most one per container).
@@ -266,7 +255,6 @@ class AckTracker:
             issued_tick=tick,
         )
         self._next_id += 1
-        self.commands.append(command)
         self._pending[container] = command
         self._c_submitted.inc()
         self._attempt(command, tick)

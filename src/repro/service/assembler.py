@@ -188,10 +188,6 @@ class StreamAssembler:
         """Most recently closed tick (None before the first closure)."""
         return self._last_closed
 
-    def pending_ticks(self) -> List[int]:
-        """Buffered, not-yet-closed ticks in order."""
-        return sorted(self._pending)
-
     def summary(self) -> dict:
         """The ``stream.*`` delivery counters as plain ints."""
         return {

@@ -165,14 +165,3 @@ def write_stream_jsonl(
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
     return path
-
-
-def load_stream_jsonl(path: Union[str, Path]) -> List[dict]:
-    """Read a stream-JSONL file back into wire records."""
-    records: List[dict] = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -15,8 +15,6 @@ Failure semantics
 * A **down** host (:meth:`Cluster.fail_host`) stops stepping: its
   containers are frozen, it produces no snapshots, and it can neither
   source nor receive migrations until :meth:`Cluster.recover_host`.
-* A **removed** host (:meth:`Cluster.remove_host`) is gone for good,
-  together with every container still on it.
 * A migration whose destination died mid-copy **bounces** back to its
   source host; if the source is also gone the container is **lost**.
   Every migration therefore terminates in exactly one recorded outcome
@@ -96,7 +94,7 @@ class ContainerLocation:
 
 @dataclass(frozen=True)
 class HostEvent:
-    """One host lifecycle transition (crash / recover / remove)."""
+    """One host lifecycle transition (crash / recover)."""
 
     tick: int
     kind: str
@@ -225,19 +223,6 @@ class Cluster:
         )
         return True
 
-    def remove_host(self, name: str) -> Host:
-        """Permanently remove a host (and everything still on it)."""
-        if name not in self.hosts:
-            raise KeyError(f"unknown host {name!r}")
-        if len(self.hosts) == 1:
-            raise ValueError("cannot remove the last host of a cluster")
-        host = self.hosts.pop(name)
-        self.down.discard(name)
-        self.host_events.append(
-            HostEvent(tick=self.clock.tick, kind="remove", host=name)
-        )
-        return host
-
     # -- migration ---------------------------------------------------------
     def migrate(
         self, container_name: str, destination: str
@@ -336,11 +321,6 @@ class Cluster:
             else:
                 remaining.append(flight)
         self._in_flight = remaining
-
-    @property
-    def in_flight_migrations(self) -> List[MigrationRecord]:
-        """Migrations whose downtime has not elapsed yet."""
-        return [flight.record for flight in self._in_flight]
 
     # -- simulation -----------------------------------------------------------
     def step(self) -> Dict[str, HostSnapshot]:

@@ -191,11 +191,6 @@ class Container:
         return self.state is ContainerState.PAUSED
 
     @property
-    def is_active(self) -> bool:
-        """Running or paused — i.e. admitted and not yet finished."""
-        return self.state in (ContainerState.RUNNING, ContainerState.PAUSED)
-
-    @property
     def last_allocation(self) -> Optional[Allocation]:
         """The most recent allocation delivered to this container."""
         return self._last_allocation

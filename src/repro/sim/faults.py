@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -794,7 +794,7 @@ class InvariantChecker:
 # ---------------------------------------------------------------------------
 
 class HostCrashInjector:
-    """Crash whole hosts — scripted or probabilistic — and recover them.
+    """Crash whole hosts with a seeded probability and recover them.
 
     A cluster middleware (``on_cluster_tick``): registered on a
     :class:`~repro.sim.cluster.Cluster`, it takes hosts down via
@@ -828,15 +828,9 @@ class HostCrashInjector:
         self.probability = probability
         self.recovery_ticks = recovery_ticks
         self.max_down_fraction = max_down_fraction
-        self._scripted_crashes: List[Tuple[int, str]] = []
         self._order: Optional[Tuple[str, ...]] = None
         self._recover_due: Dict[str, int] = {}
         self.fired: List[FaultEvent] = []
-
-    def crash_at(self, tick: int, host: str) -> "HostCrashInjector":
-        """Script a crash of ``host`` at ``tick`` (bypasses the cap)."""
-        self._scripted_crashes.append((tick, host))
-        return self
 
     def host_order(self, cluster: "Cluster") -> Tuple[str, ...]:
         """The stable host order indices are drawn from (captured once)."""
@@ -855,7 +849,7 @@ class HostCrashInjector:
     def on_cluster_tick(
         self, snapshots: Dict[str, HostSnapshot], cluster: "Cluster"
     ) -> None:
-        """Apply due recoveries, then scripted and probabilistic crashes."""
+        """Apply due recoveries, then the tick's probabilistic crashes."""
         tick = cluster.clock.tick - 1  # the tick the snapshots describe
         order = self.host_order(cluster)
 
@@ -866,10 +860,6 @@ class HostCrashInjector:
                         FaultEvent(tick=tick, kind="host-recover", target=host)
                     )
                 del self._recover_due[host]
-
-        for scripted_tick, host in self._scripted_crashes:
-            if scripted_tick == tick:
-                self._crash(tick, host, cluster)
 
         if self.probability <= 0:
             return
@@ -934,8 +924,7 @@ class TelemetryBlackout:
     same view a crashed host produces, which is exactly why a fleet
     control plane must not treat 'no telemetry' as 'safe to act'.
 
-    Scripted windows (``dark(start, end, host)``) and probabilistic
-    blackouts are pure functions of ``(seed, tick, host)`` using the
+    Blackouts are pure functions of ``(seed, tick, host)`` using the
     same stable host-index scheme as :class:`HostCrashInjector`, so
     the blackout script is arm-invariant too.
     """
@@ -951,21 +940,10 @@ class TelemetryBlackout:
         self.inner = inner
         self.seed = seed
         self.probability = probability
-        self._windows: List[Tuple[int, int, str]] = []
         self._order: Optional[Tuple[str, ...]] = None
         self.fired: List[FaultEvent] = []
 
-    def dark(self, start: int, end: int, host: str) -> "TelemetryBlackout":
-        """Script ``host``'s telemetry dark for ticks in ``[start, end)``."""
-        if end <= start:
-            raise ValueError(f"empty blackout window ({start}, {end})")
-        self._windows.append((start, end, host))
-        return self
-
-    def _is_dark(self, tick: int, host: str, index: int) -> bool:
-        for start, end, name in self._windows:
-            if name == host and start <= tick < end:
-                return True
+    def _is_dark(self, tick: int, index: int) -> bool:
         if self.probability > 0:
             rng = np.random.default_rng([self.seed, tick, index, 1])
             return bool(rng.uniform() < self.probability)
@@ -980,7 +958,7 @@ class TelemetryBlackout:
         index_of = {host: i for i, host in enumerate(self._order)}
         visible: Dict[str, HostSnapshot] = {}
         for host, snapshot in snapshots.items():
-            if self._is_dark(tick, host, index_of.get(host, len(index_of))):
+            if self._is_dark(tick, index_of.get(host, len(index_of))):
                 self.fired.append(
                     FaultEvent(tick=tick, kind="blackout", target=host)
                 )
@@ -1010,7 +988,25 @@ def _record_key(record: dict) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-class StreamDropper:
+class _StreamFault:
+    """What every stream-source wrapper passes through to ``inner``.
+
+    ``_held`` is whatever the wrapper took from ``inner`` and still
+    owes its consumer: the stream is not exhausted while any is left.
+    """
+
+    inner: Any
+    _held: Sequence = ()
+
+    def reconnect(self) -> None:
+        self.inner.reconnect()
+
+    @property
+    def exhausted(self) -> bool:
+        return self.inner.exhausted and not self._held
+
+
+class StreamDropper(_StreamFault):
     """Lose wire records in transit with a seeded per-record probability.
 
     Only tick-bearing records are dropped (the ``header`` always
@@ -1047,15 +1043,8 @@ class StreamDropper:
             kept.append(record)
         return kept
 
-    def reconnect(self) -> None:
-        self.inner.reconnect()
 
-    @property
-    def exhausted(self) -> bool:
-        return self.inner.exhausted
-
-
-class StreamReorderer:
+class StreamReorderer(_StreamFault):
     """Delay wire records so they arrive behind newer ticks.
 
     With probability ``probability`` a tick-bearing record is held for
@@ -1114,15 +1103,8 @@ class StreamReorderer:
             out.append(record)
         return out
 
-    def reconnect(self) -> None:
-        self.inner.reconnect()
 
-    @property
-    def exhausted(self) -> bool:
-        return self.inner.exhausted and not self._held
-
-
-class StreamDuplicator:
+class StreamDuplicator(_StreamFault):
     """Deliver wire records twice — once now, once a poll later.
 
     At-least-once transports redeliver; the assembler's
@@ -1137,11 +1119,11 @@ class StreamDuplicator:
         self.seed = seed
         self.probability = probability
         self.duplicated: List[FaultEvent] = []
-        self._echo: List[dict] = []
+        self._held: List[dict] = []  # copies owed on the next poll
 
     def poll(self) -> List[dict]:
-        out: List[dict] = list(self._echo)
-        self._echo = []
+        out: List[dict] = list(self._held)
+        self._held = []
         for record in self.inner.poll():
             out.append(record)
             tick = record.get("tick")
@@ -1149,7 +1131,7 @@ class StreamDuplicator:
                 continue
             rng = np.random.default_rng([self.seed, tick, _record_key(record), 4])
             if rng.uniform() < self.probability:
-                self._echo.append(dict(record))
+                self._held.append(dict(record))
                 self.duplicated.append(
                     FaultEvent(
                         tick=tick,
@@ -1159,15 +1141,8 @@ class StreamDuplicator:
                 )
         return out
 
-    def reconnect(self) -> None:
-        self.inner.reconnect()
 
-    @property
-    def exhausted(self) -> bool:
-        return self.inner.exhausted and not self._echo
-
-
-class StreamStaller:
+class StreamStaller(_StreamFault):
     """Freeze the transport for scripted windows of polls.
 
     During a stall the wrapper neither polls the inner source nor
@@ -1186,26 +1161,12 @@ class StreamStaller:
         self.stalled_polls: List[int] = []
         self._poll_index = 0
 
-    def stall(self, start: int, end: int) -> "StreamStaller":
-        """Add a stall window covering polls ``[start, end)``."""
-        if end <= start:
-            raise ValueError(f"empty stall window ({start}, {end})")
-        self.windows.append((start, end))
-        return self
-
     def poll(self) -> List[dict]:
         self._poll_index += 1
         if any(start <= self._poll_index < end for start, end in self.windows):
             self.stalled_polls.append(self._poll_index)
             return []
         return self.inner.poll()
-
-    def reconnect(self) -> None:
-        self.inner.reconnect()
-
-    @property
-    def exhausted(self) -> bool:
-        return self.inner.exhausted
 
 
 class ActuatorAckDropper:

@@ -26,7 +26,7 @@ from repro.sim.contention import (
     ContentionModel,
     ProportionalShareModel,
 )
-from repro.sim.resources import ResourceVector, default_host_capacity, sum_vectors
+from repro.sim.resources import ResourceVector, default_host_capacity
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class HostSnapshot:
     allocations: Dict[str, Allocation]
     states: Dict[str, ContainerState]
     swap_ratio: float
-
-    def total_usage(self) -> ResourceVector:
-        """Aggregate resource consumption across all containers."""
-        return sum_vectors(self.usage.values())
 
     def cpu_utilization(self, capacity: ResourceVector) -> float:
         """Machine CPU utilization in [0, 1] — the paper's utilization metric."""
@@ -94,7 +90,6 @@ class Host:
         self.contention = contention if contention is not None else ProportionalShareModel()
         self.clock = clock if clock is not None else SimulationClock()
         self._containers: Dict[str, Container] = {}
-        self._history: List[HostSnapshot] = []
         #: The latest tick's snapshot (None before the first step).
         self.last_snapshot: Optional[HostSnapshot] = None
 
@@ -104,12 +99,6 @@ class Host:
         if container.name in self._containers:
             raise ValueError(f"duplicate container name: {container.name!r}")
         self._containers[container.name] = container
-        return container
-
-    def remove_container(self, name: str) -> Container:
-        """Evict a container (it is stopped first)."""
-        container = self._containers.pop(name)
-        container.stop()
         return container
 
     def container(self, name: str) -> Container:
@@ -228,7 +217,6 @@ class Host:
             states=states,
             swap_ratio=swap_ratio,
         )
-        self._history.append(snapshot)
         self.last_snapshot = snapshot
         return snapshot
 
@@ -249,11 +237,6 @@ class Host:
         if advance_clock:
             self.clock.advance()
         return snapshot
-
-    @property
-    def history(self) -> List[HostSnapshot]:
-        """All snapshots produced so far, in tick order."""
-        return self._history
 
     def all_finished(self) -> bool:
         """True when no container can ever demand resources again."""

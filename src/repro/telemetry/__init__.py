@@ -9,8 +9,8 @@ package is how the reproduction measures that about itself. One
 * a :class:`Tracer` of nestable :class:`Span` regions — every period
   produces a ``controller.period`` span with ``map`` / ``predict``
   children (and ``mapping.refit`` grandchildren);
-* :class:`StageTimer` / :class:`Stopwatch` monotonic timers feeding
-  ``*_seconds`` histograms;
+* :class:`StageTimer` monotonic timers feeding ``*_seconds``
+  histograms;
 * exporters: :func:`registry_snapshot` (dict),
   :func:`write_json_snapshot` (run summary file),
   :func:`to_prometheus_text` (scrapeable text),
@@ -51,7 +51,7 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.spans import Span, Tracer
-from repro.telemetry.timers import StageTimer, Stopwatch
+from repro.telemetry.timers import StageTimer
 
 __all__ = [
     "Counter",
@@ -62,7 +62,6 @@ __all__ = [
     "MetricRegistry",
     "Span",
     "StageTimer",
-    "Stopwatch",
     "Telemetry",
     "Tracer",
     "prometheus_name",

@@ -110,10 +110,6 @@ class Gauge(Metric):
         """Add ``amount`` (may be negative)."""
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount``."""
-        self.value -= amount
-
 
 class Histogram(Metric):
     """A bucketed distribution of observations.

@@ -53,7 +53,7 @@ class Telemetry:
         self.enabled = enabled
         self.clock = clock if clock is not None else time.perf_counter
         self.registry = MetricRegistry()
-        self.tracer = Tracer(clock=self.clock, max_spans=max_spans, enabled=enabled)
+        self.tracer = Tracer(clock=self.clock, max_spans=max_spans)
         self._stage_timers: Dict[str, StageTimer] = {}
 
     # -- metric passthrough ------------------------------------------------
@@ -80,10 +80,6 @@ class Telemetry:
         return self.registry.histogram(name, help=help, labels=labels, buckets=buckets)
 
     # -- timing ------------------------------------------------------------
-    def span(self, name: str, **attrs: Any):
-        """Open a nested trace span (no-op context when disabled)."""
-        return self.tracer.span(name, **attrs)
-
     def stage(self, name: str, **attrs: Any):
         """Time a named stage: histogram ``<name>_seconds`` + span.
 
@@ -100,7 +96,6 @@ class Telemetry:
                 self.registry.histogram(
                     f"{name}_seconds", help=f"wall-clock seconds spent in {name}"
                 ),
-                clock=self.clock,
                 tracer=self.tracer,
                 name=name,
             )

@@ -2,19 +2,18 @@
 
 A :class:`Span` is one timed region (a controller period, the mapping
 stage inside it, a SMACOF refit inside *that*); the :class:`Tracer`
-tracks the open-span stack so nesting falls out of call order, keeps a
-bounded list of finished spans, and renders them as an indented tree.
+tracks the innermost open stage so nesting falls out of call order,
+keeps a bounded list of finished spans, and renders them as an
+indented tree.
 
 Span timestamps come from an injectable monotonic clock (default
 ``time.perf_counter``), so tests can drive a fake clock and assert
 exact durations.
 
-Stage timers enter through :meth:`Tracer.defer` / :meth:`Tracer.settle`
-instead of ``begin`` / ``finish``: the same ids, parents, depths,
-clock readings and retention, but the stage is kept as a bare row and
-its :class:`Span` is only built when somebody reads the spans — the
-controller's five stages a period are inside the 5 % overhead budget,
-an export is not.
+Stage timers enter through :meth:`Tracer.defer` / :meth:`Tracer.settle`:
+an open stage is kept as a bare row and its :class:`Span` is only
+built when somebody reads the spans — the controller's five stages a
+period are inside the 5 % overhead budget, an export is not.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 #: Slots of a deferred stage row: :class:`Span`'s seven fields in
-#: order, then the enclosing deferred row and, if one had to be built
-#: while the stage was still open, the span itself.
-_ID, _START, _END, _DEPTH, _ENCLOSING, _BUILT = 0, 2, 3, 5, 7, 8
+#: order, then the enclosing deferred row.
+_ID, _START, _END, _DEPTH, _ENCLOSING = 0, 2, 3, 5, 7
 
 
 @dataclass(slots=True)
@@ -81,22 +79,6 @@ class Span:
         }
 
 
-class _SpanContext:
-    """Context manager that finishes its span on exit."""
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.finish(self.span)
-
-
 class _NullContext:
     """Shared no-op context manager for disabled tracing."""
 
@@ -127,116 +109,47 @@ class Tracer:
     max_spans:
         Cap on stored finished spans; beyond it spans are still timed
         and nested correctly but not retained (``dropped`` counts them).
-    enabled:
-        When ``False``, :meth:`span` returns a shared no-op context and
-        records nothing.
     """
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
         max_spans: int = 20_000,
-        enabled: bool = True,
     ) -> None:
         if max_spans < 0:
             raise ValueError("max_spans must be non-negative")
         self.clock = clock if clock is not None else time.perf_counter
         self.max_spans = max_spans
-        self.enabled = enabled
         self.dropped = 0
         self._spans: List[Span] = []
-        self._stack: List[Span] = []
         self._next_id = 0
         # Deferred stages: the innermost open row, and the closed rows
         # not yet turned into spans.
         self._open: Optional[list] = None
         self._rows: List[list] = []
 
-    # -- producing spans ---------------------------------------------------
-    def span(self, name: str, **attrs: Any):
-        """Open a nested span; use as ``with tracer.span("map"): ...``."""
-        if not self.enabled:
-            return NULL_CONTEXT
-        return _SpanContext(self, self.start(name, **attrs))
-
-    def start(self, name: str, **attrs: Any) -> Span:
-        """Explicitly open a span (prefer :meth:`span`)."""
-        return self.begin(name, attrs or NO_ATTRS)
-
-    def begin(self, name: str, attrs: Mapping[str, Any]) -> Span:
-        """:meth:`start` for callers that already hold the attrs mapping.
-
-        The mapping is attached to the span as is, not copied.
-        """
-        if self._open is not None:
-            self._build_open()
-        stack = self._stack
-        parent = stack[-1] if stack else None
-        span = Span(
-            self._next_id,
-            name,
-            self.clock(),
-            None,
-            parent.span_id if parent is not None else None,
-            parent.depth + 1 if parent is not None else 0,
-            attrs,
-        )
-        self._next_id += 1
-        stack.append(span)
-        return span
-
-    def finish(self, span: Span) -> float:
-        """Close ``span`` (and anything left open beneath it); returns its end."""
-        span.end = end = self.clock()
-        if self._open is not None:
-            self._build_open()
-        stack = self._stack
-        while stack:
-            if stack.pop() is span:
-                break
-        spans = self.spans
-        if len(spans) < self.max_spans:
-            spans.append(span)
-        else:
-            self.dropped += 1
-        return end
-
-    @property
-    def active(self) -> Optional[Span]:
-        """The innermost open span (``None`` outside any)."""
-        if self._open is not None:
-            self._build_open()
-        return self._stack[-1] if self._stack else None
-
     # -- deferred stages ---------------------------------------------------
     def defer(self, name: str, attrs: Mapping[str, Any]) -> list:
         """Open a stage as a bare row; returns it for :meth:`settle`.
 
-        The row takes the id, parent and depth :meth:`begin` would
-        assign now, and one clock reading, but no :class:`Span` is
-        built until :attr:`spans` is read — or a plain span is opened,
-        or :attr:`active` read, underneath the stage.
+        The row takes the next id, the open stage as its parent and
+        one clock reading, but no :class:`Span` is built until
+        :attr:`spans` is read. ``attrs`` is attached as is, not copied.
         """
         enclosing = self._open
         if enclosing is not None:
             parent_id, depth = enclosing[_ID], enclosing[_DEPTH] + 1
-        elif self._stack:
-            parent = self._stack[-1]
-            parent_id, depth = parent.span_id, parent.depth + 1
         else:
             parent_id, depth = None, 0
         self._open = row = [
             self._next_id, name, self.clock(), None, parent_id, depth, attrs,
-            enclosing, None,
+            enclosing,
         ]
         self._next_id += 1
         return row
 
     def settle(self, row: list) -> float:
         """Close a :meth:`defer` row; returns the stage's duration."""
-        span = row[_BUILT]
-        if span is not None:
-            return self.finish(span) - span.start
         row[_END] = end = self.clock()
         self._open = row[_ENCLOSING]
         if len(self._spans) + len(self._rows) < self.max_spans:
@@ -244,18 +157,6 @@ class Tracer:
         else:
             self.dropped += 1
         return end - row[_START]
-
-    def _build_open(self) -> None:
-        """Turn the open deferred rows into open spans, outermost first."""
-        chain = []
-        row = self._open
-        while row is not None:
-            chain.append(row)
-            row = row[_ENCLOSING]
-        for row in reversed(chain):
-            row[_BUILT] = span = Span(*row[:_ENCLOSING])
-            self._stack.append(span)
-        self._open = None
 
     @property
     def spans(self) -> List[Span]:

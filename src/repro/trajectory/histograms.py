@@ -153,11 +153,6 @@ class Histogram:
         u_offset = rng.uniform(0.0, 1.0, size=n).tolist()
         return np.array(self.inverse_transform(u_bin, u_offset))
 
-    def mode_bin_center(self) -> float:
-        """Center of the most populated bin."""
-        index = int(np.argmax(self.counts))
-        return float(0.5 * (self.edges[index] + self.edges[index + 1]))
-
     def skewness(self) -> float:
         """Sample skewness of the binned distribution (bias check).
 

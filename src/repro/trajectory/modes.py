@@ -84,9 +84,3 @@ class ModeModelBank:
         model = self.models[mode]
         model.observe(point)
         return model
-
-    def active_model(self) -> Optional[TrajectoryModel]:
-        """Model of the current mode (None before any observation)."""
-        if self._current_mode is None:
-            return None
-        return self.models[self._current_mode]

@@ -43,13 +43,6 @@ class VectorAutoregression:
         self.coefficients: Optional[np.ndarray] = None  # (p*d + 1, d)
         self.dimension: Optional[int] = None
 
-    @property
-    def parameter_count(self) -> int:
-        """Number of free parameters (the curse-of-dimensionality axis)."""
-        if self.dimension is None:
-            raise RuntimeError("fit the model first")
-        return (self.order * self.dimension + 1) * self.dimension
-
     def _design(self, series: np.ndarray) -> np.ndarray:
         n = series.shape[0]
         rows: List[np.ndarray] = []
@@ -91,18 +84,6 @@ class VectorAutoregression:
         lagged = [history[-lag] for lag in range(1, self.order + 1)]
         row = np.concatenate([np.ones(1), *lagged])
         return row @ self.coefficients
-
-    def forecast_series(self, series: np.ndarray) -> np.ndarray:
-        """In-sample one-step forecasts for every predictable index.
-
-        Returns an ``(n - order, d)`` array aligned with
-        ``series[order:]`` — convenient for accuracy evaluation.
-        """
-        if self.coefficients is None:
-            raise RuntimeError("fit the model first")
-        series = np.asarray(series, dtype=float)
-        design = self._design(series)
-        return design @ self.coefficients
 
 
 def rolling_var_forecast_error(

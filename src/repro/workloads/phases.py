@@ -16,7 +16,7 @@ through its phases more slowly, exactly as a real program would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.sim.resources import ResourceVector
 
@@ -58,11 +58,6 @@ class PhaseSchedule:
         self.cyclic = cyclic
         self._total = sum(phase.duration for phase in self.phases)
 
-    @property
-    def cycle_length(self) -> float:
-        """Total work ticks for one pass over all phases."""
-        return self._total
-
     def phase_at(self, position: float) -> Phase:
         """The phase active at the given work position.
 
@@ -81,20 +76,6 @@ class PhaseSchedule:
             if position < cumulative:
                 return phase
         return self.phases[-1]
-
-    def phase_index_at(self, position: float) -> int:
-        """Index of the active phase (see :meth:`phase_at`)."""
-        phase = self.phase_at(position)
-        return self.phases.index(phase)
-
-    def boundaries(self) -> List[Tuple[float, str]]:
-        """``(start_position, phase_name)`` for each phase of one cycle."""
-        out: List[Tuple[float, str]] = []
-        position = 0.0
-        for phase in self.phases:
-            out.append((position, phase.name))
-            position += phase.duration
-        return out
 
     @classmethod
     def single(cls, name: str, demand: ResourceVector) -> "PhaseSchedule":

@@ -19,7 +19,7 @@ session's does.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.sim.clock import SimulationClock
 from repro.sim.contention import Allocation
@@ -75,7 +75,6 @@ class VlcStreamingServer(Application):
         self.network_peak = network_peak
         self.qos_threshold = qos_threshold
         self.duration = duration
-        self.achieved_rate_series: List[float] = []
         self._last_report: Optional[QosReport] = None
 
     def current_intensity(self, clock: SimulationClock) -> float:
@@ -96,8 +95,6 @@ class VlcStreamingServer(Application):
         return self._jitter(base)
 
     def _on_advance(self, allocation: Allocation, clock: SimulationClock) -> None:
-        achieved = self.required_fps * allocation.progress
-        self.achieved_rate_series.append(achieved)
         self._last_report = QosReport(
             value=allocation.progress, threshold=self.qos_threshold
         )

@@ -21,7 +21,7 @@ second times the granted progress, normalized by the offer.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Optional
 
 from repro.sim.clock import SimulationClock
 from repro.sim.contention import Allocation
@@ -102,7 +102,6 @@ class Webservice(Application):
         self.offered_tps = offered_tps
         self.qos_threshold = qos_threshold
         self.duration = duration
-        self.completed_tps_series: List[float] = []
         self._last_report: Optional[QosReport] = None
 
     def current_intensity(self, clock: SimulationClock) -> float:
@@ -125,9 +124,6 @@ class Webservice(Application):
         return self._jitter(base)
 
     def _on_advance(self, allocation: Allocation, clock: SimulationClock) -> None:
-        intensity = self.current_intensity(clock)
-        completed = self.offered_tps * intensity * allocation.progress
-        self.completed_tps_series.append(completed)
         self._last_report = QosReport(
             value=allocation.progress, threshold=self.qos_threshold
         )

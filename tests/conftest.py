@@ -97,7 +97,12 @@ class CountingApp:
 def observed(host: Host):
     """The host as a controller reads it right now: live lifecycle
     state, the usage of the last tick stepped."""
-    return host.observe(host.history[-1])
+    return host.observe(host.last_snapshot)
+
+
+def reading(vector, label: str) -> float:
+    """One labelled metric of a ``MeasurementVector``."""
+    return float(vector.values[vector.labels.index(label)])
 
 
 @pytest.fixture

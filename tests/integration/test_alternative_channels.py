@@ -7,6 +7,7 @@ from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.priorities import PrioritizedStayAway
 from repro.monitoring.ipc import IpcViolationDetector
+from repro.monitoring.qos import QosTracker
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
 from repro.sim.host import Host
@@ -30,17 +31,15 @@ class TestIpcDrivenController:
             config=StayAwayConfig(seed=43),
             violation_detector=detector,
         )
-        SimulationEngine(host, [controller]).run(ticks=400)
+        app_channel = QosTracker(vlc)  # what the application itself reports
+        SimulationEngine(host, [app_channel, controller]).run(ticks=400)
 
         # The controller acted off IPC dips...
         assert controller.throttle.throttle_count >= 1
         # ...and the application's own (unused) QoS metric confirms the
         # protection worked end to end.
-        app_violations = sum(
-            1 for rate in vlc.achieved_rate_series
-            if rate < vlc.required_fps * vlc.qos_threshold
-        )
-        assert app_violations / len(vlc.achieved_rate_series) < 0.2
+        assert len(app_channel.qos_series) == 400
+        assert app_channel.violation_ratio() < 0.2
 
     def test_ipc_and_app_channels_agree_on_contention(self):
         host = Host()

@@ -15,11 +15,9 @@ from repro.core.checkpoint import ControllerCheckpoint
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.experiments.runner import (
-    run_isolated,
-    run_reactive,
+    run_scenario,
     run_stayaway,
     run_trio,
-    run_unmanaged,
 )
 from repro.experiments.scenarios import Scenario
 from repro.mds.incremental import place_point
@@ -27,6 +25,7 @@ from repro.service import decision_sequence
 from repro.trajectory.histograms import EmpiricalDistribution, Histogram
 from repro.trajectory.sampling import TrajectoryModel
 from tests.support.placement_reference import lost_to_reference
+from tests.support.recorders import record_predictions
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +114,7 @@ class TestAgainstReactiveBaseline:
             sensitive="vlc-streaming", batches=("twitter-analysis",),
             ticks=600, seed=5,
         )
-        reactive = run_reactive(scenario, cooldown=10)
+        reactive = run_scenario(scenario, policy="reactive", cooldown=10)
         stayaway = run_stayaway(scenario)
         assert stayaway.batch_work_done() > 0.7 * reactive.batch_work_done()
         assert stayaway.violation_ratio() < reactive.violation_ratio()
@@ -190,17 +189,18 @@ def _steady_run():
         seed=13,
     ).build()
     controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=13))
+    predictions = record_predictions(controller)
     for _ in range(600):
         controller.on_tick(built.host.step(), built.host)
-    return controller
+    return controller, predictions
 
 
-def _fingerprint(controller):
+def _fingerprint(controller, predictions):
     return {
         "decisions": decision_sequence(controller),
         "candidates": [
             [p.tick, p.votes, p.candidates.tolist()]
-            for p in controller.predictor.predictions
+            for p in predictions
         ],
         "checkpoint": ControllerCheckpoint.capture(controller, tick=600).payload,
     }
@@ -225,7 +225,7 @@ class TestPredictPathAgainstScalarWindow:
 
     @pytest.fixture(scope="class")
     def steady(self):
-        return _fingerprint(_steady_run())
+        return _fingerprint(*_steady_run())
 
     def test_run_equals_values_pinned_from_the_parent_commit(self, steady):
         # the run really predicted, decided and snapshotted something
@@ -249,7 +249,7 @@ class TestPredictPathAgainstScalarWindow:
 
         monkeypatch.setattr(EmpiricalDistribution, "histogram", scalar_histogram)
         monkeypatch.setattr(TrajectoryModel, "sample_steps", sequential_steps)
-        assert _fingerprint(_steady_run()) == steady
+        assert _fingerprint(*_steady_run()) == steady
 
     def test_steady_run_rarely_rebins_a_window(self, monkeypatch):
         # Wall-clock-free guard on the incremental counts: a period's
@@ -263,7 +263,7 @@ class TestPredictPathAgainstScalarWindow:
             return histogram(self)
 
         monkeypatch.setattr(EmpiricalDistribution, "histogram", counted)
-        controller = _steady_run()
+        controller, _ = _steady_run()
         rebins = sum(
             part._rebins
             for model in controller.predictor.modes.models.values()

@@ -58,7 +58,7 @@ class TestBatchDeath:
         controller = StayAway(sensitive, config=StayAwayConfig(seed=2))
         engine = SimulationEngine(host, [controller])
         engine.run(ticks=20)
-        host.remove_container("bomb")
+        host.containers.pop("bomb")  # gone, as a migration takes it
         engine.run(ticks=20)  # must not raise
         assert not controller.throttle.throttling
 

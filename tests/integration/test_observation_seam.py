@@ -154,7 +154,9 @@ class TestInFlightCommands:
         assert state == RUNNING  # the stream's word is back
         repaired = manager.reconcile(port.tick, observation, port.view)
         assert manager.reconcile_repauses == 1
-        assert [c.verb for c in port.tracker.commands] == ["pause", "pause"]
+        assert [c.verb for c in port.tracker.dead_letters] == ["pause"]
+        assert port.tracker.summary()["submitted"] == 2
+        assert port.tracker.pending_containers() == {"bomb": "pause"}
         assert repaired.states()["bomb"] == PAUSED  # carried by value
 
 
@@ -173,12 +175,13 @@ class TestSameTickVisibility:
         assert host.container("bomb").is_paused
 
         flapper.flap_probability = 1.0  # an operator SIGCONTs it next tick
-        engine.run(ticks=1)
+        (snapshot,) = engine.run(ticks=1).snapshots
         (fired,) = flapper.fired
         assert fired.kind == "resume"
         # The snapshot of that tick still says paused; the repair needs
         # the state as it is when the controller runs.
-        assert host.history[fired.tick].states["bomb"] is ContainerState.PAUSED
+        assert snapshot.tick == fired.tick
+        assert snapshot.states["bomb"] is ContainerState.PAUSED
         (repair,) = controller.events.of_kind(EventKind.RECONCILE)
         assert (repair.tick, repair.detail["action"]) == (fired.tick, "repause")
 
@@ -203,8 +206,8 @@ class TestSameTickVisibility:
             return targets
 
         low_throttle.throttle_targets = spy
-        SimulationEngine(host, [coordinator]).run(ticks=80)
+        snapshots = SimulationEngine(host, [coordinator]).run(ticks=80).snapshots
         throttle = coordinator.controller_for("stream").events.of_kind(EventKind.THROTTLE)[0]
         assert "bomb" in throttle.detail["targets"]
-        assert host.history[throttle.tick].states["bomb"] is ContainerState.RUNNING
+        assert snapshots[throttle.tick].states["bomb"] is ContainerState.RUNNING
         assert "bomb" not in seen[throttle.tick]

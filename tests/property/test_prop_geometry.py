@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.state_space import StateSpace
 from tests.support.geometry_reference import (
+    in_range,
     in_violation_range_scalar,
     violation_ranges_scalar,
     violation_vote_scalar,
@@ -47,7 +48,7 @@ def build(samples, violations, refit_interval=1000):
 def assert_agreement(space, candidates):
     assert space.violation_vote(candidates) == violation_vote_scalar(space, candidates)
     for point in candidates:
-        assert space.in_violation_range(point) == in_violation_range_scalar(
+        assert in_range(space, point) == in_violation_range_scalar(
             space, point
         )
     for (center_v, radius_v), (center_s, radius_s) in zip(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.gmm_threshold import GmmSettings
 from repro.core.config import StayAwayConfig
-from repro.experiments.runner import run_gmm, run_hybrid
+from repro.experiments.runner import run_gmm, run_scenario
 from repro.experiments.scenarios import Scenario
 
 BATCHES = st.sampled_from([("cpubomb",), ("twitter-analysis",), ("soplex", "cpubomb")])
@@ -32,8 +32,9 @@ class TestHybridReproducibility:
         settings = GmmSettings(min_samples=20, refit_interval=10)
 
         def observables():
-            result = run_hybrid(
-                _scenario(seed, batches), config=config, gmm_settings=settings
+            result = run_scenario(
+                _scenario(seed, batches), policy="hybrid", config=config,
+                gmm_settings=settings,
             )
             controller = result.controller
             return (

@@ -68,7 +68,7 @@ class TestVarProperties:
         for t in range(1, n):
             series[t] = 0.9 * series[t - 1] + rng.normal(0, 0.1, size=d)
         model = VectorAutoregression(order=1).fit(series)
-        forecasts = model.forecast_series(series)
+        forecasts = np.array([model.predict_next(series[:t]) for t in range(1, n)])
         errors = np.linalg.norm(forecasts - series[1:], axis=1)
         # In-sample error should be on the order of the innovation noise.
         assert np.median(errors) < 0.5

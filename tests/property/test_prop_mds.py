@@ -11,12 +11,11 @@ from repro.mds.distances import pairwise_distances, point_distances
 from repro.mds.incremental import (
     _multi_starts,
     place_point,
-    placement_stress,
     procrustes_align,
 )
 from repro.mds.smacof import smacof
 from repro.mds.stress import raw_stress
-from tests.support.placement_reference import lost_to_reference
+from tests.support.placement_reference import lost_to_reference, placement_stress
 
 
 def point_clouds(min_points=3, max_points=12, dims=4):

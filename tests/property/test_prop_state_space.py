@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.state_space import StateLabel, StateSpace, violation_range_radius
+from tests.support.geometry_reference import in_range
 
 
 class TestRadiusLaw:
@@ -97,7 +98,7 @@ class TestStateSpaceInvariants:
         for i, sample in enumerate(samples):
             space.add_sample(sample, violated=i in violations)
         for index in space.violation_indices:
-            assert space.in_violation_range(space.coords[index])
+            assert in_range(space, space.coords[index])
 
     @given(sample_streams())
     @settings(max_examples=30, deadline=None)

@@ -65,7 +65,7 @@ class ThrottleMachine(RuleBasedStateMachine):
     def step_period(self, impending, observed, distance):
         self.manager.step(
             self.tick,
-            self.host.observe(self.host.history[-1]),
+            self.host.observe(self.host.last_snapshot),
             self.host,
             impending_violation=impending,
             observed_violation=observed,
@@ -81,7 +81,7 @@ class ThrottleMachine(RuleBasedStateMachine):
     def batch_finishes(self, index):
         batch = [
             container for container in self.host.batch_containers()
-            if container.is_active
+            if container.is_running or container.is_paused
         ]
         if batch:
             batch[index % len(batch)].stop()

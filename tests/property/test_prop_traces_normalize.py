@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring.normalize import CapacityNormalizer, RunningMinMax
+from repro.monitoring.normalize import CapacityNormalizer
 from repro.sim.resources import default_host_capacity
 from repro.workloads.traces import WorkloadTrace, diurnal_trace
 
@@ -58,44 +58,6 @@ class TestNormalizerProperties:
         for row in rows:
             out = normalizer.normalize(np.asarray(row))
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-    @given(
-        st.lists(
-            st.lists(
-                st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=3
-            ),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=80)
-    def test_running_minmax_output_in_unit_box(self, rows):
-        normalizer = RunningMinMax(3)
-        for row in rows:
-            out = normalizer.normalize(np.asarray(row))
-            assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-    @given(
-        st.lists(
-            st.lists(
-                st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=2
-            ),
-            min_size=2,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=60)
-    def test_running_minmax_bounds_only_widen(self, rows):
-        normalizer = RunningMinMax(2)
-        previous_min = None
-        previous_max = None
-        for row in rows:
-            normalizer.normalize(np.asarray(row))
-            if previous_min is not None:
-                assert np.all(normalizer.observed_min <= previous_min + 1e-12)
-                assert np.all(normalizer.observed_max >= previous_max - 1e-12)
-            previous_min = normalizer.observed_min
-            previous_max = normalizer.observed_max
 
     @given(
         st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=5, max_size=5),

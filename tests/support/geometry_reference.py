@@ -9,6 +9,12 @@ under ``src/`` imports this module; the equivalence suites
 (``tests/unit/test_geometry.py``, ``tests/property/test_prop_geometry.py``)
 and ``benchmarks/bench_geometry.py`` use it to prove the cached
 vectorized path gives identical votes.
+
+``nearest_safe_distance`` (what the scalar radius is derived from) and
+the one-point membership query ``in_range`` were ``StateSpace`` methods
+only these suites called; since PR 24 they live here, the first
+unchanged, the second as the one-candidate case of the vote the
+program does run.
 """
 
 from __future__ import annotations
@@ -21,11 +27,33 @@ from repro.core.state_space import CENTER_EPSILON, StateSpace, violation_range_r
 from repro.mds.distances import point_distances
 
 
+def nearest_safe_distance(space: StateSpace, point: np.ndarray) -> float:
+    """2-D distance from ``point`` to the nearest safe-state.
+
+    ``inf`` when no safe state exists yet.
+    """
+    safe = space.safe_indices
+    if safe.size == 0:
+        return float("inf")
+    distances = point_distances(np.asarray(point, float), space.coords[safe])
+    return float(distances.min())
+
+
+def in_range(space: StateSpace, point: np.ndarray) -> bool:
+    """True when ``point`` lies inside any violation-range disc.
+
+    A violation-state's own disc always contains its center, even when
+    the computed radius is 0 (an exactly revisited violation state is,
+    by definition, a violation).
+    """
+    return space.violation_vote(np.asarray(point, dtype=float)[None, :]) == 1
+
+
 def _radius_for(space: StateSpace, index: int, c: float) -> float:
     """Violation-range radius for one violation-state (scalar path)."""
     if space.radius_law == "fixed":
         return space.fixed_radius
-    d = space.nearest_safe_distance(space.coords[index])
+    d = nearest_safe_distance(space, space.coords[index])
     if np.isinf(d):
         # No safe knowledge at all: fall back to the Rayleigh peak
         # radius so unexplored space is treated cautiously.

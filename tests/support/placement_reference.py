@@ -4,8 +4,11 @@ This is the one-start-at-a-time ``place_point`` that shipped until the
 damped kernel replaced it: up to 100 single-point Guttman updates per
 start, then at most 12 Gauss-Newton steps, the first strict minimum
 over the starts. The three functions below are that code verbatim
-(they share the input checks, the closed forms for fewer than two
-anchors and ``placement_stress`` with the program). Nothing under
+(they share the input checks and the closed forms for fewer than two
+anchors with the program; ``placement_stress``, the residual every
+placement suite measures with, lived in ``mds/incremental.py`` until
+PR 24 and moved here unchanged when nothing in ``src/`` called it).
+Nothing under
 ``src/`` imports this module; the placement suites use it to require
 that the kernel never ends on a higher stress than the code it
 replaced, from the same starts.
@@ -20,7 +23,13 @@ from typing import Optional
 import numpy as np
 
 from repro.mds.distances import point_distances
-from repro.mds.incremental import _checked_inputs, _place_trivial, placement_stress
+from repro.mds.incremental import _checked_inputs, _place_trivial
+
+
+def placement_stress(point: np.ndarray, anchors_2d: np.ndarray, deltas: np.ndarray) -> float:
+    """Residual stress of a placed point against its anchors."""
+    distances = point_distances(np.asarray(point, float), np.asarray(anchors_2d, float))
+    return float(np.sum((distances - np.asarray(deltas, float)) ** 2))
 
 
 def place_point_reference(

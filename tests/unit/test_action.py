@@ -41,7 +41,7 @@ class TestThrottle:
         assert manager.throttling
         assert host.container("batch0").is_paused
         assert events.count(EventKind.THROTTLE) == 1
-        assert events.last_of_kind(EventKind.THROTTLE).detail["predicted"]
+        assert events.of_kind(EventKind.THROTTLE)[-1].detail["predicted"]
 
     def test_throttles_on_observed_violation(self):
         host, manager, _ = build()

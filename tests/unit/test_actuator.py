@@ -176,6 +176,6 @@ class TestBackends:
         for tick in range(1, 6):
             tracker.step(tick)
         assert command.status is CommandStatus.ACKED
-        # Applied twice, paused once: the redelivery was a no-op signal.
+        # Delivered twice, paused once: the redelivery was a no-op signal.
         assert host.container("c0").is_paused
-        assert len(backend.applied) == 2
+        assert command.attempts == 2

@@ -133,9 +133,9 @@ class TestBank:
     def test_totals_and_any_open(self):
         config = StayAwayConfig(breaker_error_budget=1)
         bank = BreakerBank(config, EventLog())
-        assert not bank.any_open()
+        assert not any(breaker.open for breaker in bank.breakers.values())
         bank.get("predict").record_failure(1)
         assert bank.total_trips == 1
-        assert bank.any_open("predict")
-        assert not bank.any_open("map", "act")
+        assert bank.get("predict").open
+        assert not (bank.get("map").open or bank.get("act").open)
         assert bank.summary()["predict"]["trips"] == 1

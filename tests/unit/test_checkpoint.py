@@ -15,6 +15,8 @@ from repro.core.checkpoint import (
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.events import EventKind
+from repro.experiments.chaos import ContainmentMix, run_recovery_drill
+from repro.experiments.scenarios import Scenario
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
 from repro.sim.host import Host
@@ -55,6 +57,32 @@ class TestCaptureAndSerialize:
         path = save_checkpoint(controller, tmp_path / "state.ckpt")
         assert path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestPeriodsThatDidNotMap:
+    """``trajectory`` only gets a point on a mapped period; the period
+    count and the default checkpoint tick must not be read off it."""
+
+    SCENARIO = Scenario("webservice-mix", ("cpubomb", "memorybomb"), ticks=400, seed=3)
+
+    def test_periods_and_default_tick_count_gap_periods(self):
+        outage = ContainmentMix(fault_windows=((380, 400, "map"),))
+        controller = run_recovery_drill(self.SCENARIO, mix=outage).controller
+        assert controller.trajectory[-1].tick == 379  # the outage mapped nothing
+        assert len(controller.trajectory) < 400
+        assert controller.summary()["periods"] == 400
+        assert controller.last_period_tick == 399
+        assert ControllerCheckpoint.capture(controller).captured_tick == 399
+        assert ControllerCheckpoint.capture(controller, tick=7).captured_tick == 7
+
+    def test_a_controller_with_only_gap_periods_is_not_fresh(self):
+        scenario = Scenario("webservice-mix", ("cpubomb",), ticks=12, seed=3)
+        outage = ContainmentMix(fault_windows=((0, 12, "map"),))
+        controller = run_recovery_drill(scenario, mix=outage).controller
+        assert controller.trajectory == [] and controller.summary()["periods"] == 12
+        checkpoint = ControllerCheckpoint.capture(learned_controller()[0])
+        with pytest.raises(CheckpointError, match="fresh"):
+            checkpoint.restore_into(controller)
 
 
 class TestCorruptionDetection:

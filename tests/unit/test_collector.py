@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.monitoring.collector import BATCH_LOGICAL_VM, MetricsCollector
@@ -13,7 +12,7 @@ from repro.sim.container import Container
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
-from tests.conftest import ConstantApp, SensitiveStub
+from tests.conftest import ConstantApp, SensitiveStub, reading
 
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
@@ -22,6 +21,7 @@ SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 #: the matrix is hashed byte for byte so a last-ulp difference shows.
 HASHSEED_PROBE = """
 import hashlib
+import numpy as np
 from repro.experiments.scenarios import Scenario
 from repro.monitoring.collector import MetricsCollector
 batches = ("cpubomb", "memorybomb", "soplex", "twitter-analysis")
@@ -29,7 +29,8 @@ host = Scenario("webservice-mix", batches, ticks=400, seed=3).build().host
 collector = MetricsCollector()
 for _ in range(400):
     collector.on_tick(host.observe(host.step()))
-print(hashlib.sha256(collector.as_matrix().tobytes()).hexdigest())
+matrix = np.vstack([sample.values for sample in collector.samples])
+print(hashlib.sha256(matrix.tobytes()).hexdigest())
 """
 
 
@@ -65,8 +66,8 @@ class TestAggregatedCollection:
         collector = MetricsCollector(aggregate_batch=True)
         collector.on_tick(host.observe(host.step()))
         sample = collector.latest
-        assert sample.value_of("batch:cpu") == pytest.approx(1.0)  # 2 x 0.5
-        assert sample.value_of("sens:cpu") == pytest.approx(1.0)
+        assert reading(sample, "batch:cpu") == pytest.approx(1.0)  # 2 x 0.5
+        assert reading(sample, "sens:cpu") == pytest.approx(1.0)
 
     def test_batch_fold_is_name_ordered(self):
         # Regression: the batch names used to be a Python set, so with
@@ -90,7 +91,7 @@ class TestAggregatedCollection:
         for _ in range(4):
             collector.on_tick(host.observe(host.step()))
         assert len(collector.samples) == 4
-        assert collector.as_matrix().shape == (4, 10)
+        assert [sample.dimension for sample in collector.samples] == [10] * 4
 
     def test_paused_batch_reads_zero(self):
         host = build_host(batch_count=1)
@@ -98,7 +99,7 @@ class TestAggregatedCollection:
         collector.on_tick(host.observe(host.step()))
         host.pause_container("batch0")
         collector.on_tick(host.observe(host.step()))
-        assert collector.latest.value_of("batch:cpu") == 0.0
+        assert reading(collector.latest, "batch:cpu") == 0.0
 
 
 class TestPerContainerCollection:
@@ -108,21 +109,3 @@ class TestPerContainerCollection:
         collector.on_tick(host.observe(host.step()))
         assert collector.vm_names == ("sens", "batch0", "batch1")
         assert collector.dimension == 15
-
-    def test_empty_matrix_before_samples(self):
-        collector = MetricsCollector()
-        assert collector.as_matrix().shape == (0, 0)
-
-    def test_empty_matrix_keeps_dimension_once_labels_known(self):
-        """After the layout is fixed, an empty matrix is (0, dimension)
-        so shape arithmetic works without special-casing."""
-        host = build_host(batch_count=2)
-        collector = MetricsCollector()
-        collector.on_tick(host.observe(host.step()))
-        dimension = collector.dimension
-        collector.samples.clear()
-        matrix = collector.as_matrix()
-        assert matrix.shape == (0, dimension)
-        # vstack against a real sample row works immediately.
-        stacked = np.vstack([matrix, np.zeros(dimension)])
-        assert stacked.shape == (1, dimension)

@@ -7,7 +7,7 @@ from repro.sim.container import Container
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
-from tests.conftest import ConstantApp, SensitiveStub
+from tests.conftest import ConstantApp, SensitiveStub, reading
 
 
 class TestAggregatedChurn:
@@ -17,13 +17,13 @@ class TestAggregatedChurn:
         host.add_container(Container(name="sens", app=sensitive, sensitive=True))
         collector = MetricsCollector(aggregate_batch=True)
         collector.on_tick(host.observe(host.step()))
-        assert collector.latest.value_of("batch:cpu") == 0.0
+        assert reading(collector.latest, "batch:cpu") == 0.0
 
         # A batch container arrives after the layout was fixed.
         late = ConstantApp(name="late", demand_vector=ResourceVector(cpu=0.7))
         host.add_container(Container(name="late", app=late))
         collector.on_tick(host.observe(host.step()))
-        assert collector.latest.value_of("batch:cpu") == pytest.approx(0.7)
+        assert reading(collector.latest, "batch:cpu") == pytest.approx(0.7)
         # Layout unchanged: same labels, same dimension.
         assert collector.dimension == 10
 
@@ -35,9 +35,9 @@ class TestAggregatedChurn:
         host.add_container(Container(name="b", app=batch))
         collector = MetricsCollector(aggregate_batch=True)
         collector.on_tick(host.observe(host.step()))
-        host.remove_container("b")
+        host.containers.pop("b")
         collector.on_tick(host.observe(host.step()))
-        assert collector.latest.value_of("batch:cpu") == 0.0
+        assert reading(collector.latest, "batch:cpu") == 0.0
 
 
 class TestPerContainerChurn:

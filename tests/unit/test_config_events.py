@@ -102,16 +102,6 @@ class TestEventLog:
         assert log.count(EventKind.THROTTLE) == 2
         assert [e.tick for e in log.of_kind(EventKind.THROTTLE)] == [0, 2]
 
-    def test_last_of_kind(self):
-        log = EventLog()
-        log.record(0, EventKind.VIOLATION)
-        log.record(5, EventKind.VIOLATION)
-        assert log.last_of_kind(EventKind.VIOLATION).tick == 5
-
-    def test_last_of_kind_missing(self):
-        with pytest.raises(LookupError):
-            EventLog().last_of_kind(EventKind.REFIT)
-
     def test_detail_is_copied(self):
         log = EventLog()
         payload = {"a": 1}

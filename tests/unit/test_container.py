@@ -66,16 +66,6 @@ class TestLifecycle:
         container.resume()
         assert container.is_running
 
-    def test_is_active(self):
-        container = make_container()
-        assert not container.is_active
-        container.start()
-        assert container.is_active
-        container.pause()
-        assert container.is_active
-        container.stop()
-        assert not container.is_active
-
 
 class TestAutostart:
     def test_autostart_at_start_tick(self):

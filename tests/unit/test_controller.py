@@ -48,7 +48,8 @@ class TestControllerBasics:
         assert coords.base is None and not coords.flags.writeable
         assert controller.trajectory[-1].coords is coords
         assert controller._prev_coords is coords
-        assert controller.predictor.modes.active_model().last_point is coords
+        modes = controller.predictor.modes
+        assert modes.model(modes.current_mode).last_point is coords
         # A copy of the map's row, not a view: a refit (or a poisoned
         # row) rewrites the map without touching the period's record.
         kept = coords.tolist()

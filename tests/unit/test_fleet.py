@@ -12,11 +12,21 @@ from repro.fleet import (
     MigrationState,
     MigrationSupervisor,
 )
-from repro.sim.cluster import Cluster
+from repro.sim.cluster import MIGRATION_IN_FLIGHT, Cluster
 from repro.sim.container import Container
 from repro.sim.resources import ResourceVector
 
 from tests.conftest import ConstantApp, CountingApp, SensitiveStub
+
+
+def no_orphans(supervisor):
+    """Every cluster record of every terminal migration has an outcome."""
+    return all(
+        record.outcome != MIGRATION_IN_FLIGHT
+        for migration in supervisor.migrations
+        for record in migration.records
+        if migration.terminal
+    )
 
 
 def make_cluster(n=3, **kwargs):
@@ -49,13 +59,6 @@ class TestInterferenceScorer:
         assert second.qos == pytest.approx(0.5)
         assert second.total == pytest.approx(0.5)
 
-    def test_forget(self):
-        scorer = InterferenceScorer()
-        scorer.observe("h", 0.5, False, 0.5, tick=0)
-        scorer.forget("h")
-        assert scorer.score("h") is None
-        assert scorer.scores() == {}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             InterferenceScorer(smoothing=0.0)
@@ -78,7 +81,7 @@ class TestMigrationSupervisor:
         assert migration.reason == "landed"
         assert cluster.locate("job").host == "h1"
         assert supervisor.summary()["committed"] == 1
-        assert supervisor.all_reconciled()
+        assert no_orphans(supervisor)
 
     def test_commit_resumes_paused_container(self):
         cluster = make_cluster()
@@ -111,7 +114,7 @@ class TestMigrationSupervisor:
         assert migration.state == MigrationState.ROLLBACK
         assert cluster.locate("job").host == "h0"
         assert supervisor.summary()["rolled_back"] == 1
-        assert supervisor.all_reconciled()
+        assert no_orphans(supervisor)
 
     def test_timeout_cancels_attempt(self):
         cluster = make_cluster()

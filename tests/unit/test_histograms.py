@@ -77,13 +77,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(0.0, 1.0).sample(rng, 0)
 
-    def test_mode_bin_center(self):
-        hist = Histogram(0.0, 1.0, bins=4)
-        hist.add(0.6)
-        hist.add(0.65)
-        hist.add(0.1)
-        assert hist.mode_bin_center() == pytest.approx(0.625)
-
     def test_skewness_sign(self):
         right_skewed = Histogram(0.0, 10.0, bins=20)
         for value in [1.0] * 50 + [9.0] * 5:

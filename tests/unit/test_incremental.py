@@ -8,9 +8,13 @@ import pytest
 
 from repro.mds.distances import point_distances
 from repro.mds import incremental
-from repro.mds.incremental import place_point, placement_stress, procrustes_align
+from repro.mds.incremental import place_point, procrustes_align
 from tests.support import placement_reference
-from tests.support.placement_reference import lost_to_reference, place_point_reference
+from tests.support.placement_reference import (
+    lost_to_reference,
+    place_point_reference,
+    placement_stress,
+)
 
 
 class TestPlacePoint:

@@ -5,13 +5,11 @@ import pytest
 
 from repro.core.mapping import MappingPipeline
 from repro.core.state_space import StateLabel, StateSpace
-from repro.monitoring.normalize import RunningMinMax
+from repro.monitoring.normalize import CapacityNormalizer
 
 
 def make_pipeline(dimension=4, epsilon=0.05):
-    normalizer = RunningMinMax(
-        dimension, initial_min=[0.0] * dimension, initial_max=[1.0] * dimension
-    )
+    normalizer = CapacityNormalizer([1.0] * dimension, vm_count=1)
     return MappingPipeline(normalizer, StateSpace(epsilon=epsilon))
 
 
@@ -59,9 +57,7 @@ class TestMappingPipeline:
         # A full SMACOF refit moves every representative; the recorded
         # trajectory must keep the coordinates each sample was mapped
         # at, not silently adopt the new geometry.
-        normalizer = RunningMinMax(
-            4, initial_min=[0.0] * 4, initial_max=[1.0] * 4
-        )
+        normalizer = CapacityNormalizer([1.0] * 4, vm_count=1)
         pipeline = MappingPipeline(
             normalizer, StateSpace(epsilon=0.01, refit_interval=3)
         )
@@ -94,9 +90,7 @@ class TestMappingPipeline:
 
     def test_normalization_applied_before_dedup(self):
         # Raw values far apart but normalizing maps them within epsilon.
-        normalizer = RunningMinMax(
-            1, initial_min=[0.0], initial_max=[10000.0]
-        )
+        normalizer = CapacityNormalizer([10000.0], vm_count=1)
         pipeline = MappingPipeline(normalizer, StateSpace(epsilon=0.05))
         a = pipeline.map_measurement(0, np.array([100.0]), False)
         b = pipeline.map_measurement(1, np.array([200.0]), False)

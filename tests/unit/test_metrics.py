@@ -36,18 +36,3 @@ class TestMeasurementVector:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeasurementVector(tick=0, labels=("a",), values=np.array([1.0, 2.0]))
-
-    def test_value_of(self):
-        vector = self.make()
-        assert vector.value_of("vm:cpu") == 1.0
-        assert vector.value_of("vm:network") == 5.0
-
-    def test_value_of_unknown_label(self):
-        with pytest.raises(KeyError):
-            self.make().value_of("nope:cpu")
-
-    def test_as_array_is_copy(self):
-        vector = self.make()
-        array = vector.as_array()
-        array[0] = 99.0
-        assert vector.values[0] == 1.0

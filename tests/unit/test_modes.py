@@ -57,7 +57,6 @@ class TestModeModelBank:
     def test_current_mode_and_active_model(self):
         bank = ModeModelBank()
         assert bank.current_mode is None
-        assert bank.active_model() is None
-        bank.observe(ExecutionMode.BATCH_ONLY, np.array([0.0, 0.0]))
+        active = bank.observe(ExecutionMode.BATCH_ONLY, np.array([0.0, 0.0]))
         assert bank.current_mode is ExecutionMode.BATCH_ONLY
-        assert bank.active_model() is bank.model(ExecutionMode.BATCH_ONLY)
+        assert active is bank.model(ExecutionMode.BATCH_ONLY)

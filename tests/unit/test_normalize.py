@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.monitoring.normalize import CapacityNormalizer, RunningMinMax
+from repro.monitoring.normalize import CapacityNormalizer
 from repro.sim.resources import ResourceVector, default_host_capacity
 
 
@@ -52,46 +52,3 @@ class TestCapacityNormalizer:
         out = normalizer.normalize(values)
         np.testing.assert_allclose(out[:5], out[5:])
         np.testing.assert_allclose(out[:5], np.full(5, 0.5))
-
-
-class TestRunningMinMax:
-    def test_dimension_validated(self):
-        with pytest.raises(ValueError):
-            RunningMinMax(0)
-
-    def test_first_sample_maps_into_unit_box(self):
-        norm = RunningMinMax(3)
-        out = norm.normalize(np.array([5.0, -2.0, 0.0]))
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-    def test_range_widens_monotonically(self):
-        norm = RunningMinMax(1)
-        norm.normalize(np.array([0.0]))
-        norm.normalize(np.array([10.0]))
-        assert norm.observed_min[0] == 0.0
-        assert norm.observed_max[0] == 10.0
-        norm.normalize(np.array([5.0]))
-        assert norm.observed_max[0] == 10.0  # unchanged by interior point
-
-    def test_linear_rescaling(self):
-        norm = RunningMinMax(1)
-        norm.observe(np.array([0.0]))
-        norm.observe(np.array([10.0]))
-        assert norm.normalize(np.array([2.5]))[0] == pytest.approx(0.25)
-
-    def test_old_values_remain_valid(self):
-        norm = RunningMinMax(1)
-        first = norm.normalize(np.array([5.0]))[0]
-        norm.normalize(np.array([100.0]))
-        again = norm.normalize(np.array([5.0]))[0]
-        assert 0.0 <= again <= 1.0
-        assert again <= first + 1e-12  # can only move toward the interior
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RunningMinMax(2).observe(np.array([1.0]))
-
-    def test_initial_bounds(self):
-        norm = RunningMinMax(2, initial_min=[0.0, 0.0], initial_max=[10.0, 100.0])
-        out = norm.normalize(np.array([5.0, 50.0]))
-        np.testing.assert_allclose(out, [0.5, 0.5])

@@ -23,10 +23,6 @@ class TestPhaseSchedule:
         with pytest.raises(ValueError):
             PhaseSchedule([])
 
-    def test_cycle_length(self):
-        schedule = PhaseSchedule([make_phase("a", 10), make_phase("b", 5)])
-        assert schedule.cycle_length == 15
-
     def test_phase_at_within_first(self):
         schedule = PhaseSchedule([make_phase("a", 10), make_phase("b", 5)])
         assert schedule.phase_at(0.0).name == "a"
@@ -51,15 +47,6 @@ class TestPhaseSchedule:
         schedule = PhaseSchedule([make_phase("a", 10)])
         with pytest.raises(ValueError):
             schedule.phase_at(-0.1)
-
-    def test_phase_index(self):
-        schedule = PhaseSchedule([make_phase("a", 10), make_phase("b", 5)])
-        assert schedule.phase_index_at(3.0) == 0
-        assert schedule.phase_index_at(12.0) == 1
-
-    def test_boundaries(self):
-        schedule = PhaseSchedule([make_phase("a", 10), make_phase("b", 5)])
-        assert schedule.boundaries() == [(0.0, "a"), (10.0, "b")]
 
     def test_single_endless_phase(self):
         schedule = PhaseSchedule.single("spin", ResourceVector(cpu=4.0))

@@ -49,7 +49,9 @@ class TestCoordination:
         host, high, low = build_two_tier_host()
         coordinator = PrioritizedStayAway([(high, 2), (low, 1)])
         assert set(coordinator.controllers) == {"stream", "webapp"}
-        assert coordinator.priority_of("stream") == 2
+        assert [(e.app.name, e.priority) for e in coordinator.entries] == [
+            ("stream", 2), ("webapp", 1),
+        ]
 
     def test_high_priority_can_demote_low_priority(self):
         host, high, low = build_two_tier_host()

@@ -66,7 +66,7 @@ class TestReconcileRepause:
 class TestReconcileDrop:
     def test_vanished_container_dropped_from_pause_set(self):
         host, manager, events = throttled_setup()
-        host.remove_container("bomb")
+        host.containers.pop("bomb")
         manager.reconcile(15, observed(host), host)
         assert manager.desired_paused == []
         assert not manager.throttling

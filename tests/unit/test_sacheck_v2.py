@@ -552,10 +552,13 @@ def mini_repo(tmp_path: Path, monkeypatch) -> Path:
     (tmp_path / "src" / "repro" / "sim").mkdir(parents=True)
     module = tmp_path / "src" / "repro" / "sim" / "cluster.py"
     module.write_text(CLEAN_MODULE, encoding="utf-8")
-    # A caller, so the module is not an SA205 orphan.
+    # A caller, so neither the module (SA205) nor its function (SA206)
+    # is an orphan.
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "drive.py").write_text(
-        "from repro.sim.cluster import gather_demands\n", encoding="utf-8"
+        "from repro.sim.cluster import gather_demands\n"
+        "print(gather_demands(None, None))\n",
+        encoding="utf-8",
     )
     _git(tmp_path, "init", "-q")
     _git(tmp_path, "add", "-A")
@@ -594,7 +597,8 @@ class TestCliDiff:
         # included: stale entries never fail a subset scan.
         assert cli.main(["--diff", "HEAD", "--baseline", "b.json", "--strict"]) == 0
         out = capsys.readouterr().out
-        assert "1 baselined" in out
+        # the SA201 probe, and SA206 for the Cluster class nothing builds
+        assert "0 new finding(s), 2 baselined" in out
 
     def test_diff_with_paths_is_an_error(self, mini_repo: Path) -> None:
         assert cli.main(["--diff", "HEAD", "src"]) == 2
@@ -634,7 +638,160 @@ class TestCliCwdIndependence:
             assert cli.main(["--baseline", rel]) == 0
         finally:
             os.chdir(cwd)
-        assert "3 baselined" in capsys.readouterr().out
+        assert "12 baselined" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# SA206 — orphan symbols
+# ---------------------------------------------------------------------------
+
+#: ``Host.history`` is called by a test only; ``snapshot_digest`` is
+#: re-exported and listed in ``__all__`` and otherwise only tested.
+#: Everything else is called from ``cli.py``, private, a dunder, or an
+#: override of a method something calls.
+SYMBOL_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/__main__.py": "from repro.cli import main\nmain()\n",
+    "src/repro/cli.py": (
+        "from repro.sim import Host, Probe\n"
+        "def main():\n"
+        "    host = Host()\n"
+        "    host.step()\n"
+        "    return Probe().step()\n"
+    ),
+    "src/repro/sim/__init__.py": (
+        "from repro.sim.host import Host, Probe, snapshot_digest\n"
+        '__all__ = ["Host", "Probe", "snapshot_digest"]\n'
+    ),
+    "src/repro/sim/host.py": (
+        "class Host:\n"
+        "    def __init__(self):\n"
+        "        self._ticks = 0\n"
+        "    def __len__(self):\n"
+        "        return self._ticks\n"
+        "    def step(self):\n"
+        "        self._advance()\n"
+        "        return self._ticks\n"
+        "    def _advance(self):\n"
+        "        self._ticks += 1\n"
+        "    def history(self):\n"
+        "        return list(range(self._ticks))\n"
+        "class Probe(Host):\n"
+        "    def step(self):\n"
+        "        return -1\n"
+        "def snapshot_digest(host):\n"
+        "    return hash(len(host))\n"
+    ),
+    "tests/test_host.py": (
+        "from repro.sim import Host, snapshot_digest\n"
+        "assert Host().history() == []\n"
+        "snapshot_digest(Host())\n"
+    ),
+}
+ONLY_SA206 = ("--rules", "SA206")
+
+
+@pytest.fixture
+def symbol_repo(tmp_path: Path, monkeypatch) -> Path:
+    for rel, source in SYMBOL_TREE.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    monkeypatch.setattr(cli, "REPO_ROOT", tmp_path)
+    return tmp_path
+
+
+def _add(repo: Path, rel: str, source: str) -> None:
+    path = repo / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source, encoding="utf-8")
+
+
+class TestSA206:
+    def test_test_only_method_and_bare_reexport_are_the_only_findings(
+        self, symbol_repo: Path, capsys
+    ) -> None:
+        assert cli.main([*ONLY_SA206, "--no-baseline"]) == 1
+        out = capsys.readouterr().out
+        assert "src/repro/sim/host.py:11:4: SA206 'Host.history'" in out
+        assert "src/repro/sim/host.py:16:0: SA206 'snapshot_digest'" in out
+        # private, dunder, the override of a called method, the classes
+        # cli.py builds and the entry point's main() are not reported
+        assert "2 new finding(s)" in out
+
+    @pytest.mark.parametrize(
+        "rel, source",
+        [
+            ("benchmarks/bench_host.py", "print(host.history(), snapshot_digest)\n"),
+            ("examples/drive.py", "import repro.sim as sim\nsim.snapshot_digest(h).history\n"),
+            ("tools/patch.py", 'POINTS = [("Host", "history"), ("host", "snapshot_digest")]\n'),
+            ("src/repro/report.py", "def report(host):\n    return host.history(), snapshot_digest\nreport(0)\n"),
+        ],
+        ids=["benchmark", "example", "patch-table-strings", "src"],
+    )
+    def test_a_use_outside_tests_is_a_caller(
+        self, symbol_repo: Path, capsys, rel: str, source: str
+    ) -> None:
+        _add(symbol_repo, rel, source)
+        assert cli.main([*ONLY_SA206, "--no-baseline"]) == 0
+        assert "0 new finding(s)" in capsys.readouterr().out
+
+    def test_an_import_is_not_a_use(self, symbol_repo: Path, capsys) -> None:
+        _add(symbol_repo, "benchmarks/bench_host.py",
+             "from repro.sim import snapshot_digest\n")
+        assert cli.main([*ONLY_SA206, "--no-baseline"]) == 1
+        assert "'snapshot_digest'" in capsys.readouterr().out
+
+    def test_a_call_from_its_own_body_is_not_a_use(
+        self, symbol_repo: Path, capsys
+    ) -> None:
+        _add(symbol_repo, "src/repro/sim/walk.py",
+             "def descend(n):\n    return descend(n - 1) if n else 0\n")
+        assert cli.main([*ONLY_SA206, "--no-baseline"]) == 1
+        out = capsys.readouterr().out
+        assert "src/repro/sim/walk.py:1:0: SA206 'descend'" in out
+        assert "3 new finding(s)" in out
+
+    def test_an_unused_class_is_one_finding_not_one_per_method(
+        self, symbol_repo: Path, capsys
+    ) -> None:
+        _add(symbol_repo, "src/repro/sim/recorder.py",
+             "class Recorder:\n    def replay(self):\n        return []\n")
+        _add(symbol_repo, "tests/test_recorder.py",
+             "from repro.sim.recorder import Recorder\nRecorder().replay()\n")
+        assert cli.main([*ONLY_SA206, "--no-baseline"]) == 1
+        out = capsys.readouterr().out
+        assert "src/repro/sim/recorder.py:1:0: SA206 'Recorder'" in out
+        assert "Recorder.replay" not in out
+        assert "3 new finding(s)" in out
+
+    def test_justified_entry_goes_stale_when_the_symbol_gains_a_caller(
+        self, symbol_repo: Path, capsys
+    ) -> None:
+        assert cli.main([*ONLY_SA206, "--baseline", "b.json", "--write-baseline"]) == 0
+        baseline_path = symbol_repo / "b.json"
+        data = json.loads(baseline_path.read_text(encoding="utf-8"))
+        assert [(e["rule"], e["snippet"]) for e in data["entries"]] == [
+            ("SA206", "def history(self):"),
+            ("SA206", "def snapshot_digest(host):"),
+        ]
+        assert cli.main([*ONLY_SA206, "--baseline", "b.json"]) == 1  # TODO refused
+        for entry in data["entries"]:
+            entry["reason"] = "read through by tests/test_host.py"
+        baseline_path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main([*ONLY_SA206, "--baseline", "b.json", "--strict"]) == 0
+        assert "2 baselined" in capsys.readouterr().out
+        _add(symbol_repo, "benchmarks/bench_host.py", "print(host.history())\n")
+        assert cli.main([*ONLY_SA206, "--baseline", "b.json"]) == 0
+        assert cli.main([*ONLY_SA206, "--baseline", "b.json", "--strict"]) == 1
+        err = capsys.readouterr().err
+        assert "stale baseline entry" in err and "def history(self):" in err
+
+    def test_rule_is_listed_and_runs_by_default(self, capsys) -> None:
+        assert cli.main(["--list-rules"]) == 0
+        assert "SA206  orphan-symbol" in capsys.readouterr().out
+        assert "SA206" in {rule.id for rule in default_rules()}
 
 
 class TestRepoIsClean:

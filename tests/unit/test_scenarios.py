@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.runner import (
     run_isolated,
-    run_reactive,
     run_scenario,
     run_stayaway,
     run_unmanaged,
@@ -47,12 +46,6 @@ class TestScenario:
         names = {container.name for container in built.host.batch_containers()}
         assert len(names) == 2
 
-    def test_with_batches(self):
-        scenario = Scenario(batches=("cpubomb",), ticks=10)
-        other = scenario.with_batches("soplex", "twitter-analysis")
-        assert other.batches == ("soplex", "twitter-analysis")
-        assert other.ticks == 10
-
     def test_sensitive_kwargs_forwarded(self):
         scenario = Scenario(
             sensitive="webservice-mix",
@@ -88,7 +81,7 @@ class TestRunners:
         assert len(result.controller.trajectory) == 30
 
     def test_reactive_attaches_baseline(self):
-        result = run_reactive(Scenario(batches=("cpubomb",), ticks=30))
+        result = run_scenario(Scenario(batches=("cpubomb",), ticks=30), policy="reactive")
         assert result.reactive is not None
 
     def test_unknown_policy_rejected(self):

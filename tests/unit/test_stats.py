@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.stats import (
     bootstrap_mean_ci,
     mann_whitney_u,
-    median_absolute_deviation,
     summarize,
 )
 
@@ -55,20 +54,6 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-
-class TestMad:
-    def test_known_value(self):
-        assert median_absolute_deviation([1.0, 2.0, 3.0, 100.0]) == pytest.approx(1.0)
-
-    def test_robust_to_outliers(self):
-        base = [1.0] * 50
-        with_outlier = base + [1e9]
-        assert median_absolute_deviation(with_outlier) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            median_absolute_deviation([])
 
 
 class TestMannWhitney:

@@ -81,7 +81,8 @@ class TestWatermarkClosing:
         assembler.offer(sample(0))
         assembler.offer(sample(1))
         assert assembler.due() == []
-        assert assembler.pending_ticks() == [0, 1]
+        assembler.offer(sample(3))  # both were buffered, not lost
+        assert [closed.tick for closed in assembler.due()] == [0, 1]
 
     def test_tick_closes_when_watermark_passes(self):
         assembler = StreamAssembler(watermark=2)
@@ -144,7 +145,7 @@ class TestDeliveryPathologies:
         assembler.due()
         assembler.offer(sample(0, metrics={"cpu": 123.0}))
         assert assembler.summary()["late"] == 1
-        assert assembler.pending_ticks() == []  # late record not buffered
+        assert assembler.due() == []  # late record not buffered
 
     def test_missing_cell_imputed_from_last_value(self):
         assembler = StreamAssembler(watermark=0)
@@ -323,7 +324,7 @@ class TestMalformedRecords:
         assert assembler.summary()["malformed"] == 1
         assert assembler.header is None
         assert assembler.max_seen is None
-        assert assembler.pending_ticks() == []
+        assert assembler.due() == []
         # The well-formed record for the same tick still lands, whole.
         assembler.offer(HEADER)
         assembler.offer(sample(0, metrics={"cpu": 2.0, "memory": 3.0}))

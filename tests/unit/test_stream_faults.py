@@ -154,8 +154,6 @@ class TestStreamStaller:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             StreamStaller(QueueSource(), windows=[(5, 5)])
-        with pytest.raises(ValueError):
-            StreamStaller(QueueSource()).stall(3, 3)
 
 
 class TestActuatorAckDropper:

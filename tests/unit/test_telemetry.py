@@ -3,7 +3,9 @@
 Covers the registry (get-or-create, label identity, type conflicts),
 histograms, stage timers and span nesting against a fake clock, the
 three export formats, and the Telemetry facade's enabled/disabled
-behaviour.
+behaviour. A span is only ever produced by a stage (``Telemetry.stage``
+-> ``StageTimer`` -> ``Tracer.defer`` / ``settle``); the eager tracer
+the stages are compared against lives in ``tests/support``.
 """
 
 import contextlib
@@ -18,7 +20,6 @@ from repro.telemetry import (
     Histogram,
     MetricRegistry,
     StageTimer,
-    Stopwatch,
     Telemetry,
     Tracer,
     prometheus_name,
@@ -29,6 +30,7 @@ from repro.telemetry import (
     write_trace_jsonl,
 )
 from repro.telemetry.spans import NULL_CONTEXT
+from tests.support.span_reference import PlainSpanTracer
 
 
 class FakeClock:
@@ -42,6 +44,16 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
+
+
+@contextlib.contextmanager
+def stage(tracer, name, **attrs):
+    """One stage straight on the tracer, as ``StageTimer`` opens it."""
+    row = tracer.defer(name, attrs)
+    try:
+        yield
+    finally:
+        tracer.settle(row)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +114,8 @@ class TestRegistry:
         gauge = Gauge("g")
         gauge.set(4.0)
         gauge.inc()
-        gauge.dec(2.0)
-        assert gauge.value == 3.0
-        gauge.inc(-5.0)  # gauges may move down
+        assert gauge.value == 5.0
+        gauge.inc(-7.0)  # gauges may move down
         assert gauge.value == -2.0
 
     def test_render_key(self):
@@ -162,23 +173,10 @@ class TestHistogram:
 
 
 class TestTimers:
-    def test_stopwatch_exact_elapsed(self):
-        clock = FakeClock()
-        watch = Stopwatch(clock=clock)
-        watch.start()
-        assert watch.running
-        clock.advance(1.25)
-        assert watch.stop() == pytest.approx(1.25)
-        assert not watch.running
-
-    def test_stopwatch_requires_start(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch(clock=FakeClock()).stop()
-
     def test_stage_timer_observes_into_histogram(self):
         clock = FakeClock()
         hist = Histogram("stage_seconds")
-        timer = StageTimer(hist, clock=clock)
+        timer = StageTimer(hist, tracer=Tracer(clock=clock))
         for elapsed in (0.1, 0.3):
             with timer:
                 clock.advance(elapsed)
@@ -190,8 +188,7 @@ class TestTimers:
         clock = FakeClock()
         tracer = Tracer(clock=clock)
         timer = StageTimer(
-            Histogram("map_seconds"), clock=clock, tracer=tracer,
-            name="map", attrs={"tick": 7},
+            Histogram("map_seconds"), tracer=tracer, name="map", attrs={"tick": 7},
         )
         with timer:
             clock.advance(0.5)
@@ -201,23 +198,22 @@ class TestTimers:
         assert span.duration == pytest.approx(0.5)
 
     def test_stage_timer_not_reentrant(self):
-        timer = StageTimer(Histogram("h"), clock=FakeClock())
+        timer = StageTimer(Histogram("h"), tracer=Tracer(clock=FakeClock()))
         with timer:
             with pytest.raises(RuntimeError):
                 timer.__enter__()
 
     def test_stage_timer_exit_without_enter_raises(self):
         with pytest.raises(RuntimeError, match="never entered"):
-            StageTimer(Histogram("h"), clock=FakeClock()).__exit__(None, None, None)
+            StageTimer(Histogram("h"), tracer=Tracer()).__exit__(None, None, None)
 
     @pytest.mark.parametrize("max_spans", [20_000, 7, 3, 0])
     def test_stage_spans_equal_tracer_spans(self, max_spans):
-        """A stage stays a bare row until somebody needs its span. Over
-        whole controller periods — stages nested in stages, a plain
-        span and an ``active`` read under an open stage, a stage that
-        raises through its parents, stages under an outer plain span —
+        """A stage stays a bare row until somebody reads its span. Over
+        whole controller periods — stages nested in stages, a stage
+        that raises through its parents, periods under an outer stage —
         the tree, the ids, the retention, the JSONL records and the
-        durations must be those plain spans alone produce."""
+        durations must be those the eager reference tracer produces."""
 
         def period(stage, tracer, clock, durations, tick, fail=False):
             with stage(tracer, clock, "controller.period", durations, tick=tick):
@@ -227,29 +223,26 @@ class TestTimers:
                 with stage(tracer, clock, "controller.map", durations):
                     clock.advance(0.25)
                     with stage(tracer, clock, "mapping.refit", durations):
-                        with tracer.span("smacof", states=9):
+                        with stage(tracer, clock, "smacof", durations, states=9):
                             clock.advance(1.0)
                         with stage(tracer, clock, "geometry.rebuild", durations):
                             clock.advance(2.0)
                     if fail:
                         raise RuntimeError("mapping blew up")
                 with stage(tracer, clock, "controller.predict", durations):
-                    assert tracer.active.name == "controller.predict"
-                    assert tracer.active.depth == 1 + (tick == 6)
                     with stage(tracer, clock, "geometry.rebuild", durations):
                         clock.advance(0.03125)
                 with stage(tracer, clock, "controller.act", durations):
                     clock.advance(0.125)
 
-        def tree(stage):
+        def tree(stage, tracer_type):
             clock = FakeClock()
-            tracer = Tracer(clock=clock, max_spans=max_spans)
+            tracer = tracer_type(clock=clock, max_spans=max_spans)
             durations = []
             period(stage, tracer, clock, durations, tick=4)
             with pytest.raises(RuntimeError, match="blew up"):
                 period(stage, tracer, clock, durations, tick=5, fail=True)
-            assert tracer.active is None
-            with tracer.span("fleet.cell", host="h0"):
+            with stage(tracer, clock, "fleet.cell", durations, host="h0"):
                 period(stage, tracer, clock, durations, tick=6)
             return (
                 tracer.to_dicts(),
@@ -263,8 +256,7 @@ class TestTimers:
         @contextlib.contextmanager
         def timed(tracer, clock, name, durations, **attrs):
             timer = StageTimer(
-                Histogram(f"{name}_seconds"), clock=clock, tracer=tracer,
-                name=name, attrs=attrs,
+                Histogram(f"{name}_seconds"), tracer=tracer, name=name, attrs=attrs,
             )
             try:
                 with timer:
@@ -280,7 +272,7 @@ class TestTimers:
             finally:
                 durations.append((span.duration, span.duration))
 
-        timed_tree, plain_tree = tree(timed), tree(plain)
+        timed_tree, plain_tree = tree(timed, Tracer), tree(plain, PlainSpanTracer)
         assert timed_tree == plain_tree
         # the scenario really nested, raised and hit the retention cap
         assert len(plain_tree[0]) == min(max_spans, 25)
@@ -296,45 +288,44 @@ class TestTracer:
     def test_nesting_from_call_order(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        with tracer.span("period", tick=1) as period:
+        with stage(tracer, "period", tick=1):
             clock.advance(0.1)
-            with tracer.span("map") as inner:
+            with stage(tracer, "map"):
                 clock.advance(0.2)
+        inner, period = tracer.spans  # in the order they finished
+        assert (period.name, inner.name) == ("period", "map")
+        assert (period.span_id, inner.span_id) == (0, 1)
         assert inner.parent_id == period.span_id
         assert (period.depth, inner.depth) == (0, 1)
         assert period.duration == pytest.approx(0.3)
         assert inner.duration == pytest.approx(0.2)
 
-    def test_active_tracks_innermost(self):
+    def test_a_stage_after_a_nest_is_a_root_again(self):
         tracer = Tracer(clock=FakeClock())
-        assert tracer.active is None
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                assert tracer.active.name == "inner"
-            assert tracer.active.name == "outer"
-        assert tracer.active is None
+        with stage(tracer, "outer"):
+            with stage(tracer, "inner"):
+                pass
+            with stage(tracer, "sibling"):
+                pass
+        with stage(tracer, "next"):
+            pass
+        assert [(s.name, s.parent_id, s.depth) for s in tracer.spans] == [
+            ("inner", 0, 1), ("sibling", 0, 1), ("outer", None, 0), ("next", None, 0),
+        ]
 
     def test_max_spans_cap_counts_dropped(self):
         tracer = Tracer(clock=FakeClock(), max_spans=2)
         for i in range(5):
-            with tracer.span(f"s{i}"):
+            with stage(tracer, f"s{i}"):
                 pass
         assert len(tracer.spans) == 2
         assert tracer.dropped == 3
 
-    def test_disabled_tracer_returns_shared_null_context(self):
-        tracer = Tracer(clock=FakeClock(), enabled=False)
-        ctx = tracer.span("anything")
-        assert ctx is NULL_CONTEXT
-        with ctx:
-            pass
-        assert tracer.spans == []
-
     def test_span_tree_renders_indented(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        with tracer.span("period", tick=3):
-            with tracer.span("map"):
+        with stage(tracer, "period", tick=3):
+            with stage(tracer, "map"):
                 clock.advance(0.001)
         tree = tracer.span_tree()
         lines = tree.splitlines()
@@ -344,8 +335,8 @@ class TestTracer:
     def test_span_tree_last_filters_roots(self):
         tracer = Tracer(clock=FakeClock())
         for tick in range(4):
-            with tracer.span("period", tick=tick):
-                with tracer.span("map"):
+            with stage(tracer, "period", tick=tick):
+                with stage(tracer, "map"):
                     pass
         tree = tracer.span_tree(last=2)
         assert tree.count("period") == 2
@@ -392,7 +383,7 @@ class TestExporters:
 
     def test_write_json_snapshot(self, tmp_path):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("s"):
+        with stage(tracer, "s"):
             pass
         path = tmp_path / "snap.json"
         write_json_snapshot(
@@ -407,8 +398,8 @@ class TestExporters:
     def test_write_trace_jsonl(self, tmp_path):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        with tracer.span("period", tick=1):
-            with tracer.span("map"):
+        with stage(tracer, "period", tick=1):
+            with stage(tracer, "map"):
                 clock.advance(0.25)
         path = tmp_path / "trace.jsonl"
         count = write_trace_jsonl(tracer, str(path))
@@ -453,7 +444,6 @@ class TestTelemetryFacade:
     def test_disabled_stage_is_null_context_but_metrics_live(self):
         telemetry = Telemetry(enabled=False)
         assert telemetry.stage("s") is NULL_CONTEXT
-        assert telemetry.span("s") is NULL_CONTEXT
         telemetry.counter("still.works").inc()
         assert telemetry.counter("still.works").value == 1.0
         assert telemetry.stage_summary() == {}

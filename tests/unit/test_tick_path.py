@@ -7,6 +7,8 @@ observation and the wire records — must never go through it: at the
 parent it cost 91 enum-descriptor calls a step.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.core.config import StayAwayConfig
@@ -22,6 +24,7 @@ from repro.sim.resources import ResourceVector
 from repro.trajectory.histograms import Histogram
 from repro.workloads.registry import make_workload
 from repro.workloads.traces import wikipedia_trace
+from tests.support.recorders import record_predictions
 
 ENUM_KEYED = ("get", "items", "as_dict", "from_mapping", "replace")
 
@@ -66,6 +69,28 @@ def test_a_tick_never_touches_the_enum_keyed_api(model, monkeypatch):
     assert busy and host.container("cpubomb").paused_ticks == 30
 
 
+def test_a_stepped_host_retains_nothing_per_tick():
+    """A host lives as long as the machine: what a tick produced is in
+    ``step()``'s return value and ``last_snapshot``, not in a list. At
+    the parent of PR 24 ``Host._history`` and the applications' rate
+    series grew this loop by 2.2 MB over the same 1 200 ticks."""
+    host = Scenario(
+        "webservice-mix", ("cpubomb", "memorybomb"), ticks=2400, seed=3
+    ).build().host
+    tracemalloc.start()
+    try:
+        for _ in range(1200):
+            host.step()
+        at_1200, _ = tracemalloc.get_traced_memory()
+        for _ in range(1200):
+            host.step()
+        at_2400, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert host.last_snapshot.tick == 2399
+    assert at_2400 - at_1200 < 100_000
+
+
 def test_the_zero_vector_is_one_shared_constant():
     assert ResourceVector.zero() is ResourceVector.zero()
     assert ResourceVector.zero() == ResourceVector()
@@ -82,8 +107,9 @@ def _steady_run(ticks=300, seed=3000):
         seed=seed,
     ).build()
     controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=seed))
+    predictions = record_predictions(controller)
     SimulationEngine(built.host, [controller]).run(ticks=ticks)
-    return controller
+    return controller, predictions
 
 
 def _off_the_period(*args, **kwargs):
@@ -95,16 +121,16 @@ def test_a_period_never_touches_the_array_histogram_api(monkeypatch):
     Python floats. ``probabilities`` / ``cdf`` / ``total`` return arrays
     (or reduce one) for figures and tests; at the parent of PR 23 every
     period built both, twice."""
-    reference = _steady_run()
+    reference, _ = _steady_run()
     monkeypatch.setattr(Histogram, "probabilities", _off_the_period)
     monkeypatch.setattr(Histogram, "cdf", _off_the_period)
     monkeypatch.setattr(Histogram, "total", property(_off_the_period))
-    controller = _steady_run()
+    controller, predictions = _steady_run()
 
     containment = controller.summary()["telemetry"]["containment"]
     assert containment["firewall_catches"] == 0
     assert len(controller.trajectory) == 300  # every period ran to its end
-    drawn = [p for p in controller.predictor.predictions if p.ready]
+    drawn = [p for p in predictions if p.ready]
     assert len(drawn) > 250 and all(p.candidates.shape == (5, 2) for p in drawn)
     assert decision_sequence(controller) == decision_sequence(reference)
     assert decision_sequence(controller)

@@ -31,14 +31,6 @@ class TestSeries:
         series.extend([(0, 1.0), (1, 3.0)])
         np.testing.assert_array_equal(series.values, [1.0, 3.0])
 
-    def test_last(self):
-        series = Series()
-        series.extend([(i, float(i)) for i in range(5)])
-        np.testing.assert_array_equal(series.last(2), [3.0, 4.0])
-        assert series.last(100).size == 5
-        with pytest.raises(ValueError):
-            series.last(0)
-
     def test_mean_empty_is_zero(self):
         assert Series().mean() == 0.0
 
@@ -46,31 +38,3 @@ class TestSeries:
         series = Series()
         series.extend([(0, 1.0), (1, 3.0)])
         assert series.mean() == pytest.approx(2.0)
-
-    def test_window_mean(self):
-        series = Series()
-        series.extend([(i, float(i)) for i in range(10)])
-        assert series.window_mean(2) == pytest.approx(8.5)
-        assert Series().window_mean(3) == 0.0
-
-    def test_fraction_below(self):
-        series = Series()
-        series.extend([(0, 0.5), (1, 0.9), (2, 1.0)])
-        assert series.fraction_below(0.95) == pytest.approx(2 / 3)
-        assert Series().fraction_below(1.0) == 0.0
-
-    def test_moving_average(self):
-        series = Series()
-        series.extend([(i, v) for i, v in enumerate([1.0, 3.0, 5.0, 7.0])])
-        out = series.moving_average(2)
-        np.testing.assert_allclose(out, [1.0, 2.0, 4.0, 6.0])
-        with pytest.raises(ValueError):
-            series.moving_average(0)
-
-    def test_downsample(self):
-        series = Series("s")
-        series.extend([(i, float(i)) for i in range(10)])
-        down = series.downsample(3)
-        np.testing.assert_array_equal(down.ticks, [0, 3, 6, 9])
-        with pytest.raises(ValueError):
-            series.downsample(0)

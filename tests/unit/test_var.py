@@ -51,21 +51,6 @@ class TestVectorAutoregression:
         with pytest.raises(ValueError):
             model.predict_next(np.zeros((3, 5)))
 
-    def test_forecast_series_alignment(self):
-        series = ar1_series(n=50)
-        model = VectorAutoregression(order=2).fit(series)
-        forecasts = model.forecast_series(series)
-        assert forecasts.shape == (48, 2)
-        errors = np.linalg.norm(forecasts - series[2:], axis=1)
-        assert np.median(errors) < 0.1
-
-    def test_parameter_count_grows_quadratically(self):
-        small = VectorAutoregression(order=1).fit(ar1_series(d=2))
-        big = VectorAutoregression(order=1).fit(ar1_series(d=8))
-        assert small.parameter_count == (1 * 2 + 1) * 2
-        assert big.parameter_count == (1 * 8 + 1) * 8
-        assert big.parameter_count > 10 * small.parameter_count
-
 
 class TestRollingForecast:
     def test_produces_errors(self):

@@ -41,7 +41,7 @@ class TestVlcStreamingServer:
         report = app.qos_report()
         assert report.value == pytest.approx(0.8)
         assert report.violated  # 0.8 < default threshold 0.95
-        assert app.achieved_rate_series[-1] == pytest.approx(20.0)
+        assert app.required_fps * report.value == pytest.approx(20.0)
 
     def test_full_progress_is_not_a_violation(self, clock):
         app = VlcStreamingServer(noise_std=0.0)

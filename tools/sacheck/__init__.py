@@ -26,6 +26,7 @@ from tools.sacheck.layering import (
     FORBIDDEN,
     LayeringRule,
     OrphanModuleRule,
+    OrphanSymbolRule,
     build_import_graph,
     layer_edges,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "FunctionInfo",
     "LayeringRule",
     "OrphanModuleRule",
+    "OrphanSymbolRule",
     "ProjectIndex",
     "Rule",
     "RuleWalker",

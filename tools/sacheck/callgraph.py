@@ -43,7 +43,7 @@ from tools.sacheck.engine import (
     iter_python_files,
     relative_path,
 )
-from tools.sacheck.layering import build_import_graph
+from tools.sacheck.layering import build_import_graph, build_name_references
 
 #: Seeded RNG constructors — a variable assigned from one is RNG-typed.
 RNG_FACTORIES = {
@@ -395,6 +395,8 @@ class ProjectIndex:
         self.files: Dict[str, Tuple[str, ast.Module]] = {}
         #: module -> imported ``repro`` modules (SA205's input)
         self.import_graph: Dict[str, Set[str]] = {}
+        #: identifier -> where non-test code uses it (SA206's input)
+        self.name_references: Dict[str, List[Tuple[str, int]]] = {}
         self._impurity: Optional[Dict[str, Set[str]]] = None
 
     # -- construction ----------------------------------------------------
@@ -408,8 +410,9 @@ class ProjectIndex:
         """Index every ``*.py`` under ``paths`` (two passes, no exec).
 
         Files under ``import_only`` contribute edges to
-        :attr:`import_graph` and nothing else: a benchmark counts as a
-        caller without being indexed or rule-walked itself.
+        :attr:`import_graph` and uses to :attr:`name_references` and
+        nothing else: a benchmark counts as a caller without being
+        indexed or rule-walked itself.
         """
         project = cls()
         contexts: List[FileContext] = []
@@ -431,6 +434,9 @@ class ProjectIndex:
         for ctx in contexts:
             project._collect_bodies(ctx)
         project.import_graph = build_import_graph(
+            [*paths, *import_only], repo_root, parsed=project.files
+        )
+        project.name_references = build_name_references(
             [*paths, *import_only], repo_root, parsed=project.files
         )
         return project

@@ -48,7 +48,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Repo-root-relative so it follows REPO_ROOT (tests rebind that).
 DEFAULT_BASELINE = Path("tools") / "sacheck" / "baseline.json"
 DEFAULT_TARGETS = ("src", "tests", "tools", "examples")
-#: Read for import edges only: a benchmark is a caller (SA205).
+#: Read for import edges and name uses only, never rule-walked: a
+#: benchmark is a caller (SA205, SA206).
 IMPORT_ONLY_TARGETS = ("benchmarks",)
 
 

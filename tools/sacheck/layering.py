@@ -51,7 +51,9 @@ Besides the rule, this module builds the full intra-``repro`` import
 graph (``build_import_graph``) so ``python -m tools.sacheck
 --import-graph`` can print the actual layer edges for docs and review,
 and checks one more thing on that graph: SA205, no orphan modules
-(:class:`OrphanModuleRule`).
+(:class:`OrphanModuleRule`). Its symbol-level sibling SA206
+(:class:`OrphanSymbolRule`) reads :func:`build_name_references`, the
+same files' identifiers.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -181,6 +184,28 @@ class LayeringRule(Rule):
                 )
 
 
+def _parsed_files(
+    paths: Sequence[Path],
+    repo_root: Path,
+    parsed: Optional[Mapping[str, Tuple[str, ast.Module]]],
+) -> Iterator[Tuple[str, ast.Module]]:
+    """``(rel_path, tree)`` of every parseable file under ``paths``.
+
+    ``parsed`` is an optional ``{rel_path: (source, tree)}`` cache
+    (``ProjectIndex.files``); anything not in it is read and parsed.
+    """
+    for file_path in iter_python_files(paths, repo_root):
+        rel = relative_path(file_path, repo_root)
+        cached = parsed.get(rel) if parsed is not None else None
+        try:
+            tree = cached[1] if cached is not None else ast.parse(
+                file_path.read_text(encoding="utf-8"), filename=rel
+            )
+        except (SyntaxError, UnicodeDecodeError):
+            continue
+        yield rel, tree
+
+
 def build_import_graph(
     paths: Sequence[Path],
     repo_root: Path,
@@ -197,15 +222,7 @@ def build_import_graph(
     """
     #: module -> [(imported module, imported name or None, local binding)]
     imports: Dict[str, List[Tuple[str, Optional[str], str]]] = {}
-    for file_path in iter_python_files(paths, repo_root):
-        rel = relative_path(file_path, repo_root)
-        cached = parsed.get(rel) if parsed is not None else None
-        try:
-            tree = cached[1] if cached is not None else ast.parse(
-                file_path.read_text(encoding="utf-8"), filename=rel
-            )
-        except (SyntaxError, UnicodeDecodeError):
-            continue
+    for rel, tree in _parsed_files(paths, repo_root, parsed):
         module = module_name(rel)
         bound = imports.setdefault(module, [])
         for node in ast.walk(tree):
@@ -302,6 +319,107 @@ class OrphanModuleRule(Rule):
             f"'{ctx.module}' has no caller in src/, benchmarks/ or "
             f"examples/ (imported only by: {seen_by}); delete it or "
             "justify keeping it in the baseline",
+        )
+
+
+def build_name_references(
+    paths: Sequence[Path],
+    repo_root: Path,
+    parsed: Optional[Mapping[str, Tuple[str, ast.Module]]] = None,
+) -> Dict[str, List[Tuple[str, int]]]:
+    """``{identifier: [(rel_path, line), ...]}`` — where each name is used.
+
+    A use is a bare name, an attribute (``obj.name``) or a string that
+    is exactly one identifier (``getattr(obj, "name")``, a patch table)
+    in any file under ``paths`` that is not under ``tests/``. An
+    ``import`` binds a name without using it and an ``__all__`` entry
+    only lists it, so neither counts — which is what makes a package
+    re-export "not a caller" (SA206).
+    """
+    references: Dict[str, List[Tuple[str, int]]] = {}
+    for rel, tree in _parsed_files(paths, repo_root, parsed):
+        if rel.split("/")[0] == "tests":
+            continue
+        pending: List[ast.AST] = [tree]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                    continue
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.value if isinstance(node, ast.Constant)
+                else None
+            )
+            if isinstance(name, str) and name.isidentifier():
+                references.setdefault(name, []).append((rel, node.lineno))
+            pending.extend(ast.iter_child_nodes(node))
+    return references
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class OrphanSymbolRule(Rule):
+    """SA206 — every public ``repro.*`` symbol is used outside its tests.
+
+    SA205 one level down: a public function, method or class whose name
+    appears nowhere in ``src/``, ``benchmarks/``, ``tools/`` or
+    ``examples/`` outside its own body has no caller — an import, an
+    ``__all__`` entry and a test are not uses
+    (:func:`build_name_references`). Name-based and one hop: any use of
+    the *name* counts, whichever object it is looked up on, so an
+    override of a method something calls is never reported and a
+    finding always names a symbol that really has no caller. Private
+    names and dunders belong to their module or to the language.
+    A symbol kept on purpose (a test instrument, the query a suite
+    reads results through) is a justified baseline entry.
+    """
+
+    id = "SA206"
+    name = "orphan-symbol"
+    rationale = (
+        "a public repro function, method or class that only tests, "
+        "re-exports and __all__ mention has no caller: delete it or "
+        "justify it in the baseline"
+    )
+
+    def __init__(self) -> None:
+        self.references: Optional[Dict[str, List[Tuple[str, int]]]] = None
+
+    def begin_project(self, project: "ProjectIndex") -> None:
+        self.references = project.name_references
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return self.references is not None and ctx.layer is not None
+
+    def finish_file(self, ctx: FileContext) -> Iterable[Finding]:
+        for stmt in ctx.tree.body:
+            if not isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)):
+                continue
+            orphan = list(self._check(ctx, stmt, stmt.name))
+            yield from orphan
+            if isinstance(stmt, ast.ClassDef) and not orphan:
+                # (an unused class is one finding, not one per method)
+                for sub in stmt.body:
+                    if isinstance(sub, _FUNCTIONS):
+                        yield from self._check(ctx, sub, f"{stmt.name}.{sub.name}")
+
+    def _check(self, ctx: FileContext, node: ast.stmt, label: str) -> Iterable[Finding]:
+        assert self.references is not None
+        if node.name.startswith("_"):
+            return
+        first, last = node.lineno, node.end_lineno or node.lineno
+        for rel, line in self.references.get(node.name, ()):
+            if rel != ctx.rel_path or not first <= line <= last:
+                return
+        yield self.make_finding(
+            ctx, node,
+            f"'{label}' is used nowhere in src/, benchmarks/, tools/ or "
+            "examples/ (imports, __all__ and tests are not callers); "
+            "delete it or justify keeping it in the baseline",
         )
 
 

@@ -207,7 +207,7 @@ class AdHocTelemetryRule(Rule):
         "enable gate, the span cap and the shared registry"
     )
 
-    BANNED_TYPES = {"Tracer", "Span", "StageTimer", "Stopwatch"}
+    BANNED_TYPES = {"Tracer", "Span", "StageTimer"}
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.layer == "core"
@@ -366,10 +366,10 @@ class BroadExceptRule(Rule):
 def default_rules() -> List[Rule]:
     """All rules in ID order.
 
-    SA103 and SA205 live in :mod:`tools.sacheck.layering`; the
+    SA103, SA205 and SA206 live in :mod:`tools.sacheck.layering`; the
     interprocedural SA201/SA202/SA204 in :mod:`tools.sacheck.effects`;
-    SA203 in :mod:`tools.sacheck.shapes`.  SA201/SA204/SA205 deactivate
-    themselves unless the caller supplies a phase-1 project index (the
+    SA203 in :mod:`tools.sacheck.shapes`.  SA201/SA204/SA205/SA206
+    deactivate themselves unless the caller supplies a phase-1 project index (the
     CLI always does).
     """
     from tools.sacheck.effects import (
@@ -377,7 +377,11 @@ def default_rules() -> List[Rule]:
         SA202OrderStableFoldRule,
         SA204ShardSafetyRule,
     )
-    from tools.sacheck.layering import LayeringRule, OrphanModuleRule
+    from tools.sacheck.layering import (
+        LayeringRule,
+        OrphanModuleRule,
+        OrphanSymbolRule,
+    )
     from tools.sacheck.shapes import SA203ShapeContractRule
 
     return [
@@ -394,6 +398,7 @@ def default_rules() -> List[Rule]:
         SA203ShapeContractRule(),
         SA204ShardSafetyRule(),
         OrphanModuleRule(),
+        OrphanSymbolRule(),
     ]
 
 
