@@ -21,12 +21,11 @@ Acceptance gates, written into ``BENCH_detectors.json``:
 """
 
 import argparse
-import json
 import math
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from benchmarks.helpers import STANDARD_TICKS, banner
+from benchmarks.helpers import STANDARD_TICKS, banner, write_report
 from repro.experiments.headtohead import (
     DETECTOR_ARMS,
     quick_suite,
@@ -73,7 +72,7 @@ def check_gmm_reproducibility(ticks: int = 400, seed: int = 3) -> Dict[str, obje
 
 
 def run_experiment(
-    ticks: int = STANDARD_TICKS, quick: bool = False, out: Optional[str] = None
+    out, ticks: int = STANDARD_TICKS, quick: bool = False
 ) -> Dict[str, object]:
     """Run the study, check the gates, write the BENCH json."""
     suite = quick_suite(ticks=ticks) if quick else standard_suite(ticks=ticks)
@@ -115,11 +114,7 @@ def run_experiment(
         "gmm_reproducibility": reproducibility,
         "passed": not gate_failures and reproducibility["passed"],
     }
-    out_path = Path(out) if out is not None else DEFAULT_OUT
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    report["out"] = str(out_path)
+    report["out"] = write_report(report, out)
     report["results"] = results
     return report
 
@@ -139,12 +134,14 @@ def _print_report(report: Dict[str, object]) -> None:
         print(f"hybrid worse than geometry on: {', '.join(failures)}")
     else:
         print("hybrid violation ratio no worse than geometry on every scenario")
-    print(f"report written to {report.get('out', DEFAULT_OUT)}")
+    print(f"report written to {report['out']}")
 
 
-def test_detector_headtohead(benchmark, capsys):
+def test_detector_headtohead(benchmark, capsys, tmp_path):
     report = benchmark.pedantic(
-        lambda: run_experiment(ticks=400, quick=True), rounds=1, iterations=1
+        lambda: run_experiment(tmp_path / "BENCH_detectors.json", ticks=400, quick=True),
+        rounds=1,
+        iterations=1,
     )
 
     with capsys.disabled():
@@ -174,11 +171,11 @@ def main(argv=None) -> int:
                         help="run length in ticks per arm (default 1200, quick 400)")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke profile: two scenarios, short runs")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     args = parser.parse_args(argv)
     ticks = args.ticks if args.ticks is not None else (400 if args.quick else STANDARD_TICKS)
-    report = run_experiment(ticks=ticks, quick=args.quick, out=args.out)
+    report = run_experiment(args.out, ticks=ticks, quick=args.quick)
     _print_report(report)
     if not report["passed"]:
         print("FAIL: detector gates did not hold")

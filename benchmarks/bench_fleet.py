@@ -26,12 +26,11 @@ chaos-smoke step uses ``--hosts 16 --ticks 200``.
 """
 
 import argparse
-import json
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
-from benchmarks.helpers import banner
+from benchmarks.helpers import banner, write_report
 from repro.core.config import StayAwayConfig
 from repro.experiments.chaos import FleetMix, run_fleet_comparison
 
@@ -41,9 +40,7 @@ DEFAULT_TICKS = 240
 
 
 def run_fleet_experiment(
-    hosts: int = DEFAULT_HOSTS,
-    ticks: int = DEFAULT_TICKS,
-    out: Optional[str] = None,
+    out, hosts: int = DEFAULT_HOSTS, ticks: int = DEFAULT_TICKS
 ) -> Dict[str, object]:
     """Run the three-arm fleet drill and write the BENCH json."""
     mix = FleetMix(
@@ -63,11 +60,7 @@ def run_fleet_experiment(
     total_ticks = 3 * (mix.ticks + mix.drain_ticks)
     host_ticks_per_s = hosts * total_ticks / elapsed if elapsed > 0 else 0.0
 
-    arms = {
-        "coordinator": comparison.coordinator,
-        "per_host": comparison.per_host,
-        "none": comparison.none,
-    }
+    arms = comparison.arms
     report: Dict[str, object] = {
         "bench": "fleet",
         "hosts": hosts,
@@ -87,16 +80,12 @@ def run_fleet_experiment(
             "host_ticks_per_second": host_ticks_per_s,
         },
         "passed": (
-            comparison.coordinator.crashed_at is None
+            arms["coordinator"].crashed_at is None
             and comparison.improvement > 0
             and all(not r.orphaned_migrations() for r in arms.values())
         ),
     }
-    out_path = Path(out) if out is not None else DEFAULT_OUT
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    report["out"] = str(out_path)
+    report["out"] = write_report(report, out)
     report["comparison"] = comparison
     return report
 
@@ -141,37 +130,39 @@ def _print_fleet_report(report: Dict[str, object]) -> None:
         f"({throughput['elapsed_seconds']:.1f}s wall for all three arms)"
     )
     print(f"  improvement: {report['improvement']:+.4f} violation ratio vs per-host")
-    print(f"  report written to {report.get('out', DEFAULT_OUT)}")
+    print(f"  report written to {report['out']}")
 
 
-def test_fleet_chaos(benchmark, capsys):
+def test_fleet_chaos(benchmark, capsys, tmp_path):
     report = benchmark.pedantic(
-        lambda: run_fleet_experiment(hosts=24, ticks=200), rounds=1, iterations=1
+        lambda: run_fleet_experiment(tmp_path / "BENCH_fleet.json", hosts=24, ticks=200),
+        rounds=1,
+        iterations=1,
     )
-    comparison = report["comparison"]
+    arms = report["comparison"].arms
+    coordinator = arms["coordinator"]
 
     with capsys.disabled():
         print()
         _print_fleet_report(report)
 
     # The coordinator survived the whole chaos script.
-    assert comparison.coordinator.crashed_at is None
+    assert coordinator.crashed_at is None
     # Chaos actually fired, identically across arms.
     crash_counts = {
-        arm.crash_injector.summary()["crashes"]
-        for arm in (comparison.coordinator, comparison.per_host, comparison.none)
+        arm.crash_injector.summary()["crashes"] for arm in arms.values()
     }
     assert len(crash_counts) == 1 and crash_counts.pop() > 0
     # The coordinator strictly beats per-host-only, which beats nothing.
     assert (
-        comparison.coordinator.violation_ratio()
-        < comparison.per_host.violation_ratio()
-        < comparison.none.violation_ratio()
+        coordinator.violation_ratio()
+        < arms["per_host"].violation_ratio()
+        < arms["none"].violation_ratio()
     )
     # No orphans: every migration record reached a terminal outcome.
-    assert not comparison.coordinator.orphaned_migrations()
+    assert not coordinator.orphaned_migrations()
     # Migration actually happened (the comparison is not vacuous).
-    assert comparison.coordinator.coordinator.supervisor.summary()["committed"] > 0
+    assert coordinator.coordinator.supervisor.summary()["committed"] > 0
 
 
 def main(argv=None) -> int:
@@ -182,10 +173,10 @@ def main(argv=None) -> int:
                         help=f"fleet size (default {DEFAULT_HOSTS})")
     parser.add_argument("--ticks", type=int, default=DEFAULT_TICKS,
                         help=f"chaos-phase ticks per arm (default {DEFAULT_TICKS})")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     args = parser.parse_args(argv)
-    report = run_fleet_experiment(hosts=args.hosts, ticks=args.ticks, out=args.out)
+    report = run_fleet_experiment(args.out, hosts=args.hosts, ticks=args.ticks)
     _print_fleet_report(report)
     if not report["passed"]:
         print("FAIL: coordinator did not beat the per-host-only arm crash-free")

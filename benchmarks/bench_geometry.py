@@ -25,13 +25,13 @@ or through pytest with the other benches::
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from benchmarks.helpers import write_report
 from repro.core.state_space import StateLabel, StateSpace
 from tests.support.geometry_reference import violation_vote_scalar
 
@@ -127,11 +127,11 @@ def measure_size(
 
 
 def run_experiment(
+    out,
     sizes: Sequence[int] = DEFAULT_SIZES,
     votes: int = DEFAULT_VOTES,
     repeats: int = DEFAULT_REPEATS,
     threshold: float = THRESHOLD_SPEEDUP,
-    out: Optional[str] = None,
 ) -> Dict[str, object]:
     """Sweep the sizes, write the BENCH json; returns the report.
 
@@ -159,11 +159,7 @@ def run_experiment(
         "threshold_speedup": threshold,
         "passed": reference["speedup"] >= threshold,
     }
-    out_path = Path(out) if out is not None else DEFAULT_OUT
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    report["out"] = str(out_path)
+    report["out"] = write_report(report, out)
     return report
 
 
@@ -183,11 +179,13 @@ def _print_report(report: Dict[str, object]) -> None:
         f"at n={report['reference_n_states']} "
         f"(budget >= {report['threshold_speedup']}x)"
     )
-    print(f"  report written to {report.get('out', DEFAULT_OUT)}")
+    print(f"  report written to {report['out']}")
 
 
-def test_geometry_speedup(benchmark, capsys):
-    report = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_geometry_speedup(benchmark, capsys, tmp_path):
+    report = benchmark.pedantic(
+        run_experiment, args=(tmp_path / "BENCH_geometry.json",), rounds=1, iterations=1
+    )
     with capsys.disabled():
         print()
         _print_report(report)
@@ -211,12 +209,12 @@ def main(argv=None) -> int:
                         help="timed calls per measurement (best kept)")
     parser.add_argument("--threshold", type=float, default=THRESHOLD_SPEEDUP,
                         help="fail below this speedup at the reference size")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     args = parser.parse_args(argv)
     report = run_experiment(
-        sizes=args.sizes, votes=args.votes, repeats=args.repeats,
-        threshold=args.threshold, out=args.out,
+        args.out, sizes=args.sizes, votes=args.votes, repeats=args.repeats,
+        threshold=args.threshold,
     )
     _print_report(report)
     if not report["passed"]:

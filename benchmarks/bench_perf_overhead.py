@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import statistics
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from benchmarks.helpers import write_report
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.experiments.scenarios import Scenario
@@ -138,9 +138,9 @@ def measure(ticks: int, repeats: int) -> Dict[str, object]:
 
 
 def run_experiment(
+    out,
     ticks: int = DEFAULT_TICKS,
     repeats: int = DEFAULT_REPEATS,
-    out: Optional[str] = None,
     runs: int = 1,
 ) -> Dict[str, object]:
     """Measure on/off overhead and write the BENCH json; returns the report.
@@ -168,11 +168,7 @@ def run_experiment(
         overhead_percent=round(median, 3),
         passed=median < THRESHOLD_PERCENT,
     )
-    out_path = Path(out) if out is not None else DEFAULT_OUT
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    report["out"] = str(out_path)
+    report["out"] = write_report(report, out)
     return report
 
 
@@ -189,11 +185,13 @@ def _print_report(report: Dict[str, object]) -> None:
     print(f"  spans recorded            : {report['spans_recorded']}")
     for stage, mean_us in report["stage_mean_us"].items():
         print(f"    {stage:24s} mean {mean_us:9.1f} us")
-    print(f"  report written to {report.get('out', DEFAULT_OUT)}")
+    print(f"  report written to {report['out']}")
 
 
-def test_perf_overhead(benchmark, capsys):
-    report = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_perf_overhead(benchmark, capsys, tmp_path):
+    report = benchmark.pedantic(
+        run_experiment, args=(tmp_path / "BENCH_perf_overhead.json",), rounds=1, iterations=1
+    )
     with capsys.disabled():
         print()
         _print_report(report)
@@ -215,13 +213,13 @@ def main(argv=None) -> int:
                         help="interleaved runs per configuration (best kept)")
     parser.add_argument("--runs", type=int, default=1,
                         help="whole on/off measurements; the gate reads their median")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     parser.add_argument("--threshold", type=float, default=THRESHOLD_PERCENT,
                         help="fail above this overhead percentage")
     args = parser.parse_args(argv)
     report = run_experiment(
-        ticks=args.ticks, repeats=args.repeats, out=args.out, runs=args.runs
+        args.out, ticks=args.ticks, repeats=args.repeats, runs=args.runs
     )
     _print_report(report)
     if report["overhead_percent"] >= args.threshold:

@@ -23,11 +23,10 @@ standalone (the CI chaos-smoke step uses a fast profile).
 """
 
 import argparse
-import json
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
-from benchmarks.helpers import STANDARD_TICKS, banner
+from benchmarks.helpers import STANDARD_TICKS, banner, write_report
 from repro.experiments.chaos import (
     ChaosMix,
     ContainmentMix,
@@ -52,14 +51,15 @@ def run_experiment():
 
 def test_robustness_chaos(benchmark, capsys):
     comparison = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    resilient = comparison.resilient
-    unguarded = comparison.unguarded
+    resilient = comparison.arms["resilient"]
+    unguarded = comparison.arms["unguarded"]
+    faults = {name: arm.summary()["faults"] for name, arm in comparison.arms.items()}
 
     with capsys.disabled():
         print(banner("Robustness - chaos mix, resilience on vs off"))
         print(
-            f"faults injected: {resilient.faults_injected} (resilient run), "
-            f"{unguarded.faults_injected} (unguarded run)"
+            f"faults injected: {faults['resilient']['total']} (resilient run), "
+            f"{faults['unguarded']['total']} (unguarded run)"
         )
         for label, result in (("resilient", resilient), ("unguarded", unguarded)):
             crashed = (
@@ -87,10 +87,10 @@ def test_robustness_chaos(benchmark, capsys):
     assert resilient.crashed_at is None
     assert resilient.checker.ok, resilient.checker.summary()
     # The faults actually fired (the comparison is not vacuous).
-    assert resilient.faults_injected > 50
-    assert len(resilient.corruptor.corrupted_ticks) > 0
-    assert resilient.qos_dropout.dropped_reports > 0
-    assert len(resilient.actuators.dropped_signals) > 0
+    assert faults["resilient"]["total"] > 50
+    assert faults["resilient"]["sensor_corruptions"] > 0
+    assert faults["resilient"]["qos_reports_dropped"] > 0
+    assert faults["resilient"]["actuator_drops"] > 0
     # The guard did real work: rejections were detected and imputed.
     guard_summary = resilient.controller.guard.summary()
     assert guard_summary["rejected"] > 0
@@ -101,9 +101,7 @@ def test_robustness_chaos(benchmark, capsys):
 # Recovery drill: fault containment on vs off
 # ---------------------------------------------------------------------------
 
-def run_recovery_experiment(
-    ticks: int = STANDARD_TICKS, out: Optional[str] = None
-) -> Dict[str, object]:
+def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, object]:
     """Run the containment recovery drill and write the BENCH json.
 
     The fault script mixes a scripted mapping-stage outage (long enough
@@ -126,8 +124,8 @@ def run_recovery_experiment(
         poison=0.03,
     )
     comparison = run_recovery_comparison(scenario, mix=mix)
-    contained = comparison.contained.summary()
-    uncontained = comparison.uncontained.summary()
+    contained = comparison.arms["contained"].summary()
+    uncontained = comparison.arms["uncontained"].summary()
     report = {
         "bench": "fault_containment",
         "ticks": ticks,
@@ -154,15 +152,11 @@ def run_recovery_experiment(
         },
         "improvement": comparison.improvement,
         "passed": (
-            comparison.contained.crashed_at is None
+            contained["crashed_at"] is None
             and comparison.improvement > 0
         ),
     }
-    out_path = Path(out) if out is not None else DEFAULT_OUT
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    report["out"] = str(out_path)
+    report["out"] = write_report(report, out)
     report["comparison"] = comparison
     return report
 
@@ -201,14 +195,18 @@ def _print_recovery_report(report: Dict[str, object]) -> None:
         f"{contained['recovery']['max_recovery_ticks']} ticks"
     )
     print(f"  improvement: {report['improvement']:+.3f} violation ratio")
-    print(f"  report written to {report.get('out', DEFAULT_OUT)}")
+    print(f"  report written to {report['out']}")
 
 
-def test_recovery_drill(benchmark, capsys):
-    report = benchmark.pedantic(run_recovery_experiment, rounds=1, iterations=1)
-    comparison = report["comparison"]
-    contained = comparison.contained
-    uncontained = comparison.uncontained
+def test_recovery_drill(benchmark, capsys, tmp_path):
+    report = benchmark.pedantic(
+        run_recovery_experiment,
+        args=(tmp_path / "BENCH_fault_containment.json",),
+        rounds=1,
+        iterations=1,
+    )
+    contained = report["comparison"].arms["contained"]
+    uncontained = report["comparison"].arms["uncontained"]
 
     with capsys.disabled():
         print()
@@ -241,10 +239,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--ticks", type=int, default=STANDARD_TICKS,
                         help="run length in ticks per policy variant")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     args = parser.parse_args(argv)
-    report = run_recovery_experiment(ticks=args.ticks, out=args.out)
+    report = run_recovery_experiment(args.out, ticks=args.ticks)
     _print_recovery_report(report)
     if not report["passed"]:
         print("FAIL: containment did not beat the uncontained baseline")

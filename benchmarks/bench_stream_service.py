@@ -24,11 +24,10 @@ Not a paper figure: this bench guards the service seam
 """
 
 import argparse
-import json
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
-from benchmarks.helpers import STANDARD_TICKS, banner
+from benchmarks.helpers import STANDARD_TICKS, banner, write_report
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream_chaos import (
     StreamChaosMix,
@@ -46,9 +45,7 @@ QUICK_REPLAY_TICKS = 240
 
 
 def run_experiment(
-    ticks: int = STANDARD_TICKS,
-    replay_ticks: int = 600,
-    out: Optional[str] = None,
+    out, ticks: int = STANDARD_TICKS, replay_ticks: int = 600
 ) -> Dict[str, object]:
     """Run both gates and write the BENCH json."""
     replay = check_replay_determinism(Scenario(ticks=replay_ticks, seed=1))
@@ -90,11 +87,7 @@ def run_experiment(
         },
     }
     report["passed"] = all(report["gates"].values())
-    out_path = Path(out) if out is not None else DEFAULT_OUT
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    report["out"] = str(out_path)
+    report["out"] = write_report(report, out)
     report["comparison"] = comparison
     return report
 
@@ -130,17 +123,18 @@ def _print_report(report: Dict[str, object]) -> None:
         f"{chaos['passthrough_deviation']:.4f}"
     )
     print(f"  gates: {report['gates']}")
-    print(f"  report written to {report.get('out', DEFAULT_OUT)}")
+    print(f"  report written to {report['out']}")
 
 
-def test_stream_service_gates(benchmark, capsys):
+def test_stream_service_gates(benchmark, capsys, tmp_path):
     report = benchmark.pedantic(
         run_experiment,
+        args=(tmp_path / "BENCH_stream_service.json",),
         kwargs={"ticks": QUICK_CHAOS_TICKS, "replay_ticks": QUICK_REPLAY_TICKS},
         rounds=1,
         iterations=1,
     )
-    comparison = report["comparison"]
+    arms = report["comparison"].arms
     chaos = report["chaos"]
 
     with capsys.disabled():
@@ -166,9 +160,7 @@ def test_stream_service_gates(benchmark, capsys):
     # Lost acks forced the tracker through its retry path.
     assert stream["actuator"]["retries"] > 0
     # The passthrough arm visibly starved the batch tier.
-    assert (
-        comparison.passthrough.batch_work() < comparison.assembled.batch_work()
-    )
+    assert arms["passthrough"].batch_work() < arms["assembled"].batch_work()
 
 
 def main(argv=None) -> int:
@@ -184,7 +176,7 @@ def main(argv=None) -> int:
                         help="chaos run length in ticks per arm")
     parser.add_argument("--replay-ticks", type=int, default=None,
                         help="replay-determinism run length in ticks")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     args = parser.parse_args(argv)
     ticks = args.ticks if args.ticks is not None else (
@@ -193,7 +185,7 @@ def main(argv=None) -> int:
     replay_ticks = args.replay_ticks if args.replay_ticks is not None else (
         QUICK_REPLAY_TICKS if args.quick else 600
     )
-    report = run_experiment(ticks=ticks, replay_ticks=replay_ticks, out=args.out)
+    report = run_experiment(args.out, ticks=ticks, replay_ticks=replay_ticks)
     _print_report(report)
     if not report["passed"]:
         print("FAIL: stream service gates did not pass")

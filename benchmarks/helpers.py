@@ -15,6 +15,8 @@ recompute it.
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -101,6 +103,21 @@ def get_trio(
         stayaway=stayaway,
         utilization=comparison,
     )
+
+
+def write_report(report: dict, out) -> str:
+    """Write a gate's report as JSON (sorted keys, two-space indent, final
+    newline, the shape of the committed ``BENCH_*.json`` records); returns
+    the path written.
+
+    The gates' ``test_*`` functions pass pytest's ``tmp_path``; only a
+    script's ``main()`` defaults to its committed record.
+    """
+    path = Path(out)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return str(path)
 
 
 def banner(title: str) -> str:

@@ -349,15 +349,11 @@ def cmd_fleet(args: argparse.Namespace, out) -> int:
     )
     comparison = run_fleet_comparison(mix)
     rows = []
-    for label, result in (
-        ("coordinator", comparison.coordinator),
-        ("per-host", comparison.per_host),
-        ("none", comparison.none),
-    ):
+    for result in comparison.arms.values():
         summary = result.summary()
         migrations = summary.get("fleet", {}).get("migrations", {})
         rows.append([
-            label,
+            result.arm,
             f"{result.violation_ratio():.2%}",
             "crash" if result.crashed_at is not None else "ok",
             summary["crashes"]["crashes"],

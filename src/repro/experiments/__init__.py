@@ -16,9 +16,9 @@ integration tests all drive the exact same machinery:
 """
 
 from repro.experiments.chaos import (
-    ChaosComparison,
     ChaosMix,
     ChaosResult,
+    DrillComparison,
     run_chaos,
     run_chaos_comparison,
     unguarded_config,
@@ -49,10 +49,10 @@ from repro.experiments.scenarios import BuiltScenario, Scenario
 __all__ = [
     "ArmResult",
     "BuiltScenario",
-    "ChaosComparison",
     "ChaosMix",
     "ChaosResult",
     "DETECTOR_ARMS",
+    "DrillComparison",
     "HeadToHead",
     "RunResult",
     "Scenario",

@@ -8,6 +8,11 @@ sensor corruption between host and controller, QoS-report dropout,
 flapping batch containers, lossy actuators, demand spikes — runs it,
 and reports the QoS damage plus the resilience layer's own telemetry.
 
+Every drill (environment chaos and the recovery and fleet drills here,
+the stream drill in :mod:`repro.experiments.stream_chaos`) runs one
+seeded fault script down two or three arms: each arm is a
+:class:`DrillResult`, the arms one :class:`DrillComparison` by name.
+
 The headline comparison (:func:`run_chaos_comparison`, used by
 ``benchmarks/bench_robustness_chaos.py``) runs the identical fault
 script twice: once with the resilience layer on (default config) and
@@ -19,8 +24,8 @@ in violation ratio is attributable to the resilience layer.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
@@ -103,22 +108,17 @@ class ControllerCrash:
     trace: Optional[str] = None
 
 
-class CrashGuard:
-    """Middleware wrapper isolating controller crashes.
+class _Guard:
+    """Catch-and-record shared by the host and cluster crash guards.
 
-    An unguarded controller fed NaN measurements can die outright (the
-    MDS placement asserts on non-finite distances). On a real host that
-    means the runtime process is gone: nothing resumes the containers
-    it paused and nothing protects the sensitive application anymore.
-    This wrapper reproduces that: after the first uncaught exception
-    the controller is never invoked again — only its QoS tracker keeps
-    observing so the violation accounting stays comparable. The crash's
-    full context (tick, exception, injected-fault name, deepest frame)
-    is retained in :attr:`crash` for the experiment report.
+    The first exception escaping the guarded policy is kept as
+    :class:`ControllerCrash` forensics and the policy is never driven
+    again: a dead runtime, frozen at its moment of death, in a drill
+    that still finishes and reports.
     """
 
-    def __init__(self, controller: StayAway) -> None:
-        self.controller = controller
+    def __init__(self, inner) -> None:
+        self.inner = inner
         self.crash: Optional[ControllerCrash] = None
 
     @property
@@ -133,30 +133,128 @@ class CrashGuard:
             return None
         return f"{self.crash.error_type}: {self.crash.message}"
 
-    def on_tick(self, snapshot, host) -> None:
-        if self.crash is not None:
-            self.controller.qos.on_tick(snapshot, host)
-            return
+    def _drive(self, tick: int, call, *args) -> None:
         try:
-            self.controller.on_tick(snapshot, host)
-        except Exception as exc:  # sacheck: disable=SA108 -- models the dead runtime: any uncaught controller exception kills the process for the rest of the run
-            frames = traceback.extract_tb(exc.__traceback__)
-            deepest = frames[-1] if frames else None
+            call(*args)
+        except Exception as exc:  # sacheck: disable=SA108 -- models the dead runtime: any uncaught policy exception is recorded and ends the policy for the rest of the run
+            deepest = traceback.extract_tb(exc.__traceback__)[-1]
             self.crash = ControllerCrash(
-                tick=snapshot.tick,
+                tick=tick,
                 error_type=type(exc).__name__,
                 message=str(exc),
                 fault=getattr(exc, "fault_name", None),
-                trace=(
-                    f"{deepest.filename}:{deepest.lineno} in {deepest.name}"
-                    if deepest is not None
-                    else None
-                ),
+                trace=f"{deepest.filename}:{deepest.lineno} in {deepest.name}",
+            )
+
+
+class CrashGuard(_Guard):
+    """Middleware wrapper isolating a host controller's crashes.
+
+    An unguarded controller fed NaN measurements can die outright. On a
+    real host that means the runtime process is gone: nothing resumes
+    the containers it paused and nothing protects the sensitive
+    application anymore. After the crash only the controller's QoS
+    tracker keeps observing, so the violation accounting stays
+    comparable.
+    """
+
+    def on_tick(self, snapshot, host) -> None:
+        if self.crash is None:
+            self._drive(snapshot.tick, self.inner.on_tick, snapshot, host)
+        else:
+            self.inner.qos.on_tick(snapshot, host)
+
+
+class ClusterCrashGuard(_Guard):
+    """The fleet analogue of :class:`CrashGuard`, around a cluster middleware."""
+
+    def on_cluster_tick(self, snapshots, cluster) -> None:
+        if self.crash is None:
+            # The tick the snapshots describe.
+            self._drive(
+                cluster.clock.tick - 1, self.inner.on_cluster_tick, snapshots, cluster
             )
 
 
 @dataclass
-class ChaosResult:
+class DrillResult:
+    """One arm of a drill: ``audit`` scores its sensitive QoS (anything
+    with ``violation_ratio()``), ``guard`` is the crash guard around the
+    policy under test (None when the arm has none)."""
+
+    audit: Any
+    guard: Optional[_Guard]
+
+    def violation_ratio(self) -> float:
+        """Fraction of reported ticks in QoS violation."""
+        return self.audit.violation_ratio()
+
+    @property
+    def crash(self) -> Optional[ControllerCrash]:
+        """Full crash forensics, if the guarded policy died."""
+        return None if self.guard is None else self.guard.crash
+
+    @property
+    def crashed_at(self) -> Optional[int]:
+        """Tick the guarded policy died at (None = survived or no guard)."""
+        return None if self.guard is None else self.guard.crashed_at
+
+
+@dataclass
+class DrillComparison:
+    """Every arm of one drill under the identical fault script, by name.
+
+    ``summary()`` is each arm's summary under its name plus the drill's
+    ``verdict``: by default ``improvement``, the ``control`` arm's
+    violation ratio minus the ``treated`` arm's.
+    """
+
+    arms: Dict[str, DrillResult]
+    control: str
+    treated: str
+    verdict: Optional[Callable[["DrillComparison"], dict]] = None
+
+    @property
+    def improvement(self) -> float:
+        """Absolute violation-ratio reduction of the treated arm."""
+        return (
+            self.arms[self.control].violation_ratio()
+            - self.arms[self.treated].violation_ratio()
+        )
+
+    def summary(self) -> dict:
+        out = {name: arm.summary() for name, arm in self.arms.items()}
+        out.update(self.verdict(self) if self.verdict else {"improvement": self.improvement})
+        return out
+
+
+class _HostRig:
+    """The single-host drills' wiring: the scenario, a guarded controller
+    scored by its own QoS tracker, and the invariant checker."""
+
+    def __init__(self, scenario: Scenario, config: Optional[StayAwayConfig]) -> None:
+        self.scenario = scenario
+        self.built = scenario.build(include_batch=True)
+        self.controller = StayAway(self.built.sensitive_app, config=config)
+        self.audit = self.controller.qos
+        self.guard = CrashGuard(self.controller)
+        self.checker = InvariantChecker(self.controller)
+
+    def run(self, middlewares: list, installed: list) -> dict:
+        """Run with the drill's middleware order, uninstall its injectors
+        whatever happens; returns the rig's result fields."""
+        engine = SimulationEngine(self.built.host, middlewares)
+        try:
+            engine.run(ticks=self.scenario.ticks)
+        finally:
+            for fault in installed:
+                if fault is not None:
+                    fault.remove()
+        return dict(vars(self))
+
+
+@dataclass
+class ChaosResult(DrillResult):
     """Outcome of one chaos run.
 
     Attributes
@@ -182,32 +280,21 @@ class ChaosResult:
     flapper: ContainerFlapper
     qos_dropout: QosDropout
     actuators: ActuatorFaultInjector
-    crash_guard: Optional[CrashGuard] = None
     spiker: Optional[DemandSpiker] = None
-    faults_injected: int = 0
-
-    @property
-    def crashed_at(self) -> Optional[int]:
-        """Tick the controller died at (None = survived the run)."""
-        return None if self.crash_guard is None else self.crash_guard.crashed_at
-
-    def violation_ratio(self) -> float:
-        """Fraction of reported ticks in QoS violation."""
-        return self.controller.qos.violation_ratio()
 
     def summary(self) -> dict:
         """Controller summary + fault census + invariant verdict."""
+        faults = {
+            "sensor_corruptions": len(self.corruptor.corrupted_ticks),
+            "qos_reports_dropped": self.qos_dropout.dropped_reports,
+            "container_flaps": len(self.flapper.fired),
+            "actuator_drops": len(self.actuators.dropped_signals),
+        }
         return {
             "controller": self.controller.summary(),
             "violation_ratio": self.violation_ratio(),
             "crashed_at": self.crashed_at,
-            "faults": {
-                "sensor_corruptions": len(self.corruptor.corrupted_ticks),
-                "qos_reports_dropped": self.qos_dropout.dropped_reports,
-                "container_flaps": len(self.flapper.fired),
-                "actuator_drops": len(self.actuators.dropped_signals),
-                "total": self.faults_injected,
-            },
+            "faults": {**faults, "total": sum(faults.values())},
             "invariants": self.checker.summary(),
         }
 
@@ -237,20 +324,16 @@ def run_chaos(
        bookkeeping against the host truth after every period.
     """
     mix = mix if mix is not None else ChaosMix()
-    built = scenario.build(include_batch=True)
-    host = built.host
+    rig = _HostRig(scenario, config)
+    host = rig.built.host
+    app = rig.built.sensitive_app
 
-    controller = StayAway(built.sensitive_app, config=config)
-    crash_guard = CrashGuard(controller)
     corruptor = SensorCorruptor(
-        crash_guard, seed=mix.seed + 11, probability=mix.sensor_corruption
+        rig.guard, seed=mix.seed + 11, probability=mix.sensor_corruption
     )
-    qos_dropout = QosDropout(
-        built.sensitive_app, probability=mix.qos_dropout, seed=mix.seed + 23
-    )
-    batch_names = [container.name for container in host.batch_containers()]
+    qos_dropout = QosDropout(app, probability=mix.qos_dropout, seed=mix.seed + 23)
     flapper = ContainerFlapper(
-        batch_names,
+        [container.name for container in host.batch_containers()],
         seed=mix.seed + 37,
         flap_probability=mix.flap,
         kill_probability=mix.kill,
@@ -260,79 +343,38 @@ def run_chaos(
         host, seed=mix.seed + 41, probability=mix.actuator_loss
     ).install()
     spiker = (
-        DemandSpiker(
-            built.sensitive_app,
-            windows=list(mix.spike_windows),
-            factor=mix.spike_factor,
-        )
+        DemandSpiker(app, windows=list(mix.spike_windows), factor=mix.spike_factor)
         if mix.spike_windows
         else None
     )
-    checker = InvariantChecker(controller)
-
-    engine = SimulationEngine(host)
-    engine.add_middleware(flapper)
-    engine.add_middleware(corruptor)  # wraps the controller
-    engine.add_middleware(checker)
-    try:
-        engine.run(ticks=scenario.ticks)
-    finally:
-        actuators.remove()
-        qos_dropout.remove()
-        if spiker is not None:
-            spiker.remove()
-
-    faults = (
-        len(corruptor.corrupted_ticks)
-        + qos_dropout.dropped_reports
-        + len(flapper.fired)
-        + len(actuators.dropped_signals)
+    shared = rig.run(
+        [flapper, corruptor, rig.checker], [actuators, qos_dropout, spiker]
     )
     return ChaosResult(
-        scenario=scenario,
         mix=mix,
-        built=built,
-        controller=controller,
-        checker=checker,
         corruptor=corruptor,
         flapper=flapper,
         qos_dropout=qos_dropout,
         actuators=actuators,
-        crash_guard=crash_guard,
         spiker=spiker,
-        faults_injected=faults,
+        **shared,
     )
-
-
-@dataclass
-class ChaosComparison:
-    """Resilient vs unguarded controller under the identical fault script."""
-
-    resilient: ChaosResult
-    unguarded: ChaosResult
-
-    @property
-    def improvement(self) -> float:
-        """Absolute violation-ratio reduction from the resilience layer."""
-        return self.unguarded.violation_ratio() - self.resilient.violation_ratio()
-
-    def summary(self) -> dict:
-        return {
-            "resilient": self.resilient.summary(),
-            "unguarded": self.unguarded.summary(),
-            "improvement": self.improvement,
-        }
 
 
 def run_chaos_comparison(
     scenario: Scenario,
     mix: Optional[ChaosMix] = None,
     config: Optional[StayAwayConfig] = None,
-) -> ChaosComparison:
-    """Run the same seeded chaos twice: resilience on vs off."""
-    resilient = run_chaos(scenario, mix=mix, config=config)
-    unguarded = run_chaos(scenario, mix=mix, config=unguarded_config(config))
-    return ChaosComparison(resilient=resilient, unguarded=unguarded)
+) -> DrillComparison:
+    """Run the same seeded chaos twice: ``resilient`` vs ``unguarded``."""
+    return DrillComparison(
+        arms={
+            "resilient": run_chaos(scenario, mix=mix, config=config),
+            "unguarded": run_chaos(scenario, mix=mix, config=unguarded_config(config)),
+        },
+        control="unguarded",
+        treated="resilient",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +425,7 @@ def uncontained_config(config: Optional[StayAwayConfig] = None) -> StayAwayConfi
 
 
 @dataclass
-class RecoveryDrillResult:
+class RecoveryDrillResult(DrillResult):
     """Outcome of one recovery drill.
 
     Attributes
@@ -393,8 +435,6 @@ class RecoveryDrillResult:
     built / controller / checker:
         The instantiated scenario, the controller and the riding
         invariant checker.
-    crash_guard:
-        Crash forensics (an uncontained run usually dies here).
     injector / poisoner:
         The fault injectors, for fault-census assertions.
     """
@@ -404,23 +444,8 @@ class RecoveryDrillResult:
     built: BuiltScenario
     controller: StayAway
     checker: InvariantChecker
-    crash_guard: CrashGuard
     injector: StageExceptionInjector
     poisoner: ModelPoisoner
-
-    @property
-    def crashed_at(self) -> Optional[int]:
-        """Tick the controller died at (None = survived the run)."""
-        return self.crash_guard.crashed_at
-
-    @property
-    def crash(self) -> Optional[ControllerCrash]:
-        """Full crash forensics, if the run died."""
-        return self.crash_guard.crash
-
-    def violation_ratio(self) -> float:
-        """Fraction of reported ticks in QoS violation."""
-        return self.controller.qos.violation_ratio()
 
     def recovery_times(self) -> list:
         """Trip-to-reset durations (ticks) across all stage breakers."""
@@ -434,28 +459,18 @@ class RecoveryDrillResult:
     def summary(self) -> dict:
         """Controller summary + fault census + containment verdict."""
         times = self.recovery_times()
-        containment = self.controller.summary()["telemetry"]["containment"]
+        controller = self.controller.summary()
         return {
-            "controller": self.controller.summary(),
+            "controller": controller,
             "violation_ratio": self.violation_ratio(),
             "crashed_at": self.crashed_at,
-            "crash": (
-                None
-                if self.crash is None
-                else {
-                    "tick": self.crash.tick,
-                    "error_type": self.crash.error_type,
-                    "message": self.crash.message,
-                    "fault": self.crash.fault,
-                    "trace": self.crash.trace,
-                }
-            ),
+            "crash": None if self.crash is None else asdict(self.crash),
             "faults": {
                 "stage_faults": len(self.injector.fired),
                 "poisons": len(self.poisoner.fired),
                 "total": len(self.injector.fired) + len(self.poisoner.fired),
             },
-            "containment": containment,
+            "containment": controller["telemetry"]["containment"],
             "recovery": {
                 "recoveries": len(times),
                 "mean_recovery_ticks": (sum(times) / len(times)) if times else 0.0,
@@ -479,13 +494,9 @@ def run_recovery_drill(
     :func:`uncontained_config` — its absence.
     """
     mix = mix if mix is not None else ContainmentMix()
-    built = scenario.build(include_batch=True)
-    host = built.host
-
-    controller = StayAway(built.sensitive_app, config=config)
-    crash_guard = CrashGuard(controller)
+    rig = _HostRig(scenario, config)
     injector = StageExceptionInjector(
-        controller,
+        rig.controller,
         seed=mix.seed + 53,
         probability=mix.stage_fault,
         stages=mix.stages,
@@ -494,68 +505,37 @@ def run_recovery_drill(
         injector.during(start, end, stage)
     injector.install()
     poisoner = ModelPoisoner(
-        controller,
+        rig.controller,
         seed=mix.seed + 67,
         probability=mix.poison,
         kinds=mix.poison_kinds,
     )
-    checker = InvariantChecker(controller)
-
-    engine = SimulationEngine(host)
-    engine.add_middleware(crash_guard)
     # The checker audits the controller's own bookkeeping, so it runs
     # before the poisoner: damage injected this tick is the watchdog's
     # to find next period, not an instant invariant breach.
-    engine.add_middleware(checker)
-    engine.add_middleware(poisoner)
-    try:
-        engine.run(ticks=scenario.ticks)
-    finally:
-        injector.remove()
-
+    shared = rig.run([rig.guard, rig.checker, poisoner], [injector])
     return RecoveryDrillResult(
-        scenario=scenario,
-        mix=mix,
-        built=built,
-        controller=controller,
-        checker=checker,
-        crash_guard=crash_guard,
-        injector=injector,
-        poisoner=poisoner,
+        mix=mix, injector=injector, poisoner=poisoner, **shared
     )
-
-
-@dataclass
-class RecoveryComparison:
-    """Contained vs uncontained controller under identical internal faults."""
-
-    contained: RecoveryDrillResult
-    uncontained: RecoveryDrillResult
-
-    @property
-    def improvement(self) -> float:
-        """Absolute violation-ratio reduction from fault containment."""
-        return self.uncontained.violation_ratio() - self.contained.violation_ratio()
-
-    def summary(self) -> dict:
-        return {
-            "contained": self.contained.summary(),
-            "uncontained": self.uncontained.summary(),
-            "improvement": self.improvement,
-        }
 
 
 def run_recovery_comparison(
     scenario: Scenario,
     mix: Optional[ContainmentMix] = None,
     config: Optional[StayAwayConfig] = None,
-) -> RecoveryComparison:
-    """Run the same seeded internal-fault script twice: containment on vs off."""
-    contained = run_recovery_drill(scenario, mix=mix, config=config)
-    uncontained = run_recovery_drill(
-        scenario, mix=mix, config=uncontained_config(config)
+) -> DrillComparison:
+    """Run the same seeded internal-fault script twice: ``contained`` vs
+    ``uncontained``."""
+    return DrillComparison(
+        arms={
+            "contained": run_recovery_drill(scenario, mix=mix, config=config),
+            "uncontained": run_recovery_drill(
+                scenario, mix=mix, config=uncontained_config(config)
+            ),
+        },
+        control="uncontained",
+        treated="contained",
     )
-    return RecoveryComparison(contained=contained, uncontained=uncontained)
 
 
 # ---------------------------------------------------------------------------
@@ -672,65 +652,25 @@ class FleetQosAudit:
         return self.violations / self.reports
 
 
-class ClusterCrashGuard:
-    """Catch the first exception escaping a cluster middleware.
-
-    The fleet analogue of :class:`CrashGuard`: the drill must finish
-    and report even when the coordinator dies, because "the coordinator
-    stayed crash-free end to end" is an assertion the benchmark makes,
-    not an assumption it is allowed to bake in. After the first
-    exception the inner middleware is never driven again — a dead
-    control plane, frozen at its moment of death.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.crashed_at: Optional[int] = None
-        self.error: Optional[BaseException] = None
-
-    def on_cluster_tick(self, snapshots, cluster) -> None:
-        if self.crashed_at is not None:
-            return
-        try:
-            self.inner.on_cluster_tick(snapshots, cluster)
-        except Exception as exc:  # sacheck: disable=SA108 -- crash forensics: the drill must record any coordinator death and keep the cluster running to the end
-            self.crashed_at = cluster.clock.tick - 1
-            self.error = exc
-
-
 @dataclass
-class FleetDrillResult:
-    """Outcome of one fleet chaos drill arm.
+class FleetDrillResult(DrillResult):
+    """Outcome of one fleet chaos drill arm, scored by a
+    :class:`FleetQosAudit`; the guard is around the coordinator.
 
     Attributes
     ----------
     mix / arm:
         What was run; arm is ``coordinator`` / ``per-host`` / ``none``.
-    cluster / coordinator / audit / crash_injector:
+    cluster / coordinator / crash_injector:
         The run's machinery, for assertions and summaries. The
         coordinator is None in the ``none`` arm.
-    guard:
-        The :class:`ClusterCrashGuard` around the coordinator (None in
-        the ``none`` arm); ``guard.crashed_at`` is the crash-free
-        assertion's evidence.
     """
 
     mix: FleetMix
     arm: str
     cluster: Cluster
     coordinator: Optional[FleetCoordinator]
-    audit: FleetQosAudit
     crash_injector: HostCrashInjector
-    guard: Optional[ClusterCrashGuard] = None
-
-    @property
-    def crashed_at(self) -> Optional[int]:
-        """Tick the coordinator died at (None = survived or no arm)."""
-        return self.guard.crashed_at if self.guard is not None else None
-
-    def violation_ratio(self) -> float:
-        """Fleet-wide sensitive QoS violation ratio (audit instrument)."""
-        return self.audit.violation_ratio()
 
     def orphaned_migrations(self) -> list:
         """Cluster migration records stuck ``in-flight`` after the run."""
@@ -805,65 +745,46 @@ def run_fleet_drill(
     cluster.run(mix.drain_ticks)
 
     return FleetDrillResult(
+        audit=audit,
+        guard=guard,
         mix=mix,
         arm=arm,
         cluster=cluster,
         coordinator=coordinator,
-        audit=audit,
         crash_injector=crash_injector,
-        guard=guard,
     )
-
-
-@dataclass
-class FleetComparison:
-    """All three fleet arms under the identical fault script."""
-
-    coordinator: FleetDrillResult
-    per_host: FleetDrillResult
-    none: FleetDrillResult
-
-    @property
-    def improvement(self) -> float:
-        """Violation-ratio reduction of coordinator over per-host-only."""
-        return (
-            self.per_host.violation_ratio() - self.coordinator.violation_ratio()
-        )
-
-    def summary(self) -> dict:
-        return {
-            "coordinator": self.coordinator.summary(),
-            "per_host": self.per_host.summary(),
-            "none": self.none.summary(),
-            "improvement": self.improvement,
-        }
 
 
 def run_fleet_comparison(
     mix: Optional[FleetMix] = None,
     config: Optional[StayAwayConfig] = None,
-) -> FleetComparison:
-    """Run the same seeded host-failure script across all three arms."""
-    return FleetComparison(
-        coordinator=run_fleet_drill(mix, arm="coordinator", config=config),
-        per_host=run_fleet_drill(mix, arm="per-host", config=config),
-        none=run_fleet_drill(mix, arm="none", config=config),
+) -> DrillComparison:
+    """Run the same seeded host-failure script across all three arms:
+    ``coordinator``, ``per_host`` and ``none``; ``improvement`` is the
+    coordinator's over per-host-only."""
+    return DrillComparison(
+        arms={
+            "coordinator": run_fleet_drill(mix, arm="coordinator", config=config),
+            "per_host": run_fleet_drill(mix, arm="per-host", config=config),
+            "none": run_fleet_drill(mix, arm="none", config=config),
+        },
+        control="per_host",
+        treated="coordinator",
     )
 
 
 __all__ = [
-    "ChaosComparison",
     "ChaosMix",
     "ChaosResult",
     "ClusterCrashGuard",
     "ContainmentMix",
     "ControllerCrash",
     "CrashGuard",
-    "FleetComparison",
+    "DrillComparison",
+    "DrillResult",
     "FleetDrillResult",
     "FleetMix",
     "FleetQosAudit",
-    "RecoveryComparison",
     "RecoveryDrillResult",
     "build_fleet",
     "run_chaos",

@@ -33,10 +33,11 @@ same ground-truth instrument regardless of what its stream shows it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
+from repro.experiments.chaos import DrillComparison, DrillResult
 from repro.experiments.scenarios import BuiltScenario, Scenario
 from repro.monitoring.qos import QosTracker
 from repro.sim.engine import SimulationEngine
@@ -123,19 +124,18 @@ class SimStreamBridge(StreamRecorder):
 
 
 @dataclass
-class StreamDrillResult:
-    """Outcome of one stream chaos drill arm.
+class StreamDrillResult(DrillResult):
+    """Outcome of one stream chaos drill arm, scored by a ground-truth
+    QoS tracker riding outside the stream (no guard).
 
     Attributes
     ----------
     scenario / mix:
         What was run; ``mix`` is None in the fault-free arm.
-    built / service / audit:
-        The instantiated scenario, the serviced controller, and the
-        ground-truth QoS instrument riding outside the stream.
-    injectors:
-        The installed fault wrappers by name, for fault-census
-        assertions.
+    built / service:
+        The instantiated scenario and the serviced controller.
+    fired:
+        The installed transport wrappers' fault records, one list each.
     ack_dropper:
         The ack filter, when the mix drops acks.
     passthrough:
@@ -146,14 +146,9 @@ class StreamDrillResult:
     mix: Optional[StreamChaosMix]
     built: BuiltScenario
     service: ControllerService
-    audit: QosTracker
-    injectors: Dict[str, object] = field(default_factory=dict)
+    fired: List[list] = field(default_factory=list)
     ack_dropper: Optional[ActuatorAckDropper] = None
     passthrough: bool = False
-
-    def violation_ratio(self) -> float:
-        """Ground-truth fraction of reported ticks in violation."""
-        return self.audit.violation_ratio()
 
     def batch_work(self) -> float:
         """Total work the batch applications retired (the paper's
@@ -162,19 +157,7 @@ class StreamDrillResult:
 
     def faults_injected(self) -> int:
         """Total transport + ack faults the script actually fired."""
-        total = 0
-        dropper = self.injectors.get("dropper")
-        if dropper is not None:
-            total += len(dropper.dropped)
-        reorderer = self.injectors.get("reorderer")
-        if reorderer is not None:
-            total += len(reorderer.delayed)
-        duplicator = self.injectors.get("duplicator")
-        if duplicator is not None:
-            total += len(duplicator.duplicated)
-        staller = self.injectors.get("staller")
-        if staller is not None:
-            total += len(staller.stalled_polls)
+        total = sum(len(records) for records in self.fired)
         if self.ack_dropper is not None:
             total += len(self.ack_dropper.dropped_acks)
         return total
@@ -222,28 +205,23 @@ def run_stream_drill(
 
     queue = QueueSource()
     source = queue
-    injectors: Dict[str, object] = {}
+    fired: List[list] = []
     ack_dropper: Optional[ActuatorAckDropper] = None
     if mix is not None:
         if mix.drop > 0:
-            source = injectors["dropper"] = StreamDropper(
-                source, seed=mix.seed + 11, probability=mix.drop
-            )
+            source = StreamDropper(source, seed=mix.seed + 11, probability=mix.drop)
+            fired.append(source.dropped)
         if mix.reorder > 0:
-            source = injectors["reorderer"] = StreamReorderer(
-                source,
-                seed=mix.seed + 13,
-                probability=mix.reorder,
-                max_delay=mix.reorder_max_delay,
+            source = StreamReorderer(
+                source, seed=mix.seed + 13, probability=mix.reorder, max_delay=mix.reorder_max_delay
             )
+            fired.append(source.delayed)
         if mix.duplicate > 0:
-            source = injectors["duplicator"] = StreamDuplicator(
-                source, seed=mix.seed + 17, probability=mix.duplicate
-            )
+            source = StreamDuplicator(source, seed=mix.seed + 17, probability=mix.duplicate)
+            fired.append(source.duplicated)
         if mix.stall_windows:
-            source = injectors["staller"] = StreamStaller(
-                source, windows=list(mix.stall_windows)
-            )
+            source = StreamStaller(source, windows=list(mix.stall_windows))
+            fired.append(source.stalled_polls)
         if mix.ack_drop > 0:
             ack_dropper = ActuatorAckDropper(
                 seed=mix.seed + 19, probability=mix.ack_drop
@@ -258,10 +236,7 @@ def run_stream_drill(
 
     audit = QosTracker(built.sensitive_app)
     bridge = SimStreamBridge(service, queue, sensitive_app=built.sensitive_app)
-    engine = SimulationEngine(host)
-    engine.add_middleware(bridge)
-    engine.add_middleware(audit)
-    engine.run(ticks=scenario.ticks)
+    SimulationEngine(host, [bridge, audit]).run(ticks=scenario.ticks)
 
     # The host is done: close the transport, let held/delayed records
     # drain, then resolve every in-flight actuator command.
@@ -269,89 +244,77 @@ def run_stream_drill(
     service.run(max_cycles=_FLUSH_CYCLE_CAP)
 
     return StreamDrillResult(
+        audit=audit,
+        guard=None,
         scenario=scenario,
         mix=mix,
         built=built,
         service=service,
-        audit=audit,
-        injectors=injectors,
+        fired=fired,
         ack_dropper=ack_dropper,
         passthrough=passthrough,
     )
 
 
-@dataclass
-class StreamComparison:
-    """Three arms under the identical live scenario and fault script.
+def _deviation_verdict(comparison: DrillComparison) -> dict:
+    """The stream drill scores *deviation from the fault-free arm*.
 
-    Degradation is measured as *deviation from the fault-free arm*,
-    not as raw violation ratio. The naive passthrough arm does not
-    fail by letting violations through — its zero-filled cells poison
-    the state map into chronic over-throttling, which buys an
-    artificially *low* violation ratio by starving the batch tier (a
-    large :meth:`StreamDrillResult.batch_work` shortfall). Either
-    distortion — excess violations or phantom throttling — is a
-    departure from the controller's intended behavior, and deviation
-    from the fault-free run captures both directions.
+    Not raw violation ratio: the naive passthrough arm does not fail by
+    letting violations through — its zero-filled cells poison the state
+    map into chronic over-throttling, which buys an artificially *low*
+    violation ratio by starving the batch tier (a large
+    :meth:`StreamDrillResult.batch_work` shortfall). Either distortion
+    — excess violations or phantom throttling — departs from the
+    controller's intended behavior, and ``|arm - fault-free|`` captures
+    both directions.
+
+    ``degradation`` is the chaos gate's headline number, the assembled
+    arm's violation ratio relative to fault-free: ``<= 2.0`` means the
+    watermark assembler held the line. When the fault-free arm is
+    violation-free, any assembled violation counts as infinite
+    degradation (and 0/0 is a clean 1.0). ``assembler_better`` is True
+    when the assembled arm tracks fault-free strictly closer than the
+    assembler-less arm does.
     """
-
-    fault_free: StreamDrillResult
-    assembled: StreamDrillResult
-    passthrough: StreamDrillResult
-
-    def degradation(self) -> float:
-        """Assembled-arm violation ratio relative to fault-free.
-
-        The chaos gate's headline number: ``<= 2.0`` means the
-        watermark assembler held the line. When the fault-free arm is
-        violation-free, any assembled violation counts as infinite
-        degradation (and 0/0 is a clean 1.0).
-        """
-        base = self.fault_free.violation_ratio()
-        assembled = self.assembled.violation_ratio()
-        if base == 0.0:
-            return 1.0 if assembled == 0.0 else float("inf")
-        return assembled / base
-
-    def deviation(self, arm: StreamDrillResult) -> float:
-        """|arm violation ratio - fault-free violation ratio|."""
-        return abs(arm.violation_ratio() - self.fault_free.violation_ratio())
-
-    def assembler_better(self) -> bool:
-        """True when the assembled arm tracks fault-free behavior
-        strictly closer than the assembler-less arm does."""
-        return self.deviation(self.assembled) < self.deviation(self.passthrough)
-
-    def summary(self) -> dict:
-        return {
-            "fault_free": self.fault_free.summary(),
-            "assembled": self.assembled.summary(),
-            "passthrough": self.passthrough.summary(),
-            "degradation": self.degradation(),
-            "assembled_deviation": self.deviation(self.assembled),
-            "passthrough_deviation": self.deviation(self.passthrough),
-            "assembler_better": self.assembler_better(),
-        }
+    base = comparison.arms["fault_free"].violation_ratio()
+    assembled = comparison.arms["assembled"].violation_ratio()
+    passthrough = comparison.arms["passthrough"].violation_ratio()
+    if base == 0.0:
+        degradation = 1.0 if assembled == 0.0 else float("inf")
+    else:
+        degradation = assembled / base
+    return {
+        "degradation": degradation,
+        "assembled_deviation": abs(assembled - base),
+        "passthrough_deviation": abs(passthrough - base),
+        "assembler_better": abs(assembled - base) < abs(passthrough - base),
+    }
 
 
 def run_stream_comparison(
     scenario: Scenario,
     mix: Optional[StreamChaosMix] = None,
     config: Optional[StayAwayConfig] = None,
-) -> StreamComparison:
-    """Run fault-free, assembled+faults and passthrough+faults arms.
+) -> DrillComparison:
+    """Run ``fault_free``, ``assembled`` (+faults) and ``passthrough``
+    (+faults) arms, scored by :func:`_deviation_verdict`.
 
     Scenario seeds and the fault script are shared, so any difference
     between the assembled and passthrough arms is attributable to the
     watermark assembler alone.
     """
     mix = mix if mix is not None else StreamChaosMix()
-    return StreamComparison(
-        fault_free=run_stream_drill(scenario, mix=None, config=config),
-        assembled=run_stream_drill(scenario, mix=mix, config=config),
-        passthrough=run_stream_drill(
-            scenario, mix=mix, config=config, passthrough=True
-        ),
+    return DrillComparison(
+        arms={
+            "fault_free": run_stream_drill(scenario, mix=None, config=config),
+            "assembled": run_stream_drill(scenario, mix=mix, config=config),
+            "passthrough": run_stream_drill(
+                scenario, mix=mix, config=config, passthrough=True
+            ),
+        },
+        control="passthrough",
+        treated="assembled",
+        verdict=_deviation_verdict,
     )
 
 
@@ -373,10 +336,7 @@ def record_reference(
     built = scenario.build(include_batch=True)
     controller = StayAway(built.sensitive_app, config=config)
     recorder = StreamRecorder(sensitive_app=built.sensitive_app)
-    engine = SimulationEngine(built.host)
-    engine.add_middleware(recorder)
-    engine.add_middleware(controller)
-    engine.run(ticks=scenario.ticks)
+    SimulationEngine(built.host, [recorder, controller]).run(ticks=scenario.ticks)
     return recorder.records, decision_sequence(controller), controller
 
 
@@ -411,21 +371,20 @@ def check_replay_determinism(
         stream.get(key, 0) == 0
         for key in ("dropped", "duplicated", "late", "imputed")
     )
+    first_divergence = None
+    if replayed != reference:
+        # A sequence that is a strict prefix of the other diverges
+        # where the shorter one ends.
+        first_divergence = next(
+            (i for i, (a, b) in enumerate(zip(reference, replayed)) if a != b),
+            min(len(reference), len(replayed)),
+        )
     return {
         "reference_decisions": len(reference),
         "replayed_decisions": len(replayed),
         "match": replayed == reference,
         "clean_stream": clean,
-        "first_divergence": next(
-            (
-                i
-                for i, (a, b) in enumerate(zip(reference, replayed))
-                if a != b
-            ),
-            None,
-        )
-        if replayed != reference
-        else None,
+        "first_divergence": first_divergence,
         "stream": stream,
     }
 
@@ -433,7 +392,6 @@ def check_replay_determinism(
 __all__ = [
     "SimStreamBridge",
     "StreamChaosMix",
-    "StreamComparison",
     "StreamDrillResult",
     "check_replay_determinism",
     "record_reference",

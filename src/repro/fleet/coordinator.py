@@ -79,7 +79,8 @@ class HostControllerCell:
         The cell-level circuit breaker gating the controller.
     fallback_resume_after:
         Consecutive violation-free ticks before the reactive fallback
-        resumes the containers it paused.
+        resumes the containers it paused. The first healthy controller
+        tick hands back whatever the fallback still holds.
     """
 
     def __init__(
@@ -115,6 +116,8 @@ class HostControllerCell:
                 self._driver.on_tick(snapshot, host)
                 self.breaker.record_success(tick)
                 self._last_run_ok = True
+                if self._fallback_paused:
+                    self._hand_back(host, keep=self.controller.throttle.desired_paused)
                 return
             except Exception:  # sacheck: disable=SA108 -- cell firewall: any controller exception must degrade this host, not unwind the fleet coordinator
                 self.crashes += 1
@@ -140,11 +143,16 @@ class HostControllerCell:
             return
         self._clean_streak += 1
         if self._clean_streak >= self.fallback_resume_after and self._fallback_paused:
-            for name in sorted(self._fallback_paused):
-                container = host.containers.get(name)
-                if container is not None and container.is_paused:
-                    container.resume()
-            self._fallback_paused.clear()
+            self._hand_back(host)
+
+    def _hand_back(self, host: "Host", keep=()) -> None:
+        """Resume what the fallback paused and is still paused, but not
+        what ``keep`` names (the recovered controller's own pauses)."""
+        for name in sorted(self._fallback_paused):
+            container = host.containers.get(name)
+            if container is not None and container.is_paused and name not in keep:
+                container.resume()
+        self._fallback_paused.clear()
 
     def predicted_risk(self) -> float:
         """Predicted violation probability from the last healthy period.

@@ -89,13 +89,11 @@ class TestMappingOutageRecovery:
         mix = ContainmentMix(
             seed=3, stage_fault=0.02, poison=0.02, fault_windows=((100, 140, "map"),)
         )
-        comparison = run_recovery_comparison(drill_scenario(), mix=mix)
-        assert comparison.contained.crashed_at is None
-        assert comparison.uncontained.crashed_at is not None
-        assert (
-            comparison.contained.violation_ratio()
-            < comparison.uncontained.violation_ratio()
-        )
+        arms = run_recovery_comparison(drill_scenario(), mix=mix).arms
+        assert arms["contained"].crashed_at is None
+        assert arms["uncontained"].crashed_at is not None
+        assert arms["uncontained"].crash.fault is not None
+        assert arms["contained"].violation_ratio() < arms["uncontained"].violation_ratio()
 
 
 class TestHistogramPoisonHealedNextPeriod:

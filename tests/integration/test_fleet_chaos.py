@@ -9,11 +9,14 @@ coordinator itself stays crash-free through the whole fault script.
 import pytest
 
 from repro.core.config import StayAwayConfig
+from repro.core.controller import StayAway
 from repro.experiments.chaos import (
     FleetMix,
+    build_fleet,
     run_fleet_comparison,
     run_fleet_drill,
 )
+from repro.fleet import FleetCoordinator
 from repro.sim.cluster import MIGRATION_IN_FLIGHT
 
 MIX = FleetMix(
@@ -93,21 +96,57 @@ class TestArmInvariantChaos:
         comparison = run_fleet_comparison(
             mix, config=StayAwayConfig(telemetry=False)
         )
+        assert list(comparison.arms) == ["coordinator", "per_host", "none"]
         scripts = [
-            [
-                (e.tick, e.kind, e.target)
-                for e in arm.crash_injector.fired
-            ]
-            for arm in (
-                comparison.coordinator,
-                comparison.per_host,
-                comparison.none,
-            )
+            [(e.tick, e.kind, e.target) for e in arm.crash_injector.fired]
+            for arm in comparison.arms.values()
         ]
         assert scripts[0] == scripts[1] == scripts[2]
         assert any(kind == "host-crash" for _, kind, _ in scripts[0])
         # And no arm crashed or orphaned a migration either.
-        for arm in (comparison.coordinator, comparison.per_host,
-                    comparison.none):
+        for arm in comparison.arms.values():
             assert arm.crashed_at is None
             assert arm.orphaned_migrations() == []
+
+
+class _OutageController:
+    """A Stay-Away controller that raises on every tick of ``[start, end)``."""
+
+    def __init__(self, controller, start, end):
+        self.controller = controller
+        self.start = start
+        self.end = end
+
+    def on_tick(self, snapshot, host):
+        if self.start <= snapshot.tick < self.end:
+            raise RuntimeError("controller outage")
+        self.controller.on_tick(snapshot, host)
+
+
+class TestRecoveredCellHandsBack:
+    def test_fallback_pauses_are_resumed_once_the_controller_recovers(self):
+        """The reactive fallback pauses batch work while the controller is
+        down; once the breaker lets the controller run again, whatever the
+        fallback still holds paused goes back to running unless the
+        controller itself wants it paused."""
+        config = StayAwayConfig(telemetry=False)
+        cluster, sensitive = build_fleet(FleetMix(hosts=4, seed=0))
+        coordinator = FleetCoordinator(
+            sensitive,
+            config=config,
+            migrate=False,
+            controller_factory=lambda host, app: _OutageController(
+                StayAway(app, config=config), 100, 160
+            ),
+        )
+        cluster.add_middleware(coordinator)
+        cluster.run(600)
+
+        cell = coordinator.cells["host-001"]
+        assert cell.crashes > 0
+        assert cell.fallback_ticks > 0
+        assert not cell.degraded
+        held = set(cell.controller.throttle.desired_paused)
+        for name, container in cluster.hosts["host-001"].containers.items():
+            if not container.sensitive:
+                assert container.is_paused == (name in held), name

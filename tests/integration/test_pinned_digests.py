@@ -18,15 +18,34 @@ the same reason the replay-determinism gate is.
 simulator's arithmetic showed only if it happened to move a decision.
 It was computed on the commit before PR 22 made the tick float-native
 (b694459), and that change had to pass it unmodified.
+
+``DRILL_DIGEST`` pins the four drill families' reports — what every
+``BENCH_*`` drill record is built from — at sizes small enough for the
+suite.
 """
 
 import hashlib
 import json
+import os
 
 from repro.core.config import StayAwayConfig
-from repro.experiments.chaos import FleetMix, build_fleet, run_fleet_drill
+from repro.experiments.chaos import (
+    ChaosMix,
+    ContainmentMix,
+    FleetMix,
+    build_fleet,
+    run_chaos_comparison,
+    run_fleet_comparison,
+    run_fleet_drill,
+    run_recovery_comparison,
+)
 from repro.experiments.scenarios import Scenario
-from repro.experiments.stream_chaos import SimStreamBridge
+from repro.experiments.stream_chaos import (
+    SimStreamBridge,
+    StreamChaosMix,
+    check_replay_determinism,
+    run_stream_comparison,
+)
 from repro.service import ControllerService, QueueSource, SimHostActuator
 from repro.service.controller_service import decision_sequence
 from repro.sim.container import Container
@@ -261,3 +280,70 @@ def test_simulator_digest():
     for host in cluster.hosts.values():
         _fold_floats(digest, *(c.app.work_done for c in host.containers.values()))
     assert digest.hexdigest() == SIM_DIGEST
+
+
+DRILL_DIGEST = "07be7a81e2918e59bddadbeebe6e74213729fa91eea0250780e67e8fd0edb25b"
+
+
+def _file_and_function(trace: str) -> str:
+    """``/path/to/faults.py:541 in faulty`` -> ``faults.py in faulty``.
+
+    The line number moves with every edit of the injector's module and
+    the path with the checkout; the file and function name the fault.
+    """
+    location, _, function = trace.partition(" in ")
+    return f"{os.path.basename(location.rsplit(':', 1)[0])} in {function}"
+
+
+def test_drill_digest():
+    """Every drill family's ``summary()``, at suite sizes.
+
+    Environment chaos (resilience on / off), the recovery drill
+    (containment on / off, the uncontained arm dies on an injected
+    stage fault), the three fleet arms under host crashes and
+    blackouts, the three stream arms under transport faults and the
+    replay-determinism check. Telemetry is off: stage timings are wall
+    clock, counters are not.
+    """
+    config = StayAwayConfig(telemetry=False)
+    scenario = Scenario(
+        sensitive="vlc-streaming", batches=("cpubomb",), ticks=300, seed=1
+    )
+    chaos = run_chaos_comparison(
+        scenario, mix=ChaosMix(seed=2, spike_windows=((120, 150),)), config=config
+    ).summary()
+    recovery = run_recovery_comparison(
+        scenario,
+        mix=ContainmentMix(
+            seed=7, stage_fault=0.03, fault_windows=((75, 135, "map"),), poison=0.03
+        ),
+        config=config,
+    ).summary()
+    fleet = run_fleet_comparison(
+        FleetMix(hosts=8, ticks=120, drain_ticks=40, seed=3, host_crash=0.006),
+        config=config,
+    ).summary()
+    stream = run_stream_comparison(
+        Scenario(ticks=300, seed=1),
+        mix=StreamChaosMix(seed=5, ack_drop=0.3),
+        config=config,
+    ).summary()
+    replay = check_replay_determinism(Scenario(ticks=240, seed=1), config=config)
+
+    assert chaos["resilient"]["faults"]["total"] > 0
+    assert chaos["improvement"] > 0
+    crash = recovery["uncontained"]["crash"]
+    assert crash["fault"] is not None
+    crash["trace"] = _file_and_function(crash["trace"])
+    assert fleet["coordinator"]["migration_records"] > 0
+    assert stream["assembled"]["faults_injected"] > 50
+    assert replay["match"]
+
+    payload = {
+        "chaos": chaos,
+        "recovery": recovery,
+        "fleet": fleet,
+        "stream": stream,
+        "replay": replay,
+    }
+    assert _sha256(payload) == DRILL_DIGEST

@@ -20,9 +20,12 @@ The tentpole contracts, end to end:
   ghost imputation).
 """
 
+import pytest
+
 from repro.core.config import StayAwayConfig
 from repro.core.resilience import ControllerHealth
 from repro.experiments.chaos import ClusterCrashGuard, FleetMix, build_fleet
+from repro.experiments import stream_chaos
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream_chaos import (
     SimStreamBridge,
@@ -59,6 +62,37 @@ class TestReplayDeterminism:
         assert result["clean_stream"]
         assert result["reference_decisions"] > 5
         assert result["replayed_decisions"] == result["reference_decisions"]
+
+    @pytest.mark.parametrize(
+        "replayed, first_divergence",
+        [
+            (["t10", "t20"], 2),  # truncated replay
+            (["t10", "t20", "t30", "t40"], 3),  # replay runs on past the reference
+            (["t10", "r20", "t30"], 1),
+            (["t10", "t20", "t30"], None),
+        ],
+    )
+    def test_first_divergence(self, monkeypatch, replayed, first_divergence):
+        """A replay that is a strict prefix of the reference (or the other
+        way round) diverges where the shorter sequence ends."""
+
+        class Replayed:
+            def decision_sequence(self):
+                return replayed
+
+            def summary(self):
+                return {"telemetry": {"stream": {}}}
+
+        reference = ["t10", "t20", "t30"]
+        monkeypatch.setattr(
+            stream_chaos, "record_reference", lambda scenario, config: ([], reference, None)
+        )
+        monkeypatch.setattr(
+            stream_chaos, "replay_records", lambda records, config: Replayed()
+        )
+        result = check_replay_determinism(Scenario(ticks=10))
+        assert result["match"] == (first_divergence is None)
+        assert result["first_divergence"] == first_divergence
 
     def test_replay_through_jsonl_file(self, tmp_path):
         config = service_config()
@@ -125,20 +159,18 @@ class TestChaosArms:
             mix=StreamChaosMix(seed=5, ack_drop=0.3),
             config=service_config(),
         )
-        for arm in (
-            comparison.fault_free,
-            comparison.assembled,
-            comparison.passthrough,
-        ):
+        arms = comparison.arms
+        assert list(arms) == ["fault_free", "assembled", "passthrough"]
+        for arm in arms.values():
             assert arm.service.state is ServiceState.STOPPED
             assert arm.unreconciled_commands() == 0
-        assert comparison.fault_free.faults_injected() == 0
+        assert arms["fault_free"].faults_injected() == 0
         # Both faulted arms see a substantial fault load. (The counts
         # are not identical: each arm's own actuation feeds back into
         # which records — qos reports, ack attempts — exist at all.)
-        assert comparison.assembled.faults_injected() > 50
-        assert comparison.passthrough.faults_injected() > 50
-        census = comparison.assembled.service.summary()["telemetry"]["stream"]
+        assert arms["assembled"].faults_injected() > 50
+        assert arms["passthrough"].faults_injected() > 50
+        census = arms["assembled"].service.summary()["telemetry"]["stream"]
         assert census["duplicated"] > 0
         assert census["imputed"] > 0
         summary = comparison.summary()
