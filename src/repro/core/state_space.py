@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.mds.dedup import RepresentativeSet
-from repro.mds.distances import cross_distances, pairwise_distances
+from repro.mds.distances import pairwise_distances
 from repro.mds.incremental import place_point, procrustes_align
 from repro.mds.smacof import smacof
 from repro.mds.stress import normalized_stress
@@ -89,9 +89,10 @@ class ViolationGeometry:
         """How many of the ``(n, 2)`` float candidates fall inside a violation-range.
 
         One ``(n_candidates, n_violations)`` distance broadcast — the
-        subtract/square/sum/sqrt of ``cross_distances``, minus the
-        checks :meth:`StateSpace.violation_vote` has made — and one
-        boolean reduction; no Python-level loop over candidates.
+        subtract/square/sum/sqrt of the scalar reference for every
+        pair, after the checks :meth:`StateSpace.violation_vote` has
+        made — and one boolean reduction; no Python-level loop over
+        candidates.
         ``d <= fmax(r, CENTER_EPSILON)`` is ``(d <= CENTER_EPSILON) |
         (d <= r)`` for every float (``fmax``: a NaN radius must leave
         the centre test alive), read from the live ``radii`` on every
@@ -201,15 +202,12 @@ class StateSpace:
 
     def _indices_by_label(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(violation_indices, safe_indices)`` from one pass over the labels."""
-        is_violation = np.fromiter(
-            (label is StateLabel.VIOLATION for label in self.labels),
-            dtype=bool,
-            count=len(self.labels),
-        )
-        return (
-            np.flatnonzero(is_violation).astype(int, copy=False),
-            np.flatnonzero(~is_violation).astype(int, copy=False),
-        )
+        violation = StateLabel.VIOLATION
+        violations: List[int] = []
+        safe: List[int] = []
+        for index, label in enumerate(self.labels):
+            (violations if label is violation else safe).append(index)
+        return np.array(violations, dtype=int), np.array(safe, dtype=int)
 
     @property
     def violation_indices(self) -> np.ndarray:
@@ -230,8 +228,8 @@ class StateSpace:
         """
         if len(self) < 2:
             return 0.0
-        ranges = self.coords.max(axis=0) - self.coords.min(axis=0)
-        return float(np.median(ranges))
+        x_range, y_range = (self.coords.max(axis=0) - self.coords.min(axis=0)).tolist()
+        return (x_range + y_range) / 2
 
     # -- growth ------------------------------------------------------------
     def add_sample(
@@ -382,7 +380,7 @@ class StateSpace:
                 centers=np.empty((0, 2)),
                 radii=np.empty(0),
             )
-        centers = self.coords[violations].copy()
+        centers = self.coords[violations]
         if self.radius_law == "fixed":
             radii = np.full(violations.size, float(self.fixed_radius))
         elif safe.size == 0:
@@ -393,7 +391,11 @@ class StateSpace:
         elif c <= 0:
             radii = np.zeros(violations.size)
         else:
-            nearest_safe = cross_distances(centers, self.coords[safe]).min(axis=1)
+            # The subtract/square/sum/sqrt of the scalar reference, on
+            # (v, s) planes: x and y offsets to every safe state.
+            (cx, cy), (sx, sy) = centers.T, self.coords[safe].T
+            dx, dy = cx[:, None] - sx, cy[:, None] - sy
+            nearest_safe = np.sqrt(dx * dx + dy * dy).min(axis=1)
             radii = nearest_safe * np.exp(
                 -(nearest_safe * nearest_safe) / (2.0 * c * c)
             )

@@ -29,33 +29,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return distances
 
 
-def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every row of ``a`` and every row of ``b``.
-
-    Parameters
-    ----------
-    a / b:
-        ``(n, d)`` and ``(m, d)`` arrays of row vectors.
-
-    Returns
-    -------
-    ``(n, m)`` distance matrix. Row ``i`` is elementwise identical to
-    ``point_distances(a[i], b)`` — the broadcasted form performs the
-    same subtract/square/sum/sqrt operations, so callers can swap a
-    per-row loop for one call without changing any comparison outcome.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"expected 2-D arrays, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[1]} columns vs {b.shape[1]} columns"
-        )
-    deltas = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(deltas**2, axis=2))
-
-
 def point_distances(point: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Euclidean distances from one point to each row of ``points``."""
     point = np.asarray(point, dtype=float)

@@ -18,9 +18,10 @@ end of one damped second-order loop — ``(M + lambda I)^-1 J^T r`` with
 the stress, ``M`` the exact Hessian wherever it is positive definite —
 so it starts as safely and finishes quadratically.
 
-The objective is non-convex, so the loop runs from several starts, all
-at once as rows of one ``(S, 2)`` array, and keeps the best (see
-"Placement kernel" in ``docs/ARCHITECTURE.md``).
+The objective is non-convex, so the loop runs from several starts at
+once and keeps the best: the work that grows with the anchors is array
+operations over all starts, the per-start bookkeeping runs on Python
+floats (see "Placement kernel" in ``docs/ARCHITECTURE.md``).
 
 :func:`procrustes_align` keeps the map visually and semantically stable
 across occasional full refits: the refit configuration is rotated /
@@ -30,6 +31,7 @@ geometry carries over.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -86,9 +88,11 @@ def place_point(
         starts = _multi_starts(anchors, deltas)
     placed, stress = _descend(starts, anchors, deltas, max_iter, tol)
     # First strict minimum; a NaN or infinite stress never wins.
-    ranked = np.where(stress < np.inf, stress, np.inf)
-    best = int(np.argmin(ranked))
-    if ranked[best] == np.inf:
+    best, lowest = None, math.inf
+    for row, value in enumerate(stress.tolist()):
+        if value < lowest:
+            best, lowest = row, value
+    if best is None:
         raise ValueError("no start reached a finite placement stress")
     return placed[best].copy()
 
@@ -168,13 +172,21 @@ def _multi_starts(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     deltas:
         ``(N,)`` target distances.
     """
-    base = anchors[int(np.argmin(deltas))]
-    scale = max(float(deltas.max()), 1e-3)
-    offsets = np.array(
-        [[1e-6, 1e-6], [scale, 0.0], [-scale, 0.0], [0.0, scale], [0.0, -scale]]
-    )
-    return np.vstack(
-        [base + offsets, anchors.mean(axis=0), *_trilateration_starts(anchors, deltas)]
+    targets = deltas.tolist()
+    # ``index(min(...))`` is argmin's first minimum; ``+ 0.0`` keeps the
+    # array sum's sign of zero.
+    bx, by = anchors[targets.index(min(targets))].tolist()
+    scale = max(max(targets), 1e-3)
+    return np.array(
+        [
+            [bx + 1e-6, by + 1e-6],
+            [bx + scale, by + 0.0],
+            [bx + -scale, by + 0.0],
+            [bx + 0.0, by + scale],
+            [bx + 0.0, by + -scale],
+            anchors.mean(axis=0).tolist(),
+            *_trilateration_starts(anchors, targets),
+        ]
     )
 
 
@@ -194,7 +206,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def _trilateration_starts(anchors: np.ndarray, deltas: np.ndarray) -> List[np.ndarray]:
+def _trilateration_starts(anchors: np.ndarray, deltas: List[float]) -> List[List[float]]:
     """Two-circle intersection starts from the widest anchor pair.
 
     Multilateration stress is non-convex and has genuine local minima;
@@ -207,37 +219,43 @@ def _trilateration_starts(anchors: np.ndarray, deltas: np.ndarray) -> List[np.nd
     anchors:
         ``(N, D)`` anchor coordinates, ``D == 2``, ``N >= 2``.
     deltas:
-        ``(N,)`` target distances.
+        The ``N`` target distances.
     """
-    # All i < j pairs in row-major order, so argmax's first maximum is
-    # the pair a nested ``sep > best`` scan would keep.
-    first, second = np.triu_indices(anchors.shape[0], 1)
-    separations = _row_norms(anchors[first] - anchors[second])
+    # All i < j pairs, as flat indices i * N + j in row-major order, so
+    # argmax's first maximum is the pair a nested ``sep > best`` scan
+    # would keep.
+    n = anchors.shape[0]
+    order = np.arange(n)
+    pairs = np.flatnonzero(order[:, None] < order)
+    first, second = np.divmod(pairs, n)
+    separations = _row_norms(anchors.take(first, axis=0) - anchors.take(second, axis=0))
     widest = int(np.argmax(separations))
     d = float(separations[widest])
     if d <= 1e-12:
         return []
-    i, j = int(first[widest]), int(second[widest])
-    a, b = anchors[i], anchors[j]
-    ra, rb = float(deltas[i]), float(deltas[j])
+    i, j = divmod(int(pairs[widest]), n)
+    (ax, ay), (bx, by) = anchors[i].tolist(), anchors[j].tolist()
+    ra, rb = deltas[i], deltas[j]
     # Projection of the intersection chord onto the a->b axis.
     along = (ra * ra - rb * rb + d * d) / (2.0 * d)
     height_sq = ra * ra - along * along
-    axis = (b - a) / d
-    normal = np.array([-axis[1], axis[0]])
-    foot = a + along * axis
+    ux, uy = (bx - ax) / d, (by - ay) / d
+    fx, fy = ax + along * ux, ay + along * uy
     if height_sq <= 0:
-        return [foot]
-    height = np.sqrt(height_sq)
-    return [foot + height * normal, foot - height * normal]
+        return [[fx, fy]]
+    height = math.sqrt(height_sq)
+    nx, ny = -uy, ux
+    return [[fx + height * nx, fy + height * ny], [fx - height * nx, fy - height * ny]]
 
 
 class _AnchorFrame:
-    """Per-call buffers for scoring ``S`` iterates against ``N`` anchors.
+    """Per-call buffers for scoring up to ``S`` iterates against ``N`` anchors.
 
-    Every array operation of the kernel writes into these, so one
-    iteration is a fixed number of ufunc calls and no allocation. They
-    live for one :func:`place_point` call only.
+    Only the ``(S, N)``-sized work runs as array operations, on
+    buffers whose inner axis is the anchor axis; what they reduce to —
+    five matmul columns and two sums per iterate — is read back with
+    one ``tolist()`` and finished on Python floats. They live for one
+    :func:`place_point` call only.
 
     Parameters
     ----------
@@ -249,69 +267,75 @@ class _AnchorFrame:
 
     def __init__(self, n_starts: int, anchors: np.ndarray, deltas: np.ndarray) -> None:
         n = anchors.shape[0]
-        self.anchors = anchors
+        self.count = float(n)
+        #: ``(2, N)``: the anchors' x and y planes.
+        self.planes = np.ascontiguousarray(anchors.T)
         self.deltas = deltas
-        self._offsets = np.empty((n_starts, n, 2))
-        self._squares = np.empty((n_starts, n, 2))
+        self._offsets = np.empty((n_starts, 2, n))
+        self._squares = np.empty((n_starts, 2, n))
         self._distances = np.empty((n_starts, n))
-        self._weights = np.empty((n_starts, n))
-        # One matmul operand, by columns: the unit directions u (0:2),
-        # the same scaled by w = delta / d (2:4), the residuals (4).
+        # The matmul's right operand must stay row-major (S, N, 5): its
+        # columns are the unit directions u (0:2), the same scaled by
+        # w = delta / d (2:4) and the residuals (4). A column-major one
+        # can reach another BLAS kernel, and with it other last bits.
         self._columns = np.empty((n_starts, n, 5))
-        self._directions = self._columns[:, :, 0:2]
-        self._weighted = self._columns[:, :, 2:4]
-        self._residuals = self._columns[:, :, 4]
-        # ... and its product with u^T: J^T J, sum w u u^T, J^T r.
-        self._products = np.empty((n_starts, 2, 5))
-        self._hessian = self._products[:, :, 2:4]
-        self._hessian_diagonal = np.einsum("sii->si", self._hessian)
-        self._spare = np.empty(n_starts)
-        self._definite = np.empty(n_starts, dtype=bool)
-        #: ``(S,)`` residual stress of the iterates last evaluated.
-        self.stress = np.empty(n_starts)
-        #: ``(S, 2)`` half gradient ``J^T r`` of that stress.
-        self.gradient = np.empty((n_starts, 2))
-        #: ``(S, 2, 2)`` curvature: the exact half Hessian where it is
-        #: positive definite, the Gauss-Newton ``J^T J`` elsewhere.
-        self.curvature = np.empty((n_starts, 2, 2))
+        # The squared residuals and the weights w, summed along N at once.
+        self._summands = np.empty((n_starts, 2, n))
+        # Per iterate, row 0: J^T J, sum w u u^T, J^T r (matmul columns
+        # 0:5) and the stress; row 1: the same, and sum w.
+        self._results = np.empty((n_starts, 2, 6))
 
-    def evaluate(self, x: np.ndarray) -> None:
-        """Fill ``stress``, ``gradient`` and ``curvature`` for iterates ``x``.
+    def evaluate(self, x: np.ndarray) -> List[List[float]]:
+        """The sums that score iterates ``x``, one row of 12 floats each.
 
         With unit directions ``u_j`` and ``w_j = delta_j / d_j`` the
         half Hessian of the stress is ``sum_j (1 - w_j) I + w_j u_j
         u_j^T``; an iterate sitting on an anchor has ``u_j = 0`` there.
+        A row holds ``J^T J``, ``sum w u u^T`` and ``J^T r`` row by row
+        with the stress after the first and ``sum w`` after the second
+        (:meth:`score` reads it).
 
         Parameters
         ----------
         x:
-            ``(S, D)`` iterates to score, ``D == 2``.
+            ``(A, D)`` iterates to score, ``A <= S``, ``D == 2``.
         """
-        distances, residuals, weights = self._distances, self._residuals, self._weights
-        np.subtract(x[:, None, :], self.anchors, out=self._offsets)
-        np.square(self._offsets, out=self._squares)
-        np.add(self._squares[:, :, 0], self._squares[:, :, 1], out=distances)
+        rows = x.shape[0]
+        offsets, squares = self._offsets[:rows], self._squares[:rows]
+        distances, columns = self._distances[:rows], self._columns[:rows]
+        summands, results = self._summands[:rows], self._results[:rows]
+        directions = columns[:, :, 0:2].transpose(0, 2, 1)
+        residuals, weights = columns[:, :, 4], summands[:, 1]
+        np.subtract(x[:, :, None], self.planes, out=offsets)
+        np.square(offsets, out=squares)
+        np.add(squares[:, 0], squares[:, 1], out=distances)
         np.sqrt(distances, out=distances)
         np.subtract(distances, self.deltas, out=residuals)
         np.maximum(distances, _MIN_DISTANCE, out=distances)
-        np.divide(self._offsets, distances[:, :, None], out=self._directions)
+        np.divide(offsets, distances[:, None, :], out=directions)
         np.divide(self.deltas, distances, out=weights)
-        np.multiply(self._directions, weights[:, :, None], out=self._weighted)
-        np.matmul(self._directions.transpose(0, 2, 1), self._columns, out=self._products)
-        np.multiply(residuals, residuals, out=distances)
-        np.add.reduce(distances, axis=1, out=self.stress)
-        self.gradient[...] = self._products[:, :, 4]
+        np.multiply(
+            directions, weights[:, None, :], out=columns[:, :, 2:4].transpose(0, 2, 1), order="C"
+        )
+        np.matmul(directions, columns, out=results[:, :, 0:5])
+        np.multiply(residuals, residuals, out=summands[:, 0])
+        np.add.reduce(summands, axis=2, out=results[:, :, 5])
+        return results.reshape(rows, 12).tolist()
 
-        hessian = self._hessian
-        np.add.reduce(weights, axis=1, out=self._spare)
-        np.subtract(self.anchors.shape[0], self._spare, out=self._spare)
-        self._hessian_diagonal += self._spare[:, None]
-        determinant = hessian[:, 0, 0] * hessian[:, 1, 1]
-        determinant -= hessian[:, 0, 1] * hessian[:, 1, 0]
-        np.greater(determinant, 0.0, out=self._definite)
-        self._definite &= hessian[:, 0, 0] > 0.0
-        self.curvature[...] = self._products[:, :, 0:2]
-        np.copyto(self.curvature, hessian, where=self._definite[:, None, None])
+    def score(self, raw: List[float]) -> Tuple[float, float, float, float, float, float]:
+        """``(stress, g0, g1, m00, m01, m11)`` of one row :meth:`evaluate` read back.
+
+        The residual stress, the half gradient ``J^T r`` and the upper
+        triangle of the curvature ``M``: the exact half Hessian where it
+        is positive definite (both leading minors positive), the
+        Gauss-Newton ``J^T J`` elsewhere.
+        """
+        m00, m01, h00, h01, g0, stress, m10, m11, h10, h11, g1, weight = raw
+        h00 += self.count - weight
+        h11 += self.count - weight
+        if h00 * h11 - h01 * h10 > 0.0 and h00 > 0.0:
+            return stress, g0, g1, h00, h01, h11
+        return stress, g0, g1, m00, m01, m11
 
 
 def _descend(
@@ -331,8 +355,8 @@ def _descend(
     not raise the stress is taken and shrinks ``lambda`` (towards
     Newton's step, which converges quadratically), one that does is
     retried from the same point with more damping. A row stops once
-    its step is shorter than ``tol``; rows are independent, a stopped
-    one is carried through the array operations but never written.
+    its step is shorter than ``tol``; rows are independent, and only
+    the rows still moving are scored.
 
     Parameters
     ----------
@@ -343,44 +367,44 @@ def _descend(
     deltas:
         ``(N,)`` target distances.
     """
-    n_starts = starts.shape[0]
-    frame = _AnchorFrame(n_starts, anchors, deltas)
-    x = np.array(starts, dtype=float, copy=True)
-    frame.evaluate(x)
-    stress = frame.stress.copy()
-    gradient = frame.gradient.copy()
-    curvature = frame.curvature.copy()
-    damping = np.full(n_starts, float(anchors.shape[0]))
-    active = np.ones(n_starts, dtype=bool)
-    accepted = np.empty(n_starts, dtype=bool)
-    candidate = np.empty_like(x)
-    step = np.empty_like(x)
+    frame = _AnchorFrame(starts.shape[0], anchors, deltas)
+    x = starts.tolist()
+    scored = [frame.score(raw) for raw in frame.evaluate(starts)]
+    damping = [frame.count] * len(x)
+    active = list(range(len(x)))
     for _ in range(max_iter):
-        # Closed-form solve of the 2x2 system (M + lambda I) step = J^T r.
-        a = curvature[:, 0, 0] + damping
-        c = curvature[:, 1, 1] + damping
-        b = curvature[:, 0, 1]
-        determinant = a * c - b * b
-        np.subtract(c * gradient[:, 0], b * gradient[:, 1], out=step[:, 0])
-        np.subtract(a * gradient[:, 1], b * gradient[:, 0], out=step[:, 1])
-        np.divide(step, determinant[:, None], out=step)
-        np.subtract(x, step, out=candidate)
-        frame.evaluate(candidate)
-        # NaN compares false and rejects.
-        np.less_equal(frame.stress, stress, out=accepted)
-        accepted &= active
-        moved = accepted[:, None]
-        np.copyto(x, candidate, where=moved)
-        np.copyto(stress, frame.stress, where=accepted)
-        np.copyto(gradient, frame.gradient, where=moved)
-        np.copyto(curvature, frame.curvature, where=moved[:, :, None])
-        np.multiply(damping, np.where(accepted, _DAMPING_SHRINK, _DAMPING_GROW),
-                    out=damping, where=active)
-        np.maximum(damping, _MIN_DAMPING, out=damping)
-        active &= ~(np.hypot(step[:, 0], step[:, 1]) < tol)
-        if not active.any():
+        moves = []
+        for row in active:
+            _, g0, g1, m00, m01, m11 = scored[row]
+            a = m00 + damping[row]
+            c = m11 + damping[row]
+            determinant = a * c - m01 * m01
+            # Closed-form solve of the 2x2 system (M + lambda I) step = J^T r.
+            try:
+                s0 = (c * g0 - m01 * g1) / determinant
+                s1 = (a * g1 - m01 * g0) / determinant
+            except ZeroDivisionError:  # IEEE: +-inf, or NaN for 0 / 0
+                s0, s1 = (np.array([c * g0 - m01 * g1, a * g1 - m01 * g0]) / determinant).tolist()
+            x0, x1 = x[row]
+            moves.append((x0 - s0, x1 - s1, s0, s1))
+        moves_array = np.array(moves)
+        trials = frame.evaluate(moves_array[:, 0:2])
+        lengths = np.hypot(moves_array[:, 2], moves_array[:, 3]).tolist()
+        still = []
+        for row, move, trial, length in zip(active, moves, trials, lengths):
+            # NaN compares false and rejects.
+            if trial[5] <= scored[row][0]:
+                x[row] = move[0:2]
+                scored[row] = frame.score(trial)
+                damping[row] = max(damping[row] * _DAMPING_SHRINK, _MIN_DAMPING)
+            else:
+                damping[row] = max(damping[row] * _DAMPING_GROW, _MIN_DAMPING)
+            if not length < tol:
+                still.append(row)
+        active = still
+        if not active:
             break
-    return x, stress
+    return np.array(x, dtype=float), np.array([row[0] for row in scored])
 
 
 def procrustes_align(

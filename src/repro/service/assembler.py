@@ -17,7 +17,8 @@ bridges the two with a watermark protocol:
   dropped — the controller has moved on;
 * records of the wrong shape (not a mapping, a non-integer tick, a
   non-numeric value, an unhashable container name, a header whose
-  capacity is not five finite positive numbers) are counted
+  capacity is not five finite positive numbers) or with a tick more
+  than :data:`MAX_TICK_JUMP` ahead of the newest one seen are counted
   ``stream.malformed`` and dropped whole — untrusted input is rejected
   with a counted reason, never an exception out of :meth:`offer`;
 * cells still missing at close are counted ``stream.dropped``, filled
@@ -58,6 +59,14 @@ from repro.telemetry.registry import MetricRegistry
 
 #: A metric cell address within one tick: ``(host, container, metric)``.
 CellKey = Tuple[str, str, str]
+
+#: Furthest a record's tick may lie ahead of the newest tick seen so far.
+#: Every tick up to the newest one is closed, gaps included, so one
+#: record far ahead would make :meth:`StreamAssembler.due` synthesize
+#: that many gap ticks. A host that crashes and recovers resumes about
+#: 30 ticks on; a stream that resumes further on than this is rejected
+#: record by record, and the service reports it stalled.
+MAX_TICK_JUMP = 1000
 
 
 @dataclass
@@ -208,8 +217,10 @@ class StreamAssembler:
 
         A record of the wrong shape — not a mapping, a non-integer
         tick, a non-numeric value, an unhashable container name, a
-        header without five finite positive capacities — is counted
-        ``stream.malformed`` and dropped whole: every field is decoded
+        header without five finite positive capacities — or one whose
+        tick lies more than :data:`MAX_TICK_JUMP` ahead of
+        :attr:`max_seen` is counted ``stream.malformed`` and dropped
+        whole (``max_seen`` stays where it was): every field is decoded
         before anything of the record is applied, so the next
         well-formed record for the same tick lands as if the bad one
         had never arrived (and the next valid header is the one
@@ -262,10 +273,14 @@ class StreamAssembler:
         if self._last_closed is not None and tick <= self._last_closed:
             self._c_late.inc()
             return
-        if self._max_seen is not None and tick < self._max_seen:
-            self._c_reordered.inc()
-        if self._max_seen is None or tick > self._max_seen:
+        max_seen = self._max_seen
+        if max_seen is None or tick > max_seen:
+            if max_seen is not None and tick - max_seen > MAX_TICK_JUMP:
+                self._c_malformed.inc()
+                return
             self._max_seen = tick
+        elif tick < max_seen:
+            self._c_reordered.inc()
         pending = self._pending.setdefault(tick, _PendingTick())
         if kind == "sample":
             for key, value in cells.items():

@@ -40,12 +40,9 @@ from repro.sim.faults import (
     ActuatorFaultInjector,
     ContainerFlapper,
     DemandSpiker,
-    FaultSchedule,
     HostCrashInjector,
-    HostRecoveryScript,
     InvariantBreach,
     InvariantChecker,
-    MonitoringDropout,
     QosDropout,
     SensorCorruptor,
     TelemetryBlackout,
@@ -68,15 +65,12 @@ __all__ = [
     "ContainerFlapper",
     "ContainerLocation",
     "DemandSpiker",
-    "FaultSchedule",
     "HostCrashInjector",
     "HostEvent",
-    "HostRecoveryScript",
     "InvariantBreach",
     "InvariantChecker",
     "MigrationRecord",
     "TelemetryBlackout",
-    "MonitoringDropout",
     "Placement",
     "PlacementRequest",
     "QosDropout",

@@ -7,9 +7,10 @@ middleware instead of ad-hoc test code.
 
 Two layers:
 
-* **Scripted faults** (:class:`FaultSchedule`, :class:`DemandSpiker`,
-  :class:`MonitoringDropout`) fire at fixed ticks — precise, replayable
-  unit-test material.
+* **Scripted faults** (:class:`DemandSpiker`) fire at fixed ticks —
+  precise, replayable unit-test material. The scripted kill / pause /
+  dropout / host-recovery middleware the suites put at exact ticks
+  lives with them, in ``tests/support/scripted_faults.py``.
 * **Chaos faults** (:class:`SensorCorruptor`, :class:`QosDropout`,
   :class:`ContainerFlapper`, :class:`ActuatorFaultInjector`) fire
   probabilistically from a seeded RNG — the hostile-host mix the
@@ -17,7 +18,7 @@ Two layers:
   built to survive. :class:`InvariantChecker` rides along and records
   per-tick consistency breaches instead of crashing the run.
 * **Cluster faults** (:class:`HostCrashInjector`,
-  :class:`HostRecoveryScript`, :class:`TelemetryBlackout`) operate on a
+  :class:`TelemetryBlackout`) operate on a
   whole :class:`~repro.sim.cluster.Cluster`: machines crash and come
   back, and the control plane's view of individual hosts goes dark —
   the failure modes a fleet coordinator must stay correct under. All
@@ -49,58 +50,6 @@ class FaultEvent:
     tick: int
     kind: str
     target: str
-
-
-class FaultSchedule:
-    """A middleware executing scripted faults at fixed ticks.
-
-    Supported actions: ``kill`` (stop a container), ``pause`` /
-    ``resume`` (external signals racing the controller's own), and
-    ``restart`` (revive a stopped/paused container — a crash-looping
-    supervisor; pause-count bookkeeping is left untouched).
-    """
-
-    def __init__(self) -> None:
-        self._scripted: List = []
-        self.fired: List[FaultEvent] = []
-
-    def kill(self, tick: int, container: str) -> "FaultSchedule":
-        """Stop a container at a tick (process crash / OOM kill)."""
-        self._scripted.append((tick, "kill", container))
-        return self
-
-    def pause(self, tick: int, container: str) -> "FaultSchedule":
-        """Externally SIGSTOP a container (an operator or another agent)."""
-        self._scripted.append((tick, "pause", container))
-        return self
-
-    def resume(self, tick: int, container: str) -> "FaultSchedule":
-        """Externally SIGCONT a container."""
-        self._scripted.append((tick, "resume", container))
-        return self
-
-    def restart(self, tick: int, container: str) -> "FaultSchedule":
-        """Supervisor-restart a stopped/paused container at a tick."""
-        self._scripted.append((tick, "restart", container))
-        return self
-
-    def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        """Fire any faults scheduled for this tick."""
-        for tick, kind, target in self._scripted:
-            if tick != snapshot.tick or target not in host.containers:
-                continue
-            container = host.container(target)
-            if kind == "kill":
-                container.stop()
-            elif kind == "pause" and container.is_running:
-                container.pause()
-            elif kind == "resume" and container.is_paused:
-                container.resume()
-            elif kind == "restart" and not container.is_running:
-                container.restart()
-            else:
-                continue
-            self.fired.append(FaultEvent(tick=tick, kind=kind, target=target))
 
 
 class DemandSpiker:
@@ -154,29 +103,6 @@ class DemandSpiker:
             return
         self.app.demand = self._original_demand  # type: ignore[method-assign]
         self._removed = True
-
-
-class MonitoringDropout:
-    """Drop (skip) a middleware's ticks during scripted windows.
-
-    Models a monitoring agent that loses samples — the controller
-    simply sees nothing for those periods and must resynchronize.
-    """
-
-    def __init__(self, inner, windows: List) -> None:
-        for start, end in windows:
-            if end <= start:
-                raise ValueError(f"empty dropout window ({start}, {end})")
-        self.inner = inner
-        self.windows = list(windows)
-        self.dropped_ticks: List[int] = []
-
-    def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        for start, end in self.windows:
-            if start <= snapshot.tick < end:
-                self.dropped_ticks.append(snapshot.tick)
-                return
-        self.inner.on_tick(snapshot, host)
 
 
 # ---------------------------------------------------------------------------
@@ -882,37 +808,6 @@ class HostCrashInjector:
             "recoveries": len(recoveries),
             "crash_ticks": [e.tick for e in crashes],
         }
-
-
-class HostRecoveryScript:
-    """Bring scripted hosts back up at fixed ticks.
-
-    The operator-side counterpart of :class:`HostCrashInjector` for
-    drills that separate the crash script from the repair script (e.g.
-    crash injected by chaos, repair modelling a human on-call): recover
-    actions that find the host already up are silently skipped.
-    """
-
-    def __init__(self) -> None:
-        self._scripted: List[Tuple[int, str]] = []
-        self.fired: List[FaultEvent] = []
-
-    def recover_at(self, tick: int, host: str) -> "HostRecoveryScript":
-        """Script a recovery of ``host`` at ``tick``."""
-        self._scripted.append((tick, host))
-        return self
-
-    def on_cluster_tick(
-        self, snapshots: Dict[str, HostSnapshot], cluster: "Cluster"
-    ) -> None:
-        tick = cluster.clock.tick - 1
-        for scripted_tick, host in self._scripted:
-            if scripted_tick != tick or host not in cluster.hosts:
-                continue
-            if cluster.recover_host(host):
-                self.fired.append(
-                    FaultEvent(tick=tick, kind="host-recover", target=host)
-                )
 
 
 class TelemetryBlackout:

@@ -24,6 +24,7 @@ from repro.mds.incremental import place_point
 from repro.service import decision_sequence
 from repro.trajectory.histograms import EmpiricalDistribution, Histogram
 from repro.trajectory.sampling import TrajectoryModel
+from tests.support.kernel_reference import reference_build_geometry, reference_place_point
 from tests.support.placement_reference import lost_to_reference
 from tests.support.recorders import record_predictions
 
@@ -171,6 +172,47 @@ class TestPlacementKernelAgainstReference:
         assert len(decision_sequence(controller)) > 0
         assert len(verdicts) >= len(controller.state_space) - 1
         assert verdicts == [None] * len(verdicts)
+
+
+class TestKernelBitIdentityOnAColdStart:
+    def test_every_placement_and_rebuild_equals_the_array_kernel(self, monkeypatch):
+        """A learning phase as the benchmark's cold-start workload runs it
+        (its six co-locations, fresh controllers, no template), cut to 150
+        ticks: each placement and each geometry rebuild gives the bits the
+        array kernel gives on the same input."""
+        from benchmarks.e2e.workloads import COLD_PAIRS, scenario
+
+        placements, rebuilds = [], []
+
+        def audited_place(anchors, deltas):
+            placed = place_point(anchors, deltas)
+            placements.append(
+                placed.tobytes() == reference_place_point(anchors, deltas).tobytes()
+            )
+            return placed
+
+        build = state_space_module.StateSpace._build_geometry
+
+        def audited_build(space):
+            geometry = build(space)
+            expected = reference_build_geometry(space)
+            rebuilds.append(
+                geometry.scale == expected.scale
+                and geometry.centers.tobytes() == expected.centers.tobytes()
+                and geometry.radii.tobytes() == expected.radii.tobytes()
+            )
+            return geometry
+
+        monkeypatch.setattr(state_space_module, "place_point", audited_place)
+        monkeypatch.setattr(state_space_module.StateSpace, "_build_geometry", audited_build)
+        for index, (sensitive, batches) in enumerate(COLD_PAIRS):
+            built = scenario(sensitive, batches, 150, 3 + 10 * index).build()
+            controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=3 + index))
+            for _ in range(150):
+                controller.on_tick(built.host.step(), built.host)
+        # the runs really placed states and voted on violation ranges
+        assert len(placements) > 100 and len(rebuilds) > 100
+        assert all(placements) and all(rebuilds)
 
 
 def _sha(payload):

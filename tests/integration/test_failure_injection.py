@@ -14,11 +14,12 @@ from repro.core.events import EventKind
 from repro.core.resilience import ControllerHealth
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import DemandSpiker, FaultSchedule, MonitoringDropout
+from repro.sim.faults import DemandSpiker
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
 from tests.conftest import ConstantApp, SensitiveStub
+from tests.support.scripted_faults import FaultSchedule, MonitoringDropout
 
 
 def contended(batch_cpu=4.0, **batch_kwargs):

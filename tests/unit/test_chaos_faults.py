@@ -9,7 +9,6 @@ from repro.sim.faults import (
     ActuatorFaultInjector,
     ContainerFlapper,
     DemandSpiker,
-    FaultSchedule,
     QosDropout,
     SensorCorruptor,
 )
@@ -17,6 +16,7 @@ from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
 from tests.conftest import ConstantApp, SensitiveStub
+from tests.support.scripted_faults import FaultSchedule
 
 
 def simple_host():

@@ -5,11 +5,12 @@ import pytest
 from repro.sim.clock import SimulationClock
 from repro.sim.container import Container, ContainerState
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import DemandSpiker, FaultSchedule, MonitoringDropout
+from repro.sim.faults import DemandSpiker
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
 from tests.conftest import ConstantApp, SensitiveStub
+from tests.support.scripted_faults import FaultSchedule, MonitoringDropout
 
 
 def simple_host():

@@ -9,7 +9,6 @@ from repro.core.state_space import (
     StateSpace,
     ViolationGeometry,
 )
-from repro.mds.distances import cross_distances
 from repro.telemetry import Telemetry
 from tests.support.geometry_reference import (
     in_range,
@@ -17,6 +16,7 @@ from tests.support.geometry_reference import (
     violation_ranges_scalar,
     violation_vote_scalar,
 )
+from tests.support.kernel_reference import cross_distances
 
 
 def grow_space(samples, violations=frozenset(), epsilon=0.05, **kwargs):

@@ -4,14 +4,11 @@ import pytest
 
 from repro.sim.cluster import Cluster
 from repro.sim.container import Container
-from repro.sim.faults import (
-    HostCrashInjector,
-    HostRecoveryScript,
-    TelemetryBlackout,
-)
+from repro.sim.faults import HostCrashInjector, TelemetryBlackout
 from repro.sim.resources import ResourceVector
 
 from tests.conftest import ConstantApp
+from tests.support.scripted_faults import HostRecoveryScript
 
 
 def make_cluster(n=4, **kwargs):

@@ -261,6 +261,23 @@ class TestPlacementKernel:
                 assert np.array_equal(ours, theirs)
             assert lost_to_reference(place_point(config, deltas), config, deltas) is None
 
+    def test_a_singular_step_system_is_rejected_not_raised(self, monkeypatch):
+        # A Python float division by zero raises where the array
+        # kernel's quotient was +-inf or NaN: a row whose 2x2 system is
+        # singular must take that step, see it fail, and stay put.
+        score = incremental._AnchorFrame.score
+
+        def singular(frame, raw):
+            stress, g0, g1, *_ = score(frame, raw)
+            return stress, g0, g1, 0.0, frame.count, 0.0  # (0 + n)(0 + n) - n * n
+
+        monkeypatch.setattr(incremental._AnchorFrame, "score", singular)
+        start = np.array([[0.3, 0.2]])
+        with np.errstate(all="ignore"):
+            placed, stress = incremental._descend(start, SQUARE, np.full(4, 0.5), 1, 1e-9)
+        assert np.array_equal(placed, start)
+        assert stress[0] == placement_stress(start[0], SQUARE, np.full(4, 0.5))
+
     def test_row_norms_match_linalg_norm_bitwise(self):
         # BLAS dot fuses the multiply-add; a square-and-sum does not.
         rows = np.random.default_rng(3).normal(size=(4000, 2))

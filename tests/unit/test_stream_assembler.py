@@ -17,7 +17,7 @@ from repro.core.config import StayAwayConfig
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream_chaos import record_reference, replay_records
 from repro.service import ControllerService, QueueSource
-from repro.service.assembler import PassthroughAssembler, StreamAssembler
+from repro.service.assembler import MAX_TICK_JUMP, PassthroughAssembler, StreamAssembler
 
 
 def sample(tick, container="c0", metrics=None, host="host0"):
@@ -363,6 +363,25 @@ class TestMalformedRecords:
         queue.push([header] + ticks[half:])
         assert service.pump() > 0
         assert service.assembler.header == header
+
+    def test_a_tick_far_ahead_is_rejected_not_synthesized_up_to(self):
+        """Regression: one well-formed record at ``max_seen + 300 000``
+        moved ``max_seen`` there, and the next ``due()`` closed every
+        tick up to it as a gap tick."""
+        assembler = StreamAssembler(watermark=2)
+        for tick in range(5):
+            assembler.offer(sample(tick))
+        assembler.offer(sample(4 + 300_000))
+        assert assembler.summary()["malformed"] == 1
+        assert assembler.max_seen == 4
+        assert [closed.tick for closed in assembler.due()] == [0, 1, 2]
+        # The furthest jump allowed lands, gaps and all.
+        assembler.offer(sample(4 + MAX_TICK_JUMP))
+        assert assembler.max_seen == 4 + MAX_TICK_JUMP
+        closed = assembler.due()
+        assert len(closed) == MAX_TICK_JUMP
+        assert sum(tick.gap for tick in closed) == MAX_TICK_JUMP - 2
+        assert assembler.summary()["malformed"] == 1
 
     def test_clean_replay_decides_the_same_around_them(self):
         config = StayAwayConfig(seed=3, telemetry=False)
