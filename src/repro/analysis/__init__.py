@@ -7,13 +7,7 @@ prediction-accuracy summaries (§3.2.3's >90% claim) and plain-text
 table/series rendering for the benchmark harness output.
 """
 
-from repro.analysis.accuracy import (
-    AccuracySummary,
-    DetectorScorecard,
-    score_detector,
-    summarize_accuracy,
-    violation_episodes,
-)
+from repro.analysis.accuracy import AccuracySummary, summarize_accuracy
 from repro.analysis.reports import (
     ascii_table,
     render_scatter,
@@ -42,9 +36,6 @@ from repro.analysis.utilization import (
 
 __all__ = [
     "AccuracySummary",
-    "DetectorScorecard",
-    "score_detector",
-    "violation_episodes",
     "Plot",
     "SummaryStats",
     "SvgCanvas",

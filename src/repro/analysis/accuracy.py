@@ -1,9 +1,9 @@
-"""Prediction-accuracy summaries (§3.2.3's >90% claim) and detector scorecards."""
+"""Prediction-accuracy summaries (§3.2.3's >90% claim)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.core.prediction import AccuracyRecord
 from repro.trajectory.modes import ExecutionMode
@@ -59,125 +59,3 @@ def summarize_accuracy(
         per_mode_outcome=per_mode,
     )
 
-
-def violation_episodes(
-    violation_ticks: Sequence[int], merge_gap: int = 5
-) -> List[Tuple[int, int]]:
-    """Group violating ticks into maximal ``(start, end)`` episodes.
-
-    Consecutive violations separated by at most ``merge_gap`` clean
-    ticks belong to one episode (a brief recovery inside a contention
-    storm is not a new event).
-    """
-    if merge_gap < 0:
-        raise ValueError("merge_gap must be non-negative")
-    ticks = sorted(set(int(t) for t in violation_ticks))
-    episodes: List[Tuple[int, int]] = []
-    for tick in ticks:
-        if episodes and tick - episodes[-1][1] <= merge_gap + 1:
-            episodes[-1] = (episodes[-1][0], tick)
-        else:
-            episodes.append((tick, tick))
-    return episodes
-
-
-@dataclass(frozen=True)
-class DetectorScorecard:
-    """Alarm-stream quality of one detector against ground truth.
-
-    The head-to-head study scores each detector's *shadow* run (alarms
-    recorded, no actuation) against the violation episodes that
-    actually unfolded. An alarm is a true positive when a violation
-    episode starts within ``horizon`` ticks (or is already ongoing);
-    an episode counts as detected when any alarm fired between
-    ``horizon`` ticks before its start and its end.
-
-    Attributes
-    ----------
-    detector:
-        Arm label ("geometry" / "gmm" / "hybrid").
-    alarms / episodes:
-        Total alarms raised and ground-truth violation episodes.
-    true_positives / false_positives:
-        Alarm classification under the horizon rule.
-    detected_episodes:
-        Episodes with at least one alarm in their detection window.
-    precision:
-        ``tp / alarms`` (NaN when no alarm fired).
-    recall:
-        ``detected / episodes`` (NaN when nothing violated).
-    false_positive_rate:
-        False alarms per clean tick — ticks outside every episode's
-        detection window.
-    mean_lead_time:
-        Mean ticks between the earliest in-window alarm and episode
-        start, over detected episodes (alarms during the episode score
-        a lead of 0; NaN when nothing was detected).
-    """
-
-    detector: str
-    alarms: int
-    episodes: int
-    true_positives: int
-    false_positives: int
-    detected_episodes: int
-    precision: float
-    recall: float
-    false_positive_rate: float
-    mean_lead_time: float
-
-
-def score_detector(
-    alarm_ticks: Sequence[int],
-    violation_ticks: Sequence[int],
-    total_ticks: int,
-    detector: str = "detector",
-    horizon: int = 12,
-    merge_gap: int = 5,
-) -> DetectorScorecard:
-    """Score an alarm stream against observed violation episodes."""
-    if total_ticks < 1:
-        raise ValueError("total_ticks must be >= 1")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    alarms = sorted(set(int(t) for t in alarm_ticks))
-    episodes = violation_episodes(violation_ticks, merge_gap=merge_gap)
-
-    windows = [(start - horizon, end) for start, end in episodes]
-    true_positives = sum(
-        1
-        for alarm in alarms
-        if any(lo <= alarm <= hi for lo, hi in windows)
-    )
-    false_positives = len(alarms) - true_positives
-
-    detected = 0
-    lead_times: List[float] = []
-    for (start, end), (lo, hi) in zip(episodes, windows):
-        in_window = [alarm for alarm in alarms if lo <= alarm <= hi]
-        if not in_window:
-            continue
-        detected += 1
-        lead_times.append(float(max(0, start - in_window[0])))
-
-    covered = set()
-    for lo, hi in windows:
-        covered.update(range(max(lo, 0), min(hi, total_ticks - 1) + 1))
-    clean_ticks = max(total_ticks - len(covered), 1)
-
-    return DetectorScorecard(
-        detector=detector,
-        alarms=len(alarms),
-        episodes=len(episodes),
-        true_positives=true_positives,
-        false_positives=false_positives,
-        detected_episodes=detected,
-        precision=(
-            true_positives / len(alarms) if alarms else float("nan")
-        ),
-        recall=(detected / len(episodes) if episodes else float("nan")),
-        false_positive_rate=false_positives / clean_ticks,
-        mean_lead_time=(
-            sum(lead_times) / len(lead_times) if lead_times else float("nan")
-        ),
-    )

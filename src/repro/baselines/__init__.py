@@ -13,23 +13,9 @@
   boosting on a work-conserving weighted scheduler; works while
   schedulable headroom exists, fails on memory-subsystem interference
   (§8).
-* :mod:`repro.baselines.gmm_threshold` — the per-utilization-bin
-  Gaussian-mixture threshold learner from Intel's
-  platform-resource-manager (``gmmfense``-style): the first baseline
-  grounded in a production resource manager; also supplies the
-  verdict that votes in the controller's hybrid mode.
 """
 
 from repro.baselines.deepdive import DeepDiveLike
-from repro.baselines.gmm_threshold import (
-    GaussianMixture1D,
-    GmmSettings,
-    GmmThresholdDetector,
-    GmmThresholdModel,
-    fence_threshold,
-    fit_gmm_1d,
-    select_gmm,
-)
 from repro.baselines.no_prevention import NoPrevention
 from repro.baselines.qclouds import QCloudsLike
 from repro.baselines.reactive import ReactiveThrottler
@@ -42,13 +28,6 @@ from repro.baselines.static_profiling import (
 
 __all__ = [
     "DeepDiveLike",
-    "GaussianMixture1D",
-    "GmmSettings",
-    "GmmThresholdDetector",
-    "GmmThresholdModel",
-    "fence_threshold",
-    "fit_gmm_1d",
-    "select_gmm",
     "NoPrevention",
     "QCloudsLike",
     "ReactiveThrottler",

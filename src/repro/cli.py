@@ -30,9 +30,7 @@ from repro.experiments.runner import run_scenario, run_trio
 from repro.experiments.scenarios import Scenario
 from repro.workloads.registry import SENSITIVE_WORKLOADS, available_workloads
 
-POLICIES = (
-    "isolated", "unmanaged", "stayaway", "reactive", "qclouds", "gmm", "hybrid"
-)
+POLICIES = ("isolated", "unmanaged", "stayaway", "reactive", "qclouds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,16 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(template_parser)
     template_parser.add_argument("--out", required=True,
                                  help="output template path")
-
-    h2h_parser = sub.add_parser(
-        "headtohead",
-        help="detector head-to-head: geometry vs GMM thresholds vs hybrid",
-    )
-    h2h_parser.add_argument("--ticks", type=int, default=600,
-                            help="run length in ticks per arm (default 600)")
-    h2h_parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    h2h_parser.add_argument("--quick", action="store_true",
-                            help="two-scenario smoke subset of the suite")
 
     fleet_parser = sub.add_parser(
         "fleet", help="run the fleet chaos drill (coordinator vs per-host vs none)"
@@ -185,23 +173,8 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         ["mean machine utilization", f"{result.utilization().mean():.1%}"],
         ["batch work done", f"{result.batch_work_done():.0f}"],
     ]
-    if result.gmm is not None:
-        summary = result.gmm.summary()
-        rows.extend([
-            ["alarms", summary["alarms"]],
-            ["throttles / resumes",
-             f"{summary['throttles']} / {summary['resumes']}"],
-            ["fitted thresholds", summary["model"]["fitted_fences"]],
-        ])
     if result.controller is not None:
         summary = result.controller.summary()
-        if summary.get("detector_mode") == "hybrid":
-            rows.extend([
-                ["detector mode", summary["detector_mode"]],
-                ["alarms", summary["alarms"]],
-                ["GMM fitted thresholds",
-                 (summary.get("gmm") or {}).get("fitted_fences", 0)],
-            ])
         rows.extend([
             ["mapped states", summary["states"]],
             ["violation states", summary["violation_states"]],
@@ -311,34 +284,6 @@ def cmd_template(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_headtohead(args: argparse.Namespace, out) -> int:
-    from repro.experiments.headtohead import (
-        quick_suite,
-        run_study,
-        standard_suite,
-        study_table,
-    )
-
-    suite = (
-        quick_suite(ticks=args.ticks, seed=args.seed)
-        if args.quick
-        else standard_suite(ticks=args.ticks, seed=args.seed)
-    )
-    results = run_study(suite=suite)
-    print(study_table(results), file=out)
-    failures = [r.label for r in results if not r.hybrid_no_worse()]
-    if failures:
-        print(
-            f"hybrid worse than geometry on: {', '.join(failures)}", file=out
-        )
-        return 1
-    print(
-        "hybrid violation ratio no worse than geometry on every scenario",
-        file=out,
-    )
-    return 0
-
-
 def cmd_fleet(args: argparse.Namespace, out) -> int:
     mix = FleetMix(
         hosts=args.hosts,
@@ -438,8 +383,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return cmd_compare(args, out)
     if args.command == "template":
         return cmd_template(args, out)
-    if args.command == "headtohead":
-        return cmd_headtohead(args, out)
     if args.command == "fleet":
         return cmd_fleet(args, out)
     if args.command == "serve":

@@ -114,15 +114,6 @@ class StayAway:
         default one is created per controller, enabled according to
         ``config.telemetry``. All stage timers, trace spans and the
         guard/throttle counters share its registry.
-    aux_detector:
-        Optional auxiliary threshold detector whose verdict votes
-        alongside the trajectory predictor (hybrid detection: either
-        vote alarms). Duck-typed (``bind(labels, sensitive,
-        cpu_capacity)`` + ``update(tick, measurement) -> bool``) so the
-        control loop never imports the baselines layer; the standard
-        implementation is
-        :class:`~repro.baselines.gmm_threshold.GmmThresholdModel`,
-        injected by ``experiments.runner``.
     """
 
     def __init__(
@@ -133,7 +124,6 @@ class StayAway:
         throttle_target_selector=None,
         violation_detector=None,
         telemetry: Optional[Telemetry] = None,
-        aux_detector=None,
     ) -> None:
         self.config = config if config is not None else StayAwayConfig()
         self.sensitive_app = sensitive_app
@@ -191,10 +181,7 @@ class StayAway:
             self.watchdog = ModelHealthWatchdog(
                 self.config, self.events, telemetry=self.telemetry
             )
-        self.aux_detector = aux_detector
-        #: Periods where the acted-on impending-violation signal fired
-        #: (geometry, GMM or both) — the head-to-head study's alarm
-        #: stream.
+        #: Periods where the acted-on impending-violation signal fired.
         self.alarm_ticks: List[int] = []
         self._qos_reports_seen = 0
         self._prev_coords: Optional[np.ndarray] = None
@@ -252,17 +239,6 @@ class StayAway:
                 self.guard = SensorGuard(
                     plausible_max=normalizer.scale * PLAUSIBILITY_FACTOR,
                     registry=self.telemetry.registry,
-                )
-            if self.aux_detector is not None and not getattr(
-                self.aux_detector, "bound", False
-            ):
-                # Collector labels carry *container* names, which need
-                # not match the protected application's own name.
-                self.aux_detector.bind(
-                    self.collector.labels,
-                    observation.container_of(self.sensitive_app)
-                    or self.sensitive_app.name,
-                    observation.capacity[0],
                 )
 
         # 0. Reconcile the desired pause-set against reality before
@@ -335,40 +311,23 @@ class StayAway:
             return
 
         # 2. Prediction. A contained predictor failure (or an OPEN
-        #    prediction breaker) means no prediction this period. In
-        #    hybrid mode the aux threshold detector judges the same
-        #    measurement inside the stage and either vote alarms.
-        result = self._call_stage(
-            "predict",
-            tick,
-            self._stage_predict,
-            tick,
-            mode,
-            mapped.coords,
-            violated,
-            measurement,
+        #    prediction breaker) means no prediction this period.
+        prediction = self._call_stage(
+            "predict", tick, self._stage_predict, tick, mode, mapped.coords, violated
         )
-        if isinstance(result, _StageOutcome):
-            prediction, aux_vote = None, False
-        else:
-            prediction, aux_vote = result
+        if isinstance(prediction, _StageOutcome):
+            prediction = None
         self.last_prediction = prediction
-        geometry_vote = prediction is not None and prediction.impending_violation
-        flagged = geometry_vote or aux_vote
         impending = (
-            flagged and mode is ExecutionMode.COLOCATED and predictive_allowed
+            prediction is not None
+            and prediction.impending_violation
+            and mode is ExecutionMode.COLOCATED
+            and predictive_allowed
         )
         if impending:
             self.alarm_ticks.append(tick)
             self.events.record(
-                tick,
-                EventKind.PREDICTED_VIOLATION,
-                votes=prediction.votes if prediction is not None else 0,
-                detector=(
-                    "both"
-                    if geometry_vote and aux_vote
-                    else ("gmm" if aux_vote else "geometry")
-                ),
+                tick, EventKind.PREDICTED_VIOLATION, votes=prediction.votes
             )
 
         # 3. Action.
@@ -416,27 +375,12 @@ class StayAway:
             return self.mapping.map_measurement(tick, measurement, violated)
 
     def _stage_predict(
-        self,
-        tick: int,
-        mode: ExecutionMode,
-        coords: np.ndarray,
-        violated: bool,
-        measurement: Optional[np.ndarray] = None,
-    ):
-        """Prediction stage: learn the step, vote over candidates.
-
-        Returns ``(prediction, aux_vote)``; the aux threshold verdict
-        is False whenever no auxiliary detector is wired or there is no
-        measurement to judge. Running the aux detector inside this
-        stage keeps its failures behind the prediction breaker.
-        """
+        self, tick: int, mode: ExecutionMode, coords: np.ndarray, violated: bool
+    ) -> Optional[Prediction]:
+        """Prediction stage: learn the step, vote over candidates."""
         with self.telemetry.stage("controller.predict"):
             self.predictor.observe(tick, mode, coords, self.state_space, violated)
-            prediction = self.predictor.predict(tick, mode, coords, self.state_space)
-            aux_vote = False
-            if self.aux_detector is not None and measurement is not None:
-                aux_vote = bool(self.aux_detector.update(tick, measurement))
-            return prediction, aux_vote
+            return self.predictor.predict(tick, mode, coords, self.state_space)
 
     def _stage_act(
         self,
@@ -580,14 +524,9 @@ class StayAway:
 
     def summary(self) -> dict:
         """Headline counters for reports and tests."""
-        aux_summary = None
-        if self.aux_detector is not None and hasattr(self.aux_detector, "summary"):
-            aux_summary = self.aux_detector.summary()
         return {
             "periods": int(self._c_periods.value),
-            "detector_mode": "geometry" if self.aux_detector is None else "hybrid",
             "alarms": len(self.alarm_ticks),
-            "gmm": aux_summary,
             "states": len(self.state_space),
             "violation_states": int(self.state_space.violation_indices.size),
             "violations_observed": self.qos.violation_count,

@@ -14,6 +14,7 @@ fresh :class:`~repro.core.state_space.StateSpace`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Union
@@ -60,6 +61,12 @@ class MapTemplate:
             )
         if len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} representatives")
+        if not (np.isfinite(self.representatives).all() and np.isfinite(self.coords).all()):
+            raise ValueError("template representatives and coords must be finite")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"template beta must be finite, got {self.beta!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"template epsilon must be finite and > 0, got {self.epsilon!r}")
 
     @property
     def violation_count(self) -> int:
@@ -126,15 +133,19 @@ class MapTemplate:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MapTemplate":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            representatives=np.asarray(data["representatives"], dtype=float),
-            coords=np.asarray(data["coords"], dtype=float),
-            labels=[StateLabel(value) for value in data["labels"]],
-            epsilon=float(data["epsilon"]),
-            beta=float(data["beta"]),
-            metadata=dict(data.get("metadata", {})),
-        )
+        """Inverse of :meth:`to_dict`; a missing key or a value of the
+        wrong type raises ``ValueError`` like any other bad template."""
+        try:
+            return cls(
+                representatives=np.asarray(data["representatives"], dtype=float),
+                coords=np.asarray(data["coords"], dtype=float),
+                labels=[StateLabel(value) for value in data["labels"]],
+                epsilon=float(data["epsilon"]),
+                beta=float(data["beta"]),
+                metadata=dict(data.get("metadata", {})),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed template: {exc!r}") from exc
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the template as JSON; returns the path."""

@@ -9,10 +9,7 @@ integration tests all drive the exact same machinery:
   description of one co-location experiment;
 * :mod:`repro.experiments.runner` — run a scenario isolated / unmanaged
   / under Stay-Away / under the ablation baselines, returning aligned
-  QoS and utilization series;
-* :mod:`repro.experiments.headtohead` — the detector head-to-head
-  study: geometry vs GMM thresholds vs hybrid, scored for precision,
-  recall, false-positive rate and violation lead-time.
+  QoS and utilization series.
 """
 
 from repro.experiments.chaos import (
@@ -23,21 +20,9 @@ from repro.experiments.chaos import (
     run_chaos_comparison,
     unguarded_config,
 )
-from repro.experiments.headtohead import (
-    DETECTOR_ARMS,
-    ArmResult,
-    HeadToHead,
-    quick_suite,
-    run_arm,
-    run_headtohead,
-    run_study,
-    standard_suite,
-    study_table,
-)
 from repro.experiments.runner import (
     RunResult,
     TrioResult,
-    run_gmm,
     run_isolated,
     run_scenario,
     run_stayaway,
@@ -47,25 +32,15 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import BuiltScenario, Scenario
 
 __all__ = [
-    "ArmResult",
     "BuiltScenario",
     "ChaosMix",
     "ChaosResult",
-    "DETECTOR_ARMS",
     "DrillComparison",
-    "HeadToHead",
     "RunResult",
     "Scenario",
     "TrioResult",
-    "quick_suite",
-    "run_arm",
-    "run_headtohead",
-    "run_study",
-    "standard_suite",
-    "study_table",
     "run_chaos",
     "run_chaos_comparison",
-    "run_gmm",
     "run_isolated",
     "run_scenario",
     "run_stayaway",

@@ -14,11 +14,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis.utilization import UtilizationComparison, compare_utilization
-from repro.baselines.gmm_threshold import (
-    GmmSettings,
-    GmmThresholdDetector,
-    GmmThresholdModel,
-)
 from repro.baselines.no_prevention import NoPrevention
 from repro.baselines.qclouds import QCloudsLike
 from repro.baselines.reactive import ReactiveThrottler
@@ -48,14 +43,11 @@ class RunResult:
     qos:
         The sensitive application's QoS tracker.
     controller:
-        The Stay-Away controller when ``policy`` is ``"stayaway"`` or
-        ``"hybrid"``.
+        The Stay-Away controller when ``policy == "stayaway"``.
     reactive:
         The reactive baseline when ``policy == "reactive"``.
     qclouds:
         The Q-Clouds-style baseline when ``policy == "qclouds"``.
-    gmm:
-        The GMM threshold baseline when ``policy == "gmm"``.
     """
 
     scenario: Scenario
@@ -66,7 +58,6 @@ class RunResult:
     controller: Optional[StayAway] = None
     reactive: Optional[ReactiveThrottler] = None
     qclouds: Optional[QCloudsLike] = None
-    gmm: Optional[GmmThresholdDetector] = None
 
     def utilization(self) -> np.ndarray:
         """Machine CPU utilization series in [0, 1]."""
@@ -87,19 +78,6 @@ class RunResult:
         """Total work completed by all batch applications."""
         return float(sum(app.work_done for app in self.built.batch_apps))
 
-    def alarm_ticks(self) -> List[int]:
-        """Ticks where the run's detector flagged impending contention.
-
-        Alarm streams exist for the detector-bearing policies
-        (``stayaway``/``hybrid`` via the controller, ``gmm`` via the
-        threshold detector); other policies return an empty list.
-        """
-        if self.controller is not None:
-            return list(self.controller.alarm_ticks)
-        if self.gmm is not None:
-            return list(self.gmm.alarm_ticks)
-        return []
-
     @property
     def telemetry(self):
         """The controller's :class:`~repro.telemetry.Telemetry` (None
@@ -115,7 +93,6 @@ def run_scenario(
     cooldown: int = 20,
     telemetry=None,
     pre_middlewares=(),
-    gmm_settings: Optional[GmmSettings] = None,
 ) -> RunResult:
     """Run a scenario under a named policy.
 
@@ -123,12 +100,7 @@ def run_scenario(
     ----------
     policy:
         One of ``"isolated"``, ``"unmanaged"``, ``"stayaway"``,
-        ``"reactive"``, ``"qclouds"``, ``"gmm"``, ``"hybrid"``.
-        ``"gmm"`` runs the standalone GMM threshold baseline
-        (``config.enabled=False`` puts it in alarm-only shadow mode);
-        ``"hybrid"`` is the Stay-Away controller with a
-        :class:`~repro.baselines.gmm_threshold.GmmThresholdModel`
-        voting in the predict stage (its ``aux_detector``).
+        ``"reactive"``, ``"qclouds"``.
     config / template:
         Stay-Away configuration and optional map template.
     cooldown:
@@ -141,9 +113,6 @@ def run_scenario(
         Middlewares registered *before* the policy's own (observers
         like :class:`~repro.service.recording.StreamRecorder` that
         must see each snapshot pre-actuation).
-    gmm_settings:
-        Knobs of the GMM threshold learner for the ``"gmm"`` and
-        ``"hybrid"`` policies (ignored by the others).
     """
     if policy == "isolated":
         built = scenario.build(include_batch=False)
@@ -157,32 +126,16 @@ def run_scenario(
     controller: Optional[StayAway] = None
     reactive: Optional[ReactiveThrottler] = None
     qclouds: Optional[QCloudsLike] = None
-    gmm: Optional[GmmThresholdDetector] = None
 
-    if policy in ("stayaway", "hybrid"):
-        aux_detector = None
-        if policy == "hybrid":
-            aux_detector = GmmThresholdModel(gmm_settings, seed=config.seed)
+    if policy == "stayaway":
         controller = StayAway(
             built.sensitive_app,
             config=config,
             template=template,
             telemetry=telemetry,
-            aux_detector=aux_detector,
         )
         engine.add_middleware(controller)
         qos = controller.qos
-    elif policy == "gmm":
-        gmm = GmmThresholdDetector(
-            built.sensitive_app,
-            gmm_settings,
-            seed=config.seed,
-            period=config.period,
-            aggregate_batch=config.aggregate_batch,
-            actuate=config.enabled,
-        )
-        engine.add_middleware(gmm)
-        qos = gmm.qos
     elif policy == "reactive":
         reactive = ReactiveThrottler(built.sensitive_app, cooldown=cooldown)
         engine.add_middleware(reactive)
@@ -212,7 +165,6 @@ def run_scenario(
         controller=controller,
         reactive=reactive,
         qclouds=qclouds,
-        gmm=gmm,
     )
 
 
@@ -239,17 +191,6 @@ def run_stayaway(
         config=config,
         template=template,
         telemetry=telemetry,
-    )
-
-
-def run_gmm(
-    scenario: Scenario,
-    config: Optional[StayAwayConfig] = None,
-    gmm_settings: Optional[GmmSettings] = None,
-) -> RunResult:
-    """Co-location managed by the GMM threshold-learning baseline."""
-    return run_scenario(
-        scenario, policy="gmm", config=config, gmm_settings=gmm_settings
     )
 
 

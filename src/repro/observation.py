@@ -13,7 +13,7 @@ whose answer is "the container is in that state now".
 
 from __future__ import annotations
 
-from typing import Collection, Dict, NamedTuple, Optional, Tuple
+from typing import Collection, Dict, NamedTuple, Tuple
 
 #: Metric order of every usage and capacity tuple (the wire's names).
 METRICS: Tuple[str, ...] = ("cpu", "memory", "memory_bw", "disk_io", "network")
@@ -46,10 +46,6 @@ class Observation(NamedTuple):
     tick: int
     capacity: Tuple[float, ...]
     rows: Tuple[ContainerRow, ...]
-
-    def container_of(self, app: object) -> Optional[str]:
-        """Name of the container hosting ``app`` (by identity), if any."""
-        return next((row.name for row in self.rows if row.app is app), None)
 
     def states(self) -> Dict[str, str]:
         """``{container name: lifecycle state}``."""

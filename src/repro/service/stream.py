@@ -257,8 +257,9 @@ class PrometheusScrapeSource(StreamSource):
     A scrape is one instant's view: scraping slower than the data tick
     advances simply yields gapped ticks, which the assembler imputes —
     the same partial-data semantics as any other source. Scrape
-    failures (the callable raising ``OSError``/``ValueError``) surface
-    as :class:`StreamError` for the reconnect path.
+    failures (the callable raising ``OSError``/``ValueError``, or a
+    ``_tick`` that is not a finite integer) surface as
+    :class:`StreamError` for the reconnect path.
     """
 
     def __init__(self, scrape: Callable[[], str], prefix: str = "stayaway") -> None:
@@ -280,7 +281,10 @@ class PrometheusScrapeSource(StreamSource):
         tick_samples = by_name.get(f"{self.prefix}_tick")
         if not tick_samples:
             return []
-        tick = int(tick_samples[0].value)
+        value = tick_samples[0].value
+        if not value.is_integer():  # NaN, ±Inf and fractional ticks
+            raise StreamError(f"invalid scrape tick {value!r}")
+        tick = int(value)
         if self._last_tick is not None and tick <= self._last_tick:
             return []  # same scrape instant again; nothing new
         self._last_tick = tick

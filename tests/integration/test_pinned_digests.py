@@ -282,7 +282,7 @@ def test_simulator_digest():
     assert digest.hexdigest() == SIM_DIGEST
 
 
-DRILL_DIGEST = "07be7a81e2918e59bddadbeebe6e74213729fa91eea0250780e67e8fd0edb25b"
+DRILL_DIGEST = "834061af91eb08372455f9c33e16984aad7d814ead03fe09c157cd2a4842b2cb"
 
 
 def _file_and_function(trace: str) -> str:

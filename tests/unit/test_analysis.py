@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.accuracy import (
-    score_detector,
-    summarize_accuracy,
-    violation_episodes,
-)
+from repro.analysis.accuracy import summarize_accuracy
 from repro.analysis.reports import ascii_table, render_series, render_timeline_bands
 from repro.analysis.utilization import (
     compare_utilization,
@@ -142,61 +138,3 @@ class TestReports:
     def test_render_timeline_empty(self):
         assert render_timeline_bands(np.array([]), []) == ["", ""]
 
-
-class TestViolationEpisodes:
-    def test_merges_nearby_ticks(self):
-        # Gap of <= merge_gap clean ticks stays one episode.
-        assert violation_episodes([5, 6, 9, 30], merge_gap=5) == [(5, 9), (30, 30)]
-
-    def test_zero_gap_splits_non_adjacent(self):
-        assert violation_episodes([1, 2, 4], merge_gap=0) == [(1, 2), (4, 4)]
-
-    def test_deduplicates_and_sorts(self):
-        assert violation_episodes([7, 3, 3, 4]) == [(3, 7)]
-
-    def test_empty(self):
-        assert violation_episodes([]) == []
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            violation_episodes([1], merge_gap=-1)
-
-
-class TestScoreDetector:
-    def test_perfect_detection(self):
-        # One episode [20, 25]; an alarm 10 ticks early is in-window.
-        card = score_detector([10], [20, 21, 25], total_ticks=100, horizon=12)
-        assert card.episodes == 1
-        assert card.true_positives == 1
-        assert card.false_positives == 0
-        assert card.precision == 1.0
-        assert card.recall == 1.0
-        assert card.mean_lead_time == 10.0
-        assert card.false_positive_rate == 0.0
-
-    def test_false_alarm_outside_every_window(self):
-        card = score_detector([60], [20, 21], total_ticks=100, horizon=5)
-        assert card.false_positives == 1
-        assert card.precision == 0.0
-        assert card.recall == 0.0
-        assert card.false_positive_rate > 0.0
-
-    def test_alarm_during_episode_scores_zero_lead(self):
-        card = score_detector([21], [20, 21, 22], total_ticks=100)
-        assert card.mean_lead_time == 0.0
-
-    def test_no_alarms_nan_precision(self):
-        card = score_detector([], [20], total_ticks=100)
-        assert card.precision != card.precision  # NaN
-        assert card.recall == 0.0
-
-    def test_no_violations_nan_recall(self):
-        card = score_detector([5], [], total_ticks=100)
-        assert card.recall != card.recall  # NaN
-        assert card.false_positives == 1
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            score_detector([], [], total_ticks=0)
-        with pytest.raises(ValueError):
-            score_detector([], [], total_ticks=10, horizon=-1)

@@ -125,42 +125,6 @@ class TestCommands:
         template = MapTemplate.load(out_path)
         assert template.representatives.shape[0] >= 1
 
-    def test_run_gmm_policy(self):
-        code, output = run_cli([
-            "run", "--ticks", "150", "--batch", "cpubomb",
-            "--policy", "gmm", "--seed", "1",
-        ])
-        assert code == 0
-        assert "alarms" in output
-        assert "fitted thresholds" in output
-        assert "learned beta" not in output  # no Stay-Away controller
-
-    def test_run_hybrid_policy(self):
-        code, output = run_cli([
-            "run", "--ticks", "150", "--batch", "cpubomb",
-            "--policy", "hybrid", "--seed", "1",
-        ])
-        assert code == 0
-        assert "detector mode" in output
-        assert "hybrid" in output
-        assert "GMM fitted thresholds" in output
-        assert "learned beta" in output  # the controller still runs
-
-    def test_headtohead_defaults(self):
-        args = build_parser().parse_args(["headtohead"])
-        assert args.ticks == 600
-        assert not args.quick
-
-    def test_headtohead_quick(self):
-        code, output = run_cli([
-            "headtohead", "--quick", "--ticks", "200",
-        ])
-        assert code == 0
-        for arm in ("geometry", "gmm", "hybrid"):
-            assert arm in output
-        assert "precision" in output and "recall" in output
-        assert "lead ticks" in output
-
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
         assert args.hosts == 12

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from repro.service.controller_service import ControllerService
 from repro.service.exporter import UsageGaugeExporter
 from repro.service.recording import write_stream_jsonl
 from repro.service.stream import (
@@ -223,3 +224,21 @@ class TestPrometheusScrapeSource:
     def test_empty_exposition_is_idle_not_error(self):
         source = PrometheusScrapeSource(lambda: "")
         assert source.poll() == []
+
+    @pytest.mark.parametrize("bad_tick", ["NaN", "+Inf", "1e400", "12.5"])
+    def test_bad_tick_is_a_stream_error_the_service_reconnects_past(self, bad_tick):
+        """A non-finite or fractional ``_tick`` is a failed scrape, not a
+        crash and not a silently truncated tick."""
+        engine, exporter = self.exporting_engine()
+        engine.run(ticks=1)
+        good = exporter.scrape()
+        tick_line = 'stayaway_tick{host="host0"} 0.0'
+        assert tick_line in good
+        bad = good.replace(tick_line, f'stayaway_tick{{host="host0"}} {bad_tick}')
+        scrapes = iter([bad])
+        service = ControllerService(PrometheusScrapeSource(lambda: next(scrapes, good)))
+        service.start()
+        for _ in range(3):
+            service.pump()
+        assert service.summary()["telemetry"]["stream"]["reconnects"] == 1
+        assert service.assembler.max_seen == 0

@@ -6,6 +6,9 @@ import pytest
 from repro.core.state_space import StateLabel, StateSpace
 from repro.core.template import MapTemplate
 
+#: Marks a key the poisoned-dict case deletes instead of overwriting.
+MISSING = object()
+
 
 def make_space():
     space = StateSpace(epsilon=0.05, refit_interval=1000)
@@ -85,6 +88,37 @@ class TestSerialization:
         restored = MapTemplate.load(path)
         np.testing.assert_allclose(restored.coords, template.coords)
         assert restored.labels == template.labels
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("representatives", [[0.1, 0.1, 0.1], [0.5, float("nan"), 0.5], [0.9, 0.9, 0.9]]),
+            ("coords", [[0.0, 0.0], [float("nan"), 0.0], [1.0, 1.0]]),
+            ("coords", [[0.0, 0.0], [float("inf"), 0.0], [1.0, 1.0]]),
+            ("beta", float("nan")),
+            ("beta", float("-inf")),
+            ("epsilon", 0.0),
+            ("epsilon", -0.05),
+            ("epsilon", float("nan")),
+            ("beta", None),
+            ("labels", 3),
+            ("coords", MISSING),
+        ],
+        ids=[
+            "nan-representative", "nan-coord", "inf-coord", "nan-beta", "inf-beta",
+            "zero-epsilon", "negative-epsilon", "nan-epsilon", "beta-not-a-number",
+            "labels-not-a-list", "coords-missing",
+        ],
+    )
+    def test_poisoned_dict_is_rejected(self, key, value):
+        """A loaded map is rejected, never seeded into a live state space."""
+        data = MapTemplate.from_state_space(make_space(), beta=0.03).to_dict()
+        if value is MISSING:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(ValueError):
+            MapTemplate.from_dict(data)
 
     def test_json_is_plain_types(self):
         template = MapTemplate.from_state_space(make_space(), beta=0.03)

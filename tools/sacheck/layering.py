@@ -21,10 +21,9 @@ the simulator *drives*, not one that reaches back into it:
   host. (``workloads`` is allowed: the scheduler places
   ``Application`` instances.)
 * ``baselines`` must not import ``experiments`` / ``analysis`` — the
-  comparators (reactive, Q-Clouds, GMM thresholds, …) are controller
-  peers the harness drives; if one reached up into the harness or the
-  scoring code, the head-to-head studies would measure a detector that
-  can see its own scorecard.
+  comparators (reactive, Q-Clouds, …) are controller peers the harness
+  drives; if one reached up into the harness or the analysis code, a
+  comparison would measure a baseline that can see its own results.
 * ``fleet`` sits above ``core``/``sim``/``monitoring`` and below
   ``experiments``: it must not import ``workloads`` / ``baselines`` /
   ``experiments`` / ``analysis`` / ``service``, and nothing beneath it
