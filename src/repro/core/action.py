@@ -30,6 +30,16 @@ from repro.core.events import EventKind, EventLog
 from repro.observation import PAUSED, RUNNING, STOPPED, Observation
 from repro.telemetry.registry import MetricRegistry
 
+#: Periods after a phase-change resume within which a new throttle
+#: counts as premature and raises beta.
+RESUME_GRACE = 5
+#: Cap on a failed repair's retry backoff, in periods (``2**failures``
+#: below it).
+RETRY_BACKOFF_CAP = 8
+#: Consecutive failed repairs of one container that raise an
+#: ``ACTION_ESCALATION`` event.
+ESCALATION_THRESHOLD = 3
+
 
 class ResumeReason(enum.Enum):
     """Why the batch applications were last resumed."""
@@ -50,13 +60,12 @@ class ThrottleManager:
         self,
         config: StayAwayConfig,
         events: EventLog,
-        rng: Optional[np.random.Generator] = None,
         target_selector: Optional[Callable[[Observation], List[str]]] = None,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
         self.config = config
         self.events = events
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed + 1)
+        self.rng = np.random.default_rng(config.seed + 1)
         self._target_selector = target_selector
         self.beta = config.beta_initial
         self.throttling = False
@@ -188,7 +197,6 @@ class ThrottleManager:
         """
         if not self.config.reconcile_actions or not self.throttling:
             return observation
-        period = self.config.period
         states = observation.states()
         repaused: List[str] = []
         for name in list(self._paused_names):
@@ -221,13 +229,12 @@ class ThrottleManager:
                 )
             else:
                 failures += 1
-                backoff = min(2 ** failures, self.config.action_backoff_cap)
-                self._retry[name] = (failures, tick + backoff * period)
+                self._retry[name] = (failures, tick + min(2 ** failures, RETRY_BACKOFF_CAP))
                 self._c_failed.inc()
                 self.events.record(
                     tick, EventKind.ACTION_FAILED, target=name, failures=failures
                 )
-                if failures == self.config.action_escalation_threshold:
+                if failures == ESCALATION_THRESHOLD:
                     self._c_escalations.inc()
                     self.events.record(
                         tick,
@@ -370,8 +377,7 @@ class ThrottleManager:
         if (
             self._last_resume_tick is not None
             and self._last_resume_reason is ResumeReason.PHASE_CHANGE
-            and tick - self._last_resume_tick
-            <= self.config.resume_grace * self.config.period
+            and tick - self._last_resume_tick <= RESUME_GRACE
         ):
             self.beta += self.config.beta_increment
             self.events.record(tick, EventKind.BETA_INCREMENT, beta=self.beta)

@@ -31,6 +31,15 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.events import EventKind, EventLog
 
+#: Stage failures within ``WINDOW_TICKS`` that trip a breaker OPEN.
+ERROR_BUDGET = 3
+#: Sliding error-budget window, in ticks (one period each).
+WINDOW_TICKS = 20
+#: Ticks an OPEN breaker holds before letting probes through.
+COOLDOWN_TICKS = 15
+#: Consecutive successful probes that close a HALF_OPEN breaker.
+PROBES = 2
+
 
 class BreakerState(enum.Enum):
     """The classic circuit-breaker states."""
@@ -50,44 +59,15 @@ class CircuitBreaker:
         metric labels.
     events:
         Event log receiving trip/probe/reset records.
-    error_budget:
-        Failures within ``window_ticks`` that trip the breaker.
-    window_ticks:
-        Sliding error-budget window, in ticks.
-    cooldown_ticks:
-        Ticks an OPEN breaker holds before going HALF_OPEN.
-    probes:
-        Consecutive successful probes required to close from HALF_OPEN.
     registry:
         Optional :class:`~repro.telemetry.MetricRegistry` for the
         ``breaker.trips`` / ``breaker.resets`` counters (labelled by
         stage).
     """
 
-    def __init__(
-        self,
-        stage: str,
-        events: EventLog,
-        error_budget: int = 3,
-        window_ticks: int = 20,
-        cooldown_ticks: int = 15,
-        probes: int = 2,
-        registry=None,
-    ) -> None:
-        if error_budget < 1:
-            raise ValueError("error_budget must be >= 1")
-        if window_ticks < 1:
-            raise ValueError("window_ticks must be >= 1")
-        if cooldown_ticks < 1:
-            raise ValueError("cooldown_ticks must be >= 1")
-        if probes < 1:
-            raise ValueError("probes must be >= 1")
+    def __init__(self, stage: str, events: EventLog, registry=None) -> None:
         self.stage = stage
         self.events = events
-        self.error_budget = error_budget
-        self.window_ticks = window_ticks
-        self.cooldown_ticks = cooldown_ticks
-        self.probes = probes
         self.state = BreakerState.CLOSED
         self.trip_count = 0
         self.reset_count = 0
@@ -132,7 +112,7 @@ class CircuitBreaker:
         """Feed a successful stage execution."""
         if self.state is BreakerState.HALF_OPEN:
             self._probe_successes += 1
-            if self._probe_successes >= self.probes:
+            if self._probe_successes >= PROBES:
                 self._reset(tick)
         elif self.state is BreakerState.CLOSED:
             self._prune(tick)
@@ -145,20 +125,20 @@ class CircuitBreaker:
             return True
         self._failures.append(tick)
         self._prune(tick)
-        if self.state is BreakerState.CLOSED and len(self._failures) >= self.error_budget:
+        if self.state is BreakerState.CLOSED and len(self._failures) >= ERROR_BUDGET:
             self._trip(tick)
             return True
         return False
 
     # -- internals ---------------------------------------------------------
     def _prune(self, tick: int) -> None:
-        while self._failures and tick - self._failures[0] > self.window_ticks:
+        while self._failures and tick - self._failures[0] > WINDOW_TICKS:
             self._failures.popleft()
 
     def _trip(self, tick: int, probe_failure: bool = False) -> None:
         self.state = BreakerState.OPEN
         self.trip_count += 1
-        self._open_until = tick + self.cooldown_ticks
+        self._open_until = tick + COOLDOWN_TICKS
         self._probe_successes = 0
         if self._last_trip_tick is None:
             self._last_trip_tick = tick
@@ -212,9 +192,6 @@ class BreakerBank:
 
     Parameters
     ----------
-    config:
-        :class:`~repro.core.config.StayAwayConfig`; the budget/window/
-        cooldown knobs are read from it (periods converted to ticks).
     events / registry:
         Shared event log and telemetry registry.
     stages:
@@ -224,18 +201,10 @@ class BreakerBank:
     STAGES: Tuple[str, ...] = ("guard", "map", "predict", "act")
 
     def __init__(
-        self, config, events: EventLog, registry=None, stages: Optional[Tuple[str, ...]] = None
+        self, events: EventLog, registry=None, stages: Optional[Tuple[str, ...]] = None
     ) -> None:
-        period = config.period
         self.breakers: Dict[str, CircuitBreaker] = {
-            stage: CircuitBreaker(
-                stage,
-                events,
-                error_budget=config.breaker_error_budget,
-                window_ticks=config.breaker_window * period,
-                cooldown_ticks=config.breaker_cooldown * period,
-                registry=registry,
-            )
+            stage: CircuitBreaker(stage, events, registry=registry)
             for stage in (stages if stages is not None else self.STAGES)
         }
 

@@ -15,13 +15,18 @@ Durability discipline:
   previous checkpoint intact;
 * **checksum** — the payload carries a SHA-256 over its canonical JSON;
   a truncated or bit-flipped file fails loudly
-  (:class:`CheckpointError`) instead of resurrecting garbage.
+  (:class:`CheckpointError`) instead of resurrecting garbage;
+* **schema** — a file whose checksum holds is still untrusted input:
+  :meth:`ControllerCheckpoint.load` checks every field (presence, type,
+  enum value, finiteness, lengths, RNG state) before anything is
+  applied, so a restore never fails halfway.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +58,121 @@ def _checksum(payload: Dict[str, Any]) -> str:
 def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
     """JSON-safe bit-generator state."""
     return json.loads(json.dumps(rng.bit_generator.state, default=int))
+
+
+def _bad(path: str, problem: str) -> CheckpointError:
+    return CheckpointError(f"checkpoint field {path} {problem}")
+
+
+def _field(payload: Dict[str, Any], path: str) -> Any:
+    """The value at a dotted ``path``, or the error naming it."""
+    value: Any = payload
+    keys = path.split(".")
+    for depth, key in enumerate(keys, start=1):
+        if not isinstance(value, dict) or key not in value:
+            raise _bad(".".join(keys[:depth]), "is missing")
+        value = value[key]
+    return value
+
+
+def _int(value: Any, path: str, optional: bool = False) -> None:
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _bad(path, f"must be an integer, got {value!r}")
+
+
+def _floats(value: Any, path: str, length: Optional[int] = None, optional: bool = False) -> None:
+    """A list of finite numbers (of ``length`` when given)."""
+    if optional and value is None:
+        return
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise _bad(path, f"must be a list of {length or 'any number of'} values")
+    for item in value:
+        if isinstance(item, bool) or not isinstance(item, (int, float)) or not math.isfinite(item):
+            raise _bad(path, f"must hold finite numbers, got {item!r}")
+
+
+def _member(value: Any, enum_type, path: str, optional: bool = False) -> None:
+    if optional and value is None:
+        return
+    try:
+        enum_type(value)
+    except (TypeError, ValueError):
+        raise _bad(path, f"is not a {enum_type.__name__}: {value!r}") from None
+
+
+def _validate(payload: Dict[str, Any]) -> None:
+    """Raise :class:`CheckpointError` naming the first bad field."""
+    for path in (
+        "captured_tick",
+        "state_space.refit_count",
+        "state_space.new_since_refit",
+        "mode_bank.mode_switches",
+        "throttle.throttle_count",
+        "throttle.resume_count",
+        "throttle.probe_resume_count",
+        "throttle.stagnant_periods",
+    ):
+        _int(_field(payload, path), path)
+    _int(_field(payload, "throttle.last_resume_tick"), "throttle.last_resume_tick", optional=True)
+    for path in ("state_space.epsilon", "throttle.beta"):
+        _floats([_field(payload, path)], path)
+    for path, enum_type in (
+        ("mode_bank.current_mode", ExecutionMode),
+        ("throttle.last_resume_reason", ResumeReason),
+        ("controller.prev_mode", ExecutionMode),
+    ):
+        _member(_field(payload, path), enum_type, path, optional=True)
+    _floats(_field(payload, "controller.prev_coords"), "controller.prev_coords", 2, optional=True)
+    for path in ("predictor_rng", "throttle.rng"):
+        try:
+            np.random.default_rng(0).bit_generator.state = _field(payload, path)
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise _bad(path, f"is not a generator state ({exc})") from None
+
+    reps = _field(payload, "state_space.representatives")
+    if not isinstance(reps, list):
+        raise _bad("state_space.representatives", "must be a list")
+    width = len(reps[0]) if reps and isinstance(reps[0], list) else None
+    for row in reps:
+        _floats(row, "state_space.representatives", width)
+    for key in ("counts", "coords", "labels"):
+        rows = _field(payload, f"state_space.{key}")
+        if not isinstance(rows, list) or len(rows) != len(reps):
+            raise _bad(f"state_space.{key}", f"must be a list of {len(reps)} entries")
+        for row in rows:
+            if key == "counts":
+                _int(row, "state_space.counts")
+            elif key == "coords":
+                _floats(row, "state_space.coords", 2)
+            else:
+                _member(row, StateLabel, "state_space.labels")
+
+    modes = _field(payload, "modes")
+    if not isinstance(modes, dict):
+        raise _bad("modes", "must be an object")
+    for mode in modes:
+        _member(mode, ExecutionMode, "modes")
+        for key in ("distances", "angles"):
+            _floats(_field(payload, f"modes.{mode}.{key}"), f"modes.{mode}.{key}")
+        _int(_field(payload, f"modes.{mode}.steps_observed"), f"modes.{mode}.steps_observed")
+        path = f"modes.{mode}.last_point"
+        _floats(_field(payload, path), path, 2, optional=True)
+
+    if not isinstance(_field(payload, "throttle.throttling"), bool):
+        raise _bad("throttle.throttling", "must be a boolean")
+    names = _field(payload, "throttle.paused_names")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise _bad("throttle.paused_names", "must be a list of container names")
+    retry = _field(payload, "throttle.retry")
+    if not isinstance(retry, dict):
+        raise _bad("throttle.retry", "must be an object")
+    for name, row in retry.items():
+        if not isinstance(row, list) or len(row) != 2:
+            raise _bad(f"throttle.retry.{name}", "must be [failures, next_tick]")
+        for value in row:
+            _int(value, f"throttle.retry.{name}")
 
 
 def _mode_model_state(model) -> Dict[str, Any]:
@@ -162,7 +282,6 @@ class ControllerCheckpoint:
         ss = data["state_space"]
         space = StateSpace(
             epsilon=float(ss["epsilon"]),
-            refit_interval=config.refit_interval,
             radius_law=config.radius_law,
             fixed_radius=config.fixed_radius,
         )
@@ -319,7 +438,9 @@ class ControllerCheckpoint:
     def load(cls, path: Union[str, Path]) -> "ControllerCheckpoint":
         """Read and verify a checkpoint written by :meth:`save`.
 
-        Any stale ``<name>.tmp`` sibling left by a crash mid-save is
+        The whole payload is checked before it is returned (see the
+        module's "schema" rule), so :meth:`restore_into` of a loaded
+        checkpoint cannot fail halfway. Any stale ``<name>.tmp`` sibling left by a crash mid-save is
         removed first: a completed :meth:`save` never leaves one behind
         (``os.replace`` consumes it), so its existence means the write
         it belonged to never finished.
@@ -341,6 +462,7 @@ class ControllerCheckpoint:
             raise CheckpointError(f"{path} has no payload")
         if _checksum(payload) != envelope.get("checksum"):
             raise CheckpointError(f"checksum mismatch in {path} (corrupt checkpoint)")
+        _validate(payload)
         return cls(payload=payload)
 
     # -- introspection -----------------------------------------------------

@@ -134,19 +134,17 @@ class StayAway:
             self.telemetry = Telemetry(enabled=self.config.telemetry)
         if template is not None:
             self.state_space = template.build_state_space(
-                refit_interval=self.config.refit_interval,
                 radius_law=self.config.radius_law,
                 fixed_radius=self.config.fixed_radius,
             )
         else:
             self.state_space = StateSpace(
                 epsilon=self.config.dedup_epsilon,
-                refit_interval=self.config.refit_interval,
                 radius_law=self.config.radius_law,
                 fixed_radius=self.config.fixed_radius,
             )
         self.state_space.telemetry = self.telemetry
-        self.collector = MetricsCollector(aggregate_batch=self.config.aggregate_batch)
+        self.collector = MetricsCollector()
         if violation_detector is not None:
             self.qos = violation_detector
         else:
@@ -165,17 +163,10 @@ class StayAway:
         self.guard: Optional[SensorGuard] = None
         self.health: Optional[DegradedModeMachine] = None
         if self.config.degraded_mode:
-            self.health = DegradedModeMachine(
-                self.events,
-                monitoring_deadline=self.config.monitoring_deadline,
-                qos_deadline=self.config.qos_deadline,
-                resync_periods=self.config.resync_periods,
-            )
+            self.health = DegradedModeMachine(self.events)
         self.breakers: Optional[BreakerBank] = None
         if self.config.fault_containment:
-            self.breakers = BreakerBank(
-                self.config, self.events, registry=self.telemetry.registry
-            )
+            self.breakers = BreakerBank(self.events, registry=self.telemetry.registry)
         self.watchdog: Optional[ModelHealthWatchdog] = None
         if self.config.model_watchdog:
             self.watchdog = ModelHealthWatchdog(
@@ -206,7 +197,7 @@ class StayAway:
 
     # -- middleware interface -------------------------------------------------
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        """One monitoring tick; runs the full mechanism every period.
+        """One monitoring tick, which is one period of the full mechanism.
 
         ``host`` is the whole port: the one ``observe(snapshot)`` here is
         all a period reads, ``pause`` / ``resume`` are all it writes.
@@ -214,14 +205,8 @@ class StayAway:
         observation = host.observe(snapshot)
         self.collector.on_tick(observation)
         self.qos.on_tick(snapshot, host)
-        if observation.tick % self.config.period != 0:
-            return
-        self._run_period(observation, host)
-
-    def _run_period(self, observation: Observation, actuator) -> None:
-        """One controller period, wrapped in its telemetry span."""
         with self.telemetry.stage("controller.period", tick=observation.tick):
-            self._period(observation, actuator)
+            self._period(observation, host)
         self._c_periods.inc()
         self.last_period_tick = observation.tick
         self._g_beta.set(self.throttle.beta)

@@ -22,7 +22,7 @@ component; the reproduction does the same:
   model-wide damage, and as a last resort hard-reset the learned state
   and relearn;
 * after every clean check it refreshes the **last-known-good snapshot**
-  on the configured cadence (``StayAwayConfig.snapshot_interval``) via
+  every ``SNAPSHOT_INTERVAL`` periods via
   :class:`~repro.core.checkpoint.ControllerCheckpoint`.
 
 Quarantines, rollbacks and snapshot refreshes are recorded in the
@@ -58,6 +58,10 @@ MIN_STATES_FOR_STRESS = 10
 #: learning. Checked per-row (ungated) so garbage cannot slip into a
 #: last-known-good snapshot while size-gated checks are still off.
 MAGNITUDE_LIMIT = 1e6
+
+#: Periods between automatic last-known-good snapshots (taken only
+#: after a clean check).
+SNAPSHOT_INTERVAL = 50
 
 
 def _bad_rows(matrix: np.ndarray) -> List[int]:
@@ -117,7 +121,7 @@ class ModelHealthWatchdog:
     ----------
     config:
         The controller's :class:`~repro.core.config.StayAwayConfig`
-        (snapshot cadence, beta reset value).
+        (the beta reset value).
     events:
         Event log receiving quarantine/rollback/snapshot records.
     telemetry:
@@ -375,16 +379,15 @@ class ModelHealthWatchdog:
 
     # -- snapshots ---------------------------------------------------------
     def maybe_snapshot(self, tick: int, controller: "StayAway") -> bool:
-        """Refresh the last-known-good snapshot on the configured cadence.
+        """Refresh the last-known-good snapshot every ``SNAPSHOT_INTERVAL`` ticks.
 
         Only called after a clean inspection — a snapshot of a poisoned
         model would make rollback itself an attack vector. Returns True
         when a new snapshot was captured.
         """
-        interval = self.config.snapshot_interval * self.config.period
         if (
             self.last_snapshot_tick is not None
-            and tick - self.last_snapshot_tick < interval
+            and tick - self.last_snapshot_tick < SNAPSHOT_INTERVAL
         ):
             return False
         self.last_good = ControllerCheckpoint.capture(controller, tick=tick)

@@ -6,8 +6,9 @@ Per period (§3.2):
   current execution mode;
 * once the mode's step pdfs have a first approximation, draw
   ``n_samples`` candidate next positions by inverse-transform sampling;
-* count how many candidates fall inside a violation-range; when the
-  majority does, flag an impending violation.
+* count how many candidates fall inside a violation-range; when a
+  majority does (``(n_samples + 1) // 2`` votes, i.e. 3 of 5), flag an
+  impending violation.
 
 The predictor also keeps an accuracy ledger: whenever no action
 intervened between a prediction and the next observation, the realized
@@ -27,6 +28,9 @@ from repro.core.config import StayAwayConfig
 from repro.core.state_space import StateSpace
 from repro.trajectory.modes import ExecutionMode, ModeModelBank
 
+#: Steps a mode's trajectory model needs before its pdfs count as a
+#: usable first approximation.
+MIN_STEPS_FOR_PREDICTION = 3
 
 @dataclass(frozen=True)
 class Prediction:
@@ -45,7 +49,7 @@ class Prediction:
     ready:
         Whether the mode model had enough steps to predict at all.
     impending_violation:
-        True when ``votes`` reached the configured majority.
+        True when a majority of the candidates voted.
     """
 
     tick: int
@@ -85,8 +89,8 @@ class Predictor:
 
     Parameters
     ----------
-    config / rng:
-        Tunables and the candidate-sampling RNG stream.
+    config:
+        Tunables; ``config.seed`` seeds the candidate-sampling RNG.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` recording forecast
         counters (``prediction.rounds`` / ``.flags`` / ``.not_ready`` /
@@ -96,11 +100,10 @@ class Predictor:
     def __init__(
         self,
         config: StayAwayConfig,
-        rng: Optional[np.random.Generator] = None,
         telemetry=None,
     ):
         self.config = config
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(config.seed)
         self.modes = ModeModelBank()
         self.accuracy_records: List[AccuracyRecord] = []
         self._pending: Optional[Prediction] = None
@@ -187,7 +190,7 @@ class Predictor:
     ) -> Prediction:
         """Forecast the next period's state and vote against violation-ranges."""
         model = self.modes.model(self._model_mode(mode))
-        ready = model.ready(self.config.min_steps_for_prediction)
+        ready = model.ready(MIN_STEPS_FOR_PREDICTION)
         if not ready:
             prediction = Prediction(
                 tick=tick,
@@ -202,7 +205,7 @@ class Predictor:
                 current, self.rng, self.config.n_samples
             )
             votes = state_space.violation_vote(candidates)
-            impending = votes >= self.config.vote_threshold()
+            impending = votes >= (self.config.n_samples + 1) // 2
             prediction = Prediction(
                 tick=tick,
                 mode=mode,

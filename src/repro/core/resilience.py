@@ -15,7 +15,7 @@ runs a small health state machine:
   *observed* violations, optionally pausing the batch preemptively on
   entry. Learning continues on whatever healthy data still arrives.
 
-Re-entry to PREDICTIVE requires ``resync_periods`` consecutive healthy
+Re-entry to PREDICTIVE requires ``RESYNC_PERIODS`` consecutive healthy
 periods — a single good sample after an outage is not resynchronization.
 Every transition is recorded in the :class:`~repro.core.events.EventLog`
 (``DEGRADED_ENTER`` / ``DEGRADED_EXIT``).
@@ -28,6 +28,15 @@ from typing import List, Optional
 
 from repro.core.events import EventKind, EventLog
 
+#: Ticks of monitoring silence (no usable measurement, or no controller
+#: invocation at all) before degrading.
+MONITORING_DEADLINE = 10
+#: Ticks of QoS silence before degrading. Silence only counts once the
+#: channel has produced a report: an application that has not started
+#: yet is "learning", not "down".
+QOS_DEADLINE = 10
+#: Consecutive healthy periods required to leave DEGRADED.
+RESYNC_PERIODS = 3
 
 class ControllerHealth(enum.Enum):
     """Health state of the controller's input channels."""
@@ -43,34 +52,10 @@ class DegradedModeMachine:
     ----------
     events:
         Event log receiving transition records.
-    monitoring_deadline:
-        Ticks of monitoring silence (no usable measurement, or no
-        controller invocation at all) before degrading.
-    qos_deadline:
-        Ticks of QoS silence before degrading. Silence only counts once
-        the channel has produced at least one report — an application
-        that has not started yet is "learning", not "down".
-    resync_periods:
-        Consecutive healthy periods required to leave DEGRADED.
     """
 
-    def __init__(
-        self,
-        events: EventLog,
-        monitoring_deadline: int = 10,
-        qos_deadline: int = 10,
-        resync_periods: int = 3,
-    ) -> None:
-        if monitoring_deadline < 1:
-            raise ValueError("monitoring_deadline must be >= 1")
-        if qos_deadline < 1:
-            raise ValueError("qos_deadline must be >= 1")
-        if resync_periods < 1:
-            raise ValueError("resync_periods must be >= 1")
+    def __init__(self, events: EventLog) -> None:
         self.events = events
-        self.monitoring_deadline = monitoring_deadline
-        self.qos_deadline = qos_deadline
-        self.resync_periods = resync_periods
         self.state = ControllerHealth.PREDICTIVE
         self.degraded_entries = 0
         self.degraded_periods = 0
@@ -94,17 +79,17 @@ class DegradedModeMachine:
         reasons: List[str] = []
         if (
             previous_update is not None
-            and tick - previous_update > self.monitoring_deadline
+            and tick - previous_update > MONITORING_DEADLINE
         ):
             reasons.append("monitoring-gap")
         if (
             self._last_good_monitoring_tick is not None
-            and tick - self._last_good_monitoring_tick > self.monitoring_deadline
+            and tick - self._last_good_monitoring_tick > MONITORING_DEADLINE
         ):
             reasons.append("monitoring-silent")
         if (
             self._last_qos_tick is not None
-            and tick - self._last_qos_tick > self.qos_deadline
+            and tick - self._last_qos_tick > QOS_DEADLINE
         ):
             reasons.append("qos-silent")
         return reasons
@@ -142,7 +127,7 @@ class DegradedModeMachine:
             self.degraded_periods += 1
             if healthy_now:
                 self._healthy_streak += 1
-                if self._healthy_streak >= self.resync_periods:
+                if self._healthy_streak >= RESYNC_PERIODS:
                     self._exit_degraded(tick)
             else:
                 self._healthy_streak = 0
@@ -155,7 +140,7 @@ class DegradedModeMachine:
         prediction circuit breaker trips: the learned model can no
         longer be trusted even though both *input* channels are healthy,
         so the controller falls back to the reactive-only policy. The
-        normal resync rule applies on the way out — ``resync_periods``
+        normal resync rule applies on the way out — ``RESYNC_PERIODS``
         consecutive healthy periods re-enter PREDICTIVE.
         """
         if self.state is ControllerHealth.DEGRADED:
@@ -175,7 +160,7 @@ class DegradedModeMachine:
         self._healthy_streak = 0
         self.transitions.append((tick, ControllerHealth.PREDICTIVE, ()))
         self.events.record(
-            tick, EventKind.DEGRADED_EXIT, resync_periods=self.resync_periods
+            tick, EventKind.DEGRADED_EXIT, resync_periods=RESYNC_PERIODS
         )
 
     # -- introspection -----------------------------------------------------

@@ -94,14 +94,12 @@ class MapTemplate:
     # -- reuse ---------------------------------------------------------------
     def build_state_space(
         self,
-        refit_interval: int = 40,
         radius_law: str = "rayleigh",
         fixed_radius: float = 0.05,
     ) -> StateSpace:
         """A fresh state space pre-seeded with this template's map."""
         space = StateSpace(
             epsilon=self.epsilon,
-            refit_interval=refit_interval,
             radius_law=radius_law,
             fixed_radius=fixed_radius,
         )

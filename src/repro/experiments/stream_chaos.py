@@ -117,6 +117,18 @@ class SimStreamBridge(StreamRecorder):
         self.service = service
         self.sink = sink
         self.controller = service.controller
+        self._qos: Optional[QosTracker] = None
+
+    @property
+    def qos(self) -> QosTracker:
+        """A host-local channel on the app this bridge publishes QoS from.
+
+        A fleet cell reads it while the bridge is down: the serviced
+        controller's channel only hears the app through this bridge.
+        """
+        if self._qos is None:
+            self._qos = QosTracker(self.sensitive_app)
+        return self._qos
 
     def publish(self, records: List[dict]) -> None:
         self.sink.push(records)

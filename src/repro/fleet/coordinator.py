@@ -49,7 +49,7 @@ if TYPE_CHECKING:
     from repro.sim.host import Host, HostSnapshot
 
 #: Ticks between scoring/placement rounds (the coordinator's own control
-#: period; per-host controllers still run every ``config.period`` ticks).
+#: period; per-host controllers still run a period every tick).
 SCORE_PERIOD = 5
 #: Interference score at or above which a host is *hot*: an eviction
 #: source, and refused as an admission preference.
@@ -60,6 +60,9 @@ COLD_SCORE = 0.25
 #: Ticks a host pair stays off-limits for new evictions after a
 #: migration between them was requested.
 MIGRATION_COOLDOWN = 25
+#: Consecutive violation-free ticks before a cell's reactive fallback
+#: resumes the containers it paused.
+FALLBACK_RESUME_AFTER = 10
 
 
 class HostControllerCell:
@@ -71,16 +74,19 @@ class HostControllerCell:
         The host this cell controls.
     controller:
         What ``controller_factory`` returned: the cell ticks it through
-        its ``on_tick(snapshot, host)`` and reads ``qos`` / ``throttle``
-        / ``last_prediction`` / ``config`` from its ``.controller`` when
+        its ``on_tick(snapshot, host)`` and reads ``throttle`` /
+        ``last_prediction`` / ``config`` from its ``.controller`` when
         it has one — a :class:`~repro.core.controller.StayAway` is its
-        own controller; a stream bridge carries the serviced one.
+        own controller; a stream bridge carries the serviced one. Its
+        own ``qos`` is the host-local QoS channel the cell reads while
+        degraded: the controller's channel may only hear the app
+        through the very driver that failed.
     breaker:
         The cell-level circuit breaker gating the controller.
-    fallback_resume_after:
-        Consecutive violation-free ticks before the reactive fallback
-        resumes the containers it paused. The first healthy controller
-        tick hands back whatever the fallback still holds.
+
+    The reactive fallback resumes what it paused after
+    ``FALLBACK_RESUME_AFTER`` violation-free ticks; the first healthy
+    controller tick hands back whatever it still holds.
     """
 
     def __init__(
@@ -88,15 +94,11 @@ class HostControllerCell:
         host_name: str,
         controller: StayAway,
         breaker: CircuitBreaker,
-        fallback_resume_after: int = 10,
     ) -> None:
-        if fallback_resume_after < 1:
-            raise ValueError("fallback_resume_after must be >= 1")
         self.host_name = host_name
         self._driver = controller
         self.controller = getattr(controller, "controller", controller)
         self.breaker = breaker
-        self.fallback_resume_after = fallback_resume_after
         self.crashes = 0
         self.fallback_ticks = 0
         self._fallback_paused: Set[str] = set()
@@ -131,10 +133,10 @@ class HostControllerCell:
         """Reactive policy: pause batch on observed violation, resume later."""
         self.fallback_ticks += 1
         try:
-            self.controller.qos.on_tick(snapshot, host)
+            self._driver.qos.on_tick(snapshot, host)
         except Exception:  # sacheck: disable=SA108 -- keep polling even a faulty QoS channel; the fallback then acts on the last good reading
             pass
-        if self.controller.qos.violation_now:
+        if self._driver.qos.violation_now:
             self._clean_streak = 0
             for name, container in host.containers.items():
                 if not container.sensitive and container.is_running:
@@ -142,7 +144,7 @@ class HostControllerCell:
                     self._fallback_paused.add(name)
             return
         self._clean_streak += 1
-        if self._clean_streak >= self.fallback_resume_after and self._fallback_paused:
+        if self._clean_streak >= FALLBACK_RESUME_AFTER and self._fallback_paused:
             self._hand_back(host)
 
     def _hand_back(self, host: "Host", keep=()) -> None:
@@ -177,8 +179,10 @@ class HostControllerCell:
 
     @property
     def violation_now(self) -> bool:
-        """The host's sensitive app is violating QoS right now."""
-        return bool(self.controller.qos.violation_now)
+        """The host's sensitive app is violating QoS right now: as the
+        controller heard it, or the host-local channel while degraded."""
+        qos = self.controller.qos if self._last_run_ok else self._driver.qos
+        return bool(qos.violation_now)
 
     def summary(self) -> dict:
         """Cell health: crashes, breaker state, fallback activity."""
@@ -215,8 +219,6 @@ class FleetCoordinator:
         ``on_tick(snapshot, host)`` and a ``.controller``, which is
         how a cell is put behind the stream seam (see
         :class:`HostControllerCell`).
-    scorer:
-        :class:`~repro.fleet.scoring.InterferenceScorer` override.
     """
 
     def __init__(
@@ -225,7 +227,6 @@ class FleetCoordinator:
         config: Optional[StayAwayConfig] = None,
         migrate: bool = True,
         controller_factory=None,
-        scorer: Optional[InterferenceScorer] = None,
     ) -> None:
         self.config = config if config is not None else StayAwayConfig()
         self.sensitive = dict(sensitive)
@@ -233,7 +234,7 @@ class FleetCoordinator:
         self._factory = controller_factory or (
             lambda host, app: StayAway(app, config=self.config)
         )
-        self.scorer = scorer or InterferenceScorer()
+        self.scorer = InterferenceScorer()
         self.events = EventLog()
         self.cells: Dict[str, HostControllerCell] = {}
         self.supervisor: Optional[MigrationSupervisor] = None
@@ -249,10 +250,9 @@ class FleetCoordinator:
             raise ValueError("coordinator is already bound to another cluster")
         self.cluster = cluster
         self.supervisor = MigrationSupervisor(cluster)
-        # One breaker per cell, configured like the controllers' stage
-        # breakers (the bank owns the periods -> ticks conversion).
+        # One breaker per cell, the same kind as the controllers' stage
+        # breakers.
         breakers = BreakerBank(
-            self.config,
             self.events,
             stages=tuple(f"cell:{host_name}" for host_name in self.sensitive),
         )

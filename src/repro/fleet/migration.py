@@ -38,6 +38,15 @@ from repro.sim.cluster import (
 if TYPE_CHECKING:
     from repro.sim.cluster import Cluster
 
+#: Ticks a single attempt may stay in COPY before it is cancelled.
+ATTEMPT_TIMEOUT = 40
+#: Re-attempts after a failed attempt before rolling back.
+RETRIES = 2
+#: Base ticks between attempts; doubles per attempt already made.
+RETRY_BACKOFF = 5
+#: Cap on simultaneously live (non-terminal) migrations.
+MAX_CONCURRENT = 4
+
 
 class MigrationState:
     """States of one supervised migration (str constants)."""
@@ -116,40 +125,13 @@ class MigrationSupervisor:
     ----------
     cluster:
         The cluster to migrate on.
-    timeout:
-        Ticks a single attempt may stay in COPY before it is cancelled.
-    retries:
-        Re-attempts after a failed attempt before rolling back.
-    backoff:
-        Base ticks between attempts; doubles per attempt already made.
-    max_concurrent:
-        Cap on simultaneously live (non-terminal) migrations.
 
     Call :meth:`request` to register an intent and :meth:`poll` once
     per cluster tick to advance every live state machine.
     """
 
-    def __init__(
-        self,
-        cluster: "Cluster",
-        timeout: int = 40,
-        retries: int = 2,
-        backoff: int = 5,
-        max_concurrent: int = 4,
-    ) -> None:
-        if timeout < 1:
-            raise ValueError("timeout must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        if backoff < 1:
-            raise ValueError("backoff must be >= 1")
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1")
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.max_concurrent = max_concurrent
         self.migrations: List[SupervisedMigration] = []
         self.retry_count = 0
         self.timeout_count = 0
@@ -172,7 +154,7 @@ class MigrationSupervisor:
         Refused when the concurrency cap is reached, the container is
         already supervised, or it cannot be located on an up host.
         """
-        if len(self.active) >= self.max_concurrent:
+        if len(self.active) >= MAX_CONCURRENT:
             return None
         if self.supervising(container):
             return None
@@ -244,7 +226,7 @@ class MigrationSupervisor:
         # Still copying: cut the attempt short if the destination died
         # or the attempt exceeded its time budget.
         destination_dead = not self.cluster.host_is_up(migration.destination)
-        timed_out = tick - migration.attempt_started_tick >= self.timeout
+        timed_out = tick - migration.attempt_started_tick >= ATTEMPT_TIMEOUT
         if not destination_dead and not timed_out:
             return
         if timed_out and not destination_dead:
@@ -259,9 +241,9 @@ class MigrationSupervisor:
     def _attempt_failed(
         self, tick: int, migration: SupervisedMigration, why: str
     ) -> None:
-        if migration.attempts <= self.retries:
+        if migration.attempts <= RETRIES:
             self.retry_count += 1
-            migration.next_attempt_tick = tick + self.backoff * (
+            migration.next_attempt_tick = tick + RETRY_BACKOFF * (
                 2 ** max(0, migration.attempts - 1)
             )
             migration._move(tick, MigrationState.PREPARE)

@@ -13,9 +13,9 @@ the repo already produces:
 * **utilization** — machine CPU utilization, the tie-breaker that
   spreads load even before anything goes wrong.
 
-All three are smoothed with the same EWMA weight so a single noisy
-tick cannot flip a placement decision; the hot/cold thresholds in
-:class:`~repro.core.config.StayAwayConfig` add a hysteresis band on
+All three are smoothed with the same EWMA weight (``SMOOTHING``) so a
+single noisy tick cannot flip a placement decision; the hot/cold
+thresholds in :mod:`repro.fleet.coordinator` add a hysteresis band on
 top. Scores live in ``[0, 1]``.
 """
 
@@ -30,6 +30,8 @@ WEIGHT_PREDICTED = 0.45
 WEIGHT_QOS = 0.35
 #: Weight of the CPU-utilization term.
 WEIGHT_UTILIZATION = 0.20
+#: EWMA weight of the newest observation.
+SMOOTHING = 0.2
 
 
 @dataclass(frozen=True)
@@ -61,19 +63,9 @@ class HostScore:
 
 
 class InterferenceScorer:
-    """EWMA-smoothed per-host interference scores.
+    """EWMA-smoothed per-host interference scores."""
 
-    Parameters
-    ----------
-    smoothing:
-        Weight of the newest observation, in ``(0, 1]``; 1.0 disables
-        smoothing entirely.
-    """
-
-    def __init__(self, smoothing: float = 0.2) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        self.smoothing = smoothing
+    def __init__(self) -> None:
         self._scores: Dict[str, HostScore] = {}
 
     @staticmethod
@@ -96,7 +88,7 @@ class InterferenceScorer:
         if previous is None:
             smoothed = (predicted, qos_now, utilization)
         else:
-            a = self.smoothing
+            a = SMOOTHING
             smoothed = (
                 a * predicted + (1 - a) * previous.predicted,
                 a * qos_now + (1 - a) * previous.qos,

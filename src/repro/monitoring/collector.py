@@ -5,7 +5,7 @@ every container's usage row out of the tick's
 :class:`~repro.observation.Observation` and emits one flat
 :class:`~repro.monitoring.metrics.MeasurementVector`.
 
-Per the paper's scalability rule (§5), all batch containers can be
+Per the paper's scalability rule (§5), all batch containers are
 aggregated into **one logical VM** ("the monitored metrics of all the
 batch application are aggregated together to model their collective
 behaviour as a single logical VM"), keeping the MDS input
@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.monitoring.metrics import MeasurementVector, metric_labels
-from repro.observation import ZERO_USAGE, ContainerRow, Observation
+from repro.observation import ZERO_USAGE, Observation
 
 #: Label used for the aggregated batch logical VM.
 BATCH_LOGICAL_VM = "batch"
@@ -29,37 +29,16 @@ BATCH_LOGICAL_VM = "batch"
 class MetricsCollector:
     """Samples per-VM metrics every tick.
 
-    Parameters
-    ----------
-    aggregate_batch:
-        When True (the paper's default, §5) all non-sensitive
-        containers appear as one logical "batch" VM; otherwise each
-        container gets its own metric block.
-
-    Notes
-    -----
-    The vector layout (VM blocks) is fixed on the first tick so the
-    MDS geometry stays stable. With ``aggregate_batch=True`` this is
-    harmless — batch containers arriving later simply fold into the
-    logical batch block. With per-container blocks, containers added
-    after the first tick are *not* monitored; create the collector
-    after admitting all containers in that mode.
+    Each sensitive container is one VM block and all non-sensitive
+    containers together are the logical "batch" VM (§5). The layout is
+    fixed on the first tick so the MDS geometry stays stable; batch
+    containers arriving later fold into the logical batch block.
     """
 
-    def __init__(self, aggregate_batch: bool = True) -> None:
-        self.aggregate_batch = aggregate_batch
+    def __init__(self) -> None:
         self.samples: List[MeasurementVector] = []
         self._labels: Optional[Tuple[str, ...]] = None
         self._vm_names: Optional[Tuple[str, ...]] = None
-
-    def _resolve_vms(self, rows: Tuple[ContainerRow, ...]) -> Tuple[str, ...]:
-        sensitive = sorted(row.name for row in rows if row.sensitive)
-        if self.aggregate_batch:
-            names = tuple(sensitive) + (BATCH_LOGICAL_VM,)
-        else:
-            batch = sorted(row.name for row in rows if not row.sensitive)
-            names = tuple(sensitive) + tuple(batch)
-        return names
 
     @property
     def vm_names(self) -> Tuple[str, ...]:
@@ -88,7 +67,8 @@ class MetricsCollector:
         """
         rows = observation.rows
         if self._vm_names is None:
-            self._vm_names = self._resolve_vms(rows)
+            sensitive = sorted(row.name for row in rows if row.sensitive)
+            self._vm_names = (*sensitive, BATCH_LOGICAL_VM)
             self._labels = tuple(metric_labels(list(self._vm_names)))
 
         usage = {row.name: row.usage for row in rows}

@@ -8,18 +8,18 @@ poisons every distance afterwards — so every
 :class:`~repro.monitoring.metrics.MeasurementVector` passes through a
 :class:`SensorGuard` before mapping.
 
-The guard performs four checks per sample:
+The guard performs three checks per sample:
 
 * **finiteness** — NaN/Inf anywhere in the vector;
 * **sign** — negative readings (usage is non-negative by construction);
 * **plausibility** — readings wildly above the physical capacity bound
-  of their metric (a corrupted counter, not a busy host);
-* **frozen counters** — the exact same vector repeating longer than a
-  configurable patience (off by default: flat workloads legitimately
-  produce identical vectors in simulation).
+  of their metric (a corrupted counter, not a busy host).
+
+A vector that repeats exactly is accepted: flat workloads legitimately
+produce identical vectors in simulation.
 
 Rejected samples are *imputed* by holding the last accepted vector, up
-to a staleness budget; once the budget is exhausted the guard declares
+to ``STALENESS_BUDGET`` consecutive rejects; past it the guard declares
 the sample unusable and the period counts as a monitoring gap (the
 degraded-mode machinery in :mod:`repro.core.resilience` takes over).
 """
@@ -36,6 +36,9 @@ import numpy as np
 
 from repro.telemetry.registry import MetricRegistry
 
+#: Consecutive rejected samples bridged by holding the last accepted
+#: vector; beyond it samples are unusable until a good one arrives.
+STALENESS_BUDGET = 8
 
 class RejectReason(enum.Enum):
     """Why the guard refused a measurement vector."""
@@ -43,7 +46,6 @@ class RejectReason(enum.Enum):
     NON_FINITE = "non-finite"
     NEGATIVE = "negative"
     IMPLAUSIBLE_SPIKE = "implausible-spike"
-    FROZEN = "frozen"
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,6 @@ class SensorGuard:
         Per-dimension upper bound on believable raw readings (e.g. the
         host capacity per metric block times a slack factor). ``None``
         disables the plausibility check.
-    staleness_budget:
-        Maximum consecutive rejected samples bridged by holding the
-        last accepted vector. Beyond it samples are unusable until a
-        good one arrives.
-    freeze_patience:
-        Number of consecutive *identical* vectors tolerated before the
-        channel is treated as frozen; ``0`` (default) disables the
-        check — simulated flat workloads repeat vectors legitimately.
     registry:
         Shared :class:`~repro.telemetry.registry.MetricRegistry` to
         record verdict counters into (``guard.accepted``,
@@ -110,19 +104,11 @@ class SensorGuard:
     def __init__(
         self,
         plausible_max: Optional[np.ndarray] = None,
-        staleness_budget: int = 8,
-        freeze_patience: int = 0,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
-        if staleness_budget < 0:
-            raise ValueError("staleness_budget must be non-negative")
-        if freeze_patience < 0:
-            raise ValueError("freeze_patience must be non-negative")
         self.plausible_max = (
             None if plausible_max is None else np.asarray(plausible_max, dtype=float)
         )
-        self.staleness_budget = staleness_budget
-        self.freeze_patience = freeze_patience
         self.metrics = registry if registry is not None else MetricRegistry()
         self._c_accepted = self.metrics.counter(
             "guard.accepted", help="measurement vectors that passed every check"
@@ -145,9 +131,7 @@ class SensorGuard:
             for reason in RejectReason
         }
         self._last_good: Optional[np.ndarray] = None
-        self._last_good_flat: List[float] = []
         self._stale: int = 0
-        self._repeat_run: int = 0
 
     # -- counters (registry-backed) ----------------------------------------
     @property
@@ -178,7 +162,7 @@ class SensorGuard:
         }
 
     # -- checks -----------------------------------------------------------
-    def _check(self, values: np.ndarray, flat: List[float], repeated: bool) -> List[RejectReason]:
+    def _check(self, values: np.ndarray, flat: List[float]) -> List[RejectReason]:
         reasons: List[RejectReason] = []
         if not all(map(isfinite, flat)):
             reasons.append(RejectReason.NON_FINITE)
@@ -193,8 +177,6 @@ class SensorGuard:
                     spike = bool(np.any(values > self.plausible_max))
                 if spike:
                     reasons.append(RejectReason.IMPLAUSIBLE_SPIKE)
-        if self.freeze_patience > 0 and repeated and self._repeat_run >= self.freeze_patience:
-            reasons.append(RejectReason.FROZEN)
         return reasons
 
     # -- the per-sample entry point -----------------------------------------
@@ -206,18 +188,10 @@ class SensorGuard:
         """
         values = np.asarray(values, dtype=float)
         # A vector is ten-odd floats: the predicates run on a plain list.
-        flat = values.ravel().tolist()
-        repeated = (
-            self._last_good is not None
-            and values.shape == self._last_good.shape
-            and flat == self._last_good_flat
-        )
-        reasons = self._check(values, flat, repeated)
+        reasons = self._check(values, values.ravel().tolist())
 
         if not reasons:
-            self._repeat_run = self._repeat_run + 1 if repeated else 0
             self._last_good = values.copy()
-            self._last_good_flat = flat
             self._stale = 0
             self._c_accepted.inc()
             return GuardVerdict(
@@ -233,7 +207,7 @@ class SensorGuard:
         for reason in reasons:
             self._c_reasons[reason].inc()
         self._stale += 1
-        if self._last_good is not None and self._stale <= self.staleness_budget:
+        if self._last_good is not None and self._stale <= STALENESS_BUDGET:
             self._c_imputed.inc()
             verdict = GuardVerdict(
                 tick=tick,

@@ -9,8 +9,8 @@ acknowledgement contract:
 * the backend's :meth:`Actuator.deliver` returns ``True`` (delivered
   and acked), ``None`` (delivered, ack pending/lost) or ``False``
   (delivery failed outright);
-* the :class:`AckTracker` waits ``ack_timeout`` ticks for an ack, then
-  redelivers with doubling backoff up to ``max_retries`` times;
+* the :class:`AckTracker` waits ``ACK_TIMEOUT`` ticks for an ack, then
+  redelivers with doubling backoff up to ``MAX_RETRIES`` times;
 * a command that exhausts its retries is **dead-lettered**: recorded
   in :attr:`AckTracker.dead_letters`, counted, and surfaced through
   the controller's event log as an ``ACTION_ESCALATION`` — the same
@@ -31,6 +31,14 @@ from typing import Callable, Dict, List, Optional
 
 from repro.telemetry.registry import MetricRegistry
 
+#: Ticks to wait for an ack before redelivering.
+ACK_TIMEOUT = 2
+#: Redelivery budget: attempt ``MAX_RETRIES + 1`` failing dead-letters
+#: the command.
+MAX_RETRIES = 3
+#: Base backoff in ticks; retry *n* waits ``ACK_BACKOFF * 2**(n-1)``
+#: beyond the ack window.
+ACK_BACKOFF = 1
 
 class CommandStatus(enum.Enum):
     """Lifecycle of one actuation command."""
@@ -162,13 +170,6 @@ class AckTracker:
     ----------
     actuator:
         The delivery backend.
-    ack_timeout:
-        Ticks to wait for an ack before redelivering.
-    max_retries:
-        Redelivery budget; attempt ``max_retries + 1`` failing
-        dead-letters the command.
-    backoff:
-        Base backoff in ticks; retry *n* waits ``backoff * 2**(n-1)``.
     registry:
         Registry for the ``actuator.*`` counters.
     on_dead_letter:
@@ -180,22 +181,10 @@ class AckTracker:
     def __init__(
         self,
         actuator: Actuator,
-        ack_timeout: int = 2,
-        max_retries: int = 3,
-        backoff: int = 1,
         registry: Optional[MetricRegistry] = None,
         on_dead_letter: Optional[Callable[[ActuatorCommand, int], None]] = None,
     ) -> None:
-        if ack_timeout < 1:
-            raise ValueError("ack_timeout must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if backoff < 1:
-            raise ValueError("backoff must be >= 1")
         self.actuator = actuator
-        self.ack_timeout = ack_timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.on_dead_letter = on_dead_letter
         self.metrics = registry if registry is not None else MetricRegistry()
         self._c_submitted = self.metrics.counter(
@@ -271,7 +260,7 @@ class AckTracker:
             return
         # Unacked (None) or failed (False): schedule the next attempt
         # after the ack window plus exponential backoff.
-        wait = self.ack_timeout + self.backoff * (2 ** (command.attempts - 1))
+        wait = ACK_TIMEOUT + ACK_BACKOFF * (2 ** (command.attempts - 1))
         command.next_attempt_tick = tick + wait
 
     def step(self, tick: int) -> None:
@@ -279,15 +268,15 @@ class AckTracker:
         for command in self.pending():
             if tick < command.next_attempt_tick:
                 continue
-            if command.attempts > self.max_retries:
+            if command.attempts > MAX_RETRIES:
                 self._dead_letter(command, tick)
                 continue
             self._c_retries.inc()
             self._attempt(command, tick)
-            if command.pending and command.attempts > self.max_retries:
+            if command.pending and command.attempts > MAX_RETRIES:
                 # Last permitted attempt also went unacked; don't keep
                 # the command in limbo for another full window.
-                command.next_attempt_tick = tick + self.ack_timeout
+                command.next_attempt_tick = tick + ACK_TIMEOUT
 
     def drain(self, tick: int) -> None:
         """Resolve every in-flight command before shutdown.

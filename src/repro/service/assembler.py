@@ -26,7 +26,7 @@ bridges the two with a watermark protocol:
   (``stream.imputed``) or NaN otherwise, and the tick is flagged
   partial (``stream.ticks_closed_partial``) — *partial-but-bounded*
   data instead of blocking;
-* a cell missing for ``retire_after`` *consecutive* closes is retired
+* a cell missing for ``RETIRE_AFTER`` *consecutive* closes is retired
   (``stream.cells_retired``): the container has left the host (fleet
   migration, removal) rather than dropped a sample, so holding its
   last value would impute a ghost forever. Transient faults never
@@ -67,6 +67,10 @@ CellKey = Tuple[str, str, str]
 #: 30 ticks on; a stream that resumes further on than this is rejected
 #: record by record, and the service reports it stalled.
 MAX_TICK_JUMP = 1000
+
+#: Consecutive non-gap closes a cell may miss before it is retired from
+#: the expected set (its container is presumed to have left the host).
+RETIRE_AFTER = 8
 
 
 @dataclass
@@ -122,10 +126,6 @@ class StreamAssembler:
         Ticks of reorder slack: tick ``t`` closes once a record for
         ``t + watermark`` has been seen. ``0`` closes each tick as
         soon as any record for it arrives (no reorder tolerance).
-    retire_after:
-        Consecutive non-gap closes a cell may miss before it is
-        retired from the expected set (its container is presumed to
-        have left the host). ``0`` disables retirement.
     registry:
         Shared :class:`~repro.telemetry.registry.MetricRegistry` for
         the ``stream.*`` delivery counters; a private registry is
@@ -139,15 +139,11 @@ class StreamAssembler:
     def __init__(
         self,
         watermark: int = 2,
-        retire_after: int = 8,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
         if watermark < 0:
             raise ValueError("watermark must be non-negative")
-        if retire_after < 0:
-            raise ValueError("retire_after must be non-negative")
         self.watermark = watermark
-        self.retire_after = retire_after
         self.metrics = registry if registry is not None else MetricRegistry()
         self._c_dropped = self.metrics.counter(
             "stream.dropped", help="cells missing at tick close"
@@ -346,7 +342,7 @@ class StreamAssembler:
                 self._miss_streak.pop(key, None)
             else:
                 streak = self._miss_streak.get(key, 0) + 1
-                if self.retire_after and streak >= self.retire_after:
+                if streak >= RETIRE_AFTER:
                     # Sustained absence: the container has left the host
                     # (migration, removal) — stop expecting the cell
                     # instead of imputing a ghost forever.
@@ -398,14 +394,14 @@ class PassthroughAssembler(StreamAssembler):
     delayed records of the old tick are lost), and no imputation
     (missing cells read 0.0 — the classic naive-consumer zero-fill that
     poisons the map — and skipped ticks never reach the controller at
-    all: no gap synthesis). It reports no delivery census. The drills
-    swap arms without touching the service.
+    all: no gap synthesis). It reports no delivery census and never
+    retires a cell. The drills swap arms without touching the service.
     """
 
     _first_wins = False
 
-    def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
-        super().__init__(watermark=1, retire_after=0, registry=registry)
+    def __init__(self) -> None:
+        super().__init__(watermark=1)
 
     def summary(self) -> dict:
         return {}

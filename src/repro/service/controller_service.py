@@ -17,7 +17,7 @@ against assembled stream state instead of live simulator snapshots:
   poll; the service keeps stepping closed ticks it already holds
   while the source is down.
 * **Stall degradation** — when the stream's newest data tick stops
-  advancing for ``stream_stall_deadline`` service cycles, the
+  advancing for ``STALL_DEADLINE`` service cycles, the
   controller's :class:`~repro.core.resilience.DegradedModeMachine` is
   forced DEGRADED (reason ``stream-stall``): no fresh world, no
   trusted predictions. The machine's normal resync rule recovers once
@@ -60,6 +60,10 @@ RETRY_BACKOFF = 1
 RETRY_CAP = 16
 RETRY_JITTER = 0.2
 
+#: Pump cycles without the stream's newest data tick advancing before
+#: the controller is forced DEGRADED (reason ``stream-stall``).
+STALL_DEADLINE = 10
+
 
 class ServiceState(enum.Enum):
     """Service lifecycle."""
@@ -82,8 +86,8 @@ class ControllerService:
         :class:`~repro.service.actuator.NullActuator` (decisions only —
         the replay case).
     config:
-        Controller + service tunables (the ``stream_*`` knobs live
-        here too).
+        Controller + service tunables (``stream_watermark`` lives here
+        too).
     assembler:
         Override the assembly policy; default a
         :class:`~repro.service.assembler.StreamAssembler` with
@@ -251,7 +255,7 @@ class ControllerService:
             self._stall_active = False
         self._last_max_seen = current
         if (
-            self._stalled_cycles >= self.config.stream_stall_deadline
+            self._stalled_cycles >= STALL_DEADLINE
             and not self._stall_active
         ):
             self._stall_active = True

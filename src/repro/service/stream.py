@@ -105,7 +105,11 @@ class QueueSource(StreamSource):
 
 
 class JsonlReplaySource(StreamSource):
-    """Replay a recorded run from stream-JSONL, one tick batch per poll.
+    """Replay a recorded run from stream-JSONL, one data tick per poll.
+
+    Replay runs as fast as the consumer pulls; each :meth:`poll`
+    delivers the records of the next data tick (plus any tickless
+    record, such as the header, ahead of it).
 
     Parameters
     ----------
@@ -113,17 +117,10 @@ class JsonlReplaySource(StreamSource):
         File written by
         :func:`repro.service.recording.write_stream_jsonl` (or any
         JSONL of wire records).
-    ticks_per_poll:
-        Number of distinct data ticks delivered per :meth:`poll` —
-        replay runs as fast as the consumer pulls; this only controls
-        batch granularity (and therefore how the watermark advances).
     """
 
-    def __init__(self, path: Union[str, Path], ticks_per_poll: int = 1) -> None:
-        if ticks_per_poll < 1:
-            raise ValueError("ticks_per_poll must be >= 1")
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.ticks_per_poll = ticks_per_poll
         self._records = self._load()
         self._cursor = 0
 
@@ -154,14 +151,14 @@ class JsonlReplaySource(StreamSource):
         if self._cursor >= len(self._records):
             return []
         batch: List[dict] = []
-        ticks_seen: set = set()
+        batch_tick = None
         while self._cursor < len(self._records):
             record = self._records[self._cursor]
             tick = record.get("tick")
             if tick is not None:
-                ticks_seen.add(tick)
-                if len(ticks_seen) > self.ticks_per_poll:
+                if batch_tick is not None and tick != batch_tick:
                     break
+                batch_tick = tick
             batch.append(record)
             self._cursor += 1
         return batch

@@ -54,8 +54,8 @@ class StreamQosChannel(QosChannel):
     stream, not the application object, is the reporting path).
     """
 
-    def __init__(self, name: str = "stream") -> None:
-        super().__init__(f"{name}:qos")
+    def __init__(self) -> None:
+        super().__init__("stream:qos")
 
     def ingest(self, tick: int, value: float, threshold: float) -> None:
         """Record one streamed QoS report."""

@@ -509,10 +509,9 @@ class ModelPoisoner:
     beta. Nothing raises — the damage only shows when the model is next
     used, exactly like real silent corruption.
 
-    Registered as a middleware *after* the controller; poisons on
-    period boundaries with a per-period probability that is a pure
-    function of ``(seed, tick)``, so fault scripts are identical across
-    policy variants.
+    Registered as a middleware *after* the controller; poisons with a
+    per-period probability that is a pure function of ``(seed, tick)``,
+    so fault scripts are identical across policy variants.
 
     Parameters
     ----------
@@ -554,8 +553,6 @@ class ModelPoisoner:
 
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
         tick = snapshot.tick
-        if tick % self.controller.config.period != 0:
-            return
         rng = np.random.default_rng([self.seed, tick])
         if rng.uniform() >= self.probability:
             return
@@ -629,8 +626,7 @@ class InvariantBreach:
 class InvariantChecker:
     """Assert per-tick controller/host consistency; record breaches.
 
-    Registered *after* the controller, it verifies on every controller
-    period that:
+    Registered *after* the controller, it verifies every period that:
 
     * throttle bookkeeping matches container states — every container
       the manager believes paused is actually not running (or has a
@@ -654,9 +650,6 @@ class InvariantChecker:
 
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
         controller = self.controller
-        period = getattr(controller.config, "period", 1)
-        if snapshot.tick % period != 0:
-            return
         tick = snapshot.tick
         throttle = controller.throttle
 

@@ -19,6 +19,10 @@ import numpy as np
 
 from repro.trajectory.sampling import TrajectoryModel
 
+#: Steps each mode's step/angle histograms remember (sliding window).
+MODEL_WINDOW = 400
+#: Histogram bins per step/angle pdf.
+MODEL_BINS = 16
 
 class ExecutionMode(enum.Enum):
     """The paper's four execution modes."""
@@ -53,9 +57,10 @@ class ModeModelBank:
     pollute a mode's step distributions.
     """
 
-    def __init__(self, window: int = 400, bins: int = 16) -> None:
+    def __init__(self) -> None:
         self.models: Dict[ExecutionMode, TrajectoryModel] = {
-            mode: TrajectoryModel(window=window, bins=bins) for mode in ExecutionMode
+            mode: TrajectoryModel(window=MODEL_WINDOW, bins=MODEL_BINS)
+            for mode in ExecutionMode
         }
         self._current_mode: Optional[ExecutionMode] = None
         self.mode_switches = 0

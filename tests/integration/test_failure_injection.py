@@ -154,7 +154,7 @@ class TestCompoundFailures:
         spike in one run: the controller must degrade during the outage,
         resynchronize afterwards, and finish with a consistent summary."""
         host, sensitive, bomb = contended()
-        config = StayAwayConfig(seed=11, monitoring_deadline=10, resync_periods=3)
+        config = StayAwayConfig(seed=11)
         controller = StayAway(sensitive, config=config)
 
         spiker = DemandSpiker(sensitive, windows=[(40, 50)], factor=1.5)

@@ -113,7 +113,7 @@ class TestHistogramPoisonHealedNextPeriod:
         healed = [
             event.tick for event in controller.events.of_kind(EventKind.MODEL_ROLLBACK)
         ]
-        assert healed == [tick + controller.config.period for tick in fired]
+        assert healed == [tick + 1 for tick in fired]
         assert controller.watchdog.violations == len(fired)
         assert controller.events.count(EventKind.FIREWALL_CATCH) == 0
         assert all(

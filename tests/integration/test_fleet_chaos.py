@@ -114,6 +114,7 @@ class _OutageController:
 
     def __init__(self, controller, start, end):
         self.controller = controller
+        self.qos = controller.qos  # in-process: the host-local channel too
         self.start = start
         self.end = end
 

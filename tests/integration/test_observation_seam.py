@@ -108,7 +108,7 @@ class StreamPort:
 
     def __init__(self):
         self.actuator = SwitchedActuator()
-        self.tracker = AckTracker(self.actuator, ack_timeout=1, max_retries=1)
+        self.tracker = AckTracker(self.actuator)
         self.tick = 0
         self.view = HostView(
             HEADER, object(), submit=lambda verb, name: self.tracker.submit(self.tick, verb, name)

@@ -45,8 +45,12 @@ from repro.service import (
     SimHostActuator,
     StreamRecorder,
 )
+from repro.sim.cluster import Cluster
+from repro.sim.container import Container
 from repro.sim.faults import HostCrashInjector, TelemetryBlackout
+from repro.sim.host import Host
 from repro.service.recording import write_stream_jsonl
+from repro.workloads.registry import make_workload
 
 
 def service_config(**overrides):
@@ -196,7 +200,7 @@ class TestChaosArms:
                 seed=5, drop=0.0, reorder=0.0, duplicate=0.0,
                 stall_windows=((100, 140),),
             ),
-            config=service_config(stream_stall_deadline=10),
+            config=service_config(),
         )
         census = drill.service.summary()["telemetry"]["stream"]
         assert census["stall_degrades"] >= 1
@@ -309,3 +313,50 @@ class TestFleetStreamCells:
             # Migration-departed containers retire instead of being
             # imputed as ghosts for the rest of the run.
             assert census["imputed"] <= 8 * 5 * (census["cells_retired"] + 1)
+
+
+class TestDegradedStreamCell:
+    def test_fallback_reads_the_apps_live_qos(self):
+        """A stream cell whose bridge fails falls back to reactive
+        control, which must see the app's QoS as it is now: the stream
+        channel stays frozen at the last report the bridge carried."""
+        host = Host()
+        app = make_workload("vlc-streaming", seed=3)
+        bomb = make_workload("cpubomb", seed=4)
+        host.add_container(Container(name=app.name, app=app, sensitive=True))
+        host.add_container(Container(name=bomb.name, app=bomb))
+        cluster = Cluster(hosts={"h0": host})
+        config = service_config()
+
+        class FailingBridge(SimStreamBridge):
+            def on_tick(self, snapshot, host):
+                if snapshot.tick >= 150:
+                    raise RuntimeError("bridge down")
+                super().on_tick(snapshot, host)
+
+        def stream_cell(host_name, sensitive_app):
+            queue = QueueSource()
+            service = ControllerService(
+                queue, actuator=SimHostActuator(cluster.hosts[host_name]), config=config
+            )
+            service.start()
+            return FailingBridge(service, queue, sensitive_app=sensitive_app)
+
+        coordinator = FleetCoordinator(
+            {"h0": app}, config=config, migrate=False, controller_factory=stream_cell
+        )
+        cluster.add_middleware(coordinator)
+        degraded = disagreements = bomb_paused = 0
+        for _ in range(600):
+            cluster.step()
+            cell = coordinator.cells["h0"]
+            if not cell.degraded:
+                continue
+            degraded += 1
+            report = app.qos_report()
+            live = report is not None and report.violated
+            disagreements += cell.violation_now != live
+            bomb_paused += host.containers[bomb.name].is_paused
+        assert degraded == 450
+        assert disagreements == 0
+        assert bomb_paused > 0

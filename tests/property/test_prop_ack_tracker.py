@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from repro.service.actuator import (
     AckTracker,
+    ACK_BACKOFF,
+    ACK_TIMEOUT,
+    MAX_RETRIES,
     Actuator,
     ActuatorCommand,
     CommandStatus,
@@ -130,25 +133,17 @@ def fingerprint(command):
     operations=OPERATIONS,
     seed=st.integers(min_value=0, max_value=2**16),
     ack_probability=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-    ack_timeout=st.integers(min_value=1, max_value=3),
-    max_retries=st.integers(min_value=0, max_value=3),
-    backoff=st.integers(min_value=1, max_value=2),
 )
-def test_tracker_matches_list_scan_oracle(
-    operations, seed, ack_probability, ack_timeout, max_retries, backoff
-):
+def test_tracker_matches_list_scan_oracle(operations, seed, ack_probability):
     dead_lettered = []
     tracker = AckTracker(
         LossyActuator(seed, ack_probability),
-        ack_timeout=ack_timeout,
-        max_retries=max_retries,
-        backoff=backoff,
         on_dead_letter=lambda command, tick: dead_lettered.append(
             (command.command_id, tick)
         ),
     )
     oracle = ListScanTracker(
-        LossyActuator(seed, ack_probability), ack_timeout, max_retries, backoff
+        LossyActuator(seed, ack_probability), ACK_TIMEOUT, MAX_RETRIES, ACK_BACKOFF
     )
     tick = 0
     submitted = []  # what ``submit`` handed back, in issue order

@@ -18,22 +18,23 @@ from repro.monitoring.guard import RejectReason
 
 
 class ReferenceGuard:
-    """``SensorGuard`` as the parent implemented it (verdicts as tuples)."""
+    """``SensorGuard`` as the parent implemented it (verdicts as tuples).
+
+    Its frozen-counter check, off by default there, went with
+    ``RejectReason.FROZEN``; the other predicates are verbatim.
+    """
 
     def __init__(
         self,
         plausible_max: Optional[np.ndarray] = None,
         staleness_budget: int = 8,
-        freeze_patience: int = 0,
     ) -> None:
         self.plausible_max = (
             None if plausible_max is None else np.asarray(plausible_max, dtype=float)
         )
         self.staleness_budget = staleness_budget
-        self.freeze_patience = freeze_patience
         self._last_good: Optional[np.ndarray] = None
         self._stale: int = 0
-        self._repeat_run: int = 0
 
     def _check(self, values: np.ndarray) -> List[RejectReason]:
         reasons: List[RejectReason] = []
@@ -44,14 +45,6 @@ class ReferenceGuard:
                 reasons.append(RejectReason.NEGATIVE)
             if self.plausible_max is not None and np.any(values > self.plausible_max):
                 reasons.append(RejectReason.IMPLAUSIBLE_SPIKE)
-        if (
-            self.freeze_patience > 0
-            and self._last_good is not None
-            and values.shape == self._last_good.shape
-            and np.array_equal(values, self._last_good)
-            and self._repeat_run >= self.freeze_patience
-        ):
-            reasons.append(RejectReason.FROZEN)
         return reasons
 
     def inspect(
@@ -62,10 +55,6 @@ class ReferenceGuard:
         reasons = self._check(values)
 
         if not reasons:
-            if self._last_good is not None and np.array_equal(values, self._last_good):
-                self._repeat_run += 1
-            else:
-                self._repeat_run = 0
             self._last_good = values.copy()
             self._stale = 0
             return True, False, (), 0, values

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.action import ThrottleManager
+from repro.core.action import RESUME_GRACE, ThrottleManager
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
 from repro.sim.container import Container
@@ -123,7 +123,7 @@ class TestResume:
 
 class TestBetaLearning:
     def test_premature_resume_increments_beta(self):
-        config = StayAwayConfig(resume_grace=5)
+        config = StayAwayConfig()
         host, manager, events = build(config)
         initial_beta = manager.beta
         manager.step(0, observed(host), host, True, False, None)         # throttle
@@ -135,11 +135,11 @@ class TestBetaLearning:
         assert events.count(EventKind.BETA_INCREMENT) == 1
 
     def test_late_rethrottle_does_not_increment(self):
-        config = StayAwayConfig(resume_grace=3)
+        config = StayAwayConfig()
         host, manager, _ = build(config)
         manager.step(0, observed(host), host, True, False, None)
         manager.step(1, observed(host), host, False, False, 0.05)  # resume
-        manager.step(10, observed(host), host, True, False, None)  # outside grace window
+        manager.step(1 + RESUME_GRACE + 1, observed(host), host, True, False, None)  # outside grace window
         assert manager.beta == config.beta_initial
 
     def test_probe_resume_does_not_increment_beta(self):

@@ -10,6 +10,7 @@ idempotently so redelivered commands are harmless.
 import pytest
 
 from repro.service.actuator import (
+    MAX_RETRIES,
     AckTracker,
     Actuator,
     ActuatorCommand,
@@ -44,12 +45,6 @@ class FlakyActuator(Actuator):
 class TestAckTracker:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AckTracker(NullActuator(), ack_timeout=0)
-        with pytest.raises(ValueError):
-            AckTracker(NullActuator(), max_retries=-1)
-        with pytest.raises(ValueError):
-            AckTracker(NullActuator(), backoff=0)
-        with pytest.raises(ValueError):
             AckTracker(NullActuator()).submit(0, "reboot", "c0")
 
     def test_instant_ack_resolves_on_submit(self):
@@ -62,10 +57,10 @@ class TestAckTracker:
 
     def test_missing_ack_retries_with_backoff(self):
         backend = FlakyActuator([None, None, True])
-        tracker = AckTracker(backend, ack_timeout=2, backoff=1, max_retries=3)
+        tracker = AckTracker(backend)
         command = tracker.submit(0, "pause", "c0")
         assert command.pending
-        # attempt 1 at tick 0; next due at 0 + 2 + 1*2**0 = 3
+        # attempt 1 at tick 0; next due at 0 + ACK_TIMEOUT + 1*2**0 = 3
         tracker.step(1)
         tracker.step(2)
         assert command.attempts == 1
@@ -81,17 +76,13 @@ class TestAckTracker:
         dead = []
         backend = FlakyActuator([False] * 10)
         tracker = AckTracker(
-            backend,
-            ack_timeout=1,
-            backoff=1,
-            max_retries=1,
-            on_dead_letter=lambda c, t: dead.append((c.container, t)),
+            backend, on_dead_letter=lambda c, t: dead.append((c.container, t))
         )
         command = tracker.submit(0, "pause", "c0")
         for tick in range(1, 20):
             tracker.step(tick)
         assert command.status is CommandStatus.DEAD_LETTERED
-        assert command.attempts == 2  # initial + max_retries
+        assert command.attempts == 1 + MAX_RETRIES
         assert tracker.dead_letters == [command]
         assert dead and dead[0][0] == "c0"
         assert tracker.summary()["dead_lettered"] == 1
@@ -99,7 +90,7 @@ class TestAckTracker:
 
     def test_newer_command_supersedes_pending_same_container(self):
         backend = FlakyActuator([None, None, None])
-        tracker = AckTracker(backend, ack_timeout=2)
+        tracker = AckTracker(backend)
         pause = tracker.submit(0, "pause", "c0")
         resume = tracker.submit(1, "resume", "c0")
         assert pause.status is CommandStatus.ACKED  # superseded, not retried
@@ -112,7 +103,7 @@ class TestAckTracker:
 
     def test_drain_leaves_nothing_in_limbo(self):
         backend = FlakyActuator([True, None, None, None, None, None])
-        tracker = AckTracker(backend, ack_timeout=2, max_retries=3)
+        tracker = AckTracker(backend)
         acked = tracker.submit(0, "pause", "c0")
         stuck = tracker.submit(0, "pause", "c1")
         tracker.drain(10)
@@ -169,7 +160,7 @@ class TestBackends:
             return True
 
         backend = SimHostActuator(host, ack_filter=ack_filter)
-        tracker = AckTracker(backend, ack_timeout=1, backoff=1)
+        tracker = AckTracker(backend)
         command = tracker.submit(0, "pause", "c0")
         assert host.container("c0").is_paused  # landed despite lost ack
         assert command.pending

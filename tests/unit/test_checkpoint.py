@@ -113,6 +113,64 @@ class TestCorruptionDetection:
             ControllerCheckpoint.load(tmp_path / "absent.ckpt")
 
 
+def _nan_coordinate(payload):
+    payload["state_space"]["coords"][0][0] = float("nan")
+
+
+def _nan_beta(payload):
+    payload["throttle"]["beta"] = float("nan")
+
+
+def _unknown_mode(payload):
+    payload["modes"]["warp"] = payload["modes"].pop("idle")
+
+
+def _short_retry_row(payload):
+    payload["throttle"]["retry"] = {"bomb": [1]}
+
+
+def _missing_throttle(payload):
+    del payload["throttle"]
+
+
+def _unknown_label(payload):
+    payload["state_space"]["labels"][0] = "maybe"
+
+
+class TestEditedPayloadRejected:
+    """A file whose checksum holds is still untrusted: one edited field
+    must fail the load with ``CheckpointError`` and leave the fresh
+    controller exactly as it was."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _nan_coordinate,
+            _nan_beta,
+            _unknown_mode,
+            _short_retry_row,
+            _missing_throttle,
+            _unknown_label,
+        ],
+    )
+    def test_restore_rejects_and_leaves_controller_untouched(self, tmp_path, edit):
+        controller, sensitive, _ = learned_controller()
+        payload = ControllerCheckpoint.capture(controller).payload
+        edit(payload)
+        path = ControllerCheckpoint(payload=payload).save(tmp_path / "state.ckpt")
+        fresh = StayAway(sensitive, config=StayAwayConfig(seed=9))
+        space = fresh.state_space
+        with pytest.raises(CheckpointError):
+            restore_checkpoint(fresh, path)
+        assert fresh.state_space is space and len(space) == 0
+        assert fresh.throttle.beta == fresh.config.beta_initial
+        assert not fresh.throttle.throttling and fresh.throttle._retry == {}
+        assert len(fresh.events) == 0
+        assert all(
+            model.steps_observed == 0 for model in fresh.predictor.modes.models.values()
+        )
+
+
 class TestStaleTmpCleanup:
     def test_cleanup_removes_crash_debris(self, tmp_path):
         path = tmp_path / "state.ckpt"

@@ -56,14 +56,14 @@ class TestAggregatedCollection:
 
     def test_vm_blocks_are_sensitive_plus_logical_batch(self):
         host = build_host()
-        collector = MetricsCollector(aggregate_batch=True)
+        collector = MetricsCollector()
         collector.on_tick(host.observe(host.step()))
         assert collector.vm_names == ("sens", BATCH_LOGICAL_VM)
         assert collector.dimension == 10
 
     def test_batch_usage_is_summed(self):
         host = build_host(batch_count=2)
-        collector = MetricsCollector(aggregate_batch=True)
+        collector = MetricsCollector()
         collector.on_tick(host.observe(host.step()))
         sample = collector.latest
         assert reading(sample, "batch:cpu") == pytest.approx(1.0)  # 2 x 0.5
@@ -100,12 +100,3 @@ class TestAggregatedCollection:
         host.pause_container("batch0")
         collector.on_tick(host.observe(host.step()))
         assert reading(collector.latest, "batch:cpu") == 0.0
-
-
-class TestPerContainerCollection:
-    def test_every_container_gets_a_block(self):
-        host = build_host(batch_count=2)
-        collector = MetricsCollector(aggregate_batch=False)
-        collector.on_tick(host.observe(host.step()))
-        assert collector.vm_names == ("sens", "batch0", "batch1")
-        assert collector.dimension == 15

@@ -15,7 +15,7 @@ class TestAggregatedChurn:
         host = Host()
         sensitive = SensitiveStub(demand_vector=ResourceVector(cpu=1.0))
         host.add_container(Container(name="sens", app=sensitive, sensitive=True))
-        collector = MetricsCollector(aggregate_batch=True)
+        collector = MetricsCollector()
         collector.on_tick(host.observe(host.step()))
         assert reading(collector.latest, "batch:cpu") == 0.0
 
@@ -33,27 +33,8 @@ class TestAggregatedChurn:
         batch = ConstantApp(name="b", demand_vector=ResourceVector(cpu=0.5))
         host.add_container(Container(name="sens", app=sensitive, sensitive=True))
         host.add_container(Container(name="b", app=batch))
-        collector = MetricsCollector(aggregate_batch=True)
+        collector = MetricsCollector()
         collector.on_tick(host.observe(host.step()))
         host.containers.pop("b")
         collector.on_tick(host.observe(host.step()))
         assert reading(collector.latest, "batch:cpu") == 0.0
-
-
-class TestPerContainerChurn:
-    def test_layout_fixed_at_first_tick(self):
-        host = Host()
-        sensitive = SensitiveStub(demand_vector=ResourceVector(cpu=1.0))
-        host.add_container(Container(name="sens", app=sensitive, sensitive=True))
-        collector = MetricsCollector(aggregate_batch=False)
-        collector.on_tick(host.observe(host.step()))
-        dims_before = collector.dimension
-
-        late = ConstantApp(name="late", demand_vector=ResourceVector(cpu=0.7))
-        host.add_container(Container(name="late", app=late))
-        collector.on_tick(host.observe(host.step()))
-        # Documented limitation: late containers are not monitored in
-        # per-container mode, but the collector must not crash or
-        # change shape.
-        assert collector.dimension == dims_before
-        assert "late:cpu" not in collector.labels

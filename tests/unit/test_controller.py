@@ -64,14 +64,6 @@ class TestControllerBasics:
         assert modes[0] is ExecutionMode.SENSITIVE_ONLY
         assert ExecutionMode.COLOCATED in modes
 
-    def test_period_gates_controller(self):
-        host, sensitive, _ = contended_setup()
-        controller = StayAway(sensitive, config=StayAwayConfig(period=5))
-        SimulationEngine(host, [controller]).run(ticks=20)
-        assert len(controller.trajectory) == 4  # ticks 0,5,10,15
-        # Monitoring still happens every tick.
-        assert len(controller.collector.samples) == 20
-
 
 class TestControlBehaviour:
     def test_throttles_under_contention(self):

@@ -12,6 +12,8 @@ from repro.fleet import (
     MigrationState,
     MigrationSupervisor,
 )
+from repro.fleet.migration import ATTEMPT_TIMEOUT, MAX_CONCURRENT, RETRIES, RETRY_BACKOFF
+from repro.fleet.scoring import SMOOTHING
 from repro.sim.cluster import MIGRATION_IN_FLIGHT, Cluster
 from repro.sim.container import Container
 from repro.sim.resources import ResourceVector
@@ -44,7 +46,7 @@ def add_app(cluster, host, name, memory=1000.0, cpu=1.0):
 
 class TestInterferenceScorer:
     def test_weights_sum_and_clamp(self):
-        scorer = InterferenceScorer(smoothing=1.0)
+        scorer = InterferenceScorer()  # a host's first score is unsmoothed
         score = scorer.observe("h", predicted=2.0, violated=True,
                                utilization=5.0, tick=0)
         assert score.predicted == 1.0
@@ -52,16 +54,12 @@ class TestInterferenceScorer:
         assert score.total == pytest.approx(1.0)
 
     def test_ewma_smoothing(self):
-        scorer = InterferenceScorer(smoothing=0.5)
+        scorer = InterferenceScorer()
         scorer.observe("h", 1.0, True, 1.0, tick=0)
         second = scorer.observe("h", 0.0, False, 0.0, tick=1)
-        assert second.predicted == pytest.approx(0.5)
-        assert second.qos == pytest.approx(0.5)
-        assert second.total == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InterferenceScorer(smoothing=0.0)
+        assert second.predicted == pytest.approx(1 - SMOOTHING)
+        assert second.qos == pytest.approx(1 - SMOOTHING)
+        assert second.total == pytest.approx(1 - SMOOTHING)
 
 
 class TestMigrationSupervisor:
@@ -69,7 +67,7 @@ class TestMigrationSupervisor:
         cluster = make_cluster()
         add_app(cluster, "h0", "job")
         cluster.step()
-        supervisor = MigrationSupervisor(cluster, timeout=10)
+        supervisor = MigrationSupervisor(cluster)
         migration = supervisor.request(1, "job", "h1")
         assert migration is not None
         assert migration.state == MigrationState.PREPARE
@@ -88,7 +86,7 @@ class TestMigrationSupervisor:
         add_app(cluster, "h0", "job")
         cluster.step()
         cluster.host("h0").container("job").pause()
-        supervisor = MigrationSupervisor(cluster, timeout=10)
+        supervisor = MigrationSupervisor(cluster)
         supervisor.request(1, "job", "h1")
         for _ in range(6):
             supervisor.poll(cluster.clock.tick)
@@ -99,7 +97,7 @@ class TestMigrationSupervisor:
         cluster = make_cluster()
         add_app(cluster, "h0", "job", memory=2000.0)  # 4-tick copy
         cluster.step()
-        supervisor = MigrationSupervisor(cluster, timeout=20, retries=1, backoff=2)
+        supervisor = MigrationSupervisor(cluster)
         migration = supervisor.request(1, "job", "h1")
         supervisor.poll(1)  # starts the copy
         assert migration.state == MigrationState.COPY
@@ -107,10 +105,14 @@ class TestMigrationSupervisor:
         supervisor.poll(2)  # destination dead: cancel -> bounce -> retry
         assert migration.state == MigrationState.PREPARE
         assert migration.attempts == 1
+        assert migration.next_attempt_tick == 2 + RETRY_BACKOFF
         assert cluster.locate("job").host == "h0"
-        # Destination stays dead; the retry start is refused, and with
+        # Destination stays dead; every retry start is refused, and with
         # retries exhausted the migration rolls back for good.
-        supervisor.poll(migration.next_attempt_tick)
+        for _ in range(RETRIES):
+            assert migration.state == MigrationState.PREPARE
+            supervisor.poll(migration.next_attempt_tick)
+        assert migration.attempts == 1 + RETRIES
         assert migration.state == MigrationState.ROLLBACK
         assert cluster.locate("job").host == "h0"
         assert supervisor.summary()["rolled_back"] == 1
@@ -120,14 +122,14 @@ class TestMigrationSupervisor:
         cluster = make_cluster()
         add_app(cluster, "h0", "job", memory=50_000.0)  # 100-tick copy
         cluster.step()
-        supervisor = MigrationSupervisor(cluster, timeout=3, retries=0)
+        supervisor = MigrationSupervisor(cluster)
         migration = supervisor.request(1, "job", "h1")
         supervisor.poll(1)
         assert migration.state == MigrationState.COPY
-        supervisor.poll(3)  # not yet: 3 - 1 < 3
+        supervisor.poll(ATTEMPT_TIMEOUT)  # not yet: 40 - 1 < 40
         assert migration.state == MigrationState.COPY
-        supervisor.poll(4)
-        assert migration.state == MigrationState.ROLLBACK
+        supervisor.poll(1 + ATTEMPT_TIMEOUT)
+        assert migration.state == MigrationState.PREPARE  # cancelled, retry due
         assert supervisor.timeout_count == 1
         assert cluster.locate("job").host == "h0"
         assert migration.records[-1].outcome == "bounced"
@@ -168,7 +170,7 @@ class TestMigrationSupervisor:
         cluster = make_cluster()
         add_app(cluster, "h0", "job", memory=2000.0)
         cluster.step()
-        supervisor = MigrationSupervisor(cluster, timeout=20)
+        supervisor = MigrationSupervisor(cluster)
         migration = supervisor.request(1, "job", "h1")
         supervisor.poll(1)
         cluster.fail_host("h1")
@@ -180,15 +182,16 @@ class TestMigrationSupervisor:
 
     def test_concurrency_cap_and_duplicate_refusal(self):
         cluster = make_cluster(n=4)
-        for i in range(3):
-            add_app(cluster, "h0", f"job-{i}")
+        for i in range(MAX_CONCURRENT + 1):
+            add_app(cluster, "h0", f"job-{i}", memory=500.0)
         cluster.step()
-        supervisor = MigrationSupervisor(cluster, max_concurrent=2)
+        supervisor = MigrationSupervisor(cluster)
         assert supervisor.request(1, "job-0", "h1") is not None
         assert supervisor.request(1, "job-0", "h2") is None  # duplicate
-        assert supervisor.request(1, "job-1", "h1") is not None
-        assert supervisor.request(1, "job-2", "h1") is None  # cap
-        assert supervisor.summary()["requested"] == 2
+        for i in range(1, MAX_CONCURRENT):
+            assert supervisor.request(1, f"job-{i}", "h1") is not None
+        assert supervisor.request(1, f"job-{MAX_CONCURRENT}", "h1") is None  # cap
+        assert supervisor.summary()["requested"] == MAX_CONCURRENT
 
     def test_request_refuses_unlocatable_or_same_host(self):
         cluster = make_cluster()
@@ -197,17 +200,6 @@ class TestMigrationSupervisor:
         supervisor = MigrationSupervisor(cluster)
         assert supervisor.request(1, "ghost", "h1") is None
         assert supervisor.request(1, "job", "h0") is None
-
-    def test_validation(self):
-        cluster = make_cluster()
-        with pytest.raises(ValueError):
-            MigrationSupervisor(cluster, timeout=0)
-        with pytest.raises(ValueError):
-            MigrationSupervisor(cluster, retries=-1)
-        with pytest.raises(ValueError):
-            MigrationSupervisor(cluster, backoff=0)
-        with pytest.raises(ValueError):
-            MigrationSupervisor(cluster, max_concurrent=0)
 
 
 class CrashingController:
@@ -223,16 +215,8 @@ class CrashingController:
         raise RuntimeError("poisoned controller")
 
 
-def make_cell(controller, error_budget=2, cooldown=5):
-    breaker = CircuitBreaker(
-        stage="cell:test",
-        events=EventLog(),
-        error_budget=error_budget,
-        window_ticks=50,
-        cooldown_ticks=cooldown,
-        probes=1,
-    )
-    return HostControllerCell("h0", controller, breaker, fallback_resume_after=3)
+def make_cell(controller):
+    return HostControllerCell("h0", controller, CircuitBreaker("cell:test", EventLog()))
 
 
 class TestHostControllerCell:
@@ -251,9 +235,9 @@ class TestHostControllerCell:
         for _ in range(10):
             snapshot = cluster.step()["h0"]
             cell.observe(snapshot, cluster.host("h0"))  # must not raise
-        # Error budget (2) plus at most one half-open probe per cooldown;
-        # the breaker kept the poisoned controller from running every tick.
-        assert 2 <= cell.crashes < 10
+        # The error budget (3) trips the breaker, whose cooldown (15)
+        # keeps the poisoned controller from running every tick.
+        assert cell.crashes == 3
         assert cell.degraded
         assert cell.breaker.state is BreakerState.OPEN
         assert cell.predicted_risk() == 0.0
@@ -273,7 +257,7 @@ class TestHostControllerCell:
         assert bomb.is_paused
         # With the bomb paused the violation clears; after the clean
         # streak the fallback resumes it.
-        for _ in range(20):
+        for _ in range(30):
             snapshot = cluster.step()["h0"]
             cell.observe(snapshot, cluster.host("h0"))
             if bomb.is_running:
@@ -351,22 +335,6 @@ class TestFleetCoordinator:
         assert not coordinator.cells["h1"].degraded
         summary = coordinator.summary()["fleet"]
         assert summary["controllers"]["degraded"] == ["h0"]
-
-    def test_cell_breaker_window_and_cooldown_scale_with_period(self):
-        # breaker_window / breaker_cooldown are documented in *periods*;
-        # the cell breakers must convert to ticks like the stage
-        # breakers do (regression: they were used as raw ticks).
-        cluster, sensitive = self.build_fleet()
-        config = StayAwayConfig(
-            telemetry=False, period=2, breaker_window=7, breaker_cooldown=4
-        )
-        coordinator = FleetCoordinator(sensitive, config=config)
-        cluster.add_middleware(coordinator)
-        cluster.step()
-        for cell in coordinator.cells.values():
-            stage = cell.controller.breakers.get("map")
-            assert cell.breaker.window_ticks == stage.window_ticks == 14
-            assert cell.breaker.cooldown_ticks == stage.cooldown_ticks == 8
 
     def test_unknown_sensitive_host_rejected(self):
         cluster, _ = self.build_fleet()

@@ -11,6 +11,7 @@ from repro.core.events import EventKind
 from repro.core import state_space as state_space_module
 from repro.core.model_health import (
     MIN_STATES_FOR_STRESS,
+    SNAPSHOT_INTERVAL,
     STRESS_DIVERGENCE,
     ModelHealthWatchdog,
 )
@@ -193,12 +194,12 @@ class TestHeal:
 
 class TestSnapshots:
     def test_snapshot_respects_interval(self):
-        controller = learned_controller(snapshot_interval=50)
+        controller = learned_controller()
         watchdog = fresh_watchdog(controller)
-        period = controller.config.period
         assert watchdog.maybe_snapshot(100, controller)
-        assert not watchdog.maybe_snapshot(100 + period, controller)
-        assert watchdog.maybe_snapshot(100 + 50 * period, controller)
+        assert not watchdog.maybe_snapshot(101, controller)
+        assert not watchdog.maybe_snapshot(100 + SNAPSHOT_INTERVAL - 1, controller)
+        assert watchdog.maybe_snapshot(100 + SNAPSHOT_INTERVAL, controller)
         assert controller.events.count(EventKind.MODEL_SNAPSHOT) == 2
 
     def test_check_and_heal_snapshots_only_clean_models(self):
@@ -403,13 +404,13 @@ class TestHealInvalidatesThePendingForecast:
         controller.watchdog.heal = recording_heal
         SimulationEngine(built.host, [controller, poisoner]).run(ticks=ticks)
 
-        period = controller.config.period
         settled = {record.tick for record in controller.predictor.accuracy_records}
         rewritten = [t for t, acts in healed.items() if {"rollback", "reset"} & set(acts)]
         dropped_rows = [t for t, acts in healed.items() if acts == ["quarantine"]]
         assert len(poisoner.fired) > 30 and len(rewritten) >= 5 and dropped_rows
-        assert not [t for t in rewritten if t - period in settled]
+        # The forecast made one period (tick) before a rewrite never settles.
+        assert not [t for t in rewritten if t - 1 in settled]
         # A quarantine keeps every surviving coordinate where it was:
         # the forecast stays armed and is scored as usual.
-        assert [t for t in dropped_rows if t - period in settled]
+        assert [t for t in dropped_rows if t - 1 in settled]
         assert controller.summary()["telemetry"]["containment"]["firewall_catches"] == 0

@@ -42,7 +42,7 @@ class TestReadiness:
         assert prediction.expected_position is None
 
     def test_ready_after_min_steps(self):
-        config = StayAwayConfig(min_steps_for_prediction=3)
+        config = StayAwayConfig()
         predictor = Predictor(config)
         space = make_space_with_violation()
         feed_straight_walk(
@@ -151,8 +151,8 @@ class FixedVoteSpace:
         return self.votes
 
 
-def ready_predictor(majority, n_samples=5):
-    config = StayAwayConfig(majority=majority, n_samples=n_samples, seed=1)
+def ready_predictor(n_samples=5):
+    config = StayAwayConfig(n_samples=n_samples, seed=1)
     predictor = Predictor(config)
     space = make_space_with_violation()
     feed_straight_walk(
@@ -163,47 +163,30 @@ def ready_predictor(majority, n_samples=5):
 
 
 class TestVoteThreshold:
-    """Regression: the strict ``votes > majority * n_samples`` test made
-    unanimity (majority=1.0) unsatisfiable — with 5 samples it demanded
-    more than 5 votes. The ceil-based threshold keeps every configured
-    majority reachable."""
+    """A violation is flagged when "a majority of the generated sample
+    set" votes: ``(n_samples + 1) // 2`` votes, the ceiling of half."""
 
     @pytest.mark.parametrize(
-        "majority,n_samples,expected",
-        [
-            (0.5, 5, 3),
-            (0.6, 5, 3),
-            (1.0, 5, 5),
-            (0.5, 4, 2),
-            (1.0, 1, 1),
-            (0.01, 5, 1),
-        ],
+        "n_samples,needed", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (8, 4), (15, 8)]
     )
-    def test_config_vote_threshold(self, majority, n_samples, expected):
-        config = StayAwayConfig(majority=majority, n_samples=n_samples)
-        assert config.vote_threshold() == expected
-
-    @pytest.mark.parametrize("majority", [0.5, 0.6, 1.0])
-    def test_flag_exactly_at_threshold(self, majority):
-        predictor = ready_predictor(majority)
-        threshold = predictor.config.vote_threshold()
+    def test_flag_exactly_at_majority(self, n_samples, needed):
+        predictor = ready_predictor(n_samples)
         below = predictor.predict(
-            100, ExecutionMode.COLOCATED, np.zeros(2), FixedVoteSpace(threshold - 1)
+            100, ExecutionMode.COLOCATED, np.zeros(2), FixedVoteSpace(needed - 1)
         )
         assert not below.impending_violation
         at = predictor.predict(
-            101, ExecutionMode.COLOCATED, np.zeros(2), FixedVoteSpace(threshold)
+            101, ExecutionMode.COLOCATED, np.zeros(2), FixedVoteSpace(needed)
         )
         assert at.impending_violation
 
-    def test_unanimity_is_reachable(self):
-        predictor = ready_predictor(majority=1.0, n_samples=5)
-        prediction = predictor.predict(
-            100, ExecutionMode.COLOCATED, np.zeros(2), FixedVoteSpace(5)
-        )
-        assert prediction.impending_violation
-
     def test_default_majority_unchanged(self):
-        # The paper's configuration (majority of 5 samples) still needs
-        # 3 votes, exactly as the strict comparison did.
-        assert StayAwayConfig().vote_threshold() == 3
+        # The paper's configuration (majority of 5 samples) needs 3 votes.
+        predictor = ready_predictor()
+        flags = [
+            predictor.predict(
+                100 + votes, ExecutionMode.COLOCATED, np.zeros(2), FixedVoteSpace(votes)
+            ).impending_violation
+            for votes in range(6)
+        ]
+        assert flags == [False, False, False, True, True, True]

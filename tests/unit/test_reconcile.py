@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.action import ThrottleManager
+from repro.core.action import ESCALATION_THRESHOLD, RETRY_BACKOFF_CAP, ThrottleManager
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
 from repro.sim.container import Container
@@ -83,8 +83,7 @@ class TestReconcileDrop:
 
 class TestRetryBackoffAndEscalation:
     def test_failed_repause_retries_with_backoff(self):
-        config = StayAwayConfig(action_escalation_threshold=2, action_backoff_cap=4)
-        host, manager, events = throttled_setup(config=config)
+        host, manager, events = throttled_setup()
         injector = ActuatorFaultInjector(host, probability=1.0).install()
         host.container("bomb").resume()
 
@@ -93,20 +92,29 @@ class TestRetryBackoffAndEscalation:
         assert manager.pending_retries == {"bomb": 1}
         # Backoff: next retry is 2 periods away; an immediate tick skips.
         failures, next_tick = manager._retry["bomb"]
-        assert next_tick == 15 + 2 * config.period
+        assert next_tick == 15 + 2
         manager.reconcile(next_tick - 1, observed(host), host)
         assert manager.failed_actions == 1  # still waiting
 
-        manager.reconcile(next_tick, observed(host), host)
-        assert manager.failed_actions == 2
-        assert manager.escalations == 1
+        waits = []
+        while manager.escalations == 0:
+            manager.reconcile(next_tick, observed(host), host)
+            _, later = manager._retry["bomb"]
+            waits.append(later - next_tick)
+            next_tick = later
+        assert manager.failed_actions == ESCALATION_THRESHOLD
         escalations = events.of_kind(EventKind.ACTION_ESCALATION)
         assert len(escalations) == 1
         assert escalations[0].detail["target"] == "bomb"
 
-        # Backoff is capped.
-        _, later = manager._retry["bomb"]
-        assert later - next_tick <= config.action_backoff_cap * config.period
+        # Backoff doubles, then is capped.
+        while len(waits) < 4:
+            manager.reconcile(next_tick, observed(host), host)
+            _, later = manager._retry["bomb"]
+            waits.append(later - next_tick)
+            next_tick = later
+        assert waits == [4, 8, 8, 8]
+        assert max(waits) == RETRY_BACKOFF_CAP
         injector.remove()
 
     def test_recovery_after_actuator_heals(self):

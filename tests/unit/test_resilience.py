@@ -1,16 +1,26 @@
 """Unit tests for the degraded-mode health state machine."""
 
-import pytest
-
 from repro.core.events import EventKind, EventLog
-from repro.core.resilience import ControllerHealth, DegradedModeMachine
+from repro.core.resilience import (
+    MONITORING_DEADLINE,
+    QOS_DEADLINE,
+    RESYNC_PERIODS,
+    ControllerHealth,
+    DegradedModeMachine,
+)
 
 
-def machine(**kwargs):
+def machine():
     events = EventLog()
-    defaults = dict(monitoring_deadline=5, qos_deadline=5, resync_periods=2)
-    defaults.update(kwargs)
-    return DegradedModeMachine(events, **defaults), events
+    return DegradedModeMachine(events), events
+
+
+def degrade(m):
+    """Predictive at 0, an unusable sample at 5 degrades; returns 5."""
+    m.update(0, monitoring_ok=True, qos_fresh=True)
+    m.update(5, monitoring_ok=False, qos_fresh=True)
+    assert not m.predictive
+    return 5
 
 
 class TestHealthyOperation:
@@ -48,11 +58,11 @@ class TestDegradation:
         assert enters[0].detail["reasons"] == ["monitoring-unusable"]
 
     def test_qos_silence_past_deadline_degrades(self):
-        m, events = machine(qos_deadline=5)
+        m, events = machine()
         m.update(0, monitoring_ok=True, qos_fresh=True)
-        m.update(5, monitoring_ok=True, qos_fresh=False)  # within deadline
+        m.update(QOS_DEADLINE, monitoring_ok=True, qos_fresh=False)  # at the deadline
         assert m.predictive
-        m.update(10, monitoring_ok=True, qos_fresh=False)  # past deadline
+        m.update(QOS_DEADLINE + 1, monitoring_ok=True, qos_fresh=False)  # past it
         assert not m.predictive
         assert events.of_kind(EventKind.DEGRADED_ENTER)[0].detail["reasons"] == [
             "qos-silent"
@@ -61,9 +71,9 @@ class TestDegradation:
     def test_controller_invocation_gap_degrades(self):
         """The controller simply not being called (wholesale monitoring
         dropout) counts as monitoring silence."""
-        m, events = machine(monitoring_deadline=5)
+        m, events = machine()
         m.update(0, monitoring_ok=True, qos_fresh=True)
-        m.update(50, monitoring_ok=True, qos_fresh=True)  # 50-tick gap
+        m.update(MONITORING_DEADLINE + 1, monitoring_ok=True, qos_fresh=True)  # a gap
         assert not m.predictive
         reasons = events.of_kind(EventKind.DEGRADED_ENTER)[0].detail["reasons"]
         assert "monitoring-gap" in reasons
@@ -71,48 +81,35 @@ class TestDegradation:
 
 class TestResynchronization:
     def test_single_good_period_is_not_resync(self):
-        m, _ = machine(resync_periods=3)
-        m.update(0, monitoring_ok=True, qos_fresh=True)
-        m.update(5, monitoring_ok=False, qos_fresh=True)
-        m.update(10, monitoring_ok=True, qos_fresh=True)
+        m, _ = machine()
+        tick = degrade(m)
+        m.update(tick + 1, monitoring_ok=True, qos_fresh=True)
         assert not m.predictive
 
     def test_streak_of_healthy_periods_exits_degraded(self):
-        m, events = machine(resync_periods=2)
-        m.update(0, monitoring_ok=True, qos_fresh=True)
-        m.update(5, monitoring_ok=False, qos_fresh=True)
-        m.update(10, monitoring_ok=True, qos_fresh=True)
-        m.update(15, monitoring_ok=True, qos_fresh=True)
+        m, events = machine()
+        tick = degrade(m)
+        for step in range(1, RESYNC_PERIODS):
+            m.update(tick + step, monitoring_ok=True, qos_fresh=True)
+            assert not m.predictive
+        m.update(tick + RESYNC_PERIODS, monitoring_ok=True, qos_fresh=True)
         assert m.predictive
         assert len(events.of_kind(EventKind.DEGRADED_EXIT)) == 1
 
     def test_unhealthy_period_resets_streak(self):
-        m, _ = machine(resync_periods=2)
-        m.update(0, monitoring_ok=True, qos_fresh=True)
-        m.update(5, monitoring_ok=False, qos_fresh=True)
-        m.update(10, monitoring_ok=True, qos_fresh=True)
-        m.update(15, monitoring_ok=False, qos_fresh=True)  # streak broken
-        m.update(20, monitoring_ok=True, qos_fresh=True)
+        m, _ = machine()
+        tick = degrade(m)
+        for step in range(1, RESYNC_PERIODS):
+            m.update(tick + step, monitoring_ok=True, qos_fresh=True)
+        tick += RESYNC_PERIODS
+        m.update(tick, monitoring_ok=False, qos_fresh=True)  # streak broken
+        for step in range(1, RESYNC_PERIODS):
+            m.update(tick + step, monitoring_ok=True, qos_fresh=True)
         assert not m.predictive
 
     def test_degraded_periods_counted(self):
-        m, _ = machine(resync_periods=2)
-        m.update(0, monitoring_ok=True, qos_fresh=True)
-        m.update(5, monitoring_ok=False, qos_fresh=True)
-        m.update(10, monitoring_ok=False, qos_fresh=True)
+        m, _ = machine()
+        tick = degrade(m)
+        m.update(tick + 1, monitoring_ok=False, qos_fresh=True)
         assert m.degraded_periods == 2
         assert m.summary()["state"] == "degraded"
-
-
-class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"monitoring_deadline": 0},
-            {"qos_deadline": 0},
-            {"resync_periods": 0},
-        ],
-    )
-    def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            machine(**kwargs)

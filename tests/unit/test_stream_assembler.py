@@ -17,7 +17,12 @@ from repro.core.config import StayAwayConfig
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream_chaos import record_reference, replay_records
 from repro.service import ControllerService, QueueSource
-from repro.service.assembler import MAX_TICK_JUMP, PassthroughAssembler, StreamAssembler
+from repro.service.assembler import (
+    MAX_TICK_JUMP,
+    RETIRE_AFTER,
+    PassthroughAssembler,
+    StreamAssembler,
+)
 
 
 def sample(tick, container="c0", metrics=None, host="host0"):
@@ -73,8 +78,6 @@ class TestWatermarkClosing:
     def test_validation(self):
         with pytest.raises(ValueError):
             StreamAssembler(watermark=-1)
-        with pytest.raises(ValueError):
-            StreamAssembler(retire_after=-1)
 
     def test_nothing_closes_before_watermark_passes(self):
         assembler = StreamAssembler(watermark=2)
@@ -192,61 +195,63 @@ class TestCellRetirement:
             assembler.offer(sample(tick, container=container))
 
     def test_departed_container_retires_after_streak(self):
-        assembler = StreamAssembler(watermark=0, retire_after=3)
+        assembler = StreamAssembler(watermark=0)
         self.feed(assembler, 0, ["c0", "gone"])
-        for tick in range(1, 6):
+        for tick in range(1, RETIRE_AFTER + 3):
             self.feed(assembler, tick, ["c0"])  # "gone" left the host
         closed = assembler.due()
         summary = assembler.summary()
         assert summary["cells_retired"] == 1  # one metric cell
-        # Misses 1..2 imputed, the 3rd retired the cell.
-        assert summary["imputed"] == 2
+        # The first RETIRE_AFTER - 1 misses are imputed, the next retires.
+        assert summary["imputed"] == RETIRE_AFTER - 1
         # After retirement the closes are complete again.
         assert not closed[-1].partial
-        assert all("gone" not in c.usage for c in closed[3:])
+        assert all("gone" not in c.usage for c in closed[RETIRE_AFTER:])
 
     def test_intermittent_cell_is_not_retired(self):
-        assembler = StreamAssembler(watermark=0, retire_after=3)
-        for tick in range(8):
-            # "flaky" misses every other tick: streak never reaches 3.
+        assembler = StreamAssembler(watermark=0)
+        for tick in range(4 * RETIRE_AFTER):
+            # "flaky" misses every other tick: its streak never passes 1.
             containers = ["c0"] if tick % 2 else ["c0", "flaky"]
             self.feed(assembler, tick, containers)
         assembler.due()
         assert assembler.summary()["cells_retired"] == 0
 
     def test_gap_ticks_do_not_advance_retirement(self):
-        assembler = StreamAssembler(watermark=0, retire_after=2)
+        assembler = StreamAssembler(watermark=0)
         self.feed(assembler, 0, ["c0"])
-        self.feed(assembler, 10, ["c0"])  # 9 gap ticks in between
-        assembler.offer(sample(11))
+        gaps = 2 * RETIRE_AFTER
+        self.feed(assembler, gaps + 1, ["c0"])  # gap ticks in between
+        assembler.offer(sample(gaps + 2))
         assembler.due()
         summary = assembler.summary()
-        assert summary["gap_ticks"] == 9
+        assert summary["gap_ticks"] == gaps
         assert summary["cells_retired"] == 0
 
     def test_retired_container_state_dropped_and_readmitted(self):
-        assembler = StreamAssembler(watermark=0, retire_after=2)
+        assembler = StreamAssembler(watermark=0)
         assembler.offer(HEADER)
         self.feed(assembler, 0, ["c0", "gone"])
         assembler.offer(state(0, "gone"))
-        for tick in range(1, 4):
+        back_at = RETIRE_AFTER + 2
+        for tick in range(1, back_at):
             self.feed(assembler, tick, ["c0"])
         closed = assembler.due()
         assert "gone" not in closed[-1].states
         # The container comes back: its cells re-register.
-        self.feed(assembler, 4, ["c0", "gone"])
-        self.feed(assembler, 5, ["c0", "gone"])
+        self.feed(assembler, back_at, ["c0", "gone"])
+        self.feed(assembler, back_at + 1, ["c0", "gone"])
         back = assembler.due()
-        assert back[0].usage["gone"]["cpu"] == 4.0
+        assert back[0].usage["gone"]["cpu"] == float(back_at)
 
-    def test_zero_disables_retirement(self):
-        assembler = StreamAssembler(watermark=0, retire_after=0)
+    def test_passthrough_never_retires(self):
+        assembler = PassthroughAssembler()
         self.feed(assembler, 0, ["c0", "gone"])
-        for tick in range(1, 30):
+        for tick in range(1, 4 * RETIRE_AFTER):
             self.feed(assembler, tick, ["c0"])
-        closed = assembler.due()
-        assert assembler.summary()["cells_retired"] == 0
-        assert closed[-1].usage["gone"]["cpu"] == 0.0  # imputed forever
+        closed = assembler.due(force=True)
+        assert assembler._c_retired.value == 0
+        assert closed[-1].usage["gone"]["cpu"] == 0.0  # zero-filled forever
 
 
 class TestHeaderAndQos:

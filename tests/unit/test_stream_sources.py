@@ -132,7 +132,7 @@ class TestJsonlReplaySource:
             records.append({"kind": "sample", "tick": tick, "container": "c"})
             records.append({"kind": "qos", "tick": tick, "value": 1.0})
         path = self.write(tmp_path, records)
-        source = JsonlReplaySource(path, ticks_per_poll=1)
+        source = JsonlReplaySource(path)
         first = source.poll()
         # Header rides with the first tick's batch.
         assert [r["kind"] for r in first] == ["header", "sample", "qos"]
@@ -141,18 +141,7 @@ class TestJsonlReplaySource:
         assert source.exhausted
         assert source.poll() == []
 
-    def test_ticks_per_poll_groups_batches(self, tmp_path):
-        records = [
-            {"kind": "sample", "tick": tick, "container": "c"}
-            for tick in range(4)
-        ]
-        source = JsonlReplaySource(self.write(tmp_path, records), ticks_per_poll=2)
-        assert [r["tick"] for r in source.poll()] == [0, 1]
-        assert [r["tick"] for r in source.poll()] == [2, 3]
-
     def test_validation_and_errors(self, tmp_path):
-        with pytest.raises(ValueError):
-            JsonlReplaySource(tmp_path / "x.jsonl", ticks_per_poll=0)
         with pytest.raises(StreamError):
             JsonlReplaySource(tmp_path / "missing.jsonl")
         bad = tmp_path / "bad.jsonl"
