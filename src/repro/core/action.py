@@ -195,7 +195,7 @@ class ThrottleManager:
         Returns the observation with the re-paused containers reading
         paused: what the rest of the period must decide on.
         """
-        if not self.config.reconcile_actions or not self.throttling:
+        if not self.config.resilience or not self.throttling:
             return observation
         states = observation.states()
         repaused: List[str] = []
@@ -274,7 +274,7 @@ class ThrottleManager:
         the bookkeeping honest between reconciliation rounds.
         """
         for name in names:
-            if not actuator.pause(name) and self.config.reconcile_actions:
+            if not actuator.pause(name) and self.config.resilience:
                 self._retry[name] = (0, tick)
         self.throttling = True
         self._c_throttles.inc()

@@ -51,37 +51,38 @@ class StayAwayConfig:
         Disc radius used when ``radius_law == "fixed"``.
     seed:
         RNG seed for candidate sampling and probe decisions.
-    sensor_guard:
-        Validate measurement vectors (NaN/Inf, negative, implausible
-        spikes) and impute rejects by last-good-value hold before they
-        reach the mapping pipeline.
-    degraded_mode:
-        Run the health state machine: fall back to reactive-only
-        throttling while monitoring or QoS is silent past its deadline,
-        resynchronize before trusting predictions again.
-    reconcile_actions:
-        Diff the desired pause-set against actual container states each
-        period and repair drift (external SIGCONT/kills racing the
-        controller), with capped exponential retry backoff.
+    resilience:
+        The three defences against a faulty world, on or off together:
+        the sensor guard (validate measurement vectors — NaN/Inf,
+        negative, implausible spikes — and impute rejects by
+        last-good-value hold before they reach the mapping pipeline),
+        the health state machine (fall back to reactive-only throttling
+        while monitoring or QoS is silent past its deadline,
+        resynchronize before trusting predictions again) and action
+        reconciliation (diff the desired pause-set against actual
+        container states each period and repair drift — external
+        SIGCONT/kills racing the controller — with capped exponential
+        retry backoff). Off is the paper-faithful fragile controller
+        ``benchmarks/bench_robustness_chaos.py`` compares against.
     telemetry:
         Record self-telemetry: per-period trace spans and ``*_seconds``
         stage histograms around Mapping -> Prediction -> Action (see
         :mod:`repro.telemetry`). Counters and gauges stay live either
         way; disabling only removes the clock reads and span records
         (the delta measured by ``benchmarks/bench_perf_overhead.py``).
-    fault_containment:
-        Wrap each controller stage (guard, map, predict, act) in an
-        exception firewall with a per-stage circuit breaker: a stage
-        failure degrades that period instead of crashing the run. Off,
-        a stage exception unwinds ``StayAway.on_tick`` — the behaviour
-        ``benchmarks/bench_robustness_chaos.py`` compares against.
-    model_watchdog:
-        Check learned-state invariants every period (finite
+    containment:
+        The two defences against a faulty controller, on or off
+        together: wrap each stage (guard, map, predict, act) in an
+        exception firewall with a per-stage circuit breaker, so a stage
+        failure degrades that period instead of crashing the run; and
+        check learned-state invariants every period (finite
         coordinates/representatives, sane violation-range geometry,
         finite step histograms, positive finite beta, stress
-        non-divergence) and heal violations by geometry rebuild,
+        non-divergence), healing violations by geometry rebuild,
         representative quarantine or rollback to the last-known-good
-        snapshot.
+        snapshot. Off, a stage exception unwinds ``StayAway.on_tick``
+        and poisoned state persists — the uncontained arm of
+        ``benchmarks/bench_robustness_chaos.py``.
     stream_watermark:
         Ticks of reorder slack in the streaming service's
         :class:`~repro.service.assembler.StreamAssembler`: tick ``t``
@@ -100,12 +101,9 @@ class StayAwayConfig:
     radius_law: str = "rayleigh"
     fixed_radius: float = 0.05
     seed: int = 0
-    sensor_guard: bool = True
-    degraded_mode: bool = True
-    reconcile_actions: bool = True
+    resilience: bool = True
     telemetry: bool = True
-    fault_containment: bool = True
-    model_watchdog: bool = True
+    containment: bool = True
     stream_watermark: int = 2
 
     def __post_init__(self) -> None:

@@ -162,13 +162,12 @@ class StayAway:
             self.throttle.beta = template.beta
         self.guard: Optional[SensorGuard] = None
         self.health: Optional[DegradedModeMachine] = None
-        if self.config.degraded_mode:
+        if self.config.resilience:
             self.health = DegradedModeMachine(self.events)
         self.breakers: Optional[BreakerBank] = None
-        if self.config.fault_containment:
-            self.breakers = BreakerBank(self.events, registry=self.telemetry.registry)
         self.watchdog: Optional[ModelHealthWatchdog] = None
-        if self.config.model_watchdog:
+        if self.config.containment:
+            self.breakers = BreakerBank(self.events, registry=self.telemetry.registry)
             self.watchdog = ModelHealthWatchdog(
                 self.config, self.events, telemetry=self.telemetry
             )
@@ -220,7 +219,7 @@ class StayAway:
             self.mapping = MappingPipeline(
                 normalizer, self.state_space, telemetry=self.telemetry
             )
-            if self.config.sensor_guard and self.guard is None:
+            if self.config.resilience and self.guard is None:
                 self.guard = SensorGuard(
                     plausible_max=normalizer.scale * PLAUSIBILITY_FACTOR,
                     registry=self.telemetry.registry,

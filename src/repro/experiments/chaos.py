@@ -16,9 +16,8 @@ seeded fault script down two or three arms: each arm is a
 The headline comparison (:func:`run_chaos_comparison`, used by
 ``benchmarks/bench_robustness_chaos.py``) runs the identical fault
 script twice: once with the resilience layer on (default config) and
-once with it off (``sensor_guard=False``, ``degraded_mode=False``,
-``reconcile_actions=False``). Same seeds, same faults — any difference
-in violation ratio is attributable to the resilience layer.
+once with it off (``resilience=False``). Same seeds, same faults — any
+difference in violation ratio is attributable to the resilience layer.
 """
 
 from __future__ import annotations
@@ -302,9 +301,7 @@ class ChaosResult(DrillResult):
 def unguarded_config(config: Optional[StayAwayConfig] = None) -> StayAwayConfig:
     """The same controller with the entire resilience layer disabled."""
     base = config if config is not None else StayAwayConfig()
-    return replace(
-        base, sensor_guard=False, degraded_mode=False, reconcile_actions=False
-    )
+    return replace(base, resilience=False)
 
 
 def run_chaos(
@@ -421,7 +418,7 @@ def uncontained_config(config: Optional[StayAwayConfig] = None) -> StayAwayConfi
     implementation.
     """
     base = config if config is not None else StayAwayConfig()
-    return replace(base, fault_containment=False, model_watchdog=False)
+    return replace(base, containment=False)
 
 
 @dataclass

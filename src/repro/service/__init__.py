@@ -9,14 +9,15 @@ behind the ``monitoring`` seam into a standalone service:
   recorded runs and Prometheus-text scrape (the
   :mod:`repro.telemetry.exporters` exposition format), both yielding
   plain wire records;
-* :mod:`repro.service.assembler` — the :class:`StreamAssembler`
-  reorders by watermark, deduplicates by ``(tick, host, container,
-  metric)``, holds per-cell last values over partial ticks and closes
-  ticks on watermark expiry so the controller steps on
-  partial-but-bounded data instead of blocking;
+* :mod:`repro.service.assembler` — the :class:`StreamAssembler`, the
+  stream side's one container table, reorders by watermark,
+  deduplicates by ``(tick, container, metric)``, holds per-cell last
+  values over partial ticks and closes ticks on watermark expiry into
+  per-container rows, so the controller steps on partial-but-bounded
+  data instead of blocking;
 * :mod:`repro.service.views` — the stream's side of the controller's
-  port: closed ticks folded into the
-  :class:`~repro.observation.Observation` the unmodified
+  port: a closed tick's rows, with the commands in flight overlaid, as
+  the :class:`~repro.observation.Observation` the unmodified
   :class:`~repro.core.controller.StayAway` reads;
 * :mod:`repro.service.actuator` — the pluggable acknowledged actuation
   seam: every pause/resume command must be acked within a timeout,

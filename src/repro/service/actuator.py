@@ -233,10 +233,7 @@ class AckTracker:
         """
         if verb not in ("pause", "resume"):
             raise ValueError(f"unknown actuator verb: {verb!r}")
-        old = self._pending.pop(container, None)
-        if old is not None:
-            old.status = CommandStatus.ACKED  # superseded; stop retrying
-            old.resolved_tick = tick
+        self.withdraw(container, tick)
         command = ActuatorCommand(
             command_id=self._next_id,
             verb=verb,
@@ -248,6 +245,16 @@ class AckTracker:
         self._c_submitted.inc()
         self._attempt(command, tick)
         return command
+
+    def withdraw(self, container: str, tick: int) -> None:
+        """Stop retrying ``container``'s in-flight command, if any: a
+        newer command supersedes it, and so does the container leaving
+        the host (no host could deliver it, and its dead letter would
+        page about a container that is no longer there)."""
+        old = self._pending.pop(container, None)
+        if old is not None:
+            old.status = CommandStatus.ACKED  # superseded; stop retrying
+            old.resolved_tick = tick
 
     def _attempt(self, command: ActuatorCommand, tick: int) -> None:
         command.attempts += 1

@@ -1,39 +1,48 @@
 """Watermark reassembly of a disordered metric stream into closed ticks.
 
 A real metric transport delivers samples late, twice, out of order, or
-not at all. The controller, by contrast, wants exactly one measurement
-vector per tick, in tick order, *now*. The :class:`StreamAssembler`
-bridges the two with a watermark protocol:
+not at all. The controller, by contrast, wants exactly one row per
+container per tick, in tick order, *now*. The :class:`StreamAssembler`
+bridges the two with a watermark protocol, and is the stream side's one
+container table: it admits each container (from the header, a state
+record or a usage-only sample record), holds its lifecycle state, and
+retires it when it departs.
 
 * records for tick ``t`` are buffered until the watermark passes —
   i.e. until a record for tick ``t + watermark`` (or later) has been
-  seen — then tick ``t`` is **closed** and delivered in order;
-* duplicates within a ``(tick, host, container, metric)`` cell keep
-  the first-seen value (``stream.duplicated``);
+  seen — then tick ``t`` is **closed** and delivered in order as one
+  :class:`~repro.observation.ContainerRow` per admitted container;
+* duplicates within a ``(tick, container, metric)`` cell keep the
+  first-seen value (``stream.duplicated``);
 * records older than the newest seen tick but not yet closed are
   accepted and counted ``stream.reordered`` — buffering is exactly
   what makes them usable;
 * records for already-closed ticks are counted ``stream.late`` and
   dropped — the controller has moved on;
 * records of the wrong shape (not a mapping, a non-integer tick, a
-  non-numeric value, an unhashable container name, a header whose
-  capacity is not five finite positive numbers) or with a tick more
-  than :data:`MAX_TICK_JUMP` ahead of the newest one seen are counted
-  ``stream.malformed`` and dropped whole — untrusted input is rejected
-  with a counted reason, never an exception out of :meth:`offer`;
+  non-numeric value, a container name that is not a string, a
+  ``finished`` / ``sensitive`` flag that is not a boolean, a header
+  whose capacity is not five finite positive numbers) or with a tick
+  more than :data:`MAX_TICK_JUMP` ahead of the newest one seen are
+  counted ``stream.malformed`` and dropped whole — untrusted input is
+  rejected with a counted reason, never an exception out of
+  :meth:`~StreamAssembler.offer`. A state this build does not know
+  reads as running; a metric it does not know is ignored;
 * cells still missing at close are counted ``stream.dropped``, filled
   from that cell's last delivered value when one exists
-  (``stream.imputed``) or NaN otherwise, and the tick is flagged
+  (``stream.imputed``) or NaN otherwise, and the close is counted
   partial (``stream.ticks_closed_partial``) — *partial-but-bounded*
   data instead of blocking;
 * a cell missing for ``RETIRE_AFTER`` *consecutive* closes is retired
   (``stream.cells_retired``): the container has left the host (fleet
   migration, removal) rather than dropped a sample, so holding its
-  last value would impute a ghost forever. Transient faults never
-  trip this — at a 5% drop rate, 8 consecutive misses is a
-  :math:`0.05^8` event. Gap ticks do not advance retirement streaks
-  (a wholly-missing tick is a transport hole, not a departure), and a
-  retired cell re-registers the moment a sample for it reappears;
+  last value would impute a ghost forever. A container whose last
+  cell retires leaves the table, and with it the controller's
+  Observation. Transient faults never trip this — at a 5% drop rate,
+  8 consecutive misses is a :math:`0.05^8` event. Gap ticks do not
+  advance retirement streaks (a wholly-missing tick is a transport
+  hole, not a departure), and a departed container is admitted afresh
+  the moment a record for it reappears;
 * wholly-missing ticks between closures are synthesized as NaN-valued
   gap ticks (``stream.gap_ticks``) so the controller's existing
   :class:`~repro.monitoring.guard.SensorGuard` performs the imputation
@@ -42,23 +51,30 @@ bridges the two with a watermark protocol:
 
 :class:`PassthroughAssembler` is the ablation arm: the same record
 ingest (:meth:`StreamAssembler.offer` is the one place a wire record
-is decoded by its ``kind``) with no watermark, no dedup and zero-fill
-for missing cells — what a naive stream consumer does, and what
-``benchmarks/bench_stream_service.py`` shows degrading far beyond the
-assembled arm under the same faults.
+is decoded by its ``kind``) and the same container table, with no
+watermark, no dedup and zero-fill for missing cells — what a naive
+stream consumer does, and what ``benchmarks/bench_stream_service.py``
+shows degrading far beyond the assembled arm under the same faults.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.observation import METRICS
+from repro.observation import CREATED, LIFECYCLE, METRICS, RUNNING, ZERO_USAGE, ContainerRow
 from repro.telemetry.registry import MetricRegistry
 
-#: A metric cell address within one tick: ``(host, container, metric)``.
-CellKey = Tuple[str, str, str]
+#: A metric cell address within one tick: ``(container, metric index)``,
+#: the index into :data:`~repro.observation.METRICS`.
+CellKey = Tuple[str, int]
+
+#: A container's lifecycle as the stream reports it:
+#: ``(state, finished, sensitive)``.
+Lifecycle = Tuple[str, bool, bool]
+
+_METRIC_INDEX = {metric: index for index, metric in enumerate(METRICS)}
 
 #: Furthest a record's tick may lie ahead of the newest tick seen so far.
 #: Every tick up to the newest one is closed, gaps included, so one
@@ -81,39 +97,27 @@ class ClosedTick:
     ----------
     tick:
         The data tick this closure describes.
-    host:
-        Host the samples belong to.
-    usage:
-        ``{container: {metric: value}}``; imputed cells carry the last
-        delivered value, unknown cells NaN.
-    states:
-        ``{container: (state, finished, sensitive)}`` — lifecycle
-        state string, application-finished flag and container kind
-        (held from the last delivery when this tick carried no state
-        record).
+    rows:
+        One row per container in the table, in admission order: usage
+        in :data:`~repro.observation.METRICS` order (an imputed cell
+        carries its last delivered value, a cell with no history and
+        every cell of a gap tick NaN, a metric never streamed 0.0) and
+        the lifecycle the stream last reported. ``app`` is unset; the
+        :class:`~repro.service.views.HostView` binds it.
     qos:
         ``(value, threshold)`` when the sensitive application reported
         QoS this tick, else ``None``.
-    partial:
-        True when at least one expected cell was missing at close.
-    gap:
-        True when *no* record at all arrived for this tick (the usage
-        is all-NaN and flows through the SensorGuard's imputation).
     """
 
     tick: int
-    host: str
-    usage: Dict[str, Dict[str, float]]
-    states: Dict[str, Tuple[str, bool, bool]]
+    rows: Tuple[ContainerRow, ...]
     qos: Optional[Tuple[float, float]] = None
-    partial: bool = False
-    gap: bool = False
 
 
 @dataclass
 class _PendingTick:
     cells: Dict[CellKey, float] = field(default_factory=dict)
-    states: Dict[str, Tuple[str, bool, bool]] = field(default_factory=dict)
+    states: Dict[str, Lifecycle] = field(default_factory=dict)
     qos: Optional[Tuple[float, float]] = None
 
 
@@ -175,10 +179,12 @@ class StreamAssembler:
         )
         self.header: Optional[dict] = None
         self._pending: Dict[int, _PendingTick] = {}
+        #: The container table: admission order -> lifecycle. The
+        #: sensitive flag is fixed when a container is admitted.
+        self._table: Dict[str, Lifecycle] = {}
         self._known_cells: Dict[CellKey, None] = {}  # insertion-ordered set
         self._miss_streak: Dict[CellKey, int] = {}
         self._last_value: Dict[CellKey, float] = {}
-        self._last_state: Dict[str, Tuple[str, bool, bool]] = {}
         self._max_seen: Optional[int] = None
         self._last_closed: Optional[int] = None
 
@@ -212,9 +218,10 @@ class StreamAssembler:
         """Accept one wire record (any order, any number of times).
 
         A record of the wrong shape — not a mapping, a non-integer
-        tick, a non-numeric value, an unhashable container name, a
-        header without five finite positive capacities — or one whose
-        tick lies more than :data:`MAX_TICK_JUMP` ahead of
+        tick, a non-numeric value, a container name that is not a
+        string, a ``finished`` / ``sensitive`` flag that is not a
+        boolean, a header without five finite positive capacities — or
+        one whose tick lies more than :data:`MAX_TICK_JUMP` ahead of
         :attr:`max_seen` is counted ``stream.malformed`` and dropped
         whole (``max_seen`` stays where it was): every field is decoded
         before anything of the record is applied, so the next
@@ -233,20 +240,21 @@ class StreamAssembler:
                 tick = record.get("tick")
                 if not isinstance(tick, int):
                     raise TypeError("tick must be an integer")
-                host = record.get("host", "host0")
                 container = record.get("container", "")
+                if kind in ("sample", "state") and not isinstance(container, str):
+                    raise TypeError("container must be a string")
                 if kind == "sample":
                     cells = {
-                        (host, container, metric): float(value)
+                        (container, _METRIC_INDEX[metric]): float(value)
                         for metric, value in record.get("metrics", {}).items()
+                        if metric in _METRIC_INDEX
                     }
                 elif kind == "state":
-                    held = self._last_state.get(container, ("created", False, False))
-                    state = (
-                        str(record.get("state", "running")),
-                        bool(record.get("finished", False)),
-                        bool(record.get("sensitive", held[2])),
-                    )
+                    state = record.get("state", RUNNING)
+                    flags = (record.get("finished", False), record.get("sensitive", False))
+                    if not all(isinstance(flag, bool) for flag in flags):
+                        raise TypeError("finished and sensitive must be booleans")
+                    lifecycle = (state if state in LIFECYCLE else RUNNING, *flags)
                 elif kind == "qos":
                     value = record.get("value")
                     threshold = record.get("threshold")
@@ -262,9 +270,7 @@ class StreamAssembler:
             if self.header is None:
                 self.header = dict(record)
                 for name, c_kind in containers:
-                    self._last_state.setdefault(
-                        name, ("created", False, c_kind == "sensitive")
-                    )
+                    self._table.setdefault(name, (CREATED, False, c_kind == "sensitive"))
             return
         if self._last_closed is not None and tick <= self._last_closed:
             self._c_late.inc()
@@ -286,7 +292,7 @@ class StreamAssembler:
                 pending.cells[key] = value
                 self._known_cells.setdefault(key, None)
         elif kind == "state":
-            pending.states[container] = state
+            pending.states[container] = lifecycle
         elif kind == "qos":
             if qos is not None and (pending.qos is None or not self._first_wins):
                 pending.qos = qos
@@ -314,28 +320,18 @@ class StreamAssembler:
 
     def _close(self, tick: int) -> ClosedTick:
         pending = self._pending.pop(tick, None)
-        host = (self.header or {}).get("host", "host0")
+        usage: Dict[str, List[float]] = {}
         if pending is None or (not pending.cells and not pending.states):
             self._c_gaps.inc()
-            usage: Dict[str, Dict[str, float]] = {}
-            for cell_host, container, metric in self._known_cells:
-                usage.setdefault(container, {})[metric] = float("nan")
+            for container, index in self._known_cells:
+                usage.setdefault(container, [0.0] * len(METRICS))[index] = math.nan
             qos = pending.qos if pending is not None else None
-            return ClosedTick(
-                tick=tick,
-                host=host,
-                usage=usage,
-                states=dict(self._last_state),
-                qos=qos,
-                partial=bool(self._known_cells),
-                gap=True,
-            )
+            return self._emit(tick, usage, {}, qos)
 
-        usage = {}
         partial = False
-        retired: List[CellKey] = []
+        retired: Set[str] = set()
         for key in list(self._known_cells):
-            cell_host, container, metric = key
+            container, index = key
             if key in pending.cells:
                 value = pending.cells[key]
                 self._last_value[key] = value
@@ -350,7 +346,7 @@ class StreamAssembler:
                     self._miss_streak.pop(key, None)
                     self._last_value.pop(key, None)
                     self._c_retired.inc()
-                    retired.append(key)
+                    retired.add(container)
                     continue
                 self._miss_streak[key] = streak
                 partial = True
@@ -359,43 +355,58 @@ class StreamAssembler:
                     value = self._last_value[key]
                     self._c_imputed.inc()
                 else:
-                    value = float("nan")
-            usage.setdefault(container, {})[metric] = value
-
-        states = dict(self._last_state)
-        states.update(pending.states)
-        if retired:
-            # Drop held lifecycle state for containers with no
-            # remaining expected cells — they departed with their data.
-            live = {container for _, container, _ in self._known_cells}
-            gone = {container for _, container, _ in retired} - live
-            for container in gone:
-                states.pop(container, None)
-        self._last_state = dict(states)
+                    value = math.nan
+            usage.setdefault(container, [0.0] * len(METRICS))[index] = value
         if partial:
             self._c_partial.inc()
-        return ClosedTick(
-            tick=tick,
-            host=host,
-            usage=usage,
-            states=states,
-            qos=pending.qos,
-            partial=partial,
-            gap=False,
+        # A container with no expected cell left departed with its data.
+        return self._emit(tick, usage, pending.states, pending.qos, retired - usage.keys())
+
+    def _emit(
+        self,
+        tick: int,
+        usage: Dict[str, List[float]],
+        states: Dict[str, Lifecycle],
+        qos: Optional[Tuple[float, float]],
+        departed: Iterable[str] = (),
+    ) -> ClosedTick:
+        """Admit the tick's new containers (state records first, then
+        usage-only ones, each in name order), apply its state records,
+        retire ``departed`` and list the table as the tick's rows."""
+        table = self._table
+        for name in sorted(states.keys() - table.keys()):
+            table[name] = states[name]
+        for name in sorted(usage.keys() - table.keys()):
+            table[name] = (CREATED, False, False)
+        for name, (state, finished, _) in states.items():
+            table[name] = (state, finished, table[name][2])
+        for name in departed:
+            table.pop(name, None)
+        rows = tuple(
+            ContainerRow(
+                name,
+                tuple(usage[name]) if name in usage else ZERO_USAGE,
+                state,
+                finished,
+                sensitive,
+            )
+            for name, (state, finished, sensitive) in table.items()
         )
+        return ClosedTick(tick, rows, qos)
 
 
 class PassthroughAssembler(StreamAssembler):
     """The assembler-less ablation: apply records as they arrive.
 
-    Shares :meth:`StreamAssembler.offer`'s record parsing and changes
-    three policies: no deduplication (duplicates overwrite, uncounted),
-    no watermark (a tick closes the moment a newer one is seen, so
-    delayed records of the old tick are lost), and no imputation
-    (missing cells read 0.0 — the classic naive-consumer zero-fill that
-    poisons the map — and skipped ticks never reach the controller at
-    all: no gap synthesis). It reports no delivery census and never
-    retires a cell. The drills swap arms without touching the service.
+    Shares :meth:`StreamAssembler.offer`'s record parsing and the
+    container table, and changes three policies: no deduplication
+    (duplicates overwrite, uncounted), no watermark (a tick closes the
+    moment a newer one is seen, so delayed records of the old tick are
+    lost), and no imputation (missing cells read 0.0 — the classic
+    naive-consumer zero-fill that poisons the map — and skipped ticks
+    never reach the controller at all: no gap synthesis). It reports
+    no delivery census and never retires a cell. The drills swap arms
+    without touching the service.
     """
 
     _first_wins = False
@@ -415,23 +426,12 @@ class PassthroughAssembler(StreamAssembler):
             if tick > horizon:
                 break
             pending = self._pending.pop(tick)
-            usage: Dict[str, Dict[str, float]] = {}
+            usage: Dict[str, List[float]] = {}
             for key in self._known_cells:
-                cell_host, container, metric = key
-                usage.setdefault(container, {})[metric] = pending.cells.get(key, 0.0)
-            states = dict(self._last_state)
-            states.update(pending.states)
-            self._last_state = dict(states)
-            closed.append(
-                ClosedTick(
-                    tick=tick,
-                    host=(self.header or {}).get("host", "host0"),
-                    usage=usage,
-                    states=states,
-                    qos=pending.qos,
-                    partial=len(pending.cells) < len(self._known_cells),
-                    gap=False,
+                container, index = key
+                usage.setdefault(container, [0.0] * len(METRICS))[index] = (
+                    pending.cells.get(key, 0.0)
                 )
-            )
+            closed.append(self._emit(tick, usage, pending.states, pending.qos))
             self._last_closed = tick
         return closed

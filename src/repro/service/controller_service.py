@@ -237,7 +237,12 @@ class ControllerService:
                 continue  # no header yet; nothing to describe the world with
             if tick.qos is not None:
                 self.qos_channel.ingest(tick.tick, tick.qos[0], tick.qos[1])
-            observation = self.host.apply(tick, self.tracker.pending_containers())
+            pinned = self.tracker.pending_containers()
+            observation = self.host.apply(tick, pinned)
+            if pinned:
+                # A container that left the table took its command along.
+                for name in pinned.keys() - observation.states().keys():
+                    self.tracker.withdraw(name, tick.tick)
             self.controller.on_tick(observation, self.host)
             self.tracker.step(tick.tick)
             self._ticks_processed += 1

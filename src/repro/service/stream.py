@@ -12,8 +12,7 @@ without importing this package. Record kinds:
     One container's metric readings for one tick:
     ``{"kind": "sample", "tick": t, "host": h, "container": c,
     "metrics": {"cpu": ..., ...}}``. The assembler flattens these into
-    per-``(tick, host, container, metric)`` cells — the deduplication
-    key.
+    per-``(tick, container, metric)`` cells — the deduplication key.
 ``state``
     Container lifecycle state (``running``/``paused``/``stopped``/
     ``created``) plus the application's ``finished`` flag for one tick.

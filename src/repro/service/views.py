@@ -4,11 +4,13 @@
 :class:`~repro.observation.Observation` a tick and writes pause /
 resume (see :mod:`repro.observation`). Over a stream:
 
-* :class:`HostView` folds each
-  :class:`~repro.service.assembler.ClosedTick` into that Observation
-  (a container with a command in flight reads what the command
-  intends) and forwards ``pause`` / ``resume`` to the acknowledged
-  actuator.
+* :class:`HostView` turns each
+  :class:`~repro.service.assembler.ClosedTick` into that Observation —
+  the assembler already holds the container table and emits the rows;
+  the view binds the protected container's row to the controller's
+  ``sensitive_app``, overlays the commands still in flight (such a
+  container reads what the command intends) and stamps the capacity —
+  and forwards ``pause`` / ``resume`` to the acknowledged actuator.
 * :class:`StreamQosChannel` — the QosTracker-compatible violation
   channel fed from ``qos`` wire records.
 """
@@ -16,19 +18,10 @@ resume (see :mod:`repro.observation`). Over a stream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Mapping
 
 from repro.monitoring.qos import QosChannel
-from repro.observation import (
-    CREATED,
-    LIFECYCLE,
-    METRICS,
-    PAUSED,
-    RUNNING,
-    ZERO_USAGE,
-    ContainerRow,
-    Observation,
-)
+from repro.observation import METRICS, PAUSED, RUNNING, Observation
 
 from repro.service.assembler import ClosedTick
 
@@ -66,13 +59,13 @@ class StreamQosChannel(QosChannel):
 
 
 class HostView:
-    """The controller-facing host, folded from the stream.
+    """The controller-facing host over the stream.
 
     Parameters
     ----------
     header:
-        The stream ``header`` record (capacity, container kinds,
-        sensitive container name), as the assembler adopted it.
+        The stream ``header`` record (capacity, sensitive container
+        name), as the assembler adopted it.
     sensitive_app:
         The identity the controller was given as ``sensitive_app``; the
         protected container's row carries it as ``app`` so
@@ -90,25 +83,14 @@ class HostView:
     ) -> None:
         self.capacity = tuple(float(header["capacity"][m]) for m in METRICS)
         self._submit = submit
-        self._unbound_app: Optional[object] = sensitive_app
+        self._sensitive_app = sensitive_app
+        #: The protected container; with none named, the first
+        #: sensitive row the stream admits.
         self._sensitive_name: str = header.get("sensitive", "")
-        #: Admission order -> the container's row as the stream last
-        #: described it (usage is filled in per tick).
-        self._held: Dict[str, ContainerRow] = {}
-        for container, kind in sorted(header.get("containers", {}).items()):
-            self._admit(container, sensitive=kind == "sensitive")
-
-    def _admit(self, name: str, sensitive: bool) -> ContainerRow:
-        app = None
-        if sensitive and self._sensitive_name in ("", name):
-            app, self._unbound_app = self._unbound_app, None
-        row = ContainerRow(name, ZERO_USAGE, CREATED, False, sensitive, app)
-        self._held[name] = row
-        return row
 
     # -- the controller's port -------------------------------------------
     def observe(self, reading: Observation) -> Observation:
-        """The service's reading of a tick *is* what :meth:`apply` folded."""
+        """The service's reading of a tick *is* what :meth:`apply` built."""
         return reading
 
     def pause(self, name: str) -> bool:
@@ -121,7 +103,7 @@ class HostView:
 
     # -- stream refresh --------------------------------------------------
     def apply(self, closed: ClosedTick, pinned: Mapping[str, str]) -> Observation:
-        """Fold one closed tick into the view; return its Observation.
+        """One closed tick as the controller's Observation.
 
         ``pinned`` maps containers with an in-flight actuator command
         to its verb (``AckTracker.pending_containers()``): they read
@@ -132,28 +114,14 @@ class HostView:
         reported, so once a command is acked or dead-lettered the
         stream re-asserts reality — which is how externally resumed
         containers become visible to ``ThrottleManager``'s
-        reconciliation. A state string this build does not know reads
-        as running, a metric family it does not know is ignored.
+        reconciliation.
         """
-        held = self._held
-        for name, (state, finished, sensitive) in sorted(closed.states.items()):
-            row = held.get(name) or self._admit(name, sensitive=sensitive)
-            held[name] = row._replace(
-                state=state if state in LIFECYCLE else RUNNING,
-                finished=bool(finished),
-            )
-        # Containers that streamed usage before any state record.
-        for name in sorted(closed.usage.keys() - held.keys()):
-            self._admit(name, sensitive=False)
-
         rows = []
-        for name, row in held.items():
-            metrics = closed.usage.get(name)
-            if metrics is not None:
-                row = row._replace(
-                    usage=tuple(float(metrics.get(m, 0.0)) for m in METRICS)
-                )
-            verb = pinned.get(name)
+        for row in closed.rows:
+            if row.sensitive and self._sensitive_name in ("", row.name):
+                self._sensitive_name = row.name
+                row = row._replace(app=self._sensitive_app)
+            verb = pinned.get(row.name)
             if verb is not None:
                 row = row._replace(state=PAUSED if verb == "pause" else RUNNING)
             rows.append(row)

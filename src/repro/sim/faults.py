@@ -996,7 +996,7 @@ class StreamDuplicator(_StreamFault):
     """Deliver wire records twice — once now, once a poll later.
 
     At-least-once transports redeliver; the assembler's
-    ``(tick, host, container, metric)`` dedup key absorbs the copy,
+    ``(tick, container, metric)`` dedup key absorbs the copy,
     the naive consumer double-applies it.
     """
 

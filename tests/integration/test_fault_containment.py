@@ -135,8 +135,9 @@ class TestRollbackFidelity:
         )
         host.add_container(Container(name="sens", app=sensitive, sensitive=True))
         host.add_container(Container(name="bomb", app=bomb, start_tick=5))
-        config = StayAwayConfig(seed=9, model_watchdog=False)
+        config = StayAwayConfig(seed=9)
         controller = StayAway(sensitive, config=config)
+        controller.watchdog = None  # the test drives its own
         SimulationEngine(host, [controller]).run(ticks=120)
         return controller, config
 

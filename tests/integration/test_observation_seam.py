@@ -18,11 +18,12 @@ from repro.core.controller import StayAway
 from repro.core.events import EventKind, EventLog
 from repro.core.priorities import PrioritizedStayAway
 from repro.experiments.scenarios import Scenario
-from repro.observation import PAUSED, RUNNING
+from repro.observation import PAUSED, RUNNING, ContainerRow
 from repro.service.actuator import AckTracker, Actuator
-from repro.service.assembler import ClosedTick, StreamAssembler
+from repro.service.assembler import RETIRE_AFTER, ClosedTick, StreamAssembler
 from repro.service.recording import StreamRecorder
 from repro.service.views import HostView
+from repro.sim.cluster import Cluster
 from repro.sim.container import Container, ContainerState
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import ContainerFlapper
@@ -37,17 +38,34 @@ TABLE1_PAIRS = [
     ("webservice-cpu", ("twitter-analysis", "soplex")),
 ]
 
+#: Tick at which the migration case moves its first batch container off
+#: the recorded host.
+MIGRATE_AT = 150
 
-@pytest.mark.parametrize("sensitive,batches", TABLE1_PAIRS)
-def test_stream_fold_equals_in_process_observation(sensitive, batches):
+FOLD_CASES = [
+    pytest.param(sensitive, batches, None, id=f"{sensitive}-batches{index}")
+    for index, (sensitive, batches) in enumerate(TABLE1_PAIRS)
+] + [pytest.param("vlc-streaming", ("cpubomb", "soplex"), MIGRATE_AT, id="batch-migrates-off")]
+
+
+@pytest.mark.parametrize("sensitive,batches,migrate_at", FOLD_CASES)
+def test_stream_fold_equals_in_process_observation(sensitive, batches, migrate_at):
+    """Row for row, every tick. A container that migrates off the
+    recorded host reads imputed until its cells' ``RETIRE_AFTER``-th
+    missed close retires it; from that close on it is gone from both
+    sides."""
     ticks = 240
     built = Scenario(sensitive, batches, ticks=ticks, seed=5).build()
     host, app = built.host, built.sensitive_app
+    cluster = Cluster(hosts={"host0": host, "host1": Host()})
+    departed = built.batch_apps[0].name
     controller = StayAway(app, config=StayAwayConfig(seed=5, telemetry=False))
     recorder = StreamRecorder(sensitive_app=app)
     live = []
-    for _ in range(ticks):
-        snapshot = host.step()
+    for tick in range(ticks):
+        if tick == migrate_at:
+            cluster.migrate(departed, "host1")
+        snapshot = cluster.step()["host0"]
         recorder.on_tick(snapshot, host)
         live.append(host.observe(snapshot))  # what the controller is about to read
         controller.on_tick(snapshot, host)
@@ -64,6 +82,9 @@ def test_stream_fold_equals_in_process_observation(sensitive, batches):
         folded = view.apply(tick, pinned={})
         assert (folded.tick, folded.capacity) == (expected.tick, expected.capacity)
         rows = {row.name: row for row in folded.rows}
+        if migrate_at is not None and tick.tick - migrate_at in range(RETIRE_AFTER - 1):
+            last = {row.name: row for row in live[migrate_at - 1].rows}[departed]
+            assert rows.pop(departed).usage == last.usage  # imputed, not yet retired
         assert sorted(rows) == sorted(row.name for row in expected.rows)
         for want in expected.rows:
             got = rows[want.name]
@@ -87,9 +108,10 @@ def closed_tick(tick, bomb_state):
     """What the stream says at ``tick``: ``bomb`` is in ``bomb_state``."""
     return ClosedTick(
         tick=tick,
-        host="host0",
-        usage={"sens": {"cpu": 1.0}, "bomb": {"cpu": 2.0}},
-        states={"sens": ("running", False, True), "bomb": (bomb_state, False, False)},
+        rows=(
+            ContainerRow("bomb", (2.0, 0.0, 0.0, 0.0, 0.0), bomb_state, False, False),
+            ContainerRow("sens", (1.0, 0.0, 0.0, 0.0, 0.0), RUNNING, False, True),
+        ),
     )
 
 

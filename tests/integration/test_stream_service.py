@@ -45,7 +45,8 @@ from repro.service import (
     SimHostActuator,
     StreamRecorder,
 )
-from repro.sim.cluster import Cluster
+from repro.service.assembler import RETIRE_AFTER
+from repro.sim.cluster import MIGRATION_LANDED, Cluster
 from repro.sim.container import Container
 from repro.sim.faults import HostCrashInjector, TelemetryBlackout
 from repro.sim.host import Host
@@ -313,6 +314,30 @@ class TestFleetStreamCells:
             # Migration-departed containers retire instead of being
             # imputed as ghosts for the rest of the run.
             assert census["imputed"] <= 8 * 5 * (census["cells_retired"] + 1)
+        self.check_departures_leave_the_old_host(cluster, services, config)
+
+    @staticmethod
+    def check_departures_leave_the_old_host(cluster, services, config):
+        """A migrated-off container retires from its old host's table:
+        once that has had time to happen, the old host's controller
+        neither names it in an event nor holds a command for it."""
+        quiet_after = RETIRE_AFTER + config.stream_watermark
+        landed = [m for m in cluster.migrations if m.outcome == MIGRATION_LANDED]
+        assert landed
+        for record in landed:
+            returns = [
+                m.start_tick
+                for m in cluster.migrations
+                if (m.container, m.destination) == (record.container, record.source)
+                and m.start_tick > record.start_tick
+            ]
+            quiet = range(record.completed_tick + quiet_after, min(returns, default=10**9))
+            service = services[record.source]
+            for event in service.controller.events:
+                named = set(event.detail.get("targets", ())) | {event.detail.get("target")}
+                assert event.tick not in quiet or record.container not in named, event
+            if not returns:
+                assert record.container not in service.tracker.pending_containers()
 
 
 class TestDegradedStreamCell:

@@ -101,6 +101,17 @@ class TestAckTracker:
         assert other.pending  # different container: untouched
         assert pause not in tracker.dead_letters
 
+    def test_withdrawn_command_is_neither_retried_nor_dead_lettered(self):
+        backend = FlakyActuator([None] * 8)
+        tracker = AckTracker(backend)
+        gone = tracker.submit(0, "pause", "gone")
+        tracker.withdraw("gone", 3)
+        tracker.withdraw("never-commanded", 3)
+        for tick in range(4, 40):
+            tracker.step(tick)
+        assert (gone.status, gone.resolved_tick, gone.attempts) == (CommandStatus.ACKED, 3, 1)
+        assert tracker.pending() == [] and tracker.dead_letters == []
+
     def test_drain_leaves_nothing_in_limbo(self):
         backend = FlakyActuator([True, None, None, None, None, None])
         tracker = AckTracker(backend)

@@ -3,7 +3,7 @@
 import ast
 import dataclasses
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
@@ -53,8 +53,7 @@ CONFIG_FIELDS = {
     "n_samples", "dedup_epsilon", "beta_initial", "beta_increment",
     "starvation_patience", "probe_probability", "enabled",
     "per_mode_models", "radius_law", "fixed_radius", "seed",
-    "sensor_guard", "degraded_mode", "reconcile_actions", "telemetry",
-    "fault_containment", "model_watchdog", "stream_watermark",
+    "resilience", "telemetry", "containment", "stream_watermark",
 }
 
 #: Layers whose defaulted constructor parameters must each have a
@@ -133,6 +132,37 @@ def config_fields_set() -> Set[str]:
             if isinstance(node, ast.Call) and callee(node) in ("StayAwayConfig", "replace"):
                 fields |= set(keyword_args(node, tree))
     return fields
+
+
+def co_set_flag_groups() -> List[List[str]]:
+    """Boolean fields that every program caller sets together, to the
+    same value: one switch spelled several ways.
+
+    Callers are counted as in :func:`config_fields_set`. A field's
+    record is what each call passes it (nothing, or the argument's
+    source); fields with equal records, set at least once, form a
+    group. A value splatted from a mapping is unknown, so it never
+    equals another field's.
+    """
+    flags = sorted(f.name for f in dataclasses.fields(StayAwayConfig) if f.type in (bool, "bool"))
+    records: Dict[str, List[Optional[str]]] = {name: [] for name in flags}
+    for path, tree in program_modules():
+        if path == CONFIG_MODULE:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and callee(node) in ("StayAwayConfig", "replace"):
+                spelled = {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
+                args = keyword_args(node, tree)
+                for name in flags:
+                    if name in spelled:
+                        records[name].append(ast.dump(spelled[name]))
+                    else:
+                        records[name].append(f"{name} from a mapping" if name in args else None)
+    groups: Dict[Tuple[Optional[str], ...], List[str]] = {}
+    for name, record in records.items():
+        if any(value is not None for value in record):
+            groups.setdefault(tuple(record), []).append(name)
+    return sorted(group for group in groups.values() if len(group) > 1)
 
 
 def unset_config_fields() -> Set[str]:
@@ -256,6 +286,12 @@ class TestConfigSurface:
         """
         unset = unset_config_fields()
         assert not unset, f"config fields no program caller sets: {sorted(unset)}"
+
+    def test_no_two_flags_are_always_set_together(self):
+        """Boolean fields that no program caller ever sets apart are one
+        switch: they belong in one field."""
+        groups = co_set_flag_groups()
+        assert not groups, f"boolean fields always set together, to one value: {groups}"
 
     def test_every_constructor_option_is_set_by_some_caller(self):
         """The same rule for the defaulted ``__init__`` parameters of

@@ -27,18 +27,16 @@ from repro.trajectory.modes import ExecutionMode
 from tests.conftest import ConstantApp, SensitiveStub
 
 
-def learned_controller(ticks=80, seed=9, **config_kwargs):
+def learned_controller(ticks=80, seed=9):
     """A controller with learned state and its built-in watchdog off —
     each test drives its own :func:`fresh_watchdog` in isolation."""
-    config_kwargs.setdefault("model_watchdog", False)
     host = Host()
     sensitive = SensitiveStub(demand_vector=ResourceVector(cpu=3.0, memory=500.0))
     bomb = ConstantApp(name="bomb", demand_vector=ResourceVector(cpu=4.0, memory=64.0))
     host.add_container(Container(name="sens", app=sensitive, sensitive=True))
     host.add_container(Container(name="bomb", app=bomb, start_tick=5))
-    controller = StayAway(
-        sensitive, config=StayAwayConfig(seed=seed, **config_kwargs)
-    )
+    controller = StayAway(sensitive, config=StayAwayConfig(seed=seed))
+    controller.watchdog = None
     engine = SimulationEngine(host, [controller])
     engine.run(ticks=ticks)
     return controller
@@ -235,9 +233,8 @@ def mapped_controller(ticks=150, seed=4):
         batch_start=30,
         seed=seed,
     ).build()
-    controller = StayAway(
-        built.sensitive_app, config=StayAwayConfig(seed=seed, model_watchdog=False)
-    )
+    controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=seed))
+    controller.watchdog = None
     SimulationEngine(built.host, [controller]).run(ticks=ticks)
     assert len(controller.state_space) >= MIN_STATES_FOR_STRESS
     return controller, built.host

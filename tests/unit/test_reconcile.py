@@ -55,7 +55,7 @@ class TestReconcileRepause:
 
     def test_disabled_by_config(self):
         host, manager, _ = throttled_setup(
-            config=StayAwayConfig(reconcile_actions=False)
+            config=StayAwayConfig(resilience=False)
         )
         host.container("bomb").resume()
         manager.reconcile(15, observed(host), host)

@@ -46,6 +46,15 @@ def state(tick, container="c0", value="running", finished=False):
     }
 
 
+def rows(closed):
+    """``{container: row}`` of one closed tick."""
+    return {row.name: row for row in closed.rows}
+
+
+def cpu(closed, container="c0"):
+    return rows(closed)[container].usage[0]
+
+
 def qos(tick, value=1.0, threshold=0.9):
     return {
         "kind": "qos",
@@ -94,8 +103,8 @@ class TestWatermarkClosing:
         closed = assembler.due()
         assert [c.tick for c in closed] == [0, 1]
         assert assembler.last_closed == 1
-        assert closed[0].usage["c0"]["cpu"] == 0.0
-        assert not closed[0].partial
+        assert cpu(closed[0]) == 0.0
+        assert assembler.summary()["ticks_closed_partial"] == 0
 
     def test_zero_watermark_closes_as_soon_as_seen(self):
         # t closes once a record for t + watermark arrives; with 0 that
@@ -127,7 +136,7 @@ class TestDeliveryPathologies:
         assembler.offer(sample(0, metrics={"cpu": 99.0}))
         assembler.offer(sample(1))
         closed = assembler.due()
-        assert closed[0].usage["c0"]["cpu"] == 1.0
+        assert cpu(closed[0]) == 1.0
         assert assembler.summary()["duplicated"] == 1
 
     def test_reordered_record_within_watermark_is_used(self):
@@ -137,9 +146,9 @@ class TestDeliveryPathologies:
         for tick in (2, 3):
             assembler.offer(sample(tick))
         closed = assembler.due()
-        assert closed[0].usage["c0"]["cpu"] == 7.0
-        assert not closed[0].partial
+        assert cpu(closed[0]) == 7.0
         assert assembler.summary()["reordered"] == 1
+        assert assembler.summary()["ticks_closed_partial"] == 0
 
     def test_late_record_for_closed_tick_is_dropped(self):
         assembler = StreamAssembler(watermark=0)
@@ -158,8 +167,7 @@ class TestDeliveryPathologies:
         assembler.offer(sample(2))
         assembler.offer(sample(2, container="c1"))
         closed = assembler.due()
-        assert closed[1].usage["c1"]["cpu"] == 5.0
-        assert closed[1].partial
+        assert cpu(closed[1], "c1") == 5.0
         summary = assembler.summary()
         assert summary["imputed"] == 1
         assert summary["dropped"] == 1
@@ -172,11 +180,12 @@ class TestDeliveryPathologies:
         # delivered value to impute from.
         assembler.offer(sample(1, container="c1", metrics={"cpu": 2.0}))
         closed_0 = assembler.due()[0]
-        assert math.isnan(closed_0.usage["c1"]["cpu"])
-        assert closed_0.partial
+        assert math.isnan(cpu(closed_0, "c1"))
+        summary = assembler.summary()  # c1 at tick 0 is not imputed, c0 at tick 1 is
+        assert (summary["dropped"], summary["imputed"]) == (2, 1)
         assembler.offer(sample(2, container="c1"))
         closed_1 = assembler.due()[-1]  # c0 missing with history -> imputed
-        assert closed_1.usage["c0"]["cpu"] == 1.0
+        assert cpu(closed_1) == 1.0
 
     def test_gap_tick_synthesized_as_nan(self):
         assembler = StreamAssembler(watermark=0)
@@ -184,8 +193,7 @@ class TestDeliveryPathologies:
         assembler.offer(sample(3))  # ticks 1, 2 never stream
         closed = assembler.due()
         assert [c.tick for c in closed] == [0, 1, 2, 3]
-        assert closed[1].gap and closed[2].gap
-        assert math.isnan(closed[1].usage["c0"]["cpu"])
+        assert all(math.isnan(cpu(c)) for c in closed[1:3])
         assert assembler.summary()["gap_ticks"] == 2
 
 
@@ -204,9 +212,11 @@ class TestCellRetirement:
         assert summary["cells_retired"] == 1  # one metric cell
         # The first RETIRE_AFTER - 1 misses are imputed, the next retires.
         assert summary["imputed"] == RETIRE_AFTER - 1
-        # After retirement the closes are complete again.
-        assert not closed[-1].partial
-        assert all("gone" not in c.usage for c in closed[RETIRE_AFTER:])
+        # Every miss before the retiring one closed partial; after it
+        # the closes are complete again and the container is gone.
+        assert summary["ticks_closed_partial"] == RETIRE_AFTER - 1
+        assert "gone" in rows(closed[RETIRE_AFTER - 1])
+        assert all("gone" not in rows(c) for c in closed[RETIRE_AFTER:])
 
     def test_intermittent_cell_is_not_retired(self):
         assembler = StreamAssembler(watermark=0)
@@ -237,12 +247,13 @@ class TestCellRetirement:
         for tick in range(1, back_at):
             self.feed(assembler, tick, ["c0"])
         closed = assembler.due()
-        assert "gone" not in closed[-1].states
-        # The container comes back: its cells re-register.
+        assert "gone" not in rows(closed[-1])
+        # The container comes back: admitted afresh, at the table's end.
         self.feed(assembler, back_at, ["c0", "gone"])
         self.feed(assembler, back_at + 1, ["c0", "gone"])
         back = assembler.due()
-        assert back[0].usage["gone"]["cpu"] == float(back_at)
+        assert [row.name for row in back[0].rows] == ["c0", "sens", "gone"]
+        assert cpu(back[0], "gone") == float(back_at)
 
     def test_passthrough_never_retires(self):
         assembler = PassthroughAssembler()
@@ -251,7 +262,7 @@ class TestCellRetirement:
             self.feed(assembler, tick, ["c0"])
         closed = assembler.due(force=True)
         assert assembler._c_retired.value == 0
-        assert closed[-1].usage["gone"]["cpu"] == 0.0  # zero-filled forever
+        assert cpu(closed[-1], "gone") == 0.0  # zero-filled forever
 
 
 class TestHeaderAndQos:
@@ -263,8 +274,8 @@ class TestHeaderAndQos:
         assembler.offer(sample(0))
         assembler.offer(sample(1))
         closed = assembler.due()[0]
-        assert closed.states["sens"] == ("created", False, True)
-        assert closed.states["c0"] == ("created", False, False)
+        assert rows(closed)["sens"][2:5] == ("created", False, True)
+        assert rows(closed)["c0"][2:5] == ("created", False, False)
 
     def test_qos_and_state_flow_through(self):
         assembler = StreamAssembler(watermark=0)
@@ -274,7 +285,7 @@ class TestHeaderAndQos:
         assembler.offer(sample(1))
         closed = assembler.due()[0]
         assert closed.qos == (0.5, 0.9)
-        assert closed.states["c0"] == ("paused", True, False)
+        assert rows(closed)["c0"][2:5] == ("paused", True, False)
 
     def test_state_held_from_last_delivery(self):
         assembler = StreamAssembler(watermark=0)
@@ -283,7 +294,30 @@ class TestHeaderAndQos:
         assembler.offer(sample(1))  # no state record this tick
         assembler.offer(sample(2))
         closed = assembler.due()
-        assert closed[1].states["c0"][0] == "paused"
+        assert rows(closed[1])["c0"].state == "paused"
+
+    def test_unknown_state_reads_running_and_unknown_metric_is_ignored(self):
+        assembler = StreamAssembler(watermark=0)
+        assembler.offer(sample(0, metrics={"cpu": 1.0, "gpu": 9.0}))
+        assembler.offer(state(0, "c0", "frozen"))
+        assembler.offer(sample(1))
+        row = rows(assembler.due()[0])["c0"]
+        assert (row.usage, row.state) == ((1.0, 0.0, 0.0, 0.0, 0.0), "running")
+        assert assembler.summary()["malformed"] == 0
+
+    def test_admission_order_is_header_then_state_records_then_usage_only(self):
+        assembler = StreamAssembler(watermark=0)
+        assembler.offer(HEADER)
+        for container in ("b-usage", "a-usage"):
+            assembler.offer(sample(0, container=container))
+        assembler.offer({**state(0, "z-state"), "sensitive": True})
+        assembler.offer(state(0, "y-state"))
+        assembler.offer(sample(1))
+        closed = assembler.due()[0]
+        assert [row.name for row in closed.rows] == [
+            "c0", "sens", "y-state", "z-state", "a-usage", "b-usage"
+        ]
+        assert [row.name for row in closed.rows if row.sensitive] == ["sens", "z-state"]
 
     def test_malformed_records_ignored(self):
         assembler = StreamAssembler(watermark=0)
@@ -305,6 +339,9 @@ def malformed_records(tick):
         "qos-value-text": qos(tick, value="x"),
         "sample-container-list": sample(tick, container=["c0"]),
         "state-container-list": state(tick, container=["c0"]),
+        "sample-container-number": sample(tick, container=7),
+        "state-flags-text": {**state(tick), "finished": "false", "sensitive": "false"},
+        "state-sensitive-number": {**state(tick), "sensitive": 1},
         "header-containers-list": {**HEADER, "containers": ["c0", "sens"]},
         "header-capacity-metric-missing": {**HEADER, "capacity": {"cpu": 4.0}},
         "header-capacity-text": {**HEADER, "capacity": {**CAPACITY, "memory": "8G"}},
@@ -334,11 +371,11 @@ class TestMalformedRecords:
         assembler.offer(HEADER)
         assembler.offer(sample(0, metrics={"cpu": 2.0, "memory": 3.0}))
         (closed,) = assembler.due()
-        assert closed.usage["c0"] == {"cpu": 2.0, "memory": 3.0}
-        assert not closed.partial
+        assert rows(closed)["c0"].usage == (2.0, 3.0, 0.0, 0.0, 0.0)
         summary = assembler.summary()
         assert summary["malformed"] == 1
         assert summary["duplicated"] == summary["dropped"] == 0
+        assert summary["ticks_closed_partial"] == 0
 
     @pytest.mark.parametrize("shape", MALFORMED_SHAPES)
     def test_started_service_pumps_past_it(self, shape):
@@ -383,9 +420,8 @@ class TestMalformedRecords:
         # The furthest jump allowed lands, gaps and all.
         assembler.offer(sample(4 + MAX_TICK_JUMP))
         assert assembler.max_seen == 4 + MAX_TICK_JUMP
-        closed = assembler.due()
-        assert len(closed) == MAX_TICK_JUMP
-        assert sum(tick.gap for tick in closed) == MAX_TICK_JUMP - 2
+        assert len(assembler.due()) == MAX_TICK_JUMP
+        assert assembler.summary()["gap_ticks"] == MAX_TICK_JUMP - 2
         assert assembler.summary()["malformed"] == 1
 
     def test_clean_replay_decides_the_same_around_them(self):
@@ -416,7 +452,7 @@ class TestPassthroughAssembler:
         assembler.offer(sample(0, metrics={"cpu": 1.0}))
         assembler.offer(sample(0, metrics={"cpu": 99.0}))
         assembler.offer(sample(1))
-        assert assembler.due()[0].usage["c0"]["cpu"] == 99.0
+        assert cpu(assembler.due()[0]) == 99.0
 
     def test_missing_cells_zero_filled(self):
         assembler = PassthroughAssembler()
@@ -425,7 +461,7 @@ class TestPassthroughAssembler:
         assembler.offer(sample(1, metrics={"cpu": 4.0}))
         assembler.offer(sample(2))
         closed = assembler.due()
-        assert closed[1].usage["c1"]["cpu"] == 0.0  # the poisonous fill
+        assert cpu(closed[1], "c1") == 0.0  # the poisonous fill
 
     def test_late_records_silently_lost(self):
         assembler = PassthroughAssembler()
