@@ -108,6 +108,7 @@ def _print_fleet_report(report: Dict[str, object]) -> None:
         )
         line = (
             f"  {name:12s} violation ratio {arm['violation_ratio']:.4f}  "
+            f"batch work {arm['batch_work']:7.1f}  "
             f"{crashed}  orphaned migrations {arm['orphaned_migrations']}"
         )
         if "fleet" in arm:

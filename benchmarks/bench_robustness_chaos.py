@@ -12,11 +12,12 @@ otherwise-identical Stay-Away controllers:
 * **Recovery drill** (fault containment): controller-internal faults —
   stages raising on schedule (:class:`StageExceptionInjector`) and
   silent model poisoning (:class:`ModelPoisoner`) — containment
-  (exception firewall + circuit breakers + model-health watchdog) on vs
-  off. The uncontained controller crashes on the first stage exception;
-  the contained one must survive the whole run, trip and recover its
-  breakers, and sustain a strictly lower sensitive-app QoS violation
-  ratio. Results land in ``BENCH_fault_containment.json``.
+  (exception firewall + model-health watchdog) on vs off. The
+  uncontained controller crashes on the first stage exception; the
+  contained one must survive the whole run, catch every injected stage
+  fault, keep its bookkeeping consistent and sustain a strictly lower
+  sensitive-app QoS violation ratio. Results land in
+  ``BENCH_fault_containment.json``.
 
 ``python -m benchmarks.bench_robustness_chaos`` runs the recovery drill
 standalone (the CI chaos-smoke step uses a fast profile).
@@ -104,10 +105,10 @@ def test_robustness_chaos(benchmark, capsys):
 def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, object]:
     """Run the containment recovery drill and write the BENCH json.
 
-    The fault script mixes a scripted mapping-stage outage (long enough
-    to trip the breaker and let it recover) with probabilistic stage
-    exceptions and model poisonings, all pure functions of (seed, tick)
-    so both policy variants face identical faults.
+    The fault script mixes a scripted 60-period mapping-stage outage
+    with probabilistic stage exceptions and model poisonings, all pure
+    functions of (seed, tick) so both policy variants face identical
+    faults.
     """
     scenario = Scenario(
         sensitive="vlc-streaming",
@@ -138,14 +139,15 @@ def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, objec
         },
         "contained": {
             "violation_ratio": contained["violation_ratio"],
+            "batch_work": contained["batch_work"],
             "crashed_at": contained["crashed_at"],
             "faults": contained["faults"],
             "containment": contained["containment"],
-            "recovery": contained["recovery"],
             "invariants": contained["invariants"],
         },
         "uncontained": {
             "violation_ratio": uncontained["violation_ratio"],
+            "batch_work": uncontained["batch_work"],
             "crashed_at": uncontained["crashed_at"],
             "crash": uncontained["crash"],
             "faults": uncontained["faults"],
@@ -153,6 +155,7 @@ def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, objec
         "improvement": comparison.improvement,
         "passed": (
             contained["crashed_at"] is None
+            and contained["invariants"]["breaches"] == 0
             and comparison.improvement > 0
         ),
     }
@@ -175,25 +178,20 @@ def _print_recovery_report(report: Dict[str, object]) -> None:
             if side["crashed_at"] is None
             else f"CRASHED at tick {side['crashed_at']}"
         )
-        print(f"  {label:11s} violation ratio {side['violation_ratio']:.3f}  {crashed}")
+        print(
+            f"  {label:11s} violation ratio {side['violation_ratio']:.3f}  "
+            f"batch work {side['batch_work']:7.1f}  {crashed}"
+        )
     crash = uncontained.get("crash")
     if crash is not None:
         print(f"  uncontained crash: {crash['error_type']} ({crash['fault']}) at {crash['trace']}")
     containment = contained["containment"]
-    print(f"  firewall catches: {containment['firewall_catches']}")
-    for stage, breaker in containment["breakers"].items():
-        if breaker["trips"]:
-            print(
-                f"    breaker[{stage}]: {breaker['trips']} trips, "
-                f"{breaker['resets']} resets, mean recovery "
-                f"{breaker['mean_recovery_ticks']:.0f} ticks"
-            )
-    print(f"  watchdog: {containment['watchdog']}")
     print(
-        f"  recovery: {contained['recovery']['recoveries']} completed, mean "
-        f"{contained['recovery']['mean_recovery_ticks']:.0f} ticks, max "
-        f"{contained['recovery']['max_recovery_ticks']} ticks"
+        f"  firewall catches: {containment['firewall_catches']} of "
+        f"{contained['faults']['stage_faults']} injected stage faults"
     )
+    print(f"  watchdog: {containment['watchdog']}")
+    print(f"  invariant breaches: {contained['invariants']['breaches']}")
     print(f"  improvement: {report['improvement']:+.3f} violation ratio")
     print(f"  report written to {report['out']}")
 
@@ -220,11 +218,11 @@ def test_recovery_drill(benchmark, capsys, tmp_path):
     # Containment sustains a strictly lower QoS violation ratio.
     assert contained.violation_ratio() < uncontained.violation_ratio()
     # The faults actually fired (the comparison is not vacuous) and the
-    # breakers completed at least one trip -> cooldown -> reset cycle.
+    # firewall caught every injected stage fault.
     assert len(contained.injector.fired) > 10
     assert len(contained.poisoner.fired) > 0
-    assert contained.controller.breakers.total_trips > 0
-    assert len(contained.recovery_times()) > 0
+    summary = contained.summary()
+    assert summary["containment"]["firewall_catches"] == len(contained.injector.fired)
     # The watchdog found and healed real poisonings.
     watchdog = contained.controller.watchdog.summary()
     assert watchdog["violations"] > 0
@@ -245,7 +243,10 @@ def main(argv=None) -> int:
     report = run_recovery_experiment(args.out, ticks=args.ticks)
     _print_recovery_report(report)
     if not report["passed"]:
-        print("FAIL: containment did not beat the uncontained baseline")
+        print(
+            "FAIL: the contained run crashed, breached an invariant or did "
+            "not beat the uncontained baseline"
+        )
         return 1
     return 0
 

@@ -185,13 +185,9 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         ])
         containment = summary["telemetry"].get("containment") or {}
         if containment.get("enabled"):
-            breakers = containment.get("breakers") or {}
-            trips = sum(b["trips"] for b in breakers.values())
-            resets = sum(b["resets"] for b in breakers.values())
             watchdog = containment.get("watchdog") or {}
             rows.extend([
                 ["firewall catches", containment["firewall_catches"]],
-                ["breaker trips / resets", f"{trips} / {resets}"],
                 ["watchdog heals",
                  f"{watchdog.get('quarantines', 0)} quarantine / "
                  f"{watchdog.get('rollbacks', 0)} rollback"],

@@ -73,8 +73,9 @@ class StayAwayConfig:
     containment:
         The two defences against a faulty controller, on or off
         together: wrap each stage (guard, map, predict, act) in an
-        exception firewall with a per-stage circuit breaker, so a stage
-        failure degrades that period instead of crashing the run; and
+        exception firewall, so a stage failure is counted and degrades
+        that period instead of crashing the run, and the stage runs
+        again next period; and
         check learned-state invariants every period (finite
         coordinates/representatives, sane violation-range geometry,
         finite step histograms, positive finite beta, stress

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from repro.core.action import ThrottleManager
-from repro.core.breakers import BreakerBank
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
 from repro.core.mapping import MappingPipeline
@@ -49,8 +48,6 @@ class _StageOutcome:
 
 #: The stage raised and the firewall contained it.
 STAGE_FAILED = _StageOutcome("failed")
-#: The stage's circuit breaker is OPEN; it was skipped entirely.
-STAGE_OPEN = _StageOutcome("open")
 
 #: Readings above this many times the host capacity for their metric are
 #: rejected by the sensor guard as corruption rather than load.
@@ -164,10 +161,8 @@ class StayAway:
         self.health: Optional[DegradedModeMachine] = None
         if self.config.resilience:
             self.health = DegradedModeMachine(self.events)
-        self.breakers: Optional[BreakerBank] = None
         self.watchdog: Optional[ModelHealthWatchdog] = None
         if self.config.containment:
-            self.breakers = BreakerBank(self.events, registry=self.telemetry.registry)
             self.watchdog = ModelHealthWatchdog(
                 self.config, self.events, telemetry=self.telemetry
             )
@@ -240,7 +235,7 @@ class StayAway:
         #     guard failure blinds this period (treated as a gap), it
         #     does not crash the run.
         guarded = self._call_stage("guard", tick, self._stage_guard, tick)
-        if isinstance(guarded, _StageOutcome):
+        if guarded is STAGE_FAILED:
             measurement, monitoring_ok = None, False
         else:
             measurement, monitoring_ok = guarded
@@ -258,14 +253,14 @@ class StayAway:
         if self.watchdog is not None:
             self.watchdog.check_and_heal(tick, self)
 
-        # 1. Mapping. A contained mapping failure (or an OPEN mapping
-        #    breaker) degrades this period to the monitoring-gap path.
+        # 1. Mapping. A contained mapping failure degrades this period
+        #    to the monitoring-gap path.
         mapped = None
         if measurement is not None:
             result = self._call_stage(
                 "map", tick, self._stage_map, tick, measurement, violated
             )
-            if not isinstance(result, _StageOutcome):
+            if result is not STAGE_FAILED:
                 mapped = result
                 if mapped.is_new_state:
                     self.events.record(
@@ -294,12 +289,12 @@ class StayAway:
             self._prev_mode = mode
             return
 
-        # 2. Prediction. A contained predictor failure (or an OPEN
-        #    prediction breaker) means no prediction this period.
+        # 2. Prediction. A contained predictor failure means no
+        #    prediction this period.
         prediction = self._call_stage(
             "predict", tick, self._stage_predict, tick, mode, mapped.coords, violated
         )
-        if isinstance(prediction, _StageOutcome):
+        if prediction is STAGE_FAILED:
             prediction = None
         self.last_prediction = prediction
         impending = (
@@ -387,24 +382,18 @@ class StayAway:
 
     # -- the exception firewall -------------------------------------------------
     def _call_stage(self, stage: str, tick: int, fn, *args, **kwargs):
-        """Run one stage behind its circuit breaker and exception firewall.
+        """Run one stage behind the exception firewall.
 
         With fault containment disabled this is a plain call — stage
         exceptions propagate and crash the run exactly as the naive
-        runtime would. With containment on, an exception degrades the
-        period (``STAGE_FAILED``) and feeds the stage's error budget; an
-        exhausted budget opens the breaker and the stage is skipped
-        (``STAGE_OPEN``) until cooldown and probing close it again. A
-        tripped mapping/prediction breaker additionally forces the
-        degraded-mode machine into the conservative reactive policy.
+        runtime would. With containment on, an exception is counted and
+        degrades this period only (``STAGE_FAILED``); the stage runs
+        again next period.
         """
-        if self.breakers is None:
+        if not self.config.containment:
             return fn(*args, **kwargs)
-        breaker = self.breakers.get(stage)
-        if not breaker.allows(tick):
-            return STAGE_OPEN
         try:
-            result = fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         except Exception as exc:  # sacheck: disable=SA108 -- stage firewall: contain any stage fault, degrade the period instead of crashing the run
             self._c_firewall.inc()
             self.events.record(
@@ -414,12 +403,7 @@ class StayAway:
                 error_type=type(exc).__name__,
                 error=str(exc),
             )
-            tripped = breaker.record_failure(tick)
-            if tripped and stage in ("guard", "map", "predict") and self.health is not None:
-                self.health.force_degraded(tick, f"breaker-{stage}")
             return STAGE_FAILED
-        breaker.record_success(tick)
-        return result
 
     def _act(
         self,
@@ -432,16 +416,15 @@ class StayAway:
     ) -> bool:
         """Firewalled action stage with the pause-and-hold fail-safe.
 
-        When the act stage raises or its breaker is OPEN the controller
-        cannot trust its throttle/resume decision logic, so it falls
-        back to the safest action available: pause the batch containers
-        (a no-op if already paused) and hold — no resumes — until the
-        breaker closes again.
+        When the act stage raises the controller cannot trust its
+        throttle/resume decision logic, so for this period it falls back
+        to the safest action available: pause the batch containers (a
+        no-op if already paused) and resume nothing.
         """
         result = self._call_stage(
             "act", tick, self._stage_act, tick, observation, actuator, impending, observed, distance
         )
-        if isinstance(result, _StageOutcome):
+        if result is STAGE_FAILED:
             throttled_now = self.throttle.preemptive_pause(tick, observation, actuator)
         else:
             throttled_now = result
@@ -533,11 +516,8 @@ class StayAway:
                 "enabled": self.telemetry.enabled,
                 "monitoring_gaps": int(self._c_gaps.value),
                 "containment": {
-                    "enabled": self.breakers is not None,
+                    "enabled": self.config.containment,
                     "firewall_catches": int(self._c_firewall.value),
-                    "breakers": (
-                        self.breakers.summary() if self.breakers is not None else None
-                    ),
                     "watchdog": (
                         self.watchdog.summary() if self.watchdog is not None else None
                     ),

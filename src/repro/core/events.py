@@ -26,9 +26,6 @@ class EventKind(enum.Enum):
     ACTION_ESCALATION = "action-escalation"  # retries exhausted on a target
     CHECKPOINT_RESTORED = "checkpoint-restored"  # learned state reloaded
     FIREWALL_CATCH = "firewall-catch"  # stage exception contained, period degraded
-    BREAKER_TRIP = "breaker-trip"      # stage error budget exhausted, stage open
-    BREAKER_PROBE = "breaker-probe"    # half-open breaker let a probe through
-    BREAKER_RESET = "breaker-reset"    # probes succeeded, stage closed again
     MODEL_QUARANTINE = "model-quarantine"  # poisoned states removed from the map
     MODEL_ROLLBACK = "model-rollback"  # learned models rolled back to last good
     MODEL_SNAPSHOT = "model-snapshot"  # last-known-good snapshot captured

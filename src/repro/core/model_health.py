@@ -1,10 +1,11 @@
 """Model-health watchdog: learned-state invariants, quarantine, rollback.
 
-The exception firewall and circuit breakers (:mod:`repro.core.breakers`)
-contain *loud* stage failures; this module contains the silent ones. A
-NaN that escapes SMACOF, a degenerate geometry rebuild or a poisoned
-representative does not raise — it quietly corrupts the learned model,
-and every prediction made over it afterwards is garbage. Production
+The exception firewall (``StayAway._call_stage``) contains *loud*
+stage failures, one period at a time; this module contains the silent
+ones. A NaN that escapes SMACOF, a degenerate geometry rebuild or a
+poisoned representative does not raise — it quietly corrupts the
+learned model, and every prediction made over it afterwards is
+garbage. Production
 interference managers treat the controller's own model as a fallible
 component; the reproduction does the same:
 

@@ -136,12 +136,12 @@ class DegradedModeMachine:
     def force_degraded(self, tick: int, reason: str) -> None:
         """Drop into DEGRADED immediately for a controller-internal fault.
 
-        Used by the fault-containment runtime when a mapping or
-        prediction circuit breaker trips: the learned model can no
-        longer be trusted even though both *input* channels are healthy,
-        so the controller falls back to the reactive-only policy. The
-        normal resync rule applies on the way out — ``RESYNC_PERIODS``
-        consecutive healthy periods re-enter PREDICTIVE.
+        Used by :class:`~repro.service.controller_service.ControllerService`
+        when the record stream stalls: no tick has closed, so no period
+        has run to notice the silence, and the controller falls back to
+        the reactive-only policy. The normal resync rule
+        applies on the way out — ``RESYNC_PERIODS`` consecutive healthy
+        periods re-enter PREDICTIVE.
         """
         if self.state is ControllerHealth.DEGRADED:
             return

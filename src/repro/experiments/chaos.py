@@ -22,13 +22,14 @@ difference in violation ratio is attributable to the resilience layer.
 
 from __future__ import annotations
 
+import os
 import traceback
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
-from repro.experiments.scenarios import BuiltScenario, Scenario
+from repro.experiments.scenarios import BuiltScenario, Scenario, batch_work
 from repro.fleet import FleetCoordinator
 from repro.sim.cluster import MIGRATION_IN_FLIGHT, Cluster
 from repro.sim.container import Container
@@ -46,6 +47,7 @@ from repro.sim.faults import (
     TelemetryBlackout,
 )
 from repro.sim.host import Host
+from repro.workloads.base import Application
 from repro.workloads.registry import make_workload
 
 
@@ -97,7 +99,8 @@ class ControllerCrash:
         The injected fault's name (``InjectedStageError.fault_name``)
         when the crash was caused by a known injector, else None.
     trace:
-        The deepest frame of the traceback (``file:line in func``).
+        The deepest frame of the traceback (``file:line in func``, the
+        file's base name so a record does not depend on the checkout).
     """
 
     tick: int
@@ -142,7 +145,10 @@ class _Guard:
                 error_type=type(exc).__name__,
                 message=str(exc),
                 fault=getattr(exc, "fault_name", None),
-                trace=f"{deepest.filename}:{deepest.lineno} in {deepest.name}",
+                trace=(
+                    f"{os.path.basename(deepest.filename)}:{deepest.lineno} "
+                    f"in {deepest.name}"
+                ),
             )
 
 
@@ -393,8 +399,8 @@ class ContainmentMix:
         Stages the probabilistic injector targets.
     fault_windows:
         Scripted ``(start, end, stage)`` windows during which the stage
-        fails every period — the deterministic outage that drives a
-        breaker through trip, cooldown and recovery.
+        fails every period — a deterministic outage the firewall must
+        ride out, period by period.
     poison:
         Per-period probability of one model-poisoning mutation.
     poison_kinds:
@@ -412,10 +418,9 @@ class ContainmentMix:
 def uncontained_config(config: Optional[StayAwayConfig] = None) -> StayAwayConfig:
     """The same controller with fault containment disabled.
 
-    No exception firewall, no circuit breakers, no model-health
-    watchdog — a stage exception propagates and (under
-    :class:`CrashGuard`) kills the runtime, exactly like the naive
-    implementation.
+    No exception firewall, no model-health watchdog — a stage
+    exception propagates and (under :class:`CrashGuard`) kills the
+    runtime, exactly like the naive implementation.
     """
     base = config if config is not None else StayAwayConfig()
     return replace(base, containment=False)
@@ -444,22 +449,13 @@ class RecoveryDrillResult(DrillResult):
     injector: StageExceptionInjector
     poisoner: ModelPoisoner
 
-    def recovery_times(self) -> list:
-        """Trip-to-reset durations (ticks) across all stage breakers."""
-        if self.controller.breakers is None:
-            return []
-        times: list = []
-        for breaker in self.controller.breakers.breakers.values():
-            times.extend(breaker.recovery_times())
-        return times
-
     def summary(self) -> dict:
         """Controller summary + fault census + containment verdict."""
-        times = self.recovery_times()
         controller = self.controller.summary()
         return {
             "controller": controller,
             "violation_ratio": self.violation_ratio(),
+            "batch_work": batch_work(self.built.batch_apps),
             "crashed_at": self.crashed_at,
             "crash": None if self.crash is None else asdict(self.crash),
             "faults": {
@@ -468,11 +464,6 @@ class RecoveryDrillResult(DrillResult):
                 "total": len(self.injector.fired) + len(self.poisoner.fired),
             },
             "containment": controller["telemetry"]["containment"],
-            "recovery": {
-                "recoveries": len(times),
-                "mean_recovery_ticks": (sum(times) / len(times)) if times else 0.0,
-                "max_recovery_ticks": max(times) if times else 0,
-            },
             "invariants": self.checker.summary(),
         }
 
@@ -487,7 +478,7 @@ def run_recovery_drill(
     Unlike :func:`run_chaos` the environment is healthy — the faults
     live *inside* the controller: stages raise on schedule and the
     learned model is silently poisoned. What is being drilled is the
-    containment machinery (firewall, breakers, watchdog), or — with
+    containment machinery (firewall and watchdog), or — with
     :func:`uncontained_config` — its absence.
     """
     mix = mix if mix is not None else ContainmentMix()
@@ -661,6 +652,9 @@ class FleetDrillResult(DrillResult):
     cluster / coordinator / crash_injector:
         The run's machinery, for assertions and summaries. The
         coordinator is None in the ``none`` arm.
+    batch_apps:
+        Every non-sensitive app :func:`build_fleet` created, collected
+        before the run so a migrated container still counts.
     """
 
     mix: FleetMix
@@ -668,6 +662,7 @@ class FleetDrillResult(DrillResult):
     cluster: Cluster
     coordinator: Optional[FleetCoordinator]
     crash_injector: HostCrashInjector
+    batch_apps: Tuple[Application, ...]
 
     def orphaned_migrations(self) -> list:
         """Cluster migration records stuck ``in-flight`` after the run."""
@@ -682,6 +677,7 @@ class FleetDrillResult(DrillResult):
             "arm": self.arm,
             "hosts": len(self.cluster.hosts),
             "violation_ratio": self.violation_ratio(),
+            "batch_work": batch_work(self.batch_apps),
             "crashed_at": self.crashed_at,
             "crashes": self.crash_injector.summary(),
             "migration_records": len(self.cluster.migrations),
@@ -710,6 +706,12 @@ def run_fleet_drill(
         raise ValueError(f"unknown arm {arm!r}")
     config = config if config is not None else StayAwayConfig(telemetry=False)
     cluster, sensitive = build_fleet(mix)
+    batch_apps = tuple(
+        container.app
+        for host in cluster.hosts.values()
+        for container in host.containers.values()
+        if not container.sensitive
+    )
 
     audit = FleetQosAudit(sensitive)
     cluster.add_middleware(audit)
@@ -749,6 +751,7 @@ def run_fleet_drill(
         cluster=cluster,
         coordinator=coordinator,
         crash_injector=crash_injector,
+        batch_apps=batch_apps,
     )
 
 

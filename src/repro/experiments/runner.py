@@ -20,7 +20,7 @@ from repro.baselines.reactive import ReactiveThrottler
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.template import MapTemplate
-from repro.experiments.scenarios import BuiltScenario, Scenario
+from repro.experiments.scenarios import BuiltScenario, Scenario, batch_work
 from repro.monitoring.qos import QosTracker
 from repro.sim.engine import SimulationEngine
 from repro.sim.host import HostSnapshot
@@ -76,7 +76,7 @@ class RunResult:
 
     def batch_work_done(self) -> float:
         """Total work completed by all batch applications."""
-        return float(sum(app.work_done for app in self.built.batch_apps))
+        return batch_work(self.built.batch_apps)
 
     @property
     def telemetry(self):

@@ -11,7 +11,7 @@ between runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.container import Container
 from repro.sim.host import Host
@@ -38,6 +38,12 @@ class BuiltScenario:
     host: Host
     sensitive_app: Application
     batch_apps: Tuple[Application, ...]
+
+
+def batch_work(apps: Iterable[Application]) -> float:
+    """Total work the batch applications retired (the paper's
+    utilization axis — what over-throttling silently destroys)."""
+    return float(sum(app.work_done for app in apps))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.experiments.chaos import DrillComparison, DrillResult
-from repro.experiments.scenarios import BuiltScenario, Scenario
+from repro.experiments.scenarios import BuiltScenario, Scenario, batch_work
 from repro.monitoring.qos import QosTracker
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import (
@@ -163,9 +163,8 @@ class StreamDrillResult(DrillResult):
     passthrough: bool = False
 
     def batch_work(self) -> float:
-        """Total work the batch applications retired (the paper's
-        utilization axis — what over-throttling silently destroys)."""
-        return sum(app.work_done for app in self.built.batch_apps)
+        """Total work the batch applications retired."""
+        return batch_work(self.built.batch_apps)
 
     def faults_injected(self) -> int:
         """Total transport + ack faults the script actually fired."""

@@ -8,9 +8,9 @@ stay correct under failure:
 
 * :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator` runs one
   Stay-Away controller per host behind an isolation cell
-  (:class:`HostControllerCell`): an uncaught controller exception or a
-  tripped cell breaker degrades *that host* to a reactive pause/resume
-  policy instead of unwinding the coordinator.
+  (:class:`HostControllerCell`): an uncaught controller exception
+  degrades *that host* to a reactive pause/resume policy for that tick
+  instead of unwinding the coordinator.
 * :mod:`repro.fleet.scoring` — :class:`InterferenceScorer` folds each
   host's predicted violation probability, observed-QoS history and CPU
   utilization into one score driving evict-from-hot / admit-on-cold

@@ -3,19 +3,18 @@
 One Stay-Away controller per host, one coordinator per fleet. The
 coordinator is a cluster middleware
 (:meth:`FleetCoordinator.on_cluster_tick`); each host's controller
-runs inside a :class:`HostControllerCell` behind its own circuit
-breaker, so a crashing or poisoned controller degrades *that host* to
+runs inside a :class:`HostControllerCell` behind its own crash
+firewall, so a crashing or poisoned controller degrades *that host* to
 a reactive pause/resume policy while the rest of the fleet keeps its
 predictive controllers — the same containment philosophy as the
-in-controller stage firewall (PR 5), lifted one level up.
+in-controller stage firewall, lifted one level up.
 
 Failure semantics, by layer:
 
-* controller raises → the cell catches, counts the crash against its
-  breaker, and serves the reactive fallback this tick;
-* breaker OPEN → the controller is skipped entirely until the
-  cooldown's HALF_OPEN probes pass (a genuinely poisoned controller
-  stays degraded forever);
+* controller raises → the cell catches, counts the crash, serves the
+  reactive fallback this tick and drives the controller again on the
+  next one (a genuinely poisoned controller stays degraded for as long
+  as it keeps raising);
 * host crash / telemetry blackout → no snapshot arrives, the cell is
   simply not driven, and the host's score goes stale — stale hosts are
   excluded from placement decisions (no telemetry is *not* treated as
@@ -36,10 +35,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-from repro.core.breakers import BreakerBank, CircuitBreaker
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
-from repro.core.events import EventLog
 from repro.fleet.migration import MigrationSupervisor
 from repro.fleet.scoring import HostScore, InterferenceScorer
 from repro.sim.resources import Resource
@@ -66,7 +63,7 @@ FALLBACK_RESUME_AFTER = 10
 
 
 class HostControllerCell:
-    """One host's controller, behind its own crash firewall + breaker.
+    """One host's controller, behind its own crash firewall.
 
     Parameters
     ----------
@@ -81,8 +78,6 @@ class HostControllerCell:
         own ``qos`` is the host-local QoS channel the cell reads while
         degraded: the controller's channel may only hear the app
         through the very driver that failed.
-    breaker:
-        The cell-level circuit breaker gating the controller.
 
     The reactive fallback resumes what it paused after
     ``FALLBACK_RESUME_AFTER`` violation-free ticks; the first healthy
@@ -93,12 +88,10 @@ class HostControllerCell:
         self,
         host_name: str,
         controller: StayAway,
-        breaker: CircuitBreaker,
     ) -> None:
         self.host_name = host_name
         self._driver = controller
         self.controller = getattr(controller, "controller", controller)
-        self.breaker = breaker
         self.crashes = 0
         self.fallback_ticks = 0
         self._fallback_paused: Set[str] = set()
@@ -112,20 +105,14 @@ class HostControllerCell:
 
     def observe(self, snapshot: "HostSnapshot", host: "Host") -> None:
         """Drive one tick: predictive controller if healthy, else fallback."""
-        tick = snapshot.tick
-        if self.breaker.allows(tick):
-            try:
-                self._driver.on_tick(snapshot, host)
-                self.breaker.record_success(tick)
-                self._last_run_ok = True
-                if self._fallback_paused:
-                    self._hand_back(host, keep=self.controller.throttle.desired_paused)
-                return
-            except Exception:  # sacheck: disable=SA108 -- cell firewall: any controller exception must degrade this host, not unwind the fleet coordinator
-                self.crashes += 1
-                self.breaker.record_failure(tick)
-                self._last_run_ok = False
-        else:
+        try:
+            self._driver.on_tick(snapshot, host)
+            self._last_run_ok = True
+            if self._fallback_paused:
+                self._hand_back(host, keep=self.controller.throttle.desired_paused)
+            return
+        except Exception:  # sacheck: disable=SA108 -- cell firewall: any controller exception must degrade this host, not unwind the fleet coordinator
+            self.crashes += 1
             self._last_run_ok = False
         self._fallback(snapshot, host)
 
@@ -185,12 +172,11 @@ class HostControllerCell:
         return bool(qos.violation_now)
 
     def summary(self) -> dict:
-        """Cell health: crashes, breaker state, fallback activity."""
+        """Cell health: crashes, fallback activity."""
         return {
             "host": self.host_name,
             "crashes": self.crashes,
             "degraded": self.degraded,
-            "breaker": self.breaker.state.value,
             "fallback_ticks": self.fallback_ticks,
         }
 
@@ -209,7 +195,7 @@ class FleetCoordinator:
         different host's sensitive work.
     config:
         Shared :class:`~repro.core.config.StayAwayConfig` for the
-        per-host controllers and the cell breakers.
+        per-host controllers.
     migrate:
         When False the coordinator observes and scores but never moves
         work — the per-host-only ablation arm of ``bench_fleet``.
@@ -235,7 +221,6 @@ class FleetCoordinator:
             lambda host, app: StayAway(app, config=self.config)
         )
         self.scorer = InterferenceScorer()
-        self.events = EventLog()
         self.cells: Dict[str, HostControllerCell] = {}
         self.supervisor: Optional[MigrationSupervisor] = None
         self.cluster: Optional["Cluster"] = None
@@ -250,19 +235,11 @@ class FleetCoordinator:
             raise ValueError("coordinator is already bound to another cluster")
         self.cluster = cluster
         self.supervisor = MigrationSupervisor(cluster)
-        # One breaker per cell, the same kind as the controllers' stage
-        # breakers.
-        breakers = BreakerBank(
-            self.events,
-            stages=tuple(f"cell:{host_name}" for host_name in self.sensitive),
-        )
         for host_name, app in sorted(self.sensitive.items()):
             if host_name not in cluster.hosts:
                 raise ValueError(f"sensitive mapping names unknown host {host_name!r}")
             self.cells[host_name] = HostControllerCell(
-                host_name,
-                self._factory(host_name, app),
-                breakers.get(f"cell:{host_name}"),
+                host_name, self._factory(host_name, app)
             )
 
     # -- middleware interface ----------------------------------------------

@@ -9,7 +9,7 @@ the repo already produces:
   indicator;
 * **qos** — an EWMA of the observed violation indicator, the lagging
   ground truth that keeps scoring honest when a controller's model is
-  degraded or its breaker is open;
+  degraded or its cell is serving the reactive fallback;
 * **utilization** — machine CPU utilization, the tie-breaker that
   spreads load even before anything goes wrong.
 

@@ -282,14 +282,14 @@ def test_simulator_digest():
     assert digest.hexdigest() == SIM_DIGEST
 
 
-DRILL_DIGEST = "834061af91eb08372455f9c33e16984aad7d814ead03fe09c157cd2a4842b2cb"
+DRILL_DIGEST = "7d82772fa73301e717d40aae551e0388c00856fc6d061f2d788c639439cda9aa"
 
 
 def _file_and_function(trace: str) -> str:
-    """``/path/to/faults.py:541 in faulty`` -> ``faults.py in faulty``.
+    """``faults.py:541 in faulty`` -> ``faults.py in faulty``.
 
-    The line number moves with every edit of the injector's module and
-    the path with the checkout; the file and function name the fault.
+    The line number moves with every edit of the injector's module; the
+    file and function name the fault.
     """
     location, _, function = trace.partition(" in ")
     return f"{os.path.basename(location.rsplit(':', 1)[0])} in {function}"

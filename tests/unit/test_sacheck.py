@@ -173,7 +173,7 @@ def test_sa103_nothing_below_fleet_may_import_it():
 def test_sa103_fleet_imports_infrastructure_not_experiments():
     fleet = "src/repro/fleet/coordinator.py"
     allowed = """
-    from repro.core.breakers import CircuitBreaker
+    from repro.core.controller import StayAway
     from repro.sim.cluster import Cluster
     from repro.monitoring.qos import QosTracker
     """
