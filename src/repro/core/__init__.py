@@ -18,16 +18,11 @@ the host each period:
 
 Templates (:mod:`repro.core.template`) let a map captured for a
 repeatable sensitive application seed future runs with different batch
-co-locations (§6).
+co-locations (§6); they are also the restart path: a controller
+started from one adopts the batch containers it finds paused.
 """
 
 from repro.core.action import ThrottleManager
-from repro.core.checkpoint import (
-    CheckpointError,
-    ControllerCheckpoint,
-    restore_checkpoint,
-    save_checkpoint,
-)
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.events import Event, EventKind, EventLog
@@ -39,8 +34,6 @@ from repro.core.state_space import StateLabel, StateSpace, violation_range_radiu
 from repro.core.template import MapTemplate
 
 __all__ = [
-    "CheckpointError",
-    "ControllerCheckpoint",
     "ControllerHealth",
     "DegradedModeMachine",
     "Event",
@@ -58,7 +51,5 @@ __all__ = [
     "StayAway",
     "StayAwayConfig",
     "ThrottleManager",
-    "restore_checkpoint",
-    "save_checkpoint",
     "violation_range_radius",
 ]

@@ -101,33 +101,21 @@ class ThrottleManager:
         # tick) for repairs that did not take effect yet.
         self._retry: Dict[str, Tuple[int, int]] = {}
 
-    # -- counters (registry-backed; setters exist for checkpoint restore) --
+    # -- counters (registry-backed) ---------------------------------------
     @property
     def throttle_count(self) -> int:
         """Throttle rounds fired so far."""
         return int(self._c_throttles.value)
-
-    @throttle_count.setter
-    def throttle_count(self, value: int) -> None:
-        self._c_throttles.set(value)
 
     @property
     def resume_count(self) -> int:
         """Resume rounds so far (probe resumes included)."""
         return int(self._c_resumes.value)
 
-    @resume_count.setter
-    def resume_count(self, value: int) -> None:
-        self._c_resumes.set(value)
-
     @property
     def probe_resume_count(self) -> int:
         """Anti-starvation probe resumes so far."""
         return int(self._c_probe_resumes.value)
-
-    @probe_resume_count.setter
-    def probe_resume_count(self, value: int) -> None:
-        self._c_probe_resumes.set(value)
 
     @property
     def reconcile_repauses(self) -> int:
@@ -180,6 +168,29 @@ class ThrottleManager:
         return {name: failures for name, (failures, _) in self._retry.items()}
 
     # -- reconciliation ----------------------------------------------------
+    def adopt(self, tick: int, observation: Observation) -> None:
+        """Take over the batch containers a starting controller finds paused.
+
+        Stay-Away is the only agent on its host that pauses batch
+        containers, so a paused one was left paused by a controller
+        that came before this one (a restarted process, a crashed fleet
+        cell). Adding them to the pause-set makes them this
+        controller's to hand back: the phase-change and probe resume
+        rules apply to them as to its own.
+        """
+        if not self.config.enabled:
+            return
+        found = [
+            row.name
+            for row in observation.rows
+            if not row.sensitive and row.state == PAUSED and not row.finished
+        ]
+        if not found:
+            return
+        self._paused_names.extend(found)
+        self.throttling = True
+        self.events.record(tick, EventKind.RECONCILE, targets=found, action="adopt")
+
     def reconcile(self, tick: int, observation: Observation, actuator) -> Observation:
         """Repair drift between the desired pause-set and reality.
 

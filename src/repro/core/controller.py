@@ -219,6 +219,7 @@ class StayAway:
                     plausible_max=normalizer.scale * PLAUSIBILITY_FACTOR,
                     registry=self.telemetry.registry,
                 )
+            self.throttle.adopt(tick, observation)
 
         # 0. Reconcile the desired pause-set against reality before
         #    deciding anything on top of stale bookkeeping (what it

@@ -24,7 +24,6 @@ class EventKind(enum.Enum):
     RECONCILE = "reconcile"          # desired/actual pause-set drift repaired
     ACTION_FAILED = "action-failed"  # pause/resume did not take effect
     ACTION_ESCALATION = "action-escalation"  # retries exhausted on a target
-    CHECKPOINT_RESTORED = "checkpoint-restored"  # learned state reloaded
     FIREWALL_CATCH = "firewall-catch"  # stage exception contained, period degraded
     MODEL_QUARANTINE = "model-quarantine"  # poisoned states removed from the map
     MODEL_ROLLBACK = "model-rollback"  # learned models rolled back to last good

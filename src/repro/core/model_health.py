@@ -23,8 +23,8 @@ component; the reproduction does the same:
   model-wide damage, and as a last resort hard-reset the learned state
   and relearn;
 * after every clean check it refreshes the **last-known-good snapshot**
-  every ``SNAPSHOT_INTERVAL`` periods via
-  :class:`~repro.core.checkpoint.ControllerCheckpoint`.
+  (:class:`_ModelSnapshot`, held in memory) every ``SNAPSHOT_INTERVAL``
+  periods.
 
 Quarantines, rollbacks and snapshot refreshes are recorded in the
 :class:`~repro.core.events.EventLog` and counted in the telemetry
@@ -33,20 +33,20 @@ registry (surfaced under ``summary()["telemetry"]["containment"]``).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.checkpoint import CheckpointError, ControllerCheckpoint
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
+from repro.core.state_space import StateLabel, StateSpace
 from repro.trajectory.modes import ExecutionMode
 
 if TYPE_CHECKING:
     from repro.core.controller import StayAway
-    from repro.core.state_space import StateSpace
 
 #: Stress above this (on a map of >= MIN_STATES_FOR_STRESS states)
 #: means the embedding degenerated — a healthy SMACOF fit sits far
@@ -80,6 +80,174 @@ def _bad_rows(matrix: np.ndarray) -> List[int]:
     if ok.all():
         return []
     return [int(i) for i in np.nonzero(~ok.all(axis=1))[0]]
+
+
+class _SnapshotMismatch(RuntimeError):
+    """A snapshot that does not fit the live controller it would roll back."""
+
+
+def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
+    """JSON-safe bit-generator state."""
+    return json.loads(json.dumps(rng.bit_generator.state, default=int))
+
+
+def _mode_model_state(model) -> Dict[str, Any]:
+    return {
+        "distances": [float(v) for v in model.distances.samples],
+        "angles": [float(v) for v in model.angles.samples],
+        "steps_observed": int(model.steps_observed),
+        "last_point": (
+            None if model.last_point is None else [float(v) for v in model.last_point]
+        ),
+    }
+
+
+@dataclass
+class _ModelSnapshot:
+    """The watchdog's in-memory copy of a controller's learned models.
+
+    Captured state: the deduplicated state space (representatives,
+    coordinates, labels, refit bookkeeping), the per-execution-mode
+    step/angle histograms, the predictor RNG stream and the
+    controller's step-distance continuity. The throttle machine is not
+    part of it: a rollback never touches the pause-set.
+    """
+
+    payload: Dict[str, Any]
+
+    @classmethod
+    def capture(cls, controller: "StayAway", tick: int) -> "_ModelSnapshot":
+        """Snapshot a live controller's learned models at ``tick``."""
+        space = controller.state_space
+        bank = controller.predictor.modes
+        payload: Dict[str, Any] = {
+            "captured_tick": int(tick),
+            "state_space": {
+                "representatives": space.representatives.points.tolist(),
+                "counts": space.representatives.counts.tolist(),
+                "coords": space.coords.tolist(),
+                "labels": [label.value for label in space.labels],
+                "epsilon": float(space.representatives.epsilon),
+                "refit_count": int(space.refit_count),
+                "new_since_refit": int(space._new_since_refit),
+            },
+            "modes": {
+                mode.value: _mode_model_state(model)
+                for mode, model in bank.models.items()
+            },
+            "mode_bank": {
+                "current_mode": (
+                    None if bank.current_mode is None else bank.current_mode.value
+                ),
+                "mode_switches": int(bank.mode_switches),
+            },
+            "predictor_rng": _rng_state(controller.predictor.rng),
+            "controller": {
+                "prev_coords": (
+                    None
+                    if controller._prev_coords is None
+                    else [float(v) for v in controller._prev_coords]
+                ),
+                "prev_mode": (
+                    None
+                    if controller._prev_mode is None
+                    else controller._prev_mode.value
+                ),
+            },
+        }
+        return cls(payload=payload)
+
+    def restore_models_into(self, controller: "StayAway") -> None:
+        """Roll a *running* controller's learned models back to this snapshot.
+
+        The state space is restored **in place** (every live reference
+        — the mapping pipeline, the template exporter — keeps seeing the
+        same object), and the per-mode trajectory models, the predictor
+        RNG stream and the controller's step-distance continuity are
+        reset to snapshot time. The throttle machine is deliberately
+        left alone: its pause-set reflects *actual* container states,
+        which a model rollback must not contradict.
+
+        The snapshot's representative dimensionality must match the
+        running space (same normalizer); a mismatch raises
+        :class:`_SnapshotMismatch`.
+        """
+        ss = self.payload["state_space"]
+        space = controller.state_space
+        if ss["representatives"] and len(space.representatives._points):
+            snap_dim = len(ss["representatives"][0])
+            if space.representatives.dimension not in (None, snap_dim):
+                raise _SnapshotMismatch(
+                    f"snapshot dimension {snap_dim} != live space "
+                    f"dimension {space.representatives.dimension}"
+                )
+        self._restore_state_space_into(space, ss)
+        self._restore_learned_models(controller)
+
+    def _restore_state_space_into(self, space: StateSpace, ss: Dict[str, Any]) -> None:
+        """Overwrite a state space's learned content with the payload's."""
+        space.representatives._points = [
+            np.asarray(row, dtype=float) for row in ss["representatives"]
+        ]
+        space.representatives._counts = [int(c) for c in ss["counts"]]
+        space.representatives.invalidate_index()
+        if space.representatives._points:
+            space.representatives.dimension = space.representatives._points[0].shape[0]
+        space.coords = np.asarray(ss["coords"], dtype=float).reshape(-1, 2)
+        space.labels = [StateLabel(value) for value in ss["labels"]]
+        space.refit_count = int(ss["refit_count"])
+        space._new_since_refit = int(ss["new_since_refit"])
+        if len(space.labels) != len(space.representatives._points) or (
+            space.coords.shape[0] != len(space.labels)
+        ):
+            raise _SnapshotMismatch("inconsistent state-space payload")
+        # Coords/labels were rewritten wholesale behind the cache: any
+        # violation geometry materialized before this point is stale.
+        space.invalidate_geometry()
+
+    def _restore_learned_models(self, controller: "StayAway") -> None:
+        """Restore mode models, predictor RNG and step continuity."""
+        data = self.payload
+        bank = controller.predictor.modes
+        for mode_value, state in data["modes"].items():
+            model = bank.models[ExecutionMode(mode_value)]
+            model.distances.clear()
+            model.distances.extend([float(v) for v in state["distances"]])
+            model.angles.clear()
+            model.angles.extend([float(v) for v in state["angles"]])
+            model.steps_observed = int(state["steps_observed"])
+            last = state["last_point"]
+            if last is not None:
+                last = np.asarray(last, dtype=float)
+                last.flags.writeable = False  # as TrajectoryModel.observe keeps it
+            model._last_point = last
+        bank_state = data["mode_bank"]
+        bank._current_mode = (
+            None
+            if bank_state["current_mode"] is None
+            else ExecutionMode(bank_state["current_mode"])
+        )
+        bank.mode_switches = int(bank_state["mode_switches"])
+        controller.predictor.rng.bit_generator.state = data["predictor_rng"]
+        cs = data["controller"]
+        controller._prev_coords = (
+            None
+            if cs["prev_coords"] is None
+            else np.asarray(cs["prev_coords"], dtype=float)
+        )
+        controller._prev_mode = (
+            None if cs["prev_mode"] is None else ExecutionMode(cs["prev_mode"])
+        )
+
+    @property
+    def captured_tick(self) -> int:
+        """Tick at which the snapshot was taken."""
+        return int(self.payload["captured_tick"])
+
+    @property
+    def state_count(self) -> int:
+        """Number of mapped states in the snapshot."""
+        return len(self.payload["state_space"]["labels"])
 
 
 @dataclass(frozen=True)
@@ -135,7 +303,7 @@ class ModelHealthWatchdog:
     ) -> None:
         self.config = config
         self.events = events
-        self.last_good: Optional[ControllerCheckpoint] = None
+        self.last_good: Optional[_ModelSnapshot] = None
         self.last_snapshot_tick: Optional[int] = None
         self.checks = 0
         self.violations = 0
@@ -268,7 +436,7 @@ class ModelHealthWatchdog:
             self._count("watchdog_violations")
         return report
 
-    def _stress(self, space: "StateSpace") -> float:
+    def _stress(self, space: StateSpace) -> float:
         """``space.stress()``, recomputed only when its inputs changed.
 
         The memo is keyed on the *content* of ``coords`` and the
@@ -347,7 +515,7 @@ class ModelHealthWatchdog:
         assert self.last_good is not None
         try:
             self.last_good.restore_models_into(controller)
-        except CheckpointError:
+        except _SnapshotMismatch:
             return False
         self.rollbacks += 1
         self._count("rollbacks")
@@ -391,7 +559,7 @@ class ModelHealthWatchdog:
             and tick - self.last_snapshot_tick < SNAPSHOT_INTERVAL
         ):
             return False
-        self.last_good = ControllerCheckpoint.capture(controller, tick=tick)
+        self.last_good = _ModelSnapshot.capture(controller, tick=tick)
         self.last_snapshot_tick = tick
         self.events.record(
             tick, EventKind.MODEL_SNAPSHOT, states=self.last_good.state_count

@@ -8,13 +8,17 @@ load at the *resource* level, so they transfer across batch co-tenants.
 
 A :class:`MapTemplate` serializes the representative vectors, their 2-D
 coordinates, their labels and the learned beta; loading it pre-seeds a
-fresh :class:`~repro.core.state_space.StateSpace`.
+fresh :class:`~repro.core.state_space.StateSpace`. It is also the
+restart format: a controller started from its predecessor's template
+keeps the learned map, and adopts the batch containers its predecessor
+left paused (:meth:`~repro.core.action.ThrottleManager.adopt`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Union
@@ -54,6 +58,16 @@ class MapTemplate:
     def __post_init__(self) -> None:
         self.representatives = np.asarray(self.representatives, dtype=float)
         self.coords = np.asarray(self.coords, dtype=float)
+        # A map with no states serializes both matrices as ``[]``.
+        if self.representatives.shape == (0,):
+            self.representatives = self.representatives.reshape(0, 0)
+        if self.coords.shape == (0,):
+            self.coords = self.coords.reshape(0, 2)
+        if self.representatives.ndim != 2:
+            raise ValueError(
+                "template representatives must be an (n, d) matrix, "
+                f"got shape {self.representatives.shape}"
+            )
         n = self.representatives.shape[0]
         if self.coords.shape != (n, 2):
             raise ValueError(
@@ -63,8 +77,8 @@ class MapTemplate:
             raise ValueError(f"{len(self.labels)} labels for {n} representatives")
         if not (np.isfinite(self.representatives).all() and np.isfinite(self.coords).all()):
             raise ValueError("template representatives and coords must be finite")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"template beta must be finite, got {self.beta!r}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"template beta must be finite and > 0, got {self.beta!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"template epsilon must be finite and > 0, got {self.epsilon!r}")
 
@@ -146,9 +160,25 @@ class MapTemplate:
             raise ValueError(f"malformed template: {exc!r}") from exc
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Write the template as JSON; returns the path."""
+        """Atomically write the template as JSON; returns the path.
+
+        The JSON goes to a temporary file in the same directory, is
+        fsynced, then replaces ``path``: a write that fails removes its
+        temporary, re-raises, and leaves any previous template at
+        ``path`` as it was.
+        """
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
+        data = json.dumps(self.to_dict(), indent=2)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "w") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     @classmethod

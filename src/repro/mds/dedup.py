@@ -122,9 +122,9 @@ class RepresentativeSet:
     def invalidate_index(self) -> None:
         """Drop the points-matrix cache.
 
-        External bulk mutators of ``_points`` (checkpoint restore) must
-        call this: the row-count check in :attr:`points` cannot detect
-        a same-count replacement.
+        External bulk mutators of ``_points`` (the watchdog's rollback)
+        must call this: the row-count check in :attr:`points` cannot
+        detect a same-count replacement.
         """
         self._matrix = None
 

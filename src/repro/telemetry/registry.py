@@ -67,12 +67,7 @@ class Metric:
 
 
 class Counter(Metric):
-    """A monotonically increasing total.
-
-    ``set`` exists only for checkpoint restore (the throttle counters
-    survive a controller restart); normal instrumentation must use
-    :meth:`inc`.
-    """
+    """A monotonically increasing total."""
 
     kind = "counter"
 
@@ -85,12 +80,6 @@ class Counter(Metric):
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
         self.value += amount
-
-    def set(self, value: float) -> None:
-        """Overwrite the total (checkpoint restore only)."""
-        if value < 0:
-            raise ValueError(f"counter {self.name} cannot be negative (got {value})")
-        self.value = float(value)
 
 
 class Gauge(Metric):

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core import state_space as state_space_module
-from repro.core.checkpoint import ControllerCheckpoint
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
+from repro.core.model_health import _ModelSnapshot
 from repro.experiments.runner import (
     run_scenario,
     run_stayaway,
@@ -237,6 +237,39 @@ def _steady_run():
     return controller, predictions
 
 
+def _rng_state(rng):
+    return json.loads(json.dumps(rng.bit_generator.state, default=int))
+
+
+def _learned_state(controller, tick):
+    """The watchdog's snapshot of the learned models, plus the throttle
+    machine in the block layout the pinned ``checkpoint`` hash was
+    recorded with."""
+    payload = dict(_ModelSnapshot.capture(controller, tick=tick).payload)
+    throttle = controller.throttle
+    payload["throttle"] = {
+        "beta": float(throttle.beta),
+        "throttling": bool(throttle.throttling),
+        "paused_names": list(throttle._paused_names),
+        "throttle_count": throttle.throttle_count,
+        "resume_count": throttle.resume_count,
+        "probe_resume_count": throttle.probe_resume_count,
+        "stagnant_periods": throttle._stagnant_periods,
+        "last_resume_tick": throttle._last_resume_tick,
+        "last_resume_reason": (
+            None
+            if throttle._last_resume_reason is None
+            else throttle._last_resume_reason.value
+        ),
+        "retry": {
+            name: [int(failures), int(next_tick)]
+            for name, (failures, next_tick) in throttle._retry.items()
+        },
+        "rng": _rng_state(throttle.rng),
+    }
+    return payload
+
+
 def _fingerprint(controller, predictions):
     return {
         "decisions": decision_sequence(controller),
@@ -244,7 +277,7 @@ def _fingerprint(controller, predictions):
             [p.tick, p.votes, p.candidates.tolist()]
             for p in predictions
         ],
-        "checkpoint": ControllerCheckpoint.capture(controller, tick=600).payload,
+        "checkpoint": _learned_state(controller, tick=600),
     }
 
 

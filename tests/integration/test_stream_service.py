@@ -23,6 +23,7 @@ The tentpole contracts, end to end:
 import pytest
 
 from repro.core.config import StayAwayConfig
+from repro.core.events import EventKind
 from repro.core.resilience import ControllerHealth
 from repro.experiments.chaos import ClusterCrashGuard, FleetMix, build_fleet
 from repro.experiments import stream_chaos
@@ -228,6 +229,43 @@ class TestReconnect:
         assert queue.reconnects >= 1
         assert census["reconnects"] == queue.reconnects
         assert census["ticks_processed"] == 80  # nothing lost to the outage
+
+
+class TestRestartAdoption:
+    def test_a_fresh_service_resumes_the_batch_it_finds_paused(self):
+        """A service (re)started next to a batch container its
+        predecessor left paused adopts it and hands it back."""
+        from repro.sim.engine import SimulationEngine
+
+        class LoggingActuator(SimHostActuator):
+            def __init__(self, host):
+                super().__init__(host)
+                self.delivered = []
+
+            def deliver(self, command, tick):
+                self.delivered.append((command.verb, command.container))
+                return super().deliver(command, tick)
+
+        scenario = Scenario(ticks=300, batch_start=0, seed=1)
+        built = scenario.build(include_batch=True)
+        (batch,) = [app.name for app in built.batch_apps]
+        built.host.step()
+        assert built.host.pause(batch)  # what the previous controller left
+
+        queue = QueueSource()
+        actuator = LoggingActuator(built.host)
+        service = ControllerService(queue, actuator=actuator, config=service_config())
+        service.start()
+        SimulationEngine(built.host, [SimStreamBridge(service, queue)]).run(
+            ticks=scenario.ticks - 1
+        )
+        service.drain()
+
+        events = service.controller.events
+        adopted = [e for e in events.of_kind(EventKind.RECONCILE) if e.detail["action"] == "adopt"]
+        assert [e.detail["targets"] for e in adopted] == [[batch]]
+        assert adopted[0].tick == 1  # the service's first closed tick
+        assert actuator.delivered[0] == ("resume", batch)
 
 
 class TestScrapeLoop:

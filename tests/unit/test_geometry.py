@@ -181,8 +181,8 @@ class TestTelemetryWiring:
         assert telemetry.counter("geometry.invalidations").value >= 1
 
     def test_counters_follow_the_attached_telemetry(self):
-        # Bound once per attachment (the controller, then a checkpoint
-        # restore, assign it), not looked up by name on every vote.
+        # Bound once per attachment (each assignment rebinds), not looked
+        # up by name on every vote.
         first, second = Telemetry(enabled=True), Telemetry(enabled=True)
         space, rng = random_space(seed=33)
         candidates = rng.uniform(0, 1, size=(5, 2))

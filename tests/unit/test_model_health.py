@@ -14,7 +14,10 @@ from repro.core.model_health import (
     SNAPSHOT_INTERVAL,
     STRESS_DIVERGENCE,
     ModelHealthWatchdog,
+    _ModelSnapshot,
+    _SnapshotMismatch,
 )
+from repro.experiments.chaos import ContainmentMix, run_recovery_drill
 from repro.experiments.scenarios import Scenario
 from repro.mds.stress import normalized_stress
 from repro.sim.container import Container
@@ -25,6 +28,7 @@ from repro.sim.resources import ResourceVector
 from repro.trajectory.modes import ExecutionMode
 
 from tests.conftest import ConstantApp, SensitiveStub
+from tests.support.geometry_reference import violation_vote_scalar
 
 
 def learned_controller(ticks=80, seed=9):
@@ -221,6 +225,76 @@ class TestSnapshots:
         assert summary["checks"] == 1
         assert summary["violations"] == 1
         assert summary["quarantines"] == 1
+
+    def test_capture_reflects_learned_state(self):
+        controller = learned_controller()
+        snapshot = _ModelSnapshot.capture(controller, tick=80)
+        assert snapshot.state_count == len(controller.state_space)
+        assert snapshot.captured_tick == 80
+        assert "throttle" not in snapshot.payload  # a rollback keeps the pause-set
+
+    def test_periods_and_snapshot_tick_count_gap_periods(self):
+        # ``trajectory`` only gets a point on a mapped period; the period
+        # count and the tick a snapshot is taken at must not be read off it.
+        scenario = Scenario("webservice-mix", ("cpubomb", "memorybomb"), ticks=400, seed=3)
+        outage = ContainmentMix(fault_windows=((380, 400, "map"),))
+        controller = run_recovery_drill(scenario, mix=outage).controller
+        assert controller.trajectory[-1].tick == 379  # the outage mapped nothing
+        assert len(controller.trajectory) < 400
+        assert controller.summary()["periods"] == 400
+        assert controller.last_period_tick == 399
+        assert controller.watchdog.last_good.captured_tick == 350
+
+    def test_restore_reproduces_learned_state(self):
+        controller = learned_controller()
+        space = controller.state_space
+        coords, labels = space.coords.copy(), list(space.labels)
+        model = controller.predictor.modes.models[ExecutionMode.COLOCATED]
+        distances = model.distances.samples.copy()
+        snapshot = _ModelSnapshot.capture(controller, tick=80)
+
+        space.add_sample(np.full(space.representatives.dimension, 5.0), violated=True)
+        model.distances.add(0.5)
+        snapshot.restore_models_into(controller)
+
+        assert controller.state_space is space
+        assert len(space) == len(labels) and space.labels == labels
+        np.testing.assert_array_equal(space.coords, coords)
+        np.testing.assert_array_equal(model.distances.samples, distances)
+
+    def test_restore_yields_fresh_violation_geometry(self):
+        # The restored coords/labels were written behind the geometry
+        # cache; the first vote after a rollback must be built from the
+        # restored map, identical to the scalar reference.
+        controller = learned_controller()
+        space = controller.state_space
+        snapshot = _ModelSnapshot.capture(controller, tick=80)
+        space.add_sample(np.full(space.representatives.dimension, 5.0), violated=True)
+        space.geometry()  # cache the geometry of the map the rollback discards
+        snapshot.restore_models_into(controller)
+        candidates = np.random.default_rng(0).uniform(-0.5, 1.5, size=(20, 2))
+        assert space.violation_vote(candidates) == violation_vote_scalar(space, candidates)
+        geometry = space.geometry()
+        assert geometry.n_states == len(space) == snapshot.state_count
+        assert geometry.n_violations == int(space.violation_indices.size)
+
+    def test_inconsistent_payload_rejected(self):
+        controller = learned_controller()
+        snapshot = _ModelSnapshot.capture(controller, tick=80)
+        snapshot.payload["state_space"]["labels"].append("safe")
+        with pytest.raises(_SnapshotMismatch, match="inconsistent"):
+            snapshot.restore_models_into(controller)
+
+    def test_dimension_mismatch_hard_resets_instead(self):
+        controller = learned_controller()
+        watchdog = fresh_watchdog(controller, snapshot_tick=90)
+        reps = watchdog.last_good.payload["state_space"]["representatives"]
+        reps[:] = [row[:-1] for row in reps]  # a map of another normalizer
+        with pytest.raises(_SnapshotMismatch, match="dimension"):
+            watchdog.last_good.restore_models_into(controller)
+        controller.state_space.labels.append(controller.state_space.labels[-1])
+        assert watchdog.check_and_heal(100, controller) == ["reset"]
+        assert watchdog.rollbacks == 0 and len(controller.state_space) == 0
 
 
 def mapped_controller(ticks=150, seed=4):

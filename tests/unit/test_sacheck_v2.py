@@ -638,7 +638,7 @@ class TestCliCwdIndependence:
             assert cli.main(["--baseline", rel]) == 0
         finally:
             os.chdir(cwd)
-        assert "9 baselined" in capsys.readouterr().out
+        assert "7 baselined" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,6 @@ class TestRegistry:
         assert counter.value == 3.5
         with pytest.raises(ValueError):
             counter.inc(-1)
-        counter.set(10)  # checkpoint-restore path
-        assert counter.value == 10.0
-        with pytest.raises(ValueError):
-            counter.set(-1)
 
     def test_gauge_semantics(self):
         gauge = Gauge("g")

@@ -1,10 +1,21 @@
 """Unit tests for map templates."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.config import StayAwayConfig
+from repro.core.controller import StayAway
 from repro.core.state_space import StateLabel, StateSpace
 from repro.core.template import MapTemplate
+from repro.sim.container import Container
+from repro.sim.engine import SimulationEngine
+from repro.sim.host import Host
+from repro.sim.resources import ResourceVector
+
+from tests.conftest import ConstantApp, SensitiveStub
 
 #: Marks a key the poisoned-dict case deletes instead of overwriting.
 MISSING = object()
@@ -89,6 +100,67 @@ class TestSerialization:
         np.testing.assert_allclose(restored.coords, template.coords)
         assert restored.labels == template.labels
 
+    def test_save_load_round_trip(self, tmp_path):
+        # A learned controller's map survives the file unchanged.
+        host = Host()
+        sensitive = SensitiveStub(demand_vector=ResourceVector(cpu=3.0, memory=500.0))
+        bomb = ConstantApp(name="bomb", demand_vector=ResourceVector(cpu=4.0, memory=64.0))
+        host.add_container(Container(name="sens", app=sensitive, sensitive=True))
+        host.add_container(Container(name="bomb", app=bomb, start_tick=5))
+        controller = StayAway(sensitive, config=StayAwayConfig(seed=9))
+        SimulationEngine(host, [controller]).run(ticks=80)
+        template = controller.export_template(run="learned")
+        assert len(template.labels) > 1
+        loaded = MapTemplate.load(template.save(tmp_path / "template.json"))
+        assert loaded.to_dict() == template.to_dict()
+
+    def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
+        template = MapTemplate.from_state_space(make_space(), beta=0.03)
+        path = template.save(tmp_path / "template.json")
+        assert path.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = MapTemplate.from_state_space(make_space(), beta=0.03).save(
+            tmp_path / "template.json"
+        )
+        before = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            MapTemplate.from_state_space(make_space(), beta=0.5).save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_truncated_file_detected(self, tmp_path):
+        path = MapTemplate.from_state_space(make_space(), beta=0.03).save(
+            tmp_path / "template.json"
+        )
+        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        with pytest.raises(ValueError):
+            MapTemplate.load(path)
+
+    def test_wrong_format_detected(self, tmp_path):
+        path = tmp_path / "not-a-template.json"
+        path.write_text(json.dumps({"hello": "world"}))
+        with pytest.raises(ValueError, match="malformed template"):
+            MapTemplate.load(path)
+
+    def test_empty_map_round_trips(self, tmp_path):
+        # A controller that has mapped nothing yet exports a template
+        # with no states; it loads back, and seeds a working controller.
+        sensitive = SensitiveStub()
+        template = StayAway(sensitive).export_template()
+        restored = MapTemplate.load(template.save(tmp_path / "empty.json"))
+        assert restored.representatives.shape[0] == 0
+        assert restored.coords.shape == (0, 2)
+        seeded = StayAway(sensitive, config=StayAwayConfig(seed=1), template=restored)
+        assert len(seeded.state_space) == 0
+        assert seeded.throttle.beta == template.beta
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -103,11 +175,16 @@ class TestSerialization:
             ("beta", None),
             ("labels", 3),
             ("coords", MISSING),
+            ("representatives", 5.0),
+            ("representatives", [0.1, 0.5, 0.9]),
+            ("beta", 0.0),
+            ("beta", -0.01),
         ],
         ids=[
             "nan-representative", "nan-coord", "inf-coord", "nan-beta", "inf-beta",
             "zero-epsilon", "negative-epsilon", "nan-epsilon", "beta-not-a-number",
-            "labels-not-a-list", "coords-missing",
+            "labels-not-a-list", "coords-missing", "representatives-a-scalar",
+            "representatives-one-dimensional", "zero-beta", "negative-beta",
         ],
     )
     def test_poisoned_dict_is_rejected(self, key, value):

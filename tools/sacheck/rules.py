@@ -28,9 +28,9 @@ class WallClockRule(Rule):
     """SA101 — no wall-clock *calls* in deterministic layers.
 
     The controller, mapping/MDS stack and telemetry must be replayable:
-    checkpoints (``core/checkpoint.py``) and trace assertions
-    (``tests/unit/test_telemetry.py``) assume time only advances through
-    the injected clock.  Storing ``time.perf_counter`` as an injectable
+    the watchdog's snapshots (``core/model_health.py``), restarts from a
+    map template and trace assertions (``tests/unit/test_telemetry.py``)
+    assume time only advances through the injected clock.  Storing ``time.perf_counter`` as an injectable
     *default* is the sanctioned pattern and is not a call, so it passes.
     """
 
