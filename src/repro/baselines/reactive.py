@@ -60,7 +60,7 @@ class ReactiveThrottler:
                 and snapshot.tick - self._paused_since >= self.cooldown
             ):
                 for name in still_paused:
-                    host.resume_container(name)
+                    host.resume(name)
                 self.resume_count += 1
                 self._paused = []
                 self._paused_since = None
@@ -76,7 +76,7 @@ class ReactiveThrottler:
         if not targets:
             return
         for name in targets:
-            host.pause_container(name)
+            host.pause(name)
         self._paused = targets
         self._paused_since = snapshot.tick
         self.throttle_count += 1

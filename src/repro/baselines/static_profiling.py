@@ -111,6 +111,6 @@ class StaticColocationPolicy:
             return
         for container in host.batch_containers():
             if container.is_running and not container.app.finished:
-                host.pause_container(container.name)
+                host.pause(container.name)
                 if container.name not in self.rejected_containers:
                     self.rejected_containers.append(container.name)

@@ -88,7 +88,7 @@ class ThrottleManager:
             help="vanished containers dropped from the pause-set",
         )
         self._c_failed = self.metrics.counter(
-            "action.failed", help="pause repairs that did not take effect"
+            "action.failed", help="repairs (re-pause or resume) that did not take effect"
         )
         self._c_escalations = self.metrics.counter(
             "action.escalations", help="repair retry budgets exhausted"
@@ -98,8 +98,10 @@ class ThrottleManager:
         self._last_resume_reason: Optional[ResumeReason] = None
         self._stagnant_periods = 0
         # Reconciliation bookkeeping: per-container (failures, next retry
-        # tick) for repairs that did not take effect yet.
+        # tick) for repairs that did not take effect yet — pause-set
+        # members found running, and resumes whose SIGCONT was lost.
         self._retry: Dict[str, Tuple[int, int]] = {}
+        self._unresumed: Dict[str, Tuple[int, int]] = {}
 
     # -- counters (registry-backed) ---------------------------------------
     @property
@@ -129,7 +131,7 @@ class ThrottleManager:
 
     @property
     def failed_actions(self) -> int:
-        """Pause repairs that did not take effect."""
+        """Repairs (re-pause or resume) that did not take effect."""
         return int(self._c_failed.value)
 
     @property
@@ -201,12 +203,20 @@ class ThrottleManager:
         against actual container states; externally-resumed containers
         are re-paused with capped exponential backoff, vanished ones
         are dropped from the bookkeeping, and repeated failures raise
-        an escalation event.
+        an escalation event. A resume whose signal was lost is resent
+        the same way until the container reads running or leaves —
+        unless a throttle is active by then, which takes the
+        still-paused container into its pause-set instead.
 
-        Returns the observation with the re-paused containers reading
-        paused: what the rest of the period must decide on.
+        Returns the observation with the re-paused (resumed) containers
+        reading paused (running): what the rest of the period must
+        decide on.
         """
-        if not self.config.resilience or not self.throttling:
+        if not self.config.resilience:
+            return observation
+        if self._unresumed:
+            observation = self._repair_resumes(tick, observation, actuator)
+        if not self.throttling:
             return observation
         states = observation.states()
         repaused: List[str] = []
@@ -239,23 +249,47 @@ class ThrottleManager:
                     retries=failures,
                 )
             else:
-                failures += 1
-                self._retry[name] = (failures, tick + min(2 ** failures, RETRY_BACKOFF_CAP))
-                self._c_failed.inc()
-                self.events.record(
-                    tick, EventKind.ACTION_FAILED, target=name, failures=failures
-                )
-                if failures == ESCALATION_THRESHOLD:
-                    self._c_escalations.inc()
-                    self.events.record(
-                        tick,
-                        EventKind.ACTION_ESCALATION,
-                        target=name,
-                        failures=failures,
-                    )
+                self._repair_failed(tick, self._retry, name, failures + 1)
         if not self._paused_names:
             self.throttling = False
-        return observation.with_paused(repaused)
+        return observation.with_state(repaused, PAUSED)
+
+    def _repair_resumes(self, tick: int, observation: Observation, actuator) -> Observation:
+        """Resend the resumes that did not land (see :meth:`reconcile`)."""
+        states = observation.states()
+        resumed: List[str] = []
+        for name, (failures, next_tick) in list(self._unresumed.items()):
+            if states.get(name) != PAUSED:
+                del self._unresumed[name]
+            elif self.throttling:
+                del self._unresumed[name]
+                if name not in self._paused_names:
+                    self._paused_names.append(name)
+            elif tick < next_tick:
+                continue
+            elif actuator.resume(name):
+                del self._unresumed[name]
+                resumed.append(name)
+                self.events.record(
+                    tick, EventKind.RECONCILE, target=name, action="resume", retries=failures
+                )
+            else:
+                self._repair_failed(tick, self._unresumed, name, failures + 1)
+        return observation.with_state(resumed, RUNNING)
+
+    def _repair_failed(
+        self, tick: int, pending: Dict[str, Tuple[int, int]], name: str, failures: int
+    ) -> None:
+        """Count a repair that did not take effect, back its retry off
+        (capped) and escalate once ``ESCALATION_THRESHOLD`` is reached."""
+        pending[name] = (failures, tick + min(2 ** failures, RETRY_BACKOFF_CAP))
+        self._c_failed.inc()
+        self.events.record(tick, EventKind.ACTION_FAILED, target=name, failures=failures)
+        if failures == ESCALATION_THRESHOLD:
+            self._c_escalations.inc()
+            self.events.record(
+                tick, EventKind.ACTION_ESCALATION, target=name, failures=failures
+            )
 
     def preemptive_pause(self, tick: int, observation: Observation, actuator) -> bool:
         """Pause every throttle target immediately (degraded-mode entry).
@@ -425,7 +459,8 @@ class ThrottleManager:
         self, tick: int, actuator, names: List[str], reason: ResumeReason
     ) -> None:
         for name in names:
-            actuator.resume(name)
+            if not actuator.resume(name) and self.config.resilience:
+                self._unresumed[name] = (0, tick)
         self.throttling = False
         self._paused_names = []
         self._retry.clear()

@@ -35,14 +35,13 @@ from repro.sim.cluster import MIGRATION_IN_FLIGHT, Cluster
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import (
-    ActuatorFaultInjector,
     ContainerFlapper,
     DemandSpiker,
+    FaultyPort,
     HostCrashInjector,
     InvariantChecker,
     ModelPoisoner,
     QosDropout,
-    SensorCorruptor,
     StageExceptionInjector,
     TelemetryBlackout,
 )
@@ -272,7 +271,7 @@ class ChaosResult(DrillResult):
         The Stay-Away controller that survived (or didn't).
     checker:
         The invariant checker that rode along.
-    corruptor / flapper / qos_dropout / actuators / spiker:
+    port / flapper / qos_dropout / spiker:
         The injectors, for fault-census assertions.
     """
 
@@ -281,19 +280,18 @@ class ChaosResult(DrillResult):
     built: BuiltScenario
     controller: StayAway
     checker: InvariantChecker
-    corruptor: SensorCorruptor
+    port: FaultyPort
     flapper: ContainerFlapper
     qos_dropout: QosDropout
-    actuators: ActuatorFaultInjector
     spiker: Optional[DemandSpiker] = None
 
     def summary(self) -> dict:
         """Controller summary + fault census + invariant verdict."""
         faults = {
-            "sensor_corruptions": len(self.corruptor.corrupted_ticks),
+            "sensor_corruptions": len(self.port.corruptions),
             "qos_reports_dropped": self.qos_dropout.dropped_reports,
             "container_flaps": len(self.flapper.fired),
-            "actuator_drops": len(self.actuators.dropped_signals),
+            "actuator_drops": len(self.port.lost_signals),
         }
         return {
             "controller": self.controller.summary(),
@@ -321,8 +319,9 @@ def run_chaos(
 
     1. the **flapper** fires first, so the controller's reconciliation
        sees external drift the same period it happens;
-    2. the **controller** observes through the **corruptor** (only its
-       view is corrupted — the host truth is intact);
+    2. the **controller** reaches the host through one
+       :class:`FaultyPort`: its view is corrupted and its signals get
+       lost, while the host truth stays intact;
     3. the **invariant checker** runs last, auditing the controller's
        bookkeeping against the host truth after every period.
     """
@@ -331,8 +330,11 @@ def run_chaos(
     host = rig.built.host
     app = rig.built.sensitive_app
 
-    corruptor = SensorCorruptor(
-        rig.guard, seed=mix.seed + 11, probability=mix.sensor_corruption
+    port = FaultyPort(
+        rig.guard,
+        seed=mix.seed,
+        sensor_corruption=mix.sensor_corruption,
+        signal_loss=mix.actuator_loss,
     )
     qos_dropout = QosDropout(app, probability=mix.qos_dropout, seed=mix.seed + 23)
     flapper = ContainerFlapper(
@@ -342,23 +344,17 @@ def run_chaos(
         kill_probability=mix.kill,
         restart_probability=mix.restart,
     )
-    actuators = ActuatorFaultInjector(
-        host, seed=mix.seed + 41, probability=mix.actuator_loss
-    ).install()
     spiker = (
         DemandSpiker(app, windows=list(mix.spike_windows), factor=mix.spike_factor)
         if mix.spike_windows
         else None
     )
-    shared = rig.run(
-        [flapper, corruptor, rig.checker], [actuators, qos_dropout, spiker]
-    )
+    shared = rig.run([flapper, port, rig.checker], [qos_dropout, spiker])
     return ChaosResult(
         mix=mix,
-        corruptor=corruptor,
+        port=port,
         flapper=flapper,
         qos_dropout=qos_dropout,
-        actuators=actuators,
         spiker=spiker,
         **shared,
     )

@@ -126,8 +126,7 @@ class HostControllerCell:
         if self._driver.qos.violation_now:
             self._clean_streak = 0
             for name, container in host.containers.items():
-                if not container.sensitive and container.is_running:
-                    container.pause()
+                if not container.sensitive and container.is_running and host.pause(name):
                     self._fallback_paused.add(name)
             return
         self._clean_streak += 1
@@ -135,12 +134,11 @@ class HostControllerCell:
             self._hand_back(host)
 
     def _hand_back(self, host: "Host", keep=()) -> None:
-        """Resume what the fallback paused and is still paused, but not
-        what ``keep`` names (the recovered controller's own pauses)."""
+        """Resume what the fallback paused (a no-op on what no longer is),
+        but not what ``keep`` names (the recovered controller's own pauses)."""
         for name in sorted(self._fallback_paused):
-            container = host.containers.get(name)
-            if container is not None and container.is_paused and name not in keep:
-                container.resume()
+            if name not in keep:
+                host.resume(name)
         self._fallback_paused.clear()
 
     def predicted_risk(self) -> float:

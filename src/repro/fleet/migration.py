@@ -211,9 +211,7 @@ class MigrationSupervisor:
             # host, where it no longer threatens the sensitive app.
             landed_host = self.cluster.hosts.get(record.destination)
             if landed_host is not None:
-                container = landed_host.containers.get(record.container)
-                if container is not None and container.is_paused:
-                    container.resume()
+                landed_host.resume(record.container)
             migration._move(tick, MigrationState.LAND)
             migration._move(tick, MigrationState.COMMIT, "landed")
             return

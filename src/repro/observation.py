@@ -51,12 +51,12 @@ class Observation(NamedTuple):
         """``{container name: lifecycle state}``."""
         return {row.name: row.state for row in self.rows}
 
-    def with_paused(self, names: Collection[str]) -> "Observation":
-        """This observation with ``names`` read as paused: how a pause
+    def with_state(self, names: Collection[str], state: str) -> "Observation":
+        """This observation with ``names`` read in ``state``: how a signal
         that landed mid-period stays visible to the rest of the period
         without observing again (a stream would still answer with the
         state from before the command)."""
         if not names:
             return self
-        rows = (r._replace(state=PAUSED) if r.name in names else r for r in self.rows)
+        rows = (r._replace(state=state) if r.name in names else r for r in self.rows)
         return self._replace(rows=tuple(rows))

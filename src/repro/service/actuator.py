@@ -124,15 +124,17 @@ class RecordingActuator(Actuator):
 
 
 class SimHostActuator(Actuator):
-    """Applies commands to a live simulator host.
+    """Applies commands to a live simulator host through its port.
 
-    The ``host`` is duck-typed (``pause_container``/``resume_container``
-    /``containers``) — in practice a :class:`~repro.sim.host.Host`. An
-    optional ``ack_filter(command, tick) -> bool`` decides whether the
-    ack makes it back (the :class:`~repro.sim.faults.ActuatorAckDropper`
-    chaos hook): when it returns False the action still *happened* on
-    the host but the tracker sees no ack — the double-delivery case the
-    idempotent pause/resume semantics absorb.
+    The ``host`` is anything with the port's ``pause(name)`` /
+    ``resume(name)`` — in practice a :class:`~repro.sim.host.Host`. The
+    port's answer is the ack: a signal that did not take effect is a failed delivery,
+    retried by the tracker. An optional ``ack_filter(command, tick) ->
+    bool`` decides whether the ack makes it back (the
+    :class:`~repro.sim.faults.ActuatorAckDropper` chaos hook): when it
+    returns False the action still *happened* on the host but the
+    tracker sees no ack — the double-delivery case the idempotent
+    pause/resume semantics absorb.
     """
 
     name = "sim"
@@ -146,17 +148,8 @@ class SimHostActuator(Actuator):
         self.ack_filter = ack_filter
 
     def deliver(self, command: ActuatorCommand, tick: int) -> Optional[bool]:
-        container = self.host.containers.get(command.container)
-        if container is None:
-            return False
-        try:
-            if command.verb == "pause":
-                if not container.is_paused:
-                    self.host.pause_container(command.container)
-            else:
-                if container.is_paused:
-                    self.host.resume_container(command.container)
-        except Exception:  # sacheck: disable=SA108 -- actuation boundary: a failed signal is a retryable delivery failure, not a service crash
+        signal = self.host.pause if command.verb == "pause" else self.host.resume
+        if not signal(command.container):
             return False
         if self.ack_filter is not None and not self.ack_filter(command, tick):
             return None  # action landed; ack lost in transit

@@ -37,14 +37,13 @@ from repro.sim.contention import (
 )
 from repro.sim.engine import SimulationEngine, SimulationResult
 from repro.sim.faults import (
-    ActuatorFaultInjector,
     ContainerFlapper,
     DemandSpiker,
+    FaultyPort,
     HostCrashInjector,
     InvariantBreach,
     InvariantChecker,
     QosDropout,
-    SensorCorruptor,
     TelemetryBlackout,
 )
 from repro.sim.host import Host, HostSnapshot
@@ -56,7 +55,6 @@ from repro.sim.resources import (
 )
 
 __all__ = [
-    "ActuatorFaultInjector",
     "Allocation",
     "Cluster",
     "swap_pressure",
@@ -65,6 +63,7 @@ __all__ = [
     "ContainerFlapper",
     "ContainerLocation",
     "DemandSpiker",
+    "FaultyPort",
     "HostCrashInjector",
     "HostEvent",
     "InvariantBreach",
@@ -75,7 +74,6 @@ __all__ = [
     "PlacementRequest",
     "QosDropout",
     "SchedulingError",
-    "SensorCorruptor",
     "ContainerState",
     "ContentionModel",
     "Host",

@@ -11,12 +11,15 @@ Two layers:
   precise, replayable unit-test material. The scripted kill / pause /
   dropout / host-recovery middleware the suites put at exact ticks
   lives with them, in ``tests/support/scripted_faults.py``.
-* **Chaos faults** (:class:`SensorCorruptor`, :class:`QosDropout`,
-  :class:`ContainerFlapper`, :class:`ActuatorFaultInjector`) fire
-  probabilistically from a seeded RNG — the hostile-host mix the
-  resilience layer (sensor guard, degraded modes, reconciliation) is
-  built to survive. :class:`InvariantChecker` rides along and records
-  per-tick consistency breaches instead of crashing the run.
+* **Chaos faults** fire probabilistically from a seeded RNG — the
+  hostile-host mix the resilience layer (sensor guard, degraded modes,
+  reconciliation) is built to survive. Sensor corruption and lost
+  signals sit on the controller's port (:class:`FaultyPort`);
+  :class:`QosDropout` silences the application's report and
+  :class:`ContainerFlapper` is an agent outside the program signalling
+  containers behind the controller's back. :class:`InvariantChecker`
+  rides along and records per-tick consistency breaches instead of
+  crashing the run.
 * **Cluster faults** (:class:`HostCrashInjector`,
   :class:`TelemetryBlackout`) operate on a
   whole :class:`~repro.sim.cluster.Cluster`: machines crash and come
@@ -29,15 +32,15 @@ Two layers:
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.observation import METRICS, ZERO_USAGE, Observation
 from repro.sim.host import Host, HostSnapshot
-from repro.sim.resources import Resource, ResourceVector
+from repro.sim.resources import ResourceVector
 
 if TYPE_CHECKING:
     from repro.sim.cluster import Cluster
@@ -109,25 +112,25 @@ class DemandSpiker:
 # Chaos layer: seeded probabilistic faults
 # ---------------------------------------------------------------------------
 
-class SensorCorruptor:
-    """Corrupt the snapshots an inner middleware observes.
+class FaultyPort:
+    """A controller's port with seeded faults between it and the host.
 
-    Models a broken monitoring channel between the host and the
-    controller: with probability ``probability`` per tick the usage
-    readings handed to ``inner`` are corrupted — NaN/Inf injection, a
-    sign flip, an absurd spike, or a frozen replay of the previous
-    snapshot. The host itself is untouched; only the observation is.
+    Middleware wrapper: ``on_tick(reading, host)`` drives ``inner`` with
+    this object as its host, so everything ``inner`` reads and writes
+    passes through here — over a simulator :class:`~repro.sim.host.Host`
+    and a stream :class:`~repro.service.views.HostView` alike.
 
-    Parameters
-    ----------
-    inner:
-        The middleware whose view is corrupted (e.g. the controller).
-    seed:
-        RNG seed; every corruption is reproducible.
-    probability:
-        Per-tick corruption probability.
-    kinds:
-        Corruption kinds to draw from (default: all).
+    * :meth:`observe` corrupts what the wrapped port returns with
+      probability ``sensor_corruption`` per tick: one usage cell becomes
+      NaN, Inf, negative or an absurd spike, or every row is frozen to
+      the previous tick's usage. The host itself is untouched.
+    * :meth:`pause` / :meth:`resume` lose the signal with probability
+      ``signal_loss`` — the SIGSTOP or SIGCONT never arrives (ptrace
+      interference, a frozen cgroup, a race with teardown) — and answer
+      False.
+
+    The two faults draw from their own streams, seeded ``seed + 11`` and
+    ``seed + 41``, so one firing never shifts the other's script.
     """
 
     KINDS: Tuple[str, ...] = ("nan", "inf", "negative", "spike", "freeze")
@@ -136,120 +139,119 @@ class SensorCorruptor:
         self,
         inner,
         seed: int = 0,
-        probability: float = 0.05,
-        kinds: Optional[Sequence[str]] = None,
+        sensor_corruption: float = 0.05,
+        signal_loss: float = 0.2,
     ) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
+        for name, p in (
+            ("sensor_corruption", sensor_corruption),
+            ("signal_loss", signal_loss),
+        ):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         self.inner = inner
-        self.rng = np.random.default_rng(seed)
-        self.probability = probability
-        self.kinds = tuple(kinds) if kinds is not None else self.KINDS
-        unknown = set(self.kinds) - set(self.KINDS)
-        if unknown:
-            raise ValueError(f"unknown corruption kinds: {sorted(unknown)}")
-        self.corrupted_ticks: List[FaultEvent] = []
-        self._previous_usage: Optional[Dict[str, ResourceVector]] = None
+        self.sensor_corruption = sensor_corruption
+        self.signal_loss = signal_loss
+        self._sensor_rng = np.random.default_rng(seed + 11)
+        self._signal_rng = np.random.default_rng(seed + 41)
+        self.corruptions: List[FaultEvent] = []
+        self.lost_signals: List[FaultEvent] = []
+        self._port: Any = None
+        self._tick = 0
+        self._previous: Optional[Dict[str, Tuple[float, ...]]] = None
 
-    def _corrupt_value(self, kind: str, value: float) -> float:
-        if kind == "nan":
-            return float("nan")
-        if kind == "inf":
-            return float("inf")
-        if kind == "negative":
-            return -abs(value) - 1.0
-        if kind == "spike":
-            return max(abs(value), 1.0) * 1e6
-        raise AssertionError(kind)
+    def on_tick(self, reading, host) -> None:
+        self._port = host
+        self._tick = reading.tick
+        self.inner.on_tick(reading, self)
 
-    def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        corrupted = snapshot
-        if snapshot.usage and self.rng.uniform() < self.probability:
-            kind = str(self.rng.choice(self.kinds))
-            if kind == "freeze" and self._previous_usage is not None:
-                corrupted = dataclasses.replace(
-                    snapshot, usage=dict(self._previous_usage)
+    def observe(self, reading) -> Observation:
+        observation = self._port.observe(reading)
+        rows = observation.rows
+        corrupted = observation
+        rng = self._sensor_rng
+        if rows and rng.uniform() < self.sensor_corruption:
+            kind = str(rng.choice(self.KINDS))
+            if kind == "freeze" and self._previous is not None:
+                previous = self._previous
+                corrupted = observation._replace(
+                    rows=tuple(
+                        row._replace(usage=previous.get(row.name, ZERO_USAGE))
+                        for row in rows
+                    )
                 )
-                self.corrupted_ticks.append(
-                    FaultEvent(tick=snapshot.tick, kind="sensor-freeze", target="*")
-                )
+                self._record(self.corruptions, "sensor-freeze", "*")
             elif kind != "freeze":
-                name = str(self.rng.choice(sorted(snapshot.usage)))
-                resource = Resource(
-                    str(self.rng.choice([res.value for res in Resource]))
+                name = str(rng.choice(sorted(row.name for row in rows)))
+                index = METRICS.index(str(rng.choice(METRICS)))
+                corrupted = observation._replace(
+                    rows=tuple(
+                        row._replace(usage=_corrupt(row.usage, index, kind))
+                        if row.name == name
+                        else row
+                        for row in rows
+                    )
                 )
-                vector = snapshot.usage[name]
-                bad = dataclasses.replace(
-                    vector,
-                    **{resource.value: self._corrupt_value(kind, vector.get(resource))},
-                )
-                usage = dict(snapshot.usage)
-                usage[name] = bad
-                corrupted = dataclasses.replace(snapshot, usage=usage)
-                self.corrupted_ticks.append(
-                    FaultEvent(tick=snapshot.tick, kind=f"sensor-{kind}", target=name)
-                )
-        self._previous_usage = dict(snapshot.usage)
-        self.inner.on_tick(corrupted, host)
+                self._record(self.corruptions, f"sensor-{kind}", name)
+        self._previous = {row.name: row.usage for row in rows}
+        return corrupted
+
+    def pause(self, name: str) -> bool:
+        return self._delivered("pause", name) and self._port.pause(name)
+
+    def resume(self, name: str) -> bool:
+        return self._delivered("resume", name) and self._port.resume(name)
+
+    def _delivered(self, verb: str, name: str) -> bool:
+        if self._signal_rng.uniform() < self.signal_loss:
+            self._record(self.lost_signals, f"lost-{verb}", name)
+            return False
+        return True
+
+    def _record(self, log: List[FaultEvent], kind: str, target: str) -> None:
+        log.append(FaultEvent(tick=self._tick, kind=kind, target=target))
+
+
+def _corrupt(usage: Tuple[float, ...], index: int, kind: str) -> Tuple[float, ...]:
+    """``usage`` with the cell at ``index`` corrupted as ``kind``."""
+    value = usage[index]
+    if kind == "nan":
+        bad = float("nan")
+    elif kind == "inf":
+        bad = float("inf")
+    elif kind == "negative":
+        bad = -abs(value) - 1.0
+    else:  # spike
+        bad = max(abs(value), 1.0) * 1e6
+    return usage[:index] + (bad,) + usage[index + 1:]
 
 
 class QosDropout:
     """Silence an application's QoS channel.
 
-    Wraps ``app.qos_report`` so that during scripted windows — or with
-    a per-tick probability — the report is swallowed (``None``), as if
-    the application wedged or the reporting IPC broke. The silence the
-    degraded-mode machine must detect.
-
-    Parameters
-    ----------
-    app:
-        The (sensitive) application whose reports are dropped.
-    windows:
-        Optional ``(start_tick, end_tick)`` silence windows; needs a
-        ``clock`` to know the current tick.
-    probability / seed:
-        Optional per-call drop probability (seeded).
-    clock:
-        The simulation clock consulted for window checks.
+    Wraps ``app.qos_report`` so that with a seeded per-call probability
+    the report is swallowed (``None``), as if the application wedged or
+    the reporting IPC broke. The silence the degraded-mode machine must
+    detect.
     """
 
-    def __init__(
-        self,
-        app,
-        windows: Optional[List] = None,
-        probability: float = 0.0,
-        seed: int = 0,
-        clock=None,
-    ) -> None:
+    def __init__(self, app, probability: float = 0.0, seed: int = 0) -> None:
         if not 0.0 <= probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
-        if windows:
-            for start, end in windows:
-                if end <= start:
-                    raise ValueError(f"empty dropout window ({start}, {end})")
-            if clock is None:
-                raise ValueError("windows require a clock to consult")
         self.app = app
-        self.windows = list(windows or [])
         self.probability = probability
         self.rng = np.random.default_rng(seed)
-        self.clock = clock
         self.dropped_reports = 0
         self._original_report = app.qos_report
         self._removed = False
         app.qos_report = self._guarded_report  # type: ignore[method-assign]
 
-    def _silenced_now(self) -> bool:
-        if self.windows and self.clock is not None:
-            tick = self.clock.tick
-            if any(start <= tick < end for start, end in self.windows):
-                return True
-        return self.probability > 0 and self.rng.uniform() < self.probability
-
     def _guarded_report(self):
         report = self._original_report()
-        if report is not None and self._silenced_now():
+        if (
+            report is not None
+            and self.probability > 0
+            and self.rng.uniform() < self.probability
+        ):
             self.dropped_reports += 1
             return None
         return report
@@ -330,60 +332,6 @@ class ContainerFlapper:
                 elif container.is_paused:
                     container.resume()
                     self._record(snapshot.tick, "resume", name)
-
-
-class ActuatorFaultInjector:
-    """Make the host's pause/resume signals unreliable.
-
-    With probability ``probability`` a ``pause_container`` /
-    ``resume_container`` call silently does nothing — the SIGSTOP or
-    SIGCONT was lost (ptrace interference, a frozen cgroup, a races-
-    with-teardown kernel path). The reconciliation loop must notice the
-    desired/actual drift and retry.
-
-    Use :meth:`install` / :meth:`remove` around the run.
-    """
-
-    def __init__(self, host: Host, seed: int = 0, probability: float = 0.2) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        self.host = host
-        self.rng = np.random.default_rng(seed)
-        self.probability = probability
-        self.dropped_signals: List[Tuple[str, str]] = []
-        self._original_pause = None
-        self._original_resume = None
-
-    def install(self) -> "ActuatorFaultInjector":
-        """Start dropping signals (idempotent)."""
-        if self._original_pause is not None:
-            return self
-        self._original_pause = self.host.pause_container
-        self._original_resume = self.host.resume_container
-        self.host.pause_container = self._flaky_pause  # type: ignore[method-assign]
-        self.host.resume_container = self._flaky_resume  # type: ignore[method-assign]
-        return self
-
-    def remove(self) -> None:
-        """Restore reliable signal delivery (idempotent)."""
-        if self._original_pause is None:
-            return
-        self.host.pause_container = self._original_pause  # type: ignore[method-assign]
-        self.host.resume_container = self._original_resume  # type: ignore[method-assign]
-        self._original_pause = None
-        self._original_resume = None
-
-    def _flaky_pause(self, name: str) -> None:
-        if self.rng.uniform() < self.probability:
-            self.dropped_signals.append(("pause", name))
-            return
-        self._original_pause(name)
-
-    def _flaky_resume(self, name: str) -> None:
-        if self.rng.uniform() < self.probability:
-            self.dropped_signals.append(("resume", name))
-            return
-        self._original_resume(name)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +441,10 @@ class StageExceptionInjector:
         return self
 
     def remove(self) -> None:
-        """Restore the original stage methods (idempotent)."""
-        for name, original in self._originals.items():
-            setattr(self.controller, name, original)
+        """Drop the wrappers (idempotent): the controller's class stage
+        methods show through again."""
+        for name in self._originals:
+            delattr(self.controller, name)
         self._originals = {}
 
 

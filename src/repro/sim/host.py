@@ -118,16 +118,7 @@ class Host:
         """Best-effort batch containers (the throttling candidates)."""
         return [c for c in self._containers.values() if not c.sensitive]
 
-    # -- signals (the Stay-Away action surface) -------------------------
-    def pause_container(self, name: str) -> None:
-        """Send SIGSTOP to a container's process group."""
-        self._containers[name].pause()
-
-    def resume_container(self, name: str) -> None:
-        """Send SIGCONT to a container's process group."""
-        self._containers[name].resume()
-
-    # -- the controller's port --------------------------------------------
+    # -- the controller's port: every SIGSTOP / SIGCONT the program sends --
     def observe(self, snapshot: HostSnapshot) -> Observation:
         """The host as a controller period reads it: usage from
         ``snapshot`` (what the monitoring channel delivered, faults
@@ -150,13 +141,13 @@ class Host:
     def pause(self, name: str) -> bool:
         """SIGSTOP ``name``; True when it is paused now (a refusal is an answer)."""
         with suppress(KeyError, ContainerError):
-            self.pause_container(name)
+            self._containers[name].pause()
         return name in self._containers and self._containers[name].is_paused
 
     def resume(self, name: str) -> bool:
         """SIGCONT ``name``; True when it is running now (a refusal is an answer)."""
         with suppress(KeyError, ContainerError):
-            self.resume_container(name)
+            self._containers[name].resume()
         return name in self._containers and self._containers[name].is_running
 
     # -- simulation -----------------------------------------------------

@@ -139,9 +139,9 @@ class TestMultiBatchChurn:
         class Chaos:
             def on_tick(self, snapshot, h):
                 if snapshot.tick % 7 == 3 and h.container("bomb").is_running:
-                    h.pause_container("bomb")
+                    h.pause("bomb")
                 elif snapshot.tick % 7 == 5 and h.container("bomb").is_paused:
-                    h.resume_container("bomb")
+                    h.resume("bomb")
 
         engine.add_middleware(Chaos())
         engine.run(ticks=100)  # must not raise

@@ -6,9 +6,11 @@ the stream's fold of a recorded tick *is* the in-process observation of
 that tick (which is why ``stream_replay`` equals its reference), a
 container with a command in flight reads what the command intends, and
 lifecycle state is read live, the same tick something else changed it.
+The same port faults, put on either side, give the same decisions.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,14 +21,16 @@ from repro.core.events import EventKind, EventLog
 from repro.core.priorities import PrioritizedStayAway
 from repro.experiments.scenarios import Scenario
 from repro.observation import PAUSED, RUNNING, ContainerRow
+from repro.service import ControllerService, QueueSource
 from repro.service.actuator import AckTracker, Actuator
 from repro.service.assembler import RETIRE_AFTER, ClosedTick, StreamAssembler
+from repro.service.controller_service import decision_sequence
 from repro.service.recording import StreamRecorder
 from repro.service.views import HostView
 from repro.sim.cluster import Cluster
 from repro.sim.container import Container, ContainerState
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import ContainerFlapper
+from repro.sim.faults import ContainerFlapper, FaultyPort
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
 
@@ -91,6 +95,39 @@ def test_stream_fold_equals_in_process_observation(sensitive, batches, migrate_a
             assert got.usage == want.usage  # floats, bit for bit
             assert got[2:5] == want[2:5]  # state, finished, sensitive
             assert (got.app is token) == (want.app is app)
+
+
+PORT_FAULTS = {"sensor_corruption": 0.05, "signal_loss": 0.2}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_port_faults_decide_the_same_in_process_and_over_the_stream(seed):
+    """A recorded in-process run under :class:`FaultyPort` (the recorder
+    ahead of the port, so the stream carries the host's truth), replayed
+    through a service whose controller is driven through a
+    ``FaultyPort`` with the same seed: the same ticks corrupt the same
+    cells, the same signals are lost, the same decisions follow."""
+    ticks = 600
+    config = StayAwayConfig(seed=seed, telemetry=False)
+    built = Scenario("vlc-streaming", ("cpubomb",), ticks=ticks, seed=seed).build()
+    controller = StayAway(built.sensitive_app, config=config)
+    recorder = StreamRecorder(sensitive_app=built.sensitive_app)
+    live = FaultyPort(controller, seed=seed, **PORT_FAULTS)
+    SimulationEngine(built.host, [recorder, live]).run(ticks=ticks)
+
+    source = QueueSource()
+    source.push(recorder.records)
+    source.close()
+    service = ControllerService(source, config=config)
+    served = service.controller
+    replayed = FaultyPort(SimpleNamespace(on_tick=served.on_tick), seed=seed, **PORT_FAULTS)
+    served.on_tick = replayed.on_tick  # the service drives its controller through the port
+    service.run()
+
+    assert live.corruptions and live.lost_signals
+    assert replayed.corruptions == live.corruptions
+    assert replayed.lost_signals == live.lost_signals
+    assert service.decision_sequence() == decision_sequence(controller)
 
 
 HEADER = {

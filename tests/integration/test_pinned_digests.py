@@ -260,9 +260,9 @@ def test_simulator_digest():
             saw_swap = False
             for tick in range(300):
                 if tick == 120:
-                    host.pause_container(batch)
+                    host.pause(batch)
                 if tick == 150:
-                    host.resume_container(batch)
+                    host.resume(batch)
                 snapshot = host.step()
                 saw_swap |= snapshot.swap_ratio > 1.0
                 _fold_snapshot(digest, snapshot)
@@ -282,7 +282,7 @@ def test_simulator_digest():
     assert digest.hexdigest() == SIM_DIGEST
 
 
-DRILL_DIGEST = "7d82772fa73301e717d40aae551e0388c00856fc6d061f2d788c639439cda9aa"
+DRILL_DIGEST = "c4f1883684d80c77dc6e59ca5bad74992e2a625de0792271e52d1735a46e5fe5"
 
 
 def _file_and_function(trace: str) -> str:

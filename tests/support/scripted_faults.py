@@ -2,7 +2,7 @@
 
 These three were ``repro.sim.faults`` classes that nothing outside the
 suites built: the drills inject seeded probabilistic faults instead
-(``SensorCorruptor``, ``QosDropout``, ``HostCrashInjector`` with
+(``FaultyPort``, ``QosDropout``, ``HostCrashInjector`` with
 ``recovery_ticks``). They fire what they are told to fire, when they
 are told, and record each firing as a :class:`~repro.sim.faults.FaultEvent`
 like the program's injectors do.

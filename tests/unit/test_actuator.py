@@ -160,6 +160,17 @@ class TestBackends:
         )
         assert backend.deliver(command, 0) is False
 
+    def test_sim_actuator_acks_the_ports_answer(self):
+        """A resume that cannot take effect is a failed delivery the
+        tracker retries, not an ack."""
+        host = self.paused_host()
+        host.container("c0").stop()
+        backend = SimHostActuator(host)
+        command = ActuatorCommand(
+            command_id=0, verb="resume", container="c0", issued_tick=0
+        )
+        assert backend.deliver(command, 0) is False
+
     def test_sim_actuator_redelivery_is_idempotent(self):
         host = self.paused_host()
         drop_first = [True]

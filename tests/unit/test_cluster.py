@@ -127,7 +127,7 @@ class TestMigration:
         cluster = make_cluster()
         cluster.host("h1").add_container(Container(name="c", app=app))
         cluster.step()
-        cluster.host("h1").pause_container("c")
+        cluster.host("h1").pause("c")
         cluster.step()
         calls_before = app.demand_calls
         record = cluster.migrate("c", "h2")
@@ -141,7 +141,7 @@ class TestMigration:
             Container(name="c", app=CountingApp(memory=2500.0))
         )
         cluster.step()
-        cluster.host("h1").pause_container("c")
+        cluster.host("h1").pause("c")
         cluster.step()
         record = cluster.migrate("c", "h2")
         assert record.downtime_ticks == 3  # ceil(2500 / 1000)

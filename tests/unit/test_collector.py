@@ -97,6 +97,6 @@ class TestAggregatedCollection:
         host = build_host(batch_count=1)
         collector = MetricsCollector()
         collector.on_tick(host.observe(host.step()))
-        host.pause_container("batch0")
+        host.pause("batch0")
         collector.on_tick(host.observe(host.step()))
         assert reading(collector.latest, "batch:cpu") == 0.0

@@ -65,7 +65,7 @@ class TestPerspectiveModes:
         engine = SimulationEngine(host, [controller])
         engine.run(ticks=3)
         assert controller.trajectory[-1].mode is ExecutionMode.COLOCATED
-        host.pause_container("bomb")
+        host.pause("bomb")
         engine.run(ticks=3)
         assert controller.trajectory[-1].mode is ExecutionMode.SENSITIVE_ONLY
 

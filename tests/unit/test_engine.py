@@ -68,11 +68,11 @@ class TestRun:
         assert result.ticks == 0
         assert result.snapshots == []
 
-    def test_middleware_can_pause_containers(self, loaded_host):
+    def test_middleware_can_pause_a_container(self, loaded_host):
         class Pauser:
             def on_tick(self, snapshot, host):
                 if snapshot.tick == 1:
-                    host.pause_container("constant")
+                    host.pause("constant")
 
         engine = SimulationEngine(loaded_host, middlewares=[Pauser()])
         result = engine.run(ticks=4)

@@ -353,7 +353,7 @@ class TestFleetCoordinator:
         )
         cluster.add_middleware(coordinator)
         cluster.step()
-        cluster.host("h0").pause_container("bomb")
+        cluster.host("h0").pause("bomb")
         snapshots = cluster.step()
         calls_before = bomb.demand_calls
         victim = coordinator._eviction_victim("h0", snapshots["h0"], cluster)

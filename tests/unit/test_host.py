@@ -44,17 +44,18 @@ class TestStep:
 
     def test_paused_container_shows_zero_usage(self, loaded_host):
         loaded_host.step()
-        loaded_host.pause_container("constant")
+        loaded_host.pause("constant")
         snapshot = loaded_host.step()
         assert snapshot.usage["constant"].is_zero()
         assert snapshot.states["constant"] is ContainerState.PAUSED
 
     def test_pause_resume_signals(self, loaded_host):
         loaded_host.step()
-        loaded_host.pause_container("constant")
+        assert loaded_host.pause("constant") is True
         assert loaded_host.container("constant").is_paused
-        loaded_host.resume_container("constant")
+        assert loaded_host.resume("constant") is True
         assert loaded_host.container("constant").is_running
+        assert loaded_host.pause("ghost") is False  # a refusal is an answer
 
     def test_delayed_start_tick(self, host):
         app = ConstantApp(name="late")
@@ -82,7 +83,7 @@ class TestStep:
         host.add_container(Container(name="s", app=sensitive, sensitive=True))
         host.add_container(Container(name="bomb", app=bomb))
         host.step()
-        host.pause_container("bomb")
+        host.pause("bomb")
         host.step()
         assert sensitive.qos_report().value == pytest.approx(1.0)
 
@@ -92,8 +93,8 @@ class TestStep:
             app = ConstantApp(name=name, demand_vector=hog)
             host.add_container(Container(name=name, app=app))
         assert host.step().swap_ratio == pytest.approx(12000.0 / 8192.0)
-        host.pause_container("a")
-        host.pause_container("b")
+        host.pause("a")
+        host.pause("b")
         assert host.step().swap_ratio == 1.0
 
     def test_last_snapshot_is_the_latest_tick(self, loaded_host):

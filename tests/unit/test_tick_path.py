@@ -55,7 +55,7 @@ def test_a_tick_never_touches_the_enum_keyed_api(model, monkeypatch):
     busy = 0
     for tick in range(60):
         if tick == 30:
-            host.pause_container("cpubomb")
+            host.pause("cpubomb")
         snapshot = host.step()
         assert host.last_snapshot is snapshot
         observation = host.observe(snapshot)
