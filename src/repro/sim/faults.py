@@ -32,7 +32,7 @@ Two layers:
 
 from __future__ import annotations
 
-import zlib
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +53,13 @@ class FaultEvent:
     tick: int
     kind: str
     target: str
+
+
+def _fault_uniform(seed: int, tick: int, key: str, salt: int) -> float:
+    """A uniform in [0, 1): the top 53 bits of a BLAKE2b digest of the
+    arguments. Stable across processes, unlike ``hash``."""
+    digest = hashlib.blake2b(f"{seed}|{tick}|{key}|{salt}".encode(), digest_size=8)
+    return (int.from_bytes(digest.digest(), "big") >> 11) / (1 << 53)
 
 
 class DemandSpiker:
@@ -671,12 +678,10 @@ class HostCrashInjector:
     :meth:`~repro.sim.cluster.Cluster.recover_host`.
 
     The probabilistic decision for each host is a pure function of
-    ``(seed, tick, host)`` — the host's index in the sorted name order
-    captured when the injector first sees the cluster — so the crash
-    script is identical across policy arms no matter how each arm's
-    control flow diverges after the first crash. ``max_down_fraction``
-    caps simultaneous outages (a correlated-failure guard, applied in
-    the same deterministic host order).
+    ``(seed, tick, host name)``, so the crash script is identical across
+    policy arms no matter how each arm's control flow diverges after the
+    first crash. ``max_down_fraction`` caps simultaneous outages (a
+    correlated-failure guard, applied in sorted host-name order).
     """
 
     def __init__(
@@ -701,7 +706,7 @@ class HostCrashInjector:
         self.fired: List[FaultEvent] = []
 
     def host_order(self, cluster: "Cluster") -> Tuple[str, ...]:
-        """The stable host order indices are drawn from (captured once)."""
+        """The hosts in sorted name order (captured once)."""
         if self._order is None:
             self._order = tuple(sorted(cluster.hosts))
         return self._order
@@ -732,13 +737,12 @@ class HostCrashInjector:
         if self.probability <= 0:
             return
         cap = int(self.max_down_fraction * len(cluster.hosts))
-        for index, host in enumerate(order):
+        for host in order:
             if host in cluster.down or host not in cluster.hosts:
                 continue
             if len(cluster.down) >= cap:
                 break
-            rng = np.random.default_rng([self.seed, tick, index])
-            if rng.uniform() < self.probability:
+            if _fault_uniform(self.seed, tick, host, 0) < self.probability:
                 self._crash(tick, host, cluster)
 
     def summary(self) -> dict:
@@ -761,9 +765,9 @@ class TelemetryBlackout:
     same view a crashed host produces, which is exactly why a fleet
     control plane must not treat 'no telemetry' as 'safe to act'.
 
-    Blackouts are pure functions of ``(seed, tick, host)`` using the
-    same stable host-index scheme as :class:`HostCrashInjector`, so
-    the blackout script is arm-invariant too.
+    Blackouts are pure functions of ``(seed, tick, host name)``, like
+    :class:`HostCrashInjector`'s crashes, so the blackout script is
+    arm-invariant too.
     """
 
     def __init__(
@@ -777,25 +781,21 @@ class TelemetryBlackout:
         self.inner = inner
         self.seed = seed
         self.probability = probability
-        self._order: Optional[Tuple[str, ...]] = None
         self.fired: List[FaultEvent] = []
 
-    def _is_dark(self, tick: int, index: int) -> bool:
-        if self.probability > 0:
-            rng = np.random.default_rng([self.seed, tick, index, 1])
-            return bool(rng.uniform() < self.probability)
-        return False
+    def _is_dark(self, tick: int, host: str) -> bool:
+        return (
+            self.probability > 0
+            and _fault_uniform(self.seed, tick, host, 1) < self.probability
+        )
 
     def on_cluster_tick(
         self, snapshots: Dict[str, HostSnapshot], cluster: "Cluster"
     ) -> None:
         tick = cluster.clock.tick - 1
-        if self._order is None:
-            self._order = tuple(sorted(cluster.hosts))
-        index_of = {host: i for i, host in enumerate(self._order)}
         visible: Dict[str, HostSnapshot] = {}
         for host, snapshot in snapshots.items():
-            if self._is_dark(tick, index_of.get(host, len(index_of))):
+            if self._is_dark(tick, host):
                 self.fired.append(
                     FaultEvent(tick=tick, kind="blackout", target=host)
                 )
@@ -812,17 +812,17 @@ class TelemetryBlackout:
 # ``reconnect()`` and ``exhausted`` (the ``repro.service.stream`` duck
 # type; wire records are plain dicts, so this module needs no service
 # import and the layering stays one-directional). Every probabilistic
-# decision is a pure function of ``(seed, tick, record-key)`` via
-# ``np.random.default_rng([seed, tick, key])``, with string keys hashed
-# by :func:`zlib.crc32` (stable across processes, unlike ``hash``) — the
+# decision is :func:`_fault_uniform` of ``(seed, tick, record key)``,
+# the key being the record's ``"kind|container"`` text, under one salt
+# per decision (drop 2, reorder 3, reorder delay 6, duplicate 4) — the
 # fault script is identical across the assembler-on / assembler-off
-# arms regardless of how each consumer behaves after the first fault.
+# arms regardless of how each consumer behaves after the first fault,
+# or how the records were batched into polls.
 
 
-def _record_key(record: dict) -> int:
-    """Stable per-record hash for seeded fault decisions."""
-    text = "{}|{}".format(record.get("kind", ""), record.get("container", ""))
-    return zlib.crc32(text.encode("utf-8"))
+def _record_key(record: dict) -> str:
+    """The text a record's seeded fault decisions are keyed on."""
+    return "{}|{}".format(record.get("kind", ""), record.get("container", ""))
 
 
 class _StreamFault:
@@ -867,8 +867,7 @@ class StreamDropper(_StreamFault):
             if tick is None:
                 kept.append(record)
                 continue
-            rng = np.random.default_rng([self.seed, tick, _record_key(record), 2])
-            if rng.uniform() < self.probability:
+            if _fault_uniform(self.seed, tick, _record_key(record), 2) < self.probability:
                 self.dropped.append(
                     FaultEvent(
                         tick=tick,
@@ -925,9 +924,10 @@ class StreamReorderer(_StreamFault):
             if tick is None:
                 out.append(record)
                 continue
-            rng = np.random.default_rng([self.seed, tick, _record_key(record), 3])
-            if rng.uniform() < self.probability:
-                delay = 1 + int(rng.integers(self.max_delay))
+            key = _record_key(record)
+            if _fault_uniform(self.seed, tick, key, 3) < self.probability:
+                u = _fault_uniform(self.seed, tick, key, 6)
+                delay = 1 + int(u * self.max_delay)
                 self._held.append((self._poll_index + delay, record))
                 self.delayed.append(
                     FaultEvent(
@@ -966,8 +966,7 @@ class StreamDuplicator(_StreamFault):
             tick = record.get("tick")
             if tick is None:
                 continue
-            rng = np.random.default_rng([self.seed, tick, _record_key(record), 4])
-            if rng.uniform() < self.probability:
+            if _fault_uniform(self.seed, tick, _record_key(record), 4) < self.probability:
                 self._held.append(dict(record))
                 self.duplicated.append(
                     FaultEvent(
@@ -1013,7 +1012,7 @@ class ActuatorAckDropper:
     ``ack_filter``: the pause/resume *lands* on the host but the ack
     does not come back, so the tracker redelivers — the
     at-least-once double-delivery case idempotent pause/resume must
-    absorb. Deterministic in ``(seed, tick, command_id)``.
+    absorb. Deterministic in ``(seed, tick, command_id, attempts)``.
     """
 
     def __init__(self, seed: int = 0, probability: float = 0.3) -> None:
@@ -1024,10 +1023,8 @@ class ActuatorAckDropper:
         self.dropped_acks: List[FaultEvent] = []
 
     def __call__(self, command, tick: int) -> bool:
-        rng = np.random.default_rng(
-            [self.seed, tick, int(command.command_id), int(command.attempts), 5]
-        )
-        if rng.uniform() < self.probability:
+        key = f"{command.command_id}|{command.attempts}"
+        if _fault_uniform(self.seed, tick, key, 5) < self.probability:
             self.dropped_acks.append(
                 FaultEvent(tick=tick, kind="ack-drop", target=command.container)
             )

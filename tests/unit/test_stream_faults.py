@@ -9,6 +9,8 @@ echo exactly once, stallers freeze scripted windows, and the ack
 dropper loses acks but never the action.
 """
 
+import math
+
 import pytest
 
 from repro.service.actuator import ActuatorCommand
@@ -19,6 +21,7 @@ from repro.sim.faults import (
     StreamDuplicator,
     StreamReorderer,
     StreamStaller,
+    _fault_uniform,
 )
 
 
@@ -56,7 +59,9 @@ def closed_queue(records):
 
 class TestDeterminism:
     def chain(self, records, seed):
-        inner = closed_queue(records)
+        return self.chain_over(closed_queue(records), seed)
+
+    def chain_over(self, inner, seed):
         return StreamDuplicator(
             StreamReorderer(
                 StreamDropper(inner, seed=seed, probability=0.2),
@@ -80,14 +85,105 @@ class TestDeterminism:
         )
 
     def test_script_independent_of_consumer_pacing(self):
-        """Per-record decisions do not depend on poll batching."""
-        records = stream(30)
-        eager = drained(StreamDropper(closed_queue(records), seed=3))
-        lazy_source = StreamDropper(closed_queue(records), seed=3)
-        lazy = []
-        while not lazy_source.exhausted:
-            lazy.extend(lazy_source.poll())
-        assert eager == lazy
+        """The fault script does not depend on poll batching or arrival order.
+
+        One chain sees every tick before its first poll; the other sees
+        one tick per poll, each tick's records in reverse order.
+        """
+        containers = ("c0", "c1", "c2")
+        records = stream(40, containers)[1:]  # the header is never faulted
+        width = len(containers)
+        ticks = [records[i:i + width] for i in range(0, len(records), width)]
+
+        def script(batches):
+            queue = QueueSource()
+            source = self.chain_over(queue, seed=3)
+            for batch in batches:
+                queue.push(batch)
+                source.poll()
+            queue.close()
+            drained(source)
+            dropper = source.inner.inner
+            return [
+                {(e.tick, e.kind, e.target) for e in log}
+                for log in (dropper.dropped, source.inner.delayed, source.duplicated)
+            ]
+
+        eager = script([[record for tick in ticks for record in tick]])
+        paced = script([list(reversed(tick)) for tick in ticks])
+        assert all(eager)  # every wrapper fired
+        assert eager == paced
+
+
+#: 18 record keys as the stream wrappers build them ("kind|container").
+KEYS = [
+    f"{kind}|{container}"
+    for kind in ("sample", "state", "qos")
+    for container in ("vlc", "bomb", "c0", "c1", "c2", "c3")
+]
+
+
+def draws(salt):
+    """The fixed grid: seeds 0-4 x ticks 0-1499 x the 18 keys."""
+    return [
+        _fault_uniform(seed, tick, key, salt)
+        for seed in range(5)
+        for tick in range(1500)
+        for key in KEYS
+    ]
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return {salt: draws(salt) for salt in (2, 4)}
+
+
+class TestFaultDraw:
+    """The keyed-hash draw behaves like independent uniforms on a fixed grid."""
+
+    def test_draws_lie_in_the_unit_interval(self, grid):
+        assert all(0.0 <= u < 1.0 for u in grid[2])
+
+    def test_mean_is_one_half(self, grid):
+        us = grid[2]
+        sigma = math.sqrt(1 / 12 / len(us))
+        assert abs(sum(us) / len(us) - 0.5) < 4 * sigma
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3])
+    def test_fire_rate_is_binomial(self, grid, p):
+        us = grid[2]
+        rate = sum(u < p for u in us) / len(us)
+        assert abs(rate - p) < 4 * math.sqrt(p * (1 - p) / len(us))
+
+    def test_salts_fire_independently(self, grid):
+        drops = [u < 0.05 for u in grid[2]]
+        dups = [u < 0.1 for u in grid[4]]
+        n = len(drops)
+        expected = (sum(drops) / n) * (sum(dups) / n)
+        joint = sum(a and b for a, b in zip(drops, dups)) / n
+        assert abs(joint - expected) < 4 * math.sqrt(expected * (1 - expected) / n)
+
+    def test_histogram_is_flat(self, grid):
+        us = grid[2]
+        counts = [0] * 20
+        for u in us:
+            counts[int(u * 20)] += 1
+        expected = len(us) / 20
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        assert chi2 < 43.8  # the 0.999 quantile of chi-square, 19 dof
+
+    def test_reorder_delays_cover_one_to_max_delay(self):
+        records = stream(1000)  # 2 000 tick-bearing records
+        source = StreamReorderer(
+            closed_queue(records), seed=6, probability=1.0, max_delay=3
+        )
+        delays = []
+        poll = 0
+        while not source.exhausted:
+            poll += 1
+            delays.extend(poll - 1 for r in source.poll() if "tick" in r)
+        assert len(delays) == 2000
+        assert set(delays) == {1, 2, 3}
 
 
 class TestStreamDropper:
