@@ -19,9 +19,11 @@ the stress, ``M`` the exact Hessian wherever it is positive definite —
 so it starts as safely and finishes quadratically.
 
 The objective is non-convex, so the loop runs from several starts at
-once and keeps the best: the work that grows with the anchors is array
-operations over all starts, the per-start bookkeeping runs on Python
-floats (see "Placement kernel" in ``docs/ARCHITECTURE.md``).
+once and keeps the best, stopping a start early once its own local
+model says it cannot beat one that has converged. The work that grows
+with the anchors is array operations over all starts, the per-start
+bookkeeping runs on Python floats (see "Placement kernel" in
+``docs/ARCHITECTURE.md``).
 
 :func:`procrustes_align` keeps the map visually and semantically stable
 across occasional full refits: the refit configuration is rotated /
@@ -67,11 +69,14 @@ def place_point(
         Starting guess (finite). When absent the optimiser starts from
         six points around the nearest anchor and the anchor centroid
         plus the two-circle intersections of the widest anchor pair,
-        and returns the lowest-stress result (first one on ties).
+        and returns the lowest-stress result (first one on ties). A
+        start stops early once its local model says it cannot end
+        below a start that has already converged.
     max_iter:
         Most damped steps, taken or rejected, any start may try.
     tol:
-        A start stops once its step is shorter than this (map units).
+        A start converges once its step is shorter than this (map
+        units).
 
     Raises
     ------
@@ -322,20 +327,20 @@ class _AnchorFrame:
         np.add.reduce(summands, axis=2, out=results[:, :, 5])
         return results.reshape(rows, 12).tolist()
 
-    def score(self, raw: List[float]) -> Tuple[float, float, float, float, float, float]:
-        """``(stress, g0, g1, m00, m01, m11)`` of one row :meth:`evaluate` read back.
+    def score(self, raw: List[float]) -> Tuple[float, float, float, float, float, float, bool]:
+        """``(stress, g0, g1, m00, m01, m11, exact)`` of one row :meth:`evaluate` read back.
 
         The residual stress, the half gradient ``J^T r`` and the upper
         triangle of the curvature ``M``: the exact half Hessian where it
-        is positive definite (both leading minors positive), the
-        Gauss-Newton ``J^T J`` elsewhere.
+        is positive definite (both leading minors positive; ``exact``
+        is true), the Gauss-Newton ``J^T J`` elsewhere.
         """
         m00, m01, h00, h01, g0, stress, m10, m11, h10, h11, g1, weight = raw
         h00 += self.count - weight
         h11 += self.count - weight
         if h00 * h11 - h01 * h10 > 0.0 and h00 > 0.0:
-            return stress, g0, g1, h00, h01, h11
-        return stress, g0, g1, m00, m01, m11
+            return stress, g0, g1, h00, h01, h11, True
+        return stress, g0, g1, m00, m01, m11, False
 
 
 def _descend(
@@ -354,9 +359,13 @@ def _descend(
     so inherits the majorization's descent guarantee; a step that does
     not raise the stress is taken and shrinks ``lambda`` (towards
     Newton's step, which converges quadratically), one that does is
-    retried from the same point with more damping. A row stops once
-    its step is shorter than ``tol``; rows are independent, and only
-    the rows still moving are scored.
+    retried from the same point with more damping. A row *settles*
+    once its step is shorter than ``tol``. Once some row has settled
+    where its exact half Hessian is positive definite (a minimum), a
+    row still moving stops early as soon as the minimum of its own
+    local quadratic model (:func:`_model_floor`) is not below the
+    lowest such stress: it can no longer win. Only the rows still
+    moving are scored.
 
     Parameters
     ----------
@@ -372,10 +381,12 @@ def _descend(
     scored = [frame.score(raw) for raw in frame.evaluate(starts)]
     damping = [frame.count] * len(x)
     active = list(range(len(x)))
+    # The lowest stress of a row that has settled on a minimum.
+    settled = math.inf
     for _ in range(max_iter):
         moves = []
         for row in active:
-            _, g0, g1, m00, m01, m11 = scored[row]
+            _, g0, g1, m00, m01, m11, _ = scored[row]
             a = m00 + damping[row]
             c = m11 + damping[row]
             determinant = a * c - m01 * m01
@@ -401,10 +412,31 @@ def _descend(
                 damping[row] = max(damping[row] * _DAMPING_GROW, _MIN_DAMPING)
             if not length < tol:
                 still.append(row)
+            elif scored[row][6] and scored[row][0] < settled:
+                # Only a minimum bounds the others: a start on a
+                # symmetry axis can settle on the saddle it never leaves.
+                settled = scored[row][0]
+        if settled < math.inf:
+            still = [row for row in still if _model_floor(scored[row]) < settled]
         active = still
         if not active:
             break
     return np.array(x, dtype=float), np.array([row[0] for row in scored])
+
+
+def _model_floor(score: Tuple[float, float, float, float, float, float, bool]) -> float:
+    """The minimum ``stress - g^T M^-1 g`` of a row's local quadratic model.
+
+    ``score`` is the row's :meth:`_AnchorFrame.score` tuple: Newton's
+    model where ``M`` is the half Hessian, Gauss-Newton's where it is
+    ``J^T J``; ``-inf`` when ``M`` is not positive definite and the
+    model has no minimum.
+    """
+    stress, g0, g1, m00, m01, m11, _ = score
+    determinant = m00 * m11 - m01 * m01
+    if determinant > 0.0 and m00 > 0.0:
+        return stress - (g0 * (m11 * g0 - m01 * g1) + g1 * (m00 * g1 - m01 * g0)) / determinant
+    return -math.inf
 
 
 def procrustes_align(

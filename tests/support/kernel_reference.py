@@ -1,4 +1,4 @@
-"""The array placement kernel and geometry rebuild, kept verbatim as an oracle.
+"""The array placement kernel and geometry rebuild, kept as an oracle.
 
 Before the placement kernel moved its bookkeeping onto Python floats, a
 new mapped state paid NumPy dispatch on ``(S, n, 2)`` broadcasts and on
@@ -11,10 +11,22 @@ damped on ``(S,)`` arrays, ``_multi_starts`` stacked its starts with
 labels with ``np.fromiter``, took ``np.median`` of two ranges and the
 nearest safe states from a ``(v, s, 2)`` ``cross_distances`` broadcast.
 The bodies below are the ones the parent commit (f615670) ran — the
-kernel functions unchanged, the two ``StateSpace`` methods (and the
-``_indices_by_label`` helper they call) as functions of the space.
+kernel functions unchanged but for the stop rule below, the two
+``StateSpace`` methods (and the ``_indices_by_label`` helper they
+call) as functions of the space.
 ``cross_distances`` lived in ``repro.mds.distances`` until nothing
 under ``src/`` called it.
+
+One change was made to the array kernel after it was copied here:
+``reference_descend`` learned the early stop the program's kernel
+gained later (a start still moving stops once the minimum of its own
+quadratic model is not below the lowest stress of a start that has
+converged on a minimum; :func:`reference_model_floor`). That is an algorithm
+change, and the oracle models the kernel's algorithm; what it checks
+is how the float bookkeeping rounds against array arithmetic, and
+that check is as strict as before. The rule is written here in array
+form, apart from the program's, and the rest of the arithmetic is
+unchanged.
 
 Nothing under ``src/`` imports this module. The bit-identity suites
 (``tests/property/test_prop_kernel_identity.py``) drive it side by side
@@ -195,7 +207,8 @@ class ReferenceAnchorFrame:
         self._hessian = self._products[:, :, 2:4]
         self._hessian_diagonal = np.einsum("sii->si", self._hessian)
         self._spare = np.empty(n_starts)
-        self._definite = np.empty(n_starts, dtype=bool)
+        #: ``(S,)`` whether ``curvature`` is the exact half Hessian.
+        self.definite = np.empty(n_starts, dtype=bool)
         #: ``(S,)`` residual stress of the iterates last evaluated.
         self.stress = np.empty(n_starts)
         #: ``(S, 2)`` half gradient ``J^T r`` of that stress.
@@ -237,10 +250,10 @@ class ReferenceAnchorFrame:
         self._hessian_diagonal += self._spare[:, None]
         determinant = hessian[:, 0, 0] * hessian[:, 1, 1]
         determinant -= hessian[:, 0, 1] * hessian[:, 1, 0]
-        np.greater(determinant, 0.0, out=self._definite)
-        self._definite &= hessian[:, 0, 0] > 0.0
+        np.greater(determinant, 0.0, out=self.definite)
+        self.definite &= hessian[:, 0, 0] > 0.0
         self.curvature[...] = self._products[:, :, 0:2]
-        np.copyto(self.curvature, hessian, where=self._definite[:, None, None])
+        np.copyto(self.curvature, hessian, where=self.definite[:, None, None])
 
 
 def reference_descend(
@@ -259,9 +272,12 @@ def reference_descend(
     so inherits the majorization's descent guarantee; a step that does
     not raise the stress is taken and shrinks ``lambda`` (towards
     Newton's step, which converges quadratically), one that does is
-    retried from the same point with more damping. A row stops once
-    its step is shorter than ``tol``; rows are independent, a stopped
-    one is carried through the array operations but never written.
+    retried from the same point with more damping. A row settles once
+    its step is shorter than ``tol``; once one has settled where its
+    curvature is the exact half Hessian, a row still moving stops as
+    soon as its model floor is not below the lowest such stress. A
+    stopped row is carried through the array operations but never
+    written.
 
     Parameters
     ----------
@@ -279,11 +295,13 @@ def reference_descend(
     stress = frame.stress.copy()
     gradient = frame.gradient.copy()
     curvature = frame.curvature.copy()
+    exact = frame.definite.copy()
     damping = np.full(n_starts, float(anchors.shape[0]))
     active = np.ones(n_starts, dtype=bool)
     accepted = np.empty(n_starts, dtype=bool)
     candidate = np.empty_like(x)
     step = np.empty_like(x)
+    settled = np.inf
     for _ in range(max_iter):
         # Closed-form solve of the 2x2 system (M + lambda I) step = J^T r.
         a = curvature[:, 0, 0] + damping
@@ -303,13 +321,39 @@ def reference_descend(
         np.copyto(stress, frame.stress, where=accepted)
         np.copyto(gradient, frame.gradient, where=moved)
         np.copyto(curvature, frame.curvature, where=moved[:, :, None])
+        np.copyto(exact, frame.definite, where=accepted)
         np.multiply(damping, np.where(accepted, _DAMPING_SHRINK, _DAMPING_GROW),
                     out=damping, where=active)
         np.maximum(damping, _MIN_DAMPING, out=damping)
-        active &= ~(np.hypot(step[:, 0], step[:, 1]) < tol)
+        short = np.hypot(step[:, 0], step[:, 1]) < tol
+        below = stress[active & short & exact]
+        below = below[below < settled]
+        if below.size:
+            settled = below.min()
+        active &= ~short
+        if settled < np.inf:
+            active &= reference_model_floor(stress, gradient, curvature) < settled
         if not active.any():
             break
     return x, stress
+
+
+def reference_model_floor(
+    stress: np.ndarray, gradient: np.ndarray, curvature: np.ndarray
+) -> np.ndarray:
+    """``(S,)`` minima ``stress - g^T M^-1 g`` of each row's quadratic model.
+
+    ``-inf`` where the curvature ``M`` is not positive definite.
+    """
+    m00, m01, m11 = curvature[:, 0, 0], curvature[:, 0, 1], curvature[:, 1, 1]
+    g0, g1 = gradient[:, 0], gradient[:, 1]
+    determinant = m00 * m11 - m01 * m01
+    definite = (determinant > 0.0) & (m00 > 0.0)
+    decrease = g0 * (m11 * g0 - m01 * g1) + g1 * (m00 * g1 - m01 * g0)
+    floor = np.full_like(stress, -np.inf)
+    np.divide(decrease, determinant, out=decrease, where=definite)
+    np.subtract(stress, decrease, out=floor, where=definite)
+    return floor
 
 
 # -- violation geometry ----------------------------------------------------------

@@ -13,12 +13,14 @@ Nothing under
 that the kernel never ends on a higher stress than the code it
 replaced, from the same starts.
 
-:func:`lost_to_reference` is the comparison those suites share.
+:func:`lost_to_reference` is the comparison those suites share, and
+:func:`random_corpus` the seeded instance set the kernel's stop rule
+was chosen on.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -191,3 +193,43 @@ def lost_to_reference(
     if slope <= 1e-7 * len(deltas) * extent:
         return None
     return verdict + f" on a slope of {slope!r}"
+
+
+#: The instance kinds of :func:`random_corpus`, drawn in this order.
+CORPUS_KINDS = ("gaussian", "collinear", "high-dimensional")
+
+
+def random_corpus(
+    per_kind: int, seed: int = 0
+) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
+    """``(kind, anchors, deltas)`` placement instances, ``per_kind`` of each kind.
+
+    One ``default_rng(seed)`` draws every instance, the kinds
+    interleaved, so a smaller ``per_kind`` yields a prefix of a larger
+    one. Each has ``n`` in ``[2, 60)`` anchors:
+
+    * ``gaussian`` — Gaussian 2-D anchors, targets the norms of
+      Gaussian 3-D vectors (low-dimensional and unrelated to the map);
+    * ``collinear`` — the same targets against anchors on one random
+      line, where the stress has mirror minima;
+    * ``high-dimensional`` — Gaussian 2-D anchors, targets the
+      distances from a Gaussian 10-D point to ``n`` Gaussian 10-D ones.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(per_kind):
+        for kind in CORPUS_KINDS:
+            n = int(rng.integers(2, 60))
+            if kind == "gaussian":
+                anchors = rng.normal(size=(n, 2))
+                deltas = np.linalg.norm(rng.normal(size=(n, 3)), axis=1)
+            elif kind == "collinear":
+                angle = rng.uniform(0.0, np.pi)
+                along = rng.normal(size=n) * 2.0
+                anchors = rng.normal(size=2) + along[:, None] * np.array(
+                    [np.cos(angle), np.sin(angle)]
+                )
+                deltas = np.linalg.norm(rng.normal(size=(n, 3)), axis=1)
+            else:
+                anchors = rng.normal(size=(n, 2))
+                deltas = np.linalg.norm(rng.normal(size=(n, 10)) - rng.normal(size=10), axis=1)
+            yield kind, anchors, deltas

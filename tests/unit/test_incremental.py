@@ -1,5 +1,6 @@
 """Unit tests for incremental MDS placement and Procrustes alignment."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from tests.support.placement_reference import (
     lost_to_reference,
     place_point_reference,
     placement_stress,
+    random_corpus,
 )
 
 
@@ -205,34 +207,109 @@ class TestPlacePointInputValidation:
             place_point(SQUARE, np.full(4, 1e200))
 
 
+class TwoMinima:
+    """Nine anchors whose stress has a global and a local minimum.
+
+    ``best`` (stress ≈ 2.90) is where the centroid descends to, ``local``
+    (≈ 7.46) where a start far to the lower right does; both are
+    descended with ``tol = 0`` so a start placed on either settles on
+    its first step.
+    """
+
+    TOL = 1e-9
+
+    def __init__(self) -> None:
+        rng = np.random.default_rng(7)
+        self.anchors = rng.normal(size=(9, 2))
+        self.deltas = np.linalg.norm(rng.normal(size=(9, 5)), axis=1)
+        self.frame = incremental._AnchorFrame(1, self.anchors, self.deltas)
+        self.best, self.best_stress = self.converged(self.anchors.mean(axis=0))
+        self.local, self.local_stress = self.converged(self.best + np.array([40.0, -25.0]))
+        assert self.best_stress < self.local_stress
+
+    def converged(self, start):
+        placed, stress = incremental._descend(start[None, :], self.anchors, self.deltas, 400, 0.0)
+        return placed[0], stress[0]
+
+    def alone(self, start, steps=100):
+        placed, stress = incremental._descend(
+            start[None, :], self.anchors, self.deltas, steps, self.TOL
+        )
+        return placed[0], stress[0]
+
+    def stacked(self, *starts):
+        return incremental._descend(np.stack(starts), self.anchors, self.deltas, 100, self.TOL)
+
+    def floors(self, start):
+        """The model floor after each iteration ``start`` takes alone."""
+        end = self.alone(start)[0]
+        floors = []
+        for steps in range(1, 100):
+            x = self.alone(start, steps)[0]
+            raw = self.frame.evaluate(x[None, :])[0]
+            floors.append(incremental._model_floor(self.frame.score(raw)))
+            if np.array_equal(x, end):
+                break
+        return floors
+
+
 class TestPlacementKernel:
     """The batched damped descent against the scalar optimiser it replaced."""
 
-    def test_converged_start_is_frozen_while_others_iterate(self):
-        rng = np.random.default_rng(7)
-        anchors = rng.normal(size=(9, 2))
-        deltas = np.linalg.norm(rng.normal(size=(9, 5)), axis=1)
-        tol, max_iter = 1e-3, 6
-        descend = incremental._descend
+    def test_a_settled_start_stays_frozen(self):
+        case = TwoMinima()
+        toward_best = np.array([-3.0, 2.0])
+        # The scenario is what it claims: ``local`` settles on its first
+        # step, the other start is still moving after it.
+        assert np.array_equal(case.alone(case.local, 1)[0], case.alone(case.local)[0])
+        assert len(case.floors(toward_best)) > 1
+        placed, stress = case.stacked(case.local, toward_best)
+        assert np.array_equal(placed[0], case.local)
+        assert stress[0] == case.alone(case.local)[1] == case.local_stress
 
-        def alone(start, steps=max_iter):
-            placed, stress = descend(start[None, :], anchors, deltas, steps, tol)
-            return placed[0], stress[0]
+    def test_a_start_whose_floor_stays_below_the_settled_stress_ends_where_it_ends_alone(self):
+        case = TwoMinima()
+        toward_best = np.array([-3.0, 2.0])
+        assert all(floor < case.local_stress for floor in case.floors(toward_best))
+        placed, stress = case.stacked(case.local, toward_best)
+        expected, expected_stress = case.alone(toward_best)
+        assert np.array_equal(placed[1], expected)
+        assert stress[1] == expected_stress == placement_stress(
+            expected, case.anchors, case.deltas
+        )
+        # ... and wins: it ends in the global minimum.
+        assert np.allclose(expected, case.best, atol=1e-7)
 
-        settled, _ = descend(anchors.mean(axis=0)[None, :], anchors, deltas, 400, 0.0)
-        far = settled[0] + np.array([40.0, -25.0])
-        # The scenario is what it claims: ``settled`` stops after its
-        # first step, ``far`` is still moving when the cap cuts it off.
-        assert np.array_equal(alone(settled[0], 1)[0], alone(settled[0])[0])
-        assert not np.array_equal(alone(far, max_iter - 1)[0], alone(far)[0])
-        # Rows do not see each other: stacked, each ends where it ends alone.
-        placed, stress = descend(np.stack([settled[0], far]), anchors, deltas, max_iter, tol)
-        for row, start in enumerate((settled[0], far)):
-            expected, expected_stress = alone(start)
-            assert np.array_equal(placed[row], expected)
-            assert stress[row] == expected_stress == placement_stress(
-                expected, anchors, deltas
-            )
+    def test_a_start_stops_in_the_first_iteration_its_floor_is_not_below_the_settled_stress(
+        self,
+    ):
+        case = TwoMinima()
+        start = np.array([-2.0, 0.0])
+        floors = case.floors(start)
+        first = next(k for k, floor in enumerate(floors, 1) if not floor < case.best_stress)
+        # Not below only after its first step, and alone it moves on.
+        assert 1 < first < len(floors)
+        placed, stress = case.stacked(case.best, start)
+        expected, expected_stress = case.alone(start, first)
+        assert np.array_equal(placed[1], expected)
+        assert stress[1] == expected_stress
+        assert not np.array_equal(expected, case.alone(start)[0])
+        assert np.array_equal(placed[0], case.best)
+
+    def test_a_start_settled_on_a_saddle_stops_no_other(self):
+        # Instance 4786 of the 6 000, collinear anchors: the centroid
+        # start lies on their line and settles on the saddle there, just
+        # above the two mirror minima off it. Were the saddle counted as
+        # settled, every other start would stop short of those minima.
+        kind, anchors, deltas = next(itertools.islice(random_corpus(2000), 4786, None))
+        assert kind == "collinear"
+        centroid = incremental._multi_starts(anchors, deltas)[5:6]
+        saddle, saddle_stress = incremental._descend(centroid, anchors, deltas, 100, 1e-9)
+        frame = incremental._AnchorFrame(1, anchors, deltas)
+        assert not frame.score(frame.evaluate(saddle)[0])[6]  # H is not positive definite
+        placed = place_point(anchors, deltas)
+        assert placement_stress(placed, anchors, deltas) < saddle_stress[0]
+        assert lost_to_reference(placed, anchors, deltas) is None
 
     @pytest.mark.parametrize(
         "anchors",
@@ -269,7 +346,7 @@ class TestPlacementKernel:
 
         def singular(frame, raw):
             stress, g0, g1, *_ = score(frame, raw)
-            return stress, g0, g1, 0.0, frame.count, 0.0  # (0 + n)(0 + n) - n * n
+            return stress, g0, g1, 0.0, frame.count, 0.0, False  # (0 + n)(0 + n) - n * n
 
         monkeypatch.setattr(incremental._AnchorFrame, "score", singular)
         start = np.array([[0.3, 0.2]])
