@@ -4,7 +4,7 @@ PR 4 turned ``StateSpace.violation_vote`` from a per-candidate Python
 loop (re-deriving every violation radius on every call) into a single
 broadcasted NumPy expression over a cached :class:`ViolationGeometry`.
 This bench quantifies the win: synthetic state spaces of growing size
-(~20% violation states, rollback-style direct construction so the
+(~20% violation states, written directly into the space so the
 build itself costs nothing) are voted on by both paths, the vote counts
 are asserted identical per batch, and the cached path must be at least
 5x faster than the scalar reference at 500 states.
@@ -45,10 +45,10 @@ DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_geometry.json"
 
 
 def build_space(n_states: int, seed: int) -> StateSpace:
-    """A learned-looking state space built the way a rollback rebuilds one.
+    """A learned-looking state space with its rows written directly.
 
-    Representatives, 2-D coords and labels are written directly (as the
-    model-health watchdog's rollback does) so space construction
+    Representatives, 2-D coords and labels are assigned as arrays (not
+    through ``add_sample``) so space construction
     is O(n) and the bench times only the vote paths. The explicit
     invalidation calls honor the external-mutation contracts.
     """

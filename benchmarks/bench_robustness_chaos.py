@@ -12,10 +12,12 @@ otherwise-identical Stay-Away controllers:
 * **Recovery drill** (fault containment): controller-internal faults —
   stages raising on schedule (:class:`StageExceptionInjector`) and
   silent model poisoning (:class:`ModelPoisoner`) — containment
-  (exception firewall + model-health watchdog) on vs off. The
-  uncontained controller crashes on the first stage exception; the
-  contained one must survive the whole run, catch every injected stage
-  fault, keep its bookkeeping consistent and sustain a strictly lower
+  (exception firewall + model-health watchdog) on vs off, plus a
+  ``no-watchdog`` arm (the firewall alone) that shows what the watchdog
+  buys. The uncontained controller crashes on the first stage
+  exception; the contained one must survive the whole run, catch every
+  injected stage fault, heal every histogram poison with a mode reset,
+  keep its bookkeeping consistent and sustain a strictly lower
   sensitive-app QoS violation ratio. Results land in
   ``BENCH_fault_containment.json``.
 
@@ -126,6 +128,7 @@ def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, objec
     )
     comparison = run_recovery_comparison(scenario, mix=mix)
     contained = comparison.arms["contained"].summary()
+    blind = comparison.arms["no-watchdog"].summary()
     uncontained = comparison.arms["uncontained"].summary()
     report = {
         "bench": "fault_containment",
@@ -144,6 +147,12 @@ def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, objec
             "faults": contained["faults"],
             "containment": contained["containment"],
             "invariants": contained["invariants"],
+        },
+        "no-watchdog": {
+            "violation_ratio": blind["violation_ratio"],
+            "batch_work": blind["batch_work"],
+            "crashed_at": blind["crashed_at"],
+            "invariants": blind["invariants"],
         },
         "uncontained": {
             "violation_ratio": uncontained["violation_ratio"],
@@ -172,15 +181,18 @@ def _print_recovery_report(report: Dict[str, object]) -> None:
         f"faults injected: {contained['faults']['total']} (contained run), "
         f"{uncontained['faults']['total']} (uncontained run)"
     )
-    for label, side in (("contained", contained), ("uncontained", uncontained)):
+    for label in ("contained", "no-watchdog", "uncontained"):
+        side = report[label]
         crashed = (
             "survived"
             if side["crashed_at"] is None
             else f"CRASHED at tick {side['crashed_at']}"
         )
+        breaches = side.get("invariants", {}).get("breaches")
         print(
             f"  {label:11s} violation ratio {side['violation_ratio']:.3f}  "
             f"batch work {side['batch_work']:7.1f}  {crashed}"
+            + ("" if breaches is None else f"  invariant breaches {breaches}")
         )
     crash = uncontained.get("crash")
     if crash is not None:
@@ -223,10 +235,16 @@ def test_recovery_drill(benchmark, capsys, tmp_path):
     assert len(contained.poisoner.fired) > 0
     summary = contained.summary()
     assert summary["containment"]["firewall_catches"] == len(contained.injector.fired)
-    # The watchdog found and healed real poisonings.
+    # The watchdog found and healed real poisonings: every NaN written
+    # into a step histogram was cleared by one mode reset.
     watchdog = contained.controller.watchdog.summary()
     assert watchdog["violations"] > 0
-    assert watchdog["quarantines"] + watchdog["rollbacks"] > 0
+    assert watchdog["quarantines"] + watchdog["mode_resets"] > 0
+    histogram_poisons = [
+        event for event in contained.poisoner.fired
+        if event.kind == "poison-nan-histogram"
+    ]
+    assert watchdog["mode_resets"] == len(histogram_poisons)
     # Contained bookkeeping stayed consistent throughout.
     assert contained.checker.ok, contained.checker.summary()
 

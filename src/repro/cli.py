@@ -190,7 +190,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
                 ["firewall catches", containment["firewall_catches"]],
                 ["watchdog heals",
                  f"{watchdog.get('quarantines', 0)} quarantine / "
-                 f"{watchdog.get('rollbacks', 0)} rollback"],
+                 f"{watchdog.get('mode_resets', 0)} mode reset"],
             ])
     print(ascii_table(["metric", "value"], rows), file=out)
     _emit_telemetry(args, result, out)

@@ -79,9 +79,10 @@ class StayAwayConfig:
         check learned-state invariants every period (finite
         coordinates/representatives, sane violation-range geometry,
         finite step histograms, positive finite beta, stress
-        non-divergence), healing violations by geometry rebuild,
-        representative quarantine or rollback to the last-known-good
-        snapshot. Off, a stage exception unwinds ``StayAway.on_tick``
+        non-divergence), healing violations in place by geometry
+        rebuild, representative quarantine, a reset of a poisoned
+        mode model or, on structural damage, a reset of the whole
+        learned state. Off, a stage exception unwinds ``StayAway.on_tick``
         and poisoned state persists — the uncontained arm of
         ``benchmarks/bench_robustness_chaos.py``.
     stream_watermark:

@@ -26,8 +26,7 @@ class EventKind(enum.Enum):
     ACTION_ESCALATION = "action-escalation"  # retries exhausted on a target
     FIREWALL_CATCH = "firewall-catch"  # stage exception contained, period degraded
     MODEL_QUARANTINE = "model-quarantine"  # poisoned states removed from the map
-    MODEL_ROLLBACK = "model-rollback"  # learned models rolled back to last good
-    MODEL_SNAPSHOT = "model-snapshot"  # last-known-good snapshot captured
+    MODEL_RESET = "model-reset"      # poisoned mode models (or the whole map) cleared
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Model-health watchdog: learned-state invariants, quarantine, rollback.
+"""Model-health watchdog: learned-state invariants and in-place heals.
 
 The exception firewall (``StayAway._call_stage``) contains *loud*
 stage failures, one period at a time; this module contains the silent
@@ -15,34 +15,36 @@ component; the reproduction does the same:
   radii and scale, finite step-histogram samples, a positive finite
   beta, and normalized stress that neither diverges nor goes
   non-finite;
-* on violation it **heals** with the least destructive repair that
-  fits: rebuild the violation geometry when only the materialized cache
-  is poisoned, **quarantine** the offending representatives when
-  individual rows went bad, **roll back** the state space and
-  trajectory models to the last-known-good snapshot for structural or
-  model-wide damage, and as a last resort hard-reset the learned state
-  and relearn;
-* after every clean check it refreshes the **last-known-good snapshot**
-  (:class:`_ModelSnapshot`, held in memory) every ``SNAPSHOT_INTERVAL``
-  periods.
+* on violation it **heals in place**, with the least destructive of
+  three tiers that fits:
 
-Quarantines, rollbacks and snapshot refreshes are recorded in the
-:class:`~repro.core.events.EventLog` and counted in the telemetry
+  1. **rebuild** the violation geometry when only the materialized
+     cache is poisoned, or **quarantine** the offending
+     representatives when individual map rows went bad;
+  2. **mode reset**: a trajectory mode model holding a non-finite value
+     loses its two step histograms, its step count and its continuity,
+     and relearns from the next mapped period (PAPER.md §6: relearning
+     is cheap);
+  3. **hard reset**: structural damage (labels, coords and
+     representatives out of step, or diverged stress) or a map whose
+     every row is bad resets every mode and clears the map.
+
+Nothing is kept to roll back to. Quarantines and resets are recorded in
+the :class:`~repro.core.events.EventLog` and counted in the telemetry
 registry (surfaced under ``summary()["telemetry"]["containment"]``).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
-from repro.core.state_space import StateLabel, StateSpace
+from repro.core.state_space import StateSpace
 from repro.trajectory.modes import ExecutionMode
 
 if TYPE_CHECKING:
@@ -56,13 +58,8 @@ MIN_STATES_FOR_STRESS = 10
 
 #: Coordinates/representatives live in a normalized metric space with
 #: magnitudes of order 1; anything beyond this is corruption, not
-#: learning. Checked per-row (ungated) so garbage cannot slip into a
-#: last-known-good snapshot while size-gated checks are still off.
+#: learning. Checked per-row (ungated), from the first mapped state on.
 MAGNITUDE_LIMIT = 1e6
-
-#: Periods between automatic last-known-good snapshots (taken only
-#: after a clean check).
-SNAPSHOT_INTERVAL = 50
 
 
 def _bad_rows(matrix: np.ndarray) -> List[int]:
@@ -80,174 +77,6 @@ def _bad_rows(matrix: np.ndarray) -> List[int]:
     if ok.all():
         return []
     return [int(i) for i in np.nonzero(~ok.all(axis=1))[0]]
-
-
-class _SnapshotMismatch(RuntimeError):
-    """A snapshot that does not fit the live controller it would roll back."""
-
-
-def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """JSON-safe bit-generator state."""
-    return json.loads(json.dumps(rng.bit_generator.state, default=int))
-
-
-def _mode_model_state(model) -> Dict[str, Any]:
-    return {
-        "distances": [float(v) for v in model.distances.samples],
-        "angles": [float(v) for v in model.angles.samples],
-        "steps_observed": int(model.steps_observed),
-        "last_point": (
-            None if model.last_point is None else [float(v) for v in model.last_point]
-        ),
-    }
-
-
-@dataclass
-class _ModelSnapshot:
-    """The watchdog's in-memory copy of a controller's learned models.
-
-    Captured state: the deduplicated state space (representatives,
-    coordinates, labels, refit bookkeeping), the per-execution-mode
-    step/angle histograms, the predictor RNG stream and the
-    controller's step-distance continuity. The throttle machine is not
-    part of it: a rollback never touches the pause-set.
-    """
-
-    payload: Dict[str, Any]
-
-    @classmethod
-    def capture(cls, controller: "StayAway", tick: int) -> "_ModelSnapshot":
-        """Snapshot a live controller's learned models at ``tick``."""
-        space = controller.state_space
-        bank = controller.predictor.modes
-        payload: Dict[str, Any] = {
-            "captured_tick": int(tick),
-            "state_space": {
-                "representatives": space.representatives.points.tolist(),
-                "counts": space.representatives.counts.tolist(),
-                "coords": space.coords.tolist(),
-                "labels": [label.value for label in space.labels],
-                "epsilon": float(space.representatives.epsilon),
-                "refit_count": int(space.refit_count),
-                "new_since_refit": int(space._new_since_refit),
-            },
-            "modes": {
-                mode.value: _mode_model_state(model)
-                for mode, model in bank.models.items()
-            },
-            "mode_bank": {
-                "current_mode": (
-                    None if bank.current_mode is None else bank.current_mode.value
-                ),
-                "mode_switches": int(bank.mode_switches),
-            },
-            "predictor_rng": _rng_state(controller.predictor.rng),
-            "controller": {
-                "prev_coords": (
-                    None
-                    if controller._prev_coords is None
-                    else [float(v) for v in controller._prev_coords]
-                ),
-                "prev_mode": (
-                    None
-                    if controller._prev_mode is None
-                    else controller._prev_mode.value
-                ),
-            },
-        }
-        return cls(payload=payload)
-
-    def restore_models_into(self, controller: "StayAway") -> None:
-        """Roll a *running* controller's learned models back to this snapshot.
-
-        The state space is restored **in place** (every live reference
-        — the mapping pipeline, the template exporter — keeps seeing the
-        same object), and the per-mode trajectory models, the predictor
-        RNG stream and the controller's step-distance continuity are
-        reset to snapshot time. The throttle machine is deliberately
-        left alone: its pause-set reflects *actual* container states,
-        which a model rollback must not contradict.
-
-        The snapshot's representative dimensionality must match the
-        running space (same normalizer); a mismatch raises
-        :class:`_SnapshotMismatch`.
-        """
-        ss = self.payload["state_space"]
-        space = controller.state_space
-        if ss["representatives"] and len(space.representatives._points):
-            snap_dim = len(ss["representatives"][0])
-            if space.representatives.dimension not in (None, snap_dim):
-                raise _SnapshotMismatch(
-                    f"snapshot dimension {snap_dim} != live space "
-                    f"dimension {space.representatives.dimension}"
-                )
-        self._restore_state_space_into(space, ss)
-        self._restore_learned_models(controller)
-
-    def _restore_state_space_into(self, space: StateSpace, ss: Dict[str, Any]) -> None:
-        """Overwrite a state space's learned content with the payload's."""
-        space.representatives._points = [
-            np.asarray(row, dtype=float) for row in ss["representatives"]
-        ]
-        space.representatives._counts = [int(c) for c in ss["counts"]]
-        space.representatives.invalidate_index()
-        if space.representatives._points:
-            space.representatives.dimension = space.representatives._points[0].shape[0]
-        space.coords = np.asarray(ss["coords"], dtype=float).reshape(-1, 2)
-        space.labels = [StateLabel(value) for value in ss["labels"]]
-        space.refit_count = int(ss["refit_count"])
-        space._new_since_refit = int(ss["new_since_refit"])
-        if len(space.labels) != len(space.representatives._points) or (
-            space.coords.shape[0] != len(space.labels)
-        ):
-            raise _SnapshotMismatch("inconsistent state-space payload")
-        # Coords/labels were rewritten wholesale behind the cache: any
-        # violation geometry materialized before this point is stale.
-        space.invalidate_geometry()
-
-    def _restore_learned_models(self, controller: "StayAway") -> None:
-        """Restore mode models, predictor RNG and step continuity."""
-        data = self.payload
-        bank = controller.predictor.modes
-        for mode_value, state in data["modes"].items():
-            model = bank.models[ExecutionMode(mode_value)]
-            model.distances.clear()
-            model.distances.extend([float(v) for v in state["distances"]])
-            model.angles.clear()
-            model.angles.extend([float(v) for v in state["angles"]])
-            model.steps_observed = int(state["steps_observed"])
-            last = state["last_point"]
-            if last is not None:
-                last = np.asarray(last, dtype=float)
-                last.flags.writeable = False  # as TrajectoryModel.observe keeps it
-            model._last_point = last
-        bank_state = data["mode_bank"]
-        bank._current_mode = (
-            None
-            if bank_state["current_mode"] is None
-            else ExecutionMode(bank_state["current_mode"])
-        )
-        bank.mode_switches = int(bank_state["mode_switches"])
-        controller.predictor.rng.bit_generator.state = data["predictor_rng"]
-        cs = data["controller"]
-        controller._prev_coords = (
-            None
-            if cs["prev_coords"] is None
-            else np.asarray(cs["prev_coords"], dtype=float)
-        )
-        controller._prev_mode = (
-            None if cs["prev_mode"] is None else ExecutionMode(cs["prev_mode"])
-        )
-
-    @property
-    def captured_tick(self) -> int:
-        """Tick at which the snapshot was taken."""
-        return int(self.payload["captured_tick"])
-
-    @property
-    def state_count(self) -> int:
-        """Number of mapped states in the snapshot."""
-        return len(self.payload["state_space"]["labels"])
 
 
 @dataclass(frozen=True)
@@ -292,7 +121,7 @@ class ModelHealthWatchdog:
         The controller's :class:`~repro.core.config.StayAwayConfig`
         (the beta reset value).
     events:
-        Event log receiving quarantine/rollback/snapshot records.
+        Event log receiving quarantine and reset records.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` for the
         ``containment.*`` counters.
@@ -303,13 +132,11 @@ class ModelHealthWatchdog:
     ) -> None:
         self.config = config
         self.events = events
-        self.last_good: Optional[_ModelSnapshot] = None
-        self.last_snapshot_tick: Optional[int] = None
         self.checks = 0
         self.violations = 0
         self.quarantines = 0
         self.quarantined_states = 0
-        self.rollbacks = 0
+        self.mode_resets = 0
         self.geometry_repairs = 0
         self.resets = 0
         self.beta_resets = 0
@@ -325,7 +152,6 @@ class ModelHealthWatchdog:
                     ("watchdog_checks", "model-health inspections run"),
                     ("watchdog_violations", "inspections that found a breach"),
                     ("quarantines", "poisoned representatives quarantined"),
-                    ("rollbacks", "model rollbacks to last-known-good"),
                     ("geometry_repairs", "poisoned geometry caches rebuilt"),
                     ("model_resets", "hard resets of the learned state"),
                 )
@@ -458,8 +284,9 @@ class ModelHealthWatchdog:
     def heal(self, tick: int, controller: "StayAway", report: HealthReport) -> List[str]:
         """Apply the least destructive repairs for a bad report.
 
-        Returns the list of actions taken (``geometry-rebuild``,
-        ``quarantine``, ``rollback``, ``beta-reset``, ``reset``).
+        Returns the list of actions taken (``beta-reset``,
+        ``geometry-rebuild``, ``quarantine``, ``mode-reset``,
+        ``reset``).
         """
         actions: List[str] = []
         if report.ok:
@@ -479,12 +306,17 @@ class ModelHealthWatchdog:
             self._count("geometry_repairs")
             actions.append("geometry-rebuild")
 
-        needs_rollback = report.structural or bool(report.bad_modes)
-        if (
-            not needs_rollback
-            and report.bad_states
-            and len(report.bad_states) < len(space.labels)
-        ):
+        bad_rows = len(report.bad_states)
+        if report.structural or (bad_rows and bad_rows == len(space.labels)):
+            self._hard_reset(tick, controller)
+            actions.append("reset")
+            # The map was rewritten under the outstanding forecast. A
+            # quarantine only drops rows and a mode reset leaves the map
+            # alone, so both keep the forecast armed.
+            controller.predictor.invalidate_pending()
+            return actions
+
+        if report.bad_states:
             removed = space.quarantine(report.bad_states)
             self.quarantines += 1
             self.quarantined_states += removed
@@ -496,40 +328,41 @@ class ModelHealthWatchdog:
                 removed=removed,
             )
             actions.append("quarantine")
-        elif report.bad_states:
-            needs_rollback = True
 
-        if needs_rollback:
-            if self.last_good is not None and self._rollback(tick, controller):
-                actions.append("rollback")
-            else:
-                self._hard_reset(tick, controller)
-                actions.append("reset")
-            # The map was rewritten under the outstanding forecast; a
-            # quarantine only drops rows (every surviving coordinate
-            # stays put), so it leaves the forecast armed.
-            controller.predictor.invalidate_pending()
+        if report.bad_modes:
+            self._reset_modes(tick, controller, report.bad_modes)
+            self.mode_resets += 1
+            actions.append("mode-reset")
         return actions
 
-    def _rollback(self, tick: int, controller: "StayAway") -> bool:
-        assert self.last_good is not None
-        try:
-            self.last_good.restore_models_into(controller)
-        except _SnapshotMismatch:
-            return False
-        self.rollbacks += 1
-        self._count("rollbacks")
-        self.events.record(
-            tick,
-            EventKind.MODEL_ROLLBACK,
-            snapshot_tick=self.last_good.captured_tick,
-            states=self.last_good.state_count,
-        )
-        return True
+    def _reset_modes(
+        self,
+        tick: int,
+        controller: "StayAway",
+        modes: Iterable[ExecutionMode],
+        **detail,
+    ) -> None:
+        """Clear the given modes' trajectory models in place: both step
+        histograms, the step count and the continuity."""
+        cleared = []
+        for mode in modes:
+            model = controller.predictor.modes.models[mode]
+            model.distances.clear()
+            model.angles.clear()
+            model.steps_observed = 0
+            model.break_continuity()
+            cleared.append(mode.value)
+        self.events.record(tick, EventKind.MODEL_RESET, modes=cleared, **detail)
 
     def _hard_reset(self, tick: int, controller: "StayAway") -> None:
-        """Last resort: drop the learned state entirely and relearn."""
+        """Last resort: reset every mode, then clear the map and relearn."""
         space = controller.state_space
+        self._reset_modes(
+            tick,
+            controller,
+            controller.predictor.modes.models,
+            states=len(space.representatives),
+        )
         space.representatives._points = []
         space.representatives._counts = []
         space.representatives.invalidate_index()
@@ -537,41 +370,14 @@ class ModelHealthWatchdog:
         space.labels = []
         space._new_since_refit = 0
         space.invalidate_geometry()
-        for model in controller.predictor.modes.models.values():
-            model.distances.clear()
-            model.angles.clear()
-            model.steps_observed = 0
-            model.break_continuity()
         self.resets += 1
         self._count("model_resets")
-        self.events.record(tick, EventKind.MODEL_ROLLBACK, snapshot_tick=None, reset=True)
-
-    # -- snapshots ---------------------------------------------------------
-    def maybe_snapshot(self, tick: int, controller: "StayAway") -> bool:
-        """Refresh the last-known-good snapshot every ``SNAPSHOT_INTERVAL`` ticks.
-
-        Only called after a clean inspection — a snapshot of a poisoned
-        model would make rollback itself an attack vector. Returns True
-        when a new snapshot was captured.
-        """
-        if (
-            self.last_snapshot_tick is not None
-            and tick - self.last_snapshot_tick < SNAPSHOT_INTERVAL
-        ):
-            return False
-        self.last_good = _ModelSnapshot.capture(controller, tick=tick)
-        self.last_snapshot_tick = tick
-        self.events.record(
-            tick, EventKind.MODEL_SNAPSHOT, states=self.last_good.state_count
-        )
-        return True
 
     # -- the per-period entry point ----------------------------------------
     def check_and_heal(self, tick: int, controller: "StayAway") -> List[str]:
-        """Inspect, heal, refresh the snapshot; returns actions taken."""
+        """Inspect and heal; returns the actions taken."""
         report = self.inspect(tick, controller)
         if report.ok:
-            self.maybe_snapshot(tick, controller)
             return []
         return self.heal(tick, controller, report)
 
@@ -582,11 +388,10 @@ class ModelHealthWatchdog:
             "violations": self.violations,
             "quarantines": self.quarantines,
             "quarantined_states": self.quarantined_states,
-            "rollbacks": self.rollbacks,
+            "mode_resets": self.mode_resets,
             "geometry_repairs": self.geometry_repairs,
             "resets": self.resets,
             "beta_resets": self.beta_resets,
-            "snapshot_tick": self.last_snapshot_tick,
         }
 
 

@@ -325,11 +325,11 @@ class StateSpace:
           therefore every radius may change;
         * a sticky relabel to VIOLATION (:meth:`add_sample` observing a
           violation on a previously safe state);
-        * a SMACOF refit (:meth:`refit`) or a watchdog rollback /
+        * a SMACOF refit (:meth:`refit`) or a watchdog hard reset /
           template load rewriting ``coords`` wholesale.
 
         External code that mutates ``coords`` / ``labels`` directly
-        (watchdog rollback, template loading) must call this
+        (watchdog hard reset, template loading) must call this
         explicitly — that is the cache contract.
         """
         if self._geometry is not None:

@@ -477,8 +477,12 @@ def run_recovery_drill(
     containment machinery (firewall and watchdog), or — with
     :func:`uncontained_config` — its absence.
     """
+    return _run_recovery(_HostRig(scenario, config), mix)
+
+
+def _run_recovery(rig: _HostRig, mix: Optional[ContainmentMix]) -> RecoveryDrillResult:
+    """:func:`run_recovery_drill` on an already built rig."""
     mix = mix if mix is not None else ContainmentMix()
-    rig = _HostRig(scenario, config)
     injector = StageExceptionInjector(
         rig.controller,
         seed=mix.seed + 53,
@@ -508,11 +512,16 @@ def run_recovery_comparison(
     mix: Optional[ContainmentMix] = None,
     config: Optional[StayAwayConfig] = None,
 ) -> DrillComparison:
-    """Run the same seeded internal-fault script twice: ``contained`` vs
-    ``uncontained``."""
+    """Run the same seeded internal-fault script three times:
+    ``contained``, ``no-watchdog`` (the firewall without the model-health
+    watchdog, so poisoned models are never healed) and ``uncontained``."""
+    contained = run_recovery_drill(scenario, mix=mix, config=config)
+    blind = _HostRig(scenario, config)
+    blind.controller.watchdog = None
     return DrillComparison(
         arms={
-            "contained": run_recovery_drill(scenario, mix=mix, config=config),
+            "contained": contained,
+            "no-watchdog": _run_recovery(blind, mix),
             "uncontained": run_recovery_drill(
                 scenario, mix=mix, config=uncontained_config(config)
             ),

@@ -122,7 +122,7 @@ class RepresentativeSet:
     def invalidate_index(self) -> None:
         """Drop the points-matrix cache.
 
-        External bulk mutators of ``_points`` (the watchdog's rollback)
+        External bulk mutators of ``_points`` (the watchdog's hard reset)
         must call this: the row-count check in :attr:`points` cannot
         detect a same-count replacement.
         """

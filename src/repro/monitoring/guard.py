@@ -130,7 +130,8 @@ class SensorGuard:
             )
             for reason in RejectReason
         }
-        self._last_good: Optional[np.ndarray] = None
+        #: Most recent accepted vector (None before the first).
+        self.last_good: Optional[np.ndarray] = None
         self._stale: int = 0
 
     # -- counters (registry-backed) ----------------------------------------
@@ -191,7 +192,7 @@ class SensorGuard:
         reasons = self._check(values, values.ravel().tolist())
 
         if not reasons:
-            self._last_good = values.copy()
+            self.last_good = values.copy()
             self._stale = 0
             self._c_accepted.inc()
             return GuardVerdict(
@@ -207,11 +208,11 @@ class SensorGuard:
         for reason in reasons:
             self._c_reasons[reason].inc()
         self._stale += 1
-        if self._last_good is not None and self._stale <= STALENESS_BUDGET:
+        if self.last_good is not None and self._stale <= STALENESS_BUDGET:
             self._c_imputed.inc()
             verdict = GuardVerdict(
                 tick=tick,
-                values=self._last_good.copy(),
+                values=self.last_good.copy(),
                 accepted=False,
                 imputed=True,
                 reasons=tuple(reasons),
@@ -230,11 +231,6 @@ class SensorGuard:
         return verdict
 
     # -- introspection -----------------------------------------------------
-    @property
-    def last_good(self) -> Optional[np.ndarray]:
-        """Most recent accepted vector (None before the first)."""
-        return None if self._last_good is None else self._last_good.copy()
-
     @property
     def stale_periods(self) -> int:
         """Consecutive rejected samples ending now (0 when healthy)."""

@@ -62,13 +62,9 @@ class ModeModelBank:
             mode: TrajectoryModel(window=MODEL_WINDOW, bins=MODEL_BINS)
             for mode in ExecutionMode
         }
-        self._current_mode: Optional[ExecutionMode] = None
+        #: Mode of the most recently observed point.
+        self.current_mode: Optional[ExecutionMode] = None
         self.mode_switches = 0
-
-    @property
-    def current_mode(self) -> Optional[ExecutionMode]:
-        """Mode of the most recently observed point."""
-        return self._current_mode
 
     def model(self, mode: ExecutionMode) -> TrajectoryModel:
         """The trajectory model for one mode."""
@@ -79,13 +75,13 @@ class ModeModelBank:
 
         Returns the model that absorbed the observation.
         """
-        if mode is not self._current_mode:
-            if self._current_mode is not None:
+        if mode is not self.current_mode:
+            if self.current_mode is not None:
                 self.mode_switches += 1
             # New mode: its model must not chain a step from whatever
             # point it saw long ago; restart its track here.
             self.models[mode].break_continuity()
-            self._current_mode = mode
+            self.current_mode = mode
         model = self.models[mode]
         model.observe(point)
         return model

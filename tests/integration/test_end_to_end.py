@@ -13,7 +13,6 @@ import pytest
 from repro.core import state_space as state_space_module
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
-from repro.core.model_health import _ModelSnapshot
 from repro.experiments.runner import (
     run_scenario,
     run_stayaway,
@@ -241,11 +240,51 @@ def _rng_state(rng):
     return json.loads(json.dumps(rng.bit_generator.state, default=int))
 
 
+def _floats(values):
+    return None if values is None else [float(v) for v in values]
+
+
 def _learned_state(controller, tick):
-    """The watchdog's snapshot of the learned models, plus the throttle
-    machine in the block layout the pinned ``checkpoint`` hash was
-    recorded with."""
-    payload = dict(_ModelSnapshot.capture(controller, tick=tick).payload)
+    """The learned models and the throttle machine, in the block layout
+    the pinned ``checkpoint`` hash was recorded with: the deduplicated
+    state space, the per-mode step histograms, the predictor RNG, the
+    step-distance continuity, then the throttle."""
+    space = controller.state_space
+    bank = controller.predictor.modes
+    payload = {
+        "captured_tick": int(tick),
+        "state_space": {
+            "representatives": space.representatives.points.tolist(),
+            "counts": space.representatives.counts.tolist(),
+            "coords": space.coords.tolist(),
+            "labels": [label.value for label in space.labels],
+            "epsilon": float(space.representatives.epsilon),
+            "refit_count": int(space.refit_count),
+            "new_since_refit": int(space._new_since_refit),
+        },
+        "modes": {
+            mode.value: {
+                "distances": _floats(model.distances.samples),
+                "angles": _floats(model.angles.samples),
+                "steps_observed": int(model.steps_observed),
+                "last_point": _floats(model.last_point),
+            }
+            for mode, model in bank.models.items()
+        },
+        "mode_bank": {
+            "current_mode": (
+                None if bank.current_mode is None else bank.current_mode.value
+            ),
+            "mode_switches": int(bank.mode_switches),
+        },
+        "predictor_rng": _rng_state(controller.predictor.rng),
+        "controller": {
+            "prev_coords": _floats(controller._prev_coords),
+            "prev_mode": (
+                None if controller._prev_mode is None else controller._prev_mode.value
+            ),
+        },
+    }
     throttle = controller.throttle
     payload["throttle"] = {
         "beta": float(throttle.beta),

@@ -1,10 +1,10 @@
-"""Fault containment end to end: firewall, rollback fidelity.
+"""Fault containment end to end: firewall, in-place heals.
 
 A mapping-stage outage mid-run must degrade each failing period and
 recover the period the stage heals, instead of terminating the
-simulation, and a watchdog rollback must restore the learned models to
-*exactly* the last-known-good state (verified against a deep copy of
-the controller taken when the snapshot was).
+simulation, and a watchdog mode reset must clear the poisoned mode and
+nothing else (verified against a deep copy of the controller taken
+before the poison).
 """
 
 from __future__ import annotations
@@ -23,13 +23,8 @@ from repro.experiments.chaos import (
     run_recovery_drill,
 )
 from repro.experiments.scenarios import Scenario
-from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
-from repro.sim.host import Host
-from repro.sim.resources import ResourceVector
 from repro.trajectory.modes import ExecutionMode
-
-from tests.conftest import ConstantApp, SensitiveStub
 
 
 def drill_scenario(ticks=500):
@@ -90,7 +85,7 @@ class TestHistogramPoisonHealedNextPeriod:
     """A NaN written into a step window through ``add`` is the only
     poison the watchdog finds from a running count instead of a scan."""
 
-    def test_every_poison_is_reported_and_rolled_back_one_period_later(self):
+    def test_every_poison_is_reported_and_reset_one_period_later(self):
         mix = ContainmentMix(
             seed=3, stage_fault=0.0, poison=0.1, poison_kinds=("nan-histogram",)
         )
@@ -101,10 +96,12 @@ class TestHistogramPoisonHealedNextPeriod:
         # The poisoner runs after the controller, so the damage is the
         # next period's to find — before it maps or predicts over it.
         healed = [
-            event.tick for event in controller.events.of_kind(EventKind.MODEL_ROLLBACK)
+            event.tick for event in controller.events.of_kind(EventKind.MODEL_RESET)
         ]
         assert healed == [tick + 1 for tick in fired]
         assert controller.watchdog.violations == len(fired)
+        assert controller.watchdog.mode_resets == len(fired)
+        assert controller.watchdog.resets == 0
         assert controller.events.count(EventKind.FIREWALL_CATCH) == 0
         assert all(
             model.distances.finite and model.angles.finite
@@ -112,71 +109,94 @@ class TestHistogramPoisonHealedNextPeriod:
         )
 
 
-class TestRollbackFidelity:
-    """Watchdog rollback == a deep copy taken at the snapshot tick."""
+class TestModeResetFidelity:
+    """A mode reset clears one mode model; everything else equals a deep
+    copy of the controller taken before the poison."""
 
     def learned_controller(self):
-        host = Host()
-        sensitive = SensitiveStub(
-            demand_vector=ResourceVector(cpu=3.0, memory=500.0)
-        )
-        bomb = ConstantApp(
-            name="bomb", demand_vector=ResourceVector(cpu=4.0, memory=64.0)
-        )
-        host.add_container(Container(name="sens", app=sensitive, sensitive=True))
-        host.add_container(Container(name="bomb", app=bomb, start_tick=5))
-        config = StayAwayConfig(seed=9)
-        controller = StayAway(sensitive, config=config)
+        """Both the sensitive-only and the co-located model learned, and
+        the last forecast (co-located) still pending."""
+        built = Scenario(
+            sensitive="vlc-streaming",
+            batches=("twitter-analysis",),
+            ticks=200,
+            batch_start=30,
+            seed=4,
+        ).build()
+        config = StayAwayConfig(seed=4)
+        controller = StayAway(built.sensitive_app, config=config)
         controller.watchdog = None  # the test drives its own
-        SimulationEngine(host, [controller]).run(ticks=120)
+        SimulationEngine(built.host, [controller]).run(ticks=200)
         return controller, config
 
-    def test_post_rollback_predictions_match_the_snapshot_tick_copy(self):
+    def test_mode_reset_leaves_the_rest_equal_to_a_pre_poison_copy(self):
         controller, config = self.learned_controller()
         watchdog = ModelHealthWatchdog(config, controller.events)
-        assert watchdog.maybe_snapshot(120, controller)
-        # The reference shares no code with the snapshot: the whole
-        # controller, copied when the snapshot was taken. Only the
-        # telemetry is shared (its spans hold read-only mappings, which
-        # do not copy); no prediction reads it.
+        # The reference shares no code with the heal: the whole
+        # controller, copied before the poison. Only the telemetry is
+        # shared (its spans hold read-only mappings, which do not copy);
+        # no prediction reads it.
         telemetry = controller.telemetry
         reference = copy.deepcopy(controller, memo={id(telemetry): telemetry})
 
-        # Poison the trajectory models -> watchdog must roll back.
-        for model in controller.predictor.modes.models.values():
-            model.distances.add(float("nan"))
-        assert watchdog.check_and_heal(121, controller) == ["rollback"]
+        poisoned = ExecutionMode.SENSITIVE_ONLY
+        models = controller.predictor.modes.models
+        assert len(models[poisoned].distances.samples)
+        models[poisoned].distances.add(float("nan"))
+        assert watchdog.check_and_heal(200, controller) == ["mode-reset"]
 
-        assert len(controller.state_space) == len(reference.state_space)
+        assert len(models[poisoned].distances.samples) == 0
+        assert models[poisoned].steps_observed == 0
+        for mode, model in models.items():
+            if mode is poisoned:
+                continue
+            kept = reference.predictor.modes.models[mode]
+            np.testing.assert_array_equal(model.distances.samples, kept.distances.samples)
+            np.testing.assert_array_equal(model.angles.samples, kept.angles.samples)
+            np.testing.assert_array_equal(model.last_point, kept.last_point)
+            assert model.steps_observed == kept.steps_observed
+
+        space, kept_space = controller.state_space, reference.state_space
+        np.testing.assert_array_equal(space.coords, kept_space.coords)
         np.testing.assert_array_equal(
-            controller.state_space.coords, reference.state_space.coords
+            space.representatives.points, kept_space.representatives.points
         )
-        assert controller.state_space.labels == reference.state_space.labels
+        assert space.labels == kept_space.labels
 
-        # Identical prediction calls on both controllers must agree —
-        # model histograms and predictor RNG state were both restored.
+        predictor, kept_predictor = controller.predictor, reference.predictor
+        assert predictor.rng.bit_generator.state == kept_predictor.rng.bit_generator.state
+        pending, kept_pending = predictor._pending, kept_predictor._pending
+        assert pending is not None and not predictor._pending_invalidated
+        assert not kept_predictor._pending_invalidated
+        assert (pending.tick, pending.mode, pending.votes, pending.ready) == (
+            kept_pending.tick, kept_pending.mode, kept_pending.votes, kept_pending.ready
+        )
+        np.testing.assert_array_equal(pending.candidates, kept_pending.candidates)
+
+        # Identical prediction calls on both controllers must agree: the
+        # co-located model and the predictor RNG stream were untouched.
         current = controller.state_space.coords[0]
-        for tick in (130, 140, 150):
-            rolled = controller.predictor.predict(
+        for tick in (210, 220, 230):
+            healed = controller.predictor.predict(
                 tick, ExecutionMode.COLOCATED, current, controller.state_space
             )
-            restored = reference.predictor.predict(
+            untouched = reference.predictor.predict(
                 tick, ExecutionMode.COLOCATED, current, reference.state_space
             )
-            assert rolled.ready == restored.ready
-            assert rolled.votes == restored.votes
-            assert rolled.impending_violation == restored.impending_violation
-            np.testing.assert_allclose(rolled.candidates, restored.candidates)
+            assert healed.ready and healed.ready == untouched.ready
+            assert healed.votes == untouched.votes
+            assert healed.impending_violation == untouched.impending_violation
+            np.testing.assert_array_equal(healed.candidates, untouched.candidates)
 
-    def test_rollback_preserves_live_references(self):
+    def test_hard_reset_preserves_live_references(self):
         controller, config = self.learned_controller()
         watchdog = ModelHealthWatchdog(config, controller.events)
-        assert watchdog.maybe_snapshot(120, controller)
         space_before = controller.state_space
         controller.state_space.coords[0] = np.nan
         controller.state_space.labels.append(controller.state_space.labels[-1])
-        assert watchdog.check_and_heal(121, controller) == ["rollback"]
-        # In-place restore: the mapping pipeline's reference stays valid.
+        assert watchdog.check_and_heal(200, controller) == ["reset"]
+        # In-place reset: the mapping pipeline's reference stays valid.
         assert controller.state_space is space_before
         assert controller.mapping.state_space is space_before
+        assert len(controller.state_space) == 0
         assert np.isfinite(controller.state_space.coords).all()

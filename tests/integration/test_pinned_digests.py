@@ -282,7 +282,7 @@ def test_simulator_digest():
     assert digest.hexdigest() == SIM_DIGEST
 
 
-DRILL_DIGEST = "4ee6592e613ec090ec31fa756f376c70fb0ed63cc9a67fa651834e2047e4c9bb"
+DRILL_DIGEST = "11fe0bbd160d25be005c0f706085991d481060fb317f1750ef907e6954594b4a"
 
 
 def _file_and_function(trace: str) -> str:
@@ -299,8 +299,9 @@ def test_drill_digest():
     """Every drill family's ``summary()``, at suite sizes.
 
     Environment chaos (resilience on / off), the recovery drill
-    (containment on / off, the uncontained arm dies on an injected
-    stage fault), the three fleet arms under host crashes and
+    (containment on, the firewall without the watchdog, containment off:
+    the uncontained arm dies on an injected stage fault), the three
+    fleet arms under host crashes and
     blackouts, the three stream arms under transport faults and the
     replay-determinism check. Telemetry is off: stage timings are wall
     clock, counters are not.
@@ -332,6 +333,7 @@ def test_drill_digest():
 
     assert chaos["resilient"]["faults"]["total"] > 0
     assert chaos["improvement"] > 0
+    assert recovery["no-watchdog"]["crashed_at"] is None
     crash = recovery["uncontained"]["crash"]
     assert crash["fault"] is not None
     crash["trace"] = _file_and_function(crash["trace"])

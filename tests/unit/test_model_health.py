@@ -11,11 +11,8 @@ from repro.core.events import EventKind
 from repro.core import state_space as state_space_module
 from repro.core.model_health import (
     MIN_STATES_FOR_STRESS,
-    SNAPSHOT_INTERVAL,
     STRESS_DIVERGENCE,
     ModelHealthWatchdog,
-    _ModelSnapshot,
-    _SnapshotMismatch,
 )
 from repro.experiments.chaos import ContainmentMix, run_recovery_drill
 from repro.experiments.scenarios import Scenario
@@ -28,7 +25,6 @@ from repro.sim.resources import ResourceVector
 from repro.trajectory.modes import ExecutionMode
 
 from tests.conftest import ConstantApp, SensitiveStub
-from tests.support.geometry_reference import violation_vote_scalar
 
 
 def learned_controller(ticks=80, seed=9):
@@ -46,14 +42,11 @@ def learned_controller(ticks=80, seed=9):
     return controller
 
 
-def fresh_watchdog(controller, snapshot_tick=None):
-    """A watchdog with its own event log view, optionally pre-snapshotted."""
-    watchdog = ModelHealthWatchdog(
+def fresh_watchdog(controller):
+    """A watchdog with its own event log view."""
+    return ModelHealthWatchdog(
         controller.config, controller.events, telemetry=controller.telemetry
     )
-    if snapshot_tick is not None:
-        assert watchdog.maybe_snapshot(snapshot_tick, controller)
-    return watchdog
 
 
 class TestInspect:
@@ -140,27 +133,28 @@ class TestHeal:
         assert np.isfinite(controller.state_space.coords).all()
         assert controller.events.count(EventKind.MODEL_QUARANTINE) == 1
 
-    def test_structural_damage_rolls_back_to_last_good(self):
+    def test_structural_damage_hard_resets(self):
         controller = learned_controller()
-        watchdog = fresh_watchdog(controller, snapshot_tick=90)
-        good_count = len(controller.state_space)
-        controller.state_space.labels.append(controller.state_space.labels[-1])
-        actions = watchdog.check_and_heal(100, controller)
-        assert actions == ["rollback"]
-        assert len(controller.state_space.labels) == good_count
-
-    def test_rollback_without_snapshot_hard_resets(self):
-        controller = learned_controller()
-        watchdog = fresh_watchdog(controller)  # no snapshot taken
+        watchdog = fresh_watchdog(controller)
+        states = len(controller.state_space)
         controller.state_space.labels.append(controller.state_space.labels[-1])
         actions = watchdog.check_and_heal(100, controller)
         assert actions == ["reset"]
         assert len(controller.state_space) == 0
-        assert watchdog.resets == 1
+        assert controller.state_space.coords.shape == (0, 2)
+        assert watchdog.resets == 1 and watchdog.mode_resets == 0
+        for model in controller.predictor.modes.models.values():
+            assert len(model.distances.samples) == len(model.angles.samples) == 0
+            assert model.steps_observed == 0 and model.last_point is None
+        [event] = controller.events.of_kind(EventKind.MODEL_RESET)
+        assert event.detail == {
+            "modes": [mode.value for mode in ExecutionMode],
+            "states": states,
+        }
 
     def test_cache_poisoning_heals_by_rebuild_only(self):
         controller = learned_controller()
-        watchdog = fresh_watchdog(controller, snapshot_tick=90)
+        watchdog = fresh_watchdog(controller)
         geometry = controller.state_space.geometry()
         if geometry.radii.size == 0:
             pytest.skip("run produced no violation states")
@@ -169,7 +163,7 @@ class TestHeal:
         assert actions == ["geometry-rebuild"]
         rebuilt = controller.state_space.geometry()
         assert (rebuilt.radii >= 0).all()
-        assert watchdog.rollbacks == 0
+        assert watchdog.mode_resets == 0 and watchdog.resets == 0
 
     def test_beta_reset(self):
         controller = learned_controller()
@@ -179,42 +173,30 @@ class TestHeal:
         assert "beta-reset" in actions
         assert controller.throttle.beta == controller.config.beta_initial
 
-    def test_poisoned_histogram_rolls_back_clean(self):
+    def test_poisoned_histogram_resets_that_mode(self):
         controller = learned_controller()
-        watchdog = fresh_watchdog(controller, snapshot_tick=90)
-        model = next(
-            m
-            for m in controller.predictor.modes.models.values()
+        watchdog = fresh_watchdog(controller)
+        mode, model = next(
+            (mode, m)
+            for mode, m in controller.predictor.modes.models.items()
             if len(m.distances.samples)
         )
         model.distances.add(float("nan"))
         actions = watchdog.check_and_heal(100, controller)
-        assert actions == ["rollback"]
+        assert actions == ["mode-reset"]
+        assert len(model.distances.samples) == len(model.angles.samples) == 0
+        assert model.steps_observed == 0 and model.last_point is None
         for m in controller.predictor.modes.models.values():
-            assert np.isfinite(m.distances.samples).all()
+            assert m.distances.finite and m.angles.finite
+        [event] = controller.events.of_kind(EventKind.MODEL_RESET)
+        assert event.detail == {"modes": [mode.value]}
+        assert watchdog.mode_resets == 1 and watchdog.resets == 0
+        assert watchdog.check_and_heal(101, controller) == []
 
 
 class TestSnapshots:
-    def test_snapshot_respects_interval(self):
-        controller = learned_controller()
-        watchdog = fresh_watchdog(controller)
-        assert watchdog.maybe_snapshot(100, controller)
-        assert not watchdog.maybe_snapshot(101, controller)
-        assert not watchdog.maybe_snapshot(100 + SNAPSHOT_INTERVAL - 1, controller)
-        assert watchdog.maybe_snapshot(100 + SNAPSHOT_INTERVAL, controller)
-        assert controller.events.count(EventKind.MODEL_SNAPSHOT) == 2
-
-    def test_check_and_heal_snapshots_only_clean_models(self):
-        controller = learned_controller()
-        watchdog = fresh_watchdog(controller)
-        controller.state_space.coords[0] = np.nan
-        watchdog.check_and_heal(100, controller)
-        # The poisoned inspection never became the last-good snapshot...
-        first_good = watchdog.last_good
-        # ...but the next clean period does.
-        watchdog.check_and_heal(101, controller)
-        assert watchdog.last_good is not None
-        assert first_good is None or watchdog.last_good is not first_good
+    """Bookkeeping: the watchdog's counters and the controller's period
+    count."""
 
     def test_summary_counters(self):
         controller = learned_controller()
@@ -225,17 +207,11 @@ class TestSnapshots:
         assert summary["checks"] == 1
         assert summary["violations"] == 1
         assert summary["quarantines"] == 1
-
-    def test_capture_reflects_learned_state(self):
-        controller = learned_controller()
-        snapshot = _ModelSnapshot.capture(controller, tick=80)
-        assert snapshot.state_count == len(controller.state_space)
-        assert snapshot.captured_tick == 80
-        assert "throttle" not in snapshot.payload  # a rollback keeps the pause-set
+        assert summary["mode_resets"] == 0
 
     def test_periods_and_snapshot_tick_count_gap_periods(self):
         # ``trajectory`` only gets a point on a mapped period; the period
-        # count and the tick a snapshot is taken at must not be read off it.
+        # count must not be read off it.
         scenario = Scenario("webservice-mix", ("cpubomb", "memorybomb"), ticks=400, seed=3)
         outage = ContainmentMix(fault_windows=((380, 400, "map"),))
         controller = run_recovery_drill(scenario, mix=outage).controller
@@ -243,58 +219,6 @@ class TestSnapshots:
         assert len(controller.trajectory) < 400
         assert controller.summary()["periods"] == 400
         assert controller.last_period_tick == 399
-        assert controller.watchdog.last_good.captured_tick == 350
-
-    def test_restore_reproduces_learned_state(self):
-        controller = learned_controller()
-        space = controller.state_space
-        coords, labels = space.coords.copy(), list(space.labels)
-        model = controller.predictor.modes.models[ExecutionMode.COLOCATED]
-        distances = model.distances.samples.copy()
-        snapshot = _ModelSnapshot.capture(controller, tick=80)
-
-        space.add_sample(np.full(space.representatives.dimension, 5.0), violated=True)
-        model.distances.add(0.5)
-        snapshot.restore_models_into(controller)
-
-        assert controller.state_space is space
-        assert len(space) == len(labels) and space.labels == labels
-        np.testing.assert_array_equal(space.coords, coords)
-        np.testing.assert_array_equal(model.distances.samples, distances)
-
-    def test_restore_yields_fresh_violation_geometry(self):
-        # The restored coords/labels were written behind the geometry
-        # cache; the first vote after a rollback must be built from the
-        # restored map, identical to the scalar reference.
-        controller = learned_controller()
-        space = controller.state_space
-        snapshot = _ModelSnapshot.capture(controller, tick=80)
-        space.add_sample(np.full(space.representatives.dimension, 5.0), violated=True)
-        space.geometry()  # cache the geometry of the map the rollback discards
-        snapshot.restore_models_into(controller)
-        candidates = np.random.default_rng(0).uniform(-0.5, 1.5, size=(20, 2))
-        assert space.violation_vote(candidates) == violation_vote_scalar(space, candidates)
-        geometry = space.geometry()
-        assert geometry.n_states == len(space) == snapshot.state_count
-        assert geometry.n_violations == int(space.violation_indices.size)
-
-    def test_inconsistent_payload_rejected(self):
-        controller = learned_controller()
-        snapshot = _ModelSnapshot.capture(controller, tick=80)
-        snapshot.payload["state_space"]["labels"].append("safe")
-        with pytest.raises(_SnapshotMismatch, match="inconsistent"):
-            snapshot.restore_models_into(controller)
-
-    def test_dimension_mismatch_hard_resets_instead(self):
-        controller = learned_controller()
-        watchdog = fresh_watchdog(controller, snapshot_tick=90)
-        reps = watchdog.last_good.payload["state_space"]["representatives"]
-        reps[:] = [row[:-1] for row in reps]  # a map of another normalizer
-        with pytest.raises(_SnapshotMismatch, match="dimension"):
-            watchdog.last_good.restore_models_into(controller)
-        controller.state_space.labels.append(controller.state_space.labels[-1])
-        assert watchdog.check_and_heal(100, controller) == ["reset"]
-        assert watchdog.rollbacks == 0 and len(controller.state_space) == 0
 
 
 def mapped_controller(ticks=150, seed=4):
@@ -413,7 +337,8 @@ class TestVerdictTable:
     """Every poison, its verdict and its repair — recorded at the parent
     of the PR that moved the checks from NumPy reductions to floats, and
     required unchanged: same ``HealthIssue.check``, same ``bad_states``
-    / ``bad_modes``, same heal action."""
+    / ``bad_modes``, same heal action, except that the two
+    ``histograms`` rows expect the in-place mode reset."""
 
     TABLE = [
         # kind, check, bad_states, bad_modes, actions
@@ -421,11 +346,11 @@ class TestVerdictTable:
         ("garbage-coords", "finite-rows", [23], [], ["quarantine"]),
         ("nan-representative", "finite-rows", [23], [], ["quarantine"]),
         ("negative-radius", "geometry", [], [], ["geometry-rebuild"]),
-        ("nan-histogram", "histograms", [], ["sensitive-only"], ["rollback"]),
+        ("nan-histogram", "histograms", [], ["sensitive-only"], ["mode-reset"]),
         ("nan-beta", "beta", [], [], ["beta-reset"]),
         ("inf-scale", "geometry", [], [], ["geometry-rebuild"]),
         ("nan-centre", "geometry", [], [], ["geometry-rebuild"]),
-        ("inf-last-point", "histograms", [], ["colocated"], ["rollback"]),
+        ("inf-last-point", "histograms", [], ["colocated"], ["mode-reset"]),
         ("garbage-representative", "finite-rows", [2], [], ["quarantine"]),
     ]
 
@@ -435,7 +360,7 @@ class TestVerdictTable:
     @pytest.mark.parametrize("kind,check,bad_states,bad_modes,actions", TABLE)
     def test_verdict_and_repair(self, kind, check, bad_states, bad_modes, actions):
         controller, host = mapped_controller()
-        watchdog = fresh_watchdog(controller, snapshot_tick=140)
+        watchdog = fresh_watchdog(controller)
         assert controller.state_space.geometry().radii.size
         assert watchdog.inspect(150, controller).ok
         _poison(kind, controller, host)
@@ -447,11 +372,28 @@ class TestVerdictTable:
         assert watchdog.inspect(152, controller).ok
 
 
+class _StructuralBreach:
+    """Misalign the map's labels after the controller's period at each
+    scripted tick: the next period's watchdog must hard-reset."""
+
+    def __init__(self, controller, ticks):
+        self.controller = controller
+        self.ticks = set(ticks)
+
+    def on_tick(self, snapshot, host):
+        if snapshot.tick in self.ticks:
+            labels = self.controller.state_space.labels
+            labels.append(labels[-1])
+
+
 class TestHealInvalidatesThePendingForecast:
-    """A rollback or a reset rewrites the map at step 0d, before the
-    period maps: the forecast made last period and the coordinates about
-    to be observed no longer share a frame, so the accuracy ledger must
-    not score one against the other (it did until PR 23)."""
+    """A hard reset rewrites the map at step 0d, before the period maps:
+    the forecast made last period and the coordinates about to be
+    observed no longer share a frame, so the accuracy ledger must not
+    score one against the other. A quarantine and a mode reset leave
+    every surviving coordinate where it was."""
+
+    BREACHES = (250, 450, 650)
 
     def test_no_record_settles_across_a_rewritten_map(self):
         ticks, seed = 800, 3000  # host_steady's scenario, episode 0 of seed 3
@@ -463,6 +405,7 @@ class TestHealInvalidatesThePendingForecast:
             seed=seed,
         ).build()
         controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=seed))
+        breach = _StructuralBreach(controller, self.BREACHES)
         poisoner = ModelPoisoner(controller, seed=1, probability=0.05)
         healed = {}
         heal = controller.watchdog.heal
@@ -473,15 +416,17 @@ class TestHealInvalidatesThePendingForecast:
             return actions
 
         controller.watchdog.heal = recording_heal
-        SimulationEngine(built.host, [controller, poisoner]).run(ticks=ticks)
+        SimulationEngine(built.host, [controller, breach, poisoner]).run(ticks=ticks)
 
         settled = {record.tick for record in controller.predictor.accuracy_records}
-        rewritten = [t for t, acts in healed.items() if {"rollback", "reset"} & set(acts)]
+        rewritten = sorted(t for t, acts in healed.items() if "reset" in acts)
         dropped_rows = [t for t, acts in healed.items() if acts == ["quarantine"]]
-        assert len(poisoner.fired) > 30 and len(rewritten) >= 5 and dropped_rows
+        cleared_modes = [t for t, acts in healed.items() if acts == ["mode-reset"]]
+        assert len(poisoner.fired) > 30 and dropped_rows and cleared_modes
+        assert rewritten == [t + 1 for t in self.BREACHES]
         # The forecast made one period (tick) before a rewrite never settles.
         assert not [t for t in rewritten if t - 1 in settled]
-        # A quarantine keeps every surviving coordinate where it was:
-        # the forecast stays armed and is scored as usual.
+        # The forecast stays armed and is scored as usual.
         assert [t for t in dropped_rows if t - 1 in settled]
+        assert [t for t in cleared_modes if t - 1 in settled]
         assert controller.summary()["telemetry"]["containment"]["firewall_catches"] == 0

@@ -28,9 +28,10 @@ class WallClockRule(Rule):
     """SA101 — no wall-clock *calls* in deterministic layers.
 
     The controller, mapping/MDS stack and telemetry must be replayable:
-    the watchdog's snapshots (``core/model_health.py``), restarts from a
-    map template and trace assertions (``tests/unit/test_telemetry.py``)
-    assume time only advances through the injected clock.  Storing ``time.perf_counter`` as an injectable
+    restarts from a map template, the pinned decision digests
+    (``tests/integration/test_pinned_digests.py``) and trace assertions
+    (``tests/unit/test_telemetry.py``) assume time only advances through
+    the injected clock.  Storing ``time.perf_counter`` as an injectable
     *default* is the sanctioned pattern and is not a call, so it passes.
     """
 
