@@ -3,8 +3,8 @@
 The paper claims Stay-Away itself is cheap (§4, "an average 2% CPU
 usage"); PR 2 added the telemetry layer that lets the controller
 measure that about itself. This bench closes the loop: the same
-VLC + CPUBomb co-location is run twice — telemetry enabled (spans +
-stage timers) and disabled — timing every ``on_tick`` call, and the
+VLC + CPUBomb co-location is run twice — telemetry enabled (stage
+timers + period rows) and disabled — timing every ``on_tick`` call, and the
 added overhead must stay under 5% of the controller's period cost.
 
 It writes ``BENCH_perf_overhead.json`` at the repo root (override with
@@ -67,7 +67,7 @@ def timed_run(telemetry_enabled: bool, ticks: int) -> Dict[str, object]:
     controller.on_tick = timed_on_tick
     # Collect outside the timed region, then freeze the collector: cycle
     # collection cost scales with every live object in the process (large
-    # under pytest), which would otherwise amplify the cost of the span
+    # under pytest), which would otherwise amplify the cost of the row
     # allocations into the on-side timings.
     gc.collect()
     was_enabled = gc.isenabled()
@@ -132,7 +132,7 @@ def measure(ticks: int, repeats: int) -> Dict[str, object]:
         "overhead_percent": round(overhead_percent, 3),
         "threshold_percent": THRESHOLD_PERCENT,
         "stage_mean_us": stages_us,
-        "spans_recorded": len(telemetry.tracer.spans),
+        "rows_recorded": len(telemetry.rows),
         "periods": int(telemetry.counter("controller.periods").value),
     }
 
@@ -182,7 +182,7 @@ def _print_report(report: Dict[str, object]) -> None:
     if report["runs"] > 1:
         readings = " ".join(f"{value:+.2f}" for value in report["overhead_percent_runs"])
         print(f"    median of {report['runs']} runs        : {readings}")
-    print(f"  spans recorded            : {report['spans_recorded']}")
+    print(f"  period rows recorded      : {report['rows_recorded']}")
     for stage, mean_us in report["stage_mean_us"].items():
         print(f"    {stage:24s} mean {mean_us:9.1f} us")
     print(f"  report written to {report['out']}")

@@ -9,7 +9,8 @@ run:
    many samples were deduplicated away, how often the predictor flagged,
    how many throttles fired);
 2. per-stage wall-clock timings (where the period budget actually goes);
-3. the tail of the span tree — the nested trace of the last periods;
+3. the last period rows — each period's tick and the seconds every
+   stage took inside it;
 4. the same registry rendered as a Prometheus scrape payload.
 
 Run with:  PYTHONPATH=src python examples/telemetry_dashboard.py
@@ -47,18 +48,21 @@ def main() -> None:
         print(f"  {stage:26s} {s['count']:6.0f} {s['mean'] * 1e6:9.1f} "
               f"{s['sum'] * 1e3:9.2f}")
 
-    print("\n-- last two periods (span tree) --")
-    print(telemetry.span_tree(last=2))
+    print("\n-- last two periods (us per stage) --")
+    for row in list(telemetry.rows)[-2:]:
+        stages = ", ".join(
+            f"{name}={seconds * 1e6:.1f}"
+            for name, seconds in row.items()
+            if name not in ("tick", "start")
+        )
+        print(f"  tick {row['tick']}: {stages}")
 
     print("\n-- prometheus exposition (first 12 lines) --")
     for line in telemetry.to_prometheus().splitlines()[:12]:
         print(f"  {line}")
 
-    recorded = snapshot["spans"]["recorded"]
-    dropped = snapshot["spans"]["dropped"]
-    print(f"\n{recorded} spans recorded ({dropped} dropped); export the "
-          f"full trace with Telemetry.write_trace(path).")
-
+    print(f"\n{snapshot['rows']} period rows kept; export them with "
+          f"Telemetry.write_trace(path).")
 
 if __name__ == "__main__":
     main()

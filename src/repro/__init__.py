@@ -28,7 +28,7 @@ Package layout:
 * :mod:`repro.experiments` — scenario builders and standard runners;
 * :mod:`repro.analysis` — utilization, QoS and accuracy summaries;
 * :mod:`repro.telemetry` — controller self-telemetry: metric registry,
-  stage timers, trace spans and JSON/Prometheus/JSONL exporters.
+  stage timers, per-period rows and JSON/Prometheus/JSONL exporters.
 """
 
 from repro.core.config import StayAwayConfig

@@ -59,16 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--policy", choices=POLICIES, default="stayaway")
     run_parser.add_argument(
         "--no-telemetry", action="store_true",
-        help="disable controller self-telemetry (spans + stage timers)")
+        help="disable controller self-telemetry (stage timers + period rows)")
     run_parser.add_argument(
         "--show-telemetry", action="store_true",
-        help="print per-stage controller timings and the tail of the span tree")
+        help="print per-stage controller timings and the last three period rows")
     run_parser.add_argument(
         "--telemetry-out", metavar="PATH", default=None,
         help="write the telemetry JSON snapshot to PATH")
     run_parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
-        help="write the per-run span trace (one JSON per line) to PATH")
+        help="write the per-run trace (one JSON row per period) to PATH")
     run_parser.add_argument(
         "--prometheus-out", metavar="PATH", default=None,
         help="write the metrics in Prometheus text format to PATH")
@@ -221,7 +221,7 @@ def _emit_telemetry(args: argparse.Namespace, result, out) -> None:
         print(f"telemetry snapshot written to {path}", file=out)
     if getattr(args, "trace_out", None):
         count = telemetry.write_trace(args.trace_out)
-        print(f"{count} spans written to {args.trace_out}", file=out)
+        print(f"{count} rows written to {args.trace_out}", file=out)
     if getattr(args, "prometheus_out", None):
         with open(args.prometheus_out, "w", encoding="utf-8") as handle:
             handle.write(telemetry.to_prometheus())
@@ -235,10 +235,14 @@ def _emit_telemetry(args: argparse.Namespace, result, out) -> None:
             print(ascii_table(
                 ["stage", "count", "mean ms", "total ms"], rows
             ), file=out)
-        tree = telemetry.span_tree(last=3)
-        if tree:
-            print("last periods (span tree):", file=out)
-            print(tree, file=out)
+        last = list(telemetry.rows)[-3:]
+        if last:
+            stages = sorted({key for row in last for key in row} - {"tick", "start"})
+            print("last periods (ms per stage):", file=out)
+            print(ascii_table(["tick"] + stages, [
+                [row["tick"]] + [f"{row.get(stage, 0.0) * 1e3:.3f}" for stage in stages]
+                for row in last
+            ]), file=out)
 
 
 def cmd_compare(args: argparse.Namespace, out) -> int:

@@ -65,11 +65,12 @@ class StayAwayConfig:
         retry backoff). Off is the paper-faithful fragile controller
         ``benchmarks/bench_robustness_chaos.py`` compares against.
     telemetry:
-        Record self-telemetry: per-period trace spans and ``*_seconds``
-        stage histograms around Mapping -> Prediction -> Action (see
-        :mod:`repro.telemetry`). Counters and gauges stay live either
-        way; disabling only removes the clock reads and span records
-        (the delta measured by ``benchmarks/bench_perf_overhead.py``).
+        Record self-telemetry: ``*_seconds`` stage histograms around
+        Mapping -> Prediction -> Action and one row per period of those
+        stage durations (see :mod:`repro.telemetry`). Counters and
+        gauges stay live either way; disabling only removes the clock
+        reads and the rows (the delta measured by
+        ``benchmarks/bench_perf_overhead.py``).
     containment:
         The two defences against a faulty controller, on or off
         together: wrap each stage (guard, map, predict, act) in an

@@ -109,7 +109,7 @@ class StayAway:
     telemetry:
         Optional pre-built :class:`~repro.telemetry.Telemetry`; by
         default one is created per controller, enabled according to
-        ``config.telemetry``. All stage timers, trace spans and the
+        ``config.telemetry``. All stage timers, period rows and the
         guard/throttle counters share its registry.
     """
 
@@ -528,6 +528,5 @@ class StayAway:
                 ),
                 "geometry": self.state_space.geometry_stats(),
                 "stages": self.telemetry.stage_summary(),
-                "spans_recorded": len(self.telemetry.tracer.spans),
             },
         }

@@ -274,8 +274,8 @@ class StateSpace:
 
         Returns the normalized stress of the refit embedding. When a
         telemetry object is attached the refit is timed into the
-        ``mapping.refit_seconds`` histogram (with a nested trace span)
-        and the state-space size at refit time is recorded.
+        ``mapping.refit_seconds`` histogram (and the period's row) and
+        the state-space size at refit time is recorded.
         """
         n = len(self)
         if n < 3:

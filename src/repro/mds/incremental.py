@@ -362,10 +362,12 @@ def _descend(
     retried from the same point with more damping. A row *settles*
     once its step is shorter than ``tol``. Once some row has settled
     where its exact half Hessian is positive definite (a minimum), a
-    row still moving stops early as soon as the minimum of its own
-    local quadratic model (:func:`_model_floor`) is not below the
-    lowest such stress: it can no longer win. Only the rows still
-    moving are scored.
+    row still moving whose curvature is also that exact Hessian stops
+    early as soon as the minimum of its local quadratic model
+    (:func:`_model_floor`) is not below the lowest such stress: it can
+    no longer win. A row on the Gauss-Newton curvature never stops
+    early — on a non-convex stress that model's minimum is no lower
+    bound. Only the rows still moving are scored.
 
     Parameters
     ----------
@@ -417,7 +419,12 @@ def _descend(
                 # symmetry axis can settle on the saddle it never leaves.
                 settled = scored[row][0]
         if settled < math.inf:
-            still = [row for row in still if _model_floor(scored[row]) < settled]
+            # Only Newton's model bounds the stress near a row; the
+            # Gauss-Newton model's minimum may lie above a lower basin.
+            still = [
+                row for row in still
+                if not scored[row][6] or _model_floor(scored[row]) < settled
+            ]
         active = still
         if not active:
             break

@@ -1,4 +1,4 @@
-"""Controller self-telemetry: metrics, stage timers, trace spans.
+"""Controller self-telemetry: metrics, stage timers, period rows.
 
 The paper claims Stay-Away's runtime overhead is negligible (§4); this
 package is how the reproduction measures that about itself. One
@@ -6,15 +6,15 @@ package is how the reproduction measures that about itself. One
 
 * a :class:`MetricRegistry` of :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` metrics (get-or-create, label support);
-* a :class:`Tracer` of nestable :class:`Span` regions — every period
-  produces a ``controller.period`` span with ``map`` / ``predict``
-  children (and ``mapping.refit`` grandchildren);
-* :class:`StageTimer` monotonic timers feeding ``*_seconds``
-  histograms;
+* stages (:meth:`Telemetry.stage`): two clock reads each, into a
+  ``<name>_seconds`` histogram and into the period's row — every
+  period closes one ``{"tick", "start", "controller.period",
+  "controller.map", "controller.predict", ...}`` row in the bounded
+  ring :attr:`Telemetry.rows`;
 * exporters: :func:`registry_snapshot` (dict),
   :func:`write_json_snapshot` (run summary file),
   :func:`to_prometheus_text` (scrapeable text),
-  :func:`write_trace_jsonl` (one span per line).
+  :func:`write_trace_jsonl` (one period row per line).
 
 Quick tour::
 
@@ -24,7 +24,7 @@ Quick tour::
                                 batches=("cpubomb",), ticks=400))
     tel = run.controller.telemetry
     print(tel.stage_summary()["controller.period"]["mean"])  # seconds
-    print(tel.span_tree(last=2))
+    print(list(tel.rows)[-2:])  # the last two periods, seconds per stage
     tel.write_json("run_metrics.json")
     tel.write_trace("run_trace.jsonl")
 
@@ -50,8 +50,6 @@ from repro.telemetry.registry import (
     render_key,
 )
 from repro.telemetry.runtime import Telemetry
-from repro.telemetry.spans import Span, Tracer
-from repro.telemetry.timers import StageTimer
 
 __all__ = [
     "Counter",
@@ -60,10 +58,7 @@ __all__ = [
     "Histogram",
     "Metric",
     "MetricRegistry",
-    "Span",
-    "StageTimer",
     "Telemetry",
-    "Tracer",
     "prometheus_name",
     "registry_snapshot",
     "render_key",

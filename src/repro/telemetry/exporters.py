@@ -1,4 +1,4 @@
-"""Exporters: registry/tracer state out to JSON, Prometheus text, JSONL.
+"""Exporters: registry and period rows out to JSON, Prometheus text, JSONL.
 
 Three formats, three audiences:
 
@@ -6,18 +6,17 @@ Three formats, three audiences:
   dict per run, the machine-readable run summary benches diff;
 * :func:`to_prometheus_text` — the text exposition format, so a real
   deployment can point a scraper at the controller;
-* :func:`write_trace_jsonl` — one span per line, the per-run trace file
-  (loadable with ``json.loads`` per line, greppable by span name).
+* :func:`write_trace_jsonl` — one period row per line, the per-run
+  trace file (loadable with ``json.loads`` per line).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricRegistry
-from repro.telemetry.spans import Tracer
 
 _PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -123,34 +122,27 @@ def to_prometheus_text(registry: MetricRegistry) -> str:
 
 
 def write_json_snapshot(
-    registry: MetricRegistry,
-    path: str,
-    tracer: Optional[Tracer] = None,
-    extra: Optional[Dict[str, Any]] = None,
+    registry: MetricRegistry, path: str, extra: Optional[Dict[str, Any]] = None
 ) -> str:
-    """Write :func:`registry_snapshot` (plus span stats) as a JSON file.
+    """Write :func:`registry_snapshot` as a JSON file.
 
     Returns the path written. ``extra`` entries are merged at top level
     (run metadata: scenario, seed, ticks...).
     """
     payload: Dict[str, Any] = dict(extra or {})
     payload["metrics"] = registry_snapshot(registry)
-    if tracer is not None:
-        payload["spans"] = {"recorded": len(tracer.spans), "dropped": tracer.dropped}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
 
 
-def write_trace_jsonl(tracer: Tracer, path: str) -> int:
-    """Write every finished span as one JSON object per line.
+def write_trace_jsonl(rows: Iterable[Mapping[str, Any]], path: str) -> int:
+    """Write each row as one JSON object per line.
 
-    Returns the number of spans written.
+    Returns the number of rows written.
     """
-    spans = tracer.to_dicts()
+    rows = list(rows)
     with open(path, "w", encoding="utf-8") as handle:
-        for span in spans:
-            handle.write(json.dumps(span, sort_keys=True))
-            handle.write("\n")
-    return len(spans)
+        handle.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    return len(rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from math import fsum, isfinite
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,9 +188,9 @@ class EmpiricalDistribution:
     are dropped — and the next :meth:`histogram` bins the whole window
     once — whenever an inferred bound of the support may have moved (a
     new extreme, the eviction of the current one, a widened degenerate
-    support), on :meth:`extend` / :meth:`clear`, and on any non-finite
-    value. :attr:`samples` is read-only, so those three methods are
-    the window's only writers.
+    support), on :meth:`clear`, and on any non-finite value.
+    :attr:`samples` is read-only, so those two methods are the
+    window's only writers.
 
     Parameters
     ----------
@@ -270,23 +270,6 @@ class EmpiricalDistribution:
         if evicted is not None:
             counts[_bin_index(evicted, low, width, self.bins)] -= 1.0
 
-    def extend(self, values: Union[Sequence[float], np.ndarray]) -> None:
-        """Record observations in order, as repeated :meth:`add` would.
-
-        Parameters
-        ----------
-        values:
-            ``(K,)`` observations, oldest first.
-        """
-        incoming = np.asarray(values, dtype=float)
-        if incoming.ndim != 1:
-            raise ValueError(f"expected a 1-D sequence, got shape {incoming.shape}")
-        kept = np.concatenate([self.samples, incoming])[-self.window :]
-        self._buffer[: kept.size] = kept
-        self._size = self._end = kept.size
-        self._counts = None
-        self._nonfinite = kept.size - int(np.count_nonzero(np.isfinite(kept)))
-
     def clear(self) -> None:
         """Forget every observation."""
         self._size = self._end = 0
@@ -297,8 +280,8 @@ class EmpiricalDistribution:
     def samples(self) -> np.ndarray:
         """The window, oldest first: a read-only ``(W,)`` view, ``W = len(self)``.
 
-        Zero-copy — valid until the next :meth:`add` / :meth:`extend` /
-        :meth:`clear`; copy it to keep it.
+        Zero-copy — valid until the next :meth:`add` / :meth:`clear`;
+        copy it to keep it.
         """
         view = self._buffer[self._end - self._size : self._end]
         view.flags.writeable = False

@@ -282,7 +282,7 @@ def test_simulator_digest():
     assert digest.hexdigest() == SIM_DIGEST
 
 
-DRILL_DIGEST = "11fe0bbd160d25be005c0f706085991d481060fb317f1750ef907e6954594b4a"
+DRILL_DIGEST = "b80e1c8c306f6d3e8d3937d69eee1ca17eff21ef10b32441fe936a90ec9b52e1"
 
 
 def _file_and_function(trace: str) -> str:

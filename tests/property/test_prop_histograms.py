@@ -153,7 +153,7 @@ def window_ops_of(values):
     return st.lists(
         st.one_of(
             st.tuples(st.just("add"), values),
-            st.tuples(st.just("extend"), st.lists(values, max_size=12)),
+            st.tuples(st.just("add_all"), st.lists(values, max_size=12)),
             st.tuples(st.just("clear"), st.none()),
         ),
         min_size=1,
@@ -177,8 +177,9 @@ def apply_op(dist, oracle, op, argument):
     if op == "add":
         dist.add(argument)
         oracle.values.append(float(argument))
-    elif op == "extend":
-        dist.extend(argument)
+    elif op == "add_all":
+        for value in argument:
+            dist.add(value)
         oracle.values.extend(float(v) for v in argument)
     else:
         dist.clear()
@@ -265,17 +266,6 @@ class TestWindowAgainstScalarOracle:
                 with pytest.raises(ValueError, match="non-finite"):
                     dist.histogram()
 
-    @given(st.lists(window_values, min_size=1, max_size=60), st.integers(1, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_extend_equals_repeated_add(self, values, window):
-        one_by_one = EmpiricalDistribution(window=window)
-        for value in values:
-            one_by_one.add(value)
-        bulk = EmpiricalDistribution(window=window)
-        bulk.extend(values[: len(values) // 2])
-        bulk.extend(values[len(values) // 2 :])
-        assert np.array_equal(bulk.samples, one_by_one.samples)
-
     @given(
         st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=30),
         st.sampled_from([float("nan"), float("inf"), float("-inf")]),
@@ -287,14 +277,16 @@ class TestWindowAgainstScalarOracle:
         rng = np.random.default_rng(0)
         for low, high in [(None, None), (0.0, None), (-np.pi, np.pi)]:
             dist = EmpiricalDistribution(window=64, low=low, high=high)
-            dist.extend(values)
+            for value in values:
+                dist.add(value)
             with pytest.raises(ValueError):
                 dist.histogram()
             with pytest.raises(ValueError):
                 dist.sample(rng, 5)
         model = TrajectoryModel(window=64)
-        model.angles.extend([0.0] * len(values))
-        model.distances.extend(values)
+        for value in values:
+            model.angles.add(0.0)
+            model.distances.add(value)
         with pytest.raises(ValueError):
             model.sample_steps(rng, 5)
 
@@ -334,7 +326,8 @@ class TestFusedStepDraw:
     @settings(max_examples=30, deadline=None)
     def test_matches_when_only_one_pdf_has_data(self, n, seed, distances_only):
         model = TrajectoryModel(window=16, bins=8)
-        (model.distances if distances_only else model.angles).extend([0.3, 0.1, 0.2])
+        for value in [0.3, 0.1, 0.2]:
+            (model.distances if distances_only else model.angles).add(value)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         steps = model.sample_steps(rng, n)
         assert np.array_equal(steps, self.sequential_steps(model, reference_rng, n))
@@ -442,8 +435,10 @@ class TestFloatKernelAgainstArrayReference:
     @pytest.mark.parametrize("poison", [float("nan"), float("inf")])
     def test_a_non_finite_window_raises_before_the_stream_moves(self, poison):
         model = TrajectoryModel(window=16)
-        model.distances.extend([0.1, poison, 0.3])
-        model.angles.extend([0.0, 0.1, 0.2])
+        for value in [0.1, poison, 0.3]:
+            model.distances.add(value)
+        for value in [0.0, 0.1, 0.2]:
+            model.angles.add(value)
         rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
         with pytest.raises(ValueError, match="non-finite"):
             model.sample_steps(rng, 5)

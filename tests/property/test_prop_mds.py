@@ -1,7 +1,7 @@
 """Property-based tests for the MDS stack."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -154,6 +154,8 @@ class TestPlacementKernelQuality:
     """``place_point`` never loses to the scalar optimiser it replaced."""
 
     @given(seeded_cases())
+    # A start stopped on its Gauss-Newton model's floor lost here.
+    @example(placement_case(160, 41, "lattice", "high-dimensional", False))
     @settings(max_examples=120, deadline=None)
     def test_seeded_anchor_sets(self, case):
         anchors, deltas, init, _ = case

@@ -19,14 +19,14 @@ under ``src/`` called it.
 
 One change was made to the array kernel after it was copied here:
 ``reference_descend`` learned the early stop the program's kernel
-gained later (a start still moving stops once the minimum of its own
-quadratic model is not below the lowest stress of a start that has
-converged on a minimum; :func:`reference_model_floor`). That is an algorithm
-change, and the oracle models the kernel's algorithm; what it checks
-is how the float bookkeeping rounds against array arithmetic, and
-that check is as strict as before. The rule is written here in array
-form, apart from the program's, and the rest of the arithmetic is
-unchanged.
+gained later (a start still moving on the exact Hessian stops once the
+minimum of its own quadratic model is not below the lowest stress of a
+start that has converged on a minimum; :func:`reference_model_floor`).
+That is an algorithm change, and the oracle models the kernel's
+algorithm; what it checks is how the float bookkeeping rounds against
+array arithmetic, and that check is as strict as before. The rule is
+written here in array form, apart from the program's, and the rest of
+the arithmetic is unchanged.
 
 Nothing under ``src/`` imports this module. The bit-identity suites
 (``tests/property/test_prop_kernel_identity.py``) drive it side by side
@@ -274,8 +274,9 @@ def reference_descend(
     Newton's step, which converges quadratically), one that does is
     retried from the same point with more damping. A row settles once
     its step is shorter than ``tol``; once one has settled where its
-    curvature is the exact half Hessian, a row still moving stops as
-    soon as its model floor is not below the lowest such stress. A
+    curvature is the exact half Hessian, a row still moving on that
+    exact curvature stops as soon as its model floor is not below the
+    lowest such stress. A
     stopped row is carried through the array operations but never
     written.
 
@@ -332,7 +333,7 @@ def reference_descend(
             settled = below.min()
         active &= ~short
         if settled < np.inf:
-            active &= reference_model_floor(stress, gradient, curvature) < settled
+            active &= ~exact | (reference_model_floor(stress, gradient, curvature) < settled)
         if not active.any():
             break
     return x, stress

@@ -41,3 +41,70 @@ def test_every_tracer_patch_point_exists_in_src():
         if attribute not in vars(owner)
     ]
     assert missing == []
+
+
+class _TickingClock:
+    """A clock that moves 2**-10 s per read: every duration is dyadic."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 2.0 ** -10
+        return self.now
+
+
+def _controller_run(ticks, telemetry=None):
+    from repro import Container, Host, SimulationEngine, StayAway, StayAwayConfig
+    from repro.workloads import CpuBomb, VlcStreamingServer
+
+    host = Host()
+    vlc = VlcStreamingServer(seed=1)
+    host.add_container(Container(name="vlc", app=vlc, sensitive=True))
+    host.add_container(Container(name="bomb", app=CpuBomb(), start_tick=5))
+    controller = StayAway(vlc, config=StayAwayConfig(seed=1), telemetry=telemetry)
+    SimulationEngine(host, [controller]).run(ticks=ticks)
+    return controller
+
+
+def test_every_telemetry_name_the_e2e_bench_reads_exists():
+    """The frozen e2e benchmark sums ``stage_summary()`` entries and
+    reads three registry counters by name, and its ``registry_count``
+    returns 0 for a missing one: a rename in ``src/`` would silently
+    zero its ``failed`` count and its per-layer counts."""
+    telemetry = _controller_run(40).telemetry
+    stages = telemetry.stage_summary()
+    for stage in ("controller.map", "controller.predict"):
+        assert {"count", "sum"} <= set(stages[stage])
+        assert stages[stage]["count"] > 0
+    for name in (
+        "prediction.samples_drawn", "controller.periods", "containment.firewall_catches",
+    ):
+        assert telemetry.registry.get(name) is not None, name
+
+
+def test_period_rows_sum_to_the_stage_histograms(monkeypatch):
+    """One row per period; per stage, the rows' durations add up to the
+    histogram ``sum`` exactly, a period whose map stage raised (and
+    the firewall contained) included."""
+    from repro.core.mapping import MappingPipeline
+    from repro.telemetry import Telemetry
+
+    mapped = MappingPipeline.map_measurement
+
+    def map_measurement(self, tick, *args, **kwargs):
+        if tick == 20:
+            raise RuntimeError("scripted map fault")
+        return mapped(self, tick, *args, **kwargs)
+
+    monkeypatch.setattr(MappingPipeline, "map_measurement", map_measurement)
+    telemetry = Telemetry(clock=_TickingClock())
+    controller = _controller_run(40, telemetry=telemetry)
+    assert controller.summary()["telemetry"]["containment"]["firewall_catches"] == 1
+    rows = list(telemetry.rows)
+    assert [row["tick"] for row in rows] == list(range(40))
+    assert "controller.map" in rows[20] and "controller.predict" not in rows[20]
+    stages = telemetry.stage_summary()
+    assert {"controller.period", "controller.map", "controller.predict"} <= set(stages)
+    for stage, summary in stages.items():
+        assert sum(row.get(stage, 0.0) for row in rows) == summary["sum"], stage

@@ -81,7 +81,7 @@ class TestCommands:
         ])
         assert code == 0
         assert "controller.map" in output
-        assert "span tree" in output
+        assert "last periods (ms per stage)" in output
 
     def test_run_telemetry_exports(self, tmp_path):
         import json
@@ -99,17 +99,22 @@ class TestCommands:
         payload = json.loads(snap.read_text())
         assert payload["policy"] == "stayaway"
         assert payload["metrics"]["counters"]["controller.periods"] == 100
-        assert all(json.loads(line) for line in trace.read_text().splitlines())
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [row["tick"] for row in rows] == list(range(100))
+        for row in rows:
+            assert {"controller.period", "controller.map", "controller.predict"} <= set(row)
         assert "controller_periods_total 100" in prom.read_text()
 
-    def test_run_no_telemetry(self):
+    def test_run_no_telemetry(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
         code, output = run_cli([
             "run", "--ticks", "100", "--batch", "cpubomb",
-            "--no-telemetry", "--show-telemetry",
+            "--no-telemetry", "--show-telemetry", "--trace-out", str(trace),
         ])
         assert code == 0
-        # no stages recorded, so no stage table in the output
+        # no stages recorded, so no stage table and no rows
         assert "controller.map" not in output
+        assert trace.read_text() == ""
         assert "learned beta" in output  # counters still summarized
 
     def test_template(self, tmp_path):

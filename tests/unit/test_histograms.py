@@ -162,22 +162,13 @@ class TestEmpiricalDistribution:
 
     def test_clear_forgets_everything(self):
         dist = EmpiricalDistribution(window=4)
-        dist.extend([1.0, 2.0, 3.0])
+        for value in [1.0, 2.0, 3.0]:
+            dist.add(value)
         dist.clear()
         assert len(dist) == 0 and dist.samples.size == 0
         assert dist.support() == (0.0, 1.0)
         dist.add(7.0)
         np.testing.assert_array_equal(dist.samples, [7.0])
-
-    def test_extend_keeps_the_newest_window(self):
-        dist = EmpiricalDistribution(window=3)
-        dist.add(1.0)
-        dist.extend([2.0, 3.0, 4.0, 5.0])
-        np.testing.assert_array_equal(dist.samples, [3.0, 4.0, 5.0])
-        dist.extend([])
-        np.testing.assert_array_equal(dist.samples, [3.0, 4.0, 5.0])
-        with pytest.raises(ValueError, match="1-D"):
-            dist.extend([[1.0, 2.0]])
 
     def test_samples_view_is_read_only(self):
         dist = EmpiricalDistribution()
@@ -188,7 +179,8 @@ class TestEmpiricalDistribution:
 
     def test_histograms_own_their_counts(self):
         dist = EmpiricalDistribution(bins=2, low=0.0, high=1.0)
-        dist.extend([0.1, 0.9])
+        for value in [0.1, 0.9]:
+            dist.add(value)
         first = dist.histogram()
         first.counts[0] = 99.0
         dist.add(0.2)
@@ -197,7 +189,8 @@ class TestEmpiricalDistribution:
 
     def test_counts_follow_adds_and_evictions_without_rebinning(self):
         dist = EmpiricalDistribution(window=3, bins=2, low=0.0, high=1.0)
-        dist.extend([0.1, 0.2, 0.9])
+        for value in [0.1, 0.2, 0.9]:
+            dist.add(value)
         np.testing.assert_array_equal(dist.histogram().counts, [2.0, 1.0])
         dist.add(0.8)  # evicts 0.1
         dist.add(0.7)  # evicts 0.2
@@ -206,23 +199,27 @@ class TestEmpiricalDistribution:
 
     def test_moving_an_inferred_bound_rebins(self):
         dist = EmpiricalDistribution(window=3, bins=2, low=0.0)
-        dist.extend([1.0, 2.0, 4.0])
+        for value in [1.0, 2.0, 4.0]:
+            dist.add(value)
         dist.histogram()
         dist.add(3.0)  # inside the support, evicts 1.0: counts kept
         np.testing.assert_array_equal(dist.histogram().counts, [0.0, 3.0])
         assert dist._rebins == 1
         dist.add(8.0)  # a new maximum
         assert dist.histogram().high == 8.0 and dist._rebins == 2
-        dist.extend([1.0, 1.0])  # window [8, 1, 1]
+        for value in [1.0, 1.0]:  # window [8, 1, 1], inside the support
+            dist.add(value)
         dist.histogram()
+        assert dist._rebins == 2
         dist.add(2.0)  # evicts the maximum
         hist = dist.histogram()
-        assert hist.high == 2.0 and dist._rebins == 4
+        assert hist.high == 2.0 and dist._rebins == 3
         np.testing.assert_array_equal(hist.counts, [0.0, 3.0])
 
     def test_widened_degenerate_support_is_never_kept(self):
         dist = EmpiricalDistribution(bins=2, low=0.0)
-        dist.extend([0.0, 0.0])
+        for value in [0.0, 0.0]:
+            dist.add(value)
         assert dist.histogram().high == 1e-9
         dist.add(5e-10)  # inside the widened range, yet the maximum moved
         hist = dist.histogram()
@@ -239,7 +236,7 @@ class TestEmpiricalDistribution:
         assert not dist.finite  # window [inf, 2]
         dist.add(3.0)
         assert dist.finite
-        dist.extend([float("nan")])
+        dist.add(float("nan"))
         assert not dist.finite
         dist.clear()
         assert dist.finite
@@ -248,7 +245,8 @@ class TestEmpiricalDistribution:
     @pytest.mark.parametrize("fixed", [{}, {"low": 0.0}, {"low": -1.0, "high": 1.0}])
     def test_non_finite_window_raises(self, rng, poison, fixed):
         dist = EmpiricalDistribution(**fixed)
-        dist.extend([0.1, 0.2, 0.3])
+        for value in [0.1, 0.2, 0.3]:
+            dist.add(value)
         dist.add(poison)
         with pytest.raises(ValueError, match="non-finite"):
             dist.histogram()
@@ -260,7 +258,8 @@ class TestEmpiricalDistribution:
         # Python's big int, the array path must not cast it first.
         values = [1.0, -1.0, 6e-301]
         dist = EmpiricalDistribution(bins=4, low=0.0, high=1e-300)
-        dist.extend(values)
+        for value in values:
+            dist.add(value)
         oracle = Histogram(0.0, 1e-300, bins=4)
         for value in values:
             oracle.add(value)
@@ -277,7 +276,8 @@ class TestEmpiricalDistribution:
 
     def test_histogram_edges_follow_the_support(self):
         dist = EmpiricalDistribution(bins=4, low=0.0)
-        dist.extend([1.0, 2.0])
+        for value in [1.0, 2.0]:
+            dist.add(value)
         first = dist.histogram()
         assert dist.histogram().edges is first.edges  # support unchanged: reused
         dist.add(4.0)

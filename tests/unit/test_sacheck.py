@@ -228,13 +228,15 @@ def test_sa105_allows_int_ordered_and_non_numerical_layers():
 # -- SA106 telemetry facade ------------------------------------------------
 
 
-def test_sa106_flags_ad_hoc_span_construction_in_core():
+def test_sa106_flags_clock_reads_and_histograms_in_core():
     src = """
-    from repro.telemetry.spans import Tracer
-    tracer = Tracer()
+    import time
+    from repro.telemetry.registry import Histogram
+    hist = Histogram("map_seconds")
+    started = time.perf_counter()
     """
     findings = check(src, AdHocTelemetryRule())
-    # both the import and the construction are flagged
+    # the histogram construction and the clock read are flagged
     assert [f.rule for f in findings] == ["SA106", "SA106"]
 
 
@@ -242,13 +244,18 @@ def test_sa106_allows_facade_and_other_layers():
     src = """
     from repro.telemetry import Telemetry
     tel = Telemetry(enabled=True)
-    with tel.stage("controller.period"):
+    with tel.stage("controller.period", tick=0):
         pass
     """
     assert check(src, AdHocTelemetryRule()) == []
-    # telemetry itself may build its own spans
-    assert check("from repro.telemetry.spans import Tracer\nt = Tracer()\n",
-                 AdHocTelemetryRule(), rel_path=TELEMETRY) == []
+    # telemetry itself reads its clock and builds its histograms
+    own = """
+    import time
+    from repro.telemetry.registry import Histogram
+    hist = Histogram("map_seconds")
+    started = time.perf_counter()
+    """
+    assert check(own, AdHocTelemetryRule(), rel_path=TELEMETRY) == []
 
 
 # -- SA107 config audit ----------------------------------------------------

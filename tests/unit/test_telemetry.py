@@ -1,14 +1,11 @@
 """Unit tests for the telemetry layer (PR 2).
 
 Covers the registry (get-or-create, label identity, type conflicts),
-histograms, stage timers and span nesting against a fake clock, the
+histograms, stages and their per-period rows against a fake clock, the
 three export formats, and the Telemetry facade's enabled/disabled
-behaviour. A span is only ever produced by a stage (``Telemetry.stage``
--> ``StageTimer`` -> ``Tracer.defer`` / ``settle``); the eager tracer
-the stages are compared against lives in ``tests/support``.
+behaviour.
 """
 
-import contextlib
 import json
 
 import pytest
@@ -19,9 +16,7 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricRegistry,
-    StageTimer,
     Telemetry,
-    Tracer,
     prometheus_name,
     registry_snapshot,
     render_key,
@@ -29,8 +24,7 @@ from repro.telemetry import (
     write_json_snapshot,
     write_trace_jsonl,
 )
-from repro.telemetry.spans import NULL_CONTEXT
-from tests.support.span_reference import PlainSpanTracer
+from repro.telemetry import runtime
 
 
 class FakeClock:
@@ -44,16 +38,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-@contextlib.contextmanager
-def stage(tracer, name, **attrs):
-    """One stage straight on the tracer, as ``StageTimer`` opens it."""
-    row = tracer.defer(name, attrs)
-    try:
-        yield
-    finally:
-        tracer.settle(row)
 
 
 # ---------------------------------------------------------------------------
@@ -171,172 +155,111 @@ class TestHistogram:
 class TestTimers:
     def test_stage_timer_observes_into_histogram(self):
         clock = FakeClock()
-        hist = Histogram("stage_seconds")
-        timer = StageTimer(hist, tracer=Tracer(clock=clock))
+        telemetry = Telemetry(clock=clock)
         for elapsed in (0.1, 0.3):
-            with timer:
+            with telemetry.stage("stage"):
                 clock.advance(elapsed)
+        hist = telemetry.registry.get("stage_seconds")
         assert hist.count == 2
         assert hist.sum == pytest.approx(0.4)
-        assert timer.last == pytest.approx(0.3)
+        assert hist.last == pytest.approx(0.3)
 
-    def test_stage_timer_opens_span(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        timer = StageTimer(
-            Histogram("map_seconds"), tracer=tracer, name="map", attrs={"tick": 7},
-        )
-        with timer:
+    def test_stage_opens_a_row(self):
+        clock = FakeClock(start=2.0)
+        telemetry = Telemetry(clock=clock)
+        with telemetry.stage("map", tick=7):
+            assert len(telemetry.rows) == 0  # appended when it closes
             clock.advance(0.5)
-        (span,) = tracer.spans
-        assert span.name == "map"
-        assert span.attrs == {"tick": 7}
-        assert span.duration == pytest.approx(0.5)
+        assert list(telemetry.rows) == [{"tick": 7, "start": 2.0, "map": 0.5}]
 
     def test_stage_timer_not_reentrant(self):
-        timer = StageTimer(Histogram("h"), tracer=Tracer(clock=FakeClock()))
-        with timer:
+        stage = Telemetry(clock=FakeClock()).stage("h")
+        with stage:
             with pytest.raises(RuntimeError):
-                timer.__enter__()
+                stage.__enter__()
 
     def test_stage_timer_exit_without_enter_raises(self):
         with pytest.raises(RuntimeError, match="never entered"):
-            StageTimer(Histogram("h"), tracer=Tracer()).__exit__(None, None, None)
+            Telemetry().stage("h").__exit__(None, None, None)
 
-    @pytest.mark.parametrize("max_spans", [20_000, 7, 3, 0])
-    def test_stage_spans_equal_tracer_spans(self, max_spans):
-        """A stage stays a bare row until somebody reads its span. Over
-        whole controller periods — stages nested in stages, a stage
-        that raises through its parents, periods under an outer stage —
-        the tree, the ids, the retention, the JSONL records and the
-        durations must be those the eager reference tracer produces."""
+    def test_row_durations_sum_to_the_histograms(self):
+        """Whole periods — stages nested in stages, one stage entered
+        twice, a map stage that raises through its period, a period
+        under an outer stage: per stage, the rows' durations add up to
+        its histogram ``sum`` exactly (every duration is dyadic)."""
+        clock = FakeClock()
+        telemetry = Telemetry(clock=clock)
 
-        def period(stage, tracer, clock, durations, tick, fail=False):
-            with stage(tracer, clock, "controller.period", durations, tick=tick):
+        def period(tick, fail=False):
+            with telemetry.stage("controller.period", tick=tick):
                 clock.advance(0.5)
-                with stage(tracer, clock, "controller.reconcile", durations):
-                    clock.advance(0.0625)
-                with stage(tracer, clock, "controller.map", durations):
+                with telemetry.stage("controller.map"):
                     clock.advance(0.25)
-                    with stage(tracer, clock, "mapping.refit", durations):
-                        with stage(tracer, clock, "smacof", durations, states=9):
-                            clock.advance(1.0)
-                        with stage(tracer, clock, "geometry.rebuild", durations):
+                    with telemetry.stage("mapping.refit"):
+                        with telemetry.stage("geometry.rebuild"):
                             clock.advance(2.0)
                     if fail:
                         raise RuntimeError("mapping blew up")
-                with stage(tracer, clock, "controller.predict", durations):
-                    with stage(tracer, clock, "geometry.rebuild", durations):
+                with telemetry.stage("controller.predict"):
+                    with telemetry.stage("geometry.rebuild"):
                         clock.advance(0.03125)
-                with stage(tracer, clock, "controller.act", durations):
                     clock.advance(0.125)
 
-        def tree(stage, tracer_type):
-            clock = FakeClock()
-            tracer = tracer_type(clock=clock, max_spans=max_spans)
-            durations = []
-            period(stage, tracer, clock, durations, tick=4)
-            with pytest.raises(RuntimeError, match="blew up"):
-                period(stage, tracer, clock, durations, tick=5, fail=True)
-            with stage(tracer, clock, "fleet.cell", durations, host="h0"):
-                period(stage, tracer, clock, durations, tick=6)
-            return (
-                tracer.to_dicts(),
-                [span.span_id for span in tracer.spans],
-                tracer.dropped,
-                tracer.span_tree(),
-                tracer.span_tree(last=1),
-                durations,
-            )
+        period(4)
+        with pytest.raises(RuntimeError, match="blew up"):
+            period(5, fail=True)
+        with telemetry.stage("fleet.cell"):
+            period(6)
 
-        @contextlib.contextmanager
-        def timed(tracer, clock, name, durations, **attrs):
-            timer = StageTimer(
-                Histogram(f"{name}_seconds"), tracer=tracer, name=name, attrs=attrs,
-            )
-            try:
-                with timer:
-                    yield
-            finally:
-                durations.append((timer.last, timer.histogram.sum))
-
-        @contextlib.contextmanager
-        def plain(tracer, clock, name, durations, **attrs):
-            try:
-                with tracer.span(name, **attrs) as span:
-                    yield
-            finally:
-                durations.append((span.duration, span.duration))
-
-        timed_tree, plain_tree = tree(timed, Tracer), tree(plain, PlainSpanTracer)
-        assert timed_tree == plain_tree
-        # the scenario really nested, raised and hit the retention cap
-        assert len(plain_tree[0]) == min(max_spans, 25)
-        assert plain_tree[2] == 25 - min(max_spans, 25)
+        rows = list(telemetry.rows)
+        assert [row["tick"] for row in rows] == [4, 5, None]
+        assert rows[1]["controller.map"] == 2.25
+        assert "controller.predict" not in rows[1]
+        assert rows[0]["geometry.rebuild"] == 2.03125
+        for stage, summary in telemetry.stage_summary().items():
+            assert sum(row.get(stage, 0.0) for row in rows) == summary["sum"]
 
 
 # ---------------------------------------------------------------------------
-# spans
+# trace rows
 # ---------------------------------------------------------------------------
 
 
-class TestTracer:
+class TestRows:
     def test_nesting_from_call_order(self):
         clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with stage(tracer, "period", tick=1):
+        telemetry = Telemetry(clock=clock)
+        with telemetry.stage("period", tick=1):
             clock.advance(0.1)
-            with stage(tracer, "map"):
+            with telemetry.stage("map", tick=99):  # an inner tick is ignored
                 clock.advance(0.2)
-        inner, period = tracer.spans  # in the order they finished
-        assert (period.name, inner.name) == ("period", "map")
-        assert (period.span_id, inner.span_id) == (0, 1)
-        assert inner.parent_id == period.span_id
-        assert (period.depth, inner.depth) == (0, 1)
-        assert period.duration == pytest.approx(0.3)
-        assert inner.duration == pytest.approx(0.2)
+        (row,) = telemetry.rows
+        assert row["tick"] == 1
+        assert row["period"] == pytest.approx(0.3)
+        assert row["map"] == pytest.approx(0.2)
 
     def test_a_stage_after_a_nest_is_a_root_again(self):
-        tracer = Tracer(clock=FakeClock())
-        with stage(tracer, "outer"):
-            with stage(tracer, "inner"):
+        telemetry = Telemetry(clock=FakeClock())
+        with telemetry.stage("outer", tick=0):
+            with telemetry.stage("inner"):
                 pass
-            with stage(tracer, "sibling"):
+            with telemetry.stage("sibling"):
                 pass
-        with stage(tracer, "next"):
+        with telemetry.stage("next", tick=1):
             pass
-        assert [(s.name, s.parent_id, s.depth) for s in tracer.spans] == [
-            ("inner", 0, 1), ("sibling", 0, 1), ("outer", None, 0), ("next", None, 0),
+        assert [sorted(row) for row in telemetry.rows] == [
+            ["inner", "outer", "sibling", "start", "tick"],
+            ["next", "start", "tick"],
         ]
 
-    def test_max_spans_cap_counts_dropped(self):
-        tracer = Tracer(clock=FakeClock(), max_spans=2)
-        for i in range(5):
-            with stage(tracer, f"s{i}"):
+    def test_rows_keep_the_newest_trace_rows(self, monkeypatch):
+        monkeypatch.setattr(runtime, "TRACE_ROWS", 2)
+        telemetry = Telemetry(clock=FakeClock())
+        for tick in range(5):
+            with telemetry.stage("s", tick=tick):
                 pass
-        assert len(tracer.spans) == 2
-        assert tracer.dropped == 3
-
-    def test_span_tree_renders_indented(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with stage(tracer, "period", tick=3):
-            with stage(tracer, "map"):
-                clock.advance(0.001)
-        tree = tracer.span_tree()
-        lines = tree.splitlines()
-        assert lines[0].startswith("period (tick=3)")
-        assert lines[1].startswith("  map")
-
-    def test_span_tree_last_filters_roots(self):
-        tracer = Tracer(clock=FakeClock())
-        for tick in range(4):
-            with stage(tracer, "period", tick=tick):
-                with stage(tracer, "map"):
-                    pass
-        tree = tracer.span_tree(last=2)
-        assert tree.count("period") == 2
-        assert "tick=0" not in tree and "tick=3" in tree
+        assert [row["tick"] for row in telemetry.rows] == [3, 4]
+        assert telemetry.registry.get("s_seconds").count == 5
 
 
 # ---------------------------------------------------------------------------
@@ -378,33 +301,24 @@ class TestExporters:
         assert prometheus_name("9lives") == "_9lives"
 
     def test_write_json_snapshot(self, tmp_path):
-        tracer = Tracer(clock=FakeClock())
-        with stage(tracer, "s"):
-            pass
         path = tmp_path / "snap.json"
         write_json_snapshot(
-            self._populated_registry(), str(path), tracer=tracer,
-            extra={"policy": "stayaway"},
+            self._populated_registry(), str(path), extra={"policy": "stayaway"},
         )
         payload = json.loads(path.read_text())
         assert payload["policy"] == "stayaway"
         assert payload["metrics"]["gauges"]["beta"] == 0.75
-        assert payload["spans"] == {"recorded": 1, "dropped": 0}
 
     def test_write_trace_jsonl(self, tmp_path):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with stage(tracer, "period", tick=1):
-            with stage(tracer, "map"):
-                clock.advance(0.25)
+        rows = [
+            {"tick": 1, "start": 0.0, "period": 0.5, "map": 0.25},
+            {"tick": 2, "start": 0.5, "period": 0.125},
+        ]
         path = tmp_path / "trace.jsonl"
-        count = write_trace_jsonl(tracer, str(path))
+        count = write_trace_jsonl(rows, str(path))
         lines = path.read_text().splitlines()
         assert count == len(lines) == 2
-        records = [json.loads(line) for line in lines]
-        assert [r["name"] for r in records] == ["period", "map"]
-        assert records[1]["parent_id"] == records[0]["span_id"]
-        assert records[1]["duration"] == pytest.approx(0.25)
+        assert [json.loads(line) for line in lines] == rows
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +327,7 @@ class TestExporters:
 
 
 class TestTelemetryFacade:
-    def test_stage_times_into_histogram_and_span(self):
+    def test_stage_times_into_histogram_and_row(self):
         clock = FakeClock()
         telemetry = Telemetry(clock=clock)
         with telemetry.stage("controller.map", tick=5):
@@ -421,9 +335,9 @@ class TestTelemetryFacade:
         summary = telemetry.stage_summary()
         assert summary["controller.map"]["count"] == 1
         assert summary["controller.map"]["sum"] == pytest.approx(0.01)
-        (span,) = telemetry.tracer.spans
-        assert span.name == "controller.map"
-        assert span.attrs == {"tick": 5}
+        (row,) = telemetry.rows
+        assert row["tick"] == 5
+        assert row["controller.map"] == summary["controller.map"]["sum"]
 
     def test_stage_timer_cached_per_name_with_fresh_attrs(self):
         clock = FakeClock()
@@ -435,14 +349,15 @@ class TestTelemetryFacade:
         assert second is first  # one timer per stage name
         with second:
             pass
-        assert [s.attrs["tick"] for s in telemetry.tracer.spans] == [1, 2]
+        assert [row["tick"] for row in telemetry.rows] == [1, 2]
 
     def test_disabled_stage_is_null_context_but_metrics_live(self):
         telemetry = Telemetry(enabled=False)
-        assert telemetry.stage("s") is NULL_CONTEXT
+        assert telemetry.stage("s") is runtime.NULL_CONTEXT
         telemetry.counter("still.works").inc()
         assert telemetry.counter("still.works").value == 1.0
         assert telemetry.stage_summary() == {}
+        assert len(telemetry.rows) == 0
 
     def test_snapshot_shape(self):
         telemetry = Telemetry(clock=FakeClock())
@@ -452,7 +367,7 @@ class TestTelemetryFacade:
         snap = telemetry.snapshot()
         assert snap["enabled"] is True
         assert snap["metrics"]["counters"]["c"] == 1.0
-        assert snap["spans"]["recorded"] == 1
+        assert snap["rows"] == 1
 
     def test_write_json_and_trace(self, tmp_path):
         clock = FakeClock()
@@ -463,6 +378,7 @@ class TestTelemetryFacade:
         payload = json.loads((tmp_path / "t.json").read_text())
         assert json_path.endswith("t.json")
         assert payload["run"] == "r1"
+        assert payload["rows"] == 1
         assert telemetry.write_trace(str(tmp_path / "t.jsonl")) == 1
 
     def test_prometheus_roundtrip(self):

@@ -192,55 +192,43 @@ class FloatEqualityRule(Rule):
 
 
 class AdHocTelemetryRule(Rule):
-    """SA106 — core never constructs tracers/timers; it goes through Telemetry.
+    """SA106 — core times nothing behind the Telemetry facade's back.
 
     The ``Telemetry`` facade is what makes self-measurement disableable
     (``config.telemetry=False``) and keeps the <5% overhead budget
-    enforceable by ``benchmarks/bench_perf_overhead.py``; a Span or
-    StageTimer built ad-hoc in core bypasses the enable gate and the
-    shared registry.
+    enforceable by ``benchmarks/bench_perf_overhead.py``: a stage is
+    two reads of its injected clock into a ``<name>_seconds``
+    histogram and the period's row. A direct clock read or a
+    ``Histogram`` built in core is timing outside that gate, the
+    shared registry and the rows.
     """
 
     id = "SA106"
     name = "telemetry-via-facade"
     rationale = (
-        "spans/timers built outside the Telemetry facade bypass the "
-        "enable gate, the span cap and the shared registry"
+        "timing done outside the Telemetry facade bypasses the enable "
+        "gate, the injected clock, the shared registry and the period rows"
     )
 
-    BANNED_TYPES = {"Tracer", "Span", "StageTimer"}
+    BANNED_CALLS = {
+        "time.perf_counter",
+        "time.monotonic",
+        "time.time",
+        "repro.telemetry.Histogram",
+        "repro.telemetry.registry.Histogram",
+    }
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.layer == "core"
 
-    def _is_banned(self, resolved: str) -> bool:
-        return (
-            resolved.startswith("repro.telemetry")
-            and resolved.rsplit(".", 1)[-1] in self.BANNED_TYPES
-        )
-
     def visit_call(self, node: ast.Call, ctx: FileContext, walker: RuleWalker) -> Iterable[Finding]:
         resolved = ctx.resolve(node.func)
-        if resolved and self._is_banned(resolved):
+        if resolved in self.BANNED_CALLS:
             yield self.make_finding(
                 ctx, node,
-                f"ad-hoc telemetry construction {resolved}() in core; use the "
-                "Telemetry facade (telemetry.stage/.counter/...) instead",
+                f"ad-hoc timing {resolved}() in core; time a region with the "
+                "Telemetry facade (telemetry.stage) instead",
             )
-
-    def visit_import(self, node: ast.stmt, ctx: FileContext, walker: RuleWalker) -> Iterable[Finding]:
-        if not isinstance(node, ast.ImportFrom) or walker.in_type_checking:
-            return
-        module = node.module or ""
-        if module in ("repro.telemetry.spans", "repro.telemetry.timers"):
-            names = {alias.name for alias in node.names}
-            banned = sorted(names & self.BANNED_TYPES)
-            if banned:
-                yield self.make_finding(
-                    ctx, node,
-                    f"core imports {', '.join(banned)} from {module}; "
-                    "core must reach spans/timers through the Telemetry facade",
-                )
 
 
 class ConfigValidationRule(Rule):
