@@ -41,8 +41,6 @@ from repro.sim.faults import (
     DemandSpiker,
     FaultyPort,
     HostCrashInjector,
-    InvariantBreach,
-    InvariantChecker,
     QosDropout,
     TelemetryBlackout,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "FaultyPort",
     "HostCrashInjector",
     "HostEvent",
-    "InvariantBreach",
-    "InvariantChecker",
     "MigrationRecord",
     "TelemetryBlackout",
     "Placement",

@@ -1,33 +1,35 @@
 """Fault injection: scripted and probabilistic disturbances.
 
 The controller must stay well-behaved when the environment misbehaves —
-containers dying mid-throttle, demand spikes, monitoring dropouts. This
-module turns those disturbances into declarative, reproducible
-middleware instead of ad-hoc test code.
+containers flapping behind its back, demand spikes, lost signals,
+corrupted readings. This module turns those disturbances into
+declarative, reproducible middleware instead of ad-hoc test code.
 
-Two layers:
+Three layers:
 
 * **Scripted faults** (:class:`DemandSpiker`) fire at fixed ticks —
   precise, replayable unit-test material. The scripted kill / pause /
   dropout / host-recovery middleware the suites put at exact ticks
   lives with them, in ``tests/support/scripted_faults.py``.
-* **Chaos faults** fire probabilistically from a seeded RNG — the
-  hostile-host mix the resilience layer (sensor guard, degraded modes,
-  reconciliation) is built to survive. Sensor corruption and lost
-  signals sit on the controller's port (:class:`FaultyPort`);
-  :class:`QosDropout` silences the application's report and
-  :class:`ContainerFlapper` is an agent outside the program signalling
-  containers behind the controller's back. :class:`InvariantChecker`
-  rides along and records per-tick consistency breaches instead of
-  crashing the run.
-* **Cluster faults** (:class:`HostCrashInjector`,
-  :class:`TelemetryBlackout`) operate on a
-  whole :class:`~repro.sim.cluster.Cluster`: machines crash and come
-  back, and the control plane's view of individual hosts goes dark —
-  the failure modes a fleet coordinator must stay correct under. All
-  probabilistic decisions are pure functions of ``(seed, tick, host)``
-  so the fault script is identical across policy arms regardless of how
-  control flow diverges after the first fault.
+* **Chaos faults** fire probabilistically — the hostile-host mix the
+  resilience layer (sensor guard, degraded modes, reconciliation) is
+  built to survive. Sensor corruption and lost signals sit on the
+  controller's port (:class:`FaultyPort`); :class:`QosDropout` silences
+  the application's report and :class:`ContainerFlapper` is an agent
+  outside the program signalling containers behind the controller's
+  back. :class:`StageExceptionInjector` and :class:`ModelPoisoner`
+  fault the controller itself.
+* **Cluster and stream faults** (:class:`HostCrashInjector`,
+  :class:`TelemetryBlackout`, the stream wrappers,
+  :class:`ActuatorAckDropper`) operate on a whole
+  :class:`~repro.sim.cluster.Cluster` or on the service seam's wire.
+
+Every probabilistic decision is one :func:`_fault_uniform` draw, a pure
+function of ``(seed, tick, key, salt)``: the key names what is decided
+(a container, a host, a stage, a wire record) and the salt which
+decision it is. No injector holds RNG state, so the fault script is
+identical across policy arms however their control flow diverges after
+the first fault. ``docs/SIMULATION.md`` §5 lists every key and salt.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.observation import METRICS, ZERO_USAGE, Observation
 from repro.sim.host import Host, HostSnapshot
@@ -116,7 +116,7 @@ class DemandSpiker:
 
 
 # ---------------------------------------------------------------------------
-# Chaos layer: seeded probabilistic faults
+# Chaos layer: keyed probabilistic faults
 # ---------------------------------------------------------------------------
 
 class FaultyPort:
@@ -136,8 +136,10 @@ class FaultyPort:
       interference, a frozen cgroup, a race with teardown) — and answer
       False.
 
-    The two faults draw from their own streams, seeded ``seed + 11`` and
-    ``seed + 41``, so one firing never shifts the other's script.
+    A corruption is keyed ``"sensor"`` (salts 7–10: fire, kind,
+    container, metric), a lost signal ``"verb|container"`` (salt 11), so
+    two ports with one seed agree on every signal both send, whatever
+    else each sends.
     """
 
     KINDS: Tuple[str, ...] = ("nan", "inf", "negative", "spike", "freeze")
@@ -156,10 +158,9 @@ class FaultyPort:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         self.inner = inner
+        self.seed = seed
         self.sensor_corruption = sensor_corruption
         self.signal_loss = signal_loss
-        self._sensor_rng = np.random.default_rng(seed + 11)
-        self._signal_rng = np.random.default_rng(seed + 41)
         self.corruptions: List[FaultEvent] = []
         self.lost_signals: List[FaultEvent] = []
         self._port: Any = None
@@ -171,13 +172,15 @@ class FaultyPort:
         self._tick = reading.tick
         self.inner.on_tick(reading, self)
 
+    def _draw(self, key: str, salt: int) -> float:
+        return _fault_uniform(self.seed, self._tick, key, salt)
+
     def observe(self, reading) -> Observation:
         observation = self._port.observe(reading)
         rows = observation.rows
         corrupted = observation
-        rng = self._sensor_rng
-        if rows and rng.uniform() < self.sensor_corruption:
-            kind = str(rng.choice(self.KINDS))
+        if rows and self._draw("sensor", 7) < self.sensor_corruption:
+            kind = self.KINDS[int(self._draw("sensor", 8) * len(self.KINDS))]
             if kind == "freeze" and self._previous is not None:
                 previous = self._previous
                 corrupted = observation._replace(
@@ -188,8 +191,9 @@ class FaultyPort:
                 )
                 self._record(self.corruptions, "sensor-freeze", "*")
             elif kind != "freeze":
-                name = str(rng.choice(sorted(row.name for row in rows)))
-                index = METRICS.index(str(rng.choice(METRICS)))
+                names = sorted(row.name for row in rows)
+                name = names[int(self._draw("sensor", 9) * len(names))]
+                index = int(self._draw("sensor", 10) * len(METRICS))
                 corrupted = observation._replace(
                     rows=tuple(
                         row._replace(usage=_corrupt(row.usage, index, kind))
@@ -209,7 +213,7 @@ class FaultyPort:
         return self._delivered("resume", name) and self._port.resume(name)
 
     def _delivered(self, verb: str, name: str) -> bool:
-        if self._signal_rng.uniform() < self.signal_loss:
+        if self._draw(f"{verb}|{name}", 11) < self.signal_loss:
             self._record(self.lost_signals, f"lost-{verb}", name)
             return False
         return True
@@ -238,7 +242,8 @@ class QosDropout:
     Wraps ``app.qos_report`` so that with a seeded per-call probability
     the report is swallowed (``None``), as if the application wedged or
     the reporting IPC broke. The silence the degraded-mode machine must
-    detect.
+    detect. The report does not carry its tick, so the draw is keyed
+    ``"qos"`` (salt 19) on the wrapper's own call count.
     """
 
     def __init__(self, app, probability: float = 0.0, seed: int = 0) -> None:
@@ -246,18 +251,19 @@ class QosDropout:
             raise ValueError("probability must be in [0, 1]")
         self.app = app
         self.probability = probability
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self.dropped_reports = 0
+        self._calls = 0
         self._original_report = app.qos_report
         self._removed = False
         app.qos_report = self._guarded_report  # type: ignore[method-assign]
 
     def _guarded_report(self):
         report = self._original_report()
+        self._calls += 1
         if (
             report is not None
-            and self.probability > 0
-            and self.rng.uniform() < self.probability
+            and _fault_uniform(self.seed, self._calls, "qos", 19) < self.probability
         ):
             self.dropped_reports += 1
             return None
@@ -272,12 +278,14 @@ class QosDropout:
 
 
 class ContainerFlapper:
-    """Randomly pause/resume/kill/restart containers behind the
-    controller's back.
+    """Randomly pause/resume/restart containers behind the controller's
+    back.
 
     The crash-looping supervisor and trigger-happy operator rolled into
     one middleware: each tick, each target container flips state with
-    the configured probabilities. All faults are recorded.
+    the configured probabilities. All faults are recorded. Both draws
+    are keyed on the container's name (restart salt 13, flap salt 14),
+    so they do not depend on what any other container did.
 
     Parameters
     ----------
@@ -285,8 +293,6 @@ class ContainerFlapper:
         Container names to harass.
     flap_probability:
         Per-tick chance to toggle pause/resume on a target.
-    kill_probability:
-        Per-tick chance to stop a running target outright.
     restart_probability:
         Per-tick chance to supervisor-restart a stopped/paused target.
     """
@@ -296,20 +302,17 @@ class ContainerFlapper:
         targets: Sequence[str],
         seed: int = 0,
         flap_probability: float = 0.02,
-        kill_probability: float = 0.0,
         restart_probability: float = 0.0,
     ) -> None:
         for name, p in (
             ("flap_probability", flap_probability),
-            ("kill_probability", kill_probability),
             ("restart_probability", restart_probability),
         ):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         self.targets = list(targets)
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self.flap_probability = flap_probability
-        self.kill_probability = kill_probability
         self.restart_probability = restart_probability
         self.fired: List[FaultEvent] = []
 
@@ -317,28 +320,25 @@ class ContainerFlapper:
         self.fired.append(FaultEvent(tick=tick, kind=kind, target=target))
 
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
+        tick = snapshot.tick
         for name in self.targets:
             if name not in host.containers:
                 continue
             container = host.container(name)
-            if container.is_running and self.rng.uniform() < self.kill_probability:
-                container.stop()
-                self._record(snapshot.tick, "kill", name)
-                continue
             if (
                 not container.is_running
-                and self.rng.uniform() < self.restart_probability
+                and _fault_uniform(self.seed, tick, name, 13) < self.restart_probability
             ):
                 container.restart()
-                self._record(snapshot.tick, "restart", name)
+                self._record(tick, "restart", name)
                 continue
-            if self.rng.uniform() < self.flap_probability:
+            if _fault_uniform(self.seed, tick, name, 14) < self.flap_probability:
                 if container.is_running:
                     container.pause()
-                    self._record(snapshot.tick, "pause", name)
+                    self._record(tick, "pause", name)
                 elif container.is_paused:
                     container.resume()
-                    self._record(snapshot.tick, "resume", name)
+                    self._record(tick, "resume", name)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +366,7 @@ class StageExceptionInjector:
     ``_stage_map``, ``_stage_predict``, ``_stage_act``) so they raise
     :class:`InjectedStageError` at scripted ticks, during scripted
     windows, or with a per-period probability. The probabilistic
-    decision is a pure function of ``(seed, tick, stage)`` — the fault
-    script is identical across policy variants regardless of how each
-    run's control flow diverges after the first fault.
+    decision is keyed on the stage's name (salt 15).
 
     Use :meth:`install` / :meth:`remove` around the run.
     """
@@ -418,12 +416,10 @@ class StageExceptionInjector:
         for start, end, name in self._windows:
             if name == stage and start <= tick < end:
                 return True
-        if self.probability > 0 and stage in self.stages:
-            rng = np.random.default_rng(
-                [self.seed, tick, self.STAGES.index(stage)]
-            )
-            return bool(rng.uniform() < self.probability)
-        return False
+        return (
+            stage in self.stages
+            and _fault_uniform(self.seed, tick, stage, 15) < self.probability
+        )
 
     def _wrap(self, stage: str, original):
         def faulty(tick, *args, **kwargs):
@@ -465,9 +461,12 @@ class ModelPoisoner:
     beta. Nothing raises — the damage only shows when the model is next
     used, exactly like real silent corruption.
 
-    Registered as a middleware *after* the controller; poisons with a
-    per-period probability that is a pure function of ``(seed, tick)``,
-    so fault scripts are identical across policy variants.
+    Registered as a middleware *after* the controller; each period's
+    draws are keyed ``"model"`` (salt 16 fires, 17 picks the kind, 18
+    the row), so fault scripts are identical across policy variants.
+    An event's target names what was hit: ``coords[i]``,
+    ``representatives[i]``, ``radii[i]``, ``histogram[mode]`` or
+    ``beta``.
 
     Parameters
     ----------
@@ -509,159 +508,59 @@ class ModelPoisoner:
 
     def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
         tick = snapshot.tick
-        rng = np.random.default_rng([self.seed, tick])
-        if rng.uniform() >= self.probability:
+        if _fault_uniform(self.seed, tick, "model", 16) >= self.probability:
             return
-        kind = str(rng.choice(self.kinds))
-        if self._poison(kind, rng):
-            self.fired.append(
-                FaultEvent(tick=tick, kind=f"poison-{kind}", target="model")
-            )
+        kind = self.kinds[int(_fault_uniform(self.seed, tick, "model", 17) * len(self.kinds))]
+        target = self._poison(kind, _fault_uniform(self.seed, tick, "model", 18))
+        if target is not None:
+            self.fired.append(FaultEvent(tick=tick, kind=f"poison-{kind}", target=target))
 
-    def _poison(self, kind: str, rng: np.random.Generator) -> bool:
-        """Apply one poison; returns False when there is nothing to hit."""
+    def _poison(self, kind: str, u: float) -> Optional[str]:
+        """Apply one poison, ``u`` picking the row; returns what was hit,
+        or None when there is nothing to hit."""
         controller = self.controller
         space = controller.state_space
         if kind in ("nan-coords", "garbage-coords"):
             n = int(space.coords.shape[0])
             if n == 0:
-                return False
-            index = int(rng.integers(n))
-            value = float("nan") if kind == "nan-coords" else 1e9
-            space.coords[index] = value
-            return True
+                return None
+            index = int(u * n)
+            space.coords[index] = float("nan") if kind == "nan-coords" else 1e9
+            return f"coords[{index}]"
         if kind == "nan-representative":
             points = space.representatives._points
             if not points:
-                return False
-            index = int(rng.integers(len(points)))
+                return None
+            index = int(u * len(points))
             points[index] = points[index].copy()
             points[index][0] = float("nan")
             # Poison the backing store *and* drop the matrix cache so
             # the damage is visible immediately, as a real in-place
             # corruption of the live arrays would be.
             space.representatives._matrix = None
-            return True
+            return f"representatives[{index}]"
         if kind == "negative-radius":
             geometry = space._geometry
             if geometry is None or geometry.radii.size == 0:
-                return False
-            index = int(rng.integers(geometry.radii.size))
+                return None
+            index = int(u * geometry.radii.size)
             geometry.radii[index] = -abs(float(geometry.radii[index])) - 1.0
-            return True
+            return f"radii[{index}]"
         if kind == "nan-histogram":
-            models = [
-                model
-                for model in controller.predictor.modes.models.values()
+            modes = [
+                (mode, model)
+                for mode, model in controller.predictor.modes.models.items()
                 if len(model.distances.samples)
             ]
-            if not models:
-                return False
-            model = models[int(rng.integers(len(models)))]
+            if not modes:
+                return None
+            mode, model = modes[int(u * len(modes))]
             model.distances.add(float("nan"))
-            return True
+            return f"histogram[{mode.value}]"
         if kind == "nan-beta":
             controller.throttle.beta = float("nan")
-            return True
+            return "beta"
         raise AssertionError(kind)
-
-
-# ---------------------------------------------------------------------------
-# Invariant checking
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InvariantBreach:
-    """One recorded consistency violation."""
-
-    tick: int
-    check: str
-    detail: str
-
-
-class InvariantChecker:
-    """Assert per-tick controller/host consistency; record breaches.
-
-    Registered *after* the controller, it verifies every period that:
-
-    * throttle bookkeeping matches container states — every container
-      the manager believes paused is actually not running (or has a
-      reconciliation retry in flight), and a non-throttling manager
-      holds no pause-set;
-    * no non-finite mapped coordinates entered the trajectory;
-    * the learned beta stays finite and positive;
-    * headline counters never decrease.
-
-    Breaches are recorded, not raised — under chaos the run must keep
-    going so the full breach census is available at the end.
-    """
-
-    def __init__(self, controller) -> None:
-        self.controller = controller
-        self.breaches: List[InvariantBreach] = []
-        self._last_counters: Dict[str, float] = {}
-
-    def _breach(self, tick: int, check: str, detail: str) -> None:
-        self.breaches.append(InvariantBreach(tick=tick, check=check, detail=detail))
-
-    def on_tick(self, snapshot: HostSnapshot, host: Host) -> None:
-        controller = self.controller
-        tick = snapshot.tick
-        throttle = controller.throttle
-
-        # 1. Throttle bookkeeping vs container states.
-        pending = set(getattr(throttle, "pending_retries", {}))
-        for name in throttle.desired_paused:
-            container = host.containers.get(name)
-            if container is None:
-                self._breach(
-                    tick, "pause-set", f"{name!r} in pause-set but not on host"
-                )
-            elif container.is_running and name not in pending:
-                self._breach(
-                    tick,
-                    "pause-set",
-                    f"{name!r} running while believed paused (no retry pending)",
-                )
-        if not throttle.throttling and throttle.desired_paused:
-            self._breach(
-                tick, "pause-set", "pause-set nonempty while not throttling"
-            )
-
-        # 2. Mapped coordinates stay finite.
-        if controller.trajectory:
-            coords = controller.trajectory[-1].coords
-            if not np.all(np.isfinite(coords)):
-                self._breach(tick, "coords", f"non-finite mapped coords {coords}")
-
-        # 3. Beta sane.
-        beta = throttle.beta
-        if not np.isfinite(beta) or beta <= 0:
-            self._breach(tick, "beta", f"beta degenerated to {beta}")
-
-        # 4. Monotone counters.
-        counters = {
-            "throttles": throttle.throttle_count,
-            "resumes": throttle.resume_count,
-            "violations": controller.qos.violation_count,
-        }
-        for key, value in counters.items():
-            previous = self._last_counters.get(key)
-            if previous is not None and value < previous:
-                self._breach(tick, "counters", f"{key} decreased {previous}->{value}")
-        self._last_counters = counters
-
-    @property
-    def ok(self) -> bool:
-        """True when no breach was recorded."""
-        return not self.breaches
-
-    def summary(self) -> dict:
-        """Breach counts per check."""
-        counts: Dict[str, int] = {}
-        for breach in self.breaches:
-            counts[breach.check] = counts.get(breach.check, 0) + 1
-        return {"breaches": len(self.breaches), "by_check": counts}
 
 
 # ---------------------------------------------------------------------------

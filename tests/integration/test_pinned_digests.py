@@ -282,7 +282,7 @@ def test_simulator_digest():
     assert digest.hexdigest() == SIM_DIGEST
 
 
-DRILL_DIGEST = "b80e1c8c306f6d3e8d3937d69eee1ca17eff21ef10b32441fe936a90ec9b52e1"
+DRILL_DIGEST = "cb4dc74ed36feaaf64477250e5836c6a2cafed2676ce629010ab0773c1ad88d6"
 
 
 def _file_and_function(trace: str) -> str:
@@ -310,8 +310,12 @@ def test_drill_digest():
     scenario = Scenario(
         sensitive="vlc-streaming", batches=("cpubomb",), ticks=300, seed=1
     )
+    # Environment chaos runs bench_robustness_chaos's own cell: at 300
+    # ticks the sign of its improvement is seed noise either way.
     chaos = run_chaos_comparison(
-        scenario, mix=ChaosMix(seed=2, spike_windows=((120, 150),)), config=config
+        Scenario(sensitive="vlc-streaming", batches=("cpubomb",), ticks=1200, seed=1),
+        mix=ChaosMix(seed=5, spike_windows=((500, 560), (900, 960))),
+        config=config,
     ).summary()
     recovery = run_recovery_comparison(
         scenario,

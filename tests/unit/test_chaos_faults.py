@@ -3,6 +3,7 @@
 import ast
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,25 +176,79 @@ class TestContainerFlapper:
         assert "pause" in kinds
         assert "resume" in kinds
 
-    def test_kill_and_restart_cycle(self):
+    def test_flap_then_restart_cycle(self):
         host, _ = simple_host()
         flapper = ContainerFlapper(
-            ["job"],
-            seed=2,
-            flap_probability=0.0,
-            kill_probability=0.3,
-            restart_probability=0.5,
+            ["job"], seed=2, flap_probability=0.3, restart_probability=0.5
         )
         SimulationEngine(host, [flapper]).run(ticks=40)
         kinds = [event.kind for event in flapper.fired]
-        assert "kill" in kinds
+        assert "pause" in kinds
         assert "restart" in kinds
+        # Only a flap stops the job, so each restart revives a paused one.
+        assert all(kinds[i - 1] == "pause" for i, kind in enumerate(kinds) if kind == "restart")
 
     def test_missing_target_ignored(self):
         host, _ = simple_host()
         flapper = ContainerFlapper(["ghost"], seed=2, flap_probability=1.0)
         SimulationEngine(host, [flapper]).run(ticks=5)  # must not raise
         assert flapper.fired == []
+
+
+class TestOneFaultScript:
+    """Two arms with one seed see one fault script: a decision depends on
+    what is decided and when, never on the calls made before it."""
+
+    class Signaller:
+        """Sends the signals ``plan(tick)`` names through its port."""
+
+        def __init__(self, plan):
+            self.plan = plan
+            self.answers = {}
+
+        def on_tick(self, reading, port):
+            for verb, name in self.plan(reading.tick):
+                self.answers[(reading.tick, verb, name)] = getattr(port, verb)(name)
+
+    def test_ports_agree_on_every_signal_both_send(self):
+        actuator = SimpleNamespace(pause=lambda name: True, resume=lambda name: True)
+        signals = [("pause", "a"), ("resume", "b"), ("pause", "c")]
+        busy = self.Signaller(lambda tick: signals[: 1 + tick % 3])
+        sparse = self.Signaller(
+            lambda tick: [("pause", "c"), ("resume", "b")] if tick % 2 else [("pause", "a")]
+        )
+        for inner in (busy, sparse):
+            port = FaultyPort(inner, seed=5, sensor_corruption=0.0, signal_loss=0.5)
+            for tick in range(200):
+                port.on_tick(SimpleNamespace(tick=tick), actuator)
+        shared = busy.answers.keys() & sparse.answers.keys()
+        assert len(shared) > 100
+        assert {busy.answers[key] for key in shared} == {True, False}
+        assert all(busy.answers[key] == sparse.answers[key] for key in shared)
+
+    def test_flappers_agree_on_a_container_whatever_the_others_do(self):
+        runs = []
+        for stop_first in (False, True):
+            host = Host()
+            for name in ("a", "b"):
+                app = ConstantApp(name=name, demand_vector=ResourceVector(cpu=1.0))
+                host.add_container(Container(name=name, app=app))
+            host.step()
+            if stop_first:
+                host.container("a").stop()
+            flapper = ContainerFlapper(
+                ["a", "b"], seed=4, flap_probability=0.2, restart_probability=0.2
+            )
+            SimulationEngine(host, [flapper]).run(ticks=200)
+            runs.append(flapper.fired)
+        first, second = (
+            [(e.tick, e.kind) for e in fired if e.target == "b"] for fired in runs
+        )
+        assert len(first) > 10 and first == second
+        # The two hosts' "a" did differ.
+        assert [e for e in runs[0] if e.target == "a"] != [
+            e for e in runs[1] if e.target == "a"
+        ]
 
 
 class TestStageExceptionInjector:
@@ -242,3 +297,17 @@ def test_method_rebinding_stays_in_demand_spiker_and_qos_dropout():
             )
             found[owner] = found.get(owner, 0) + 1
     assert found == REBINDING_CLASSES
+
+
+def test_fault_draws_hold_no_rng_state():
+    """Every chaos decision in ``sim/faults.py`` is one keyed
+    ``_fault_uniform`` draw: the module imports no RNG and builds none."""
+    text = (SRC / "repro" / "sim" / "faults.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"numpy", "random"}
+    assert "default_rng" not in text

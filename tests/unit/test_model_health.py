@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -312,13 +314,20 @@ class TestStressMemo:
         assert controller.state_space.stress() > STRESS_DIVERGENCE
 
 
+#: Stands for the state row a poisoner event names (``coords[26]``).
+HIT = object()
+
+
 def _poison(kind, controller, host):
-    """A named write into live learned state, as ``ModelPoisoner`` makes them."""
+    """A named write into live learned state, as ``ModelPoisoner`` makes
+    them; returns the row index a poisoner event names, else None."""
     space = controller.state_space
     if kind in ModelPoisoner.KINDS:
         poisoner = ModelPoisoner(controller, seed=1, probability=1.0, kinds=[kind])
         poisoner.on_tick(host.step(), host)
         assert [event.kind for event in poisoner.fired] == [f"poison-{kind}"]
+        row = re.fullmatch(r"\w+\[(\d+)\]", poisoner.fired[0].target)
+        return None if row is None else int(row.group(1))
     elif kind == "inf-scale":
         object.__setattr__(space._geometry, "scale", float("inf"))
     elif kind == "nan-centre":
@@ -338,13 +347,14 @@ class TestVerdictTable:
     of the PR that moved the checks from NumPy reductions to floats, and
     required unchanged: same ``HealthIssue.check``, same ``bad_states``
     / ``bad_modes``, same heal action, except that the two
-    ``histograms`` rows expect the in-place mode reset."""
+    ``histograms`` rows expect the in-place mode reset. ``HIT`` is the
+    row the poisoner's event names, wherever its draw landed."""
 
     TABLE = [
         # kind, check, bad_states, bad_modes, actions
-        ("nan-coords", "finite-rows", [23], [], ["quarantine"]),
-        ("garbage-coords", "finite-rows", [23], [], ["quarantine"]),
-        ("nan-representative", "finite-rows", [23], [], ["quarantine"]),
+        ("nan-coords", "finite-rows", HIT, [], ["quarantine"]),
+        ("garbage-coords", "finite-rows", HIT, [], ["quarantine"]),
+        ("nan-representative", "finite-rows", HIT, [], ["quarantine"]),
         ("negative-radius", "geometry", [], [], ["geometry-rebuild"]),
         ("nan-histogram", "histograms", [], ["sensitive-only"], ["mode-reset"]),
         ("nan-beta", "beta", [], [], ["beta-reset"]),
@@ -363,10 +373,10 @@ class TestVerdictTable:
         watchdog = fresh_watchdog(controller)
         assert controller.state_space.geometry().radii.size
         assert watchdog.inspect(150, controller).ok
-        _poison(kind, controller, host)
+        row = _poison(kind, controller, host)
         report = watchdog.inspect(151, controller)
         assert [issue.check for issue in report.issues] == [check]
-        assert report.bad_states == bad_states
+        assert report.bad_states == ([row] if bad_states is HIT else bad_states)
         assert [mode.value for mode in report.bad_modes] == bad_modes
         assert watchdog.heal(151, controller, report) == actions
         assert watchdog.inspect(152, controller).ok
@@ -406,7 +416,7 @@ class TestHealInvalidatesThePendingForecast:
         ).build()
         controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=seed))
         breach = _StructuralBreach(controller, self.BREACHES)
-        poisoner = ModelPoisoner(controller, seed=1, probability=0.05)
+        poisoner = ModelPoisoner(controller, seed=1, probability=0.06)
         healed = {}
         heal = controller.watchdog.heal
 
