@@ -102,15 +102,16 @@ class StayAway:
         sensitive tenants; see :mod:`repro.core.priorities`).
     violation_detector:
         Optional replacement for the application-reported QoS channel —
-        any QosTracker-compatible object, e.g.
+        a :class:`~repro.monitoring.qos.QosChannel`, e.g.
         :class:`~repro.monitoring.ipc.IpcViolationDetector` for the
         §3.1 counter-based alternative that needs no application
         cooperation.
     telemetry:
         Optional pre-built :class:`~repro.telemetry.Telemetry`; by
         default one is created per controller, enabled according to
-        ``config.telemetry``. All stage timers, period rows and the
-        guard/throttle counters share its registry.
+        ``config.telemetry``. All stage timers and period rows, and
+        every count the controller and its parts report, live in its
+        registry: one registry per controller.
     """
 
     def __init__(
@@ -133,14 +134,15 @@ class StayAway:
             self.state_space = template.build_state_space(
                 radius_law=self.config.radius_law,
                 fixed_radius=self.config.fixed_radius,
+                telemetry=self.telemetry,
             )
         else:
             self.state_space = StateSpace(
                 epsilon=self.config.dedup_epsilon,
                 radius_law=self.config.radius_law,
                 fixed_radius=self.config.fixed_radius,
+                telemetry=self.telemetry,
             )
-        self.state_space.telemetry = self.telemetry
         self.collector = MetricsCollector()
         if violation_detector is not None:
             self.qos = violation_detector
@@ -160,7 +162,9 @@ class StayAway:
         self.guard: Optional[SensorGuard] = None
         self.health: Optional[DegradedModeMachine] = None
         if self.config.resilience:
-            self.health = DegradedModeMachine(self.events)
+            self.health = DegradedModeMachine(
+                self.events, registry=self.telemetry.registry
+            )
         self.watchdog: Optional[ModelHealthWatchdog] = None
         if self.config.containment:
             self.watchdog = ModelHealthWatchdog(
@@ -442,10 +446,7 @@ class StayAway:
         than silent (the application may not have started yet); actual
         silence only begins after the first report.
         """
-        series = getattr(self.qos, "qos_series", None)
-        if series is None:
-            return True
-        count = len(series)
+        count = len(self.qos.qos_series)
         fresh = count > self._qos_reports_seen
         self._qos_reports_seen = count
         return fresh

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.state_space import StateLabel, StateSpace
 from repro.monitoring.normalize import Normalizer
+from repro.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,10 @@ class MappingPipeline:
         Maps raw metric arrays into [0, 1]^d.
     state_space:
         The shared state space (possibly pre-seeded from a template).
+    telemetry:
+        The :class:`~repro.telemetry.Telemetry` whose registry holds the
+        ``mapping.*`` counters; the controller passes its own, a private
+        disabled one by default.
     """
 
     def __init__(
@@ -66,21 +71,21 @@ class MappingPipeline:
         self.normalizer = normalizer
         self.state_space = state_space
         self.history: List[MappedSample] = []
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._c_samples = telemetry.counter(
-                "mapping.samples", help="measurement vectors mapped"
-            )
-            self._c_dedup_hits = telemetry.counter(
-                "mapping.dedup_hits",
-                help="samples merged into an existing representative (§4)",
-            )
-            self._c_new_states = telemetry.counter(
-                "mapping.new_states", help="new representatives opened"
-            )
-            self._g_states = telemetry.gauge(
-                "mapping.states", help="current state-space size"
-            )
+        if telemetry is None:
+            telemetry = Telemetry(enabled=False)
+        self._c_samples = telemetry.counter(
+            "mapping.samples", help="measurement vectors mapped"
+        )
+        self._c_dedup_hits = telemetry.counter(
+            "mapping.dedup_hits",
+            help="samples merged into an existing representative (§4)",
+        )
+        self._c_new_states = telemetry.counter(
+            "mapping.new_states", help="new representatives opened"
+        )
+        self._g_states = telemetry.gauge(
+            "mapping.states", help="current state-space size"
+        )
 
     def map_measurement(
         self, tick: int, values: np.ndarray, violated: bool
@@ -101,25 +106,23 @@ class MappingPipeline:
             refitted=refitted,
         )
         self.history.append(sample)
-        if self.telemetry is not None:
-            self._c_samples.inc()
-            if is_new:
-                self._c_new_states.inc()
-            else:
-                self._c_dedup_hits.inc()
-            self._g_states.set(len(self.state_space))
+        self._c_samples.inc()
+        if is_new:
+            self._c_new_states.inc()
+        else:
+            self._c_dedup_hits.inc()
+        self._g_states.set(len(self.state_space))
         return sample
 
     def dedup_hit_rate(self) -> float:
         """Fraction of mapped samples absorbed by an existing state.
 
         The §4 optimization in one number: how much of the stream the
-        representative-sample reduction kept out of the SMACOF matrix.
+        representative-sample reduction kept out of the SMACOF matrix:
+        ``mapping.dedup_hits / mapping.samples``.
         """
-        if not self.history:
-            return 0.0
-        hits = sum(1 for sample in self.history if not sample.is_new_state)
-        return hits / len(self.history)
+        samples = self._c_samples.value
+        return self._c_dedup_hits.value / samples if samples else 0.0
 
     @property
     def latest(self) -> Optional[MappedSample]:

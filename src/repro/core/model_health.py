@@ -30,8 +30,10 @@ component; the reproduction does the same:
      every row is bad resets every mode and clears the map.
 
 Nothing is kept to roll back to. Quarantines and resets are recorded in
-the :class:`~repro.core.events.EventLog` and counted in the telemetry
-registry (surfaced under ``summary()["telemetry"]["containment"]``).
+the :class:`~repro.core.events.EventLog`. Every count
+:meth:`ModelHealthWatchdog.summary` reports is one ``containment.*``
+counter in the controller's registry, so the exposition and
+``summary()["telemetry"]["containment"]["watchdog"]`` agree.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
 from repro.core.state_space import StateSpace
+from repro.telemetry import Telemetry
 from repro.trajectory.modes import ExecutionMode
 
 if TYPE_CHECKING:
@@ -123,8 +126,9 @@ class ModelHealthWatchdog:
     events:
         Event log receiving quarantine and reset records.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` for the
-        ``containment.*`` counters.
+        The :class:`~repro.telemetry.Telemetry` whose registry holds the
+        ``containment.*`` counters; the controller passes its own, a
+        private disabled one by default.
     """
 
     def __init__(
@@ -132,42 +136,36 @@ class ModelHealthWatchdog:
     ) -> None:
         self.config = config
         self.events = events
-        self.checks = 0
-        self.violations = 0
-        self.quarantines = 0
-        self.quarantined_states = 0
-        self.mode_resets = 0
-        self.geometry_repairs = 0
-        self.resets = 0
-        self.beta_resets = 0
         #: The last ``(coords bytes, representative-matrix bytes)``
         #: whose every row passed :func:`_bad_rows`, and the stress of
         #: that content once computed — see :meth:`_stress`.
         self._clean: Tuple[Tuple[bytes, bytes], Optional[float]] = ((b"", b""), None)
-        self._counters = None
-        if telemetry is not None:
-            self._counters = {
-                name: telemetry.counter(f"containment.{name}", help=help_text)
-                for name, help_text in (
-                    ("watchdog_checks", "model-health inspections run"),
-                    ("watchdog_violations", "inspections that found a breach"),
-                    ("quarantines", "poisoned representatives quarantined"),
-                    ("geometry_repairs", "poisoned geometry caches rebuilt"),
-                    ("model_resets", "hard resets of the learned state"),
-                )
-            }
+        if telemetry is None:
+            telemetry = Telemetry(enabled=False)
+        #: Each :meth:`summary` key and the counter that holds it.
+        self._counters = {
+            key: telemetry.counter(f"containment.{name}", help=help_text)
+            for key, name, help_text in (
+                ("checks", "watchdog_checks", "model-health inspections run"),
+                ("violations", "watchdog_violations", "inspections that found a breach"),
+                ("quarantines", "quarantines", "quarantine heals"),
+                ("quarantined_states", "quarantined_states", "poisoned states quarantined"),
+                ("mode_resets", "mode_resets", "heals that reset trajectory mode models"),
+                ("geometry_repairs", "geometry_repairs", "poisoned geometry caches rebuilt"),
+                ("resets", "model_resets", "hard resets of the learned state"),
+                ("beta_resets", "beta_resets", "degenerate betas reset"),
+            )
+        }
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self._counters is not None:
-            self._counters[name].inc(amount)
+    def _count(self, key: str, amount: int = 1) -> None:
+        self._counters[key].inc(amount)
 
     # -- inspection --------------------------------------------------------
     def inspect(self, tick: int, controller: "StayAway") -> HealthReport:
         """Check every learned-state invariant; never raises."""
         report = HealthReport(tick=tick)
         space = controller.state_space
-        self.checks += 1
-        self._count("watchdog_checks")
+        self._count("checks")
 
         # 1. Structural consistency: labels, coords and representatives
         #    must stay index-aligned.
@@ -258,8 +256,7 @@ class ModelHealthWatchdog:
                 )
 
         if report.issues:
-            self.violations += 1
-            self._count("watchdog_violations")
+            self._count("violations")
         return report
 
     def _stress(self, space: StateSpace) -> float:
@@ -295,14 +292,13 @@ class ModelHealthWatchdog:
 
         if report.beta_bad:
             controller.throttle.beta = self.config.beta_initial
-            self.beta_resets += 1
+            self._count("beta_resets")
             actions.append("beta-reset")
 
         if report.cache_poisoned:
             # Underlying rows are clean — drop the cache and let the
             # next vote rebuild from truth.
             space.invalidate_geometry()
-            self.geometry_repairs += 1
             self._count("geometry_repairs")
             actions.append("geometry-rebuild")
 
@@ -318,9 +314,8 @@ class ModelHealthWatchdog:
 
         if report.bad_states:
             removed = space.quarantine(report.bad_states)
-            self.quarantines += 1
-            self.quarantined_states += removed
-            self._count("quarantines", removed)
+            self._count("quarantines")
+            self._count("quarantined_states", removed)
             self.events.record(
                 tick,
                 EventKind.MODEL_QUARANTINE,
@@ -331,7 +326,7 @@ class ModelHealthWatchdog:
 
         if report.bad_modes:
             self._reset_modes(tick, controller, report.bad_modes)
-            self.mode_resets += 1
+            self._count("mode_resets")
             actions.append("mode-reset")
         return actions
 
@@ -363,15 +358,8 @@ class ModelHealthWatchdog:
             controller.predictor.modes.models,
             states=len(space.representatives),
         )
-        space.representatives._points = []
-        space.representatives._counts = []
-        space.representatives.invalidate_index()
-        space.coords = np.empty((0, 2))
-        space.labels = []
-        space._new_since_refit = 0
-        space.invalidate_geometry()
-        self.resets += 1
-        self._count("model_resets")
+        space.clear()
+        self._count("resets")
 
     # -- the per-period entry point ----------------------------------------
     def check_and_heal(self, tick: int, controller: "StayAway") -> List[str]:
@@ -382,17 +370,8 @@ class ModelHealthWatchdog:
         return self.heal(tick, controller, report)
 
     def summary(self) -> dict:
-        """Counters for reports and tests."""
-        return {
-            "checks": self.checks,
-            "violations": self.violations,
-            "quarantines": self.quarantines,
-            "quarantined_states": self.quarantined_states,
-            "mode_resets": self.mode_resets,
-            "geometry_repairs": self.geometry_repairs,
-            "resets": self.resets,
-            "beta_resets": self.beta_resets,
-        }
+        """The ``containment.*`` counters, by summary key."""
+        return {key: int(counter.value) for key, counter in self._counters.items()}
 
 
 __all__ = [

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.config import StayAwayConfig
 from repro.core.state_space import StateSpace
+from repro.telemetry import Telemetry
 from repro.trajectory.modes import ExecutionMode, ModeModelBank
 
 #: Steps a mode's trajectory model needs before its pdfs count as a
@@ -92,41 +93,39 @@ class Predictor:
     config:
         Tunables; ``config.seed`` seeds the candidate-sampling RNG.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` recording forecast
-        counters (``prediction.rounds`` / ``.flags`` / ``.not_ready`` /
-        ``.samples_drawn``) and the ``prediction.votes`` histogram.
+        The :class:`~repro.telemetry.Telemetry` whose registry holds the
+        forecast counters (``prediction.rounds`` / ``.flags`` /
+        ``.not_ready`` / ``.samples_drawn``) and the ``prediction.votes``
+        histogram; the controller passes its own, a private disabled
+        one by default.
     """
 
-    def __init__(
-        self,
-        config: StayAwayConfig,
-        telemetry=None,
-    ):
+    def __init__(self, config: StayAwayConfig, telemetry=None) -> None:
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.modes = ModeModelBank()
         self.accuracy_records: List[AccuracyRecord] = []
         self._pending: Optional[Prediction] = None
         self._pending_invalidated = False
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._c_rounds = telemetry.counter(
-                "prediction.rounds", help="prediction rounds attempted"
-            )
-            self._c_not_ready = telemetry.counter(
-                "prediction.not_ready", help="rounds skipped: model still learning"
-            )
-            self._c_flags = telemetry.counter(
-                "prediction.flags", help="impending-violation majority votes"
-            )
-            self._c_samples = telemetry.counter(
-                "prediction.samples_drawn", help="candidate next-states sampled"
-            )
-            self._h_votes = telemetry.histogram(
-                "prediction.votes",
-                help="violation-range votes per ready round",
-                buckets=tuple(float(v) for v in range(config.n_samples + 1)),
-            )
+        if telemetry is None:
+            telemetry = Telemetry(enabled=False)
+        self._c_rounds = telemetry.counter(
+            "prediction.rounds", help="prediction rounds attempted"
+        )
+        self._c_not_ready = telemetry.counter(
+            "prediction.not_ready", help="rounds skipped: model still learning"
+        )
+        self._c_flags = telemetry.counter(
+            "prediction.flags", help="impending-violation majority votes"
+        )
+        self._c_samples = telemetry.counter(
+            "prediction.samples_drawn", help="candidate next-states sampled"
+        )
+        self._h_votes = telemetry.histogram(
+            "prediction.votes",
+            help="violation-range votes per ready round",
+            buckets=tuple(float(v) for v in range(config.n_samples + 1)),
+        )
 
     def _model_mode(self, mode: ExecutionMode) -> ExecutionMode:
         """Which model bucket a mode maps to.
@@ -190,8 +189,7 @@ class Predictor:
     ) -> Prediction:
         """Forecast the next period's state and vote against violation-ranges."""
         model = self.modes.model(self._model_mode(mode))
-        ready = model.ready(MIN_STEPS_FOR_PREDICTION)
-        if not ready:
+        if not model.ready(MIN_STEPS_FOR_PREDICTION):
             prediction = Prediction(
                 tick=tick,
                 mode=mode,
@@ -200,6 +198,7 @@ class Predictor:
                 ready=False,
                 impending_violation=False,
             )
+            self._c_not_ready.inc()
         else:
             candidates = model.predict_candidates(
                 current, self.rng, self.config.n_samples
@@ -214,15 +213,11 @@ class Predictor:
                 ready=True,
                 impending_violation=impending,
             )
-        if self.telemetry is not None:
-            self._c_rounds.inc()
-            if not ready:
-                self._c_not_ready.inc()
-            else:
-                self._c_samples.inc(len(prediction.candidates))
-                self._h_votes.observe(float(prediction.votes))
-                if prediction.impending_violation:
-                    self._c_flags.inc()
+            self._c_samples.inc(len(candidates))
+            self._h_votes.observe(float(votes))
+            if impending:
+                self._c_flags.inc()
+        self._c_rounds.inc()
         self._pending = prediction
         self._pending_invalidated = False
         return prediction

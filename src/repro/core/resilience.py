@@ -18,7 +18,8 @@ runs a small health state machine:
 Re-entry to PREDICTIVE requires ``RESYNC_PERIODS`` consecutive healthy
 periods — a single good sample after an outage is not resynchronization.
 Every transition is recorded in the :class:`~repro.core.events.EventLog`
-(``DEGRADED_ENTER`` / ``DEGRADED_EXIT``).
+(``DEGRADED_ENTER`` / ``DEGRADED_EXIT``); entries and degraded periods
+are counted in the controller's registry (``health.*``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import enum
 from typing import List, Optional
 
 from repro.core.events import EventKind, EventLog
+from repro.telemetry.registry import MetricRegistry
 
 #: Ticks of monitoring silence (no usable measurement, or no controller
 #: invocation at all) before degrading.
@@ -52,13 +54,25 @@ class DegradedModeMachine:
     ----------
     events:
         Event log receiving transition records.
+    registry:
+        The :class:`~repro.telemetry.registry.MetricRegistry` holding
+        the ``health.degraded_entries`` / ``health.degraded_periods``
+        counters :meth:`summary` reads; the controller passes its own, a
+        private registry by default.
     """
 
-    def __init__(self, events: EventLog) -> None:
+    def __init__(
+        self, events: EventLog, registry: Optional[MetricRegistry] = None
+    ) -> None:
         self.events = events
         self.state = ControllerHealth.PREDICTIVE
-        self.degraded_entries = 0
-        self.degraded_periods = 0
+        metrics = registry if registry is not None else MetricRegistry()
+        self._c_entries = metrics.counter(
+            "health.degraded_entries", help="PREDICTIVE -> DEGRADED transitions"
+        )
+        self._c_periods = metrics.counter(
+            "health.degraded_periods", help="periods spent DEGRADED"
+        )
         self.transitions: List[tuple] = []
         self._last_update_tick: Optional[int] = None
         self._last_good_monitoring_tick: Optional[int] = None
@@ -124,7 +138,7 @@ class DegradedModeMachine:
             if reasons or not monitoring_ok:
                 self._enter_degraded(tick, reasons or ["monitoring-unusable"])
         else:
-            self.degraded_periods += 1
+            self._c_periods.inc()
             if healthy_now:
                 self._healthy_streak += 1
                 if self._healthy_streak >= RESYNC_PERIODS:
@@ -149,8 +163,8 @@ class DegradedModeMachine:
 
     def _enter_degraded(self, tick: int, reasons: List[str]) -> None:
         self.state = ControllerHealth.DEGRADED
-        self.degraded_entries += 1
-        self.degraded_periods += 1
+        self._c_entries.inc()
+        self._c_periods.inc()
         self._healthy_streak = 0
         self.transitions.append((tick, ControllerHealth.DEGRADED, tuple(reasons)))
         self.events.record(tick, EventKind.DEGRADED_ENTER, reasons=list(reasons))
@@ -170,9 +184,9 @@ class DegradedModeMachine:
         return self.state is ControllerHealth.PREDICTIVE
 
     def summary(self) -> dict:
-        """Counters for reports and tests."""
+        """The state and the ``health.*`` counters."""
         return {
             "state": self.state.value,
-            "degraded_entries": self.degraded_entries,
-            "degraded_periods": self.degraded_periods,
+            "degraded_entries": int(self._c_entries.value),
+            "degraded_periods": int(self._c_periods.value),
         }

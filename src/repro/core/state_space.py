@@ -31,6 +31,7 @@ from repro.mds.distances import pairwise_distances
 from repro.mds.incremental import place_point, procrustes_align
 from repro.mds.smacof import smacof
 from repro.mds.stress import normalized_stress
+from repro.telemetry import Telemetry
 
 #: A point exactly on a violation-state's center counts as inside its
 #: range even when the computed radius is 0 (a revisited violation
@@ -144,6 +145,11 @@ class StateSpace:
         Dedup merge radius in the normalized high-dimensional space.
     refit_interval:
         Full SMACOF refit after this many new representatives.
+    telemetry:
+        The :class:`~repro.telemetry.Telemetry` whose registry holds
+        this space's counts (refits, the last SMACOF solve and the
+        geometry cache) and whose stages time refits and rebuilds. The
+        controller passes its own; a private disabled one by default.
     """
 
     def __init__(
@@ -152,6 +158,7 @@ class StateSpace:
         refit_interval: int = 40,
         radius_law: str = "rayleigh",
         fixed_radius: float = 0.05,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         if radius_law not in ("rayleigh", "fixed"):
             raise ValueError(
@@ -163,38 +170,39 @@ class StateSpace:
         self.refit_interval = refit_interval
         self.radius_law = radius_law
         self.fixed_radius = fixed_radius
-        self.refit_count = 0
         self._new_since_refit = 0
-        self.telemetry = None
         self._geometry: Optional[ViolationGeometry] = None
-        self._geometry_hits = 0
-        self._geometry_rebuilds = 0
-        self._geometry_invalidations = 0
+        self.telemetry = telemetry if telemetry is not None else Telemetry(enabled=False)
+        self._c_refits = self.telemetry.counter("mapping.refits", help="full SMACOF refits")
+        self._g_refit_states = self.telemetry.gauge(
+            "mapping.refit_states", help="state-space size at the last refit"
+        )
+        self._c_smacof_converged = self.telemetry.counter(
+            "smacof.converged", help="solves that met the tolerance"
+        )
+        self._h_smacof_iterations = self.telemetry.histogram(
+            "smacof.iterations",
+            help="Guttman iterations per solve",
+            buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0),
+        )
+        self._g_smacof_stress = self.telemetry.gauge(
+            "smacof.last_stress", help="raw stress of the last solve"
+        )
+        self._c_geometry_hits = self.telemetry.counter(
+            "geometry.cache_hits", help="violation-geometry lookups served from cache"
+        )
+        self._c_geometry_rebuilds = self.telemetry.counter(
+            "geometry.rebuilds", help="violation-geometry cache rebuilds"
+        )
+        self._c_geometry_invalidations = self.telemetry.counter(
+            "geometry.invalidations",
+            help="violation-geometry cache drops (mutation events)",
+        )
 
     @property
-    def telemetry(self):
-        """Optional :class:`~repro.telemetry.Telemetry`.
-
-        When set (the controller attaches its own), refits and geometry
-        rebuilds are timed and the geometry cache counters recorded.
-        """
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, telemetry) -> None:
-        self._telemetry = telemetry
-        if telemetry is not None:
-            self._c_geometry_hits = telemetry.counter(
-                "geometry.cache_hits",
-                help="violation-geometry lookups served from cache",
-            )
-            self._c_geometry_rebuilds = telemetry.counter(
-                "geometry.rebuilds", help="violation-geometry cache rebuilds"
-            )
-            self._c_geometry_invalidations = telemetry.counter(
-                "geometry.invalidations",
-                help="violation-geometry cache drops (mutation events)",
-            )
+    def refit_count(self) -> int:
+        """Full SMACOF refits so far (the ``mapping.refits`` counter)."""
+        return int(self._c_refits.value)
 
     # -- introspection ---------------------------------------------------
     def __len__(self) -> int:
@@ -272,39 +280,33 @@ class StateSpace:
     def refit(self) -> float:
         """Full SMACOF refit, Procrustes-aligned to the previous map.
 
-        Returns the normalized stress of the refit embedding. When a
-        telemetry object is attached the refit is timed into the
-        ``mapping.refit_seconds`` histogram (and the period's row) and
-        the state-space size at refit time is recorded.
+        Returns the normalized stress of the refit embedding. The refit
+        is timed into the ``mapping.refit_seconds`` histogram (and the
+        period's row); the refit count, the state-space size at refit
+        time and the solve's convergence, iterations and raw stress are
+        recorded.
         """
         n = len(self)
         if n < 3:
             self._new_since_refit = 0
             return 0.0
-        if self.telemetry is not None:
-            with self.telemetry.stage("mapping.refit"):
-                stress = self._refit_inner(n)
-            self.telemetry.gauge(
-                "mapping.refit_states", help="state-space size at the last refit"
-            ).set(n)
-            return stress
-        return self._refit_inner(n)
-
-    def _refit_inner(self, n: int) -> float:
-        target = pairwise_distances(self.representatives.points)
-        result = smacof(
-            target,
-            n_components=2,
-            init=self.coords,
-            max_iter=REFIT_MAX_ITER,
-            telemetry=self.telemetry,
-        )
-        aligned, _, _ = procrustes_align(self.coords, result.embedding)
-        self.coords = aligned
-        self.refit_count += 1
-        self._new_since_refit = 0
-        self.invalidate_geometry()
-        return normalized_stress(self.coords, target)
+        with self.telemetry.stage("mapping.refit"):
+            target = pairwise_distances(self.representatives.points)
+            result = smacof(
+                target, n_components=2, init=self.coords, max_iter=REFIT_MAX_ITER
+            )
+            aligned, _, _ = procrustes_align(self.coords, result.embedding)
+            self.coords = aligned
+            self._new_since_refit = 0
+            self.invalidate_geometry()
+            stress = normalized_stress(self.coords, target)
+        self._c_refits.inc()
+        self._g_refit_states.set(n)
+        if result.converged:
+            self._c_smacof_converged.inc()
+        self._h_smacof_iterations.observe(float(result.iterations))
+        self._g_smacof_stress.set(float(result.stress))
+        return stress
 
     def stress(self) -> float:
         """Current normalized stress of the map (0 for tiny maps)."""
@@ -325,41 +327,32 @@ class StateSpace:
           therefore every radius may change;
         * a sticky relabel to VIOLATION (:meth:`add_sample` observing a
           violation on a previously safe state);
-        * a SMACOF refit (:meth:`refit`) or a watchdog hard reset /
-          template load rewriting ``coords`` wholesale.
+        * a SMACOF refit (:meth:`refit`), a hard reset (:meth:`clear`)
+          or a template load rewriting ``coords`` wholesale.
 
         External code that mutates ``coords`` / ``labels`` directly
-        (watchdog hard reset, template loading) must call this
-        explicitly — that is the cache contract.
+        (template loading) must call this explicitly — that is the
+        cache contract.
         """
         if self._geometry is not None:
             self._geometry = None
-            self._geometry_invalidations += 1
-            if self._telemetry is not None:
-                self._c_geometry_invalidations.inc()
+            self._c_geometry_invalidations.inc()
 
     def geometry(self) -> ViolationGeometry:
         """The current violation-range geometry, cached until dirtied.
 
         Rebuilds materialize the violation centers, the Rayleigh scale
-        and all radii in one broadcasted distance pass; when telemetry
-        is attached the rebuild is timed into ``geometry.rebuild_seconds``
-        and cache hits/rebuilds are counted.
+        and all radii in one broadcasted distance pass, timed into
+        ``geometry.rebuild_seconds``; cache hits and rebuilds are counted.
         """
         cached = self._geometry
         if cached is not None and cached.n_states == len(self):
-            self._geometry_hits += 1
-            if self._telemetry is not None:
-                self._c_geometry_hits.inc()
+            self._c_geometry_hits.inc()
             return cached
-        if self._telemetry is not None:
-            with self._telemetry.stage("geometry.rebuild"):
-                geometry = self._build_geometry()
-            self._c_geometry_rebuilds.inc()
-        else:
+        with self.telemetry.stage("geometry.rebuild"):
             geometry = self._build_geometry()
+        self._c_geometry_rebuilds.inc()
         self._geometry = geometry
-        self._geometry_rebuilds += 1
         return geometry
 
     def _build_geometry(self) -> ViolationGeometry:
@@ -440,12 +433,22 @@ class StateSpace:
         self.invalidate_geometry()
         return removed
 
+    def clear(self) -> None:
+        """Forget every state in place: representatives, coordinates and
+        labels, the refit progress and the geometry cache (the
+        watchdog's hard reset). Counters keep their totals."""
+        self.representatives.clear()
+        self.coords = np.empty((0, 2))
+        self.labels = []
+        self._new_since_refit = 0
+        self.invalidate_geometry()
+
     def geometry_stats(self) -> Dict[str, int]:
-        """Cache accounting: hits, rebuilds and invalidations so far."""
+        """Cache accounting: the ``geometry.*`` counters so far."""
         return {
-            "cache_hits": self._geometry_hits,
-            "rebuilds": self._geometry_rebuilds,
-            "invalidations": self._geometry_invalidations,
+            "cache_hits": int(self._c_geometry_hits.value),
+            "rebuilds": int(self._c_geometry_rebuilds.value),
+            "invalidations": int(self._c_geometry_invalidations.value),
         }
 
     # -- violation-range geometry ------------------------------------------

@@ -110,12 +110,18 @@ class MapTemplate:
         self,
         radius_law: str = "rayleigh",
         fixed_radius: float = 0.05,
+        telemetry=None,
     ) -> StateSpace:
-        """A fresh state space pre-seeded with this template's map."""
+        """A fresh state space pre-seeded with this template's map.
+
+        ``telemetry`` is handed to the :class:`StateSpace` (the
+        controller passes its own).
+        """
         space = StateSpace(
             epsilon=self.epsilon,
             radius_law=radius_law,
             fixed_radius=fixed_radius,
+            telemetry=telemetry,
         )
         for row, label in zip(self.representatives, self.labels):
             index, is_new = space.representatives.assign(row)

@@ -91,7 +91,6 @@ def run_scenario(
     config: Optional[StayAwayConfig] = None,
     template: Optional[MapTemplate] = None,
     cooldown: int = 20,
-    telemetry=None,
     pre_middlewares=(),
 ) -> RunResult:
     """Run a scenario under a named policy.
@@ -102,13 +101,12 @@ def run_scenario(
         One of ``"isolated"``, ``"unmanaged"``, ``"stayaway"``,
         ``"reactive"``, ``"qclouds"``.
     config / template:
-        Stay-Away configuration and optional map template.
+        Stay-Away configuration and optional map template. The
+        controller keeps its own telemetry (``result.telemetry``), and
+        every count its summary reports is read from that registry, so
+        no two runs share one.
     cooldown:
         Resume cooldown for the reactive baseline.
-    telemetry:
-        Optional pre-built :class:`~repro.telemetry.Telemetry` handed
-        to the Stay-Away controller (ignored for other policies);
-        lets callers aggregate several runs into one registry.
     pre_middlewares:
         Middlewares registered *before* the policy's own (observers
         like :class:`~repro.service.recording.StreamRecorder` that
@@ -128,12 +126,7 @@ def run_scenario(
     qclouds: Optional[QCloudsLike] = None
 
     if policy == "stayaway":
-        controller = StayAway(
-            built.sensitive_app,
-            config=config,
-            template=template,
-            telemetry=telemetry,
-        )
+        controller = StayAway(built.sensitive_app, config=config, template=template)
         engine.add_middleware(controller)
         qos = controller.qos
     elif policy == "reactive":
@@ -182,16 +175,9 @@ def run_stayaway(
     scenario: Scenario,
     config: Optional[StayAwayConfig] = None,
     template: Optional[MapTemplate] = None,
-    telemetry=None,
 ) -> RunResult:
     """Co-location managed by Stay-Away."""
-    return run_scenario(
-        scenario,
-        policy="stayaway",
-        config=config,
-        template=template,
-        telemetry=telemetry,
-    )
+    return run_scenario(scenario, policy="stayaway", config=config, template=template)
 
 
 @dataclass

@@ -119,12 +119,18 @@ class RepresentativeSet:
         self.invalidate_index()
         return len(doomed)
 
+    def clear(self) -> None:
+        """Remove every representative in place."""
+        self._points.clear()
+        self._counts.clear()
+        self.invalidate_index()
+
     def invalidate_index(self) -> None:
         """Drop the points-matrix cache.
 
-        External bulk mutators of ``_points`` (the watchdog's hard reset)
-        must call this: the row-count check in :attr:`points` cannot
-        detect a same-count replacement.
+        External bulk mutators of ``_points`` must call this: the
+        row-count check in :attr:`points` cannot detect a same-count
+        replacement.
         """
         self._matrix = None
 

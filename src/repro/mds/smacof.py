@@ -66,7 +66,6 @@ def smacof(
     init: Optional[np.ndarray] = None,
     max_iter: int = 300,
     tol: float = 1e-6,
-    telemetry=None,
 ) -> SmacofResult:
     """Minimize stress by majorization.
 
@@ -82,15 +81,13 @@ def smacof(
     max_iter / tol:
         Stop after ``max_iter`` iterations or when the relative stress
         improvement falls below ``tol``.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` (duck-typed: any
-        object with ``counter``/``gauge``/``histogram``) recording runs,
-        iteration counts, convergence and the final raw stress.
 
     Notes
     -----
     Stress is non-increasing across iterations (majorization
-    guarantee); tests assert this invariant.
+    guarantee); tests assert this invariant. The solve records no
+    metrics: :meth:`~repro.core.state_space.StateSpace.refit` counts
+    the :class:`SmacofResult` it receives (``smacof.*``).
     """
     target = np.asarray(distances, dtype=float)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
@@ -124,20 +121,6 @@ def smacof(
         if stress <= 0.0:
             converged = True
             break
-    if telemetry is not None:
-        telemetry.counter("smacof.runs", help="SMACOF solves").inc()
-        if converged:
-            telemetry.counter(
-                "smacof.converged", help="solves that met the tolerance"
-            ).inc()
-        telemetry.histogram(
-            "smacof.iterations",
-            help="Guttman iterations per solve",
-            buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0),
-        ).observe(float(iterations))
-        telemetry.gauge("smacof.last_stress", help="raw stress of the last solve").set(
-            float(stress)
-        )
     return SmacofResult(
         embedding=embedding, stress=stress, iterations=iterations, converged=converged
     )

@@ -133,7 +133,6 @@ class ControllerService:
         self.state = ServiceState.CREATED
         self._rng = np.random.default_rng(self.config.seed + 101)
         self._cycle = 0
-        self._ticks_processed = 0
         self._retry_failures = 0
         self._retry_at: Optional[int] = None
         self._last_max_seen: Optional[int] = None
@@ -144,6 +143,9 @@ class ControllerService:
         )
         self._c_stalls = self.telemetry.counter(
             "stream.stall_degrades", help="stall deadlines that forced DEGRADED"
+        )
+        self._c_ticks = self.telemetry.counter(
+            "stream.ticks_processed", help="closed ticks stepped through the controller"
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -245,7 +247,7 @@ class ControllerService:
                     self.tracker.withdraw(name, tick.tick)
             self.controller.on_tick(observation, self.host)
             self.tracker.step(tick.tick)
-            self._ticks_processed += 1
+            self._c_ticks.inc()
             stepped += 1
         return stepped
 
@@ -305,7 +307,7 @@ class ControllerService:
             **self.assembler.summary(),
             "reconnects": int(self._c_reconnects.value),
             "stall_degrades": int(self._c_stalls.value),
-            "ticks_processed": self._ticks_processed,
+            "ticks_processed": int(self._c_ticks.value),
             "actuator": self.tracker.summary(),
         }
         summary["service_state"] = self.state.value

@@ -17,6 +17,7 @@ from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.events import EventKind
 from repro.core.model_health import ModelHealthWatchdog
+from repro.core.state_space import StateSpace
 from repro.experiments.chaos import (
     ContainmentMix,
     run_recovery_comparison,
@@ -24,6 +25,7 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.scenarios import Scenario
 from repro.sim.engine import SimulationEngine
+from repro.telemetry import Telemetry
 from repro.trajectory.modes import ExecutionMode
 
 
@@ -99,14 +101,90 @@ class TestHistogramPoisonHealedNextPeriod:
             event.tick for event in controller.events.of_kind(EventKind.MODEL_RESET)
         ]
         assert healed == [tick + 1 for tick in fired]
-        assert controller.watchdog.violations == len(fired)
-        assert controller.watchdog.mode_resets == len(fired)
-        assert controller.watchdog.resets == 0
+        watchdog = controller.watchdog.summary()
+        assert watchdog["violations"] == len(fired)
+        assert watchdog["mode_resets"] == len(fired)
+        assert watchdog["resets"] == 0
         assert controller.events.count(EventKind.FIREWALL_CATCH) == 0
         assert all(
             model.distances.finite and model.angles.finite
             for model in controller.predictor.modes.models.values()
         )
+
+
+class TestSummariesAreTheRegistry:
+    """Every count a summary reports is the counter the exposition
+    exports: one count, kept once, in the controller's registry."""
+
+    #: Each ``ModelHealthWatchdog.summary()`` key and its counter.
+    WATCHDOG_COUNTERS = {
+        "checks": "containment.watchdog_checks",
+        "violations": "containment.watchdog_violations",
+        "quarantines": "containment.quarantines",
+        "quarantined_states": "containment.quarantined_states",
+        "mode_resets": "containment.mode_resets",
+        "geometry_repairs": "containment.geometry_repairs",
+        "resets": "containment.model_resets",
+        "beta_resets": "containment.beta_resets",
+    }
+
+    def recovery_cell(self):
+        """The recovery bench's cell plus a 20-period guard outage, so
+        that mode resets, beta resets and degraded entries all occur."""
+        ticks = 1200
+        mix = ContainmentMix(
+            seed=7,
+            stage_fault=0.03,
+            stages=("map", "predict"),
+            fault_windows=(
+                (ticks // 4, ticks // 4 + 60, "map"),
+                (ticks // 2, ticks // 2 + 20, "guard"),
+            ),
+            poison=0.03,
+        )
+        return run_recovery_drill(drill_scenario(ticks=ticks), mix=mix).controller
+
+    def test_every_summary_count_is_its_registry_counter(self):
+        controller = self.recovery_cell()
+        registry = controller.telemetry.registry
+
+        def value(name):
+            return int(registry.get(name).value)
+
+        watchdog = controller.watchdog.summary()
+        assert set(watchdog) == set(self.WATCHDOG_COUNTERS)
+        assert watchdog["mode_resets"] > 0 and watchdog["beta_resets"] > 0
+        for key, name in self.WATCHDOG_COUNTERS.items():
+            assert watchdog[key] == value(name), key
+
+        health = controller.health.summary()
+        assert health["degraded_entries"] > 0
+        assert health["degraded_entries"] == value("health.degraded_entries")
+        assert health["degraded_periods"] == value("health.degraded_periods")
+
+        space = controller.state_space
+        assert space.geometry_stats() == {
+            "cache_hits": value("geometry.cache_hits"),
+            "rebuilds": value("geometry.rebuilds"),
+            "invalidations": value("geometry.invalidations"),
+        }
+        assert space.refit_count == value("mapping.refits")
+
+        exposition = controller.telemetry.to_prometheus()
+        assert f"containment_mode_resets_total {float(watchdog['mode_resets'])}" in exposition
+        assert f"containment_beta_resets_total {float(watchdog['beta_resets'])}" in exposition
+        assert "health_degraded_entries_total" in exposition
+
+    def test_refits_and_solves_are_counted_once(self):
+        telemetry = Telemetry(enabled=False)
+        space = StateSpace(epsilon=0.001, refit_interval=5, telemetry=telemetry)
+        rng = np.random.default_rng(3)
+        for _ in range(23):
+            space.add_sample(rng.uniform(0, 1, 4), violated=False)
+        assert space.refit_count == 4
+        assert telemetry.counter("mapping.refits").value == 4
+        assert telemetry.histogram("smacof.iterations").count == 4
+        assert telemetry.registry.get("smacof.runs") is None
 
 
 class TestModeResetFidelity:

@@ -311,3 +311,54 @@ def test_fault_draws_hold_no_rng_state():
             imported.add(node.module.split(".")[0])
     assert not imported & {"numpy", "random"}
     assert "default_rng" not in text
+
+
+#: Modules whose counts live in the controller's registry unconditionally.
+COUNTING_MODULES = (
+    "state_space.py",
+    "mapping.py",
+    "prediction.py",
+    "model_health.py",
+    "resilience.py",
+)
+
+
+def _names_telemetry(node) -> bool:
+    """``telemetry`` / ``self.telemetry`` / ``self._telemetry`` / ``self._counters``."""
+    if isinstance(node, ast.Name):
+        return node.id == "telemetry"
+    return isinstance(node, ast.Attribute) and node.attr in (
+        "telemetry",
+        "_telemetry",
+        "_counters",
+    )
+
+
+def test_counts_take_no_telemetry_branch():
+    """Only a constructor may ask whether telemetry was given; every
+    other method counts into the registry unconditionally, and the MDS
+    kernels know nothing of telemetry."""
+    branches = []
+    for name in COUNTING_MODULES:
+        path = SRC / "repro" / "core" / name
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if function.name == "__init__":
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                if any(_names_telemetry(o) for o in operands) and any(
+                    isinstance(o, ast.Constant) and o.value is None for o in operands
+                ):
+                    branches.append(f"{name}:{node.lineno} ({function.name})")
+    assert branches == []
+    mentions = [
+        path.name
+        for path in sorted((SRC / "repro" / "mds").glob("*.py"))
+        if "telemetry" in path.read_text().lower()
+    ]
+    assert mentions == []

@@ -144,7 +144,8 @@ class TestHeal:
         assert actions == ["reset"]
         assert len(controller.state_space) == 0
         assert controller.state_space.coords.shape == (0, 2)
-        assert watchdog.resets == 1 and watchdog.mode_resets == 0
+        summary = watchdog.summary()
+        assert summary["resets"] == 1 and summary["mode_resets"] == 0
         for model in controller.predictor.modes.models.values():
             assert len(model.distances.samples) == len(model.angles.samples) == 0
             assert model.steps_observed == 0 and model.last_point is None
@@ -165,7 +166,8 @@ class TestHeal:
         assert actions == ["geometry-rebuild"]
         rebuilt = controller.state_space.geometry()
         assert (rebuilt.radii >= 0).all()
-        assert watchdog.mode_resets == 0 and watchdog.resets == 0
+        summary = watchdog.summary()
+        assert summary["mode_resets"] == 0 and summary["resets"] == 0
 
     def test_beta_reset(self):
         controller = learned_controller()
@@ -192,7 +194,8 @@ class TestHeal:
             assert m.distances.finite and m.angles.finite
         [event] = controller.events.of_kind(EventKind.MODEL_RESET)
         assert event.detail == {"modes": [mode.value]}
-        assert watchdog.mode_resets == 1 and watchdog.resets == 0
+        summary = watchdog.summary()
+        assert summary["mode_resets"] == 1 and summary["resets"] == 0
         assert watchdog.check_and_heal(101, controller) == []
 
 

@@ -35,7 +35,7 @@ class TestHealthyOperation:
             assert m.update(tick, monitoring_ok=True, qos_fresh=True) is (
                 ControllerHealth.PREDICTIVE
             )
-        assert m.degraded_entries == 0
+        assert m.summary()["degraded_entries"] == 0
         assert events.of_kind(EventKind.DEGRADED_ENTER) == []
 
     def test_never_reported_qos_is_learning_not_silence(self):
@@ -111,5 +111,5 @@ class TestResynchronization:
         m, _ = machine()
         tick = degrade(m)
         m.update(tick + 1, monitoring_ok=False, qos_fresh=True)
-        assert m.degraded_periods == 2
+        assert m.summary()["degraded_periods"] == 2
         assert m.summary()["state"] == "degraded"
