@@ -114,7 +114,7 @@ def _print_report(report: Dict[str, object]) -> None:
     print(
         f"  assembled stream census: dropped {stream.get('dropped', 0)}, "
         f"duplicated {stream.get('duplicated', 0)}, late {stream.get('late', 0)}, "
-        f"imputed {stream.get('imputed', 0)}, "
+        f"imputed (guard) {stream.get('imputed', 0)}, "
         f"partial closes {stream.get('ticks_closed_partial', 0)}"
     )
     print(
@@ -152,7 +152,8 @@ def test_stream_service_gates(benchmark, capsys, tmp_path):
     # The fault script actually fired on both faulted arms (not vacuous).
     assert chaos["assembled"]["faults_injected"] > 100
     assert chaos["passthrough"]["faults_injected"] > 100
-    # The assembler did real work: recovered reorders, deduped, imputed.
+    # The seam did real work: the assembler recovered reorders and
+    # deduped, and the guard bridged the vectors it left NaN.
     stream = chaos["assembled"]["stream"]
     assert stream["reordered"] > 0
     assert stream["duplicated"] > 0

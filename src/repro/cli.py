@@ -356,7 +356,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         ["stream dropped / late", f"{stream['dropped']} / {stream['late']}"],
         ["stream duplicated / reordered",
          f"{stream['duplicated']} / {stream['reordered']}"],
-        ["stream imputed / partial closes",
+        ["imputed (guard) / partial closes",
          f"{stream['imputed']} / {stream['ticks_closed_partial']}"],
         ["gap ticks / cells retired",
          f"{stream['gap_ticks']} / {stream.get('cells_retired', 0)}"],

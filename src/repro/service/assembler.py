@@ -28,26 +28,26 @@ retires it when it departs.
   rejected with a counted reason, never an exception out of
   :meth:`~StreamAssembler.offer`. A state this build does not know
   reads as running; a metric it does not know is ignored;
-* cells still missing at close are counted ``stream.dropped``, filled
-  from that cell's last delivered value when one exists
-  (``stream.imputed``) or NaN otherwise, and the close is counted
-  partial (``stream.ticks_closed_partial``) — *partial-but-bounded*
-  data instead of blocking;
+* cells still missing at close read NaN, are counted
+  ``stream.dropped`` and make the close partial
+  (``stream.ticks_closed_partial``) — *partial-but-bounded* data
+  instead of blocking. The assembler imputes nothing: the
+  controller's :class:`~repro.monitoring.guard.SensorGuard` holds the
+  last good vector (``guard.imputed``), as for an in-process sensor
+  dropout, so a half-delivered tick maps onto a state the host was in;
 * a cell missing for ``RETIRE_AFTER`` *consecutive* closes is retired
   (``stream.cells_retired``): the container has left the host (fleet
-  migration, removal) rather than dropped a sample, so holding its
-  last value would impute a ghost forever. A container whose last
-  cell retires leaves the table, and with it the controller's
-  Observation. Transient faults never trip this — at a 5% drop rate,
-  8 consecutive misses is a :math:`0.05^8` event. Gap ticks do not
-  advance retirement streaks (a wholly-missing tick is a transport
-  hole, not a departure), and a departed container is admitted afresh
-  the moment a record for it reappears;
+  migration, removal) rather than dropped a sample. A container whose
+  last cell retires leaves the table, and with it the controller's
+  Observation; until then the guard bridges its NaN cells (hence
+  ``RETIRE_AFTER - 1 <= STALENESS_BUDGET``). Transient faults never
+  trip this — at a 5% drop rate, 8 consecutive misses is a
+  :math:`0.05^8` event. Gap ticks do not advance retirement streaks
+  (a wholly-missing tick is a transport hole, not a departure), and a
+  departed container is admitted afresh the moment a record for it
+  reappears;
 * wholly-missing ticks between closures are synthesized as NaN-valued
-  gap ticks (``stream.gap_ticks``) so the controller's existing
-  :class:`~repro.monitoring.guard.SensorGuard` performs the imputation
-  and its staleness accounting, exactly as for an in-process sensor
-  dropout.
+  gap ticks (``stream.gap_ticks``), imputed by the same guard.
 
 :class:`PassthroughAssembler` is the ablation arm: the same record
 ingest (:meth:`StreamAssembler.offer` is the one place a wire record
@@ -99,11 +99,11 @@ class ClosedTick:
         The data tick this closure describes.
     rows:
         One row per container in the table, in admission order: usage
-        in :data:`~repro.observation.METRICS` order (an imputed cell
-        carries its last delivered value, a cell with no history and
-        every cell of a gap tick NaN, a metric never streamed 0.0) and
-        the lifecycle the stream last reported. ``app`` is unset; the
-        :class:`~repro.service.views.HostView` binds it.
+        in :data:`~repro.observation.METRICS` order (a cell missing at
+        close and every cell of a gap tick NaN, a metric never
+        streamed 0.0) and the lifecycle the stream last reported.
+        ``app`` is unset; the :class:`~repro.service.views.HostView`
+        binds it.
     qos:
         ``(value, threshold)`` when the sensitive application reported
         QoS this tick, else ``None``.
@@ -161,9 +161,6 @@ class StreamAssembler:
         self._c_late = self.metrics.counter(
             "stream.late", help="records for already-closed ticks (dropped)"
         )
-        self._c_imputed = self.metrics.counter(
-            "stream.imputed", help="missing cells filled from their last value"
-        )
         self._c_partial = self.metrics.counter(
             "stream.ticks_closed_partial", help="ticks closed with missing cells"
         )
@@ -184,7 +181,6 @@ class StreamAssembler:
         self._table: Dict[str, Lifecycle] = {}
         self._known_cells: Dict[CellKey, None] = {}  # insertion-ordered set
         self._miss_streak: Dict[CellKey, int] = {}
-        self._last_value: Dict[CellKey, float] = {}
         self._max_seen: Optional[int] = None
         self._last_closed: Optional[int] = None
 
@@ -206,7 +202,6 @@ class StreamAssembler:
             "duplicated": int(self._c_duplicated.value),
             "reordered": int(self._c_reordered.value),
             "late": int(self._c_late.value),
-            "imputed": int(self._c_imputed.value),
             "ticks_closed_partial": int(self._c_partial.value),
             "gap_ticks": int(self._c_gaps.value),
             "cells_retired": int(self._c_retired.value),
@@ -332,30 +327,22 @@ class StreamAssembler:
         retired: Set[str] = set()
         for key in list(self._known_cells):
             container, index = key
+            value = pending.cells.get(key, math.nan)
             if key in pending.cells:
-                value = pending.cells[key]
-                self._last_value[key] = value
                 self._miss_streak.pop(key, None)
             else:
                 streak = self._miss_streak.get(key, 0) + 1
                 if streak >= RETIRE_AFTER:
                     # Sustained absence: the container has left the host
-                    # (migration, removal) — stop expecting the cell
-                    # instead of imputing a ghost forever.
+                    # (migration, removal) — stop expecting the cell.
                     del self._known_cells[key]
                     self._miss_streak.pop(key, None)
-                    self._last_value.pop(key, None)
                     self._c_retired.inc()
                     retired.add(container)
                     continue
                 self._miss_streak[key] = streak
                 partial = True
                 self._c_dropped.inc()
-                if key in self._last_value:
-                    value = self._last_value[key]
-                    self._c_imputed.inc()
-                else:
-                    value = math.nan
             usage.setdefault(container, [0.0] * len(METRICS))[index] = value
         if partial:
             self._c_partial.inc()

@@ -301,10 +301,13 @@ class ControllerService:
         return decision_sequence(self.controller)
 
     def summary(self) -> dict:
-        """Controller summary extended with the stream/actuator block."""
+        """Controller summary extended with the stream/actuator block,
+        whose ``imputed`` is ``guard.imputed``, the stream's one imputer."""
         summary = self.controller.summary()
+        guard = self.controller.guard
         summary["telemetry"]["stream"] = {
             **self.assembler.summary(),
+            "imputed": guard.imputed_count if guard is not None else 0,
             "reconnects": int(self._c_reconnects.value),
             "stall_degrades": int(self._c_stalls.value),
             "ticks_processed": int(self._c_ticks.value),

@@ -187,6 +187,51 @@ class TestSummariesAreTheRegistry:
         assert telemetry.registry.get("smacof.runs") is None
 
 
+class TestRefitUnderContainment:
+    """A poisoned map that is later refit. The drill's own cell never
+    grows a map to ``refit_interval`` states; the e2e ``host_steady``
+    scenario (webservice-mix + cpubomb + memorybomb, 2 400 ticks) does,
+    and runs here under the recovery bench's mix."""
+
+    def test_poisoned_map_refits_to_finite_coordinates(self, monkeypatch):
+        refit = StateSpace.refit
+        finite_after = []
+
+        def checked(space):
+            stress = refit(space)
+            finite_after.append(bool(np.isfinite(space.coords).all()))
+            return stress
+
+        monkeypatch.setattr(StateSpace, "refit", checked)
+        scenario = Scenario(
+            sensitive="webservice-mix",
+            batches=("cpubomb", "memorybomb"),
+            ticks=2400,
+            batch_start=60,
+            seed=1,
+        )
+        mix = ContainmentMix(seed=7, stage_fault=0.03, poison=0.03)
+        result = run_recovery_drill(scenario, mix=mix)
+        controller = result.controller
+        assert result.crashed_at is None
+
+        refits = controller.state_space.refit_count
+        assert refits >= 1 and len(finite_after) == refits
+        assert all(finite_after)
+        first_refit = controller.events.of_kind(EventKind.REFIT)[0].tick
+        assert any(
+            event.tick < first_refit and event.target.startswith(("coords", "representatives"))
+            for event in result.poisoner.fired
+        )
+        assert result.checker.summary()["breaches"] == 0
+
+        exposition = controller.telemetry.to_prometheus()
+        assert f"mapping_refits_total {float(refits)}" in exposition
+        assert f"smacof_iterations_count {refits}" in exposition
+        assert "smacof_converged_total" in exposition
+        assert "smacof_last_stress" in exposition
+
+
 class TestModeResetFidelity:
     """A mode reset clears one mode model; everything else equals a deep
     copy of the controller taken before the poison."""

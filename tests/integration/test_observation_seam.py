@@ -10,6 +10,7 @@ The same port faults, put on either side, give the same decisions.
 """
 
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.controller import StayAway
 from repro.core.events import EventKind, EventLog
 from repro.core.priorities import PrioritizedStayAway
 from repro.experiments.scenarios import Scenario
+from repro.monitoring.guard import STALENESS_BUDGET
 from repro.observation import PAUSED, RUNNING, ContainerRow
 from repro.service import ControllerService, QueueSource
 from repro.service.actuator import AckTracker, Actuator
@@ -52,34 +54,49 @@ FOLD_CASES = [
 ] + [pytest.param("vlc-streaming", ("cpubomb", "soplex"), MIGRATE_AT, id="batch-migrates-off")]
 
 
-@pytest.mark.parametrize("sensitive,batches,migrate_at", FOLD_CASES)
-def test_stream_fold_equals_in_process_observation(sensitive, batches, migrate_at):
-    """Row for row, every tick. A container that migrates off the
-    recorded host reads imputed until its cells' ``RETIRE_AFTER``-th
-    missed close retires it; from that close on it is gone from both
-    sides."""
-    ticks = 240
-    built = Scenario(sensitive, batches, ticks=ticks, seed=5).build()
+#: Ticks every fold case records.
+FOLD_TICKS = 240
+
+
+def record_fold_case(sensitive, batches, migrate_at):
+    """One in-process run of ``FOLD_TICKS`` ticks, recorded.
+
+    Returns the wire records, what the controller read each tick, the
+    controller, the sensitive app and the name of the batch container
+    that migrates to a second host at ``migrate_at`` (None: none does).
+    """
+    built = Scenario(sensitive, batches, ticks=FOLD_TICKS, seed=5).build()
     host, app = built.host, built.sensitive_app
     cluster = Cluster(hosts={"host0": host, "host1": Host()})
     departed = built.batch_apps[0].name
     controller = StayAway(app, config=StayAwayConfig(seed=5, telemetry=False))
     recorder = StreamRecorder(sensitive_app=app)
     live = []
-    for tick in range(ticks):
+    for tick in range(FOLD_TICKS):
         if tick == migrate_at:
             cluster.migrate(departed, "host1")
         snapshot = cluster.step()["host0"]
         recorder.on_tick(snapshot, host)
         live.append(host.observe(snapshot))  # what the controller is about to read
         controller.on_tick(snapshot, host)
+    records = json.loads(json.dumps(recorder.records))  # over the wire
+    return records, live, controller, app, departed
+
+
+@pytest.mark.parametrize("sensitive,batches,migrate_at", FOLD_CASES)
+def test_stream_fold_equals_in_process_observation(sensitive, batches, migrate_at):
+    """Row for row, every tick. A container that migrates off the
+    recorded host reads all-NaN (the controller's guard bridges it)
+    until its cells' ``RETIRE_AFTER``-th missed close retires it; from
+    that close on it is gone from both sides."""
+    records, live, controller, app, departed = record_fold_case(sensitive, batches, migrate_at)
     assert controller.throttle.throttle_count > 0  # paused rows are in the run
 
     assembler = StreamAssembler(watermark=0)
-    for record in json.loads(json.dumps(recorder.records)):  # over the wire
+    for record in records:
         assembler.offer(record)
     closed = assembler.due(force=True)
-    assert len(closed) == ticks
+    assert len(closed) == FOLD_TICKS
     token = object()
     view = HostView(assembler.header, token, submit=None)
     for tick, expected in zip(closed, live):
@@ -87,14 +104,46 @@ def test_stream_fold_equals_in_process_observation(sensitive, batches, migrate_a
         assert (folded.tick, folded.capacity) == (expected.tick, expected.capacity)
         rows = {row.name: row for row in folded.rows}
         if migrate_at is not None and tick.tick - migrate_at in range(RETIRE_AFTER - 1):
-            last = {row.name: row for row in live[migrate_at - 1].rows}[departed]
-            assert rows.pop(departed).usage == last.usage  # imputed, not yet retired
+            gone = rows.pop(departed)  # missing, not yet retired
+            assert all(math.isnan(value) for value in gone.usage)
         assert sorted(rows) == sorted(row.name for row in expected.rows)
         for want in expected.rows:
             got = rows[want.name]
             assert got.usage == want.usage  # floats, bit for bit
             assert got[2:5] == want[2:5]  # state, finished, sensitive
             assert (got.app is token) == (want.app is app)
+
+
+def test_departure_fits_the_guards_budget():
+    """A departed container's cells read NaN for ``RETIRE_AFTER - 1``
+    closes before they retire; the guard must bridge every one."""
+    assert RETIRE_AFTER - 1 <= STALENESS_BUDGET
+
+
+def test_departed_container_is_bridged_until_it_retires():
+    """The migration recording, served: the closes between the departure
+    and the retirement carry NaN, the guard holds the last good vector
+    through every one, and no period goes without a usable measurement."""
+    records = record_fold_case("vlc-streaming", ("cpubomb", "soplex"), MIGRATE_AT)[0]
+    source = QueueSource()
+    source.push(records)
+    source.close()
+    service = ControllerService(
+        source, config=StayAwayConfig(seed=5, telemetry=False, stream_watermark=0)
+    )
+    service.run()
+    controller = service.controller
+    bridged = range(MIGRATE_AT, MIGRATE_AT + RETIRE_AFTER - 1)
+    rejects = controller.events.of_kind(EventKind.SENSOR_REJECT)
+    assert [event.tick for event in rejects] == list(bridged)
+    assert all(event.detail["imputed"] for event in rejects)
+    summary = service.summary()
+    assert summary["telemetry"]["monitoring_gaps"] == 0
+    assert summary["periods"] == FOLD_TICKS
+    census = summary["telemetry"]["stream"]
+    assert census["imputed"] == controller.guard.imputed_count == len(bridged)
+    assert census["dropped"] == len(bridged) * 5  # every cell of the departed row
+    assert census["cells_retired"] == 5
 
 
 PORT_FAULTS = {"sensor_corruption": 0.05, "signal_loss": 0.2}

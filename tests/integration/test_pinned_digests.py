@@ -63,7 +63,7 @@ from repro.workloads.registry import make_workload
 from repro.workloads.traces import wikipedia_trace
 
 FLEET_DIGEST = "8093257b9ef7cd8b76a3e613f9d04a9a00a17af5cd2642dfc8344afdb4184578"
-STREAM_DIGEST = "422ba835739e824010ebdfb1cecf40925a748322489c1afe7b4d85287ebdaafc"
+STREAM_DIGEST = "669810604a120f399caae0dc87fce919203d80cd1554663df551d68cc793cfbc"
 
 
 def _sha256(payload) -> str:
@@ -140,7 +140,7 @@ def test_stream_drill_digest():
 
     One source outage of six consecutive failed polls walks the
     reconnect backoff from its base through the doubling to the cap
-    (1, 2, 4, 8, 16, 16 cycles, each jittered), and 70 % lost acks push
+    (1, 2, 4, 8, 16, 16 cycles, each jittered), and 80 % lost acks push
     commands through redelivery into the dead-letter queue.
     """
     seed = 6
@@ -152,7 +152,7 @@ def test_stream_drill_digest():
     source = StreamDuplicator(source, seed=seed + 17, probability=0.1)
     actuator = SimHostActuator(
         built.host,
-        ack_filter=ActuatorAckDropper(seed=seed + 19, probability=0.7),
+        ack_filter=ActuatorAckDropper(seed=seed + 19, probability=0.8),
     )
     service = ControllerService(
         source,
@@ -282,7 +282,7 @@ def test_simulator_digest():
     assert digest.hexdigest() == SIM_DIGEST
 
 
-DRILL_DIGEST = "cb4dc74ed36feaaf64477250e5836c6a2cafed2676ce629010ab0773c1ad88d6"
+DRILL_DIGEST = "c48304aad2fa793e915178f4e68b5ac571bb5a9d4a0f31315a85f2a95a0f9ab9"
 
 
 def _file_and_function(trace: str) -> str:

@@ -20,6 +20,8 @@ The tentpole contracts, end to end:
   ghost imputation).
 """
 
+import math
+
 import pytest
 
 from repro.core.config import StayAwayConfig
@@ -156,6 +158,66 @@ class TestReplayDeterminism:
         assert [r["kind"] for r in sink.pushed].count("header") == 1
         assert any(r["kind"] == "qos" for r in sink.pushed)
         assert recorder.records == sink.pushed
+
+
+class TestOneImputer:
+    """The assembler leaves a missing cell NaN; the sensor guard's
+    last-good hold is the one imputer. A half-delivered tick therefore
+    maps onto the state of the last good vector, not a new one."""
+
+    #: The tick whose one cell never arrives: late in a 240-tick run,
+    #: after the map has settled.
+    DROPPED_AT = 200
+
+    def test_dropped_cell_makes_no_new_state(self):
+        config = service_config()
+        records = record_reference(Scenario(ticks=240, seed=1), config=config)[0]
+        sensitive = records[0]["sensitive"]
+        (cell,) = [
+            index
+            for index, record in enumerate(records)
+            if record["kind"] == "sample"
+            and (record["tick"], record["container"]) == (self.DROPPED_AT, sensitive)
+        ]
+        metrics = dict(records[cell]["metrics"])
+        del metrics["cpu"]
+        records[cell] = {**records[cell], "metrics": metrics}
+
+        source = QueueSource()
+        source.push(records)
+        source.close()
+        service = ControllerService(source, config=config)
+        controller = service.controller
+        registry = controller.telemetry.registry
+
+        def counts():
+            """The two counters; neither exists before the first period."""
+            metrics = {name: registry.get(name) for name in ("guard.imputed", "mapping.new_states")}
+            return {name: int(m.value) if m is not None else 0 for name, m in metrics.items()}
+
+        period = controller.on_tick
+        seen = {}
+
+        def spy(observation, host):
+            before = counts()
+            period(observation, host)
+            if observation.tick == self.DROPPED_AT:
+                after = counts()
+                seen["usage"] = {row.name: row.usage for row in observation.rows}[sensitive]
+                seen["delta"] = {name: after[name] - before[name] for name in after}
+
+        controller.on_tick = spy
+        service.run()
+
+        usage = seen["usage"]
+        assert math.isnan(usage[0]) and all(map(math.isfinite, usage[1:]))
+        assert seen["delta"] == {"guard.imputed": 1, "mapping.new_states": 0}
+        census = service.summary()["telemetry"]["stream"]
+        assert census["imputed"] == controller.guard.imputed_count == 1
+        assert (census["dropped"], census["ticks_closed_partial"]) == (1, 1)
+        mapped = {sample.tick: sample for sample in controller.mapping.history}
+        assert not mapped[self.DROPPED_AT].is_new_state
+        assert mapped[self.DROPPED_AT].state_index == mapped[self.DROPPED_AT - 1].state_index
 
 
 class TestChaosArms:

@@ -58,7 +58,8 @@ else:
         "ticks_per_s": {{"value": value, "unit": "1/s"}},
         "p50_us": {{"value": 1e6 / value, "unit": "us"}}}}
 if "--result-file" in args:
-    sims = [{{"decision_digest": "d" + args["--seed"], "violations": 7, "batch_work": {work}}}]
+    sims = [{{"decision_digest": "d" + args["--seed"], "violations": {violations},
+             "qos_reports": 10, "batch_work": {work}}}]
     with open(args["--result-file"], "w") as handle:
         json.dump({{"episode_sims": sims}}, handle)
 print(json.dumps({{"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}}))
@@ -72,10 +73,12 @@ LAYERS = [
 ]
 
 
-def checkout(root, name, value, work=1.5):
+def checkout(root, name, value, work=1.5, violations=7):
     path = root / name
     path.mkdir()
-    (path / "bench.py").write_text(FAKE_BENCH.format(value=value, work=work), encoding="utf-8")
+    (path / "bench.py").write_text(
+        FAKE_BENCH.format(value=value, work=work, violations=violations), encoding="utf-8"
+    )
     (path / "BENCHMARK.json").write_text(
         json.dumps(
             {
@@ -157,9 +160,9 @@ class TestLayers:
 
 
 class TestSims:
-    def run(self, tmp_path, work):
+    def run(self, tmp_path, work, violations=7):
         parent = checkout(tmp_path, "parent", 1000)
-        change = checkout(tmp_path, "change", 1300, work=work)
+        change = checkout(tmp_path, "change", 1300, work=work, violations=violations)
         return e2e_pairs.main(
             ["--parent", str(parent), "--change", str(change), "--sims", "--seeds", "3", "11"]
         )
@@ -172,18 +175,37 @@ class TestSims:
             for workload in ("steady", "cold") for seed in (3, 11)
         ]
 
-    def test_first_differing_key_is_printed_and_fails(self, tmp_path, capsys):
-        assert self.run(tmp_path, work=1.25) == 1
-        assert (
-            "steady seed 3: DIFFERS at episode 0 batch_work: parent 1.5, change 1.25"
-            in capsys.readouterr().out
-        )
+    def test_every_differing_key_is_printed_and_fails(self, tmp_path, capsys):
+        assert self.run(tmp_path, work=1.25, violations=5) == 1
+        table = [
+            "  violation_ratio: 0.7 -> 0.5",
+            "  violations: 7 -> 5",
+            "  batch_work: 1.5 -> 1.25",
+        ]
+        assert capsys.readouterr().out.splitlines() == [
+            line
+            for workload in ("steady", "cold")
+            for seed in (3, 11)
+            for line in [f"{workload} seed {seed}: 3 keys differ", *table]
+        ]
 
-    def test_first_difference(self):
-        same = [{"decision_digest": "a", "core.periods": 3}]
-        assert e2e_pairs.first_difference(same, [dict(same[0])]) is None
-        assert "1 episodes against 2" in e2e_pairs.first_difference(same, same * 2)
-        extra = [dict(same[0], violations=1)]
-        assert "episode 0 violations: parent None, change 1" in e2e_pairs.first_difference(
-            same, extra
+    def test_differences_lists_every_key(self):
+        same = [{"decision_digest": "a" * 64, "core.periods": 3}]
+        assert e2e_pairs.differences(same, [dict(same[0])]) == []
+        assert e2e_pairs.differences(same, same * 2) == ["episodes: 1 -> 2"]
+        changed = [{"decision_digest": "b" * 64, "core.periods": 4, "violations": 1,
+                    "qos_reports": 4}]
+        assert e2e_pairs.differences(same, changed) == [
+            "decision_digest: aaaaaaaaaaaa -> bbbbbbbbbbbb",
+            "core.periods: 3 -> 4",
+            "violation_ratio: None -> 0.25",
+            "violations: None -> 1",
+            "qos_reports: None -> 4",
+        ]
+        assert e2e_pairs.differences(same * 2, [same[0], changed[0]])[0] == (
+            "episode 1 decision_digest: aaaaaaaaaaaa -> bbbbbbbbbbbb"
         )
+        # Equal to six digits, unequal in the last bits: shown in full.
+        assert e2e_pairs.differences([{"batch_work": 0.1 + 0.2}], [{"batch_work": 0.3}]) == [
+            "batch_work: 0.30000000000000004 -> 0.3"
+        ]

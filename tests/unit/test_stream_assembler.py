@@ -3,9 +3,9 @@
 Every delivery pathology the chaos drills inject has a pinned-down
 local semantics here: reorder inside the watermark is absorbed,
 duplicates keep the first value, late records are dropped, missing
-cells are imputed from their last value, wholly-missing ticks become
-NaN gap ticks, and sustained absence retires a cell (the fleet
-migration case). :class:`PassthroughAssembler` is pinned to the naive
+cells read NaN (the controller's sensor guard is the one imputer),
+wholly-missing ticks become NaN gap ticks, and sustained absence
+retires a cell (the fleet migration case). :class:`PassthroughAssembler` is pinned to the naive
 behaviours the ablation arm needs: overwrite, zero-fill, silent loss.
 """
 
@@ -159,7 +159,7 @@ class TestDeliveryPathologies:
         assert assembler.summary()["late"] == 1
         assert assembler.due() == []  # late record not buffered
 
-    def test_missing_cell_imputed_from_last_value(self):
+    def test_missing_cell_reads_nan(self):
         assembler = StreamAssembler(watermark=0)
         assembler.offer(sample(0, metrics={"cpu": 3.0}))
         assembler.offer(sample(0, container="c1", metrics={"cpu": 5.0}))
@@ -167,9 +167,14 @@ class TestDeliveryPathologies:
         assembler.offer(sample(2))
         assembler.offer(sample(2, container="c1"))
         closed = assembler.due()
-        assert cpu(closed[1], "c1") == 5.0
+        # The cell's last value (5.0) is not carried forward, and the
+        # row's other cells and the delivered neighbour are untouched.
+        assert math.isnan(cpu(closed[1], "c1"))
+        assert rows(closed[1])["c1"].usage[1:] == (0.0,) * 4
+        assert cpu(closed[1]) == 4.0
+        assert cpu(closed[2], "c1") == 2.0
         summary = assembler.summary()
-        assert summary["imputed"] == 1
+        assert "imputed" not in summary
         assert summary["dropped"] == 1
         assert summary["ticks_closed_partial"] == 1
 
@@ -177,15 +182,16 @@ class TestDeliveryPathologies:
         assembler = StreamAssembler(watermark=0)
         assembler.offer(sample(0, metrics={"cpu": 1.0}))
         # c1 registers at tick 1, so its tick-0 cell closes with no
-        # delivered value to impute from.
+        # delivered value at all.
         assembler.offer(sample(1, container="c1", metrics={"cpu": 2.0}))
         closed_0 = assembler.due()[0]
         assert math.isnan(cpu(closed_0, "c1"))
-        summary = assembler.summary()  # c1 at tick 0 is not imputed, c0 at tick 1 is
-        assert (summary["dropped"], summary["imputed"]) == (2, 1)
+        summary = assembler.summary()  # c1 at tick 0 and c0 at tick 1
+        assert (summary["dropped"], summary["ticks_closed_partial"]) == (2, 2)
         assembler.offer(sample(2, container="c1"))
-        closed_1 = assembler.due()[-1]  # c0 missing with history -> imputed
-        assert cpu(closed_1) == 1.0
+        closed_1 = assembler.due()[-1]  # c0 missing with history: NaN all the same
+        assert math.isnan(cpu(closed_1))
+        assert cpu(closed_1, "c1") == 2.0
 
     def test_gap_tick_synthesized_as_nan(self):
         assembler = StreamAssembler(watermark=0)
@@ -210,8 +216,9 @@ class TestCellRetirement:
         closed = assembler.due()
         summary = assembler.summary()
         assert summary["cells_retired"] == 1  # one metric cell
-        # The first RETIRE_AFTER - 1 misses are imputed, the next retires.
-        assert summary["imputed"] == RETIRE_AFTER - 1
+        # The first RETIRE_AFTER - 1 misses read NaN, the next retires.
+        assert summary["dropped"] == RETIRE_AFTER - 1
+        assert all(math.isnan(cpu(c, "gone")) for c in closed[1:RETIRE_AFTER])
         # Every miss before the retiring one closed partial; after it
         # the closes are complete again and the container is gone.
         assert summary["ticks_closed_partial"] == RETIRE_AFTER - 1

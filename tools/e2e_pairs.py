@@ -23,6 +23,10 @@ says to, so two passes on a two-speed box compare.
 ``--sims`` runs no pairs: one ``--seconds 0`` pass per side per seed,
 and the ``episode_sims`` of the two result files (decision digest,
 violations, ``batch_work``, every count) must be equal key for key.
+Every key that differs is printed as one ``parent -> change`` row per
+workload and seed, with ``violation_ratio`` (violations over QoS
+reports) derived where the episode reports QoS: the decision table a
+behaviour change states.
 
 Usage::
 
@@ -89,16 +93,37 @@ def reading(result: dict, metric: dict) -> float:
     return value
 
 
-def first_difference(parent: List[dict], change: List[dict]) -> Optional[str]:
-    """Where two ``episode_sims`` lists first differ, or None when equal."""
+def shown(value) -> str:
+    """One ``episode_sims`` value, short: a digest's first 12 characters,
+    a float to six significant digits."""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)[:12]
+
+
+def with_ratio(sim: dict) -> dict:
+    """``sim`` with its ``violation_ratio`` in front, when it reports QoS."""
+    if not sim.get("qos_reports"):
+        return sim
+    return {"violation_ratio": sim["violations"] / sim["qos_reports"], **sim}
+
+
+def differences(parent: List[dict], change: List[dict]) -> List[str]:
+    """One ``key: parent -> change`` row per key where two
+    ``episode_sims`` lists differ; empty when they are equal."""
     if len(parent) != len(change):
-        return f"{len(parent)} episodes against {len(change)}"
+        return [f"episodes: {len(parent)} -> {len(change)}"]
+    rows = []
     for episode, (ours, theirs) in enumerate(zip(parent, change)):
+        ours, theirs = with_ratio(ours), with_ratio(theirs)
+        where = f"episode {episode} " if len(parent) > 1 else ""
         for key in {**ours, **theirs}:
             if key not in ours or key not in theirs or ours[key] != theirs[key]:
-                return (f"episode {episode} {key}: parent {ours.get(key)!r}, "
-                        f"change {theirs.get(key)!r}")
-    return None
+                pair = [shown(ours.get(key)), shown(theirs.get(key))]
+                if pair[0] == pair[1]:  # a difference in the last bits
+                    pair = [repr(ours[key]), repr(theirs[key])]
+                rows.append(f"{where}{key}: {pair[0]} -> {pair[1]}")
+    return rows
 
 
 def compare_sims(
@@ -117,10 +142,12 @@ def compare_sims(
                     )
                     equal &= result["correct"]
                     sims[side] = json.loads(path.read_text("utf-8"))["episode_sims"]
-                difference = first_difference(sims["parent"], sims["change"])
-                equal &= difference is None
-                verdict = "episode_sims equal" if difference is None else f"DIFFERS at {difference}"
+                rows = differences(sims["parent"], sims["change"])
+                equal &= not rows
+                verdict = "episode_sims equal" if not rows else f"{len(rows)} keys differ"
                 print(f"{workload} seed {seed}: {verdict}", flush=True)
+                for row in rows:
+                    print(f"  {row}", flush=True)
     return equal
 
 
