@@ -13,24 +13,26 @@ under the identical fault sequence:
   paper's world, replicated N times);
 * **none** — no prevention at all.
 
-The acceptance bars: the coordinator stays crash-free end to end, its
-fleet-wide QoS violation ratio is strictly better than the
-per-host-only arm, and no injected host crash leaves a migration
-stuck ``in-flight`` (every record terminates ``landed`` / ``bounced``
-/ ``lost``). Throughput (hosts × ticks / second, wall clock) rides
-along — timing lives here because SA101 bans wall-clock reads inside
-``src/repro``. Results land in ``BENCH_fleet.json``.
+The gates, named in :func:`run_fleet_experiment`: the host-crash
+script fired identically in every arm; the coordinator stays
+crash-free end to end and commits migrations; its fleet-wide QoS
+violation ratio is strictly better than the per-host-only arm's, which
+is strictly better than no prevention; and no injected host crash
+leaves a migration stuck ``in-flight`` in any arm (every record
+terminates ``landed`` / ``bounced`` / ``lost``). Throughput (hosts ×
+ticks / second, wall clock) rides along — timing lives here because
+SA101 bans wall-clock reads inside ``src/repro``. Results land in
+``BENCH_fleet.json``.
 
-``python -m benchmarks.bench_fleet`` runs it standalone; the CI
-chaos-smoke step uses ``--hosts 16 --ticks 200``.
+``python -m benchmarks.bench_fleet`` runs it standalone; the CI step
+uses ``--hosts 24 --ticks 200``.
 """
 
-import argparse
 import time
 from pathlib import Path
 from typing import Dict
 
-from benchmarks.helpers import banner, write_report
+from benchmarks.helpers import banner, enforce_gates, gate_main, write_report
 from repro.core.config import StayAwayConfig
 from repro.experiments.chaos import FleetMix, run_fleet_comparison
 
@@ -42,7 +44,7 @@ DEFAULT_TICKS = 240
 def run_fleet_experiment(
     out, hosts: int = DEFAULT_HOSTS, ticks: int = DEFAULT_TICKS
 ) -> Dict[str, object]:
-    """Run the three-arm fleet drill and write the BENCH json."""
+    """Run the three-arm fleet drill, gate it and write the BENCH json."""
     mix = FleetMix(
         hosts=hosts,
         ticks=ticks,
@@ -61,6 +63,24 @@ def run_fleet_experiment(
     host_ticks_per_s = hosts * total_ticks / elapsed if elapsed > 0 else 0.0
 
     arms = comparison.arms
+    coordinator = arms["coordinator"]
+    crash_counts = {arm.crash_injector.summary()["crashes"] for arm in arms.values()}
+    gates = {
+        "coordinator_crash_free": coordinator.crashed_at is None,
+        "chaos_fired_identically": len(crash_counts) == 1 and min(crash_counts) > 0,
+        "coordinator_beats_per_host": (
+            coordinator.violation_ratio() < arms["per_host"].violation_ratio()
+        ),
+        "per_host_beats_none": (
+            arms["per_host"].violation_ratio() < arms["none"].violation_ratio()
+        ),
+        "no_orphaned_migrations": all(
+            not arm.orphaned_migrations() for arm in arms.values()
+        ),
+        "migrations_committed": (
+            coordinator.coordinator.supervisor.summary()["committed"] > 0
+        ),
+    }
     report: Dict[str, object] = {
         "bench": "fleet",
         "hosts": hosts,
@@ -79,15 +99,8 @@ def run_fleet_experiment(
             "elapsed_seconds": elapsed,
             "host_ticks_per_second": host_ticks_per_s,
         },
-        "passed": (
-            arms["coordinator"].crashed_at is None
-            and comparison.improvement > 0
-            and all(not r.orphaned_migrations() for r in arms.values())
-        ),
     }
-    report["out"] = write_report(report, out)
-    report["comparison"] = comparison
-    return report
+    return write_report(report, gates, out)
 
 
 def _print_fleet_report(report: Dict[str, object]) -> None:
@@ -131,6 +144,7 @@ def _print_fleet_report(report: Dict[str, object]) -> None:
         f"({throughput['elapsed_seconds']:.1f}s wall for all three arms)"
     )
     print(f"  improvement: {report['improvement']:+.4f} violation ratio vs per-host")
+    print(f"  gates: {report['gates']}")
     print(f"  report written to {report['out']}")
 
 
@@ -140,49 +154,20 @@ def test_fleet_chaos(benchmark, capsys, tmp_path):
         rounds=1,
         iterations=1,
     )
-    arms = report["comparison"].arms
-    coordinator = arms["coordinator"]
-
     with capsys.disabled():
         print()
         _print_fleet_report(report)
-
-    # The coordinator survived the whole chaos script.
-    assert coordinator.crashed_at is None
-    # Chaos actually fired, identically across arms.
-    crash_counts = {
-        arm.crash_injector.summary()["crashes"] for arm in arms.values()
-    }
-    assert len(crash_counts) == 1 and crash_counts.pop() > 0
-    # The coordinator strictly beats per-host-only, which beats nothing.
-    assert (
-        coordinator.violation_ratio()
-        < arms["per_host"].violation_ratio()
-        < arms["none"].violation_ratio()
-    )
-    # No orphans: every migration record reached a terminal outcome.
-    assert not coordinator.orphaned_migrations()
-    # Migration actually happened (the comparison is not vacuous).
-    assert coordinator.coordinator.supervisor.summary()["committed"] > 0
+    enforce_gates(report)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Fleet drill: coordinator vs per-host vs none under host crashes"
+    return gate_main(
+        argv, run_fleet_experiment, _print_fleet_report, DEFAULT_OUT,
+        hosts=dict(type=int, default=DEFAULT_HOSTS,
+                   help=f"fleet size (default {DEFAULT_HOSTS})"),
+        ticks=dict(type=int, default=DEFAULT_TICKS,
+                   help=f"chaos-phase ticks per arm (default {DEFAULT_TICKS})"),
     )
-    parser.add_argument("--hosts", type=int, default=DEFAULT_HOSTS,
-                        help=f"fleet size (default {DEFAULT_HOSTS})")
-    parser.add_argument("--ticks", type=int, default=DEFAULT_TICKS,
-                        help=f"chaos-phase ticks per arm (default {DEFAULT_TICKS})")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help=f"output JSON path (default {DEFAULT_OUT})")
-    args = parser.parse_args(argv)
-    report = run_fleet_experiment(args.out, hosts=args.hosts, ticks=args.ticks)
-    _print_fleet_report(report)
-    if not report["passed"]:
-        print("FAIL: coordinator did not beat the per-host-only arm crash-free")
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -24,14 +24,13 @@ or through pytest with the other benches::
 
 from __future__ import annotations
 
-import argparse
 import time
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from benchmarks.helpers import write_report
+from benchmarks.helpers import enforce_gates, gate_main, write_report
 from repro.core.state_space import StateLabel, StateSpace
 from tests.support.geometry_reference import violation_vote_scalar
 
@@ -135,8 +134,9 @@ def run_experiment(
 ) -> Dict[str, object]:
     """Sweep the sizes, write the BENCH json; returns the report.
 
-    The pass criterion is the speedup at the reference size (500
-    states, or the largest measured size if 500 is not in the sweep).
+    The one gate, ``speedup_at_reference``, is the speedup at the
+    reference size (500 states, or the largest measured size if 500 is
+    not in the sweep) against ``threshold``.
     """
     # Warmup: numpy first-touch costs must not land on the first size.
     measure_size(min(sizes), votes=votes, repeats=1, seed=99)
@@ -157,10 +157,10 @@ def run_experiment(
         "reference_n_states": reference["n_states"],
         "reference_speedup": reference["speedup"],
         "threshold_speedup": threshold,
-        "passed": reference["speedup"] >= threshold,
     }
-    report["out"] = write_report(report, out)
-    return report
+    return write_report(
+        report, {"speedup_at_reference": reference["speedup"] >= threshold}, out
+    )
 
 
 def _print_report(report: Dict[str, object]) -> None:
@@ -189,38 +189,21 @@ def test_geometry_speedup(benchmark, capsys, tmp_path):
     with capsys.disabled():
         print()
         _print_report(report)
-    assert Path(report["out"]).exists()
-    assert report["passed"], (
-        f"speedup {report['reference_speedup']:.1f}x at "
-        f"n={report['reference_n_states']} below the "
-        f"{report['threshold_speedup']}x budget"
-    )
+    enforce_gates(report)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Benchmark cached vectorized violation geometry vs scalar"
+    return gate_main(
+        argv, run_experiment, _print_report, DEFAULT_OUT,
+        sizes=dict(type=int, nargs="+", default=list(DEFAULT_SIZES),
+                   help="state-space sizes to sweep"),
+        votes=dict(type=int, default=DEFAULT_VOTES,
+                   help="candidate points per violation_vote call"),
+        repeats=dict(type=int, default=DEFAULT_REPEATS,
+                     help="timed calls per measurement (best kept)"),
+        threshold=dict(type=float, default=THRESHOLD_SPEEDUP,
+                       help="fail below this speedup at the reference size"),
     )
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),
-                        help="state-space sizes to sweep")
-    parser.add_argument("--votes", type=int, default=DEFAULT_VOTES,
-                        help="candidate points per violation_vote call")
-    parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                        help="timed calls per measurement (best kept)")
-    parser.add_argument("--threshold", type=float, default=THRESHOLD_SPEEDUP,
-                        help="fail below this speedup at the reference size")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help=f"output JSON path (default {DEFAULT_OUT})")
-    args = parser.parse_args(argv)
-    report = run_experiment(
-        args.out, sizes=args.sizes, votes=args.votes, repeats=args.repeats,
-        threshold=args.threshold,
-    )
-    _print_report(report)
-    if not report["passed"]:
-        print(f"FAIL: speedup below {args.threshold}x")
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

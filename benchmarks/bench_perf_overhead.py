@@ -5,7 +5,8 @@ usage"); PR 2 added the telemetry layer that lets the controller
 measure that about itself. This bench closes the loop: the same
 VLC + CPUBomb co-location is run twice — telemetry enabled (stage
 timers + period rows) and disabled — timing every ``on_tick`` call, and the
-added overhead must stay under 5% of the controller's period cost.
+added overhead must stay under 5% (``--threshold``) of the controller's
+period cost: the one gate, ``overhead_below_threshold``.
 
 It writes ``BENCH_perf_overhead.json`` at the repo root (override with
 ``--out``): the first entry of the perf trajectory later scaling PRs
@@ -25,14 +26,13 @@ the ``N`` readings; the committed record is a ``--runs 10`` one.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import statistics
 import time
 from pathlib import Path
 from typing import Dict, List
 
-from benchmarks.helpers import write_report
+from benchmarks.helpers import enforce_gates, gate_main, write_report
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.experiments.scenarios import Scenario
@@ -130,7 +130,6 @@ def measure(ticks: int, repeats: int) -> Dict[str, object]:
         "telemetry_off_median_us": round(statistics.median(best_off) * 1e6, 3),
         "telemetry_on_median_us": round(statistics.median(best_on) * 1e6, 3),
         "overhead_percent": round(overhead_percent, 3),
-        "threshold_percent": THRESHOLD_PERCENT,
         "stage_mean_us": stages_us,
         "rows_recorded": len(telemetry.rows),
         "periods": int(telemetry.counter("controller.periods").value),
@@ -142,8 +141,10 @@ def run_experiment(
     ticks: int = DEFAULT_TICKS,
     repeats: int = DEFAULT_REPEATS,
     runs: int = 1,
+    threshold: float = THRESHOLD_PERCENT,
 ) -> Dict[str, object]:
-    """Measure on/off overhead and write the BENCH json; returns the report.
+    """Measure on/off overhead, gate it against ``threshold`` percent and
+    write the BENCH json; returns the report.
 
     ``runs`` whole measurements (:func:`measure`) are made back to back.
     One run of unchanged code reads anywhere from -5 to +15 % on a box
@@ -166,10 +167,12 @@ def run_experiment(
         runs=runs,
         overhead_percent_runs=readings,
         overhead_percent=round(median, 3),
-        passed=median < THRESHOLD_PERCENT,
+        threshold_percent=threshold,
     )
-    report["out"] = write_report(report, out)
-    return report
+    # Gate on the recorded (rounded) reading: for a threshold of at most
+    # three decimals it also implies the unrounded median is below it.
+    gates = {"overhead_below_threshold": report["overhead_percent"] < threshold}
+    return write_report(report, gates, out)
 
 
 def _print_report(report: Dict[str, object]) -> None:
@@ -195,37 +198,21 @@ def test_perf_overhead(benchmark, capsys, tmp_path):
     with capsys.disabled():
         print()
         _print_report(report)
-    assert Path(report["out"]).exists()
-    # Telemetry on vs off must stay within the 5% period-cost budget.
-    assert report["overhead_percent"] < THRESHOLD_PERCENT, (
-        f"telemetry overhead {report['overhead_percent']:.2f}% "
-        f"exceeds the {THRESHOLD_PERCENT}% budget"
-    )
+    enforce_gates(report)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Measure controller self-overhead with telemetry on vs off"
+    return gate_main(
+        argv, run_experiment, _print_report, DEFAULT_OUT,
+        ticks=dict(type=int, default=DEFAULT_TICKS,
+                   help="run length in ticks per measurement"),
+        repeats=dict(type=int, default=DEFAULT_REPEATS,
+                     help="interleaved runs per configuration (best kept)"),
+        runs=dict(type=int, default=1,
+                  help="whole on/off measurements; the gate reads their median"),
+        threshold=dict(type=float, default=THRESHOLD_PERCENT,
+                       help="fail at or above this overhead percentage"),
     )
-    parser.add_argument("--ticks", type=int, default=DEFAULT_TICKS,
-                        help="run length in ticks per measurement")
-    parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                        help="interleaved runs per configuration (best kept)")
-    parser.add_argument("--runs", type=int, default=1,
-                        help="whole on/off measurements; the gate reads their median")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help=f"output JSON path (default {DEFAULT_OUT})")
-    parser.add_argument("--threshold", type=float, default=THRESHOLD_PERCENT,
-                        help="fail above this overhead percentage")
-    args = parser.parse_args(argv)
-    report = run_experiment(
-        args.out, ticks=args.ticks, repeats=args.repeats, runs=args.runs
-    )
-    _print_report(report)
-    if report["overhead_percent"] >= args.threshold:
-        print(f"FAIL: overhead above {args.threshold}%")
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

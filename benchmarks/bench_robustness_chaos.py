@@ -1,14 +1,16 @@
 """Robustness — chaos mixes: protection layers on vs off, identical faults.
 
 Not a paper figure: this bench guards the robustness layers. Two
-campaigns, each replaying an identical seeded fault script against two
+campaigns, each replaying an identical seeded fault script against
 otherwise-identical Stay-Away controllers:
 
-* **Environment chaos** (PR-1 resilience layer): sensor corruption,
+* **Environment chaos** (resilience layer): sensor corruption,
   QoS-report dropout, flapping batch containers, lossy actuators,
   demand spikes — resilience (sensor guard + degraded modes +
   reconciliation) on vs off. The unguarded controller typically dies on
-  the first NaN measurement.
+  the first NaN measurement; the resilient one must survive with
+  consistent bookkeeping, a strictly lower violation ratio and a guard
+  that rejected and imputed real samples.
 * **Recovery drill** (fault containment): controller-internal faults —
   stages raising on schedule (:class:`StageExceptionInjector`) and
   silent model poisoning (:class:`ModelPoisoner`) — containment
@@ -18,18 +20,23 @@ otherwise-identical Stay-Away controllers:
   exception; the contained one must survive the whole run, catch every
   injected stage fault, heal every histogram poison with a mode reset,
   keep its bookkeeping consistent and sustain a strictly lower
-  sensitive-app QoS violation ratio. Results land in
-  ``BENCH_fault_containment.json``.
+  sensitive-app QoS violation ratio.
 
-``python -m benchmarks.bench_robustness_chaos`` runs the recovery drill
-standalone (the CI chaos-smoke step uses a fast profile).
+Every check is one named gate of :func:`run_experiment`; both
+campaigns land in ``BENCH_fault_containment.json``.
+``python -m benchmarks.bench_robustness_chaos`` runs them standalone.
 """
 
-import argparse
 from pathlib import Path
 from typing import Dict
 
-from benchmarks.helpers import STANDARD_TICKS, banner, write_report
+from benchmarks.helpers import (
+    STANDARD_TICKS,
+    banner,
+    enforce_gates,
+    gate_main,
+    write_report,
+)
 from repro.experiments.chaos import (
     ChaosMix,
     ContainmentMix,
@@ -41,83 +48,25 @@ from repro.experiments.scenarios import Scenario
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_fault_containment.json"
 
 
-def run_experiment():
-    scenario = Scenario(
-        sensitive="vlc-streaming",
-        batches=("cpubomb",),
-        ticks=STANDARD_TICKS,
-        seed=1,
-    )
-    mix = ChaosMix(seed=5, spike_windows=((500, 560), (900, 960)))
-    return run_chaos_comparison(scenario, mix=mix)
+def run_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, object]:
+    """Run both campaigns, gate them and write the BENCH json.
 
-
-def test_robustness_chaos(benchmark, capsys):
-    comparison = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    resilient = comparison.arms["resilient"]
-    unguarded = comparison.arms["unguarded"]
-    faults = {name: arm.summary()["faults"] for name, arm in comparison.arms.items()}
-
-    with capsys.disabled():
-        print(banner("Robustness - chaos mix, resilience on vs off"))
-        print(
-            f"faults injected: {faults['resilient']['total']} (resilient run), "
-            f"{faults['unguarded']['total']} (unguarded run)"
-        )
-        for label, result in (("resilient", resilient), ("unguarded", unguarded)):
-            crashed = (
-                "survived"
-                if result.crashed_at is None
-                else f"CRASHED at tick {result.crashed_at}"
-            )
-            print(
-                f"  {label:9s} violation ratio {result.violation_ratio():.3f}  "
-                f"{crashed}  invariant breaches {len(result.checker.breaches)}"
-            )
-        guard = resilient.controller.guard
-        if guard is not None:
-            print(f"  sensor guard: {guard.summary()}")
-        print(
-            f"  reconciliation: {resilient.controller.throttle.reconcile_repauses} "
-            f"re-pauses, {resilient.controller.throttle.failed_actions} failed "
-            f"actions, {resilient.controller.throttle.escalations} escalations"
-        )
-
-    # The acceptance bar: the resilient controller must strictly beat
-    # the unguarded one under the identical seeded fault script.
-    assert resilient.violation_ratio() < unguarded.violation_ratio()
-    # And survive the whole run with consistent bookkeeping.
-    assert resilient.crashed_at is None
-    assert resilient.checker.ok, resilient.checker.summary()
-    # The faults actually fired (the comparison is not vacuous).
-    assert faults["resilient"]["total"] > 50
-    assert faults["resilient"]["sensor_corruptions"] > 0
-    assert faults["resilient"]["qos_reports_dropped"] > 0
-    assert faults["resilient"]["actuator_drops"] > 0
-    # The guard did real work: rejections were detected and imputed.
-    guard_summary = resilient.controller.guard.summary()
-    assert guard_summary["rejected"] > 0
-    assert guard_summary["imputed"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Recovery drill: fault containment on vs off
-# ---------------------------------------------------------------------------
-
-def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, object]:
-    """Run the containment recovery drill and write the BENCH json.
-
-    The fault script mixes a scripted 60-period mapping-stage outage
-    with probabilistic stage exceptions and model poisonings, all pure
-    functions of (seed, tick) so both policy variants face identical
-    faults.
+    Each fault script is a pure function of (seed, tick), so every arm
+    of a campaign faces identical faults. The recovery script mixes a
+    scripted 60-period mapping-stage outage with probabilistic stage
+    exceptions and model poisonings.
     """
     scenario = Scenario(
-        sensitive="vlc-streaming",
-        batches=("cpubomb",),
-        ticks=ticks,
-        seed=1,
+        sensitive="vlc-streaming", batches=("cpubomb",), ticks=ticks, seed=1
     )
+    chaos_mix = ChaosMix(seed=5, spike_windows=((500, 560), (900, 960)))
+    chaos = run_chaos_comparison(scenario, mix=chaos_mix)
+    resilient = chaos.arms["resilient"]
+    unguarded = chaos.arms["unguarded"]
+    env_faults = resilient.summary()["faults"]
+    guard_summary = resilient.controller.guard.summary()
+    throttle = resilient.controller.throttle
+
     outage = (ticks // 4, ticks // 4 + 60, "map")
     mix = ContainmentMix(
         seed=7,
@@ -127,12 +76,80 @@ def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, objec
         poison=0.03,
     )
     comparison = run_recovery_comparison(scenario, mix=mix)
-    contained = comparison.arms["contained"].summary()
+    contained_arm = comparison.arms["contained"]
+    uncontained_arm = comparison.arms["uncontained"]
+    contained = contained_arm.summary()
     blind = comparison.arms["no-watchdog"].summary()
-    uncontained = comparison.arms["uncontained"].summary()
+    uncontained = uncontained_arm.summary()
+    watchdog = contained_arm.controller.watchdog.summary()
+    histogram_poisons = [
+        event for event in contained_arm.poisoner.fired
+        if event.kind == "poison-nan-histogram"
+    ]
+
+    gates = {
+        "env_resilient_beats_unguarded": (
+            resilient.violation_ratio() < unguarded.violation_ratio()
+        ),
+        "env_resilient_survived": resilient.crashed_at is None,
+        "env_invariants_held": resilient.checker.ok,
+        "env_faults_fired": env_faults["total"] > 50,
+        "env_sensors_corrupted": env_faults["sensor_corruptions"] > 0,
+        "env_qos_reports_dropped": env_faults["qos_reports_dropped"] > 0,
+        "env_actuator_signals_lost": env_faults["actuator_drops"] > 0,
+        "env_guard_rejected": guard_summary["rejected"] > 0,
+        "env_guard_imputed": guard_summary["imputed"] > 0,
+        "recovery_contained_survived": contained_arm.crashed_at is None,
+        "recovery_uncontained_crashed_on_a_fault": (
+            uncontained_arm.crashed_at is not None
+            and uncontained_arm.crash.fault is not None
+        ),
+        "recovery_contained_beats_uncontained": (
+            contained_arm.violation_ratio() < uncontained_arm.violation_ratio()
+        ),
+        "recovery_stage_faults_fired": len(contained_arm.injector.fired) > 10,
+        "recovery_models_poisoned": len(contained_arm.poisoner.fired) > 0,
+        "recovery_firewall_caught_every_stage_fault": (
+            contained["containment"]["firewall_catches"]
+            == len(contained_arm.injector.fired)
+        ),
+        "recovery_watchdog_found_violations": watchdog["violations"] > 0,
+        "recovery_watchdog_healed": (
+            watchdog["quarantines"] + watchdog["mode_resets"] > 0
+        ),
+        "recovery_every_histogram_poison_reset": (
+            watchdog["mode_resets"] == len(histogram_poisons)
+        ),
+        "recovery_invariants_held": contained_arm.checker.ok,
+    }
     report = {
         "bench": "fault_containment",
         "ticks": ticks,
+        "environment": {
+            "mix": {
+                "seed": chaos_mix.seed,
+                "spike_windows": [list(window) for window in chaos_mix.spike_windows],
+            },
+            "resilient": {
+                "violation_ratio": resilient.violation_ratio(),
+                "crashed_at": resilient.crashed_at,
+                "faults": env_faults,
+                "invariants": resilient.checker.summary(),
+                "guard": guard_summary,
+                "reconciliation": {
+                    "repauses": throttle.reconcile_repauses,
+                    "failed_actions": throttle.failed_actions,
+                    "escalations": throttle.escalations,
+                },
+            },
+            "unguarded": {
+                "violation_ratio": unguarded.violation_ratio(),
+                "crashed_at": unguarded.crashed_at,
+                "faults": unguarded.summary()["faults"],
+                "invariants": unguarded.checker.summary(),
+            },
+            "improvement": chaos.improvement,
+        },
         "mix": {
             "seed": mix.seed,
             "stage_fault": mix.stage_fault,
@@ -162,18 +179,36 @@ def run_recovery_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, objec
             "faults": uncontained["faults"],
         },
         "improvement": comparison.improvement,
-        "passed": (
-            contained["crashed_at"] is None
-            and contained["invariants"]["breaches"] == 0
-            and comparison.improvement > 0
-        ),
     }
-    report["out"] = write_report(report, out)
-    report["comparison"] = comparison
-    return report
+    return write_report(report, gates, out)
 
 
-def _print_recovery_report(report: Dict[str, object]) -> None:
+def _crash_note(crashed_at) -> str:
+    return "survived" if crashed_at is None else f"CRASHED at tick {crashed_at}"
+
+
+def _print_report(report: Dict[str, object]) -> None:
+    env = report["environment"]
+    print(banner("Robustness - chaos mix, resilience on vs off"))
+    print(
+        f"faults injected: {env['resilient']['faults']['total']} (resilient run), "
+        f"{env['unguarded']['faults']['total']} (unguarded run)"
+    )
+    for label in ("resilient", "unguarded"):
+        side = env[label]
+        print(
+            f"  {label:9s} violation ratio {side['violation_ratio']:.3f}  "
+            f"{_crash_note(side['crashed_at'])}  "
+            f"invariant breaches {side['invariants']['breaches']}"
+        )
+    print(f"  sensor guard: {env['resilient']['guard']}")
+    reconciliation = env["resilient"]["reconciliation"]
+    print(
+        f"  reconciliation: {reconciliation['repauses']} re-pauses, "
+        f"{reconciliation['failed_actions']} failed actions, "
+        f"{reconciliation['escalations']} escalations"
+    )
+
     contained = report["contained"]
     uncontained = report["uncontained"]
     print(banner("Robustness - recovery drill, fault containment on vs off"))
@@ -183,15 +218,10 @@ def _print_recovery_report(report: Dict[str, object]) -> None:
     )
     for label in ("contained", "no-watchdog", "uncontained"):
         side = report[label]
-        crashed = (
-            "survived"
-            if side["crashed_at"] is None
-            else f"CRASHED at tick {side['crashed_at']}"
-        )
         breaches = side.get("invariants", {}).get("breaches")
         print(
             f"  {label:11s} violation ratio {side['violation_ratio']:.3f}  "
-            f"batch work {side['batch_work']:7.1f}  {crashed}"
+            f"batch work {side['batch_work']:7.1f}  {_crash_note(side['crashed_at'])}"
             + ("" if breaches is None else f"  invariant breaches {breaches}")
         )
     crash = uncontained.get("crash")
@@ -205,68 +235,29 @@ def _print_recovery_report(report: Dict[str, object]) -> None:
     print(f"  watchdog: {containment['watchdog']}")
     print(f"  invariant breaches: {contained['invariants']['breaches']}")
     print(f"  improvement: {report['improvement']:+.3f} violation ratio")
+    print(f"  gates: {report['gates']}")
     print(f"  report written to {report['out']}")
 
 
-def test_recovery_drill(benchmark, capsys, tmp_path):
+def test_fault_containment(benchmark, capsys, tmp_path):
     report = benchmark.pedantic(
-        run_recovery_experiment,
+        run_experiment,
         args=(tmp_path / "BENCH_fault_containment.json",),
         rounds=1,
         iterations=1,
     )
-    contained = report["comparison"].arms["contained"]
-    uncontained = report["comparison"].arms["uncontained"]
-
     with capsys.disabled():
         print()
-        _print_recovery_report(report)
-
-    # A mid-run stage crash must never terminate the contained run...
-    assert contained.crashed_at is None
-    # ...while the identical script kills the uncontained controller.
-    assert uncontained.crashed_at is not None
-    assert uncontained.crash.fault is not None
-    # Containment sustains a strictly lower QoS violation ratio.
-    assert contained.violation_ratio() < uncontained.violation_ratio()
-    # The faults actually fired (the comparison is not vacuous) and the
-    # firewall caught every injected stage fault.
-    assert len(contained.injector.fired) > 10
-    assert len(contained.poisoner.fired) > 0
-    summary = contained.summary()
-    assert summary["containment"]["firewall_catches"] == len(contained.injector.fired)
-    # The watchdog found and healed real poisonings: every NaN written
-    # into a step histogram was cleared by one mode reset.
-    watchdog = contained.controller.watchdog.summary()
-    assert watchdog["violations"] > 0
-    assert watchdog["quarantines"] + watchdog["mode_resets"] > 0
-    histogram_poisons = [
-        event for event in contained.poisoner.fired
-        if event.kind == "poison-nan-histogram"
-    ]
-    assert watchdog["mode_resets"] == len(histogram_poisons)
-    # Contained bookkeeping stayed consistent throughout.
-    assert contained.checker.ok, contained.checker.summary()
+        _print_report(report)
+    enforce_gates(report)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Recovery drill: fault containment on vs off, identical faults"
+    return gate_main(
+        argv, run_experiment, _print_report, DEFAULT_OUT,
+        ticks=dict(type=int, default=STANDARD_TICKS,
+                   help="run length in ticks per arm of both campaigns"),
     )
-    parser.add_argument("--ticks", type=int, default=STANDARD_TICKS,
-                        help="run length in ticks per policy variant")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help=f"output JSON path (default {DEFAULT_OUT})")
-    args = parser.parse_args(argv)
-    report = run_recovery_experiment(args.out, ticks=args.ticks)
-    _print_recovery_report(report)
-    if not report["passed"]:
-        print(
-            "FAIL: the contained run crashed, breached an invariant or did "
-            "not beat the uncontained baseline"
-        )
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

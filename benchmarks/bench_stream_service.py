@@ -17,17 +17,26 @@ Not a paper figure: this bench guards the service seam
   arm, which distorts far further (its zero-filled cells poison the
   map into chronic over-throttling: artificially low violations paid
   for with a large batch-work shortfall). Every arm must finish with
-  zero unreconciled (non-dead-lettered) actuator commands.
+  zero unreconciled (non-dead-lettered) actuator commands, the fault
+  script must have fired on both faulted arms, and the seam must have
+  done real work: reorders recovered, duplicates dropped, NaN cells
+  bridged by the guard, lost acks retried.
 
+Every check is one named gate of :func:`run_experiment`.
 ``python -m benchmarks.bench_stream_service`` runs both standalone
-(``--quick`` is the CI smoke profile).
+(``--quick`` is the CI profile).
 """
 
-import argparse
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
-from benchmarks.helpers import STANDARD_TICKS, banner, write_report
+from benchmarks.helpers import (
+    STANDARD_TICKS,
+    banner,
+    enforce_gates,
+    gate_main,
+    write_report,
+)
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream_chaos import (
     StreamChaosMix,
@@ -45,26 +54,52 @@ QUICK_REPLAY_TICKS = 240
 
 
 def run_experiment(
-    out, ticks: int = STANDARD_TICKS, replay_ticks: int = 600
+    out,
+    ticks: Optional[int] = None,
+    replay_ticks: Optional[int] = None,
+    quick: bool = False,
 ) -> Dict[str, object]:
-    """Run both gates and write the BENCH json."""
+    """Run both gates' drills, gate them and write the BENCH json.
+
+    ``quick`` picks the shorter default run lengths; an explicit
+    ``ticks`` / ``replay_ticks`` overrides either profile.
+    """
+    if ticks is None:
+        ticks = QUICK_CHAOS_TICKS if quick else STANDARD_TICKS
+    if replay_ticks is None:
+        replay_ticks = QUICK_REPLAY_TICKS if quick else 600
     replay = check_replay_determinism(Scenario(ticks=replay_ticks, seed=1))
 
     scenario = Scenario(ticks=ticks, seed=1)
     mix = StreamChaosMix(
         seed=5, drop=0.05, reorder=0.1, duplicate=0.1, ack_drop=0.3
     )
-    comparison = run_stream_comparison(scenario, mix=mix)
-    chaos = comparison.summary()
+    chaos = run_stream_comparison(scenario, mix=mix).summary()
+    stream = chaos["assembled"]["stream"]
 
-    within_2x = (
-        chaos["assembled"]["violation_ratio"]
-        <= 2.0 * chaos["fault_free"]["violation_ratio"]
-    )
-    reconciled = all(
-        chaos[arm]["unreconciled_commands"] == 0
-        for arm in ("fault_free", "assembled", "passthrough")
-    )
+    gates = {
+        "replay_match": replay["match"] and replay["clean_stream"],
+        "within_2x": (
+            chaos["assembled"]["violation_ratio"]
+            <= 2.0 * chaos["fault_free"]["violation_ratio"]
+        ),
+        "assembler_better": chaos["assembler_better"],
+        "all_commands_reconciled": all(
+            chaos[arm]["unreconciled_commands"] == 0
+            for arm in ("fault_free", "assembled", "passthrough")
+        ),
+        "faults_fired": (
+            chaos["assembled"]["faults_injected"] > 100
+            and chaos["passthrough"]["faults_injected"] > 100
+        ),
+        "reorders_recovered": stream["reordered"] > 0,
+        "duplicates_dropped": stream["duplicated"] > 0,
+        "guard_imputed": stream["imputed"] > 0,
+        "acks_retried": stream["actuator"]["retries"] > 0,
+        "passthrough_starved_batch": (
+            chaos["passthrough"]["batch_work"] < chaos["assembled"]["batch_work"]
+        ),
+    }
     report = {
         "bench": "stream_service",
         "ticks": ticks,
@@ -79,17 +114,8 @@ def run_experiment(
         },
         "replay": replay,
         "chaos": chaos,
-        "gates": {
-            "replay_match": bool(replay["match"] and replay["clean_stream"]),
-            "within_2x": bool(within_2x),
-            "assembler_better": bool(chaos["assembler_better"]),
-            "all_commands_reconciled": bool(reconciled),
-        },
     }
-    report["passed"] = all(report["gates"].values())
-    report["out"] = write_report(report, out)
-    report["comparison"] = comparison
-    return report
+    return write_report(report, gates, out)
 
 
 def _print_report(report: Dict[str, object]) -> None:
@@ -130,68 +156,26 @@ def test_stream_service_gates(benchmark, capsys, tmp_path):
     report = benchmark.pedantic(
         run_experiment,
         args=(tmp_path / "BENCH_stream_service.json",),
-        kwargs={"ticks": QUICK_CHAOS_TICKS, "replay_ticks": QUICK_REPLAY_TICKS},
+        kwargs={"quick": True},
         rounds=1,
         iterations=1,
     )
-    arms = report["comparison"].arms
-    chaos = report["chaos"]
-
     with capsys.disabled():
         print()
         _print_report(report)
-
-    # Gate (a): lossless replay reproduces the decision sequence exactly.
-    assert report["gates"]["replay_match"], report["replay"]
-    # Gate (b): the assembled arm stays within 2x of fault-free and
-    # tracks it strictly closer than the assembler-less arm.
-    assert report["gates"]["within_2x"], chaos
-    assert report["gates"]["assembler_better"], chaos
-    # Drain leaves nothing in limbo: every command acked or dead-lettered.
-    assert report["gates"]["all_commands_reconciled"], chaos
-    # The fault script actually fired on both faulted arms (not vacuous).
-    assert chaos["assembled"]["faults_injected"] > 100
-    assert chaos["passthrough"]["faults_injected"] > 100
-    # The seam did real work: the assembler recovered reorders and
-    # deduped, and the guard bridged the vectors it left NaN.
-    stream = chaos["assembled"]["stream"]
-    assert stream["reordered"] > 0
-    assert stream["duplicated"] > 0
-    assert stream["imputed"] > 0
-    # Lost acks forced the tracker through its retry path.
-    assert stream["actuator"]["retries"] > 0
-    # The passthrough arm visibly starved the batch tier.
-    assert arms["passthrough"].batch_work() < arms["assembled"].batch_work()
+    enforce_gates(report)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Service gates: replay determinism + stream-fault chaos"
+    return gate_main(
+        argv, run_experiment, _print_report, DEFAULT_OUT,
+        quick=dict(action="store_true",
+                   help="CI profile (shorter runs, identical gates)"),
+        ticks=dict(type=int, default=None,
+                   help="chaos run length in ticks per arm"),
+        replay_ticks=dict(type=int, default=None,
+                          help="replay-determinism run length in ticks"),
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke profile (shorter runs, identical gates)",
-    )
-    parser.add_argument("--ticks", type=int, default=None,
-                        help="chaos run length in ticks per arm")
-    parser.add_argument("--replay-ticks", type=int, default=None,
-                        help="replay-determinism run length in ticks")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help=f"output JSON path (default {DEFAULT_OUT})")
-    args = parser.parse_args(argv)
-    ticks = args.ticks if args.ticks is not None else (
-        QUICK_CHAOS_TICKS if args.quick else STANDARD_TICKS
-    )
-    replay_ticks = args.replay_ticks if args.replay_ticks is not None else (
-        QUICK_REPLAY_TICKS if args.quick else 600
-    )
-    report = run_experiment(args.out, ticks=ticks, replay_ticks=replay_ticks)
-    _print_report(report)
-    if not report["passed"]:
-        print("FAIL: stream service gates did not pass")
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,10 +14,12 @@ recompute it.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import sys
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,19 +107,61 @@ def get_trio(
     )
 
 
-def write_report(report: dict, out) -> str:
-    """Write a gate's report as JSON (sorted keys, two-space indent, final
-    newline, the shape of the committed ``BENCH_*.json`` records); returns
-    the path written.
+def write_report(report: dict, gates: Dict[str, bool], out) -> dict:
+    """Record a gate script's ``gates`` in its report, set ``passed`` to
+    ``all(gates)`` and write the report as JSON (sorted keys, two-space
+    indent, final newline: the shape of the committed ``BENCH_*.json``
+    records). Returns the report with ``out``, the path written, added.
 
     The gates' ``test_*`` functions pass pytest's ``tmp_path``; only a
     script's ``main()`` defaults to its committed record.
     """
+    report["gates"] = {name: bool(holds) for name, holds in gates.items()}
+    report["passed"] = all(report["gates"].values())
     path = Path(out)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return str(path)
+    report["out"] = str(path)
+    return report
+
+
+def _failing(report: dict) -> List[str]:
+    return [name for name, holds in report["gates"].items() if not holds]
+
+
+def enforce_gates(report: dict) -> None:
+    """A gate test's check: the report was written and every gate holds;
+    the assertion names each gate that failed."""
+    assert Path(report["out"]).exists(), f"no report at {report['out']}"
+    failing = _failing(report)
+    assert not failing, f"failing gates: {', '.join(failing)}"
+
+
+def gate_main(argv, run, show, default_out, **flags) -> int:
+    """The shared ``main()`` of a gate script.
+
+    Each keyword names one of the script's own options (``replay_ticks``
+    is ``--replay-ticks``) and holds its ``add_argument`` keywords;
+    ``--out`` (default ``default_out``) is added to them. Runs
+    ``run(out, **options)``, prints the report with ``show`` and returns
+    1, naming every failing gate, unless all of them hold.
+    """
+    doc = sys.modules[run.__module__].__doc__ or ""
+    parser = argparse.ArgumentParser(description=doc.strip().split("\n")[0])
+    for name, spec in flags.items():
+        parser.add_argument("--" + name.replace("_", "-"), **spec)
+    parser.add_argument(
+        "--out", default=default_out, help=f"output JSON path (default {default_out})"
+    )
+    options = vars(parser.parse_args(argv))
+    report = run(options.pop("out"), **options)
+    show(report)
+    failing = _failing(report)
+    if failing:
+        print(f"FAIL: {', '.join(failing)}")
+        return 1
+    return 0
 
 
 def banner(title: str) -> str:

@@ -68,7 +68,6 @@ class ThrottleManager:
         self.rng = np.random.default_rng(config.seed + 1)
         self._target_selector = target_selector
         self.beta = config.beta_initial
-        self.throttling = False
         self.metrics = registry if registry is not None else MetricRegistry()
         self._c_throttles = self.metrics.counter(
             "action.throttles", help="throttle rounds fired (SIGSTOP batch)"
@@ -160,6 +159,11 @@ class ThrottleManager:
         ]
 
     @property
+    def throttling(self) -> bool:
+        """A throttle is active: the pause-set is non-empty."""
+        return bool(self._paused_names)
+
+    @property
     def desired_paused(self) -> List[str]:
         """Containers the manager believes it is currently pausing."""
         return list(self._paused_names)
@@ -190,7 +194,6 @@ class ThrottleManager:
         if not found:
             return
         self._paused_names.extend(found)
-        self.throttling = True
         self.events.record(tick, EventKind.RECONCILE, targets=found, action="adopt")
 
     def reconcile(self, tick: int, observation: Observation, actuator) -> Observation:
@@ -250,8 +253,6 @@ class ThrottleManager:
                 )
             else:
                 self._repair_failed(tick, self._retry, name, failures + 1)
-        if not self._paused_names:
-            self.throttling = False
         return observation.with_state(repaused, PAUSED)
 
     def _repair_resumes(self, tick: int, observation: Observation, actuator) -> Observation:
@@ -321,7 +322,6 @@ class ThrottleManager:
         for name in names:
             if not actuator.pause(name) and self.config.resilience:
                 self._retry[name] = (0, tick)
-        self.throttling = True
         self._c_throttles.inc()
         self._stagnant_periods = 0
         self.events.record(tick, EventKind.THROTTLE, targets=list(names), **detail)
@@ -441,7 +441,6 @@ class ThrottleManager:
         ]
         if not resumable:
             # Batch jobs finished or were removed while paused.
-            self.throttling = False
             self._paused_names = []
             self._retry.clear()
             return
@@ -461,7 +460,6 @@ class ThrottleManager:
         for name in names:
             if not actuator.resume(name) and self.config.resilience:
                 self._unresumed[name] = (0, tick)
-        self.throttling = False
         self._paused_names = []
         self._retry.clear()
         self._stagnant_periods = 0

@@ -73,7 +73,6 @@ class DegradedModeMachine:
         self._c_periods = metrics.counter(
             "health.degraded_periods", help="periods spent DEGRADED"
         )
-        self.transitions: List[tuple] = []
         self._last_update_tick: Optional[int] = None
         self._last_good_monitoring_tick: Optional[int] = None
         self._last_qos_tick: Optional[int] = None
@@ -166,13 +165,11 @@ class DegradedModeMachine:
         self._c_entries.inc()
         self._c_periods.inc()
         self._healthy_streak = 0
-        self.transitions.append((tick, ControllerHealth.DEGRADED, tuple(reasons)))
         self.events.record(tick, EventKind.DEGRADED_ENTER, reasons=list(reasons))
 
     def _exit_degraded(self, tick: int) -> None:
         self.state = ControllerHealth.PREDICTIVE
         self._healthy_streak = 0
-        self.transitions.append((tick, ControllerHealth.PREDICTIVE, ()))
         self.events.record(
             tick, EventKind.DEGRADED_EXIT, resync_periods=RESYNC_PERIODS
         )

@@ -251,8 +251,9 @@ class PrometheusScrapeSource(StreamSource):
       carries.
 
     A scrape is one instant's view: scraping slower than the data tick
-    advances simply yields gapped ticks, which the assembler imputes —
-    the same partial-data semantics as any other source. Scrape
+    advances simply yields gapped ticks, which the assembler leaves NaN
+    and the controller's ``SensorGuard`` bridges with the last good
+    vector — the same partial-data semantics as any other source. Scrape
     failures (the callable raising ``OSError``/``ValueError``, or a
     ``_tick`` that is not a finite integer) surface as
     :class:`StreamError` for the reconnect path.

@@ -747,8 +747,9 @@ class StreamDropper(_StreamFault):
 
     Only tick-bearing records are dropped (the ``header`` always
     arrives — losing it is a different failure: a dead stream). The
-    assembler sees the loss as missing cells at close and imputes;
-    the assembler-less arm zero-fills and poisons its map.
+    assembler leaves the lost cells NaN at close and the controller's
+    ``SensorGuard`` holds the last good vector; the assembler-less arm
+    zero-fills and poisons its map.
     """
 
     def __init__(self, inner, seed: int = 0, probability: float = 0.05) -> None:

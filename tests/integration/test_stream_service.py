@@ -268,10 +268,11 @@ class TestChaosArms:
         )
         census = drill.service.summary()["telemetry"]["stream"]
         assert census["stall_degrades"] >= 1
-        health = drill.service.controller.health
+        controller = drill.service.controller
+        health = controller.health
         assert any(
-            state is ControllerHealth.DEGRADED and "stream-stall" in reasons
-            for _, state, reasons in health.transitions
+            "stream-stall" in event.detail["reasons"]
+            for event in controller.events.of_kind(EventKind.DEGRADED_ENTER)
         )
         # Data flowed again after the window: not stuck in DEGRADED.
         assert health.state is not ControllerHealth.DEGRADED

@@ -1,7 +1,13 @@
 """Every committed ``BENCH_*.json`` has a producer, every gate script a record."""
 
+import ast
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from benchmarks.helpers import enforce_gates, gate_main, write_report
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -26,6 +32,82 @@ def test_root_reports_match_their_producers():
         if not path.name.endswith("_ci.json")
     ]
     assert sorted(committed) == sorted(produced)
+
+
+def _committed_reports():
+    return sorted(
+        path for path in REPO.glob("BENCH_*.json") if not path.name.endswith("_ci.json")
+    )
+
+
+@pytest.mark.parametrize("path", _committed_reports(), ids=lambda path: path.name)
+def test_committed_report_passed_is_all_of_its_gates(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert isinstance(report["gates"], dict) and report["gates"]
+    assert report["passed"] == all(report["gates"].values())
+
+
+def _assigns_passed(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value == "passed" for key in node.keys
+        ):
+            return True
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Constant)
+            and node.slice.value == "passed"
+        ):
+            return True
+        if isinstance(node, ast.keyword) and node.arg == "passed":
+            return True
+    return False
+
+
+def test_no_gate_script_writes_passed_itself():
+    """``passed`` is ``all(gates)``, set in one place: ``write_report``."""
+    assert _assigns_passed(ast.parse('report["passed"] = True'))
+    writers = [
+        script.name
+        for script in sorted((REPO / "benchmarks").glob("bench_*.py"))
+        if _assigns_passed(ast.parse(script.read_text(encoding="utf-8")))
+    ]
+    assert writers == []
+
+
+def _fake_gate_run(out, level=0):
+    return write_report({"bench": "fake", "level": level}, {"ok": True, "bad": False}, out)
+
+
+def _fake_gate_show(report):
+    print(f"fake report at level {report['level']}")
+
+
+def test_gate_main_fails_naming_the_failing_gate(tmp_path, capsys):
+    out = tmp_path / "BENCH_fake.json"
+    status = gate_main(
+        ["--level", "3", "--out", str(out)],
+        _fake_gate_run, _fake_gate_show, tmp_path / "unused.json",
+        level=dict(type=int, default=0),
+    )
+    printed = capsys.readouterr().out
+    assert status == 1
+    assert "fake report at level 3" in printed
+    assert "FAIL: bad" in printed
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["passed"] is False
+    assert written["gates"] == {"ok": True, "bad": False}
+    assert "out" not in written
+
+
+def test_enforce_gates_names_each_failing_gate(tmp_path):
+    report = _fake_gate_run(tmp_path / "BENCH_fake.json")
+    with pytest.raises(AssertionError, match="failing gates: bad$"):
+        enforce_gates(report)
+    passing = write_report({"bench": "fake"}, {"ok": True}, tmp_path / "BENCH_ok.json")
+    enforce_gates(passing)
+    assert passing["passed"] is True
 
 
 def test_every_tracer_patch_point_exists_in_src():
