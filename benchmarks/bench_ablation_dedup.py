@@ -30,8 +30,8 @@ def run_experiment():
     return results
 
 
-def test_ablation_dedup_epsilon(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_dedup_epsilon(capsys):
+    results = run_experiment()
 
     rows = []
     for epsilon, (run, elapsed) in results.items():

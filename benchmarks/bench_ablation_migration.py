@@ -71,8 +71,8 @@ def run_experiment(ticks=400):
     }
 
 
-def test_ablation_migration_vs_throttle(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_migration_vs_throttle(capsys):
+    results = run_experiment()
     deepdive_qos = results["deepdive_qos"]
     controller = results["stayaway"]
 

@@ -29,8 +29,8 @@ def run_experiment():
     return results
 
 
-def test_ablation_per_mode_models(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_per_mode_models(capsys):
+    results = run_experiment()
 
     def median_raw_error(predictor):
         errors = [r.position_error for r in predictor.accuracy_records]

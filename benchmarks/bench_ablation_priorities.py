@@ -61,8 +61,8 @@ def run_experiment(ticks=600):
     }
 
 
-def test_ablation_priorities(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_priorities(capsys):
+    results = run_experiment()
     coordinator = results["coordinator"]
     flat = results["flat"]
 

@@ -39,8 +39,8 @@ def run_experiment():
     return results
 
 
-def test_ablation_qclouds(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_qclouds(capsys):
+    results = run_experiment()
 
     rows = []
     for label, runs in results.items():

@@ -33,8 +33,8 @@ def run_experiment():
     return results
 
 
-def test_ablation_radius_law(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_radius_law(capsys):
+    results = run_experiment()
 
     rows = []
     for name, run in results.items():

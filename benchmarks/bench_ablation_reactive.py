@@ -25,8 +25,8 @@ def run_experiment():
     return reactive_runs, stayaway
 
 
-def test_ablation_reactive_frontier(benchmark, capsys):
-    reactive_runs, stayaway = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_reactive_frontier(capsys):
+    reactive_runs, stayaway = run_experiment()
 
     rows = []
     for cooldown, run in reactive_runs.items():

@@ -25,8 +25,8 @@ def run_experiment():
     return results
 
 
-def test_ablation_sample_count(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_sample_count(capsys):
+    results = run_experiment()
 
     rows = []
     for n, run in results.items():

@@ -70,14 +70,14 @@ def run_experiment():
     )
 
 
-def test_ablation_static_profiling(benchmark, capsys):
+def test_ablation_static_profiling(capsys):
     (
         admit_off_peak,
         admit_peak,
         (admitted_qos, admitted_work),
         (rejected_qos, rejected_work),
         stayaway,
-    ) = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    ) = run_experiment()
 
     rows = [
         ["static (profiled off-peak -> admit)",

@@ -54,8 +54,8 @@ def run_experiment():
     }
 
 
-def test_ablation_var_forecaster(benchmark, capsys):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_var_forecaster(capsys):
+    results = run_experiment()
 
     rows = [
         ["VAR(1) on raw 10-D metrics", results["high_params"],

@@ -56,10 +56,8 @@ def run_experiment():
     return with_dedup, without_dedup
 
 
-def test_claim_overhead_and_dedup(benchmark, capsys):
-    (ctrl_dedup, times_dedup), (ctrl_raw, times_raw) = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_claim_overhead_and_dedup(capsys):
+    (ctrl_dedup, times_dedup), (ctrl_raw, times_raw) = run_experiment()
 
     states_dedup = len(ctrl_dedup.state_space)
     states_raw = len(ctrl_raw.state_space)

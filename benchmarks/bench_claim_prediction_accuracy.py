@@ -34,8 +34,8 @@ def run_experiment():
     return summaries
 
 
-def test_claim_prediction_accuracy(benchmark, capsys):
-    summaries = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_claim_prediction_accuracy(capsys):
+    summaries = run_experiment()
 
     rows = []
     accuracies = []

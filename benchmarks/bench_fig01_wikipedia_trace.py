@@ -19,8 +19,8 @@ def build_trace():
     return series
 
 
-def test_fig01_wikipedia_trace(benchmark, capsys):
-    series = benchmark.pedantic(build_trace, rounds=1, iterations=1)
+def test_fig01_wikipedia_trace(capsys):
+    series = build_trace()
 
     daily = series.reshape(4, 24)
     trough_hours = daily.argmin(axis=1)

@@ -18,8 +18,8 @@ def build_curve(c: float = 0.5, points: int = 200):
     return distances, radii
 
 
-def test_fig04_violation_range_radius(benchmark, capsys):
-    distances, radii = benchmark.pedantic(build_curve, rounds=1, iterations=1)
+def test_fig04_violation_range_radius(capsys):
+    distances, radii = build_curve()
     c = 0.5
 
     peak_index = int(np.argmax(radii))

@@ -45,8 +45,8 @@ def run_lifecycle():
     return controller
 
 
-def test_fig05_execution_mode_state_space(benchmark, capsys):
-    controller = benchmark.pedantic(run_lifecycle, rounds=1, iterations=1)
+def test_fig05_execution_mode_state_space(capsys):
+    controller = run_lifecycle()
 
     points = np.vstack([point.coords for point in controller.trajectory])
     markers = [MODE_MARKERS[point.mode] for point in controller.trajectory]

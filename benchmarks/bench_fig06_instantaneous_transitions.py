@@ -60,8 +60,8 @@ def run_snapshot():
     return controller
 
 
-def test_fig06_instantaneous_transitions(benchmark, capsys):
-    controller = benchmark.pedantic(run_snapshot, rounds=1, iterations=1)
+def test_fig06_instantaneous_transitions(capsys):
+    controller = run_snapshot()
 
     points = np.vstack([p.coords for p in controller.trajectory])
     markers = []

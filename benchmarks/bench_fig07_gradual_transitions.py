@@ -18,8 +18,8 @@ def run_experiment():
     return get_run("stayaway", "vlc-streaming", ("twitter-analysis",))
 
 
-def test_fig07_gradual_transitions(benchmark, capsys):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig07_gradual_transitions(capsys):
+    result = run_experiment()
     controller = result.controller
 
     points = np.vstack([p.coords for p in controller.trajectory])

@@ -13,8 +13,8 @@ def run_experiment():
     return get_trio("vlc-streaming", ("cpubomb",))
 
 
-def test_fig08_vlc_with_cpubomb_qos(benchmark, capsys):
-    trio = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig08_vlc_with_cpubomb_qos(capsys):
+    trio = run_experiment()
     unmanaged = trio.unmanaged
     stayaway = trio.stayaway
 

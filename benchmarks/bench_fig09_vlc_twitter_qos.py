@@ -12,8 +12,8 @@ def run_experiment():
     return get_trio("vlc-streaming", ("twitter-analysis",))
 
 
-def test_fig09_vlc_with_twitter_qos(benchmark, capsys):
-    trio = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig09_vlc_with_twitter_qos(capsys):
+    trio = run_experiment()
     unmanaged = trio.unmanaged
     stayaway = trio.stayaway
 

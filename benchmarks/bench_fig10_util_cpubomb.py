@@ -13,8 +13,8 @@ def run_experiment():
     return get_trio("vlc-streaming", ("cpubomb",))
 
 
-def test_fig10_gained_utilization_cpubomb(benchmark, capsys):
-    trio = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig10_gained_utilization_cpubomb(capsys):
+    trio = run_experiment()
     comparison = trio.utilization
 
     with capsys.disabled():

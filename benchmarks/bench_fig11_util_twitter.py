@@ -12,8 +12,8 @@ def run_experiment():
     return get_trio("vlc-streaming", ("twitter-analysis",))
 
 
-def test_fig11_gained_utilization_twitter(benchmark, capsys):
-    trio = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig11_gained_utilization_twitter(capsys):
+    trio = run_experiment()
     comparison = trio.utilization
 
     with capsys.disabled():
@@ -38,16 +38,10 @@ def test_fig11_gained_utilization_twitter(benchmark, capsys):
     assert trio.stayaway.violation_ratio() < 0.08
 
 
-def test_fig10_vs_fig11_ordering(benchmark, capsys):
+def test_fig10_vs_fig11_ordering(capsys):
     """Cross-figure shape: Twitter gain >> CPUBomb gain (Figs. 10-11)."""
-    twitter, cpubomb = benchmark.pedantic(
-        lambda: (
-            get_trio("vlc-streaming", ("twitter-analysis",)),
-            get_trio("vlc-streaming", ("cpubomb",)),
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    twitter = get_trio("vlc-streaming", ("twitter-analysis",))
+    cpubomb = get_trio("vlc-streaming", ("cpubomb",))
     with capsys.disabled():
         print(banner("Figs. 10 vs 11 - gain ordering"))
         print(f"Stay-Away gain with Twitter-Analysis: "

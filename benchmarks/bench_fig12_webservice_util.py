@@ -27,8 +27,8 @@ def run_experiment():
     return table
 
 
-def test_fig12_webservice_gained_utilization(benchmark, capsys):
-    table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig12_webservice_gained_utilization(capsys):
+    table = run_experiment()
 
     rows = []
     for batch in BATCHES:

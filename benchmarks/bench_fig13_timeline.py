@@ -61,10 +61,8 @@ def run_experiment():
     return controller_a, ws_a, controller_b, ws_b
 
 
-def test_fig13_execution_timeline(benchmark, capsys):
-    controller_a, ws_a, controller_b, ws_b = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_fig13_execution_timeline(capsys):
+    controller_a, ws_a, controller_b, ws_b = run_experiment()
 
     def bands(controller, webservice):
         stress = 1.0 - np.asarray(controller.qos.qos_series.values)

@@ -16,8 +16,8 @@ def run_experiment():
     return {batch: get_trio("webservice-cpu", (batch,)) for batch in BATCHES}
 
 
-def test_fig15_webservice_cpu_qos(benchmark, capsys):
-    table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig15_webservice_cpu_qos(capsys):
+    table = run_experiment()
 
     rows = []
     for batch, trio in table.items():

@@ -17,8 +17,8 @@ def run_experiment():
     return {batch: get_trio("webservice-memory", (batch,)) for batch in BATCHES}
 
 
-def test_fig16_webservice_memory_qos(benchmark, capsys):
-    table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig16_webservice_memory_qos(capsys):
+    table = run_experiment()
 
     rows = []
     for batch, trio in table.items():

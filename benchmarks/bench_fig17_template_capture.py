@@ -21,8 +21,8 @@ def run_experiment():
     return run, template
 
 
-def test_fig17_template_capture(benchmark, capsys):
-    run, template = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig17_template_capture(capsys):
+    run, template = run_experiment()
     controller = run.controller
 
     markers = [

@@ -32,8 +32,8 @@ def run_experiment():
     return template, reuse
 
 
-def test_fig18_template_reuse(benchmark, capsys):
-    template, reuse = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig18_template_reuse(capsys):
+    template, reuse = run_experiment()
     controller = reuse.controller
     space = controller.state_space
     n_template = template.representatives.shape[0]

@@ -148,12 +148,8 @@ def _print_fleet_report(report: Dict[str, object]) -> None:
     print(f"  report written to {report['out']}")
 
 
-def test_fleet_chaos(benchmark, capsys, tmp_path):
-    report = benchmark.pedantic(
-        lambda: run_fleet_experiment(tmp_path / "BENCH_fleet.json", hosts=24, ticks=200),
-        rounds=1,
-        iterations=1,
-    )
+def test_fleet_chaos(capsys, tmp_path):
+    report = run_fleet_experiment(tmp_path / "BENCH_fleet.json", hosts=24, ticks=200)
     with capsys.disabled():
         print()
         _print_fleet_report(report)

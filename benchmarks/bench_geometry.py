@@ -182,10 +182,8 @@ def _print_report(report: Dict[str, object]) -> None:
     print(f"  report written to {report['out']}")
 
 
-def test_geometry_speedup(benchmark, capsys, tmp_path):
-    report = benchmark.pedantic(
-        run_experiment, args=(tmp_path / "BENCH_geometry.json",), rounds=1, iterations=1
-    )
+def test_geometry_speedup(capsys, tmp_path):
+    report = run_experiment(tmp_path / "BENCH_geometry.json")
     with capsys.disabled():
         print()
         _print_report(report)

@@ -191,10 +191,8 @@ def _print_report(report: Dict[str, object]) -> None:
     print(f"  report written to {report['out']}")
 
 
-def test_perf_overhead(benchmark, capsys, tmp_path):
-    report = benchmark.pedantic(
-        run_experiment, args=(tmp_path / "BENCH_perf_overhead.json",), rounds=1, iterations=1
-    )
+def test_perf_overhead(capsys, tmp_path):
+    report = run_experiment(tmp_path / "BENCH_perf_overhead.json")
     with capsys.disabled():
         print()
         _print_report(report)

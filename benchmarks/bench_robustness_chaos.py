@@ -239,13 +239,8 @@ def _print_report(report: Dict[str, object]) -> None:
     print(f"  report written to {report['out']}")
 
 
-def test_fault_containment(benchmark, capsys, tmp_path):
-    report = benchmark.pedantic(
-        run_experiment,
-        args=(tmp_path / "BENCH_fault_containment.json",),
-        rounds=1,
-        iterations=1,
-    )
+def test_fault_containment(capsys, tmp_path):
+    report = run_experiment(tmp_path / "BENCH_fault_containment.json")
     with capsys.disabled():
         print()
         _print_report(report)

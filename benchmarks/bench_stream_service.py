@@ -152,14 +152,8 @@ def _print_report(report: Dict[str, object]) -> None:
     print(f"  report written to {report['out']}")
 
 
-def test_stream_service_gates(benchmark, capsys, tmp_path):
-    report = benchmark.pedantic(
-        run_experiment,
-        args=(tmp_path / "BENCH_stream_service.json",),
-        kwargs={"quick": True},
-        rounds=1,
-        iterations=1,
-    )
+def test_stream_service_gates(capsys, tmp_path):
+    report = run_experiment(tmp_path / "BENCH_stream_service.json", quick=True)
     with capsys.disabled():
         print()
         _print_report(report)

@@ -26,7 +26,7 @@ no-orphan invariant: after the run, every record reached a terminal
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.sim.cluster import (
     MIGRATION_BOUNCED,
@@ -88,8 +88,6 @@ class SupervisedMigration:
         counted from here, so a retry gets a fresh time budget.
     reason:
         Why the migration ended where it did (terminal states only).
-    transitions:
-        ``(tick, state)`` history, for tests and post-mortems.
     """
 
     container: str
@@ -103,7 +101,6 @@ class SupervisedMigration:
     next_attempt_tick: int = 0
     attempt_started_tick: int = 0
     reason: str = ""
-    transitions: List[Tuple[int, str]] = field(default_factory=list)
 
     @property
     def terminal(self) -> bool:
@@ -112,7 +109,6 @@ class SupervisedMigration:
 
     def _move(self, tick: int, state: str, reason: str = "") -> None:
         self.state = state
-        self.transitions.append((tick, state))
         if state in MigrationState.TERMINAL:
             self.completed_tick = tick
             self.reason = reason
@@ -168,7 +164,6 @@ class MigrationSupervisor:
             requested_tick=tick,
             next_attempt_tick=tick,
         )
-        migration.transitions.append((tick, MigrationState.PREPARE))
         self.migrations.append(migration)
         return migration
 

@@ -1,7 +1,8 @@
 """Expose live host state as Prometheus gauges for the scrape source.
 
 :class:`UsageGaugeExporter` is the publishing half of the scrape
-round trip: an engine middleware that mirrors each tick's snapshot
+round trip: a :class:`~repro.service.recording.StreamRecorder` whose
+:meth:`~UsageGaugeExporter.publish` mirrors each tick's wire records
 into a dedicated :class:`~repro.telemetry.registry.MetricRegistry` as
 the ``<prefix>_*`` gauge families
 :class:`~repro.service.stream.PrometheusScrapeSource` parses back:
@@ -26,23 +27,22 @@ snapshot's float bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.telemetry.exporters import to_prometheus_text
 from repro.telemetry.registry import MetricRegistry
 
-from repro.service.recording import qos_record
+from repro.service.recording import StreamRecorder
 
 if TYPE_CHECKING:
-    from repro.sim.host import Host, HostSnapshot
     from repro.workloads.base import Application
 
 #: Lifecycle states every container's state family enumerates.
 _STATES = ("created", "running", "paused", "stopped")
 
 
-class UsageGaugeExporter:
-    """Mirror host snapshots into scrapeable gauge families.
+class UsageGaugeExporter(StreamRecorder):
+    """Mirror each tick's wire records into scrapeable gauge families.
 
     Parameters
     ----------
@@ -60,84 +60,68 @@ class UsageGaugeExporter:
         host_name: str = "host0",
         prefix: str = "stayaway",
     ) -> None:
+        super().__init__(sensitive_app=sensitive_app, host_name=host_name)
         self.registry = MetricRegistry()
-        self.sensitive_app = sensitive_app
-        self.host_name = host_name
         self.prefix = prefix
-        self._capacity_done = False
 
-    def on_tick(self, snapshot: "HostSnapshot", host: "Host") -> None:
+    def publish(self, records: List[dict]) -> None:
+        """Set the gauges from one tick's records instead of keeping them."""
+        gauge = self.registry.gauge
         prefix = self.prefix
-        if not self._capacity_done:
-            for resource, value in host.capacity.items():
-                self.registry.gauge(
-                    f"{prefix}_capacity",
-                    help="host capacity per resource",
-                    labels={"metric": resource.value},
-                ).set(value)
-            if self.sensitive_app is None:
-                sensitive = host.sensitive_containers()
-                if sensitive:
-                    self.sensitive_app = sensitive[0].app
-            self._capacity_done = True
-
-        self.registry.gauge(
-            f"{prefix}_tick",
-            help="newest data tick in this exposition",
-            labels={"host": self.host_name},
-        ).set(snapshot.tick)
-
-        for name, usage in snapshot.usage.items():
-            for resource, value in usage.items():
-                self.registry.gauge(
-                    f"{prefix}_usage",
-                    help="per-container resource usage",
-                    labels={
-                        "host": self.host_name,
-                        "container": name,
-                        "metric": resource.value,
-                    },
-                ).set(value)
-
-        for name, state in snapshot.states.items():
-            container = host.containers.get(name)
-            kind = (
-                "sensitive"
-                if container is not None and container.sensitive
-                else "batch"
-            )
-            for candidate in _STATES:
-                self.registry.gauge(
-                    f"{prefix}_container_state",
-                    help="1.0 on the container's current lifecycle state",
-                    labels={
-                        "container": name,
-                        "state": candidate,
-                        "container_kind": kind,
-                    },
-                ).set(1.0 if state.value == candidate else 0.0)
-            self.registry.gauge(
-                f"{prefix}_container_finished",
-                help="1.0 once the hosted application finished",
-                labels={"container": name},
-            ).set(
-                1.0
-                if container is not None and container.app.finished
-                else 0.0
-            )
-
-        if self.sensitive_app is not None:
-            record = qos_record(snapshot.tick, self.sensitive_app, self.host_name)
-            if record is not None:
-                self.registry.gauge(
+        for record in records:
+            kind = record["kind"]
+            if kind == "header":
+                for metric, value in record["capacity"].items():
+                    gauge(
+                        f"{prefix}_capacity",
+                        help="host capacity per resource",
+                        labels={"metric": metric},
+                    ).set(value)
+                continue
+            gauge(
+                f"{prefix}_tick",
+                help="newest data tick in this exposition",
+                labels={"host": record["host"]},
+            ).set(record["tick"])
+            container = record["container"]
+            if kind == "sample":
+                for metric, value in record["metrics"].items():
+                    gauge(
+                        f"{prefix}_usage",
+                        help="per-container resource usage",
+                        labels={
+                            "host": record["host"],
+                            "container": container,
+                            "metric": metric,
+                        },
+                    ).set(value)
+            elif kind == "state":
+                container_kind = "sensitive" if record["sensitive"] else "batch"
+                for candidate in _STATES:
+                    gauge(
+                        f"{prefix}_container_state",
+                        help="1.0 on the container's current lifecycle state",
+                        labels={
+                            "container": container,
+                            "state": candidate,
+                            "container_kind": container_kind,
+                        },
+                    ).set(1.0 if record["state"] == candidate else 0.0)
+                gauge(
+                    f"{prefix}_container_finished",
+                    help="1.0 once the hosted application finished",
+                    labels={"container": container},
+                ).set(1.0 if record["finished"] else 0.0)
+            elif kind == "qos":
+                gauge(
                     f"{prefix}_qos",
                     help="sensitive application's latest QoS value",
-                    labels={"container": record["container"]},
+                    labels={"container": container},
                 ).set(record["value"])
-                self.registry.gauge(
+                gauge(
                     f"{prefix}_qos_threshold",
                     help="QoS violation threshold",
-                    labels={"container": record["container"]},
+                    labels={"container": container},
                 ).set(record["threshold"])
 
     def scrape(self) -> str:

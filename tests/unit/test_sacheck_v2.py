@@ -1,4 +1,4 @@
-"""sacheck v2: call graph, interprocedural rules, SARIF, CLI modes.
+"""sacheck v2: call graph, interprocedural rules, CLI modes.
 
 The SA201/SA202 fixtures are *the reverted PR 7 determinism bugs* —
 the off-tick ``app.demand()`` probe in ``Cluster.migrate`` and the
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 from pathlib import Path
 from typing import List
 
@@ -26,7 +25,6 @@ from tools.sacheck.effects import (
 )
 from tools.sacheck.engine import Finding, scan_source
 from tools.sacheck.rules import default_rules
-from tools.sacheck.sarif import to_sarif
 from tools.sacheck.shapes import SA203ShapeContractRule, parse_docstring_shapes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -452,93 +450,8 @@ class TestSA204:
 
 
 # ---------------------------------------------------------------------------
-# SARIF output
+# CLI: exit codes, subset scans, cwd independence
 # ---------------------------------------------------------------------------
-
-def _scan_repo_sarif() -> dict:
-    from tools.sacheck.baseline import Baseline
-    from tools.sacheck.engine import scan_paths
-
-    rules = default_rules()
-    targets = [REPO_ROOT / t for t in cli.DEFAULT_TARGETS if (REPO_ROOT / t).exists()]
-    project = ProjectIndex.build(
-        targets, REPO_ROOT, [REPO_ROOT / t for t in cli.IMPORT_ONLY_TARGETS]
-    )
-    result = scan_paths(targets, rules, REPO_ROOT, project=project)
-    baseline = Baseline.load(REPO_ROOT / cli.DEFAULT_BASELINE)
-    new, baselined, _ = baseline.apply(sorted(
-        result.findings, key=lambda f: (f.path, f.line, f.rule)
-    ))
-    result.findings = new
-    reasons = {e.fingerprint: e.reason for e in baseline.entries}
-    return to_sarif(result, rules, baselined=baselined, baseline_reasons=reasons)
-
-
-class TestSarif:
-    """Structural validation against the SARIF 2.1.0 schema.
-
-    jsonschema isn't available in the image, so the required-property
-    and type constraints of the schema subset we emit are asserted by
-    hand: sarifLog { version, runs[] }, run { tool.driver{name, rules[]},
-    results[] }, result { ruleId, message.text, locations[] },
-    physicalLocation { artifactLocation.uri, region.startLine >= 1 }.
-    """
-
-    def test_document_structure(self) -> None:
-        doc = _scan_repo_sarif()
-        assert doc["version"] == "2.1.0"
-        assert "sarif-schema-2.1.0" in doc["$schema"]
-        assert isinstance(doc["runs"], list) and len(doc["runs"]) == 1
-        run = doc["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "sacheck"
-        rule_ids = [r["id"] for r in driver["rules"]]
-        assert len(rule_ids) == len(set(rule_ids))
-        assert {"SA201", "SA202", "SA203", "SA204"} <= set(rule_ids)
-        for rule in driver["rules"]:
-            assert rule["shortDescription"]["text"]
-            assert rule["fullDescription"]["text"]
-
-    def test_results_reference_rules_and_locations(self) -> None:
-        doc = _scan_repo_sarif()
-        run = doc["runs"][0]
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        for result in run["results"]:
-            assert result["ruleId"] in rule_ids
-            assert rule_ids[result["ruleIndex"]] == result["ruleId"]
-            assert result["level"] in ("note", "warning", "error")
-            assert result["message"]["text"]
-            location = result["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"]
-            assert location["region"]["startLine"] >= 1
-            assert location["region"]["startColumn"] >= 1
-            assert result["fingerprints"]["sacheck/v1"]
-
-    def test_suppressions_kinds(self) -> None:
-        doc = _scan_repo_sarif()
-        kinds = set()
-        for result in doc["runs"][0]["results"]:
-            for suppression in result.get("suppressions", []):
-                assert suppression["kind"] in ("external", "inSource")
-                assert suppression["status"] == "accepted"
-                kinds.add(suppression["kind"])
-        # the committed tree has both baselined and inline-suppressed findings
-        assert kinds == {"external", "inSource"}
-
-    def test_json_serializable(self) -> None:
-        json.dumps(_scan_repo_sarif())
-
-
-# ---------------------------------------------------------------------------
-# CLI: exit codes, --diff mode, cwd independence
-# ---------------------------------------------------------------------------
-
-def _git(tmp: Path, *args: str) -> None:
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=tmp, check=True, capture_output=True,
-    )
-
 
 CLEAN_MODULE = (
     "def gather_demands(host, clock):\n"
@@ -548,9 +461,9 @@ CLEAN_MODULE = (
 
 @pytest.fixture
 def mini_repo(tmp_path: Path, monkeypatch) -> Path:
-    """A throwaway git repo shaped like this project, with cli rebound."""
-    (tmp_path / "src" / "repro" / "sim").mkdir(parents=True)
-    module = tmp_path / "src" / "repro" / "sim" / "cluster.py"
+    """A throwaway repo shaped like this project, with cli rebound."""
+    module = tmp_path / SIM
+    module.parent.mkdir(parents=True)
     module.write_text(CLEAN_MODULE, encoding="utf-8")
     # A caller, so neither the module (SA205) nor its function (SA206)
     # is an orphan.
@@ -560,51 +473,44 @@ def mini_repo(tmp_path: Path, monkeypatch) -> Path:
         "print(gather_demands(None, None))\n",
         encoding="utf-8",
     )
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "-A")
-    _git(tmp_path, "commit", "-qm", "seed")
     monkeypatch.setattr(cli, "REPO_ROOT", tmp_path)
     return tmp_path
 
 
 class TestCliDiff:
+    """A change is checked by passing the files it touched as paths."""
+
     def test_clean_diff_exits_zero(self, mini_repo: Path, capsys) -> None:
-        assert cli.main(["--diff", "HEAD", "--no-baseline"]) == 0
+        assert cli.main([SIM, "--no-baseline"]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
 
     def test_new_finding_in_changed_file_fails(
         self, mini_repo: Path, capsys
     ) -> None:
-        module = mini_repo / "src" / "repro" / "sim" / "cluster.py"
+        # SA201 resolves against the whole-program index, not the subset.
+        module = mini_repo / SIM
         module.write_text(CLEAN_MODULE + MIGRATE_BUG, encoding="utf-8")
-        assert cli.main(["--diff", "HEAD", "--no-baseline"]) == 1
+        assert cli.main([SIM, "--no-baseline"]) == 1
         assert "SA201" in capsys.readouterr().out
 
     def test_preexisting_finding_is_baselined_not_failed(
         self, mini_repo: Path, capsys
     ) -> None:
-        module = mini_repo / "src" / "repro" / "sim" / "cluster.py"
+        module = mini_repo / SIM
         module.write_text(CLEAN_MODULE + MIGRATE_BUG, encoding="utf-8")
         # grandfather the finding with a justified baseline...
         assert cli.main(["--baseline", "b.json", "--write-baseline"]) == 0
         baseline_path = mini_repo / "b.json"
         data = json.loads(baseline_path.read_text(encoding="utf-8"))
         for entry in data["entries"]:
-            entry["reason"] = "grandfathered for the diff-mode test"
+            entry["reason"] = "grandfathered for the subset-scan test"
         baseline_path.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
-        # ...then a diff scan of the same (changed) file passes, strict
-        # included: stale entries never fail a subset scan.
-        assert cli.main(["--diff", "HEAD", "--baseline", "b.json", "--strict"]) == 0
+        # ...then a scan of the same (changed) file passes.
+        assert cli.main([SIM, "--baseline", "b.json"]) == 0
         out = capsys.readouterr().out
         # the SA201 probe, and SA206 for the Cluster class nothing builds
         assert "0 new finding(s), 2 baselined" in out
-
-    def test_diff_with_paths_is_an_error(self, mini_repo: Path) -> None:
-        assert cli.main(["--diff", "HEAD", "src"]) == 2
-
-    def test_diff_against_bad_ref_is_usage_error(self, mini_repo: Path) -> None:
-        assert cli.main(["--diff", "no-such-ref", "--no-baseline"]) == 2
 
 
 class TestCliCwdIndependence:

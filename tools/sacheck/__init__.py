@@ -7,8 +7,8 @@ per-file rules (determinism, layering, numerical/config hygiene) and
 interprocedural rules (effect propagation, order-stable folds, shape
 contracts, shard safety).  See ``docs/STATIC_ANALYSIS.md`` for the rule
 catalog and analysis architecture, and ``python -m tools.sacheck
---help`` for the CLI (JSON/SARIF output, ``--diff`` changed-files
-mode, justified-baseline ratchet).
+--help`` for the CLI (text/JSON output, explicit-path scans,
+justified-baseline ratchet).
 """
 
 from tools.sacheck.baseline import Baseline, BaselineEntry, baseline_from_findings
@@ -31,7 +31,6 @@ from tools.sacheck.layering import (
     layer_edges,
 )
 from tools.sacheck.rules import default_rules, rule_catalog
-from tools.sacheck.sarif import to_sarif
 
 __all__ = [
     "Baseline",
@@ -54,5 +53,4 @@ __all__ = [
     "rule_catalog",
     "scan_paths",
     "scan_source",
-    "to_sarif",
 ]

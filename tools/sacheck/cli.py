@@ -1,12 +1,10 @@
-"""sacheck command line: scan, report, baseline, import graph, diff mode.
+"""sacheck command line: scan, report, baseline, import graph.
 
 Usage::
 
     python -m tools.sacheck                      # scan src/, tests/, tools/, examples/
     python -m tools.sacheck src/repro/core       # scan a subtree
     python -m tools.sacheck --format json --out sacheck_report.json
-    python -m tools.sacheck --format sarif --out sacheck.sarif
-    python -m tools.sacheck --diff origin/main   # changed files only
     python -m tools.sacheck --write-baseline     # regenerate the ratchet
     python -m tools.sacheck --list-rules
     python -m tools.sacheck --import-graph       # print layer edges
@@ -14,7 +12,7 @@ Usage::
 Two-phase operation: phase 1 indexes *every* default target into a
 :class:`~tools.sacheck.callgraph.ProjectIndex` (symbol table + call
 graph), phase 2 walks the requested files with the full rule set.
-Restricting the scan (explicit paths, ``--diff``) restricts phase 2
+Restricting the scan to explicit paths restricts phase 2
 only — interprocedural rules always resolve against the whole program.
 
 All relative paths (scan targets, ``--baseline``) resolve against the
@@ -23,26 +21,22 @@ produces byte-identical findings.
 
 Exit codes (CI contract): 0 — clean (no findings beyond the justified
 baseline); 1 — new findings, stale baseline entries with ``--strict``,
-or unjustified baseline entries; 2 — usage or parse errors.  In
-``--diff`` mode stale entries never fail (a subset scan cannot tell
-fixed from unscanned).
+or unjustified baseline entries; 2 — usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from tools.sacheck.baseline import Baseline, baseline_from_findings
 from tools.sacheck.callgraph import ProjectIndex
 from tools.sacheck.engine import Finding, scan_paths
 from tools.sacheck.layering import build_import_graph, layer_edges
 from tools.sacheck.rules import default_rules, rule_catalog
-from tools.sacheck.sarif import to_sarif
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Repo-root-relative so it follows REPO_ROOT (tests rebind that).
@@ -56,29 +50,6 @@ IMPORT_ONLY_TARGETS = ("benchmarks",)
 def _repo_path(path: Path) -> Path:
     """Resolve a user-supplied path against the repo root, not the cwd."""
     return path if path.is_absolute() else (REPO_ROOT / path)
-
-
-def _changed_files(base: str) -> Optional[List[Path]]:
-    """Python files changed vs ``base`` (committed or not), or None on error."""
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", base, "--", "*.py"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        print(f"sacheck: git diff against {base!r} failed: {detail.strip()}",
-              file=sys.stderr)
-        return None
-    changed = []
-    for line in proc.stdout.splitlines():
-        path = REPO_ROOT / line.strip()
-        if path.is_file():  # deleted files have nothing to scan
-            changed.append(path)
-    return changed
 
 
 def _format_text(
@@ -133,7 +104,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "paths", nargs="*", type=Path,
         help="files/directories to scan (default: src/, tests/, tools/, examples/)",
     )
-    parser.add_argument("--format", choices=("text", "json", "sarif"), default="text")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", type=Path, help="also write the report to this file")
     parser.add_argument(
         "--baseline", type=Path, default=DEFAULT_BASELINE,
@@ -150,11 +121,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--strict", action="store_true",
         help="also fail on stale baseline entries (ratchet must tighten)",
-    )
-    parser.add_argument(
-        "--diff", metavar="BASE", default=None,
-        help="scan only files changed vs this git ref; the call graph "
-             "still covers the whole repo",
     )
     parser.add_argument(
         "--rules", type=str, default=None,
@@ -188,16 +154,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for src_layer, dst_layer in layer_edges(graph):
             print(f"{src_layer} -> {dst_layer}")
         return 0
-
-    if args.diff is not None:
-        if args.paths:
-            print("sacheck: --diff and explicit paths are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        changed = _changed_files(args.diff)
-        if changed is None:
-            return 2
-        targets = changed
 
     rules = default_rules()
     if args.rules:
@@ -235,18 +191,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     unjustified = baseline.unjustified()
     new, baselined, stale_entries = baseline.apply(findings)
-    if args.diff is not None:
-        stale_entries = []  # subset scan cannot distinguish fixed from unscanned
 
-    if args.format == "sarif":
-        reasons: Dict[str, str] = {
-            entry.fingerprint: entry.reason for entry in baseline.entries
-        }
-        report = json.dumps(
-            to_sarif(result, rules, baselined=baselined, baseline_reasons=reasons),
-            indent=2,
-        )
-    elif args.format == "json":
+    if args.format == "json":
         report = _format_json(new, baselined, result.suppressed, len(stale_entries),
                               result.files_checked, result.parse_errors)
     else:

@@ -405,8 +405,8 @@ def scan_paths(
     cache is reused (each file is read and parsed exactly once per
     run) and interprocedural rules are activated via
     :meth:`Rule.begin_project`.  The index may cover *more* files than
-    ``paths`` — that is how ``--diff`` scans a subset with
-    whole-program resolution.
+    ``paths`` — that is how an explicit-path scan covers a subset
+    with whole-program resolution.
     """
     result = ScanResult()
     if project is not None:
