@@ -10,6 +10,7 @@ does on a physical host.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -481,7 +482,9 @@ class StayAway:
             and self._prev_mode is ExecutionMode.SENSITIVE_ONLY
             and self._prev_coords is not None
         ):
-            return float(np.linalg.norm(coords - self._prev_coords))
+            # ``np.linalg.norm`` of a 1-D float vector, without its wrapper.
+            step = coords - self._prev_coords
+            return sqrt(step.dot(step))
         return None
 
     # -- results ------------------------------------------------------------------

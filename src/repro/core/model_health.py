@@ -140,6 +140,9 @@ class ModelHealthWatchdog:
         #: whose every row passed :func:`_bad_rows`, and the stress of
         #: that content once computed — see :meth:`_stress`.
         self._clean: Tuple[Tuple[bytes, bytes], Optional[float]] = ((b"", b""), None)
+        #: The last cached geometry's ``(radii bytes, centers bytes,
+        #: scale)`` that passed the geometry check.
+        self._clean_geometry: Tuple[bytes, bytes, float] = (b"", b"", float("nan"))
         if telemetry is None:
             telemetry = Telemetry(enabled=False)
         #: Each :meth:`summary` key and the counter that holds it.
@@ -206,14 +209,21 @@ class ModelHealthWatchdog:
         # 3. Materialized violation geometry: radii non-negative and
         #    finite, scale and centers finite. Only the *cached* object
         #    is checked — rebuilding here would mask in-place poisoning.
+        #    Content that passed before passes again: the check re-runs
+        #    only when the bytes differ from the last clean ones.
         cached = space._geometry
         if cached is not None:
-            radii = cached.radii.tolist()
-            geometry_ok = (
-                isfinite(cached.scale)
-                and all(map(isfinite, radii + cached.centers.ravel().tolist()))
-                and min(radii, default=0.0) >= 0
-            )
+            content = (cached.radii.tobytes(), cached.centers.tobytes(), cached.scale)
+            geometry_ok = content == self._clean_geometry
+            if not geometry_ok:
+                radii = cached.radii.tolist()
+                geometry_ok = (
+                    isfinite(cached.scale)
+                    and all(map(isfinite, radii + cached.centers.ravel().tolist()))
+                    and min(radii, default=0.0) >= 0
+                )
+                if geometry_ok:
+                    self._clean_geometry = content
             if not geometry_ok:
                 report.issues.append(
                     HealthIssue("geometry", "cached violation geometry poisoned")

@@ -20,6 +20,7 @@ accuracy with 5 samples" claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import List, Optional
 
 import numpy as np
@@ -161,7 +162,11 @@ class Predictor:
         if not prediction.ready:
             return
         expected = prediction.expected_position
-        error = float(np.linalg.norm(actual - expected)) if expected is not None else 0.0
+        error = 0.0
+        if expected is not None:
+            # ``np.linalg.norm`` of a 1-D float vector, without its wrapper.
+            offset = actual - expected
+            error = sqrt(offset.dot(offset))
         model = self.modes.model(self._model_mode(prediction.mode))
         self.accuracy_records.append(
             AccuracyRecord(

@@ -53,8 +53,8 @@ class ViolationGeometry:
     Everything the per-period vote needs — violation centers, the
     Rayleigh scale and every disc radius — computed once per state-space
     change via a single broadcasted distance pass, so that
-    :meth:`contains` and :meth:`vote` are single vectorized NumPy
-    expressions with no per-candidate recomputation.
+    :meth:`vote` is a few vectorized NumPy operations with no
+    per-candidate recomputation.
 
     Instances are immutable snapshots; :class:`StateSpace` owns the
     cache and rebuilds on its mutation events (see
@@ -89,20 +89,28 @@ class ViolationGeometry:
     def vote(self, candidates: np.ndarray) -> int:
         """How many of the ``(n, 2)`` float candidates fall inside a violation-range.
 
-        One ``(n_candidates, n_violations)`` distance broadcast — the
+        One ``(n_candidates, n_violations)`` distance plane — the
         subtract/square/sum/sqrt of the scalar reference for every
         pair, after the checks :meth:`StateSpace.violation_vote` has
         made — and one boolean reduction; no Python-level loop over
-        candidates.
+        candidates. The x and y offsets are two ``(n, 1) - (v,)``
+        broadcasts, squared, summed and rooted in place: ``dx * dx +
+        dy * dy`` is the two-term sum the ``(n, v, 2)`` broadcast
+        reduced over its last axis, operand for operand.
         ``d <= fmax(r, CENTER_EPSILON)`` is ``(d <= CENTER_EPSILON) |
         (d <= r)`` for every float (``fmax``: a NaN radius must leave
         the centre test alive), read from the live ``radii`` on every
         vote: a radius written in place is voted on as written.
         """
-        if self.centers.shape[0] == 0 or candidates.shape[0] == 0:
+        centers = self.centers
+        if centers.shape[0] == 0 or candidates.shape[0] == 0:
             return 0
-        deltas = candidates[:, None, :] - self.centers
-        distances = np.sqrt(np.add.reduce(deltas * deltas, axis=2))
+        dx = candidates[:, 0:1] - centers[:, 0]
+        dy = candidates[:, 1:2] - centers[:, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        distances = np.sqrt(dx, out=dx)
         inside = distances <= np.fmax(self.radii, CENTER_EPSILON)
         return int(np.count_nonzero(np.logical_or.reduce(inside, axis=1)))
 

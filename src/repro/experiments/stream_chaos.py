@@ -19,8 +19,8 @@ drilling, and this module drills both against the live simulator:
 The live topology mirrors a real deployment split across processes:
 a :class:`SimStreamBridge` middleware publishes every engine tick as
 wire records (it is the :class:`~repro.service.recording.
-StreamRecorder` with a queue in place of the kept list, so recorded
-and live streams are equal record for record) into a
+StreamPublisher` the recorder is, with a queue in place of the kept
+list, so recorded and live streams are equal record for record) into a
 :class:`~repro.service.stream.QueueSource`; the service
 polls that queue through a chain of seeded fault wrappers from
 :mod:`repro.sim.faults`; its decisions travel back to the *live* host
@@ -53,6 +53,7 @@ from repro.service import (
     PassthroughAssembler,
     QueueSource,
     SimHostActuator,
+    StreamPublisher,
     StreamRecorder,
     decision_sequence,
 )
@@ -98,11 +99,11 @@ class StreamChaosMix:
     ack_drop: float = 0.0
 
 
-class SimStreamBridge(StreamRecorder):
+class SimStreamBridge(StreamPublisher):
     """The tick publisher, live: push into ``sink``, then pump.
 
     Registered on the engine, it plays the monitoring agent: each
-    tick's records (built by :meth:`StreamRecorder.on_tick`) go into
+    tick's records (built by :meth:`StreamPublisher.on_tick`) go into
     ``sink`` (the queue at the bottom of the fault chain) instead of
     being kept. It then runs one service cycle, so the service's clock
     advances with the host's — lagging by the watermark, exactly as a

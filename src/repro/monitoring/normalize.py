@@ -68,4 +68,5 @@ class CapacityNormalizer:
             raise ValueError(
                 f"expected {len(self._scale)} metrics, got {values.shape[-1]}"
             )
-        return np.clip(values / self._scale, 0.0, 1.0)
+        # ``np.clip``'s ufunc, without its dispatch.
+        return (values / self._scale).clip(0.0, 1.0)

@@ -30,8 +30,9 @@ behind the ``monitoring`` seam into a standalone service:
   degradation into the existing
   :class:`~repro.core.resilience.DegradedModeMachine`;
 * :mod:`repro.service.recording` — the tick publisher
-  (:class:`StreamRecorder`): the one place a host snapshot becomes
-  wire records, kept as the stream-JSONL the replay source consumes;
+  (:class:`StreamPublisher`): the one place a host snapshot becomes
+  wire records; the :class:`StreamRecorder` keeps them as the
+  stream-JSONL the replay source consumes;
 * :mod:`repro.service.exporter` — the usage-gauge exporter the scrape
   source reads back (closing the Prometheus round trip).
 
@@ -55,6 +56,7 @@ from repro.service.controller_service import (
 )
 from repro.service.exporter import UsageGaugeExporter
 from repro.service.recording import (
+    StreamPublisher,
     StreamRecorder,
     snapshot_records,
     write_stream_jsonl,
@@ -85,6 +87,7 @@ __all__ = [
     "SimHostActuator",
     "StreamAssembler",
     "StreamError",
+    "StreamPublisher",
     "StreamRecorder",
     "decision_sequence",
     "UsageGaugeExporter",

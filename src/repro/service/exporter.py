@@ -1,7 +1,7 @@
 """Expose live host state as Prometheus gauges for the scrape source.
 
 :class:`UsageGaugeExporter` is the publishing half of the scrape
-round trip: a :class:`~repro.service.recording.StreamRecorder` whose
+round trip: a :class:`~repro.service.recording.StreamPublisher` whose
 :meth:`~UsageGaugeExporter.publish` mirrors each tick's wire records
 into a dedicated :class:`~repro.telemetry.registry.MetricRegistry` as
 the ``<prefix>_*`` gauge families
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.telemetry.exporters import to_prometheus_text
 from repro.telemetry.registry import MetricRegistry
 
-from repro.service.recording import StreamRecorder
+from repro.service.recording import StreamPublisher
 
 if TYPE_CHECKING:
     from repro.workloads.base import Application
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 _STATES = ("created", "running", "paused", "stopped")
 
 
-class UsageGaugeExporter(StreamRecorder):
+class UsageGaugeExporter(StreamPublisher):
     """Mirror each tick's wire records into scrapeable gauge families.
 
     Parameters
@@ -65,7 +65,7 @@ class UsageGaugeExporter(StreamRecorder):
         self.prefix = prefix
 
     def publish(self, records: List[dict]) -> None:
-        """Set the gauges from one tick's records instead of keeping them."""
+        """Set the gauges from one tick's records."""
         gauge = self.registry.gauge
         prefix = self.prefix
         for record in records:

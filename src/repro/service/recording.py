@@ -11,9 +11,10 @@ through :class:`~repro.service.stream.JsonlReplaySource` into a
 replay-determinism gate asserts the serviced controller makes the
 same pause/resume decisions the in-process one did.
 
-:meth:`StreamRecorder.on_tick` is the one place a host snapshot
-becomes a tick's record list; where the list goes is
-:meth:`StreamRecorder.publish`. The live sim-to-stream bridge
+:meth:`StreamPublisher.on_tick` is the one place a host snapshot
+becomes a tick's record list; where the list goes is each subclass's
+:meth:`~StreamPublisher.publish`. :class:`StreamRecorder` keeps it; the
+live sim-to-stream bridge
 (:class:`~repro.experiments.stream_chaos.SimStreamBridge`) is the same
 middleware publishing into a queue, so recorded and live streams are
 equal record for record.
@@ -106,8 +107,8 @@ def qos_record(
     }
 
 
-class StreamRecorder:
-    """Middleware that publishes each tick as wire records and keeps them.
+class StreamPublisher:
+    """Middleware that turns each tick into wire records for :meth:`publish`.
 
     Parameters
     ----------
@@ -126,7 +127,6 @@ class StreamRecorder:
     ) -> None:
         self.host_name = host_name
         self.sensitive_app = sensitive_app
-        self.records: List[dict] = []
         self._header_done = False
 
     def on_tick(self, snapshot: "HostSnapshot", host: "Host") -> None:
@@ -144,6 +144,22 @@ class StreamRecorder:
             if record is not None:
                 records.append(record)
         self.publish(records)
+
+    def publish(self, records: List[dict]) -> None:
+        """Take one tick's records."""
+        raise NotImplementedError
+
+
+class StreamRecorder(StreamPublisher):
+    """The publisher that keeps every record, for :meth:`write`.
+
+    Records the default ``host0``; ``sensitive_app`` is as for
+    :class:`StreamPublisher`.
+    """
+
+    def __init__(self, sensitive_app: Optional["Application"] = None) -> None:
+        super().__init__(sensitive_app=sensitive_app)
+        self.records: List[dict] = []
 
     def publish(self, records: List[dict]) -> None:
         """Take one tick's records: the recorder keeps them."""

@@ -9,8 +9,9 @@ arbitrary distribution" (§3.2.3).
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import fsum, isfinite
+from operator import truediv
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,57 @@ def _bin_index(value: float, low: float, width: float, bins: int) -> int:
     if scaled <= 0:
         return 0
     return int(scaled)
+
+
+def inverse_transform(
+    counts: List[float],
+    edges: List[float],
+    u_bin: Sequence[float],
+    u_offset: Sequence[float],
+) -> List[float]:
+    """Map uniforms to samples: ``u_bin`` -> bin via CDF, ``u_offset`` -> place in bin.
+
+    ``u`` maps to the first bin whose cumulative mass strictly exceeds
+    it (``bisect_right``). With the leftmost match, ``u == 0.0``
+    (reachable — a generator draws from the half-open ``[0, 1)``) and
+    any ``u`` landing exactly on a CDF plateau selected a zero-mass bin.
+
+    A few bins, a handful of uniforms: the map runs on Python floats.
+    ``accumulate`` makes the additions of ``np.cumsum``, and a total of
+    unit-weight counts is exact in any order (fractional weights get
+    ``fsum``'s correctly rounded one). Every draw of the package —
+    :meth:`Histogram.inverse_transform` and the per-period
+    :meth:`~repro.trajectory.sampling.TrajectoryModel.sample_steps` —
+    runs this one function.
+
+    Parameters
+    ----------
+    counts:
+        ``B`` per-bin weights (all zero: every bin equally likely).
+    edges:
+        ``B + 1`` bin edges.
+    u_bin / u_offset:
+        ``N`` uniforms in ``[0, 1)`` each: any sequence of floats.
+
+    Returns the ``N`` samples as a list of floats.
+    """
+    bins = len(counts)
+    total = fsum(counts)
+    if total <= 0:
+        masses = repeat(1.0 / bins, bins)
+    else:
+        # ``count / total`` per bin, without a Python-level loop.
+        masses = map(truediv, counts, repeat(total))
+    cdf = list(accumulate(masses))
+    cdf[-1] = 1.0
+    # bisect never goes below 0; only u_bin >= 1 could overshoot.
+    last = bins - 1
+    samples = []
+    for u, offset in zip(u_bin, u_offset):
+        index = min(bisect_right(cdf, u), last)
+        left = edges[index]
+        samples.append(left + offset * (edges[index + 1] - left))
+    return samples
 
 
 class Histogram:
@@ -53,27 +105,6 @@ class Histogram:
         self.bins = bins
         self.counts = np.zeros(bins, dtype=float)
         self.edges = np.linspace(low, high, bins + 1)
-
-    @classmethod
-    def _from_counts(
-        cls, low: float, high: float, counts: np.ndarray, edges: np.ndarray
-    ) -> "Histogram":
-        """A histogram over already-binned data; ``edges`` is shared, not copied.
-
-        Parameters
-        ----------
-        counts:
-            ``(B,)`` per-bin weights.
-        edges:
-            ``(B + 1,)`` bin edges, ``np.linspace(low, high, B + 1)``.
-        """
-        hist = cls.__new__(cls)
-        hist.low = float(low)
-        hist.high = float(high)
-        hist.bins = int(counts.size)
-        hist.counts = counts
-        hist.edges = edges
-        return hist
 
     @property
     def total(self) -> float:
@@ -107,18 +138,8 @@ class Histogram:
     def inverse_transform(
         self, u_bin: Sequence[float], u_offset: Sequence[float]
     ) -> List[float]:
-        """Map uniforms to samples: ``u_bin`` -> bin via CDF, ``u_offset`` -> place in bin.
-
-        ``u`` maps to the first bin whose cumulative mass strictly
-        exceeds it (``bisect_right``). With the leftmost match,
-        ``u == 0.0`` (reachable — ``rng.uniform`` draws from the
-        half-open ``[0, 1)``) and any ``u`` landing exactly on a CDF
-        plateau selected a zero-mass bin.
-
-        A few bins, a handful of uniforms: the map runs on Python
-        floats. ``accumulate`` makes the additions of ``np.cumsum``, and
-        a total of unit-weight counts is exact in any order (fractional
-        :meth:`add` weights get ``fsum``'s correctly rounded one).
+        """Map uniforms to samples: :func:`inverse_transform` over this
+        histogram's counts and edges.
 
         Parameters
         ----------
@@ -127,23 +148,9 @@ class Histogram:
 
         Returns the ``N`` samples as a list of floats.
         """
-        counts = self.counts.tolist()
-        total = fsum(counts)
-        if total <= 0:
-            masses = [1.0 / self.bins] * self.bins
-        else:
-            masses = [count / total for count in counts]
-        cdf = list(accumulate(masses))
-        cdf[-1] = 1.0
-        edges = self.edges.tolist()
-        # bisect never goes below 0; only u_bin >= 1 could overshoot.
-        last = self.bins - 1
-        samples = []
-        for u, offset in zip(u_bin, u_offset):
-            index = min(bisect_right(cdf, u), last)
-            left = edges[index]
-            samples.append(left + offset * (edges[index + 1] - left))
-        return samples
+        return inverse_transform(
+            self.counts.tolist(), self.edges.tolist(), u_bin, u_offset
+        )
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` inverse-transform samples: a bin draw, then an offset draw."""
@@ -183,9 +190,9 @@ class EmpiricalDistribution:
     contiguous, chronological run that NumPy can read without a copy.
 
     One value enters and at most one leaves per :meth:`add`, so the
-    per-bin counts of the last :meth:`histogram` and the number of
+    per-bin counts of the last :meth:`binned` and the number of
     non-finite values in the window are kept current there. The counts
-    are dropped — and the next :meth:`histogram` bins the whole window
+    are dropped — and the next :meth:`binned` bins the whole window
     once — whenever an inferred bound of the support may have moved (a
     new extreme, the eviction of the current one, a widened degenerate
     support), on :meth:`clear`, and on any non-finite value.
@@ -220,13 +227,14 @@ class EmpiricalDistribution:
         self._buffer = np.empty(2 * window)
         self._size = 0
         self._end = 0
-        #: Bin edges of the last histogram and the support they span;
-        #: reused until the support moves (never, for a fixed one).
-        self._edges: Optional[np.ndarray] = None
+        #: The ``B + 1`` bin edges of the last binning, as floats, and
+        #: the support they span; reused until the support moves
+        #: (never, for a fixed one).
+        self._edges: Optional[List[float]] = None
         self._edges_support: Optional[Tuple[float, float]] = None
-        #: ``(B,)`` float counts of the window over ``_edges_support``,
-        #: or None when the next histogram has to bin the window.
-        self._counts: Optional[np.ndarray] = None
+        #: The ``B`` float counts of the window over ``_edges_support``,
+        #: or None when the next :meth:`binned` has to bin the window.
+        self._counts: Optional[List[float]] = None
         self._nonfinite = 0
         self._rebins = 0
 
@@ -314,17 +322,20 @@ class EmpiricalDistribution:
         """The histogram support (fixed bounds or observed range)."""
         return self._support()[:2]
 
-    def histogram(self) -> Histogram:
-        """Materialize the current histogram.
+    def binned(self) -> Tuple[List[float], List[float]]:
+        """The window's ``B`` per-bin counts and its ``B + 1`` bin edges.
 
         The counts are those :meth:`add` kept current, or — after
         anything that dropped them — one vectorised pass: clamping
         ``(value - low) / width`` into ``[0, bins - 1]`` and truncating
         is :meth:`Histogram.bin_of` applied to the whole ``(W,)``
         window, so either way they equal those of ``W`` scalar
-        :meth:`Histogram.add` calls. The returned histogram owns its
-        counts and shares its read-only ``edges`` with the others drawn
-        from this distribution while the support stays put.
+        :meth:`Histogram.add` calls. Both lists are live, not copies:
+        read them before the next :meth:`add` / :meth:`clear` and never
+        write them. The edges are ``np.linspace(low, high, B + 1)`` of
+        the :meth:`support`, reused while it stays put. This is what a
+        period draws from (:func:`inverse_transform`); :meth:`histogram`
+        materializes the same counts for figures and tests.
 
         Raises
         ------
@@ -339,11 +350,20 @@ class EmpiricalDistribution:
         counts = self._counts
         if counts is None:
             counts = self._rebin()
-        low, high = self._edges_support
-        return Histogram._from_counts(low, high, counts.copy(), self._edges)
+        return counts, self._edges
 
-    def _rebin(self) -> np.ndarray:
-        """Bin the whole (finite) window; returns the ``(B,)`` counts.
+    def histogram(self) -> Histogram:
+        """Materialize the current histogram: :meth:`binned`, as an owned copy.
+
+        Raises what :meth:`binned` raises.
+        """
+        counts, _ = self.binned()
+        hist = Histogram(*self.support(), bins=self.bins)
+        hist.counts[:] = counts
+        return hist
+
+    def _rebin(self) -> List[float]:
+        """Bin the whole (finite) window; returns the ``B`` counts.
 
         Keeps them for :meth:`add` to maintain when it will be able to
         tell that the support moved.
@@ -351,8 +371,7 @@ class EmpiricalDistribution:
         low, high, tracked = self._support()
         support = (low, high)
         if self._edges is None or support != self._edges_support:
-            edges = Histogram(low, high, bins=self.bins).edges
-            edges.flags.writeable = False
+            edges = np.linspace(low, high, self.bins + 1).tolist()
             self._edges, self._edges_support = edges, support
         width = (high - low) / self.bins
         if width <= 0.0:
@@ -363,7 +382,11 @@ class EmpiricalDistribution:
         scaled = (self.samples - low) / width
         np.minimum(scaled, self.bins - 1, out=scaled)
         np.maximum(scaled, 0, out=scaled)
-        counts = np.bincount(scaled.astype(np.intp), minlength=self.bins).astype(float)
+        counts = (
+            np.bincount(scaled.astype(np.intp), minlength=self.bins)
+            .astype(float)
+            .tolist()
+        )
         self._rebins += 1
         if tracked:
             self._counts = counts
@@ -394,4 +417,5 @@ class EmpiricalDistribution:
         if not self._size:
             return 0.0
         # What ``ndarray.mean`` runs: the pairwise sum, then one division.
-        return float(np.add.reduce(self.samples) / self._size)
+        window = self._buffer[self._end - self._size : self._end]
+        return float(np.add.reduce(window) / self._size)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.trajectory.histograms import EmpiricalDistribution
+from repro.trajectory.histograms import EmpiricalDistribution, inverse_transform
 
 
 class TrajectoryModel:
@@ -75,32 +75,38 @@ class TrajectoryModel:
     def sample_steps(self, rng: np.random.Generator, n: int = 5) -> np.ndarray:
         """Draw ``n`` (dx, dy) displacement samples from the learned pdfs.
 
-        All of a period's randomness is one ``(4, N)`` uniform draw
-        whose rows are, in order: distance bin, distance offset, angle
-        bin, angle offset. ``Generator.uniform`` fills in C order, so
-        the rows are exactly the four ``(N,)`` draws of
-        ``distances.sample(rng, n)`` followed by ``angles.sample(rng,
-        n)``, and the stream ends in the same state. An empty
-        distribution gets no rows and yields zeros, as its own
-        :meth:`~EmpiricalDistribution.sample` does.
+        All of a period's randomness is one ``(4, N)`` draw whose rows
+        are, in order: distance bin, distance offset, angle bin, angle
+        offset. ``Generator.random`` fills in C order and returns the
+        bits of ``uniform(0.0, 1.0, ...)``, so the rows are exactly the
+        four ``(N,)`` draws of ``distances.sample(rng, n)`` followed by
+        ``angles.sample(rng, n)``, and the stream ends in the same
+        state. Each pdf maps its rows through
+        :func:`~repro.trajectory.histograms.inverse_transform` straight
+        from the live counts :meth:`EmpiricalDistribution.binned
+        <repro.trajectory.histograms.EmpiricalDistribution.binned>`
+        keeps; no histogram is built. An empty distribution gets no
+        rows and yields zeros, as its own
+        :meth:`~repro.trajectory.histograms.EmpiricalDistribution.sample`
+        does.
 
         Returns the ``(N, 2)`` steps.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        # Histograms first: a non-finite window must raise before the
-        # stream moves.
-        histograms = [
-            part.histogram() if len(part) else None
+        # Bin first: a non-finite window must raise before the stream
+        # moves.
+        parts = [
+            part.binned() if len(part) else None
             for part in (self.distances, self.angles)
         ]
-        live = sum(1 for hist in histograms if hist is not None)
-        rows = iter(rng.uniform(0.0, 1.0, size=(2 * live, n)).tolist())
+        live = sum(1 for binned in parts if binned is not None)
+        rows = iter(rng.random((2 * live, n)).tolist())
         distances, angles = (
             np.zeros(n)
-            if hist is None
-            else np.array(hist.inverse_transform(next(rows), next(rows)))
-            for hist in histograms
+            if binned is None
+            else np.array(inverse_transform(*binned, next(rows), next(rows)))
+            for binned in parts
         )
         steps = np.empty((n, 2))
         steps[:, 0] = distances * np.cos(angles)

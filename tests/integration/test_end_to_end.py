@@ -349,11 +349,13 @@ class TestPredictPathAgainstScalarWindow:
         assert {name: _sha(value) for name, value in steady.items()} == self.PINNED
 
     def test_run_equals_scalar_rebinning_and_sequential_draws(self, steady, monkeypatch):
-        def scalar_histogram(self):
+        # ``binned`` is what every draw reads (``histogram`` too), so
+        # the sequential draws below run on scalar-rebinned windows.
+        def scalar_binned(self):
             hist = Histogram(*self.support(), bins=self.bins)
             for value in self.samples:
                 hist.add(value)
-            return hist
+            return hist.counts.tolist(), hist.edges.tolist()
 
         def sequential_steps(self, rng, n=5):
             distances = self.distances.sample(rng, n)
@@ -362,22 +364,22 @@ class TestPredictPathAgainstScalarWindow:
                 [distances * np.cos(angles), distances * np.sin(angles)]
             )
 
-        monkeypatch.setattr(EmpiricalDistribution, "histogram", scalar_histogram)
+        monkeypatch.setattr(EmpiricalDistribution, "binned", scalar_binned)
         monkeypatch.setattr(TrajectoryModel, "sample_steps", sequential_steps)
         assert _fingerprint(*_steady_run()) == steady
 
     def test_steady_run_rarely_rebins_a_window(self, monkeypatch):
-        # Wall-clock-free guard on the incremental counts: a period's
-        # histograms come from what ``add`` maintained, not from a new
-        # pass over the 400-sample windows.
+        # Wall-clock-free guard on the incremental counts: a period
+        # draws from what ``add`` maintained, not from a new pass over
+        # the 400-sample windows.
         calls = []
-        histogram = EmpiricalDistribution.histogram
+        binned = EmpiricalDistribution.binned
 
         def counted(self):
             calls.append(self)
-            return histogram(self)
+            return binned(self)
 
-        monkeypatch.setattr(EmpiricalDistribution, "histogram", counted)
+        monkeypatch.setattr(EmpiricalDistribution, "binned", counted)
         controller, _ = _steady_run()
         rebins = sum(
             part._rebins

@@ -150,14 +150,17 @@ class TestReplayDeterminism:
         service.start()
         sink = TeeSink(queue)
         recorder = StreamRecorder()
+        bridge = SimStreamBridge(service, sink)
         engine = SimulationEngine(built.host)
         engine.add_middleware(recorder)
-        engine.add_middleware(SimStreamBridge(service, sink))
+        engine.add_middleware(bridge)
         engine.run(ticks=scenario.ticks)
         assert len(service.decision_sequence()) > 0
         assert [r["kind"] for r in sink.pushed].count("header") == 1
         assert any(r["kind"] == "qos" for r in sink.pushed)
         assert recorder.records == sink.pushed
+        # Only the recorder keeps what it publishes.
+        assert not hasattr(bridge, "records") and not hasattr(bridge, "write")
 
 
 class TestOneImputer:

@@ -279,9 +279,11 @@ class TestEmpiricalDistribution:
         for value in [1.0, 2.0]:
             dist.add(value)
         first = dist.histogram()
-        assert dist.histogram().edges is first.edges  # support unchanged: reused
+        edges = dist.binned()[1]
+        assert dist.binned()[1] is edges  # support unchanged: reused
         dist.add(4.0)
         moved = dist.histogram()
+        assert dist.binned()[1] == np.linspace(0.0, 4.0, 5).tolist()
         np.testing.assert_array_equal(moved.edges, np.linspace(0.0, 4.0, 5))
         np.testing.assert_array_equal(first.edges, np.linspace(0.0, 2.0, 5))
 

@@ -317,6 +317,35 @@ class TestStressMemo:
         assert controller.state_space.stress() > STRESS_DIVERGENCE
 
 
+class TestGeometryMemo:
+    """The cached-geometry check re-runs only on bytes that differ from
+    the last clean ones; an in-place write is such a difference."""
+
+    @pytest.mark.parametrize("poison", [float("nan"), -1.0])
+    def test_radius_written_after_a_clean_pass_is_flagged(self, poison):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        geometry = controller.state_space.geometry()
+        assert geometry.radii.size
+        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(151, controller).ok  # the memo now holds it
+        geometry.radii[0] = poison
+        report = watchdog.inspect(152, controller)
+        assert [issue.check for issue in report.issues] == ["geometry"]
+        assert report.cache_poisoned
+
+    def test_rebuilt_clean_geometry_passes_again(self):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        geometry = controller.state_space.geometry()
+        assert watchdog.inspect(150, controller).ok
+        geometry.radii[0] = -1.0
+        report = watchdog.inspect(151, controller)
+        assert watchdog.heal(151, controller, report) == ["geometry-rebuild"]
+        controller.state_space.geometry()
+        assert watchdog.inspect(152, controller).ok
+
+
 #: Stands for the state row a poisoner event names (``coords[26]``).
 HIT = object()
 

@@ -167,6 +167,13 @@ class TestPrometheusScrapeSource:
         engine.add_middleware(exporter)
         return engine, exporter
 
+    def test_the_exporter_keeps_no_records(self):
+        engine, exporter = self.exporting_engine()
+        engine.run(ticks=1)
+        assert list(exporter.registry)  # the tick was published
+        assert not hasattr(exporter, "records")
+        assert not hasattr(exporter, "write")
+
     def test_scrape_becomes_wire_records(self):
         engine, exporter = self.exporting_engine()
         engine.run(ticks=1)

@@ -21,7 +21,7 @@ from repro.sim.contention import ProportionalShareModel, WeightedWaterFillModel
 from repro.sim.engine import SimulationEngine
 from repro.sim.host import Host
 from repro.sim.resources import ResourceVector
-from repro.trajectory.histograms import Histogram
+from repro.trajectory.histograms import EmpiricalDistribution, Histogram
 from repro.workloads.registry import make_workload
 from repro.workloads.traces import wikipedia_trace
 from tests.support.recorders import record_predictions
@@ -117,14 +117,16 @@ def _off_the_period(*args, **kwargs):
 
 
 def test_a_period_never_touches_the_array_histogram_api(monkeypatch):
-    """The predict stage draws through ``Histogram.inverse_transform`` on
-    Python floats. ``probabilities`` / ``cdf`` / ``total`` return arrays
-    (or reduce one) for figures and tests; at the parent of PR 23 every
-    period built both, twice."""
+    """The predict stage draws through ``inverse_transform`` on Python
+    floats, from the windows' live counts. ``probabilities`` / ``cdf`` /
+    ``total`` return arrays (or reduce one) for figures and tests; at
+    the parent of PR 23 every period built both, twice. No period
+    builds a ``Histogram`` at all."""
     reference, _ = _steady_run()
     monkeypatch.setattr(Histogram, "probabilities", _off_the_period)
     monkeypatch.setattr(Histogram, "cdf", _off_the_period)
     monkeypatch.setattr(Histogram, "total", property(_off_the_period))
+    monkeypatch.setattr(EmpiricalDistribution, "histogram", _off_the_period)
     controller, predictions = _steady_run()
 
     containment = controller.summary()["telemetry"]["containment"]
