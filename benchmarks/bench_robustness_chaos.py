@@ -125,7 +125,7 @@ def run_experiment(out, ticks: int = STANDARD_TICKS) -> Dict[str, object]:
     report = {
         "bench": "fault_containment",
         "ticks": ticks,
-        "environment": {
+        "environment_chaos": {
             "mix": {
                 "seed": chaos_mix.seed,
                 "spike_windows": [list(window) for window in chaos_mix.spike_windows],
@@ -188,7 +188,7 @@ def _crash_note(crashed_at) -> str:
 
 
 def _print_report(report: Dict[str, object]) -> None:
-    env = report["environment"]
+    env = report["environment_chaos"]
     print(banner("Robustness - chaos mix, resilience on vs off"))
     print(
         f"faults injected: {env['resilient']['faults']['total']} (resilient run), "

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import platform
+import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -107,9 +109,34 @@ def get_trio(
     )
 
 
+#: The checkout the benchmarks belong to (its commit stamps a report).
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def environment_stamp() -> Dict[str, str]:
+    """Where a report was measured: the checkout's commit (``"unknown"``
+    outside git), the Python and NumPy versions and the platform."""
+    head = ""
+    if (REPO_ROOT / ".git").exists():
+        try:
+            head = subprocess.run(
+                ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
+                capture_output=True, text=True, timeout=30, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            pass
+    return {
+        "commit": head or "unknown",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
 def write_report(report: dict, gates: Dict[str, bool], out) -> dict:
     """Record a gate script's ``gates`` in its report, set ``passed`` to
-    ``all(gates)`` and write the report as JSON (sorted keys, two-space
+    ``all(gates)``, stamp it with :func:`environment_stamp` under
+    ``environment`` and write it as JSON (sorted keys, two-space
     indent, final newline: the shape of the committed ``BENCH_*.json``
     records). Returns the report with ``out``, the path written, added.
 
@@ -118,6 +145,7 @@ def write_report(report: dict, gates: Dict[str, bool], out) -> dict:
     """
     report["gates"] = {name: bool(holds) for name, holds in gates.items()}
     report["passed"] = all(report["gates"].values())
+    report["environment"] = environment_stamp()
     path = Path(out)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

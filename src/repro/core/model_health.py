@@ -82,6 +82,23 @@ def _bad_rows(matrix: np.ndarray) -> List[int]:
     return [int(i) for i in np.nonzero(~ok.all(axis=1))[0]]
 
 
+def _new_bad_rows(matrix: np.ndarray, clean: bytes, content: bytes) -> List[int]:
+    """:func:`_bad_rows` of ``matrix``, skipping rows already checked.
+
+    ``content`` is ``matrix.tobytes()`` and ``clean`` the bytes of a
+    matrix whose every row passed. When ``clean`` is a whole-row prefix
+    of ``content`` — the map only grew by appended rows — those leading
+    rows are byte for byte the ones that passed, and only the appended
+    rows are checked. Any other change (a row written in place, a
+    refit, a quarantine) checks every row.
+    """
+    start = 0
+    row_bytes = matrix.shape[1] * matrix.itemsize
+    if row_bytes and len(clean) % row_bytes == 0 and content.startswith(clean):
+        start = len(clean) // row_bytes
+    return [start + i for i in _bad_rows(matrix[start:])]
+
+
 @dataclass(frozen=True)
 class HealthIssue:
     """One learned-state invariant violation."""
@@ -187,13 +204,18 @@ class ModelHealthWatchdog:
         # 2. Per-row sanity of the learned map: finite and of plausible
         #    magnitude (both live in normalized spaces of order-1
         #    values; 1e9 is corruption, not learning). One pass over
-        #    each matrix: its bytes, against those that last passed.
+        #    each matrix: its bytes, against those that last passed;
+        #    rows appended behind them are the only ones re-checked.
         if not report.structural and n_coords:
             points = space.representatives.points
             content = (space.coords.tobytes(), points.tobytes())
+            clean = self._clean[0]
             bad: Set[int] = set()
-            if self._clean[0] != content:
-                bad = {*_bad_rows(space.coords), *_bad_rows(points)}
+            if clean != content:
+                bad = {
+                    *_new_bad_rows(space.coords, clean[0], content[0]),
+                    *_new_bad_rows(points, clean[1], content[1]),
+                }
                 if not bad:
                     self._clean = (content, None)
             if bad:

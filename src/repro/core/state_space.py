@@ -260,9 +260,9 @@ class StateSpace:
         index, is_new = self.representatives.assign(normalized)
         refitted = False
         if is_new:
-            coords = self._place_new(normalized)
+            coords = self._place_new()
             self.coords = (
-                np.vstack([self.coords, coords[None, :]])
+                np.concatenate((self.coords, coords[None, :]))
                 if self.coords.size
                 else coords[None, :]
             )
@@ -277,13 +277,13 @@ class StateSpace:
             self.invalidate_geometry()
         return index, is_new, refitted
 
-    def _place_new(self, normalized: np.ndarray) -> np.ndarray:
-        """2-D coordinates for a brand-new representative."""
-        n_existing = len(self)
-        if n_existing == 0:
+    def _place_new(self) -> np.ndarray:
+        """2-D coordinates for the representative :meth:`add_sample` just
+        opened, against the distances of the scan that opened it: the
+        new sample to every representative before it."""
+        if len(self) == 0:
             return np.zeros(2)
-        deltas = self.representatives.distances_from(normalized)[:-1]
-        return place_point(self.coords, deltas)
+        return place_point(self.coords, self.representatives.last_distances)
 
     def refit(self) -> float:
         """Full SMACOF refit, Procrustes-aligned to the previous map.

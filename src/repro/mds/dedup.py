@@ -19,7 +19,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.mds.distances import point_distances
+#: Spare rows reserved in a rebuilt representative matrix, at least;
+#: a rebuild of ``n`` rows reserves ``max(n, MIN_SPARE_ROWS)`` more.
+MIN_SPARE_ROWS = 16
 
 
 class RepresentativeSet:
@@ -45,7 +47,15 @@ class RepresentativeSet:
         self.dimension = dimension
         self._points: List[np.ndarray] = []
         self._counts: List[int] = []
-        self._matrix: Optional[np.ndarray] = None  # lazily rebuilt cache
+        # ``_matrix`` is the first ``len(_points)`` rows of ``_buffer``;
+        # a new representative is copied into the next spare row.
+        # ``None`` means: rebuild both from ``_points``.
+        self._buffer: Optional[np.ndarray] = None
+        self._matrix: Optional[np.ndarray] = None
+        #: Distances from the sample of the last :meth:`nearest` (or
+        #: :meth:`assign`) to every representative the set then held;
+        #: empty when it held none. A new state's placement reads them.
+        self.last_distances: np.ndarray = np.empty(0)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -58,28 +68,43 @@ class RepresentativeSet:
     @property
     def points(self) -> np.ndarray:
         """``(n_representatives, dimension)`` matrix of representatives."""
-        if not self._points:
-            return np.empty((0, self.dimension or 0))
-        if self._matrix is None or self._matrix.shape[0] != len(self._points):
-            self._matrix = np.vstack(self._points)
-        return self._matrix
+        matrix = self._matrix
+        if matrix is None or matrix.shape[0] != len(self._points):
+            n = len(self._points)
+            if not n:
+                return np.empty((0, self.dimension or 0))
+            self._buffer = np.empty((n + max(n, MIN_SPARE_ROWS), self._points[0].shape[0]))
+            self._buffer[:n] = self._points
+            matrix = self._matrix = self._buffer[:n]
+        return matrix
 
     def nearest(self, sample: np.ndarray) -> Tuple[int, float]:
         """Index of and distance to the nearest representative.
 
-        Raises ``RuntimeError`` when the set is empty.
+        The first index wins on equal distances. ``sample`` is a float
+        vector of the set's dimension, taken as it is (:meth:`assign`
+        checks it); every distance of the scan stays in
+        :attr:`last_distances`. Raises ``RuntimeError`` when the set is
+        empty.
         """
         if not self._points:
             raise RuntimeError("representative set is empty")
-        distances = point_distances(np.asarray(sample, float), self.points)
-        index = int(np.argmin(distances))
-        return index, float(distances[index])
+        # point_distances' subtract / square / row sum / sqrt, one ufunc
+        # call each: the same operations, so the same bits.
+        deltas = self.points - sample
+        np.multiply(deltas, deltas, out=deltas)
+        distances = np.add.reduce(deltas, axis=1)
+        np.sqrt(distances, out=distances)
+        self.last_distances = distances
+        index = distances.argmin().item()
+        return index, distances.item(index)
 
     def assign(self, sample: np.ndarray) -> Tuple[int, bool]:
         """Insert a sample; return ``(representative_index, is_new)``.
 
         ``is_new`` is True when the sample opened a new epsilon-ball
-        (and therefore needs a fresh 2-D placement downstream).
+        (and therefore needs a fresh 2-D placement downstream, against
+        :attr:`last_distances`).
         """
         sample = np.asarray(sample, dtype=float)
         if sample.ndim != 1:
@@ -98,11 +123,19 @@ class RepresentativeSet:
             if distance <= self.epsilon:
                 self._counts[match] += 1
                 return match, False
+        else:
+            self.last_distances = np.empty(0)
 
+        n = len(self._points)
         self._points.append(sample.copy())
         self._counts.append(1)
-        self._matrix = None
-        return len(self._points) - 1, True
+        matrix, buffer = self._matrix, self._buffer
+        if matrix is not None and matrix.shape[0] == n and n < buffer.shape[0]:
+            buffer[n] = sample
+            self._matrix = buffer[: n + 1]
+        else:
+            self._matrix = None
+        return n, True
 
     def remove_indices(self, indices) -> int:
         """Remove representatives by index; returns how many were removed.
@@ -126,19 +159,14 @@ class RepresentativeSet:
         self.invalidate_index()
 
     def invalidate_index(self) -> None:
-        """Drop the points-matrix cache.
+        """Drop the points-matrix cache; the next read rebuilds it from
+        ``_points``.
 
-        External bulk mutators of ``_points`` must call this: the
-        row-count check in :attr:`points` cannot detect a same-count
-        replacement.
+        External bulk mutators of ``_points`` must call this (or set
+        ``_matrix`` to ``None``): the row-count check in :attr:`points`
+        cannot detect a same-count replacement.
         """
         self._matrix = None
-
-    def distances_from(self, sample: np.ndarray) -> np.ndarray:
-        """High-dimensional distances from a sample to every representative."""
-        if not self._points:
-            return np.empty(0)
-        return point_distances(np.asarray(sample, float), self.points)
 
     def compression_ratio(self) -> float:
         """Raw samples per representative (>= 1.0; higher = more savings)."""

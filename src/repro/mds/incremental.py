@@ -118,15 +118,15 @@ def _checked_inputs(
     n = anchors.shape[0]
     if deltas.shape != (n,):
         raise ValueError(f"expected {n} deltas, got shape {deltas.shape}")
-    if not np.all(np.isfinite(anchors)):
+    if not np.isfinite(anchors).all():
         raise ValueError("anchors must be finite")
-    if not np.all(np.isfinite(deltas)):
+    if not np.isfinite(deltas).all():
         raise ValueError("deltas must be finite")
-    if np.any(deltas < 0):
+    if (deltas < 0).any():
         raise ValueError("target distances must be non-negative")
     if init is not None:
         init = np.array(init, dtype=float, copy=True)
-        if not np.all(np.isfinite(init)):
+        if not np.isfinite(init).all():
             raise ValueError("init must be finite")
     if n >= 2:
         # The multi-start offsets and the trilateration normal are
@@ -179,7 +179,9 @@ def _multi_starts(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """
     targets = deltas.tolist()
     # ``index(min(...))`` is argmin's first minimum; ``+ 0.0`` keeps the
-    # array sum's sign of zero.
+    # array sum's sign of zero. The centroid is ``ndarray.mean``'s own
+    # arithmetic: ``np.add.reduce`` along the anchors, then one true
+    # division by their count.
     bx, by = anchors[targets.index(min(targets))].tolist()
     scale = max(max(targets), 1e-3)
     return np.array(
@@ -189,7 +191,7 @@ def _multi_starts(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
             [bx + -scale, by + 0.0],
             [bx + 0.0, by + scale],
             [bx + 0.0, by + -scale],
-            anchors.mean(axis=0).tolist(),
+            (np.add.reduce(anchors, axis=0) / anchors.shape[0]).tolist(),
             *_trilateration_starts(anchors, targets),
         ]
     )
@@ -231,14 +233,14 @@ def _trilateration_starts(anchors: np.ndarray, deltas: List[float]) -> List[List
     # would keep.
     n = anchors.shape[0]
     order = np.arange(n)
-    pairs = np.flatnonzero(order[:, None] < order)
+    pairs = (order[:, None] < order).ravel().nonzero()[0]
     first, second = np.divmod(pairs, n)
     separations = _row_norms(anchors.take(first, axis=0) - anchors.take(second, axis=0))
-    widest = int(np.argmax(separations))
-    d = float(separations[widest])
+    widest = separations.argmax().item()
+    d = separations.item(widest)
     if d <= 1e-12:
         return []
-    i, j = divmod(int(pairs[widest]), n)
+    i, j = divmod(pairs.item(widest), n)
     (ax, ay), (bx, by) = anchors[i].tolist(), anchors[j].tolist()
     ra, rb = deltas[i], deltas[j]
     # Projection of the intersection chord onto the a->b axis.

@@ -91,8 +91,8 @@ class SensorGuard:
     ----------
     plausible_max:
         Per-dimension upper bound on believable raw readings (e.g. the
-        host capacity per metric block times a slack factor). ``None``
-        disables the plausibility check.
+        host capacity per metric block times a slack factor), copied at
+        construction. ``None`` disables the plausibility check.
     registry:
         Shared :class:`~repro.telemetry.registry.MetricRegistry` to
         record verdict counters into (``guard.accepted``,
@@ -107,7 +107,11 @@ class SensorGuard:
         registry: Optional[MetricRegistry] = None,
     ) -> None:
         self.plausible_max = (
-            None if plausible_max is None else np.asarray(plausible_max, dtype=float)
+            None if plausible_max is None else np.array(plausible_max, dtype=float)
+        )
+        # The bound as the per-sample check reads it: a plain list.
+        self._bound: Optional[List[float]] = (
+            None if self.plausible_max is None else self.plausible_max.ravel().tolist()
         )
         self.metrics = registry if registry is not None else MetricRegistry()
         self._c_accepted = self.metrics.counter(
@@ -172,7 +176,7 @@ class SensorGuard:
                 reasons.append(RejectReason.NEGATIVE)
             if self.plausible_max is not None:
                 if values.shape == self.plausible_max.shape:
-                    spike = any(map(gt, flat, self.plausible_max.ravel().tolist()))
+                    spike = any(map(gt, flat, self._bound))
                 else:
                     # NumPy's broadcast decides (and raises on a mismatch).
                     spike = bool(np.any(values > self.plausible_max))

@@ -110,6 +110,35 @@ def test_enforce_gates_names_each_failing_gate(tmp_path):
     assert passing["passed"] is True
 
 
+def test_every_report_is_stamped_with_where_it_ran(tmp_path, monkeypatch):
+    import platform
+    import subprocess
+
+    import numpy as np
+
+    from benchmarks import helpers
+
+    report = write_report({"bench": "fake"}, {"ok": True}, tmp_path / "BENCH_ok.json")
+    written = json.loads(Path(report["out"]).read_text(encoding="utf-8"))
+    stamp = written["environment"]
+    assert set(stamp) == {"commit", "python", "numpy", "platform"}
+    assert stamp["python"] == platform.python_version()
+    assert stamp["numpy"] == np.__version__
+    assert stamp["platform"] == platform.platform()
+    if (helpers.REPO_ROOT / ".git").exists():
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=helpers.REPO_ROOT,
+            capture_output=True, text=True,
+        ).stdout.strip()
+        assert stamp["commit"] == (head or "unknown")
+    else:
+        assert stamp["commit"] == "unknown"
+
+    # A checkout outside git (an archive, a copied tree) says so.
+    monkeypatch.setattr(helpers, "REPO_ROOT", tmp_path)
+    assert helpers.environment_stamp()["commit"] == "unknown"
+
+
 def test_every_tracer_patch_point_exists_in_src():
     """The frozen e2e benchmark wraps ``(owner, attribute)`` pairs by
     name (``vars(owner)[attribute]``); tier-1 never collects

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mds.dedup import RepresentativeSet
+from repro.mds.distances import point_distances
 
 
 class TestRepresentativeSet:
@@ -72,15 +73,6 @@ class TestRepresentativeSet:
     def test_nearest_on_empty_raises(self):
         with pytest.raises(RuntimeError):
             RepresentativeSet(epsilon=0.1).nearest(np.array([0.0]))
-
-    def test_distances_from(self):
-        reps = RepresentativeSet(epsilon=0.01)
-        reps.assign(np.array([0.0, 0.0]))
-        reps.assign(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(
-            reps.distances_from(np.array([0.0, 0.0])), [0.0, 5.0]
-        )
-        assert RepresentativeSet(epsilon=0.1).distances_from(np.array([0.0])).size == 0
 
     def test_compression_ratio(self):
         reps = RepresentativeSet(epsilon=0.5)
@@ -166,3 +158,138 @@ class TestMergeScan:
         reps.assign(np.array([0.25]))
         _, merged_new = reps.assign(np.array([0.25]))
         assert not merged_new
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).tobytes()
+
+
+def filled(rows):
+    """A set holding ``rows`` as its representatives, in order."""
+    reps = RepresentativeSet(epsilon=0.0)
+    for row in rows:
+        _, is_new = reps.assign(np.asarray(row, dtype=float))
+        assert is_new
+    return reps
+
+
+class TestScanEqualsPointDistances:
+    """The scan is ``point_distances`` then ``np.argmin``, bit for bit."""
+
+    @staticmethod
+    def assert_same_scan(reps, sample):
+        reference = point_distances(sample, np.vstack(reps._points))
+        index, distance = reps.nearest(sample)
+        assert _bits(reps.last_distances) == _bits(reference)
+        assert index == int(np.argmin(reference))
+        assert type(index) is int and type(distance) is float
+        assert _bits(distance) == _bits(reference[index])
+
+    @pytest.mark.parametrize("n, dim", [(1, 3), (7, 10), (70, 10), (250, 13)])
+    def test_random_inputs(self, n, dim):
+        rng = np.random.default_rng(n * 31 + dim)
+        reps = filled(rng.uniform(0.0, 1.0, size=(n, dim)))
+        for _ in range(20):
+            self.assert_same_scan(reps, rng.uniform(-0.5, 1.5, size=dim))
+
+    def test_a_sample_equal_to_a_representative(self):
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.0, 1.0, size=(12, 10))
+        reps = filled(rows)
+        for index in (0, 5, 11):
+            self.assert_same_scan(reps, rows[index].copy())
+            assert reps.nearest(rows[index].copy()) == (index, 0.0)
+
+    def test_exact_ties_keep_the_first_index(self):
+        reps = filled([[3.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        self.assert_same_scan(reps, np.array([0.0, 0.0]))
+        assert reps.nearest(np.array([0.0, 0.0])) == (1, 1.0)
+        # A sample on the merge radius of both tied representatives
+        # joins the first.
+        reps.epsilon = 1.0
+        assert reps.assign(np.array([0.0, 0.0])) == (1, False)
+
+    def test_a_one_row_set(self):
+        reps = filled([[0.25, 0.5, 0.75]])
+        self.assert_same_scan(reps, np.array([1.0, 1.0, 1.0]))
+        assert reps.nearest(np.array([0.25, 0.5, 0.75])) == (0, 0.0)
+
+    def test_assign_keeps_the_scan_a_new_state_is_placed_against(self):
+        rng = np.random.default_rng(11)
+        reps = RepresentativeSet(epsilon=0.3)
+        reps.assign(rng.uniform(0.0, 1.0, size=4))
+        assert reps.last_distances.size == 0  # the set was empty
+        for _ in range(60):
+            sample = rng.uniform(0.0, 1.0, size=4)
+            before = np.vstack(reps._points)
+            index, _ = reps.assign(sample)
+            assert _bits(reps.last_distances) == _bits(point_distances(sample, before))
+            assert index == len(before) or index == int(np.argmin(reps.last_distances))
+        # A set emptied after a scan scans nothing for its next sample.
+        reps.clear()
+        assert reps.assign(rng.uniform(0.0, 1.0, size=4)) == (0, True)
+        assert reps.last_distances.size == 0
+
+
+class TestGrowthBuffer:
+    """``points`` grows into spare rows and is rebuilt from ``_points``
+    after every invalidation."""
+
+    @staticmethod
+    def assert_matches_store(reps):
+        assert _bits(reps.points) == _bits(np.vstack(reps._points))
+        assert reps.points.flags.c_contiguous
+
+    def test_appends_past_the_reserved_rows(self):
+        rng = np.random.default_rng(2)
+        reps = RepresentativeSet(epsilon=0.0)
+        for _ in range(100):
+            reps.assign(rng.uniform(0.0, 1.0, size=5))
+            self.assert_matches_store(reps)
+
+    def test_a_new_state_copies_one_row(self, monkeypatch):
+        reps = filled(np.eye(4))
+        matrix = reps.points
+        monkeypatch.setattr(np, "vstack", None)
+        reps.assign(np.full(4, 2.0))
+        assert np.shares_memory(reps.points, matrix)
+        # A matrix read before the append still shows the rows it had.
+        assert matrix.shape == (4, 4) and _bits(matrix) == _bits(np.eye(4))
+
+    def test_rebuilt_after_remove_indices(self):
+        reps = filled(np.arange(24.0).reshape(8, 3))
+        reps.points
+        assert reps.remove_indices([0, 5]) == 2
+        self.assert_matches_store(reps)
+        assert reps.assign(np.array([3.0, 4.0, 5.0])) == (0, False)
+        assert reps.assign(np.array([100.0, 0.0, 0.0])) == (6, True)
+        self.assert_matches_store(reps)
+
+    def test_rebuilt_after_clear(self):
+        reps = filled(np.arange(12.0).reshape(4, 3))
+        reps.points
+        reps.clear()
+        assert reps.points.shape == (0, 3)
+        assert reps.assign(np.array([0.0, 1.0, 2.0])) == (0, True)
+        assert reps.assign(np.array([9.0, 9.0, 9.0])) == (1, True)
+        self.assert_matches_store(reps)
+
+    def test_rebuilt_after_invalidate_index(self):
+        reps = filled([[0.0, 0.0], [1.0, 1.0]])
+        reps.points
+        reps._points = [np.array([5.0, 5.0]), np.array([6.0, 6.0])]
+        reps.invalidate_index()
+        self.assert_matches_store(reps)
+        assert reps.nearest(np.array([5.0, 5.0])) == (0, 0.0)
+
+    def test_rebuilt_after_dropping_the_matrix(self):
+        # ModelPoisoner's write: a copied row poisoned, then _matrix = None.
+        reps = filled([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        reps.points
+        reps._points[1] = reps._points[1].copy()
+        reps._points[1][0] = float("nan")
+        reps._matrix = None
+        self.assert_matches_store(reps)
+        assert np.isnan(reps.points[1, 0])
+        assert reps.assign(np.array([7.0, 7.0])) == (3, True)
+        self.assert_matches_store(reps)

@@ -115,6 +115,29 @@ class TestMain:
         assert "+29.9%" in throughput and "3/3" in throughput
         assert "gap > parent IQR" in throughput
 
+    def test_both_checkouts_are_byte_compiled_before_the_passes(self, tmp_path, capsys):
+        sides = {}
+        for name, value in (("parent", 1000), ("change", 1100)):
+            sides[name] = checkout(tmp_path, name, value)
+            (sides[name] / "src" / "pkg").mkdir(parents=True)
+            (sides[name] / "src" / "pkg" / "__init__.py").write_text("X = 1\n", encoding="utf-8")
+            (sides[name] / "benchmarks").mkdir()
+            (sides[name] / "benchmarks" / "probe.py").write_text("Y = 2\n", encoding="utf-8")
+        status = e2e_pairs.main(
+            ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+             "--workload", "steady", "--pairs", "1", "--seeds", "3"]
+        )
+        out = capsys.readouterr().out
+        assert status == 0
+        for name, path in sides.items():
+            assert list((path / "src" / "pkg" / "__pycache__").glob("__init__.*.pyc"))
+            assert list((path / "benchmarks" / "__pycache__").glob("probe.*.pyc"))
+            assert f"{name}: byte-compiled src benchmarks in {path}" in out
+        # The compile lines come before the first pass.
+        lines = out.splitlines()
+        first_pass = next(i for i, line in enumerate(lines) if " pair " in line)
+        assert max(i for i, line in enumerate(lines) if "byte-compiled" in line) < first_pass
+
     def test_unknown_workload_and_mismatched_contracts_are_refused(self, tmp_path):
         parent = checkout(tmp_path, "parent", 1000)
         change = checkout(tmp_path, "change", 1000)

@@ -377,3 +377,52 @@ class TestPlacementKernel:
         assert 0.07 < np.linalg.norm(placed - stuck) < 0.09
         # The oracle would not have excused it as another minimum.
         assert "on a slope" in lost_to_reference(stuck, anchors, deltas, init=stuck)
+
+
+class TestPlacementPrepEqualities:
+    """The placement's input prep without NumPy's wrappers gives the
+    same bits as the spelling it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 64, 250])
+    def test_centroid_equals_mean(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-9, 1.0, 1e6):
+            anchors = rng.normal(size=(n, 2)) * scale
+            centroid = np.add.reduce(anchors, axis=0) / n
+            assert centroid.tobytes() == anchors.mean(axis=0).tobytes()
+
+    def test_centroid_start_is_the_mean(self):
+        rng = np.random.default_rng(4)
+        for n in range(2, 60):
+            # Magnitudes spread over decades, so any other summation
+            # order rounds differently somewhere.
+            anchors = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+            deltas = rng.uniform(0.0, 2.0, size=n)
+            starts = incremental._multi_starts(anchors, deltas)
+            assert starts[5].tobytes() == anchors.mean(axis=0).tobytes()
+
+    def test_placement_deltas_equal_the_old_rescan(self, monkeypatch):
+        """A new state is placed against the scan that opened it: the
+        distances a second scan over the grown set gave, minus the new
+        row (the old ``distances_from(sample)[:-1]``)."""
+        from repro.core import state_space as state_space_module
+
+        placed = []
+
+        def recording(anchors, deltas, *args, **kwargs):
+            placed.append(deltas.copy())
+            return place_point(anchors, deltas, *args, **kwargs)
+
+        monkeypatch.setattr(state_space_module, "place_point", recording)
+        space = state_space_module.StateSpace(epsilon=0.05, refit_interval=15)
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(300):
+            sample = np.round(rng.uniform(0.0, 1.0, size=10), 1)
+            calls = len(placed)
+            _, is_new, _ = space.add_sample(sample, violated=False)
+            if is_new and len(placed) > calls:
+                rescan = point_distances(sample, space.representatives.points)[:-1]
+                assert placed[-1].tobytes() == rescan.tobytes()
+                checked += 1
+        assert checked > 30

@@ -11,10 +11,12 @@ from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.events import EventKind
 from repro.core import state_space as state_space_module
+from repro.core import model_health as model_health_module
 from repro.core.model_health import (
     MIN_STATES_FOR_STRESS,
     STRESS_DIVERGENCE,
     ModelHealthWatchdog,
+    _bad_rows,
 )
 from repro.experiments.chaos import ContainmentMix, run_recovery_drill
 from repro.experiments.scenarios import Scenario
@@ -344,6 +346,87 @@ class TestGeometryMemo:
         assert watchdog.heal(151, controller, report) == ["geometry-rebuild"]
         controller.state_space.geometry()
         assert watchdog.inspect(152, controller).ok
+
+
+class TestAppendedRows:
+    """When the map only grew, the row check reads the appended rows; a
+    write into an old row breaks the byte prefix and checks them all."""
+
+    @staticmethod
+    def grown(controller, count=1):
+        """Append ``count`` new states without a refit; returns the rows
+        the map had before."""
+        space = controller.state_space
+        space.refit_interval = 10**9
+        before = len(space)
+        dim = space.representatives.dimension
+        for k in range(count):
+            _, is_new, _ = space.add_sample(np.full(dim, 5.0 + k), violated=False)
+            assert is_new
+        return before
+
+    @staticmethod
+    def record_row_checks(monkeypatch):
+        rows = []
+
+        def recording(matrix):
+            rows.append(matrix.shape[0])
+            return _bad_rows(matrix)
+
+        monkeypatch.setattr(model_health_module, "_bad_rows", recording)
+        return rows
+
+    def test_only_appended_rows_are_checked(self, monkeypatch):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        rows = self.record_row_checks(monkeypatch)
+        self.grown(controller, count=2)
+        assert watchdog.inspect(151, controller).ok
+        assert rows == [2, 2]  # coords, then representatives
+
+    def test_nan_in_an_old_row_at_an_unchanged_row_count_is_flagged(self):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        n = len(controller.state_space)
+        controller.state_space.coords[2, 1] = float("nan")
+        report = watchdog.inspect(151, controller)
+        assert len(controller.state_space) == n
+        assert report.bad_states == [2]
+
+    def test_nan_in_an_old_representative_row_is_flagged(self):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        controller.state_space.representatives.points[4, 0] = float("nan")
+        assert watchdog.inspect(151, controller).bad_states == [4]
+
+    def test_a_bad_appended_row_is_flagged(self):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        before = self.grown(controller)
+        controller.state_space.coords[before, 0] = float("inf")
+        assert watchdog.inspect(151, controller).bad_states == [before]
+
+    def test_a_bad_appended_representative_is_flagged(self):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        before = self.grown(controller, count=3)
+        controller.state_space.representatives.points[before + 1, 2] = 1e9
+        assert watchdog.inspect(151, controller).bad_states == [before + 1]
+
+    def test_an_old_row_written_while_the_map_grew_is_flagged(self, monkeypatch):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        before = self.grown(controller)
+        controller.state_space.coords[0, 0] = float("nan")
+        rows = self.record_row_checks(monkeypatch)
+        assert watchdog.inspect(151, controller).bad_states == [0]
+        assert rows[0] == before + 1  # every coords row checked
 
 
 #: Stands for the state row a poisoner event names (``coords[26]``).

@@ -9,11 +9,17 @@ parent it cost 91 enum-descriptor calls a step.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro.core import model_health as model_health_module
+from repro.core import state_space as state_space_module
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.experiments.scenarios import Scenario
+from repro.mds import dedup as dedup_module
+from repro.mds import distances as distances_module
+from repro.mds import incremental as incremental_module
 from repro.service import decision_sequence
 from repro.service.recording import header_record, snapshot_records
 from repro.sim.container import Container
@@ -134,5 +140,49 @@ def test_a_period_never_touches_the_array_histogram_api(monkeypatch):
     assert len(controller.trajectory) == 300  # every period ran to its end
     drawn = [p for p in predictions if p.ready]
     assert len(drawn) > 250 and all(p.candidates.shape == (5, 2) for p in drawn)
+    assert decision_sequence(controller) == decision_sequence(reference)
+    assert decision_sequence(controller)
+
+
+def _cold_start_run(ticks=150, seed=3):
+    """A ``host_coldstart``-shaped life: a fresh controller learning its
+    first co-location, so most periods open and place a new state."""
+    from benchmarks.e2e.workloads import COLD_PAIRS, scenario
+
+    sensitive, batches = COLD_PAIRS[0]
+    built = scenario(sensitive, batches, ticks, seed).build()
+    controller = StayAway(built.sensitive_app, config=StayAwayConfig(seed=seed))
+    SimulationEngine(built.host, [controller]).run(ticks=ticks)
+    return controller, None
+
+
+def _off_the_map_stage(*args, **kwargs):
+    raise AssertionError("the map stage restacked the map or re-ran a distance scan")
+
+
+class _NumpyWithout:
+    """NumPy as a module that imported it sees it, minus ``names``."""
+
+    def __init__(self, *names):
+        self._names = names
+
+    def __getattr__(self, name):
+        return _off_the_map_stage if name in self._names else getattr(np, name)
+
+
+@pytest.mark.parametrize("run", [_steady_run, _cold_start_run])
+def test_the_map_stage_never_restacks_or_rescans(run, monkeypatch):
+    """A sample is one scan of the representatives, and a new state
+    copies one row into the representative matrix: no module of the map
+    stage calls ``np.vstack``, and none reaches ``point_distances``."""
+    reference, _ = run()
+    assert not hasattr(dedup_module, "point_distances")
+    monkeypatch.setattr(distances_module, "point_distances", _off_the_map_stage)
+    for module in (dedup_module, state_space_module, incremental_module, model_health_module):
+        monkeypatch.setattr(module, "np", _NumpyWithout("vstack"))
+    controller, _ = run()
+
+    assert controller.summary()["telemetry"]["containment"]["firewall_catches"] == 0
+    assert len(controller.state_space) > 10  # states were opened and placed
     assert decision_sequence(controller) == decision_sequence(reference)
     assert decision_sequence(controller)

@@ -14,6 +14,12 @@ Pair ``i`` uses ``seeds[i % len(seeds)]`` on both sides. The benchmark
 is read, never edited; both checkouts must hold the same
 ``BENCHMARK.json``.
 
+Before the first pass both checkouts are byte-compiled
+(``python -m compileall -q src benchmarks``), and the log says so: a
+shell with ``PYTHONDONTWRITEBYTECODE=1`` writes no caches, so without
+this a checkout that holds ``__pycache__`` from an earlier run imports
+faster than a fresh one, and ``setup_s`` compares caches, not code.
+
 ``--layer NAME`` (repeatable) makes the passes traced ones and the rows
 the named ``per_layer`` metrics instead: the same-hour traced pair. A
 raw self time (``_us``, not a percentile, not the gauge) is multiplied
@@ -53,6 +59,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 SIDES = ("parent", "change")
+#: The source folders byte-compiled in each checkout before the passes.
+COMPILED = ("src", "benchmarks")
 #: The speed gauge's reference reading (benchmarks/e2e/README.md).
 REFERENCE_US = 400.0
 GAUGE = "bench.gauge_us"
@@ -78,6 +86,20 @@ def run_pass(
         raise SystemExit(f"{checkout}: {' '.join(argv)} printed no result")
     result["correct"] = bool(result["correct"]) and done.returncode == 0
     return result
+
+
+def compile_checkout(side: str, checkout: Path) -> None:
+    """Byte-compile a checkout's source folders, so that its passes
+    import from bytecode whatever caches it held before."""
+    folders = [name for name in COMPILED if (checkout / name).is_dir()]
+    if not folders:
+        return
+    argv = [sys.executable, "-m", "compileall", "-q", *folders]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stdout + done.stderr)
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} failed")
+    print(f"{side}: byte-compiled {' '.join(folders)} in {checkout}", flush=True)
 
 
 def reading(result: dict, metric: dict) -> float:
@@ -209,6 +231,8 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - set(known))
     if unknown:
         raise SystemExit(f"unknown workload(s) {unknown}; the benchmark has {known}")
+    for side in SIDES:
+        compile_checkout(side, checkouts[side])
     if args.sims:
         equal = compare_sims(checkouts, contract["command"], workloads, args.seeds)
         return 0 if equal else 1
