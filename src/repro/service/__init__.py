@@ -11,8 +11,8 @@ behind the ``monitoring`` seam into a standalone service:
   plain wire records;
 * :mod:`repro.service.assembler` — the :class:`StreamAssembler`, the
   stream side's one container table, reorders by watermark,
-  deduplicates by ``(tick, container, metric)``, holds per-cell last
-  values over partial ticks and closes ticks on watermark expiry into
+  deduplicates by ``(tick, container, metric)``, reads a cell still
+  missing at close as NaN and closes ticks on watermark expiry into
   per-container rows, so the controller steps on partial-but-bounded
   data instead of blocking;
 * :mod:`repro.service.views` — the stream's side of the controller's

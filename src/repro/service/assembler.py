@@ -20,7 +20,8 @@ retires it when it departs.
 * records for already-closed ticks are counted ``stream.late`` and
   dropped — the controller has moved on;
 * records of the wrong shape (not a mapping, a non-integer tick, a
-  non-numeric value, a container name that is not a string, a
+  non-numeric value — a JSON boolean or a numeric text where a number
+  belongs included — a container name that is not a string, a
   ``finished`` / ``sensitive`` flag that is not a boolean, a header
   whose capacity is not five finite positive numbers) or with a tick
   more than :data:`MAX_TICK_JUMP` ahead of the newest one seen are
@@ -60,21 +61,20 @@ shows degrading far beyond the assembled arm under the same faults.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.observation import CREATED, LIFECYCLE, METRICS, RUNNING, ZERO_USAGE, ContainerRow
 from repro.telemetry.registry import MetricRegistry
-
-#: A metric cell address within one tick: ``(container, metric index)``,
-#: the index into :data:`~repro.observation.METRICS`.
-CellKey = Tuple[str, int]
 
 #: A container's lifecycle as the stream reports it:
 #: ``(state, finished, sensitive)``.
 Lifecycle = Tuple[str, bool, bool]
 
 _METRIC_INDEX = {metric: index for index, metric in enumerate(METRICS)}
+_WIDTH = len(METRICS)
+_NO_CELLS: List[Optional[float]] = [None] * _WIDTH
 
 #: Furthest a record's tick may lie ahead of the newest tick seen so far.
 #: Every tick up to the newest one is closed, gaps included, so one
@@ -87,6 +87,13 @@ MAX_TICK_JUMP = 1000
 #: Consecutive non-gap closes a cell may miss before it is retired from
 #: the expected set (its container is presumed to have left the host).
 RETIRE_AFTER = 8
+
+
+def _number(value) -> float:
+    """A wire number as a float (``float`` would take ``true`` and ``"2.5"``)."""
+    if value.__class__ is not float and isinstance(value, (bool, str, bytes)):
+        raise TypeError("a wire number must not be a bool or a text")
+    return float(value)
 
 
 @dataclass
@@ -116,7 +123,7 @@ class ClosedTick:
 
 @dataclass
 class _PendingTick:
-    cells: Dict[CellKey, float] = field(default_factory=dict)
+    rows: Dict[str, List[Optional[float]]] = field(default_factory=dict)
     states: Dict[str, Lifecycle] = field(default_factory=dict)
     qos: Optional[Tuple[float, float]] = None
 
@@ -175,12 +182,13 @@ class StreamAssembler:
             "stream.malformed", help="wire records of the wrong shape (rejected)"
         )
         self.header: Optional[dict] = None
-        self._pending: Dict[int, _PendingTick] = {}
+        self._pending: Dict[int, _PendingTick] = defaultdict(_PendingTick)
         #: The container table: admission order -> lifecycle. The
         #: sensitive flag is fixed when a container is admitted.
         self._table: Dict[str, Lifecycle] = {}
-        self._known_cells: Dict[CellKey, None] = {}  # insertion-ordered set
-        self._miss_streak: Dict[CellKey, int] = {}
+        #: Per container, 5 slots: the cells it streams; their misses.
+        self._known: Dict[str, List[bool]] = {}
+        self._miss_streak: Dict[str, List[int]] = {}
         self._max_seen: Optional[int] = None
         self._last_closed: Optional[int] = None
 
@@ -213,48 +221,49 @@ class StreamAssembler:
         """Accept one wire record (any order, any number of times).
 
         A record of the wrong shape — not a mapping, a non-integer
-        tick, a non-numeric value, a container name that is not a
-        string, a ``finished`` / ``sensitive`` flag that is not a
-        boolean, a header without five finite positive capacities — or
-        one whose tick lies more than :data:`MAX_TICK_JUMP` ahead of
-        :attr:`max_seen` is counted ``stream.malformed`` and dropped
-        whole (``max_seen`` stays where it was): every field is decoded
-        before anything of the record is applied, so the next
-        well-formed record for the same tick lands as if the bad one
-        had never arrived (and the next valid header is the one
-        adopted).
+        tick, a non-numeric value (a boolean or a text included), a
+        container name that is not a string, a ``finished`` /
+        ``sensitive`` flag that is not a boolean, a header without
+        five finite positive capacities — or one whose tick lies more
+        than :data:`MAX_TICK_JUMP` ahead of :attr:`max_seen` is counted
+        ``stream.malformed`` and dropped whole (``max_seen`` stays where
+        it was): every field is decoded before anything of the record
+        is applied, so the next well-formed record for the same tick
+        lands as if the bad one had never arrived (and the next valid
+        header is the one adopted).
         """
         try:
             kind = record.get("kind")
             if kind == "header":
                 containers = sorted(record.get("containers", {}).items())
-                bounds = [float(record.get("capacity").get(m)) for m in METRICS]
+                bounds = [_number(record.get("capacity").get(m)) for m in METRICS]
                 if not all(0.0 < bound < math.inf for bound in bounds):
                     raise ValueError("capacity must be five finite positive bounds")
             else:
                 tick = record.get("tick")
-                if not isinstance(tick, int):
+                if not isinstance(tick, int) or isinstance(tick, bool):
                     raise TypeError("tick must be an integer")
                 container = record.get("container", "")
                 if kind in ("sample", "state") and not isinstance(container, str):
                     raise TypeError("container must be a string")
                 if kind == "sample":
-                    cells = {
-                        (container, _METRIC_INDEX[metric]): float(value)
-                        for metric, value in record.get("metrics", {}).items()
-                        if metric in _METRIC_INDEX
-                    }
+                    row = [None] * _WIDTH
+                    for metric, value in record.get("metrics", {}).items():
+                        index = _METRIC_INDEX.get(metric)
+                        if index is not None:
+                            row[index] = value if value.__class__ is float else _number(value)
                 elif kind == "state":
                     state = record.get("state", RUNNING)
-                    flags = (record.get("finished", False), record.get("sensitive", False))
-                    if not all(isinstance(flag, bool) for flag in flags):
+                    finished = record.get("finished", False)
+                    sensitive = record.get("sensitive", False)
+                    if not (isinstance(finished, bool) and isinstance(sensitive, bool)):
                         raise TypeError("finished and sensitive must be booleans")
-                    lifecycle = (state if state in LIFECYCLE else RUNNING, *flags)
+                    lifecycle = (state if state in LIFECYCLE else RUNNING, finished, sensitive)
                 elif kind == "qos":
                     value = record.get("value")
                     threshold = record.get("threshold")
                     qos = (
-                        (float(value), float(threshold))
+                        (_number(value), _number(threshold))
                         if value is not None and threshold is not None
                         else None
                     )
@@ -278,14 +287,23 @@ class StreamAssembler:
             self._max_seen = tick
         elif tick < max_seen:
             self._c_reordered.inc()
-        pending = self._pending.setdefault(tick, _PendingTick())
+        pending = self._pending[tick]
         if kind == "sample":
-            for key, value in cells.items():
-                if key in pending.cells and self._first_wins:
+            held = pending.rows.get(container)
+            if held is None:
+                # The container's first record of the tick: filed whole.
+                if row != _NO_CELLS:
+                    pending.rows[container] = row
+                    known = self._known.setdefault(container, [False] * _WIDTH)
+                    if False in known:
+                        known[:] = [k or v is not None for k, v in zip(known, row)]
+                return
+            for index, value in enumerate(row):
+                if value is not None and held[index] is not None and self._first_wins:
                     self._c_duplicated.inc()
-                    continue
-                pending.cells[key] = value
-                self._known_cells.setdefault(key, None)
+                elif value is not None:
+                    held[index] = value
+                    self._known.setdefault(container, [False] * _WIDTH)[index] = True
         elif kind == "state":
             pending.states[container] = lifecycle
         elif kind == "qos":
@@ -315,44 +333,59 @@ class StreamAssembler:
 
     def _close(self, tick: int) -> ClosedTick:
         pending = self._pending.pop(tick, None)
-        usage: Dict[str, List[float]] = {}
-        if pending is None or (not pending.cells and not pending.states):
+        if pending is None or (not pending.rows and not pending.states):
             self._c_gaps.inc()
-            for container, index in self._known_cells:
-                usage.setdefault(container, [0.0] * len(METRICS))[index] = math.nan
+            usage = {
+                name: tuple(math.nan if cell else 0.0 for cell in known)
+                for name, known in self._known.items()
+            }
             qos = pending.qos if pending is not None else None
             return self._emit(tick, usage, {}, qos)
 
+        usage = {}
+        streaks = self._miss_streak
         partial = False
-        retired: Set[str] = set()
-        for key in list(self._known_cells):
-            container, index = key
-            value = pending.cells.get(key, math.nan)
-            if key in pending.cells:
-                self._miss_streak.pop(key, None)
-            else:
-                streak = self._miss_streak.get(key, 0) + 1
-                if streak >= RETIRE_AFTER:
+        departed: List[str] = []
+        for name, known in list(self._known.items()):
+            row = pending.rows.get(name)
+            if row and None not in row and False not in known and name not in streaks:
+                usage[name] = tuple(row)  # complete, no streak: the row as it is
+                continue
+            # A row with a hole (or a streak to end): cell by cell.
+            streak = streaks.setdefault(name, [0] * _WIDTH)
+            cells = [0.0] * _WIDTH
+            for index, value in enumerate(row or _NO_CELLS):
+                if not known[index]:
+                    continue
+                if value is not None:
+                    cells[index], streak[index] = value, 0
+                    continue
+                streak[index] += 1
+                if streak[index] >= RETIRE_AFTER:
                     # Sustained absence: the container has left the host
                     # (migration, removal) — stop expecting the cell.
-                    del self._known_cells[key]
-                    self._miss_streak.pop(key, None)
+                    known[index], streak[index] = False, 0
                     self._c_retired.inc()
-                    retired.add(container)
                     continue
-                self._miss_streak[key] = streak
                 partial = True
                 self._c_dropped.inc()
-            usage.setdefault(container, [0.0] * len(METRICS))[index] = value
+                cells[index] = math.nan
+            if not any(streak):
+                del streaks[name]
+            if True in known:
+                usage[name] = tuple(cells)
+            else:
+                # No expected cell left: the container departed with its data.
+                departed.append(name)
+                del self._known[name]
         if partial:
             self._c_partial.inc()
-        # A container with no expected cell left departed with its data.
-        return self._emit(tick, usage, pending.states, pending.qos, retired - usage.keys())
+        return self._emit(tick, usage, pending.states, pending.qos, departed)
 
     def _emit(
         self,
         tick: int,
-        usage: Dict[str, List[float]],
+        usage: Dict[str, Tuple[float, ...]],
         states: Dict[str, Lifecycle],
         qos: Optional[Tuple[float, float]],
         departed: Iterable[str] = (),
@@ -361,24 +394,20 @@ class StreamAssembler:
         usage-only ones, each in name order), apply its state records,
         retire ``departed`` and list the table as the tick's rows."""
         table = self._table
-        for name in sorted(states.keys() - table.keys()):
-            table[name] = states[name]
-        for name in sorted(usage.keys() - table.keys()):
-            table[name] = (CREATED, False, False)
+        if not states.keys() <= table.keys():
+            for name in sorted(states.keys() - table.keys()):
+                table[name] = states[name]
+        if not usage.keys() <= table.keys():
+            for name in sorted(usage.keys() - table.keys()):
+                table[name] = (CREATED, False, False)
         for name, (state, finished, _) in states.items():
             table[name] = (state, finished, table[name][2])
         for name in departed:
             table.pop(name, None)
-        rows = tuple(
-            ContainerRow(
-                name,
-                tuple(usage[name]) if name in usage else ZERO_USAGE,
-                state,
-                finished,
-                sensitive,
-            )
+        rows = tuple([
+            ContainerRow(name, usage.get(name, ZERO_USAGE), state, finished, sensitive)
             for name, (state, finished, sensitive) in table.items()
-        )
+        ])
         return ClosedTick(tick, rows, qos)
 
 
@@ -413,12 +442,11 @@ class PassthroughAssembler(StreamAssembler):
             if tick > horizon:
                 break
             pending = self._pending.pop(tick)
-            usage: Dict[str, List[float]] = {}
-            for key in self._known_cells:
-                container, index = key
-                usage.setdefault(container, [0.0] * len(METRICS))[index] = (
-                    pending.cells.get(key, 0.0)
-                )
+            rows = pending.rows
+            usage = {
+                name: tuple(0.0 if value is None else value for value in rows.get(name, _NO_CELLS))
+                for name in self._known
+            }
             closed.append(self._emit(tick, usage, pending.states, pending.qos))
             self._last_closed = tick
         return closed

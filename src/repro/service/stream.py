@@ -11,8 +11,8 @@ without importing this package. Record kinds:
 ``sample``
     One container's metric readings for one tick:
     ``{"kind": "sample", "tick": t, "host": h, "container": c,
-    "metrics": {"cpu": ..., ...}}``. The assembler flattens these into
-    per-``(tick, container, metric)`` cells — the deduplication key.
+    "metrics": {"cpu": ..., ...}}``. The assembler files these as rows
+    per ``(tick, container)``, deduplicated cell by cell.
 ``state``
     Container lifecycle state (``running``/``paused``/``stopped``/
     ``created``) plus the application's ``finished`` flag for one tick.

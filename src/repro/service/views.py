@@ -17,17 +17,15 @@ resume (see :mod:`repro.observation`). Over a stream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro.monitoring.qos import QosChannel
-from repro.observation import METRICS, PAUSED, RUNNING, Observation
+from repro.observation import METRICS, PAUSED, RUNNING, ContainerRow, Observation
 
 from repro.service.assembler import ClosedTick
 
 
-@dataclass(frozen=True)
-class _QosView:
+class _QosView(NamedTuple):
     """A QoS report as streamed (mirrors ``workloads.base.QosReport``)."""
 
     value: float
@@ -52,7 +50,7 @@ class StreamQosChannel(QosChannel):
 
     def ingest(self, tick: int, value: float, threshold: float) -> None:
         """Record one streamed QoS report."""
-        self._record(tick, _QosView(value=value, threshold=threshold))
+        self._record(tick, _QosView(value, threshold))
 
     def on_tick(self, snapshot, host) -> None:  # noqa: ARG002 - interface
         """No-op: reports arrive from the stream, not the app object."""
@@ -118,11 +116,15 @@ class HostView:
         """
         rows = []
         for row in closed.rows:
-            if row.sensitive and self._sensitive_name in ("", row.name):
-                self._sensitive_name = row.name
-                row = row._replace(app=self._sensitive_app)
-            verb = pinned.get(row.name)
+            name, usage, state, finished, sensitive, app = row
+            verb = pinned.get(name) if pinned else None
+            if sensitive and self._sensitive_name in ("", name):
+                self._sensitive_name = name
+                app = self._sensitive_app
+            elif verb is None:
+                rows.append(row)  # nothing to bind or overlay
+                continue
             if verb is not None:
-                row = row._replace(state=PAUSED if verb == "pause" else RUNNING)
-            rows.append(row)
+                state = PAUSED if verb == "pause" else RUNNING
+            rows.append(ContainerRow(name, usage, state, finished, sensitive, app))
         return Observation(closed.tick, self.capacity, tuple(rows))

@@ -34,6 +34,24 @@ class TestSummarize:
         )
         assert row["wins"] == 4 and not row["beyond_iqr"]
 
+    def test_claim_rule_needs_nine_of_ten_wins(self):
+        parent = [100.0 + i for i in range(10)]
+        nine = [80.0] * 9 + [200.0]
+        row = e2e_pairs.summarize(LATENCY, parent, nine)
+        assert row["wins"] == 9 and row["claim_met"]
+        eight = [80.0] * 8 + [200.0] * 2
+        row = e2e_pairs.summarize(LATENCY, parent, eight)
+        assert row["wins"] == 8 and row["beyond_iqr"] and not row["claim_met"]
+
+    def test_claim_rule_needs_the_gap_beyond_the_iqr_in_the_better_direction(self):
+        parent = [100.0 + i for i in range(10)]
+        # Worse by more than the parent's IQR: beyond it, but no claim.
+        row = e2e_pairs.summarize(LATENCY, parent, [150.0] * 10)
+        assert row["beyond_iqr"] and row["wins"] == 0 and not row["claim_met"]
+        # Ten wins inside the parent's spread are no claim either.
+        row = e2e_pairs.summarize(LATENCY, parent, [p - 0.5 for p in parent])
+        assert row["wins"] == 10 and not row["beyond_iqr"] and not row["claim_met"]
+
     def test_worse_than_the_bound_is_flagged(self):
         row = e2e_pairs.summarize(LATENCY, [100.0, 100.0], [130.0, 130.0])
         assert row["regressed"] and row["wins"] == 0
@@ -113,7 +131,7 @@ class TestMain:
         assert "failed operations parent 0/30, change 0/30" in out
         throughput = next(line for line in out.splitlines() if line.startswith("ticks_per_s"))
         assert "+29.9%" in throughput and "3/3" in throughput
-        assert "gap > parent IQR" in throughput
+        assert "gap > parent IQR; claim rule met" in throughput
 
     def test_both_checkouts_are_byte_compiled_before_the_passes(self, tmp_path, capsys):
         sides = {}

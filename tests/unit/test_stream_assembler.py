@@ -357,6 +357,14 @@ def malformed_records(tick):
         "header-capacity-zero": {**HEADER, "capacity": {**CAPACITY, "disk_io": 0.0}},
         "header-capacity-list": {**HEADER, "capacity": [4.0, 8192.0]},
         "header-capacity-absent": {"kind": "header", "host": "host0"},
+        # ``float`` reads ``true`` as 1.0 and numeric text as its number;
+        # the wire's numbers are JSON numbers, so both are malformed.
+        "tick-bool": sample(True),
+        "value-bool": sample(tick, metrics={"cpu": True}),
+        "value-numeric-text": sample(tick, metrics={"cpu": "2.5"}),
+        "qos-value-bool": qos(tick, value=True),
+        "qos-threshold-text": qos(tick, threshold="0.9"),
+        "header-capacity-bool": {**HEADER, "capacity": {**CAPACITY, "cpu": True}},
     }
 
 

@@ -6,9 +6,11 @@ at a time, swapping which side goes first every pair, and prints for
 each workload x end-to-end metric: both medians and quartiles, how many
 pairs the change won (ties count for neither), the failed operations of
 each side, whether the gap between the medians exceeds the parent's
-inter-quartile range, and whether the change is worse than the
-benchmark's bound allows. Every pass is printed as it finishes, so the
-log holds every run made.
+inter-quartile range, whether the claim rule is met (the change won
+at least 9 of every 10 pairs, rounded up, and its median is better by
+more than the parent's inter-quartile range), and whether the change
+is worse than the benchmark's bound allows. Every pass is printed as
+it finishes, so the log holds every run made.
 
 Pair ``i`` uses ``seeds[i % len(seeds)]`` on both sides. The benchmark
 is read, never edited; both checkouts must hold the same
@@ -190,6 +192,7 @@ def summarize(
     c_q1, c_med, c_q3 = quartiles(change)
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     better_by = c_med - p_med if higher else p_med - c_med
+    parent_iqr = p_q3 - p_q1
     if p_med:
         gain = better_by / p_med
     else:  # a count that is zero at the parent: equal, or off the scale
@@ -199,7 +202,9 @@ def summarize(
         "change": (c_q1, c_med, c_q3),
         "gain": gain,
         "wins": wins,
-        "beyond_iqr": abs(c_med - p_med) > p_q3 - p_q1,
+        "beyond_iqr": abs(better_by) > parent_iqr,
+        # The claim rule: >= 9 of every 10 pairs won, and better beyond the IQR.
+        "claim_met": 10 * wins >= 9 * len(parent) and better_by > parent_iqr,
         "regressed": gain < -metric.get("bound", float("inf")),
     }
 
@@ -279,6 +284,8 @@ def main(argv=None) -> int:
             name = metric["name"]
             row = summarize(metric, values["parent"][name], values["change"][name])
             verdict = "gap > parent IQR" if row["beyond_iqr"] else "gap within parent IQR"
+            if row["claim_met"]:
+                verdict += "; claim rule met"
             if row["regressed"]:
                 verdict += f"; WORSE beyond the {metric['bound']:.0%} bound"
             print(
