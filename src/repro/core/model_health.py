@@ -39,14 +39,16 @@ counter in the controller's registry, so the exposition and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
+from math import isfinite, sqrt
+from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import StayAwayConfig
 from repro.core.events import EventKind, EventLog
 from repro.core.state_space import StateSpace
+from repro.mds.distances import pairwise_distances
+from repro.mds.stress import raw_stress
 from repro.telemetry import Telemetry
 from repro.trajectory.modes import ExecutionMode
 
@@ -82,21 +84,39 @@ def _bad_rows(matrix: np.ndarray) -> List[int]:
     return [int(i) for i in np.nonzero(~ok.all(axis=1))[0]]
 
 
-def _new_bad_rows(matrix: np.ndarray, clean: bytes, content: bytes) -> List[int]:
-    """:func:`_bad_rows` of ``matrix``, skipping rows already checked.
-
-    ``content`` is ``matrix.tobytes()`` and ``clean`` the bytes of a
-    matrix whose every row passed. When ``clean`` is a whole-row prefix
-    of ``content`` — the map only grew by appended rows — those leading
-    rows are byte for byte the ones that passed, and only the appended
-    rows are checked. Any other change (a row written in place, a
-    refit, a quarantine) checks every row.
-    """
-    start = 0
+def _kept_rows(matrix: np.ndarray, before: bytes, content: bytes) -> int:
+    """``before``'s row count when it is a whole-row prefix of ``content``
+    (``matrix.tobytes()``: the matrix only grew by appended rows), else 0."""
     row_bytes = matrix.shape[1] * matrix.itemsize
-    if row_bytes and len(clean) % row_bytes == 0 and content.startswith(clean):
-        start = len(clean) // row_bytes
+    if row_bytes and len(before) % row_bytes == 0 and content.startswith(before):
+        return len(before) // row_bytes
+    return 0
+
+
+def _new_bad_rows(matrix: np.ndarray, clean: bytes, content: bytes) -> List[int]:
+    """:func:`_bad_rows` of ``matrix`` past the rows :func:`_kept_rows`
+    keeps of ``clean``, the bytes of a matrix whose every row passed."""
+    start = _kept_rows(matrix, clean, content)
     return [start + i for i in _bad_rows(matrix[start:])]
+
+
+def _stress_sums(coords: np.ndarray, points: np.ndarray) -> Tuple[float, float]:
+    """``(sum (d - delta)^2, sum delta^2)`` over unordered pairs: what
+    :func:`~repro.mds.stress.normalized_stress` divides, summed alike."""
+    target = pairwise_distances(points)
+    return raw_stress(coords, target), float(np.sum(target**2) / 2.0)
+
+
+def _appended_sums(coords: np.ndarray, points: np.ndarray, start: int) -> Tuple[float, float]:
+    """:func:`_stress_sums`' terms of the pairs rows ``start`` on add to the rows before them."""
+    raw = total = 0.0
+    for row in range(start, coords.shape[0]):
+        target = np.sqrt(np.add.reduce(np.square(points[:row] - points[row]), axis=1))
+        error = np.sqrt(np.add.reduce(np.square(coords[:row] - coords[row]), axis=1))
+        error -= target
+        raw += float(error @ error)
+        total += float(target @ target)
+    return raw, total
 
 
 @dataclass(frozen=True)
@@ -154,9 +174,11 @@ class ModelHealthWatchdog:
         self.config = config
         self.events = events
         #: The last ``(coords bytes, representative-matrix bytes)``
-        #: whose every row passed :func:`_bad_rows`, and the stress of
-        #: that content once computed — see :meth:`_stress`.
-        self._clean: Tuple[Tuple[bytes, bytes], Optional[float]] = ((b"", b""), None)
+        #: whose every row passed :func:`_bad_rows`.
+        self._clean: Tuple[bytes, bytes] = (b"", b"")
+        #: The content whose stress was last computed and its two
+        #: :func:`_stress_sums` — see :meth:`_stress`.
+        self._sums: Tuple[Tuple[bytes, bytes], float, float] = ((b"", b""), 0.0, 0.0)
         #: The last cached geometry's ``(radii bytes, centers bytes,
         #: scale)`` that passed the geometry check.
         self._clean_geometry: Tuple[bytes, bytes, float] = (b"", b"", float("nan"))
@@ -209,7 +231,7 @@ class ModelHealthWatchdog:
         if not report.structural and n_coords:
             points = space.representatives.points
             content = (space.coords.tobytes(), points.tobytes())
-            clean = self._clean[0]
+            clean = self._clean
             bad: Set[int] = set()
             if clean != content:
                 bad = {
@@ -217,7 +239,7 @@ class ModelHealthWatchdog:
                     *_new_bad_rows(points, clean[1], content[1]),
                 }
                 if not bad:
-                    self._clean = (content, None)
+                    self._clean = content
             if bad:
                 report.bad_states = sorted(bad)
                 report.issues.append(
@@ -292,22 +314,32 @@ class ModelHealthWatchdog:
         return report
 
     def _stress(self, space: StateSpace) -> float:
-        """``space.stress()``, recomputed only when its inputs changed.
+        """``space.stress()``, kept as its two pair sums.
 
         The memo is keyed on the *content* of ``coords`` and the
         representative matrix: :meth:`inspect` copies their bytes every
         period, compares them against the last content that passed the
         row check, and asks for the stress only after that, so
-        ``_clean`` holds this period's content. A version counter
+        ``_clean`` holds this period's content. When both matrices only
+        grew by the same appended rows, only their pair terms are added;
+        any other change sums every pair again. A version counter
         bumped by the state space's own mutators would miss exactly
         what this check exists for: writes into the live arrays from
         outside them.
         """
-        content, stress = self._clean
-        if stress is None:
-            stress = space.stress()
-            self._clean = (content, stress)
-        return stress
+        content = self._clean
+        scored, raw, total = self._sums
+        if scored != content:
+            coords, points = space.coords, space.representatives.points
+            start = _kept_rows(coords, scored[0], content[0])
+            if start and start == _kept_rows(points, scored[1], content[1]):
+                more_raw, more_total = _appended_sums(coords, points, start)
+                raw, total = raw + more_raw, total + more_total
+            else:
+                raw, total = _stress_sums(coords, points)
+            self._sums = (content, raw, total)
+        # normalized_stress's arithmetic, a NaN denominator included.
+        return 0.0 if total <= 0.0 else sqrt(raw / total)
 
     # -- healing -----------------------------------------------------------
     def heal(self, tick: int, controller: "StayAway", report: HealthReport) -> List[str]:

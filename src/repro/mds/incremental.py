@@ -34,7 +34,7 @@ geometry carries over.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,9 +120,10 @@ def _checked_inputs(
         raise ValueError(f"expected {n} deltas, got shape {deltas.shape}")
     if not np.isfinite(anchors).all():
         raise ValueError("anchors must be finite")
-    if not np.isfinite(deltas).all():
+    targets = deltas.tolist()
+    if not all(map(math.isfinite, targets)):
         raise ValueError("deltas must be finite")
-    if (deltas < 0).any():
+    if min(targets, default=0.0) < 0:
         raise ValueError("target distances must be non-negative")
     if init is not None:
         init = np.array(init, dtype=float, copy=True)
@@ -262,7 +263,8 @@ class _AnchorFrame:
     buffers whose inner axis is the anchor axis; what they reduce to —
     five matmul columns and two sums per iterate — is read back with
     one ``tolist()`` and finished on Python floats. They live for one
-    :func:`place_point` call only.
+    :func:`place_point` call only, and so do the views of their first
+    ``A`` rows, built the first time ``A`` iterates are scored.
 
     Parameters
     ----------
@@ -278,6 +280,8 @@ class _AnchorFrame:
         #: ``(2, N)``: the anchors' x and y planes.
         self.planes = np.ascontiguousarray(anchors.T)
         self.deltas = deltas
+        # One row (x0, x1, s0, s1) a trial: the iterate and its step s.
+        self._trials = np.empty(4 * n_starts)
         self._offsets = np.empty((n_starts, 2, n))
         self._squares = np.empty((n_starts, 2, n))
         self._distances = np.empty((n_starts, n))
@@ -291,6 +295,25 @@ class _AnchorFrame:
         # Per iterate, row 0: J^T J, sum w u u^T, J^T r (matmul columns
         # 0:5) and the stress; row 1: the same, and sum w.
         self._results = np.empty((n_starts, 2, 6))
+        self._views: Dict[int, Tuple[tuple, tuple]] = {}
+
+    def _rows(self, rows: int) -> Tuple[tuple, tuple]:
+        """The trial buffer's and :meth:`evaluate`'s views of ``rows`` iterates."""
+        views = self._views.get(rows)
+        if views is None:
+            trials = self._trials[: 4 * rows]
+            grid = trials.reshape(rows, 4)
+            squares, distances = self._squares[:rows], self._distances[:rows]
+            columns, summands = self._columns[:rows], self._summands[:rows]
+            results = self._results[:rows]
+            views = self._views[rows] = (trials, grid[:, 0:2], grid[:, 2], grid[:, 3]), (
+                self._offsets[:rows], squares, squares[:, 0], squares[:, 1], distances,
+                distances[:, None, :], columns[:, :, 4], columns[:, :, 0:2].transpose(0, 2, 1),
+                summands[:, 1], summands[:, 1, None, :], columns[:, :, 2:4].transpose(0, 2, 1),
+                columns, results[:, :, 0:5], summands[:, 0], summands, results[:, :, 5],
+                results.reshape(rows, 12),
+            )
+        return views
 
     def evaluate(self, x: np.ndarray) -> List[List[float]]:
         """The sums that score iterates ``x``, one row of 12 floats each.
@@ -307,27 +330,24 @@ class _AnchorFrame:
         x:
             ``(A, D)`` iterates to score, ``A <= S``, ``D == 2``.
         """
-        rows = x.shape[0]
-        offsets, squares = self._offsets[:rows], self._squares[:rows]
-        distances, columns = self._distances[:rows], self._columns[:rows]
-        summands, results = self._summands[:rows], self._results[:rows]
-        directions = columns[:, :, 0:2].transpose(0, 2, 1)
-        residuals, weights = columns[:, :, 4], summands[:, 1]
+        (
+            offsets, squares, x_squares, y_squares, distances, spread, residuals,
+            directions, weights, spread_weights, scaled, columns, products,
+            squared_residuals, summands, sums, results,
+        ) = self._rows(x.shape[0])[1]
         np.subtract(x[:, :, None], self.planes, out=offsets)
         np.square(offsets, out=squares)
-        np.add(squares[:, 0], squares[:, 1], out=distances)
+        np.add(x_squares, y_squares, out=distances)
         np.sqrt(distances, out=distances)
         np.subtract(distances, self.deltas, out=residuals)
         np.maximum(distances, _MIN_DISTANCE, out=distances)
-        np.divide(offsets, distances[:, None, :], out=directions)
+        np.divide(offsets, spread, out=directions)
         np.divide(self.deltas, distances, out=weights)
-        np.multiply(
-            directions, weights[:, None, :], out=columns[:, :, 2:4].transpose(0, 2, 1), order="C"
-        )
-        np.matmul(directions, columns, out=results[:, :, 0:5])
-        np.multiply(residuals, residuals, out=summands[:, 0])
-        np.add.reduce(summands, axis=2, out=results[:, :, 5])
-        return results.reshape(rows, 12).tolist()
+        np.multiply(directions, spread_weights, out=scaled, order="C")
+        np.matmul(directions, columns, out=products)
+        np.multiply(residuals, residuals, out=squared_residuals)
+        np.add.reduce(summands, axis=2, out=sums)
+        return results.tolist()
 
     def score(self, raw: List[float]) -> Tuple[float, float, float, float, float, float, bool]:
         """``(stress, g0, g1, m00, m01, m11, exact)`` of one row :meth:`evaluate` read back.
@@ -388,7 +408,7 @@ def _descend(
     # The lowest stress of a row that has settled on a minimum.
     settled = math.inf
     for _ in range(max_iter):
-        moves = []
+        trials: List[float] = []
         for row in active:
             _, g0, g1, m00, m01, m11, _ = scored[row]
             a = m00 + damping[row]
@@ -401,17 +421,19 @@ def _descend(
             except ZeroDivisionError:  # IEEE: +-inf, or NaN for 0 / 0
                 s0, s1 = (np.array([c * g0 - m01 * g1, a * g1 - m01 * g0]) / determinant).tolist()
             x0, x1 = x[row]
-            moves.append((x0 - s0, x1 - s1, s0, s1))
-        moves_array = np.array(moves)
-        trials = frame.evaluate(moves_array[:, 0:2])
-        lengths = np.hypot(moves_array[:, 2], moves_array[:, 3]).tolist()
+            trials += (x0 - s0, x1 - s1, s0, s1)
+        flat, iterates, s0, s1 = frame._rows(len(active))[0]
+        flat[:] = trials
+        rows, lengths = frame.evaluate(iterates), np.hypot(s0, s1).tolist()
         still = []
-        for row, move, trial, length in zip(active, moves, trials, lengths):
+        for row, x0, x1, trial, length in zip(active, trials[0::4], trials[1::4], rows, lengths):
             # NaN compares false and rejects.
             if trial[5] <= scored[row][0]:
-                x[row] = move[0:2]
+                x[row] = x0, x1
                 scored[row] = frame.score(trial)
-                damping[row] = max(damping[row] * _DAMPING_SHRINK, _MIN_DAMPING)
+                # max(lam, _MIN_DAMPING) without the call, NaN kept.
+                lam = damping[row] * _DAMPING_SHRINK
+                damping[row] = _MIN_DAMPING if _MIN_DAMPING > lam else lam
             else:
                 damping[row] = max(damping[row] * _DAMPING_GROW, _MIN_DAMPING)
             if not length < tol:

@@ -46,7 +46,8 @@ retires it when it departs.
   :math:`0.05^8` event. Gap ticks do not advance retirement streaks
   (a wholly-missing tick is a transport hole, not a departure), and a
   departed container is admitted afresh the moment a record for it
-  reappears;
+  reappears — or, for a sample filed before its cell retired, when
+  that sample's tick closes;
 * wholly-missing ticks between closures are synthesized as NaN-valued
   gap ticks (``stream.gap_ticks``), imputed by the same guard.
 
@@ -342,6 +343,12 @@ class StreamAssembler:
             qos = pending.qos if pending is not None else None
             return self._emit(tick, usage, {}, qos)
 
+        # A cell filed while it was still expected and retired since:
+        # expected afresh, as :meth:`offer` admits a first sample.
+        for name, row in pending.rows.items():
+            known = self._known.setdefault(name, [False] * _WIDTH)
+            if False in known:
+                known[:] = [k or v is not None for k, v in zip(known, row)]
         usage = {}
         streaks = self._miss_streak
         partial = False

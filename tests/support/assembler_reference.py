@@ -4,10 +4,12 @@ Until commit cd61e6e :class:`~repro.service.assembler.StreamAssembler`
 filed every sample into a ``(container, metric index) -> float`` dict
 per pending tick, kept an insertion-ordered set of known cells and a
 miss streak per cell, and rebuilt each closed tick cell by cell. The
-bodies below are the ones that commit ran, with one fix applied to
+bodies below are the ones that commit ran, with two fixes applied to
 both sides since: a ``bool`` tick and a ``bool`` or text value,
 QoS value / threshold or header capacity are malformed (``float``
-used to read ``true`` as 1.0 and ``"2.5"`` as 2.5). Nothing under
+used to read ``true`` as 1.0 and ``"2.5"`` as 2.5), and a cell filed
+for a tick before the cell retired is expected afresh when that tick
+closes (it used to be dropped without a count). Nothing under
 ``src/`` imports this module; ``tests/property/test_prop_assembler.py``
 drives it side by side with the per-container rows and demands equal
 closed ticks and an equal delivery census.
@@ -169,6 +171,8 @@ class ReferenceStreamAssembler:
             qos = pending.qos if pending is not None else None
             return self._emit(tick, usage, {}, qos)
 
+        for key in pending.cells:
+            self._known_cells.setdefault(key, None)
         partial = False
         retired: Set[str] = set()
         for key in list(self._known_cells):

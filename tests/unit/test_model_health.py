@@ -10,7 +10,6 @@ import pytest
 from repro.core.config import StayAwayConfig
 from repro.core.controller import StayAway
 from repro.core.events import EventKind
-from repro.core import state_space as state_space_module
 from repro.core import model_health as model_health_module
 from repro.core.model_health import (
     MIN_STATES_FOR_STRESS,
@@ -20,6 +19,7 @@ from repro.core.model_health import (
 )
 from repro.experiments.chaos import ContainmentMix, run_recovery_drill
 from repro.experiments.scenarios import Scenario
+from repro.mds.distances import pairwise_distances
 from repro.mds.stress import normalized_stress
 from repro.sim.container import Container
 from repro.sim.engine import SimulationEngine
@@ -279,13 +279,15 @@ class TestPoisonerKindsAreCaughtAtOnce:
 class TestStressMemo:
     @staticmethod
     def count_stress_calls(monkeypatch):
+        """Count the watchdog's full pair sums (every pair of the map)."""
         calls = []
+        full_sums = model_health_module._stress_sums
 
-        def counting(coords, target):
+        def counting(coords, points):
             calls.append(1)
-            return normalized_stress(coords, target)
+            return full_sums(coords, points)
 
-        monkeypatch.setattr(state_space_module, "normalized_stress", counting)
+        monkeypatch.setattr(model_health_module, "_stress_sums", counting)
         return calls
 
     def test_unchanged_map_is_not_rescored(self, monkeypatch):
@@ -304,6 +306,20 @@ class TestStressMemo:
         controller.state_space.coords[3, 0] += 1e-6  # same array object, new content
         assert watchdog.inspect(151, controller).ok
         assert len(calls) == 2
+
+    def test_appended_states_are_scored_by_their_rows(self, monkeypatch):
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        calls = self.count_stress_calls(monkeypatch)
+        TestAppendedRows.grown(controller, count=2)
+        assert watchdog.inspect(151, controller).ok
+        assert calls == []
+        space = controller.state_space
+        assert watchdog._stress(space) == pytest.approx(
+            normalized_stress(space.coords, pairwise_distances(space.representatives.points)),
+            rel=1e-12,
+        )
 
     def test_finite_small_scramble_is_caught_on_the_next_period(self):
         # Nothing here trips the per-row checks (every value finite and

@@ -262,6 +262,29 @@ class TestCellRetirement:
         assert [row.name for row in back[0].rows] == ["c0", "sens", "gone"]
         assert cpu(back[0], "gone") == float(back_at)
 
+    def test_sample_filed_before_its_container_retires_is_read(self):
+        # "b" streams ticks 0-4, goes silent and retires at the close of
+        # 12; its sample for 13 arrived before that close, while "b" was
+        # still expected, and must reach tick 13's row, not vanish.
+        assembler = StreamAssembler(watermark=2)
+        closed = []
+        for tick in range(21):
+            here = tick <= 4 or tick in (13, 17, 18)
+            self.feed(assembler, tick, ["a", "b"] if here else ["a"])
+            closed += assembler.due()
+        by_tick = {c.tick: c for c in closed}
+        assert RETIRE_AFTER == 8  # the script: misses at closes 5-12
+        assert "b" not in rows(by_tick[12])
+        assert cpu(by_tick[13], "b") == 13.0
+        assert math.isnan(cpu(by_tick[14], "b"))
+        assert cpu(by_tick[17], "b") == 17.0
+        # Misses 5-11 and 14-16 read NaN; the miss at 12 retires the cell.
+        assert assembler.summary() == {
+            "dropped": 10, "duplicated": 0, "reordered": 0, "late": 0,
+            "ticks_closed_partial": 10, "gap_ticks": 0, "cells_retired": 1,
+            "malformed": 0,
+        }
+
     def test_passthrough_never_retires(self):
         assembler = PassthroughAssembler()
         self.feed(assembler, 0, ["c0", "gone"])
