@@ -4,8 +4,8 @@ PR 4 turned ``StateSpace.violation_vote`` from a per-candidate Python
 loop (re-deriving every violation radius on every call) into a single
 broadcasted NumPy expression over a cached :class:`ViolationGeometry`.
 This bench quantifies the win: synthetic state spaces of growing size
-(~20% violation states, written directly into the space so the
-build itself costs nothing) are voted on by both paths, the vote counts
+(~20% violation states, bulk-loaded through a map template so no
+placement runs) are voted on by both paths, the vote counts
 are asserted identical per batch, and the cached path must be at least
 5x faster than the scalar reference at 500 states.
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from benchmarks.helpers import enforce_gates, gate_main, write_report
 from repro.core.state_space import StateLabel, StateSpace
+from repro.core.template import MapTemplate
 from tests.support.geometry_reference import violation_vote_scalar
 
 DEFAULT_SIZES = (50, 200, 500, 1000)
@@ -44,30 +45,25 @@ DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_geometry.json"
 
 
 def build_space(n_states: int, seed: int) -> StateSpace:
-    """A learned-looking state space with its rows written directly.
+    """A learned-looking state space, bulk-loaded from its rows.
 
-    Representatives, 2-D coords and labels are assigned as arrays (not
-    through ``add_sample``) so space construction
-    is O(n) and the bench times only the vote paths. The explicit
-    invalidation calls honor the external-mutation contracts.
+    Representatives, 2-D coords and labels are drawn as arrays and
+    loaded through :meth:`MapTemplate.build_state_space` (not sample by
+    sample through ``add_sample``), so no placement or refit runs and
+    the bench times only the vote paths.
     """
     rng = np.random.default_rng(seed)
     dim = 6
-    space = StateSpace(epsilon=0.01, refit_interval=10**9)
     points = rng.uniform(0.0, 1.0, size=(n_states, dim))
-    space.representatives._points = [row.copy() for row in points]
-    space.representatives._counts = [1] * n_states
-    space.representatives.dimension = dim
-    space.representatives.invalidate_index()
-    space.coords = rng.uniform(0.0, 1.0, size=(n_states, 2))
+    coords = rng.uniform(0.0, 1.0, size=(n_states, 2))
     n_violations = max(1, int(round(n_states * VIOLATION_FRACTION)))
     violated = set(rng.choice(n_states, size=n_violations, replace=False).tolist())
-    space.labels = [
+    labels = [
         StateLabel.VIOLATION if i in violated else StateLabel.SAFE
         for i in range(n_states)
     ]
-    space.invalidate_geometry()
-    return space
+    template = MapTemplate(points, coords, labels, epsilon=0.01, beta=1.0)
+    return template.build_state_space()
 
 
 def _best_call_seconds(fn, repeats: int) -> float:

@@ -13,7 +13,7 @@ Pipeline per period (§3.1 + §4 optimizations):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -123,20 +123,3 @@ class MappingPipeline:
         """
         samples = self._c_samples.value
         return self._c_dedup_hits.value / samples if samples else 0.0
-
-    @property
-    def latest(self) -> Optional[MappedSample]:
-        """Most recent mapped sample (None before the first)."""
-        return self.history[-1] if self.history else None
-
-    def trajectory(self, last_n: Optional[int] = None) -> np.ndarray:
-        """The mapped trajectory: per-period coordinates, oldest first.
-
-        Note that after a refit earlier samples keep their original
-        (pre-refit) coordinates; use the state space directly for the
-        current geometry.
-        """
-        samples = self.history if last_n is None else self.history[-last_n:]
-        if not samples:
-            return np.empty((0, 2))
-        return np.vstack([sample.coords for sample in samples])

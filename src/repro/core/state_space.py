@@ -143,6 +143,9 @@ def violation_range_radius(d: float, c: float) -> float:
 #: Iteration cap per full SMACOF refit.
 REFIT_MAX_ITER = 40
 
+#: New representatives between two full SMACOF refits.
+REFIT_INTERVAL = 40
+
 
 class StateSpace:
     """Deduplicated mapped states with labels and violation-ranges.
@@ -151,8 +154,6 @@ class StateSpace:
     ----------
     epsilon:
         Dedup merge radius in the normalized high-dimensional space.
-    refit_interval:
-        Full SMACOF refit after this many new representatives.
     telemetry:
         The :class:`~repro.telemetry.Telemetry` whose registry holds
         this space's counts (refits, the last SMACOF solve and the
@@ -163,7 +164,6 @@ class StateSpace:
     def __init__(
         self,
         epsilon: float = 0.03,
-        refit_interval: int = 40,
         radius_law: str = "rayleigh",
         fixed_radius: float = 0.05,
         telemetry: Optional[Telemetry] = None,
@@ -175,7 +175,7 @@ class StateSpace:
         self.representatives = RepresentativeSet(epsilon=epsilon)
         self.coords: np.ndarray = np.empty((0, 2))
         self.labels: List[StateLabel] = []
-        self.refit_interval = refit_interval
+        self.refit_interval = REFIT_INTERVAL
         self.radius_law = radius_law
         self.fixed_radius = fixed_radius
         self._new_since_refit = 0

@@ -19,17 +19,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-#: Spare rows reserved in a rebuilt representative matrix, at least;
-#: a rebuild of ``n`` rows reserves ``max(n, MIN_SPARE_ROWS)`` more.
+#: Spare rows a grown representative matrix reserves, at least:
+#: growing past ``n`` rows reserves ``max(n, MIN_SPARE_ROWS)`` more.
 MIN_SPARE_ROWS = 16
 
 
 class RepresentativeSet:
     """Epsilon-ball deduplication over high-dimensional samples.
 
-    The merge test is one scan of :attr:`points` per sample. At the
-    <= 250 states a controller reaches that costs less than hashing the
-    sample into a spatial index does (``docs/ARCHITECTURE.md``).
+    The representatives live once, as the leading rows of one growable
+    matrix; :attr:`points` is the live view of them, so a write into it
+    is a write into the set. The merge test is one scan of
+    :attr:`points` per sample. At the <= 250 states a controller
+    reaches that costs less than hashing the sample into a spatial
+    index does (``docs/ARCHITECTURE.md``).
 
     Parameters
     ----------
@@ -45,20 +48,17 @@ class RepresentativeSet:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
         self.epsilon = epsilon
         self.dimension = dimension
-        self._points: List[np.ndarray] = []
+        # One count per representative; their number is the number of
+        # live rows at the top of ``_buffer``.
         self._counts: List[int] = []
-        # ``_matrix`` is the first ``len(_points)`` rows of ``_buffer``;
-        # a new representative is copied into the next spare row.
-        # ``None`` means: rebuild both from ``_points``.
-        self._buffer: Optional[np.ndarray] = None
-        self._matrix: Optional[np.ndarray] = None
+        self._buffer = np.empty((0, dimension or 0))
         #: Distances from the sample of the last :meth:`nearest` (or
         #: :meth:`assign`) to every representative the set then held;
         #: empty when it held none. A new state's placement reads them.
         self.last_distances: np.ndarray = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._counts)
 
     @property
     def counts(self) -> np.ndarray:
@@ -67,16 +67,9 @@ class RepresentativeSet:
 
     @property
     def points(self) -> np.ndarray:
-        """``(n_representatives, dimension)`` matrix of representatives."""
-        matrix = self._matrix
-        if matrix is None or matrix.shape[0] != len(self._points):
-            n = len(self._points)
-            if not n:
-                return np.empty((0, self.dimension or 0))
-            self._buffer = np.empty((n + max(n, MIN_SPARE_ROWS), self._points[0].shape[0]))
-            self._buffer[:n] = self._points
-            matrix = self._matrix = self._buffer[:n]
-        return matrix
+        """``(n_representatives, dimension)`` matrix of representatives,
+        a live view: an in-place write persists."""
+        return self._buffer[: len(self._counts)]
 
     def nearest(self, sample: np.ndarray) -> Tuple[int, float]:
         """Index of and distance to the nearest representative.
@@ -87,7 +80,7 @@ class RepresentativeSet:
         :attr:`last_distances`. Raises ``RuntimeError`` when the set is
         empty.
         """
-        if not self._points:
+        if not self._counts:
             raise RuntimeError("representative set is empty")
         # point_distances' subtract / square / row sum / sqrt, one ufunc
         # call each: the same operations, so the same bits.
@@ -111,12 +104,14 @@ class RepresentativeSet:
             raise ValueError(f"samples must be 1-D vectors, got shape {sample.shape}")
         if self.dimension is None:
             self.dimension = sample.shape[0]
+            self._buffer = np.empty((0, self.dimension))
         elif sample.shape[0] != self.dimension:
             raise ValueError(
                 f"sample dimension {sample.shape[0]} != expected {self.dimension}"
             )
 
-        if self._points:
+        n = len(self._counts)
+        if n:
             # The nearest representative absorbs the sample; the first
             # index wins on equal distances.
             match, distance = self.nearest(sample)
@@ -126,50 +121,36 @@ class RepresentativeSet:
         else:
             self.last_distances = np.empty(0)
 
-        n = len(self._points)
-        self._points.append(sample.copy())
+        if n == self._buffer.shape[0]:
+            grown = np.empty((n + max(n, MIN_SPARE_ROWS), self.dimension))
+            grown[:n] = self._buffer
+            self._buffer = grown
+        self._buffer[n] = sample
         self._counts.append(1)
-        matrix, buffer = self._matrix, self._buffer
-        if matrix is not None and matrix.shape[0] == n and n < buffer.shape[0]:
-            buffer[n] = sample
-            self._matrix = buffer[: n + 1]
-        else:
-            self._matrix = None
         return n, True
 
     def remove_indices(self, indices) -> int:
         """Remove representatives by index; returns how many were removed.
 
-        Later representatives shift down to fill the gaps (callers that
-        keep index-aligned side arrays must compact them identically).
-        The matrix cache is invalidated.
+        Later representatives shift down to fill the gaps, in place
+        (callers that keep index-aligned side arrays must compact them
+        identically).
         """
-        doomed = {int(i) for i in indices if 0 <= int(i) < len(self._points)}
+        n = len(self._counts)
+        doomed = {int(i) for i in indices if 0 <= int(i) < n}
         if not doomed:
             return 0
-        self._points = [p for i, p in enumerate(self._points) if i not in doomed]
-        self._counts = [c for i, c in enumerate(self._counts) if i not in doomed]
-        self.invalidate_index()
+        kept = [i for i in range(n) if i not in doomed]
+        self._buffer[: len(kept)] = self._buffer[kept]
+        self._counts = [self._counts[i] for i in kept]
         return len(doomed)
 
     def clear(self) -> None:
         """Remove every representative in place."""
-        self._points.clear()
         self._counts.clear()
-        self.invalidate_index()
-
-    def invalidate_index(self) -> None:
-        """Drop the points-matrix cache; the next read rebuilds it from
-        ``_points``.
-
-        External bulk mutators of ``_points`` must call this (or set
-        ``_matrix`` to ``None``): the row-count check in :attr:`points`
-        cannot detect a same-count replacement.
-        """
-        self._matrix = None
 
     def compression_ratio(self) -> float:
         """Raw samples per representative (>= 1.0; higher = more savings)."""
-        if not self._points:
+        if not self._counts:
             return 1.0
-        return float(sum(self._counts) / len(self._points))
+        return float(sum(self._counts) / len(self._counts))

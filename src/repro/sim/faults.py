@@ -455,11 +455,13 @@ class ModelPoisoner:
     """Silently corrupt the controller's learned state.
 
     The stressor the model-health watchdog exists for: NaN coordinates
-    that escaped a numerical blow-up, representatives replaced with
-    garbage, negative violation-range radii in the materialized
-    geometry cache, non-finite step-histogram samples, a degenerated
-    beta. Nothing raises — the damage only shows when the model is next
-    used, exactly like real silent corruption.
+    that escaped a numerical blow-up, garbage coordinates, a NaN
+    written in place into a row of the representative matrix (the
+    set's only copy, so the write persists until the watchdog
+    quarantines the row), negative violation-range radii in the
+    materialized geometry cache, non-finite step-histogram samples, a
+    degenerated beta. Nothing raises — the damage only shows when the
+    model is next used, exactly like real silent corruption.
 
     Registered as a middleware *after* the controller; each period's
     draws are keyed ``"model"`` (salt 16 fires, 17 picks the kind, 18
@@ -528,16 +530,12 @@ class ModelPoisoner:
             space.coords[index] = float("nan") if kind == "nan-coords" else 1e9
             return f"coords[{index}]"
         if kind == "nan-representative":
-            points = space.representatives._points
-            if not points:
+            points = space.representatives.points
+            n = int(points.shape[0])
+            if n == 0:
                 return None
-            index = int(u * len(points))
-            points[index] = points[index].copy()
-            points[index][0] = float("nan")
-            # Poison the backing store *and* drop the matrix cache so
-            # the damage is visible immediately, as a real in-place
-            # corruption of the live arrays would be.
-            space.representatives._matrix = None
+            index = int(u * n)
+            points[index, 0] = float("nan")
             return f"representatives[{index}]"
         if kind == "negative-radius":
             geometry = space._geometry

@@ -177,7 +177,8 @@ class TestSummariesAreTheRegistry:
 
     def test_refits_and_solves_are_counted_once(self):
         telemetry = Telemetry(enabled=False)
-        space = StateSpace(epsilon=0.001, refit_interval=5, telemetry=telemetry)
+        space = StateSpace(epsilon=0.001, telemetry=telemetry)
+        space.refit_interval = 5
         rng = np.random.default_rng(3)
         for _ in range(23):
             space.add_sample(rng.uniform(0, 1, 4), violated=False)

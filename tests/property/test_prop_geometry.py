@@ -39,7 +39,8 @@ def labelled_streams(draw):
 
 
 def build(samples, violations, refit_interval=1000):
-    space = StateSpace(epsilon=0.04, refit_interval=refit_interval)
+    space = StateSpace(epsilon=0.04)
+    space.refit_interval = refit_interval
     for i, sample in enumerate(samples):
         space.add_sample(sample, violated=i in violations)
     return space

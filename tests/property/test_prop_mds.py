@@ -262,6 +262,28 @@ class TestProcrustesProperties:
         )
 
 
+#: One operation on a representative set: half of them assign a run of
+#: samples on a 0.1 grid (repeats merge, neighbours tie), the rest write
+#: into ``points``, remove indices or, rarely, clear.
+DEDUP_OPERATION = st.integers(0, 9).flatmap(
+    lambda k: st.tuples(
+        st.just("assign"),
+        st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8),
+    )
+    if k < 5
+    else st.tuples(
+        st.just("write"),
+        st.integers(0, 40),
+        st.integers(0, 2),
+        st.sampled_from([0.0, 0.3, 0.7, float("nan")]),
+    )
+    if k < 8
+    else st.tuples(st.just("remove"), st.lists(st.integers(-2, 24), max_size=4))
+    if k < 9
+    else st.just(("clear",))
+)
+
+
 class TestDedupProperties:
     @given(
         st.lists(
@@ -313,3 +335,56 @@ class TestDedupProperties:
         for sample in samples:
             reps.assign(np.asarray(sample))
         assert reps.counts.sum() == len(samples)
+
+    @given(
+        st.sampled_from([0.0, 0.05, 0.15]), st.lists(DEDUP_OPERATION, max_size=40)
+    )
+    @example(
+        0.05,
+        [
+            ("assign", [(0, 0, 0), (1, 0, 0)]),
+            ("write", 0, 1, 0.7),
+            ("assign", [(i % 5, i // 5, 4) for i in range(20)]),
+        ],
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_one_copy_equals_a_list_of_rows(self, epsilon, operations):
+        """Every operation agrees with a few lines that keep the rows in
+        a list: each ``(index, is_new)``, and afterwards the bits of
+        ``points``, ``counts``, the bits of ``last_distances`` and the
+        length, through merges, growth past the spare rows, removals,
+        clears and writes made into ``points``."""
+        reps = RepresentativeSet(epsilon=epsilon)
+        rows, counts, last = [], [], np.empty(0)
+        for operation, *arguments in operations:
+            if operation == "assign":
+                for cell in arguments[0]:
+                    sample = np.asarray(cell, dtype=float) * 0.1
+                    last = point_distances(sample, np.array(rows)) if rows else np.empty(0)
+                    index = int(np.argmin(last)) if rows else 0
+                    if rows and last[index] <= epsilon:
+                        expected = (index, False)
+                        counts[index] += 1
+                    else:
+                        expected = (len(rows), True)
+                        rows.append(sample)
+                        counts.append(1)
+                    assert reps.assign(sample) == expected
+            elif operation == "remove":
+                doomed = {i for i in arguments[0] if 0 <= i < len(rows)}
+                rows = [row for i, row in enumerate(rows) if i not in doomed]
+                counts = [c for i, c in enumerate(counts) if i not in doomed]
+                assert reps.remove_indices(arguments[0]) == len(doomed)
+            elif operation == "clear":
+                rows, counts = [], []
+                reps.clear()
+            elif rows:  # a write into one entry of the live matrix
+                row, column, value = arguments
+                row %= len(rows)
+                rows[row] = rows[row].copy()
+                rows[row][column] = value
+                reps.points[row, column] = value
+            assert len(reps) == len(rows)
+            assert reps.points.tobytes() == np.array(rows).tobytes()
+            assert reps.counts.tolist() == counts
+            assert reps.last_distances.tobytes() == last.tobytes()

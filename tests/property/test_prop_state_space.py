@@ -55,7 +55,8 @@ class TestStateSpaceInvariants:
     @settings(max_examples=40, deadline=None)
     def test_labels_and_coords_stay_aligned(self, stream):
         samples, violations = stream
-        space = StateSpace(epsilon=0.05, refit_interval=15)
+        space = StateSpace(epsilon=0.05)
+        space.refit_interval = 15
         for i, sample in enumerate(samples):
             index, _, _ = space.add_sample(sample, violated=i in violations)
             assert 0 <= index < len(space)
@@ -67,7 +68,8 @@ class TestStateSpaceInvariants:
     @settings(max_examples=40, deadline=None)
     def test_partition_of_indices(self, stream):
         samples, violations = stream
-        space = StateSpace(epsilon=0.05, refit_interval=100)
+        space = StateSpace(epsilon=0.05)
+        space.refit_interval = 100
         for i, sample in enumerate(samples):
             space.add_sample(sample, violated=i in violations)
         all_indices = sorted(
@@ -79,7 +81,8 @@ class TestStateSpaceInvariants:
     @settings(max_examples=30, deadline=None)
     def test_violation_sticky_under_any_sequence(self, stream):
         samples, violations = stream
-        space = StateSpace(epsilon=0.05, refit_interval=100)
+        space = StateSpace(epsilon=0.05)
+        space.refit_interval = 100
         for i, sample in enumerate(samples):
             space.add_sample(sample, violated=i in violations)
         # Replay every sample as safe: labels must not flip back.
@@ -94,7 +97,8 @@ class TestStateSpaceInvariants:
     @settings(max_examples=30, deadline=None)
     def test_every_violation_state_inside_own_range(self, stream):
         samples, violations = stream
-        space = StateSpace(epsilon=0.05, refit_interval=100)
+        space = StateSpace(epsilon=0.05)
+        space.refit_interval = 100
         for i, sample in enumerate(samples):
             space.add_sample(sample, violated=i in violations)
         for index in space.violation_indices:
@@ -104,7 +108,8 @@ class TestStateSpaceInvariants:
     @settings(max_examples=30, deadline=None)
     def test_votes_bounded_by_candidates(self, stream):
         samples, violations = stream
-        space = StateSpace(epsilon=0.05, refit_interval=100)
+        space = StateSpace(epsilon=0.05)
+        space.refit_interval = 100
         for i, sample in enumerate(samples):
             space.add_sample(sample, violated=i in violations)
         rng = np.random.default_rng(0)

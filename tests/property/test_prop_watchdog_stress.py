@@ -58,11 +58,8 @@ def apply(space, rng, operation, argument):
     elif n and operation == "coords":
         space.coords[argument % n, argument % 2] += 0.25
     elif n and operation == "point":
-        # The matrix row and the row it is rebuilt from, so that a
-        # later growth of the matrix keeps the write.
         row, column = argument % n, argument % DIMENSION
         space.representatives.points[row, column] += 0.25
-        space.representatives._points[row][column] += 0.25
     return False
 
 
@@ -72,7 +69,8 @@ def test_memo_equals_the_full_stress_and_sums_every_pair_only_on_other_changes(
     seed, operations
 ):
     rng = np.random.default_rng(seed)
-    space = StateSpace(refit_interval=10**9)
+    space = StateSpace()
+    space.refit_interval = 10**9
     controller = SimpleNamespace(
         state_space=space,
         predictor=SimpleNamespace(modes=SimpleNamespace(models={})),

@@ -43,7 +43,7 @@ class TestControllerBasics:
         host, sensitive, _ = contended_setup()
         controller = StayAway(sensitive, config=StayAwayConfig(seed=1))
         SimulationEngine(host, [controller]).run(ticks=30)
-        mapped = controller.mapping.latest
+        mapped = controller.mapping.history[-1]
         coords = mapped.coords
         assert coords.base is None and not coords.flags.writeable
         assert controller.trajectory[-1].coords is coords

@@ -127,32 +127,6 @@ class TestMergeScan:
         index, is_new = reps.assign(np.array([-1.0, -1.0]))
         assert index == 0 and not is_new
 
-    def test_invalidate_index_after_external_replacement(self):
-        # Checkpoint restore replaces _points wholesale (same count!)
-        # and must call invalidate_index(); the scan then reads the
-        # new points, not the cached matrix of the old ones.
-        reps = RepresentativeSet(epsilon=0.1)
-        reps.assign(np.array([0.0, 0.0]))
-        reps.assign(np.array([1.0, 1.0]))
-        reps._points = [np.array([5.0, 5.0]), np.array([6.0, 6.0])]
-        reps.invalidate_index()
-        index, is_new = reps.assign(np.array([5.05, 5.0]))
-        assert index == 0 and not is_new
-        index, is_new = reps.assign(np.array([0.0, 0.0]))
-        assert is_new  # the old origin point is gone
-
-    def test_count_growth_detected_without_hook(self):
-        # Defense-in-depth: appending behind the set's back is caught
-        # by the matrix cache's row-count check.
-        reps = RepresentativeSet(epsilon=0.1)
-        reps.assign(np.array([0.0, 0.0]))
-        reps.assign(np.array([1.0, 1.0]))
-        reps._points.append(np.array([5.0, 5.0]))
-        reps._counts.append(1)
-        reps._matrix = None
-        index, is_new = reps.assign(np.array([5.05, 5.0]))
-        assert index == 2 and not is_new
-
     def test_epsilon_zero_uses_exact_scan(self):
         reps = RepresentativeSet(epsilon=0.0)
         reps.assign(np.array([0.25]))
@@ -177,8 +151,9 @@ class TestScanEqualsPointDistances:
     """The scan is ``point_distances`` then ``np.argmin``, bit for bit."""
 
     @staticmethod
-    def assert_same_scan(reps, sample):
-        reference = point_distances(sample, np.vstack(reps._points))
+    def assert_same_scan(reps, rows, sample):
+        """``rows``: the test's own copy of the samples ``reps`` holds."""
+        reference = point_distances(sample, np.vstack(rows))
         index, distance = reps.nearest(sample)
         assert _bits(reps.last_distances) == _bits(reference)
         assert index == int(np.argmin(reference))
@@ -188,21 +163,23 @@ class TestScanEqualsPointDistances:
     @pytest.mark.parametrize("n, dim", [(1, 3), (7, 10), (70, 10), (250, 13)])
     def test_random_inputs(self, n, dim):
         rng = np.random.default_rng(n * 31 + dim)
-        reps = filled(rng.uniform(0.0, 1.0, size=(n, dim)))
+        rows = rng.uniform(0.0, 1.0, size=(n, dim))
+        reps = filled(rows)
         for _ in range(20):
-            self.assert_same_scan(reps, rng.uniform(-0.5, 1.5, size=dim))
+            self.assert_same_scan(reps, rows, rng.uniform(-0.5, 1.5, size=dim))
 
     def test_a_sample_equal_to_a_representative(self):
         rng = np.random.default_rng(5)
         rows = rng.uniform(0.0, 1.0, size=(12, 10))
         reps = filled(rows)
         for index in (0, 5, 11):
-            self.assert_same_scan(reps, rows[index].copy())
+            self.assert_same_scan(reps, rows, rows[index].copy())
             assert reps.nearest(rows[index].copy()) == (index, 0.0)
 
     def test_exact_ties_keep_the_first_index(self):
-        reps = filled([[3.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        self.assert_same_scan(reps, np.array([0.0, 0.0]))
+        rows = [[3.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
+        reps = filled(rows)
+        self.assert_same_scan(reps, rows, np.array([0.0, 0.0]))
         assert reps.nearest(np.array([0.0, 0.0])) == (1, 1.0)
         # A sample on the merge radius of both tied representatives
         # joins the first.
@@ -210,21 +187,25 @@ class TestScanEqualsPointDistances:
         assert reps.assign(np.array([0.0, 0.0])) == (1, False)
 
     def test_a_one_row_set(self):
-        reps = filled([[0.25, 0.5, 0.75]])
-        self.assert_same_scan(reps, np.array([1.0, 1.0, 1.0]))
+        rows = [[0.25, 0.5, 0.75]]
+        reps = filled(rows)
+        self.assert_same_scan(reps, rows, np.array([1.0, 1.0, 1.0]))
         assert reps.nearest(np.array([0.25, 0.5, 0.75])) == (0, 0.0)
 
     def test_assign_keeps_the_scan_a_new_state_is_placed_against(self):
         rng = np.random.default_rng(11)
         reps = RepresentativeSet(epsilon=0.3)
-        reps.assign(rng.uniform(0.0, 1.0, size=4))
+        rows = [rng.uniform(0.0, 1.0, size=4)]
+        reps.assign(rows[0])
         assert reps.last_distances.size == 0  # the set was empty
         for _ in range(60):
             sample = rng.uniform(0.0, 1.0, size=4)
-            before = np.vstack(reps._points)
-            index, _ = reps.assign(sample)
+            before = np.vstack(rows)
+            index, is_new = reps.assign(sample)
             assert _bits(reps.last_distances) == _bits(point_distances(sample, before))
             assert index == len(before) or index == int(np.argmin(reps.last_distances))
+            if is_new:
+                rows.append(sample)
         # A set emptied after a scan scans nothing for its next sample.
         reps.clear()
         assert reps.assign(rng.uniform(0.0, 1.0, size=4)) == (0, True)
@@ -232,20 +213,23 @@ class TestScanEqualsPointDistances:
 
 
 class TestGrowthBuffer:
-    """``points`` grows into spare rows and is rebuilt from ``_points``
-    after every invalidation."""
+    """``points`` is the set's only copy of its rows: it grows into spare
+    rows, compacts in place, and keeps every write made into it."""
 
     @staticmethod
-    def assert_matches_store(reps):
-        assert _bits(reps.points) == _bits(np.vstack(reps._points))
+    def assert_holds(reps, rows):
+        """``rows``: the test's own copy of the samples ``reps`` holds."""
+        assert _bits(reps.points) == _bits(np.vstack(rows))
         assert reps.points.flags.c_contiguous
 
     def test_appends_past_the_reserved_rows(self):
         rng = np.random.default_rng(2)
         reps = RepresentativeSet(epsilon=0.0)
+        rows = []
         for _ in range(100):
-            reps.assign(rng.uniform(0.0, 1.0, size=5))
-            self.assert_matches_store(reps)
+            rows.append(rng.uniform(0.0, 1.0, size=5))
+            reps.assign(rows[-1])
+            self.assert_holds(reps, rows)
 
     def test_a_new_state_copies_one_row(self, monkeypatch):
         reps = filled(np.eye(4))
@@ -257,39 +241,38 @@ class TestGrowthBuffer:
         assert matrix.shape == (4, 4) and _bits(matrix) == _bits(np.eye(4))
 
     def test_rebuilt_after_remove_indices(self):
-        reps = filled(np.arange(24.0).reshape(8, 3))
-        reps.points
+        rows = np.arange(24.0).reshape(8, 3)
+        reps = filled(rows)
+        matrix = reps.points
         assert reps.remove_indices([0, 5]) == 2
-        self.assert_matches_store(reps)
+        rows = [row for i, row in enumerate(rows) if i not in (0, 5)]
+        self.assert_holds(reps, rows)
+        assert np.shares_memory(reps.points, matrix)  # compacted in place
         assert reps.assign(np.array([3.0, 4.0, 5.0])) == (0, False)
         assert reps.assign(np.array([100.0, 0.0, 0.0])) == (6, True)
-        self.assert_matches_store(reps)
+        self.assert_holds(reps, rows + [np.array([100.0, 0.0, 0.0])])
 
     def test_rebuilt_after_clear(self):
         reps = filled(np.arange(12.0).reshape(4, 3))
-        reps.points
         reps.clear()
         assert reps.points.shape == (0, 3)
         assert reps.assign(np.array([0.0, 1.0, 2.0])) == (0, True)
         assert reps.assign(np.array([9.0, 9.0, 9.0])) == (1, True)
-        self.assert_matches_store(reps)
+        self.assert_holds(reps, [[0.0, 1.0, 2.0], [9.0, 9.0, 9.0]])
 
-    def test_rebuilt_after_invalidate_index(self):
-        reps = filled([[0.0, 0.0], [1.0, 1.0]])
-        reps.points
-        reps._points = [np.array([5.0, 5.0]), np.array([6.0, 6.0])]
-        reps.invalidate_index()
-        self.assert_matches_store(reps)
-        assert reps.nearest(np.array([5.0, 5.0])) == (0, 0.0)
-
-    def test_rebuilt_after_dropping_the_matrix(self):
-        # ModelPoisoner's write: a copied row poisoned, then _matrix = None.
-        reps = filled([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        reps.points
-        reps._points[1] = reps._points[1].copy()
-        reps._points[1][0] = float("nan")
-        reps._matrix = None
-        self.assert_matches_store(reps)
-        assert np.isnan(reps.points[1, 0])
-        assert reps.assign(np.array([7.0, 7.0])) == (3, True)
-        self.assert_matches_store(reps)
+    def test_a_row_written_in_place_survives_growth(self):
+        # What ModelPoisoner's nan-representative does: a write into the
+        # matrix, and nothing else. Growing past the 17th row must keep it.
+        rng = np.random.default_rng(3)
+        rows = list(rng.uniform(0.0, 1.0, size=(5, 4)))
+        reps = filled(rows)
+        reps.points[2, 0] = float("nan")
+        rows[2] = rows[2].copy()
+        rows[2][0] = float("nan")
+        matrix = reps.points
+        while len(rows) < 18:
+            rows.append(rng.uniform(0.0, 1.0, size=4))
+            assert reps.assign(rows[-1]) == (len(rows) - 1, True)
+        assert not np.shares_memory(reps.points, matrix)  # it did grow
+        assert np.isnan(reps.points[2, 0])
+        self.assert_holds(reps, rows)

@@ -20,7 +20,8 @@ from tests.support.kernel_reference import cross_distances
 
 
 def grow_space(samples, violations=frozenset(), epsilon=0.05, **kwargs):
-    space = StateSpace(epsilon=epsilon, refit_interval=1000, **kwargs)
+    space = StateSpace(epsilon=epsilon, **kwargs)
+    space.refit_interval = 1000
     for i, sample in enumerate(samples):
         space.add_sample(np.asarray(sample, float), violated=i in violations)
     return space
@@ -30,9 +31,8 @@ def random_space(
     seed, n=60, dim=4, violation_every=5, refit_interval=1000, telemetry=None
 ):
     rng = np.random.default_rng(seed)
-    space = StateSpace(
-        epsilon=0.03, refit_interval=refit_interval, telemetry=telemetry
-    )
+    space = StateSpace(epsilon=0.03, telemetry=telemetry)
+    space.refit_interval = refit_interval
     for i in range(n):
         violated = violation_every is not None and i % violation_every == 0
         space.add_sample(rng.uniform(0, 1, dim), violated=violated)

@@ -414,7 +414,8 @@ class TestPlacementPrepEqualities:
             return place_point(anchors, deltas, *args, **kwargs)
 
         monkeypatch.setattr(state_space_module, "place_point", recording)
-        space = state_space_module.StateSpace(epsilon=0.05, refit_interval=15)
+        space = state_space_module.StateSpace(epsilon=0.05)
+        space.refit_interval = 15
         rng = np.random.default_rng(8)
         checked = 0
         for _ in range(300):

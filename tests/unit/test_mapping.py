@@ -20,7 +20,7 @@ class TestMappingPipeline:
         assert sample.state_index == 0
         assert sample.is_new_state
         assert sample.label is StateLabel.SAFE
-        assert pipeline.latest is sample
+        assert pipeline.history[-1] is sample
 
     def test_violation_labelling(self):
         pipeline = make_pipeline()
@@ -36,41 +36,20 @@ class TestMappingPipeline:
         assert not b.is_new_state
         np.testing.assert_allclose(a.coords, b.coords)
 
-    def test_history_and_trajectory(self):
-        pipeline = make_pipeline(epsilon=0.01)
-        values = [
-            np.array([0.1, 0.1, 0.1, 0.1]),
-            np.array([0.5, 0.5, 0.5, 0.5]),
-            np.array([0.9, 0.9, 0.9, 0.9]),
-        ]
-        for tick, value in enumerate(values):
-            pipeline.map_measurement(tick, value, False)
-        track = pipeline.trajectory()
-        assert track.shape == (3, 2)
-        assert pipeline.trajectory(last_n=2).shape == (2, 2)
-
-    def test_empty_trajectory(self):
-        assert make_pipeline().trajectory().shape == (0, 2)
-        assert make_pipeline().latest is None
-
     def test_trajectory_keeps_pre_refit_coords(self):
         # A full SMACOF refit moves every representative; the recorded
         # trajectory must keep the coordinates each sample was mapped
         # at, not silently adopt the new geometry.
         normalizer = CapacityNormalizer([1.0] * 4, vm_count=1)
-        pipeline = MappingPipeline(
-            normalizer, StateSpace(epsilon=0.01, refit_interval=3)
-        )
+        space = StateSpace(epsilon=0.01)
+        space.refit_interval = 3
+        pipeline = MappingPipeline(normalizer, space)
         rng = np.random.default_rng(7)
         refit_seen = False
         for tick in range(12):
             sample = pipeline.map_measurement(tick, rng.random(4), False)
             refit_seen = refit_seen or sample.refitted
         assert refit_seen, "refit_interval=3 should have triggered a refit"
-        track = pipeline.trajectory(last_n=8)
-        assert track.shape == (8, 2)
-        for offset, sample in enumerate(pipeline.history[-8:]):
-            np.testing.assert_allclose(track[offset], sample.coords)
         # At least one pre-refit sample's recorded coords must differ
         # from the state space's current (post-refit) geometry.
         current = pipeline.state_space.coords

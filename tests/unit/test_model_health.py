@@ -12,6 +12,7 @@ from repro.core.controller import StayAway
 from repro.core.events import EventKind
 from repro.core import model_health as model_health_module
 from repro.core.model_health import (
+    MAGNITUDE_LIMIT,
     MIN_STATES_FOR_STRESS,
     STRESS_DIVERGENCE,
     ModelHealthWatchdog,
@@ -81,9 +82,7 @@ class TestInspect:
     def test_nan_representative_flags_the_row(self):
         controller = learned_controller()
         watchdog = fresh_watchdog(controller)
-        reps = controller.state_space.representatives
-        reps._points[1][0] = float("nan")
-        reps._matrix = None
+        controller.state_space.representatives.points[1, 0] = float("nan")
         report = watchdog.inspect(100, controller)
         assert 1 in report.bad_states
 
@@ -444,6 +443,32 @@ class TestAppendedRows:
         assert watchdog.inspect(151, controller).bad_states == [0]
         assert rows[0] == before + 1  # every coords row checked
 
+    def test_a_poisoned_representative_survives_growth_and_is_quarantined(self):
+        # The poisoner's write goes into the matrix only; the states
+        # added after it move the matrix into a larger buffer, and the
+        # write has to move with it.
+        controller, _ = mapped_controller()
+        watchdog = fresh_watchdog(controller)
+        assert watchdog.inspect(150, controller).ok
+        space = controller.state_space
+        space.refit_interval = 10**9
+        matrix = space.representatives.points
+        # Garbage, not NaN: a NaN row would fail every new state's
+        # placement, so the map could not grow; and not so large that
+        # the new states' placements land out of range too.
+        matrix[3, 1] = 10 * MAGNITUDE_LIMIT
+        rng = np.random.default_rng(0)
+        while np.shares_memory(space.representatives.points, matrix):
+            space.add_sample(rng.uniform(size=matrix.shape[1]), violated=False)
+        states = len(space)
+        quarantined = watchdog.summary()["quarantined_states"]
+        assert watchdog.check_and_heal(151, controller) == ["quarantine"]
+        assert watchdog.summary()["quarantined_states"] == quarantined + 1
+        [event] = controller.events.of_kind(EventKind.MODEL_QUARANTINE)
+        assert event.detail["states"] == [3]
+        assert len(space) == states - 1
+        assert np.abs(space.representatives.points).max() <= MAGNITUDE_LIMIT
+
 
 #: Stands for the state row a poisoner event names (``coords[26]``).
 HIT = object()
@@ -467,8 +492,7 @@ def _poison(kind, controller, host):
         model = controller.predictor.modes.models[ExecutionMode.COLOCATED]
         model._last_point = np.array([float("inf"), 0.0])
     elif kind == "garbage-representative":
-        space.representatives._points[2][3] = 1e9
-        space.representatives._matrix = None
+        space.representatives.points[2, 3] = 1e9
     else:  # pragma: no cover
         raise AssertionError(kind)
 

@@ -11,7 +11,8 @@ from repro.trajectory.modes import ExecutionMode
 
 def make_space_with_violation():
     """A state space: safe cluster at origin, violation at (1, 0)-ish."""
-    space = StateSpace(epsilon=0.01, refit_interval=1000)
+    space = StateSpace(epsilon=0.01)
+    space.refit_interval = 1000
     space.add_sample(np.array([0.0, 0.0]), violated=False)
     space.add_sample(np.array([0.1, 0.0]), violated=False)
     space.add_sample(np.array([1.0, 0.0]), violated=True)

@@ -42,7 +42,8 @@ class TestViolationRangeRadius:
 
 def grow_space(samples, violations=frozenset(), epsilon=0.05):
     """Build a state space from a list of high-dim samples."""
-    space = StateSpace(epsilon=epsilon, refit_interval=1000)
+    space = StateSpace(epsilon=epsilon)
+    space.refit_interval = 1000
     for i, sample in enumerate(samples):
         space.add_sample(np.asarray(sample, float), violated=i in violations)
     return space
@@ -92,7 +93,8 @@ class TestAddSample:
 
 class TestRefit:
     def test_refit_triggers_on_interval(self):
-        space = StateSpace(epsilon=0.001, refit_interval=5)
+        space = StateSpace(epsilon=0.001)
+        space.refit_interval = 5
         refit_seen = False
         rng = np.random.default_rng(0)
         for _ in range(12):
@@ -103,7 +105,8 @@ class TestRefit:
 
     def test_refit_reduces_or_keeps_stress(self):
         rng = np.random.default_rng(1)
-        space = StateSpace(epsilon=0.001, refit_interval=1000)
+        space = StateSpace(epsilon=0.001)
+        space.refit_interval = 1000
         for _ in range(25):
             space.add_sample(rng.uniform(0, 1, 6), violated=False)
         before = space.stress()
@@ -115,7 +118,8 @@ class TestRefit:
         # Procrustes alignment: coordinates stay near their pre-refit
         # positions rather than arbitrarily rotating.
         rng = np.random.default_rng(2)
-        space = StateSpace(epsilon=0.001, refit_interval=1000)
+        space = StateSpace(epsilon=0.001)
+        space.refit_interval = 1000
         for _ in range(20):
             space.add_sample(rng.uniform(0, 1, 3), violated=False)
         before = space.coords.copy()

@@ -22,7 +22,8 @@ MISSING = object()
 
 
 def make_space():
-    space = StateSpace(epsilon=0.05, refit_interval=1000)
+    space = StateSpace(epsilon=0.05)
+    space.refit_interval = 1000
     space.add_sample(np.array([0.1, 0.1, 0.1]), violated=False)
     space.add_sample(np.array([0.5, 0.5, 0.5]), violated=False)
     space.add_sample(np.array([0.9, 0.9, 0.9]), violated=True)
