@@ -64,6 +64,15 @@ class TestRepresentativeSet:
         with pytest.raises(ValueError):
             RepresentativeSet(epsilon=0.1).assign(np.zeros((2, 2)))
 
+    def test_a_set_without_dimension_takes_its_width_from_the_first_sample(self):
+        reps = RepresentativeSet(epsilon=0.1)
+        assert reps.points.shape == (0, 0)
+        assert reps.assign(np.array([0.0, 1.0, 2.0])) == (0, True)
+        assert reps.points.shape == (1, 3)
+        assert reps.assign(np.array([5.0, 5.0, 5.0])) == (1, True)
+        assert _bits(reps.points) == _bits(np.array([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]]))
+        assert RepresentativeSet(epsilon=0.1, dimension=3).points.shape == (0, 3)
+
     def test_points_matrix(self):
         reps = RepresentativeSet(epsilon=0.05)
         reps.assign(np.array([0.0, 0.0]))
@@ -275,4 +284,17 @@ class TestGrowthBuffer:
             assert reps.assign(rows[-1]) == (len(rows) - 1, True)
         assert not np.shares_memory(reps.points, matrix)  # it did grow
         assert np.isnan(reps.points[2, 0])
+        self.assert_holds(reps, rows)
+
+    def test_a_row_written_in_place_survives_remove_indices(self):
+        # Compaction moves a written row down with its write: the NaN at
+        # row 3 is at row 2 once row 0 is gone.
+        rows = list(np.arange(15.0).reshape(5, 3))
+        reps = filled(rows)
+        reps.points[3, 1] = float("nan")
+        rows[3] = rows[3].copy()
+        rows[3][1] = float("nan")
+        assert reps.remove_indices([0]) == 1
+        del rows[0]
+        assert np.isnan(reps.points[2, 1])
         self.assert_holds(reps, rows)

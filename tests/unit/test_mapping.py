@@ -36,6 +36,28 @@ class TestMappingPipeline:
         assert not b.is_new_state
         np.testing.assert_allclose(a.coords, b.coords)
 
+    def test_history_and_trajectory(self):
+        # The mapped trajectory is the history's coordinates, oldest first.
+        pipeline = make_pipeline(epsilon=0.01)
+        values = [
+            np.array([0.1, 0.1, 0.1, 0.1]),
+            np.array([0.5, 0.5, 0.5, 0.5]),
+            np.array([0.9, 0.9, 0.9, 0.9]),
+        ]
+        mapped = [
+            pipeline.map_measurement(tick, value, False)
+            for tick, value in enumerate(values)
+        ]
+        assert len(pipeline.history) == 3
+        assert all(a is b for a, b in zip(pipeline.history, mapped))
+        assert [sample.tick for sample in pipeline.history] == [0, 1, 2]
+        track = np.vstack([sample.coords for sample in pipeline.history])
+        assert track.shape == (3, 2)
+        assert np.isfinite(track).all()
+
+    def test_empty_trajectory(self):
+        assert make_pipeline().history == []
+
     def test_trajectory_keeps_pre_refit_coords(self):
         # A full SMACOF refit moves every representative; the recorded
         # trajectory must keep the coordinates each sample was mapped
