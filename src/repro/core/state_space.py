@@ -255,12 +255,20 @@ class StateSpace:
 
         Returns ``(state_index, is_new_state, refitted)``. A sample
         merging into an existing representative reuses its coordinates;
-        a violation observation relabels the state stickily.
+        a violation observation relabels the state stickily. A new state
+        lands whole or not at all: when its placement raises (a
+        non-finite representative makes every distance of the scan
+        non-finite), the representative it opened goes again, so the
+        representatives, coordinates and labels keep one length.
         """
         index, is_new = self.representatives.assign(normalized)
         refitted = False
         if is_new:
-            coords = self._place_new()
+            try:
+                coords = self._place_new()
+            except ValueError:
+                self.representatives.remove_indices([index])
+                raise
             self.coords = (
                 np.concatenate((self.coords, coords[None, :]))
                 if self.coords.size

@@ -64,6 +64,10 @@ class ContainerState(enum.Enum):
     STOPPED = "stopped"
 
 
+#: Read once a tick per container: a module global, not an enum lookup.
+_RUNNING = ContainerState.RUNNING
+
+
 class ContainerError(RuntimeError):
     """Raised on invalid container lifecycle transitions."""
 
@@ -162,7 +166,7 @@ class Container:
 
     def demand(self, clock: SimulationClock) -> ResourceVector:
         """Demand for this tick; zero unless RUNNING with an unfinished app."""
-        if self.state is not ContainerState.RUNNING or self.app.finished:
+        if self.state is not _RUNNING or self.app.finished:
             return ResourceVector.zero()
         demand = self.app.demand(clock).clamped(0.0)
         if self.limits is not None:

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from repro.sim.resources import ResourceVector
+from repro.sim.resources import ResourceVector, _new
 
 
 def swap_pressure(
@@ -60,9 +60,14 @@ def swap_pressure(
     return ratio, penalty, overcommit_mb * swap_io_per_overcommit_mb
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """What one container actually received during a tick.
+class _AllocationFields(NamedTuple):
+    granted: ResourceVector
+    progress: float
+    swap_penalty: float = 1.0
+
+
+class Allocation(_AllocationFields):
+    """What one container actually received during a tick (immutable).
 
     Attributes
     ----------
@@ -77,13 +82,14 @@ class Allocation:
         reported separately for analysis.
     """
 
-    granted: ResourceVector
-    progress: float
-    swap_penalty: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.progress <= 1.0 + 1e-9:
-            raise ValueError(f"progress must be in [0, 1], got {self.progress}")
+    def __new__(
+        cls, granted: ResourceVector, progress: float, swap_penalty: float = 1.0
+    ) -> "Allocation":
+        if not 0.0 <= progress <= 1.0 + 1e-9:
+            raise ValueError(f"progress must be in [0, 1], got {progress}")
+        return _new(cls, (granted, progress, swap_penalty))
 
 
 def _fold_demands(model, demands: Mapping[str, ResourceVector], memory_capacity: float):
@@ -96,15 +102,13 @@ def _fold_demands(model, demands: Mapping[str, ResourceVector], memory_capacity:
     ``swap_penalty``, ``swap_io`` and the resident ``memory_ratio``.
     """
     cpu = memory = memory_bw = disk_io = network = lowest = 0.0
-    for demand in demands.values():
-        cpu += demand.cpu
-        memory += demand.memory
-        memory_bw += demand.memory_bw
-        disk_io += demand.disk_io
-        network += demand.network
-        lowest = min(
-            lowest, demand.cpu, demand.memory, demand.memory_bw, demand.disk_io, demand.network
-        )
+    for a, b, c, d, e in demands.values():
+        cpu += a
+        memory += b
+        memory_bw += c
+        disk_io += d
+        network += e
+        lowest = min(lowest, a, b, c, d, e)
     # A non-finite value makes its total non-finite, so one test clears
     # the whole tick; the per-field walk only names the offender.
     if lowest < 0 or not isfinite(cpu + memory + memory_bw + disk_io + network):
@@ -124,29 +128,30 @@ def _fold_demands(model, demands: Mapping[str, ResourceVector], memory_capacity:
 
 
 def _allocation(demand: ResourceVector, granted: ResourceVector, swap_penalty: float) -> Allocation:
-    """The closing half: one tenant's grant becomes its ``Allocation``.
+    """The closing half: one tenant's grant becomes its ``Allocation``
+    (the water-fill model's; the proportional model inlines it).
 
     Progress is the worst ``got / wanted`` over the rate resources the
     tenant demanded, visited in ``RATE_RESOURCES`` order, times the swap
-    penalty when it holds memory.
+    penalty when it holds memory, clamped to ``[0, 1]``. Each
+    conditional is ``min`` / ``max`` spelled out: ``min(p, r)`` is ``r
+    if r < p else p``, NaN included.
     """
+    cpu, memory, memory_bw, disk_io, network = demand
     progress = 1.0
-    if demand.cpu > 0:
-        progress = min(progress, granted.cpu / demand.cpu)
-    if demand.memory_bw > 0:
-        progress = min(progress, granted.memory_bw / demand.memory_bw)
-    if demand.disk_io > 0:
-        progress = min(progress, granted.disk_io / demand.disk_io)
-    if demand.network > 0:
-        progress = min(progress, granted.network / demand.network)
-    tenant_swap_penalty = swap_penalty if demand.memory > 0 else 1.0
+    if cpu > 0 and (ratio := granted[0] / cpu) < progress:
+        progress = ratio
+    if memory_bw > 0 and (ratio := granted[2] / memory_bw) < progress:
+        progress = ratio
+    if disk_io > 0 and (ratio := granted[3] / disk_io) < progress:
+        progress = ratio
+    if network > 0 and (ratio := granted[4] / network) < progress:
+        progress = ratio
+    tenant_swap_penalty = swap_penalty if memory > 0 else 1.0
     progress *= tenant_swap_penalty
-    return Allocation(granted, min(1.0, max(0.0, progress)), tenant_swap_penalty)
-
-
-def _share(demanded: float, available: float) -> float:
-    """The satisfaction ratio every tenant of one rate resource gets."""
-    return 1.0 if demanded <= available or demanded <= 0 else available / demanded
+    progress = progress if progress > 0.0 else 0.0
+    # In [0, 1] by construction, so the public constructor's check is skipped.
+    return _new(Allocation, (granted, progress if progress < 1.0 else 1.0, tenant_swap_penalty))
 
 
 class ContentionModel:
@@ -214,21 +219,35 @@ class ProportionalShareModel(ContentionModel):
         # added to the disk demand pool *before* disk shares are
         # computed, so heavy swapping congests the disk for all tenants.
         totals, swap_penalty, swap_io, memory_ratio = _fold_demands(self, demands, capacity.memory)
-        # Per-resource satisfaction ratio shared by all tenants.
-        cpu = _share(totals[0], capacity.cpu)
-        memory_bw = _share(totals[1], capacity.memory_bw)
-        disk_io = _share(totals[2] + swap_io, capacity.disk_io)
-        network = _share(totals[3], capacity.network)
+        # Per-resource satisfaction ratio shared by all tenants: 1 while
+        # the resource is not saturated, else available / demanded.
+        cpu, memory_bw, disk_io, network = totals
+        disk_io += swap_io
+        cap_cpu, _, cap_bw, cap_disk, cap_net = capacity
+        cpu = 1.0 if cpu <= cap_cpu or cpu <= 0 else cap_cpu / cpu
+        memory_bw = 1.0 if memory_bw <= cap_bw or memory_bw <= 0 else cap_bw / memory_bw
+        disk_io = 1.0 if disk_io <= cap_disk or disk_io <= 0 else cap_disk / disk_io
+        network = 1.0 if network <= cap_net or network <= 0 else cap_net / network
         allocations: Dict[str, Allocation] = {}
-        for name, demand in demands.items():
-            granted = ResourceVector(
-                demand.cpu * cpu,
-                demand.memory * memory_ratio,
-                demand.memory_bw * memory_bw,
-                demand.disk_io * disk_io,
-                demand.network * network,
+        for name, (a, b, c, d, e) in demands.items():
+            # ``_allocation`` inlined: the grant, then the worst got / wanted.
+            ga, gc, gd, ge = a * cpu, c * memory_bw, d * disk_io, e * network
+            progress = 1.0
+            if a > 0 and (ratio := ga / a) < progress:
+                progress = ratio
+            if c > 0 and (ratio := gc / c) < progress:
+                progress = ratio
+            if d > 0 and (ratio := gd / d) < progress:
+                progress = ratio
+            if e > 0 and (ratio := ge / e) < progress:
+                progress = ratio
+            penalty = swap_penalty if b > 0 else 1.0
+            progress *= penalty
+            progress = progress if progress > 0.0 else 0.0
+            granted = _new(ResourceVector, (ga, b * memory_ratio, gc, gd, ge))
+            allocations[name] = _new(
+                Allocation, (granted, progress if progress < 1.0 else 1.0, penalty)
             )
-            allocations[name] = _allocation(demand, granted, swap_penalty)
         return allocations
 
     @property

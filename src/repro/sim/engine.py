@@ -7,10 +7,9 @@ collectors are all middlewares — exactly the paper's architecture where
 "the Stay-Away runtime is a middleware between the VMs and the
 underlying resource" (§3).
 
-Each tick delegates to :meth:`Host.step`, which itself runs the
-four-phase pipeline (begin_tick -> gather_demands -> resolve ->
-apply_allocations) documented in ``docs/SIMULATION.md``. Multi-host
-runs use :class:`~repro.sim.cluster.Cluster`.
+Each tick delegates to :meth:`Host.step`: a demand pass, the contention
+resolve and a delivery pass, documented in ``docs/SIMULATION.md``.
+Multi-host runs use :class:`~repro.sim.cluster.Cluster`.
 """
 
 from __future__ import annotations

@@ -5,18 +5,18 @@ tick it gathers demands from running containers, resolves contention,
 delivers allocations and produces a :class:`HostSnapshot` — the
 observable state a monitoring agent would collect from cgroups/libvirt.
 
-A tick is four phases — ``begin_tick`` → ``gather_demands`` → resolve
-→ ``apply_allocations`` — which :meth:`Host.step` runs in order.
-Demands are gathered in container insertion order, which is the
-floating-point fold order the determinism contract in
+A tick is two passes over the containers with the contention resolve
+between them: :meth:`Host.gather_demands` (autostart, then demand) and
+the delivery pass of :meth:`Host.step` (grants, paused-tick accounting,
+snapshot). Demands are gathered in container insertion order, which is
+the floating-point fold order the determinism contract in
 ``docs/SIMULATION.md`` pins down.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.observation import ContainerRow, Observation, ZERO_USAGE
 from repro.sim.clock import SimulationClock
@@ -28,10 +28,14 @@ from repro.sim.contention import (
 )
 from repro.sim.resources import ResourceVector, default_host_capacity
 
+_ZERO = ResourceVector.zero()
+_CREATED = ContainerState.CREATED
+_RUNNING = ContainerState.RUNNING
+_PAUSED = ContainerState.PAUSED
 
-@dataclass(frozen=True)
-class HostSnapshot:
-    """Observable host state after one tick.
+
+class HostSnapshot(NamedTuple):
+    """Observable host state after one tick (immutable).
 
     Attributes
     ----------
@@ -124,11 +128,11 @@ class Host:
         ``snapshot`` (what the monitoring channel delivered, faults
         included), lifecycle state read live — whatever a middleware
         registered earlier did this tick is seen the same tick."""
-        usage = snapshot.usage
+        usage_of = snapshot.usage.get
         rows = tuple(
             ContainerRow(
                 name,
-                usage[name].values() if name in usage else ZERO_USAGE,
+                usage_of(name, ZERO_USAGE),
                 container.state.value,
                 container.app.finished,
                 container.sensitive,
@@ -136,7 +140,7 @@ class Host:
             )
             for name, container in self._containers.items()
         )
-        return Observation(snapshot.tick, self.capacity.values(), rows)
+        return Observation(snapshot.tick, self.capacity, rows)
 
     def pause(self, name: str) -> bool:
         """SIGSTOP ``name``; True when it is paused now (a refusal is an answer)."""
@@ -152,17 +156,13 @@ class Host:
 
     # -- simulation -----------------------------------------------------
     #
-    # One tick is four phases: begin_tick (autostarts), gather_demands,
-    # contention resolve, apply_allocations (delivery + snapshot).
-    # ``step`` runs all four against this host's own contention model.
+    # One tick is two passes over the containers: gather_demands
+    # (autostart, demand) and step's delivery pass (grants, paused
+    # ticks, snapshot), with the contention resolve between them.
 
-    def begin_tick(self) -> None:
-        """Phase 1: autostart containers whose start tick has arrived."""
-        for container in self._containers.values():
-            container.maybe_autostart(self.clock)
-
-    def gather_demands(self) -> "tuple[Dict[str, ResourceVector], Dict[str, float]]":
-        """Phase 2: collect demand and weight rows for this tick.
+    def gather_demands(self) -> Tuple[Dict[str, ResourceVector], Dict[str, float]]:
+        """The demand pass: autostart due containers, then collect demand
+        and weight rows for this tick.
 
         Returns ``(demands, weights)`` keyed by container name, both in
         container insertion order. Only running containers with a
@@ -170,49 +170,26 @@ class Host:
         containers demand nothing) — the same gate the contention
         models assume.
         """
+        clock = self.clock
         demands: Dict[str, ResourceVector] = {}
         weights: Dict[str, float] = {}
         for name, container in self._containers.items():
-            demand = container.demand(self.clock)
-            if container.is_running and not demand.is_zero():
-                demands[name] = demand
-                weights[name] = container.weight
+            if container.state is _CREATED:
+                container.maybe_autostart(clock)
+            if container.state is _RUNNING:
+                demand = container.demand(clock)
+                if not demand.is_zero():
+                    demands[name] = demand
+                    weights[name] = container.weight
         return demands, weights
-
-    def apply_allocations(self, allocations: Dict[str, Allocation]) -> HostSnapshot:
-        """Phase 4: deliver allocations and record the tick's snapshot.
-
-        Containers present in ``allocations`` receive their grant
-        (advancing their application); absent ones account a paused
-        tick if paused. The snapshot's ``swap_ratio`` reads the
-        contention model's ``last_swap_ratio``.
-        """
-        clock = self.clock
-        usage: Dict[str, ResourceVector] = {}
-        states: Dict[str, ContainerState] = {}
-        for name, container in self._containers.items():
-            if name in allocations:
-                container.deliver(allocations[name], clock)
-                usage[name] = allocations[name].granted
-            else:
-                if container.is_paused:
-                    container.observe_paused_tick()
-                usage[name] = ResourceVector.zero()
-            states[name] = container.state
-
-        swap_ratio = getattr(self.contention, "last_swap_ratio", 1.0)
-        snapshot = HostSnapshot(
-            tick=clock.tick,
-            usage=usage,
-            allocations=allocations,
-            states=states,
-            swap_ratio=swap_ratio,
-        )
-        self.last_snapshot = snapshot
-        return snapshot
 
     def step(self, advance_clock: bool = True) -> HostSnapshot:
         """Advance the host by one tick and return the observable snapshot.
+
+        Containers that got a grant receive it (advancing their
+        application); the others account a paused tick if paused. The
+        snapshot's ``swap_ratio`` reads the contention model's
+        ``last_swap_ratio``.
 
         Parameters
         ----------
@@ -221,12 +198,31 @@ class Host:
             :class:`~repro.sim.cluster.Cluster`) owns a clock shared by
             several hosts and advances it once per cluster tick.
         """
-        self.begin_tick()
+        clock = self.clock
         demands, weights = self.gather_demands()
         allocations = self.contention.resolve(demands, self.capacity, weights)
-        snapshot = self.apply_allocations(allocations)
+        usage: Dict[str, ResourceVector] = {}
+        states: Dict[str, ContainerState] = {}
+        for name, container in self._containers.items():
+            allocation = allocations.get(name)
+            if allocation is not None:
+                container.deliver(allocation, clock)
+                usage[name] = allocation.granted
+            else:
+                if container.state is _PAUSED:
+                    container.observe_paused_tick()
+                usage[name] = _ZERO
+            states[name] = container.state
+        snapshot = HostSnapshot(
+            clock.tick,
+            usage,
+            allocations,
+            states,
+            getattr(self.contention, "last_swap_ratio", 1.0),
+        )
+        self.last_snapshot = snapshot
         if advance_clock:
-            self.clock.advance()
+            clock.advance()
         return snapshot
 
     def all_finished(self) -> bool:

@@ -18,9 +18,8 @@ contention (MemoryBomb, Twitter-Analysis memory phases) is observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Tuple
 
 
 class Resource(Enum):
@@ -47,14 +46,22 @@ RATE_RESOURCES: Tuple[Resource, ...] = (
 )
 
 _FIELDS: Tuple[Resource, ...] = tuple(Resource)
+_INDEX: Dict[Resource, int] = {resource: i for i, resource in enumerate(_FIELDS)}
+
+#: ``_new(ResourceVector, five_floats)`` builds a vector without the
+#: generated ``__new__``'s argument handling (about a third cheaper).
+_new: Callable[..., Any] = tuple.__new__
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(NamedTuple):
     """An immutable value over all five resource dimensions.
 
-    Supports elementwise arithmetic so contention models and workloads
-    can combine demands without manual bookkeeping.
+    A tuple in canonical order — ``Resource`` order, which is the wire's
+    :data:`repro.observation.METRICS` order — so a vector *is* the usage
+    or capacity tuple an :class:`~repro.observation.Observation` carries.
+    ``+`` and ``-`` are elementwise (not tuple concatenation), so
+    contention models and workloads combine demands without manual
+    bookkeeping.
     """
 
     cpu: float = 0.0
@@ -69,91 +76,67 @@ class ResourceVector:
         """The all-zero vector (one shared instance: vectors are immutable)."""
         return _ZERO
 
-    @classmethod
-    def from_mapping(cls, values: Mapping[Resource, float]) -> "ResourceVector":
-        """Build a vector from a ``{Resource: value}`` mapping."""
-        return cls(**{res.value: float(values.get(res, 0.0)) for res in _FIELDS})
-
     # -- access -------------------------------------------------------
     def values(self) -> Tuple[float, ...]:
-        """The five fields in canonical (``Resource`` and wire-metric) order."""
-        return (self.cpu, self.memory, self.memory_bw, self.disk_io, self.network)
+        """The five fields in canonical order: the vector itself."""
+        return self
 
     def get(self, resource: Resource) -> float:
         """Value for one resource dimension."""
-        return float(self.values()[_FIELDS.index(resource)])
-
-    def as_dict(self) -> Dict[Resource, float]:
-        """A ``{Resource: value}`` snapshot of this vector."""
-        return dict(self.items())
+        return float(self[_INDEX[resource]])
 
     def items(self) -> Iterator[Tuple[Resource, float]]:
         """Iterate ``(resource, value)`` pairs in canonical order."""
-        return zip(_FIELDS, map(float, self.values()))
+        return zip(_FIELDS, map(float, self))
 
     def replace(self, resource: Resource, value: float) -> "ResourceVector":
         """A copy of this vector with one dimension replaced."""
-        values = self.as_dict()
-        values[resource] = float(value)
-        return ResourceVector.from_mapping(values)
+        return self._replace(**{resource.value: float(value)})
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            cpu=self.cpu + other.cpu,
-            memory=self.memory + other.memory,
-            memory_bw=self.memory_bw + other.memory_bw,
-            disk_io=self.disk_io + other.disk_io,
-            network=self.network + other.network,
-        )
+    # Elementwise where tuple's ``+`` concatenates, hence the narrower
+    # operand type than the supertype's.
+    def __add__(self, other: "ResourceVector") -> "ResourceVector":  # type: ignore[override]
+        a, b, c, d, e = self
+        f, g, h, i, j = other
+        return _new(ResourceVector, (a + f, b + g, c + h, d + i, e + j))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            cpu=self.cpu - other.cpu,
-            memory=self.memory - other.memory,
-            memory_bw=self.memory_bw - other.memory_bw,
-            disk_io=self.disk_io - other.disk_io,
-            network=self.network - other.network,
-        )
+        a, b, c, d, e = self
+        f, g, h, i, j = other
+        return _new(ResourceVector, (a - f, b - g, c - h, d - i, e - j))
 
     def scaled(self, factor: float) -> "ResourceVector":
         """Elementwise multiplication by a scalar."""
-        return ResourceVector(
-            cpu=self.cpu * factor,
-            memory=self.memory * factor,
-            memory_bw=self.memory_bw * factor,
-            disk_io=self.disk_io * factor,
-            network=self.network * factor,
-        )
+        a, b, c, d, e = self
+        return _new(ResourceVector, (a * factor, b * factor, c * factor, d * factor, e * factor))
 
     def clamped(self, lower: float = 0.0) -> "ResourceVector":
-        """Elementwise ``max(value, lower)`` (demands must not go negative)."""
-        return ResourceVector(
-            cpu=max(self.cpu, lower),
-            memory=max(self.memory, lower),
-            memory_bw=max(self.memory_bw, lower),
-            disk_io=max(self.disk_io, lower),
-            network=max(self.network, lower),
+        """Elementwise ``max(value, lower)`` (demands must not go negative);
+        ``self`` when no value is below ``lower`` (a NaN takes the max)."""
+        a, b, c, d, e = self
+        if a >= lower and b >= lower and c >= lower and d >= lower and e >= lower:
+            return self
+        return _new(
+            ResourceVector,
+            (max(a, lower), max(b, lower), max(c, lower), max(d, lower), max(e, lower)),
         )
 
     def capped_by(self, limits: "ResourceVector") -> "ResourceVector":
         """Elementwise ``min(value, limit)``; used for cgroup-style caps."""
-        return ResourceVector(
-            cpu=min(self.cpu, limits.cpu),
-            memory=min(self.memory, limits.memory),
-            memory_bw=min(self.memory_bw, limits.memory_bw),
-            disk_io=min(self.disk_io, limits.disk_io),
-            network=min(self.network, limits.network),
-        )
+        a, b, c, d, e = self
+        f, g, h, i, j = limits
+        return _new(ResourceVector, (min(a, f), min(b, g), min(c, h), min(d, i), min(e, j)))
 
     def is_zero(self, tolerance: float = 1e-12) -> bool:
         """True when every dimension is (numerically) zero."""
+        a, b, c, d, e = self
         return (
-            abs(self.cpu) <= tolerance
-            and abs(self.memory) <= tolerance
-            and abs(self.memory_bw) <= tolerance
-            and abs(self.disk_io) <= tolerance
-            and abs(self.network) <= tolerance
+            abs(a) <= tolerance
+            and abs(b) <= tolerance
+            and abs(c) <= tolerance
+            and abs(d) <= tolerance
+            and abs(e) <= tolerance
         )
 
 

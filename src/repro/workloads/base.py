@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,9 +37,8 @@ class ApplicationKind(enum.Enum):
     BATCH = "batch"
 
 
-@dataclass(frozen=True)
-class QosReport:
-    """One tick's QoS reading from a sensitive application.
+class QosReport(NamedTuple):
+    """One tick's QoS reading from a sensitive application (immutable).
 
     Attributes
     ----------
@@ -120,15 +118,13 @@ class Application(abc.ABC):
         """Apply multiplicative Gaussian noise to a demand vector."""
         if self.noise_std <= 0:
             return vector
-        cpu, memory, memory_bw, disk_io, network = self.rng.normal(
-            1.0, self.noise_std, size=5
-        ).tolist()
+        a, b, c, d, e = self.rng.normal(1.0, self.noise_std, size=5).tolist()
+        v, w, x, y, z = vector
+        a, b, c, d, e = v * a, w * b, x * c, y * d, z * e
+        # ``f if f > 0.0 else 0.0`` is ``max(0.0, f)``, -0.0 and NaN included.
         return ResourceVector(
-            max(0.0, vector.cpu * cpu),
-            max(0.0, vector.memory * memory),
-            max(0.0, vector.memory_bw * memory_bw),
-            max(0.0, vector.disk_io * disk_io),
-            max(0.0, vector.network * network),
+            a if a > 0.0 else 0.0, b if b > 0.0 else 0.0, c if c > 0.0 else 0.0,
+            d if d > 0.0 else 0.0, e if e > 0.0 else 0.0,
         )
 
     @property

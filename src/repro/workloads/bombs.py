@@ -96,22 +96,12 @@ class MemoryBomb(Application):
         if self._finished:
             return ResourceVector.zero()
         allocated = self.target_mb * min(1.0, self.work_done / self.ramp_ticks)
+        # Positional (cpu, memory, memory_bw, disk_io, network): a third
+        # of the keyword call's cost.
         if self.in_sweep():
-            base = ResourceVector(
-                cpu=0.6,
-                memory=allocated,
-                memory_bw=self.sweep_bandwidth,
-                disk_io=0.0,
-                network=0.0,
-            )
+            base = ResourceVector(0.6, allocated, self.sweep_bandwidth, 0.0, 0.0)
         else:
-            base = ResourceVector(
-                cpu=0.25,
-                memory=allocated,
-                memory_bw=300.0,
-                disk_io=0.0,
-                network=0.0,
-            )
+            base = ResourceVector(0.25, allocated, 300.0, 0.0, 0.0)
         return self._jitter(base)
 
     def _on_advance(self, allocation, clock) -> None:

@@ -85,19 +85,17 @@ class VlcStreamingServer(Application):
         if self._finished:
             return ResourceVector.zero()
         intensity = self.current_intensity(clock)
-        base = ResourceVector(
-            cpu=self.cpu_peak * intensity,
-            memory=self.memory_mb,
-            memory_bw=self.memory_bw_peak * intensity,
-            disk_io=8.0 * intensity,
-            network=self.network_peak * intensity,
+        base = ResourceVector(  # positional: a third of the keyword call's cost
+            self.cpu_peak * intensity,
+            self.memory_mb,
+            self.memory_bw_peak * intensity,
+            8.0 * intensity,
+            self.network_peak * intensity,
         )
         return self._jitter(base)
 
     def _on_advance(self, allocation: Allocation, clock: SimulationClock) -> None:
-        self._last_report = QosReport(
-            value=allocation.progress, threshold=self.qos_threshold
-        )
+        self._last_report = QosReport(allocation.progress, self.qos_threshold)
         if self.duration is not None and self.elapsed_ticks >= self.duration:
             self._finish()
 

@@ -111,22 +111,20 @@ class Webservice(Application):
     def demand(self, clock: SimulationClock) -> ResourceVector:
         if self._finished:
             return ResourceVector.zero()
-        intensity = self.current_intensity(clock)
+        intensity = self.trace.intensity(clock.now)
         peak = _WORKLOAD_PEAK_DEMAND[self.workload]
         resident_fraction = _RESIDENT_FLOOR + (1.0 - _RESIDENT_FLOOR) * intensity
-        base = ResourceVector(
-            cpu=peak.cpu * intensity,
-            memory=peak.memory * resident_fraction,
-            memory_bw=peak.memory_bw * intensity,
-            disk_io=peak.disk_io * intensity,
-            network=peak.network * intensity,
+        base = ResourceVector(  # positional: a third of the keyword call's cost
+            peak.cpu * intensity,
+            peak.memory * resident_fraction,
+            peak.memory_bw * intensity,
+            peak.disk_io * intensity,
+            peak.network * intensity,
         )
         return self._jitter(base)
 
     def _on_advance(self, allocation: Allocation, clock: SimulationClock) -> None:
-        self._last_report = QosReport(
-            value=allocation.progress, threshold=self.qos_threshold
-        )
+        self._last_report = QosReport(allocation.progress, self.qos_threshold)
         if self.duration is not None and self.elapsed_ticks >= self.duration:
             self._finish()
 

@@ -42,10 +42,6 @@ class TestVectorAlgebra:
     def test_scaling_by_one_is_identity(self, a):
         assert a.scaled(1.0) == a
 
-    @given(resource_vectors())
-    def test_roundtrip_through_mapping(self, a):
-        assert ResourceVector.from_mapping(a.as_dict()) == a
-
     @given(resource_vectors(), resource_vectors())
     def test_capping_is_lower_bound_of_both(self, a, b):
         capped = a.capped_by(b)

@@ -156,6 +156,32 @@ class TestHeal:
             "states": states,
         }
 
+    def test_a_failed_placement_leaves_one_row_to_quarantine(self):
+        # A NaN representative fails the next new state's placement; the
+        # map must stay whole, so the watchdog quarantines the poisoned
+        # row instead of finding a length mismatch and clearing the map.
+        controller = learned_controller()
+        watchdog = fresh_watchdog(controller)
+        space = controller.state_space
+        space.clear()
+        space.refit_interval = 10**9
+        dimension = space.representatives.dimension
+        rng = np.random.default_rng(0)
+        for sample in rng.uniform(size=(6, dimension)):
+            space.add_sample(sample, violated=False)
+        space.representatives.points[2, 0] = float("nan")
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            space.add_sample(rng.uniform(size=dimension), violated=False)
+        assert len(space.representatives) == len(space.coords) == len(space.labels) == 6
+        quarantined = watchdog.summary()["quarantined_states"]
+        assert watchdog.check_and_heal(100, controller) == ["quarantine"]
+        [event] = controller.events.of_kind(EventKind.MODEL_QUARANTINE)
+        assert event.detail["states"] == [2]
+        assert watchdog.summary()["quarantined_states"] == quarantined + 1
+        assert watchdog.summary()["resets"] == 0
+        assert controller.events.count(EventKind.MODEL_RESET) == 0
+        assert len(space) == 5
+
     def test_cache_poisoning_heals_by_rebuild_only(self):
         controller = learned_controller()
         watchdog = fresh_watchdog(controller)

@@ -24,15 +24,6 @@ class TestResourceVector:
         assert vec.get(Resource.MEMORY) == 256.0
         assert vec.get(Resource.NETWORK) == 0.0
 
-    def test_from_mapping_roundtrip(self):
-        vec = ResourceVector(cpu=1.0, memory_bw=500.0, network=10.0)
-        assert ResourceVector.from_mapping(vec.as_dict()) == vec
-
-    def test_from_mapping_missing_keys_default_zero(self):
-        vec = ResourceVector.from_mapping({Resource.CPU: 2.0})
-        assert vec.cpu == 2.0
-        assert vec.memory == 0.0
-
     def test_addition(self):
         a = ResourceVector(cpu=1.0, memory=10.0)
         b = ResourceVector(cpu=0.5, disk_io=3.0)

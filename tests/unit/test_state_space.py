@@ -90,6 +90,23 @@ class TestAddSample:
         assert d01 == pytest.approx(0.3, abs=0.02)
         assert d02 == pytest.approx(0.9, abs=0.05)
 
+    def test_a_failed_placement_writes_no_row(self):
+        # A NaN in one representative makes every new state's scan, and
+        # so its placement, non-finite: the sample must leave no trace.
+        rng = np.random.default_rng(0)
+        space = grow_space(rng.uniform(size=(6, 5)))
+        assert len(space) == 6
+        space.representatives.points[2, 0] = np.nan
+        points = space.representatives.points.copy()
+        coords = space.coords.copy()
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            space.add_sample(rng.uniform(size=5), violated=True)
+        assert len(space.representatives) == len(space.coords) == len(space.labels) == 6
+        np.testing.assert_array_equal(space.representatives.points, points)
+        np.testing.assert_array_equal(space.coords, coords)
+        assert space.representatives.counts.tolist() == [1] * 6
+        assert space.labels == [StateLabel.SAFE] * 6
+
 
 class TestRefit:
     def test_refit_triggers_on_interval(self):

@@ -1,7 +1,7 @@
 """The per-tick path stays on plain floats.
 
-``ResourceVector``'s enum-keyed API (``get`` / ``items`` / ``as_dict`` /
-``from_mapping`` / ``replace``) is for tests, baselines and figures. A
+``ResourceVector``'s enum-keyed API (``get`` / ``items`` / ``replace``)
+is for tests, baselines and figures. A
 host tick — demand, jitter, contention, delivery, the controller's
 observation and the wire records — must never go through it: at the
 parent it cost 91 enum-descriptor calls a step.
@@ -32,7 +32,7 @@ from repro.workloads.registry import make_workload
 from repro.workloads.traces import wikipedia_trace
 from tests.support.recorders import record_predictions
 
-ENUM_KEYED = ("get", "items", "as_dict", "from_mapping", "replace")
+ENUM_KEYED = ("get", "items", "replace")
 
 
 def _off_the_tick(*args, **kwargs):
