@@ -96,7 +96,9 @@ class StayAway:
         Tunables; defaults follow the paper.
     template:
         Optional map template from a previous execution of the same
-        sensitive application (§6).
+        sensitive application (§6). A template whose vectors are not
+        as wide as this run's is dropped whole, with its beta, on the
+        first period.
     throttle_target_selector:
         Optional override for which containers a throttle pauses (the
         §2.1 priority scheme uses this to demote lower-priority
@@ -216,6 +218,14 @@ class StayAway:
             normalizer = CapacityNormalizer(
                 observation.capacity, vm_count=len(self.collector.vm_names)
             )
+            table = self.state_space.representatives
+            if len(table) and table.dimension != normalizer.dimension:
+                # A template map of another width maps none of the run's vectors.
+                self.throttle.beta = self.config.beta_initial
+                if self.watchdog is not None:
+                    self.watchdog.hard_reset(tick, self, cause="template-width")
+                else:
+                    self.state_space.clear()
             self.mapping = MappingPipeline(
                 normalizer, self.state_space, telemetry=self.telemetry
             )

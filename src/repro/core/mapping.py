@@ -101,7 +101,7 @@ class MappingPipeline:
             tick=tick,
             state_index=index,
             coords=coords,
-            label=self.state_space.labels[index],
+            label=self.state_space.label(index),
             is_new_state=is_new,
             refitted=refitted,
         )

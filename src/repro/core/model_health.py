@@ -10,11 +10,10 @@ interference managers treat the controller's own model as a fallible
 component; the reproduction does the same:
 
 * every period the watchdog checks **learned-state invariants**: finite
-  2-D coordinates and representative vectors, index-aligned
-  labels/coords/representatives, finite non-negative violation-range
-  radii and scale, finite step-histogram samples, a positive finite
-  beta, and normalized stress that neither diverges nor goes
-  non-finite;
+  2-D coordinates and representative vectors, finite non-negative
+  violation-range radii and scale, finite step-histogram samples, a
+  positive finite beta, and normalized stress that neither diverges
+  nor goes non-finite;
 * on violation it **heals in place**, with the least destructive of
   three tiers that fits:
 
@@ -25,9 +24,8 @@ component; the reproduction does the same:
      loses its two step histograms, its step count and its continuity,
      and relearns from the next mapped period (PAPER.md §6: relearning
      is cheap);
-  3. **hard reset**: structural damage (labels, coords and
-     representatives out of step, or diverged stress) or a map whose
-     every row is bad resets every mode and clears the map.
+  3. **hard reset**: diverged stress, or a map whose every row is
+     bad, resets every mode and clears the map.
 
 Nothing is kept to roll back to. Quarantines and resets are recorded in
 the :class:`~repro.core.events.EventLog`. Every count
@@ -137,11 +135,11 @@ class HealthReport:
     bad_states: List[int] = field(default_factory=list)
     #: Execution modes whose step histograms hold non-finite samples.
     bad_modes: List[ExecutionMode] = field(default_factory=list)
-    #: Structural damage (length mismatches) that per-row quarantine
-    #: cannot repair.
+    #: Diverged stress: damage to the whole embedding that per-row
+    #: quarantine cannot repair.
     structural: bool = False
     #: Poisoning confined to the materialized geometry cache while the
-    #: underlying coords/labels are clean.
+    #: underlying rows are clean.
     cache_poisoned: bool = False
     #: Beta degenerated (non-finite or non-positive).
     beta_bad: bool = False
@@ -209,26 +207,13 @@ class ModelHealthWatchdog:
         space = controller.state_space
         self._count("checks")
 
-        # 1. Structural consistency: labels, coords and representatives
-        #    must stay index-aligned.
-        n_labels = len(space.labels)
-        n_coords = int(space.coords.shape[0])
-        n_reps = len(space.representatives)
-        if not (n_labels == n_coords == n_reps):
-            report.structural = True
-            report.issues.append(
-                HealthIssue(
-                    "consistency",
-                    f"labels={n_labels} coords={n_coords} reps={n_reps}",
-                )
-            )
-
-        # 2. Per-row sanity of the learned map: finite and of plausible
+        # 1. Per-row sanity of the learned map: finite and of plausible
         #    magnitude (both live in normalized spaces of order-1
         #    values; 1e9 is corruption, not learning). One pass over
         #    each matrix: its bytes, against those that last passed;
         #    rows appended behind them are the only ones re-checked.
-        if not report.structural and n_coords:
+        n = len(space)
+        if n:
             points = space.representatives.points
             content = (space.coords.tobytes(), points.tobytes())
             clean = self._clean
@@ -250,7 +235,7 @@ class ModelHealthWatchdog:
                     )
                 )
 
-        # 3. Materialized violation geometry: radii non-negative and
+        # 2. Materialized violation geometry: radii non-negative and
         #    finite, scale and centers finite. Only the *cached* object
         #    is checked — rebuilding here would mask in-place poisoning.
         #    Content that passed before passes again: the check re-runs
@@ -272,10 +257,10 @@ class ModelHealthWatchdog:
                 report.issues.append(
                     HealthIssue("geometry", "cached violation geometry poisoned")
                 )
-                if not report.bad_states and not report.structural:
+                if not report.bad_states:
                     report.cache_poisoned = True
 
-        # 4. Trajectory models: step histograms must stay finite. The
+        # 3. Trajectory models: step histograms must stay finite. The
         #    windows keep their own count of non-finite values.
         for mode, model in controller.predictor.modes.models.items():
             last = model.last_point
@@ -290,18 +275,15 @@ class ModelHealthWatchdog:
                     HealthIssue("histograms", f"{mode.value} model non-finite")
                 )
 
-        # 5. Beta stays a usable threshold.
+        # 4. Beta stays a usable threshold.
         beta = controller.throttle.beta
         if not isfinite(beta) or beta <= 0:
             report.beta_bad = True
             report.issues.append(HealthIssue("beta", f"beta degenerated to {beta}"))
 
-        # 6. Stress non-divergence (only meaningful on a clean map of
+        # 5. Stress non-divergence (only meaningful on a clean map of
         #    useful size; a poisoned map is already flagged above).
-        if (
-            not report.issues
-            and n_labels >= MIN_STATES_FOR_STRESS
-        ):
+        if not report.issues and n >= MIN_STATES_FOR_STRESS:
             stress = self._stress(space)
             if not isfinite(stress) or stress > STRESS_DIVERGENCE:
                 report.structural = True
@@ -367,8 +349,8 @@ class ModelHealthWatchdog:
             actions.append("geometry-rebuild")
 
         bad_rows = len(report.bad_states)
-        if report.structural or (bad_rows and bad_rows == len(space.labels)):
-            self._hard_reset(tick, controller)
+        if report.structural or (bad_rows and bad_rows == len(space)):
+            self.hard_reset(tick, controller)
             actions.append("reset")
             # The map was rewritten under the outstanding forecast. A
             # quarantine only drops rows and a mode reset leaves the map
@@ -413,14 +395,16 @@ class ModelHealthWatchdog:
             cleared.append(mode.value)
         self.events.record(tick, EventKind.MODEL_RESET, modes=cleared, **detail)
 
-    def _hard_reset(self, tick: int, controller: "StayAway") -> None:
-        """Last resort: reset every mode, then clear the map and relearn."""
+    def hard_reset(self, tick: int, controller: "StayAway", **detail) -> None:
+        """Last resort: reset every mode, then clear the map and relearn.
+        ``detail`` joins the ``MODEL_RESET`` event that records it."""
         space = controller.state_space
         self._reset_modes(
             tick,
             controller,
             controller.predictor.modes.models,
-            states=len(space.representatives),
+            states=len(space),
+            **detail,
         )
         space.clear()
         self._count("resets")

@@ -46,6 +46,9 @@ class StateLabel(enum.Enum):
     VIOLATION = "violation"
 
 
+_LABELS = (StateLabel.SAFE, StateLabel.VIOLATION)
+
+
 @dataclass(frozen=True)
 class ViolationGeometry:
     """Materialized violation-range geometry of one state-space snapshot.
@@ -63,8 +66,7 @@ class ViolationGeometry:
     Attributes
     ----------
     n_states:
-        State-space size the snapshot was built from (consistency
-        guard for callers that mutate the space behind the cache).
+        State-space size the snapshot was built from.
     scale:
         The Rayleigh scale ``c`` at build time.
     violation_indices:
@@ -150,6 +152,9 @@ REFIT_INTERVAL = 40
 class StateSpace:
     """Deduplicated mapped states with labels and violation-ranges.
 
+    The map is one table, :attr:`representatives`; only the methods
+    here change its rows.
+
     Parameters
     ----------
     epsilon:
@@ -173,8 +178,6 @@ class StateSpace:
                 f"radius_law must be 'rayleigh' or 'fixed', got {radius_law!r}"
             )
         self.representatives = RepresentativeSet(epsilon=epsilon)
-        self.coords: np.ndarray = np.empty((0, 2))
-        self.labels: List[StateLabel] = []
         self.refit_interval = REFIT_INTERVAL
         self.radius_law = radius_law
         self.fixed_radius = fixed_radius
@@ -214,26 +217,41 @@ class StateSpace:
 
     # -- introspection ---------------------------------------------------
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.representatives.coords)
 
-    def _indices_by_label(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(violation_indices, safe_indices)`` from one pass over the labels."""
-        violation = StateLabel.VIOLATION
-        violations: List[int] = []
-        safe: List[int] = []
-        for index, label in enumerate(self.labels):
-            (violations if label is violation else safe).append(index)
-        return np.array(violations, dtype=int), np.array(safe, dtype=int)
+    @property
+    def coords(self) -> np.ndarray:
+        """``(n, 2)`` map coordinates, a live view of the table's column."""
+        return self.representatives.coords
+
+    @coords.setter
+    def coords(self, value: np.ndarray) -> None:
+        # In place, so ``space.coords *= k`` reaches the table.
+        self.representatives.coords[...] = value
+
+    @property
+    def violation(self) -> np.ndarray:
+        """``(n,)`` violation flags, a live view of the table's column."""
+        return self.representatives.violation
+
+    def label(self, index: int) -> StateLabel:
+        """The label of state ``index``."""
+        return _LABELS[self.representatives.violation.item(index)]
+
+    @property
+    def labels(self) -> List[StateLabel]:
+        """Every state's label, read from the flag column."""
+        return [_LABELS[flag] for flag in self.violation.tolist()]
 
     @property
     def violation_indices(self) -> np.ndarray:
         """Indices of violation-states."""
-        return self._indices_by_label()[0]
+        return np.flatnonzero(self.violation)
 
     @property
     def safe_indices(self) -> np.ndarray:
         """Indices of safe-states."""
-        return self._indices_by_label()[1]
+        return np.flatnonzero(~self.violation)
 
     def coordinate_scale(self) -> float:
         """The Rayleigh scale ``c``: median of the per-axis coordinate ranges.
@@ -258,40 +276,32 @@ class StateSpace:
         a violation observation relabels the state stickily. A new state
         lands whole or not at all: when its placement raises (a
         non-finite representative makes every distance of the scan
-        non-finite), the representative it opened goes again, so the
-        representatives, coordinates and labels keep one length.
+        non-finite), the row :meth:`RepresentativeSet.assign` opened
+        goes again.
         """
-        index, is_new = self.representatives.assign(normalized)
+        table = self.representatives
+        index, is_new = table.assign(normalized)
         refitted = False
         if is_new:
-            try:
-                coords = self._place_new()
-            except ValueError:
-                self.representatives.remove_indices([index])
-                raise
-            self.coords = (
-                np.concatenate((self.coords, coords[None, :]))
-                if self.coords.size
-                else coords[None, :]
-            )
-            self.labels.append(StateLabel.SAFE)
+            if index:
+                # Against the scan that opened the row: the new sample
+                # to every representative before it.
+                try:
+                    table.coords[index] = place_point(
+                        table.coords[:index], table.last_distances
+                    )
+                except ValueError:
+                    table.remove_indices([index])
+                    raise
             self.invalidate_geometry()
             self._new_since_refit += 1
             if self._new_since_refit >= self.refit_interval:
                 self.refit()
                 refitted = True
-        if violated and self.labels[index] is not StateLabel.VIOLATION:
-            self.labels[index] = StateLabel.VIOLATION
+        if violated and not table.violation[index]:
+            table.violation[index] = True
             self.invalidate_geometry()
         return index, is_new, refitted
-
-    def _place_new(self) -> np.ndarray:
-        """2-D coordinates for the representative :meth:`add_sample` just
-        opened, against the distances of the scan that opened it: the
-        new sample to every representative before it."""
-        if len(self) == 0:
-            return np.zeros(2)
-        return place_point(self.coords, self.representatives.last_distances)
 
     def refit(self) -> float:
         """Full SMACOF refit, Procrustes-aligned to the previous map.
@@ -312,7 +322,7 @@ class StateSpace:
                 target, n_components=2, init=self.coords, max_iter=REFIT_MAX_ITER
             )
             aligned, _, _ = procrustes_align(self.coords, result.embedding)
-            self.coords = aligned
+            self.coords[...] = aligned
             self._new_since_refit = 0
             self.invalidate_geometry()
             stress = normalized_stress(self.coords, target)
@@ -335,20 +345,9 @@ class StateSpace:
     def invalidate_geometry(self) -> None:
         """Drop the cached :class:`ViolationGeometry`.
 
-        Called automatically on the three mutation events that change
-        the violation-range geometry:
-
-        * a new representative is placed (:meth:`add_sample` with a
-          fresh epsilon-ball): the safe set, the coordinate ranges and
-          therefore every radius may change;
-        * a sticky relabel to VIOLATION (:meth:`add_sample` observing a
-          violation on a previously safe state);
-        * a SMACOF refit (:meth:`refit`), a hard reset (:meth:`clear`)
-          or a template load rewriting ``coords`` wholesale.
-
-        External code that mutates ``coords`` / ``labels`` directly
-        (template loading) must call this explicitly — that is the
-        cache contract.
+        Every method here that changes the table calls this: a new
+        state, a sticky relabel to VIOLATION, a refit, a quarantine, a
+        hard reset (:meth:`clear`) and a bulk :meth:`load`.
         """
         if self._geometry is not None:
             self._geometry = None
@@ -362,7 +361,7 @@ class StateSpace:
         ``geometry.rebuild_seconds``; cache hits and rebuilds are counted.
         """
         cached = self._geometry
-        if cached is not None and cached.n_states == len(self):
+        if cached is not None:
             self._c_geometry_hits.inc()
             return cached
         with self.telemetry.stage("geometry.rebuild"):
@@ -379,16 +378,8 @@ class StateSpace:
         operation (same subtract/square/sum/sqrt/exp sequence), so the
         vectorized votes are bit-identical to the scalar ones.
         """
-        violations, safe = self._indices_by_label()
+        violations, safe = self.violation_indices, self.safe_indices
         c = self.coordinate_scale()
-        if violations.size == 0:
-            return ViolationGeometry(
-                n_states=len(self),
-                scale=c,
-                violation_indices=violations,
-                centers=np.empty((0, 2)),
-                radii=np.empty(0),
-            )
         centers = self.coords[violations]
         if self.radius_law == "fixed":
             radii = np.full(violations.size, float(self.fixed_radius))
@@ -397,7 +388,7 @@ class StateSpace:
             # peak radius so unexplored space is treated cautiously.
             fallback = c * float(np.exp(-0.5)) if c > 0 else 0.0
             radii = np.full(violations.size, fallback)
-        elif c <= 0:
+        elif c <= 0 or not violations.size:
             radii = np.zeros(violations.size)
         else:
             # The subtract/square/sum/sqrt of the scalar reference, on
@@ -422,42 +413,45 @@ class StateSpace:
 
         Used by the model-health watchdog when a representative's
         coordinates or high-dimensional vector went non-finite: the
-        offending rows are dropped from the representatives, the 2-D
-        coordinates and the labels in one index-aligned pass, later
-        states shift down, and every derived cache (the representative
-        matrix, the violation geometry) is invalidated. Returns how
-        many states were removed.
+        offending rows leave the table in one compaction, later states
+        shift down, and the violation geometry is invalidated. Returns
+        how many states were removed.
 
         State *indices* held by external bookkeeping (mapping history,
         figures) are not rewritten — they refer to the map as it was at
         record time, exactly as they already do across refits.
         """
-        doomed = {int(i) for i in indices if 0 <= int(i) < len(self.labels)}
-        if not doomed:
-            return 0
-        removed = self.representatives.remove_indices(sorted(doomed))
-        keep, labels = [], []
-        for index, label in enumerate(self.labels):
-            if index not in doomed:
-                keep.append(index)
-                labels.append(label)
-        self.coords = (
-            self.coords[keep] if keep else np.empty((0, 2))
-        )
-        self.labels = labels
-        self._new_since_refit = min(self._new_since_refit, len(self.labels))
-        self.invalidate_geometry()
+        removed = self.representatives.remove_indices(indices)
+        if removed:
+            self._new_since_refit = min(self._new_since_refit, len(self))
+            self.invalidate_geometry()
         return removed
 
     def clear(self) -> None:
-        """Forget every state in place: representatives, coordinates and
-        labels, the refit progress and the geometry cache (the
-        watchdog's hard reset). Counters keep their totals."""
+        """Forget every state in place, with the refit progress and the
+        geometry cache (the watchdog's hard reset). The next sample may
+        be of any width. Counters keep their totals."""
         self.representatives.clear()
-        self.coords = np.empty((0, 2))
-        self.labels = []
         self._new_since_refit = 0
         self.invalidate_geometry()
+
+    def load(self, points: np.ndarray, coords: np.ndarray, violation) -> None:
+        """Replace the map with the rows ``(n, d)`` ``points``, ``(n, 2)``
+        ``coords`` and ``n`` ``violation`` flags (template reuse). Raises
+        ``ValueError``, leaving the map empty, when a row lies within
+        epsilon of an earlier one."""
+        self.clear()
+        table = self.representatives
+        for row in points:
+            index, is_new = table.assign(row)
+            if not is_new:
+                self.clear()
+                raise ValueError(
+                    "map rows are not epsilon-separated; "
+                    f"row {len(table)} merged into row {index} on load"
+                )
+        table.coords[...] = coords
+        table.violation[...] = violation
 
     def geometry_stats(self) -> Dict[str, int]:
         """Cache accounting: the ``geometry.*`` counters so far."""

@@ -115,7 +115,8 @@ class MapTemplate:
         """A fresh state space pre-seeded with this template's map.
 
         ``telemetry`` is handed to the :class:`StateSpace` (the
-        controller passes its own).
+        controller passes its own). Raises ``ValueError`` when two
+        representatives lie within the template's epsilon.
         """
         space = StateSpace(
             epsilon=self.epsilon,
@@ -123,18 +124,11 @@ class MapTemplate:
             fixed_radius=fixed_radius,
             telemetry=telemetry,
         )
-        for row, label in zip(self.representatives, self.labels):
-            index, is_new = space.representatives.assign(row)
-            if not is_new:
-                raise ValueError(
-                    "template representatives are not epsilon-separated; "
-                    f"row {index} merged on reload"
-                )
-            space.labels.append(label)
-        space.coords = self.coords.copy()
-        # Labels/coords were written directly (not via add_sample), so
-        # honor the geometry-cache contract explicitly.
-        space.invalidate_geometry()
+        space.load(
+            self.representatives,
+            self.coords,
+            [label is StateLabel.VIOLATION for label in self.labels],
+        )
         return space
 
     # -- serialization ----------------------------------------------------------

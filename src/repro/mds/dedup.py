@@ -19,20 +19,23 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-#: Spare rows a grown representative matrix reserves, at least:
-#: growing past ``n`` rows reserves ``max(n, MIN_SPARE_ROWS)`` more.
+#: Spare rows a grown table reserves, at least: growing past ``n``
+#: rows reserves ``max(n, MIN_SPARE_ROWS)`` more.
 MIN_SPARE_ROWS = 16
 
 
 class RepresentativeSet:
-    """Epsilon-ball deduplication over high-dimensional samples.
+    """Epsilon-ball deduplication, and the table of the learned map.
 
-    The representatives live once, as the leading rows of one growable
-    matrix; :attr:`points` is the live view of them, so a write into it
-    is a write into the set. The merge test is one scan of
-    :attr:`points` per sample. At the <= 250 states a controller
-    reaches that costs less than hashing the sample into a spatial
-    index does (``docs/ARCHITECTURE.md``).
+    A row per mapped state holds its representative, its 2-D
+    coordinates and its violation flag. The three columns share one
+    capacity and one row count: they grow, compact and clear together.
+    :attr:`points`, :attr:`coords` and :attr:`violation` are live views
+    of the leading rows, re-pointed when the row count changes, so a
+    write into one is a write into the table. The merge test is one
+    scan of :attr:`points` per sample. At the <= 250 states a
+    controller reaches that costs less than hashing the sample into a
+    spatial index does (``docs/ARCHITECTURE.md``).
 
     Parameters
     ----------
@@ -40,18 +43,17 @@ class RepresentativeSet:
         Merge radius in the normalized metric space. Samples within
         ``epsilon`` of an existing representative are absorbed by it.
     dimension:
-        Expected sample dimensionality (checked on every insert).
+        Sample width. A table holding rows takes only samples of its
+        rows' width; an empty one takes its width from its next sample.
     """
 
     def __init__(self, epsilon: float, dimension: Optional[int] = None) -> None:
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
         self.epsilon = epsilon
-        self.dimension = dimension
-        # One count per representative; their number is the number of
-        # live rows at the top of ``_buffer``.
         self._counts: List[int] = []
-        self._buffer = np.empty((0, dimension or 0))
+        self._empty(dimension)
+        self._view()
         #: Distances from the sample of the last :meth:`nearest` (or
         #: :meth:`assign`) to every representative the set then held;
         #: empty when it held none. A new state's placement reads them.
@@ -65,11 +67,19 @@ class RepresentativeSet:
         """Number of raw samples absorbed by each representative."""
         return np.asarray(self._counts, dtype=int)
 
-    @property
-    def points(self) -> np.ndarray:
-        """``(n_representatives, dimension)`` matrix of representatives,
-        a live view: an in-place write persists."""
-        return self._buffer[: len(self._counts)]
+    def _empty(self, dimension: Optional[int]) -> None:
+        """Zero-capacity columns, the representatives ``dimension`` wide."""
+        self.dimension = dimension
+        self._points = np.empty((0, dimension or 0))
+        self._coords = np.empty((0, 2))
+        self._violation = np.empty(0, dtype=bool)
+
+    def _view(self) -> None:
+        """Point the live views at the leading ``len(self)`` rows."""
+        n = len(self._counts)
+        self.points = self._points[:n]
+        self.coords = self._coords[:n]
+        self.violation = self._violation[:n]
 
     def nearest(self, sample: np.ndarray) -> Tuple[int, float]:
         """Index of and distance to the nearest representative.
@@ -95,22 +105,21 @@ class RepresentativeSet:
     def assign(self, sample: np.ndarray) -> Tuple[int, bool]:
         """Insert a sample; return ``(representative_index, is_new)``.
 
-        ``is_new`` is True when the sample opened a new epsilon-ball
-        (and therefore needs a fresh 2-D placement downstream, against
-        :attr:`last_distances`).
+        ``is_new`` is True when the sample opened a new epsilon-ball: a
+        new row, safe and at the origin until its owner places it
+        against :attr:`last_distances`.
         """
         sample = np.asarray(sample, dtype=float)
         if sample.ndim != 1:
             raise ValueError(f"samples must be 1-D vectors, got shape {sample.shape}")
-        if self.dimension is None:
-            self.dimension = sample.shape[0]
-            self._buffer = np.empty((0, self.dimension))
-        elif sample.shape[0] != self.dimension:
-            raise ValueError(
-                f"sample dimension {sample.shape[0]} != expected {self.dimension}"
-            )
-
         n = len(self._counts)
+        if sample.shape[0] != self.dimension:
+            if n:
+                raise ValueError(
+                    f"sample dimension {sample.shape[0]} != expected {self.dimension}"
+                )
+            self._empty(sample.shape[0])
+
         if n:
             # The nearest representative absorbs the sample; the first
             # index wins on equal distances.
@@ -121,33 +130,40 @@ class RepresentativeSet:
         else:
             self.last_distances = np.empty(0)
 
-        if n == self._buffer.shape[0]:
-            grown = np.empty((n + max(n, MIN_SPARE_ROWS), self.dimension))
-            grown[:n] = self._buffer
-            self._buffer = grown
-        self._buffer[n] = sample
+        if n == self._points.shape[0]:
+            capacity = n + max(n, MIN_SPARE_ROWS)
+            self._points, self._coords, self._violation = (
+                np.resize(column, (capacity, *column.shape[1:]))
+                for column in (self._points, self._coords, self._violation)
+            )
+        self._points[n] = sample
+        self._coords[n] = 0.0
+        self._violation[n] = False
         self._counts.append(1)
+        self._view()
         return n, True
 
     def remove_indices(self, indices) -> int:
-        """Remove representatives by index; returns how many were removed.
+        """Remove rows by index; returns how many were removed.
 
-        Later representatives shift down to fill the gaps, in place
-        (callers that keep index-aligned side arrays must compact them
-        identically).
+        Later rows shift down to fill the gaps, in place, in every
+        column.
         """
         n = len(self._counts)
         doomed = {int(i) for i in indices if 0 <= int(i) < n}
         if not doomed:
             return 0
         kept = [i for i in range(n) if i not in doomed]
-        self._buffer[: len(kept)] = self._buffer[kept]
+        for column in (self._points, self._coords, self._violation):
+            column[: len(kept)] = column[kept]
         self._counts = [self._counts[i] for i in kept]
+        self._view()
         return len(doomed)
 
     def clear(self) -> None:
-        """Remove every representative in place."""
+        """Remove every row in place; the next sample may set a new width."""
         self._counts.clear()
+        self._view()
 
     def compression_ratio(self) -> float:
         """Raw samples per representative (>= 1.0; higher = more savings)."""

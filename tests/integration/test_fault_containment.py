@@ -316,8 +316,7 @@ class TestModeResetFidelity:
         controller, config = self.learned_controller()
         watchdog = ModelHealthWatchdog(config, controller.events)
         space_before = controller.state_space
-        controller.state_space.coords[0] = np.nan
-        controller.state_space.labels.append(controller.state_space.labels[-1])
+        controller.state_space.coords[:] = np.nan  # every row bad
         assert watchdog.check_and_heal(200, controller) == ["reset"]
         # In-place reset: the mapping pipeline's reference stays valid.
         assert controller.state_space is space_before

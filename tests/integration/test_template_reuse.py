@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import StayAwayConfig
+from repro.core.events import EventKind
 from repro.core.state_space import StateLabel
+from repro.core.template import MapTemplate
 from repro.experiments.runner import run_stayaway
 from repro.experiments.scenarios import Scenario
 
@@ -89,3 +91,42 @@ class TestTemplateReuse:
             1 for tick in seeded.qos.violation_ticks if tick < early_window
         )
         assert seeded_early <= fresh_early
+
+
+class TestForeignTemplate:
+    @pytest.mark.parametrize("containment", [True, False])
+    def test_a_template_of_another_width_is_dropped_on_the_first_period(
+        self, containment
+    ):
+        """A map whose vectors are 3 wide cannot take one of vlc's: the
+        controller drops it whole, with its beta, and the run decides
+        exactly as a run without a template does."""
+        scenario = Scenario(
+            sensitive="vlc-streaming", batches=("cpubomb",), ticks=600, seed=0
+        )
+        config = StayAwayConfig(containment=containment)
+        template = MapTemplate(
+            representatives=[[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]],
+            coords=[[0.0, 0.0], [1.0, 0.0]],
+            labels=[StateLabel.SAFE, StateLabel.VIOLATION],
+            epsilon=config.dedup_epsilon,
+            beta=4 * config.beta_initial,
+        )
+        cold = run_stayaway(scenario, config=config).controller
+        seeded = run_stayaway(scenario, config=config, template=template).controller
+
+        def decisions(controller):
+            kinds = (EventKind.THROTTLE, EventKind.RESUME, EventKind.PROBE_RESUME)
+            return [(event.tick, event.kind) for event in controller.events if event.kind in kinds]
+
+        assert decisions(cold)
+        assert decisions(seeded) == decisions(cold)
+        assert len(seeded.trajectory) == len(cold.trajectory) > 0
+        assert len(seeded.state_space) == len(cold.state_space)
+        containment_summary = seeded.summary()["telemetry"]["containment"]
+        assert containment_summary["firewall_catches"] == 0
+        if containment:
+            assert containment_summary["watchdog"]["resets"] == 1
+            [reset] = seeded.events.of_kind(EventKind.MODEL_RESET)
+            assert reset.detail["cause"] == "template-width"
+            assert reset.detail["states"] == 2

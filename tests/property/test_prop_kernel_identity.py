@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.state_space import StateLabel, StateSpace
+from repro.core.state_space import StateSpace
 from repro.mds.distances import point_distances
 from repro.mds.incremental import _descend, _multi_starts, place_point
 from tests.support.kernel_reference import (
@@ -198,16 +198,14 @@ def geometry_space(seed, n, layout, law, labels):
     elif layout == "tiny":
         # subnormal ranges, where halving first would round
         coords = coords * 1e-310
-    space.coords = coords
     if labels == "all-safe":
-        space.labels = [StateLabel.SAFE] * n
+        flags = [False] * n
     elif labels == "all-violation":
-        space.labels = [StateLabel.VIOLATION] * n
+        flags = [True] * n
     else:
-        space.labels = [
-            StateLabel.VIOLATION if flag else StateLabel.SAFE
-            for flag in rng.uniform(size=n) < 0.3
-        ]
+        flags = rng.uniform(size=n) < 0.3
+    # One-wide representatives a unit apart: epsilon-separated rows.
+    space.load(np.arange(n, dtype=float)[:, None], coords, flags)
     return space
 
 

@@ -156,17 +156,6 @@ class TestCache:
         space.refit()
         assert space.geometry_stats()["invalidations"] == before + 1
 
-    def test_stale_size_rebuilds_even_without_invalidate(self):
-        # Defense in depth: external code appending states without
-        # honoring the contract still gets a fresh geometry.
-        space, _ = random_space(seed=25)
-        space.geometry()
-        space.coords = np.vstack([space.coords, [[9.0, 9.0]]])
-        space.labels.append(StateLabel.VIOLATION)
-        geometry = space.geometry()
-        assert geometry.n_states == len(space)
-        assert 9.0 in geometry.centers[:, 0]
-
 
 class TestTelemetryWiring:
     def test_counters_and_stage_timer(self):

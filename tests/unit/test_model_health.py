@@ -86,13 +86,6 @@ class TestInspect:
         report = watchdog.inspect(100, controller)
         assert 1 in report.bad_states
 
-    def test_length_mismatch_is_structural(self):
-        controller = learned_controller()
-        watchdog = fresh_watchdog(controller)
-        controller.state_space.labels.append(controller.state_space.labels[-1])
-        report = watchdog.inspect(100, controller)
-        assert report.structural
-
     def test_poisoned_geometry_cache_is_cache_only(self):
         controller = learned_controller()
         watchdog = fresh_watchdog(controller)
@@ -140,7 +133,7 @@ class TestHeal:
         controller = learned_controller()
         watchdog = fresh_watchdog(controller)
         states = len(controller.state_space)
-        controller.state_space.labels.append(controller.state_space.labels[-1])
+        controller.state_space.coords[:] = np.nan  # every row bad
         actions = watchdog.check_and_heal(100, controller)
         assert actions == ["reset"]
         assert len(controller.state_space) == 0
@@ -564,7 +557,7 @@ class TestVerdictTable:
 
 
 class _StructuralBreach:
-    """Misalign the map's labels after the controller's period at each
+    """Poison every row of the map after the controller's period at each
     scripted tick: the next period's watchdog must hard-reset."""
 
     def __init__(self, controller, ticks):
@@ -573,8 +566,7 @@ class _StructuralBreach:
 
     def on_tick(self, snapshot, host):
         if snapshot.tick in self.ticks:
-            labels = self.controller.state_space.labels
-            labels.append(labels[-1])
+            self.controller.state_space.coords[:] = np.nan
 
 
 class TestHealInvalidatesThePendingForecast:

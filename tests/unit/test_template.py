@@ -198,6 +198,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             MapTemplate.from_dict(data)
 
+    def test_rows_closer_than_epsilon_are_rejected_on_load(self):
+        # Within epsilon of row 0 along every axis: a well-formed file,
+        # but not a map, since the rows would merge on load.
+        data = MapTemplate.from_state_space(make_space(), beta=0.03).to_dict()
+        data["representatives"][1] = [
+            value + data["epsilon"] / 4 for value in data["representatives"][0]
+        ]
+        template = MapTemplate.from_dict(data)
+        with pytest.raises(ValueError, match="not epsilon-separated"):
+            template.build_state_space()
+
     def test_json_is_plain_types(self):
         template = MapTemplate.from_state_space(make_space(), beta=0.03)
         data = template.to_dict()
