@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 from repro.core.prediction import AccuracyRecord
 from repro.trajectory.modes import ExecutionMode
 
 
-@dataclass(frozen=True)
-class AccuracySummary:
+class AccuracySummary(NamedTuple):
     """Prediction accuracy over a run.
 
     Attributes

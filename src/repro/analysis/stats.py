@@ -7,14 +7,12 @@ intervals for run-level metrics, and a couple of robust estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Mean with a bootstrap confidence interval.
 
     Attributes

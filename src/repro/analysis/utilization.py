@@ -9,8 +9,7 @@ band is the unmanaged co-location, the lower band is Stay-Away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ def gained_utilization_series(
     return (colocated[:n] - isolated[:n]) * 100.0
 
 
-@dataclass(frozen=True)
-class UtilizationComparison:
+class UtilizationComparison(NamedTuple):
     """Gained-utilization summary across management policies.
 
     Attributes

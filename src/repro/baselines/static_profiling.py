@@ -12,8 +12,7 @@ exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from repro.sim.container import Container
 from repro.sim.contention import ProportionalShareModel
@@ -22,8 +21,7 @@ from repro.sim.resources import ResourceVector, sum_vectors
 from repro.workloads.base import Application
 
 
-@dataclass(frozen=True)
-class StaticProfile:
+class StaticProfile(NamedTuple):
     """An offline profile: the mean demand observed during profiling.
 
     Attributes

@@ -9,9 +9,8 @@ does on a physical host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +54,7 @@ STAGE_FAILED = _StageOutcome("failed")
 PLAUSIBILITY_FACTOR = 4.0
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     """One controller period in the mapped space (for figures/analysis).
 
     Attributes
@@ -338,11 +336,7 @@ class StayAway:
 
         self.trajectory.append(
             TrajectoryPoint(
-                tick=tick,
-                coords=mapped.coords,
-                mode=mode,
-                label=mapped.label,
-                throttling=self.throttle.throttling,
+                tick, mapped.coords, mode, mapped.label, self.throttle.throttling
             )
         )
         self._prev_coords = mapped.coords

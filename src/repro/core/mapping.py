@@ -12,8 +12,7 @@ Pipeline per period (§3.1 + §4 optimizations):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from repro.monitoring.normalize import Normalizer
 from repro.telemetry import Telemetry
 
 
-@dataclass(frozen=True)
-class MappedSample:
+class MappedSample(NamedTuple):
     """Result of mapping one measurement vector.
 
     Attributes
@@ -98,12 +96,7 @@ class MappingPipeline:
         coords = self.state_space.coords[index].copy()
         coords.flags.writeable = False
         sample = MappedSample(
-            tick=tick,
-            state_index=index,
-            coords=coords,
-            label=self.state_space.label(index),
-            is_new_state=is_new,
-            refitted=refitted,
+            tick, index, coords, self.state_space.label(index), is_new, refitted
         )
         self.history.append(sample)
         self._c_samples.inc()

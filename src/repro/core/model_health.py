@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -117,8 +117,7 @@ def _appended_sums(coords: np.ndarray, points: np.ndarray, start: int) -> Tuple[
     return raw, total
 
 
-@dataclass(frozen=True)
-class HealthIssue:
+class HealthIssue(NamedTuple):
     """One learned-state invariant violation."""
 
     check: str
@@ -127,7 +126,7 @@ class HealthIssue:
 
 @dataclass
 class HealthReport:
-    """Outcome of one watchdog inspection."""
+    """The breach one watchdog inspection found (one issue or more)."""
 
     tick: int
     issues: List[HealthIssue] = field(default_factory=list)
@@ -143,11 +142,6 @@ class HealthReport:
     cache_poisoned: bool = False
     #: Beta degenerated (non-finite or non-positive).
     beta_bad: bool = False
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held."""
-        return not self.issues
 
 
 class ModelHealthWatchdog:
@@ -201,9 +195,16 @@ class ModelHealthWatchdog:
         self._counters[key].inc(amount)
 
     # -- inspection --------------------------------------------------------
-    def inspect(self, tick: int, controller: "StayAway") -> HealthReport:
-        """Check every learned-state invariant; never raises."""
-        report = HealthReport(tick=tick)
+    def inspect(self, tick: int, controller: "StayAway") -> Optional[HealthReport]:
+        """Check every learned-state invariant; never raises.
+
+        Returns ``None`` when every invariant held: a report is built
+        only for a breach.
+        """
+        issues: List[HealthIssue] = []
+        bad_states: List[int] = []
+        bad_modes: List[ExecutionMode] = []
+        cache_poisoned = beta_bad = structural = False
         space = controller.state_space
         self._count("checks")
 
@@ -226,12 +227,11 @@ class ModelHealthWatchdog:
                 if not bad:
                     self._clean = content
             if bad:
-                report.bad_states = sorted(bad)
-                report.issues.append(
+                bad_states = sorted(bad)
+                issues.append(
                     HealthIssue(
                         "finite-rows",
-                        f"{len(bad)} state row(s) non-finite: "
-                        f"{report.bad_states[:8]}",
+                        f"{len(bad)} state row(s) non-finite: {bad_states[:8]}",
                     )
                 )
 
@@ -254,11 +254,8 @@ class ModelHealthWatchdog:
                 if geometry_ok:
                     self._clean_geometry = content
             if not geometry_ok:
-                report.issues.append(
-                    HealthIssue("geometry", "cached violation geometry poisoned")
-                )
-                if not report.bad_states:
-                    report.cache_poisoned = True
+                issues.append(HealthIssue("geometry", "cached violation geometry poisoned"))
+                cache_poisoned = not bad_states
 
         # 3. Trajectory models: step histograms must stay finite. The
         #    windows keep their own count of non-finite values.
@@ -270,30 +267,37 @@ class ModelHealthWatchdog:
                 and (last is None or all(map(isfinite, last.tolist())))
             )
             if not finite:
-                report.bad_modes.append(mode)
-                report.issues.append(
-                    HealthIssue("histograms", f"{mode.value} model non-finite")
-                )
+                bad_modes.append(mode)
+                issues.append(HealthIssue("histograms", f"{mode.value} model non-finite"))
 
         # 4. Beta stays a usable threshold.
         beta = controller.throttle.beta
         if not isfinite(beta) or beta <= 0:
-            report.beta_bad = True
-            report.issues.append(HealthIssue("beta", f"beta degenerated to {beta}"))
+            beta_bad = True
+            issues.append(HealthIssue("beta", f"beta degenerated to {beta}"))
 
         # 5. Stress non-divergence (only meaningful on a clean map of
         #    useful size; a poisoned map is already flagged above).
-        if not report.issues and n >= MIN_STATES_FOR_STRESS:
+        if not issues and n >= MIN_STATES_FOR_STRESS:
             stress = self._stress(space)
             if not isfinite(stress) or stress > STRESS_DIVERGENCE:
-                report.structural = True
-                report.issues.append(
+                structural = True
+                issues.append(
                     HealthIssue("stress", f"normalized stress diverged to {stress}")
                 )
 
-        if report.issues:
-            self._count("violations")
-        return report
+        if not issues:
+            return None
+        self._count("violations")
+        return HealthReport(
+            tick=tick,
+            issues=issues,
+            bad_states=bad_states,
+            bad_modes=bad_modes,
+            structural=structural,
+            cache_poisoned=cache_poisoned,
+            beta_bad=beta_bad,
+        )
 
     def _stress(self, space: StateSpace) -> float:
         """``space.stress()``, kept as its two pair sums.
@@ -332,8 +336,6 @@ class ModelHealthWatchdog:
         ``reset``).
         """
         actions: List[str] = []
-        if report.ok:
-            return actions
         space = controller.state_space
 
         if report.beta_bad:
@@ -413,7 +415,7 @@ class ModelHealthWatchdog:
     def check_and_heal(self, tick: int, controller: "StayAway") -> List[str]:
         """Inspect and heal; returns the actions taken."""
         report = self.inspect(tick, controller)
-        if report.ok:
+        if report is None:
             return []
         return self.heal(tick, controller, report)
 

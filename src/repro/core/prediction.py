@@ -19,9 +19,8 @@ accuracy with 5 samples" claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,8 +33,7 @@ from repro.trajectory.modes import ExecutionMode, ModeModelBank
 #: usable first approximation.
 MIN_STEPS_FOR_PREDICTION = 3
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Outcome of one prediction round.
 
     Attributes
@@ -70,8 +68,7 @@ class Prediction:
         return np.add.reduce(self.candidates, axis=0) / self.candidates.shape[0]
 
 
-@dataclass
-class AccuracyRecord:
+class AccuracyRecord(NamedTuple):
     """One verifiable prediction vs its realized outcome."""
 
     tick: int
@@ -170,12 +167,12 @@ class Predictor:
         model = self.modes.model(self._model_mode(prediction.mode))
         self.accuracy_records.append(
             AccuracyRecord(
-                tick=prediction.tick,
-                mode=prediction.mode,
-                predicted_violation=prediction.impending_violation,
-                actual_violation=actually_violated,
-                position_error=error,
-                step_scale=max(model.mean_step_length(), 1e-12),
+                prediction.tick,
+                prediction.mode,
+                prediction.impending_violation,
+                actually_violated,
+                error,
+                max(model.mean_step_length(), 1e-12),
             )
         )
 
@@ -195,14 +192,7 @@ class Predictor:
         """Forecast the next period's state and vote against violation-ranges."""
         model = self.modes.model(self._model_mode(mode))
         if not model.ready(MIN_STEPS_FOR_PREDICTION):
-            prediction = Prediction(
-                tick=tick,
-                mode=mode,
-                candidates=np.empty((0, 2)),
-                votes=0,
-                ready=False,
-                impending_violation=False,
-            )
+            prediction = Prediction(tick, mode, np.empty((0, 2)), 0, False, False)
             self._c_not_ready.inc()
         else:
             candidates = model.predict_candidates(
@@ -210,14 +200,7 @@ class Predictor:
             )
             votes = state_space.violation_vote(candidates)
             impending = votes >= (self.config.n_samples + 1) // 2
-            prediction = Prediction(
-                tick=tick,
-                mode=mode,
-                candidates=candidates,
-                votes=votes,
-                ready=True,
-                impending_violation=impending,
-            )
+            prediction = Prediction(tick, mode, candidates, votes, True, impending)
             self._c_samples.inc(len(candidates))
             self._h_votes.observe(float(votes))
             if impending:

@@ -21,8 +21,7 @@ This module owns the geometry of §3.2:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ class StateLabel(enum.Enum):
 _LABELS = (StateLabel.SAFE, StateLabel.VIOLATION)
 
 
-@dataclass(frozen=True)
-class ViolationGeometry:
+class ViolationGeometry(NamedTuple):
     """Materialized violation-range geometry of one state-space snapshot.
 
     Everything the per-period vote needs — violation centers, the

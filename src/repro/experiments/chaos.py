@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -227,8 +227,7 @@ class DrillComparison:
 # The auditor: controller bookkeeping against host truth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantBreach:
+class InvariantBreach(NamedTuple):
     """One recorded consistency violation."""
 
     tick: int

@@ -11,7 +11,7 @@ between runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.sim.container import Container
 from repro.sim.host import Host
@@ -21,8 +21,7 @@ from repro.workloads.registry import make_workload
 from repro.workloads.traces import WorkloadTrace, wikipedia_trace
 
 
-@dataclass(frozen=True)
-class BuiltScenario:
+class BuiltScenario(NamedTuple):
     """Instantiated host + applications, ready to run.
 
     Attributes

@@ -21,8 +21,7 @@ top. Scores live in ``[0, 1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 #: Weight of the predicted-violation term in the total score.
 WEIGHT_PREDICTED = 0.45
@@ -34,8 +33,7 @@ WEIGHT_UTILIZATION = 0.20
 SMOOTHING = 0.2
 
 
-@dataclass(frozen=True)
-class HostScore:
+class HostScore(NamedTuple):
     """One host's interference score and its components.
 
     Attributes
@@ -86,27 +84,18 @@ class InterferenceScorer:
         utilization = self._clamp(utilization)
         previous = self._scores.get(host)
         if previous is None:
-            smoothed = (predicted, qos_now, utilization)
+            qos = qos_now
         else:
             a = SMOOTHING
-            smoothed = (
-                a * predicted + (1 - a) * previous.predicted,
-                a * qos_now + (1 - a) * previous.qos,
-                a * utilization + (1 - a) * previous.utilization,
-            )
+            predicted = a * predicted + (1 - a) * previous.predicted
+            qos = a * qos_now + (1 - a) * previous.qos
+            utilization = a * utilization + (1 - a) * previous.utilization
         total = (
-            WEIGHT_PREDICTED * smoothed[0]
-            + WEIGHT_QOS * smoothed[1]
-            + WEIGHT_UTILIZATION * smoothed[2]
+            WEIGHT_PREDICTED * predicted
+            + WEIGHT_QOS * qos
+            + WEIGHT_UTILIZATION * utilization
         )
-        score = HostScore(
-            host=host,
-            predicted=smoothed[0],
-            qos=smoothed[1],
-            utilization=smoothed[2],
-            total=total,
-            tick=tick,
-        )
+        score = HostScore(host, predicted, qos, utilization, total, tick)
         self._scores[host] = score
         return score
 

@@ -12,8 +12,7 @@ current embedding distances; stress is guaranteed non-increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from repro.mds.distances import pairwise_distances
 from repro.mds.stress import raw_stress
 
 
-@dataclass(frozen=True)
-class SmacofResult:
+class SmacofResult(NamedTuple):
     """Outcome of a SMACOF run.
 
     Attributes

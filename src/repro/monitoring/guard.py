@@ -27,10 +27,9 @@ degraded-mode machinery in :mod:`repro.core.resilience` takes over).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import isfinite
 from operator import gt
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,8 +47,7 @@ class RejectReason(enum.Enum):
     IMPLAUSIBLE_SPIKE = "implausible-spike"
 
 
-@dataclass(frozen=True)
-class GuardVerdict:
+class GuardVerdict(NamedTuple):
     """Outcome of inspecting one measurement vector.
 
     Attributes
@@ -199,14 +197,7 @@ class SensorGuard:
             self.last_good = values.copy()
             self._stale = 0
             self._c_accepted.inc()
-            return GuardVerdict(
-                tick=tick,
-                values=values,
-                accepted=True,
-                imputed=False,
-                reasons=(),
-                stale_periods=0,
-            )
+            return GuardVerdict(tick, values, True, False, (), 0)
 
         self._c_rejected.inc()
         for reason in reasons:
@@ -214,25 +205,11 @@ class SensorGuard:
         self._stale += 1
         if self.last_good is not None and self._stale <= STALENESS_BUDGET:
             self._c_imputed.inc()
-            verdict = GuardVerdict(
-                tick=tick,
-                values=self.last_good.copy(),
-                accepted=False,
-                imputed=True,
-                reasons=tuple(reasons),
-                stale_periods=self._stale,
+            return GuardVerdict(
+                tick, self.last_good.copy(), False, True, tuple(reasons), self._stale
             )
-        else:
-            self._c_unusable.inc()
-            verdict = GuardVerdict(
-                tick=tick,
-                values=None,
-                accepted=False,
-                imputed=False,
-                reasons=tuple(reasons),
-                stale_periods=self._stale,
-            )
-        return verdict
+        self._c_unusable.inc()
+        return GuardVerdict(tick, None, False, False, tuple(reasons), self._stale)
 
     # -- introspection -----------------------------------------------------
     @property

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.telemetry.registry import MetricRegistry
 
@@ -91,8 +91,7 @@ class NullActuator(Actuator):
         return True
 
 
-@dataclass(frozen=True)
-class RecordedAction:
+class RecordedAction(NamedTuple):
     """One delivered command, as the recording backend logs it."""
 
     tick: int

@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.observation import CREATED, LIFECYCLE, METRICS, RUNNING, ZERO_USAGE, ContainerRow
 from repro.telemetry.registry import MetricRegistry
@@ -97,8 +97,7 @@ def _number(value) -> float:
     return float(value)
 
 
-@dataclass
-class ClosedTick:
+class ClosedTick(NamedTuple):
     """One assembled tick, ready for the controller.
 
     Attributes

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 
 class StreamError(RuntimeError):
@@ -179,8 +178,7 @@ _SAMPLE_LINE = re.compile(
 _LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
-@dataclass(frozen=True)
-class PromSample:
+class PromSample(NamedTuple):
     """One parsed exposition sample: name, sorted labels, value."""
 
     name: str

@@ -25,7 +25,7 @@ Failure semantics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from repro.sim.clock import SimulationClock
 from repro.sim.container import Container
@@ -76,8 +76,7 @@ class MigrationRecord:
         return self.outcome != MIGRATION_IN_FLIGHT
 
 
-@dataclass(frozen=True)
-class ContainerLocation:
+class ContainerLocation(NamedTuple):
     """Where a container currently is, without ambiguity.
 
     ``status`` is one of ``on-host`` (``host`` names it), ``migrating``
@@ -92,8 +91,7 @@ class ContainerLocation:
     record: Optional[MigrationRecord] = None
 
 
-@dataclass(frozen=True)
-class HostEvent:
+class HostEvent(NamedTuple):
     """One host lifecycle transition (crash / recover)."""
 
     tick: int

@@ -35,8 +35,7 @@ the first fault. ``docs/SIMULATION.md`` §5 lists every key and salt.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.observation import METRICS, ZERO_USAGE, Observation
 from repro.sim.host import Host, HostSnapshot
@@ -46,8 +45,7 @@ if TYPE_CHECKING:
     from repro.sim.cluster import Cluster
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(NamedTuple):
     """A fault that fired during the run."""
 
     tick: int

@@ -14,8 +14,7 @@ applications placed onto the least-loaded compatible host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from repro.sim.cluster import Cluster
 from repro.sim.container import Container
@@ -25,8 +24,7 @@ if TYPE_CHECKING:  # workloads.base imports repro.sim: annotation only
     from repro.workloads.base import Application
 
 
-@dataclass(frozen=True)
-class PlacementRequest:
+class PlacementRequest(NamedTuple):
     """One workload to place.
 
     Attributes
@@ -52,8 +50,7 @@ class PlacementRequest:
     start_tick: int = 0
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """The scheduler's decision for one request."""
 
     container: str

@@ -50,7 +50,7 @@ def inverse_transform(
     unit-weight counts is exact in any order (fractional weights get
     ``fsum``'s correctly rounded one). Every draw of the package —
     :meth:`Histogram.inverse_transform` and the per-period
-    :meth:`~repro.trajectory.sampling.TrajectoryModel.sample_steps` —
+    :meth:`~repro.trajectory.sampling.TrajectoryModel.predict_candidates` —
     runs this one function.
 
     Parameters

@@ -9,7 +9,7 @@ are able to achieve more than 90% accuracy on average".
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class TrajectoryModel:
         return self.distances.ready(minimum_steps) and self.angles.ready(minimum_steps)
 
     # -- forecasting -------------------------------------------------------
-    def sample_steps(self, rng: np.random.Generator, n: int = 5) -> np.ndarray:
-        """Draw ``n`` (dx, dy) displacement samples from the learned pdfs.
+    def _draw(self, rng: np.random.Generator, n: int) -> Tuple[List[float], np.ndarray]:
+        """The period's ``n`` step distances (floats) and angles (an array).
 
         All of a period's randomness is one ``(4, N)`` draw whose rows
         are, in order: distance bin, distance offset, angle bin, angle
@@ -88,30 +88,27 @@ class TrajectoryModel:
         keeps; no histogram is built. An empty distribution gets no
         rows and yields zeros, as its own
         :meth:`~repro.trajectory.histograms.EmpiricalDistribution.sample`
-        does.
-
-        Returns the ``(N, 2)`` steps.
+        does. The angles come back as an array for ``np.cos`` /
+        ``np.sin``.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
         # Bin first: a non-finite window must raise before the stream
         # moves.
-        parts = [
+        distances, angles = [
             part.binned() if len(part) else None
             for part in (self.distances, self.angles)
         ]
-        live = sum(1 for binned in parts if binned is not None)
+        live = (distances is not None) + (angles is not None)
         rows = iter(rng.random((2 * live, n)).tolist())
-        distances, angles = (
+        return (
+            [0.0] * n
+            if distances is None
+            else inverse_transform(*distances, next(rows), next(rows)),
             np.zeros(n)
-            if binned is None
-            else np.array(inverse_transform(*binned, next(rows), next(rows)))
-            for binned in parts
+            if angles is None
+            else np.array(inverse_transform(*angles, next(rows), next(rows))),
         )
-        steps = np.empty((n, 2))
-        steps[:, 0] = distances * np.cos(angles)
-        steps[:, 1] = distances * np.sin(angles)
-        return steps
 
     def predict_candidates(
         self,
@@ -124,11 +121,24 @@ class TrajectoryModel:
         "This allows us to predict a set of new states around the
         current state and models the uncertainty in the likely position
         of the future state" (§3.2.3).
+
+        Each candidate is ``current + (d·cos a, d·sin a)`` for one
+        drawn distance ``d`` and angle ``a`` (see :meth:`_draw`):
+        ``np.cos`` and ``np.sin`` run on the angle array, the products
+        and sums on Python floats in the array spelling's operand order
+        (``current + steps``, bit for bit), and one array is built at
+        the end. Raises ``ValueError`` for ``n < 1``, a ``current`` that
+        is not a 2-D point, or a window holding a non-finite value.
         """
         current = np.asarray(current, dtype=float)
         if current.shape != (2,):
             raise ValueError(f"expected a 2-D point, got shape {current.shape}")
-        return current + self.sample_steps(rng, n)
+        distances, angles = self._draw(rng, n)
+        x, y = current.tolist()
+        flat: List[float] = []
+        for d, c, s in zip(distances, np.cos(angles).tolist(), np.sin(angles).tolist()):
+            flat += (x + d * c, y + d * s)
+        return np.array(flat).reshape(n, 2)
 
     def mean_step_length(self) -> float:
         """Average observed step length (0 before any step)."""

@@ -357,15 +357,12 @@ class TestPredictPathAgainstScalarWindow:
                 hist.add(value)
             return hist.counts.tolist(), hist.edges.tolist()
 
-        def sequential_steps(self, rng, n=5):
+        def sequential_draw(self, rng, n):
             distances = self.distances.sample(rng, n)
-            angles = self.angles.sample(rng, n)
-            return np.column_stack(
-                [distances * np.cos(angles), distances * np.sin(angles)]
-            )
+            return distances.tolist(), self.angles.sample(rng, n)
 
         monkeypatch.setattr(EmpiricalDistribution, "binned", scalar_binned)
-        monkeypatch.setattr(TrajectoryModel, "sample_steps", sequential_steps)
+        monkeypatch.setattr(TrajectoryModel, "_draw", sequential_draw)
         assert _fingerprint(*_steady_run()) == steady
 
     def test_steady_run_rarely_rebins_a_window(self, monkeypatch):

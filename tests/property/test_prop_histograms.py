@@ -288,12 +288,18 @@ class TestWindowAgainstScalarOracle:
             model.angles.add(0.0)
             model.distances.add(value)
         with pytest.raises(ValueError):
-            model.sample_steps(rng, 5)
+            model.predict_candidates(np.zeros(2), rng, 5)
+
+
+#: A current position whose coordinates are not zero: ``0.0 + -0.0``
+#: would hide a step's sign.
+ORIGIN = np.array([0.25, -0.5])
 
 
 class TestFusedStepDraw:
-    """``sample_steps`` draws one ``(4, n)`` block; it must be the four
-    sequential ``(n,)`` draws it replaced, stream position included."""
+    """``predict_candidates`` draws one ``(4, n)`` block; its steps must
+    be the four sequential ``(n,)`` draws it replaced, stream position
+    included."""
 
     @staticmethod
     def sequential_steps(model, rng, n):
@@ -317,9 +323,10 @@ class TestFusedStepDraw:
             model.observe(np.asarray(point))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):  # the streams must stay in step draw after draw
-            steps = model.sample_steps(rng, n)
-            assert steps.shape == (n, 2)
-            assert np.array_equal(steps, self.sequential_steps(model, reference_rng, n))
+            candidates = model.predict_candidates(ORIGIN, rng, n)
+            assert candidates.shape == (n, 2)
+            expected = ORIGIN + self.sequential_steps(model, reference_rng, n)
+            assert np.array_equal(candidates, expected)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
@@ -329,8 +336,9 @@ class TestFusedStepDraw:
         for value in [0.3, 0.1, 0.2]:
             (model.distances if distances_only else model.angles).add(value)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        steps = model.sample_steps(rng, n)
-        assert np.array_equal(steps, self.sequential_steps(model, reference_rng, n))
+        candidates = model.predict_candidates(ORIGIN, rng, n)
+        expected = ORIGIN + self.sequential_steps(model, reference_rng, n)
+        assert np.array_equal(candidates, expected)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -414,7 +422,7 @@ class TestFloatKernelAgainstArrayReference:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_sample_steps_equal_the_reference_and_leave_the_stream_where_it_did(
+    def test_candidates_equal_the_reference_and_leave_the_stream_where_it_did(
         self, points, n, bins, seed
     ):
         model = TrajectoryModel(window=16, bins=bins)
@@ -422,14 +430,15 @@ class TestFloatKernelAgainstArrayReference:
             model.observe(np.asarray(point))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            steps = model.sample_steps(rng, n)
-            assert _bits(steps) == _bits(reference_sample_steps(model, reference_rng, n))
+            candidates = model.predict_candidates(ORIGIN, rng, n)
+            expected = ORIGIN + reference_sample_steps(model, reference_rng, n)
+            assert _bits(candidates) == _bits(expected)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_an_empty_model_draws_nothing_and_yields_zeros(self):
         rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
-        steps = TrajectoryModel().sample_steps(rng, 7)
-        assert steps.shape == (7, 2) and not steps.any()
+        candidates = TrajectoryModel().predict_candidates(ORIGIN, rng, 7)
+        assert candidates.shape == (7, 2) and (candidates == ORIGIN).all()
         assert rng.bit_generator.state == untouched.bit_generator.state
 
     @pytest.mark.parametrize("poison", [float("nan"), float("inf")])
@@ -441,5 +450,5 @@ class TestFloatKernelAgainstArrayReference:
             model.angles.add(value)
         rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
         with pytest.raises(ValueError, match="non-finite"):
-            model.sample_steps(rng, 5)
+            model.predict_candidates(ORIGIN, rng, 5)
         assert rng.bit_generator.state == untouched.bit_generator.state

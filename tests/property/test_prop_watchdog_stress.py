@@ -97,7 +97,7 @@ def test_memo_equals_the_full_stress_and_sums_every_pair_only_on_other_changes(
                 continue
             counted = len(calls)
             report = watchdog.inspect(tick, controller)
-            assert all(issue.check == "stress" for issue in report.issues)
+            assert report is None or [issue.check for issue in report.issues] == ["stress"]
             assert len(calls) - counted == int(rescore)
             rescore = False
             expected = normalized_stress(

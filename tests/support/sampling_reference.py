@@ -3,7 +3,8 @@
 Until PR 23 ``Histogram.inverse_transform`` mapped uniforms to samples
 with four NumPy calls — ``probabilities`` -> ``cdf`` ->
 ``searchsorted(side="right")`` -> offset inside the bin — and
-``TrajectoryModel.sample_steps`` fed it the rows of one ``(2 * live,
+``TrajectoryModel.sample_steps`` (whose steps ``predict_candidates``
+added to the current position) fed it the rows of one ``(2 * live,
 n)`` uniform draw. The bodies below are the ones the parent commit
 (bb317b0) ran, as functions of the histogram / model instead of
 methods. Nothing under ``src/`` imports this module; the sampling
@@ -50,7 +51,8 @@ def reference_inverse_transform(
 def reference_sample_steps(
     model: TrajectoryModel, rng: np.random.Generator, n: int = 5
 ) -> np.ndarray:
-    """The ``(N, 2)`` steps ``model.sample_steps(rng, n)`` drew at the parent."""
+    """The ``(N, 2)`` steps ``model.sample_steps(rng, n)`` drew at the parent:
+    ``model.predict_candidates(current, rng, n)`` is ``current`` plus them."""
     if n < 1:
         raise ValueError("n must be >= 1")
     # Histograms first: a non-finite window must raise before the

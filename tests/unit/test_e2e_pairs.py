@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +169,68 @@ class TestMain:
         (change / "BENCHMARK.json").write_text('{"command": []}', encoding="utf-8")
         with pytest.raises(SystemExit, match="different BENCHMARK.json"):
             e2e_pairs.main(["--parent", str(parent), "--change", str(change)])
+
+
+class TestParentRef:
+    @staticmethod
+    def two_commit_repo(tmp_path):
+        """A repository whose first commit benchmarks at 1000, its second at 1300."""
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                cwd=repo, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        for value in (1000, 1300):
+            staged = checkout(tmp_path, f"staged{value}", value)
+            for name in ("bench.py", "BENCHMARK.json"):
+                (repo / name).write_text((staged / name).read_text("utf-8"), encoding="utf-8")
+            git("add", "-A")
+            git("commit", "-q", "-m", f"value {value}")
+        return repo, git("rev-parse", "HEAD~1")
+
+    def test_the_exported_commit_is_the_parent_and_is_removed(self, tmp_path, capsys):
+        repo, first = self.two_commit_repo(tmp_path)
+        status = e2e_pairs.main(
+            ["--parent-ref", "HEAD~1", "--change", str(repo),
+             "--workload", "steady", "--pairs", "2", "--seeds", "3"]
+        )
+        out = capsys.readouterr().out
+        assert status == 0
+        exported = re.search(rf"parent: git archive {first} \(HEAD~1\) from \S+ into (\S+)", out)
+        assert exported is not None
+        assert "parent: byte-compiled" not in out  # the fake checkout has no sources
+        throughput = next(line for line in out.splitlines() if line.startswith("ticks_per_s"))
+        assert "+29.9%" in throughput and "2/2" in throughput
+        assert not Path(exported.group(1)).exists()
+
+    def test_an_unknown_revision_is_refused_and_leaves_nothing(self, tmp_path, monkeypatch):
+        repo, _ = self.two_commit_repo(tmp_path)
+        made = []
+        real = e2e_pairs.tempfile.TemporaryDirectory
+
+        def recorded(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(e2e_pairs.tempfile, "TemporaryDirectory", recorded)
+        with pytest.raises(SystemExit, match="rev-parse"):
+            e2e_pairs.main(["--parent-ref", "no-such-rev", "--change", str(repo)])
+        assert made and not Path(made[0].name).exists()
+
+    def test_parent_and_parent_ref_exclude_each_other(self, tmp_path, capsys):
+        parent = checkout(tmp_path, "parent", 1000)
+        with pytest.raises(SystemExit):
+            e2e_pairs.main(
+                ["--parent", str(parent), "--parent-ref", "HEAD", "--change", str(parent)]
+            )
+        assert "not allowed with argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            e2e_pairs.main(["--change", str(parent)])
 
 
 class TestLayers:

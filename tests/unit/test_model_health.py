@@ -58,17 +58,13 @@ class TestInspect:
     def test_clean_model_passes_every_check(self):
         controller = learned_controller()
         watchdog = fresh_watchdog(controller)
-        report = watchdog.inspect(100, controller)
-        assert report.ok
-        assert report.bad_states == []
-        assert not report.structural
+        assert watchdog.inspect(100, controller) is None
 
     def test_nan_coordinate_flags_the_row(self):
         controller = learned_controller()
         watchdog = fresh_watchdog(controller)
         controller.state_space.coords[1] = np.nan
         report = watchdog.inspect(100, controller)
-        assert not report.ok
         assert report.bad_states == [1]
         assert not report.structural
 
@@ -286,7 +282,7 @@ class TestPoisonerKindsAreCaughtAtOnce:
         controller, host = mapped_controller()
         watchdog = fresh_watchdog(controller)
         controller.state_space.geometry()  # materialize the cache the poisoner hits
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         poisoner = ModelPoisoner(controller, seed=1, probability=1.0, kinds=[kind])
         poisoner.on_tick(host.step(), host)
         assert [event.kind for event in poisoner.fired] == [f"poison-{kind}"]
@@ -313,25 +309,25 @@ class TestStressMemo:
         watchdog = fresh_watchdog(controller)
         calls = self.count_stress_calls(monkeypatch)
         for tick in range(150, 155):
-            assert watchdog.inspect(tick, controller).ok
+            assert watchdog.inspect(tick, controller) is None
         assert len(calls) == 1
 
     def test_in_place_write_of_equal_shape_is_rescored(self, monkeypatch):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
         calls = self.count_stress_calls(monkeypatch)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         controller.state_space.coords[3, 0] += 1e-6  # same array object, new content
-        assert watchdog.inspect(151, controller).ok
+        assert watchdog.inspect(151, controller) is None
         assert len(calls) == 2
 
     def test_appended_states_are_scored_by_their_rows(self, monkeypatch):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         calls = self.count_stress_calls(monkeypatch)
         TestAppendedRows.grown(controller, count=2)
-        assert watchdog.inspect(151, controller).ok
+        assert watchdog.inspect(151, controller) is None
         assert calls == []
         space = controller.state_space
         assert watchdog._stress(space) == pytest.approx(
@@ -345,7 +341,7 @@ class TestStressMemo:
         # content notices that the map collapsed.
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         controller.state_space.coords *= 1e-3
         report = watchdog.inspect(151, controller)
         assert [issue.check for issue in report.issues] == ["stress"]
@@ -363,8 +359,8 @@ class TestGeometryMemo:
         watchdog = fresh_watchdog(controller)
         geometry = controller.state_space.geometry()
         assert geometry.radii.size
-        assert watchdog.inspect(150, controller).ok
-        assert watchdog.inspect(151, controller).ok  # the memo now holds it
+        assert watchdog.inspect(150, controller) is None
+        assert watchdog.inspect(151, controller) is None  # the memo now holds it
         geometry.radii[0] = poison
         report = watchdog.inspect(152, controller)
         assert [issue.check for issue in report.issues] == ["geometry"]
@@ -374,12 +370,12 @@ class TestGeometryMemo:
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
         geometry = controller.state_space.geometry()
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         geometry.radii[0] = -1.0
         report = watchdog.inspect(151, controller)
         assert watchdog.heal(151, controller, report) == ["geometry-rebuild"]
         controller.state_space.geometry()
-        assert watchdog.inspect(152, controller).ok
+        assert watchdog.inspect(152, controller) is None
 
 
 class TestAppendedRows:
@@ -413,16 +409,16 @@ class TestAppendedRows:
     def test_only_appended_rows_are_checked(self, monkeypatch):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         rows = self.record_row_checks(monkeypatch)
         self.grown(controller, count=2)
-        assert watchdog.inspect(151, controller).ok
+        assert watchdog.inspect(151, controller) is None
         assert rows == [2, 2]  # coords, then representatives
 
     def test_nan_in_an_old_row_at_an_unchanged_row_count_is_flagged(self):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         n = len(controller.state_space)
         controller.state_space.coords[2, 1] = float("nan")
         report = watchdog.inspect(151, controller)
@@ -432,14 +428,14 @@ class TestAppendedRows:
     def test_nan_in_an_old_representative_row_is_flagged(self):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         controller.state_space.representatives.points[4, 0] = float("nan")
         assert watchdog.inspect(151, controller).bad_states == [4]
 
     def test_a_bad_appended_row_is_flagged(self):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         before = self.grown(controller)
         controller.state_space.coords[before, 0] = float("inf")
         assert watchdog.inspect(151, controller).bad_states == [before]
@@ -447,7 +443,7 @@ class TestAppendedRows:
     def test_a_bad_appended_representative_is_flagged(self):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         before = self.grown(controller, count=3)
         controller.state_space.representatives.points[before + 1, 2] = 1e9
         assert watchdog.inspect(151, controller).bad_states == [before + 1]
@@ -455,7 +451,7 @@ class TestAppendedRows:
     def test_an_old_row_written_while_the_map_grew_is_flagged(self, monkeypatch):
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         before = self.grown(controller)
         controller.state_space.coords[0, 0] = float("nan")
         rows = self.record_row_checks(monkeypatch)
@@ -468,7 +464,7 @@ class TestAppendedRows:
         # write has to move with it.
         controller, _ = mapped_controller()
         watchdog = fresh_watchdog(controller)
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         space = controller.state_space
         space.refit_interval = 10**9
         matrix = space.representatives.points
@@ -504,7 +500,7 @@ def _poison(kind, controller, host):
         row = re.fullmatch(r"\w+\[(\d+)\]", poisoner.fired[0].target)
         return None if row is None else int(row.group(1))
     elif kind == "inf-scale":
-        object.__setattr__(space._geometry, "scale", float("inf"))
+        space._geometry = space._geometry._replace(scale=float("inf"))
     elif kind == "nan-centre":
         space._geometry.centers[0, 1] = float("nan")
     elif kind == "inf-last-point":
@@ -546,14 +542,14 @@ class TestVerdictTable:
         controller, host = mapped_controller()
         watchdog = fresh_watchdog(controller)
         assert controller.state_space.geometry().radii.size
-        assert watchdog.inspect(150, controller).ok
+        assert watchdog.inspect(150, controller) is None
         row = _poison(kind, controller, host)
         report = watchdog.inspect(151, controller)
         assert [issue.check for issue in report.issues] == [check]
         assert report.bad_states == ([row] if bad_states is HIT else bad_states)
         assert [mode.value for mode in report.bad_modes] == bad_modes
         assert watchdog.heal(151, controller, report) == actions
-        assert watchdog.inspect(152, controller).ok
+        assert watchdog.inspect(152, controller) is None
 
 
 class _StructuralBreach:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.state_space import CENTER_EPSILON, ViolationGeometry
 from repro.monitoring.normalize import CapacityNormalizer
+from repro.trajectory.sampling import TrajectoryModel
 
 SPECIALS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 0.5, 1.0, 2.0, -3.0]
 
@@ -99,6 +100,50 @@ class TestGeneratorRandomIsUniform:
             assert rng.random(shape).tobytes() == reference.uniform(0.0, 1.0, shape).tobytes()
             assert rng.bit_generator.state == reference.bit_generator.state
             assert rng.random() == reference.uniform(0.0, 1.0)
+
+
+def array_candidates(
+    model: TrajectoryModel, current: np.ndarray, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """The array tail :meth:`TrajectoryModel.predict_candidates` replaced:
+    the ``(n, 2)`` steps as two column products, then ``current + steps``."""
+    distances, angles = model._draw(rng, n)
+    distances = np.array(distances)
+    steps = np.empty((n, 2))
+    steps[:, 0] = distances * np.cos(angles)
+    steps[:, 1] = distances * np.sin(angles)
+    return current + steps
+
+
+def trained_model(rng: np.random.Generator, points: int) -> TrajectoryModel:
+    model = TrajectoryModel(window=32, bins=int(rng.integers(1, 20)))
+    for point in rng.normal(scale=float(rng.choice([1e-3, 1.0, 50.0])), size=(points, 2)):
+        model.observe(point)
+    return model
+
+
+class TestCandidateTail:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_float_tail_equals_current_plus_steps(self, seed):
+        rng = np.random.default_rng(seed)
+        model = trained_model(rng, int(rng.integers(0, 40)))
+        current = rng.normal(scale=2.0, size=2)
+        n = int(rng.integers(1, 12))
+        draws, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # the streams stay in step, draw after draw
+            got = model.predict_candidates(current, draws, n)
+            assert got.tobytes() == array_candidates(model, current, reference, n).tobytes()
+            assert draws.bit_generator.state == reference.bit_generator.state
+        assert draws.random() == reference.random()
+
+    @pytest.mark.parametrize("current", [[0.0, 0.0], [-0.0, -0.0], [1e300, -1e-300]])
+    def test_signed_zero_and_extreme_positions(self, current):
+        current = np.array(current)
+        for model in (TrajectoryModel(), trained_model(np.random.default_rng(1), 20)):
+            draws, reference = np.random.default_rng(9), np.random.default_rng(9)
+            got = model.predict_candidates(current, draws, 7)
+            assert got.tobytes() == array_candidates(model, current, reference, 7).tobytes()
+            assert draws.random() == reference.random()
 
 
 class TestTwoVectorNorm:

@@ -99,7 +99,7 @@ class TestForecasting:
     def test_sample_count_validated(self, rng):
         model = self.make_trained_model(rng)
         with pytest.raises(ValueError):
-            model.sample_steps(rng, 0)
+            model.predict_candidates(np.zeros(2), rng, 0)
 
     def test_current_shape_validated(self, rng):
         model = self.make_trained_model(rng)

@@ -28,6 +28,11 @@ raw self time (``_us``, not a percentile, not the gauge) is multiplied
 by ``400 / bench.gauge_us`` of its own pass, as the benchmark's README
 says to, so two passes on a two-speed box compare.
 
+``--parent-ref REV`` (instead of ``--parent``) exports commit ``REV``
+of the ``--change`` checkout's repository with ``git archive`` into a
+temporary directory, logs the commit, uses it as the parent checkout
+(byte-compiled like any other) and removes it at exit.
+
 ``--sims`` runs no pairs: one ``--seconds 0`` pass per side per seed,
 and the ``episode_sims`` of the two result files (decision digest,
 violations, ``batch_work``, every count) must be equal key for key.
@@ -43,6 +48,7 @@ Usage::
     python tools/e2e_pairs.py --parent P --change . --pairs 4 --seeds 3 11 \\
         --layer sim.step_self_us --layer monitoring.guard_us
     python tools/e2e_pairs.py --parent P --change . --sims --seeds 3 11
+    python tools/e2e_pairs.py --parent-ref HEAD~1 --change . --pairs 10
 
 Exit status 0 when every pass was correct (and, with ``--sims``, every
 episode equal), 1 otherwise.
@@ -51,11 +57,13 @@ episode equal), 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -102,6 +110,22 @@ def compile_checkout(side: str, checkout: Path) -> None:
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} failed")
     print(f"{side}: byte-compiled {' '.join(folders)} in {checkout}", flush=True)
+
+
+def export_commit(repo: Path, rev: str, into: Path) -> None:
+    """``git archive`` commit ``rev`` of the repository at ``repo`` into
+    the directory ``into``, and log the commit's full hash."""
+    def git(*args: str) -> bytes:
+        done = subprocess.run(["git", *args], cwd=repo, capture_output=True)
+        if done.returncode != 0:
+            raise SystemExit(f"{repo}: git {' '.join(args)} failed: "
+                             + done.stderr.decode(errors="replace").strip())
+        return done.stdout
+
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as archive:
+        archive.extractall(into, filter="data")
+    print(f"parent: git archive {commit} ({rev}) from {repo} into {into}", flush=True)
 
 
 def reading(result: dict, metric: dict) -> float:
@@ -211,8 +235,11 @@ def summarize(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True,
-                        help="checkout of the parent commit")
+    parent = parser.add_mutually_exclusive_group(required=True)
+    parent.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parent.add_argument("--parent-ref", metavar="REV",
+                        help="export this commit of the --change repository "
+                        "with git archive and use it as the parent")
     parser.add_argument("--change", type=Path, required=True,
                         help="checkout of the change")
     parser.add_argument("--workload", action="append", default=None,
@@ -226,7 +253,16 @@ def main(argv=None) -> int:
     parser.add_argument("--sims", action="store_true",
                         help="no pairs: compare the episode_sims of one episode per seed")
     args = parser.parse_args(argv)
+    if args.parent_ref is None:
+        return compare(args)
+    with tempfile.TemporaryDirectory(prefix="e2e-parent-") as exported:
+        args.parent = Path(exported)
+        export_commit(args.change.resolve(), args.parent_ref, args.parent)
+        return compare(args)
 
+
+def compare(args: argparse.Namespace) -> int:
+    """The passes of :func:`main` between two checkouts on disk."""
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     contract = json.loads((checkouts["change"] / "BENCHMARK.json").read_text("utf-8"))
     if contract != json.loads((checkouts["parent"] / "BENCHMARK.json").read_text("utf-8")):
