@@ -36,7 +36,6 @@ counter in the controller's registry, so the exposition and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isfinite, sqrt
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -124,24 +123,23 @@ class HealthIssue(NamedTuple):
     detail: str
 
 
-@dataclass
-class HealthReport:
+class HealthReport(NamedTuple):
     """The breach one watchdog inspection found (one issue or more)."""
 
     tick: int
-    issues: List[HealthIssue] = field(default_factory=list)
+    issues: List[HealthIssue]
     #: State indices whose learned rows (coords/representatives) are bad.
-    bad_states: List[int] = field(default_factory=list)
+    bad_states: List[int]
     #: Execution modes whose step histograms hold non-finite samples.
-    bad_modes: List[ExecutionMode] = field(default_factory=list)
+    bad_modes: List[ExecutionMode]
     #: Diverged stress: damage to the whole embedding that per-row
     #: quarantine cannot repair.
-    structural: bool = False
+    structural: bool
     #: Poisoning confined to the materialized geometry cache while the
     #: underlying rows are clean.
-    cache_poisoned: bool = False
+    cache_poisoned: bool
     #: Beta degenerated (non-finite or non-positive).
-    beta_bad: bool = False
+    beta_bad: bool
 
 
 class ModelHealthWatchdog:
@@ -290,13 +288,7 @@ class ModelHealthWatchdog:
             return None
         self._count("violations")
         return HealthReport(
-            tick=tick,
-            issues=issues,
-            bad_states=bad_states,
-            bad_modes=bad_modes,
-            structural=structural,
-            cache_poisoned=cache_poisoned,
-            beta_bad=beta_bad,
+            tick, issues, bad_states, bad_modes, structural, cache_poisoned, beta_bad
         )
 
     def _stress(self, space: StateSpace) -> float:

@@ -15,9 +15,7 @@ through its phases more slowly, exactly as a real program would.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import List, Sequence
 
 from repro.sim.resources import ResourceVector
@@ -59,8 +57,6 @@ class PhaseSchedule:
         self.phases: List[Phase] = list(phases)
         self.cyclic = cyclic
         self._total = sum(phase.duration for phase in self.phases)
-        #: Where each phase ends: the running sum of the durations.
-        self._ends: List[float] = list(accumulate(phase.duration for phase in self.phases))
 
     def phase_at(self, position: float) -> Phase:
         """The phase active at the given work position.
@@ -74,9 +70,12 @@ class PhaseSchedule:
             position = position % self._total
         elif position >= self._total:
             return self.phases[-1]
-        # The first phase that ends past the position (or the last).
-        index = bisect_right(self._ends, position)
-        return self.phases[min(index, len(self.phases) - 1)]
+        cumulative = 0.0
+        for phase in self.phases:
+            cumulative += phase.duration
+            if position < cumulative:
+                return phase
+        return self.phases[-1]
 
     @classmethod
     def single(cls, name: str, demand: ResourceVector) -> "PhaseSchedule":

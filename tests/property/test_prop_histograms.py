@@ -11,6 +11,7 @@ from repro.trajectory.histograms import EmpiricalDistribution, Histogram
 from repro.trajectory.sampling import TrajectoryModel
 from tests.support.sampling_reference import (
     reference_cdf,
+    drawn_steps,
     reference_inverse_transform,
     reference_sample_steps,
 )
@@ -297,9 +298,10 @@ ORIGIN = np.array([0.25, -0.5])
 
 
 class TestFusedStepDraw:
-    """``predict_candidates`` draws one ``(4, n)`` block; its steps must
-    be the four sequential ``(n,)`` draws it replaced, stream position
-    included."""
+    """``TrajectoryModel._draw`` draws one ``(4, n)`` block; its steps
+    must be the four sequential ``(n,)`` draws it replaced, bit for bit
+    and stream position included, and ``predict_candidates`` must add
+    them to the current position."""
 
     @staticmethod
     def sequential_steps(model, rng, n):
@@ -322,12 +324,16 @@ class TestFusedStepDraw:
         for point in points:
             model.observe(np.asarray(point))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        steps_rng = np.random.default_rng(seed)
         for _ in range(3):  # the streams must stay in step draw after draw
+            steps = drawn_steps(model, steps_rng, n)
+            sequential = self.sequential_steps(model, reference_rng, n)
+            assert _bits(steps) == _bits(sequential)
             candidates = model.predict_candidates(ORIGIN, rng, n)
             assert candidates.shape == (n, 2)
-            expected = ORIGIN + self.sequential_steps(model, reference_rng, n)
-            assert np.array_equal(candidates, expected)
+            assert _bits(candidates) == _bits(ORIGIN + steps)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
+            assert steps_rng.bit_generator.state == reference_rng.bit_generator.state
 
     @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=30, deadline=None)
@@ -336,10 +342,13 @@ class TestFusedStepDraw:
         for value in [0.3, 0.1, 0.2]:
             (model.distances if distances_only else model.angles).add(value)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        steps_rng = np.random.default_rng(seed)
+        steps = drawn_steps(model, steps_rng, n)
+        assert _bits(steps) == _bits(self.sequential_steps(model, reference_rng, n))
         candidates = model.predict_candidates(ORIGIN, rng, n)
-        expected = ORIGIN + self.sequential_steps(model, reference_rng, n)
-        assert np.array_equal(candidates, expected)
+        assert _bits(candidates) == _bits(ORIGIN + steps)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert steps_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def _bits(values):
@@ -429,14 +438,20 @@ class TestFloatKernelAgainstArrayReference:
         for point in points:
             model.observe(np.asarray(point))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        steps_rng = np.random.default_rng(seed)
         for _ in range(3):
+            steps = drawn_steps(model, steps_rng, n)
+            reference = reference_sample_steps(model, reference_rng, n)
+            assert _bits(steps) == _bits(reference)
             candidates = model.predict_candidates(ORIGIN, rng, n)
-            expected = ORIGIN + reference_sample_steps(model, reference_rng, n)
-            assert _bits(candidates) == _bits(expected)
+            assert _bits(candidates) == _bits(ORIGIN + steps)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
+            assert steps_rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_an_empty_model_draws_nothing_and_yields_zeros(self):
         rng, untouched = np.random.default_rng(5), np.random.default_rng(5)
+        steps = drawn_steps(TrajectoryModel(), rng, 7)
+        assert _bits(steps) == _bits(np.zeros((7, 2)))
         candidates = TrajectoryModel().predict_candidates(ORIGIN, rng, 7)
         assert candidates.shape == (7, 2) and (candidates == ORIGIN).all()
         assert rng.bit_generator.state == untouched.bit_generator.state

@@ -72,3 +72,22 @@ def reference_sample_steps(
     return np.column_stack(
         [distances * np.cos(angles), distances * np.sin(angles)]
     )
+
+
+def drawn_steps(
+    model: TrajectoryModel, rng: np.random.Generator, n: int = 5
+) -> np.ndarray:
+    """The ``(N, 2)`` steps of one :meth:`TrajectoryModel._draw`, formed as
+    ``sample_steps`` formed them: the columns ``d·cos a`` and ``d·sin a``.
+
+    Unlike the functions above this runs the draw under test. It lets a
+    suite compare the steps bit for bit before ``current +`` rounds
+    them, and ``current + drawn_steps(...)`` is the array spelling of
+    the candidate tail.
+    """
+    distances, angles = model._draw(rng, n)
+    distances = np.array(distances)
+    steps = np.empty((n, 2))
+    steps[:, 0] = distances * np.cos(angles)
+    steps[:, 1] = distances * np.sin(angles)
+    return steps

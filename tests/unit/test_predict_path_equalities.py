@@ -16,6 +16,7 @@ import pytest
 from repro.core.state_space import CENTER_EPSILON, ViolationGeometry
 from repro.monitoring.normalize import CapacityNormalizer
 from repro.trajectory.sampling import TrajectoryModel
+from tests.support.sampling_reference import drawn_steps
 
 SPECIALS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 0.5, 1.0, 2.0, -3.0]
 
@@ -107,12 +108,7 @@ def array_candidates(
 ) -> np.ndarray:
     """The array tail :meth:`TrajectoryModel.predict_candidates` replaced:
     the ``(n, 2)`` steps as two column products, then ``current + steps``."""
-    distances, angles = model._draw(rng, n)
-    distances = np.array(distances)
-    steps = np.empty((n, 2))
-    steps[:, 0] = distances * np.cos(angles)
-    steps[:, 1] = distances * np.sin(angles)
-    return current + steps
+    return current + drawn_steps(model, rng, n)
 
 
 def trained_model(rng: np.random.Generator, points: int) -> TrajectoryModel:

@@ -25,7 +25,7 @@ from repro.analysis.utilization import UtilizationComparison
 from repro.baselines.static_profiling import StaticProfile
 from repro.core.controller import TrajectoryPoint
 from repro.core.mapping import MappedSample
-from repro.core.model_health import HealthIssue
+from repro.core.model_health import HealthIssue, HealthReport
 from repro.core.prediction import AccuracyRecord, Prediction
 from repro.core.state_space import ViolationGeometry
 from repro.experiments.chaos import InvariantBreach
@@ -49,6 +49,7 @@ RECORDS = [
     FaultEvent,
     GuardVerdict,
     HealthIssue,
+    HealthReport,
     HostEvent,
     HostScore,
     InvariantBreach,

@@ -124,7 +124,12 @@ def export_commit(repo: Path, rev: str, into: Path) -> None:
 
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as archive:
-        archive.extractall(into, filter="data")
+        # The "data" filter exists from 3.9.17, 3.10.12 and 3.11.4 on;
+        # an older interpreter extracts the git archive without it.
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(into, filter="data")
+        else:
+            archive.extractall(into)
     print(f"parent: git archive {commit} ({rev}) from {repo} into {into}", flush=True)
 
 
